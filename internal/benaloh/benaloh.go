@@ -15,7 +15,16 @@
 // and Alnuaimi, 2011): for every prime p dividing r, g^{φ(n)/p} ≠ 1 mod n.
 // The original 1994 condition (only g^{φ(n)/r} ≠ 1) admits keys for which
 // decryption is ambiguous when r is composite — and the scheme is normally
-// run with r = 3^k to enable fast digit-by-digit decryption.
+// run with r = 3^k, which makes the discrete log of decryption smooth.
+//
+// The key holder decrypts without arithmetic modulo n: p1 is chosen with
+// r | p1-1 and gcd(r, p2-1) = 1, so c^((p1-1)/r) mod p1 = h^m for an h of
+// exact order r in Z_p1^*, µ gone. That is one exponentiation over the
+// half-width modulus; m then falls out of ⌈k/j⌉ look-ups in a 3^j-entry
+// table, j = ⌈k/2⌉ capped at 8 (Pohlig-Hellman over chunks of j base-3
+// digits), or of baby-step giant-step when r is prime. GenerateKey builds
+// the tables — two of 3^j residues of p1 each, 729 for the default 3^12 —
+// and a key is read-only afterwards.
 package benaloh
 
 import (
@@ -38,27 +47,27 @@ type PublicKey struct {
 	R *big.Int // plaintext space size
 }
 
-// PrivateKey holds the factorization and precomputed decryption tables.
+// PrivateKey holds the factorization and the decryption tables, all built
+// by GenerateKey and read-only afterwards: one key decrypts from any number
+// of goroutines.
 type PrivateKey struct {
 	PublicKey
-	P1, P2 *big.Int
-	phi    *big.Int // (p1-1)(p2-1)
-	phiOvR *big.Int // φ/r
-	// Base-3 digit decryption tables, present when R = 3^k.
-	k        int
-	wPow     [3]*big.Int // (g^{φ/3})^d mod n for d = 0,1,2
-	phiOv3i  []*big.Int  // φ/3^i for i=1..k
-	gInv     *big.Int    // g^{-1} mod n
-	hBase    *big.Int    // g^{φ/r} mod n, base for BSGS decryption
-	babySize int
-	babyTab  map[string]int64 // BSGS table: hBase^j -> j
+	P1, P2   *big.Int
+	cofactor *big.Int         // (p1-1)/r: raising to it maps Z_p1^* onto the order-r subgroup ⟨h⟩
+	logTab   map[string]int32 // W^i -> i (r = 3^k, W = h^(3^(k-chunk))) or h^i -> i (prime r)
+	// r = 3^k: base-3 digits are solved chunk at a time.
+	k, chunk int
+	pow3     []*big.Int // 3^i for i = 0..k
+	peel     []*big.Int // h^-i mod p1 for i < 3^chunk
+	// Prime r: baby-step giant-step.
+	giant *big.Int // h^-s mod p1, s = len(logTab) = ⌈√r⌉
 }
 
 // CiphertextBytes returns the byte length of one ciphertext.
 func (pk *PublicKey) CiphertextBytes() int { return (pk.N.BitLen() + 7) / 8 }
 
-// Pow3 returns 3^k, the conventional plaintext modulus enabling the
-// optimized O(k)-exponentiation decryption of Appendix A.2.
+// Pow3 returns 3^k, the conventional plaintext modulus: it makes the
+// discrete log of decryption smooth, solved by table look-ups.
 func Pow3(k int) *big.Int {
 	return new(big.Int).Exp(big.NewInt(3), big.NewInt(int64(k)), nil)
 }
@@ -84,6 +93,9 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 	if isPow3 {
 		primeFactors = []*big.Int{big.NewInt(3)}
 	} else if r.ProbablyPrime(32) {
+		if r.BitLen() > maxPrimeBits {
+			return nil, fmt.Errorf("benaloh: a prime r above %d bits needs a baby-step table too large to build", maxPrimeBits)
+		}
 		primeFactors = []*big.Int{new(big.Int).Set(r)}
 	} else {
 		return nil, errors.New("benaloh: r must be a power of 3 or prime")
@@ -136,24 +148,24 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 		PublicKey: PublicKey{N: n, G: g, R: new(big.Int).Set(r)},
 		P1:        p1,
 		P2:        p2,
-		phi:       phi,
-		phiOvR:    new(big.Int).Div(phi, r),
+		cofactor:  new(big.Int).Div(new(big.Int).Sub(p1, one), r),
+		k:         k,
 	}
-	priv.gInv = new(big.Int).ModInverse(g, n)
-	priv.hBase = new(big.Int).Exp(g, priv.phiOvR, n)
+	h := new(big.Int).Exp(g, priv.cofactor, p1)
+	hInv := new(big.Int).ModInverse(h, p1)
 	if isPow3 {
-		priv.k = k
-		w := new(big.Int).Exp(g, new(big.Int).Div(phi, big.NewInt(3)), n)
-		priv.wPow[0] = big.NewInt(1)
-		priv.wPow[1] = w
-		priv.wPow[2] = new(big.Int).Mul(w, w)
-		priv.wPow[2].Mod(priv.wPow[2], n)
-		priv.phiOv3i = make([]*big.Int, k+1)
-		p3 := big.NewInt(1)
-		for i := 0; i <= k; i++ {
-			priv.phiOv3i[i] = new(big.Int).Div(phi, p3)
-			p3.Mul(p3, big.NewInt(3))
+		priv.chunk = min((k+1)/2, maxChunk)
+		priv.pow3 = make([]*big.Int, k+1)
+		for i := range priv.pow3 {
+			priv.pow3[i] = Pow3(i)
 		}
+		size := int(priv.pow3[priv.chunk].Int64())
+		priv.logTab = logTable(h.Exp(h, priv.pow3[k-priv.chunk], p1), size, p1)
+		priv.peel = powers(hInv, size, p1)
+	} else {
+		size := int(new(big.Int).Sqrt(r).Int64()) + 1
+		priv.logTab = logTable(h, size, p1)
+		priv.giant = hInv.Exp(hInv, big.NewInt(int64(size)), p1)
 	}
 	return priv, nil
 }

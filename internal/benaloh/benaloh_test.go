@@ -2,8 +2,13 @@ package benaloh
 
 import (
 	"bytes"
+	"crypto/rand"
 	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io"
 	"math/big"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -184,9 +189,6 @@ func TestBSGSDecryptionPrimeR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k.ExpOps() != 1 {
-		t.Fatalf("ExpOps for prime r = %d, want 1", k.ExpOps())
-	}
 	rnd := newDetRand("bsgs-msgs")
 	for _, m := range []int64{0, 1, 9999, 10006, 5003} {
 		c, err := k.EncryptInt(rnd, m)
@@ -297,5 +299,406 @@ func TestScoreAccumulationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// oracleDecrypt is Appendix A.2 as the paper states it, entirely modulo n
+// and from the factorization alone — the algorithm Decrypt used before it
+// moved into the order-r subgroup of Z_p1^*, kept as the reference. For
+// r = 3^k it recovers m digit by digit: with m_i = m mod 3^i known,
+//
+//	(c · g^{-m_i})^{φ/3^{i+1}} = (g^{φ/3})^{d_i}  (mod n)
+//
+// reveals digit d_i, because µ^{r·φ/3^{i+1}} = (µ^φ)^{3^{k-i-1}} = 1. For
+// a prime r it walks the powers of g^{φ/r} until one equals c^{φ/r}.
+func oracleDecrypt(sk *PrivateKey, c *big.Int) (*big.Int, bool) {
+	n := sk.N
+	if new(big.Int).GCD(nil, nil, c, n).Cmp(one) != 0 {
+		return nil, false
+	}
+	phi := new(big.Int).Mul(new(big.Int).Sub(sk.P1, one), new(big.Int).Sub(sk.P2, one))
+	three := big.NewInt(3)
+	k, isPow3 := pow3Exponent(sk.R)
+	if !isPow3 {
+		e := new(big.Int).Div(phi, sk.R)
+		target := new(big.Int).Exp(c, e, n)
+		h := new(big.Int).Exp(sk.G, e, n)
+		v := big.NewInt(1)
+		for m := int64(0); m < sk.R.Int64(); m++ {
+			if v.Cmp(target) == 0 {
+				return big.NewInt(m), true
+			}
+			v.Mod(v.Mul(v, h), n)
+		}
+		return nil, false
+	}
+	w := new(big.Int).Exp(sk.G, new(big.Int).Div(phi, three), n)
+	wPow := []*big.Int{big.NewInt(1), w, new(big.Int).Exp(w, two, n)}
+	m := new(big.Int)
+	adj := new(big.Int).Set(c)                  // c · g^{-m_i} mod n
+	gInvPow := new(big.Int).ModInverse(sk.G, n) // g^{-3^i} mod n
+	p3 := big.NewInt(1)                         // 3^i
+	for i := 0; i < k; i++ {
+		t := new(big.Int).Exp(adj, new(big.Int).Div(phi, new(big.Int).Mul(p3, three)), n)
+		d := int64(-1)
+		for j, wp := range wPow {
+			if t.Cmp(wp) == 0 {
+				d = int64(j)
+			}
+		}
+		if d < 0 {
+			return nil, false
+		}
+		m.Add(m, new(big.Int).Mul(big.NewInt(d), p3))
+		adj.Mod(adj.Mul(adj, new(big.Int).Exp(gInvPow, big.NewInt(d), n)), n)
+		gInvPow.Exp(gInvPow, three, n)
+		p3.Mul(p3, three)
+	}
+	return m, true
+}
+
+// checkDecrypt asserts Decrypt(c) == oracle(c) == want (want nil: only the
+// first equality, for units no Encrypt call produced).
+func checkDecrypt(t *testing.T, sk *PrivateKey, c, want *big.Int, what string) {
+	t.Helper()
+	got, err := sk.Decrypt(c)
+	if err != nil {
+		t.Fatalf("%s: Decrypt: %v", what, err)
+	}
+	ref, ok := oracleDecrypt(sk, c)
+	if !ok {
+		t.Fatalf("%s: the oracle could not decrypt", what)
+	}
+	if got.Cmp(ref) != 0 || (want != nil && got.Cmp(want) != 0) {
+		t.Fatalf("%s: Decrypt = %v, oracle = %v, plaintext = %v", what, got, ref, want)
+	}
+}
+
+// exerciseKey runs one key through the plaintexts and homomorphic
+// operations the search engine feeds decryption.
+func exerciseKey(t *testing.T, sk *PrivateKey, rnd *detRand) {
+	t.Helper()
+	r := sk.R
+	rm1 := new(big.Int).Sub(r, one)
+	enc := func(m *big.Int) *big.Int {
+		c, err := sk.Encrypt(rnd, m)
+		if err != nil {
+			t.Fatalf("Encrypt(%v): %v", m, err)
+		}
+		return c
+	}
+	msgs := []*big.Int{new(big.Int), one, rm1}
+	for i := 0; i < 4; i++ {
+		v, err := rand.Int(rnd, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs = append(msgs, v)
+	}
+	for _, m := range msgs {
+		checkDecrypt(t, sk, enc(m), m, fmt.Sprintf("E(%v)", m))
+		// A sum that wraps mod r.
+		sum := new(big.Int).Add(m, rm1)
+		checkDecrypt(t, sk, sk.Add(enc(m), enc(rm1)), sum.Mod(sum, r), fmt.Sprintf("E(%v)+E(r-1)", m))
+		// The server's per-posting power.
+		for _, s := range []int64{0, 1, 37, 255} {
+			prod := new(big.Int).Mul(m, big.NewInt(s))
+			checkDecrypt(t, sk, sk.ScalarMul(enc(m), s), prod.Mod(prod, r), fmt.Sprintf("E(%v)^%d", m, s))
+		}
+	}
+	// Every unit of Z_n^* decrypts, to what the oracle says, whether or not
+	// an Encrypt call produced it.
+	u := new(big.Int)
+	for i := 0; i < 4; i++ {
+		if err := randomUnit(rnd, sk.N, u); err != nil {
+			t.Fatal(err)
+		}
+		checkDecrypt(t, sk, u, nil, "random unit")
+	}
+}
+
+func TestDecryptMatchesOracle(t *testing.T) {
+	for _, bits := range []int{64, 128, 256, 512} {
+		for k := 1; k <= 13; k++ {
+			r := Pow3(k)
+			if r.BitLen()+16 >= bits/2 {
+				continue // GenerateKey refuses: r too large for the modulus
+			}
+			seed := fmt.Sprintf("oracle-%d-%d", bits, k)
+			sk, err := GenerateKey(newDetRand(seed), bits, r)
+			if err != nil {
+				t.Fatalf("GenerateKey(%d bits, 3^%d): %v", bits, k, err)
+			}
+			if want := min((k+1)/2, maxChunk); sk.chunk != want || len(sk.peel) != int(Pow3(want).Int64()) || len(sk.logTab) != len(sk.peel) {
+				t.Fatalf("3^%d: chunk %d with %d/%d table entries, want chunk %d", k, sk.chunk, len(sk.logTab), len(sk.peel), want)
+			}
+			exerciseKey(t, sk, newDetRand(seed+"-msgs"))
+		}
+	}
+}
+
+func TestDecryptManyChunks(t *testing.T) {
+	// k > 2·maxChunk: three chunks, the last narrower than the table, and
+	// a peel step at a non-zero offset.
+	sk, err := GenerateKey(newDetRand("chunks"), 256, Pow3(2*maxChunk+3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exerciseKey(t, sk, newDetRand("chunks-msgs"))
+}
+
+func TestDecryptPrimeRMatchesOracle(t *testing.T) {
+	for _, r := range []int64{5, 7, 257, 10007} {
+		seed := fmt.Sprintf("prime-%d", r)
+		sk, err := GenerateKey(newDetRand(seed), 192, big.NewInt(r))
+		if err != nil {
+			t.Fatalf("GenerateKey(r=%d): %v", r, err)
+		}
+		exerciseKey(t, sk, newDetRand(seed+"-msgs"))
+	}
+	if _, err := GenerateKey(newDetRand("huge"), 512, new(big.Int).SetUint64(1<<61-1)); err == nil {
+		t.Error("a 61-bit prime r accepted: its baby-step table has 2^31 entries")
+	}
+}
+
+func TestDecryptRejectsNonUnits(t *testing.T) {
+	pow3Key := key(t)
+	primeKey, err := GenerateKey(newDetRand("bsgs"), 192, big.NewInt(10007))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{pow3Key, primeKey} {
+		c, _ := sk.EncryptInt(newDetRand("nonunit"), 5)
+		for what, bad := range map[string]*big.Int{
+			"zero":        new(big.Int),
+			"negative":    new(big.Int).Neg(c),
+			"n":           sk.N,
+			"c+n":         new(big.Int).Add(c, sk.N),
+			"p1":          sk.P1,
+			"multiple p1": new(big.Int).Mul(sk.P1, big.NewInt(6)),
+			"p2":          sk.P2,
+			"multiple p2": new(big.Int).Mul(sk.P2, big.NewInt(6)),
+		} {
+			if _, err := sk.Decrypt(bad); !errors.Is(err, ErrNotUnit) {
+				t.Errorf("r=%v: Decrypt(%s) = %v, want ErrNotUnit", sk.R, what, err)
+			}
+			if _, err := sk.DecryptInt(bad); !errors.Is(err, ErrNotUnit) {
+				t.Errorf("r=%v: DecryptInt(%s) = %v, want ErrNotUnit", sk.R, what, err)
+			}
+		}
+	}
+}
+
+func TestDecryptorReuse(t *testing.T) {
+	// One Decryptor across plaintexts of different widths and a refusal in
+	// between: nothing of one call leaks into the next.
+	sk := key(t)
+	rnd := newDetRand("reuse")
+	d := sk.NewDecryptor()
+	for _, m := range []int64{19682, 0, 1, 6560, 3, 19682} {
+		c, _ := sk.EncryptInt(rnd, m)
+		if got, err := d.DecryptInt(c); err != nil || got != m {
+			t.Fatalf("DecryptInt(E(%d)) = %d, %v", m, got, err)
+		}
+		if _, err := d.DecryptInt(sk.N); !errors.Is(err, ErrNotUnit) {
+			t.Fatalf("DecryptInt(n) = %v, want ErrNotUnit", err)
+		}
+	}
+}
+
+func TestConcurrentDecrypt(t *testing.T) {
+	// The tables are built by GenerateKey, so one key decrypts from many
+	// goroutines with no synchronisation; run with -race.
+	primeKey, err := GenerateKey(newDetRand("bsgs"), 192, big.NewInt(10007))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{primeKey, key(t)} {
+		rnd := newDetRand("concurrent")
+		msgs := []int64{0, 1, 5003, 9999, 10006}
+		cts := make([]*big.Int, len(msgs))
+		for i, m := range msgs {
+			cts[i], _ = sk.EncryptInt(rnd, m)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 20; rep++ {
+					for i, c := range cts {
+						if got, err := sk.DecryptInt(c); err != nil || got != msgs[i] {
+							t.Errorf("r=%v: DecryptInt(E(%d)) = %d, %v", sk.R, msgs[i], got, err)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// FuzzDecrypt feeds Decrypt arbitrary integers under a 3^k key with unequal
+// chunks and under a prime-r key: the typed refusal or the oracle's
+// plaintext, never a panic.
+func FuzzDecrypt(f *testing.F) {
+	pow3Key, err := GenerateKey(newDetRand("fuzz-pow3"), 128, Pow3(5))
+	if err != nil {
+		f.Fatal(err)
+	}
+	primeKey, err := GenerateKey(newDetRand("fuzz-prime"), 128, big.NewInt(257))
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := []*PrivateKey{pow3Key, primeKey}
+	rnd := newDetRand("fuzz-seeds")
+	for _, sk := range keys {
+		c, _ := sk.EncryptInt(rnd, 200)
+		for _, v := range []*big.Int{c, new(big.Int), one, sk.N, sk.P1, sk.P2, new(big.Int).Add(c, sk.N)} {
+			f.Add(v.Bytes(), false)
+			f.Add(v.Bytes(), true)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, neg bool) {
+		c := new(big.Int).SetBytes(data)
+		if neg {
+			c.Neg(c)
+		}
+		for _, sk := range keys {
+			m, err := sk.Decrypt(c)
+			ref, ok := oracleDecrypt(sk, c)
+			inRange := c.Sign() > 0 && c.Cmp(sk.N) < 0
+			switch {
+			case err != nil && !errors.Is(err, ErrNotUnit):
+				t.Fatalf("Decrypt(%v) failed untyped: %v", c, err)
+			case err != nil && ok && inRange:
+				t.Fatalf("Decrypt(%v) refused a unit the oracle decrypts to %v", c, ref)
+			case err == nil && (!ok || !inRange):
+				t.Fatalf("Decrypt(%v) = %v for a value outside Z_n^*", c, m)
+			case err == nil && (m.Sign() < 0 || m.Cmp(sk.R) >= 0 || m.Cmp(ref) != 0):
+				t.Fatalf("Decrypt(%v) = %v, oracle %v, r = %v", c, m, ref, sk.R)
+			}
+		}
+	})
+}
+
+var benchSink int64
+
+// BenchmarkDecryptInt is one candidate score at the benchmark world's key
+// shape (256 bits, r = 3^12); run with -benchmem.
+func BenchmarkDecryptInt(b *testing.B) {
+	sk, err := GenerateKey(newDetRand("bench"), 256, Pow3(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rnd := newDetRand("bench-msgs")
+	cts := make([]*big.Int, 64)
+	for i := range cts {
+		cts[i], _ = sk.EncryptInt(rnd, int64(i*7919)%531441)
+	}
+	b.Run("key", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			benchSink, _ = sk.DecryptInt(cts[i%len(cts)])
+		}
+	})
+	b.Run("decryptor", func(b *testing.B) {
+		b.ReportAllocs()
+		d := sk.NewDecryptor()
+		for i := 0; i < b.N; i++ {
+			benchSink, _ = d.DecryptInt(cts[i%len(cts)])
+		}
+	})
+}
+
+func BenchmarkGenerateKeyTables(b *testing.B) {
+	sk, err := GenerateKey(newDetRand("bench"), 256, Pow3(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := big.NewInt(2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		logTable(h, len(sk.peel), sk.P1)
+		powers(h, len(sk.peel), sk.P1)
+	}
+}
+
+func TestGenerateKeyRejectsBadSizes(t *testing.T) {
+	if _, err := GenerateKey(newDetRand("small"), 31, Pow3(1)); err == nil {
+		t.Error("a 31-bit modulus accepted")
+	}
+	if _, err := GenerateKey(newDetRand("wide"), 64, Pow3(10)); err == nil {
+		t.Error("r = 3^10 accepted for a 64-bit modulus")
+	}
+}
+
+func TestDefaultRandomness(t *testing.T) {
+	// A nil source selects crypto/rand for keys and for encryptions.
+	sk, err := GenerateKey(nil, 128, Pow3(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sk.EncryptInt(nil, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sk.DecryptInt(c); err != nil || m != 80 {
+		t.Fatalf("DecryptInt = %d, %v", m, err)
+	}
+}
+
+// shortRand is a randomness source that runs dry after n bytes.
+type shortRand struct {
+	src io.Reader
+	n   int
+}
+
+func (s *shortRand) Read(p []byte) (int, error) {
+	if s.n <= 0 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if len(p) > s.n {
+		p = p[:s.n]
+	}
+	n, err := s.src.Read(p)
+	s.n -= n
+	return n, err
+}
+
+func TestRandomnessFailureSurfaces(t *testing.T) {
+	// Wherever the source runs dry — in the search for p1, for p2, for g or
+	// for an encryption's µ — the caller gets the error, not a partial key.
+	sawKey := false
+	for n := 0; n <= 4096 && !sawKey; n += 8 {
+		sk, err := GenerateKey(&shortRand{newDetRand("dry"), n}, 128, Pow3(4))
+		if (sk == nil) == (err == nil) {
+			t.Fatalf("%d bytes of randomness: key %v, error %v", n, sk, err)
+		}
+		sawKey = err == nil
+	}
+	if !sawKey {
+		t.Fatal("no key from 4096 bytes of randomness")
+	}
+	if _, err := key(t).EncryptInt(&shortRand{newDetRand("dry"), 3}, 1); err == nil {
+		t.Error("Encrypt succeeded on 3 bytes of randomness")
+	}
+}
+
+func TestCorruptKeyFailsDecryption(t *testing.T) {
+	// A key whose tables do not enumerate ⟨h⟩ reports that; it does not
+	// return a plaintext.
+	prime, err := GenerateKey(newDetRand("bsgs"), 192, big.NewInt(10007))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sk := range []*PrivateKey{key(t), prime} {
+		c, _ := sk.EncryptInt(newDetRand("corrupt"), 5)
+		broken := *sk
+		broken.logTab = logTable(big.NewInt(2), len(sk.logTab), sk.P1) // the powers of 2, not of h
+		if m, err := broken.Decrypt(c); err == nil || errors.Is(err, ErrNotUnit) {
+			t.Errorf("r=%v: Decrypt under a corrupt key = %v, %v", sk.R, m, err)
+		}
 	}
 }

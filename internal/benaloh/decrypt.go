@@ -2,120 +2,151 @@ package benaloh
 
 import (
 	"errors"
-	"fmt"
 	"math/big"
 )
 
-// Decrypt recovers the plaintext of c. When r = 3^k the optimized
-// digit-by-digit procedure of Appendix A.2 is used (k modular
-// exponentiations); otherwise decryption falls back to baby-step
-// giant-step in O(√r) multiplications.
+// ErrNotUnit reports a ciphertext outside (0, n) or sharing a factor with
+// n: no encryption or homomorphic operation under the key produces one.
+var ErrNotUnit = errors.New("benaloh: ciphertext not in Z_n^*")
+
+// errNoLog can only mean a corrupt key: every unit of Z_n^* lands in the
+// subgroup the tables enumerate.
+var errNoLog = errors.New("benaloh: decryption failed (invalid key)")
+
+// maxChunk caps the base-3 digits one table look-up resolves: 3^8 entries
+// keep the two tables of a 512-bit key under 1 MB together.
+const maxChunk = 8
+
+// maxPrimeBits caps a prime r: the baby-step table has ⌈√r⌉ entries.
+const maxPrimeBits = 40
+
+// Decryptor decrypts under one key with temporaries it reuses, so decoding
+// a candidate set allocates nothing of its own per ciphertext. A Decryptor
+// is not safe for concurrent use; the key it came from is.
+type Decryptor struct {
+	sk   *PrivateKey
+	x, y big.Int // the subgroup element being solved, and a power of it
+	m    big.Int // the plaintext
+	q, t big.Int // discarded quotients; products before reduction
+	buf  []byte  // x or y as a logTab key
+}
+
+// NewDecryptor returns a Decryptor for the key.
+func (sk *PrivateKey) NewDecryptor() *Decryptor {
+	return &Decryptor{sk: sk, buf: make([]byte, (sk.P1.BitLen()+7)/8)}
+}
+
+// Decrypt recovers the plaintext of c with one exponentiation modulo p1
+// and, when r = 3^k, one table look-up per chunk of base-3 digits; a prime
+// r costs O(√r) multiplications modulo p1 on top (baby-step giant-step).
 func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
-	if sk.k > 0 {
-		return sk.decryptPow3(c)
+	d := sk.NewDecryptor()
+	if err := d.decrypt(c); err != nil {
+		return nil, err
 	}
-	return sk.decryptBSGS(c)
+	return &d.m, nil
 }
 
 // DecryptInt decrypts and returns the plaintext as an int64.
 func (sk *PrivateKey) DecryptInt(c *big.Int) (int64, error) {
-	m, err := sk.Decrypt(c)
-	if err != nil {
+	return sk.NewDecryptor().DecryptInt(c)
+}
+
+// DecryptInt decrypts and returns the plaintext as an int64.
+func (d *Decryptor) DecryptInt(c *big.Int) (int64, error) {
+	if err := d.decrypt(c); err != nil {
 		return 0, err
 	}
-	return m.Int64(), nil
+	return d.m.Int64(), nil
 }
 
-// ExpOps reports the number of modular exponentiations one decryption
-// costs with the current key (the dominant term of the user-side CPU cost
-// model in the Figure 7/8 experiments).
-func (sk *PrivateKey) ExpOps() int {
-	if sk.k > 0 {
-		return sk.k
-	}
-	return 1 // BSGS: one exponentiation plus O(√r) multiplications
-}
-
-// decryptPow3 recovers m base-3 digit by digit. Writing m = Σ d_i·3^i,
-// after the low digits m_i = m mod 3^i are known, the value
+// decrypt leaves the plaintext of c in d.m. The whole plaintext lives in
+// the order-r subgroup of Z_p1^*: key generation makes r | p1-1, so for
+// c = g^m·µ^r
 //
-//	t = (c · g^{-m_i})^{φ/3^{i+1}} = (g^{φ/3})^{d_i}  (mod n)
+//	c^((p1-1)/r) = h^m · µ^(p1-1) = h^m  (mod p1),  h = g^((p1-1)/r),
 //
-// reveals the next digit d_i by comparison against the precomputed powers
-// of w = g^{φ/3}, because µ^{r·φ/3^{i+1}} = (µ^φ)^{3^{k-i-1}} = 1.
-func (sk *PrivateKey) decryptPow3(c *big.Int) (*big.Int, error) {
-	if new(big.Int).GCD(nil, nil, c, sk.N).Cmp(one) != 0 {
-		return nil, errors.New("benaloh: ciphertext not in Z_n^*")
+// and h has exact order r because g^(φ/p) ≠ 1 for every prime p | r while
+// gcd(r, p2-1) = 1. Nothing below works modulo n.
+func (d *Decryptor) decrypt(c *big.Int) error {
+	sk := d.sk
+	// p1 last: a unit leaves x = c mod p1.
+	if c.Sign() <= 0 || c.Cmp(sk.N) >= 0 || d.reduce(c, sk.P2).Sign() == 0 || d.reduce(c, sk.P1).Sign() == 0 {
+		return ErrNotUnit
 	}
-	m := new(big.Int)
-	adj := new(big.Int).Set(c) // c · g^{-m_i} mod n, updated incrementally
-	t := new(big.Int)
-	gInvPow := new(big.Int).Set(sk.gInv) // g^{-3^i} mod n
-	p3 := big.NewInt(1)                  // 3^i
-	for i := 0; i < sk.k; i++ {
-		t.Exp(adj, sk.phiOv3i[i+1], sk.N)
-		var d int64
-		switch {
-		case t.Cmp(sk.wPow[0]) == 0:
-			d = 0
-		case t.Cmp(sk.wPow[1]) == 0:
-			d = 1
-		case t.Cmp(sk.wPow[2]) == 0:
-			d = 2
-		default:
-			return nil, fmt.Errorf("benaloh: decryption failed at digit %d (invalid ciphertext or key)", i)
-		}
-		if d > 0 {
-			// m += d·3^i; adj ·= g^{-d·3^i}.
-			m.Add(m, new(big.Int).Mul(big.NewInt(d), p3))
-			step := gInvPow
-			if d == 2 {
-				step = new(big.Int).Mul(gInvPow, gInvPow)
-				step.Mod(step, sk.N)
-			}
-			adj.Mul(adj, step)
-			adj.Mod(adj, sk.N)
-		}
-		// Advance g^{-3^i} -> g^{-3^{i+1}} and 3^i -> 3^{i+1}.
-		gInvPow.Exp(gInvPow, big.NewInt(3), sk.N)
-		p3.Mul(p3, big.NewInt(3))
+	d.x.Exp(&d.x, sk.cofactor, sk.P1)
+	if sk.k == 0 {
+		return d.babyGiant()
 	}
-	return m, nil
+	// Pohlig-Hellman over chunks of base-3 digits, lowest first. With the
+	// digits below position o peeled off, x = h^(3^o·m') and raising it to
+	// 3^(k-o-w) leaves only the next w digits of m in the exponent of
+	// W = h^(3^(k-chunk)), shifted up when the chunk is narrower than the
+	// table: W^(digits·3^(chunk-w)).
+	d.m.SetInt64(0)
+	for o := 0; o < sk.k; o += sk.chunk {
+		w := min(sk.chunk, sk.k-o)
+		d.y.Exp(&d.x, sk.pow3[sk.k-o-w], sk.P1)
+		i, ok := sk.logTab[string(d.y.FillBytes(d.buf))]
+		if !ok {
+			return errNoLog
+		}
+		digits := int64(i) / sk.pow3[sk.chunk-w].Int64()
+		d.m.Add(&d.m, d.y.Mul(d.t.SetInt64(digits), sk.pow3[o]))
+		if o+w < sk.k {
+			d.y.Exp(sk.peel[digits], sk.pow3[o], sk.P1) // h^(-digits·3^o)
+			d.reduce(d.t.Mul(&d.x, &d.y), sk.P1)
+		}
+	}
+	return nil
 }
 
-// decryptBSGS solves h^m = c^{φ/r} for m with baby-step giant-step, where
-// h = g^{φ/r} has order r modulo n.
-func (sk *PrivateKey) decryptBSGS(c *big.Int) (*big.Int, error) {
-	target := new(big.Int).Exp(c, sk.phiOvR, sk.N)
-	if sk.babyTab == nil {
-		// Baby steps: h^j for j in [0, ceil(sqrt(r))).
-		m := new(big.Int).Sqrt(sk.R)
-		m.Add(m, one)
-		sk.babySize = int(m.Int64())
-		sk.babyTab = make(map[string]int64, sk.babySize)
-		v := big.NewInt(1)
-		for j := 0; j < sk.babySize; j++ {
-			sk.babyTab[string(v.Bytes())] = int64(j)
-			v = new(big.Int).Mul(v, sk.hBase)
-			v.Mod(v, sk.N)
+// reduce sets d.x = v mod p for v ≥ 0, reusing the quotient's storage.
+func (d *Decryptor) reduce(v, p *big.Int) *big.Int {
+	d.q.QuoRem(v, p, &d.x)
+	return &d.x
+}
+
+// babyGiant solves h^m = x for a prime r: m = i·s + j where the i-th giant
+// step x·h^(-s·i) is the baby step h^j; s² > r bounds i below s, and the
+// first hit is m itself.
+func (d *Decryptor) babyGiant() error {
+	sk := d.sk
+	s := int64(len(sk.logTab))
+	for i := int64(0); i < s; i++ {
+		if j, ok := sk.logTab[string(d.x.FillBytes(d.buf))]; ok {
+			d.m.SetInt64(i*s + int64(j))
+			return nil
 		}
+		d.reduce(d.t.Mul(&d.x, sk.giant), sk.P1)
 	}
-	// Giant steps: target · (h^{-m})^i.
-	hInvM := new(big.Int).ModInverse(sk.hBase, sk.N)
-	hInvM.Exp(hInvM, big.NewInt(int64(sk.babySize)), sk.N)
-	cur := new(big.Int).Set(target)
-	bound := new(big.Int).Div(sk.R, big.NewInt(int64(sk.babySize)))
-	for i := int64(0); i <= bound.Int64()+1; i++ {
-		if j, ok := sk.babyTab[string(cur.Bytes())]; ok {
-			m := big.NewInt(i)
-			m.Mul(m, big.NewInt(int64(sk.babySize)))
-			m.Add(m, big.NewInt(j))
-			if m.Cmp(sk.R) < 0 {
-				return m, nil
-			}
-		}
-		cur.Mul(cur, hInvM)
-		cur.Mod(cur, sk.N)
+	return errNoLog
+}
+
+// powers returns base^i mod p for i in [0, n).
+func powers(base *big.Int, n int, p *big.Int) []*big.Int {
+	out := make([]*big.Int, n)
+	out[0] = big.NewInt(1)
+	for i := 1; i < n; i++ {
+		out[i] = new(big.Int).Mul(out[i-1], base)
+		out[i].Mod(out[i], p)
 	}
-	return nil, errors.New("benaloh: BSGS decryption failed (invalid ciphertext)")
+	return out
+}
+
+// logTable maps base^i mod p, as bytes of p's width, to i for i in [0, n).
+// The keys are slices of one string, so the table costs one allocation of
+// n·width bytes beyond the map.
+func logTable(base *big.Int, n int, p *big.Int) map[string]int32 {
+	width := (p.BitLen() + 7) / 8
+	raw := make([]byte, n*width)
+	for i, v := range powers(base, n, p) {
+		v.FillBytes(raw[i*width : (i+1)*width])
+	}
+	keys := string(raw)
+	tab := make(map[string]int32, n)
+	for i := 0; i < n; i++ {
+		tab[keys[i*width:(i+1)*width]] = int32(i)
+	}
+	return tab
 }

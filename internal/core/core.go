@@ -155,8 +155,9 @@ type Ranked struct {
 // ascending document ID for determinism.
 func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 	out := make([]Ranked, 0, len(resp.Docs))
+	dec := c.Key.NewDecryptor() // one set of temporaries for the whole candidate set
 	for _, ds := range resp.Docs {
-		m, err := c.Key.DecryptInt(ds.Enc)
+		m, err := dec.DecryptInt(ds.Enc)
 		if err != nil {
 			return nil, fmt.Errorf("core: decrypting score of doc %d: %w", ds.Doc, err)
 		}
