@@ -14,7 +14,7 @@ import (
 
 	"embellish/internal/core"
 	"embellish/internal/detrand"
-	"embellish/internal/pir"
+	"embellish/internal/scanclock"
 	"embellish/internal/wire"
 )
 
@@ -322,59 +322,38 @@ func TestCancellationFetchDocuments(t *testing.T) {
 	}
 }
 
-// TestCancellationAmortizedFetch extends the overshoot regression to
-// the amortized multi-query path: with a parallel plan and batch
-// amortization forced on, a multi-document fetch pushes whole batches
-// through ONE database pass (pir.ProcessColumnsMulti), so a deadline
-// landing inside that pass exercises the multi scanner's cancellation
-// checks. A cancelled fetch must stop promptly (bounded overshoot),
-// surface the context sentinel with no partial results, and the
-// amortized path must keep serving bytes identical to the per-query
-// path before and after the abandonment.
-func TestCancellationAmortizedFetch(t *testing.T) {
+// TestCancellationParallelFetch extends the overshoot regression to
+// the partitioned scan: with two workers, a multi-document fetch pushes
+// whole batches through ONE database pass split across goroutines, so a
+// deadline landing inside that pass exercises every worker's
+// cancellation checks and the recombine's. A cancelled fetch must stop
+// promptly (bounded overshoot), surface the context sentinel with no
+// partial results, and the store must keep serving identical bytes
+// after the abandonment.
+func TestCancellationParallelFetch(t *testing.T) {
 	e, c := cancelEngine(t, 515151, true)
 	if err := e.ConfigurePIRWorkers(2); err != nil {
 		t.Fatalf("ConfigurePIRWorkers: %v", err)
-	}
-	if err := e.ConfigurePIRBatchAmortize(1); err != nil {
-		t.Fatalf("ConfigurePIRBatchAmortize: %v", err)
 	}
 	ids := []int{5, 19, 42, 77, 103}
 
 	baseline, _, err := c.FetchDocuments(ids)
 	if err != nil {
-		t.Fatalf("amortized FetchDocuments: %v", err)
+		t.Fatalf("FetchDocuments: %v", err)
 	}
 	start := time.Now()
 	if _, _, err := c.FetchDocuments(ids); err != nil {
-		t.Fatalf("second amortized FetchDocuments: %v", err)
+		t.Fatalf("second FetchDocuments: %v", err)
 	}
 	full := time.Since(start)
-
-	// The escape hatch must not change a single byte.
-	if err := e.ConfigurePIRBatchAmortize(-1); err != nil {
-		t.Fatalf("ConfigurePIRBatchAmortize(-1): %v", err)
-	}
-	perQuery, _, err := c.FetchDocuments(ids)
-	if err != nil {
-		t.Fatalf("per-query FetchDocuments: %v", err)
-	}
-	for i := range baseline {
-		if !bytes.Equal(baseline[i], perQuery[i]) {
-			t.Fatalf("doc %d differs between amortized and per-query serving", ids[i])
-		}
-	}
-	if err := e.ConfigurePIRBatchAmortize(1); err != nil {
-		t.Fatalf("ConfigurePIRBatchAmortize(1): %v", err)
-	}
 
 	// Pre-cancelled context: the batch scan must not start.
 	pctx, pcancel := context.WithCancel(context.Background())
 	pcancel()
 	if docs, _, err := c.FetchDocumentsContext(pctx, ids); !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled amortized fetch: err %v, want context.Canceled", err)
+		t.Fatalf("pre-cancelled fetch: err %v, want context.Canceled", err)
 	} else if docs != nil {
-		t.Fatal("pre-cancelled amortized fetch returned partial results")
+		t.Fatal("pre-cancelled fetch returned partial results")
 	}
 
 	// Mid-fetch deadline: must land inside the one-pass batch scan.
@@ -391,28 +370,28 @@ func TestCancellationAmortizedFetch(t *testing.T) {
 			continue
 		}
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("cancelled amortized fetch: err %v, want context.DeadlineExceeded", err)
+			t.Fatalf("cancelled fetch: err %v, want context.DeadlineExceeded", err)
 		}
 		if docs != nil {
-			t.Fatal("cancelled amortized fetch returned partial results")
+			t.Fatal("cancelled fetch returned partial results")
 		}
 		if over := elapsed - deadline; !raceEnabled && over > cancelOvershootSlack {
-			t.Fatalf("amortized cancellation overshot deadline by %v (slack %v)", over, cancelOvershootSlack)
+			t.Fatalf("cancellation overshot deadline by %v (slack %v)", over, cancelOvershootSlack)
 		}
 		cancelled = true
 	}
 	if !cancelled {
-		t.Fatalf("no deadline cancelled the amortized fetch (full latency %v)", full)
+		t.Fatalf("no deadline cancelled the fetch (full latency %v)", full)
 	}
 
 	// Byte-identity must survive the abandonment.
 	after, _, err := c.FetchDocuments(ids)
 	if err != nil {
-		t.Fatalf("post-cancel amortized FetchDocuments: %v", err)
+		t.Fatalf("post-cancel FetchDocuments: %v", err)
 	}
 	for i := range baseline {
 		if !bytes.Equal(baseline[i], after[i]) {
-			t.Fatalf("doc %d differs after an abandoned amortized fetch", ids[i])
+			t.Fatalf("doc %d differs after an abandoned fetch", ids[i])
 		}
 	}
 }
@@ -504,7 +483,7 @@ func TestCancellationDeterministicQuery(t *testing.T) {
 			// handful of times on this corpus, so the crossing must land
 			// within its first few polls.
 			clock := newFakeScanClock(int64(0xC10C+i), deadline, 2)
-			restore := core.SetScanClock(clock.Now)
+			restore := scanclock.Set(clock.Now)
 			resp, err := e.ProcessContext(ctx, q)
 			restore()
 			cancel()
@@ -537,9 +516,9 @@ func TestCancellationDeterministicQuery(t *testing.T) {
 	}
 }
 
-// TestCancellationDeterministicFetch runs the pinned clock through the
-// retrieval kernels: the per-query exec path, the amortized one-pass
-// multi path, and the two-level recursive path each observe the
+// TestCancellationDeterministicFetch runs the pinned clock — the same
+// one the query scans poll — through the retrieval executors: the flat
+// one-pass scan and the two-level recursive scan each observe the
 // synthetic deadline at poll granularity, surface the context sentinel
 // with no partial documents, and keep serving byte-identical documents
 // afterwards.
@@ -555,26 +534,21 @@ func TestCancellationDeterministicFetch(t *testing.T) {
 	}
 	modes := []struct {
 		name      string
-		amortize  int
 		recursive bool
 	}{
-		{"per-query", -1, false},
-		{"amortized", 1, false},
-		{"recursive", 1, true},
+		{"flat", false},
+		{"recursive", true},
 	}
 	defer c.SetFetchRecursive(false)
 	for i, m := range modes {
 		m, i := m, i
 		t.Run(m.name, func(t *testing.T) {
-			if err := e.ConfigurePIRBatchAmortize(m.amortize); err != nil {
-				t.Fatalf("ConfigurePIRBatchAmortize: %v", err)
-			}
 			c.SetFetchRecursive(m.recursive)
 
 			deadline := time.Now().Add(time.Hour)
 			ctx, cancel := context.WithDeadline(context.Background(), deadline)
 			clock := newFakeScanClock(int64(0xFE7C+i), deadline, 6)
-			restore := pir.SetScanClock(clock.Now)
+			restore := scanclock.Set(clock.Now)
 			docs, _, err := c.FetchDocumentsContext(ctx, ids)
 			restore()
 			cancel()

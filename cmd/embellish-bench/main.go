@@ -3,12 +3,10 @@
 // builds a synthetic world, measures private query latency on the
 // static engine, times an online add of a fraction of new documents
 // against a from-scratch rebuild, measures query latency on the
-// updated engine, then measures per-document PIR fetch latency —
-// sequential reference scan vs. the windowed/parallel serving plan
-// vs. the pipelined remote protocol over a real TCP loopback vs. the
-// amortized multi-query path (every block query of the fetch answered
-// in ONE database pass on the Montgomery kernel, locally and over the
-// batched wire protocol) — against
+// updated engine, then measures per-document PIR fetch latency — the
+// flat and the recursive protocol, each in-process and over the
+// batched wire protocol on a real TCP loopback, every block query of
+// the fetch answered in ONE database pass — against
 // plaintext fetch at two corpus sizes; then measures the durability
 // tax and payoff: write-ahead-logged ingest (fsync=interval) against
 // in-memory ingest, and checkpoint+log recovery against re-ingesting
@@ -45,9 +43,7 @@
 // |n|-bit modular multiplication per stored corpus BIT per block
 // fetched (the Kushilevitz-Ostrovsky server scan), so the fetch legs
 // deliberately run small moduli; the latency gap to plaintext fetch is
-// the point of the experiment, mirroring the Figure 7/8 story, and the
-// sequential-vs-parallel gap is the constant factor the serving plan
-// claws back from it.
+// the point of the experiment, mirroring the Figure 7/8 story.
 package main
 
 import (
@@ -57,7 +53,6 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
@@ -151,11 +146,10 @@ type DurableLeg struct {
 }
 
 // FetchLeg is the PIR-vs-plaintext document fetch comparison at one
-// corpus size, measured on three serving plans: the sequential
-// reference scan (PIRWorkers=0, pipeline depth 1 — the paper's cost
-// model), the windowed/parallel plan (PIRWorkers=-1), and the
-// pipelined remote protocol (batch frames over a TCP loopback against
-// a parallel-serving NetServer).
+// corpus size: one in-process and one TCP-loopback measurement per
+// protocol (flat, recursive). Every measurement is ONE fetch call
+// covering every id, so all its block queries are answered in a single
+// database pass.
 type FetchLeg struct {
 	Docs         int `json:"docs"`
 	StoredBytes  int `json:"stored_bytes"`
@@ -165,54 +159,25 @@ type FetchLeg struct {
 	Fetches      int `json:"fetches"`
 	PIRRuns      int `json:"pir_runs"`
 
-	// Sequential reference plan.
-	SeqMsPerDoc float64 `json:"seq_ms_per_doc"`
-	SeqDocsSec  float64 `json:"seq_docs_per_sec"`
-
-	// Windowed/parallel serving plan (local fetch, PIRWorkers=-1).
-	ParWorkers  int     `json:"par_workers"`
-	ParMsPerDoc float64 `json:"par_ms_per_doc"`
-	// ParSpeedup is sequential/parallel latency — the acceptance
-	// criterion bounds it at >= 2x at the large corpus size.
-	ParSpeedup float64 `json:"par_speedup_vs_seq"`
-
-	// Pipelined remote protocol (batched PIR over TCP loopback,
-	// parallel serving, per-query scans).
-	PipeDepth    int     `json:"pipe_depth"`
-	PipeMsPerDoc float64 `json:"pipe_ms_per_doc"`
-	PipeSpeedup  float64 `json:"pipe_speedup_vs_seq"`
-
-	// Amortized multi-query serving (PIRBatchAmortize on): ONE
-	// FetchDocuments call covers every id, so all block queries of the
-	// fetch are answered in a single database pass on the Montgomery
-	// kernel. AmortBatch is the number of block queries amortized over.
-	AmortBatch    int     `json:"amort_batch"`
-	AmortMsPerDoc float64 `json:"amort_ms_per_doc"`
-	AmortSpeedup  float64 `json:"amort_speedup_vs_seq"`
-	// The same one-call fetch over the batched wire protocol against an
-	// amortizing NetServer — the headline figure successive PRs track.
+	// Flat protocol: Client.FetchDocuments, then the same fetch over
+	// the batched wire protocol. AmortBatch is the number of block
+	// queries sharing the scan.
+	AmortBatch        int     `json:"amort_batch"`
+	AmortMsPerDoc     float64 `json:"amort_ms_per_doc"`
 	AmortPipeMsPerDoc float64 `json:"amort_pipe_ms_per_doc"`
-	AmortPipeSpeedup  float64 `json:"amort_pipe_speedup_vs_seq"`
 
-	// Recursive two-level protocol (PIRRecursive + amortization): the
-	// same one-call fetch with √n×√n grid queries — upload drops from n
-	// to ≤3·⌈√n⌉ ciphertexts per query (RecQueryBytes/RecBatch vs
-	// QueryBytes/PIRRuns), answers widen 8·modBytes× (the trade), bytes
-	// stay identical. Locally and over type-22 wire frames.
+	// Recursive two-level protocol: the same one-call fetch with √n×√n
+	// grid queries — upload drops from n to ≤3·⌈√n⌉ ciphertexts per
+	// query (RecQueryBytes/RecBatch vs QueryBytes/PIRRuns), answers
+	// widen 8·modBytes× (the trade), bytes stay identical. Locally and
+	// over type-22 wire frames.
 	RecBatch        int     `json:"rec_batch"`
 	RecMsPerDoc     float64 `json:"rec_ms_per_doc"`
-	RecSpeedup      float64 `json:"rec_speedup_vs_seq"`
 	RecPipeMsPerDoc float64 `json:"rec_pipe_ms_per_doc"`
-	RecPipeSpeedup  float64 `json:"rec_pipe_speedup_vs_seq"`
 	RecQueryBytes   int     `json:"rec_query_bytes"`
 	RecAnswerBytes  int     `json:"rec_answer_bytes"`
 
-	PlainUsDoc float64 `json:"plain_us_per_doc"`
-	// Slowdown is sequential-PIR latency over plaintext latency — the
-	// privacy price of hiding WHICH document was fetched, under the
-	// paper's cost model; the parallel/pipelined plans divide it by
-	// their speedups.
-	Slowdown    float64 `json:"pir_slowdown_vs_plain"`
+	PlainUsDoc  float64 `json:"plain_us_per_doc"`
 	QueryBytes  int     `json:"query_bytes"`
 	AnswerBytes int     `json:"answer_bytes"`
 }
@@ -234,8 +199,8 @@ func main() {
 		fetchCount = flag.Int("fetch-count", 2, "documents fetched per leg")
 		fetchBlock = flag.Int("fetch-block", 1024, "PIR block size in bytes for the fetch legs")
 		fetchBits  = flag.Int("fetch-keybits", 64, "PIR modulus size for the fetch legs")
-		fetchPipe  = flag.Int("fetch-pipeline", 16, "fetch-pipeline depth for the pipelined leg")
-		pirWorkers = flag.Int("pir-workers", -1, "PIR serving workers for the parallel/pipelined legs (-1 GOMAXPROCS)")
+		fetchPipe  = flag.Int("fetch-pipeline", 16, "fetch-pipeline depth for the loopback legs")
+		pirWorkers = flag.Int("pir-workers", -1, "PIR serving workers for the fetch legs (0/1 one goroutine, -1 GOMAXPROCS)")
 
 		durDocs    = flag.Int("durable-docs", 8000, "base corpus size for the durability leg (0 disables)")
 		durSynsets = flag.Int("durable-synsets", 6000, "lexicon size for the durability leg")
@@ -457,13 +422,9 @@ func runFetchSection(rep *Report, db *wordnet.Database, sizes string, mk func(si
 			return err
 		}
 		rep.Fetch = append(rep.Fetch, leg)
-		fmt.Printf("fetch leg %d docs: seq %.1f ms/doc, parallel %.1f ms/doc (%.1fx), pipelined %.1f ms/doc (%.1fx), amortized %.1f ms/doc (%.1fx, batch %d), amortized+pipelined %.1f ms/doc (%.1fx), recursive %.1f ms/doc (%.1fx) / wire %.1f ms/doc (%.1fx), plain %.1f us/doc, seq slowdown %.0fx\n",
-			leg.Docs, leg.SeqMsPerDoc, leg.ParMsPerDoc, leg.ParSpeedup,
-			leg.PipeMsPerDoc, leg.PipeSpeedup,
-			leg.AmortMsPerDoc, leg.AmortSpeedup, leg.AmortBatch,
-			leg.AmortPipeMsPerDoc, leg.AmortPipeSpeedup,
-			leg.RecMsPerDoc, leg.RecSpeedup, leg.RecPipeMsPerDoc, leg.RecPipeSpeedup,
-			leg.PlainUsDoc, leg.Slowdown)
+		fmt.Printf("fetch leg %d docs: flat %.1f ms/doc / wire %.1f ms/doc (batch %d), recursive %.1f ms/doc / wire %.1f ms/doc, plain %.1f us/doc\n",
+			leg.Docs, leg.AmortMsPerDoc, leg.AmortPipeMsPerDoc, leg.AmortBatch,
+			leg.RecMsPerDoc, leg.RecPipeMsPerDoc, leg.PlainUsDoc)
 		if leg.PIRRuns > 0 && leg.RecBatch > 0 {
 			fmt.Printf("  upload: flat %d B/query, recursive %d B/query (%.1fx smaller); recursive answers %d B/query\n",
 				leg.QueryBytes/leg.PIRRuns, leg.RecQueryBytes/leg.RecBatch,
@@ -516,14 +477,10 @@ type legConfig struct {
 }
 
 // fetchLeg builds a retrieval-enabled engine over a size-doc corpus
-// and measures per-document fetch latency on five serving plans —
-// sequential reference, windowed/parallel, the pipelined remote
-// protocol over a TCP loopback, and the amortized multi-query path
-// both locally and over the wire — all against a direct
-// Engine.Document read. Every plan's bytes are verified identical to
-// the direct read. The seq/par/pipe legs run with amortization
-// disabled so their figures stay comparable with earlier reports; the
-// amort legs then re-enable it.
+// and measures per-document fetch latency for the flat and the
+// recursive protocol, each locally and over a TCP loopback, all
+// against a direct Engine.Document read. Every measurement's bytes are
+// verified identical to the direct read.
 func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	var leg FetchLeg
 	ccfg := corpus.DefaultConfig()
@@ -546,9 +503,7 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	if err != nil {
 		return leg, fmt.Errorf("fetch leg %d docs: %w", cfg.size, err)
 	}
-	// Comparability: the legacy legs measure per-query serving exactly
-	// as earlier reports did; the amortized legs below flip this on.
-	if err := e.ConfigurePIRBatchAmortize(-1); err != nil {
+	if err := e.ConfigurePIRWorkers(cfg.workers); err != nil {
 		return leg, err
 	}
 	leg.Docs = cfg.size
@@ -557,11 +512,6 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	leg.Blocks = (stored + cfg.blockSize - 1) / cfg.blockSize // lower bound; per-doc padding adds a few
 	leg.FetchKeyBits = cfg.fetchBits
 	leg.Fetches = cfg.fetches
-	leg.ParWorkers = cfg.workers
-	if cfg.workers < 0 {
-		leg.ParWorkers = runtime.GOMAXPROCS(0)
-	}
-	leg.PipeDepth = cfg.pipeline
 
 	// Deterministic spread of fetched ids across the corpus.
 	ids := make([]int, cfg.fetches)
@@ -569,123 +519,26 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 		ids[i] = (i*cfg.size)/cfg.fetches + cfg.size/(2*cfg.fetches)
 	}
 
-	// timePlan fetches every id one document per call (per-document
-	// latency, like a real top-k fetch loop) and verifies the bytes.
-	timePlan := func(fetch func(id int) ([][]byte, embellish.FetchStats, error), account bool) (float64, error) {
-		t0 := time.Now()
-		for _, id := range ids {
-			docs, st, err := fetch(id)
-			if err != nil {
-				return 0, fmt.Errorf("PIR fetch %d: %w", id, err)
-			}
-			direct, err := e.Document(id)
-			if err != nil || string(docs[0]) != string(direct) {
-				return 0, fmt.Errorf("fetch %d: PIR bytes disagree with direct read (%v)", id, err)
-			}
-			if account {
-				leg.PIRRuns += st.Runs
-				leg.QueryBytes += st.QueryBytes
-				leg.AnswerBytes += st.AnswerBytes
-			}
-		}
-		return time.Since(t0).Seconds() * 1000 / float64(len(ids)), nil
-	}
-
-	// timeBatch fetches every id in ONE call (the top-k shape the
-	// amortized path is built for) and verifies the bytes.
+	// timeBatch fetches every id in ONE call (the top-k shape) and
+	// verifies the bytes.
 	timeBatch := func(fetch func() ([][]byte, embellish.FetchStats, error)) (float64, embellish.FetchStats, error) {
 		t0 := time.Now()
 		docs, st, err := fetch()
 		elapsed := time.Since(t0).Seconds() * 1000 / float64(len(ids))
 		if err != nil {
-			return 0, st, fmt.Errorf("amortized PIR fetch: %w", err)
+			return 0, st, fmt.Errorf("PIR fetch: %w", err)
 		}
 		for i, id := range ids {
 			direct, err := e.Document(id)
 			if err != nil || string(docs[i]) != string(direct) {
-				return 0, st, fmt.Errorf("amortized fetch %d: PIR bytes disagree with direct read (%v)", id, err)
+				return 0, st, fmt.Errorf("fetch %d: PIR bytes disagree with direct read (%v)", id, err)
 			}
 		}
 		return elapsed, st, nil
 	}
 
-	// Sequential reference: the paper's cost model — single-threaded
-	// scan, one synchronous execution per block.
-	if err := e.ConfigurePIRWorkers(0); err != nil {
-		return leg, err
-	}
-	seqClient, err := e.NewClient(nil)
-	if err != nil {
-		return leg, err
-	}
-	if err := seqClient.SetFetchPipeline(1); err != nil {
-		return leg, err
-	}
-	if leg.SeqMsPerDoc, err = timePlan(func(id int) ([][]byte, embellish.FetchStats, error) {
-		return seqClient.FetchDocuments([]int{id})
-	}, true); err != nil {
-		return leg, err
-	}
-	leg.SeqDocsSec = 1000 / leg.SeqMsPerDoc
-
-	// Windowed/parallel plan. A fresh client (fresh modulus of the same
-	// size) keeps the measurement honest: answers are recomputed, not
-	// replayed.
-	if err := e.ConfigurePIRWorkers(cfg.workers); err != nil {
-		return leg, err
-	}
-	parClient, err := e.NewClient(nil)
-	if err != nil {
-		return leg, err
-	}
-	if leg.ParMsPerDoc, err = timePlan(func(id int) ([][]byte, embellish.FetchStats, error) {
-		return parClient.FetchDocuments([]int{id})
-	}, false); err != nil {
-		return leg, err
-	}
-	if leg.ParMsPerDoc > 0 {
-		leg.ParSpeedup = leg.SeqMsPerDoc / leg.ParMsPerDoc
-	}
-
-	// Pipelined remote protocol: batch frames over TCP loopback against
-	// a NetServer running the parallel plan.
-	srv := e.NewNetServer(embellish.ServeConfig{AllowRetrieval: true})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return leg, err
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(l) }()
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		return leg, err
-	}
-	pipeClient, err := e.NewClient(nil)
-	if err != nil {
-		return leg, err
-	}
-	// 0 means "library default", matching embellish-search's contract.
-	if cfg.pipeline > 0 {
-		if err := pipeClient.SetFetchPipeline(cfg.pipeline); err != nil {
-			return leg, err
-		}
-	} else {
-		leg.PipeDepth = embellish.DefaultFetchPipeline
-	}
-	if leg.PipeMsPerDoc, err = timePlan(func(id int) ([][]byte, embellish.FetchStats, error) {
-		return pipeClient.FetchDocumentsRemote(conn, []int{id})
-	}, false); err != nil {
-		return leg, err
-	}
-	if leg.PipeMsPerDoc > 0 {
-		leg.PipeSpeedup = leg.SeqMsPerDoc / leg.PipeMsPerDoc
-	}
-
-	// Amortized multi-query serving: every block query of the whole
-	// fetch in one database pass on the Montgomery kernel. Local first.
-	if err := e.ConfigurePIRBatchAmortize(1); err != nil {
-		return leg, err
-	}
+	// Flat protocol, local: every block query of the whole fetch in one
+	// database pass.
 	amortClient, err := e.NewClient(nil)
 	if err != nil {
 		return leg, err
@@ -697,13 +550,21 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 		return leg, err
 	}
 	leg.AmortBatch = amortStats.Runs
-	if leg.AmortMsPerDoc > 0 {
-		leg.AmortSpeedup = leg.SeqMsPerDoc / leg.AmortMsPerDoc
-	}
+	leg.PIRRuns = amortStats.Runs
+	leg.QueryBytes = amortStats.QueryBytes
+	leg.AnswerBytes = amortStats.AnswerBytes
 
-	// The same one-call fetch over the wire: the server's zero override
-	// now inherits the engine's amortize-on knob, and the client's
-	// pipelined writer packs full batch frames.
+	// The same one-call fetch over the wire: batch frames over TCP
+	// loopback against a NetServer. A fresh client (fresh modulus of
+	// the same size) keeps the measurement honest: answers are
+	// recomputed, not replayed.
+	srv := e.NewNetServer(embellish.ServeConfig{AllowRetrieval: true})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return leg, err
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
 	amortConn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		return leg, err
@@ -712,6 +573,7 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	if err != nil {
 		return leg, err
 	}
+	// 0 means "library default", matching embellish-search's contract.
 	if cfg.pipeline > 0 {
 		if err := amortPipeClient.SetFetchPipeline(cfg.pipeline); err != nil {
 			return leg, err
@@ -722,13 +584,10 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	}); err != nil {
 		return leg, err
 	}
-	if leg.AmortPipeMsPerDoc > 0 {
-		leg.AmortPipeSpeedup = leg.SeqMsPerDoc / leg.AmortPipeMsPerDoc
-	}
 	amortConn.Close()
 
-	// Recursive two-level protocol, amortization still on: one call
-	// fetches every id through √n×√n grid queries. Local first.
+	// Recursive two-level protocol: one call fetches every id through
+	// √n×√n grid queries. Local first.
 	recClient, err := e.NewClient(nil)
 	if err != nil {
 		return leg, err
@@ -743,9 +602,6 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	leg.RecBatch = recStats.Runs
 	leg.RecQueryBytes = recStats.QueryBytes
 	leg.RecAnswerBytes = recStats.AnswerBytes
-	if leg.RecMsPerDoc > 0 {
-		leg.RecSpeedup = leg.SeqMsPerDoc / leg.RecMsPerDoc
-	}
 
 	// The same recursive fetch over type-22 wire frames.
 	recConn, err := net.Dial("tcp", l.Addr().String())
@@ -767,12 +623,8 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	}); err != nil {
 		return leg, err
 	}
-	if leg.RecPipeMsPerDoc > 0 {
-		leg.RecPipeSpeedup = leg.SeqMsPerDoc / leg.RecPipeMsPerDoc
-	}
 	recConn.Close()
 
-	conn.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	if err := srv.Shutdown(ctx); err != nil {
 		cancel()
@@ -793,9 +645,6 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 		}
 	}
 	leg.PlainUsDoc = time.Since(t0).Seconds() * 1e6 / plainReps
-	if leg.PlainUsDoc > 0 {
-		leg.Slowdown = leg.SeqMsPerDoc * 1000 / leg.PlainUsDoc
-	}
 	return leg, nil
 }
 

@@ -97,7 +97,7 @@ func main() {
 		fetchMode  = flag.String("fetch-mode", "private", "document retrieval mode: private (PIR) or plain")
 		fetchBits  = flag.Int("fetch-keybits", 0, "PIR modulus size for -fetch (0 inherits the engine's key size)")
 		fetchPipe  = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 sequential round-trips); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
-		pirWorkers = flag.Int("pir-workers", 0, "PIR fetch-serving workers for the local engine (0 sequential reference, -1 GOMAXPROCS, N pinned)")
+		pirWorkers = flag.Int("pir-workers", 0, "PIR fetch-serving workers for the local engine (0/1 one goroutine, -1 GOMAXPROCS)")
 		srvStats   = flag.Bool("server-stats", false, "with -connect: print the remote server's serving counters after the query")
 	)
 	flag.Parse()
@@ -227,13 +227,13 @@ func main() {
 	}
 	if *pirWorkers != 0 && engine != nil {
 		// Runtime-only, like the execution knobs: applies to locally
-		// served fetches (a remote server picks its own plan).
+		// served fetches (a remote server picks its own count).
 		if err := engine.ConfigurePIRWorkers(*pirWorkers); err != nil {
 			fmt.Fprintln(os.Stderr, "pir-workers:", err)
 			os.Exit(1)
 		}
 		if *connect != "" {
-			fmt.Fprintln(os.Stderr, "note: -pir-workers tunes only locally served fetches; the remote server picks its own plan (embellish-server -pir-workers)")
+			fmt.Fprintln(os.Stderr, "note: -pir-workers tunes only locally served fetches; the remote server picks its own count (embellish-server -pir-workers)")
 		}
 	}
 

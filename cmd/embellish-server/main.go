@@ -112,7 +112,7 @@ func main() {
 		store          = flag.Bool("store", false, "store document bytes for private retrieval (build path only)")
 		blockSize      = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
 		allowRetrieval = flag.Bool("allow-retrieval", false, "answer private document fetches (requires a stored corpus)")
-		pirWorkers     = flag.Int("pir-workers", 0, "PIR fetch-serving workers (0 sequential reference, -1 GOMAXPROCS, N pinned)")
+		pirWorkers     = flag.Int("pir-workers", 0, "PIR fetch-serving workers (0/1 one goroutine, -1 GOMAXPROCS)")
 		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-22 frames; refused clients fall back to flat queries)")
 
 		shards       = flag.Int("shards", -1, "document shards for the worker-pool accumulator (-1 GOMAXPROCS, 0 unsharded, N pinned)")
@@ -235,8 +235,8 @@ func main() {
 	if err := engine.ConfigureMergePolicy(*maxSegments); err != nil {
 		fatal(err)
 	}
-	// PIR serving plan is runtime-only as well; the NetServer inherits
-	// it (ServeConfig.PIRWorkers left at 0).
+	// The PIR worker count is runtime-only as well; the NetServer
+	// inherits it (ServeConfig.PIRWorkers left at 0).
 	if err := engine.ConfigurePIRWorkers(*pirWorkers); err != nil {
 		fatal(err)
 	}

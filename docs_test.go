@@ -110,7 +110,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	}
 	for _, knob := range []string{
 		"Shards", "PrecomputeWindow", "Parallelism", "PIRWorkers",
-		"PIRBatchAmortize", "ConfigurePIRBatchAmortize",
+		"ProcessColumnsMultiExecCtx", "Deleted plans",
 		"PIRRecursive", "ConfigurePIRRecursive", "SetFetchRecursive",
 		"BlockSize", "RetrievalKeyBits", "SetFetchPipeline", "MaxSegments",
 		"Durability", "CheckpointEveryOps", "BENCH_PR7.json",
@@ -199,7 +199,6 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"AllowUpdates", "AllowRetrieval", "AllowReplication",
 		"AllowLexiconSync", "RiskAudit", "StaleLexiconRefusal",
 		"ErrStaleLexicon", "DecoyQueries",
-		"PIRBatchAmortize",
 	} {
 		if !strings.Contains(string(wire), name) {
 			t.Errorf("docs/WIRE.md does not document %s", name)

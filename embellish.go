@@ -63,16 +63,11 @@ type Engine struct {
 	// EnableDurability); nil on in-memory engines. Its non-atomic
 	// fields are guarded by updateMu.
 	wal *walState
-	// pirWorkers is the live PIR fetch-serving plan (the
+	// pirWorkers is the live PIR fetch-serving worker count (the
 	// Options.PIRWorkers encoding), held in an atomic so
 	// ConfigurePIRWorkers can retune a serving engine without racing
 	// the fetch paths that read it per answer.
 	pirWorkers atomic.Int64
-	// pirAmortize is the live multi-query amortization switch (the
-	// Options.PIRBatchAmortize encoding: 0 default-on, -1 off, 1 on),
-	// in an atomic for the same reason. The zero value is the default,
-	// so loaded engines amortize without any explicit store.
-	pirAmortize atomic.Int64
 	// pirRecursive is the live recursive-serving switch (the
 	// Options.PIRRecursive encoding: 0 default-on, -1 off, 1 on), in an
 	// atomic for the same reason. The zero value is the default, so
@@ -163,7 +158,6 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 	e.org = org
 	e.server = core.NewLiveServer(e.live, org, lex.db)
 	e.pirWorkers.Store(int64(opts.PIRWorkers))
-	e.pirAmortize.Store(int64(opts.PIRBatchAmortize))
 	e.pirRecursive.Store(int64(opts.PIRRecursive))
 	e.applyExecution()
 	if opts.Durability.Dir != "" {
@@ -390,14 +384,14 @@ func (e *Engine) ConfigureExecution(shards, precomputeWindow, parallelism int) e
 	return nil
 }
 
-// ConfigurePIRWorkers adjusts the PIR fetch-serving plan — the
-// Options.PIRWorkers knob, with the same encoding (0 the sequential
-// reference path, -1 GOMAXPROCS workers, >= 1 pinned). Answers are
-// byte-identical in every plan. Like the other execution knobs it is
-// not persisted (loaded engines start sequential); unlike them it is
-// safe to call on a LIVE engine — the plan lives in its own atomic
+// ConfigurePIRWorkers adjusts the PIR fetch-serving worker count — the
+// Options.PIRWorkers knob, with the same encoding (0 and 1 one
+// goroutine, -1 GOMAXPROCS workers, n pinned). Answers are
+// byte-identical at every count. Like the other execution knobs it is
+// not persisted (loaded engines start on one goroutine); unlike them it
+// is safe to call on a LIVE engine — the count lives in its own atomic
 // (e.opts is deliberately NOT touched, so this never races readers of
-// the options struct), in-flight fetches finish on the old plan and
+// the options struct), in-flight fetches finish on the old count and
 // later ones pick up the new one.
 func (e *Engine) ConfigurePIRWorkers(n int) error {
 	if err := validatePIRWorkers(n); err != nil {
@@ -407,27 +401,9 @@ func (e *Engine) ConfigurePIRWorkers(n int) error {
 	return nil
 }
 
-// livePIRWorkers reads the current fetch-serving plan; safe from any
-// goroutine.
+// livePIRWorkers reads the current fetch-serving worker count; safe
+// from any goroutine.
 func (e *Engine) livePIRWorkers() int { return int(e.pirWorkers.Load()) }
-
-// ConfigurePIRBatchAmortize flips the multi-query amortization escape
-// hatch — the Options.PIRBatchAmortize knob, same encoding (0 default
-// = amortize, -1 off, 1 on) — on a live engine. Like PIRWorkers it
-// lives in its own atomic, is not persisted, and only changes HOW
-// batches are served: answers are byte-identical either way.
-func (e *Engine) ConfigurePIRBatchAmortize(n int) error {
-	if err := validatePIRBatchAmortize(n); err != nil {
-		return err
-	}
-	e.pirAmortize.Store(int64(n))
-	return nil
-}
-
-// livePIRBatchAmortize reports whether batched block queries should be
-// served through the one-pass multi-query scan; safe from any
-// goroutine.
-func (e *Engine) livePIRBatchAmortize() bool { return e.pirAmortize.Load() >= 0 }
 
 // ConfigurePIRRecursive flips the recursive (two-level) serving switch
 // — the Options.PIRRecursive knob, same encoding (0 default = serve,
@@ -448,37 +424,13 @@ func (e *Engine) ConfigurePIRRecursive(n int) error {
 // served; safe from any goroutine.
 func (e *Engine) livePIRRecursive() bool { return e.pirRecursive.Load() >= 0 }
 
-// answerPIR serves one PIR block query from a pinned store snapshot
-// through the plan the workers knob selects: the sequential reference
-// scan at 0, the windowed/parallel pir.ProcessColumnsExec otherwise
-// (-1 = GOMAXPROCS). Every plan returns byte-identical gammas.
-func answerPIR(snap *docstore.Snapshot, q *pir.Query, workers int) (*pir.Answer, pir.Stats, error) {
-	return answerPIRCtx(context.Background(), snap, q, workers)
-}
-
-// answerPIRCtx is answerPIR under a context: a cancelled block scan
-// stops within a bounded slice of work in every plan and returns
-// ctx.Err(). The Stats count the multiplications actually performed —
-// partial on cancellation — so serving layers can meter work.
-func answerPIRCtx(ctx context.Context, snap *docstore.Snapshot, q *pir.Query, workers int) (*pir.Answer, pir.Stats, error) {
-	switch {
-	case workers == 0:
-		return snap.AnswerCtx(ctx, q)
-	case workers < 0:
-		return snap.AnswerExecCtx(ctx, q, pir.Exec{Workers: runtime.GOMAXPROCS(0)})
-	default:
-		return snap.AnswerExecCtx(ctx, q, pir.Exec{Workers: workers})
-	}
-}
-
-// answerPIRMultiCtx serves a whole batch of equal-width, same-modulus
-// PIR queries in ONE pass over the snapshot (docstore.AnswerMulti):
-// the block bytes are read and transposed once for the batch, and the
-// row loops run on the Montgomery kernel. Answers are byte-identical
-// to per-query answerPIRCtx runs, in batch order, with per-query
-// Stats. The workers encoding matches answerPIRCtx; the sequential
-// reference plan (workers == 0) still shares the one-pass scan but on
-// a single goroutine.
+// answerPIRMultiCtx serves a batch of k >= 1 equal-width, same-modulus
+// PIR block queries in ONE pass over a pinned store snapshot — the one
+// flat serving path; a single query is a batch of one. The workers
+// encoding is Options.PIRWorkers'. A cancelled scan stops within a
+// bounded slice of work and returns ctx.Err(); the per-query Stats
+// count the multiplications actually performed — partial on
+// cancellation — so serving layers can meter work.
 func answerPIRMultiCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query, workers int) ([]*pir.Answer, []pir.Stats, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -487,10 +439,8 @@ func answerPIRMultiCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Q
 }
 
 // answerPIRRecursiveCtx serves a batch of recursive block queries in
-// one level-1 pass over the snapshot. The workers encoding matches
-// answerPIRCtx: 0 serves on a single goroutine (the recursive path has
-// no separate sequential reference plan — its reference is decoding to
-// the same bytes as the flat plans), -1 GOMAXPROCS, >= 1 pinned.
+// one level-1 pass over the snapshot, under answerPIRMultiCtx's workers
+// encoding and cancellation contract.
 func answerPIRRecursiveCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.RecursiveQuery, workers int) ([]*pir.Answer, []pir.Stats, error) {
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -29,6 +29,7 @@ import (
 	"embellish/internal/benaloh"
 	"embellish/internal/bucket"
 	"embellish/internal/index"
+	"embellish/internal/scanclock"
 	"embellish/internal/simio"
 	"embellish/internal/wordnet"
 )
@@ -439,7 +440,7 @@ func (s *Server) foldEntry(ctx context.Context, r *resolvedState, e QueryEntry, 
 			return ctx.Err()
 		default:
 		}
-		if hasDL && !scanNow().Before(dl) {
+		if hasDL && !scanclock.Now().Before(dl) {
 			return context.DeadlineExceeded
 		}
 	}
@@ -461,7 +462,7 @@ func (s *Server) foldEntry(ctx context.Context, r *resolvedState, e QueryEntry, 
 				// context's timer goroutine cannot run while this scan
 				// holds the CPU, so the done channel can close tens of
 				// milliseconds after the deadline actually passed.
-				if hasDL && !scanNow().Before(dl) {
+				if hasDL && !scanclock.Now().Before(dl) {
 					return context.DeadlineExceeded
 				}
 			}

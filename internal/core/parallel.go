@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 
 	"embellish/internal/index"
+	"embellish/internal/scanclock"
 	"embellish/internal/wordnet"
 )
 
@@ -190,7 +191,7 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 					// Wall-clock fallback: on a single-P runtime the
 					// timer goroutine cannot close done while workers
 					// hold every CPU.
-					if hasDL && !scanNow().Before(dl) {
+					if hasDL && !scanclock.Now().Before(dl) {
 						cancelled = true
 						aborted.Store(true)
 						return true

@@ -137,67 +137,19 @@ func (sn *Snapshot) Params() Params {
 	return Params{BlockSize: sn.blockSize, NumBlocks: len(sn.blocks), Exts: sn.exts}
 }
 
-// Answer runs the server side of one PIR execution over the FIRST
-// len(q.Values) blocks. Accepting any width up to the current block
-// count keeps fetches valid across concurrent appends: a client
+// AnswerMultiExecCtx runs the server side of a batch of k >= 1 PIR
+// executions in one database pass (the flat executor,
+// pir.ProcessColumnsMultiExecCtx): the block bytes are read and
+// transposed once for the whole batch, ex.Workers partitions column
+// groups and ex.Window pins the window width. The batch addresses the
+// FIRST len(qs[0].Values) blocks: accepting any width up to the current
+// block count keeps fetches valid across concurrent appends — a client
 // querying against an older Params simply addresses the prefix that
-// existed when it fetched the mapping. Answer is the sequential
-// reference path — one modular multiplication per addressed corpus
-// bit, the paper's Section 5.2 cost model; AnswerExec computes the
-// identical answer faster.
-func (sn *Snapshot) Answer(q *pir.Query) (*pir.Answer, pir.Stats, error) {
-	return sn.AnswerCtx(context.Background(), q)
-}
-
-// AnswerCtx is Answer under a context: the block scan stops mid-store
-// when ctx is cancelled or its deadline expires, returning ctx.Err()
-// and the stats of the multiplications actually performed.
-func (sn *Snapshot) AnswerCtx(ctx context.Context, q *pir.Query) (*pir.Answer, pir.Stats, error) {
-	w, err := sn.queryWidth(q)
-	if err != nil {
-		return nil, pir.Stats{}, err
-	}
-	return pir.ProcessColumnsCtx(ctx, sn.blocks[:w], sn.blockSize, q)
-}
-
-// AnswerExec answers the same PIR execution as Answer — byte-identical
-// gammas, property-tested — through pir.ProcessColumnsExec's windowed
-// tables and worker pool. The prefix-addressing semantics are
-// identical.
-func (sn *Snapshot) AnswerExec(q *pir.Query, ex pir.Exec) (*pir.Answer, pir.Stats, error) {
-	return sn.AnswerExecCtx(context.Background(), q, ex)
-}
-
-// AnswerExecCtx is AnswerExec under a context, with the cancellation
-// semantics of pir.ProcessColumnsExecCtx: every worker stops within a
-// bounded slice of work and the partial multiplications stay counted.
-func (sn *Snapshot) AnswerExecCtx(ctx context.Context, q *pir.Query, ex pir.Exec) (*pir.Answer, pir.Stats, error) {
-	w, err := sn.queryWidth(q)
-	if err != nil {
-		return nil, pir.Stats{}, err
-	}
-	return pir.ProcessColumnsExecCtx(ctx, sn.blocks[:w], sn.blockSize, q, ex)
-}
-
-// AnswerMulti answers every query of a batch over the snapshot in one
-// database pass (pir.ProcessColumnsMulti): the block bytes are read
-// and transposed once for the whole batch. All queries must share one
-// modulus and address the same prefix width; answers come back in
-// batch order, byte-identical to independent Answer runs, with
-// per-query Stats.
-func (sn *Snapshot) AnswerMulti(qs []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
-	return sn.AnswerMultiCtx(context.Background(), qs)
-}
-
-// AnswerMultiCtx is AnswerMulti under a context, with the batch
-// cancellation semantics of pir.ProcessColumnsMultiExecCtx.
-func (sn *Snapshot) AnswerMultiCtx(ctx context.Context, qs []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
-	return sn.AnswerMultiExecCtx(ctx, qs, pir.Exec{})
-}
-
-// AnswerMultiExecCtx is AnswerMultiCtx with execution tuning: workers
-// partition column groups and ex.Window pins the (batch-amortized)
-// window width.
+// existed when it fetched the mapping. All queries must share one
+// modulus and one prefix width (callers group mixed-width batches);
+// answers come back in batch order with per-query Stats, and a
+// cancelled scan returns no answers but the Stats of the
+// multiplications actually performed.
 func (sn *Snapshot) AnswerMultiExecCtx(ctx context.Context, qs []*pir.Query, ex pir.Exec) ([]*pir.Answer, []pir.Stats, error) {
 	if len(qs) == 0 {
 		return nil, nil, errors.New("docstore: empty PIR batch")
@@ -206,44 +158,33 @@ func (sn *Snapshot) AnswerMultiExecCtx(ctx context.Context, qs []*pir.Query, ex 
 	if err != nil {
 		return nil, nil, err
 	}
-	// The one-pass scan serves one prefix width; pir validates that
-	// every query matches it (callers group mixed-width batches).
 	return pir.ProcessColumnsMultiExecCtx(ctx, sn.blocks[:w], sn.blockSize, qs, ex)
 }
 
-// AnswerRecursive answers one recursive (two-level) PIR query over the
-// snapshot: the block array is treated as the √n×√n grid the query's
-// shape declares, and the answer is the recursively-encrypted target
-// block (or the level-1 gamma matrix for partition-mode queries from a
-// cluster router). Blocks past the query's window — including blocks
-// appended after the client fetched its Params — are simply absent
-// from the grid, so fetches stay valid across concurrent appends
-// exactly like the flat paths.
-func (sn *Snapshot) AnswerRecursive(q *pir.RecursiveQuery) (*pir.Answer, pir.Stats, error) {
-	return sn.AnswerRecursiveExecCtx(context.Background(), q, pir.Exec{})
-}
-
-// AnswerRecursiveCtx is AnswerRecursive under a context, with the
-// cancellation semantics of pir.ProcessColumnsRecursiveMultiExecCtx.
-func (sn *Snapshot) AnswerRecursiveCtx(ctx context.Context, q *pir.RecursiveQuery) (*pir.Answer, pir.Stats, error) {
-	return sn.AnswerRecursiveExecCtx(ctx, q, pir.Exec{})
-}
-
-// AnswerRecursiveExecCtx is AnswerRecursiveCtx with execution tuning
-// (workers partition grid columns; ex.Window pins the level-1 group
-// width).
-func (sn *Snapshot) AnswerRecursiveExecCtx(ctx context.Context, q *pir.RecursiveQuery, ex pir.Exec) (*pir.Answer, pir.Stats, error) {
-	answers, stats, err := sn.AnswerRecursiveMultiExecCtx(ctx, []*pir.RecursiveQuery{q}, ex)
+// AnswerCtx answers one PIR execution through the sequential oracle
+// (pir.ProcessColumnsCtx) — one modular multiplication per addressed
+// corpus bit, the paper's Section 5.2 cost model, under the same prefix
+// addressing. Tests and cost-model baselines compare against it;
+// serving goes through AnswerMultiExecCtx, which returns the identical
+// gammas.
+func (sn *Snapshot) AnswerCtx(ctx context.Context, q *pir.Query) (*pir.Answer, pir.Stats, error) {
+	w, err := sn.queryWidth(q)
 	if err != nil {
 		return nil, pir.Stats{}, err
 	}
-	return answers[0], stats[0], nil
+	return pir.ProcessColumnsCtx(ctx, sn.blocks[:w], sn.blockSize, q)
 }
 
-// AnswerRecursiveMultiExecCtx answers a batch of recursive queries in
-// one level-1 database pass. All queries must share one modulus and
-// one grid shape; answers come back in batch order with per-query
-// Stats.
+// AnswerRecursiveMultiExecCtx answers a batch of k >= 1 recursive
+// (two-level) PIR queries in one level-1 database pass: the block array
+// is treated as the √n×√n grid the queries' shape declares, and each
+// answer is the recursively-encrypted target block (or the level-1
+// gamma matrix for partition-mode queries from a cluster router).
+// Blocks past the queries' window — including blocks appended after the
+// client fetched its Params — are simply absent from the grid, so
+// fetches stay valid across concurrent appends exactly like the flat
+// path. All queries must share one modulus and one grid shape; answers
+// come back in batch order with per-query Stats.
 func (sn *Snapshot) AnswerRecursiveMultiExecCtx(ctx context.Context, qs []*pir.RecursiveQuery, ex pir.Exec) ([]*pir.Answer, []pir.Stats, error) {
 	return pir.ProcessColumnsRecursiveMultiExecCtx(ctx, sn.blocks, sn.blockSize, qs, ex)
 }

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -122,6 +123,15 @@ func TestPIRFetchMatchesDocuments(t *testing.T) {
 	}
 }
 
+// answerOne serves one PIR query as a batch of one — the serving path.
+func answerOne(sn *Snapshot, q *pir.Query, ex pir.Exec) (*pir.Answer, error) {
+	answers, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{q}, ex)
+	if err != nil {
+		return nil, err
+	}
+	return answers[0], nil
+}
+
 // fetchPIR runs the client side of a document fetch directly against a
 // snapshot: one PIR execution per block, reassembled and truncated.
 func fetchPIR(sn *Snapshot, key *pir.ClientKey, id int) ([]byte, error) {
@@ -135,7 +145,7 @@ func fetchPIR(sn *Snapshot, key *pir.ClientKey, id int) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		ans, _, err := sn.Answer(q)
+		ans, err := answerOne(sn, q, pir.Exec{})
 		if err != nil {
 			return nil, err
 		}
@@ -167,7 +177,7 @@ func TestAnswerPrefixWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, _, err := grown.Answer(q)
+		ans, err := answerOne(grown, q, pir.Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,8 +191,11 @@ func TestAnswerPrefixWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := grown.Answer(q); err == nil {
+	if _, err := answerOne(grown, q, pir.Exec{}); err == nil {
 		t.Fatal("over-wide query answered")
+	}
+	if _, _, err := grown.AnswerCtx(context.Background(), q); err == nil {
+		t.Fatal("over-wide query answered by the oracle")
 	}
 }
 
@@ -320,10 +333,10 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 }
 
 // TestAnswerExecMatchesMatrixUnderChurn is the acceptance property of
-// the parallel serving path: under a random interleaving of adds and
-// deletes, for EVERY live document and every one of its blocks, the
-// windowed/parallel AnswerExec gammas are byte-identical to the
-// sequential Answer AND to Matrix.Process over a materialized bit
+// the serving path: under a random interleaving of adds and deletes,
+// for EVERY live document and every one of its blocks, the executor's
+// gammas (AnswerMultiExecCtx) are byte-identical to the sequential
+// oracle (AnswerCtx) AND to Matrix.Process over a materialized bit
 // matrix of the same snapshot — and they decode to the stored block.
 func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 	const blockSize = 8
@@ -385,17 +398,17 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				seq, _, err := sn.Answer(q)
+				seq, _, err := sn.AnswerCtx(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for r := range ref.Gammas {
 					if seq.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("op %d doc %d block %d row %d: Answer differs from Matrix.Process", op, id, b, r)
+						t.Fatalf("op %d doc %d block %d row %d: AnswerCtx differs from Matrix.Process", op, id, b, r)
 					}
 				}
 				for _, ex := range execs {
-					got, _, err := sn.AnswerExec(q, ex)
+					got, err := answerOne(sn, q, ex)
 					if err != nil {
 						t.Fatalf("exec %+v: %v", ex, err)
 					}

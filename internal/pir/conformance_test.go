@@ -1,11 +1,10 @@
-// Cross-plan conformance battery: the package serves the same protocol
-// through five plans — the bit-matrix reference, the sequential column
-// scan, the windowed exec kernel, the amortized multi scan, and the
-// two-level recursive protocol — and every one of them must retrieve
-// byte-identical blocks from the same corpus. Flat plans must agree
-// gamma-for-gamma (they answer the same query); the recursive plan
+// Cross-plan conformance battery: the package computes the same
+// protocol four ways — the bit-matrix reference, the sequential column
+// oracle, the flat executor (the one serving path), and the two-level
+// recursive executor — and every one of them must retrieve
+// byte-identical blocks from the same corpus. The flat ones must agree
+// gamma-for-gamma (they answer the same query); the recursive executor
 // speaks a different wire shape, so it is held to the decoded bytes.
-// One table replaces the per-plan copy-pasted identity tests.
 package pir
 
 import (
@@ -13,6 +12,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/big"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -26,25 +27,27 @@ type planResult struct {
 	stats   []Stats
 }
 
+// addFlat records one flat answer; a nil key (the even-modulus kernel
+// has no factorization) records the gammas without decoding.
 func (r *planResult) addFlat(k *ClientKey, ans *Answer, st Stats) {
-	r.decoded = append(r.decoded, ColumnBytes(k.Decode(ans)))
+	if k != nil {
+		r.decoded = append(r.decoded, ColumnBytes(k.Decode(ans)))
+	}
 	r.answers = append(r.answers, ans)
 	r.stats = append(r.stats, st)
 }
 
 // conformancePlan answers every query of the batch over cols. Flat
 // plans consume qs; the recursive plan consumes rqs (same targets, its
-// own protocol). flatWire marks answers as gamma-comparable across
-// plans.
+// own protocol).
 type conformancePlan struct {
-	name     string
-	flatWire bool
-	run      func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, rqs []*RecursiveQuery, ex Exec) (*planResult, error)
+	name string
+	run  func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, rqs []*RecursiveQuery, ex Exec) (*planResult, error)
 }
 
 func conformancePlans() []conformancePlan {
 	return []conformancePlan{
-		{name: "matrix", flatWire: true, run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, _ Exec) (*planResult, error) {
+		{name: "matrix", run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, _ Exec) (*planResult, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
@@ -62,7 +65,7 @@ func conformancePlans() []conformancePlan {
 			}
 			return res, nil
 		}},
-		{name: "sequential", flatWire: true, run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, _ Exec) (*planResult, error) {
+		{name: "sequential", run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, _ Exec) (*planResult, error) {
 			res := &planResult{}
 			for _, q := range qs {
 				ans, st, err := ProcessColumnsCtx(ctx, cols, colBytes, q)
@@ -73,18 +76,7 @@ func conformancePlans() []conformancePlan {
 			}
 			return res, nil
 		}},
-		{name: "exec", flatWire: true, run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, ex Exec) (*planResult, error) {
-			res := &planResult{}
-			for _, q := range qs {
-				ans, st, err := ProcessColumnsExecCtx(ctx, cols, colBytes, q, ex)
-				if err != nil {
-					return nil, err
-				}
-				res.addFlat(k, ans, st)
-			}
-			return res, nil
-		}},
-		{name: "multi", flatWire: true, run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, ex Exec) (*planResult, error) {
+		{name: "executor", run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, qs []*Query, _ []*RecursiveQuery, ex Exec) (*planResult, error) {
 			answers, stats, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs, ex)
 			if err != nil {
 				return nil, err
@@ -95,7 +87,7 @@ func conformancePlans() []conformancePlan {
 			}
 			return res, nil
 		}},
-		{name: "recursive", flatWire: false, run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, _ []*Query, rqs []*RecursiveQuery, ex Exec) (*planResult, error) {
+		{name: "recursive", run: func(ctx context.Context, k *ClientKey, cols [][]byte, colBytes int, _ []*Query, rqs []*RecursiveQuery, ex Exec) (*planResult, error) {
 			answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, colBytes, rqs, ex)
 			if err != nil {
 				return nil, err
@@ -112,6 +104,53 @@ func conformancePlans() []conformancePlan {
 			return res, nil
 		}},
 	}
+}
+
+// randomColumns builds a random column-major database.
+func randomColumns(t testing.TB, seed int64, nCols, colBytes int) [][]byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cols := make([][]byte, nCols)
+	for j := range cols {
+		cols[j] = make([]byte, colBytes)
+		rng.Read(cols[j])
+	}
+	return cols
+}
+
+// churnColumns builds a corpus shaped like a block store under churn:
+// random live columns interleaved with all-zero tombstones and
+// mostly-zero padded tails.
+func churnColumns(t testing.TB, seed int64, nCols, colBytes int) [][]byte {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	cols := make([][]byte, nCols)
+	for j := range cols {
+		cols[j] = make([]byte, colBytes)
+		switch rng.Intn(4) {
+		case 0: // tombstoned block: all zero
+		case 1: // padded tail: data in the first quarter only
+			rng.Read(cols[j][:colBytes/4+1])
+		default:
+			rng.Read(cols[j])
+		}
+	}
+	return cols
+}
+
+// evenModulus is a client-chosen modulus the Montgomery kernel rejects
+// (REDC needs an odd one): it selects the executor's big.Int kernel.
+var evenModulus = big.NewInt(1 << 20)
+
+// rawQuery builds a query of uniformly random residues modulo n — no
+// key, so it decodes to nothing; the flat plans must still agree on its
+// gammas.
+func rawQuery(rng *rand.Rand, n *big.Int, nCols int) *Query {
+	q := &Query{N: n, Values: make([]*big.Int, nCols)}
+	for j := range q.Values {
+		q.Values[j] = new(big.Int).Rand(rng, n)
+	}
+	return q
 }
 
 // conformanceTargets samples every (1+n/7)-th block so small corpora
@@ -144,22 +183,42 @@ func conformanceQueries(t *testing.T, k *ClientKey, tag string, nCols int, targe
 	return qs, rqs
 }
 
-// TestPIRConformance is the battery: keys on and off the word boundary
-// (64-bit word kernel, 192-bit reference path), clean and churned
-// corpora (tombstoned blocks, padded tails), grids from degenerate to
-// exact-square, and the exec tunings — every plan must decode every
-// target to the stored bytes, and the flat plans must agree on the
-// gammas themselves.
+// sameGammas fails unless got agrees gamma-for-gamma with the first
+// len(got.answers) queries of want.
+func sameGammas(t *testing.T, label string, got, want *planResult) {
+	t.Helper()
+	for i, ans := range got.answers {
+		ref := want.answers[i]
+		if len(ans.Gammas) != len(ref.Gammas) {
+			t.Fatalf("%s query %d: %d gammas, reference %d", label, i, len(ans.Gammas), len(ref.Gammas))
+		}
+		for g := range ans.Gammas {
+			if ans.Gammas[g].Cmp(ref.Gammas[g]) != 0 {
+				t.Fatalf("%s query %d gamma %d differs from the reference", label, i, g)
+			}
+		}
+	}
+}
+
+// TestPIRConformance is the battery. The three executor kernels (64-bit
+// one-word Montgomery, 192-bit multi-word Montgomery, even-modulus
+// big.Int) run over clean and churned corpora (tombstoned blocks,
+// padded tails) and grids from degenerate to exact-square. Both
+// references answer a MaxMulti-wide batch once per corpus; the executor
+// is then crossed over batch widths {1, 4, MaxMulti}, workers {1, 3}
+// and windows {auto, 1, pinned} and must match BOTH references
+// gamma-for-gamma on every case; keyed kernels must also decode every
+// target to the stored bytes, through the recursive executor too.
 func TestPIRConformance(t *testing.T) {
 	type shape struct{ nCols, colBytes int }
-	keys := []struct {
+	kernels := []struct {
 		name   string
-		k      *ClientKey
+		k      *ClientKey // nil: no factorization, gammas only
 		shapes []shape
 	}{
 		// The word kernel carries the big shapes; the wide key's job is
-		// exercising the multi-word reference path, where 37×16 costs
-		// seconds without covering anything 16×4 doesn't.
+		// exercising the multi-word kernel, where 37×16 costs seconds
+		// without covering anything 16×4 doesn't.
 		{"word", wordTestKey(t), []shape{
 			{13, 3},
 			{37, 16},
@@ -173,82 +232,161 @@ func TestPIRConformance(t *testing.T) {
 			{5, 1},
 			{1, 2},
 		}},
+		{"even", nil, []shape{
+			{13, 3},
+			{16, 4},
+			{1, 2},
+		}},
 	}
 	corpora := []struct {
 		name  string
-		build func(t *testing.T, seed int64, nCols, colBytes int) [][]byte
+		build func(t testing.TB, seed int64, nCols, colBytes int) [][]byte
 	}{
-		{"random", func(t *testing.T, seed int64, nCols, colBytes int) [][]byte {
-			cols, _ := randomColumns(t, seed, nCols, colBytes)
-			return cols
-		}},
+		{"random", randomColumns},
 		{"churn", churnColumns},
 	}
-	execs := []Exec{
-		{},
-		{Workers: 1, Window: 1},
-		{Workers: 3, Window: 4},
-		{Workers: 16, Window: 64}, // clamped
-	}
 	plans := conformancePlans()
-	for _, key := range keys {
+	matrix, sequential, executor, recursive := plans[0], plans[1], plans[2], plans[3]
+	ctx := context.Background()
+	for _, kern := range kernels {
 		for ci, corpus := range corpora {
-			for si, shape := range key.shapes {
-				name := fmt.Sprintf("%s/%s/%dx%d", key.name, corpus.name, shape.nCols, shape.colBytes)
+			for si, shape := range kern.shapes {
+				name := fmt.Sprintf("%s/%s/%dx%d", kern.name, corpus.name, shape.nCols, shape.colBytes)
 				t.Run(name, func(t *testing.T) {
 					seed := int64(1000 + 100*ci + si)
 					cols := corpus.build(t, seed, shape.nCols, shape.colBytes)
-					targets := conformanceTargets(shape.nCols)
-					qs, rqs := conformanceQueries(t, key.k, name, shape.nCols, targets)
-					var baseline *planResult
-					for ei, ex := range execs {
-						for _, plan := range plans {
-							// The matrix reference ignores Exec; run it once.
-							if plan.name == "matrix" && ei > 0 {
-								continue
+					targets := make([]int, MaxMulti)
+					qs := make([]*Query, MaxMulti)
+					rng := rand.New(rand.NewSource(seed))
+					for i := range qs {
+						targets[i] = i % shape.nCols
+						if kern.k == nil {
+							qs[i] = rawQuery(rng, evenModulus, shape.nCols)
+							continue
+						}
+						q, err := kern.k.NewQuery(newDetRand(fmt.Sprintf("%s-f%d", name, i)), shape.nCols, targets[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						qs[i] = q
+					}
+					check := func(label string, res *planResult, targets []int) {
+						t.Helper()
+						for i, dec := range res.decoded {
+							if want := cols[targets[i]][:shape.colBytes]; !bytes.Equal(dec, want) {
+								t.Fatalf("%s target %d: decoded %x, want %x", label, targets[i], dec, want)
 							}
-							res, err := plan.run(context.Background(), key.k, cols, shape.colBytes, qs, rqs, ex)
-							if err != nil {
-								t.Fatalf("%s exec %+v: %v", plan.name, ex, err)
-							}
-							if len(res.decoded) != len(targets) {
-								t.Fatalf("%s answered %d targets, want %d", plan.name, len(res.decoded), len(targets))
-							}
-							for i, target := range targets {
-								if !bytes.Equal(res.decoded[i], cols[target][:shape.colBytes]) {
-									t.Fatalf("%s exec %+v target %d: decoded %x, want %x",
-										plan.name, ex, target, res.decoded[i], cols[target][:shape.colBytes])
-								}
-								if st := res.stats[i]; st.ModMuls <= 0 || st.TableMuls < 0 || st.TableMuls > st.ModMuls {
-									t.Fatalf("%s target %d: implausible stats %+v", plan.name, target, st)
-								}
-							}
-							if baseline == nil {
-								baseline = res
-								continue
-							}
-							if !plan.flatWire {
-								continue
-							}
-							// Flat plans answered the same query: the
-							// transcripts must match gamma-for-gamma.
-							for i := range targets {
-								got, want := res.answers[i], baseline.answers[i]
-								if len(got.Gammas) != len(want.Gammas) {
-									t.Fatalf("%s target %d: %d gammas, baseline %d",
-										plan.name, targets[i], len(got.Gammas), len(want.Gammas))
-								}
-								for g := range got.Gammas {
-									if got.Gammas[g].Cmp(want.Gammas[g]) != 0 {
-										t.Fatalf("%s exec %+v target %d gamma %d differs from baseline",
-											plan.name, ex, targets[i], g)
-									}
-								}
+						}
+						for i, st := range res.stats {
+							if st.ModMuls <= 0 || st.TableMuls < 0 || st.TableMuls > st.ModMuls {
+								t.Fatalf("%s query %d: implausible stats %+v", label, i, st)
 							}
 						}
 					}
+					refM, err := matrix.run(ctx, kern.k, cols, shape.colBytes, qs, nil, Exec{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("matrix", refM, targets)
+					refS, err := sequential.run(ctx, kern.k, cols, shape.colBytes, qs, nil, Exec{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					check("sequential", refS, targets)
+					sameGammas(t, "sequential vs matrix", refS, refM)
+
+					for _, width := range []int{1, 4, MaxMulti} {
+						for _, workers := range []int{1, 3} {
+							for _, window := range []int{0, 1, 4} {
+								ex := Exec{Workers: workers, Window: window}
+								label := fmt.Sprintf("executor batch %d %+v", width, ex)
+								res, err := executor.run(ctx, kern.k, cols, shape.colBytes, qs[:width], nil, ex)
+								if err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								if len(res.answers) != width {
+									t.Fatalf("%s answered %d queries", label, len(res.answers))
+								}
+								check(label, res, targets)
+								sameGammas(t, label+" vs matrix", res, refM)
+								sameGammas(t, label+" vs sequential", res, refS)
+							}
+						}
+					}
+					if kern.k == nil {
+						return
+					}
+					rtargets := conformanceTargets(shape.nCols)
+					_, rqs := conformanceQueries(t, kern.k, name, shape.nCols, rtargets)
+					for _, ex := range []Exec{
+						{},
+						{Workers: 1, Window: 1},
+						{Workers: 3, Window: 4},
+						{Workers: 16, Window: 64}, // clamped
+					} {
+						label := fmt.Sprintf("recursive %+v", ex)
+						res, err := recursive.run(ctx, kern.k, cols, shape.colBytes, nil, rqs, ex)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						if len(res.decoded) != len(rtargets) {
+							t.Fatalf("%s answered %d targets, want %d", label, len(res.decoded), len(rtargets))
+						}
+						check(label, res, rtargets)
+					}
 				})
 			}
+		}
+	}
+}
+
+// TestExecutorHostileOperands pins the executor's shared front on a
+// batch of one: operands the oracle's Mod tolerates — negative, >= N,
+// zero — are canonicalised once ahead of every kernel, and a width-zero
+// batch is answered with the empty product directly. Gamma-for-gamma
+// with ProcessColumnsCtx on the one-word, multi-word and even-modulus
+// kernels.
+func TestExecutorHostileOperands(t *testing.T) {
+	const nCols, colBytes = 9, 2
+	cols := churnColumns(t, 77, nCols, colBytes)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		n    *big.Int
+	}{
+		{"word", wordTestKey(t).N},
+		{"wide", testKey(t).N},
+		{"even", evenModulus},
+	} {
+		q := rawQuery(rand.New(rand.NewSource(5)), tc.n, nCols)
+		q.Values[1] = new(big.Int).Neg(q.Values[1])
+		q.Values[2] = new(big.Int).Add(q.Values[2], tc.n)
+		q.Values[3] = new(big.Int).Lsh(tc.n, 3)
+		q.Values[4] = new(big.Int)
+		q.Values[8] = new(big.Int).Set(tc.n)
+		for _, ex := range []Exec{{}, {Workers: 3, Window: 2}} {
+			for _, width := range []int{nCols, 0} {
+				sub := &Query{N: q.N, Values: q.Values[:width]}
+				want, _, err := ProcessColumnsCtx(ctx, cols[:width], colBytes, sub)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, stats, err := ProcessColumnsMultiExecCtx(ctx, cols[:width], colBytes, []*Query{sub}, ex)
+				if err != nil {
+					t.Fatalf("%s width %d %+v: %v", tc.name, width, ex, err)
+				}
+				for r, g := range want.Gammas {
+					if got[0].Gammas[r].Cmp(g) != 0 {
+						t.Fatalf("%s width %d %+v gamma %d: executor %v, oracle %v", tc.name, width, ex, r, got[0].Gammas[r], g)
+					}
+				}
+				if width == 0 && stats[0] != (Stats{}) {
+					t.Fatalf("%s: width-zero batch charged work %+v", tc.name, stats[0])
+				}
+			}
+		}
+		if q.Values[1].Sign() >= 0 || q.Values[8].Cmp(tc.n) != 0 {
+			t.Fatalf("%s: canonicalisation mutated the caller's query", tc.name)
 		}
 	}
 }

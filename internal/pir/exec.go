@@ -2,81 +2,85 @@ package pir
 
 import (
 	"context"
+	"errors"
 	"math/big"
 	"sync"
+	"time"
+
+	"embellish/internal/scanclock"
 )
 
-// This file is the tuned serving path for Kushilevitz-Ostrovsky
-// answers. Matrix.Process and ProcessColumns remain the sequential
-// reference — one modular multiplication per database bit, the paper's
-// Section 5.2 cost model. ProcessColumnsExec computes the exact same
-// answer (property-tested byte-identical) with two constant-factor
-// reductions that exploit the algebra, not the security assumptions:
+// This file is the flat executor: the one serving path for
+// Kushilevitz-Ostrovsky answers. Matrix.Process and ProcessColumnsCtx
+// remain the sequential oracle — one modular multiplication per database
+// bit, the paper's Section 5.2 cost model — and nothing serves through
+// them. The executor answers a batch of k >= 1 queries in ONE scan of
+// the column store (a single query is a batch of one) and computes the
+// exact same gammas with constant-factor reductions that exploit the
+// algebra, not the security assumptions:
 //
 //   - windowed subset products: columns are grouped w at a time and the
 //     2^w possible products of each group (query value at 1-bits,
-//     squared value at 0-bits) are precomputed ONCE. Every row then
+//     squared value at 0-bits) are precomputed per query. Every row then
 //     multiplies one table entry per group — ~cols/w multiplications
-//     per row instead of cols. The tables cost ~2^(w+1) multiplications
-//     per group, amortized over all 8·colBytes rows;
+//     per row instead of cols;
+//   - shared transposition: the database bytes are read and
+//     bit-transposed into row patterns once per column group, not once
+//     per query. The pattern buffer (2 bytes/row) then feeds all k row
+//     scans from cache, and the table-build term of the window cost
+//     model is charged at 1/k, so wider batches pick wider windows;
+//   - the Montgomery REDC kernel (montgomery.go): query values and
+//     tables are converted into Montgomery form once per batch, the row
+//     loops multiply word slices with no per-operation quotient or
+//     allocation, and the k·rows gammas convert back out at the end;
 //   - column partitioning: groups are split across a worker pool, each
 //     worker computing per-row partial products over its own column
-//     range, and the partials are recombined with workers-1
-//     multiplications per row.
+//     range, recombined with workers-1 multiplications per row.
 //
-// Both transformations only reassociate the per-row product
+// Every transformation only reassociates the per-row product
 // Π_j v_ij mod n; multiplication modulo n is commutative and
-// associative and every operand is a canonical residue, so the gammas
-// are bit-for-bit the sequential ones. The privacy argument is
+// associative, every operand is a canonical residue, and the Montgomery
+// form is an exact bijection entered and left by exact multiplications,
+// so the gammas are bit-for-bit the oracle's. The privacy argument is
 // untouched: the server still evaluates the same function of the same
-// uninterpretable query values.
+// uninterpretable query values. Client-chosen moduli the REDC kernel
+// rejects (even ones) run the same scan on a big.Int kernel.
 
-// MaxWindow caps the window width: tables hold 2^w entries per group,
-// so width 8 already amortizes the per-row work 8x while keeping table
-// memory at 32 big.Ints per column.
-const MaxWindow = 8
-
-// Exec tunes ProcessColumnsExec. The zero value selects a single
-// worker and an automatic window — already several times faster than
-// the sequential reference on block-sized matrices, with identical
-// answers.
+// Exec tunes the executors. The zero value selects a single worker and
+// an automatic window.
 type Exec struct {
 	// Workers is the column-partition worker count; values below 2
 	// compute on a single goroutine. Workers beyond the number of
 	// column groups are not spawned.
 	Workers int
 	// Window is the column-group width for the precomputed
-	// subset-product tables: 0 picks a width from the matrix shape,
+	// subset-product tables: 0 picks a width from the batch shape,
 	// 1 disables grouping (the per-column multiplication pattern of the
-	// sequential path), 2..MaxWindow pin the width.
+	// oracle), 2..MaxBatchWindow pin the width.
 	Window int
 }
 
-// autoWindow picks the window width minimizing the per-column cost
-// model (rows/w row multiplications + 2^(w+1)/w table build), bounded
-// by MaxWindow and by a table-memory ceiling.
-func autoWindow(rows, cols, modBytes int) int {
-	best, bestCost := 1, rows+4
-	for w := 1; w <= MaxWindow; w++ {
-		cost := (rows + 2<<w) / w
-		if cost < bestCost {
-			best, bestCost = w, cost
-		}
-	}
-	// Keep the tables under ~256 MiB of big.Int payload even for wide
-	// moduli over huge stores.
-	for best > 1 {
-		groups := int64((cols + best - 1) / best)
-		if groups<<best*int64(modBytes+32) <= 256<<20 {
-			break
-		}
-		best--
-	}
-	return best
-}
+// MaxBatchWindow caps the window width: tables hold 2^w entries per
+// group per query. The per-query optimum (rows + 2^(w+1))/w sits at
+// w = 9..10 for block-sized stores (rows = 8192).
+const MaxBatchWindow = 10
 
-// validateColumns is the shared precondition check of the column
-// serving paths.
+// MaxMulti caps the batch width one scan accepts, mirroring the wire
+// protocol's batch-frame cap.
+const MaxMulti = 64
+
+// Validation errors of the column serving paths.
+var (
+	errQueryWidth   = errors.New("pir: query width does not match column count")
+	errColumnSize   = errors.New("pir: nonpositive column size")
+	errEmptyBatch   = errors.New("pir: empty query batch")
+	errBatchSize    = errors.New("pir: query batch exceeds MaxMulti")
+	errBatchModulus = errors.New("pir: batch queries disagree on modulus")
+	errBatchWidth   = errors.New("pir: batch queries disagree on width")
+)
+
+// validateColumns is the shared precondition check of the oracle and
+// the executor.
 func validateColumns(cols [][]byte, colBytes int, q *Query) error {
 	if len(q.Values) != len(cols) {
 		return errQueryWidth
@@ -92,236 +96,321 @@ func validateColumns(cols [][]byte, colBytes int, q *Query) error {
 	return nil
 }
 
-// ProcessColumnsExec computes the same server response as
-// ProcessColumns — byte-identical gammas for identical data and query
-// — through the windowed subset-product tables and, when ex.Workers
-// exceeds 1, a column-partitioned worker pool. Stats.ModMuls counts
-// the multiplications actually performed, so it reflects the fast
-// path's reduced cost rather than the sequential cost model.
-func ProcessColumnsExec(cols [][]byte, colBytes int, q *Query, ex Exec) (*Answer, Stats, error) {
-	return ProcessColumnsExecCtx(context.Background(), cols, colBytes, q, ex)
+// autoWindowMulti picks the window width for a k-query batch. The
+// per-column, per-query cost is rows/w row multiplications plus
+// 2^(w+1)/w table build — but the row-side constant the window
+// actually buys down (byte reads, bit transposition) is shared by the
+// whole batch, so the build term is charged at 1/k: batches push the
+// optimum wider. Bounded by MaxBatchWindow and by a ceiling on the k
+// simultaneously-live group tables.
+func autoWindowMulti(rows, cols, modBytes, k int) int {
+	best, bestCost := 1, int(^uint(0)>>1)
+	for w := 1; w <= MaxBatchWindow; w++ {
+		cost := (rows + (2<<w)/k) / w
+		if cost < bestCost {
+			best, bestCost = w, cost
+		}
+	}
+	// One group's tables for all k queries are live at a time; keep
+	// them comfortably in memory even for wide moduli.
+	for best > 1 {
+		if int64(k)<<best*int64(modBytes+32) <= 256<<20 {
+			break
+		}
+		best--
+	}
+	return best
 }
 
-// ProcessColumnsExecCtx is ProcessColumnsExec under a context: every
-// worker checks ctx at each column-group boundary and periodically
-// inside the row-accumulation loops, so a cancelled scan stops within
-// a bounded slice of work on every goroutine. On cancellation the
-// returned Stats count the multiplications actually performed across
-// all workers before they stopped, and the error is ctx.Err().
-func ProcessColumnsExecCtx(ctx context.Context, cols [][]byte, colBytes int, q *Query, ex Exec) (*Answer, Stats, error) {
-	if err := validateColumns(cols, colBytes, q); err != nil {
-		return nil, Stats{}, err
+// cancelCheckRows is how many row accumulations a scan performs
+// between cancellation polls — small enough that cancellation lands
+// within microseconds at realistic moduli, large enough that the atomic
+// load in ctx.Done() stays invisible next to the modular multiplies.
+const cancelCheckRows = 512
+
+// scanPoll is the cancellation poll every scan loop shares. The Done
+// channel alone is not enough: under GOMAXPROCS=1 a busy scan can
+// starve the runtime timer that would close it, so the deadline is also
+// polled against the scan clock (the same fix the core plans received).
+// Read-only after newScanPoll, so workers share one.
+type scanPoll struct {
+	ctx   context.Context
+	done  <-chan struct{}
+	dl    time.Time
+	hasDL bool
+}
+
+func newScanPoll(ctx context.Context) *scanPoll {
+	p := &scanPoll{ctx: ctx, done: ctx.Done()}
+	p.dl, p.hasDL = ctx.Deadline()
+	return p
+}
+
+func (p *scanPoll) stopped() bool {
+	if p.done != nil {
+		select {
+		case <-p.done:
+			return true
+		default:
+		}
 	}
+	return p.hasDL && !scanclock.Now().Before(p.dl)
+}
+
+// err is the error a scan reports when its poll fires. The clock check
+// can observe an expired deadline before the context's own timer
+// goroutine has run, in which case ctx.Err() is still nil — report
+// DeadlineExceeded directly rather than a nil error.
+func (p *scanPoll) err() error {
+	if err := p.ctx.Err(); err != nil {
+		return err
+	}
+	return context.DeadlineExceeded
+}
+
+// canonical returns vs with every operand outside [0, n) reduced — the
+// oracle's Mod tolerates such operands, so identity demands the
+// executors do too, once, ahead of every kernel. Honest traffic is
+// already canonical and comes back uncopied.
+func canonical(vs []*big.Int, n *big.Int) []*big.Int {
+	copied := false
+	for j, v := range vs {
+		if v.Sign() >= 0 && v.Cmp(n) < 0 {
+			continue
+		}
+		if !copied {
+			vs, copied = append([]*big.Int(nil), vs...), true
+		}
+		vs[j] = new(big.Int).Mod(v, n)
+	}
+	return vs
+}
+
+// ProcessColumnsMultiExecCtx is the flat executor: it answers every
+// query of the batch over the same column store in one database scan,
+// returning per-query answers and per-query Stats in batch order. All
+// queries must share one modulus and one width; answers are
+// byte-identical to len(qs) independent ProcessColumnsCtx runs, while
+// Stats.ModMuls counts the multiplications actually performed.
+//
+// Cancellation is all-or-nothing for the batch: workers poll the
+// context (Done channel plus scan-clock deadline) at group boundaries
+// and every cancelCheckRows row accumulations, and on cancellation no
+// answers are returned — but the per-query Stats still count the
+// multiplications actually performed, so abandoned batches are charged
+// for the cycles they burned.
+func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int, qs []*Query, ex Exec) ([]*Answer, []Stats, error) {
+	if len(qs) == 0 {
+		return nil, nil, errEmptyBatch
+	}
+	if len(qs) > MaxMulti {
+		return nil, nil, errBatchSize
+	}
+	n := qs[0].N
+	for _, q := range qs[1:] {
+		if q.N.Cmp(n) != 0 {
+			return nil, nil, errBatchModulus
+		}
+		if len(q.Values) != len(qs[0].Values) {
+			return nil, nil, errBatchWidth
+		}
+	}
+	if err := validateColumns(cols, colBytes, qs[0]); err != nil {
+		return nil, nil, err
+	}
+	k, rows := len(qs), colBytes*8
+	poll := newScanPoll(ctx)
+	answers := make([]*Answer, k)
+	stats := make([]Stats, k)
 	if len(cols) == 0 {
-		return ProcessColumnsCtx(ctx, cols, colBytes, q)
+		// Width zero: every gamma is the empty product and no
+		// multiplication runs.
+		if poll.stopped() {
+			return nil, stats, poll.err()
+		}
+		for i := range answers {
+			gammas := make([]*big.Int, rows)
+			for r := range gammas {
+				gammas[r] = big.NewInt(1)
+			}
+			answers[i] = &Answer{Gammas: gammas}
+		}
+		return answers, stats, nil
 	}
-	rows := colBytes * 8
+	vals := make([][]*big.Int, k)
+	for i, q := range qs {
+		vals[i] = canonical(q.Values, n)
+	}
+
 	window := ex.Window
 	if window <= 0 {
-		window = autoWindow(rows, len(cols), (q.N.BitLen()+7)/8)
+		window = autoWindowMulti(rows, len(cols), (n.BitLen()+7)/8, k)
 	}
-	if window > MaxWindow {
-		window = MaxWindow
-	}
-	if window > len(cols) {
-		window = len(cols)
-	}
+	window = min(window, MaxBatchWindow, len(cols))
 	groups := (len(cols) + window - 1) / window
-	workers := ex.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > groups {
-		workers = groups
-	}
+	workers := min(max(ex.Workers, 1), groups)
+
+	// One Montgomery context per batch (read-only, shared by all
+	// workers); a rejected modulus — even, tiny, or beyond the wire
+	// width ceiling — selects the big.Int kernel.
+	mont, _ := NewMont(n)
 
 	// Partition GROUPS (not raw columns) across workers so every
 	// worker's column range is a whole number of windows.
-	parts := make([]colPartial, workers)
+	parts := make([]scanPart, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		gLo := w * groups / workers
-		gHi := (w + 1) * groups / workers
-		lo := gLo * window
-		hi := gHi * window
-		if hi > len(cols) {
-			hi = len(cols)
-		}
+	for w := range parts {
+		lo := w * groups / workers * window
+		hi := min((w+1)*groups/workers*window, len(cols))
 		wg.Add(1)
-		go func(part *colPartial, lo, hi int) {
+		go func(p *scanPart) {
 			defer wg.Done()
-			*part = processPartial(ctx, cols, q, rows, window, lo, hi)
-		}(&parts[w], lo, hi)
+			p.kern = newScanKernel(mont, n, k, hi-lo, rows, window)
+			p.scan(poll, cols, vals, colBytes, window, lo, hi)
+		}(&parts[w])
 	}
 	wg.Wait()
 
-	// Recombine: the per-row product over all columns is the product of
-	// the per-partition partial products, in partition order. A
-	// cancelled worker leaves its muls count but no usable gammas, so
-	// sum the work first and report the first worker error if any
-	// stopped (the worker's own error, not ctx.Err(): the wall-clock
-	// poll can fire while ctx.Err() is still nil).
-	st := Stats{}
+	// A cancelled worker leaves its multiplication counts but no usable
+	// partials, so sum the work first and report the first worker's own
+	// error if any stopped.
 	var cancelErr error
-	for w := 0; w < workers; w++ {
-		st.ModMuls += parts[w].muls
-		st.TableMuls += parts[w].tableMuls
+	for w := range parts {
+		for i := range stats {
+			stats[i].ModMuls += parts[w].muls[i]
+			stats[i].TableMuls += parts[w].tableMuls[i]
+		}
 		if parts[w].err != nil && cancelErr == nil {
 			cancelErr = parts[w].err
 		}
 	}
 	if cancelErr != nil {
-		return nil, st, cancelErr
+		return nil, stats, cancelErr
 	}
-	ans := &Answer{Gammas: parts[0].gammas}
-	for w := 1; w < workers; w++ {
-		for r := 0; r < rows; r++ {
-			g := ans.Gammas[r]
-			g.Mul(g, parts[w].gammas[r])
-			g.Mod(g, q.N)
-			st.ModMuls++
+
+	// Recombine the per-partition partials row-wise (workers-1
+	// multiplications per row per query, still in kernel form) and
+	// export the gammas, under the same cancellation contract as the
+	// scan.
+	kern := parts[0].kern
+	_, exportMuls := kern.costs()
+	for i := range answers {
+		gammas := make([]*big.Int, rows)
+		for r0 := 0; r0 < rows; r0 += cancelCheckRows {
+			if poll.stopped() {
+				return nil, stats, poll.err()
+			}
+			r1 := min(r0+cancelCheckRows, rows)
+			for _, p := range parts[1:] {
+				kern.merge(p.kern, i, r0, r1)
+				stats[i].ModMuls += r1 - r0
+			}
+			kern.export(i, r0, gammas[r0:r1])
+			stats[i].ModMuls += exportMuls * (r1 - r0)
+			stats[i].TableMuls += exportMuls * (r1 - r0)
 		}
+		answers[i] = &Answer{Gammas: gammas}
 	}
-	return ans, st, nil
+	return answers, stats, nil
 }
 
-// colPartial is one worker's per-row partial products over its column
-// range, plus the multiplications it performed. A non-nil err means
-// the worker stopped early on context cancellation; gammas are then
-// incomplete and must not be recombined.
-type colPartial struct {
-	gammas    []*big.Int
-	muls      int
-	tableMuls int
+// processOne runs the flat executor on a batch of one, for the
+// recursive path's level-1 reference and level 2.
+func processOne(ctx context.Context, cols [][]byte, colBytes int, q *Query, ex Exec) (*Answer, Stats, error) {
+	answers, stats, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, []*Query{q}, ex)
+	var st Stats
+	if len(stats) > 0 {
+		st = stats[0]
+	}
+	if err != nil {
+		return nil, st, err
+	}
+	return answers[0], st, nil
+}
+
+// scanPart is one worker's share of a flat scan: the kernel holding its
+// per-query, per-row partial products over its column range, and the
+// per-query multiplication counts. A non-nil err means the worker
+// stopped on cancellation; the partials are then incomplete and must
+// not be recombined, but the counts still record the work performed.
+type scanPart struct {
+	kern      scanKernel
+	muls      []int
+	tableMuls []int
 	err       error
 }
 
-// cancelCheckRows is how many row accumulations a worker performs
-// between context checks — small enough that cancellation lands within
-// microseconds at realistic moduli, large enough that the atomic load
-// in ctx.Done() stays invisible next to the modular multiplies.
-const cancelCheckRows = 512
-
-// processPartial serves columns [lo, hi) of the database: it squares
-// the query values, builds one subset-product table per window-sized
-// column group, and folds each row's group patterns through the
-// tables group-major. The inner loops are deliberately allocation-
-// free — a reused QuoRem scratch replaces Mod (which allocates a
-// quotient per call) and row accumulators live in one backing array —
-// because at demo-sized moduli the allocator, not the multiplier,
-// otherwise dominates the scan.
-func processPartial(ctx context.Context, cols [][]byte, q *Query, rows, window, lo, hi int) colPartial {
-	var p colPartial
-	colBytes := (rows + 7) / 8
-	done := ctx.Done()
-	// Wall-clock deadline poll alongside the Done check: under
-	// GOMAXPROCS=1 a busy worker can starve the runtime timer that
-	// would close Done (the same fix the core plans received in the
-	// deadline work).
-	dl, hasDL := ctx.Deadline()
-	stop := func() bool {
-		if done != nil {
-			select {
-			case <-done:
-				p.err = ctxScanErr(ctx)
-				return true
-			default:
+// scan is the group-major one-pass scan over columns [lo, hi), the one
+// skeleton every kernel runs under. Per group: transpose the group's
+// database bytes into one pattern per row ONCE (the per-byte work the
+// batch shares), then for each query build its 2^g subset-product table
+// and fold table[pats[r]] into its row accumulators. The multiplication
+// order per row is the oracle's column order up to reassociation.
+func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colBytes, window, lo, hi int) {
+	k, rows := len(vals), colBytes*8
+	p.muls, p.tableMuls = make([]int, k), make([]int, k)
+	setup := func(i, muls int) {
+		p.muls[i] += muls
+		p.tableMuls[i] += muls
+	}
+	loadMuls, _ := p.kern.costs()
+	for i, v := range vals {
+		for j0 := lo; j0 < hi; j0 += cancelCheckRows {
+			if poll.stopped() {
+				p.err = poll.err()
+				return
+			}
+			j1 := min(j0+cancelCheckRows, hi)
+			p.kern.load(i, j0-lo, v[j0:j1])
+			setup(i, loadMuls*(j1-j0))
+		}
+	}
+	pats := make([]uint16, rows)
+	for start := lo; start < hi; start += window {
+		if poll.stopped() {
+			p.err = poll.err()
+			return
+		}
+		end := min(start+window, hi)
+		groupPatterns16(cols, start, end, colBytes, pats)
+		// In a worker's first group the accumulator IS the table entry
+		// (the oracle's 1·v first step): no multiplication, no poll.
+		first := start == lo
+		for i := 0; i < k; i++ {
+			// Doubling adds one column per pass: 2·(2^g − 2)
+			// multiplications for a g-column group.
+			p.kern.build(i, start-lo, end-lo)
+			setup(i, 2*(1<<(end-start)-2))
+			for r0 := 0; r0 < rows; r0 += cancelCheckRows {
+				if !first && poll.stopped() {
+					p.err = poll.err()
+					return
+				}
+				r1 := min(r0+cancelCheckRows, rows)
+				p.kern.fold(i, r0, pats[r0:r1], first)
+				if !first {
+					p.muls[i] += r1 - r0
+				}
 			}
 		}
-		if hasDL && !scanNow().Before(dl) {
-			p.err = ctxScanErr(ctx)
-			return true
-		}
-		return false
 	}
-	// Reused scratch: dst = a*b mod N without allocating per call. dst
-	// may alias a or b (the product lands in prod first).
-	var prod, quo big.Int
-	mulMod := func(dst, a, b *big.Int) {
-		prod.Mul(a, b)
-		quo.QuoRem(&prod, q.N, dst)
-		p.muls++
-	}
-	// Squares once per column, exactly as the sequential path.
-	sq := make([]*big.Int, hi-lo)
-	for j := range sq {
-		v := q.Values[lo+j]
-		sq[j] = new(big.Int)
-		mulMod(sq[j], v, v)
-		p.tableMuls++
-	}
-	// Group-major accumulation: for each window-sized column group,
-	// build the subset-product table (entry pat = product over the
-	// group's columns of q_j at 1-bits, q_j^2 at 0-bits), transpose the
-	// group's bits into one pattern byte per row with sequential
-	// column scans, and fold table[pat] into every row's accumulator.
-	// The multiplication order per row is identical to the sequential
-	// column order, and every operand is a canonical residue.
-	acc := make([]big.Int, rows)
-	pats := make([]byte, rows)
-	groups := (hi - lo + window - 1) / window
-	for gi := 0; gi < groups; gi++ {
-		if stop() {
-			return p
-		}
-		start := lo + gi*window
-		end := start + window
-		if end > hi {
-			end = hi
-		}
-		table := []*big.Int{sq[start-lo], q.Values[start]}
-		for j := start + 1; j < end; j++ {
-			next := make([]*big.Int, len(table)*2)
-			bit := len(table)
-			for pat, v := range table {
-				t0, t1 := new(big.Int), new(big.Int)
-				mulMod(t0, v, sq[j-lo])
-				mulMod(t1, v, q.Values[j])
-				p.tableMuls += 2
-				next[pat] = t0
-				next[pat|bit] = t1
-			}
-			table = next
-		}
-		groupPatterns(cols, start, end, colBytes, pats)
-		if gi == 0 {
-			// First group: the accumulator IS the table entry (the
-			// sequential path's 1·v first step), no multiplication.
-			for r := range acc {
-				acc[r].Set(table[pats[r]])
-			}
-			continue
-		}
-		for r := range acc {
-			if r&(cancelCheckRows-1) == 0 && stop() {
-				return p
-			}
-			mulMod(&acc[r], &acc[r], table[pats[r]])
-		}
-	}
-	p.gammas = make([]*big.Int, rows)
-	for r := range p.gammas {
-		p.gammas[r] = &acc[r]
-	}
-	return p
 }
 
-// groupPatterns transposes columns [start, end) into one pattern byte
-// per row: bit k of pats[r] is column start+k's bit at row r. Each
-// column's bytes are scanned once, sequentially — the cache-friendly
-// orientation of the bit matrix walk.
-func groupPatterns(cols [][]byte, start, end, colBytes int, pats []byte) {
+// groupPatterns16 transposes columns [start, end) into one pattern per
+// row: bit k of pats[r] is column start+k's bit at row r. Each column's
+// bytes are scanned once, sequentially — the cache-friendly orientation
+// of the bit matrix walk.
+func groupPatterns16(cols [][]byte, start, end, colBytes int, pats []uint16) {
 	for i := range pats {
 		pats[i] = 0
 	}
 	for k := 0; start+k < end; k++ {
 		col := cols[start+k]
-		kbit := byte(1) << k
+		kbit := uint16(1) << k
 		for byteIdx := 0; byteIdx < colBytes; byteIdx++ {
 			b := col[byteIdx]
 			if b == 0 {
-				// Zero bytes are the common case in padded and
-				// tombstoned blocks; skip the bit spread.
+				// Zero bytes dominate padded and tombstoned blocks.
 				continue
 			}
 			base := byteIdx * 8

@@ -7,8 +7,8 @@ import (
 )
 
 // Montgomery-form modular multiplication: the word-level kernel under
-// the multi-query serving path. The sequential paths multiply through
-// big.Int's Mul + QuoRem, which costs a quotient computation (and, in
+// the executors. The oracle and the fallback kernel multiply through
+// big.Int's Mul + Mod/QuoRem, which costs a quotient computation (and, in
 // the general API, an allocation) per product; at the demo-sized
 // moduli the benchmarks run, that bookkeeping dominates the actual
 // multiply. Montgomery's trick replaces the division with shifts:

@@ -23,13 +23,6 @@ import (
 
 var one = big.NewInt(1)
 
-// Validation errors shared by the column serving paths (ProcessColumns
-// and ProcessColumnsExec).
-var (
-	errQueryWidth = errors.New("pir: query width does not match column count")
-	errColumnSize = errors.New("pir: nonpositive column size")
-)
-
 func shortColumnError(j, got, want int) error {
 	return fmt.Errorf("pir: column %d holds %d of %d bytes", j, got, want)
 }
@@ -251,25 +244,20 @@ func (m *Matrix) Process(q *Query) (*Answer, Stats, error) {
 	return ans, st, nil
 }
 
-// ProcessColumns computes the same server response as Matrix.Process
+// ProcessColumnsCtx computes the same server response as Matrix.Process
 // over a database given as one byte slice per column (MSB-first within
 // each byte, exactly the Matrix.SetColumn layout), without
 // materializing a Matrix. Column j must hold at least colBytes bytes;
-// the logical matrix has colBytes*8 rows. This is the serving path for
-// block stores whose columns are appended and retired independently —
-// rebuilding a row-major bit matrix on every append would copy the
-// whole database.
-func ProcessColumns(cols [][]byte, colBytes int, q *Query) (*Answer, Stats, error) {
-	return ProcessColumnsCtx(context.Background(), cols, colBytes, q)
-}
-
-// ProcessColumnsCtx is ProcessColumns under a context: the row scan
-// checks ctx once per row and stops mid-database when the context is
-// cancelled or its deadline expires, returning ctx.Err() with the
-// Stats of the work actually performed (the partial accounting lets
-// callers charge abandoned queries for the cycles they burned). The
-// partially-computed answer is discarded — a half-product leaks
-// nothing but is useless to the client.
+// the logical matrix has colBytes*8 rows. It is the sequential oracle of
+// the column layout — one modular multiplication per database bit, the
+// paper's Section 5.2 cost model — that the conformance battery holds
+// the executor (exec.go) to gamma for gamma; nothing serves through it.
+//
+// The row scan checks ctx once per row and stops mid-database when the
+// context is cancelled or its deadline expires, returning ctx.Err()
+// with the Stats of the work actually performed. The partially-computed
+// answer is discarded — a half-product leaks nothing but is useless to
+// the client.
 func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Query) (*Answer, Stats, error) {
 	if err := validateColumns(cols, colBytes, q); err != nil {
 		return nil, Stats{}, err
@@ -284,22 +272,10 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 	}
 	rows := colBytes * 8
 	ans := &Answer{Gammas: make([]*big.Int, rows)}
-	done := ctx.Done()
-	// The Done channel alone is not enough: under GOMAXPROCS=1 a busy
-	// scan can starve the runtime timer that would close it, so the
-	// deadline is also polled against the wall clock (the same fix the
-	// core plans received).
-	dl, hasDL := ctx.Deadline()
+	poll := newScanPoll(ctx)
 	for r := 0; r < rows; r++ {
-		if done != nil {
-			select {
-			case <-done:
-				return nil, st, ctxScanErr(ctx)
-			default:
-			}
-		}
-		if hasDL && !scanNow().Before(dl) {
-			return nil, st, ctxScanErr(ctx)
+		if poll.stopped() {
+			return nil, st, poll.err()
 		}
 		byteIdx, mask := r>>3, byte(1)<<(7-r&7)
 		g := big.NewInt(1)

@@ -2,6 +2,7 @@ package pir
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"math/big"
 	"math/rand"
@@ -205,17 +206,17 @@ func TestProcessColumnsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ProcessColumns(cols, 4, q); err == nil {
+	if _, _, err := ProcessColumnsCtx(context.Background(), cols, 4, q); err == nil {
 		t.Fatal("width mismatch accepted")
 	}
 	q2, err := k.NewQuery(newDetRand("cols-bad2"), 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ProcessColumns(cols, 0, q2); err == nil {
+	if _, _, err := ProcessColumnsCtx(context.Background(), cols, 0, q2); err == nil {
 		t.Fatal("zero column size accepted")
 	}
-	if _, _, err := ProcessColumns([][]byte{make([]byte, 2), make([]byte, 4)}, 4, q2); err == nil {
+	if _, _, err := ProcessColumnsCtx(context.Background(), [][]byte{make([]byte, 2), make([]byte, 4)}, 4, q2); err == nil {
 		t.Fatal("short column accepted")
 	}
 }

@@ -249,32 +249,6 @@ func presentRange(g0, g1, gc, C, off, w int) (int, int) {
 	return lo, hi
 }
 
-// ProcessColumnsRecursive answers one recursive query over the column
-// store. See ProcessColumnsRecursiveMultiExecCtx for the contract.
-func ProcessColumnsRecursive(cols [][]byte, colBytes int, q *RecursiveQuery) (*Answer, Stats, error) {
-	return ProcessColumnsRecursiveExecCtx(context.Background(), cols, colBytes, q, Exec{})
-}
-
-// ProcessColumnsRecursiveCtx is ProcessColumnsRecursive under a
-// context, with the scan-wide cancellation contract of the flat paths.
-func ProcessColumnsRecursiveCtx(ctx context.Context, cols [][]byte, colBytes int, q *RecursiveQuery) (*Answer, Stats, error) {
-	return ProcessColumnsRecursiveExecCtx(ctx, cols, colBytes, q, Exec{})
-}
-
-// ProcessColumnsRecursiveExecCtx is ProcessColumnsRecursive with
-// execution tuning and a context.
-func ProcessColumnsRecursiveExecCtx(ctx context.Context, cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec) (*Answer, Stats, error) {
-	answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, colBytes, []*RecursiveQuery{q}, ex)
-	var st Stats
-	if len(stats) > 0 {
-		st = stats[0]
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return answers[0], st, nil
-}
-
 // recShape is the resolved geometry one batch serves under: the grid,
 // the window of the store actually served, and the block row count.
 type recShape struct {
@@ -283,14 +257,15 @@ type recShape struct {
 	rows               int // bit rows per block, colBytes·8
 }
 
-// ProcessColumnsRecursiveMultiExecCtx answers every recursive query of
-// the batch in one pass per level, sharing the level-1 transposition
-// across the batch exactly as ProcessColumnsMultiExecCtx shares the
-// flat one. All queries must agree on modulus and shape. Single-word
-// moduli run on the montMulWord kernel; everything else falls back to
-// a reference composition of the existing flat paths (per-grid-column
-// ProcessColumnsExecCtx, then the multi path over the serialized
-// matrix), so every modulus the flat paths serve, this serves too.
+// ProcessColumnsRecursiveMultiExecCtx is the recursive executor: it
+// answers every recursive query of the batch (k >= 1) in one pass per
+// level, sharing the level-1 transposition across the batch exactly as
+// the flat executor shares the flat one. All queries must agree on
+// modulus and shape. Single-word moduli run on the montMulWord kernel;
+// everything else falls back to a reference composition of the flat
+// executor (one batch-of-one scan per grid column, then level 2 over
+// the serialized matrix), so every modulus the flat executor serves,
+// this serves too.
 //
 // The store may hold FEWER blocks than Width−Offset: missing cells are
 // absent (identity), which is how a partition serves its slice of the
@@ -300,7 +275,7 @@ type recShape struct {
 // grid.
 //
 // Cancellation is all-or-nothing per batch with partial Stats, the
-// contract of the flat multi path.
+// contract of the flat executor.
 func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int, qs []*RecursiveQuery, ex Exec) ([]*Answer, []Stats, error) {
 	if len(qs) == 0 {
 		return nil, nil, errEmptyBatch
@@ -418,18 +393,7 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 	ninv := uint(mont.n0inv)
 	oneM := big.Word(montMulWord(1, uint(mont.rr[0]), nW, ninv))
 
-	done := ctx.Done()
-	dl, hasDL := ctx.Deadline()
-	stop := func() bool {
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		return hasDL && !scanNow().Before(dl)
-	}
+	poll := newScanPoll(ctx)
 
 	// Row-vector values into Montgomery form, squared there — 2
 	// multiplications per grid row per query, the recursive dividend:
@@ -440,13 +404,9 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 	for i := 0; i < k; i++ {
 		mv1[i] = make([]big.Word, R)
 		msq1[i] = make([]big.Word, R)
-		for g := 0; g < R; g++ {
-			if g&(cancelCheckRows-1) == 0 && stop() {
-				return ctxScanErr(ctx)
-			}
-			v := qs[i].Rows[g]
-			if v.Sign() < 0 || v.Cmp(mont.nInt) >= 0 {
-				v = new(big.Int).Mod(v, mont.nInt)
+		for g, v := range canonical(qs[i].Rows, mont.nInt) {
+			if g&(cancelCheckRows-1) == 0 && poll.stopped() {
+				return poll.err()
 			}
 			mw, _ := mont.ToMont(v)
 			mv1[i][g] = mw[0]
@@ -489,7 +449,7 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		wg.Add(1)
 		go func(part *recursivePartial, c0, c1 int) {
 			defer wg.Done()
-			*part = recursiveLevel1Word(ctx, cols, colBytes, sh, win, groups, nW, ninv, oneM, mv1, msq1, mat, c0, c1)
+			*part = recursiveLevel1Word(poll, cols, colBytes, sh, win, groups, nW, ninv, oneM, mv1, msq1, mat, c0, c1)
 		}(&parts[wk], c0, c1)
 	}
 	wg.Wait()
@@ -515,8 +475,8 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 			// answer, one FromMont multiplication per cell.
 			gammas := make([]*big.Int, C*rows)
 			for idx := range gammas {
-				if idx&(cancelCheckRows-1) == 0 && stop() {
-					return ctxScanErr(ctx)
+				if idx&(cancelCheckRows-1) == 0 && poll.stopped() {
+					return poll.err()
 				}
 				gammas[idx] = new(big.Int).SetUint64(uint64(montMulWord(uint(mat[i][idx]), 1, nW, ninv)))
 			}
@@ -527,14 +487,14 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		}
 		// Level 2: convert each cell out of Montgomery form straight
 		// into its fixed-width big-endian slot and re-serve the image
-		// through the flat multi path (Montgomery + shared windows).
+		// through the flat executor.
 		cols2 := make([][]byte, C)
 		for gc := 0; gc < C; gc++ {
 			buf := make([]byte, rows*modBytes)
 			base := gc * rows
 			for r := 0; r < rows; r++ {
-				if r&(cancelCheckRows-1) == 0 && stop() {
-					return ctxScanErr(ctx)
+				if r&(cancelCheckRows-1) == 0 && poll.stopped() {
+					return poll.err()
 				}
 				v := montMulWord(uint(mat[i][base+r]), 1, nW, ninv)
 				pos := r * modBytes
@@ -564,24 +524,14 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 // in the range) folded through one transposed pattern buffer per grid
 // column. Absent cells — outside the served window — are skipped;
 // grid columns no present cell ever touches come out as identity.
-func recursiveLevel1Word(ctx context.Context, cols [][]byte, colBytes int, sh recShape, win, groups int, nW, ninv uint, oneM big.Word, mv1, msq1 [][]big.Word, mat [][]big.Word, c0, c1 int) recursivePartial {
+func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShape, win, groups int, nW, ninv uint, oneM big.Word, mv1, msq1 [][]big.Word, mat [][]big.Word, c0, c1 int) recursivePartial {
 	k := len(mv1)
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
 	off, w := sh.offset, sh.window
 	p := recursivePartial{muls: make([]int, k), tableMuls: make([]int, k)}
-	done := ctx.Done()
-	dl, hasDL := ctx.Deadline()
 	stop := func() bool {
-		if done != nil {
-			select {
-			case <-done:
-				p.err = ctxScanErr(ctx)
-				return true
-			default:
-			}
-		}
-		if hasDL && !scanNow().Before(dl) {
-			p.err = ctxScanErr(ctx)
+		if poll.stopped() {
+			p.err = poll.err()
 			return true
 		}
 		return false
@@ -611,27 +561,15 @@ func recursiveLevel1Word(ctx context.Context, cols [][]byte, colBytes int, sh re
 			if lo == g0 && hi == g1 {
 				// Whole group present: the fast transposed-fold path.
 				if !tblBuilt {
-					// Build by doubling, same as the flat batch scan.
-					// Each worker builds its own copy — duplicated
-					// table multiplications are counted where they are
-					// performed, and at ≤ 2^win entries they vanish
-					// next to the rows·gridCols folds they serve.
+					// The flat scan's table build. Each worker builds
+					// its own copy — duplicated table multiplications
+					// are counted where they are performed, and at
+					// ≤ 2^win entries they vanish next to the
+					// rows·gridCols folds they serve.
 					for i := 0; i < k; i++ {
-						t := tbl[i<<win:]
-						t[0] = msq1[i][g0]
-						t[1] = mv1[i][g0]
-						size := 2
-						for g := g0 + 1; g < g1; g++ {
-							vw, sw := uint(mv1[i][g]), uint(msq1[i][g])
-							for pat := 0; pat < size; pat++ {
-								s := uint(t[pat])
-								t[pat|size] = big.Word(montMulWord(s, vw, nW, ninv))
-								t[pat] = big.Word(montMulWord(s, sw, nW, ninv))
-							}
-							p.muls[i] += 2 * size
-							p.tableMuls[i] += 2 * size
-							size *= 2
-						}
+						wordTable(tbl[i<<win:], mv1[i][g0:g1], msq1[i][g0:g1], nW, ninv)
+						p.muls[i] += 2 * (1<<gw - 2)
+						p.tableMuls[i] += 2 * (1<<gw - 2)
 					}
 					tblBuilt = true
 				}
@@ -639,25 +577,21 @@ func recursiveLevel1Word(ctx context.Context, cols [][]byte, colBytes int, sh re
 					sub[t] = cols[(g0+t)*C+gc-off]
 				}
 				groupPatterns16(sub[:gw], 0, gw, colBytes, pats)
+				// First touch: the accumulator IS the table entry (the
+				// 1·v first step), no multiplication.
+				first := !inited[gcl]
 				for i := 0; i < k; i++ {
 					a := mat[i][gc*rows : (gc+1)*rows]
-					t := tbl[i<<win:]
-					if !inited[gcl] {
-						// First touch: the accumulator IS the table
-						// entry (the 1·v first step), no multiplication.
-						for r, pt := range pats {
-							a[r] = t[pt]
-						}
-						continue
-					}
-					for r := 0; r < rows; r++ {
-						if r&(cancelCheckRows-1) == 0 && stop() {
-							p.muls[i] += r
+					for r0 := 0; r0 < rows; r0 += cancelCheckRows {
+						if !first && stop() {
 							return p
 						}
-						a[r] = big.Word(montMulWord(uint(a[r]), uint(t[pats[r]]), nW, ninv))
+						r1 := min(r0+cancelCheckRows, rows)
+						wordFold(a[r0:r1], tbl[i<<win:], pats[r0:r1], first, nW, ninv)
+						if !first {
+							p.muls[i] += r1 - r0
+						}
 					}
-					p.muls[i] += rows
 				}
 				inited[gcl] = true
 				continue
@@ -715,7 +649,7 @@ func recursiveLevel1Word(ctx context.Context, cols [][]byte, colBytes int, sh re
 }
 
 // recursiveRefOne is the reference recursive answer for one query:
-// level 1 as gridCols independent flat scans over the strided
+// level 1 as gridCols batch-of-one flat scans over the strided
 // sub-databases, level 2 through RecursiveLevel2. Used for every
 // modulus the word kernel rejects, and by the tests as the oracle the
 // fast path must match.
@@ -729,9 +663,9 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 		for t := range sub {
 			sub[t] = cols[(lo+t)*C+gc-sh.offset]
 		}
-		// An empty sub-database (fully absent grid column) serves the
-		// width-zero flat path: all-ones gammas, the identity cells.
-		ans1, st1, err := ProcessColumnsExecCtx(ctx, sub, colBytes, &Query{N: q.N, Values: q.Rows[lo:hi]}, ex)
+		// An empty sub-database (fully absent grid column) is the flat
+		// executor's width-zero case: all-ones gammas, the identity cells.
+		ans1, st1, err := processOne(ctx, sub, colBytes, &Query{N: q.N, Values: q.Rows[lo:hi]}, ex)
 		st.ModMuls += st1.ModMuls
 		st.TableMuls += st1.TableMuls
 		if err != nil {
@@ -792,17 +726,8 @@ func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, 
 }
 
 // recursiveLevel2Cols serves the serialized level-1 image through the
-// flat multi path (Montgomery kernel, shared transposition — a
-// single-query batch still gets MaxBatchWindow windows).
+// flat executor as a batch of one.
 func recursiveLevel2Cols(ctx context.Context, q *RecursiveQuery, cols2 [][]byte, rows int, ex Exec) (*Answer, Stats, error) {
 	modBytes := (q.N.BitLen() + 7) / 8
-	answers, stats, err := ProcessColumnsMultiExecCtx(ctx, cols2, rows*modBytes, []*Query{{N: q.N, Values: q.Cols}}, ex)
-	var st Stats
-	if len(stats) > 0 {
-		st = stats[0]
-	}
-	if err != nil {
-		return nil, st, err
-	}
-	return answers[0], st, nil
+	return processOne(ctx, cols2, rows*modBytes, &Query{N: q.N, Values: q.Cols}, ex)
 }

@@ -26,6 +26,15 @@ func wordTestKey(t *testing.T) *ClientKey {
 	return cachedWordKey
 }
 
+// recursiveOne answers one recursive query as a batch of one.
+func recursiveOne(cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec) (*Answer, Stats, error) {
+	answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(context.Background(), cols, colBytes, []*RecursiveQuery{q}, ex)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return answers[0], stats[0], nil
+}
+
 // recursiveShapeFor mirrors the geometry resolution of the serving
 // path for a zero-Offset, zero-Span query — the oracle tests need it
 // to call recursiveRefOne directly.
@@ -84,7 +93,7 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 			if partial {
 				q.Cols = nil // level-1-only partition mode
 			}
-			fast, _, err := ProcessColumnsRecursiveExecCtx(context.Background(), cols, colBytes, q, Exec{Workers: 3})
+			fast, _, err := recursiveOne(cols, colBytes, q, Exec{Workers: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +124,7 @@ func TestRecursiveEdgeWidths(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ans, _, err := ProcessColumnsRecursive(cols, 1, q)
+			ans, _, err := recursiveOne(cols, 1, q, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +162,7 @@ func TestRecursiveBatchIdentical(t *testing.T) {
 		t.Fatalf("%d answers / %d stats, want %d", len(got), len(stats), batch)
 	}
 	for i, q := range qs {
-		want, _, err := ProcessColumnsRecursive(cols, colBytes, q)
+		want, _, err := recursiveOne(cols, colBytes, q, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +197,7 @@ func TestRecursivePartitionCompose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := ProcessColumnsRecursive(cols, colBytes, full)
+		want, _, err := recursiveOne(cols, colBytes, full, Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +211,7 @@ func TestRecursivePartitionCompose(t *testing.T) {
 				N: full.N, Width: full.Width, GridCols: full.GridCols,
 				Offset: cut[0], Span: cut[1] - cut[0], Rows: full.Rows,
 			}
-			ans, _, err := ProcessColumnsRecursive(cols[cut[0]:cut[1]], colBytes, part)
+			ans, _, err := recursiveOne(cols[cut[0]:cut[1]], colBytes, part, Exec{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,12 +254,12 @@ func TestRecursiveSpanRefusal(t *testing.T) {
 	}
 	q.Cols = nil
 	q.Offset, q.Span = 4, 8 // partition claims 8 blocks; the store holds 5
-	_, _, err = ProcessColumnsRecursive(cols, 2, q)
+	_, _, err = recursiveOne(cols, 2, q, Exec{})
 	if err == nil || !strings.Contains(err.Error(), "re-partitioned") {
 		t.Fatalf("oversized span: got %v", err)
 	}
 	q.Span = 5 // exactly the store: served
-	if _, _, err := ProcessColumnsRecursive(cols, 2, q); err != nil {
+	if _, _, err := recursiveOne(cols, 2, q, Exec{}); err != nil {
 		t.Fatalf("exact span refused: %v", err)
 	}
 }
@@ -284,16 +293,16 @@ func TestRecursiveValidation(t *testing.T) {
 	for _, tc := range cases {
 		q := good()
 		tc.mutate(q)
-		if _, _, err := ProcessColumnsRecursive(cols, 2, q); err != tc.want {
+		if _, _, err := recursiveOne(cols, 2, q, Exec{}); err != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
-	if _, _, err := ProcessColumnsRecursive(cols, 0, good()); err != errColumnSize {
+	if _, _, err := recursiveOne(cols, 0, good(), Exec{}); err != errColumnSize {
 		t.Errorf("zero colBytes: got %v", err)
 	}
 	short := churnColumns(t, 92, 9, 2)
 	short[4] = short[4][:1]
-	if _, _, err := ProcessColumnsRecursive(short, 2, good()); err == nil {
+	if _, _, err := recursiveOne(short, 2, good(), Exec{}); err == nil {
 		t.Error("short column accepted")
 	}
 	if _, _, err := ProcessColumnsRecursiveMultiExecCtx(context.Background(), cols, 2, nil, Exec{}); err != errEmptyBatch {
@@ -414,7 +423,7 @@ func TestRecursiveOverwideStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans, _, err := ProcessColumnsRecursive(cols, 2, q) // store 10, grid 8
+	ans, _, err := recursiveOne(cols, 2, q, Exec{}) // store 10, grid 8
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +440,7 @@ func TestRecursiveOverwideStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ans2, _, err := ProcessColumnsRecursive(cols[:4], 2, q2)
+	ans2, _, err := recursiveOne(cols[:4], 2, q2, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

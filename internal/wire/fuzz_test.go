@@ -203,8 +203,10 @@ func seedFrames(f *testing.F) {
 }
 
 // FuzzPIRQuery goes one layer deeper than FuzzDecodeMessage: bodies
-// that survive decoding are served against a real block store, so the
-// answer path (not just the decoder) holds up under hostile queries.
+// that survive decoding are served against a real block store as a
+// batch of one — the serving path of a TypePIRQuery frame — and the
+// answer must be byte-identical to the sequential oracle, so the
+// executor (not just the decoder) holds up under hostile queries.
 func FuzzPIRQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir"), 96)
 	if err != nil {
@@ -251,22 +253,31 @@ func FuzzPIRQuery(f *testing.F) {
 		if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
 			return
 		}
-		ans, _, err := sn.Answer(q)
+		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{q}, pir.Exec{})
 		if err != nil {
 			t.Fatalf("in-range decoded query refused: %v", err)
 		}
-		if len(ans.Gammas) != 8*sn.BlockSize() {
-			t.Fatalf("answer has %d gammas, want %d", len(ans.Gammas), 8*sn.BlockSize())
+		ref, _, err := sn.AnswerCtx(context.Background(), q)
+		if err != nil {
+			t.Fatalf("oracle refused: %v", err)
+		}
+		if len(answers[0].Gammas) != 8*sn.BlockSize() || len(ref.Gammas) != 8*sn.BlockSize() {
+			t.Fatalf("answer has %d gammas (oracle %d), want %d", len(answers[0].Gammas), len(ref.Gammas), 8*sn.BlockSize())
+		}
+		for j := range ref.Gammas {
+			if answers[0].Gammas[j].Cmp(ref.Gammas[j]) != 0 {
+				t.Fatalf("gamma %d: executor diverges from the oracle", j)
+			}
 		}
 	})
 }
 
-// FuzzPIRBatchQuery drives the amortized serving path with hostile
-// batch frames: bodies that survive DecodePIRBatchQuery are answered
-// in ONE database pass (docstore.AnswerMulti), and every answer must
-// be byte-identical to the per-query reference — so the Montgomery
-// one-pass kernel is fuzzed against the sequential path, not just the
-// decoder grammar.
+// FuzzPIRBatchQuery drives the serving path with hostile batch frames:
+// bodies that survive DecodePIRBatchQuery are answered in ONE database
+// pass (docstore.AnswerMultiExecCtx), and every answer must be
+// byte-identical to the per-query oracle — so the Montgomery one-pass
+// kernel is fuzzed against the sequential path, not just the decoder
+// grammar.
 func FuzzPIRBatchQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir-batch"), 96)
 	if err != nil {
@@ -313,10 +324,10 @@ func FuzzPIRBatchQuery(f *testing.F) {
 				}
 			}
 		}
-		// Same serving-cost ceiling as FuzzPIRQuery, plus the multi
-		// path's equal-width contract: mixed-width frames are grouped by
-		// the server before reaching AnswerMulti, so the fuzz serves
-		// only uniform batches and requires a clean refusal otherwise.
+		// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
+		// equal-width contract: mixed-width frames are grouped by the
+		// server before reaching it, so the fuzz serves only uniform
+		// batches and requires a clean refusal otherwise.
 		for _, q := range qs {
 			if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
 				return
@@ -329,7 +340,7 @@ func FuzzPIRBatchQuery(f *testing.F) {
 				break
 			}
 		}
-		answers, _, err := sn.AnswerMulti(qs)
+		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
 		if !uniform {
 			if err == nil {
 				t.Fatal("mixed-width batch served without error")
@@ -340,7 +351,7 @@ func FuzzPIRBatchQuery(f *testing.F) {
 			t.Fatalf("in-range decoded batch refused: %v", err)
 		}
 		for i, q := range qs {
-			ref, _, err := sn.Answer(q)
+			ref, _, err := sn.AnswerCtx(context.Background(), q)
 			if err != nil {
 				t.Fatalf("per-query reference %d refused: %v", i, err)
 			}

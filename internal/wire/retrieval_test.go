@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"math/big"
 	"testing"
 
@@ -218,10 +219,11 @@ func TestPIRFetchOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, _, err := sn.Answer(sq)
+		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{sq}, pir.Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		ans := answers[0]
 		wireBuf.Reset()
 		if err := WritePIRAnswer(&wireBuf, ans); err != nil {
 			t.Fatal(err)

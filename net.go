@@ -57,24 +57,16 @@ type ServeConfig struct {
 	// Options.StoreDocuments (or loaded from a version-3 file carrying
 	// a store).
 	AllowRetrieval bool
-	// PIRWorkers caps the per-query parallelism of the PIR answers
-	// this server computes, overriding the engine's Options.PIRWorkers
-	// knob: 0 inherits the engine option (read at answer time, so
+	// PIRWorkers caps the parallelism of the PIR scans this server
+	// computes, overriding the engine's Options.PIRWorkers knob: 0
+	// inherits the engine option (read at answer time, so
 	// Engine.ConfigurePIRWorkers affects live servers exactly like the
-	// other execution knobs), -1 selects GOMAXPROCS workers with the
-	// windowed fast path, and any positive value pins the worker
-	// count. Values outside the Options.PIRWorkers range [-1, 4096]
-	// are clamped to it (the constructor has no error path). Answers
-	// are byte-identical in every plan.
+	// other execution knobs), -1 selects GOMAXPROCS workers, and any
+	// positive value pins the worker count (1 = one goroutine). Values
+	// outside the Options.PIRWorkers range [-1, 4096] are clamped to
+	// it (the constructor has no error path). Answers are
+	// byte-identical at every count.
 	PIRWorkers int
-	// PIRBatchAmortize overrides the engine's Options.PIRBatchAmortize
-	// escape hatch for batch frames served by this server: 0 inherits
-	// the engine knob (read at answer time, so
-	// Engine.ConfigurePIRBatchAmortize affects live servers), -1
-	// forces per-query serving, 1 forces the amortized one-pass
-	// multi-query scan. Values outside [-1, 1] are clamped. Answers
-	// and wire framing are byte-identical either way.
-	PIRBatchAmortize int
 	// PIRRecursive overrides the engine's Options.PIRRecursive switch
 	// for recursive (two-level) fetch frames served by this server: 0
 	// inherits the engine knob (read at answer time, so
@@ -230,11 +222,9 @@ type NetServer struct {
 	allowLexiconSync bool
 	riskAudit        bool
 	// pirOverride is ServeConfig.PIRWorkers (clamped); 0 defers to the
-	// engine's Options.PIRWorkers at answer time. amortizeOverride is
-	// ServeConfig.PIRBatchAmortize under the same contract.
-	// recursiveOverride is ServeConfig.PIRRecursive, same contract.
+	// engine's Options.PIRWorkers at answer time. recursiveOverride is
+	// ServeConfig.PIRRecursive under the same contract.
 	pirOverride       int
-	amortizeOverride  int
 	recursiveOverride int
 	// adm is the bounded admission queue; nil when MaxInflight is 0
 	// (admission control disabled).
@@ -295,7 +285,7 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	}
 	// Clamp the override to the validated Options.PIRWorkers range:
 	// the engine value passed validation, but the ServeConfig override
-	// arrives unchecked and an unbounded count would size a per-query
+	// arrives unchecked and an unbounded count would size a per-scan
 	// goroutine pool.
 	pirOverride := cfg.PIRWorkers
 	if pirOverride < -1 {
@@ -303,13 +293,6 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	}
 	if pirOverride > maxPIRWorkers {
 		pirOverride = maxPIRWorkers
-	}
-	amortizeOverride := cfg.PIRBatchAmortize
-	if amortizeOverride < -1 {
-		amortizeOverride = -1
-	}
-	if amortizeOverride > 1 {
-		amortizeOverride = 1
 	}
 	recursiveOverride := cfg.PIRRecursive
 	if recursiveOverride < -1 {
@@ -344,7 +327,6 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 		allowLexiconSync:  cfg.AllowLexiconSync,
 		riskAudit:         cfg.RiskAudit,
 		pirOverride:       pirOverride,
-		amortizeOverride:  amortizeOverride,
 		recursiveOverride: recursiveOverride,
 		adm:               adm,
 		reqTimeout:        cfg.RequestTimeout,
@@ -353,8 +335,8 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	}
 }
 
-// pirWorkers resolves the serving plan for one PIR answer: the
-// ServeConfig override when set, else the engine's CURRENT plan —
+// pirWorkers resolves the worker count for one PIR scan: the
+// ServeConfig override when set, else the engine's CURRENT count —
 // read atomically at answer time, so ConfigurePIRWorkers affects
 // live servers.
 func (s *NetServer) pirWorkers() int {
@@ -362,16 +344,6 @@ func (s *NetServer) pirWorkers() int {
 		return s.pirOverride
 	}
 	return s.engine.livePIRWorkers()
-}
-
-// pirBatchAmortize resolves the batch-amortization switch for one
-// batch frame: the ServeConfig override when set, else the engine's
-// current knob.
-func (s *NetServer) pirBatchAmortize() bool {
-	if s.amortizeOverride != 0 {
-		return s.amortizeOverride > 0
-	}
-	return s.engine.livePIRBatchAmortize()
 }
 
 // pirRecursive resolves the recursive-serving switch for one recursive
@@ -857,7 +829,7 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 			return wire.WriteError(rw, err.Error())
 		}
 		// Answers reuse the batch-response frame, streamed in batch
-		// order like the amortized flat path.
+		// order like the flat path.
 		for i, ans := range answers {
 			s.retrievals.Add(1)
 			s.pirRecQueries.Add(1)
@@ -872,9 +844,9 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 	case wire.TypePIRBatchQuery:
 		// One snapshot answers the whole batch, so a pipelined fetch
 		// reads an internally consistent corpus prefix. Answers stream
-		// back one frame each as they are computed; a failing block is
-		// answered with a wire error that ends the batch (the
-		// connection survives, matching the single-query path).
+		// back one frame each, strictly in batch order; a failing block
+		// is answered with a wire error in place of the whole batch
+		// (the connection survives, matching the single-query path).
 		qs, err := wire.DecodePIRBatchQuery(body)
 		if err != nil {
 			s.errs.Add(1)
@@ -884,26 +856,22 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 		// search-batch path.
 		ctx, cancel := s.requestCtx()
 		defer cancel()
-		if workers := s.pirWorkers(); s.pirBatchAmortize() && workers != 0 && len(qs) > 1 {
-			return s.answerPIRBatchAmortized(rw, ctx, snap, qs, workers)
-		}
-		for i, q := range qs {
-			ans, st, err := answerPIRCtx(ctx, snap, q, s.pirWorkers())
-			s.countPIRWork(st)
-			if err != nil {
-				if isCtxErr(ctx, err) {
-					return s.deadlineError(rw, fmt.Sprintf("batch cancelled in block %d", i))
-				}
-				s.errs.Add(1)
-				return wire.WriteError(rw, fmt.Sprintf("batch block %d: %v", i, err))
+		answers, at, err := s.answerPIRFrame(ctx, snap, qs)
+		if err != nil {
+			if isCtxErr(ctx, err) {
+				return s.deadlineError(rw, fmt.Sprintf("batch cancelled in block %d", at))
 			}
+			s.errs.Add(1)
+			return wire.WriteError(rw, fmt.Sprintf("batch block %d: %v", at, err))
+		}
+		for i, ans := range answers {
 			s.retrievals.Add(1)
 			if err := wire.WritePIRBatchAnswer(rw, i, ans); err != nil {
 				return err
 			}
 		}
 		return nil
-	default: // wire.TypePIRQuery
+	default: // wire.TypePIRQuery: a frame of one
 		q, err := wire.DecodePIRQuery(body)
 		if err != nil {
 			s.errs.Add(1)
@@ -911,8 +879,7 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 		}
 		ctx, cancel := s.requestCtx()
 		defer cancel()
-		ans, st, err := answerPIRCtx(ctx, snap, q, s.pirWorkers())
-		s.countPIRWork(st)
+		answers, _, err := s.answerPIRFrame(ctx, snap, []*pir.Query{q})
 		if err != nil {
 			if isCtxErr(ctx, err) {
 				return s.deadlineError(rw, "block scan cancelled")
@@ -921,21 +888,21 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 			return wire.WriteError(rw, err.Error())
 		}
 		s.retrievals.Add(1)
-		return wire.WritePIRAnswer(rw, ans)
+		return wire.WritePIRAnswer(rw, answers[0])
 	}
 }
 
-// answerPIRBatchAmortized serves one TypePIRBatchQuery frame through
-// the one-pass multi-query scan. The wire semantics are unchanged:
-// answers stream back strictly in batch order, one frame each, and a
-// failure is answered with the same wire errors the per-query path
-// produces. What changes is execution — queries of equal width are
-// computed together in a single pass over the store (prefix addressing
-// under churn means widths MAY differ inside one frame, so positions
-// are grouped by width first), which also means a deadline cancels the
-// whole frame before any answer streams rather than between blocks.
-// Every group's per-query Stats are counted even on failure.
-func (s *NetServer) answerPIRBatchAmortized(rw io.ReadWriter, ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query, workers int) error {
+// answerPIRFrame computes the answers of one flat PIR frame — the
+// queries of a TypePIRBatchQuery, or the one query of a TypePIRQuery —
+// in frame order through the one-pass executor. Queries of equal width
+// are computed together in a single pass over the store (prefix
+// addressing under churn means widths MAY differ inside one frame, so
+// positions are grouped by width first), which also means a deadline
+// cancels the whole frame before any answer streams rather than between
+// blocks. On failure it returns the frame position of the failing
+// group's first query; every group's per-query Stats are counted even
+// then.
+func (s *NetServer) answerPIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, int, error) {
 	var widths []int
 	byWidth := make(map[int][]int)
 	for i, q := range qs {
@@ -952,28 +919,18 @@ func (s *NetServer) answerPIRBatchAmortized(rw io.ReadWriter, ctx context.Contex
 		for j, i := range idx {
 			sub[j] = qs[i]
 		}
-		got, stats, err := answerPIRMultiCtx(ctx, snap, sub, workers)
+		got, stats, err := answerPIRMultiCtx(ctx, snap, sub, s.pirWorkers())
 		for _, st := range stats {
 			s.countPIRWork(st)
 		}
 		if err != nil {
-			if isCtxErr(ctx, err) {
-				return s.deadlineError(rw, fmt.Sprintf("batch cancelled in block %d", idx[0]))
-			}
-			s.errs.Add(1)
-			return wire.WriteError(rw, fmt.Sprintf("batch block %d: %v", idx[0], err))
+			return nil, idx[0], err
 		}
 		for j, i := range idx {
 			answers[i] = got[j]
 		}
 	}
-	for i, ans := range answers {
-		s.retrievals.Add(1)
-		if err := wire.WritePIRBatchAnswer(rw, i, ans); err != nil {
-			return err
-		}
-	}
-	return nil
+	return answers, 0, nil
 }
 
 func (s *NetServer) answerBatch(rw io.ReadWriter, body []byte, sess *sessionAudit) error {

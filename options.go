@@ -92,34 +92,17 @@ type Options struct {
 	// client-side security knob: tests and benchmarks use small values
 	// for speed, real deployments want >= 1024.
 	RetrievalKeyBits int
-	// PIRWorkers sets the execution plan for serving PIR document
-	// fetches (the per-block Kushilevitz-Ostrovsky database scans): 0
-	// keeps the sequential reference path — one modular multiplication
-	// per stored corpus bit, the paper's Section 5.2 cost model; -1
-	// selects a GOMAXPROCS-wide column-partitioned worker pool with the
-	// windowed multiply fast path (internal/pir.ProcessColumnsExec);
-	// any positive value pins the worker count (1 enables the windowed
-	// fast path without extra goroutines). Answers are byte-identical
-	// in every plan — the knob tunes only how fast the server
-	// multiplies. Like Parallelism it is runtime-only and not
-	// persisted; Engine.ConfigurePIRWorkers retunes it safely on a
-	// live engine, and NetServers can override it per server with
-	// ServeConfig.PIRWorkers.
+	// PIRWorkers sets the worker count for serving PIR document
+	// fetches (the Kushilevitz-Ostrovsky database scans, every batch of
+	// block queries answered in one pass by the internal/pir executor):
+	// 0 and 1 scan on one goroutine, -1 selects a GOMAXPROCS-wide
+	// column-partitioned worker pool, any other positive value pins the
+	// worker count. Answers are byte-identical at every count — the
+	// knob tunes only how fast the server multiplies. Like Parallelism
+	// it is runtime-only and not persisted; Engine.ConfigurePIRWorkers
+	// retunes it safely on a live engine, and NetServers can override
+	// it per server with ServeConfig.PIRWorkers.
 	PIRWorkers int
-	// PIRBatchAmortize is the escape hatch for the amortized
-	// multi-query serving path: when a whole batch of equal-width block
-	// queries arrives (a top-k fetch), the server answers all of them
-	// in ONE pass over the document store on the Montgomery kernel
-	// instead of scanning once per query. 0 (the default) and 1 enable
-	// amortization; -1 disables it, falling back to per-query serving —
-	// answers are byte-identical either way, the knob exists to recover
-	// the old execution profile if the fast path misbehaves. Runtime-
-	// only and not persisted; Engine.ConfigurePIRBatchAmortize retunes
-	// a live engine, and NetServers can override it per server with
-	// ServeConfig.PIRBatchAmortize. The sequential reference plan
-	// (PIRWorkers == 0) is never amortized — it exists to measure the
-	// paper's per-query cost model.
-	PIRBatchAmortize int
 	// PIRRecursive selects the recursive (two-level) Kushilevitz-
 	// Ostrovsky layout for document fetches: the block store is treated
 	// as a √n×√n grid, the client uploads two ~√n-element selection
@@ -166,17 +149,7 @@ const maxPIRWorkers = 1 << 12
 // encoding, shared by Options.validate and Engine.ConfigurePIRWorkers.
 func validatePIRWorkers(n int) error {
 	if n < -1 || n > maxPIRWorkers {
-		return fmt.Errorf("embellish: PIRWorkers %d out of range [-1, %d]; -1 selects GOMAXPROCS, 0 the sequential reference path", n, maxPIRWorkers)
-	}
-	return nil
-}
-
-// validatePIRBatchAmortize is the range check for the PIRBatchAmortize
-// encoding, shared by Options.validate and
-// Engine.ConfigurePIRBatchAmortize.
-func validatePIRBatchAmortize(n int) error {
-	if n < -1 || n > 1 {
-		return fmt.Errorf("embellish: PIRBatchAmortize %d out of range [-1, 1]; -1 disables batch amortization, 0/1 enable it", n)
+		return fmt.Errorf("embellish: PIRWorkers %d out of range [-1, %d]; -1 selects GOMAXPROCS, 0 and 1 one goroutine", n, maxPIRWorkers)
 	}
 	return nil
 }
@@ -254,9 +227,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("embellish: RetrievalKeyBits %d too small for PIR key generation", o.RetrievalKeyBits)
 	}
 	if err := validatePIRWorkers(o.PIRWorkers); err != nil {
-		return err
-	}
-	if err := validatePIRBatchAmortize(o.PIRBatchAmortize); err != nil {
 		return err
 	}
 	if err := validatePIRRecursive(o.PIRRecursive); err != nil {

@@ -194,54 +194,49 @@ type pirTransport interface {
 // localPIR serves fetches from one pinned store snapshot, so a
 // multi-document fetch reads an internally consistent corpus state.
 // The pipeline overlap here is generation vs. serving: the fetch
-// generator fills the query channel while Run multiplies. With
-// amortize set (the engine's PIRBatchAmortize knob) and a non-
-// sequential serving plan, Run gathers a whole document's block
-// queries — and, across documents, up to wire.MaxPIRBatch — and
-// serves each gathered batch in ONE pass over the store through
-// answerPIRMultiCtx.
+// generator fills the query channel while the scan multiplies. Both
+// protocols gather a whole document's block queries — and, across
+// documents, up to the wire batch cap — and serve each gathered batch
+// in ONE pass over the store (runBatched).
 type localPIR struct {
-	sn       *docstore.Snapshot
-	workers  int
-	amortize bool
+	sn      *docstore.Snapshot
+	workers int
 }
 
 func (l localPIR) Params() (docstore.Params, error) { return l.sn.Params(), nil }
 
+// Run serves flat fetches. Local fetch queries all share one key and
+// one block-count, satisfying the executor's equal-width contract.
 func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
-	if l.amortize && l.workers != 0 {
-		return l.runAmortized(ctx, qs, deliver)
-	}
-	for q := range qs {
-		// Serving errors go back bare: fetchVia attaches the document
-		// and block context (and the "embellish:" prefix) itself.
-		ans, _, err := answerPIRCtx(ctx, l.sn, q, l.workers)
-		if err != nil {
-			return err
-		}
-		if err := deliver(ans); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
+	return runBatched(ctx, qs, wire.MaxPIRBatch, deliver, func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
+		return answerPIRMultiCtx(ctx, l.sn, batch, l.workers)
+	})
 }
 
-// runAmortized is localPIR's one-pass batch mode: it collects queries
-// until the generator closes the channel or the batch reaches the
-// wire batch cap, then answers the whole batch in a single scan.
+// RunRecursive serves recursive fetches: the grid scan shares its one
+// level-1 database pass across the batch exactly like the flat scan.
+func (l localPIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
+	return runBatched(ctx, qs, wire.MaxPIRRecursiveBatch, deliver, func(batch []*pir.RecursiveQuery) ([]*pir.Answer, []pir.Stats, error) {
+		return answerPIRRecursiveCtx(ctx, l.sn, batch, l.workers)
+	})
+}
+
+// runBatched is localPIR's serving loop: it collects queries until the
+// generator closes the channel or the batch reaches limit, answers the
+// whole batch in a single scan, and delivers the answers in order.
 // Collection blocks on the generator — generation (residuosity draws)
 // is orders of magnitude cheaper than serving (a full database pass),
 // so waiting for a full batch costs microseconds and buys the scan
 // sharing. The generator never waits on deliveries, so blocking here
-// cannot deadlock. Local fetch queries all share one key and one
-// block-count, satisfying the multi path's equal-width contract.
-func (l localPIR) runAmortized(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
-	batch := make([]*pir.Query, 0, wire.MaxPIRBatch)
+// cannot deadlock. Serving errors go back bare: fetchVia attaches the
+// document and block context (and the "embellish:" prefix) itself.
+func runBatched[Q any](ctx context.Context, qs <-chan Q, limit int, deliver func(*pir.Answer) error, answer func([]Q) ([]*pir.Answer, []pir.Stats, error)) error {
+	batch := make([]Q, 0, limit)
 	serve := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		answers, _, err := answerPIRMultiCtx(ctx, l.sn, batch, l.workers)
+		answers, _, err := answer(batch)
 		if err != nil {
 			return err
 		}
@@ -255,49 +250,7 @@ func (l localPIR) runAmortized(ctx context.Context, qs <-chan *pir.Query, delive
 	}
 	for q := range qs {
 		batch = append(batch, q)
-		if len(batch) == wire.MaxPIRBatch {
-			if err := serve(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := serve(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// RunRecursive serves recursive fetches from the pinned snapshot.
-// Recursive serving is batch-shaped from the start (the grid scan
-// shares its one database pass across the batch exactly like the
-// multi plan), so amortizing clients gather up to the wire batch cap
-// before serving; without amortization each query is served alone,
-// mirroring Run.
-func (l localPIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
-	batchMax := 1
-	if l.amortize && l.workers != 0 {
-		batchMax = wire.MaxPIRRecursiveBatch
-	}
-	batch := make([]*pir.RecursiveQuery, 0, batchMax)
-	serve := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		answers, _, err := answerPIRRecursiveCtx(ctx, l.sn, batch, l.workers)
-		if err != nil {
-			return err
-		}
-		for _, ans := range answers {
-			if err := deliver(ans); err != nil {
-				return err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for q := range qs {
-		batch = append(batch, q)
-		if len(batch) == batchMax {
+		if len(batch) == limit {
 			if err := serve(); err != nil {
 				return err
 			}
@@ -315,11 +268,6 @@ func (l localPIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuer
 type remotePIR struct {
 	conn  io.ReadWriter
 	depth int
-	// amortize mirrors the client engine's PIRBatchAmortize knob: when
-	// set, the pipelined writer waits for the generator to fill each
-	// batch frame (after the slow-start probe), so the server sees the
-	// full batch width its one-pass amortized scan needs.
-	amortize bool
 }
 
 func (r remotePIR) Params() (docstore.Params, error) {
@@ -464,17 +412,16 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 				batchMax = pirBatchLimit(r.depth, len(first.Values), first.N.BitLen())
 			}
 			batch := append(make([]*pir.Query, 0, batchMax), first)
-			// The slow-start probe (and every batch when amortization is
-			// off) takes whatever is already generated without waiting:
-			// slow generators ship small batches rather than stalling the
-			// window. After the probe, an amortizing client blocks on the
-			// generator so each frame carries a full batch — the width the
-			// server's one-pass scan amortizes over. Generation is far
-			// cheaper than serving, and the previous batch's scan overlaps
-			// the wait, so blocking costs latency only on the second frame.
+			// The slow-start probe takes whatever is already generated
+			// without waiting, so the probe ships at once. After it the
+			// writer blocks on the generator so each frame carries a full
+			// batch — the width the server's one-pass scan shares its
+			// database read over. Generation is far cheaper than serving,
+			// and the previous batch's scan overlaps the wait, so blocking
+			// costs latency only on the second frame.
 		fill:
 			for len(batch) < batchMax {
-				if r.amortize && !firstBatch {
+				if !firstBatch {
 					select {
 					case q, ok := <-qs:
 						if !ok {
@@ -720,16 +667,17 @@ type FetchStats struct {
 // engine's own store — the in-process mirror of FetchDocumentsRemote,
 // running the identical PIR protocol so tests and benchmarks measure
 // the real fetch path. Results align with ids. The whole call reads
-// one pinned store snapshot; answers are served through the plan the
-// engine's PIRWorkers knob selects, and query generation overlaps
-// serving through the client's fetch pipeline (SetFetchPipeline).
+// one pinned store snapshot; answers are served by the one-pass
+// executor on the engine's PIRWorkers worker count, and query
+// generation overlaps serving through the client's fetch pipeline
+// (SetFetchPipeline).
 func (c *Client) FetchDocuments(ids []int) ([][]byte, FetchStats, error) {
 	return c.FetchDocumentsContext(context.Background(), ids)
 }
 
 // FetchDocumentsContext is FetchDocuments under a context: a cancelled
 // or deadline-expired fetch stops its block scans mid-database (the
-// serving plan checks ctx inside the multiplication loops) and returns
+// executor checks ctx inside the multiplication loops) and returns
 // an error satisfying errors.Is(err, ctx.Err()). No partial results
 // are returned.
 func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte, FetchStats, error) {
@@ -744,11 +692,7 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	// client's opt-in and the engine's live PIRRecursive knob — exactly
 	// the pair a remote fetch negotiates over the wire.
 	recursive := c.fetchRecursive && c.engine.livePIRRecursive()
-	return c.fetchVia(ctx, localPIR{
-		sn:       sn,
-		workers:  c.engine.livePIRWorkers(),
-		amortize: c.engine.livePIRBatchAmortize(),
-	}, ids, recursive)
+	return c.fetchVia(ctx, localPIR{sn: sn, workers: c.engine.livePIRWorkers()}, ids, recursive)
 }
 
 // FetchDocumentsRemote privately fetches the given documents from a
@@ -784,31 +728,17 @@ func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, 
 // (The server applies its own per-request deadline to each scan; see
 // ServeConfig.RequestTimeout.)
 func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
-	depth := c.pipelineDepth()
-	// Remote-only clients have no engine to read the amortization knob
-	// from; default on, matching loaded engines.
-	amortize := true
-	if c.engine != nil {
-		amortize = c.engine.livePIRBatchAmortize()
-	}
-	out, st, err := c.fetchVia(ctx, remotePIR{
-		conn:     conn,
-		depth:    depth,
-		amortize: amortize,
-	}, ids, c.fetchRecursive)
+	t := remotePIR{conn: conn, depth: c.pipelineDepth()}
+	out, st, err := c.fetchVia(ctx, t, ids, c.fetchRecursive)
 	if c.fetchRecursive && errors.Is(err, errRecursiveUnsupported) {
 		// The server refused the very first recursive frame (recursive
 		// frames are synchronous, so exactly one was exchanged and the
 		// stream is still aligned): retry the whole fetch through the
 		// flat protocol. Old servers and a PIRRecursive knob of -1 send
 		// the identical refusal — the fallback covers both.
-		out, st, err = c.fetchVia(ctx, remotePIR{
-			conn:     conn,
-			depth:    depth,
-			amortize: amortize,
-		}, ids, false)
+		out, st, err = c.fetchVia(ctx, t, ids, false)
 	}
-	if depth > 1 && errors.Is(err, errBatchUnsupported) {
+	if t.depth > 1 && errors.Is(err, errBatchUnsupported) {
 		// A server predating the batch messages refused the very first
 		// batch frame (the pipeline slow-starts, so exactly one frame
 		// was exchanged and the stream is still aligned): retry the

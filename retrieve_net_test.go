@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"embellish/internal/detrand"
+	"embellish/internal/pir"
+	"embellish/internal/wire"
 )
 
 // startRetrievalServer serves the engine over TCP and returns the
@@ -275,5 +277,178 @@ func TestServeStatsCountRetrievals(t *testing.T) {
 	}
 	if fmt.Sprint(st.Runs) == "0" {
 		t.Fatal("no PIR executions ran")
+	}
+}
+
+// pirFrameConn dials a retrieval server and returns the connection plus
+// a client-side key for hand-built PIR frames.
+func pirFrameConn(t *testing.T, e *Engine, c *Client, cfg ServeConfig) (net.Conn, *pir.ClientKey) {
+	t.Helper()
+	conn, err := net.Dial("tcp", startRetrievalServer(t, e, cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	key, err := c.pirKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return conn, key
+}
+
+// TestPIRFramesShareOnePath: a TypePIRQuery frame is a batch of one. The
+// same query sent as a single-query frame and as a one-query batch
+// frame returns byte-identical gammas and charges the SAME
+// multiplications to ServerStats, the executor's own count for a batch
+// of one — one executor serves both — and a batch frame whose queries address different prefix widths (a fetch
+// racing an append) is grouped by width and still answered in frame
+// order.
+func TestPIRFramesShareOnePath(t *testing.T) {
+	e, c, texts := storeWorld(t, 20, 32)
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRWorkers: 2})
+	old, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const target = 5
+	q, err := key.NewQuery(detrand.New("one-path"), old.NumBlocks(), target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func() (int64, int64) {
+		t.Helper()
+		ss, err := ServerStats(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ss.PIRModMuls, ss.PIRTableMuls
+	}
+	readAnswer := func(want byte) []byte {
+		t.Helper()
+		typ, body, err := wire.ReadMessage(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != want {
+			t.Fatalf("frame type %d (%q), want %d", typ, body, want)
+		}
+		return body
+	}
+
+	if err := wire.WritePIRQuery(conn, q); err != nil {
+		t.Fatal(err)
+	}
+	single, err := wire.DecodePIRAnswer(readAnswer(wire.TypePIRResponse))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mulsSingle, tableSingle := work()
+
+	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{q}); err != nil {
+		t.Fatal(err)
+	}
+	idx, batched, err := wire.DecodePIRBatchAnswer(readAnswer(wire.TypePIRBatchResponse))
+	if err != nil || idx != 0 {
+		t.Fatalf("batch answer: index %d, err %v", idx, err)
+	}
+	mulsBoth, tableBoth := work()
+
+	if len(single.Gammas) != len(batched.Gammas) {
+		t.Fatalf("single frame %d gammas, batch-of-one frame %d", len(single.Gammas), len(batched.Gammas))
+	}
+	for r := range single.Gammas {
+		if single.Gammas[r].Cmp(batched.Gammas[r]) != 0 {
+			t.Fatalf("gamma %d differs between the single and the batch-of-one frame", r)
+		}
+	}
+	if mulsSingle <= 0 || mulsBoth != 2*mulsSingle || tableBoth != 2*tableSingle {
+		t.Fatalf("work single frame (%d, %d), after batch-of-one (%d, %d): the frames ran different plans",
+			mulsSingle, tableSingle, mulsBoth, tableBoth)
+	}
+	// ... and that one plan is the executor's batch of one.
+	_, direct, err := old.AnswerMultiExecCtx(context.Background(), []*pir.Query{q}, pir.Exec{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(direct[0].ModMuls) != mulsSingle || int64(direct[0].TableMuls) != tableSingle {
+		t.Fatalf("single frame charged (%d, %d), the executor's batch of one costs %+v", mulsSingle, tableSingle, direct[0])
+	}
+
+	// Grow the store, then one frame mixing the old and the new width.
+	id := e.NumDocs()
+	texts[id] = storeDocText(id, miniLemmas())
+	if err := e.AddDocuments([]Document{{ID: id, Text: texts[id]}}); err != nil {
+		t.Fatal(err)
+	}
+	grown, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown.NumBlocks() == old.NumBlocks() {
+		t.Fatal("append did not grow the store")
+	}
+	targets := []int{3, grown.NumBlocks() - 1, 9}
+	widths := []int{old.NumBlocks(), grown.NumBlocks(), old.NumBlocks()}
+	frame := make([]*pir.Query, len(targets))
+	for i := range frame {
+		if frame[i], err = key.NewQuery(detrand.New(fmt.Sprintf("mixed-%d", i)), widths[i], targets[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wire.WritePIRBatchQuery(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	for i := range frame {
+		idx, ans, err := wire.DecodePIRBatchAnswer(readAnswer(wire.TypePIRBatchResponse))
+		if err != nil || idx != i {
+			t.Fatalf("mixed-width answer %d: index %d, err %v", i, idx, err)
+		}
+		want, _, err := grown.AnswerCtx(context.Background(), frame[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range want.Gammas {
+			if ans.Gammas[r].Cmp(want.Gammas[r]) != 0 {
+				t.Fatalf("mixed-width answer %d gamma %d differs from the oracle", i, r)
+			}
+		}
+	}
+}
+
+// TestPIRBatchDeadlineStreamsNoPartialAnswer: the deadline covers a
+// whole batch frame, so an expired one is answered with exactly one
+// deadline refusal — never a prefix of answers — and the connection
+// stays frame-aligned.
+func TestPIRBatchDeadlineStreamsNoPartialAnswer(t *testing.T) {
+	e, c, _ := storeWorld(t, 20, 32)
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, RequestTimeout: time.Nanosecond})
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]*pir.Query, 3)
+	for i := range frame {
+		if frame[i], err = key.NewQuery(detrand.New(fmt.Sprintf("deadline-%d", i)), sn.NumBlocks(), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := wire.WritePIRBatchQuery(conn, frame); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ != wire.TypeError || !strings.HasPrefix(string(body), wire.DeadlineRefusal) {
+		t.Fatalf("expired batch frame answered with type %d %q, want one deadline refusal", typ, body)
+	}
+	// The very next frame on the stream is the stats reply: nothing else
+	// was streamed for the abandoned batch.
+	ss, err := ServerStats(conn)
+	if err != nil {
+		t.Fatalf("stream misaligned after the refusal: %v", err)
+	}
+	if ss.Retrievals != 0 || ss.Deadlines != 1 {
+		t.Fatalf("after one expired batch: %d retrievals, %d deadline cancellations", ss.Retrievals, ss.Deadlines)
 	}
 }

@@ -2,6 +2,7 @@ package embellish
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"net"
 	"strings"
@@ -15,7 +16,7 @@ import (
 )
 
 // TestFetchPipelineDepthsAndPlansAgree: every combination of fetch-
-// pipeline depth and PIR serving plan must fetch byte-identical
+// pipeline depth and PIR worker count must fetch byte-identical
 // documents — the pipeline reschedules work, the worker knob
 // reassociates multiplications, and neither may change a single byte.
 func TestFetchPipelineDepthsAndPlansAgree(t *testing.T) {
@@ -338,12 +339,12 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 					err = wire.WriteError(srvConn, derr.Error())
 					break
 				}
-				ans, _, aerr := sn.Answer(q)
+				answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, []*pir.Query{q}, 0)
 				if aerr != nil {
 					err = wire.WriteError(srvConn, aerr.Error())
 					break
 				}
-				err = wire.WritePIRAnswer(srvConn, ans)
+				err = wire.WritePIRAnswer(srvConn, answers[0])
 			default:
 				err = wire.WriteError(srvConn, fmt.Sprintf("unexpected message type %d", typ))
 			}
@@ -369,67 +370,49 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 	}
 }
 
-// TestServeConfigAmortizeOverrideIdentity: the server-side
-// PIRBatchAmortize override reschedules multiplications, never bytes —
-// a pipelined client fetching from a force-on server and from a
-// force-off server must receive identical documents. The amortized
-// server must also account its PIR work on the wire stats: positive
-// mod-mul totals with the table share a strict subset, so
-// work_fraction dashboards stay meaningful for batch serving.
-func TestServeConfigAmortizeOverrideIdentity(t *testing.T) {
-	e, _, texts := storeWorld(t, 25, 32)
+// TestBatchServingAccountsPIRWork: a pipelined client fetching over
+// batch frames must receive the stored bytes, and the server must
+// account its PIR work on the wire stats: positive mod-mul totals with
+// the table share a strict subset, so work_fraction dashboards stay
+// meaningful for batch serving.
+func TestBatchServingAccountsPIRWork(t *testing.T) {
+	e, c, texts := storeWorld(t, 25, 32)
 	ids := []int{0, 6, 12, 19, 24}
-	var results [][][]byte
-	for _, amortize := range []int{1, -1} {
-		addr := startRetrievalServer(t, e, ServeConfig{
-			AllowRetrieval: true, PIRWorkers: -1, PIRBatchAmortize: amortize,
-		})
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		c, err := e.NewClient(detrand.New(fmt.Sprintf("amortize-%d", amortize)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SetFetchPipeline(16); err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := c.FetchDocumentsRemote(conn, ids)
-		if err != nil {
-			t.Fatalf("amortize %d: %v", amortize, err)
-		}
-		if st.Runs == 0 {
-			t.Fatalf("amortize %d: no runs accounted", amortize)
-		}
-		for i, id := range ids {
-			if string(got[i]) != texts[id] {
-				t.Fatalf("amortize %d doc %d: fetched %q, want %q", amortize, id, got[i], texts[id])
-			}
-		}
-		results = append(results, got)
-
-		ss, err := ServerStats(conn)
-		if err != nil {
-			t.Fatalf("amortize %d: ServerStats: %v", amortize, err)
-		}
-		if ss.PIRModMuls <= 0 {
-			t.Fatalf("amortize %d: PIRModMuls = %d, want > 0", amortize, ss.PIRModMuls)
-		}
-		if ss.PIRTableMuls <= 0 || ss.PIRTableMuls >= ss.PIRModMuls {
-			t.Fatalf("amortize %d: PIRTableMuls = %d not in (0, %d)", amortize, ss.PIRTableMuls, ss.PIRModMuls)
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := c.SetFetchPipeline(16); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := c.FetchDocumentsRemote(conn, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Runs == 0 {
+		t.Fatal("no runs accounted")
+	}
+	for i, id := range ids {
+		if string(got[i]) != texts[id] {
+			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
 		}
 	}
-	for i := range results[0] {
-		if !bytes.Equal(results[0][i], results[1][i]) {
-			t.Fatalf("doc %d: amortized and per-query servers disagree", ids[i])
-		}
+	ss, err := ServerStats(conn)
+	if err != nil {
+		t.Fatalf("ServerStats: %v", err)
+	}
+	if ss.PIRModMuls <= 0 {
+		t.Fatalf("PIRModMuls = %d, want > 0", ss.PIRModMuls)
+	}
+	if ss.PIRTableMuls <= 0 || ss.PIRTableMuls >= ss.PIRModMuls {
+		t.Fatalf("PIRTableMuls = %d not in (0, %d)", ss.PIRTableMuls, ss.PIRModMuls)
 	}
 }
 
-// TestConfigurePIRWorkersConcurrentWithFetch: retuning the serving
-// plan on a live engine must not race fetches (the plan lives in its
+// TestConfigurePIRWorkersConcurrentWithFetch: retuning the worker
+// count on a live engine must not race fetches (the count lives in its
 // own atomic; e.opts is never rewritten). Run with -race.
 func TestConfigurePIRWorkersConcurrentWithFetch(t *testing.T) {
 	e, _, texts := storeWorld(t, 15, 32)
