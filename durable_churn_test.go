@@ -125,13 +125,17 @@ func TestDurableChurnRecovery(t *testing.T) {
 						}
 						docs[i] = Document{ID: id, Text: texts[id]}
 					}
+					// mu stays held until the add is acknowledged: the
+					// fetcher picks its ids from texts, and one published
+					// ahead of the add "does not exist" yet.
+					err := e.AddDocuments(docs)
+					if err == nil {
+						recordLedger()
+					}
 					mu.Unlock()
-					if err := e.AddDocuments(docs); err != nil {
+					if err != nil {
 						t.Fatalf("op %d add: %v", op, err)
 					}
-					mu.Lock()
-					recordLedger()
-					mu.Unlock()
 				case 2: // delete one random live filler doc
 					mu.Lock()
 					var cands []int

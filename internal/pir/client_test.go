@@ -1,0 +1,180 @@
+package pir
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
+	"math/big"
+	"testing"
+)
+
+// sizedKey generates a deterministic key of the given width.
+func sizedKey(t testing.TB, bits int) *ClientKey {
+	t.Helper()
+	k, err := GenerateKey(newDetRand("client-test"), bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestNewQueryProperties holds the word-arithmetic selection vector (a
+// full-width and a sub-word one-word modulus) and the big.Int one (a
+// multi-word modulus) to the protocol's contract: every value in [1, N),
+// every non-target value a unit and a quadratic residue, the target a
+// Jacobi-(+1) non-residue; values that share a slab stay independent;
+// and a reader that runs short is an error, not a short query.
+func TestNewQueryProperties(t *testing.T) {
+	for _, keyBits := range []int{64, 48, 192} {
+		k := sizedKey(t, keyBits)
+		if oneWord := len(k.N.Bits()) == 1; oneWord != (keyBits <= 64) {
+			t.Fatalf("%d-bit key: one-word modulus = %v", keyBits, oneWord)
+		}
+		const cols = 700 // past one bulk read of the word path
+		for _, target := range []int{0, 1, cols / 2, cols - 1} {
+			q, err := k.NewQuery(newDetRand("props"), cols, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(q.Values) != cols || q.N.Cmp(k.N) != 0 {
+				t.Fatalf("%d-bit key: query of %d values under %v", keyBits, len(q.Values), q.N)
+			}
+			for j, v := range q.Values {
+				if v.Sign() <= 0 || v.Cmp(k.N) >= 0 {
+					t.Fatalf("%d-bit key value %d: %v outside [1, N)", keyBits, j, v)
+				}
+				if new(big.Int).GCD(nil, nil, v, k.N).Cmp(one) != 0 {
+					t.Fatalf("%d-bit key value %d: %v is not a unit", keyBits, j, v)
+				}
+				if j != target && !k.isQR(v) {
+					t.Fatalf("%d-bit key value %d: %v is not a quadratic residue", keyBits, j, v)
+				}
+			}
+			if v := q.Values[target]; big.Jacobi(v, k.N) != 1 || k.isQR(v) {
+				t.Fatalf("%d-bit key target %d: %v is not a Jacobi-(+1) non-residue", keyBits, target, v)
+			}
+			before := new(big.Int).Set(q.Values[3])
+			q.Values[2].Lsh(q.Values[2], 200)
+			if q.Values[3].Cmp(before) != 0 {
+				t.Fatalf("%d-bit key: growing one value overwrote its neighbour", keyBits)
+			}
+		}
+		rq, err := k.NewRecursiveQuery(newDetRand("props-rec"), cols, 123)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, tc := 123/rq.GridCols, 123%rq.GridCols
+		for g, v := range rq.Rows {
+			if k.isQR(v) != (g != tr) {
+				t.Fatalf("%d-bit key: recursive row value %d has the wrong character", keyBits, g)
+			}
+		}
+		for c, v := range rq.Cols {
+			if k.isQR(v) != (c != tc) {
+				t.Fatalf("%d-bit key: recursive column value %d has the wrong character", keyBits, c)
+			}
+		}
+		_, err = k.NewQuery(io.LimitReader(newDetRand("short"), 1000), cols, 5)
+		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+			t.Fatalf("%d-bit key: short reader gave %v", keyBits, err)
+		}
+	}
+}
+
+// TestDecodeMatchesIsQR: on honest executor answers the cached residue
+// kernel decodes exactly what the two-prime isQR test decodes — the
+// stored bytes — whichever serving kernel multiplied the gammas: the
+// one-word one (a full-width and a sub-word modulus), the multi-word one
+// with a one-word p1 (128 bits: the word decoder folds a two-word gamma)
+// and with a wide p1 (192 bits: the decoder is isQR), and the big.Int one
+// (an even modulus 2·p, which REDC and the word decoder both reject).
+func TestDecodeMatchesIsQR(t *testing.T) {
+	const nCols, colBytes = 21, 6
+	cols := churnColumns(t, 53, nCols, colBytes)
+	decodeBoth := func(name string, k *ClientKey, q *Query, target int) {
+		t.Helper()
+		answers, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, []*Query{q}, Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := k.Decode(answers[0])
+		for i, g := range answers[0].Gammas {
+			if got[i] == k.isQR(g) {
+				t.Fatalf("%s target %d gamma %d: Decode says %v, isQR says %v", name, target, i, got[i], k.isQR(g))
+			}
+		}
+		if !bytes.Equal(ColumnBytes(got), cols[target]) {
+			t.Fatalf("%s target %d: decoded %x, stored %x", name, target, ColumnBytes(got), cols[target])
+		}
+	}
+	for _, keyBits := range []int{64, 48, 128, 192} {
+		k := sizedKey(t, keyBits)
+		if word := k.decoder().word; word != (keyBits <= 128) {
+			t.Fatalf("%d-bit key: word decoder = %v", keyBits, word)
+		}
+		for _, target := range []int{0, 7, nCols - 1} {
+			q, err := k.NewQuery(newDetRand("decode"), nCols, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decodeBoth("key", k, q, target)
+		}
+	}
+
+	// The even key: p1 = 2 carries no quadratic character (every odd
+	// value is 1 modulo 2), so residuosity lives modulo p2 alone and the
+	// query is built by hand (big.Jacobi refuses an even modulus).
+	p := sizedKey(t, 64).p2
+	even := &ClientKey{N: new(big.Int).Lsh(p, 1), p1: big.NewInt(2), p2: p, e1: new(big.Int)}
+	even.e2 = new(big.Int).Rsh(new(big.Int).Sub(p, one), 1)
+	if _, err := NewMont(even.N); err == nil {
+		t.Fatal("even modulus accepted by the Montgomery kernel")
+	}
+	rnd := newDetRand("even")
+	const target = 4
+	nonRes := big.NewInt(3) // the smallest odd non-residue modulo p
+	for even.isQR(nonRes) {
+		nonRes.Add(nonRes, big.NewInt(2))
+	}
+	q := &Query{N: even.N, Values: make([]*big.Int, nCols)}
+	for j := range q.Values {
+		v, err := even.randomQR(rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j == target {
+			v.Mul(v, nonRes).Mod(v, even.N)
+		}
+		q.Values[j] = v
+	}
+	decodeBoth("even", even, q, target)
+}
+
+// BenchmarkNewQuery is one flat query at the repository benchmark's
+// width (6,029 blocks) under its 64-bit key, from crypto/rand.
+func BenchmarkNewQuery(b *testing.B) {
+	k := benchmarkKey(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.NewQuery(nil, 6029, i%6029); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecode is one flat block decode: the 8,192 gammas of a 1 KB
+// block under the 64-bit key.
+func BenchmarkDecode(b *testing.B) {
+	k := benchmarkKey(b)
+	cols := randomColumns(b, 9, 16, 1024)
+	answers, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, 1024, multiBatch(b, k, "bench-decode", 16, 1), Exec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Decode(answers[0])
+	}
+}

@@ -26,9 +26,8 @@ import (
 //     per row instead of cols;
 //   - shared transposition: the database bytes are read and
 //     bit-transposed into row patterns once per column group, not once
-//     per query. The pattern buffer (2 bytes/row) then feeds all k row
-//     scans from cache, and the table-build term of the window cost
-//     model is charged at 1/k, so wider batches pick wider windows;
+//     per query (groupPatterns16, table-driven). The pattern buffer
+//     (2 bytes/row) then feeds all k row scans from cache;
 //   - the Montgomery REDC kernel (montgomery.go): query values and
 //     tables are converted into Montgomery form once per batch, the row
 //     loops multiply word slices with no per-operation quotient or
@@ -98,11 +97,15 @@ func validateColumns(cols [][]byte, colBytes int, q *Query) error {
 
 // autoWindowMulti picks the window width for a k-query batch. The
 // per-column, per-query cost is rows/w row multiplications plus
-// 2^(w+1)/w table build — but the row-side constant the window
-// actually buys down (byte reads, bit transposition) is shared by the
-// whole batch, so the build term is charged at 1/k: batches push the
-// optimum wider. Bounded by MaxBatchWindow and by a ceiling on the k
-// simultaneously-live group tables.
+// 2^(w+1)/w table build, and the build term is charged at 1/k so batches
+// push the optimum wider. Nothing a batch shares earns that discount —
+// the shared transposition is ~10% of a six-query scan and every query
+// builds its own table — but MaxBatchWindow makes it harmless: at 8,192
+// rows the model picks 9 for a batch of one and the cap of 10 from k = 2
+// up, and undiscounted the two cost the same 1,024 multiplications per
+// column. Changing it moves every served window and multiplication
+// count, so it waits for a measured re-fit. Also bounded by a ceiling on
+// the k simultaneously-live group tables.
 func autoWindowMulti(rows, cols, modBytes, k int) int {
 	best, bestCost := 1, int(^uint(0)>>1)
 	for w := 1; w <= MaxBatchWindow; w++ {
@@ -396,49 +399,52 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 	}
 }
 
-// groupPatterns16 transposes columns [start, end) into one pattern per
-// row: bit k of pats[r] is column start+k's bit at row r. Each column's
-// bytes are scanned once, sequentially — the cache-friendly orientation
-// of the bit matrix walk.
+// groupPatterns16 transposes columns [start, end) — at most 16 of them —
+// into one pattern per row: bit k of pats[r] is column start+k's bit at
+// row r. It walks the group byte position by byte position: each column's
+// byte is spread through bitSpread into the eight rows it covers, shifted
+// to the column's bit and OR-ed into one word per half of the group, and
+// the two words unpack into the eight patterns. No branch depends on the
+// stored bytes, so text, padding and the recursive level-2 image (random
+// bytes) all transpose at the same speed.
 func groupPatterns16(cols [][]byte, start, end, colBytes int, pats []uint16) {
-	for i := range pats {
-		pats[i] = 0
+	var group [16][]byte
+	g := copy(group[:], cols[start:end])
+	for k := range group[:g] {
+		group[k] = group[k][:colBytes]
 	}
-	for k := 0; start+k < end; k++ {
-		col := cols[start+k]
-		kbit := uint16(1) << k
-		for byteIdx := 0; byteIdx < colBytes; byteIdx++ {
-			b := col[byteIdx]
-			if b == 0 {
-				// Zero bytes dominate padded and tombstoned blocks.
-				continue
-			}
-			base := byteIdx * 8
-			// MSB-first, matching Matrix.SetColumn's layout.
-			if b&0x80 != 0 {
-				pats[base] |= kbit
-			}
-			if b&0x40 != 0 {
-				pats[base+1] |= kbit
-			}
-			if b&0x20 != 0 {
-				pats[base+2] |= kbit
-			}
-			if b&0x10 != 0 {
-				pats[base+3] |= kbit
-			}
-			if b&0x08 != 0 {
-				pats[base+4] |= kbit
-			}
-			if b&0x04 != 0 {
-				pats[base+5] |= kbit
-			}
-			if b&0x02 != 0 {
-				pats[base+6] |= kbit
-			}
-			if b&0x01 != 0 {
-				pats[base+7] |= kbit
-			}
+	low := min(g, 8)
+	pats = pats[:colBytes*8]
+	for i := 0; i < colBytes; i++ {
+		// The &7 and &15 only show the compiler that shift and index
+		// are in range.
+		var lo, hi uint64
+		for k := 0; k < low; k++ {
+			lo |= bitSpread[group[k][i]] << (k & 7)
 		}
+		for k := 8; k < g; k++ {
+			hi |= bitSpread[group[k&15][i]] << (k & 7)
+		}
+		p := pats[i*8 : i*8+8 : i*8+8]
+		p[0] = uint16(lo&0xff) | uint16(hi&0xff)<<8
+		p[1] = uint16(lo>>8&0xff) | uint16(hi>>8&0xff)<<8
+		p[2] = uint16(lo>>16&0xff) | uint16(hi>>16&0xff)<<8
+		p[3] = uint16(lo>>24&0xff) | uint16(hi>>24&0xff)<<8
+		p[4] = uint16(lo>>32&0xff) | uint16(hi>>32&0xff)<<8
+		p[5] = uint16(lo>>40&0xff) | uint16(hi>>40&0xff)<<8
+		p[6] = uint16(lo>>48&0xff) | uint16(hi>>48&0xff)<<8
+		p[7] = uint16(lo>>56) | uint16(hi>>56)<<8
 	}
 }
+
+// bitSpread[b] holds bit 7-j of b in the lowest bit of its byte j: a
+// stored byte laid out as the eight rows it covers, most significant bit
+// first (Matrix.SetColumn's layout), one byte lane per row.
+var bitSpread = func() (t [256]uint64) {
+	for b := range t {
+		for j := 0; j < 8; j++ {
+			t[b] |= uint64(b>>(7-j)&1) << (8 * j)
+		}
+	}
+	return t
+}()

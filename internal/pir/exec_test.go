@@ -3,8 +3,10 @@ package pir
 import (
 	"context"
 	"fmt"
+	"math/big"
+	"math/rand"
+	"slices"
 	"testing"
-	"time"
 )
 
 // multiBatch builds k queries over one key with distinct targets.
@@ -138,44 +140,144 @@ func TestExecutorStatsPinned(t *testing.T) {
 	}
 }
 
-// TestExecutorAmortizationSmoke is the CI guardrail against silently
-// losing the batch sharing in a refactor: on a block-shaped corpus, one
-// pass for a batch of 4 must finish faster in wall time than four
-// batch-of-one passes (shared transposition, wider windows). The
-// assertion demands only an outright win to stay robust on noisy CI
-// machines.
-func TestExecutorAmortizationSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing smoke")
-	}
-	k := wordTestKey(t)                       // the one-word kernel, where the shared transposition shows
-	const nCols, colBytes, batch = 64, 512, 4 // 4096 rows
-	cols := randomColumns(t, 23, nCols, colBytes)
-	qs := multiBatch(t, k, "amort", nCols, batch)
-	ctx := context.Background()
+// traceKernel is a scanKernel that multiplies nothing and records what
+// the skeleton asks of it: the (query, first column) of every build and
+// the patterns every fold was handed.
+type traceKernel struct {
+	builds [][2]int
+	folds  map[[2]int][]uint16 // (query, first column of its group) -> patterns
+	cur    [2]int
+}
 
-	oneByOne := time.Duration(1<<62 - 1)
-	together := oneByOne
-	// Best of three to damp scheduler noise.
-	for rep := 0; rep < 3; rep++ {
-		start := time.Now()
-		for i := range qs {
-			if _, _, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs[i:i+1], Exec{}); err != nil {
-				t.Fatal(err)
+func (tk *traceKernel) costs() (int, int)               { return 0, 0 }
+func (tk *traceKernel) load(int, int, []*big.Int)       {}
+func (tk *traceKernel) merge(scanKernel, int, int, int) {}
+func (tk *traceKernel) export(int, int, []*big.Int)     {}
+func (tk *traceKernel) build(i, j0, _ int) {
+	tk.cur = [2]int{i, j0}
+	tk.builds = append(tk.builds, tk.cur)
+}
+func (tk *traceKernel) fold(i, _ int, pats []uint16, _ bool) {
+	tk.folds[tk.cur] = append(tk.folds[tk.cur], pats...)
+}
+
+// TestExecutorSharesTransposition is the guardrail against silently
+// losing the batch sharing in a refactor: whatever the batch width k, the
+// skeleton walks the store group-major — each column group is transposed
+// once and its patterns serve the k queries' builds and folds back to
+// back — never query-major (k store passes). Deterministic on purpose:
+// what the sharing is worth in wall time is BenchmarkExecutorBatch*'s to
+// say.
+func TestExecutorSharesTransposition(t *testing.T) {
+	const nCols, colBytes, window = 23, 5, 4 // six groups, the last ragged
+	cols := randomColumns(t, 31, nCols, colBytes)
+	for _, k := range []int{1, 4} {
+		tk := &traceKernel{folds: map[[2]int][]uint16{}}
+		p := scanPart{kern: tk}
+		vals := make([][]*big.Int, k)
+		for i := range vals {
+			vals[i] = make([]*big.Int, nCols)
+		}
+		p.scan(newScanPoll(context.Background()), cols, vals, colBytes, window, 0, nCols)
+		if p.err != nil {
+			t.Fatal(p.err)
+		}
+		var want [][2]int
+		for start := 0; start < nCols; start += window {
+			for i := 0; i < k; i++ {
+				want = append(want, [2]int{i, start})
 			}
 		}
-		oneByOne = min(oneByOne, time.Since(start))
-		start = time.Now()
-		if _, _, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs, Exec{}); err != nil {
-			t.Fatal(err)
+		if !slices.Equal(tk.builds, want) {
+			t.Fatalf("batch %d: build order %v, want group-major %v", k, tk.builds, want)
 		}
-		together = min(together, time.Since(start))
+		pats := make([]uint16, colBytes*8)
+		for _, at := range want {
+			refGroupPatterns(cols, at[1], min(at[1]+window, nCols), colBytes, pats)
+			if !slices.Equal(tk.folds[at], pats) {
+				t.Fatalf("batch %d query %d group at %d: folded patterns differ from the group's transposition", k, at[0], at[1])
+			}
+		}
 	}
-	t.Logf("4 batches of one: %v, one batch of 4: %v (%.1fx)", oneByOne, together,
-		float64(oneByOne)/float64(together))
-	if together >= oneByOne {
-		t.Fatalf("batch of 4 (%v) not faster than four batches of one (%v)", together, oneByOne)
+}
+
+// refGroupPatterns is the transposition's definition, bit by bit: the
+// reference the table-driven groupPatterns16 is held to.
+func refGroupPatterns(cols [][]byte, start, end, colBytes int, pats []uint16) {
+	clear(pats)
+	for k := 0; start+k < end; k++ {
+		for r := 0; r < colBytes*8; r++ {
+			// MSB-first, matching Matrix.SetColumn's layout.
+			if cols[start+k][r>>3]&(0x80>>(r&7)) != 0 {
+				pats[r] |= 1 << k
+			}
+		}
 	}
+}
+
+// TestGroupPatternsMatchesReference: every group width, start offsets,
+// a ragged last group, column lengths below, at and far above the
+// eight-row unit, over zero, all-ones and random bytes. Columns longer
+// than colBytes and a stale pattern buffer must not leak in.
+func TestGroupPatternsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, colBytes := range []int{1, 7, 64, 1024} {
+		const nCols = 37
+		cols := make([][]byte, nCols)
+		for j := range cols {
+			cols[j] = make([]byte, colBytes+j%3) // some columns over-long
+			switch j % 5 {
+			case 0: // all zero
+			case 1:
+				for i := range cols[j] {
+					cols[j][i] = 0xFF
+				}
+			default:
+				rng.Read(cols[j])
+			}
+		}
+		got, want := make([]uint16, colBytes*8), make([]uint16, colBytes*8)
+		for width := 1; width <= 16; width++ {
+			for _, start := range []int{0, 3, nCols - width} {
+				for i := range got {
+					got[i] = 0xBEEF
+				}
+				groupPatterns16(cols, start, start+width, colBytes, got)
+				refGroupPatterns(cols, start, start+width, colBytes, want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("colBytes %d, columns [%d, %d): patterns differ from the reference", colBytes, start, start+width)
+				}
+			}
+		}
+	}
+}
+
+// FuzzGroupPatterns holds the transposition to the reference on
+// arbitrary bytes and group shapes.
+func FuzzGroupPatterns(f *testing.F) {
+	f.Add([]byte("the quick brown fox"), uint8(3), uint8(1))
+	f.Add([]byte{0xFF, 0, 0x80, 1}, uint8(16), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, width, start uint8) {
+		g := 1 + int(width)%16
+		colBytes := len(data) / (g + int(start)%3)
+		if colBytes == 0 {
+			return
+		}
+		var cols [][]byte
+		for ; len(data) >= colBytes; data = data[colBytes:] {
+			cols = append(cols, data[:colBytes])
+		}
+		s := int(start) % 3
+		if s+g > len(cols) {
+			return
+		}
+		got, want := make([]uint16, colBytes*8), make([]uint16, colBytes*8)
+		groupPatterns16(cols, s, s+g, colBytes, got)
+		refGroupPatterns(cols, s, s+g, colBytes, want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("columns [%d, %d) of %d bytes: patterns differ from the reference", s, s+g, colBytes)
+		}
+	})
 }
 
 // TestAutoWindowMultiBounds: batch-amortized windows stay in
@@ -206,13 +308,7 @@ func TestAutoWindowMultiBounds(t *testing.T) {
 
 // benchmarkKey is the 64-bit key of the micro-benchmarks — the one-word
 // kernel both fetch workloads of the repository benchmark run.
-func benchmarkKey(b *testing.B) *ClientKey {
-	k, err := GenerateKey(newDetRand("bench"), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return k
-}
+func benchmarkKey(b *testing.B) *ClientKey { return sizedKey(b, 64) }
 
 // BenchmarkOracle is the paper's cost model at a small shape (128
 // columns × 1024 rows): the baseline the executor's figures divide.
@@ -229,20 +325,55 @@ func BenchmarkOracle(b *testing.B) {
 }
 
 // benchmarkExecutor measures one executor pass at the oracle's shape
-// (small) or a block-store-like one (512 columns × 8192 rows), on one
-// goroutine.
-func benchmarkExecutor(b *testing.B, nCols, colBytes, batch int) {
+// (small), a block-store-like one (512 columns × 8192 rows) or the
+// repository benchmark's store (6,029 × 8192: what one frame of a
+// fetch-flat op scans — the one-query slow-start probe, then the rest).
+func benchmarkExecutor(b *testing.B, nCols, colBytes, batch, workers int) {
 	cols := randomColumns(b, 2, nCols, colBytes)
 	qs := multiBatch(b, benchmarkKey(b), "bench-multi", nCols, batch)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, Exec{Workers: 1}); err != nil {
+		if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, Exec{Workers: workers}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkExecutorSmall1(b *testing.B)  { benchmarkExecutor(b, 128, 128, 1) }
-func BenchmarkExecutorBatch1(b *testing.B)  { benchmarkExecutor(b, 512, 1024, 1) }
-func BenchmarkExecutorBatch4(b *testing.B)  { benchmarkExecutor(b, 512, 1024, 4) }
-func BenchmarkExecutorBatch16(b *testing.B) { benchmarkExecutor(b, 512, 1024, 16) }
+func BenchmarkExecutorSmall1(b *testing.B)  { benchmarkExecutor(b, 128, 128, 1, 1) }
+func BenchmarkExecutorBatch1(b *testing.B)  { benchmarkExecutor(b, 512, 1024, 1, 1) }
+func BenchmarkExecutorBatch4(b *testing.B)  { benchmarkExecutor(b, 512, 1024, 4, 1) }
+func BenchmarkExecutorBatch16(b *testing.B) { benchmarkExecutor(b, 512, 1024, 16, 1) }
+func BenchmarkExecutorStore1(b *testing.B)  { benchmarkExecutor(b, 6029, 1024, 1, 2) }
+func BenchmarkExecutorStore6(b *testing.B)  { benchmarkExecutor(b, 6029, 1024, 6, 2) }
+
+// benchmarkGroupPatterns is one transposition pass over a store of the
+// repository benchmark's shape (6,029 blocks of 1 KB, ten columns per
+// group).
+func benchmarkGroupPatterns(b *testing.B, cols [][]byte) {
+	const colBytes, window = 1024, 10
+	pats := make([]uint16, colBytes*8)
+	b.SetBytes(int64(len(cols) * colBytes))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for start := 0; start < len(cols); start += window {
+			groupPatterns16(cols, start, min(start+window, len(cols)), colBytes, pats)
+		}
+	}
+}
+
+// Text bytes: what a document store holds.
+func BenchmarkGroupPatternsText(b *testing.B) {
+	cols := randomColumns(b, 5, 6029, 1024)
+	for _, col := range cols {
+		for i, c := range col {
+			col[i] = "etaoin shrdlu"[c%13]
+		}
+	}
+	benchmarkGroupPatterns(b, cols)
+}
+
+// Random bytes: the recursive level-2 image.
+func BenchmarkGroupPatternsRandom(b *testing.B) {
+	benchmarkGroupPatterns(b, randomColumns(b, 5, 6029, 1024))
+}

@@ -28,7 +28,8 @@ type scanKernel interface {
 	// for query i, rows [r0, r1), into this one's.
 	merge(from scanKernel, i, r0, r1 int)
 	// export writes query i's gammas for rows r0.. as canonical
-	// residues.
+	// residues. It is the last use of those rows' accumulators, which
+	// the gammas may alias.
 	export(i, r0 int, out []*big.Int)
 }
 
@@ -64,7 +65,7 @@ func newScanKernel(mont *Mont, n *big.Int, k, width, rows, window int) scanKerne
 // headers, no allocation inside the group loop. One-word moduli — the
 // shape every demo-sized key takes — build and fold through wordTable
 // and wordFold, where the slabs flatten to one word per value and every
-// multiplication is the inlined montMulWord on register-resident
+// multiplication is the inlined montMulWordSel on register-resident
 // constants.
 type montKernel struct {
 	m        *Mont
@@ -82,10 +83,14 @@ func (mk *montKernel) costs() (int, int) { return 2, 1 }
 func (mk *montKernel) load(i, j0 int, vals []*big.Int) {
 	kw := mk.kw
 	for j, v := range vals {
-		w, _ := mk.m.ToMont(v) // canonical: the executor reduced it
 		at := (j0 + j) * kw
-		copy(mk.mv[i][at:at+kw], w)
-		mk.m.Mul(mk.msq[i][at:at+kw], w, w)
+		// The plain words go straight into the value's slab slot and are
+		// converted in place (the executor reduced v: it fits kw words).
+		x := mk.mv[i][at : at+kw]
+		clear(x)
+		copy(x, v.Bits())
+		mk.m.Mul(x, x, mk.m.rr)
+		mk.m.Mul(mk.msq[i][at:at+kw], x, x)
 	}
 }
 
@@ -135,11 +140,17 @@ func (mk *montKernel) merge(from scanKernel, i, r0, r1 int) {
 	}
 }
 
+// export converts the accumulators out of Montgomery form in place and
+// hands them out as the gammas' own words: one big.Int header slab per
+// call, no copy.
 func (mk *montKernel) export(i, r0 int, out []*big.Int) {
 	kw := mk.kw
+	ints := make([]big.Int, len(out))
 	for r := range out {
 		at := (r0 + r) * kw
-		out[r] = mk.m.FromMont(mk.acc[i][at : at+kw])
+		a := mk.acc[i][at : at+kw : at+kw]
+		mk.m.Mul(a, a, mk.m.one)
+		out[r] = ints[r].SetBits(a)
 	}
 }
 
@@ -152,8 +163,8 @@ func wordTable(tbl, mv, msq []big.Word, n, ninv uint) {
 		vw, sw := uint(mv[j]), uint(msq[j])
 		for pat := 0; pat < size; pat++ {
 			s := uint(tbl[pat])
-			tbl[pat|size] = big.Word(montMulWord(s, vw, n, ninv))
-			tbl[pat] = big.Word(montMulWord(s, sw, n, ninv))
+			tbl[pat|size] = big.Word(montMulWordSel(s, vw, n, ninv))
+			tbl[pat] = big.Word(montMulWordSel(s, sw, n, ninv))
 		}
 		size *= 2
 	}
@@ -170,7 +181,7 @@ func wordFold(acc, tbl []big.Word, pats []uint16, first bool, n, ninv uint) {
 		return
 	}
 	for r, pt := range pats {
-		acc[r] = big.Word(montMulWord(uint(acc[r]), uint(tbl[pt]), n, ninv))
+		acc[r] = big.Word(montMulWordSel(uint(acc[r]), uint(tbl[pt]), n, ninv))
 	}
 }
 

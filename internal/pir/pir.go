@@ -15,10 +15,12 @@ package pir
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 )
 
 var one = big.NewInt(1)
@@ -88,9 +90,9 @@ type ClientKey struct {
 	p1, p2 *big.Int
 	// Euler-criterion exponents (p-1)/2, precomputed.
 	e1, e2 *big.Int
-	// The cached recursive-decode kernel (recursive_decode.go). The
-	// atomic makes ClientKey share-but-not-copy; every caller already
-	// holds keys by pointer.
+	// The cached residue-test kernel of both decoders
+	// (recursive_decode.go). The atomic makes ClientKey share-but-not-
+	// copy; every caller already holds keys by pointer.
 	decoderCache
 }
 
@@ -163,6 +165,71 @@ func (k *ClientKey) randomQNR(randSrc io.Reader) (*big.Int, error) {
 	}
 }
 
+// selection returns one Kushilevitz-Ostrovsky selection vector: n group
+// elements, uniform quadratic residues everywhere except a Jacobi-(+1)
+// non-residue at target. A one-word modulus — the shape every demo-sized
+// key takes, selected by the modulus width exactly as the serving kernel
+// selects it — draws its residues with word arithmetic; wider keys draw
+// them one big.Int at a time.
+func (k *ClientKey) selection(randSrc io.Reader, n, target int) ([]*big.Int, error) {
+	vals := make([]*big.Int, n)
+	var err error
+	if nw := k.N.Bits(); len(nw) == 1 {
+		err = wordQRs(randSrc, vals, target, uint(nw[0]), uint(k.p1.Uint64()), uint(k.p2.Uint64()))
+	} else {
+		for j := 0; j < n && err == nil; j++ {
+			if j != target {
+				vals[j], err = k.randomQR(randSrc)
+			}
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	if vals[target], err = k.randomQNR(randSrc); err != nil {
+		return nil, err
+	}
+	return vals, nil
+}
+
+// wordQRs fills every slot of vals but skip with a uniform quadratic
+// residue modulo the one-word n = p1·p2, the word-arithmetic randomQR:
+// candidates come from bulk reads of randSrc, masked to n's bit length
+// and rejected outside [1, n) (exact rejection sampling, no modulo
+// bias) or when a prime factor divides them, and the survivors are
+// squared with one wide multiply and one divide. The values share one
+// []big.Int and one []big.Word slab instead of three allocations each.
+func wordQRs(randSrc io.Reader, vals []*big.Int, skip int, n, p1, p2 uint) error {
+	ints := make([]big.Int, len(vals))
+	words := make([]big.Word, len(vals))
+	mask := ^uint(0) >> bits.LeadingZeros(n)
+	var buf [4096]byte
+	var chunk []byte
+	for j := 0; j < len(vals); {
+		if j == skip {
+			j++
+			continue
+		}
+		if len(chunk) == 0 {
+			chunk = buf[:min(len(vals)-j, len(buf)/8)*8]
+			if _, err := io.ReadFull(randSrc, chunk); err != nil {
+				return err
+			}
+		}
+		v := uint(binary.LittleEndian.Uint64(chunk)) & mask
+		chunk = chunk[8:]
+		if v == 0 || v >= n || v%p1 == 0 || v%p2 == 0 {
+			continue
+		}
+		hi, lo := bits.Mul(v, v)
+		_, sq := bits.Div(hi, lo, n) // hi < n because v < n
+		words[j] = big.Word(sq)
+		vals[j] = ints[j].SetBits(words[j : j+1 : j+1])
+		j++
+	}
+	return nil
+}
+
 // Query is the client→server message: one group element per column.
 type Query struct {
 	N      *big.Int
@@ -177,19 +244,11 @@ func (k *ClientKey) NewQuery(randSrc io.Reader, cols, target int) (*Query, error
 	if target < 0 || target >= cols {
 		return nil, errors.New("pir: target column out of range")
 	}
-	q := &Query{N: k.N, Values: make([]*big.Int, cols)}
-	for j := 0; j < cols; j++ {
-		var err error
-		if j == target {
-			q.Values[j], err = k.randomQNR(randSrc)
-		} else {
-			q.Values[j], err = k.randomQR(randSrc)
-		}
-		if err != nil {
-			return nil, err
-		}
+	vals, err := k.selection(randSrc, cols, target)
+	if err != nil {
+		return nil, err
 	}
-	return q, nil
+	return &Query{N: k.N, Values: vals}, nil
 }
 
 // Answer is the server→client message: one group element per row.
@@ -294,11 +353,26 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 }
 
 // Decode recovers the target column's bits from the answer: bit i is 1
-// exactly when γ_i is a quadratic non-residue.
+// exactly when γ_i is a quadratic non-residue. Gammas must be
+// non-negative (the wire decoder's range).
+//
+// The test is the key's cached residue kernel (qrDecoder.qnr), shared
+// with DecodeRecursive. For keys with a one-word p1 it is a single-prime
+// Euler test — exact for every gamma a server can derive from an honest
+// query (every value sent has equal quadratic character modulo both
+// primes, and products preserve that); a forged gamma may decode to a
+// wrong bit, which is garbage the per-document CRC of the fetch path
+// already rejects, never a key leak. It is also one fixed-length
+// square-and-multiply chain per gamma, so decoding costs the same for a
+// 0-bit and a 1-bit: the two-prime isQR it replaced (and that wider keys
+// still run) stops after the first prime on a non-residue, which made
+// the client's think-time before its next frame grow with the number of
+// 0-bits in the block it had just fetched.
 func (k *ClientKey) Decode(ans *Answer) []bool {
+	d := k.decoder()
 	bits := make([]bool, len(ans.Gammas))
 	for i, g := range ans.Gammas {
-		bits[i] = !k.isQR(g)
+		bits[i] = d.qnr(k, g)
 	}
 	return bits
 }

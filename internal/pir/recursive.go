@@ -160,36 +160,15 @@ func (k *ClientKey) NewRecursiveQuery(randSrc io.Reader, width, target int) (*Re
 		return nil, errors.New("pir: target block out of range")
 	}
 	gr, gc := RecursiveGrid(width)
-	q := &RecursiveQuery{
-		N:        k.N,
-		Width:    width,
-		GridCols: gc,
-		Rows:     make([]*big.Int, gr),
-		Cols:     make([]*big.Int, gc),
+	rows, err := k.selection(randSrc, gr, target/gc)
+	if err != nil {
+		return nil, err
 	}
-	tr, tc := target/gc, target%gc
-	var err error
-	for g := range q.Rows {
-		if g == tr {
-			q.Rows[g], err = k.randomQNR(randSrc)
-		} else {
-			q.Rows[g], err = k.randomQR(randSrc)
-		}
-		if err != nil {
-			return nil, err
-		}
+	cols, err := k.selection(randSrc, gc, target%gc)
+	if err != nil {
+		return nil, err
 	}
-	for c := range q.Cols {
-		if c == tc {
-			q.Cols[c], err = k.randomQNR(randSrc)
-		} else {
-			q.Cols[c], err = k.randomQR(randSrc)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return q, nil
+	return &RecursiveQuery{N: k.N, Width: width, GridCols: gc, Rows: rows, Cols: cols}, nil
 }
 
 // validateRecursiveShape checks one query's internal consistency —
@@ -622,9 +601,9 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 							return p
 						}
 						if col[r>>3]&(1<<(7-uint(r)&7)) != 0 {
-							a[r] = big.Word(montMulWord(uint(a[r]), vw, nW, ninv))
+							a[r] = big.Word(montMulWordSel(uint(a[r]), vw, nW, ninv))
 						} else {
-							a[r] = big.Word(montMulWord(uint(a[r]), sw, nW, ninv))
+							a[r] = big.Word(montMulWordSel(uint(a[r]), sw, nW, ninv))
 						}
 					}
 					p.muls[i] += rows

@@ -9,30 +9,33 @@ import (
 	"sync/atomic"
 )
 
-// Client-side decoding of recursive answers. A recursive answer holds
-// 8·rows·modBytes gammas — one per BIT of the serialized target grid
-// column — so where the flat client Euler-tests rows gammas, the
-// recursive client tests 64·modBytes times as many. Two things keep
-// that affordable:
+// Client-side decoding: the residue-test kernel both answer shapes share,
+// and the two-layer peel of recursive answers. A flat answer holds rows
+// gammas; a recursive one holds 8·rows·modBytes — one per BIT of the
+// serialized target grid column, 64·modBytes times as many. Two things
+// keep either affordable:
 //
 //   - a single-prime residue test. Every value an honest client puts
 //     in a query has equal quadratic character modulo p1 and p2 (QRs
 //     are +1/+1, the QNRs are drawn with Jacobi symbol +1 and hence
 //     −1/−1), and products preserve that equality — so for honest
 //     transcripts, testing modulo p1 alone decides QNR-ness exactly,
-//     at half the exponentiation work of isQR;
+//     at half the exponentiation work of isQR. A forged gamma can
+//     decode to a wrong bit — garbage bytes, which the fetch path's
+//     per-document CRC rejects;
 //   - a one-word Montgomery exponentiation kernel. Demo-sized keys
 //     have single-word prime factors, so the Euler test collapses to
 //     a montMulWord square-and-multiply chain with the prime and its
 //     folding constant in registers, fed by a bits.Div word-fold
-//     reduction of the gamma.
+//     reduction of the gamma. The chain's length is the exponent's, not
+//     the gamma's: a 0-bit and a 1-bit cost the same.
 //
 // Keys whose p1 does not fit one word fall back to the full isQR —
 // exact for any transcript, honest or not.
 
-// qrDecoder is the per-key residue-test kernel, built once per key on
-// first use and cached (read-only thereafter, safe for the parallel
-// decode workers).
+// qrDecoder is the per-key residue-test kernel of Decode and
+// DecodeRecursive, built once per key on first use and cached (read-only
+// thereafter, safe for the parallel decode workers).
 type qrDecoder struct {
 	word bool // single-word p1: the fast kernel applies
 	p    uint // p1
@@ -175,8 +178,8 @@ func (k *ClientKey) RecursiveAnswerBytes(colBytes int) int {
 }
 
 // dec is ClientKey's cached decoder; declared here next to its kernel.
-// (The field lives on ClientKey via the embedded holder below so pir.go
-// stays untouched by the caching concern.)
+// (The field lives on ClientKey via the embedded holder below so the
+// caching concern stays out of pir.go.)
 type decoderCache struct {
 	dec atomic.Pointer[qrDecoder]
 }

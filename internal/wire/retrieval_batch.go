@@ -73,7 +73,11 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 			return fmt.Errorf("wire: PIR batch query %d uses a different modulus", i)
 		}
 	}
-	var body []byte
+	size := pirHeadSize + bigsSize(n)
+	for _, q := range qs {
+		size += pirHeadSize + bigsSize(q.Values...)
+	}
+	body := make([]byte, 0, size)
 	body = append(body, TypePIRBatchQuery)
 	body = appendBig(body, n)
 	body = vbyte.Append(body, uint64(len(qs)))

@@ -168,3 +168,47 @@ func TestPIRBatchDecoderRejections(t *testing.T) {
 		t.Error("forged gamma count accepted")
 	}
 }
+
+// BenchmarkPIRBatchRoundTrip frames, reads back and decodes what one
+// flat fetch of the repository benchmark puts on the wire: a six-query
+// batch over 6,029 blocks under a 64-bit key, and one 8,192-gamma answer.
+func BenchmarkPIRBatchRoundTrip(b *testing.B) {
+	key, err := pir.GenerateKey(detrand.New("bench-wire"), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := make([]*pir.Query, 6)
+	for i := range qs {
+		if qs[i], err = key.NewQuery(nil, 6029, i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ans := &pir.Answer{Gammas: qs[0].Values[:0:0]}
+	for len(ans.Gammas) < 8192 {
+		ans.Gammas = append(ans.Gammas, qs[len(ans.Gammas)%6].Values[:2048]...)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := WritePIRBatchQuery(&buf, qs); err != nil {
+			b.Fatal(err)
+		}
+		if err := WritePIRBatchAnswer(&buf, 0, ans); err != nil {
+			b.Fatal(err)
+		}
+		_, body, err := ReadMessage(&buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodePIRBatchQuery(body); err != nil {
+			b.Fatal(err)
+		}
+		if _, body, err = ReadMessage(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := DecodePIRBatchAnswer(body); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
