@@ -169,8 +169,8 @@ type FetchLeg struct {
 	// Recursive two-level protocol: the same one-call fetch with √n×√n
 	// grid queries — upload drops from n to ≤3·⌈√n⌉ ciphertexts per
 	// query (RecQueryBytes/RecBatch vs QueryBytes/PIRRuns), answers
-	// widen 8·modBytes× (the trade), bytes stay identical. Locally and
-	// over type-22 wire frames.
+	// widen modBytes× — one ciphertext per byte of the flat answer (the
+	// trade) — bytes stay identical. Locally and over type-23 wire frames.
 	RecBatch        int     `json:"rec_batch"`
 	RecMsPerDoc     float64 `json:"rec_ms_per_doc"`
 	RecPipeMsPerDoc float64 `json:"rec_pipe_ms_per_doc"`
@@ -603,7 +603,7 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	leg.RecQueryBytes = recStats.QueryBytes
 	leg.RecAnswerBytes = recStats.AnswerBytes
 
-	// The same recursive fetch over type-22 wire frames.
+	// The same recursive fetch over type-23 wire frames.
 	recConn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		return leg, err

@@ -113,7 +113,7 @@ func main() {
 		blockSize      = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
 		allowRetrieval = flag.Bool("allow-retrieval", false, "answer private document fetches (requires a stored corpus)")
 		pirWorkers     = flag.Int("pir-workers", 0, "PIR fetch-serving workers (0/1 one goroutine, -1 GOMAXPROCS)")
-		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-22 frames; refused clients fall back to flat queries)")
+		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-23 frames; refused clients fall back to flat queries)")
 
 		shards       = flag.Int("shards", -1, "document shards for the worker-pool accumulator (-1 GOMAXPROCS, 0 unsharded, N pinned)")
 		window       = flag.Int("window", -1, "fixed-base exponentiation window bits (-1 default, 0 off, 1..8 pinned)")

@@ -269,8 +269,10 @@ func (r *Router) handlePIRQuery(rw io.ReadWriter, body []byte, epoch **pirEpoch)
 // gamma matrix in which cells outside its window are the
 // multiplicative identity. The router multiplies the partial matrices
 // element-wise (the same factorization combineAnswers exploits for
-// flat queries) and runs level 2 locally — the only place the full
-// matrix exists, so the level-2 scan never crosses the network. A
+// flat queries) and runs level 2 locally (pir.RecursiveLevel2: the
+// combined matrix re-encrypted a byte per ciphertext against the Cols
+// vector the partitions never saw) — the only place the full matrix
+// exists, so the level-2 scan never crosses the network. A
 // partition holding fewer blocks than its epoch Span refuses (the
 // stale-map symptom after a re-partition) and the refusal is relayed
 // to the client verbatim.

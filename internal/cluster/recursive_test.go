@@ -166,3 +166,68 @@ func readTyped(t *testing.T, conn net.Conn, want byte) ([]byte, error) {
 type refusalError struct{ msg string }
 
 func (e *refusalError) Error() string { return e.msg }
+
+// TestClusterRecursiveLevel2DecodesStoredBytes speaks the recursive
+// frame to the router directly, under a one-word key (the packed word
+// kernel in RecursiveLevel2) and a wide one (its big.Int reference): the
+// partials of three partitions, multiplied by the router and
+// re-encrypted a byte per ciphertext, must decode to the bytes the
+// document store holds — for one grown document per owning partition,
+// and zeros for a template block grow() tombstoned on all of them.
+func TestClusterRecursiveLevel2DecodesStoredBytes(t *testing.T) {
+	w := newWorld(t)
+	w.grow(t, 9)
+	conn := dial(t, w.routerAddr)
+	if err := wire.WritePIRParamsRequest(conn); err != nil {
+		t.Fatal(err)
+	}
+	body, err := readTyped(t, conn, wire.TypePIRParams)
+	if err != nil {
+		t.Fatalf("params via router: %v", err)
+	}
+	params, err := wire.DecodePIRParams(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bits := range []int{64, 96} {
+		key, err := pir.GenerateKey(detrand.New("level2-stored"), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := []int{templateDocs, templateDocs + 4, templateDocs + 8, 2}
+		qs := make([]*pir.RecursiveQuery, len(docs))
+		for i, id := range docs {
+			if qs[i], err = key.NewRecursiveQuery(detrand.New("level2-stored-q"), params.NumBlocks, int(params.Exts[id].First)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wire.WritePIRRecursiveQuery(conn, qs); err != nil {
+			t.Fatal(err)
+		}
+		modBytes := (key.N.BitLen() + 7) / 8
+		for i, id := range docs {
+			body, err := readTyped(t, conn, wire.TypePIRBatchResponse)
+			if err != nil {
+				t.Fatalf("%d-bit key, document %d: %v", bits, id, err)
+			}
+			idx, ans, err := wire.DecodePIRBatchAnswer(body)
+			if err != nil || idx != i {
+				t.Fatalf("%d-bit key: answer index %d (err %v), want %d", bits, idx, err, i)
+			}
+			if want := 8 * params.BlockSize * modBytes; len(ans.Gammas) != want {
+				t.Fatalf("%d-bit key: answer holds %d ciphertexts, want %d (one per image byte)", bits, len(ans.Gammas), want)
+			}
+			decoded, err := key.DecodeRecursive(ans, params.BlockSize)
+			if err != nil {
+				t.Fatalf("%d-bit key, document %d: %v", bits, id, err)
+			}
+			want := w.texts[id][:min(len(w.texts[id]), params.BlockSize)]
+			if params.Exts[id].Deleted {
+				want = strings.Repeat("\x00", len(want))
+			}
+			if got := pir.ColumnBytes(decoded)[:len(want)]; string(got) != want {
+				t.Fatalf("%d-bit key, document %d: first block %q, want %q", bits, id, got, want)
+			}
+		}
+	}
+}

@@ -208,7 +208,10 @@ func sameGammas(t *testing.T, label string, got, want *planResult) {
 // is then crossed over batch widths {1, 4, MaxMulti}, workers {1, 3}
 // and windows {auto, 1, pinned} and must match BOTH references
 // gamma-for-gamma on every case; keyed kernels must also decode every
-// target to the stored bytes, through the recursive executor too.
+// target to the stored bytes, through the recursive executor too — the
+// one-word key on its packed word kernel, the wide key on the big.Int
+// reference — whose blocks must equal the flat path's on the same
+// snapshot.
 func TestPIRConformance(t *testing.T) {
 	type shape struct{ nCols, colBytes int }
 	kernels := []struct {
@@ -333,6 +336,14 @@ func TestPIRConformance(t *testing.T) {
 							t.Fatalf("%s answered %d targets, want %d", label, len(res.decoded), len(rtargets))
 						}
 						check(label, res, rtargets)
+						// The flat path's block on the same snapshot,
+						// tombstoned (all-zero) blocks included:
+						// targets[j] = j below the column count.
+						for i, target := range rtargets {
+							if !bytes.Equal(res.decoded[i], refM.decoded[target]) {
+								t.Fatalf("%s target %d: recursive decoded %x, flat decoded %x", label, target, res.decoded[i], refM.decoded[target])
+							}
+						}
 					}
 				})
 			}

@@ -90,35 +90,86 @@ type ClientKey struct {
 	p1, p2 *big.Int
 	// Euler-criterion exponents (p-1)/2, precomputed.
 	e1, e2 *big.Int
+	// y is the key's packing element: one fixed Jacobi-(+1) non-residue.
+	// Level 2 of the recursive path encrypts a byte m as y^m·x^256 — the
+	// 2^8-th power residue symbol cryptosystem (Joye-Libert), of which
+	// the KO bit ciphertext is the one-bit case — and p1 ≡ 1 (mod 256)
+	// is what lets (p1−1)/256 read m back out (recursive_decode.go).
+	// The flat protocol and level 1 never touch it.
+	y *big.Int
 	// The cached residue-test kernel of both decoders
 	// (recursive_decode.go). The atomic makes ClientKey share-but-not-
 	// copy; every caller already holds keys by pointer.
 	decoderCache
 }
 
-// GenerateKey creates a client key with an n of approximately bits bits.
+// packBits is the pack width of recursive level 2: every level-2
+// ciphertext carries packBits bits — one byte — of the level-1 image.
+// A constant, not a knob: the wire type pins it.
+const packBits = 8
+
+// minKeyBits is the smallest modulus GenerateKey draws: p1 needs
+// packBits low bits, two pinned top bits and room for a prime between.
+const minKeyBits = 32
+
+// CheckKeyBits is the one statement of the key-size floor; callers that
+// accept a key size ahead of key generation wrap its error.
+func CheckKeyBits(bits int) error {
+	if bits < minKeyBits {
+		return fmt.Errorf("pir: a %d-bit modulus is too small (minimum %d)", bits, minKeyBits)
+	}
+	return nil
+}
+
+// GenerateKey creates a client key with an n of exactly bits bits. p1 is
+// drawn ≡ 1 (mod 2^packBits) for the packed level 2; the flat protocol
+// and level 1 are indifferent to that (any odd primes serve them).
 func GenerateKey(randSrc io.Reader, bits int) (*ClientKey, error) {
 	if randSrc == nil {
 		randSrc = rand.Reader
 	}
-	if bits < 32 {
-		return nil, errors.New("pir: modulus too small")
-	}
-	p1, err := rand.Prime(randSrc, bits/2)
-	if err != nil {
+	if err := CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
-	p2, err := rand.Prime(randSrc, bits-bits/2)
-	if err != nil {
-		return nil, err
+	for {
+		p1, err := packPrime(randSrc, bits/2)
+		if err != nil {
+			return nil, err
+		}
+		p2, err := rand.Prime(randSrc, bits-bits/2)
+		if err != nil {
+			return nil, err
+		}
+		if p1.Cmp(p2) == 0 {
+			continue
+		}
+		k := &ClientKey{N: new(big.Int).Mul(p1, p2), p1: p1, p2: p2}
+		k.e1 = new(big.Int).Rsh(new(big.Int).Sub(p1, one), 1)
+		k.e2 = new(big.Int).Rsh(new(big.Int).Sub(p2, one), 1)
+		if k.y, err = k.randomQNR(randSrc); err != nil {
+			return nil, err
+		}
+		return k, nil
 	}
-	if p1.Cmp(p2) == 0 {
-		return GenerateKey(randSrc, bits)
+}
+
+// packPrime draws a prime of exactly bits bits that is ≡ 1 modulo
+// 2^packBits, with its top two bits set like rand.Prime's (so the
+// product with a rand.Prime has exactly the summed bit length).
+func packPrime(randSrc io.Reader, bits int) (*big.Int, error) {
+	free := uint(bits - packBits - 2) // the bits between the pinned ends
+	span := new(big.Int).Lsh(one, free)
+	for {
+		p, err := rand.Int(randSrc, span)
+		if err != nil {
+			return nil, err
+		}
+		p.SetBit(p, int(free), 1).SetBit(p, int(free)+1, 1)
+		p.Lsh(p, packBits).SetBit(p, 0, 1)
+		if p.ProbablyPrime(20) {
+			return p, nil
+		}
 	}
-	k := &ClientKey{N: new(big.Int).Mul(p1, p2), p1: p1, p2: p2}
-	k.e1 = new(big.Int).Rsh(new(big.Int).Sub(p1, one), 1)
-	k.e2 = new(big.Int).Rsh(new(big.Int).Sub(p2, one), 1)
-	return k, nil
 }
 
 // isQR reports whether v is a quadratic residue modulo both prime factors
@@ -165,24 +216,38 @@ func (k *ClientKey) randomQNR(randSrc io.Reader) (*big.Int, error) {
 	}
 }
 
+// residues returns n uniform 2^squarings-th power residues of Z_n^*
+// (squarings >= 1), leaving slot skip — when it names one — nil. A
+// one-word modulus — the shape every demo-sized key takes, selected by
+// the modulus width exactly as the serving kernel selects it — draws them
+// with word arithmetic; wider keys draw them one big.Int at a time.
+func (k *ClientKey) residues(randSrc io.Reader, n, skip, squarings int) ([]*big.Int, error) {
+	vals := make([]*big.Int, n)
+	if nw := k.N.Bits(); len(nw) == 1 {
+		return vals, wordResidues(randSrc, vals, skip, squarings, uint(nw[0]), uint(k.p1.Uint64()), uint(k.p2.Uint64()))
+	}
+	for j := range vals {
+		if j == skip {
+			continue
+		}
+		v, err := k.randomQR(randSrc)
+		if err != nil {
+			return nil, err
+		}
+		for s := 1; s < squarings; s++ {
+			v.Mul(v, v)
+			v.Mod(v, k.N)
+		}
+		vals[j] = v
+	}
+	return vals, nil
+}
+
 // selection returns one Kushilevitz-Ostrovsky selection vector: n group
 // elements, uniform quadratic residues everywhere except a Jacobi-(+1)
-// non-residue at target. A one-word modulus — the shape every demo-sized
-// key takes, selected by the modulus width exactly as the serving kernel
-// selects it — draws its residues with word arithmetic; wider keys draw
-// them one big.Int at a time.
+// non-residue at target.
 func (k *ClientKey) selection(randSrc io.Reader, n, target int) ([]*big.Int, error) {
-	vals := make([]*big.Int, n)
-	var err error
-	if nw := k.N.Bits(); len(nw) == 1 {
-		err = wordQRs(randSrc, vals, target, uint(nw[0]), uint(k.p1.Uint64()), uint(k.p2.Uint64()))
-	} else {
-		for j := 0; j < n && err == nil; j++ {
-			if j != target {
-				vals[j], err = k.randomQR(randSrc)
-			}
-		}
-	}
+	vals, err := k.residues(randSrc, n, target, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -192,14 +257,35 @@ func (k *ClientKey) selection(randSrc io.Reader, n, target int) ([]*big.Int, err
 	return vals, nil
 }
 
-// wordQRs fills every slot of vals but skip with a uniform quadratic
-// residue modulo the one-word n = p1·p2, the word-arithmetic randomQR:
-// candidates come from bulk reads of randSrc, masked to n's bit length
-// and rejected outside [1, n) (exact rejection sampling, no modulo
-// bias) or when a prime factor divides them, and the survivors are
-// squared with one wide multiply and one divide. The values share one
-// []big.Int and one []big.Word slab instead of three allocations each.
-func wordQRs(randSrc io.Reader, vals []*big.Int, skip int, n, p1, p2 uint) error {
+// symbolSelection returns one packed selection vector: n encryptions
+// y^m·x^256 with a fresh x each — of m = 0 (uniform 256-th powers)
+// everywhere, and of m = 1 at target.
+func (k *ClientKey) symbolSelection(randSrc io.Reader, n, target int) ([]*big.Int, error) {
+	if k.y == nil {
+		return nil, errNoPackingElement
+	}
+	vals, err := k.residues(randSrc, n, -1, packBits)
+	if err != nil {
+		return nil, err
+	}
+	t := new(big.Int).Mul(k.y, vals[target])
+	vals[target] = t.Mod(t, k.N)
+	return vals, nil
+}
+
+// errNoPackingElement refuses the packed level 2 under a key GenerateKey
+// did not draw (no y, p1 of unknown shape).
+var errNoPackingElement = errors.New("pir: key has no packing element (not from GenerateKey)")
+
+// wordResidues fills every slot of vals but skip with a uniform
+// 2^squarings-th power residue modulo the one-word n = p1·p2, the
+// word-arithmetic randomQR: candidates come from bulk reads of randSrc,
+// masked to n's bit length and rejected outside [1, n) (exact rejection
+// sampling, no modulo bias) or when a prime factor divides them, and the
+// survivors are squared with one wide multiply and one divide per
+// squaring. The values share one []big.Int and one []big.Word slab
+// instead of three allocations each.
+func wordResidues(randSrc io.Reader, vals []*big.Int, skip, squarings int, n, p1, p2 uint) error {
 	ints := make([]big.Int, len(vals))
 	words := make([]big.Word, len(vals))
 	mask := ^uint(0) >> bits.LeadingZeros(n)
@@ -221,9 +307,11 @@ func wordQRs(randSrc io.Reader, vals []*big.Int, skip int, n, p1, p2 uint) error
 		if v == 0 || v >= n || v%p1 == 0 || v%p2 == 0 {
 			continue
 		}
-		hi, lo := bits.Mul(v, v)
-		_, sq := bits.Div(hi, lo, n) // hi < n because v < n
-		words[j] = big.Word(sq)
+		for s := 0; s < squarings; s++ {
+			hi, lo := bits.Mul(v, v)
+			_, v = bits.Div(hi, lo, n) // hi < n because v < n
+		}
+		words[j] = big.Word(v)
 		vals[j] = ints[j].SetBits(words[j : j+1 : j+1])
 		j++
 	}

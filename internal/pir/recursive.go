@@ -28,16 +28,23 @@ import (
 //     need, one per grid column, but it only wants one of them.
 //   - Cols (length gridCols) selects the grid column — privately —
 //     over that matrix: each matrix column is serialized to
-//     rows·modBytes bytes (fixed-width big-endian gammas) and the
-//     whole matrix is served as a second flat KO instance with
-//     gridCols columns. The answer is 8·rows·modBytes gammas: the
-//     encryption of the encryption of the target block.
+//     rows·modBytes bytes (fixed-width big-endian gammas), and Cols
+//     holds byte-symbol encryptions — 256-th powers x^256 everywhere,
+//     y·x^256 at the target (the 2^8-th power residue symbol
+//     cryptosystem; ClientKey.y). Per image byte position b the server
+//     answers c_b = Π_gc Cols[gc]^(byte b of column gc): every factor
+//     off the target is a 256-th power, the target contributes
+//     y^(its byte). The answer is rows·modBytes ciphertexts — one per
+//     image BYTE, not per bit: the encryption of the encryption of the
+//     target block.
 //
-// The client peels both layers: Euler-test the level-2 gammas into
-// the byte image of the target grid column, cut it into rows
-// fixed-width level-1 gammas, and Euler-test those into the block's
-// bits. Both levels multiply only uninterpretable group elements, so
-// the privacy argument is the flat one applied twice.
+// The client peels both layers: one exponentiation and a table look-up
+// per level-2 ciphertext yield the byte image of the target grid
+// column; it is cut into rows fixed-width level-1 gammas, and those are
+// Euler-tested into the block's bits. Both levels multiply only
+// uninterpretable group elements: level 1's privacy argument is the
+// flat one, level 2's the same argument under 2^8-th residuosity
+// (docs/THREAT_MODEL.md).
 //
 // Answers must decode to byte-identical blocks to the flat path on
 // the same snapshot — that, not gamma equality (the protocols differ),
@@ -53,8 +60,8 @@ import (
 // single-process matrix, value for value.
 
 // maxRecursiveCells bounds both the level-1 gamma matrix
-// (gridCols·rows cells) and the level-2 answer (8·rows·modBytes
-// gammas), matching the wire decoder's 8·MaxBlockSize answer ceiling:
+// (gridCols·rows cells) and the level-2 answer (rows·modBytes
+// ciphertexts), matching the wire decoder's 8·MaxBlockSize answer ceiling:
 // a hostile shape may not make the server allocate more than the flat
 // path ever could.
 const maxRecursiveCells = 8 << 20
@@ -146,9 +153,10 @@ func RecursiveGrid(width int) (rows, cols int) {
 }
 
 // NewRecursiveQuery builds a query retrieving block target out of
-// width blocks, under the RecursiveGrid shape: QR everywhere except a
-// Jacobi-(+1) QNR at the target's grid row (in Rows) and grid column
-// (in Cols).
+// width blocks, under the RecursiveGrid shape. Rows is a KO bit vector:
+// QR everywhere except a Jacobi-(+1) QNR at the target's grid row. Cols
+// is a byte-symbol vector: 256-th powers everywhere except y times one
+// at the target's grid column.
 func (k *ClientKey) NewRecursiveQuery(randSrc io.Reader, width, target int) (*RecursiveQuery, error) {
 	if randSrc == nil {
 		randSrc = rand.Reader
@@ -164,7 +172,7 @@ func (k *ClientKey) NewRecursiveQuery(randSrc io.Reader, width, target int) (*Re
 	if err != nil {
 		return nil, err
 	}
-	cols, err := k.selection(randSrc, gc, target%gc)
+	cols, err := k.symbolSelection(randSrc, gc, target%gc)
 	if err != nil {
 		return nil, err
 	}
@@ -241,10 +249,9 @@ type recShape struct {
 // level, sharing the level-1 transposition across the batch exactly as
 // the flat executor shares the flat one. All queries must agree on
 // modulus and shape. Single-word moduli run on the montMulWord kernel;
-// everything else falls back to a reference composition of the flat
-// executor (one batch-of-one scan per grid column, then level 2 over
-// the serialized matrix), so every modulus the flat executor serves,
-// this serves too.
+// everything else falls back to the reference (level 1 as one
+// batch-of-one flat scan per grid column, level 2 in big.Int), so every
+// modulus the flat executor serves, this serves too.
 //
 // The store may hold FEWER blocks than Width−Offset: missing cells are
 // absent (identity), which is how a partition serves its slice of the
@@ -286,7 +293,7 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 	if int64(C)*int64(rows) > maxRecursiveCells {
 		return nil, nil, errRecursiveCells
 	}
-	if len(q0.Cols) != 0 && int64(8)*int64(rows)*int64(modBytes) > maxRecursiveCells {
+	if len(q0.Cols) != 0 && int64(rows)*int64(modBytes) > maxRecursiveCells {
 		return nil, nil, errRecursiveCells
 	}
 	w := q0.Span
@@ -337,9 +344,9 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 		return answers, stats, nil
 	}
 
-	// Reference path: compose the flat serving paths. Slower, but it
-	// covers every modulus they do (multi-word, even, hostile), and
-	// its answers define what the fast path must equal.
+	// Reference path: slower, but it covers every modulus the flat
+	// executor does (multi-word, even, hostile), and its answers define
+	// what the fast path must equal.
 	for i, q := range qs {
 		ans, st, err := recursiveRefOne(ctx, cols, colBytes, q, ex, sh)
 		stats[i] = st
@@ -420,6 +427,18 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		workers = C
 	}
 
+	// Outside partition mode every query's matrix is also laid out as
+	// its level-2 image; each worker serializes the grid columns it
+	// scanned.
+	modBytes := (qs[0].N.BitLen() + 7) / 8
+	var images [][][]byte
+	if len(qs[0].Cols) != 0 {
+		images = make([][][]byte, k)
+		for i := range images {
+			images[i] = make([][]byte, C)
+		}
+	}
+
 	parts := make([]recursivePartial, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -429,6 +448,9 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		go func(part *recursivePartial, c0, c1 int) {
 			defer wg.Done()
 			*part = recursiveLevel1Word(poll, cols, colBytes, sh, win, groups, nW, ninv, oneM, mv1, msq1, mat, c0, c1)
+			if part.err == nil && images != nil {
+				imageColumns(poll, mat, images, c0, c1, rows, modBytes, nW, ninv, part)
+			}
 		}(&parts[wk], c0, c1)
 	}
 	wg.Wait()
@@ -447,9 +469,8 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		return cancelErr
 	}
 
-	modBytes := (qs[0].N.BitLen() + 7) / 8
 	for i, q := range qs {
-		if len(q.Cols) == 0 {
+		if images == nil {
 			// Partition mode: the canonical matrix itself is the
 			// answer, one FromMont multiplication per cell.
 			gammas := make([]*big.Int, C*rows)
@@ -464,29 +485,7 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 			outAns[i] = &Answer{Gammas: gammas}
 			continue
 		}
-		// Level 2: convert each cell out of Montgomery form straight
-		// into its fixed-width big-endian slot and re-serve the image
-		// through the flat executor.
-		cols2 := make([][]byte, C)
-		for gc := 0; gc < C; gc++ {
-			buf := make([]byte, rows*modBytes)
-			base := gc * rows
-			for r := 0; r < rows; r++ {
-				if r&(cancelCheckRows-1) == 0 && poll.stopped() {
-					return poll.err()
-				}
-				v := montMulWord(uint(mat[i][base+r]), 1, nW, ninv)
-				pos := r * modBytes
-				for b := modBytes - 1; b >= 0; b-- {
-					buf[pos+b] = byte(v)
-					v >>= 8
-				}
-			}
-			cols2[gc] = buf
-		}
-		outSt[i].ModMuls += C * rows
-		outSt[i].TableMuls += C * rows
-		ans2, st2, err := recursiveLevel2Cols(ctx, q, cols2, rows, ex)
+		ans2, st2, err := level2Word(poll, mont, q.Cols, images[i], rows*modBytes, ex)
 		outSt[i].ModMuls += st2.ModMuls
 		outSt[i].TableMuls += st2.TableMuls
 		if err != nil {
@@ -495,6 +494,33 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		outAns[i] = ans2
 	}
 	return nil
+}
+
+// imageColumns serializes grid columns [c0, c1) of every query's gamma
+// matrix into its level-2 image: each cell out of Montgomery form
+// straight into its fixed-width big-endian slot, one multiplication per
+// cell.
+func imageColumns(poll *scanPoll, mat [][]big.Word, images [][][]byte, c0, c1, rows, modBytes int, nW, ninv uint, p *recursivePartial) {
+	for i := range images {
+		for gc := c0; gc < c1; gc++ {
+			buf := make([]byte, rows*modBytes)
+			for r, cell := range mat[i][gc*rows : (gc+1)*rows] {
+				if r&(cancelCheckRows-1) == 0 && poll.stopped() {
+					p.err = poll.err()
+					return
+				}
+				v := montMulWord(uint(cell), 1, nW, ninv)
+				slot := buf[r*modBytes : (r+1)*modBytes]
+				for b := modBytes - 1; b >= 0; b-- {
+					slot[b] = byte(v)
+					v >>= 8
+				}
+			}
+			images[i][gc] = buf
+			p.muls[i] += rows
+			p.tableMuls[i] += rows
+		}
+	}
 }
 
 // recursiveLevel1Word is one worker's level-1 scan over grid columns
@@ -629,9 +655,9 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 
 // recursiveRefOne is the reference recursive answer for one query:
 // level 1 as gridCols batch-of-one flat scans over the strided
-// sub-databases, level 2 through RecursiveLevel2. Used for every
-// modulus the word kernel rejects, and by the tests as the oracle the
-// fast path must match.
+// sub-databases, level 2 through level2Ref. Used for every modulus the
+// word kernel rejects, and by the tests as the oracle the fast path
+// must match ciphertext for ciphertext.
 func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec, sh recShape) (*Answer, Stats, error) {
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
 	var st Stats
@@ -655,7 +681,8 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 	if len(q.Cols) == 0 {
 		return &Answer{Gammas: matrix}, st, nil
 	}
-	ans2, st2, err := RecursiveLevel2(ctx, q, matrix, colBytes, ex)
+	modBytes := (q.N.BitLen() + 7) / 8
+	ans2, st2, err := level2Ref(newScanPoll(ctx), q.N, q.Cols, matrixImage(matrix, q.N, C, rows, modBytes), rows*modBytes)
 	st.ModMuls += st2.ModMuls
 	st.TableMuls += st2.TableMuls
 	if err != nil {
@@ -664,15 +691,33 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 	return ans2, st, nil
 }
 
+// matrixImage lays a level-1 gamma matrix (grid-column-major) out as
+// the level-2 image: per grid column, its rows gammas as fixed-width
+// big-endian bytes. Out-of-range cells are reduced defensively,
+// matching the flat paths' tolerance.
+func matrixImage(matrix []*big.Int, n *big.Int, C, rows, modBytes int) [][]byte {
+	image := make([][]byte, C)
+	for gc := range image {
+		buf := make([]byte, rows*modBytes)
+		for r := 0; r < rows; r++ {
+			g := matrix[gc*rows+r]
+			if g.Sign() < 0 || g.BitLen() > 8*modBytes {
+				g = new(big.Int).Mod(g, n)
+			}
+			g.FillBytes(buf[r*modBytes : (r+1)*modBytes])
+		}
+		image[gc] = buf
+	}
+	return image
+}
+
 // RecursiveLevel2 serves the second level of the recursion over an
 // already-computed level-1 gamma matrix (grid-column-major,
-// gridCols·colBytes·8 cells): each grid column's gammas are laid out
-// as fixed-width big-endian bytes and the image is served as a flat
-// instance against q.Cols. The cluster router calls this after
-// combining partition partials; the in-process paths compose it with
-// their own level 1. Matrix cells must be canonical residues
-// (out-of-range cells are reduced defensively, matching the flat
-// paths' tolerance).
+// gridCols·colBytes·8 cells): the matrix is laid out as the byte image
+// and re-encrypted a byte per ciphertext against q.Cols. The cluster
+// router calls this after combining partition partials; the in-process
+// paths run the same two kernels behind their own level 1. Matrix cells
+// must be canonical residues.
 func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, colBytes int, ex Exec) (*Answer, Stats, error) {
 	if len(q.Cols) != q.GridCols {
 		return nil, Stats{}, errRecursiveCols
@@ -686,27 +731,147 @@ func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, 
 		return nil, Stats{}, errRecursiveMatrix
 	}
 	modBytes := (q.N.BitLen() + 7) / 8
-	if int64(8)*int64(rows)*int64(modBytes) > maxRecursiveCells {
+	if int64(rows)*int64(modBytes) > maxRecursiveCells {
 		return nil, Stats{}, errRecursiveCells
 	}
-	cols2 := make([][]byte, C)
-	for gc := 0; gc < C; gc++ {
-		buf := make([]byte, rows*modBytes)
-		for r := 0; r < rows; r++ {
-			g := matrix[gc*rows+r]
-			if g.Sign() < 0 || g.BitLen() > 8*modBytes {
-				g = new(big.Int).Mod(g, q.N)
-			}
-			g.FillBytes(buf[r*modBytes : (r+1)*modBytes])
-		}
-		cols2[gc] = buf
+	image := matrixImage(matrix, q.N, C, rows, modBytes)
+	poll := newScanPoll(ctx)
+	if mont, _ := NewMont(q.N); mont != nil && mont.Words() == 1 {
+		return level2Word(poll, mont, q.Cols, image, rows*modBytes, ex)
 	}
-	return recursiveLevel2Cols(ctx, q, cols2, rows, ex)
+	return level2Ref(poll, q.N, q.Cols, image, rows*modBytes)
 }
 
-// recursiveLevel2Cols serves the serialized level-1 image through the
-// flat executor as a batch of one.
-func recursiveLevel2Cols(ctx context.Context, q *RecursiveQuery, cols2 [][]byte, rows int, ex Exec) (*Answer, Stats, error) {
-	modBytes := (q.N.BitLen() + 7) / 8
-	return processOne(ctx, cols2, rows*modBytes, &Query{N: q.N, Values: q.Cols}, ex)
+// level2TileBytes is how many image bytes one level-2 tile covers: a
+// tile's accumulators (one word per byte, 16 KiB) stay in L1 while every
+// image column is folded into them.
+const level2TileBytes = 2048
+
+// level2Word is the packed level 2 on the one-word kernel. The image is
+// C columns of imgBytes bytes; the answer is imgBytes ciphertexts,
+// c_b = Π_gc sel[gc]^(image[gc][b]). Per column the 256 powers
+// sel[gc]^v are tabulated once, and every (byte, column) pair is then
+// one table look-up and one product — C per ciphertext with the
+// conversion out, no bit transposition and no exponent loop.
+//
+// The image is cut into tiles of level2TileBytes and the TILES are split
+// across ex.Workers, each ciphertext computed whole by one worker — no
+// per-row merge. The tables are indexed by database bytes only and every
+// look-up multiplies (the power 0 is the identity, multiplied like any
+// other), so the multiplication count is a function of the shape alone.
+func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, image [][]byte, imgBytes int, ex Exec) (*Answer, Stats, error) {
+	nW, ninv := uint(mont.n[0]), uint(mont.n0inv)
+	C := len(image)
+	var st Stats
+
+	// pow[gc][v] = sel[gc]^v, in Montgomery form: one conversion in and
+	// 254 products per column.
+	pow := make([][1 << packBits]big.Word, C)
+	oneM := big.Word(montMulWord(1, uint(mont.rr[0]), nW, ninv))
+	for gc, v := range canonical(sel, mont.nInt) {
+		mw, _ := mont.ToMont(v)
+		t := &pow[gc]
+		t[0], t[1] = oneM, mw[0]
+		for m := 2; m < len(t); m++ {
+			t[m] = big.Word(montMulWord(uint(t[m-1]), uint(mw[0]), nW, ninv))
+		}
+	}
+	setup := C * (1<<packBits - 1)
+	st.ModMuls, st.TableMuls = setup, setup
+	if poll.stopped() {
+		return nil, st, poll.err()
+	}
+
+	out := make([]big.Word, imgBytes)
+	ints := make([]big.Int, imgBytes)
+	gammas := make([]*big.Int, imgBytes)
+	tiles := (imgBytes + level2TileBytes - 1) / level2TileBytes
+	workers := min(max(ex.Workers, 1), tiles)
+	muls := make([]int, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		wg.Add(1)
+		go func(wk int) {
+			defer wg.Done()
+			for tile := wk * tiles / workers; tile < (wk+1)*tiles/workers; tile++ {
+				b0 := tile * level2TileBytes
+				b1 := min(b0+level2TileBytes, imgBytes)
+				// The tile's slice of the answer slab is its accumulator.
+				// The first column's power IS the accumulator: no
+				// multiplication.
+				acc := out[b0:b1]
+				for b, v := range image[0][b0:b1] {
+					acc[b] = pow[0][v]
+				}
+				for gc := 1; gc < C; gc++ {
+					if poll.stopped() {
+						muls[wk] += (b1 - b0) * (gc - 1)
+						errs[wk] = poll.err()
+						return
+					}
+					col := image[gc][b0:b1]
+					t := &pow[gc]
+					for b := range acc {
+						acc[b] = big.Word(montMulWordSel(uint(acc[b]), uint(t[col[b]]), nW, ninv))
+					}
+				}
+				for b := range acc {
+					acc[b] = big.Word(montMulWordSel(uint(acc[b]), 1, nW, ninv))
+					gammas[b0+b] = ints[b0+b].SetBits(acc[b : b+1 : b+1])
+				}
+				muls[wk] += (b1 - b0) * C
+			}
+		}(wk)
+	}
+	wg.Wait()
+	var cancelErr error
+	for wk := range muls {
+		st.ModMuls += muls[wk]
+		if errs[wk] != nil && cancelErr == nil {
+			cancelErr = errs[wk]
+		}
+	}
+	if cancelErr != nil {
+		return nil, st, cancelErr
+	}
+	st.TableMuls += imgBytes // the conversions out
+	return &Answer{Gammas: gammas}, st, nil
+}
+
+// level2Ref is the packed level 2 in big.Int, for every modulus the
+// word kernel rejects — and the oracle level2Word must equal ciphertext
+// for ciphertext: the same power tables and the same one multiplication
+// per (byte, column), sequential and out of Montgomery form throughout.
+func level2Ref(poll *scanPoll, n *big.Int, sel []*big.Int, image [][]byte, imgBytes int) (*Answer, Stats, error) {
+	bk := &bigKernel{n: n}
+	var st Stats
+	pow := make([][1 << packBits]big.Int, len(image))
+	for gc, v := range canonical(sel, n) {
+		if poll.stopped() {
+			return nil, st, poll.err()
+		}
+		pow[gc][0].Mod(one, n)
+		pow[gc][1].Set(v)
+		for m := 2; m < 1<<packBits; m++ {
+			bk.mulMod(&pow[gc][m], &pow[gc][m-1], v)
+		}
+		st.ModMuls += 1<<packBits - 2
+		st.TableMuls += 1<<packBits - 2
+	}
+	cts := make([]big.Int, imgBytes)
+	gammas := make([]*big.Int, imgBytes)
+	for b := range cts {
+		if b&63 == 0 && poll.stopped() {
+			return nil, st, poll.err()
+		}
+		c := &cts[b]
+		c.Set(&pow[0][image[0][b]])
+		for gc := 1; gc < len(image); gc++ {
+			bk.mulMod(c, c, &pow[gc][image[gc][b]])
+		}
+		st.ModMuls += len(image) - 1
+		gammas[b] = c
+	}
+	return &Answer{Gammas: gammas}, st, nil
 }

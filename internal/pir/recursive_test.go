@@ -3,10 +3,15 @@ package pir
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/big"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
+
+	"embellish/internal/scanclock"
 )
 
 // wordKey returns a cached 64-bit key — single-word prime factors, the
@@ -36,17 +41,16 @@ func recursiveOne(cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec) (*Ans
 }
 
 // recursiveShapeFor mirrors the geometry resolution of the serving
-// path for a zero-Offset, zero-Span query — the oracle tests need it
-// to call recursiveRefOne directly.
+// path — the oracle tests need it to call recursiveRefOne directly.
 func recursiveShapeFor(q *RecursiveQuery, nCols, colBytes int) recShape {
-	w := q.Width
-	if w > nCols {
-		w = nCols
+	w := q.Span
+	if w == 0 {
+		w = min(q.Width-q.Offset, nCols)
 	}
 	return recShape{
 		gridRows: len(q.Rows),
 		gridCols: q.GridCols,
-		offset:   0,
+		offset:   q.Offset,
 		window:   w,
 		rows:     colBytes * 8,
 	}
@@ -78,37 +82,274 @@ func TestRecursiveGridShape(t *testing.T) {
 }
 
 // TestRecursiveFastMatchesRef: the word kernel's answers must be
-// gamma-identical to the reference composition of the flat paths —
-// the fast path is an optimization, not a different protocol.
+// ciphertext-identical to the big.Int reference — the fast path is an
+// optimization, not a different protocol. Crossed over workers, window
+// (auto and pinned below the grid-column count, so level 2 folds several
+// groups), batch widths, level-1-only partition mode and served windows
+// (an offset/span slice of the grid with absent cells on both sides, and
+// a store that stops inside the last grid row), on images of several
+// level-2 tiles with a partial last one.
 func TestRecursiveFastMatchesRef(t *testing.T) {
 	k := wordTestKey(t)
-	const nCols, colBytes = 29, 8
+	const nCols, colBytes = 150, 80 // 22×7 grid (4 padding cells), 5,120-byte image: three tiles
 	cols := churnColumns(t, 41, nCols, colBytes)
-	for _, partial := range []bool{false, true} {
-		for target := 0; target < nCols; target += 5 {
-			q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("fastref-%v-%d", partial, target)), nCols, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if partial {
-				q.Cols = nil // level-1-only partition mode
-			}
-			fast, _, err := recursiveOne(cols, colBytes, q, Exec{Workers: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, _, err := recursiveRefOne(context.Background(), cols, colBytes, q, Exec{}, recursiveShapeFor(q, nCols, colBytes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fast.Gammas) != len(ref.Gammas) {
-				t.Fatalf("partial=%v target %d: %d gammas vs ref %d", partial, target, len(fast.Gammas), len(ref.Gammas))
-			}
-			for i := range fast.Gammas {
-				if fast.Gammas[i].Cmp(ref.Gammas[i]) != 0 {
-					t.Fatalf("partial=%v target %d gamma %d: fast path differs from reference", partial, target, i)
+	windows := []struct {
+		name         string
+		offset, span int
+		store        [][]byte
+	}{
+		{"full", 0, 0, cols},
+		{"slice", 37, 61, cols[37 : 37+61]},
+		{"short store", 0, 0, cols[:131]},
+	}
+	ctx := context.Background()
+	for _, win := range windows {
+		for _, partial := range []bool{false, true} {
+			qs := recursiveBatch(t, k, fmt.Sprintf("fastref-%s-%v", win.name, partial), nCols, 6)
+			for _, q := range qs {
+				q.Offset, q.Span = win.offset, win.span
+				if partial {
+					q.Cols = nil // level-1-only partition mode
 				}
 			}
+			refs := make([]*Answer, len(qs))
+			for i, q := range qs {
+				ref, _, err := recursiveRefOne(ctx, win.store, colBytes, q, Exec{}, recursiveShapeFor(q, len(win.store), colBytes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				refs[i] = ref
+			}
+			for _, workers := range []int{1, 3} {
+				for _, window := range []int{0, 4} {
+					for _, batch := range []int{1, 6} {
+						label := fmt.Sprintf("%s partial=%v workers=%d window=%d batch=%d", win.name, partial, workers, window, batch)
+						fast, _, err := ProcessColumnsRecursiveMultiExecCtx(ctx, win.store, colBytes, qs[:batch], Exec{Workers: workers, Window: window})
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						for i, ans := range fast {
+							if len(ans.Gammas) != len(refs[i].Gammas) {
+								t.Fatalf("%s query %d: %d ciphertexts vs ref %d", label, i, len(ans.Gammas), len(refs[i].Gammas))
+							}
+							for j := range ans.Gammas {
+								if ans.Gammas[j].Cmp(refs[i].Gammas[j]) != 0 {
+									t.Fatalf("%s query %d ciphertext %d: fast path differs from reference", label, i, j)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecursiveWorkTargetIndependent: the server's multiplication
+// counts are a function of the shape alone — identity at 0-bits skips no
+// product the fold would otherwise make, and nothing branches on the
+// selection vectors — so two targets of one shape cost exactly the same.
+func TestRecursiveWorkTargetIndependent(t *testing.T) {
+	k := wordTestKey(t)
+	const nCols, colBytes = 150, 40
+	cols := churnColumns(t, 43, nCols, colBytes)
+	for _, ex := range []Exec{{}, {Workers: 3, Window: 4}} {
+		var first Stats
+		for i, target := range []int{0, 1, 77, nCols - 1} {
+			q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("work-%d", target)), nCols, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, st, err := recursiveOne(cols, colBytes, q, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ModMuls <= 0 || st.TableMuls <= 0 || st.TableMuls > st.ModMuls {
+				t.Fatalf("%+v target %d: implausible stats %+v", ex, target, st)
+			}
+			if i == 0 {
+				first = st
+			} else if st != first {
+				t.Fatalf("%+v: target %d cost %+v, target 0 cost %+v", ex, target, st, first)
+			}
+		}
+	}
+}
+
+// TestDecodeRecursiveTypedErrors: a short or long answer is an
+// *AnswerLengthError, and a ciphertext that does not land in the
+// order-256 subgroup — a non-unit modulo p1 — is a *SymbolError naming
+// the first such position, on the word decoder and the big.Int one.
+func TestDecodeRecursiveTypedErrors(t *testing.T) {
+	for _, k := range []*ClientKey{wordTestKey(t), testKey(t)} {
+		const nCols, colBytes = 9, 2
+		cols := churnColumns(t, 47, nCols, colBytes)
+		q, err := k.NewRecursiveQuery(newDetRand("typed"), nCols, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, _, err := recursiveOne(cols, colBytes, q, Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []*Answer{
+			{Gammas: ans.Gammas[:len(ans.Gammas)-1]},
+			{Gammas: append(append([]*big.Int(nil), ans.Gammas...), big.NewInt(1))},
+			{},
+		} {
+			var lerr *AnswerLengthError
+			if _, err := k.DecodeRecursive(bad, colBytes); !errors.As(err, &lerr) ||
+				lerr.Got != len(bad.Gammas) || lerr.Want != len(ans.Gammas) {
+				t.Fatalf("answer of %d ciphertexts: got %v", len(bad.Gammas), err)
+			}
+		}
+		for _, pos := range []int{0, 5, len(ans.Gammas) - 1} {
+			forged := append([]*big.Int(nil), ans.Gammas...)
+			forged[pos] = new(big.Int).Lsh(k.p1, 1) // a multiple of p1 below N
+			forged[len(forged)-1] = new(big.Int)
+			var serr *SymbolError
+			if _, err := k.DecodeRecursive(&Answer{Gammas: forged}, colBytes); !errors.As(err, &serr) || serr.Pos != pos {
+				t.Fatalf("forged ciphertext at %d: got %v", pos, err)
+			}
+		}
+		if _, err := k.DecodeRecursive(ans, colBytes); err != nil {
+			t.Fatalf("honest answer refused: %v", err)
+		}
+	}
+	if _, err := (&ClientKey{N: big.NewInt(35), p1: big.NewInt(5), p2: big.NewInt(7)}).DecodeRecursive(&Answer{}, 1); err != errNoPackingElement {
+		t.Fatalf("hand-built key: got %v", err)
+	}
+}
+
+// TestGenerateKeyProperties: at every size, down to the floor, the
+// modulus has exactly the requested bit length, p1 ≡ 1 (mod 256), y is
+// a Jacobi-(+1) non-residue, and D = y^((p1−1)/256) has order exactly
+// 256 modulo p1 — what the packed level 2 decodes by.
+func TestGenerateKeyProperties(t *testing.T) {
+	for _, bits := range []int{32, 64, 128, 1024} {
+		for rep := 0; rep < 3; rep++ {
+			k, err := GenerateKey(newDetRand(fmt.Sprintf("keyprop-%d-%d", bits, rep)), bits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k.N.BitLen() != bits {
+				t.Fatalf("%d bits: N has %d", bits, k.N.BitLen())
+			}
+			if new(big.Int).Mul(k.p1, k.p2).Cmp(k.N) != 0 || k.p1.Cmp(k.p2) == 0 ||
+				!k.p1.ProbablyPrime(20) || !k.p2.ProbablyPrime(20) {
+				t.Fatalf("%d bits: N is not a product of two distinct primes", bits)
+			}
+			if new(big.Int).And(k.p1, big.NewInt(255)).Cmp(one) != 0 {
+				t.Fatalf("%d bits: p1 = %v is not 1 mod 256", bits, k.p1)
+			}
+			if big.Jacobi(k.y, k.N) != 1 || k.isQR(k.y) || big.Jacobi(k.y, k.p1) != -1 {
+				t.Fatalf("%d bits: y is not a Jacobi-(+1) non-residue", bits)
+			}
+			e8 := new(big.Int).Rsh(new(big.Int).Sub(k.p1, one), packBits)
+			d := new(big.Int).Exp(k.y, e8, k.p1)
+			if new(big.Int).Exp(d, big.NewInt(128), k.p1).Cmp(one) == 0 ||
+				new(big.Int).Exp(d, big.NewInt(256), k.p1).Cmp(one) != 0 {
+				t.Fatalf("%d bits: D does not have order 256", bits)
+			}
+			// And the decoder reads every byte back.
+			dec := k.decoder()
+			x, err := k.randomQR(newDetRand("keyprop-x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Exp(x, big.NewInt(128), k.N) // a 256-th power
+			for m := 0; m < 256; m += 51 {
+				c := new(big.Int).Exp(k.y, big.NewInt(int64(m)), k.N)
+				c.Mul(c, x).Mod(c, k.N)
+				if got, ok := dec.symbol(k, c); !ok || int(got) != m {
+					t.Fatalf("%d bits: symbol %d decoded %d (ok=%v)", bits, m, got, ok)
+				}
+			}
+		}
+	}
+	if _, err := GenerateKey(newDetRand("keyprop-small"), minKeyBits-1); err == nil {
+		t.Fatal("a key below the floor was generated")
+	}
+}
+
+// TestRecursiveCancelMidLevel2: a deadline crossed inside the level-2
+// scan — timed in polls on the pinned scan clock, not on the wall —
+// returns the context error, the work done so far, and no answer at all.
+func TestRecursiveCancelMidLevel2(t *testing.T) {
+	k := wordTestKey(t)
+	const nCols, colBytes = 150, 80
+	cols := churnColumns(t, 53, nCols, colBytes)
+	q, err := k.NewRecursiveQuery(newDetRand("cancel-l2"), nCols, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := *q
+	l1.Cols = nil
+	matrix, _, err := recursiveOne(cols, colBytes, &l1, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	// run serves under a clock that crosses the deadline at poll
+	// number crossAt (never, when 0) and reports the polls made.
+	run := func(crossAt int, serve func() (*Answer, Stats, error)) (int, *Answer, Stats, error) {
+		polls := 0
+		restore := scanclock.Set(func() time.Time {
+			polls++
+			if crossAt > 0 && polls >= crossAt {
+				return deadline
+			}
+			return deadline.Add(-time.Minute)
+		})
+		defer restore()
+		ans, st, err := serve()
+		return polls, ans, st, err
+	}
+	level2 := func() (*Answer, Stats, error) {
+		return RecursiveLevel2(ctx, q, matrix.Gammas, colBytes, Exec{Window: 4})
+	}
+	full := func() (*Answer, Stats, error) {
+		answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, colBytes, []*RecursiveQuery{q}, Exec{Window: 4})
+		if err != nil {
+			return nil, stats[0], err
+		}
+		return answers[0], stats[0], nil
+	}
+	l2Polls, want, l2Stats, err := run(0, level2)
+	if err != nil || l2Polls < 4 {
+		t.Fatalf("level 2 alone: %d polls, err %v", l2Polls, err)
+	}
+	fullPolls, got, fullStats, err := run(0, full)
+	if err != nil || fullPolls <= l2Polls {
+		t.Fatalf("full scan: %d polls (level 2 alone %d), err %v", fullPolls, l2Polls, err)
+	}
+	for i := range want.Gammas {
+		if got.Gammas[i].Cmp(want.Gammas[i]) != 0 {
+			t.Fatalf("ciphertext %d: executor and RecursiveLevel2 disagree", i)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		crossAt int
+		serve   func() (*Answer, Stats, error)
+		whole   Stats
+	}{
+		{"RecursiveLevel2", l2Polls / 2, level2, l2Stats},
+		// Level 2 is the tail of the full scan: half its polls from the
+		// end lands inside it.
+		{"executor", fullPolls - l2Polls/2, full, fullStats},
+	} {
+		_, ans, st, err := run(tc.crossAt, tc.serve)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: err %v, want DeadlineExceeded", tc.name, err)
+		}
+		if ans != nil {
+			t.Fatalf("%s: a partial answer came back with the cancellation", tc.name)
+		}
+		if st.ModMuls <= 0 || st.ModMuls >= tc.whole.ModMuls {
+			t.Fatalf("%s: cancelled scan charged %d multiplications, the whole one %d", tc.name, st.ModMuls, tc.whole.ModMuls)
 		}
 	}
 }
@@ -407,7 +648,7 @@ func TestRecursiveTrafficAccounting(t *testing.T) {
 			t.Fatalf("width %d: query vectors %d+%d, want %d+%d", width, len(q.Rows), len(q.Cols), r, c)
 		}
 	}
-	if got, want := k.RecursiveAnswerBytes(4), 64*4*modBytes*modBytes; got != want {
+	if got, want := k.RecursiveAnswerBytes(4), 8*4*modBytes*modBytes; got != want {
 		t.Fatalf("RecursiveAnswerBytes(4) = %d, want %d", got, want)
 	}
 }
@@ -450,5 +691,102 @@ func TestRecursiveOverwideStore(t *testing.T) {
 	}
 	if got := ColumnBytes(bits2); !bytes.Equal(got, make([]byte, 2)) {
 		t.Fatalf("absent block decoded %x, want zeros", got)
+	}
+}
+
+// recursiveBatch builds a batch of recursive queries for spread targets.
+func recursiveBatch(tb testing.TB, k *ClientKey, tag string, nCols, batch int) []*RecursiveQuery {
+	tb.Helper()
+	qs := make([]*RecursiveQuery, batch)
+	for i := range qs {
+		q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("%s-%d", tag, i)), nCols, (i*997+nCols/2)%nCols)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		qs[i] = q
+	}
+	return qs
+}
+
+// BenchmarkRecursiveStore6 is what one frame of a fetch-recursive op
+// scans: six queries over the repository benchmark's store (6,029
+// blocks of 1 KB, grid 155×39) under its 64-bit key, on two workers.
+func BenchmarkRecursiveStore6(b *testing.B) {
+	cols := randomColumns(b, 2, 6029, 1024)
+	qs := recursiveBatch(b, benchmarkKey(b), "bench-rec", 6029, 6)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ProcessColumnsRecursiveMultiExecCtx(context.Background(), cols, 1024, qs, Exec{Workers: 2}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRecursiveLevel2 is level 2 alone at that shape on one worker:
+// a 39-column image of 65,536 bytes re-encrypted a byte per ciphertext.
+func BenchmarkRecursiveLevel2(b *testing.B) {
+	k := benchmarkKey(b)
+	mont, err := NewMont(k.N)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := recursiveBatch(b, k, "bench-l2", 6029, 1)[0]
+	image := randomColumns(b, 3, q.GridCols, 8192*8)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := level2Word(newScanPoll(context.Background()), mont, q.Cols, image, 8192*8, Exec{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeRecursive is one recursive block decode: the 65,536
+// ciphertexts of a 1 KB block under the 64-bit key, then its 8,192
+// level-1 gammas.
+func BenchmarkDecodeRecursive(b *testing.B) {
+	k := benchmarkKey(b)
+	cols := randomColumns(b, 9, 16, 1024)
+	ans, _, err := recursiveOne(cols, 1024, recursiveBatch(b, k, "bench-rdec", 16, 1)[0], Exec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.DecodeRecursive(ans, 1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRecursiveLevel2MatchesDefinition holds the big.Int reference —
+// the oracle of the word kernel — to the definition itself: ciphertext
+// b is Π_gc sel[gc]^(image[gc][b]) mod n, computed here with one
+// big.Int.Exp per factor, on an odd and an even modulus.
+func TestRecursiveLevel2MatchesDefinition(t *testing.T) {
+	const C, imgBytes = 5, 300
+	image := randomColumns(t, 59, C, imgBytes)
+	copy(image[2], make([]byte, 40)) // a run of zero exponents
+	for _, n := range []*big.Int{wordTestKey(t).N, testKey(t).N, evenModulus} {
+		sel := rawQuery(rand.New(rand.NewSource(61)), n, C).Values
+		got, st, err := level2Ref(newScanPoll(context.Background()), n, sel, image, imgBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Gammas) != imgBytes || st.ModMuls != C*254+imgBytes*(C-1) {
+			t.Fatalf("%d ciphertexts, stats %+v", len(got.Gammas), st)
+		}
+		for b, c := range got.Gammas {
+			want := big.NewInt(1)
+			for gc := range image {
+				want.Mul(want, new(big.Int).Exp(sel[gc], big.NewInt(int64(image[gc][b])), n))
+				want.Mod(want, n)
+			}
+			if c.Cmp(want) != 0 {
+				t.Fatalf("modulus %v ciphertext %d: reference %v, definition %v", n, b, c, want)
+			}
+		}
 	}
 }

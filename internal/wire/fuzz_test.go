@@ -368,12 +368,12 @@ func FuzzPIRBatchQuery(f *testing.F) {
 }
 
 // FuzzPIRRecursiveQuery drives the recursive serving path with hostile
-// frames: forged counts, oversized selection vectors, mismatched grid
-// dimensions and truncated bodies must all fail in the decoder or the
-// pir shape validation — never panic, never over-allocate — and bodies
-// that survive are served with two different execution tunings whose
-// gammas must agree (the windowed fast kernel against itself under a
-// different worker/window split).
+// type-23 frames: forged counts, oversized selection vectors,
+// mismatched grid dimensions and truncated bodies must all fail in the
+// decoder or the pir shape validation — never panic, never
+// over-allocate — and bodies that survive are served with two different
+// execution tunings whose ciphertexts must agree (the fast kernels
+// against themselves under a different worker/window split).
 func FuzzPIRRecursiveQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir-rec"), 96)
 	if err != nil {
@@ -455,7 +455,7 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 		}
 		modBytes := (qs[0].N.BitLen() + 7) / 8
 		for i := range qs {
-			want := 8 * sn.BlockSize() * 8 * modBytes
+			want := 8 * sn.BlockSize() * modBytes // one ciphertext per image byte
 			if len(qs[i].Cols) == 0 {
 				want = qs[i].GridCols * 8 * sn.BlockSize()
 			}

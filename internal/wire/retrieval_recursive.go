@@ -11,10 +11,13 @@ import (
 )
 
 // Recursive private retrieval: the client uploads TWO selection
-// vectors of ~√n group elements instead of one per block, and the
-// server answers with the recursively-encrypted block (or, between a
-// cluster router and its partitions, the level-1 gamma matrix). One
-// frame carries a small batch; answers stream back as standard
+// vectors of ~√n group elements instead of one per block — KO residues
+// over the grid rows, byte-symbol encryptions (x^256, y·x^256 at the
+// target) over the grid columns — and the server answers with the
+// recursively-encrypted block, one ciphertext per byte of the level-1
+// answer (or, between a cluster router and its partitions, the level-1
+// gamma matrix). One frame carries a small batch; answers stream back
+// as standard
 // TypePIRBatchResponse frames in batch order, so the answer-side
 // bounds live in one place (DecodePIRAnswer) and a pipelining client
 // reuses its batch reassembly loop unchanged.
@@ -27,17 +30,22 @@ import (
 // shape rather than carried per query — a forged per-query length
 // cannot disagree with the shape the server validates against.
 //
-// Servers that predate this message refuse it with the frozen
+// Servers that predate this message — pre-recursive ones and those of
+// the retired type 22 alike — refuse it with the frozen
 // UnknownTypeRefusal prefix, which is exactly the signal the client's
 // fetch path uses to fall back to flat frames.
 
-// TypePIRRecursiveQuery is the recursive retrieval request (type 22;
-// answers reuse TypePIRBatchResponse).
-const TypePIRRecursiveQuery = 22
+// TypePIRRecursiveQuery is the recursive retrieval request (type 23;
+// answers reuse TypePIRBatchResponse). Type 22 carried the same layout
+// under bit-per-ciphertext semantics — the column vector held KO
+// residues and the answer one gamma per BIT of the level-1 image — and
+// is retired: servers answer it like any unknown type, so its clients
+// fall back to flat frames.
+const TypePIRRecursiveQuery = 23
 
 // MaxPIRRecursiveBatch caps the recursive queries per frame. A
-// recursive answer is 8·blockSize·modBytes gammas — modBytes·8-fold a
-// flat answer — so the recursive cap sits well under MaxPIRBatch to
+// recursive answer is 8·blockSize·modBytes ciphertexts — modBytes-fold
+// a flat answer — so the recursive cap sits well under MaxPIRBatch to
 // bound the response bytes one frame can commit the server to.
 const MaxPIRRecursiveBatch = 16
 

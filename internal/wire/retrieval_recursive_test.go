@@ -125,7 +125,7 @@ func TestPIRRecursiveWriterValidation(t *testing.T) {
 	}
 }
 
-// encodeRecursive hand-rolls a type-22 body for decoder attacks.
+// encodeRecursive hand-rolls a type-23 body for decoder attacks.
 func encodeRecursive(n *big.Int, width, gridCols, offset, span uint64, colMode byte, count uint64, values []*big.Int) []byte {
 	var body []byte
 	body = appendBig(body, n)

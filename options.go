@@ -6,6 +6,7 @@ import (
 	"embellish/internal/benaloh"
 	"embellish/internal/docstore"
 	"embellish/internal/index"
+	"embellish/internal/pir"
 )
 
 // Options configures engine construction.
@@ -109,9 +110,10 @@ type Options struct {
 	// vectors instead of one element per block, and the answer carries
 	// the recursively-encrypted target block. Uploads shrink from n to
 	// at most 3·⌈√n⌉ group elements per fetched block; answers grow by
-	// a factor of 8·|modulus| bytes, and decoded documents are
-	// byte-identical to the flat path. 0 (the default) and 1 enable the
-	// recursive serving path and let local fetches use it; -1 disables
+	// a factor of |modulus| bytes (one ciphertext per byte of the flat
+	// answer), and decoded documents are byte-identical to the flat
+	// path. 0 (the default) and 1 enable the recursive serving path and
+	// let local fetches use it; -1 disables
 	// it — the server refuses recursive frames (clients fall back to
 	// flat queries) and local fetches stay flat. Runtime-only and not
 	// persisted; Engine.ConfigurePIRRecursive retunes a live engine,
@@ -223,8 +225,10 @@ func (o Options) validate() error {
 	if o.BlockSize < 0 || o.BlockSize > docstore.MaxBlockSize {
 		return fmt.Errorf("embellish: BlockSize %d out of range [0, %d]", o.BlockSize, docstore.MaxBlockSize)
 	}
-	if o.RetrievalKeyBits != 0 && o.RetrievalKeyBits < 64 {
-		return fmt.Errorf("embellish: RetrievalKeyBits %d too small for PIR key generation", o.RetrievalKeyBits)
+	if o.RetrievalKeyBits != 0 {
+		if err := pir.CheckKeyBits(o.RetrievalKeyBits); err != nil {
+			return fmt.Errorf("embellish: RetrievalKeyBits: %w", err)
+		}
 	}
 	if err := validatePIRWorkers(o.PIRWorkers); err != nil {
 		return err

@@ -89,8 +89,8 @@ func (e *Engine) storeSnapshot() (*docstore.Snapshot, error) {
 // choice the server never constrains (beyond the wire-protocol
 // ceiling). Must be called before the first fetch.
 func (c *Client) SetRetrievalKeyBits(bits int) error {
-	if bits < 64 {
-		return fmt.Errorf("embellish: RetrievalKeyBits %d too small for PIR key generation", bits)
+	if err := pir.CheckKeyBits(bits); err != nil {
+		return fmt.Errorf("embellish: RetrievalKeyBits: %w", err)
 	}
 	if c.fetchKey != nil {
 		return errors.New("embellish: the PIR key is already generated; set the size before the first fetch")
@@ -157,8 +157,8 @@ func (c *Client) pipelineDepth() int {
 // selection vectors over a sqrt(n) x sqrt(n) grid instead of one flat
 // vector over all n blocks, cutting per-query upload from n to at most
 // 3*ceil(sqrt(n)) group elements at the cost of an answer that is
-// 8*modBytes times larger. The answers decode to byte-identical
-// documents either way.
+// modBytes times larger (one ciphertext per byte of the level-1
+// answer). The answers decode to byte-identical documents either way.
 //
 // Local fetches use the recursive plan only while the engine's
 // PIRRecursive knob allows it (Options.PIRRecursive /
@@ -600,9 +600,10 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 			}
 			if first {
 				if typ == wire.TypeError && strings.HasPrefix(string(body), wire.UnknownTypeRefusal) {
-					// The refusal both pre-recursive servers and a
-					// disabled PIRRecursive knob send for type 22; the
-					// caller falls back to the flat protocol.
+					// The refusal pre-recursive servers, servers of the
+					// retired bit-per-ciphertext type 22 and a disabled
+					// PIRRecursive knob all send for type 23; the caller
+					// falls back to the flat protocol.
 					return fmt.Errorf("%w: %s", errRecursiveUnsupported, body)
 				}
 				first = false
@@ -863,10 +864,6 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, recurs
 		}
 		var bits []bool
 		if recursive {
-			modBytes := (key.N.BitLen() + 7) / 8
-			if want := 64 * params.BlockSize * modBytes; len(ans.Gammas) != want {
-				return fmt.Errorf("embellish: recursive PIR answer has %d rows, want %d", len(ans.Gammas), want)
-			}
 			var derr error
 			bits, derr = key.DecodeRecursive(ans, params.BlockSize)
 			if derr != nil {

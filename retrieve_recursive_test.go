@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"embellish/internal/detrand"
+	"embellish/internal/pir"
+	"embellish/internal/wire"
 )
 
 // fetchAll fetches every live document id in the store world.
@@ -52,7 +55,7 @@ func TestFetchDocumentsRecursiveLocal(t *testing.T) {
 	if recSt.QueryBytes >= flatSt.QueryBytes {
 		t.Fatalf("recursive uploaded %d query bytes, flat %d — no upload win", recSt.QueryBytes, flatSt.QueryBytes)
 	}
-	// The trade: recursive answers are 8*modBytes times wider.
+	// The trade: recursive answers are modBytes times wider.
 	if recSt.AnswerBytes <= flatSt.AnswerBytes {
 		t.Fatalf("recursive answers %d bytes, flat %d — accounting broken", recSt.AnswerBytes, flatSt.AnswerBytes)
 	}
@@ -101,7 +104,7 @@ func TestFetchRecursiveKnobLocal(t *testing.T) {
 	}
 }
 
-// TestFetchDocumentsRecursiveRemote drives type-22 frames over TCP:
+// TestFetchDocumentsRecursiveRemote drives type-23 frames over TCP:
 // byte-identity against direct reads, upload accounting below the flat
 // path, and the server's recursive counters tracking the executions.
 func TestFetchDocumentsRecursiveRemote(t *testing.T) {
@@ -166,9 +169,11 @@ func TestFetchDocumentsRecursiveRemote(t *testing.T) {
 }
 
 // TestFetchRecursiveFallsBackToFlat: a server whose PIRRecursive knob
-// is -1 refuses type 22 with the frozen unknown-type prefix, and the
+// is -1 refuses type 23 with the frozen unknown-type prefix, and the
 // opted-in client transparently retries the whole fetch flat on the
-// same connection — indistinguishable from talking to an old server.
+// same connection — indistinguishable from talking to an old server,
+// pre-recursive or of the retired type 22 (TestRetiredRecursiveType
+// pins that refusal's text from the other side).
 func TestFetchRecursiveFallsBackToFlat(t *testing.T) {
 	e, _, texts := storeWorld(t, 20, 32)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRRecursive: -1})
@@ -221,5 +226,78 @@ func TestFetchRecursiveRemoteCancellation(t *testing.T) {
 	cancel()
 	if _, _, err := c.FetchDocumentsRemoteContext(ctx, conn, fetchAllIDs(20)); err == nil {
 		t.Fatal("cancelled recursive fetch succeeded")
+	}
+}
+
+// TestRetiredRecursiveType: type 22 — the same frame layout under the
+// retired bit-per-ciphertext semantics — reaches no decoder: a server
+// that serves type 23 answers a well-formed type-22 frame from the
+// default branch, with exactly the refusal an old client's fallback
+// matches on, and the connection survives to serve the same body as
+// type 23.
+func TestRetiredRecursiveType(t *testing.T) {
+	e, _, texts := storeWorld(t, 20, 32)
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRRecursive: 1})
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := sn.Params()
+	const doc = 3
+	block := int(params.Exts[doc].First)
+	key, err := pir.GenerateKey(detrand.New("retired-22"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := key.NewRecursiveQuery(detrand.New("retired-22-q"), params.NumBlocks, block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := wire.WritePIRRecursiveQuery(&frame, []*pir.RecursiveQuery{q}); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := wire.ReadMessage(&frame)
+	if err != nil || typ != 23 {
+		t.Fatalf("recursive frame has type %d (err %v), want 23", typ, err)
+	}
+
+	if err := wire.WriteRaw(conn, 22, body); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, rbody, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rtyp != wire.TypeError || string(rbody) != wire.UnknownTypeRefusal+" 22" {
+		t.Fatalf("type 22 answered type %d %q, want the default-branch refusal", rtyp, rbody)
+	}
+	if !strings.HasPrefix(string(rbody), wire.UnknownTypeRefusal) {
+		t.Fatalf("refusal %q lost the frozen prefix", rbody)
+	}
+
+	if err := wire.WriteRaw(conn, wire.TypePIRRecursiveQuery, body); err != nil {
+		t.Fatal(err)
+	}
+	rtyp, rbody, err = wire.ReadMessage(conn)
+	if err != nil || rtyp != wire.TypePIRBatchResponse {
+		t.Fatalf("type 23 after the refusal answered type %d %q (err %v)", rtyp, rbody, err)
+	}
+	_, ans, err := wire.DecodePIRBatchAnswer(rbody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bits, err := key.DecodeRecursive(ans, params.BlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := texts[doc][:min(len(texts[doc]), params.BlockSize)]
+	if got := pir.ColumnBytes(bits)[:len(want)]; string(got) != want {
+		t.Fatalf("first block of document %d over type 23: %q, want %q", doc, got, want)
 	}
 }
