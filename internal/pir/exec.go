@@ -55,7 +55,10 @@ type Exec struct {
 	// Window is the column-group width for the precomputed
 	// subset-product tables: 0 picks a width from the batch shape,
 	// 1 disables grouping (the per-column multiplication pattern of the
-	// oracle), 2..MaxBatchWindow pin the width.
+	// oracle), 2..MaxBatchWindow pin the width and a wider pin is clamped
+	// to MaxBatchWindow. Level 1 of the recursive executor has ONE rule of
+	// its own: a pin in 2..16 is honoured, anything else — 0, 1, wider —
+	// means the shape-only recursiveWindow.
 	Window int
 }
 

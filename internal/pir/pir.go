@@ -444,9 +444,9 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 // exactly when γ_i is a quadratic non-residue. Gammas must be
 // non-negative (the wire decoder's range).
 //
-// The test is the key's cached residue kernel (qrDecoder.qnr), shared
-// with DecodeRecursive. For keys with a one-word p1 it is a single-prime
-// Euler test — exact for every gamma a server can derive from an honest
+// The test is the key's cached residue kernel (qrDecoder.qnrs: four
+// Euler tests in lock step), shared with DecodeRecursive. For keys with
+// a one-word p1 it is a single-prime Euler test — exact for every gamma a server can derive from an honest
 // query (every value sent has equal quadratic character modulo both
 // primes, and products preserve that); a forged gamma may decode to a
 // wrong bit, which is garbage the per-document CRC of the fetch path
@@ -459,9 +459,7 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 func (k *ClientKey) Decode(ans *Answer) []bool {
 	d := k.decoder()
 	bits := make([]bool, len(ans.Gammas))
-	for i, g := range ans.Gammas {
-		bits[i] = d.qnr(k, g)
-	}
+	d.qnrs(k, ans.Gammas, bits)
 	return bits
 }
 

@@ -3,6 +3,7 @@ package pir
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -152,6 +153,34 @@ func RecursiveGrid(width int) (rows, cols int) {
 	return gridRows(width, cols), cols
 }
 
+// maxRecursiveWindow caps the level-1 window at the widest group the
+// shared transposition takes (groupPatterns16).
+const maxRecursiveWindow = 16
+
+// recursiveWindow sizes level 1's grid-row window from the shape alone:
+// the w <= 16 minimising the products one query costs,
+//
+//	⌈R/w⌉ · (workers·2^(w+1) + C·rows)
+//
+// — per group, every worker builds its own 2^w-entry subset table (two
+// products an entry) and every cell of the C×rows matrix takes one fold.
+// The flat scan's optimum does not carry over: there a group's table
+// serves one fold per row, here it serves C of them, so the build
+// amortises over C·rows products and the window goes wider (13 at the
+// repository benchmark's 155×39 grid of 8,192-row blocks, where the flat
+// scan caps at 10). No statistics, no option: decided by shape.
+func recursiveWindow(R, C, rows, workers int) int {
+	best, bestCost := 1, int64(math.MaxInt64)
+	for w := 1; w <= min(maxRecursiveWindow, R); w++ {
+		groups := int64((R + w - 1) / w)
+		cost := groups * (int64(workers)<<(w+1) + int64(C)*int64(rows))
+		if cost < bestCost {
+			best, bestCost = w, cost
+		}
+	}
+	return best
+}
+
 // NewRecursiveQuery builds a query retrieving block target out of
 // width blocks, under the RecursiveGrid shape. Rows is a KO bit vector:
 // QR everywhere except a Jacobi-(+1) QNR at the target's grid row. Cols
@@ -208,10 +237,11 @@ func validateRecursiveShape(q *RecursiveQuery) error {
 // column gc falls inside the served window [off, off+w): cell (g, gc)
 // is global block g·C+gc. Present cells are always one contiguous run
 // per (group, grid column) — the window is an interval and g·C+gc is
-// monotone in g — which is what lets the scan use the fast whole-group
-// path when the run covers the group and skip absent cells entirely
-// (contributing the multiplicative identity, NOT a square: identity is
-// what makes partition partials combine to the single-process matrix).
+// monotone in g — so the scan folds a subset table over exactly the run
+// and absent cells contribute the multiplicative identity (NOT a square:
+// identity is what makes partition partials combine to the
+// single-process matrix). Both ends of the run are non-increasing in gc,
+// so one group sees at most three distinct runs across the grid columns.
 func presentRange(g0, g1, gc, C, off, w int) (int, int) {
 	if w <= 0 {
 		return 0, 0
@@ -321,9 +351,9 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 	mont, _ := NewMont(q0.N)
 	if mont != nil && mont.Words() == 1 {
 		// Chunk the batch so at most ~128 MiB of gamma matrices (one
-		// word per cell, plus the serialized level-2 image) are live at
-		// once; within a chunk level 1 runs all queries in one pass.
-		perQuery := int64(C) * int64(rows) * 16
+		// word per cell) are live at once; within a chunk level 1 runs
+		// all queries in one pass.
+		perQuery := int64(C) * int64(rows) * 8
 		live := int((128 << 20) / (perQuery + 1))
 		if live < 1 {
 			live = 1
@@ -402,43 +432,20 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		}
 	}
 
-	// One gamma matrix per query, grid-column-major: cell gc·rows+r.
-	mat := make([][]big.Word, k)
-	for i := range mat {
-		mat[i] = make([]big.Word, C*rows)
-	}
-
+	workers := min(max(ex.Workers, 1), C)
 	win := ex.Window
-	if win <= 0 || win > MaxBatchWindow {
-		// Unlike the flat batch there is no window trade-off to model:
-		// one group's tables serve ALL gridCols folds, so the widest
-		// window always wins.
-		win = MaxBatchWindow
+	if win < 2 || win > maxRecursiveWindow {
+		win = recursiveWindow(R, C, rows, workers)
 	}
-	if win > R {
-		win = R
-	}
-	groups := (R + win - 1) / win
-	workers := ex.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > C {
-		workers = C
-	}
+	win = min(win, R)
 
-	// Outside partition mode every query's matrix is also laid out as
-	// its level-2 image; each worker serializes the grid columns it
-	// scanned.
-	modBytes := (qs[0].N.BitLen() + 7) / 8
-	var images [][][]byte
-	if len(qs[0].Cols) != 0 {
-		images = make([][][]byte, k)
-		for i := range images {
-			images[i] = make([][]byte, C)
-		}
-	}
-
+	// One gamma matrix per query in one slab, grid-column-major: query
+	// i's cell (gc, r) is mat[(i·C+gc)·rows+r]. Level 1 leaves it in
+	// Montgomery form and each worker then takes its own grid columns out
+	// of form in place — the canonical cells ARE the level-2 image (read
+	// a byte at a time, most significant first), so no serialized copy is
+	// ever made.
+	mat := make([]big.Word, k*C*rows)
 	parts := make([]recursivePartial, workers)
 	var wg sync.WaitGroup
 	for wk := 0; wk < workers; wk++ {
@@ -447,9 +454,9 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		wg.Add(1)
 		go func(part *recursivePartial, c0, c1 int) {
 			defer wg.Done()
-			*part = recursiveLevel1Word(poll, cols, colBytes, sh, win, groups, nW, ninv, oneM, mv1, msq1, mat, c0, c1)
-			if part.err == nil && images != nil {
-				imageColumns(poll, mat, images, c0, c1, rows, modBytes, nW, ninv, part)
+			*part = recursiveLevel1Word(poll, cols, colBytes, sh, win, nW, ninv, oneM, mv1, msq1, mat, c0, c1)
+			if part.err == nil {
+				canonicalColumns(poll, mat, C, c0, c1, rows, nW, ninv, part)
 			}
 		}(&parts[wk], c0, c1)
 	}
@@ -469,23 +476,16 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 		return cancelErr
 	}
 
+	modBytes := (qs[0].N.BitLen() + 7) / 8
 	for i, q := range qs {
-		if images == nil {
-			// Partition mode: the canonical matrix itself is the
-			// answer, one FromMont multiplication per cell.
-			gammas := make([]*big.Int, C*rows)
-			for idx := range gammas {
-				if idx&(cancelCheckRows-1) == 0 && poll.stopped() {
-					return poll.err()
-				}
-				gammas[idx] = new(big.Int).SetUint64(uint64(montMulWord(uint(mat[i][idx]), 1, nW, ninv)))
-			}
-			outSt[i].ModMuls += C * rows
-			outSt[i].TableMuls += C * rows
-			outAns[i] = &Answer{Gammas: gammas}
+		cells := mat[i*C*rows : (i+1)*C*rows]
+		if len(q.Cols) == 0 {
+			// Partition mode: the canonical matrix itself is the answer,
+			// its words the gammas' own.
+			outAns[i] = &Answer{Gammas: wordGammas(cells)}
 			continue
 		}
-		ans2, st2, err := level2Word(poll, mont, q.Cols, images[i], rows*modBytes, ex)
+		ans2, st2, err := level2Word(poll, mont, q.Cols, cells, rows, modBytes, ex)
 		outSt[i].ModMuls += st2.ModMuls
 		outSt[i].TableMuls += st2.TableMuls
 		if err != nil {
@@ -496,40 +496,51 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 	return nil
 }
 
-// imageColumns serializes grid columns [c0, c1) of every query's gamma
-// matrix into its level-2 image: each cell out of Montgomery form
-// straight into its fixed-width big-endian slot, one multiplication per
-// cell.
-func imageColumns(poll *scanPoll, mat [][]big.Word, images [][][]byte, c0, c1, rows, modBytes int, nW, ninv uint, p *recursivePartial) {
-	for i := range images {
-		for gc := c0; gc < c1; gc++ {
-			buf := make([]byte, rows*modBytes)
-			for r, cell := range mat[i][gc*rows : (gc+1)*rows] {
-				if r&(cancelCheckRows-1) == 0 && poll.stopped() {
-					p.err = poll.err()
-					return
-				}
-				v := montMulWord(uint(cell), 1, nW, ninv)
-				slot := buf[r*modBytes : (r+1)*modBytes]
-				for b := modBytes - 1; b >= 0; b-- {
-					slot[b] = byte(v)
-					v >>= 8
-				}
+// wordGammas hands a slab of canonical one-word residues out as gammas:
+// one big.Int header slab over the words themselves, no copy.
+func wordGammas(words []big.Word) []*big.Int {
+	ints := make([]big.Int, len(words))
+	gammas := make([]*big.Int, len(words))
+	for i := range words {
+		gammas[i] = ints[i].SetBits(words[i : i+1 : i+1])
+	}
+	return gammas
+}
+
+// canonicalColumns takes grid columns [c0, c1) of every query's gamma
+// matrix out of Montgomery form in place, one multiplication per cell,
+// polled between runs of cancelCheckRows cells like the fold.
+func canonicalColumns(poll *scanPoll, mat []big.Word, C, c0, c1, rows int, nW, ninv uint, p *recursivePartial) {
+	for i := range p.muls {
+		cells := mat[(i*C+c0)*rows : (i*C+c1)*rows]
+		for r0 := 0; r0 < len(cells); r0 += cancelCheckRows {
+			if poll.stopped() {
+				p.err = poll.err()
+				return
 			}
-			images[i][gc] = buf
-			p.muls[i] += rows
-			p.tableMuls[i] += rows
+			run := cells[r0:min(r0+cancelCheckRows, len(cells))]
+			for r, cell := range run {
+				run[r] = big.Word(montMulWordSel(uint(cell), 1, nW, ninv))
+			}
+			p.muls[i] += len(run)
+			p.tableMuls[i] += len(run)
 		}
 	}
 }
 
 // recursiveLevel1Word is one worker's level-1 scan over grid columns
-// [c0, c1): group-major over grid-row windows, with the group's subset
-// tables (built once per group per query, shared by every grid column
-// in the range) folded through one transposed pattern buffer per grid
-// column. Absent cells — outside the served window — are skipped;
-// grid columns no present cell ever touches come out as identity.
-func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShape, win, groups int, nW, ninv uint, oneM big.Word, mv1, msq1 [][]big.Word, mat [][]big.Word, c0, c1 int) recursivePartial {
+// [c0, c1): group-major over grid-row windows of win rows. Per (group,
+// grid column) the present grid rows are one run [lo, hi) (presentRange):
+// the whole group everywhere but at the edges of the served window. The
+// worker keeps the subset tables of ONE run per query — built when the
+// run changes, which both ends being monotone in gc bounds at three
+// builds per group, one in the interior — and every grid column folds
+// them through its transposed pattern buffer. A window edge is therefore
+// a smaller table, not a different loop: absent cells contribute the
+// identity by being left out of the table, and no product, load or
+// branch of the scan depends on a stored bit. Grid columns no present
+// cell ever touches come out as identity.
+func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShape, win int, nW, ninv uint, oneM big.Word, mv1, msq1 [][]big.Word, mat []big.Word, c0, c1 int) recursivePartial {
 	k := len(mv1)
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
 	off, w := sh.offset, sh.window
@@ -546,95 +557,50 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 	sub := make([][]byte, win)
 	tbl := make([]big.Word, k<<win)
 	inited := make([]bool, c1-c0)
-	for gi := 0; gi < groups; gi++ {
+	for g0 := 0; g0 < R; g0 += win {
 		if stop() {
 			return p
 		}
-		g0 := gi * win
-		g1 := g0 + win
-		if g1 > R {
-			g1 = R
-		}
-		gw := g1 - g0
-		tblBuilt := false
+		g1 := min(g0+win, R)
+		tblLo, tblHi := 0, 0 // the run the tables hold; none yet
 		for gc := c0; gc < c1; gc++ {
 			lo, hi := presentRange(g0, g1, gc, C, off, w)
 			if lo >= hi {
 				continue
 			}
-			gcl := gc - c0
-			if lo == g0 && hi == g1 {
-				// Whole group present: the fast transposed-fold path.
-				if !tblBuilt {
-					// The flat scan's table build. Each worker builds
-					// its own copy — duplicated table multiplications
-					// are counted where they are performed, and at
-					// ≤ 2^win entries they vanish next to the
-					// rows·gridCols folds they serve.
-					for i := 0; i < k; i++ {
-						wordTable(tbl[i<<win:], mv1[i][g0:g1], msq1[i][g0:g1], nW, ninv)
-						p.muls[i] += 2 * (1<<gw - 2)
-						p.tableMuls[i] += 2 * (1<<gw - 2)
-					}
-					tblBuilt = true
-				}
-				for t := 0; t < gw; t++ {
-					sub[t] = cols[(g0+t)*C+gc-off]
-				}
-				groupPatterns16(sub[:gw], 0, gw, colBytes, pats)
-				// First touch: the accumulator IS the table entry (the
-				// 1·v first step), no multiplication.
-				first := !inited[gcl]
+			if lo != tblLo || hi != tblHi {
+				// The flat scan's table build, over the run. Each worker
+				// builds its own copy — table multiplications are counted
+				// where they are performed, so the counts are a function
+				// of shape, window and worker count only.
 				for i := 0; i < k; i++ {
-					a := mat[i][gc*rows : (gc+1)*rows]
-					for r0 := 0; r0 < rows; r0 += cancelCheckRows {
-						if !first && stop() {
-							return p
-						}
-						r1 := min(r0+cancelCheckRows, rows)
-						wordFold(a[r0:r1], tbl[i<<win:], pats[r0:r1], first, nW, ninv)
-						if !first {
-							p.muls[i] += r1 - r0
-						}
-					}
+					wordTable(tbl[i<<win:], mv1[i][lo:hi], msq1[i][lo:hi], nW, ninv)
+					p.muls[i] += 2 * (1<<(hi-lo) - 2)
+					p.tableMuls[i] += 2 * (1<<(hi-lo) - 2)
 				}
-				inited[gcl] = true
-				continue
+				tblLo, tblHi = lo, hi
 			}
-			// Partial run (window edge): per-cell multiplication over
-			// just the present grid rows. Rare — at most two groups per
-			// grid column — so the table detour is not worth taking.
-			if !inited[gcl] {
-				for i := 0; i < k; i++ {
-					a := mat[i][gc*rows : (gc+1)*rows]
-					for r := range a {
-						a[r] = oneM
-					}
-				}
-				inited[gcl] = true
+			for t := range sub[:hi-lo] {
+				sub[t] = cols[(lo+t)*C+gc-off]
 			}
-			for g := lo; g < hi; g++ {
-				if stop() {
-					return p
-				}
-				col := cols[g*C+gc-off]
-				for i := 0; i < k; i++ {
-					a := mat[i][gc*rows : (gc+1)*rows]
-					vw, sw := uint(mv1[i][g]), uint(msq1[i][g])
-					for r := 0; r < rows; r++ {
-						if r&(cancelCheckRows-1) == 0 && stop() {
-							p.muls[i] += r
-							return p
-						}
-						if col[r>>3]&(1<<(7-uint(r)&7)) != 0 {
-							a[r] = big.Word(montMulWordSel(uint(a[r]), vw, nW, ninv))
-						} else {
-							a[r] = big.Word(montMulWordSel(uint(a[r]), sw, nW, ninv))
-						}
+			groupPatterns16(sub, 0, hi-lo, colBytes, pats)
+			// First touch: the accumulator IS the table entry (the
+			// 1·v first step), no multiplication.
+			first := !inited[gc-c0]
+			for i := 0; i < k; i++ {
+				a := mat[(i*C+gc)*rows : (i*C+gc+1)*rows]
+				for r0 := 0; r0 < rows; r0 += cancelCheckRows {
+					if !first && stop() {
+						return p
 					}
-					p.muls[i] += rows
+					r1 := min(r0+cancelCheckRows, rows)
+					wordFold(a[r0:r1], tbl[i<<win:], pats[r0:r1], first, nW, ninv)
+					if !first {
+						p.muls[i] += r1 - r0
+					}
 				}
 			}
+			inited[gc-c0] = true
 		}
 	}
 	// Grid columns with no present cell at all (partition slices, or a
@@ -644,7 +610,7 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 			continue
 		}
 		for i := 0; i < k; i++ {
-			a := mat[i][gc*rows : (gc+1)*rows]
+			a := mat[(i*C+gc)*rows : (i*C+gc+1)*rows]
 			for r := range a {
 				a[r] = oneM
 			}
@@ -691,20 +657,26 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 	return ans2, st, nil
 }
 
+// imageCell returns the value a matrix cell contributes to the level-2
+// image: the cell itself, or — defensively, matching the flat paths'
+// tolerance — its residue when it is negative or would not fit its
+// modBytes-wide slot.
+func imageCell(g, n *big.Int, modBytes int) *big.Int {
+	if g.Sign() < 0 || g.BitLen() > 8*modBytes {
+		return new(big.Int).Mod(g, n)
+	}
+	return g
+}
+
 // matrixImage lays a level-1 gamma matrix (grid-column-major) out as
-// the level-2 image: per grid column, its rows gammas as fixed-width
-// big-endian bytes. Out-of-range cells are reduced defensively,
-// matching the flat paths' tolerance.
+// the level-2 image the reference serves from: per grid column, its rows
+// gammas as fixed-width big-endian bytes.
 func matrixImage(matrix []*big.Int, n *big.Int, C, rows, modBytes int) [][]byte {
 	image := make([][]byte, C)
 	for gc := range image {
 		buf := make([]byte, rows*modBytes)
 		for r := 0; r < rows; r++ {
-			g := matrix[gc*rows+r]
-			if g.Sign() < 0 || g.BitLen() > 8*modBytes {
-				g = new(big.Int).Mod(g, n)
-			}
-			g.FillBytes(buf[r*modBytes : (r+1)*modBytes])
+			imageCell(matrix[gc*rows+r], n, modBytes).FillBytes(buf[r*modBytes : (r+1)*modBytes])
 		}
 		image[gc] = buf
 	}
@@ -734,12 +706,17 @@ func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, 
 	if int64(rows)*int64(modBytes) > maxRecursiveCells {
 		return nil, Stats{}, errRecursiveCells
 	}
-	image := matrixImage(matrix, q.N, C, rows, modBytes)
 	poll := newScanPoll(ctx)
 	if mont, _ := NewMont(q.N); mont != nil && mont.Words() == 1 {
-		return level2Word(poll, mont, q.Cols, image, rows*modBytes, ex)
+		cells := make([]big.Word, len(matrix))
+		for i, g := range matrix {
+			if w := imageCell(g, q.N, modBytes).Bits(); len(w) == 1 {
+				cells[i] = w[0]
+			}
+		}
+		return level2Word(poll, mont, q.Cols, cells, rows, modBytes, ex)
 	}
-	return level2Ref(poll, q.N, q.Cols, image, rows*modBytes)
+	return level2Ref(poll, q.N, q.Cols, matrixImage(matrix, q.N, C, rows, modBytes), rows*modBytes)
 }
 
 // level2TileBytes is how many image bytes one level-2 tile covers: a
@@ -747,21 +724,27 @@ func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, 
 // image column is folded into them.
 const level2TileBytes = 2048
 
-// level2Word is the packed level 2 on the one-word kernel. The image is
-// C columns of imgBytes bytes; the answer is imgBytes ciphertexts,
-// c_b = Π_gc sel[gc]^(image[gc][b]). Per column the 256 powers
-// sel[gc]^v are tabulated once, and every (byte, column) pair is then
-// one table look-up and one product — C per ciphertext with the
-// conversion out, no bit transposition and no exponent loop.
+// level2Word is the packed level 2 on the one-word kernel. cells is the
+// canonical gamma matrix, C grid columns of rows one-word cells; the
+// image it stands for — each cell's modBytes big-endian bytes — is never
+// laid out whole: a worker serializes one tile's stretch of a column
+// (putCells) as it folds it. The answer is rows·modBytes ciphertexts,
+// c_b = Π_gc sel[gc]^(byte b of column gc). Per column the 256 powers
+// sel[gc]^v are tabulated once, and every (byte, column) pair is then one
+// table look-up and one product — C per ciphertext with the conversion
+// out, no bit transposition and no exponent loop.
 //
-// The image is cut into tiles of level2TileBytes and the TILES are split
-// across ex.Workers, each ciphertext computed whole by one worker — no
-// per-row merge. The tables are indexed by database bytes only and every
+// The image is cut into tiles of about level2TileBytes (whole cells) and
+// the TILES are split across ex.Workers, each ciphertext computed whole
+// by one worker — no per-row merge; a tile takes its image columns two
+// per pass, halving the accumulator loads and stores of the same C−1
+// products. The tables are indexed by database bytes only and every
 // look-up multiplies (the power 0 is the identity, multiplied like any
 // other), so the multiplication count is a function of the shape alone.
-func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, image [][]byte, imgBytes int, ex Exec) (*Answer, Stats, error) {
+func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, rows, modBytes int, ex Exec) (*Answer, Stats, error) {
 	nW, ninv := uint(mont.n[0]), uint(mont.n0inv)
-	C := len(image)
+	C := len(sel)
+	imgBytes := rows * modBytes
 	var st Stats
 
 	// pow[gc][v] = sel[gc]^v, in Montgomery form: one conversion in and
@@ -783,9 +766,8 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, image [][]byte, imgB
 	}
 
 	out := make([]big.Word, imgBytes)
-	ints := make([]big.Int, imgBytes)
-	gammas := make([]*big.Int, imgBytes)
-	tiles := (imgBytes + level2TileBytes - 1) / level2TileBytes
+	tileCells := max(level2TileBytes/modBytes, 1)
+	tiles := (rows + tileCells - 1) / tileCells
 	workers := min(max(ex.Workers, 1), tiles)
 	muls := make([]int, workers)
 	errs := make([]error, workers)
@@ -794,33 +776,44 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, image [][]byte, imgB
 		wg.Add(1)
 		go func(wk int) {
 			defer wg.Done()
+			// The tile's stretch of two image columns, serialized as it
+			// is needed: the only form the image ever takes.
+			var img, img2 [level2TileBytes]byte
 			for tile := wk * tiles / workers; tile < (wk+1)*tiles/workers; tile++ {
-				b0 := tile * level2TileBytes
-				b1 := min(b0+level2TileBytes, imgBytes)
+				r0 := tile * tileCells
+				r1 := min(r0+tileCells, rows)
 				// The tile's slice of the answer slab is its accumulator.
 				// The first column's power IS the accumulator: no
 				// multiplication.
-				acc := out[b0:b1]
-				for b, v := range image[0][b0:b1] {
-					acc[b] = pow[0][v]
+				acc := out[r0*modBytes : r1*modBytes]
+				col := putCells(img[:], cells[r0:r1], modBytes)
+				for b := range acc {
+					acc[b] = pow[0][col[b]]
 				}
-				for gc := 1; gc < C; gc++ {
+				for gc := 1; gc < C; gc += 2 {
 					if poll.stopped() {
-						muls[wk] += (b1 - b0) * (gc - 1)
+						muls[wk] += len(acc) * (gc - 1)
 						errs[wk] = poll.err()
 						return
 					}
-					col := image[gc][b0:b1]
-					t := &pow[gc]
+					col, t := putCells(img[:], cells[gc*rows+r0:gc*rows+r1], modBytes), &pow[gc]
+					if gc+1 == C {
+						// An even C leaves one column for a pass of its own.
+						for b := range acc {
+							acc[b] = big.Word(montMulWordSel(uint(acc[b]), uint(t[col[b]]), nW, ninv))
+						}
+						break
+					}
+					col2, t2 := putCells(img2[:], cells[(gc+1)*rows+r0:(gc+1)*rows+r1], modBytes), &pow[gc+1]
 					for b := range acc {
-						acc[b] = big.Word(montMulWordSel(uint(acc[b]), uint(t[col[b]]), nW, ninv))
+						x := montMulWordSel(uint(acc[b]), uint(t[col[b]]), nW, ninv)
+						acc[b] = big.Word(montMulWordSel(x, uint(t2[col2[b]]), nW, ninv))
 					}
 				}
-				for b := range acc {
-					acc[b] = big.Word(montMulWordSel(uint(acc[b]), 1, nW, ninv))
-					gammas[b0+b] = ints[b0+b].SetBits(acc[b : b+1 : b+1])
+				for b, a := range acc {
+					acc[b] = big.Word(montMulWordSel(uint(a), 1, nW, ninv))
 				}
-				muls[wk] += (b1 - b0) * C
+				muls[wk] += len(acc) * C
 			}
 		}(wk)
 	}
@@ -836,7 +829,28 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, image [][]byte, imgB
 		return nil, st, cancelErr
 	}
 	st.TableMuls += imgBytes // the conversions out
-	return &Answer{Gammas: gammas}, st, nil
+	return &Answer{Gammas: wordGammas(out)}, st, nil
+}
+
+// putCells serializes canonical one-word cells into consecutive
+// modBytes-wide big-endian slots of buf and returns the bytes written. A
+// word-wide modulus — every 64-bit key — stores whole words.
+func putCells(buf []byte, cells []big.Word, modBytes int) []byte {
+	buf = buf[:len(cells)*modBytes]
+	if modBytes == 8 {
+		for r, cell := range cells {
+			binary.BigEndian.PutUint64(buf[r*8:r*8+8], uint64(cell))
+		}
+		return buf
+	}
+	for r, cell := range cells {
+		slot := buf[r*modBytes : (r+1)*modBytes]
+		for b := modBytes - 1; b >= 0; b-- {
+			slot[b] = byte(cell)
+			cell >>= 8
+		}
+	}
+	return buf
 }
 
 // level2Ref is the packed level 2 in big.Int, for every modulus the

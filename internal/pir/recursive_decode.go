@@ -28,7 +28,9 @@ import (
 //     a montMulWord square-and-multiply chain with the prime and its
 //     folding constant in registers, fed by a bits.Div word-fold
 //     reduction of the gamma. The chain's length is the exponent's, not
-//     the gamma's: a 0-bit and a 1-bit cost the same;
+//     the gamma's: a 0-bit and a 1-bit cost the same — and four chains
+//     run in lock step (powWords), because one chain is dependent
+//     products end to end and leaves the multiplier idle between them;
 //   - byte symbols at level 2. A level-2 ciphertext is y^m·x^256 for a
 //     byte m (ClientKey.y); raising it to (p1−1)/256 modulo p1 kills
 //     x^256 (Fermat) and leaves D^m, D = y^((p1−1)/256) of order
@@ -53,12 +55,27 @@ type qrDecoder struct {
 
 	// The level-2 symbol table, present when the key has a packing
 	// element: D^m → m for the 256 powers of D, keyed by the power in
-	// Montgomery form (word kernel, exponent e8 = (p1−1)/256) or by its
-	// big-endian bytes (wide keys, exponent e8Big).
+	// Montgomery form (word kernel, exponent e8 = (p1−1)/256: an
+	// open-addressed table, two slots per power) or by its big-endian
+	// bytes (wide keys, exponent e8Big).
 	e8     uint
-	sym    map[uint]uint8
+	sym    [2 << packBits]symSlot
 	e8Big  *big.Int
 	symBig map[string]uint8
+}
+
+// symSlot is one slot of the word decoder's symbol table: a power of D
+// in Montgomery form and the byte it stands for, plus one — zero marks
+// the slot empty.
+type symSlot struct {
+	pow uint
+	m1  uint16
+}
+
+// symHome is the slot a power's probe sequence starts at: the top bits of
+// a Fibonacci hash.
+func symHome(pow uint) uint {
+	return uint(uint64(pow) * 0x9e3779b97f4a7c15 >> (64 - packBits - 1))
 }
 
 // decoder returns the key's cached residue-test kernel, building it on
@@ -79,10 +96,13 @@ func (k *ClientKey) decoder() *qrDecoder {
 	if k.y != nil {
 		if d.word {
 			d.e8 = d.e >> (packBits - 1)
-			d.sym = make(map[uint]uint8, 1<<packBits)
 			dm := d.powWord(uint(new(big.Int).Mod(k.y, k.p1).Uint64()), d.e8)
 			for m, pw := 0, d.pone; m < 1<<packBits; m++ {
-				d.sym[pw] = uint8(m)
+				at := symHome(pw)
+				for d.sym[at].m1 != 0 {
+					at = (at + 1) % uint(len(d.sym))
+				}
+				d.sym[at] = symSlot{pow: pw, m1: uint16(m) + 1}
 				pw = montMulWord(pw, dm, d.p, d.pinv)
 			}
 		} else {
@@ -112,6 +132,23 @@ func (d *qrDecoder) modP(g *big.Int) uint {
 	return r
 }
 
+// modPBytes is modP of a big-endian magnitude — a fixed-width gamma of
+// the level-1 image, read without a big.Int in between.
+func (d *qrDecoder) modPBytes(b []byte) uint {
+	const wordBytes = bits.UintSize / 8
+	var r uint
+	for len(b) > 0 {
+		n := (len(b)-1)%wordBytes + 1 // the short word, if any, leads
+		var w uint
+		for _, c := range b[:n] {
+			w = w<<8 | uint(c)
+		}
+		_, r = bits.Div(r, w, d.p)
+		b = b[n:]
+	}
+	return r
+}
+
 // powWord returns r^e mod p1 in Montgomery form for a canonical r: one
 // square-and-multiply chain whose length is the exponent's.
 func (d *qrDecoder) powWord(r, e uint) uint {
@@ -126,21 +163,110 @@ func (d *qrDecoder) powWord(r, e uint) uint {
 	return res
 }
 
-// qnr reports whether g is a quadratic non-residue — the bit value —
-// using the single-prime shortcut when the kernel applies. g must be
-// non-negative.
-func (d *qrDecoder) qnr(k *ClientKey, g *big.Int) bool {
+// powLanes is how many residues powWords raises in lock step.
+const powLanes = 4
+
+// powWords replaces every canonical residue of rs by its e-th power in
+// Montgomery form — powWord, four residues at a time through ONE
+// square-and-multiply loop. One chain is a string of dependent products,
+// each waiting out the multiplier's latency; four independent chains
+// overlap in it. The loop's only branch is on the bits of e, which is the
+// key's (the Euler exponent, or (p1−1)/256) and the same for every lane:
+// nothing branches on a residue, so a chain still costs what the exponent
+// costs. A tail shorter than four goes through powWord.
+func (d *qrDecoder) powWords(rs []uint, e uint) {
+	p, pinv := d.p, d.pinv
+	top := bits.Len(e) - 1
+	for ; len(rs) >= powLanes; rs = rs[powLanes:] {
+		x0 := montMulWord(rs[0], d.prr, p, pinv)
+		x1 := montMulWord(rs[1], d.prr, p, pinv)
+		x2 := montMulWord(rs[2], d.prr, p, pinv)
+		x3 := montMulWord(rs[3], d.prr, p, pinv)
+		a0, a1, a2, a3 := d.pone, d.pone, d.pone, d.pone
+		for i := top; i >= 0; i-- {
+			a0 = montMulWord(a0, a0, p, pinv)
+			a1 = montMulWord(a1, a1, p, pinv)
+			a2 = montMulWord(a2, a2, p, pinv)
+			a3 = montMulWord(a3, a3, p, pinv)
+			if e&(1<<uint(i)) != 0 {
+				a0 = montMulWord(a0, x0, p, pinv)
+				a1 = montMulWord(a1, x1, p, pinv)
+				a2 = montMulWord(a2, x2, p, pinv)
+				a3 = montMulWord(a3, x3, p, pinv)
+			}
+		}
+		rs[0], rs[1], rs[2], rs[3] = a0, a1, a2, a3
+	}
+	for i, r := range rs {
+		rs[i] = d.powWord(r, e)
+	}
+}
+
+// powChunks is the decoders' common loop over the lanes: it stages the
+// n residues residue(0) … residue(n−1) a stack buffer at a time, raises
+// each bufferful to e (powWords) and hands every power, in order, to use.
+// It returns −1, or the first index use refused — where it stops.
+func (d *qrDecoder) powChunks(n int, e uint, residue func(i int) uint, use func(i int, pow uint) bool) int {
+	var rs [256]uint
+	for lo := 0; lo < n; lo += len(rs) {
+		chunk := rs[:min(len(rs), n-lo)]
+		for j := range chunk {
+			chunk[j] = residue(lo + j)
+		}
+		d.powWords(chunk, e)
+		for j, pow := range chunk {
+			if !use(lo+j, pow) {
+				return lo + j
+			}
+		}
+	}
+	return -1
+}
+
+// qnrs reports, per gamma, whether it is a quadratic non-residue — the
+// bit value — by the single-prime Euler test through the lanes when the
+// kernel applies: r^e is ±1 for a unit and 0 for a multiple of p1 (not 1,
+// as isQR's Exp(g, e1, p1) = 0 is not), compared in form against pone.
+// Gammas must be non-negative.
+func (d *qrDecoder) qnrs(k *ClientKey, gammas []*big.Int, out []bool) {
 	if !d.word {
-		return !k.isQR(g)
+		for i, g := range gammas {
+			out[i] = !k.isQR(g)
+		}
+		return
 	}
-	r := d.modP(g)
-	if r == 0 {
-		// Not a unit mod p1: Exp(g, e1, p1) = 0 ≠ 1, so isQR is false.
-		return true
+	d.powChunks(len(gammas), d.e,
+		func(i int) uint { return d.modP(gammas[i]) },
+		func(i int, pow uint) bool { out[i] = pow != d.pone; return true })
+}
+
+// imageQNRs is qnrs over the level-1 image: len(out) gammas of modBytes
+// big-endian bytes each.
+func (d *qrDecoder) imageQNRs(k *ClientKey, image []byte, modBytes int, out []bool) {
+	if !d.word {
+		g := new(big.Int)
+		for r := range out {
+			out[r] = !k.isQR(g.SetBytes(image[r*modBytes : (r+1)*modBytes]))
+		}
+		return
 	}
-	// r^e = ±1 for units (Euler), and comparing in form against pone
-	// avoids converting out.
-	return d.powWord(r, d.e) != d.pone
+	d.powChunks(len(out), d.e,
+		func(r int) uint { return d.modPBytes(image[r*modBytes : (r+1)*modBytes]) },
+		func(r int, pow uint) bool { out[r] = pow != d.pone; return true })
+}
+
+// symbolOf looks a Montgomery-form power up in the word decoder's table.
+// The table is half empty, so a probe for a value that is no power of D
+// ends at an empty slot.
+func (d *qrDecoder) symbolOf(pow uint) (m uint8, ok bool) {
+	for at := symHome(pow); ; at = (at + 1) % uint(len(d.sym)) {
+		switch s := d.sym[at]; {
+		case s.m1 == 0:
+			return 0, false
+		case s.pow == pow:
+			return uint8(s.m1 - 1), true
+		}
+	}
 }
 
 // symbol reads the byte a level-2 ciphertext carries. The exponent
@@ -153,8 +279,27 @@ func (d *qrDecoder) symbol(k *ClientKey, c *big.Int) (m uint8, ok bool) {
 		m, ok = d.symBig[string(new(big.Int).Exp(c, d.e8Big, k.p1).Bytes())]
 		return m, ok
 	}
-	m, ok = d.sym[d.powWord(d.modP(c), d.e8)]
-	return m, ok
+	return d.symbolOf(d.powWord(d.modP(c), d.e8))
+}
+
+// symbols is symbol over a run of ciphertexts, through the lanes when the
+// kernel applies: it fills raw and returns −1, or returns the position of
+// the FIRST ciphertext outside the symbol subgroup (raw is then
+// unspecified).
+func (d *qrDecoder) symbols(k *ClientKey, cts []*big.Int, raw []byte) int {
+	if !d.word {
+		for i, c := range cts {
+			m, ok := d.symbol(k, c)
+			if !ok {
+				return i
+			}
+			raw[i] = m
+		}
+		return -1
+	}
+	return d.powChunks(len(cts), d.e8,
+		func(i int) uint { return d.modP(cts[i]) },
+		func(i int, pow uint) (ok bool) { raw[i], ok = d.symbolOf(pow); return ok })
 }
 
 // AnswerLengthError is DecodeRecursive's refusal of an answer that does
@@ -199,15 +344,10 @@ func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 	var mu sync.Mutex
 	bad := len(raw) // the first undecryptable ciphertext, across workers
 	parallelRanges(len(raw), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			m, ok := d.symbol(k, ans.Gammas[i])
-			if !ok {
-				mu.Lock()
-				bad = min(bad, i)
-				mu.Unlock()
-				return
-			}
-			raw[i] = m
+		if at := d.symbols(k, ans.Gammas[lo:hi], raw[lo:hi]); at >= 0 {
+			mu.Lock()
+			bad = min(bad, lo+at)
+			mu.Unlock()
 		}
 	})
 	if bad < len(raw) {
@@ -215,11 +355,7 @@ func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 	}
 	out := make([]bool, rows)
 	parallelRanges(rows, 512, func(lo, hi int) {
-		g := new(big.Int)
-		for r := lo; r < hi; r++ {
-			g.SetBytes(raw[r*modBytes : (r+1)*modBytes])
-			out[r] = d.qnr(k, g)
-		}
+		d.imageQNRs(k, raw[lo*modBytes:hi*modBytes], modBytes, out[lo:hi])
 	})
 	return out, nil
 }

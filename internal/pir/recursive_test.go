@@ -83,12 +83,14 @@ func TestRecursiveGridShape(t *testing.T) {
 
 // TestRecursiveFastMatchesRef: the word kernel's answers must be
 // ciphertext-identical to the big.Int reference — the fast path is an
-// optimization, not a different protocol. Crossed over workers, window
-// (auto and pinned below the grid-column count, so level 2 folds several
-// groups), batch widths, level-1-only partition mode and served windows
-// (an offset/span slice of the grid with absent cells on both sides, and
-// a store that stops inside the last grid row), on images of several
-// level-2 tiles with a partial last one.
+// optimization, not a different protocol. Crossed over workers, level-1
+// windows (auto, and pins from 2 to the cap of 16: every served window
+// below then has a partial FIRST and a partial LAST group under some of
+// them, the runs the edge tables fold), batch widths, level-1-only
+// partition mode and served windows (an offset/span slice of the grid
+// that starts and ends mid-row, a run inside one grid row, a single
+// block, and a store that stops inside the last grid row), on images of
+// several level-2 tiles with a partial last one.
 func TestRecursiveFastMatchesRef(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 80 // 22×7 grid (4 padding cells), 5,120-byte image: three tiles
@@ -99,7 +101,9 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 		store        [][]byte
 	}{
 		{"full", 0, 0, cols},
-		{"slice", 37, 61, cols[37 : 37+61]},
+		{"slice", 37, 58, cols[37 : 37+58]}, // grid row 5 column 2 to row 13 column 3
+		{"one-row run", 37, 3, cols[37:40]},
+		{"one block", 96, 1, cols[96:97]},
 		{"short store", 0, 0, cols[:131]},
 	}
 	ctx := context.Background()
@@ -121,7 +125,7 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 				refs[i] = ref
 			}
 			for _, workers := range []int{1, 3} {
-				for _, window := range []int{0, 4} {
+				for _, window := range []int{0, 2, 10, 13, 16} {
 					for _, batch := range []int{1, 6} {
 						label := fmt.Sprintf("%s partial=%v workers=%d window=%d batch=%d", win.name, partial, workers, window, batch)
 						fast, _, err := ProcessColumnsRecursiveMultiExecCtx(ctx, win.store, colBytes, qs[:batch], Exec{Workers: workers, Window: window})
@@ -145,32 +149,110 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 	}
 }
 
-// TestRecursiveWorkTargetIndependent: the server's multiplication
-// counts are a function of the shape alone — identity at 0-bits skips no
-// product the fold would otherwise make, and nothing branches on the
-// selection vectors — so two targets of one shape cost exactly the same.
+// TestRecursiveWorkTargetIndependent: the server's multiplication counts are a
+// function of the shape, the window and the worker count alone. Identity
+// at 0-bits skips no product the fold would otherwise make, nothing
+// branches on the selection vectors, and — since the window edges fold
+// tables like every other group — nothing branches on a stored bit
+// either: every target costs the same, and so does every store of one
+// shape whatever it holds (zeros, ones, text), on the whole grid and on a
+// partition slice with partial groups at both ends.
 func TestRecursiveWorkTargetIndependent(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 40
-	cols := churnColumns(t, 43, nCols, colBytes)
-	for _, ex := range []Exec{{}, {Workers: 3, Window: 4}} {
-		var first Stats
-		for i, target := range []int{0, 1, 77, nCols - 1} {
-			q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("work-%d", target)), nCols, target)
-			if err != nil {
-				t.Fatal(err)
+	text := make([][]byte, nCols)
+	zeros, ones := make([][]byte, nCols), make([][]byte, nCols)
+	for j := range text {
+		text[j] = []byte(fmt.Sprintf("%-40.40s", fmt.Sprintf("block %d of a stored document, plain ASCII", j)))
+		zeros[j] = make([]byte, colBytes)
+		ones[j] = bytes.Repeat([]byte{0xFF}, colBytes)
+	}
+	stores := [][][]byte{churnColumns(t, 43, nCols, colBytes), zeros, ones, text}
+	for _, slice := range [][2]int{{0, nCols}, {37, 95}} {
+		for _, ex := range []Exec{{}, {Workers: 3, Window: 4}, {Workers: 2, Window: 13}} {
+			var first Stats
+			for si, store := range stores {
+				for ti, target := range []int{0, 1, 77, nCols - 1} {
+					q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("work-%d", target)), nCols, target)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if slice[0] != 0 {
+						q.Offset, q.Span = slice[0], slice[1]-slice[0]
+					}
+					_, st, err := recursiveOne(store[slice[0]:slice[1]], colBytes, q, ex)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.ModMuls <= 0 || st.TableMuls <= 0 || st.TableMuls > st.ModMuls {
+						t.Fatalf("%+v target %d: implausible stats %+v", ex, target, st)
+					}
+					if si == 0 && ti == 0 {
+						first = st
+					} else if st != first {
+						t.Fatalf("%+v slice %v: store %d target %d cost %+v, store 0 target 0 cost %+v", ex, slice, si, target, st, first)
+					}
+				}
 			}
-			_, st, err := recursiveOne(cols, colBytes, q, ex)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.ModMuls <= 0 || st.TableMuls <= 0 || st.TableMuls > st.ModMuls {
-				t.Fatalf("%+v target %d: implausible stats %+v", ex, target, st)
-			}
-			if i == 0 {
-				first = st
-			} else if st != first {
-				t.Fatalf("%+v: target %d cost %+v, target 0 cost %+v", ex, target, st, first)
+		}
+	}
+}
+
+// TestRecursiveStatsFormula pins the counts to the formula the docs
+// state, at a shape small enough to work by hand: 150 blocks of 40 bytes
+// (rows = 320) on a 22×7 grid with 4 padding cells, 64-bit modulus
+// (modBytes = 8), window 4, one worker. Groups: five of 4 grid rows and
+// one of 2; in the last group grid columns 3..6 have one present row, a
+// run of its own. Per query:
+//
+//	row vector in    2·R                          =     44
+//	tables           5·2(2^4−2) + 2(2^2−2) + 0    =    144   (a one-row table is the value itself)
+//	folds            C·rows·(groups−1)            = 11,200   (first touch is a copy)
+//	out of form      C·rows                       =  2,240
+//	level-2 tables   C·255                        =  1,785
+//	level-2 scan     rows·modBytes·C              = 17,920   (C−1 products and one conversion each)
+func TestRecursiveStatsFormula(t *testing.T) {
+	k := wordTestKey(t)
+	const nCols, colBytes = 150, 40
+	cols := churnColumns(t, 45, nCols, colBytes)
+	q, err := k.NewRecursiveQuery(newDetRand("formula"), nCols, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := recursiveOne(cols, colBytes, q, Exec{Window: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const R, C, rows, modBytes = 22, 7, 320, 8
+	wantTable := 2*R + (5*2*(1<<4-2) + 2*(1<<2-2)) + C*rows + C*255 + rows*modBytes
+	want := wantTable + C*rows*5 + rows*modBytes*(C-1)
+	if st.ModMuls != want || st.TableMuls != wantTable {
+		t.Fatalf("stats %+v, formula gives ModMuls %d TableMuls %d", st, want, wantTable)
+	}
+}
+
+// TestRecursiveWindowModel: the level-1 window is a function of the shape
+// alone — never wider than 16 or than the grid has rows, wider (never
+// narrower) as the fold work C·rows it amortises a table over grows, and
+// 13 at the repository benchmark's 155×39 grid of 1 KB blocks.
+func TestRecursiveWindowModel(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		if w := recursiveWindow(155, 39, 8192, workers); w != 13 {
+			t.Fatalf("W2k shape, %d workers: window %d, want 13", workers, w)
+		}
+	}
+	for _, R := range []int{1, 2, 5, 16, 17, 155, 1000} {
+		for _, workers := range []int{1, 3, 8} {
+			prev := 0
+			for _, cells := range [][2]int{{1, 8}, {1, 64}, {4, 256}, {7, 640}, {39, 8192}, {200, 8192}, {1000, 65536}} {
+				w := recursiveWindow(R, cells[0], cells[1], workers)
+				if w < 1 || w > maxRecursiveWindow || w > R {
+					t.Fatalf("R=%d C=%d rows=%d workers=%d: window %d out of range", R, cells[0], cells[1], workers, w)
+				}
+				if w < prev {
+					t.Fatalf("R=%d workers=%d: window fell from %d to %d as C·rows grew to %d", R, workers, prev, w, cells[0]*cells[1])
+				}
+				prev = w
 			}
 		}
 	}
@@ -609,9 +691,11 @@ func TestRecursiveDecoderMatchesIsQR(t *testing.T) {
 			vals = append(vals, p.Mod(p, k.N))
 		}
 	}
-	for _, v := range vals {
-		if got, want := d.qnr(k, v), !k.isQR(v); got != want {
-			t.Fatalf("decoder disagrees with isQR on %v: got %v, want %v", v, got, want)
+	got := make([]bool, len(vals))
+	d.qnrs(k, vals, got)
+	for i, v := range vals {
+		if want := !k.isQR(v); got[i] != want {
+			t.Fatalf("decoder disagrees with isQR on %v: got %v, want %v", v, got[i], want)
 		}
 	}
 	// The wide key falls back to isQR wholesale.
@@ -724,7 +808,8 @@ func BenchmarkRecursiveStore6(b *testing.B) {
 }
 
 // BenchmarkRecursiveLevel2 is level 2 alone at that shape on one worker:
-// a 39-column image of 65,536 bytes re-encrypted a byte per ciphertext.
+// a 39-column matrix of 8,192 cells — an image of 65,536 bytes —
+// re-encrypted a byte per ciphertext.
 func BenchmarkRecursiveLevel2(b *testing.B) {
 	k := benchmarkKey(b)
 	mont, err := NewMont(k.N)
@@ -732,11 +817,14 @@ func BenchmarkRecursiveLevel2(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := recursiveBatch(b, k, "bench-l2", 6029, 1)[0]
-	image := randomColumns(b, 3, q.GridCols, 8192*8)
+	cells := make([]big.Word, q.GridCols*8192)
+	for i, v := range rawQuery(rand.New(rand.NewSource(3)), k.N, len(cells)).Values {
+		cells[i] = big.Word(v.Uint64())
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := level2Word(newScanPoll(context.Background()), mont, q.Cols, image, 8192*8, Exec{}); err != nil {
+		if _, _, err := level2Word(newScanPoll(context.Background()), mont, q.Cols, cells, 8192, 8, Exec{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -788,5 +876,245 @@ func TestRecursiveLevel2MatchesDefinition(t *testing.T) {
 				t.Fatalf("modulus %v ciphertext %d: reference %v, definition %v", n, b, c, want)
 			}
 		}
+	}
+}
+
+// TestRecursiveLevel2WordMatchesRef: the word kernel — tiles serialized
+// as they are folded, image columns two per pass — equals the big.Int
+// reference ciphertext for ciphertext, at odd and even column counts down
+// to one and two (no pair at all, one column left over), one and three
+// workers, on a word-wide modulus (whole-word stores) and a 32-bit one
+// (four image bytes per cell), over several tiles with a partial last
+// one — and counts the same multiplications whatever the cells hold.
+func TestRecursiveLevel2WordMatchesRef(t *testing.T) {
+	small, err := GenerateKey(newDetRand("l2-32"), 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 700
+	for _, k := range []*ClientKey{wordTestKey(t), small} {
+		mont, err := NewMont(k.N)
+		if err != nil || mont.Words() != 1 {
+			t.Fatalf("%d-bit key: no one-word Montgomery context (%v)", k.N.BitLen(), err)
+		}
+		modBytes := (k.N.BitLen() + 7) / 8
+		rng := rand.New(rand.NewSource(67))
+		for _, C := range []int{1, 2, 3, 4, 7, 8} {
+			matrix := rawQuery(rng, k.N, C*rows).Values
+			matrix[0], matrix[1] = new(big.Int), new(big.Int).Sub(k.N, one)
+			cells := make([]big.Word, len(matrix))
+			for i, g := range matrix {
+				cells[i] = big.Word(g.Uint64())
+			}
+			sel := rawQuery(rng, k.N, C).Values
+			want, wantSt, err := level2Ref(newScanPoll(context.Background()), k.N, sel, matrixImage(matrix, k.N, C, rows, modBytes), rows*modBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var first Stats
+			for _, workers := range []int{1, 3} {
+				got, st, err := level2Word(newScanPoll(context.Background()), mont, sel, cells, rows, modBytes, Exec{Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Gammas) != rows*modBytes {
+					t.Fatalf("%d-bit C=%d: %d ciphertexts, want %d", k.N.BitLen(), C, len(got.Gammas), rows*modBytes)
+				}
+				for b := range want.Gammas {
+					if got.Gammas[b].Cmp(want.Gammas[b]) != 0 {
+						t.Fatalf("%d-bit C=%d workers=%d: ciphertext %d differs from the reference", k.N.BitLen(), C, workers, b)
+					}
+				}
+				// The word kernel's products: the reference's, plus the
+				// conversions in and out of Montgomery form.
+				if st.ModMuls != wantSt.ModMuls+C+rows*modBytes {
+					t.Fatalf("%d-bit C=%d: %d multiplications, reference %d", k.N.BitLen(), C, st.ModMuls, wantSt.ModMuls)
+				}
+				if workers == 1 {
+					first = st
+				} else if st != first {
+					t.Fatalf("%d-bit C=%d: stats %+v on three workers, %+v on one", k.N.BitLen(), C, st, first)
+				}
+			}
+			zeros, zst, err := level2Word(newScanPoll(context.Background()), mont, sel, make([]big.Word, len(cells)), rows, modBytes, Exec{})
+			if err != nil || zst != first {
+				t.Fatalf("%d-bit C=%d: all-zero cells cost %+v (err %v), random cells %+v", k.N.BitLen(), C, zst, err, first)
+			}
+			for b, c := range zeros.Gammas {
+				if c.Cmp(one) != 0 {
+					t.Fatalf("%d-bit C=%d: ciphertext %d of the zero image is %v, want the empty product", k.N.BitLen(), C, b, c)
+				}
+			}
+		}
+	}
+}
+
+// TestRecursiveCancelAnywhere: wherever the deadline is crossed — counted
+// in polls on the pinned scan clock, so every poll site is visited: the
+// row-vector load, whole groups, the partial groups at both edges of a
+// partition slice, the conversion out of form, level 2 — the batch
+// returns the context error, never an answer, and charges no more than
+// the whole scan costs.
+func TestRecursiveCancelAnywhere(t *testing.T) {
+	k := wordTestKey(t)
+	const nCols, colBytes = 150, 80
+	cols := churnColumns(t, 57, nCols, colBytes)
+	qs := recursiveBatch(t, k, "cancel-any", nCols, 2)
+	for _, q := range qs {
+		q.Offset, q.Span = 37, 58 // first and last group partial under window 4
+	}
+	store := cols[37 : 37+58]
+	deadline := time.Now().Add(time.Hour)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	defer cancel()
+	run := func(crossAt int) (int, []*Answer, []Stats, error) {
+		polls := 0
+		restore := scanclock.Set(func() time.Time {
+			polls++
+			if crossAt > 0 && polls >= crossAt {
+				return deadline
+			}
+			return deadline.Add(-time.Minute)
+		})
+		defer restore()
+		answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, store, colBytes, qs, Exec{Window: 4})
+		return polls, answers, stats, err
+	}
+	polls, answers, whole, err := run(0)
+	if err != nil || len(answers) != len(qs) || polls < 20 {
+		t.Fatalf("uncancelled scan: %d polls, %d answers, err %v", polls, len(answers), err)
+	}
+	for crossAt := 1; crossAt <= polls; crossAt++ {
+		_, answers, stats, err := run(crossAt)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("deadline crossed at poll %d of %d: err %v", crossAt, polls, err)
+		}
+		if answers != nil {
+			t.Fatalf("deadline crossed at poll %d: %d answers came back with the cancellation", crossAt, len(answers))
+		}
+		for i, st := range stats {
+			if st.ModMuls > whole[i].ModMuls || st.TableMuls > st.ModMuls {
+				t.Fatalf("deadline crossed at poll %d: query %d charged %+v, the whole scan %+v", crossAt, i, st, whole[i])
+			}
+		}
+	}
+}
+
+// TestPowWordsMatchesPowWord: the four-lane exponentiation equals the
+// scalar chain residue for residue — random residues, the edges 0, 1 and
+// p1−1, both of the key's exponents and a few arbitrary ones, and every
+// run length around the lane count, so full lanes and scalar tails both
+// run.
+func TestPowWordsMatchesPowWord(t *testing.T) {
+	d := wordTestKey(t).decoder()
+	if !d.word {
+		t.Fatal("64-bit key did not select the word decoder")
+	}
+	rng := rand.New(rand.NewSource(71))
+	for _, e := range []uint{d.e, d.e8, 0, 1, 2, 0xdeadbeef, ^uint(0)} {
+		for n := 0; n <= 3*powLanes+1; n++ {
+			rs := make([]uint, n)
+			for i := range rs {
+				rs[i] = uint(rng.Uint64()) % d.p
+			}
+			for i, edge := range []uint{0, d.p - 1, 1} {
+				if i < n {
+					rs[(i*5)%n] = edge
+				}
+			}
+			want := make([]uint, n)
+			for i, r := range rs {
+				want[i] = d.powWord(r, e)
+			}
+			d.powWords(rs, e)
+			for i := range rs {
+				if rs[i] != want[i] {
+					t.Fatalf("exponent %#x, run of %d: lane result %d is %#x, scalar %#x", e, n, i, rs[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestDecodeRecursiveLanes: answers whose length is no multiple of the
+// lane count decode to the stored block; a non-unit planted at each lane
+// position of a full lane group, of the scalar tail, and at several
+// positions at once is refused by the SMALLEST position, on one decode
+// worker and on several; and the decode allocates a handful of times,
+// not per ciphertext.
+func TestDecodeRecursiveLanes(t *testing.T) {
+	k := wordTestKey(t)
+	// 1-byte blocks: 64 ciphertexts — with one dropped and re-added the
+	// chunk boundaries move; 7-byte blocks: 448 = 256 + 192 ciphertexts.
+	for _, colBytes := range []int{1, 7} {
+		const nCols = 9
+		cols := churnColumns(t, 73, nCols, colBytes)
+		q, err := k.NewRecursiveQuery(newDetRand("lanes"), nCols, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ans, _, err := recursiveOne(cols, colBytes, q, Exec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bits, err := k.DecodeRecursive(ans, colBytes)
+		if err != nil || !bytes.Equal(ColumnBytes(bits), cols[5]) {
+			t.Fatalf("%d-byte blocks: decoded %x (err %v), want %x", colBytes, ColumnBytes(bits), err, cols[5])
+		}
+		n := len(ans.Gammas)
+		nonUnit := new(big.Int).Lsh(k.p1, 1)
+		for _, planted := range [][]int{{0}, {1}, {2}, {3}, {4}, {n - 1}, {n - 2}, {n - 3}, {n - 4}, {n - 5}, {n - 1, 2}, {7, 6, 5}, {n / 2, n/2 + 1}} {
+			forged := append([]*big.Int(nil), ans.Gammas...)
+			first := n
+			for _, pos := range planted {
+				forged[pos] = nonUnit
+				first = min(first, pos)
+			}
+			var serr *SymbolError
+			if _, err := k.DecodeRecursive(&Answer{Gammas: forged}, colBytes); !errors.As(err, &serr) || serr.Pos != first {
+				t.Fatalf("%d-byte blocks, non-units at %v: got %v, want position %d", colBytes, planted, err, first)
+			}
+		}
+	}
+	// Lane groups that straddle a run's end: the symbol pass over every
+	// prefix length of an answer, against the scalar symbol.
+	d := k.decoder()
+	cols := churnColumns(t, 75, 4, 2)
+	q, err := k.NewRecursiveQuery(newDetRand("lanes-prefix"), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, _, err := recursiveOne(cols, 2, q, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n <= 21; n++ {
+		raw := make([]byte, n)
+		if at := d.symbols(k, ans.Gammas[:n], raw); at != -1 {
+			t.Fatalf("prefix of %d: refused ciphertext %d", n, at)
+		}
+		for i, c := range ans.Gammas[:n] {
+			if m, ok := d.symbol(k, c); !ok || raw[i] != m {
+				t.Fatalf("prefix of %d: ciphertext %d read %d through the lanes, %d alone (ok=%v)", n, i, raw[i], m, ok)
+			}
+		}
+	}
+}
+
+// TestDecodeRecursiveAllocations: decoding one 1 KB block's 65,536
+// ciphertexts allocates O(1) times — the image, the bits, the workers.
+func TestDecodeRecursiveAllocations(t *testing.T) {
+	k := sizedKey(t, 64)
+	cols := randomColumns(t, 9, 16, 1024)
+	ans, _, err := recursiveOne(cols, 1024, recursiveBatch(t, k, "alloc-rdec", 16, 1)[0], Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := k.DecodeRecursive(ans, 1024); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 32 {
+		t.Fatalf("DecodeRecursive allocates %v times, want <= 32", n)
 	}
 }

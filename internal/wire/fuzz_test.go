@@ -9,6 +9,7 @@ import (
 	"embellish/internal/detrand"
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
+	"embellish/internal/vbyte"
 )
 
 // FuzzDecodeQuery: a hostile peer controls the query body entirely;
@@ -227,6 +228,14 @@ func FuzzPIRQuery(f *testing.F) {
 		}
 		f.Add(body)
 	}
+	// The encodings no writer produces (zero-led, empty, multi-word,
+	// over-limit, truncated, out-of-range magnitudes), each between two
+	// honest values of a three-value query.
+	honest := appendBig(nil, big.NewInt(1234567))
+	for _, h := range hostileElements() {
+		body := vbyte.Append(appendBig(nil, key.N), 3)
+		f.Add(bytes.Join([][]byte{body, honest, h.enc, honest}, nil))
+	}
 	store, err := docstore.New(4)
 	if err != nil {
 		f.Fatal(err)
@@ -412,6 +421,13 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 	}
 	if _, body, err := ReadMessage(&buf); err == nil {
 		f.Add(body)
+	}
+	// The encodings no writer produces, each as the middle row value of a
+	// width-3 query (a 3×1 grid: three row values, one column value).
+	honest := appendBig(nil, big.NewInt(1234567))
+	for _, h := range hostileElements() {
+		head := encodeRecursive(wordKey.N, 3, 1, 0, 0, 1, 1, nil)
+		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest, honest}, nil))
 	}
 	store, err := docstore.New(4)
 	if err != nil {

@@ -1,10 +1,12 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"embellish/internal/docstore"
@@ -172,6 +174,79 @@ func bigsSize(vs ...*big.Int) int {
 	return size
 }
 
+// errOutsideGroup is decodeBigs' refusal of a group element outside
+// (0, N); bigsError gives it the element's name.
+var errOutsideGroup = errors.New("outside Z_n")
+
+// wordBytes is the width of a big.Word in bytes.
+const wordBytes = bits.UintSize / 8
+
+// decodeBigs decodes len(out) length-prefixed big-endian magnitudes —
+// the group elements of a PIR frame, 65,536 to a recursive answer — into
+// ONE big.Int slab and ONE word slab, where a decodeBig per element
+// would allocate both per element. The values are decodeBig's (leading
+// zero bytes and empty magnitudes normalise as SetBytes does) and so is
+// every refusal (bigPrefix), in the same order; with a modulus n an
+// element outside (0, n) is refused too. On error, at names the offending element.
+func decodeBigs(buf []byte, out []*big.Int, n *big.Int) (rest []byte, at int, err error) {
+	// The length prefixes first: they size the word slab. A bad prefix
+	// ends the run there, but an element before it may still be the first
+	// refusal, so the elements up to it are decoded all the same.
+	valid, words, scan := len(out), 0, buf
+	var prefixErr error
+	for i := range out {
+		size, used, err := bigPrefix(scan)
+		if err != nil {
+			valid, prefixErr = i, err
+			break
+		}
+		words += (size + wordBytes - 1) / wordBytes
+		scan = scan[used+size:]
+	}
+	ints := make([]big.Int, valid)
+	slab := make([]big.Word, words)
+	for i := range ints {
+		size, used, _ := bigPrefix(buf)
+		mag := buf[used : used+size]
+		buf = buf[used+size:]
+		w := (size + wordBytes - 1) / wordBytes
+		// Capacity stops at the element's own words: arithmetic on one
+		// value can never grow into its neighbour.
+		dst := slab[:w:w]
+		slab = slab[w:]
+		for j := range dst {
+			hi := len(mag) - j*wordBytes
+			if wordBytes == 8 && hi >= 8 {
+				dst[j] = big.Word(binary.BigEndian.Uint64(mag[hi-8 : hi]))
+				continue
+			}
+			var word big.Word
+			for _, b := range mag[max(hi-wordBytes, 0):hi] {
+				word = word<<8 | big.Word(b)
+			}
+			dst[j] = word
+		}
+		v := ints[i].SetBits(dst)
+		if n != nil && (v.Sign() <= 0 || v.Cmp(n) >= 0) {
+			return nil, i, errOutsideGroup
+		}
+		out[i] = v
+	}
+	if prefixErr != nil {
+		return nil, valid, prefixErr
+	}
+	return buf, 0, nil
+}
+
+// bigsError words a decodeBigs refusal for element at of the run the
+// caller names.
+func bigsError(what string, at int, err error) error {
+	if err == errOutsideGroup {
+		return fmt.Errorf("wire: %s %d outside Z_n", what, at)
+	}
+	return fmt.Errorf("wire: %s %d: %w", what, at, err)
+}
+
 // DecodePIRQuery parses a TypePIRQuery body. Every value is bounded to
 // (0, N) and the modulus width is capped: the answer computation costs
 // one |N|-bit multiplication per database bit, so the decoder is the
@@ -193,16 +268,9 @@ func DecodePIRQuery(body []byte) (*pir.Query, error) {
 	}
 	body = body[used:]
 	q := &pir.Query{N: n, Values: make([]*big.Int, count)}
-	for i := range q.Values {
-		v, rest, err := decodeBig(body)
-		if err != nil {
-			return nil, fmt.Errorf("wire: PIR value %d: %w", i, err)
-		}
-		if v.Sign() <= 0 || v.Cmp(n) >= 0 {
-			return nil, fmt.Errorf("wire: PIR value %d outside Z_n", i)
-		}
-		q.Values[i] = v
-		body = rest
+	body, at, err := decodeBigs(body, q.Values, n)
+	if err != nil {
+		return nil, bigsError("PIR value", at, err)
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after PIR query")
@@ -244,13 +312,9 @@ func DecodePIRAnswer(body []byte) (*pir.Answer, error) {
 	}
 	body = body[used:]
 	a := &pir.Answer{Gammas: make([]*big.Int, count)}
-	for i := range a.Gammas {
-		g, rest, err := decodeBig(body)
-		if err != nil {
-			return nil, fmt.Errorf("wire: PIR gamma %d: %w", i, err)
-		}
-		a.Gammas[i] = g
-		body = rest
+	body, at, err := decodeBigs(body, a.Gammas, nil)
+	if err != nil {
+		return nil, bigsError("PIR gamma", at, err)
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after PIR answer")

@@ -117,16 +117,9 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 		}
 		body = body[used:]
 		q := &pir.Query{N: n, Values: make([]*big.Int, nv)}
-		for i := range q.Values {
-			v, rest, err := decodeBig(body)
-			if err != nil {
-				return nil, fmt.Errorf("wire: PIR batch query %d value %d: %w", qi, i, err)
-			}
-			if v.Sign() <= 0 || v.Cmp(n) >= 0 {
-				return nil, fmt.Errorf("wire: PIR batch query %d value %d outside Z_n", qi, i)
-			}
-			q.Values[i] = v
-			body = rest
+		var at int
+		if body, at, err = decodeBigs(body, q.Values, n); err != nil {
+			return nil, bigsError(fmt.Sprintf("PIR batch query %d value", qi), at, err)
 		}
 		qs[qi] = q
 	}

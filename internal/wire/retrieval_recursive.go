@@ -183,16 +183,9 @@ func DecodePIRRecursiveQuery(body []byte) ([]*pir.RecursiveQuery, error) {
 			q.Cols = make([]*big.Int, gridCols)
 		}
 		for _, vec := range [][]*big.Int{q.Rows, q.Cols} {
-			for i := range vec {
-				v, rest, err := decodeBig(body)
-				if err != nil {
-					return nil, fmt.Errorf("wire: recursive PIR query %d value %d: %w", qi, i, err)
-				}
-				if v.Sign() <= 0 || v.Cmp(n) >= 0 {
-					return nil, fmt.Errorf("wire: recursive PIR query %d value %d outside Z_n", qi, i)
-				}
-				vec[i] = v
-				body = rest
+			var at int
+			if body, at, err = decodeBigs(body, vec, n); err != nil {
+				return nil, bigsError(fmt.Sprintf("recursive PIR query %d value", qi), at, err)
 			}
 		}
 		qs[qi] = q

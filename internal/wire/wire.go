@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"embellish/internal/benaloh"
 	"embellish/internal/core"
@@ -95,6 +96,17 @@ func WriteError(w io.Writer, msg string) error {
 
 // ReadMessage reads one frame and returns its type byte and body.
 func ReadMessage(r io.Reader) (byte, []byte, error) {
+	var buf []byte
+	return ReadMessageBuf(r, &buf)
+}
+
+// ReadMessageBuf is ReadMessage into a caller-owned buffer, for loops
+// that read many large frames (a recursive PIR answer is ~590 KB): the
+// frame lands in *buf, which grows to the largest frame seen and is
+// reused by the next call. The returned body aliases *buf, so it is
+// valid only until then — decode it, or copy what must outlive it,
+// first.
+func ReadMessageBuf(r io.Reader, buf *[]byte) (byte, []byte, error) {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
 		return 0, nil, err
@@ -103,7 +115,10 @@ func ReadMessage(r io.Reader) (byte, []byte, error) {
 	if n == 0 || n > MaxFrame {
 		return 0, nil, fmt.Errorf("wire: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
+	if uint32(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	body := (*buf)[:n]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, fmt.Errorf("wire: reading frame: %w", err)
 	}
@@ -218,25 +233,53 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
+// appendBig appends v's length-prefixed big-endian magnitude, written in
+// place: the PIR writers pre-size their bodies (bigsSize), so an element
+// costs no allocation. One-word values — every element under a 64-bit
+// modulus — are cut straight out of the word.
 func appendBig(dst []byte, v *big.Int) []byte {
-	b := v.Bytes()
-	dst = vbyte.Append(dst, uint64(len(b)))
-	return append(dst, b...)
+	n := (v.BitLen() + 7) / 8
+	dst = vbyte.Append(dst, uint64(n))
+	if w := v.Bits(); len(w) == 1 {
+		var be [8]byte
+		binary.BigEndian.PutUint64(be[:], uint64(w[0]))
+		return append(dst, be[8-n:]...)
+	}
+	dst = slices.Grow(dst, n)
+	v.FillBytes(dst[len(dst) : len(dst)+n])
+	return dst[:len(dst)+n]
 }
 
 func decodeBig(buf []byte) (*big.Int, []byte, error) {
-	n, used, err := vbyte.Decode(buf)
+	size, used, err := bigPrefix(buf)
 	if err != nil {
 		return nil, nil, err
 	}
-	if n > maxIntBytes {
-		return nil, nil, fmt.Errorf("big integer of %d bytes exceeds limit", n)
+	return new(big.Int).SetBytes(buf[used : used+size]), buf[used+size:], nil
+}
+
+// bigPrefix reads the length prefix of the magnitude at the head of buf
+// and checks that the magnitude is within the limit and all there — the
+// one place a big integer's framing is refused, for decodeBig and the
+// PIR slab decoder (decodeBigs) alike. A one-byte prefix — every
+// magnitude under 128 bytes — is read in line.
+func bigPrefix(buf []byte) (size, used int, err error) {
+	if len(buf) > 0 && buf[0] >= 0x80 {
+		size, used = int(buf[0]&0x7f), 1
+	} else {
+		v, n, err := vbyte.Decode(buf)
+		if err != nil {
+			return 0, 0, err
+		}
+		if v > maxIntBytes {
+			return 0, 0, fmt.Errorf("big integer of %d bytes exceeds limit", v)
+		}
+		size, used = int(v), n
 	}
-	buf = buf[used:]
-	if uint64(len(buf)) < n {
-		return nil, nil, errors.New("truncated big integer")
+	if len(buf)-used < size {
+		return 0, 0, errors.New("truncated big integer")
 	}
-	return new(big.Int).SetBytes(buf[:n]), buf[n:], nil
+	return size, used, nil
 }
 
 func orRange(err error) error {

@@ -470,6 +470,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 
 	consumed := 0
 	greenLit := false
+	var frame []byte // every answer frame of the fetch is read into this one buffer
 	for n := range sizes {
 		if err := ctx.Err(); err != nil {
 			// Cancelled between batches: stop the writer and drain the
@@ -479,7 +480,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			return r.drain(consumed, &committed, writerDone, commitPing, err)
 		}
 		for i := 0; i < n; i++ {
-			typ, body, err := wire.ReadMessage(r.conn)
+			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading PIR batch answer: %w", err)
 			}
@@ -586,6 +587,7 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 	var batchMax int
 	first := true
 	batch := make([]*pir.RecursiveQuery, 0, wire.MaxPIRRecursiveBatch)
+	var frame []byte // every ~590 KB answer frame of the fetch is read into this one buffer
 	serve := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -594,7 +596,7 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 			return fmt.Errorf("embellish: sending recursive PIR batch: %w", err)
 		}
 		for i := range batch {
-			typ, body, err := wire.ReadMessage(r.conn)
+			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading recursive PIR answer: %w", err)
 			}
