@@ -1,17 +1,20 @@
 package embellish
 
-// Head-to-head benchmarks for the sharded, precomputed serving pipeline
-// against the seed execution plans, on a synthetic world of >= 1000
-// documents. The three BenchmarkProcess1k* variants run the identical
-// embellished query through:
+// Head-to-head benchmarks of the ranking fold's schedules against the
+// Algorithm 4 oracle, on a synthetic world of >= 1000 documents. The
+// BenchmarkProcess1k* variants run the identical embellished query
+// through:
 //
-//   - Sequential:         the paper's Algorithm 4 (seed Process)
-//   - SeedParallel:       the seed term-striped ProcessParallel
-//   - ShardedPrecomputed: the document-sharded worker pool with
-//                         fixed-base exponentiation tables
+//   - Sequential / PrecomputedOnly: the math/big oracle (Process),
+//     without and with fixed-base tables
+//   - SeedParallel:       the serving plan at one shard, no tables
+//   - ShardedOnly:        GOMAXPROCS shards, no tables
+//   - ShardedPrecomputed: GOMAXPROCS shards with fixed-base tables —
+//                         what a server runs
 //
-// Rankings are identical across all three (verified in TestMain-adjacent
-// unit tests); only the group operations and their schedule differ.
+// Responses are identical across all of them, ciphertext for ciphertext
+// (internal/core's conformance battery); only the arithmetic and its
+// schedule differ.
 
 import (
 	"sync"

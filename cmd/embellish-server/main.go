@@ -115,7 +115,7 @@ func main() {
 		pirWorkers     = flag.Int("pir-workers", 0, "PIR fetch-serving workers (0/1 one goroutine, -1 GOMAXPROCS)")
 		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-23 frames; refused clients fall back to flat queries)")
 
-		shards       = flag.Int("shards", -1, "document shards for the worker-pool accumulator (-1 GOMAXPROCS, 0 unsharded, N pinned)")
+		shards       = flag.Int("shards", -1, "document shards of the ranking plan (-1 GOMAXPROCS, 0 or 1 one shard, N pinned)")
 		window       = flag.Int("window", -1, "fixed-base exponentiation window bits (-1 default, 0 off, 1..8 pinned)")
 		workers      = flag.Int("workers", -1, "score-accumulation workers (-1 GOMAXPROCS, 0 single-threaded, N pinned)")
 		maxConns     = flag.Int("max-conns", 0, "simultaneous connection cap (0 default, -1 unlimited)")

@@ -334,36 +334,27 @@ type ProcessStats struct {
 	SimulatedIOms float64
 }
 
-// processCore routes one embellished core query through the configured
-// execution pipeline: the sharded worker pool when Shards is set, the
-// legacy term-striped plan when only Parallelism is, and the paper's
-// sequential Algorithm 4 otherwise. Parallelism 0 is honored as
-// single-threaded execution in every plan — on a sharded server one
-// worker walks the shards serially. Every plan produces ciphertexts
-// that decrypt to identical scores.
+// processCore runs one embellished core query through the one ranking
+// plan — core's document-sharded fold at max(1, Shards) shards — on the
+// worker count Parallelism resolves to (0: one worker, which walks the
+// shards serially; -1: GOMAXPROCS). Shard count, worker count and
+// PrecomputeWindow change how the fold is scheduled and how E(u)^p is
+// computed, never a ciphertext: every setting returns the response of
+// the paper's sequential Algorithm 4 (core.Server.Process, kept as the
+// oracle) byte for byte.
 func (e *Engine) processCore(q *core.Query) (*core.Response, core.Stats, error) {
 	return e.processCoreCtx(context.Background(), q)
 }
 
-// processCoreCtx is processCore under a context: every execution plan
-// checks ctx inside its posting walk and stops mid-scan on
-// cancellation, returning ctx.Err() with the partial-work stats.
+// processCoreCtx is processCore under a context: the posting walk checks
+// ctx and stops mid-scan on cancellation, returning ctx.Err() with the
+// partial-work stats.
 func (e *Engine) processCoreCtx(ctx context.Context, q *core.Query) (*core.Response, core.Stats, error) {
-	workers := 0 // GOMAXPROCS
-	switch {
-	case e.opts.Parallelism > 0:
-		workers = e.opts.Parallelism
-	case e.opts.Parallelism == 0:
+	workers := e.opts.Parallelism // > 0 as given; < 0: GOMAXPROCS
+	if workers == 0 {
 		workers = 1
 	}
-	switch {
-	case e.server.NumShards() > 0:
-		return e.server.ProcessParallelCtx(ctx, q, workers)
-	case e.opts.Parallelism == 0:
-		return e.server.ProcessCtx(ctx, q)
-	default:
-		return e.server.ProcessParallelCtx(ctx, q, workers)
-	}
+	return e.server.ProcessParallelCtx(ctx, q, workers)
 }
 
 // ConfigureExecution adjusts the runtime execution knobs — they tune
@@ -508,8 +499,8 @@ func (e *Engine) Process(q *Query) (*Response, error) {
 }
 
 // ProcessContext is Process under a context: the posting walk checks
-// ctx periodically (every execution plan, including the sharded and
-// term-striped worker pools) and stops mid-scan when ctx is cancelled
+// ctx periodically (every worker of the ranking plan, at every shard
+// count) and stops mid-scan when ctx is cancelled
 // or its deadline expires. A cancelled query returns a *CancelledError
 // wrapping ctx.Err() — errors.Is(err, context.DeadlineExceeded) works
 // — whose Stats field accounts the partial work performed, and leaves

@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"embellish/internal/mont"
 )
 
 var (
@@ -53,6 +55,7 @@ type PublicKey struct {
 type PrivateKey struct {
 	PublicKey
 	P1, P2   *big.Int
+	m1       *mont.Modulus    // p1 in Montgomery form: decryption's arithmetic
 	cofactor *big.Int         // (p1-1)/r: raising to it maps Z_p1^* onto the order-r subgroup ⟨h⟩
 	logTab   map[string]int32 // W^i -> i (r = 3^k, W = h^(3^(k-chunk))) or h^i -> i (prime r)
 	// r = 3^k: base-3 digits are solved chunk at a time.
@@ -144,10 +147,15 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 		}
 	}
 
+	m1, err := mont.New(p1)
+	if err != nil {
+		return nil, err // unreachable: p1 is an odd prime
+	}
 	priv := &PrivateKey{
 		PublicKey: PublicKey{N: n, G: g, R: new(big.Int).Set(r)},
 		P1:        p1,
 		P2:        p2,
+		m1:        m1,
 		cofactor:  new(big.Int).Div(new(big.Int).Sub(p1, one), r),
 		k:         k,
 	}
@@ -209,7 +217,9 @@ func primeWithOrder(randSrc io.Reader, bits int, r *big.Int) (*big.Int, error) {
 		}
 		p.Mul(a, r)
 		p.Add(p, one)
-		if p.ProbablyPrime(32) {
+		// a·r is one bit longer than asked about as often as not; a wider
+		// p1 is a wider N — a word more per ciphertext and per product.
+		if p.BitLen() == bits && p.ProbablyPrime(32) {
 			return new(big.Int).Set(p), nil
 		}
 	}
@@ -241,13 +251,14 @@ func primeCoprimeOrder(randSrc io.Reader, bits int, r *big.Int, primeFactors []*
 	return nil, errors.New("benaloh: failed to find p2")
 }
 
-// randomBits sets out to a uniform integer with the given bit length
-// (top bit set).
+// randomBits sets out to a uniform integer of exactly the given bit
+// length (top bit set, nothing above it).
 func randomBits(randSrc io.Reader, bits int, out *big.Int) error {
 	buf := make([]byte, (bits+7)/8)
 	if _, err := io.ReadFull(randSrc, buf); err != nil {
 		return err
 	}
+	buf[0] &= 0xff >> (len(buf)*8 - bits)
 	out.SetBytes(buf)
 	out.SetBit(out, bits-1, 1)
 	return nil

@@ -69,6 +69,28 @@ func TestKeyStructure(t *testing.T) {
 	}
 }
 
+// TestKeyWidth: a key is as wide as asked — p1 exactly half the bits, n
+// the full length or one bit short (p1's second bit is free) — never a
+// word wider, which every ciphertext and every product would pay for.
+func TestKeyWidth(t *testing.T) {
+	for _, k := range []int{10, 12, 14, 16} {
+		for _, bits := range []int{128, 256, 512} {
+			for trial := 0; trial < 3; trial++ {
+				key, err := GenerateKey(newDetRand(fmt.Sprint("width-", k, bits, trial)), bits, Pow3(k))
+				if err != nil {
+					t.Fatalf("GenerateKey(%d bits, 3^%d): %v", bits, k, err)
+				}
+				if got := key.P1.BitLen(); got != bits/2 {
+					t.Errorf("%d-bit key, r = 3^%d: p1 has %d bits, want %d", bits, k, got, bits/2)
+				}
+				if got := key.N.BitLen(); got != bits && got != bits-1 {
+					t.Errorf("%d-bit key, r = 3^%d: n has %d bits, want %d or %d", bits, k, got, bits-1, bits)
+				}
+			}
+		}
+	}
+}
+
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	k := key(t)
 	rnd := newDetRand("roundtrip")

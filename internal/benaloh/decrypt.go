@@ -3,6 +3,7 @@ package benaloh
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 // ErrNotUnit reports a ciphertext outside (0, n) or sharing a factor with
@@ -23,17 +24,27 @@ const maxPrimeBits = 40
 // Decryptor decrypts under one key with temporaries it reuses, so decoding
 // a candidate set allocates nothing of its own per ciphertext. A Decryptor
 // is not safe for concurrent use; the key it came from is.
+//
+// After the reduction of c modulo p1 everything runs on machine words in
+// Montgomery form (sk.m1, internal/mont): the exponentiations and peels
+// are products of the one CIOS kernel, with no big.Int quotient.
 type Decryptor struct {
-	sk   *PrivateKey
-	x, y big.Int // the subgroup element being solved, and a power of it
-	m    big.Int // the plaintext
-	q, t big.Int // discarded quotients; products before reduction
-	buf  []byte  // x or y as a logTab key
+	sk *PrivateKey
+	x  big.Int // c mod p1 (and c mod p2, for the unit check)
+	q  big.Int // discarded quotients
+	m  big.Int // the plaintext
+	t  big.Int // one chunk's contribution to it
+	// xw is the subgroup element being solved and yw a power of it, both
+	// in the form; cw is a canonical value on its way out of it.
+	xw, yw, cw []big.Word
+	buf        []byte // cw as a logTab key
 }
 
 // NewDecryptor returns a Decryptor for the key.
 func (sk *PrivateKey) NewDecryptor() *Decryptor {
-	return &Decryptor{sk: sk, buf: make([]byte, (sk.P1.BitLen()+7)/8)}
+	k := sk.m1.Words()
+	w := make([]big.Word, 3*k)
+	return &Decryptor{sk: sk, xw: w[:k], yw: w[k : 2*k], cw: w[2*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
 }
 
 // Decrypt recovers the plaintext of c with one exponentiation modulo p1
@@ -69,12 +80,15 @@ func (d *Decryptor) DecryptInt(c *big.Int) (int64, error) {
 // and h has exact order r because g^(φ/p) ≠ 1 for every prime p | r while
 // gcd(r, p2-1) = 1. Nothing below works modulo n.
 func (d *Decryptor) decrypt(c *big.Int) error {
-	sk := d.sk
+	sk, m1 := d.sk, d.sk.m1
 	// p1 last: a unit leaves x = c mod p1.
 	if c.Sign() <= 0 || c.Cmp(sk.N) >= 0 || d.reduce(c, sk.P2).Sign() == 0 || d.reduce(c, sk.P1).Sign() == 0 {
 		return ErrNotUnit
 	}
-	d.x.Exp(&d.x, sk.cofactor, sk.P1)
+	if err := m1.Put(d.yw, &d.x); err != nil {
+		return err // unreachable: reduce leaves x in [0, p1)
+	}
+	m1.Exp(d.xw, d.yw, sk.cofactor.Bits())
 	if sk.k == 0 {
 		return d.babyGiant()
 	}
@@ -86,16 +100,20 @@ func (d *Decryptor) decrypt(c *big.Int) error {
 	d.m.SetInt64(0)
 	for o := 0; o < sk.k; o += sk.chunk {
 		w := min(sk.chunk, sk.k-o)
-		d.y.Exp(&d.x, sk.pow3[sk.k-o-w], sk.P1)
-		i, ok := sk.logTab[string(d.y.FillBytes(d.buf))]
+		m1.Exp(d.yw, d.xw, sk.pow3[sk.k-o-w].Bits())
+		i, ok := sk.logTab[string(d.key(d.yw))]
 		if !ok {
 			return errNoLog
 		}
 		digits := int64(i) / sk.pow3[sk.chunk-w].Int64()
-		d.m.Add(&d.m, d.y.Mul(d.t.SetInt64(digits), sk.pow3[o]))
+		d.m.Add(&d.m, d.t.Mul(d.t.SetInt64(digits), sk.pow3[o]))
 		if o+w < sk.k {
-			d.y.Exp(sk.peel[digits], sk.pow3[o], sk.P1) // h^(-digits·3^o)
-			d.reduce(d.t.Mul(&d.x, &d.y), sk.P1)
+			// x ·= h^(-digits·3^o)
+			if err := m1.Put(d.cw, sk.peel[digits]); err != nil {
+				return errNoLog
+			}
+			m1.Exp(d.yw, d.cw, sk.pow3[o].Bits())
+			m1.Mul(d.xw, d.xw, d.yw)
 		}
 	}
 	return nil
@@ -107,18 +125,33 @@ func (d *Decryptor) reduce(v, p *big.Int) *big.Int {
 	return &d.x
 }
 
+// key returns the logTab key of a value in the form: its canonical
+// residue as big-endian bytes of p1's width, in d.buf.
+func (d *Decryptor) key(v []big.Word) []byte {
+	d.sk.m1.Mul(d.cw, v, d.sk.m1.One())
+	const wordBytes = bits.UintSize / 8
+	for i := range d.buf {
+		at := len(d.buf) - 1 - i // byte i of the value, least significant first
+		d.buf[at] = byte(d.cw[i/wordBytes] >> (i % wordBytes * 8))
+	}
+	return d.buf
+}
+
 // babyGiant solves h^m = x for a prime r: m = i·s + j where the i-th giant
 // step x·h^(-s·i) is the baby step h^j; s² > r bounds i below s, and the
 // first hit is m itself.
 func (d *Decryptor) babyGiant() error {
-	sk := d.sk
+	sk, m1 := d.sk, d.sk.m1
+	if err := m1.Put(d.yw, sk.giant); err != nil {
+		return errNoLog
+	}
 	s := int64(len(sk.logTab))
 	for i := int64(0); i < s; i++ {
-		if j, ok := sk.logTab[string(d.x.FillBytes(d.buf))]; ok {
+		if j, ok := sk.logTab[string(d.key(d.xw))]; ok {
 			d.m.SetInt64(i*s + int64(j))
 			return nil
 		}
-		d.reduce(d.t.Mul(&d.x, sk.giant), sk.P1)
+		m1.Mul(d.xw, d.xw, d.yw)
 	}
 	return errNoLog
 }

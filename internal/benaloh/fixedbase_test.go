@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"embellish/internal/detrand"
+	"embellish/internal/mont"
 )
 
 func fbTestKey(t testing.TB) *PrivateKey {
@@ -33,6 +34,80 @@ func TestFixedBasePowMatchesExp(t *testing.T) {
 			want := new(big.Int).Exp(c, big.NewInt(e), pk.N)
 			if got.Cmp(want) != 0 {
 				t.Fatalf("window %d: Pow(%d) = %v, want %v", window, e, got, want)
+			}
+		}
+	}
+}
+
+// TestFixedBaseAccounting: the table's counts are the counts of the
+// arithmetic it replaces — setup as the doc comment states it, a power
+// one product per nonzero digit beyond the first — and reading it
+// allocates nothing.
+func TestFixedBaseAccounting(t *testing.T) {
+	key := fbTestKey(t)
+	pk := &key.PublicKey
+	c, err := pk.EncryptInt(detrand.New("fb-count"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mont.New(pk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := m.ToMont(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []uint{1, 2, 4, 8} {
+		fb := NewFixedBaseMont(m, base, 255, window)
+		windows := (8 + int(window) - 1) / int(window)
+		if want := windows*(1<<window-2) + (windows-1)*int(window); fb.SetupMuls() != want {
+			t.Errorf("window %d: SetupMuls = %d, want %d", window, fb.SetupMuls(), want)
+		}
+		scratch := make([]big.Word, m.Words())
+		for e := int64(0); e <= 255; e++ {
+			digits := 0
+			for v := e; v > 0; v >>= window {
+				if v&(1<<window-1) != 0 {
+					digits++
+				}
+			}
+			got, muls := fb.PowWords(scratch, e)
+			if muls != max(digits-1, 0) {
+				t.Fatalf("window %d: PowWords(%d) cost %d products for %d nonzero digits", window, e, muls, digits)
+			}
+			if want := new(big.Int).Exp(c, big.NewInt(e), pk.N); m.FromMont(got).Cmp(want) != 0 {
+				t.Fatalf("window %d: PowWords(%d) = %v, want %v", window, e, m.FromMont(got), want)
+			}
+		}
+		if avg := testing.AllocsPerRun(50, func() { fb.PowWords(scratch, 255) }); avg != 0 {
+			t.Errorf("window %d: PowWords allocates %v times per power", window, avg)
+		}
+	}
+}
+
+// TestFixedBaseWithoutForm: a modulus with no Montgomery form (no
+// generated key has one, but public keys arrive off the wire) and a base
+// outside [0, n) still get right powers and the same accounting.
+func TestFixedBaseWithoutForm(t *testing.T) {
+	key := fbTestKey(t)
+	wide := new(big.Int).Add(key.N, big.NewInt(12345))
+	table := key.PublicKey.NewFixedBase(big.NewInt(12345), 255, 4)
+	for name, tc := range map[string]struct {
+		pk   *PublicKey
+		base *big.Int
+	}{
+		"even modulus":       {&PublicKey{N: new(big.Int).Lsh(key.N, 1), G: key.G, R: key.R}, wide},
+		"non-canonical base": {&key.PublicKey, wide},
+	} {
+		fb := tc.pk.NewFixedBase(tc.base, 255, 4)
+		for e := int64(0); e <= 255; e++ {
+			got, muls := fb.Pow(e)
+			if want := new(big.Int).Exp(tc.base, big.NewInt(e), tc.pk.N); got.Cmp(want) != 0 {
+				t.Fatalf("%s: Pow(%d) = %v, want %v", name, e, got, want)
+			}
+			if _, want := table.Pow(e); muls != want {
+				t.Fatalf("%s: Pow(%d) cost %d products, the table's %d", name, e, muls, want)
 			}
 		}
 	}

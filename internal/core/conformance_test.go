@@ -1,0 +1,240 @@
+// Core conformance battery: the package computes Algorithm 4 two ways —
+// the serving plan (processSharded: document shards, a worker pool,
+// Montgomery-form word arithmetic, optional fixed-base tables) and the
+// oracle (ProcessCtx: one goroutine, math/big) — and at every shard
+// count, worker count, window, index shape and key width the plan must
+// return the oracle's response ciphertext for ciphertext and the
+// oracle's counts.
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"embellish/internal/benaloh"
+	"embellish/internal/index"
+	"embellish/internal/scanclock"
+	"embellish/internal/testenv"
+)
+
+// conformanceKeys returns the public keys of the battery by modulus
+// width: generated keys at 128, 256 and 512 bits, and at "257" a
+// hand-built modulus one bit into a fifth word — no factorization is
+// needed, the server fold is arithmetic modulo whatever n the query names.
+func conformanceKeys(t *testing.T) map[int]*benaloh.PublicKey {
+	t.Helper()
+	keys := make(map[int]*benaloh.PublicKey)
+	for _, bits := range []int{128, 256, 512} {
+		k, err := benaloh.GenerateKey(testenv.NewDetRand(fmt.Sprint("core-conformance-", bits)), bits, benaloh.Pow3(9))
+		if err != nil {
+			t.Fatalf("%d-bit key: %v", bits, err)
+		}
+		keys[bits] = &k.PublicKey
+	}
+	n := new(big.Int).Lsh(big.NewInt(1), 256)
+	n.Add(n, new(big.Int).Rand(rand.New(rand.NewSource(257)), new(big.Int).Lsh(big.NewInt(1), 200)))
+	n.SetBit(n, 0, 1)
+	if n.BitLen() != 257 || len(n.Bits()) != 5 {
+		t.Fatalf("hand-built modulus has %d bits in %d words", n.BitLen(), len(n.Bits()))
+	}
+	keys[257] = &benaloh.PublicKey{N: n, G: big.NewInt(2), R: benaloh.Pow3(9)}
+	return keys
+}
+
+// conformanceIndex builds the world's corpus either as one static
+// segment or as four segments (90 + 3 x 20 documents) for the caller to
+// tombstone.
+func conformanceIndex(t *testing.T, w *testenv.World, segments int) *index.Live {
+	t.Helper()
+	if segments == 1 {
+		return index.NewLive(w.Index)
+	}
+	docs := w.Corp.Docs[:150]
+	b := index.NewBuilder()
+	for _, d := range docs[:90] {
+		b.Add(index.DocID(d.ID), d.Tokens)
+	}
+	live := index.NewLive(b.Build())
+	for lo := 90; lo < 150; lo += 20 {
+		b := index.NewBuilder()
+		b.Scale = live.Scale()
+		for i, d := range docs[lo : lo+20] {
+			b.Add(index.DocID(i), d.Tokens)
+		}
+		if _, err := live.Append(b.Build()); err != nil {
+			t.Fatalf("Append: %v", err)
+		}
+	}
+	return live
+}
+
+// requantize returns q under another key: the same terms, each flag an
+// arbitrary unit-sized residue of pk.N drawn from rng. The fold's
+// contract is arithmetic, so the flags need not encrypt anything.
+func requantize(q *Query, pk *benaloh.PublicKey, rng *rand.Rand) *Query {
+	out := &Query{Pub: pk, Entries: make([]QueryEntry, len(q.Entries))}
+	for i, e := range q.Entries {
+		flag := new(big.Int).Rand(rng, new(big.Int).Sub(pk.N, big.NewInt(1)))
+		out.Entries[i] = QueryEntry{Term: e.Term, Flag: flag.Add(flag, big.NewInt(1))}
+	}
+	return out
+}
+
+func sameResponse(t *testing.T, name string, got, want *Response, gotSt, wantSt Stats) {
+	t.Helper()
+	if gotSt != wantSt {
+		t.Fatalf("%s: stats %+v, oracle %+v", name, gotSt, wantSt)
+	}
+	if len(got.Docs) != len(want.Docs) || got.Bytes() != want.Bytes() {
+		t.Fatalf("%s: %d candidates in %d bytes, oracle %d in %d", name, len(got.Docs), got.Bytes(), len(want.Docs), want.Bytes())
+	}
+	for i, ds := range got.Docs {
+		if ds.Doc != want.Docs[i].Doc || ds.Enc.Cmp(want.Docs[i].Enc) != 0 {
+			t.Fatalf("%s: candidate %d = doc %d %v, oracle doc %d %v", name, i, ds.Doc, ds.Enc, want.Docs[i].Doc, want.Docs[i].Enc)
+		}
+	}
+}
+
+func TestPlanConformsToOracle(t *testing.T) {
+	w, k := world(t)
+	keys := conformanceKeys(t)
+	rng := rand.New(rand.NewSource(2101))
+	c := NewClient(w.Org, k, 2102)
+	c.CryptoRand = testenv.NewDetRand("core-conformance-client")
+	base, _, err := c.Embellish(pickGenuine(w, rng, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, segments := range []int{1, 4} {
+		live := conformanceIndex(t, w, segments)
+		srv := NewLiveServer(live, w.Org, w.DB)
+		if segments > 1 {
+			// Tombstone documents the query scores, so the skip runs
+			// inside the fold and not only in the counts.
+			var victims []index.DocID
+			seen := make(map[index.DocID]bool)
+			for _, e := range base.Entries {
+				for i, p := range srv.ListFor(e.Term) {
+					if i%3 == 0 && len(victims) < 12 && !seen[p.Doc] {
+						seen[p.Doc] = true
+						victims = append(victims, p.Doc)
+					}
+				}
+			}
+			if err := live.Delete(victims); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, bits := range []int{128, 256, 257, 512} {
+			q := requantize(base, keys[bits], rng)
+			for _, window := range []uint{0, benaloh.DefaultWindow, 2} {
+				srv.SetPrecompute(window)
+				want, wantSt, err := srv.Process(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Docs) == 0 || wantSt.ModMuls == 0 || (segments > 1) != (wantSt.Tombstoned > 0) {
+					t.Fatalf("oracle run exercises nothing: %d candidates, %+v", len(want.Docs), wantSt)
+				}
+				for _, shards := range []int{1, 3} {
+					srv.SetSharding(shards)
+					for _, workers := range []int{1, 3} {
+						name := fmt.Sprintf("segments=%d bits=%d window=%d shards=%d workers=%d", segments, bits, window, shards, workers)
+						got, gotSt, err := srv.ProcessParallel(q, workers)
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						sameResponse(t, name, got, want, gotSt, wantSt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanFallsBackToOracle: a modulus with no Montgomery form and a
+// flag only math/big reduces are served — by the oracle — not refused
+// and not mis-served.
+func TestPlanFallsBackToOracle(t *testing.T) {
+	w, k := world(t)
+	c := NewClient(w.Org, k, 2111)
+	c.CryptoRand = testenv.NewDetRand("core-fallback-client")
+	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(2112)), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(w.Index, w.Org, w.DB)
+	srv.SetPrecompute(benaloh.DefaultWindow)
+	srv.SetSharding(3)
+
+	even := new(big.Int).Lsh(k.N, 1)
+	wide := &Query{Pub: &k.PublicKey, Entries: append([]QueryEntry(nil), q.Entries...)}
+	wide.Entries[0].Flag = new(big.Int).Add(q.Entries[0].Flag, k.N)
+	for name, q := range map[string]*Query{
+		"even modulus":       requantize(q, &benaloh.PublicKey{N: even, G: k.G, R: k.R}, rand.New(rand.NewSource(2113))),
+		"non-canonical flag": wide,
+	} {
+		want, wantSt, err := srv.Process(q)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", name, err)
+		}
+		got, gotSt, err := srv.ProcessParallel(q, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameResponse(t, name, got, want, gotSt, wantSt)
+	}
+}
+
+// TestPlanCancelsMidFold: a deadline that passes while the fold is
+// running stops it at the next poll, with the work done so far in the
+// stats and no response. The clock is the scan's own poll clock, so the
+// crossing is counted in polls, not raced.
+func TestPlanCancelsMidFold(t *testing.T) {
+	w, k := world(t)
+	c := NewClient(w.Org, k, 2121)
+	c.CryptoRand = testenv.NewDetRand("core-cancel-client")
+	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(2122)), 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(w.Index, w.Org, w.DB)
+	srv.SetPrecompute(benaloh.DefaultWindow)
+	_, full, err := srv.Process(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Postings < 8*cancelCheckPostings {
+		t.Fatalf("query scans %d postings, too few to cancel inside", full.Postings)
+	}
+	for _, cfg := range []struct{ shards, workers int }{{1, 1}, {3, 3}} {
+		srv.SetSharding(cfg.shards)
+		deadline := time.Now().Add(time.Hour)
+		var polls atomic.Int64
+		restore := scanclock.Set(func() time.Time {
+			if polls.Add(1) > 2 {
+				return deadline
+			}
+			return deadline.Add(-time.Minute)
+		})
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		resp, st, err := srv.ProcessParallelCtx(ctx, q, cfg.workers)
+		restore()
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || resp != nil {
+			t.Fatalf("%+v: response %v, error %v; want no response and DeadlineExceeded", cfg, resp, err)
+		}
+		if st.Postings == 0 || st.Postings >= full.Postings || st.ModMuls == 0 || st.ModMuls >= full.ModMuls || st.Candidates != 0 || st.IO != full.IO {
+			t.Fatalf("%+v: partial stats %+v against the full run's %+v", cfg, st, full)
+		}
+		if cfg.workers == 1 && st.Postings != 2*cancelCheckPostings {
+			t.Fatalf("one worker stopped after %d postings, want the third poll's %d", st.Postings, 2*cancelCheckPostings)
+		}
+	}
+}

@@ -24,12 +24,10 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"embellish/internal/benaloh"
 	"embellish/internal/bucket"
 	"embellish/internal/index"
-	"embellish/internal/scanclock"
 	"embellish/internal/simio"
 	"embellish/internal/wordnet"
 )
@@ -189,11 +187,11 @@ type Server struct {
 	// be matched against each segment's dictionary.
 	db   *wordnet.Database
 	Disk simio.Model
-	// shardN is the document-shard count of the worker-pool pipeline; 0
-	// keeps the term-striped fallback.
+	// shardN is the document-shard count of the serving plan; the zero
+	// value serves as one shard.
 	shardN int
 	// window is the fixed-base exponentiation radix exponent; 0 disables
-	// precomputation and every E(u)^p is a full modular exponentiation.
+	// the tables and every E(u)^p is a square-and-multiply exponentiation.
 	window uint
 
 	// resolved caches the per-segment term resolution and bucket
@@ -239,23 +237,22 @@ func (r *resolvedState) term(si int, t wordnet.TermID) int32 {
 }
 
 // SetSharding partitions the server's index into n document shards for
-// the worker-pool pipeline of ProcessParallel: n < 0 selects GOMAXPROCS
-// shards, n == 0 removes the sharded views (restoring the term-striped
-// fallback). Each segment's partition is computed once (appends and
-// merges cover new segments automatically) and copies that segment's
-// postings, roughly doubling the postings' resident memory while
-// sharding is enabled. Not safe to call concurrently with Process
-// calls; configure before serving.
+// the worker pool of ProcessParallel: n < 0 selects GOMAXPROCS shards,
+// n <= 1 is one shard, which walks the inverted lists as they are. More
+// than one shard keeps a sharded view per segment (appends and merges
+// cover new segments automatically) that copies the segment's postings,
+// roughly doubling their resident memory. Not safe to call concurrently
+// with Process calls; configure before serving.
 func (s *Server) SetSharding(n int) {
 	if n < 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	s.shardN = n
+	s.shardN = max(1, n)
+	if n <= 1 {
+		n = 0 // no view for one shard
+	}
 	s.Live.SetSharding(n)
 }
-
-// NumShards reports the configured shard count (0 when unsharded).
-func (s *Server) NumShards() int { return s.shardN }
 
 // SetPrecompute enables fixed-base windowed exponentiation for the
 // per-term flag powers E(u)^p: window is the radix exponent w (tables of
@@ -396,131 +393,11 @@ type Stats struct {
 // IOms returns the simulated I/O time in milliseconds.
 func (st Stats) IOms(m simio.Model) float64 { return st.IO.Ms(m) }
 
-// totalPostings counts a query term's postings across every segment —
-// the size powerFn uses to decide whether a fixed-base table pays off.
-func (r *resolvedState) totalPostings(t wordnet.TermID) int {
-	total := 0
-	for si, seg := range r.snap.Segs {
-		if ti := r.term(si, t); ti >= 0 {
-			total += len(seg.List(int(ti)))
-		}
-	}
-	return total
-}
-
-// cancelCheckPostings is how many postings foldEntry accumulates
+// cancelCheckPostings is how many postings a fold (plan or oracle) walks
 // between context checks: frequent enough that a deadline lands within
 // a handful of group operations, rare enough that the atomic load in
 // ctx.Done() is invisible next to the modular arithmetic.
 const cancelCheckPostings = 64
-
-// foldEntry folds one embellished-query entry into acc: build the
-// E(u)^p evaluator sized by the entry's total postings (one fixed-base
-// table serves every segment), then walk the entry's list segment by
-// segment, skipping tombstoned documents BEFORE any group operation.
-// Shared by the sequential plan and the term-striped workers, which
-// pass worker-local acc and stats. The context is checked every
-// cancelCheckPostings postings; on cancellation the entry's partial
-// work stays accounted in st and ctx.Err() is returned.
-func (s *Server) foldEntry(ctx context.Context, r *resolvedState, e QueryEntry, pk *benaloh.PublicKey, acc map[index.DocID]*big.Int, st *Stats) error {
-	total := r.totalPostings(e.Term)
-	if total == 0 {
-		return nil
-	}
-	done := ctx.Done()
-	var dl time.Time
-	var hasDL bool
-	if done != nil {
-		dl, hasDL = ctx.Deadline()
-		// Check BEFORE the fixed-base setup: the table build is the one
-		// block of unchecked work large enough to matter, so a deadline
-		// that fires between entries must not pay for another table.
-		select {
-		case <-done:
-			return ctx.Err()
-		default:
-		}
-		if hasDL && !scanclock.Now().Before(dl) {
-			return context.DeadlineExceeded
-		}
-	}
-	pow, setup := s.powerFn(pk, e.Flag, total)
-	st.ModMuls += setup
-	for si, seg := range r.snap.Segs {
-		ti := r.term(si, e.Term)
-		if ti < 0 {
-			continue
-		}
-		for _, p := range seg.List(int(ti)) {
-			if done != nil && st.Postings&(cancelCheckPostings-1) == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-				// Also check the wall clock: on a single-P runtime the
-				// context's timer goroutine cannot run while this scan
-				// holds the CPU, so the done channel can close tens of
-				// milliseconds after the deadline actually passed.
-				if hasDL && !scanclock.Now().Before(dl) {
-					return context.DeadlineExceeded
-				}
-			}
-			st.Postings++
-			if r.snap.Deleted(p.Doc) {
-				st.Tombstoned++
-				continue
-			}
-			contrib, muls := pow(int64(p.Quantized))
-			st.ModMuls += muls
-			if cur, ok := acc[p.Doc]; ok {
-				pk.AddInto(cur, contrib)
-				st.ModMuls++
-			} else {
-				acc[p.Doc] = contrib
-			}
-		}
-	}
-	return nil
-}
-
-// Process implements Algorithm 4: for every (genuine or decoy) term in
-// the embellished query, walk its inverted list — segment by segment,
-// skipping tombstoned documents without any homomorphic work — and fold
-// E(u_i)^{p_ij} into the candidate document's encrypted score.
-func (s *Server) Process(q *Query) (*Response, Stats, error) {
-	return s.ProcessCtx(context.Background(), q)
-}
-
-// ProcessCtx is Process under a context: the posting walk checks ctx
-// periodically and stops mid-scan when the context is cancelled or its
-// deadline expires. On cancellation the returned Stats account the
-// postings and multiplications actually performed before the stop —
-// the partial-work figures operational layers charge abandoned queries
-// for — and the error is ctx.Err(). The partial response is discarded.
-func (s *Server) ProcessCtx(ctx context.Context, q *Query) (*Response, Stats, error) {
-	if len(q.Entries) == 0 {
-		return nil, Stats{}, errors.New("core: empty query")
-	}
-	r := s.resolve()
-	st := s.chargeIO(q, r)
-
-	pk := q.Pub
-	acc := make(map[index.DocID]*big.Int)
-	for _, e := range q.Entries {
-		if err := s.foldEntry(ctx, r, e, pk, acc, &st); err != nil {
-			return nil, st, err
-		}
-	}
-	resp := &Response{ctxBytes: pk.CiphertextBytes()}
-	resp.Docs = make([]DocScore, 0, len(acc))
-	for d, c := range acc {
-		resp.Docs = append(resp.Docs, DocScore{Doc: d, Enc: c})
-	}
-	sortDocScores(resp.Docs)
-	st.Candidates = len(resp.Docs)
-	return resp, st, nil
-}
 
 // ctxScanErr is the error a cancelled scan reports: the context's own
 // error once its timer has fired, else DeadlineExceeded — a scan only
@@ -538,38 +415,3 @@ func ctxScanErr(ctx context.Context) error {
 // fixed-base table pays for its setup multiplications; shorter lists
 // fall back to plain exponentiation.
 const fixedBaseMinPostings = 4
-
-// powerFn returns the E(u)^p evaluator for one query entry — a
-// fixed-base windowed table when precomputation is enabled and the
-// term's list is long enough to amortize it, otherwise plain modular
-// exponentiation. The second return is the setup cost in modular
-// multiplications; the evaluator reports its per-call cost. Both paths
-// yield the identical group element, so the choice is invisible to the
-// client and to the protocol transcript.
-func (s *Server) powerFn(pk *benaloh.PublicKey, flag *big.Int, postings int) (func(int64) (*big.Int, int), int) {
-	if s.window == 0 || postings < fixedBaseMinPostings {
-		return func(p int64) (*big.Int, int) {
-			// E(u)^p via modular exponentiation; count its multiplications
-			// for the CPU cost model (~1.5 per exponent bit).
-			return pk.ScalarMul(flag, p), mulsForExponent(p)
-		}, 0
-	}
-	fb := pk.NewFixedBase(flag, int64(s.Live.QuantLevels()), s.window)
-	return fb.Pow, fb.SetupMuls()
-}
-
-// mulsForExponent estimates the modular multiplications of one
-// square-and-multiply exponentiation with exponent e.
-func mulsForExponent(e int64) int {
-	if e <= 1 {
-		return 0
-	}
-	bits, ones := 0, 0
-	for v := e; v > 0; v >>= 1 {
-		bits++
-		if v&1 == 1 {
-			ones++
-		}
-	}
-	return (bits - 1) + (ones - 1)
-}

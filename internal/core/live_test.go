@@ -118,7 +118,7 @@ func TestLivePlansAgreeAfterUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("term-striped", resp, st)
+	check("one shard", resp, st)
 
 	srv.SetSharding(3)
 	resp, st, err = srv.ProcessParallel(q, 4)

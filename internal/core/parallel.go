@@ -8,32 +8,33 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"embellish/internal/benaloh"
 	"embellish/internal/index"
+	"embellish/internal/mont"
 	"embellish/internal/scanclock"
 	"embellish/internal/wordnet"
 )
 
-// ProcessParallel is Algorithm 4 executed by a worker pool. With
-// sharding enabled (Server.SetSharding), the postings are partitioned
-// by document: each worker claims whole shards from a work queue and
-// folds every query term's shard-local sub-lists — one per segment —
-// into a private accumulator map. Shards own disjoint document sets
-// across ALL segments (the partition is by global doc id), so the
-// per-shard encrypted score maps never overlap and the final merge is
-// pure concatenation — no cross-shard homomorphic additions, no locks
-// on the hot path. Tombstoned documents are skipped before any group
-// operation. The per-term flag powers E(u)^p are served from fixed-base
-// tables built once per query (Server.SetPrecompute) and shared
-// read-only by all workers.
+// ProcessParallel is Algorithm 4 as it is served: the one ranking plan,
+// processSharded, on a pool of workers (workers <= 0 selects GOMAXPROCS;
+// the pool never exceeds the shard count). The postings are partitioned
+// by document into max(1, SetSharding's n) shards: each worker claims
+// whole shards from a work queue and folds every query term's shard-local
+// postings — segment by segment — into a private accumulator. Shards own
+// disjoint document sets across ALL segments (the partition is by global
+// doc id), so the per-shard candidate sets never overlap and the final
+// merge is pure concatenation — no cross-shard homomorphic additions, no
+// locks on the hot path. Tombstoned documents are skipped before any
+// group operation.
 //
-// Without sharding the legacy term-striped plan runs: workers split the
-// query's terms and merge their overlapping accumulators pairwise with
-// homomorphic additions afterwards.
-//
-// Either way the result is identical to Process up to ciphertext
-// randomization: each E(score) is a different group element than the
-// sequential run would produce, but decrypts to the same score, and the
-// server learns nothing either way. workers <= 0 selects GOMAXPROCS.
+// The arithmetic is word-level: ciphertexts are carried through the fold
+// in Montgomery form on []big.Word slabs (internal/mont) — flags
+// converted in once per entry, the fixed-base tables of SetPrecompute
+// built once per query and shared read-only by all workers, candidates
+// converted out once each by the worker that owns them. Multiplication
+// modulo n is commutative and every path returns canonical residues, so
+// the response is the oracle's (Process) ciphertext for ciphertext, with
+// the same Stats, at every shard count, worker count and window.
 func (s *Server) ProcessParallel(q *Query, workers int) (*Response, Stats, error) {
 	return s.ProcessParallelCtx(context.Background(), q, workers)
 }
@@ -51,10 +52,7 @@ func (s *Server) ProcessParallelCtx(ctx context.Context, q *Query, workers int) 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if s.shardN > 0 {
-		return s.processSharded(ctx, q, workers)
-	}
-	return s.processTermStriped(ctx, q, workers)
+	return s.processSharded(ctx, q, workers)
 }
 
 // chargeIO accounts one seek per distinct bucket named by the query
@@ -71,27 +69,80 @@ func (s *Server) chargeIO(q *Query, r *resolvedState) Stats {
 	return st
 }
 
-// entryPlan is the per-query-term execution state shared read-only by
-// all shard workers: the per-segment resolved term numbers and the
-// E(u)^p evaluator. pow is nil when the term occurs in no segment.
-type entryPlan struct {
-	terms []int32 // index term number per segment, -1 when absent
-	pow   func(int64) (*big.Int, int)
+// wordForm returns the Montgomery context the fold runs the query in and
+// every entry's flag converted into it (entry i at [i·Words():(i+1)·Words()]),
+// or nil when the query has no such form and goes to the oracle: an even
+// or degenerate modulus (no honest key's, but keys arrive off the wire),
+// or a flag outside [0, n), which only math/big reduces.
+func wordForm(q *Query) (*mont.Modulus, []big.Word) {
+	mod, err := mont.New(q.Pub.N)
+	if err != nil {
+		return nil, nil
+	}
+	k := mod.Words()
+	flags := make([]big.Word, len(q.Entries)*k)
+	for i, e := range q.Entries {
+		if mod.Put(flags[i*k:(i+1)*k], e.Flag) != nil {
+			return nil, nil
+		}
+	}
+	return mod, flags
 }
 
-// processSharded runs the document-sharded worker-pool pipeline against
-// one index snapshot. Workers poll ctx at entry claims and every
-// cancelCheckPostings postings; a cancelled worker records the partial
-// stats of its current shard before exiting.
+// entryPlan is the per-query-term execution state shared read-only by
+// all shard workers. base is nil when the term occurs in no segment.
+type entryPlan struct {
+	terms    []int32            // index term number per segment, -1 when absent
+	postings int                // across all segments, tombstoned included
+	base     []big.Word         // E(u) in Montgomery form
+	table    *benaloh.FixedBase // E(u)^p by table; nil: by square-and-multiply
+}
+
+// pow returns E(u)^p in Montgomery form and the multiplications it cost:
+// a table's digit products, or mulsForExponent(p) of square-and-multiply.
+// The result is scratch or a read-only table entry: the caller copies or
+// multiplies it, never writes it.
+func (pl *entryPlan) pow(mod *mont.Modulus, scratch []big.Word, p uint64) ([]big.Word, int) {
+	if pl.table != nil {
+		return pl.table.PowWords(scratch, int64(p))
+	}
+	return scratch, mod.Exp(scratch, pl.base, []big.Word{big.Word(p)})
+}
+
+// fanOut runs fn(0..workers-1) and waits; one worker runs on the caller's
+// goroutine.
+func fanOut(workers int, fn func(w int)) {
+	if workers == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(w)
+		}()
+	}
+	wg.Wait()
+}
+
+// processSharded is the serving plan, run against one index snapshot.
+// Workers poll ctx at entry claims and every cancelCheckPostings
+// postings; a cancelled worker records the partial stats of its current
+// shard before exiting.
 func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Response, Stats, error) {
+	mod, flags := wordForm(q)
+	if mod == nil {
+		return s.ProcessCtx(ctx, q)
+	}
 	r := s.resolve()
 	st := s.chargeIO(q, r)
 	pk := q.Pub
 	segs := r.snap.Segs
-	nsh := s.shardN
-	if workers > nsh {
-		workers = nsh
-	}
+	k := mod.Words()
+	nsh := max(1, s.shardN)
+	workers = min(workers, nsh)
 	done := ctx.Done()
 	dl, hasDL := ctx.Deadline()
 	// aborted is set by any worker that observes cancellation — the
@@ -100,169 +151,173 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	var aborted atomic.Bool
 
 	// Phase 1: resolve terms and build the per-entry fixed-base tables,
-	// fanned out over the pool (tables are independent of each other).
+	// fanned out over the pool (entries are independent of each other). A table is built when
+	// precomputation is on and the entry's list is long enough to
+	// amortize it; the same fold runs either way.
 	plans := make([]entryPlan, len(q.Entries))
-	setupMuls := make([]int64, workers)
-	var nextEntry int32
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if done != nil {
-					select {
-					case <-done:
-						return
-					default:
-					}
-				}
-				i := int(atomic.AddInt32(&nextEntry, 1)) - 1
-				if i >= len(q.Entries) {
+	setupMuls := make([]int, workers)
+	var nextEntry atomic.Int32
+	fanOut(workers, func(w int) {
+		for {
+			if done != nil {
+				select {
+				case <-done:
 					return
+				default:
 				}
-				e := q.Entries[i]
-				// Resolve per-segment terms and the total posting count in
-				// one pass (the plan needs both, so totalPostings alone
-				// would rescan).
-				terms := make([]int32, len(segs))
-				total := 0
-				for si, seg := range segs {
-					terms[si] = r.term(si, e.Term)
-					if terms[si] >= 0 {
-						total += len(seg.List(int(terms[si])))
-					}
-				}
-				plans[i].terms = terms
-				if total == 0 {
-					continue
-				}
-				pow, setup := s.powerFn(pk, e.Flag, total)
-				plans[i].pow = pow
-				setupMuls[w] += int64(setup)
 			}
-		}(w)
-	}
-	wg.Wait()
+			i := int(nextEntry.Add(1)) - 1
+			if i >= len(q.Entries) {
+				return
+			}
+			e := q.Entries[i]
+			pl := &plans[i]
+			pl.terms = make([]int32, len(segs))
+			for si, seg := range segs {
+				pl.terms[si] = r.term(si, e.Term)
+				if pl.terms[si] >= 0 {
+					pl.postings += len(seg.List(int(pl.terms[si])))
+				}
+			}
+			if pl.postings == 0 {
+				continue
+			}
+			pl.base = flags[i*k : (i+1)*k : (i+1)*k]
+			if s.window != 0 && pl.postings >= fixedBaseMinPostings {
+				pl.table = benaloh.NewFixedBaseMont(mod, pl.base, int64(s.Live.QuantLevels()), s.window)
+				setupMuls[w] += pl.table.SetupMuls()
+			}
+		}
+	})
 	for _, m := range setupMuls {
-		st.ModMuls += int(m)
+		st.ModMuls += m
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
+	// A shard holds at most its share of the postings, and of the ids
+	// ever assigned: the size its accumulator starts at.
+	room := 0
+	for i := range plans {
+		room += plans[i].postings
+	}
+	room = min(room, int(r.snap.NextDoc))/nsh + 1
 
 	// Phase 2: workers claim shards and fold every entry's shard-local
-	// sub-lists (one per segment) into a shard-private accumulator.
-	// Global-doc-id-disjointness makes the shard maps non-overlapping.
-	// Segments carry a prebuilt sharded view; a segment whose view is
-	// missing or built for another shard count is filter-scanned
-	// instead, which is slower but yields the identical postings.
+	// postings into the shard's accumulator: one slab of k-word slots, a
+	// document's slot found through a map — no big.Int per candidate, no
+	// allocation per product. A shard's postings come from the segment's
+	// prebuilt sharded view; a segment whose view is missing or built for
+	// another shard count is filter-scanned instead, which is slower but
+	// yields the identical postings. One shard walks the lists as they
+	// are.
 	type shardOut struct {
-		acc        map[index.DocID]*big.Int
+		docs       []DocScore
 		modMuls    int
 		postings   int
 		tombstoned int
 	}
 	outs := make([]shardOut, nsh)
-	var nextShard int32
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				si := int(atomic.AddInt32(&nextShard, 1)) - 1
-				if si >= nsh {
-					return
+	var nextShard atomic.Int32
+	fanOut(workers, func(int) {
+		scratch := make([]big.Word, k)
+		for {
+			si := int(nextShard.Add(1)) - 1
+			if si >= nsh {
+				return
+			}
+			slots := make(map[index.DocID]int32, room)
+			ids := make([]index.DocID, 0, room) // slot -> document
+			acc := make([]big.Word, 0, room*k)  // slot i at acc[i*k:(i+1)*k]
+			muls, posts, tombs := 0, 0, 0
+			cancelled := false
+			check := func() bool {
+				if done == nil {
+					return false
 				}
-				acc := make(map[index.DocID]*big.Int)
-				muls, posts, tombs := 0, 0, 0
-				cancelled := false
-				check := func() bool {
-					if done == nil {
-						return false
-					}
-					select {
-					case <-done:
-						cancelled = true
-						aborted.Store(true)
-						return true
-					default:
-					}
+				select {
+				case <-done:
+					cancelled = true
+				default:
 					// Wall-clock fallback: on a single-P runtime the
 					// timer goroutine cannot close done while workers
 					// hold every CPU.
-					if hasDL && !scanclock.Now().Before(dl) {
-						cancelled = true
-						aborted.Store(true)
-						return true
-					}
-					return false
+					cancelled = hasDL && !scanclock.Now().Before(dl)
 				}
-				scan := func(p index.Posting, pl *entryPlan) {
-					posts++
-					if r.snap.Deleted(p.Doc) {
-						tombs++
-						return
-					}
-					contrib, m := pl.pow(int64(p.Quantized))
-					muls += m
-					if cur, ok := acc[p.Doc]; ok {
-						pk.AddInto(cur, contrib)
-						muls++
-					} else {
-						acc[p.Doc] = contrib
-					}
+				if cancelled {
+					aborted.Store(true)
 				}
-			planLoop:
-				for pi := range plans {
-					pl := &plans[pi]
-					if pl.pow == nil {
+				return cancelled
+			}
+		planLoop:
+			for pi := range plans {
+				pl := &plans[pi]
+				if pl.base == nil {
+					continue
+				}
+				for sgi, seg := range segs {
+					ti := pl.terms[sgi]
+					if ti < 0 {
 						continue
 					}
-					for sgi, seg := range segs {
-						ti := pl.terms[sgi]
-						if ti < 0 {
+					list, filter := seg.List(int(ti)), nsh > 1
+					if view := seg.ShardedView(); filter && view != nil && view.NumShards() == nsh {
+						list, filter = view.List(int(ti), si), false
+					}
+					for _, p := range list {
+						if filter && int(p.Doc)%nsh != si {
 							continue
 						}
-						if view := seg.ShardedView(); view != nil && view.NumShards() == nsh {
-							for _, p := range view.List(int(ti), si) {
-								if posts&(cancelCheckPostings-1) == 0 && check() {
-									break planLoop
-								}
-								scan(p, pl)
-							}
+						if posts&(cancelCheckPostings-1) == 0 && check() {
+							break planLoop
+						}
+						posts++
+						if r.snap.Deleted(p.Doc) {
+							tombs++
+							continue
+						}
+						c, m := pl.pow(mod, scratch, uint64(p.Quantized))
+						muls += m
+						if slot, ok := slots[p.Doc]; ok {
+							a := acc[int(slot)*k : (int(slot)+1)*k]
+							mod.Mul(a, a, c)
+							muls++
 						} else {
-							for _, p := range seg.List(int(ti)) {
-								if int(p.Doc)%nsh != si {
-									continue
-								}
-								if posts&(cancelCheckPostings-1) == 0 && check() {
-									break planLoop
-								}
-								scan(p, pl)
-							}
+							slots[p.Doc] = int32(len(ids))
+							ids = append(ids, p.Doc)
+							acc = append(acc, c...)
 						}
 					}
 				}
-				// Record the shard's (possibly partial) work before
-				// exiting so cancellation still accounts every posting
-				// scanned and multiplication performed.
-				outs[si] = shardOut{acc: acc, modMuls: muls, postings: posts, tombstoned: tombs}
-				if cancelled {
-					return
-				}
 			}
-		}()
-	}
-	wg.Wait()
+			// Record the shard's (possibly partial) work before exiting
+			// so cancellation still accounts every posting scanned and
+			// multiplication performed.
+			out := &outs[si]
+			out.modMuls, out.postings, out.tombstoned = muls, posts, tombs
+			if cancelled {
+				return
+			}
+			// Convert the candidates out of the form in place; each
+			// ciphertext is a cap-limited window of the slab, so a caller
+			// that grows one cannot write into its neighbour.
+			encs := make([]big.Int, len(ids))
+			out.docs = make([]DocScore, len(ids))
+			for i, d := range ids {
+				a := acc[i*k : (i+1)*k : (i+1)*k]
+				mod.Mul(a, a, mod.One())
+				out.docs[i] = DocScore{Doc: d, Enc: encs[i].SetBits(a)}
+			}
+		}
+	})
 
-	// Phase 3: aggregate stats and concatenate the disjoint shard maps.
+	// Phase 3: aggregate stats and concatenate the disjoint shard sets.
 	total := 0
 	for i := range outs {
 		st.ModMuls += outs[i].modMuls
 		st.Postings += outs[i].postings
 		st.Tombstoned += outs[i].tombstoned
-		total += len(outs[i].acc)
+		total += len(outs[i].docs)
 	}
 	if aborted.Load() || ctx.Err() != nil {
 		return nil, st, ctxScanErr(ctx)
@@ -270,93 +325,7 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	resp := &Response{ctxBytes: pk.CiphertextBytes()}
 	resp.Docs = make([]DocScore, 0, total)
 	for i := range outs {
-		for d, c := range outs[i].acc {
-			resp.Docs = append(resp.Docs, DocScore{Doc: d, Enc: c})
-		}
-	}
-	sortDocScores(resp.Docs)
-	st.Candidates = len(resp.Docs)
-	return resp, st, nil
-}
-
-// processTermStriped is the legacy parallel plan: stripe the query's
-// terms over the workers and homomorphically merge the overlapping
-// per-worker accumulators afterwards. Retained for servers that have
-// not configured sharding.
-func (s *Server) processTermStriped(ctx context.Context, q *Query, workers int) (*Response, Stats, error) {
-	if workers == 1 || len(q.Entries) < 2*workers {
-		return s.ProcessCtx(ctx, q)
-	}
-	r := s.resolve()
-	st := s.chargeIO(q, r)
-	pk := q.Pub
-	type stripe struct {
-		acc   map[index.DocID]*big.Int
-		stats Stats
-		err   error
-	}
-	stripes := make([]stripe, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			acc := make(map[index.DocID]*big.Int)
-			var wst Stats
-			var werr error
-			for i := w; i < len(q.Entries); i += workers {
-				if werr = s.foldEntry(ctx, r, q.Entries[i], pk, acc, &wst); werr != nil {
-					break
-				}
-			}
-			stripes[w] = stripe{acc: acc, stats: wst, err: werr}
-		}(w)
-	}
-	wg.Wait()
-
-	// A cancelled stripe still reports its partial stats; sum every
-	// stripe's work before deciding whether to merge or abort.
-	cancelled := false
-	var scanErr error
-	st.ModMuls += stripes[0].stats.ModMuls
-	st.Postings += stripes[0].stats.Postings
-	st.Tombstoned += stripes[0].stats.Tombstoned
-	for _, sh := range stripes {
-		if sh.err != nil {
-			cancelled = true
-			if scanErr == nil {
-				scanErr = sh.err
-			}
-		}
-	}
-	merged := stripes[0].acc
-	for _, sh := range stripes[1:] {
-		st.ModMuls += sh.stats.ModMuls
-		st.Postings += sh.stats.Postings
-		st.Tombstoned += sh.stats.Tombstoned
-		if cancelled {
-			continue
-		}
-		for d, c := range sh.acc {
-			if cur, ok := merged[d]; ok {
-				pk.AddInto(cur, c)
-				st.ModMuls++
-			} else {
-				merged[d] = c
-			}
-		}
-	}
-	if cancelled {
-		// scanErr, not ctx.Err(): a stripe that stopped on the
-		// wall-clock deadline check may report DeadlineExceeded before
-		// the context's own timer has fired.
-		return nil, st, scanErr
-	}
-
-	resp := &Response{ctxBytes: pk.CiphertextBytes()}
-	resp.Docs = make([]DocScore, 0, len(merged))
-	for d, c := range merged {
-		resp.Docs = append(resp.Docs, DocScore{Doc: d, Enc: c})
+		resp.Docs = append(resp.Docs, outs[i].docs...)
 	}
 	sortDocScores(resp.Docs)
 	st.Candidates = len(resp.Docs)

@@ -58,8 +58,8 @@ func TestParallelSmallQueryFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Tiny queries fall back to the sequential path; result must still
-	// be correct.
+	// Far more workers than the one shard: the pool is capped, the
+	// result must still be correct.
 	resp, _, err := s.ProcessParallel(q, 64)
 	if err != nil {
 		t.Fatal(err)

@@ -1,15 +1,18 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // lessSwap sorts ranked results by decreasing score, ties by ascending
 // document ID.
 func lessSwap(rs []Ranked) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Score != rs[j].Score {
-			return rs[i].Score > rs[j].Score
+	slices.SortFunc(rs, func(a, b Ranked) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
 		}
-		return rs[i].Doc < rs[j].Doc
+		return cmp.Compare(a.Doc, b.Doc)
 	})
 }
 
@@ -17,5 +20,5 @@ func lessSwap(rs []Ranked) {
 // order that leaks nothing (the ciphertexts are already order-free) and
 // makes responses reproducible for tests.
 func sortDocScores(ds []DocScore) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i].Doc < ds[j].Doc })
+	slices.SortFunc(ds, func(a, b DocScore) int { return cmp.Compare(a.Doc, b.Doc) })
 }

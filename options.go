@@ -41,30 +41,32 @@ type Options struct {
 	// the paper names Okapi explicitly); Cosine is Equation 3.
 	Scoring Scoring
 	// Parallelism sets the worker count for server-side score
-	// accumulation: 0 keeps single-threaded execution (the paper's
-	// sequential Algorithm 4, or one worker walking the shards serially
-	// when Shards is set), -1 selects GOMAXPROCS, and any positive
-	// value pins the worker count. The homomorphic accumulation
-	// commutes, so results are identical.
+	// accumulation: 0 keeps single-threaded execution (one worker
+	// walking the shards serially), -1 selects GOMAXPROCS, and any
+	// positive value pins the worker count; the pool never exceeds the
+	// shard count. The homomorphic accumulation commutes, so responses
+	// are identical.
 	Parallelism int
-	// Shards partitions the inverted index by document for the
-	// worker-pool accumulator: shard s owns the postings of documents d
-	// with d mod n == s, so per-shard encrypted score maps are disjoint
-	// and merge without homomorphic additions. 0 disables sharding
-	// (the seed term-striped plan), -1 selects GOMAXPROCS shards, and
-	// any positive value pins the shard count. The sharded view copies
-	// the postings once at configuration time (roughly doubling index
-	// memory) in exchange for contiguous per-shard scans. Sharding
-	// never changes decrypted scores — only which goroutine computes
-	// them; set Parallelism to size the worker pool.
+	// Shards partitions the inverted index by document for the one
+	// ranking plan's worker pool: shard s owns the postings of documents
+	// d with d mod n == s, so per-shard candidate sets are disjoint and
+	// merge without homomorphic additions. 0 and 1 are one shard, which
+	// walks the inverted lists as they are; -1 selects GOMAXPROCS
+	// shards, and any larger value pins the shard count. More than one
+	// shard copies the postings once at configuration time into a
+	// sharded view (roughly doubling index memory) in exchange for
+	// contiguous per-shard scans. Sharding never changes a response —
+	// only which goroutine computes it; set Parallelism to size the
+	// worker pool.
 	Shards int
 	// PrecomputeWindow enables fixed-base windowed exponentiation for
 	// the per-term flag powers E(u)^p: the server builds one table of
 	// 2^w-entry windows per query term and answers each posting's power
 	// with table lookups plus at most one multiplication, instead of a
-	// full modular exponentiation per posting. 0 disables the tables,
-	// -1 selects the default window (4 bits), and 1..8 pin the window
-	// width. Ciphertexts are identical either way.
+	// square-and-multiply exponentiation per posting. 0 disables the
+	// tables (the same fold, no table), -1 selects the default window
+	// (4 bits), and 1..8 pin the window width. Ciphertexts are identical
+	// either way.
 	PrecomputeWindow int
 	// MaxConns caps simultaneous connections in Engine.Serve and
 	// NetServers built with a zero ServeConfig.MaxConns. 0 selects
