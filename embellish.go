@@ -805,15 +805,7 @@ func (c *Client) Decode(resp *Response, k int) ([]Result, error) {
 	if resp == nil || resp.inner == nil {
 		return nil, errors.New("embellish: nil response")
 	}
-	ranked, err := c.inner.PostFilter(resp.inner, k)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, len(ranked))
-	for i, r := range ranked {
-		out[i] = Result{DocID: int(r.Doc), Score: r.Score}
-	}
-	return out, nil
+	return c.decodeCandidates(resp.inner.Docs, k)
 }
 
 // Search is the end-to-end convenience: Embellish, Process, Decode.

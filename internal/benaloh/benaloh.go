@@ -55,7 +55,7 @@ type PublicKey struct {
 type PrivateKey struct {
 	PublicKey
 	P1, P2   *big.Int
-	m1       *mont.Modulus    // p1 in Montgomery form: decryption's arithmetic
+	m1, m2   *mont.Modulus    // p1 and p2 in Montgomery form: decryption's arithmetic, and its unit check
 	cofactor *big.Int         // (p1-1)/r: raising to it maps Z_p1^* onto the order-r subgroup ⟨h⟩
 	logTab   map[string]int32 // W^i -> i (r = 3^k, W = h^(3^(k-chunk))) or h^i -> i (prime r)
 	// r = 3^k: base-3 digits are solved chunk at a time.
@@ -151,11 +151,16 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err // unreachable: p1 is an odd prime
 	}
+	m2, err := mont.New(p2)
+	if err != nil {
+		return nil, err // unreachable: p2 is an odd prime
+	}
 	priv := &PrivateKey{
 		PublicKey: PublicKey{N: n, G: g, R: new(big.Int).Set(r)},
 		P1:        p1,
 		P2:        p2,
 		m1:        m1,
+		m2:        m2,
 		cofactor:  new(big.Int).Div(new(big.Int).Sub(p1, one), r),
 		k:         k,
 	}
@@ -284,6 +289,10 @@ func randomUnit(randSrc io.Reader, n *big.Int, out *big.Int) error {
 }
 
 // Encrypt encrypts m ∈ [0, r) under the public key: E(m) = g^m µ^r mod n.
+// Both powers are square-and-multiply on the word kernel (internal/mont) —
+// for a flag, m ∈ {0, 1}, g^m costs no product at all — and leave the
+// form as canonical residues, so the ciphertext is the one math/big's Exp
+// and Mod compute from the same µ.
 func (pk *PublicKey) Encrypt(randSrc io.Reader, m *big.Int) (*big.Int, error) {
 	if randSrc == nil {
 		randSrc = rand.Reader
@@ -291,15 +300,28 @@ func (pk *PublicKey) Encrypt(randSrc io.Reader, m *big.Int) (*big.Int, error) {
 	if m.Sign() < 0 || m.Cmp(pk.R) >= 0 {
 		return nil, fmt.Errorf("benaloh: message out of range [0, r)")
 	}
+	mod, err := mont.New(pk.N)
+	if err != nil {
+		return nil, fmt.Errorf("benaloh: modulus n: %w", err) // no key GenerateKey returns
+	}
 	mu := new(big.Int)
 	if err := randomUnit(randSrc, pk.N, mu); err != nil {
 		return nil, err
 	}
-	c := new(big.Int).Exp(pk.G, m, pk.N)
-	mu.Exp(mu, pk.R, pk.N)
-	c.Mul(c, mu)
-	c.Mod(c, pk.N)
-	return c, nil
+	k := mod.Words()
+	w := make([]big.Word, 3*k)
+	base, gm, c := w[:k], w[k:2*k], w[2*k:]
+	if err := mod.Put(base, pk.G); err != nil {
+		return nil, fmt.Errorf("benaloh: generator g: %w", err)
+	}
+	mod.Exp(gm, base, m.Bits())
+	if err := mod.Put(base, mu); err != nil {
+		return nil, err // unreachable: µ is a unit of Z_n
+	}
+	mod.Exp(c, base, pk.R.Bits())
+	mod.Mul(c, c, gm)
+	mod.Mul(c, c, mod.One())
+	return new(big.Int).SetBits(c), nil
 }
 
 // EncryptInt encrypts a small non-negative integer.

@@ -109,6 +109,62 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncryptMatchesBigInt holds the word-kernel Encrypt to the definition
+// in math/big — g^m·µ^r by Exp, Mul and Mod — ciphertext for ciphertext
+// from the same random stream, across key widths and both shapes of r.
+func TestEncryptMatchesBigInt(t *testing.T) {
+	keys := map[string]*PrivateKey{}
+	for _, bits := range []int{64, 128, 256, 257, 512} {
+		sk, err := GenerateKey(newDetRand(fmt.Sprintf("enc-%d", bits)), bits, Pow3(3))
+		if err != nil {
+			t.Fatalf("GenerateKey(%d bits): %v", bits, err)
+		}
+		keys[fmt.Sprintf("%d bits, r = 27", bits)] = sk
+	}
+	keys["256 bits, r = 3^12"] = key(t)
+	prime, err := GenerateKey(newDetRand("enc-prime"), 192, big.NewInt(10007))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys["192 bits, r = 10007"] = prime
+	for name, sk := range keys {
+		msgs := []*big.Int{new(big.Int), one, two, new(big.Int).Sub(sk.R, one)}
+		rnd := newDetRand("enc-msgs-" + name)
+		for i := 0; i < 8; i++ {
+			m, err := rand.Int(rnd, sk.R)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgs = append(msgs, m)
+		}
+		got, want := newDetRand("enc-stream-"+name), newDetRand("enc-stream-"+name)
+		for _, m := range msgs {
+			c, err := sk.Encrypt(got, m)
+			if err != nil {
+				t.Fatalf("%s: Encrypt(%v): %v", name, m, err)
+			}
+			mu := new(big.Int)
+			if err := randomUnit(want, sk.N, mu); err != nil {
+				t.Fatal(err)
+			}
+			ref := new(big.Int).Exp(sk.G, m, sk.N)
+			ref.Mul(ref, mu.Exp(mu, sk.R, sk.N)).Mod(ref, sk.N)
+			if c.Cmp(ref) != 0 {
+				t.Fatalf("%s: Encrypt(%v) = %x, math/big says %x", name, m, c, ref)
+			}
+		}
+	}
+	sk := key(t)
+	even := &PublicKey{N: new(big.Int).Lsh(sk.N, 1), G: sk.G, R: sk.R}
+	if _, err := even.EncryptInt(newDetRand("even"), 1); err == nil {
+		t.Error("Encrypt under an even modulus succeeded")
+	}
+	wide := &PublicKey{N: sk.N, G: new(big.Int).Add(sk.G, sk.N), R: sk.R}
+	if _, err := wide.EncryptInt(newDetRand("wide"), 1); err == nil {
+		t.Error("Encrypt under a generator outside Z_n succeeded")
+	}
+}
+
 func TestEncryptRejectsOutOfRange(t *testing.T) {
 	k := key(t)
 	if _, err := k.Encrypt(newDetRand("x"), big.NewInt(-1)); err == nil {
@@ -511,6 +567,54 @@ func TestDecryptRejectsNonUnits(t *testing.T) {
 	}
 }
 
+// TestUnitCheckMatchesQuoRem holds the division-free residues of decrypt to
+// the long-division definition of a unit — 0 < c < n with c mod p1 and
+// c mod p2 both nonzero — over key widths whose primes fill their words,
+// leave them nearly empty and differ in word count (257 bits: p2 is a word
+// wider than p1), on random values, multiples of either prime, and the
+// edges; every unit must then decrypt to what the oracle says.
+func TestUnitCheckMatchesQuoRem(t *testing.T) {
+	for _, bits := range []int{64, 128, 130, 192, 256, 257, 384, 512} {
+		sk, err := GenerateKey(newDetRand(fmt.Sprintf("unit-%d", bits)), bits, Pow3(3))
+		if err != nil {
+			t.Fatalf("GenerateKey(%d bits): %v", bits, err)
+		}
+		rnd := newDetRand(fmt.Sprintf("unit-%d-values", bits))
+		cs := []*big.Int{new(big.Int), one, two, sk.P1, sk.P2, sk.N,
+			new(big.Int).Sub(sk.N, one), new(big.Int).Add(sk.N, one),
+			new(big.Int).Sub(sk.N, sk.P1), new(big.Int).Sub(sk.N, sk.P2),
+			new(big.Int).Sub(sk.P1, one), new(big.Int).Add(sk.P2, one)}
+		for i := 0; i < 24; i++ {
+			v, err := rand.Int(rnd, sk.N)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs = append(cs, v)
+			f, err := rand.Int(rnd, sk.P1) // below both primes' product with either
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs = append(cs, new(big.Int).Mul(f, sk.P1), new(big.Int).Mod(new(big.Int).Mul(f, sk.P2), sk.N))
+		}
+		d := sk.NewDecryptor()
+		var q, x big.Int
+		for _, c := range cs {
+			unit := c.Sign() > 0 && c.Cmp(sk.N) < 0
+			for _, p := range []*big.Int{sk.P1, sk.P2} {
+				q.QuoRem(c, p, &x)
+				unit = unit && x.Sign() != 0
+			}
+			_, err := d.DecryptInt(c)
+			if errors.Is(err, ErrNotUnit) == unit || (unit && err != nil) {
+				t.Fatalf("%d-bit key: DecryptInt(%x) = %v, but long division says unit = %v", bits, c, err, unit)
+			}
+			if unit {
+				checkDecrypt(t, sk, c, nil, fmt.Sprintf("%d-bit key, unit %x", bits, c))
+			}
+		}
+	}
+}
+
 func TestDecryptorReuse(t *testing.T) {
 	// One Decryptor across plaintexts of different widths and a refusal in
 	// between: nothing of one call leaks into the next.
@@ -632,6 +736,28 @@ func BenchmarkDecryptInt(b *testing.B) {
 			benchSink, _ = d.DecryptInt(cts[i%len(cts)])
 		}
 	})
+}
+
+var benchCipher *big.Int
+
+// BenchmarkEncryptInt is one flag (m = 0 or 1, what a query is made of)
+// and one score-sized plaintext at the benchmark world's key shape, from
+// crypto/rand.
+func BenchmarkEncryptInt(b *testing.B) {
+	sk, err := GenerateKey(newDetRand("bench"), 256, Pow3(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []int64{1, 1021} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if benchCipher, err = sk.EncryptInt(nil, m); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 func BenchmarkGenerateKeyTables(b *testing.B) {

@@ -25,26 +25,25 @@ const maxPrimeBits = 40
 // a candidate set allocates nothing of its own per ciphertext. A Decryptor
 // is not safe for concurrent use; the key it came from is.
 //
-// After the reduction of c modulo p1 everything runs on machine words in
-// Montgomery form (sk.m1, internal/mont): the exponentiations and peels
+// Everything runs on machine words in Montgomery form (sk.m1, sk.m2,
+// internal/mont): the residues of c, the exponentiations and the peels
 // are products of the one CIOS kernel, with no big.Int quotient.
 type Decryptor struct {
 	sk *PrivateKey
-	x  big.Int // c mod p1 (and c mod p2, for the unit check)
-	q  big.Int // discarded quotients
 	m  big.Int // the plaintext
 	t  big.Int // one chunk's contribution to it
 	// xw is the subgroup element being solved and yw a power of it, both
 	// in the form; cw is a canonical value on its way out of it.
 	xw, yw, cw []big.Word
-	buf        []byte // cw as a logTab key
+	rw         []big.Word // c mod p2 in the form, for the unit check
+	buf        []byte     // cw as a logTab key
 }
 
 // NewDecryptor returns a Decryptor for the key.
 func (sk *PrivateKey) NewDecryptor() *Decryptor {
-	k := sk.m1.Words()
-	w := make([]big.Word, 3*k)
-	return &Decryptor{sk: sk, xw: w[:k], yw: w[k : 2*k], cw: w[2*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
+	k, k2 := sk.m1.Words(), sk.m2.Words()
+	w := make([]big.Word, 3*k+k2)
+	return &Decryptor{sk: sk, xw: w[:k], yw: w[k : 2*k], cw: w[2*k : 3*k], rw: w[3*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
 }
 
 // Decrypt recovers the plaintext of c with one exponentiation modulo p1
@@ -81,12 +80,14 @@ func (d *Decryptor) DecryptInt(c *big.Int) (int64, error) {
 // gcd(r, p2-1) = 1. Nothing below works modulo n.
 func (d *Decryptor) decrypt(c *big.Int) error {
 	sk, m1 := d.sk, d.sk.m1
-	// p1 last: a unit leaves x = c mod p1.
-	if c.Sign() <= 0 || c.Cmp(sk.N) >= 0 || d.reduce(c, sk.P2).Sign() == 0 || d.reduce(c, sk.P1).Sign() == 0 {
+	if c.Sign() <= 0 || c.Cmp(sk.N) >= 0 {
 		return ErrNotUnit
 	}
-	if err := m1.Put(d.yw, &d.x); err != nil {
-		return err // unreachable: reduce leaves x in [0, p1)
+	// A unit is nonzero modulo both primes; the form of zero is zero.
+	sk.m2.Reduce(d.rw, c.Bits())
+	m1.Reduce(d.yw, c.Bits())
+	if isZero(d.rw) || isZero(d.yw) {
+		return ErrNotUnit
 	}
 	m1.Exp(d.xw, d.yw, sk.cofactor.Bits())
 	if sk.k == 0 {
@@ -119,10 +120,14 @@ func (d *Decryptor) decrypt(c *big.Int) error {
 	return nil
 }
 
-// reduce sets d.x = v mod p for v ≥ 0, reusing the quotient's storage.
-func (d *Decryptor) reduce(v, p *big.Int) *big.Int {
-	d.q.QuoRem(v, p, &d.x)
-	return &d.x
+// isZero reports whether every word of v is zero.
+func isZero(v []big.Word) bool {
+	for _, w := range v {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // key returns the logTab key of a value in the form: its canonical

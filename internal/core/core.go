@@ -149,18 +149,43 @@ type Ranked struct {
 	Score int64
 }
 
+// postFilterGrain is the fewest candidates worth a worker of their own: 64
+// decryptions are ~0.4 ms of work at a 256-bit key, against the ~5 µs it
+// takes to start a goroutine and hand it a Decryptor.
+const postFilterGrain = 64
+
 // PostFilter implements Algorithm 5: decrypt every candidate score, sort
 // decreasing, and return the top k (k <= 0 returns all). Ties break by
 // ascending document ID for determinism.
+//
+// The decryptions are independent and the key is read-only, so the
+// candidates are cut into contiguous ranges, one worker with its own
+// Decryptor per range, min(GOMAXPROCS, candidates/postFilterGrain) of
+// them; each writes its candidates' slots of the result. A small set is
+// one range decrypted on the caller's goroutine by the same loop. The
+// error returned is that of the lowest failing candidate at every width.
 func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
-	out := make([]Ranked, 0, len(resp.Docs))
-	dec := c.Key.NewDecryptor() // one set of temporaries for the whole candidate set
-	for _, ds := range resp.Docs {
-		m, err := dec.DecryptInt(ds.Enc)
-		if err != nil {
-			return nil, fmt.Errorf("core: decrypting score of doc %d: %w", ds.Doc, err)
+	docs := resp.Docs
+	out := make([]Ranked, len(docs))
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(docs)/postFilterGrain))
+	// A worker stops at its first failure and the ranges ascend, so the
+	// first worker holding an error holds the lowest failing candidate's.
+	errs := make([]error, workers)
+	fanOut(workers, func(w int) {
+		dec := c.Key.NewDecryptor() // one set of temporaries for the whole range
+		for i := w * len(docs) / workers; i < (w+1)*len(docs)/workers; i++ {
+			m, err := dec.DecryptInt(docs[i].Enc)
+			if err != nil {
+				errs[w] = fmt.Errorf("core: decrypting score of doc %d: %w", docs[i].Doc, err)
+				return
+			}
+			out[i] = Ranked{Doc: docs[i].Doc, Score: m}
 		}
-		out = append(out, Ranked{Doc: ds.Doc, Score: m})
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	sortRanked(out)
 	if k > 0 && len(out) > k {

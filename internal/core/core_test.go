@@ -338,32 +338,22 @@ func TestMaxScoreGuard(t *testing.T) {
 	}
 }
 
-// TestPostFilterAllocsPerCandidate holds Algorithm 5 to the allocations
-// math/big's one modular exponentiation makes per candidate: the
-// decryption temporaries are the Decryptor's, shared by the whole set.
+// TestPostFilterAllocsPerCandidate holds Algorithm 5 to no allocation per
+// decryption: what a call allocates — the result, and a Decryptor and a
+// goroutine per worker — does not grow with the candidate set.
 func TestPostFilterAllocsPerCandidate(t *testing.T) {
-	w, _ := world(t)
-	c, s := newPair(t, 70)
-	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(71)), 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := s.Process(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Docs) < 20 {
-		t.Fatalf("only %d candidates; test world too sparse", len(resp.Docs))
-	}
+	_, k := world(t)
+	c := NewClient(cachedWorld.Org, k, 70)
+	resp := candidateSet(t, 588)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := c.PostFilter(resp, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 32 // 24 measured, all inside big.Int.Exp; 325 with the digit-by-digit kernel
+	const ceiling = 1
 	if per := allocs / float64(len(resp.Docs)); per > ceiling {
-		t.Errorf("PostFilter allocates %.1f times per candidate over %d candidates, ceiling %d", per, len(resp.Docs), ceiling)
+		t.Errorf("PostFilter allocates %.2f times per candidate over %d candidates, ceiling %d", per, len(resp.Docs), ceiling)
 	} else {
-		t.Logf("%.1f allocations per candidate over %d candidates", per, len(resp.Docs))
+		t.Logf("%.0f allocations over %d candidates", allocs, len(resp.Docs))
 	}
 }

@@ -109,21 +109,18 @@ func (pl *entryPlan) pow(mod *mont.Modulus, scratch []big.Word, p uint64) ([]big
 	return scratch, mod.Exp(scratch, pl.base, []big.Word{big.Word(p)})
 }
 
-// fanOut runs fn(0..workers-1) and waits; one worker runs on the caller's
-// goroutine.
+// fanOut runs fn(0..workers-1) and waits; worker 0 runs on the caller's
+// goroutine, so a width of one starts none.
 func fanOut(workers int, fn func(w int)) {
-	if workers == 1 {
-		fn(0)
-		return
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fn(w)
 		}()
 	}
+	fn(0)
 	wg.Wait()
 }
 

@@ -1,0 +1,136 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/big"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"embellish/internal/benaloh"
+	"embellish/internal/index"
+	"embellish/internal/testenv"
+)
+
+// candidateSet returns a response of n candidates with random scores
+// under the test key, in shuffled document order — PostFilter's input
+// without a server behind it, at any size.
+func candidateSet(t *testing.T, n int) *Response {
+	t.Helper()
+	_, k := world(t)
+	rng := rand.New(rand.NewSource(int64(n)))
+	src := testenv.NewDetRand(fmt.Sprintf("candidates-%d", n))
+	resp := &Response{Docs: make([]DocScore, n)}
+	for i, d := range rng.Perm(n) {
+		enc, err := k.EncryptInt(src, rng.Int63n(k.R.Int64()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Docs[i] = DocScore{Doc: index.DocID(d), Enc: enc}
+	}
+	return resp
+}
+
+// serialPostFilter is the oracle: Algorithm 5 as one loop over one
+// Decryptor, the whole of PostFilter before it had a width.
+func serialPostFilter(key *benaloh.PrivateKey, resp *Response, k int) ([]Ranked, error) {
+	out := make([]Ranked, 0, len(resp.Docs))
+	dec := key.NewDecryptor()
+	for _, ds := range resp.Docs {
+		m, err := dec.DecryptInt(ds.Enc)
+		if err != nil {
+			return nil, fmt.Errorf("core: decrypting score of doc %d: %w", ds.Doc, err)
+		}
+		out = append(out, Ranked{Doc: ds.Doc, Score: m})
+	}
+	sortRanked(out)
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out, nil
+}
+
+// TestPostFilterWidths holds the fan-out to the serial oracle at every
+// width the rule can choose: the same ranking in the same order, and the
+// lowest failing candidate's error whichever worker meets it.
+func TestPostFilterWidths(t *testing.T) {
+	_, key := world(t)
+	c := NewClient(cachedWorld.Org, key, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	all := candidateSet(t, 5000)
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, 63, 64, 65, 588, 5000} {
+			resp := &Response{Docs: all.Docs[:n]}
+			for _, k := range []int{0, 10} {
+				want, err := serialPostFilter(key, resp, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.PostFilter(resp, k)
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d, %d candidates, k %d: %v", procs, n, k, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("GOMAXPROCS %d, %d candidates, k %d: ranking differs from the serial oracle", procs, n, k)
+				}
+			}
+			if n < 2 {
+				continue
+			}
+			// Two bad ciphertexts, in one range and in different ones.
+			for _, at := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {n/2 - 1, n / 2}, {n - 2, n - 1}} {
+				i, j := at[0], at[1]
+				if i >= j {
+					continue
+				}
+				bad := &Response{Docs: append([]DocScore(nil), resp.Docs...)}
+				bad.Docs[i].Enc = new(big.Int)
+				bad.Docs[j].Enc = new(big.Int).Set(key.N)
+				_, want := serialPostFilter(key, bad, 0)
+				_, err := c.PostFilter(bad, 0)
+				if err == nil || !errors.Is(err, benaloh.ErrNotUnit) || err.Error() != want.Error() ||
+					!strings.Contains(err.Error(), fmt.Sprintf("doc %d:", bad.Docs[i].Doc)) {
+					t.Fatalf("GOMAXPROCS %d, %d candidates, bad at %d and %d: error %v, want %v", procs, n, i, j, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPostFilterConcurrentCallers shares one Client among eight callers:
+// the key and its tables are read-only, every temporary is a worker's own.
+func TestPostFilterConcurrentCallers(t *testing.T) {
+	_, key := world(t)
+	c := NewClient(cachedWorld.Org, key, 1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(4)
+	resp := candidateSet(t, 588)
+	want, err := serialPostFilter(key, resp, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				got, err := c.PostFilter(resp, 10)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Error("concurrent PostFilter ranking differs from the serial oracle")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -177,6 +177,43 @@ func (m *Modulus) Exp(dst, base, e []big.Word) (muls int) {
 	return muls
 }
 
+// Reduce sets dst = x·R mod n, the Montgomery form of x mod n, for a
+// non-negative x of any width given as little-endian words (a big.Int's
+// Bits) — a reduction without a division. Cut into limbs of the modulus
+// width, x is a number in base R, folded from the top by Horner's rule on
+// the form: with v·R in dst, (v·R + limb)·R is the form of v·R + limb, and
+// multiplying by R is a product with R². The sum is no residue, but Mul's
+// bound asks for one canonical operand only and R² is; it need only fit
+// the width, and taking n off a sum that carries out (n + R bounds it)
+// brings it back under R. dst must not alias x.
+func (m *Modulus) Reduce(dst, x []big.Word) {
+	k := len(m.n)
+	clear(dst)
+	for hi := len(x); hi > 0; {
+		lo := (hi - 1) / k * k
+		limb := x[lo:hi] // the top limb may be short
+		var carry uint
+		for j := range dst {
+			var w, s uint
+			if j < len(limb) {
+				w = uint(limb[j])
+			}
+			s, carry = bits.Add(uint(dst[j]), w, carry)
+			dst[j] = big.Word(s)
+		}
+		if carry != 0 {
+			var borrow uint
+			for j := range dst {
+				var d uint
+				d, borrow = bits.Sub(uint(dst[j]), uint(m.n[j]), borrow)
+				dst[j] = big.Word(d)
+			}
+		}
+		m.Mul(dst, dst, m.rr)
+		hi = lo
+	}
+}
+
 // mulWide keeps the MaxWords accumulator out of Mul's frame.
 func (m *Modulus) mulWide(dst, a, b []big.Word) {
 	var t [MaxWords]big.Word

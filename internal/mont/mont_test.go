@@ -204,6 +204,47 @@ func TestExpMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestReduceMatchesBigInt holds the division-free reduction to Mod: values
+// of every width around the modulus's — shorter, equal, a partial limb
+// over, several limbs — with the edges a limb fold can trip on (0, n, n-1,
+// multiples of n, all-ones limbs), over moduli whose top word is full,
+// tiny and random.
+func TestReduceMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, words := range []int{1, 2, 3, 4, 5, 9, smallWords + 1} {
+		for _, top := range []big.Word{^big.Word(0), 1, 3, big.Word(rng.Uint64()) | 1} {
+			n := oddModulus(rng, words, top)
+			if n.BitLen() < 2 {
+				continue
+			}
+			m, err := New(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ones := func(w int) *big.Int {
+				v := new(big.Int).Lsh(big.NewInt(1), uint(w*bits.UintSize))
+				return v.Sub(v, big.NewInt(1))
+			}
+			xs := []*big.Int{new(big.Int), big.NewInt(1), n, new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Add(n, big.NewInt(1)),
+				new(big.Int).Mul(n, n), new(big.Int).Mul(n, ones(words)), ones(words), ones(2 * words), ones(3*words + 1),
+				new(big.Int).Lsh(big.NewInt(1), uint(words*bits.UintSize)), new(big.Int).Lsh(n, uint(2*words*bits.UintSize))}
+			for w := 1; w <= 4*words+1; w++ {
+				xs = append(xs, new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(w*bits.UintSize))))
+			}
+			dst := make([]big.Word, words)
+			for _, x := range xs {
+				for i := range dst {
+					dst[i] = ^big.Word(0) // a stale destination must not show
+				}
+				m.Reduce(dst, x.Bits())
+				if got, want := m.FromMont(dst), new(big.Int).Mod(x, n); got.Cmp(want) != 0 {
+					t.Fatalf("%x mod %x = %x, want %x", x, n, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestMulDoesNotAllocate pins the property the ranking fold is built on.
 func TestMulDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -7,7 +7,6 @@ import (
 
 	"embellish/internal/benaloh"
 	"embellish/internal/core"
-	"embellish/internal/index"
 	"embellish/internal/vbyte"
 	"embellish/internal/wordnet"
 )
@@ -83,7 +82,7 @@ func DecodeBatchQuery(body []byte) ([]*core.Query, error) {
 	out := make([]*core.Query, nq)
 	for qi := range out {
 		n, used, err := vbyte.Decode(body)
-		if err != nil || n > maxEntries {
+		if err != nil || n > maxEntries || n*minEntryBytes > uint64(len(body)) {
 			return nil, fmt.Errorf("wire: batch query %d entry count: %w", qi, orRange(err))
 		}
 		body = body[used:]
@@ -144,36 +143,12 @@ func DecodeBatchResponse(body []byte) ([][]Candidate, []ResponseStats, error) {
 	cands := make([][]Candidate, nq)
 	stats := make([]ResponseStats, nq)
 	for qi := range cands {
-		n, used, err := vbyte.Decode(body)
-		if err != nil || n > maxCandidates {
-			return nil, nil, fmt.Errorf("wire: batch response %d candidate count: %w", qi, orRange(err))
+		if cands[qi], body, err = decodeCandidates(body); err != nil {
+			return nil, nil, fmt.Errorf("wire: batch response %d %w", qi, err)
 		}
-		body = body[used:]
-		out := make([]Candidate, n)
-		for i := range out {
-			doc, used, err := vbyte.Decode(body)
-			if err != nil || doc >= 1<<31 {
-				return nil, nil, fmt.Errorf("wire: batch response %d candidate %d doc: %w", qi, i, orRange(err))
-			}
-			body = body[used:]
-			enc, rest, err := decodeBig(body)
-			if err != nil {
-				return nil, nil, fmt.Errorf("wire: batch response %d candidate %d score: %w", qi, i, err)
-			}
-			body = rest
-			out[i] = Candidate{Doc: index.DocID(doc), Enc: enc}
+		if stats[qi], body, err = decodeResponseStats(body); err != nil {
+			return nil, nil, fmt.Errorf("wire: batch response %d stats: %w", qi, err)
 		}
-		cands[qi] = out
-		var st ResponseStats
-		for _, dst := range []*int{&st.Postings, &st.Seeks, &st.IOBytes} {
-			v, used, err := vbyte.Decode(body)
-			if err != nil {
-				return nil, nil, fmt.Errorf("wire: batch response %d stats: %w", qi, err)
-			}
-			*dst = int(v)
-			body = body[used:]
-		}
-		stats[qi] = st
 	}
 	if len(body) != 0 {
 		return nil, nil, errors.New("wire: trailing bytes after batch response")

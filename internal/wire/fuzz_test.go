@@ -18,6 +18,7 @@ import (
 func FuzzDecodeQuery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x81, 7, 0x81, 3, 0x81, 5, 0x81, 0x80})
+	f.Add(forgedCountFrames()[TypeQuery])
 	f.Fuzz(func(t *testing.T, body []byte) {
 		q, err := DecodeQuery(body)
 		if err != nil {
@@ -31,18 +32,32 @@ func FuzzDecodeQuery(f *testing.F) {
 	})
 }
 
-// FuzzDecodeResponse mirrors FuzzDecodeQuery for the response path.
+// FuzzDecodeResponse mirrors FuzzDecodeQuery for the response path, and
+// holds the slab decoder to the per-candidate one: the same refusal, or
+// the same candidates.
 func FuzzDecodeResponse(f *testing.F) {
 	f.Add([]byte{0x80})
 	f.Add(bytes.Repeat([]byte{0x81}, 16))
+	f.Add(forgedCountFrames()[TypeResponse])
+	f.Add([]byte{0x83, 0x81, 0x80, 0x82, 0x89, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0x83, 0x82, 0, 7, 0x80, 0x80, 0x80})
 	f.Fuzz(func(t *testing.T, body []byte) {
-		cands, _, err := DecodeResponse(body)
+		want, wantSt, wantErr := refDecodeResponse(body)
+		cands, st, err := DecodeResponse(body)
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("slab decoder says %v, per-candidate decoder %v", err, wantErr)
+		}
 		if err != nil {
 			return
+		}
+		if st != wantSt || len(cands) != len(want) {
+			t.Fatalf("%d candidates with stats %+v, per-candidate decoder %d with %+v", len(cands), st, len(want), wantSt)
 		}
 		for i, c := range cands {
 			if c.Enc == nil {
 				t.Fatalf("candidate %d has nil ciphertext", i)
+			}
+			if c.Doc != want[i].Doc || c.Enc.Cmp(want[i].Enc) != 0 {
+				t.Fatalf("candidate %d is doc %d, %x, per-candidate decoder doc %d, %x", i, c.Doc, c.Enc, want[i].Doc, want[i].Enc)
 			}
 		}
 	})
@@ -196,6 +211,11 @@ func seedFrames(f *testing.F) {
 	})
 	add(func(w *bytes.Buffer) error { return WriteDecoyQuery(w, []byte{0x81, 7, 0x81, 3, 0x81, 5, 0x81, 0x80}) })
 	add(func(w *bytes.Buffer) error { return WriteRiskAuditRequest(w) })
+	// The ranking decoders' forged counts: the fewest bytes that name the
+	// most elements.
+	for typ, body := range forgedCountFrames() {
+		f.Add(append([]byte{typ}, body...))
+	}
 	add(func(w *bytes.Buffer) error {
 		return WriteRiskAudit(w, RiskAudit{Queries: 9, Decoys: 36, Audited: 9,
 			RiskSumMicros: 123456, MaxRiskMicros: 40000, Rounds: 9, RoundHits: 3,

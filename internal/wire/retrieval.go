@@ -212,21 +212,8 @@ func decodeBigs(buf []byte, out []*big.Int, n *big.Int) (rest []byte, at int, er
 		w := (size + wordBytes - 1) / wordBytes
 		// Capacity stops at the element's own words: arithmetic on one
 		// value can never grow into its neighbour.
-		dst := slab[:w:w]
+		v := ints[i].SetBits(magnitudeWords(slab[:w:w], mag))
 		slab = slab[w:]
-		for j := range dst {
-			hi := len(mag) - j*wordBytes
-			if wordBytes == 8 && hi >= 8 {
-				dst[j] = big.Word(binary.BigEndian.Uint64(mag[hi-8 : hi]))
-				continue
-			}
-			var word big.Word
-			for _, b := range mag[max(hi-wordBytes, 0):hi] {
-				word = word<<8 | big.Word(b)
-			}
-			dst[j] = word
-		}
-		v := ints[i].SetBits(dst)
 		if n != nil && (v.Sign() <= 0 || v.Cmp(n) >= 0) {
 			return nil, i, errOutsideGroup
 		}
@@ -236,6 +223,24 @@ func decodeBigs(buf []byte, out []*big.Int, n *big.Int) (rest []byte, at int, er
 		return nil, valid, prefixErr
 	}
 	return buf, 0, nil
+}
+
+// magnitudeWords fills dst, sized to hold it, with the little-endian
+// words of the big-endian magnitude mag and returns dst.
+func magnitudeWords(dst []big.Word, mag []byte) []big.Word {
+	for j := range dst {
+		hi := len(mag) - j*wordBytes
+		if wordBytes == 8 && hi >= 8 {
+			dst[j] = big.Word(binary.BigEndian.Uint64(mag[hi-8 : hi]))
+			continue
+		}
+		var word big.Word
+		for _, b := range mag[max(hi-wordBytes, 0):hi] {
+			word = word<<8 | big.Word(b)
+		}
+		dst[j] = word
+	}
+	return dst
 }
 
 // bigsError words a decodeBigs refusal for element at of the run the

@@ -44,6 +44,20 @@ const (
 	maxIntBytes   = 1 << 16 // 512 Kbit moduli are far beyond practical KeyLen
 )
 
+// The fewest body bytes a counted element can occupy. The ranking
+// decoders refuse a count the rest of the body cannot hold before they
+// allocate from it, as the PIR decoders do, so what a frame makes a
+// decoder allocate is a small multiple of the frame's own length and
+// never a forged count's. Neither floor refuses a body the element loop
+// would accept: a query flag lies in (0, N) — an id byte, a length byte
+// and at least one magnitude byte — while the zero ciphertext of a
+// response is an id byte and a bare length byte (Algorithm 5 is what
+// refuses it, naming the document).
+const (
+	minEntryBytes     = 3
+	minCandidateBytes = 2
+)
+
 // WriteQuery frames and writes an embellished query.
 func WriteQuery(w io.Writer, q *core.Query) error {
 	return writeQueryTyped(w, TypeQuery, q)
@@ -143,7 +157,7 @@ func DecodeQuery(body []byte) (*core.Query, error) {
 		return nil, errors.New("wire: nonpositive key parameter")
 	}
 	n, used, err := vbyte.Decode(body)
-	if err != nil || n > maxEntries {
+	if err != nil || n > maxEntries || n*minEntryBytes > uint64(len(body)) {
 		return nil, fmt.Errorf("wire: entry count: %w", orRange(err))
 	}
 	body = body[used:]
@@ -171,11 +185,9 @@ func DecodeQuery(body []byte) (*core.Query, error) {
 	return q, nil
 }
 
-// Candidate is one decoded response document.
-type Candidate struct {
-	Doc index.DocID
-	Enc *big.Int
-}
+// Candidate is one decoded response document: core's candidate struct,
+// so a decoded response is Algorithm 5's input as it stands.
+type Candidate = core.DocScore
 
 // ResponseStats carries the server cost figures across the wire.
 type ResponseStats struct {
@@ -186,38 +198,76 @@ type ResponseStats struct {
 
 // DecodeResponse parses a TypeResponse body.
 func DecodeResponse(body []byte) ([]Candidate, ResponseStats, error) {
-	var st ResponseStats
-	n, used, err := vbyte.Decode(body)
-	if err != nil || n > maxCandidates {
-		return nil, st, fmt.Errorf("wire: candidate count: %w", orRange(err))
+	out, body, err := decodeCandidates(body)
+	if err != nil {
+		return nil, ResponseStats{}, fmt.Errorf("wire: %w", err)
 	}
-	body = body[used:]
-	out := make([]Candidate, n)
-	for i := range out {
-		doc, used, err := vbyte.Decode(body)
-		if err != nil || doc >= 1<<31 {
-			return nil, st, fmt.Errorf("wire: candidate %d doc: %w", i, orRange(err))
-		}
-		body = body[used:]
-		enc, rest, err := decodeBig(body)
-		if err != nil {
-			return nil, st, fmt.Errorf("wire: candidate %d score: %w", i, err)
-		}
-		body = rest
-		out[i] = Candidate{Doc: index.DocID(doc), Enc: enc}
-	}
-	for _, dst := range []*int{&st.Postings, &st.Seeks, &st.IOBytes} {
-		v, used, err := vbyte.Decode(body)
-		if err != nil {
-			return nil, st, fmt.Errorf("wire: stats: %w", err)
-		}
-		*dst = int(v)
-		body = body[used:]
+	st, body, err := decodeResponseStats(body)
+	if err != nil {
+		return nil, st, fmt.Errorf("wire: stats: %w", err)
 	}
 	if len(body) != 0 {
 		return nil, st, errors.New("wire: trailing bytes after response")
 	}
 	return out, st, nil
+}
+
+// decodeCandidates decodes the candidate set at the head of body — a
+// count, then a document id and a ciphertext per candidate — and returns
+// the bytes after it. The ciphertexts are ONE big.Int slab over ONE word
+// slab (decodeBigs' layout, each value a cap-limited window of the slab),
+// where a decodeBig per candidate allocates both per candidate. Every
+// refusal is in the prefixes, so a first pass over them both validates
+// the set and sizes the slab; errors name the candidate, without the
+// "wire:" the caller prepends.
+func decodeCandidates(body []byte) ([]Candidate, []byte, error) {
+	n, used, err := vbyte.Decode(body)
+	if err != nil || n > maxCandidates || n*minCandidateBytes > uint64(len(body)) {
+		return nil, nil, fmt.Errorf("candidate count: %w", orRange(err))
+	}
+	body = body[used:]
+	words, scan := 0, body
+	for i := range int(n) {
+		doc, used, err := vbyte.Decode(scan)
+		if err != nil || doc >= 1<<31 {
+			return nil, nil, fmt.Errorf("candidate %d doc: %w", i, orRange(err))
+		}
+		scan = scan[used:]
+		size, used, err := bigPrefix(scan)
+		if err != nil {
+			return nil, nil, fmt.Errorf("candidate %d score: %w", i, err)
+		}
+		scan = scan[used+size:]
+		words += (size + wordBytes - 1) / wordBytes
+	}
+	out := make([]Candidate, n)
+	encs := make([]big.Int, n)
+	slab := make([]big.Word, words)
+	for i := range out {
+		doc, used, _ := vbyte.Decode(body)
+		body = body[used:]
+		size, used, _ := bigPrefix(body)
+		w := (size + wordBytes - 1) / wordBytes
+		out[i] = Candidate{Doc: index.DocID(doc), Enc: encs[i].SetBits(magnitudeWords(slab[:w:w], body[used:used+size]))}
+		slab = slab[w:]
+		body = body[used+size:]
+	}
+	return out, body, nil
+}
+
+// decodeResponseStats decodes the cost figures that follow a candidate
+// set and returns the bytes after them.
+func decodeResponseStats(body []byte) (ResponseStats, []byte, error) {
+	var st ResponseStats
+	for _, dst := range []*int{&st.Postings, &st.Seeks, &st.IOBytes} {
+		v, used, err := vbyte.Decode(body)
+		if err != nil {
+			return st, nil, err
+		}
+		*dst = int(v)
+		body = body[used:]
+	}
+	return st, body, nil
 }
 
 func writeFrame(w io.Writer, body []byte) error {

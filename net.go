@@ -1205,13 +1205,10 @@ func adminRoundTrip(conn io.ReadWriter, write func() error) (AdminStatus, error)
 	return AdminStatus{LiveDocs: live, Segments: segs}, nil
 }
 
-// decodeCandidates runs Algorithm 5 over wire candidates.
-func (c *Client) decodeCandidates(cands []wire.Candidate, k int) ([]Result, error) {
-	resp := &core.Response{}
-	for _, cand := range cands {
-		resp.Docs = append(resp.Docs, core.DocScore{Doc: cand.Doc, Enc: cand.Enc})
-	}
-	ranked, err := c.inner.PostFilter(resp, k)
+// decodeCandidates runs Algorithm 5 over a candidate set, decoded off the
+// wire or answered in process.
+func (c *Client) decodeCandidates(cands []core.DocScore, k int) ([]Result, error) {
+	ranked, err := c.inner.PostFilter(&core.Response{Docs: cands}, k)
 	if err != nil {
 		return nil, err
 	}
