@@ -40,8 +40,9 @@
 // latency. -request-timeout cancels individual scans mid-flight at a
 // server-side deadline. -metrics exposes the serving counters over
 // HTTP (Prometheus text at /metrics, JSON at /stats.json); the same
-// counters are also served in-protocol to any wire client. See
-// docs/OPERATIONS.md.
+// counters are also served in-protocol to any wire client. The listener
+// serves the runtime's profiles under /debug/pprof/ too, so bind it to
+// loopback. See docs/OPERATIONS.md.
 //
 // With -data-dir the server is crash-safe: every accepted update is
 // journaled to a write-ahead log in DIR before it is acknowledged, and
@@ -80,6 +81,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -129,7 +131,7 @@ func main() {
 		queueDepth   = flag.Int("queue-depth", 0, "admission queue depth with -max-inflight (0 default)")
 		queueTimeout = flag.Duration("queue-timeout", 0, "max queue wait before shedding with -max-inflight (0 default, negative forever)")
 		reqTimeout   = flag.Duration("request-timeout", 0, "server-side deadline per request; scans are cancelled mid-flight (0 off)")
-		metricsAddr  = flag.String("metrics", "", "HTTP listen address for /metrics and /stats.json (empty off)")
+		metricsAddr  = flag.String("metrics", "", "HTTP listen address for /metrics, /stats.json and /debug/pprof/ (empty off)")
 
 		allowLexSync = flag.Bool("allow-lexicon-sync", false, "ship the bucket organization and synset tables to remote clients on request")
 		riskAudit    = flag.Bool("risk-audit", false, "score observed query streams with the adversary model and serve per-session privacy reports")
@@ -352,6 +354,14 @@ func main() {
 			enc.SetIndent("", "  ")
 			enc.Encode(srv.Stats())
 		})
+		// Profiles of the live process: where the time and the memory go.
+		// They show code paths and durations, never a term, document or
+		// bucket id; bind the listener to loopback all the same.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go http.Serve(ml, mux)
 	}
 	if *statsEvery > 0 {

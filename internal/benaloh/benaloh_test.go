@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -611,6 +612,54 @@ func TestUnitCheckMatchesQuoRem(t *testing.T) {
 			if unit {
 				checkDecrypt(t, sk, c, nil, fmt.Sprintf("%d-bit key, unit %x", bits, c))
 			}
+		}
+	}
+}
+
+// TestDecryptAcrossPrimeWidths decrypts under keys whose p1 is one, two,
+// three and four 64-bit words wide — internal/mont runs a register form at
+// exactly two words and its generic kernel at every other width, so the
+// table stands on both sides of that dispatch (and at 257 bits p2, the
+// unit check's modulus, is a word wider than p1) — against the Appendix
+// A.2 oracle, refusals included.
+func TestDecryptAcrossPrimeWidths(t *testing.T) {
+	for _, tc := range []struct{ bits, p1Bits, p2Bits int }{
+		{128, 64, 64}, {192, 96, 96}, {256, 128, 128}, {257, 128, 129}, {320, 160, 160}, {512, 256, 256},
+	} {
+		seed := fmt.Sprintf("widths-%d", tc.bits)
+		sk, err := GenerateKey(newDetRand(seed), tc.bits, Pow3(10))
+		if err != nil {
+			t.Fatalf("GenerateKey(%d bits): %v", tc.bits, err)
+		}
+		if sk.P1.BitLen() != tc.p1Bits || sk.P2.BitLen() != tc.p2Bits {
+			t.Fatalf("%d-bit key: primes of %d and %d bits, want %d and %d", tc.bits, sk.P1.BitLen(), sk.P2.BitLen(), tc.p1Bits, tc.p2Bits)
+		}
+		if got, want := sk.m1.Words(), (tc.p1Bits+bits.UintSize-1)/bits.UintSize; got != want {
+			t.Fatalf("%d-bit key: p1 fills %d words, want %d", tc.bits, got, want)
+		}
+		exerciseKey(t, sk, newDetRand(seed+"-msgs"))
+		d := sk.NewDecryptor()
+		for what, bad := range map[string]*big.Int{
+			"zero":        new(big.Int),
+			"n":           sk.N,
+			"p1":          sk.P1,
+			"multiple p1": new(big.Int).Mul(sk.P1, big.NewInt(6)),
+			"p1 squared":  new(big.Int).Mod(new(big.Int).Mul(sk.P1, sk.P1), sk.N),
+			"p2":          sk.P2,
+			"multiple p2": new(big.Int).Mul(sk.P2, big.NewInt(6)),
+			"n - p2":      new(big.Int).Sub(sk.N, sk.P2),
+		} {
+			if _, err := d.DecryptInt(bad); !errors.Is(err, ErrNotUnit) {
+				t.Errorf("%d-bit key: DecryptInt(%s) = %v, want ErrNotUnit", tc.bits, what, err)
+			}
+		}
+		// The Decryptor still decrypts after the refusals.
+		c, err := sk.EncryptInt(newDetRand(seed+"-after"), 4242)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := d.DecryptInt(c); err != nil || m != 4242 {
+			t.Fatalf("%d-bit key: DecryptInt after refusals = %d, %v", tc.bits, m, err)
 		}
 	}
 }

@@ -150,7 +150,7 @@ type Ranked struct {
 }
 
 // postFilterGrain is the fewest candidates worth a worker of their own: 64
-// decryptions are ~0.4 ms of work at a 256-bit key, against the ~5 µs it
+// decryptions are ~0.17 ms of work at a 256-bit key, against the ~5 µs it
 // takes to start a goroutine and hand it a Decryptor.
 const postFilterGrain = 64
 

@@ -17,6 +17,13 @@
 // bit for bit: callers hold their word paths to a big.Int oracle
 // ciphertext for ciphertext.
 //
+// The kernel is one loop, generic in width. A two-word modulus — the
+// prime Benaloh decryption works modulo at 130- to 257-bit keys — takes
+// the same algorithm unrolled onto registers (mulWord2); Mul and Exp pick
+// it by the modulus's width and by nothing else, with the same operand
+// contract, product count and canonical results, and the generic loop is
+// the reference the tests hold it to word for word.
+//
 // REDC needs gcd(n, R) = 1, an odd modulus. Honest moduli are products
 // of odd primes, but the serving paths take client-chosen moduli off the
 // wire, so New refuses even (and degenerate) moduli with an error and
@@ -144,6 +151,11 @@ func (m *Modulus) FromMont(a []big.Word) *big.Int {
 // Mul sets dst = a·b·R^{-1} mod n, the Montgomery product, as its
 // canonical representative. dst may alias a or b. Allocation-free.
 func (m *Modulus) Mul(dst, a, b []big.Word) {
+	if len(m.n) == 2 {
+		d0, d1 := mulWord2(uint(a[0]), uint(a[1]), uint(b[0]), uint(b[1]), uint(m.n[0]), uint(m.n[1]), uint(m.n0inv))
+		dst[1], dst[0] = big.Word(d1), big.Word(d0)
+		return
+	}
 	if k := len(m.n); k <= smallWords {
 		var t [smallWords]big.Word
 		m.mul(t[:k], dst, a, b)
@@ -164,6 +176,9 @@ func (m *Modulus) Exp(dst, base, e []big.Word) (muls int) {
 	if len(e) == 0 {
 		copy(dst, m.r)
 		return 0
+	}
+	if len(m.n) == 2 {
+		return m.exp2(dst, base, e)
 	}
 	copy(dst, base)
 	for bit := len(e)*bits.UintSize - bits.LeadingZeros(uint(e[len(e)-1])) - 2; bit >= 0; bit-- {
@@ -273,4 +288,79 @@ func (m *Modulus) mul(t, dst, a, b []big.Word) {
 	if borrow > top {
 		copy(dst, t)
 	}
+}
+
+// exp2 is Exp's chain for a two-word modulus and an exponent with a
+// nonzero top word: the same squares and products in the same order, with
+// base, accumulator and modulus held in locals from the first square to
+// the one store at the end.
+func (m *Modulus) exp2(dst, base, e []big.Word) (muls int) {
+	n0, n1, n0inv := uint(m.n[0]), uint(m.n[1]), uint(m.n0inv)
+	b0, b1 := uint(base[0]), uint(base[1])
+	x0, x1 := b0, b1
+	for bit := len(e)*bits.UintSize - bits.LeadingZeros(uint(e[len(e)-1])) - 2; bit >= 0; bit-- {
+		x0, x1 = mulWord2(x0, x1, x0, x1, n0, n1, n0inv)
+		muls++
+		if e[bit/bits.UintSize]>>(bit%bits.UintSize)&1 == 1 {
+			x0, x1 = mulWord2(x0, x1, b0, b1, n0, n1, n0inv)
+			muls++
+		}
+	}
+	dst[1], dst[0] = big.Word(x1), big.Word(x0)
+	return muls
+}
+
+// mulWord2 is mul for a two-word modulus, unrolled: the same two fused
+// passes and the same final compare-and-subtract on values that never
+// leave registers — no accumulator to clear, no slice to bound. Benaloh
+// decryption works modulo p1, half the key's width, so at 256-bit keys
+// every one of its ~185 products per candidate is this one. Like mul it
+// asks for b canonical and takes any two-word a.
+func mulWord2(a0, a1, b0, b1, n0, n1, n0inv uint) (uint, uint) {
+	// Pass 0 starts from a zero accumulator: t = (a0·b + q·n) / 2^W.
+	c1, lo := bits.Mul(a0, b0)
+	q := lo * n0inv
+	c2, lo2 := bits.Mul(q, n0)
+	_, c := bits.Add(lo2, lo, 0) // the low word cancels by the choice of q
+	c2 += c
+	hi, lo := bits.Mul(a0, b1)
+	lo, c = bits.Add(lo, c1, 0)
+	c1 = hi + c
+	hi, lo2 = bits.Mul(q, n1)
+	lo2, c = bits.Add(lo2, lo, 0)
+	hi += c
+	t0, c := bits.Add(lo2, c2, 0)
+	c2 = hi + c
+	t1, top := bits.Add(c1, c2, 0)
+
+	// Pass 1: t = (t + a1·b + q·n) / 2^W, below 2n in two words and top.
+	c1, lo = bits.Mul(a1, b0)
+	lo, c = bits.Add(lo, t0, 0)
+	c1 += c
+	q = lo * n0inv
+	c2, lo2 = bits.Mul(q, n0)
+	_, c = bits.Add(lo2, lo, 0)
+	c2 += c
+	hi, lo = bits.Mul(a1, b1)
+	lo, c = bits.Add(lo, t1, 0)
+	hi += c
+	lo, c = bits.Add(lo, c1, 0)
+	c1 = hi + c
+	hi, lo2 = bits.Mul(q, n1)
+	lo2, c = bits.Add(lo2, lo, 0)
+	hi += c
+	t0, c = bits.Add(lo2, c2, 0)
+	c2 = hi + c
+	t1, c = bits.Add(c1, c2, 0)
+	t1, c2 = bits.Add(t1, top, 0)
+	top = c + c2
+
+	// t - n; a borrow out of a value without the top bit means t < n, and
+	// t itself is the result.
+	d0, borrow := bits.Sub(t0, n0, 0)
+	d1, borrow := bits.Sub(t1, n1, borrow)
+	if borrow > top {
+		return t0, t1
+	}
+	return d0, d1
 }

@@ -1,6 +1,7 @@
 package mont
 
 import (
+	"bytes"
 	"math/big"
 	"math/bits"
 	"math/rand"
@@ -62,9 +63,166 @@ func checkMul(t *testing.T, m *Modulus, n, a, b *big.Int) {
 	if got := m.FromMont(dst); got.Cmp(want) != 0 {
 		t.Fatalf("mod %v, dst=b: %v*%v = %v, want %v", n, a, b, got, want)
 	}
+	if m.Words() == 2 {
+		if got, want := word2(m, ma, mb), genericMul(m, ma, mb); got != want {
+			t.Fatalf("mod %v: %v*%v in form: two-word %x, generic kernel %x", n, a, b, got, want)
+		}
+	}
 	m.Mul(ma, ma, ma) // in-place square
 	if got, want := m.FromMont(ma), refMul(a, a, n); got.Cmp(want) != 0 {
 		t.Fatalf("mod %v: %v squared in place = %v, want %v", n, a, got, want)
+	}
+}
+
+// genericMul is the product of two-word operands through the generic
+// kernel, which Mul no longer reaches at this width: the reference the
+// register form is held to word for word, beside math/big.
+func genericMul(m *Modulus, a, b []big.Word) [2]big.Word {
+	var t, dst [2]big.Word
+	m.mul(t[:], dst[:], a, b)
+	return dst
+}
+
+// word2 is the same product through mulWord2.
+func word2(m *Modulus, a, b []big.Word) [2]big.Word {
+	d0, d1 := mulWord2(uint(a[0]), uint(a[1]), uint(b[0]), uint(b[1]), uint(m.n[0]), uint(m.n[1]), uint(m.n0inv))
+	return [2]big.Word{big.Word(d0), big.Word(d1)}
+}
+
+// genericExp is Exp's chain on the generic kernel.
+func genericExp(m *Modulus, dst, base []big.Word, e *big.Int) (muls int) {
+	if e.Sign() == 0 {
+		copy(dst, m.r)
+		return 0
+	}
+	copy(dst, base)
+	t := make([]big.Word, m.Words())
+	for bit := e.BitLen() - 2; bit >= 0; bit-- {
+		clear(t)
+		m.mul(t, dst, dst, dst)
+		muls++
+		if e.Bit(bit) == 1 {
+			clear(t)
+			m.mul(t, dst, dst, base)
+			muls++
+		}
+	}
+	return muls
+}
+
+// twoWordModuli are the shapes the register form's carries can trip on:
+// 2^W + 1 (top word 1, low word 1), R - 1 and R - 3 (all ones: n barely
+// under R, every intermediate at the top of the range), a top word of 1
+// over a random low word, and the top bit set as generated primes have it.
+func twoWordModuli(rng *rand.Rand) []*big.Int {
+	r := new(big.Int).Lsh(big.NewInt(1), 2*bits.UintSize)
+	return []*big.Int{
+		new(big.Int).SetBits([]big.Word{1, 1}),
+		new(big.Int).Sub(r, big.NewInt(1)),
+		new(big.Int).Sub(r, big.NewInt(3)),
+		oddModulus(rng, 2, 1),
+		oddModulus(rng, 2, big.Word(rng.Uint64())|1<<(bits.UintSize-1)),
+		oddModulus(rng, 2, big.Word(rng.Uint64()>>9)|1),
+	}
+}
+
+// TestTwoWordMulMatchesGenericAndBigInt holds mulWord2 to the generic
+// kernel and to math/big on raw operands, outside the form's own
+// conversions: a·b·R^-1 mod n for a anywhere below R — Reduce hands Mul a
+// sum that is no residue — and b canonical, through every aliasing of dst.
+func TestTwoWordMulMatchesGenericAndBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	r := new(big.Int).Lsh(big.NewInt(1), 2*bits.UintSize)
+	words := func(x *big.Int) []big.Word {
+		w := make([]big.Word, 2)
+		copy(w, x.Bits())
+		return w
+	}
+	for _, n := range twoWordModuli(rng) {
+		m, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%x): %v", n, err)
+		}
+		rInv := new(big.Int).ModInverse(r, n)
+		nm1 := new(big.Int).Sub(n, big.NewInt(1))
+		bs := []*big.Int{new(big.Int), big.NewInt(1), nm1}
+		// a ranges over [0, R): the canonical edges, then n itself, R - 1
+		// and random values in [n, R).
+		as := []*big.Int{new(big.Int), big.NewInt(1), nm1, n, new(big.Int).Sub(r, big.NewInt(1))}
+		for i := 0; i < 8; i++ {
+			bs = append(bs, new(big.Int).Rand(rng, n))
+			as = append(as, new(big.Int).Rand(rng, n))
+			over := new(big.Int).Rand(rng, new(big.Int).Sub(r, n))
+			as = append(as, over.Add(over, n))
+		}
+		for _, a := range as {
+			for _, b := range bs {
+				aw, bw := words(a), words(b)
+				want := new(big.Int).Mul(a, b)
+				want.Mul(want, rInv).Mod(want, n)
+				got := word2(m, aw, bw)
+				if new(big.Int).SetBits(got[:]).Cmp(want) != 0 {
+					t.Fatalf("mod %x: mulWord2(%x, %x) = %x, want %x", n, a, b, got, want)
+				}
+				if ref := genericMul(m, aw, bw); got != ref {
+					t.Fatalf("mod %x: mulWord2(%x, %x) = %x, generic kernel %x", n, a, b, got, ref)
+				}
+				dst := words(a)
+				m.Mul(dst, dst, bw) // dst aliases a
+				if [2]big.Word(dst) != got {
+					t.Fatalf("mod %x, dst=a: Mul(%x, %x) = %x, want %x", n, a, b, dst, got)
+				}
+				dst = words(b)
+				m.Mul(dst, aw, dst) // dst aliases b
+				if [2]big.Word(dst) != got {
+					t.Fatalf("mod %x, dst=b: Mul(%x, %x) = %x, want %x", n, a, b, dst, got)
+				}
+			}
+		}
+		for _, b := range bs { // dst aliases both
+			bw := words(b)
+			want := genericMul(m, bw, bw)
+			m.Mul(bw, bw, bw)
+			if [2]big.Word(bw) != want {
+				t.Fatalf("mod %x: %x squared in place = %x, want %x", n, b, bw, want)
+			}
+		}
+	}
+}
+
+// TestTwoWordExpMatchesGenericAndBigInt: the register chain returns the
+// value big.Int.Exp does and the value and product count of the same chain
+// on the generic kernel, on the exponents decryption raises to — a 109-bit
+// cofactor, bare and under zero top words — and on the word-boundary ones.
+func TestTwoWordExpMatchesGenericAndBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	cofactor := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 108))
+	cofactor.SetBit(cofactor, 108, 1)
+	exps := [][]big.Word{nil, {0}, {1}, {2}, {^big.Word(0)}, {0, 1}, cofactor.Bits(),
+		append(append([]big.Word(nil), cofactor.Bits()...), 0, 0)}
+	for _, n := range twoWordModuli(rng) {
+		m, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%x): %v", n, err)
+		}
+		for _, x := range []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rand(rng, n), new(big.Int).Rand(rng, n)} {
+			base, err := m.ToMont(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range exps {
+				eInt := new(big.Int).SetBits(append([]big.Word(nil), e...))
+				dst, ref := []big.Word{^big.Word(0), ^big.Word(0)}, make([]big.Word, 2) // a stale destination must not show
+				muls := m.Exp(dst, base, e)
+				refMuls := genericExp(m, ref, base, eInt)
+				if muls != refMuls || [2]big.Word(dst) != [2]big.Word(ref) {
+					t.Fatalf("mod %x: %x^%x = %x in %d products, generic kernel %x in %d", n, x, eInt, dst, muls, ref, refMuls)
+				}
+				if got, want := m.FromMont(dst), new(big.Int).Exp(x, eInt, n); got.Cmp(want) != 0 {
+					t.Fatalf("mod %x: %x^%x = %x, want %x", n, x, eInt, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -165,6 +323,16 @@ func TestRefusals(t *testing.T) {
 	}
 }
 
+// chainProducts is what left-to-right square-and-multiply costs for e: a
+// square per bit below the top one and a product per such bit that is set.
+func chainProducts(e *big.Int) int {
+	ones := 0
+	for _, w := range e.Bits() {
+		ones += bits.OnesCount(uint(w))
+	}
+	return max(e.BitLen()-1, 0) + max(ones-1, 0)
+}
+
 // TestExpMatchesBigInt holds Exp to big.Int.Exp, value and product
 // count, on exponents of every shape: zero, one, powers of two, all
 // ones, multi-word, and with leading zero words.
@@ -192,11 +360,7 @@ func TestExpMatchesBigInt(t *testing.T) {
 				if got, want := m.FromMont(dst), new(big.Int).Exp(x, eInt, n); got.Cmp(want) != 0 {
 					t.Fatalf("mod %v: %v^%v = %v, want %v", n, x, eInt, got, want)
 				}
-				ones := 0
-				for _, w := range eInt.Bits() {
-					ones += bits.OnesCount(uint(w))
-				}
-				if want := max(eInt.BitLen()-1, 0) + max(ones-1, 0); muls != want {
+				if want := chainProducts(eInt); muls != want {
 					t.Fatalf("%v^%v took %d products, want %d", x, eInt, muls, want)
 				}
 			}
@@ -248,7 +412,7 @@ func TestReduceMatchesBigInt(t *testing.T) {
 // TestMulDoesNotAllocate pins the property the ranking fold is built on.
 func TestMulDoesNotAllocate(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for _, words := range []int{4, smallWords + 1} {
+	for _, words := range []int{2, 4, smallWords + 1} {
 		n := oddModulus(rng, words, ^big.Word(0))
 		m, err := New(n)
 		if err != nil {
@@ -259,50 +423,114 @@ func TestMulDoesNotAllocate(t *testing.T) {
 		if avg := testing.AllocsPerRun(100, func() { m.Mul(a, a, b) }); avg != 0 {
 			t.Errorf("%d words: Mul allocates %v times per product", words, avg)
 		}
+		dst, e := make([]big.Word, words), n.Bits()
+		if avg := testing.AllocsPerRun(10, func() { m.Exp(dst, a, e) }); avg != 0 {
+			t.Errorf("%d words: Exp allocates %v times per chain", words, avg)
+		}
 	}
 }
 
-// FuzzMul holds Mul to Mul+Mod on fuzzer-chosen moduli and operands. The
-// three byte strings are read as big-endian integers; the modulus is
-// made odd and stretched to the chosen width, the operands reduced into
-// range (the fuzzer's own 0, 1 and n-1 are seeded).
+// fuzzModulus reads nb as a big-endian integer, stretched to exactly the
+// chosen width — the fuzzer's bytes fill the top, so its edge patterns
+// land where the carries are — and made odd. ok is false for the one
+// modulus too small to have a form.
+func fuzzModulus(t *testing.T, width uint8, nb []byte) (n *big.Int, m *Modulus, ok bool) {
+	words := testWidths[int(width)%len(testWidths)]
+	n = new(big.Int).SetBytes(nb)
+	if short := words*bits.UintSize - n.BitLen(); short > 0 {
+		n.Lsh(n, uint(short))
+	} else {
+		n.Rsh(n, uint(-short))
+	}
+	n.SetBit(n, 0, 1)
+	m, err := New(n)
+	if err != nil {
+		if n.BitLen() < 2 {
+			return nil, nil, false
+		}
+		t.Fatalf("New(%v): %v", n, err)
+	}
+	return n, m, true
+}
+
+// fuzzOperand reads xb as a big-endian integer in [0, n): a value at or
+// above n stands for n-1 minus its excess, so the top of the range is as
+// reachable as the bottom.
+func fuzzOperand(xb []byte, n *big.Int) *big.Int {
+	x := new(big.Int).SetBytes(xb)
+	if x.Cmp(n) >= 0 {
+		x.Mod(x, n)
+		x.Sub(new(big.Int).Sub(n, big.NewInt(1)), x)
+	}
+	return x
+}
+
+// Byte strings the fuzz targets are seeded with: one and two words of
+// ones, 2^W + 1, and a two-word value with only its top and bottom bits.
+var (
+	seedOnes  = bytes.Repeat([]byte{0xff}, bits.UintSize/8)
+	seedOnes2 = bytes.Repeat([]byte{0xff}, 2*bits.UintSize/8)
+	seedR1    = append(append([]byte{1}, make([]byte, bits.UintSize/8-1)...), 1)
+	seedEdges = append(append([]byte{0x80}, make([]byte, 2*bits.UintSize/8-2)...), 1)
+)
+
+// FuzzMul holds Mul to Mul+Mod on fuzzer-chosen moduli and operands (the
+// fuzzer's own 0, 1 and n-1 are seeded); at two words checkMul holds the
+// register form to the generic kernel as well.
 func FuzzMul(f *testing.F) {
-	ff := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 	for i := range testWidths {
-		f.Add(uint8(i), ff, []byte{0}, []byte{1})
-		f.Add(uint8(i), []byte{1}, ff, ff)
+		f.Add(uint8(i), seedOnes, []byte{0}, []byte{1})
+		f.Add(uint8(i), []byte{1}, seedOnes, seedOnes)
 		f.Add(uint8(i), []byte{0x80, 0, 0, 0, 0, 0, 0, 1}, []byte{2}, []byte{0x7f, 0xff})
+		f.Add(uint8(i), seedOnes2, seedOnes2, seedOnes2)
+		f.Add(uint8(i), seedR1, seedOnes, seedR1)
+		f.Add(uint8(i), seedEdges, seedOnes2, seedEdges)
 	}
 	f.Fuzz(func(t *testing.T, width uint8, nb, ab, bb []byte) {
-		words := testWidths[int(width)%len(testWidths)]
-		n := new(big.Int).SetBytes(nb)
-		// Stretch to exactly the chosen width: the fuzzer's bytes fill the
-		// top, so its edge patterns land where the carries are.
-		if short := words*bits.UintSize - n.BitLen(); short > 0 {
-			n.Lsh(n, uint(short))
-		} else {
-			n.Rsh(n, uint(-short))
+		n, m, ok := fuzzModulus(t, width, nb)
+		if !ok {
+			return
 		}
-		n.SetBit(n, 0, 1)
-		m, err := New(n)
+		checkMul(t, m, n, fuzzOperand(ab, n), fuzzOperand(bb, n))
+	})
+}
+
+// FuzzExp holds Exp — the register chain at two words, the generic one
+// elsewhere — to big.Int.Exp, and its product count to the bits of the
+// exponent; at two words the generic kernel's chain is a second reference.
+// The exponent is capped at 32 bytes: a chain costs a product per bit.
+func FuzzExp(f *testing.F) {
+	for i := range testWidths {
+		f.Add(uint8(i), seedOnes, []byte{2}, []byte{0})
+		f.Add(uint8(i), seedOnes2, seedOnes, seedOnes)
+		f.Add(uint8(i), seedR1, seedOnes2, seedR1)
+		f.Add(uint8(i), seedEdges, seedEdges, seedOnes2)
+	}
+	f.Fuzz(func(t *testing.T, width uint8, nb, xb, eb []byte) {
+		n, m, ok := fuzzModulus(t, width, nb)
+		if !ok {
+			return
+		}
+		x := fuzzOperand(xb, n)
+		e := new(big.Int).SetBytes(eb[:min(len(eb), 32)])
+		base, err := m.ToMont(x)
 		if err != nil {
-			if n.BitLen() < 2 {
-				return
-			}
-			t.Fatalf("New(%v): %v", n, err)
+			t.Fatalf("ToMont(%v) mod %v: %v", x, n, err)
 		}
-		nm1 := new(big.Int).Sub(n, big.NewInt(1))
-		a := new(big.Int).SetBytes(ab)
-		b := new(big.Int).SetBytes(bb)
-		// An operand at or above n stands for n-1 minus its excess, so the
-		// top of the range is as reachable as the bottom.
-		for _, x := range []*big.Int{a, b} {
-			if x.Cmp(n) >= 0 {
-				x.Mod(x, n)
-				x.Sub(nm1, x)
+		dst := make([]big.Word, m.Words())
+		muls := m.Exp(dst, base, e.Bits())
+		if got, want := m.FromMont(dst), new(big.Int).Exp(x, e, n); got.Cmp(want) != 0 {
+			t.Fatalf("mod %v: %v^%v = %v, want %v", n, x, e, got, want)
+		}
+		if want := chainProducts(e); muls != want {
+			t.Fatalf("%v^%v took %d products, want %d", x, e, muls, want)
+		}
+		if m.Words() == 2 {
+			ref := make([]big.Word, 2)
+			if refMuls := genericExp(m, ref, base, e); refMuls != muls || [2]big.Word(ref) != [2]big.Word(dst) {
+				t.Fatalf("mod %v: %v^%v = %x in %d products, generic kernel %x in %d", n, x, e, dst, muls, ref, refMuls)
 			}
 		}
-		checkMul(t, m, n, a, b)
 	})
 }
 

@@ -384,11 +384,11 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 		sizes      = make(chan int, 2) // written, not-yet-fully-read batches
 		writerDone = make(chan struct{})
 		commitPing = make(chan struct{}, 1) // wakes a draining reader per commit
-		// firstOK is the slow-start green light: the writer holds off
-		// on a second batch until the first answer frame proves the
-		// server speaks the batch protocol, so a pre-batch server is
-		// detected after exactly ONE exchanged frame and the sequential
-		// fallback starts on an aligned stream.
+		// firstOK is the green light: the writer holds off on a second
+		// batch until the first answer frame proves the server speaks
+		// the batch protocol, so a pre-batch server is detected after
+		// exactly ONE exchanged frame and the sequential fallback
+		// starts on an aligned stream.
 		firstOK = make(chan struct{})
 	)
 	stop := func() { abortOnce.Do(func() { close(abort) }) }
@@ -412,35 +412,24 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 				batchMax = pirBatchLimit(r.depth, len(first.Values), first.N.BitLen())
 			}
 			batch := append(make([]*pir.Query, 0, batchMax), first)
-			// The slow-start probe takes whatever is already generated
-			// without waiting, so the probe ships at once. After it the
-			// writer blocks on the generator so each frame carries a full
-			// batch — the width the server's one-pass scan shares its
-			// database read over. Generation is far cheaper than serving,
-			// and the previous batch's scan overlaps the wait, so blocking
-			// costs latency only on the second frame.
+			// Every frame, the first included, blocks on the generator
+			// until it carries a full batch or generation ends: the
+			// server scans the store once per frame, so a frame's width
+			// is what its one-pass scan shares the database read over,
+			// and how many frames a fetch takes must not depend on which
+			// goroutine ran first. Generation is far cheaper than
+			// serving, and from the second frame on the previous batch's
+			// scan overlaps the wait.
 		fill:
 			for len(batch) < batchMax {
-				if !firstBatch {
-					select {
-					case q, ok := <-qs:
-						if !ok {
-							break fill
-						}
-						batch = append(batch, q)
-					case <-abort:
-						return
-					}
-					continue
-				}
 				select {
 				case q, ok := <-qs:
 					if !ok {
 						break fill
 					}
 					batch = append(batch, q)
-				default:
-					break fill
+				case <-abort:
+					return
 				}
 			}
 			if err := wire.WritePIRBatchQuery(r.conn, batch); err != nil {
@@ -743,9 +732,10 @@ func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWr
 	}
 	if t.depth > 1 && errors.Is(err, errBatchUnsupported) {
 		// A server predating the batch messages refused the very first
-		// batch frame (the pipeline slow-starts, so exactly one frame
-		// was exchanged and the stream is still aligned): retry the
-		// whole fetch through the sequential protocol it does speak.
+		// batch frame (the second waits for the first one's answer, so
+		// exactly one frame was exchanged and the stream is still
+		// aligned): retry the whole fetch through the sequential
+		// protocol it does speak.
 		return c.fetchVia(ctx, remotePIR{conn: conn, depth: 1}, ids, false)
 	}
 	return out, st, err

@@ -3,6 +3,7 @@ package embellish
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"strings"
@@ -367,6 +368,73 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 	}
 	if st.Runs == 0 {
 		t.Fatal("no PIR runs accounted on the fallback path")
+	}
+}
+
+// frameCounter is a net.Conn that counts the frames of each type written
+// through it, whatever Write calls they arrive in: a 4-byte little-endian
+// length, then a body whose first byte is the type.
+type frameCounter struct {
+	net.Conn
+	frames [256]int
+	header []byte
+	body   uint32 // bytes of the current frame's body still to come
+}
+
+func (f *frameCounter) Write(p []byte) (int, error) {
+	for b := p; len(b) > 0; {
+		if f.body > 0 {
+			n := min(uint32(len(b)), f.body)
+			f.body -= n
+			b = b[n:]
+			continue
+		}
+		if f.header = append(f.header, b[0]); len(f.header) == 5 {
+			f.frames[f.header[4]]++
+			f.body = binary.LittleEndian.Uint32(f.header) - 1
+			f.header = f.header[:0]
+		}
+		b = b[1:]
+	}
+	return f.Conn.Write(p)
+}
+
+// TestFetchFrameScheduleIsDeterministic: how many batch frames a fetch
+// ships — and so how many times the server scans the store — is a
+// function of the block count and the window, never of which goroutine
+// ran first. Six one-block documents are one frame of six at window 16
+// and two frames (4 + 2) at the default window of 8, every time.
+func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
+	e, c, texts := storeWorld(t, 25, 512) // every document fits one block
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	ids := []int{1, 5, 9, 14, 20, 23}
+	for _, tc := range []struct{ window, frames int }{{16, 1}, {DefaultFetchPipeline, 2}} {
+		if err := c.SetFetchPipeline(tc.window); err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 20; rep++ {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fc := &frameCounter{Conn: conn}
+			got, st, err := c.FetchDocumentsRemote(fc, ids)
+			conn.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Runs != len(ids) {
+				t.Fatalf("window %d: %d PIR runs for %d one-block documents", tc.window, st.Runs, len(ids))
+			}
+			for i, id := range ids {
+				if string(got[i]) != texts[id] {
+					t.Fatalf("window %d: doc %d fetched %q, want %q", tc.window, id, got[i], texts[id])
+				}
+			}
+			if n := fc.frames[wire.TypePIRBatchQuery]; n != tc.frames {
+				t.Fatalf("window %d, repetition %d: %d batch frames, want %d", tc.window, rep, n, tc.frames)
+			}
+		}
 	}
 }
 
