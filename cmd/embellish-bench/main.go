@@ -158,6 +158,10 @@ type FetchLeg struct {
 	FetchKeyBits int `json:"fetch_keybits"`
 	Fetches      int `json:"fetches"`
 	PIRRuns      int `json:"pir_runs"`
+	// PIRVectors is the number of selection vectors the flat fetch
+	// uploaded: one per document, its further blocks one-byte rotations —
+	// so QueryBytes/PIRRuns is a vector averaged over a document's blocks.
+	PIRVectors int `json:"pir_vectors"`
 
 	// Flat protocol: Client.FetchDocuments, then the same fetch over
 	// the batched wire protocol. AmortBatch is the number of block
@@ -426,8 +430,8 @@ func runFetchSection(rep *Report, db *wordnet.Database, sizes string, mk func(si
 			leg.Docs, leg.AmortMsPerDoc, leg.AmortPipeMsPerDoc, leg.AmortBatch,
 			leg.RecMsPerDoc, leg.RecPipeMsPerDoc, leg.PlainUsDoc)
 		if leg.PIRRuns > 0 && leg.RecBatch > 0 {
-			fmt.Printf("  upload: flat %d B/query, recursive %d B/query (%.1fx smaller); recursive answers %d B/query\n",
-				leg.QueryBytes/leg.PIRRuns, leg.RecQueryBytes/leg.RecBatch,
+			fmt.Printf("  upload: flat %d B/query (%d vectors for %d blocks), recursive %d B/query (%.1fx smaller); recursive answers %d B/query\n",
+				leg.QueryBytes/leg.PIRRuns, leg.PIRVectors, leg.PIRRuns, leg.RecQueryBytes/leg.RecBatch,
 				float64(leg.QueryBytes)/float64(leg.PIRRuns)/(float64(leg.RecQueryBytes)/float64(leg.RecBatch)),
 				leg.RecAnswerBytes/leg.RecBatch)
 		}
@@ -551,6 +555,7 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	}
 	leg.AmortBatch = amortStats.Runs
 	leg.PIRRuns = amortStats.Runs
+	leg.PIRVectors = amortStats.Vectors
 	leg.QueryBytes = amortStats.QueryBytes
 	leg.AnswerBytes = amortStats.AnswerBytes
 

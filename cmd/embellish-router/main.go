@@ -19,7 +19,9 @@
 // document ownership is (id-base) mod npartitions over that order.
 // -base is the template corpus size: the number of documents in the
 // shared engine file every worker loaded (see docs/ARCHITECTURE.md,
-// "Cluster tier").
+// "Cluster tier"). -metrics serves the router's counters over HTTP and,
+// like embellish-server's, the runtime's profiles under /debug/pprof/,
+// so bind it to loopback. See docs/OPERATIONS.md.
 package main
 
 import (
@@ -28,6 +30,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -73,7 +76,7 @@ func main() {
 		retries     = flag.Int("retries", cluster.DefaultRetries, "retry attempts per partition request (negative disables)")
 		backoff     = flag.Duration("backoff", cluster.DefaultBackoff, "initial retry backoff, doubled per attempt (negative disables)")
 		idle        = flag.Duration("idle-timeout", 5*time.Minute, "close client connections idle longer than this (0 never)")
-		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics (empty off)")
+		metricsAddr = flag.String("metrics", "", "HTTP listen address for /metrics and /debug/pprof/ (empty off)")
 		once        = flag.Bool("once", false, "serve a single connection and exit (for scripting)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	)
@@ -127,6 +130,15 @@ func main() {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 			w.Write(r.MetricsText())
 		})
+		// The profiles embellish-server mounts: where a routed request's
+		// time goes between scatter, partition waits and gather. Code paths
+		// and durations, never a term, document or bucket id; bind the
+		// listener to loopback all the same.
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go http.Serve(ml, mux)
 	}
 

@@ -393,8 +393,8 @@ func fetchWinners(engine *embellish.Engine, client *embellish.Client, conn net.C
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\nfetched %d documents privately in %v: %d PIR runs, %d query bytes up, %d answer bytes down\n",
-			len(ids), time.Since(t0).Round(time.Microsecond), st.Runs, st.QueryBytes, st.AnswerBytes)
+		fmt.Printf("\nfetched %d documents privately in %v: %d PIR runs on %d selection vectors, %d query bytes up, %d answer bytes down\n",
+			len(ids), time.Since(t0).Round(time.Microsecond), st.Runs, st.Vectors, st.QueryBytes, st.AnswerBytes)
 		fmt.Println("the server cannot tell which documents were fetched, only how many blocks")
 	case "plain":
 		if engine == nil {

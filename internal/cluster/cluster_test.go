@@ -64,37 +64,40 @@ var tmpl struct {
 
 func templateEngine(t *testing.T) ([]byte, map[int]string) {
 	t.Helper()
-	tmpl.once.Do(func() {
-		lemmas := lemmaList()
-		texts := make(map[int]string, templateDocs)
-		docs := make([]embellish.Document, templateDocs)
-		for i := range docs {
-			texts[i] = docText(i, lemmas)
-			docs[i] = embellish.Document{ID: i, Text: texts[i]}
-		}
-		opts := embellish.DefaultOptions()
-		opts.BucketSize = 4
-		opts.KeyBits = 256
-		opts.ScoreSpace = 10
-		opts.StoreDocuments = true
-		opts.BlockSize = 128
-		opts.RetrievalKeyBits = 96
-		e, err := embellish.NewEngine(embellish.MiniLexicon(), docs, opts)
-		if err != nil {
-			tmpl.err = err
-			return
-		}
-		var buf bytes.Buffer
-		if err := e.Save(&buf); err != nil {
-			tmpl.err = err
-			return
-		}
-		tmpl.raw, tmpl.texts = buf.Bytes(), texts
-	})
+	tmpl.once.Do(func() { tmpl.raw, tmpl.texts, tmpl.err = buildTemplate(128) })
 	if tmpl.err != nil {
 		t.Fatalf("building template engine: %v", tmpl.err)
 	}
 	return tmpl.raw, tmpl.texts
+}
+
+// buildTemplate builds and serializes a template engine of templateDocs
+// documents at the given PIR block size: 128 holds every document in one
+// block, 16 spreads each over three or four.
+func buildTemplate(blockSize int) ([]byte, map[int]string, error) {
+	lemmas := lemmaList()
+	texts := make(map[int]string, templateDocs)
+	docs := make([]embellish.Document, templateDocs)
+	for i := range docs {
+		texts[i] = docText(i, lemmas)
+		docs[i] = embellish.Document{ID: i, Text: texts[i]}
+	}
+	opts := embellish.DefaultOptions()
+	opts.BucketSize = 4
+	opts.KeyBits = 256
+	opts.ScoreSpace = 10
+	opts.StoreDocuments = true
+	opts.BlockSize = blockSize
+	opts.RetrievalKeyBits = 96
+	e, err := embellish.NewEngine(embellish.MiniLexicon(), docs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	if err := e.Save(&buf); err != nil {
+		return nil, nil, err
+	}
+	return buf.Bytes(), texts, nil
 }
 
 // loadEngine loads one cluster member from the template bytes. Merges

@@ -339,6 +339,41 @@ func (k *ClientKey) NewQuery(randSrc io.Reader, cols, target int) (*Query, error
 	return &Query{N: k.N, Values: vals}, nil
 }
 
+// Next returns q rotated one column up: the same group elements — no
+// randomness is drawn and no element is copied — with
+// Next().Values[j] = q.Values[(j-1) mod n], so a query whose non-residue
+// sits at column b becomes the query for column b+1 (and the last
+// column wraps to the first). A server can do this for itself, which is
+// what lets the consecutive blocks of one document travel as one vector
+// (internal/wire, TypePIRBatchQuery). The rotation is a public
+// permutation of elements the server already holds: it reveals that the
+// blocks are adjacent, which the block count of a document always did.
+func (q *Query) Next() *Query {
+	n := len(q.Values)
+	vals := make([]*big.Int, n)
+	vals[0] = q.Values[n-1]
+	copy(vals[1:], q.Values)
+	return &Query{N: q.N, Values: vals}
+}
+
+// Follows reports whether q is prev.Next(): the very elements of prev,
+// pointer for pointer, one column up over the full cycle. It is an
+// identity, not a comparison of values — two vectors that merely agree
+// on some window (a router's slice of a rotation, say) do not follow
+// one another unless every element does.
+func (q *Query) Follows(prev *Query) bool {
+	n := len(q.Values)
+	if n == 0 || n != len(prev.Values) || q.Values[0] != prev.Values[n-1] {
+		return false
+	}
+	for j, v := range q.Values[1:] {
+		if v != prev.Values[j] {
+			return false
+		}
+	}
+	return true
+}
+
 // Answer is the server→client message: one group element per row.
 type Answer struct {
 	Gammas []*big.Int

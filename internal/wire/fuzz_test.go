@@ -175,6 +175,10 @@ func seedFrames(f *testing.F) {
 	}
 	add(func(w *bytes.Buffer) error { return WritePIRQuery(w, q) })
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q}) })
+	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q.Next(), q.Next().Next()}) })
+	for _, body := range rotationBodies() {
+		f.Add(append([]byte{TypePIRBatchQuery}, body...))
+	}
 	rq, err := key.NewRecursiveQuery(detrand.New("fuzz-seed-rq"), 9, 4)
 	if err != nil {
 		f.Fatal(err)
@@ -227,7 +231,10 @@ func seedFrames(f *testing.F) {
 // that survive decoding are served against a real block store as a
 // batch of one — the serving path of a TypePIRQuery frame — and the
 // answer must be byte-identical to the sequential oracle, so the
-// executor (not just the decoder) holds up under hostile queries.
+// executor (not just the decoder) holds up under hostile queries. Every
+// body is also read as a TypePIRBatchQuery body (checkPIRBatchBody), so
+// the rotation entries of type 12 — compact against written in full,
+// then served — ride the same corpus and the same CI step.
 func FuzzPIRQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir"), 96)
 	if err != nil {
@@ -256,17 +263,10 @@ func FuzzPIRQuery(f *testing.F) {
 		body := vbyte.Append(appendBig(nil, key.N), 3)
 		f.Add(bytes.Join([][]byte{body, honest, h.enc, honest}, nil))
 	}
-	store, err := docstore.New(4)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for i, text := range []string{"alpha", "beta", "gamma gamma"} {
-		if err := store.Add(i, []byte(text)); err != nil {
-			f.Fatal(err)
-		}
-	}
-	sn := store.Snapshot()
+	seedRotationFrames(f, key)
+	sn := fuzzStore(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
+		checkPIRBatchBody(t, sn, body)
 		q, err := DecodePIRQuery(body)
 		if err != nil {
 			return
@@ -301,6 +301,31 @@ func FuzzPIRQuery(f *testing.F) {
 	})
 }
 
+// fuzzStore is the six-block store the PIR fuzz targets serve from.
+func fuzzStore(f *testing.F) *docstore.Snapshot {
+	store, err := docstore.New(4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, text := range []string{"alpha", "beta", "gamma gamma"} {
+		if err := store.Add(i, []byte(text)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	return store.Snapshot()
+}
+
+// seedRotationFrames seeds type-12 bodies with rotation entries: what
+// the fetch generator produces for documents of 3, 1 and 2 blocks, and
+// the hand-built hostile shapes.
+func seedRotationFrames(f *testing.F, key *pir.ClientKey) {
+	f.Add(batchBody(f, documentQueries(f, key, 3, 3, 1, 2)))
+	f.Add(batchBody(f, documentQueries(f, key, 6, 3, 3)))
+	for _, body := range rotationBodies() {
+		f.Add(body)
+	}
+}
+
 // FuzzPIRBatchQuery drives the serving path with hostile batch frames:
 // bodies that survive DecodePIRBatchQuery are answered in ONE database
 // pass (docstore.AnswerMultiExecCtx), and every answer must be
@@ -321,79 +346,74 @@ func FuzzPIRBatchQuery(f *testing.F) {
 			}
 			qs[i] = q
 		}
-		var buf bytes.Buffer
-		if err := WritePIRBatchQuery(&buf, qs); err != nil {
-			f.Fatal(err)
-		}
-		_, body, err := ReadMessage(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
+		f.Add(batchBody(f, qs))
 	}
-	store, err := docstore.New(4)
+	seedRotationFrames(f, key)
+	sn := fuzzStore(f)
+	f.Fuzz(func(t *testing.T, body []byte) { checkPIRBatchBody(t, sn, body) })
+}
+
+// checkPIRBatchBody holds one type-12 body to the decoder's and the
+// executor's contracts. A body that decodes must decode to validated
+// values; written again — rotation entries where the decoded queries are
+// rotations — and written in full, it must decode to the same queries
+// both times, so no rotation entry means anything but the vector before
+// it one column up; and served in one pass, rotations aliasing their
+// vectors, every answer must be the per-query oracle's.
+func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
+	qs, err := DecodePIRBatchQuery(body)
 	if err != nil {
-		f.Fatal(err)
+		return
 	}
-	for i, text := range []string{"alpha", "beta", "gamma gamma"} {
-		if err := store.Add(i, []byte(text)); err != nil {
-			f.Fatal(err)
+	for i, q := range qs {
+		for j, v := range q.Values {
+			if v == nil || v.Sign() <= 0 || v.Cmp(q.N) >= 0 {
+				t.Fatalf("batch query %d value %d escaped validation", i, j)
+			}
 		}
 	}
-	sn := store.Snapshot()
-	f.Fuzz(func(t *testing.T, body []byte) {
-		qs, err := DecodePIRBatchQuery(body)
-		if err != nil {
+	sameQueries(t, "written again", mustDecodeBatch(t, batchBody(t, qs)), qs)
+	sameQueries(t, "written in full", mustDecodeBatch(t, batchBody(t, inFull(qs))), qs)
+	// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
+	// equal-width contract: mixed-width frames are grouped by the
+	// server before reaching it, so the fuzz serves only uniform
+	// batches and requires a clean refusal otherwise.
+	for _, q := range qs {
+		if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
 			return
 		}
-		for i, q := range qs {
-			for j, v := range q.Values {
-				if v == nil || v.Sign() <= 0 || v.Cmp(q.N) >= 0 {
-					t.Fatalf("batch query %d value %d escaped validation", i, j)
-				}
-			}
+	}
+	uniform := true
+	for _, q := range qs[1:] {
+		if len(q.Values) != len(qs[0].Values) {
+			uniform = false
+			break
 		}
-		// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
-		// equal-width contract: mixed-width frames are grouped by the
-		// server before reaching it, so the fuzz serves only uniform
-		// batches and requires a clean refusal otherwise.
-		for _, q := range qs {
-			if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
-				return
-			}
+	}
+	answers, _, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
+	if !uniform {
+		if err == nil {
+			t.Fatal("mixed-width batch served without error")
 		}
-		uniform := true
-		for _, q := range qs[1:] {
-			if len(q.Values) != len(qs[0].Values) {
-				uniform = false
-				break
-			}
-		}
-		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
-		if !uniform {
-			if err == nil {
-				t.Fatal("mixed-width batch served without error")
-			}
-			return
-		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("in-range decoded batch refused: %v", err)
+	}
+	for i, q := range qs {
+		ref, _, err := sn.AnswerCtx(context.Background(), q)
 		if err != nil {
-			t.Fatalf("in-range decoded batch refused: %v", err)
+			t.Fatalf("per-query reference %d refused: %v", i, err)
 		}
-		for i, q := range qs {
-			ref, _, err := sn.AnswerCtx(context.Background(), q)
-			if err != nil {
-				t.Fatalf("per-query reference %d refused: %v", i, err)
-			}
-			if len(answers[i].Gammas) != len(ref.Gammas) {
-				t.Fatalf("query %d: %d gammas, reference has %d", i, len(answers[i].Gammas), len(ref.Gammas))
-			}
-			for j := range ref.Gammas {
-				if answers[i].Gammas[j].Cmp(ref.Gammas[j]) != 0 {
-					t.Fatalf("query %d gamma %d: one-pass answer diverges from per-query reference", i, j)
-				}
+		if len(answers[i].Gammas) != len(ref.Gammas) {
+			t.Fatalf("query %d: %d gammas, reference has %d", i, len(answers[i].Gammas), len(ref.Gammas))
+		}
+		for j := range ref.Gammas {
+			if answers[i].Gammas[j].Cmp(ref.Gammas[j]) != 0 {
+				t.Fatalf("query %d gamma %d: one-pass answer diverges from per-query reference", i, j)
 			}
 		}
-	})
+	}
 }
 
 // FuzzPIRRecursiveQuery drives the recursive serving path with hostile

@@ -19,7 +19,15 @@ import (
 // answer i+1, and a k-block fetch costs one round-trip instead of k.
 //
 // TypePIRBatchQuery: modulus big | query count vbyte | per query:
-// value count vbyte | one group element per block column.
+// value count vbyte | one group element per block column — or, for any
+// query but the first, a value count of 0 and nothing else: "the
+// previous query's vector rotated one column up" (pir.Query.Next). The
+// blocks of a document are consecutive columns, so a document travels
+// as ONE selection vector plus one zero byte per further block. A
+// rotation entry is a full query to everything past the decoder — it
+// counts against MaxPIRBatch, is scanned and is answered like any other
+// — so the CPU a frame can demand is what it was; only the bytes that
+// demand it shrink.
 // TypePIRBatchResponse: query index vbyte | gamma count vbyte | one
 // group element per matrix row. Indexes are 0-based positions in the
 // batch and arrive strictly in order; a per-query serving error is
@@ -52,6 +60,18 @@ const MaxPIRBatch = 64
 // deployed server.
 const UnknownTypeRefusal = "unexpected message type"
 
+// RotationRefusal is the error body a server predating rotation
+// entries sends for a batch frame whose entry i is one: its decoder
+// refuses the zero value count with exactly this text and keeps the
+// connection. FROZEN like UnknownTypeRefusal: pipelined fetch clients
+// match it on the first batch answer and retry with one vector per
+// block, and this decoder still words its own value-count refusals (a
+// zero count on entry 0, a forged count) through it — rewording it
+// would strand those clients against every deployed server.
+func RotationRefusal(i int) string {
+	return fmt.Sprintf("wire: PIR batch query %d value count: value out of range", i)
+}
+
 // WritePIRBatchQuery frames and writes one batch of PIR block queries.
 // Every query must carry the same modulus — the batch serializes it
 // once.
@@ -73,15 +93,27 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 			return fmt.Errorf("wire: PIR batch query %d uses a different modulus", i)
 		}
 	}
+	// Entry i travels as a zero count exactly when it IS the entry before
+	// it rotated (pir.Query.Follows: the same elements over the full
+	// cycle); the first entry of a frame has no base and is always written
+	// out.
+	rotated := make([]bool, len(qs))
 	size := pirHeadSize + bigsSize(n)
-	for _, q := range qs {
-		size += pirHeadSize + bigsSize(q.Values...)
+	for i, q := range qs {
+		size += pirHeadSize
+		if rotated[i] = i > 0 && q.Follows(qs[i-1]); !rotated[i] {
+			size += bigsSize(q.Values...)
+		}
 	}
 	body := make([]byte, 0, size)
 	body = append(body, TypePIRBatchQuery)
 	body = appendBig(body, n)
 	body = vbyte.Append(body, uint64(len(qs)))
-	for _, q := range qs {
+	for i, q := range qs {
+		if rotated[i] {
+			body = vbyte.Append(body, 0)
+			continue
+		}
 		body = vbyte.Append(body, uint64(len(q.Values)))
 		for _, v := range q.Values {
 			body = appendBig(body, v)
@@ -93,6 +125,18 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 // DecodePIRBatchQuery parses a TypePIRBatchQuery body. The same
 // bounds as DecodePIRQuery apply to the shared modulus and to every
 // value; the query count is additionally capped at MaxPIRBatch.
+//
+// Every entry comes back as one *pir.Query of full width, a rotation
+// entry included, so nothing past the decoder knows the frame was
+// compact. Rotations are windows, not copies: a vector of n values that
+// k more entries follow is decoded into the top of one ring of n + k
+// pointers, and each rotation steps the window one slot down, filling
+// the slot it uncovers with the element n places up — the one that
+// wrapped. Decoding therefore allocates for the values present in
+// the body plus one pointer per entry, never entries x width. The
+// windows share elements (and overlap in memory), which is safe because
+// everything downstream only reads Values: the executor copies before
+// it reduces, the router slices.
 func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 	n, body, err := decodeBig(body)
 	if err != nil {
@@ -107,21 +151,39 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 	}
 	body = body[used:]
 	qs := make([]*pir.Query, count)
+	var (
+		ring  []*big.Int // the last full vector, behind room for its rotations
+		at    int        // where the previous entry's window starts in ring
+		width int        // of that window
+	)
 	for qi := range qs {
 		nv, used, err := vbyte.Decode(body)
+		if err != nil {
+			return nil, fmt.Errorf("wire: PIR batch query %d value count: %w", qi, err)
+		}
 		// Each value costs at least 2 body bytes (length prefix + one
 		// byte), so a count past half the remaining body is forged —
-		// reject before allocating the pointer slice.
-		if err != nil || nv == 0 || nv > maxPIRBlocks || nv*2 > uint64(len(body)) {
-			return nil, fmt.Errorf("wire: PIR batch query %d value count: %w", qi, orRange(err))
+		// reject before allocating the pointer slice. A zero count is a
+		// rotation of the entry before it: entry 0 has none.
+		if (nv == 0 && qi == 0) || nv > maxPIRBlocks || nv*2 > uint64(len(body)) {
+			return nil, errors.New(RotationRefusal(qi))
 		}
 		body = body[used:]
-		q := &pir.Query{N: n, Values: make([]*big.Int, nv)}
-		var at int
-		if body, at, err = decodeBigs(body, q.Values, n); err != nil {
-			return nil, bigsError(fmt.Sprintf("PIR batch query %d value", qi), at, err)
+		if nv == 0 {
+			at--
+			ring[at] = ring[at+width]
+		} else {
+			// At most the entries still to come can rotate this vector.
+			at, width = len(qs)-1-qi, int(nv)
+			ring = make([]*big.Int, at+width)
+			var bad int
+			if body, bad, err = decodeBigs(body, ring[at:], n); err != nil {
+				return nil, bigsError(fmt.Sprintf("PIR batch query %d value", qi), bad, err)
+			}
 		}
-		qs[qi] = q
+		// Capacity stops at the window: an append to one query's Values
+		// cannot write into its neighbour's.
+		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width]}
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after PIR batch query")

@@ -24,6 +24,11 @@ import (
 // Kushilevitz-Ostrovsky PIR execution per block, locally against the
 // engine or remotely over the wire protocol (TypePIRParams /
 // TypePIRQuery / TypePIRResponse, behind ServeConfig.AllowRetrieval).
+// The blocks of a document are consecutive columns, so the flat
+// protocol draws ONE selection vector per document and asks for every
+// further block as that vector rotated one column up (pir.Query.Next) —
+// a public permutation the server applies for itself, one byte on the
+// wire where a fresh vector would be NumBlocks group elements.
 //
 // What the server observes: the number of PIR executions — i.e. the
 // block count of each fetched document — and nothing else. Which
@@ -381,7 +386,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 		abortOnce  sync.Once
 		abort      = make(chan struct{})
 		werr       = make(chan error, 1)
-		sizes      = make(chan int, 2) // written, not-yet-fully-read batches
+		sizes      = make(chan sentFrame, 2) // written, not-yet-fully-read batches
 		writerDone = make(chan struct{})
 		commitPing = make(chan struct{}, 1) // wakes a draining reader per commit
 		// firstOK is the green light: the writer holds off on a second
@@ -432,6 +437,10 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 					return
 				}
 			}
+			sent := sentFrame{entries: len(batch)}
+			if firstBatch {
+				sent.rotation = firstRotation(batch)
+			}
 			if err := wire.WritePIRBatchQuery(r.conn, batch); err != nil {
 				werr <- fmt.Errorf("embellish: sending PIR batch: %w", err)
 				return
@@ -442,7 +451,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			default: // a pending ping already wakes the drainer
 			}
 			select {
-			case sizes <- len(batch):
+			case sizes <- sent:
 			case <-abort:
 				return
 			}
@@ -460,7 +469,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 	consumed := 0
 	greenLit := false
 	var frame []byte // every answer frame of the fetch is read into this one buffer
-	for n := range sizes {
+	for sent := range sizes {
 		if err := ctx.Err(); err != nil {
 			// Cancelled between batches: stop the writer and drain the
 			// answers the server still owes, so the stream stays
@@ -468,7 +477,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			stop()
 			return r.drain(consumed, &committed, writerDone, commitPing, err)
 		}
-		for i := 0; i < n; i++ {
+		for i := 0; i < sent.entries; i++ {
 			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading PIR batch answer: %w", err)
@@ -479,6 +488,15 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 					// The exact refusal pre-batch servers send for
 					// type 12; the caller falls back to depth 1.
 					return fmt.Errorf("%w: %s", errBatchUnsupported, body)
+				}
+				if typ == wire.TypeError && sent.rotation > 0 && string(body) == wire.RotationRefusal(sent.rotation) {
+					// The exact refusal a server predating rotation
+					// entries sends for the first zero value count it
+					// meets — one error frame for the one batch frame, so
+					// the stream is aligned; the caller retries with a
+					// vector per block. Any other error is the server's
+					// verdict on the fetch and is reported below.
+					return fmt.Errorf("%w: %s", errRotationUnsupported, body)
 				}
 				greenLit = true
 				close(firstOK)
@@ -515,6 +533,27 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 	default:
 		return nil
 	}
+}
+
+// sentFrame is what runPipelined's writer tells its reader about a batch
+// frame it has written.
+type sentFrame struct {
+	entries int // answers the server owes for it
+	// rotation is the index of the frame's first rotation entry, 0 when it
+	// has none (entry 0 never is one); set on a fetch's first frame only,
+	// where a refusal of it means an old server.
+	rotation int
+}
+
+// firstRotation returns the index of the first query of batch that
+// wire.WritePIRBatchQuery sends as a rotation entry, 0 when none is.
+func firstRotation(batch []*pir.Query) int {
+	for i := 1; i < len(batch); i++ {
+		if batch[i].Follows(batch[i-1]) {
+			return i
+		}
+	}
+	return 0
 }
 
 // drain consumes the answer frames still owed by the server after a
@@ -651,7 +690,20 @@ var errRecursiveUnsupported = errors.New("embellish: server does not speak recur
 type FetchStats struct {
 	// Runs is the number of PIR protocol executions (one per block).
 	Runs int
-	// QueryBytes and AnswerBytes total the protocol traffic.
+	// Vectors is the number of block queries drawn fresh and sent whole.
+	// The flat protocol draws one per document and asks for the
+	// document's further blocks as one-byte rotations of it, so Runs −
+	// Vectors executions cost a byte of upload each; the recursive
+	// protocol, the depth-1 protocol and the retry against a server
+	// predating rotation entries draw one per block (Vectors == Runs).
+	Vectors int
+	// QueryBytes and AnswerBytes total the protocol traffic: the group
+	// elements of every vector drawn plus one byte per rotation up, the
+	// gammas down. The figure is the protocol's, not the frame
+	// schedule's — a rotation that a frame boundary separates from its
+	// vector (the 4 + 2 split of two three-block documents at the default
+	// window) travels written out, once per boundary, and is still
+	// counted as its byte.
 	QueryBytes, AnswerBytes int
 }
 
@@ -683,8 +735,11 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	// Local fetches honor BOTH sides of the recursive handshake: the
 	// client's opt-in and the engine's live PIRRecursive knob — exactly
 	// the pair a remote fetch negotiates over the wire.
-	recursive := c.fetchRecursive && c.engine.livePIRRecursive()
-	return c.fetchVia(ctx, localPIR{sn: sn, workers: c.engine.livePIRWorkers()}, ids, recursive)
+	shape := fetchRotated
+	if c.fetchRecursive && c.engine.livePIRRecursive() {
+		shape = fetchRecursive
+	}
+	return c.fetchVia(ctx, localPIR{sn: sn, workers: c.engine.livePIRWorkers()}, ids, shape)
 }
 
 // FetchDocumentsRemote privately fetches the given documents from a
@@ -701,7 +756,9 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // concurrent Read and Write (every net.Conn does). Servers predating
 // the batch messages are detected on the first frame and the fetch
 // transparently retries through the sequential one-round-trip-per-
-// block protocol (which SetFetchPipeline(1) also selects directly).
+// block protocol (which SetFetchPipeline(1) also selects directly);
+// servers predating rotation entries refuse the first frame that
+// carries one, and the fetch retries with a vector per block.
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
@@ -721,14 +778,29 @@ func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, 
 // ServeConfig.RequestTimeout.)
 func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
 	t := remotePIR{conn: conn, depth: c.pipelineDepth()}
-	out, st, err := c.fetchVia(ctx, t, ids, c.fetchRecursive)
-	if c.fetchRecursive && errors.Is(err, errRecursiveUnsupported) {
+	flat := fetchRotated
+	if t.depth <= 1 {
+		flat = fetchPerBlock // a TypePIRQuery frame has no rotation entry
+	}
+	shape := flat
+	if c.fetchRecursive {
+		shape = fetchRecursive
+	}
+	out, st, err := c.fetchVia(ctx, t, ids, shape)
+	if shape == fetchRecursive && errors.Is(err, errRecursiveUnsupported) {
 		// The server refused the very first recursive frame (recursive
 		// frames are synchronous, so exactly one was exchanged and the
 		// stream is still aligned): retry the whole fetch through the
 		// flat protocol. Old servers and a PIRRecursive knob of -1 send
 		// the identical refusal — the fallback covers both.
-		out, st, err = c.fetchVia(ctx, t, ids, false)
+		out, st, err = c.fetchVia(ctx, t, ids, flat)
+	}
+	if errors.Is(err, errRotationUnsupported) {
+		// A server predating rotation entries refused the very first
+		// batch frame for the zero count in it — one frame out, one error
+		// frame back, the stream still aligned: retry the whole fetch
+		// with a vector per block, which is every frame it ever saw.
+		out, st, err = c.fetchVia(ctx, t, ids, fetchPerBlock)
 	}
 	if t.depth > 1 && errors.Is(err, errBatchUnsupported) {
 		// A server predating the batch messages refused the very first
@@ -736,10 +808,30 @@ func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWr
 		// exactly one frame was exchanged and the stream is still
 		// aligned): retry the whole fetch through the sequential
 		// protocol it does speak.
-		return c.fetchVia(ctx, remotePIR{conn: conn, depth: 1}, ids, false)
+		return c.fetchVia(ctx, remotePIR{conn: conn, depth: 1}, ids, fetchPerBlock)
 	}
 	return out, st, err
 }
+
+// errRotationUnsupported marks a server that answered the first batch
+// frame with the value-count refusal its decoder has for a rotation
+// entry (wire.RotationRefusal).
+var errRotationUnsupported = errors.New("embellish: server does not speak rotated PIR block queries")
+
+// fetchShape is how fetchVia draws a fetch's block queries.
+type fetchShape int
+
+const (
+	// fetchRotated is the flat protocol: one selection vector per
+	// document, each further block the vector before it rotated.
+	fetchRotated fetchShape = iota
+	// fetchPerBlock is the flat protocol with a fresh vector per block —
+	// all a depth-1 TypePIRQuery frame, or a server predating rotation
+	// entries, can be sent.
+	fetchPerBlock
+	// fetchRecursive is the two-level protocol (RunRecursive).
+	fetchRecursive
+)
 
 // errBatchUnsupported marks a server that answered the first batch
 // frame with the pre-batch "unexpected message type" refusal.
@@ -751,11 +843,12 @@ var errBatchUnsupported = errors.New("embellish: server does not speak batched P
 // reassembled strictly in order, each document checksum-verified as
 // its last block arrives. Any unfetchable id (never assigned, or
 // tombstoned) fails the whole call — the error names the id, and no
-// partial results are returned. With recursive set, the executions are
+// partial results are returned. Under fetchRecursive the executions are
 // two-level recursive queries (RunRecursive) whose answers decode to
 // the same block bytes — the reassembly, truncation and checksum logic
-// is deliberately shared so the two protocols cannot drift.
-func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, recursive bool) ([][]byte, FetchStats, error) {
+// is deliberately shared so the protocols cannot drift.
+func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape fetchShape) ([][]byte, FetchStats, error) {
+	recursive := shape == fetchRecursive
 	var st FetchStats
 	if len(ids) == 0 {
 		return nil, st, errors.New("embellish: no documents to fetch")
@@ -799,7 +892,10 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, recurs
 	// Generator goroutine: building a query costs one residuosity draw
 	// per block column (per GRID row+column for recursive queries), so
 	// it runs ahead of the transport, bounded by the pipeline window.
-	// It owns its stats until joined below.
+	// Under fetchRotated only a document's first block draws: its
+	// further blocks are the consecutive columns, so each is the query
+	// before it rotated one column up. It owns its stats until joined
+	// below.
 	qch := make(chan *pir.Query, c.pipelineDepth())
 	rch := make(chan *pir.RecursiveQuery, c.pipelineDepth())
 	done := make(chan struct{})
@@ -807,33 +903,42 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, recurs
 		wg            sync.WaitGroup
 		genErr        error
 		genQueryBytes int
+		genVectors    int
 	)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(qch)
 		defer close(rch)
-		for _, tk := range tasks {
+		var q *pir.Query
+		for ti, tk := range tasks {
 			if recursive {
-				q, err := key.NewRecursiveQuery(c.inner.CryptoRand, params.NumBlocks, tk.col)
+				rq, err := key.NewRecursiveQuery(c.inner.CryptoRand, params.NumBlocks, tk.col)
 				if err != nil {
 					genErr = err
 					return
 				}
 				genQueryBytes += key.RecursiveQueryBytes(params.NumBlocks)
+				genVectors++
 				select {
-				case rch <- q:
+				case rch <- rq:
 				case <-done:
 					return
 				}
 				continue
 			}
-			q, err := key.NewQuery(c.inner.CryptoRand, params.NumBlocks, tk.col)
-			if err != nil {
-				genErr = err
-				return
+			if shape == fetchRotated && ti > 0 && tasks[ti-1].pos == tk.pos {
+				q = q.Next()
+				genQueryBytes++
+			} else {
+				var err error
+				if q, err = key.NewQuery(c.inner.CryptoRand, params.NumBlocks, tk.col); err != nil {
+					genErr = err
+					return
+				}
+				genQueryBytes += key.QueryBytes(params.NumBlocks)
+				genVectors++
 			}
-			genQueryBytes += key.QueryBytes(params.NumBlocks)
 			select {
 			case qch <- q:
 			case <-done:
@@ -891,7 +996,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, recurs
 	}
 	close(done)
 	wg.Wait()
-	st.QueryBytes = genQueryBytes
+	st.QueryBytes, st.Vectors = genQueryBytes, genVectors
 	if err != nil {
 		// Delivery errors already name their document; transport and
 		// serving errors get the first undelivered position attached,

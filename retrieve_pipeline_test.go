@@ -180,27 +180,21 @@ func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 	_ = totalRuns // both protocols completed; per-server counter checked in TestServeStatsCountRetrievals
 }
 
-// deleteOnFirstBatch wraps a connection and tombstones one document
-// the instant the first PIR batch frame leaves the client — after the
-// client validated it against Params, before the server serves it —
-// making the delete-races-fetch checksum failure deterministic.
-type deleteOnFirstBatch struct {
+// onFirstBatch wraps a connection and runs do the instant the first PIR
+// batch frame leaves the client — after the client validated its ids
+// against Params, before the server sees a query — making a store
+// change that races a fetch deterministic.
+type onFirstBatch struct {
 	net.Conn
-	e    *Engine
-	id   int
 	once sync.Once
-	t    *testing.T
+	do   func()
 }
 
-func (d *deleteOnFirstBatch) Write(p []byte) (int, error) {
+func (o *onFirstBatch) Write(p []byte) (int, error) {
 	if len(p) > 0 && p[0] == wire.TypePIRBatchQuery {
-		d.once.Do(func() {
-			if err := d.e.DeleteDocuments([]int{d.id}); err != nil {
-				d.t.Errorf("mid-fetch delete: %v", err)
-			}
-		})
+		o.once.Do(o.do)
 	}
-	return d.Conn.Write(p)
+	return o.Conn.Write(p)
 }
 
 // TestPipelinedFetchChecksumFailureKeepsConnectionUsable: a document
@@ -218,7 +212,11 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 	}
 	defer raw.Close()
 	const victim, bystander = 5, 9
-	conn := &deleteOnFirstBatch{Conn: raw, e: e, id: victim, t: t}
+	conn := &onFirstBatch{Conn: raw, do: func() {
+		if err := e.DeleteDocuments([]int{victim}); err != nil {
+			t.Errorf("mid-fetch delete: %v", err)
+		}
+	}}
 
 	c, err := e.NewClient(detrand.New("drain-client"))
 	if err != nil {
@@ -371,17 +369,19 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 	}
 }
 
-// frameCounter is a net.Conn that counts the frames of each type written
-// through it, whatever Write calls they arrive in: a 4-byte little-endian
-// length, then a body whose first byte is the type.
+// frameCounter is a net.Conn that counts the bytes and the frames of each
+// type written through it, whatever Write calls they arrive in: a 4-byte
+// little-endian length, then a body whose first byte is the type.
 type frameCounter struct {
 	net.Conn
+	up     int
 	frames [256]int
 	header []byte
 	body   uint32 // bytes of the current frame's body still to come
 }
 
 func (f *frameCounter) Write(p []byte) (int, error) {
+	f.up += len(p)
 	for b := p; len(b) > 0; {
 		if f.body > 0 {
 			n := min(uint32(len(b)), f.body)
