@@ -158,9 +158,10 @@ type FetchLeg struct {
 	FetchKeyBits int `json:"fetch_keybits"`
 	Fetches      int `json:"fetches"`
 	PIRRuns      int `json:"pir_runs"`
-	// PIRVectors is the number of selection vectors the flat fetch
-	// uploaded: one per document, its further blocks one-byte rotations —
-	// so QueryBytes/PIRRuns is a vector averaged over a document's blocks.
+	// PIRVectors is the number of selection vectors the flat fetch over
+	// the wire uploaded: one seeded vector per document, its further
+	// blocks one-byte rotations — so QueryBytes (that fetch's upload) /
+	// PIRRuns is a seeded vector averaged over a document's blocks.
 	PIRVectors int `json:"pir_vectors"`
 
 	// Flat protocol: Client.FetchDocuments, then the same fetch over
@@ -430,9 +431,9 @@ func runFetchSection(rep *Report, db *wordnet.Database, sizes string, mk func(si
 			leg.Docs, leg.AmortMsPerDoc, leg.AmortPipeMsPerDoc, leg.AmortBatch,
 			leg.RecMsPerDoc, leg.RecPipeMsPerDoc, leg.PlainUsDoc)
 		if leg.PIRRuns > 0 && leg.RecBatch > 0 {
-			fmt.Printf("  upload: flat %d B/query (%d vectors for %d blocks), recursive %d B/query (%.1fx smaller); recursive answers %d B/query\n",
+			fmt.Printf("  upload: flat %d B/query (%d vectors for %d blocks), recursive %d B/query (%.1fx flat's); recursive answers %d B/query\n",
 				leg.QueryBytes/leg.PIRRuns, leg.PIRVectors, leg.PIRRuns, leg.RecQueryBytes/leg.RecBatch,
-				float64(leg.QueryBytes)/float64(leg.PIRRuns)/(float64(leg.RecQueryBytes)/float64(leg.RecBatch)),
+				(float64(leg.RecQueryBytes)/float64(leg.RecBatch))/(float64(leg.QueryBytes)/float64(leg.PIRRuns)),
 				leg.RecAnswerBytes/leg.RecBatch)
 		}
 	}
@@ -555,8 +556,6 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	}
 	leg.AmortBatch = amortStats.Runs
 	leg.PIRRuns = amortStats.Runs
-	leg.PIRVectors = amortStats.Vectors
-	leg.QueryBytes = amortStats.QueryBytes
 	leg.AnswerBytes = amortStats.AnswerBytes
 
 	// The same one-call fetch over the wire: batch frames over TCP
@@ -584,12 +583,16 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 			return leg, err
 		}
 	}
-	if leg.AmortPipeMsPerDoc, _, err = timeBatch(func() ([][]byte, embellish.FetchStats, error) {
+	var pipeStats embellish.FetchStats
+	if leg.AmortPipeMsPerDoc, pipeStats, err = timeBatch(func() ([][]byte, embellish.FetchStats, error) {
 		return amortPipeClient.FetchDocumentsRemote(amortConn, ids)
 	}); err != nil {
 		return leg, err
 	}
 	amortConn.Close()
+	// The upload is the wire's: a local fetch writes its vectors out.
+	leg.PIRVectors = pipeStats.Vectors
+	leg.QueryBytes = pipeStats.QueryBytes
 
 	// Recursive two-level protocol: one call fetches every id through
 	// √n×√n grid queries. Local first.

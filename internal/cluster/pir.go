@@ -387,13 +387,14 @@ func (r *Router) handlePIRRecursive(rw io.ReadWriter, body []byte, epoch **pirEp
 // (the protocol's contract). A worker death mid-stream fails that
 // partition's whole sub-batch, and withEndpoint replays it against the
 // replica — reads are idempotent, so the retry is invisible beyond the
-// latency.
+// latency. The epoch comes first so that a seeded vector wider than the
+// served block space is refused before it expands.
 func (r *Router) handlePIRBatch(rw io.ReadWriter, body []byte, epoch **pirEpoch) error {
-	qs, err := wire.DecodePIRBatchQuery(body)
+	ep, err := r.ensureEpoch(epoch)
 	if err != nil {
 		return r.refuse(rw, err)
 	}
-	ep, err := r.ensureEpoch(epoch)
+	qs, err := wire.DecodePIRBatchQueryWithin(body, ep.total)
 	if err != nil {
 		return r.refuse(rw, err)
 	}

@@ -10,6 +10,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -22,7 +23,7 @@ import (
 
 // TestClusterRecursiveByteIdentity: a recursive fetch routed across
 // three partitions returns the exact bytes a single-process engine
-// serves, with the recursive upload savings intact and the partition
+// serves, with each protocol's upload at the routed width and the partition
 // legs visible in the aggregated stats.
 func TestClusterRecursiveByteIdentity(t *testing.T) {
 	w := newWorld(t)
@@ -62,10 +63,17 @@ func TestClusterRecursiveByteIdentity(t *testing.T) {
 	if recSt.Runs != refSt.Runs {
 		t.Fatalf("recursive fetch ran %d executions, flat ran %d", recSt.Runs, refSt.Runs)
 	}
-	// The upload win survives routing: the router sees the same two
-	// sqrt-sized vectors a single process would.
-	if recSt.QueryBytes >= flatSt.QueryBytes {
-		t.Fatalf("recursive routed fetch uploaded %d query bytes, flat %d", recSt.QueryBytes, flatSt.QueryBytes)
+	// Routing changes neither protocol's upload: at the router's width n
+	// the flat fetch sends a seeded entry per document and a byte per
+	// further block, the recursive one at most 3*ceil(sqrt(n)) group
+	// elements a query.
+	n := blockMapping(t, w.routerConn).NumBlocks
+	if want := flatSt.Vectors*wire.SeededEntryBytes(n, 0) + flatSt.Runs - flatSt.Vectors; flatSt.QueryBytes != want {
+		t.Fatalf("routed flat fetch uploaded %d query bytes, want %d", flatSt.QueryBytes, want)
+	}
+	r, c := pir.RecursiveGrid(n)
+	if r+c > 3*int(math.Ceil(math.Sqrt(float64(n)))) || recSt.QueryBytes%(recSt.Runs*(r+c)) != 0 {
+		t.Fatalf("routed recursive fetch uploaded %d query bytes for %d queries: not %d group elements each, or over 3*ceil(sqrt(%d))", recSt.QueryBytes, recSt.Runs, r+c, n)
 	}
 	// Partition legs are level-1-only answers, counted by the workers
 	// and surfaced through the router's aggregated stats.

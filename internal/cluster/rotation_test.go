@@ -1,6 +1,7 @@
-// Rotated block queries through the router: a client sends one selection
-// vector per document and its further blocks as rotations; the router
-// slices every materialised vector at the partition boundaries. A column
+// Rotated block queries through the router: a client sends one seeded
+// selection vector per document and its further blocks as rotations; the
+// router slices every materialised vector at the partition boundaries,
+// and the slices, which carry no seed, travel written out. A column
 // slice of a rotation is NOT the rotation of the same slice of its base
 // — the element that wraps in comes from the neighbouring partition's
 // range — so the sub-batches a partition gets must carry every slice in
@@ -25,11 +26,11 @@ import (
 )
 
 // batchSniffer is a TCP proxy in front of one partition worker that
-// parses the frames the router sends it and counts the type-12 frames
-// and the rotation entries in them.
+// parses the frames the router sends it and counts the type-12 frames,
+// the seeded ones among them, and the rotation entries in them.
 type batchSniffer struct {
-	addr               string
-	batches, rotations atomic.Int64
+	addr                       string
+	batches, seeded, rotations atomic.Int64
 }
 
 func sniffBatches(t *testing.T, worker string) *batchSniffer {
@@ -69,6 +70,9 @@ func sniffBatches(t *testing.T, worker string) *batchSniffer {
 					if frame[0] == wire.TypePIRBatchQuery {
 						s.batches.Add(1)
 						if qs, err := wire.DecodePIRBatchQuery(frame[1:]); err == nil {
+							if qs[0].Seed != nil {
+								s.seeded.Add(1)
+							}
 							for i := 1; i < len(qs); i++ {
 								if qs[i].Follows(qs[i-1]) {
 									s.rotations.Add(1)
@@ -216,6 +220,9 @@ func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
 		if n := s.rotations.Load(); n != 0 {
 			t.Fatalf("partition %d, a slice of the width, was sent %d rotation entries", p, n)
 		}
+		if n := s.seeded.Load(); n != 0 {
+			t.Fatalf("partition %d was sent %d seeded frames: a router's slices carry no seed", p, n)
+		}
 	}
 
 	// One partition spanning the whole width: its slice of a rotation IS
@@ -230,7 +237,7 @@ func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
 	if string(got[0]) != texts[0] || string(got[1]) != texts[templateDocs-1] {
 		t.Fatalf("through a one-partition router: %q", got)
 	}
-	if whole.batches.Load() == 0 || whole.rotations.Load() == 0 {
-		t.Fatalf("a partition spanning the whole width saw %d batch frames and %d rotation entries", whole.batches.Load(), whole.rotations.Load())
+	if whole.batches.Load() == 0 || whole.rotations.Load() == 0 || whole.seeded.Load() != 0 {
+		t.Fatalf("a partition spanning the whole width saw %d batch frames, %d seeded, and %d rotation entries", whole.batches.Load(), whole.seeded.Load(), whole.rotations.Load())
 	}
 }

@@ -19,12 +19,15 @@ func sizedKey(t testing.TB, bits int) *ClientKey {
 	return k
 }
 
-// TestNewQueryProperties holds the word-arithmetic selection vector (a
-// full-width and a sub-word one-word modulus) and the big.Int one (a
-// multi-word modulus) to the protocol's contract: every value in [1, N),
-// every non-target value a unit and a quadratic residue, the target a
-// Jacobi-(+1) non-residue; values that share a slab stay independent;
-// and a reader that runs short is an error, not a short query.
+// TestNewQueryProperties holds both flat selection vectors — NewQuery's
+// word-arithmetic draws (a full-width and a sub-word one-word modulus)
+// and big.Int ones (a multi-word modulus), and NewSeededQuery's seeded
+// ones (both primes in the word Euler lanes, or big.Jacobi) — and the
+// recursive vectors to the protocol's contract against the isQR oracle:
+// every value in [1, N), every non-target value a unit and a quadratic
+// residue, the target a Jacobi-(+1) non-residue; values that share a slab
+// stay independent; and a reader that runs short is an error, not a
+// short query.
 func TestNewQueryProperties(t *testing.T) {
 	for _, keyBits := range []int{64, 48, 192} {
 		k := sizedKey(t, keyBits)
@@ -32,32 +35,38 @@ func TestNewQueryProperties(t *testing.T) {
 			t.Fatalf("%d-bit key: one-word modulus = %v", keyBits, oneWord)
 		}
 		const cols = 700 // past one bulk read of the word path
-		for _, target := range []int{0, 1, cols / 2, cols - 1} {
-			q, err := k.NewQuery(newDetRand("props"), cols, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(q.Values) != cols || q.N.Cmp(k.N) != 0 {
-				t.Fatalf("%d-bit key: query of %d values under %v", keyBits, len(q.Values), q.N)
-			}
-			for j, v := range q.Values {
-				if v.Sign() <= 0 || v.Cmp(k.N) >= 0 {
-					t.Fatalf("%d-bit key value %d: %v outside [1, N)", keyBits, j, v)
+		for name, draw := range map[string]func(io.Reader, int, int) (*Query, error){"drawn": k.NewQuery, "seeded": k.NewSeededQuery} {
+			for _, target := range []int{0, 1, cols / 2, cols - 1} {
+				q, err := draw(newDetRand("props"), cols, target)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if new(big.Int).GCD(nil, nil, v, k.N).Cmp(one) != 0 {
-					t.Fatalf("%d-bit key value %d: %v is not a unit", keyBits, j, v)
+				if len(q.Values) != cols || q.N.Cmp(k.N) != 0 || (q.Seed != nil) != (name == "seeded") {
+					t.Fatalf("%d-bit key, %s: query of %d values under %v, seed %v", keyBits, name, len(q.Values), q.N, q.Seed)
 				}
-				if j != target && !k.isQR(v) {
-					t.Fatalf("%d-bit key value %d: %v is not a quadratic residue", keyBits, j, v)
+				for j, v := range q.Values {
+					if v.Sign() <= 0 || v.Cmp(k.N) >= 0 {
+						t.Fatalf("%d-bit key, %s, value %d: %v outside [1, N)", keyBits, name, j, v)
+					}
+					if new(big.Int).GCD(nil, nil, v, k.N).Cmp(one) != 0 {
+						t.Fatalf("%d-bit key, %s, value %d: %v is not a unit", keyBits, name, j, v)
+					}
+					if j != target && !k.isQR(v) {
+						t.Fatalf("%d-bit key, %s, value %d: %v is not a quadratic residue", keyBits, name, j, v)
+					}
+				}
+				if v := q.Values[target]; big.Jacobi(v, k.N) != 1 || k.isQR(v) {
+					t.Fatalf("%d-bit key, %s, target %d: %v is not a Jacobi-(+1) non-residue", keyBits, name, target, v)
+				}
+				before := new(big.Int).Set(q.Values[3])
+				q.Values[2].Lsh(q.Values[2], 200)
+				if q.Values[3].Cmp(before) != 0 {
+					t.Fatalf("%d-bit key, %s: growing one value overwrote its neighbour", keyBits, name)
 				}
 			}
-			if v := q.Values[target]; big.Jacobi(v, k.N) != 1 || k.isQR(v) {
-				t.Fatalf("%d-bit key target %d: %v is not a Jacobi-(+1) non-residue", keyBits, target, v)
-			}
-			before := new(big.Int).Set(q.Values[3])
-			q.Values[2].Lsh(q.Values[2], 200)
-			if q.Values[3].Cmp(before) != 0 {
-				t.Fatalf("%d-bit key: growing one value overwrote its neighbour", keyBits)
+			_, err := draw(io.LimitReader(newDetRand("short"), SeedBytes-1), cols, 5)
+			if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+				t.Fatalf("%d-bit key, %s: short reader gave %v", keyBits, name, err)
 			}
 		}
 		rq, err := k.NewRecursiveQuery(newDetRand("props-rec"), cols, 123)
@@ -74,10 +83,6 @@ func TestNewQueryProperties(t *testing.T) {
 			if k.isQR(v) != (c != tc) {
 				t.Fatalf("%d-bit key: recursive column value %d has the wrong character", keyBits, c)
 			}
-		}
-		_, err = k.NewQuery(io.LimitReader(newDetRand("short"), 1000), cols, 5)
-		if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
-			t.Fatalf("%d-bit key: short reader gave %v", keyBits, err)
 		}
 	}
 }
@@ -152,14 +157,23 @@ func TestDecodeMatchesIsQR(t *testing.T) {
 }
 
 // BenchmarkNewQuery is one flat query at the repository benchmark's
-// width (6,029 blocks) under its 64-bit key, from crypto/rand.
+// width (6,029 blocks) under its 64-bit key, from crypto/rand: drawn
+// residues, and seeded.
 func BenchmarkNewQuery(b *testing.B) {
 	k := benchmarkKey(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := k.NewQuery(nil, 6029, i%6029); err != nil {
-			b.Fatal(err)
-		}
+	for _, form := range []struct {
+		name string
+		draw func(io.Reader, int, int) (*Query, error)
+	}{{"drawn", k.NewQuery}, {"seeded", k.NewSeededQuery}} {
+		draw := form.draw
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := draw(nil, 6029, i%6029); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,7 +13,10 @@
 package pir
 
 import (
+	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
@@ -95,8 +98,13 @@ type ClientKey struct {
 	// 2^8-th power residue symbol cryptosystem (Joye-Libert), of which
 	// the KO bit ciphertext is the one-bit case — and p1 ≡ 1 (mod 256)
 	// is what lets (p1−1)/256 read m back out (recursive_decode.go).
-	// The flat protocol and level 1 never touch it.
+	// The flat protocol sends it as the Z of its seeded vectors (Seed):
+	// like the public key of Goldwasser-Micali or of Joye-Libert, it is
+	// public.
 	y *big.Int
+	// v is the seeded vectors' V: the smallest integer of Jacobi symbol
+	// −1 modulo N — public, and anyone holding N can find it.
+	v *big.Int
 	// The cached residue-test kernel of both decoders
 	// (recursive_decode.go). The atomic makes ClientKey share-but-not-
 	// copy; every caller already holds keys by pointer.
@@ -148,6 +156,10 @@ func GenerateKey(randSrc io.Reader, bits int) (*ClientKey, error) {
 		k.e2 = new(big.Int).Rsh(new(big.Int).Sub(p2, one), 1)
 		if k.y, err = k.randomQNR(randSrc); err != nil {
 			return nil, err
+		}
+		k.v = big.NewInt(2)
+		for big.Jacobi(k.v, k.N) != -1 {
+			k.v.Add(k.v, one)
 		}
 		return k, nil
 	}
@@ -273,8 +285,9 @@ func (k *ClientKey) symbolSelection(randSrc io.Reader, n, target int) ([]*big.In
 	return vals, nil
 }
 
-// errNoPackingElement refuses the packed level 2 under a key GenerateKey
-// did not draw (no y, p1 of unknown shape).
+// errNoPackingElement refuses the packed level 2 and the seeded flat
+// vector under a key GenerateKey did not draw (no y or v, p1 of unknown
+// shape).
 var errNoPackingElement = errors.New("pir: key has no packing element (not from GenerateKey)")
 
 // wordResidues fills every slot of vals but skip with a uniform
@@ -322,6 +335,12 @@ func wordResidues(randSrc io.Reader, vals []*big.Int, skip, squarings int, n, p1
 type Query struct {
 	N      *big.Int
 	Values []*big.Int
+	// Seed is the compact form Values expand from, rotated Rot columns
+	// up (Seed.Expand) — what the wire carries in their place
+	// (internal/wire, TypePIRBatchQuery). A query without one, such as a
+	// router's column slice, travels written out.
+	Seed *Seed
+	Rot  int
 }
 
 // NewQuery builds a query retrieving column target out of cols columns.
@@ -339,21 +358,275 @@ func (k *ClientKey) NewQuery(randSrc io.Reader, cols, target int) (*Query, error
 	return &Query{N: k.N, Values: vals}, nil
 }
 
+// NewSeededQuery is NewQuery in the compact form the wire can carry: a
+// fresh seed read from randSrc, coded for the target and expanded — the
+// same distribution of values, at the price of two residue symbols a
+// column where NewQuery draws a residue, so only a vector that travels
+// seeded is worth drawing this way. Every call draws its own seed: two
+// vectors under one seed differ only in their codes, and the codes of
+// two targets differ exactly at the two targets.
+func (k *ClientKey) NewSeededQuery(randSrc io.Reader, cols, target int) (*Query, error) {
+	if randSrc == nil {
+		randSrc = rand.Reader
+	}
+	if target < 0 || target >= cols {
+		return nil, errors.New("pir: target column out of range")
+	}
+	if k.y == nil || k.v == nil {
+		return nil, errNoPackingElement
+	}
+	s := &Seed{V: k.v, Z: k.y, Codes: make([]byte, (cols+3)/4)}
+	for {
+		if _, err := io.ReadFull(randSrc, s.Key[:]); err != nil {
+			return nil, err
+		}
+		if k.code(s, cols, target) {
+			break
+		}
+		clear(s.Codes)
+	}
+	q := &Query{N: k.N, Values: make([]*big.Int, cols), Seed: s}
+	if err := s.Expand(k.N, q.Values, 0); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// SeedBytes is the size of a selection vector's seed: an AES-128 key.
+const SeedBytes = 16
+
+// Seed is the compact form of a flat selection vector: what
+// NewSeededQuery draws, and what the wire carries instead of the vector's group
+// elements. Its Key expands under AES-128-CTR into units y_j, uniform in
+// [1, N) (unitStream), and column j's two-bit code (a_j, b_j) makes its
+// value
+//
+//	u_j = y_j · V^a_j · Z^b_j mod N
+//
+// for two public multipliers: V of Jacobi symbol −1 and Z, the key's
+// Jacobi-(+1) non-residue. The client sets a_j = [J(y_j, N) = −1], which
+// makes y'_j = y_j·V^a_j a uniform unit of Jacobi symbol +1, and b_j =
+// [y'_j is a non-residue] XOR [j = target], which makes u_j a uniform
+// residue everywhere but the target and a uniform Jacobi-(+1)
+// non-residue there: the distribution of a vector of fresh draws. The
+// seed and every a_j are public coins; b_j is one residuosity bit per
+// column, which the server cannot read without the factorization.
+type Seed struct {
+	// Key is the seed itself, the expansion's AES-128 key.
+	Key [SeedBytes]byte
+	// V and Z are the public multipliers.
+	V, Z *big.Int
+	// Codes holds column j's a_j in bit 2(j mod 4) of byte j/4 and its b_j
+	// in the bit above; the bits past the last column are zero.
+	Codes []byte
+}
+
+// Expand fills out with the vector s stands for under modulus n, rotated
+// rot columns up: u_j lands at out[(j+rot) mod len(out)], where rot
+// calls of Query.Next would move it. It is the one definition of the
+// seeded form — NewSeededQuery builds a query's Values with it and the
+// server's decoder (internal/wire) materialises a seeded frame with it —
+// and it lays the values out in one big.Int slab over one word slab, each value
+// a window of its own capacity. A multiplier or a value outside (0, n)
+// is refused.
+func (s *Seed) Expand(n *big.Int, out []*big.Int, rot int) error {
+	width := len(out)
+	if width == 0 || rot < 0 || rot >= width || len(s.Codes) != (width+3)/4 {
+		return errors.New("pir: seed does not fit its vector")
+	}
+	if s.V == nil || s.Z == nil || s.V.Sign() <= 0 || s.V.Cmp(n) >= 0 || s.Z.Sign() <= 0 || s.Z.Cmp(n) >= 0 {
+		return errors.New("pir: seed multiplier outside Z_n")
+	}
+	// mult[c] is what code c = a + 2b multiplies a unit by: V^a·Z^b.
+	var mult [4]big.Int
+	mult[0].SetInt64(1)
+	mult[1].Set(s.V)
+	mult[2].Set(s.Z)
+	mult[3].Mul(s.V, s.Z).Mod(&mult[3], n)
+	units := newUnitStream(n, &s.Key)
+	nw := len(n.Bits())
+	ints := make([]big.Int, width)
+	words := make([]big.Word, width*nw)
+	y := new(big.Int)
+	at := rot
+	for j := range out {
+		c := s.Codes[j>>2] >> (2 * (j & 3)) & 3
+		w := words[j*nw : (j+1)*nw : (j+1)*nw]
+		if nw == 1 {
+			u := units.word()
+			if c != 0 {
+				// u, mult[c] < n, so the high word is below n as Div needs.
+				hi, lo := bits.Mul(u, uint(mult[c].Uint64()))
+				_, u = bits.Div(hi, lo, uint(n.Bits()[0]))
+			}
+			w[0] = big.Word(u)
+		} else {
+			y.SetBytes(units.next())
+			if c != 0 {
+				y.Mul(y, &mult[c]).Mod(y, n)
+			}
+			clear(w)
+			copy(w, y.Bits())
+		}
+		if ints[j].SetBits(w).Sign() == 0 {
+			return fmt.Errorf("pir: seeded value %d outside Z_n", j)
+		}
+		out[at] = &ints[j]
+		if at++; at == width {
+			at = 0
+		}
+	}
+	return nil
+}
+
+// unitStream reads a seed's units: AES-128-CTR under the seed (zero IV),
+// cut into big-endian candidates of N's byte length, each masked to N's
+// bit length and kept when it lies in [1, N) — exact rejection sampling,
+// so each unit is uniform in [1, N) given a uniform keystream.
+type unitStream struct {
+	ctr        cipher.Stream
+	block, buf []byte // the last keystream read, and what is left of it
+	nb, zero   []byte // N and 0 as candidates
+	top        byte   // the mask of a candidate's leading byte
+}
+
+func newUnitStream(n *big.Int, key *[SeedBytes]byte) *unitStream {
+	blockCipher, _ := aes.NewCipher(key[:]) // cannot fail: the key is 16 bytes
+	size := (n.BitLen() + 7) / 8
+	return &unitStream{
+		ctr:   cipher.NewCTR(blockCipher, make([]byte, aes.BlockSize)),
+		block: make([]byte, max(1, 4096/size)*size),
+		nb:    n.FillBytes(make([]byte, size)),
+		zero:  make([]byte, size),
+		top:   byte(0xff >> (8*size - n.BitLen())),
+	}
+}
+
+// next returns the next unit as a big-endian magnitude of N's byte
+// length, valid until the following call.
+func (s *unitStream) next() []byte {
+	size := len(s.nb)
+	for {
+		if len(s.buf) == 0 {
+			clear(s.block)
+			s.ctr.XORKeyStream(s.block, s.block)
+			s.buf = s.block
+		}
+		c := s.buf[:size:size]
+		s.buf = s.buf[size:]
+		c[0] &= s.top
+		if bytes.Compare(c, s.nb) < 0 && !bytes.Equal(c, s.zero) {
+			return c
+		}
+	}
+}
+
+// word is next for a one-word N.
+func (s *unitStream) word() uint {
+	var u uint
+	for _, b := range s.next() {
+		u = u<<8 | uint(b)
+	}
+	return u
+}
+
+// code fills s.Codes for a vector on target out of width columns, from
+// the Legendre symbols of each unit modulo p1 and p2: a_j says they
+// differ (J(y_j, N) = −1), and y'_j = y_j·V^a_j is a non-residue when its
+// symbol modulo p1 — y_j's times V's if a_j — is −1. Both primes of a
+// demo-sized key fit a word, and the symbols then come from the
+// decoders' Euler lanes (qrDecoder.powWords, branching on the key's
+// exponent only); wider primes use big.Jacobi. It reports false — draw
+// another seed — when a unit shares a factor with N: that unit would be
+// public and would give the factor away.
+func (k *ClientKey) code(s *Seed, width, target int) bool {
+	units := newUnitStream(k.N, &s.Key)
+	vNeg := big.Jacobi(new(big.Int).Mod(s.V, k.p1), k.p1) < 0
+	d1, d2 := wordEuler(k.p1, k.e1), wordEuler(k.p2, k.e2)
+	var r1, r2 [256]uint
+	var l1, l2 [256]int
+	y, t := new(big.Int), new(big.Int)
+	for lo := 0; lo < width; lo += len(l1) {
+		n := min(len(l1), width-lo)
+		if d1 != nil && d2 != nil {
+			for j := range n {
+				c := units.next()
+				r1[j], r2[j] = d1.modPBytes(c), d2.modPBytes(c)
+			}
+			d1.powWords(r1[:n], d1.e)
+			d2.powWords(r2[:n], d2.e)
+			for j := range n {
+				l1[j], l2[j] = d1.eulerSign(r1[j]), d2.eulerSign(r2[j])
+			}
+		} else {
+			for j := range n {
+				y.SetBytes(units.next())
+				l1[j] = big.Jacobi(t.Mod(y, k.p1), k.p1)
+				l2[j] = big.Jacobi(t.Mod(y, k.p2), k.p2)
+			}
+		}
+		for j := range n {
+			if l1[j] == 0 || l2[j] == 0 {
+				return false
+			}
+			a := l1[j] != l2[j]
+			var c byte
+			if a {
+				c = 1
+			}
+			if qnr := (l1[j] < 0) != (a && vNeg); qnr != (lo+j == target) {
+				c |= 2
+			}
+			s.Codes[(lo+j)>>2] |= c << (2 * ((lo + j) & 3))
+		}
+	}
+	return true
+}
+
+// wordEuler is the decoders' word Euler kernel for the prime p and its
+// exponent e = (p−1)/2, or nil when either does not fit a word.
+func wordEuler(p, e *big.Int) *qrDecoder {
+	m, err := NewMont(p)
+	if err != nil || m.Words() != 1 || len(e.Bits()) != 1 {
+		return nil
+	}
+	d := &qrDecoder{word: true, p: uint(m.n[0]), pinv: uint(m.n0inv), prr: uint(m.rr[0]), e: uint(e.Bits()[0])}
+	d.pone = montMulWord(1, d.prr, d.p, d.pinv)
+	return d
+}
+
+// eulerSign reads an Euler power in Montgomery form as the Legendre
+// symbol it is: 1, −1, or 0 for a multiple of the prime.
+func (d *qrDecoder) eulerSign(pow uint) int {
+	switch pow {
+	case d.pone:
+		return 1
+	case 0:
+		return 0
+	}
+	return -1
+}
+
 // Next returns q rotated one column up: the same group elements — no
 // randomness is drawn and no element is copied — with
 // Next().Values[j] = q.Values[(j-1) mod n], so a query whose non-residue
 // sits at column b becomes the query for column b+1 (and the last
-// column wraps to the first). A server can do this for itself, which is
-// what lets the consecutive blocks of one document travel as one vector
-// (internal/wire, TypePIRBatchQuery). The rotation is a public
-// permutation of elements the server already holds: it reveals that the
-// blocks are adjacent, which the block count of a document always did.
+// column wraps to the first); a seeded query keeps its Seed, one Rot on.
+// A server can do this for itself, which is what lets the consecutive
+// blocks of one document travel as one vector (internal/wire,
+// TypePIRBatchQuery). The rotation is a public permutation of elements
+// the server already holds: it reveals that the blocks are adjacent,
+// which the block count of a document always did.
 func (q *Query) Next() *Query {
 	n := len(q.Values)
 	vals := make([]*big.Int, n)
 	vals[0] = q.Values[n-1]
 	copy(vals[1:], q.Values)
-	return &Query{N: q.N, Values: vals}
+	next := &Query{N: q.N, Values: vals, Seed: q.Seed}
+	if q.Seed != nil {
+		next.Rot = (q.Rot + 1) % n
+	}
+	return next
 }
 
 // Follows reports whether q is prev.Next(): the very elements of prev,

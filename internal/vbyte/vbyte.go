@@ -25,6 +25,15 @@ func Append(dst []byte, v uint64) []byte {
 	return append(dst, byte(v)|0x80)
 }
 
+// Len returns the number of bytes Append spends on v.
+func Len(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Decode reads one integer from buf, returning the value and the number
 // of bytes consumed. Non-canonical (overlong) encodings are rejected:
 // the decoder feeds protocol surfaces where accepting several byte

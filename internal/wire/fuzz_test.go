@@ -169,15 +169,20 @@ func seedFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	q, err := key.NewQuery(detrand.New("fuzz-seed-q"), 3, 1)
+	q, err := key.NewSeededQuery(detrand.New("fuzz-seed-q"), 3, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
 	add(func(w *bytes.Buffer) error { return WritePIRQuery(w, q) })
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q}) })
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q.Next(), q.Next().Next()}) })
-	for _, body := range rotationBodies() {
-		f.Add(append([]byte{TypePIRBatchQuery}, body...))
+	add(func(w *bytes.Buffer) error {
+		return WritePIRBatchQuery(w, writtenOut([]*pir.Query{q, q.Next(), q.Next().Next()}))
+	})
+	for _, bodies := range []map[string][]byte{rotationBodies(), seededBodies()} {
+		for _, body := range bodies {
+			f.Add(append([]byte{TypePIRBatchQuery}, body...))
+		}
 	}
 	rq, err := key.NewRecursiveQuery(detrand.New("fuzz-seed-rq"), 9, 4)
 	if err != nil {
@@ -233,8 +238,9 @@ func seedFrames(f *testing.F) {
 // answer must be byte-identical to the sequential oracle, so the
 // executor (not just the decoder) holds up under hostile queries. Every
 // body is also read as a TypePIRBatchQuery body (checkPIRBatchBody), so
-// the rotation entries of type 12 — compact against written in full,
-// then served — ride the same corpus and the same CI step.
+// the seeded form and the rotation entries of type 12 — compact against
+// written in full, then served — ride the same corpus and the same CI
+// step.
 func FuzzPIRQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir"), 96)
 	if err != nil {
@@ -316,13 +322,18 @@ func fuzzStore(f *testing.F) *docstore.Snapshot {
 }
 
 // seedRotationFrames seeds type-12 bodies with rotation entries: what
-// the fetch generator produces for documents of 3, 1 and 2 blocks, and
-// the hand-built hostile shapes.
+// the fetch generator produces for documents of 3, 1 and 2 blocks —
+// seeded, and written out as the fallback sends it — and the hand-built
+// shapes of both forms.
 func seedRotationFrames(f *testing.F, key *pir.ClientKey) {
-	f.Add(batchBody(f, documentQueries(f, key, 3, 3, 1, 2)))
-	f.Add(batchBody(f, documentQueries(f, key, 6, 3, 3)))
-	for _, body := range rotationBodies() {
-		f.Add(body)
+	for _, qs := range [][]*pir.Query{documentQueries(f, key, 3, 3, 1, 2), documentQueries(f, key, 6, 3, 3)} {
+		f.Add(batchBody(f, qs))
+		f.Add(batchBody(f, writtenOut(qs)))
+	}
+	for _, bodies := range []map[string][]byte{rotationBodies(), seededBodies()} {
+		for _, body := range bodies {
+			f.Add(body)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -18,16 +19,27 @@ import (
 // residuosity-tests) answer i while the server is still multiplying
 // answer i+1, and a k-block fetch costs one round-trip instead of k.
 //
-// TypePIRBatchQuery: modulus big | query count vbyte | per query:
-// value count vbyte | one group element per block column — or, for any
-// query but the first, a value count of 0 and nothing else: "the
-// previous query's vector rotated one column up" (pir.Query.Next). The
-// blocks of a document are consecutive columns, so a document travels
-// as ONE selection vector plus one zero byte per further block. A
-// rotation entry is a full query to everything past the decoder — it
-// counts against MaxPIRBatch, is scanned and is answered like any other
-// — so the CPU a frame can demand is what it was; only the bytes that
-// demand it shrink.
+// TypePIRBatchQuery comes in two forms, told apart by the byte after
+// the modulus.
+//
+// Seeded: modulus big | 0 | query count vbyte | V big | Z big | per
+// query: width vbyte | seed (pir.SeedBytes) | rotation vbyte |
+// ⌈width/4⌉ code bytes — the vector pir.Seed.Expand makes of them,
+// rotated that many columns up — or, for any query but the first, a
+// width of 0 and nothing else: the query before it rotated one column
+// up (pir.Query.Next). A vector costs two bits a column where it cost a
+// group element.
+//
+// Written out: modulus big | query count vbyte | per query: value count
+// vbyte | one group element per block column — or, for any query but
+// the first, a value count of 0: the query before it rotated.
+//
+// The blocks of a document are consecutive columns, so a document
+// travels as ONE selection vector plus one zero byte per further block.
+// Either way every entry is a full query to everything past the decoder
+// — it counts against MaxPIRBatch, is scanned and is answered like any
+// other — so the CPU a frame can demand is what it was; only the bytes
+// that demand it shrink.
 // TypePIRBatchResponse: query index vbyte | gamma count vbyte | one
 // group element per matrix row. Indexes are 0-based positions in the
 // batch and arrive strictly in order; a per-query serving error is
@@ -72,9 +84,50 @@ func RotationRefusal(i int) string {
 	return fmt.Sprintf("wire: PIR batch query %d value count: value out of range", i)
 }
 
+// SeedRefusal is the error body a server predating the seeded form sends
+// for a seeded frame: its decoder reads the form's 0 as the query count
+// and refuses it with exactly this text, keeping the connection. FROZEN
+// like RotationRefusal: pipelined fetch clients match it on the first
+// batch answer and retry with vectors written out. This decoder still
+// words a written-out count over MaxPIRBatch through it; a seeded frame's
+// own refusals never use it.
+const SeedRefusal = "wire: PIR batch query count: value out of range"
+
+// PIRBatchRefusal returns the error body a server predating the form
+// WritePIRBatchQuery wrote qs in answers that frame with: SeedRefusal
+// for a seeded frame, RotationRefusal(i) for a written-out frame whose
+// entry i is its first rotation, "" for a frame every type-12 server
+// decodes. qs must be a batch WritePIRBatchQuery accepted.
+func PIRBatchRefusal(qs []*pir.Query) string {
+	if seededBatch(qs) {
+		return SeedRefusal
+	}
+	for i := 1; i < len(qs); i++ {
+		if qs[i].Follows(qs[i-1]) {
+			return RotationRefusal(i)
+		}
+	}
+	return ""
+}
+
+// SeededEntryBytes is what one vector of width columns, rotated rot
+// columns up, costs in a seeded frame; a rotation entry costs one byte.
+func SeededEntryBytes(width, rot int) int {
+	return vbyte.Len(uint64(width)) + pir.SeedBytes + vbyte.Len(uint64(rot)) + (width+3)/4
+}
+
+// MaxSeededValues caps the group elements one seeded frame may expand
+// to under a modulus of modBytes bytes: what a written-out frame of
+// MaxFrame bytes carries at that width, so decoding a seeded frame costs
+// no more memory than decoding a written-out one can.
+func MaxSeededValues(modBytes int) int {
+	return MaxFrame / (modBytes + 1)
+}
+
 // WritePIRBatchQuery frames and writes one batch of PIR block queries.
 // Every query must carry the same modulus — the batch serializes it
-// once.
+// once. The batch travels seeded when every query has a seed, all under
+// the same multipliers, and written out otherwise.
 func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 	if len(qs) == 0 {
 		return errors.New("wire: empty PIR batch")
@@ -93,10 +146,32 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 			return fmt.Errorf("wire: PIR batch query %d uses a different modulus", i)
 		}
 	}
-	// Entry i travels as a zero count exactly when it IS the entry before
-	// it rotated (pir.Query.Follows: the same elements over the full
-	// cycle); the first entry of a frame has no base and is always written
-	// out.
+	if !seededBatch(qs) {
+		return writeFrame(w, appendWrittenOut(n, qs))
+	}
+	body, err := appendSeeded(n, qs)
+	if err != nil {
+		return err
+	}
+	return writeFrame(w, body)
+}
+
+// seededBatch reports whether qs travel seeded.
+func seededBatch(qs []*pir.Query) bool {
+	s0 := qs[0].Seed
+	for _, q := range qs {
+		if q.Seed == nil || q.Seed.V == nil || q.Seed.Z == nil || q.Seed.V.Cmp(s0.V) != 0 || q.Seed.Z.Cmp(s0.Z) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// appendWrittenOut lays a batch out written out. Entry i travels as a
+// zero count exactly when it IS the entry before it rotated
+// (pir.Query.Follows: the same elements over the full cycle); the first
+// entry of a frame has no base and is always written out.
+func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 	rotated := make([]bool, len(qs))
 	size := pirHeadSize + bigsSize(n)
 	for i, q := range qs {
@@ -119,25 +194,79 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 			body = appendBig(body, v)
 		}
 	}
-	return writeFrame(w, body)
+	return body
 }
 
-// DecodePIRBatchQuery parses a TypePIRBatchQuery body. The same
-// bounds as DecodePIRQuery apply to the shared modulus and to every
-// value; the query count is additionally capped at MaxPIRBatch.
+// appendSeeded lays a batch out seeded. Entry i travels as a zero width
+// exactly when it is the entry before it one column on: the same seed,
+// the next rotation.
+func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
+	rotated := make([]bool, len(qs))
+	s0 := qs[0].Seed
+	size, values := 2*pirHeadSize+bigsSize(n, s0.V, s0.Z), 0
+	for i, q := range qs {
+		width := len(q.Values)
+		if q.Rot < 0 || q.Rot >= width || len(q.Seed.Codes) != (width+3)/4 {
+			return nil, fmt.Errorf("wire: PIR batch query %d: its seed does not fit its %d values", i, width)
+		}
+		prev := qs[max(i-1, 0)]
+		if rotated[i] = i > 0 && q.Seed == prev.Seed && width == len(prev.Values) && q.Rot == (prev.Rot+1)%width; rotated[i] {
+			size++
+			continue
+		}
+		size += SeededEntryBytes(width, q.Rot)
+		values += width
+	}
+	if limit := MaxSeededValues((n.BitLen() + 7) / 8); values > limit {
+		return nil, fmt.Errorf("wire: seeded PIR batch of %d values exceeds the %d a frame may expand to", values, limit)
+	}
+	body := make([]byte, 0, size)
+	body = append(body, TypePIRBatchQuery)
+	body = appendBig(body, n)
+	body = vbyte.Append(body, 0)
+	body = vbyte.Append(body, uint64(len(qs)))
+	body = appendBig(body, s0.V)
+	body = appendBig(body, s0.Z)
+	for i, q := range qs {
+		if rotated[i] {
+			body = vbyte.Append(body, 0)
+			continue
+		}
+		body = vbyte.Append(body, uint64(len(q.Values)))
+		body = append(body, q.Seed.Key[:]...)
+		body = vbyte.Append(body, uint64(q.Rot))
+		body = append(body, q.Seed.Codes...)
+	}
+	return body, nil
+}
+
+// DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form.
+// The same bounds as DecodePIRQuery apply to the shared modulus and to
+// every value; the query count is additionally capped at MaxPIRBatch.
 //
 // Every entry comes back as one *pir.Query of full width, a rotation
 // entry included, so nothing past the decoder knows the frame was
-// compact. Rotations are windows, not copies: a vector of n values that
-// k more entries follow is decoded into the top of one ring of n + k
-// pointers, and each rotation steps the window one slot down, filling
-// the slot it uncovers with the element n places up — the one that
-// wrapped. Decoding therefore allocates for the values present in
-// the body plus one pointer per entry, never entries x width. The
-// windows share elements (and overlap in memory), which is safe because
+// compact (seeded queries keep their Seed, so the frame can be written
+// again as it came). Rotations are windows, not copies: a vector of n
+// values that k more entries follow is decoded into the top of one ring
+// of n + k pointers, and each rotation steps the window one slot down,
+// filling the slot it uncovers with the element n places up — the one
+// that wrapped. Decoding therefore allocates for the values a frame
+// carries plus one pointer per entry, never entries x width. The windows
+// share elements (and overlap in memory), which is safe because
 // everything downstream only reads Values: the executor copies before
 // it reduces, the router slices.
 func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
+	return DecodePIRBatchQueryWithin(body, maxPIRBlocks)
+}
+
+// DecodePIRBatchQueryWithin is DecodePIRBatchQuery for a server whose
+// store is cols columns wide. A seeded vector wider than that, which the
+// executor would refuse once the decoder had expanded it, is refused
+// before anything expands, so the expansion one frame can demand is at
+// most MaxPIRBatch vectors of the store's width. Written-out vectors are
+// read as they come, whatever their width: their bytes pay for them.
+func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
 	n, body, err := decodeBig(body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: PIR batch modulus: %w", err)
@@ -146,7 +275,10 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 		return nil, errors.New("wire: PIR batch modulus out of range")
 	}
 	count, used, err := vbyte.Decode(body)
-	if err != nil || count == 0 || count > MaxPIRBatch {
+	if err == nil && count == 0 {
+		return decodeSeeded(n, body[used:], cols)
+	}
+	if err != nil || count > MaxPIRBatch {
 		return nil, fmt.Errorf("wire: PIR batch query count: %w", orRange(err))
 	}
 	body = body[used:]
@@ -187,6 +319,103 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after PIR batch query")
+	}
+	return qs, nil
+}
+
+// decodeSeeded parses what follows the 0 of a seeded TypePIRBatchQuery
+// body. It reads the whole frame — every width, seed, rotation and code
+// byte — before it expands or copies anything, and refuses a vector wider
+// than cols and a frame whose vectors would expand to more than
+// MaxSeededValues group elements, so what a seeded frame can make its
+// decoder allocate is bounded as a written-out frame's is.
+func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
+	count, used, err := vbyte.Decode(body)
+	if err != nil || count == 0 || count > MaxPIRBatch {
+		return nil, fmt.Errorf("wire: seeded PIR batch query count: %w", orRange(err))
+	}
+	body = body[used:]
+	var mults [2]*big.Int
+	for i, name := range []string{"V", "Z"} {
+		if mults[i], body, err = decodeBig(body); err != nil {
+			return nil, fmt.Errorf("wire: seeded PIR batch %s: %w", name, err)
+		}
+		if mults[i].Sign() <= 0 || mults[i].Cmp(n) >= 0 {
+			return nil, fmt.Errorf("wire: seeded PIR batch %s outside Z_n", name)
+		}
+	}
+	// An entry's bytes, still in the body: key and codes are nil for a
+	// rotation.
+	type entry struct {
+		key, codes []byte
+		width, rot int
+	}
+	entries := make([]entry, count)
+	limit, values := MaxSeededValues((n.BitLen()+7)/8), 0
+	for qi := range entries {
+		width, used, err := vbyte.Decode(body)
+		if err != nil || width > maxPIRBlocks {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d width: %w", qi, orRange(err))
+		}
+		if width > uint64(cols) {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d is %d columns wide, the store %d", qi, width, cols)
+		}
+		body = body[used:]
+		if width == 0 {
+			if qi == 0 {
+				return nil, errors.New("wire: seeded PIR batch query 0 rotates no vector")
+			}
+			continue
+		}
+		if len(body) < pir.SeedBytes {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d seed: truncated", qi)
+		}
+		e := entry{key: body[:pir.SeedBytes], width: int(width)}
+		body = body[pir.SeedBytes:]
+		rot, used, err := vbyte.Decode(body)
+		if err != nil || rot >= width {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d rotation: %w", qi, orRange(err))
+		}
+		e.rot = int(rot)
+		body = body[used:]
+		codeBytes := (e.width + 3) / 4
+		if len(body) < codeBytes {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d codes: truncated", qi)
+		}
+		if pad := e.width % 4; pad != 0 && body[codeBytes-1]>>(2*pad) != 0 {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d codes: bits set past column %d", qi, e.width-1)
+		}
+		e.codes, body = body[:codeBytes], body[codeBytes:]
+		if values += e.width; values > limit {
+			return nil, fmt.Errorf("wire: seeded PIR batch expands past the %d values a frame may carry", limit)
+		}
+		entries[qi] = e
+	}
+	if len(body) != 0 {
+		return nil, errors.New("wire: trailing bytes after PIR batch query")
+	}
+	qs := make([]*pir.Query, count)
+	var (
+		ring  []*big.Int // as in the written-out form
+		at    int
+		width int
+	)
+	for qi, e := range entries {
+		if e.key == nil {
+			prev := qs[qi-1]
+			at--
+			ring[at] = ring[at+width]
+			qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: prev.Seed, Rot: (prev.Rot + 1) % width}
+			continue
+		}
+		at, width = len(qs)-1-qi, e.width
+		ring = make([]*big.Int, at+width)
+		s := &pir.Seed{V: mults[0], Z: mults[1], Codes: bytes.Clone(e.codes)}
+		copy(s.Key[:], e.key)
+		if err := s.Expand(n, ring[at:], e.rot); err != nil {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d: %w", qi, err)
+		}
+		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: s, Rot: e.rot}
 	}
 	return qs, nil
 }

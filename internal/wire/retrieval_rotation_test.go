@@ -21,14 +21,14 @@ import (
 // holds, never entries x width.
 
 // documentQueries draws the block queries of one fetch: per document a
-// fresh vector over cols columns, then one pir.Query.Next per further
-// block — what fetchVia's generator hands the frame writer.
+// fresh seeded vector over cols columns, then one pir.Query.Next per
+// further block — what fetchVia's generator hands the frame writer.
 func documentQueries(t testing.TB, key *pir.ClientKey, cols int, blocks ...int) []*pir.Query {
 	t.Helper()
 	var qs []*pir.Query
 	first := 0
 	for d, n := range blocks {
-		q, err := key.NewQuery(detrand.New(fmt.Sprintf("rotation-doc-%d", d)), cols, first%cols)
+		q, err := key.NewSeededQuery(detrand.New(fmt.Sprintf("rotation-doc-%d", d)), cols, first%cols)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,6 +41,18 @@ func documentQueries(t testing.TB, key *pir.ClientKey, cols int, blocks ...int) 
 		first += n
 	}
 	return qs
+}
+
+// writtenOut returns qs without their seeds, elements shared, so
+// WritePIRBatchQuery writes their vectors out and their rotations as
+// rotation entries: the frame a server predating the seeded form is
+// sent.
+func writtenOut(qs []*pir.Query) []*pir.Query {
+	out := make([]*pir.Query, len(qs))
+	for i, q := range qs {
+		out[i] = &pir.Query{N: q.N, Values: q.Values}
+	}
+	return out
 }
 
 // inFull returns queries equal to qs value for value that share no
@@ -106,7 +118,7 @@ func TestPIRBatchRotationDifferential(t *testing.T) {
 		{300, []int{MaxPIRBatch}}, // one vector, the rest of the frame rotations
 	} {
 		label := fmt.Sprintf("%d columns, documents of %v blocks", tc.cols, tc.blocks)
-		qs := documentQueries(t, key, tc.cols, tc.blocks...)
+		qs := writtenOut(documentQueries(t, key, tc.cols, tc.blocks...))
 		compact, full := batchBody(t, qs), batchBody(t, inFull(qs))
 		rotations := len(qs) - len(tc.blocks)
 		if got := len(full) - len(compact); rotations > 0 && got < rotations*tc.cols*modBytes {
@@ -322,25 +334,31 @@ func TestPIRBatchRotationGolden(t *testing.T) {
 // vector they rotate, so a frame of one 6,029-element vector and 63
 // rotation entries costs the decoder what the vector alone costs (plus a
 // pointer and a Query per entry) — not 64 pointer slices of that width,
-// which 63 bytes of a hostile frame could otherwise demand per vector.
+// which 63 bytes of a hostile frame could otherwise demand per vector —
+// in the seeded form as in the written-out one.
 func TestPIRBatchDecodeRotationAllocations(t *testing.T) {
 	key, err := pir.GenerateKey(detrand.New("rotation-alloc"), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decodeCost := func(blocks int) uint64 {
-		body := batchBody(t, documentQueries(t, key, 6029, blocks))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		qs, err := DecodePIRBatchQuery(body)
-		runtime.ReadMemStats(&after)
-		if err != nil || len(qs) != blocks {
-			t.Fatalf("%d queries, err %v", len(qs), err)
+	for _, form := range []struct {
+		name string
+		of   func([]*pir.Query) []*pir.Query
+	}{{"seeded", func(qs []*pir.Query) []*pir.Query { return qs }}, {"written out", writtenOut}} {
+		decodeCost := func(blocks int) uint64 {
+			body := batchBody(t, form.of(documentQueries(t, key, 6029, blocks)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			qs, err := DecodePIRBatchQuery(body)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(qs) != blocks {
+				t.Fatalf("%s: %d queries, err %v", form.name, len(qs), err)
+			}
+			return after.TotalAlloc - before.TotalAlloc
 		}
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	one, full := decodeCost(1), decodeCost(MaxPIRBatch)
-	if full*10 > one*11 {
-		t.Fatalf("decoding one vector and %d rotations allocated %d bytes, the vector alone %d: over 1.1x", MaxPIRBatch-1, full, one)
+		one, full := decodeCost(1), decodeCost(MaxPIRBatch)
+		if full*10 > one*11 {
+			t.Fatalf("%s: decoding one vector and %d rotations allocated %d bytes, the vector alone %d: over 1.1x", form.name, MaxPIRBatch-1, full, one)
+		}
 	}
 }

@@ -846,8 +846,9 @@ func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) err
 		// reads an internally consistent corpus prefix. Answers stream
 		// back one frame each, strictly in batch order; a failing block
 		// is answered with a wire error in place of the whole batch
-		// (the connection survives, matching the single-query path).
-		qs, err := wire.DecodePIRBatchQuery(body)
+		// (the connection survives, matching the single-query path). A
+		// seeded vector wider than the store is refused before it expands.
+		qs, err := wire.DecodePIRBatchQueryWithin(body, snap.NumBlocks())
 		if err != nil {
 			s.errs.Add(1)
 			return wire.WriteError(rw, err.Error())

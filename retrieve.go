@@ -28,7 +28,8 @@ import (
 // protocol draws ONE selection vector per document and asks for every
 // further block as that vector rotated one column up (pir.Query.Next) —
 // a public permutation the server applies for itself, one byte on the
-// wire where a fresh vector would be NumBlocks group elements.
+// wire. The vector itself travels as a seed and two bits a column
+// (pir.Seed), which the server expands into the group elements.
 //
 // What the server observes: the number of PIR executions — i.e. the
 // block count of each fetched document — and nothing else. Which
@@ -190,9 +191,9 @@ type pirTransport interface {
 	Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error
 	// RunRecursive is Run for two-level recursive queries, under the
 	// same ordered-delivery contract. A transport whose server does not
-	// speak the recursive protocol returns errRecursiveUnsupported
-	// (wrapped) from the first execution, with the stream still
-	// frame-aligned so the caller can retry flat.
+	// speak the recursive protocol returns errShapeRefused (wrapped) from
+	// the first execution, with the stream still frame-aligned so the
+	// caller can retry flat.
 	RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error
 }
 
@@ -342,26 +343,21 @@ func (r remotePIR) runSequential(ctx context.Context, qs <-chan *pir.Query, deli
 const maxPIRBatchFrameBytes = 16 << 20
 
 // pirBatchLimit sizes one batch: half the pipeline window (so two
-// batches keep the window full), capped by the wire batch limit and
-// by the frame byte budget for queries of this shape.
-func pirBatchLimit(depth, numValues, modBits int) int {
-	limit := depth / 2
-	if limit < 1 {
-		limit = 1
+// batches keep the window full), capped by the wire batch limit, by the
+// frame byte budget at what the writer puts on the wire for one query of
+// this shape — a seeded entry, or numValues length-prefixed group
+// elements on the rungs that write vectors out, priced as a vector
+// either way — and, seeded, by the values the server may expand one
+// frame to.
+func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
+	limit := min(max(depth/2, 1), wire.MaxPIRBatch)
+	modBytes := (modBits + 7) / 8
+	perQuery := numValues*(modBytes+3) + 16
+	if seeded {
+		perQuery = wire.SeededEntryBytes(numValues, numValues-1)
+		limit = min(limit, wire.MaxSeededValues(modBytes)/numValues)
 	}
-	if limit > wire.MaxPIRBatch {
-		limit = wire.MaxPIRBatch
-	}
-	// Per-query wire cost: one length-prefixed group element per block
-	// column (+ small vbyte overhead).
-	perQuery := numValues*((modBits+7)/8+3) + 16
-	if byBytes := maxPIRBatchFrameBytes / perQuery; byBytes < limit {
-		limit = byBytes
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
+	return max(1, min(limit, maxPIRBatchFrameBytes/perQuery))
 }
 
 // runPipelined keeps a window of block queries in flight on one
@@ -414,7 +410,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			default:
 			}
 			if batchMax == 0 {
-				batchMax = pirBatchLimit(r.depth, len(first.Values), first.N.BitLen())
+				batchMax = pirBatchLimit(r.depth, len(first.Values), first.N.BitLen(), first.Seed != nil)
 			}
 			batch := append(make([]*pir.Query, 0, batchMax), first)
 			// Every frame, the first included, blocks on the generator
@@ -437,13 +433,13 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 					return
 				}
 			}
-			sent := sentFrame{entries: len(batch)}
-			if firstBatch {
-				sent.rotation = firstRotation(batch)
-			}
 			if err := wire.WritePIRBatchQuery(r.conn, batch); err != nil {
 				werr <- fmt.Errorf("embellish: sending PIR batch: %w", err)
 				return
+			}
+			sent := sentFrame{entries: len(batch)}
+			if firstBatch {
+				sent.refusal = wire.PIRBatchRefusal(batch)
 			}
 			committed.Add(int64(len(batch)))
 			select {
@@ -489,14 +485,13 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 					// type 12; the caller falls back to depth 1.
 					return fmt.Errorf("%w: %s", errBatchUnsupported, body)
 				}
-				if typ == wire.TypeError && sent.rotation > 0 && string(body) == wire.RotationRefusal(sent.rotation) {
-					// The exact refusal a server predating rotation
-					// entries sends for the first zero value count it
-					// meets — one error frame for the one batch frame, so
-					// the stream is aligned; the caller retries with a
-					// vector per block. Any other error is the server's
-					// verdict on the fetch and is reported below.
-					return fmt.Errorf("%w: %s", errRotationUnsupported, body)
+				if typ == wire.TypeError && sent.refusal != "" && string(body) == sent.refusal {
+					// The exact refusal a server predating the frame's
+					// form sends for it — one error frame for the one
+					// batch frame, so the stream is aligned; the caller
+					// steps down its ladder. Any other error is the
+					// server's verdict on the fetch and is reported below.
+					return fmt.Errorf("%w: %s", errShapeRefused, body)
 				}
 				greenLit = true
 				close(firstOK)
@@ -539,21 +534,10 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 // frame it has written.
 type sentFrame struct {
 	entries int // answers the server owes for it
-	// rotation is the index of the frame's first rotation entry, 0 when it
-	// has none (entry 0 never is one); set on a fetch's first frame only,
-	// where a refusal of it means an old server.
-	rotation int
-}
-
-// firstRotation returns the index of the first query of batch that
-// wire.WritePIRBatchQuery sends as a rotation entry, 0 when none is.
-func firstRotation(batch []*pir.Query) int {
-	for i := 1; i < len(batch); i++ {
-		if batch[i].Follows(batch[i-1]) {
-			return i
-		}
-	}
-	return 0
+	// refusal is what a server predating the frame's form answers it
+	// with (wire.PIRBatchRefusal); set on a fetch's first frame only,
+	// where that answer means an old server.
+	refusal string
 }
 
 // drain consumes the answer frames still owed by the server after a
@@ -634,7 +618,7 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 					// retired bit-per-ciphertext type 22 and a disabled
 					// PIRRecursive knob all send for type 23; the caller
 					// falls back to the flat protocol.
-					return fmt.Errorf("%w: %s", errRecursiveUnsupported, body)
+					return fmt.Errorf("%w: %s", errShapeRefused, body)
 				}
 				first = false
 			}
@@ -679,31 +663,27 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 	return ctx.Err()
 }
 
-// errRecursiveUnsupported marks a server that answered the first
-// recursive frame with the "unexpected message type" refusal — either
-// it predates the recursive protocol or its PIRRecursive knob is -1;
-// the two are deliberately indistinguishable on the wire.
-var errRecursiveUnsupported = errors.New("embellish: server does not speak recursive PIR fetches")
-
 // FetchStats describes the cost of one FetchDocuments call, feeding
 // the PIR-vs-plaintext cost comparison of the Section 5.2 experiments.
 type FetchStats struct {
 	// Runs is the number of PIR protocol executions (one per block).
 	Runs int
-	// Vectors is the number of block queries drawn fresh and sent whole.
-	// The flat protocol draws one per document and asks for the
-	// document's further blocks as one-byte rotations of it, so Runs −
-	// Vectors executions cost a byte of upload each; the recursive
-	// protocol, the depth-1 protocol and the retry against a server
-	// predating rotation entries draw one per block (Vectors == Runs).
+	// Vectors is the number of selection vectors drawn. The flat
+	// protocol draws one per document and asks for the document's further
+	// blocks as one-byte rotations of it, so Runs − Vectors executions
+	// cost a byte of upload each; the recursive protocol and the flat
+	// retries that send a vector per block draw one per block (Vectors ==
+	// Runs).
 	Vectors int
-	// QueryBytes and AnswerBytes total the protocol traffic: the group
-	// elements of every vector drawn plus one byte per rotation up, the
-	// gammas down. The figure is the protocol's, not the frame
-	// schedule's — a rotation that a frame boundary separates from its
+	// QueryBytes and AnswerBytes total the protocol traffic: per vector
+	// drawn its seeded entry (wire.SeededEntryBytes: width, seed,
+	// rotation and two bits a column) — or its group elements, in a local
+	// fetch and on the remote retries that write vectors out — plus one
+	// byte per rotation up; the gammas down. The figure is the protocol's, not the frame
+	// schedule's: a rotation that a frame boundary separates from its
 	// vector (the 4 + 2 split of two three-block documents at the default
-	// window) travels written out, once per boundary, and is still
-	// counted as its byte.
+	// window) travels as an entry of its own, once per boundary, and is
+	// still counted as its byte.
 	QueryBytes, AnswerBytes int
 }
 
@@ -734,7 +714,9 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	}
 	// Local fetches honor BOTH sides of the recursive handshake: the
 	// client's opt-in and the engine's live PIRRecursive knob — exactly
-	// the pair a remote fetch negotiates over the wire.
+	// the pair a remote fetch negotiates over the wire. Nothing local
+	// crosses a wire, so the flat vectors are drawn written out: the
+	// seeded form's codes would buy no byte.
 	shape := fetchRotated
 	if c.fetchRecursive && c.engine.livePIRRecursive() {
 		shape = fetchRecursive
@@ -757,8 +739,9 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // the batch messages are detected on the first frame and the fetch
 // transparently retries through the sequential one-round-trip-per-
 // block protocol (which SetFetchPipeline(1) also selects directly);
-// servers predating rotation entries refuse the first frame that
-// carries one, and the fetch retries with a vector per block.
+// servers predating seeded vectors or rotation entries refuse the first
+// frame that carries one, and the fetch retries in the form they speak
+// (fetchLadder).
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
@@ -777,61 +760,67 @@ func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, 
 // (The server applies its own per-request deadline to each scan; see
 // ServeConfig.RequestTimeout.)
 func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
-	t := remotePIR{conn: conn, depth: c.pipelineDepth()}
-	flat := fetchRotated
-	if t.depth <= 1 {
-		flat = fetchPerBlock // a TypePIRQuery frame has no rotation entry
+	ladder := fetchLadder
+	if c.pipelineDepth() <= 1 {
+		ladder = ladder[len(ladder)-1:]
 	}
-	shape := flat
 	if c.fetchRecursive {
-		shape = fetchRecursive
+		ladder = append([]fetchShape{fetchRecursive}, ladder...)
 	}
-	out, st, err := c.fetchVia(ctx, t, ids, shape)
-	if shape == fetchRecursive && errors.Is(err, errRecursiveUnsupported) {
-		// The server refused the very first recursive frame (recursive
-		// frames are synchronous, so exactly one was exchanged and the
-		// stream is still aligned): retry the whole fetch through the
-		// flat protocol. Old servers and a PIRRecursive knob of -1 send
-		// the identical refusal — the fallback covers both.
-		out, st, err = c.fetchVia(ctx, t, ids, flat)
+	for i := 0; ; i++ {
+		t := remotePIR{conn: conn, depth: c.pipelineDepth()}
+		if ladder[i] == fetchSequential {
+			t.depth = 1
+		}
+		out, st, err := c.fetchVia(ctx, t, ids, ladder[i])
+		if i+1 < len(ladder) && errors.Is(err, errBatchUnsupported) {
+			i = len(ladder) - 2 // the loop's i++ lands on fetchSequential
+			continue
+		}
+		if i+1 < len(ladder) && errors.Is(err, errShapeRefused) {
+			continue
+		}
+		return out, st, err
 	}
-	if errors.Is(err, errRotationUnsupported) {
-		// A server predating rotation entries refused the very first
-		// batch frame for the zero count in it — one frame out, one error
-		// frame back, the stream still aligned: retry the whole fetch
-		// with a vector per block, which is every frame it ever saw.
-		out, st, err = c.fetchVia(ctx, t, ids, fetchPerBlock)
-	}
-	if t.depth > 1 && errors.Is(err, errBatchUnsupported) {
-		// A server predating the batch messages refused the very first
-		// batch frame (the second waits for the first one's answer, so
-		// exactly one frame was exchanged and the stream is still
-		// aligned): retry the whole fetch through the sequential
-		// protocol it does speak.
-		return c.fetchVia(ctx, remotePIR{conn: conn, depth: 1}, ids, fetchPerBlock)
-	}
-	return out, st, err
 }
 
-// errRotationUnsupported marks a server that answered the first batch
-// frame with the value-count refusal its decoder has for a rotation
-// entry (wire.RotationRefusal).
-var errRotationUnsupported = errors.New("embellish: server does not speak rotated PIR block queries")
-
-// fetchShape is how fetchVia draws a fetch's block queries.
+// fetchShape is how fetchVia draws a fetch's block queries, and in
+// which form the wire carries them.
 type fetchShape int
 
 const (
-	// fetchRotated is the flat protocol: one selection vector per
-	// document, each further block the vector before it rotated.
-	fetchRotated fetchShape = iota
-	// fetchPerBlock is the flat protocol with a fresh vector per block —
-	// all a depth-1 TypePIRQuery frame, or a server predating rotation
-	// entries, can be sent.
+	// fetchSeeded is the flat protocol: one seeded selection vector per
+	// document (pir.Seed), each further block the vector before it
+	// rotated.
+	fetchSeeded fetchShape = iota
+	// fetchRotated is fetchSeeded with the vectors drawn and written out:
+	// the local fetch, and the rung below fetchSeeded.
+	fetchRotated
+	// fetchPerBlock writes out a fresh vector per block.
 	fetchPerBlock
+	// fetchSequential is fetchPerBlock in one TypePIRQuery round trip a
+	// block.
+	fetchSequential
 	// fetchRecursive is the two-level protocol (RunRecursive).
 	fetchRecursive
 )
+
+// fetchLadder is the remote flat fetch's fallback ladder, newest form
+// first: each rung is what a server predating the one above it decodes.
+// Every fetch starts at the top (below fetchRecursive, when the client
+// opted into it) and moves down one rung only on the refusal such a
+// server sends to the rung's first frame — the frozen wire.SeedRefusal
+// or wire.RotationRefusal text, or the unknown-type refusal of a type
+// 23 frame (errShapeRefused) — or to the sequential rung on the unknown-
+// type refusal of type 12 (errBatchUnsupported). A first frame is
+// answered before a second is sent, so exactly one frame was exchanged
+// and the stream is still aligned. Every other error is the server's
+// verdict on the fetch and is returned.
+var fetchLadder = []fetchShape{fetchSeeded, fetchRotated, fetchPerBlock, fetchSequential}
+
+// errShapeRefused marks a server that refused a fetch's first frame in
+// a form it predates.
+var errShapeRefused = errors.New("embellish: server does not speak this PIR query form")
 
 // errBatchUnsupported marks a server that answered the first batch
 // frame with the pre-batch "unexpected message type" refusal.
@@ -889,13 +878,13 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 		}
 	}
 
-	// Generator goroutine: building a query costs one residuosity draw
-	// per block column (per GRID row+column for recursive queries), so
-	// it runs ahead of the transport, bounded by the pipeline window.
-	// Under fetchRotated only a document's first block draws: its
-	// further blocks are the consecutive columns, so each is the query
-	// before it rotated one column up. It owns its stats until joined
-	// below.
+	// Generator goroutine: building a query costs residue symbols per
+	// block column (residuosity draws per GRID row+column for recursive
+	// queries), so it runs ahead of the transport, bounded by the
+	// pipeline window. Under fetchSeeded and fetchRotated only a
+	// document's first block draws: its further blocks are the
+	// consecutive columns, so each is the query before it rotated one
+	// column up. It owns its stats until joined below.
 	qch := make(chan *pir.Query, c.pipelineDepth())
 	rch := make(chan *pir.RecursiveQuery, c.pipelineDepth())
 	done := make(chan struct{})
@@ -927,17 +916,22 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				}
 				continue
 			}
-			if shape == fetchRotated && ti > 0 && tasks[ti-1].pos == tk.pos {
+			if (shape == fetchSeeded || shape == fetchRotated) && ti > 0 && tasks[ti-1].pos == tk.pos {
 				q = q.Next()
 				genQueryBytes++
 			} else {
+				// Only a vector that travels seeded pays for its codes.
+				draw, size := key.NewQuery, key.QueryBytes(params.NumBlocks)
+				if shape == fetchSeeded {
+					draw, size = key.NewSeededQuery, wire.SeededEntryBytes(params.NumBlocks, 0)
+				}
 				var err error
-				if q, err = key.NewQuery(c.inner.CryptoRand, params.NumBlocks, tk.col); err != nil {
+				if q, err = draw(c.inner.CryptoRand, params.NumBlocks, tk.col); err != nil {
 					genErr = err
 					return
 				}
-				genQueryBytes += key.QueryBytes(params.NumBlocks)
 				genVectors++
+				genQueryBytes += size
 			}
 			select {
 			case qch <- q:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"math/big"
 	"net"
 	"strings"
 	"sync"
@@ -13,6 +14,7 @@ import (
 
 	"embellish/internal/detrand"
 	"embellish/internal/pir"
+	"embellish/internal/vbyte"
 	"embellish/internal/wire"
 )
 
@@ -245,19 +247,26 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 }
 
 // TestPIRBatchLimitBudget: batches shrink with the wire cost of one
-// query, so a batch frame can never approach the 64 MiB frame cap —
-// wide moduli over big stores pick smaller batches instead of
-// failing.
+// query in the form the writer sends it, so a batch frame can never
+// approach the 64 MiB frame cap — nor a seeded one the values a server
+// expands a frame to — and wide moduli over big stores pick smaller
+// batches instead of failing.
 func TestPIRBatchLimitBudget(t *testing.T) {
-	if got := pirBatchLimit(16, 100, 64); got != 8 {
-		t.Fatalf("small world: limit %d, want depth/2 = 8", got)
+	for _, seeded := range []bool{false, true} {
+		if got := pirBatchLimit(16, 100, 64, seeded); got != 8 {
+			t.Fatalf("small world, seeded %v: limit %d, want depth/2 = 8", seeded, got)
+		}
+		if got := pirBatchLimit(1024, 100, 64, seeded); got != wire.MaxPIRBatch {
+			t.Fatalf("deep window, seeded %v: limit %d, want wire cap %d", seeded, got, wire.MaxPIRBatch)
+		}
 	}
-	if got := pirBatchLimit(1024, 100, 64); got != wire.MaxPIRBatch {
-		t.Fatalf("deep window: limit %d, want wire cap %d", got, wire.MaxPIRBatch)
-	}
-	// 1024-bit modulus over a 130k-block store: ~17 MB per query.
-	if got := pirBatchLimit(128, 130000, 1024); got != 1 {
+	// 1024-bit modulus over a 130k-block store: ~17 MB per query written
+	// out, 32.5 KB seeded.
+	if got := pirBatchLimit(128, 130000, 1024, false); got != 1 {
 		t.Fatalf("huge query: limit %d, want 1", got)
+	}
+	if got := pirBatchLimit(128, 130000, 1024, true); got != 4 {
+		t.Fatalf("huge seeded query: limit %d, want the 4 a frame may expand to", got)
 	}
 	// The budget must keep every batch whose single query is itself
 	// sendable under the frame cap (a query too large to frame at all
@@ -265,14 +274,90 @@ func TestPIRBatchLimitBudget(t *testing.T) {
 	for _, c := range []struct{ depth, values, bits int }{
 		{2, 1, 64}, {1024, 1 << 20, 64}, {128, 130000, 1024}, {8, 30413, 64},
 	} {
-		limit := pirBatchLimit(c.depth, c.values, c.bits)
-		if limit < 1 {
-			t.Fatalf("limit(%+v) = %d", c, limit)
+		for _, seeded := range []bool{false, true} {
+			limit := pirBatchLimit(c.depth, c.values, c.bits, seeded)
+			if limit < 1 {
+				t.Fatalf("limit(%+v, seeded %v) = %d", c, seeded, limit)
+			}
+			frame := limit * (c.values*((c.bits+7)/8+3) + 16)
+			if seeded {
+				frame = limit * wire.SeededEntryBytes(c.values, c.values-1)
+				if limit*c.values > wire.MaxSeededValues((c.bits+7)/8) {
+					t.Fatalf("limit(%+v) = %d seeded vectors expand past the server's bound", c, limit)
+				}
+			}
+			if frame > wire.MaxFrame/2 {
+				t.Fatalf("limit(%+v, seeded %v) = %d admits ~%d-byte frames", c, seeded, limit, frame)
+			}
 		}
-		frame := limit * (c.values*((c.bits+7)/8+3) + 16)
-		if frame > wire.MaxFrame/2 {
-			t.Fatalf("limit(%+v) = %d admits ~%d-byte frames", c, limit, frame)
+	}
+}
+
+// TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame: priced by what the
+// writer puts on the wire, a six-block fetch over 600,000 columns —
+// wider than the paper's 172,961 documents make a store — is one frame
+// at window 16 and so one store pass. Priced as six written-out vectors,
+// as it was, the same fetch took three.
+func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
+	const cols, window = 600000, 16
+	if got := pirBatchLimit(window, cols, 64, false); got != 2 {
+		t.Fatalf("written out: %d queries a frame, want 2", got)
+	}
+	key, err := pir.GenerateKey(detrand.New("wide-frame"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := key.NewSeededQuery(detrand.New("wide-frame-q"), 8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A six-block document as the generator hands it to the writer: a
+	// seeded vector and its five rotations. The writer reads only the
+	// width of Values, so one slice of unset elements stands in for all
+	// six.
+	s := &pir.Seed{Key: small.Seed.Key, V: small.Seed.V, Z: small.Seed.Z, Codes: make([]byte, (cols+3)/4)}
+	values := make([]*big.Int, cols)
+	qs := make(chan *pir.Query, 6)
+	for rot := 0; rot < 6; rot++ {
+		qs <- &pir.Query{N: key.N, Values: values, Seed: s, Rot: rot}
+	}
+	close(qs)
+	srvConn, cliConn := net.Pipe()
+	defer cliConn.Close()
+	frames := make(chan int, 6) // one entry count per frame
+	go func() {                 // counts the frames and answers every entry
+		defer srvConn.Close()
+		defer close(frames)
+		for {
+			typ, body, err := wire.ReadMessage(srvConn)
+			if err != nil || typ != wire.TypePIRBatchQuery {
+				return
+			}
+			size, used, _ := vbyte.Decode(body) // the modulus
+			count, _, _ := vbyte.Decode(body[used+int(size)+1:])
+			frames <- int(count)
+			for i := 0; i < int(count); i++ {
+				if wire.WritePIRBatchAnswer(srvConn, i, &pir.Answer{Gammas: []*big.Int{big.NewInt(1)}}) != nil {
+					return
+				}
+			}
 		}
+	}()
+	answers := 0
+	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, func(*pir.Answer) error {
+		answers++
+		return nil
+	})
+	cliConn.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	for c := range frames {
+		counts = append(counts, c)
+	}
+	if answers != 6 || len(counts) != 1 || counts[0] != 6 {
+		t.Fatalf("six blocks over %d columns went out as frames of %v, %d answered: want one frame of six", cols, counts, answers)
 	}
 }
 
@@ -371,17 +456,34 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 
 // frameCounter is a net.Conn that counts the bytes and the frames of each
 // type written through it, whatever Write calls they arrive in: a 4-byte
-// little-endian length, then a body whose first byte is the type.
+// little-endian length, then a body whose first byte is the type. It
+// keeps what was written, for bodies.
 type frameCounter struct {
 	net.Conn
 	up     int
 	frames [256]int
 	header []byte
 	body   uint32 // bytes of the current frame's body still to come
+	sent   []byte
+}
+
+// bodies returns the bodies of the frames of type typ written so far.
+func (f *frameCounter) bodies(typ byte) [][]byte {
+	var out [][]byte
+	for r := bytes.NewReader(f.sent); ; {
+		t, body, err := wire.ReadMessage(r)
+		if err != nil {
+			return out
+		}
+		if t == typ {
+			out = append(out, body)
+		}
+	}
 }
 
 func (f *frameCounter) Write(p []byte) (int, error) {
 	f.up += len(p)
+	f.sent = append(f.sent, p...)
 	for b := p; len(b) > 0; {
 		if f.body > 0 {
 			n := min(uint32(len(b)), f.body)

@@ -54,13 +54,13 @@ func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, by
 }
 
 // TestFetchUploadsOneVectorPerDocument: through a byte- and frame-counting
-// connection, a fetch uploads one selection vector per DOCUMENT and a
-// byte per further block — at window 16, where the blocks share a frame.
-// At the default window a frame boundary can fall inside a document: the
-// rotation it orphans is written out, which costs at most one more vector
-// per boundary, and the documents verify all the same. FetchStats counts
-// the protocol's bytes — a vector per document, a byte per rotation —
-// under either schedule.
+// connection, a fetch uploads one seeded selection vector per DOCUMENT
+// and a byte per further block, and FetchStats.QueryBytes is exactly that
+// figure. What else the socket carries is counted to the byte: the
+// five-byte params request and each frame's head (length, type, modulus,
+// the seeded form's 0, count, V and Z) — and, at the default window,
+// where a frame boundary can fall inside a document, the seeded entry of
+// each rotation the boundary orphans in place of its byte.
 func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 	e, c, texts, byBlocks := rotationWorld(t)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
@@ -73,11 +73,8 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 		t.Fatal(err)
 	}
 	params := sn.Params()
-	// On the wire a group element is its bytes behind a length byte; a
-	// frame spends a few more on its length, type, modulus and counts,
-	// and the fetch opens with a five-byte params request.
-	vector := params.NumBlocks * ((key.N.BitLen()+7)/8 + 1)
-	const perFrame = 64
+	vector := wire.SeededEntryBytes(params.NumBlocks, 0)
+	bigBytes := func(v *big.Int) int { return 1 + (v.BitLen()+7)/8 }
 	for _, tc := range []struct {
 		name string
 		ids  []int
@@ -114,20 +111,26 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 			if st.Runs != blocks || st.Vectors != len(tc.ids) {
 				t.Fatalf("%s, window %d: %d runs and %d vectors for %d blocks of %d documents", tc.name, window, st.Runs, st.Vectors, blocks, len(tc.ids))
 			}
-			if want := len(tc.ids)*key.QueryBytes(params.NumBlocks) + blocks - len(tc.ids); st.QueryBytes != want {
+			if want := len(tc.ids)*vector + blocks - len(tc.ids); st.QueryBytes != want {
 				t.Fatalf("%s, window %d: FetchStats.QueryBytes %d, want %d", tc.name, window, st.QueryBytes, want)
 			}
 			frames := (blocks + window/2 - 1) / (window / 2)
-			// Every frame after the first may open on an orphaned rotation.
-			vectors := len(tc.ids) + frames - 1
 			if got := cc.frames[wire.TypePIRBatchQuery]; got != frames || (window == 16 && frames != 1) {
 				t.Fatalf("%s, window %d: %d blocks went out in %d batch frames, want %d", tc.name, window, blocks, got, frames)
 			}
-			if limit := vectors*vector + blocks + frames*perFrame; cc.up > limit {
-				t.Fatalf("%s, window %d: uploaded %d bytes, want at most %d (%d vectors of %d, %d blocks)", tc.name, window, cc.up, limit, vectors, vector, blocks)
+			extra := 5 // the params request
+			for _, body := range cc.bodies(wire.TypePIRBatchQuery) {
+				qs, err := wire.DecodePIRBatchQuery(body)
+				if err != nil || qs[0].Seed == nil {
+					t.Fatalf("%s, window %d: a batch frame that is not seeded (%v)", tc.name, window, err)
+				}
+				extra += 4 + 1 + bigBytes(key.N) + 1 + 1 + bigBytes(qs[0].Seed.V) + bigBytes(qs[0].Seed.Z)
+				if qs[0].Rot > 0 { // an orphan: an entry where the protocol counts a byte
+					extra += wire.SeededEntryBytes(params.NumBlocks, qs[0].Rot) - 1
+				}
 			}
-			if cc.up < len(tc.ids)*(vector-params.NumBlocks) {
-				t.Fatalf("%s, window %d: uploaded %d bytes, under a vector per document", tc.name, window, cc.up)
+			if cc.up != st.QueryBytes+extra {
+				t.Fatalf("%s, window %d: uploaded %d bytes, the protocol's %d and %d of frame heads and orphans", tc.name, window, cc.up, st.QueryBytes, extra)
 			}
 		}
 	}
@@ -160,9 +163,18 @@ func TestFetchSequentialProtocolSendsFullVectors(t *testing.T) {
 
 // TestLocalFetchRotates: the in-process transport executes the rotated
 // queries as they are; the bytes are the stored bytes and the stats the
-// protocol's.
+// protocol's, its vectors written out — nothing local crosses a wire, so
+// nothing is drawn seeded.
 func TestLocalFetchRotates(t *testing.T) {
 	e, c, texts, byBlocks := rotationWorld(t)
+	key, err := c.pirKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := []int{byBlocks[5], byBlocks[1], byBlocks[2]}
 	got, st, err := c.FetchDocuments(ids)
 	if err != nil {
@@ -177,12 +189,28 @@ func TestLocalFetchRotates(t *testing.T) {
 	if st.Runs != 8 || st.Vectors != 3 {
 		t.Fatalf("%d runs, %d vectors: want 8 blocks of 3 documents", st.Runs, st.Vectors)
 	}
+	if want := 3*key.QueryBytes(sn.NumBlocks()) + 5; st.QueryBytes != want {
+		t.Fatalf("local fetch counted %d query bytes, want %d: three vectors written out, five rotations", st.QueryBytes, want)
+	}
 }
 
-// parentBatchRefusal applies the parent commit's value-count rule to a
-// type-12 body: a zero count is out of range, at any entry, and the
-// refusal is this text verbatim.
-func parentBatchRefusal(body []byte) (string, bool) {
+// preSeedRefusal applies the query-count rule of a decoder predating the
+// seeded form to a type-12 body: a count of 0 — the seeded form's mark —
+// is out of range, and the refusal is this text verbatim.
+func preSeedRefusal(body []byte) (string, bool) {
+	size, used, _ := vbyte.Decode(body) // the modulus
+	if count, _, _ := vbyte.Decode(body[used+int(size):]); count == 0 {
+		return wire.SeedRefusal, true
+	}
+	return "", false
+}
+
+// preRotationRefusal adds the value-count rule of a decoder predating
+// rotation entries: a zero count is out of range, at any entry.
+func preRotationRefusal(body []byte) (string, bool) {
+	if text, refused := preSeedRefusal(body); refused {
+		return text, true
+	}
 	skipBig := func() {
 		size, used, _ := vbyte.Decode(body)
 		body = body[used+int(size):]
@@ -203,7 +231,7 @@ func parentBatchRefusal(body []byte) (string, bool) {
 	return "", false
 }
 
-// oldBatchServer speaks the batch protocol as the parent commit did:
+// oldBatchServer speaks the batch protocol as an older server did:
 // refuse answers a type-12 frame with an error frame (and the connection
 // stays up) or lets it through to the one executor.
 type oldBatchServer struct {
@@ -262,13 +290,11 @@ func (s *oldBatchServer) serve(conn net.Conn, sn *docstore.Snapshot, refuse func
 	}
 }
 
-// TestFetchFallsBackToFullVectorsOnPreRotationServer: a server that
-// predates rotation entries refuses the first batch frame for the zero
-// count in it, with the parent decoder's text, and keeps the connection.
-// The client must recognise exactly that on the first answer, retry the
-// whole fetch with a vector per block on the same connection — frames
-// the old server has always served — and return the stored bytes.
-func TestFetchFallsBackToFullVectorsOnPreRotationServer(t *testing.T) {
+// fetchFromOldServer fetches ids from a stub server that refuses what
+// refuse refuses, checks the bytes and that the connection survives the
+// refusals and the retries, and returns the stats and the stub's counts.
+func fetchFromOldServer(t *testing.T, refuse func([]byte) (string, bool)) (st FetchStats, refused, served int) {
+	t.Helper()
 	e, c, texts, byBlocks := rotationWorld(t)
 	sn, err := e.storeSnapshot()
 	if err != nil {
@@ -277,58 +303,104 @@ func TestFetchFallsBackToFullVectorsOnPreRotationServer(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	defer cliConn.Close()
 	var srv oldBatchServer
-	go srv.serve(srvConn, sn, parentBatchRefusal)
+	go srv.serve(srvConn, sn, refuse)
 
 	ids := []int{byBlocks[3], byBlocks[1], byBlocks[5]}
 	got, st, err := c.FetchDocumentsRemote(cliConn, ids)
 	if err != nil {
-		t.Fatalf("fetch against a pre-rotation server: %v", err)
+		t.Fatalf("fetch against an old server: %v", err)
 	}
 	for i, id := range ids {
 		if string(got[i]) != texts[id] {
 			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
 		}
 	}
-	if refused, served := srv.counts(); refused != 1 || served == 0 {
-		t.Fatalf("the old server refused %d frames and served %d: want one refusal, then full-vector frames", refused, served)
+	refused, served = srv.counts()
+	if got, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[1]}); err != nil || string(got[0]) != texts[byBlocks[1]] {
+		t.Fatalf("fetch after the fallback: %q, %v", got, err)
+	}
+	return st, refused, served
+}
+
+// TestFetchFallsBackToWrittenOutVectorsOnPreSeedServer: a server that
+// predates the seeded form refuses the first batch frame for the 0 that
+// marks it, with wire.SeedRefusal, and keeps the connection. The client
+// must step exactly one rung down — the same vectors written out, their
+// rotations still one byte — and return the stored bytes.
+func TestFetchFallsBackToWrittenOutVectorsOnPreSeedServer(t *testing.T) {
+	st, refused, served := fetchFromOldServer(t, preSeedRefusal)
+	if refused != 1 || served == 0 {
+		t.Fatalf("the old server refused %d frames and served %d: want one refusal, then written-out frames", refused, served)
+	}
+	if st.Runs != 9 || st.Vectors != 3 {
+		t.Fatalf("the retry reported %d runs and %d vectors: want a vector for each of 3 documents", st.Runs, st.Vectors)
+	}
+}
+
+// TestFetchFallsBackToFullVectorsOnPreRotationServer: a server that
+// predates rotation entries refuses the seeded frame as above and then
+// the written-out frame for the zero count in it, with the frozen
+// RotationRefusal text. The client walks down both rungs, to a vector
+// per block — frames that server has always served.
+func TestFetchFallsBackToFullVectorsOnPreRotationServer(t *testing.T) {
+	st, refused, served := fetchFromOldServer(t, preRotationRefusal)
+	if refused != 2 || served == 0 {
+		t.Fatalf("the old server refused %d frames and served %d: want two refusals, then full-vector frames", refused, served)
 	}
 	if st.Runs != 9 || st.Vectors != 9 {
 		t.Fatalf("the retry reported %d runs and %d vectors: want a vector for each of 9 blocks", st.Runs, st.Vectors)
 	}
-	// The connection survived the refusal and the retry.
-	if got, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[1]}); err != nil || string(got[0]) != texts[byBlocks[1]] {
-		t.Fatalf("fetch after the fallback: %q, %v", got, err)
-	}
 }
 
-// TestFetchDoesNotRetryOtherRefusals: only the frozen value-count
-// refusal naming the frame's first rotation entry means "old server".
-// Any other error on the first answer — load shedding, a deadline, the
-// same words about another entry — is the server's verdict and is
-// reported once, not retried with three times the upload.
+// TestFetchDoesNotRetryOtherRefusals: only the frozen refusal of the
+// first frame's own form means "old server". Any other error on the
+// first answer — load shedding, a deadline, the same words about another
+// entry or another form — is the server's verdict and is reported once,
+// not retried with more upload. That holds on each rung: refused on the
+// seeded rung, the fetch sends one frame; refused on the written-out rung
+// (after wire.SeedRefusal stepped it down), two — never a per-block
+// frame.
 func TestFetchDoesNotRetryOtherRefusals(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, text := range []string{
-		"server overloaded: admission queue full",
-		"embellish: server deadline exceeded: batch cancelled in block 0",
-		wire.RotationRefusal(0), // entry 0 is never a rotation
-		wire.RotationRefusal(2), // the frame's first rotation is entry 1
-		wire.RotationRefusal(1) + " (and then some)",
+	overload := "server overloaded: admission queue full"
+	deadline := "embellish: server deadline exceeded: batch cancelled in block 0"
+	for _, tc := range []struct {
+		text       string
+		writtenOut bool // refused on the written-out rung, not the seeded one
+	}{
+		{overload, false},
+		{deadline, false},
+		{wire.RotationRefusal(1), false}, // the first frame is seeded, not written out
+		{wire.SeedRefusal + " (and then some)", false},
+		{overload, true},
+		{deadline, true},
+		{wire.RotationRefusal(0), true}, // entry 0 is never a rotation
+		{wire.RotationRefusal(2), true}, // the frame's first rotation is entry 1
+		{wire.RotationRefusal(1) + " (and then some)", true},
 	} {
 		srvConn, cliConn := net.Pipe()
 		var srv oldBatchServer
-		go srv.serve(srvConn, sn, func([]byte) (string, bool) { return text, true })
+		go srv.serve(srvConn, sn, func(body []byte) (string, bool) {
+			if seed, refused := preSeedRefusal(body); refused && tc.writtenOut {
+				return seed, true
+			}
+			return tc.text, true
+		})
 		_, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[3]})
 		cliConn.Close()
-		if err == nil || !strings.Contains(err.Error(), text) {
-			t.Fatalf("refusal %q came back as %v", text, err)
+		if err == nil || !strings.Contains(err.Error(), tc.text) {
+			t.Fatalf("refusal %q (written out: %v) came back as %v", tc.text, tc.writtenOut, err)
 		}
-		if refused, _ := srv.counts(); refused != 1 {
-			t.Fatalf("refusal %q: the client sent %d batch frames, want one", text, refused)
+		want := 1
+		if tc.writtenOut {
+			want = 2
+		}
+		if refused, _ := srv.counts(); refused != want {
+			t.Fatalf("refusal %q (written out: %v): the client sent %d batch frames, want %d", tc.text, tc.writtenOut, refused, want)
 		}
 	}
 }
