@@ -154,27 +154,16 @@ func (d *DecoyStream) SearchRemote(ctx context.Context, conn io.ReadWriter, quer
 		if writeErr != nil {
 			return nil, fmt.Errorf("embellish: sending query: %w", writeErr)
 		}
-		typ, body, err := wire.ReadMessage(conn)
+		body, err := readReply(conn, wire.TypeResponse, "response")
 		if err != nil {
-			return nil, fmt.Errorf("embellish: reading response: %w", err)
-		}
-		switch typ {
-		case wire.TypeError:
-			rerr := remoteError(body)
-			if isGenuine {
-				return nil, rerr
-			}
 			// A shed or refused decoy is skipped cover, not a failure —
 			// but only for the transient refusals; a protocol error on a
 			// frame we built means the session is broken.
-			if errors.Is(rerr, ErrOverloaded) || errors.Is(rerr, ErrRemoteDeadline) {
+			if !isGenuine && transientRefusal(err) {
 				d.skipped.Add(1)
 				continue
 			}
-			return nil, rerr
-		case wire.TypeResponse:
-		default:
-			return nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+			return nil, err
 		}
 		if isGenuine {
 			cands, _, err := wire.DecodeResponse(body)
@@ -239,23 +228,20 @@ func (d *DecoyStream) SendGhosts(ctx context.Context, conn io.ReadWriter, n, ter
 		if err := wire.WriteQueryDecoy(conn, inner); err != nil {
 			return fmt.Errorf("embellish: sending decoy: %w", err)
 		}
-		typ, body, err := wire.ReadMessage(conn)
-		if err != nil {
-			return fmt.Errorf("embellish: reading decoy response: %w", err)
-		}
-		switch typ {
-		case wire.TypeError:
-			rerr := remoteError(body)
-			if errors.Is(rerr, ErrOverloaded) || errors.Is(rerr, ErrRemoteDeadline) {
+		if _, err := readReply(conn, wire.TypeResponse, "decoy response"); err != nil {
+			if transientRefusal(err) {
 				d.skipped.Add(1)
 				continue
 			}
-			return rerr
-		case wire.TypeResponse:
-			d.decoys.Add(1)
-		default:
-			return fmt.Errorf("embellish: unexpected message type %d", typ)
+			return err
 		}
+		d.decoys.Add(1)
 	}
 	return nil
+}
+
+// transientRefusal reports whether a decoy's refusal was a shed or a
+// deadline: skipped cover, not a broken session.
+func transientRefusal(err error) bool {
+	return errors.Is(err, ErrOverloaded) || errors.Is(err, ErrRemoteDeadline)
 }

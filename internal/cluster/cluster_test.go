@@ -565,3 +565,39 @@ func TestClusterReplicaCatchUpAndFailover(t *testing.T) {
 		t.Fatalf("router counters missing from aggregated stats: %+v", agg)
 	}
 }
+
+// TestClusterDecoyStream: a decoy-streaming session behind the router
+// gets the single-process ranking, and every decoy frame reaches every
+// partition as a decoy — the aggregated DecoyQueries is decoy frames
+// times partitions.
+func TestClusterDecoyStream(t *testing.T) {
+	w := newWorld(t)
+	stream, err := w.client.NewDecoyStream(embellish.DecoyStreamConfig{GhostRate: 3, Seed: 26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range w.queries() {
+		want, err := w.client.SearchRemote(w.refConn, q, 10)
+		if err != nil {
+			t.Fatalf("reference search %q: %v", q, err)
+		}
+		got, err := stream.SearchRemote(context.Background(), w.routerConn, q, 10)
+		if err != nil {
+			t.Fatalf("decoy-streamed search %q via router: %v", q, err)
+		}
+		if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("query %q: router ranking %v, single process %v", q, got, want)
+		}
+	}
+	sent := stream.Stats()
+	if sent.Decoys != 3*int64(len(w.queries())) || sent.Skipped != 0 {
+		t.Fatalf("stream sent %+v, want %d decoys and none skipped", sent, 3*len(w.queries()))
+	}
+	st, err := embellish.ServerStats(w.routerConn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DecoyQueries != 3*sent.Decoys {
+		t.Fatalf("aggregated DecoyQueries %d, want %d decoy frames x 3 partitions", st.DecoyQueries, sent.Decoys)
+	}
+}

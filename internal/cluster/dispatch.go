@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"sort"
 
@@ -64,16 +63,17 @@ func sumStats(parts []wire.ResponseStats) wire.ResponseStats {
 	return out
 }
 
-// handleQuery scatter-gathers one embellished query: the client frame
-// is forwarded to every partition verbatim (the shared template engine
-// pins one bucket organization, so the same term ids and ciphertexts
-// are valid everywhere), and the disjoint per-partition score maps
-// merge by concatenation.
-func (r *Router) handleQuery(rw io.ReadWriter, body []byte) error {
+// handleQuery scatter-gathers one embellished query or decoy: the
+// client frame is forwarded to every partition verbatim (the shared
+// template engine pins one bucket organization, so the same term ids
+// and ciphertexts are valid everywhere), type byte included, so a decoy
+// reaches each partition's DecoyQueries; the disjoint per-partition
+// score maps merge by concatenation.
+func (r *Router) handleQuery(req *request) error {
 	parts := make([][]wire.Candidate, r.n)
 	stats := make([]wire.ResponseStats, r.n)
 	err := r.scatter(nil, false, func(p int, conn net.Conn) error {
-		if err := wire.WriteRaw(conn, wire.TypeQuery, body); err != nil {
+		if err := wire.WriteRaw(conn, req.Type, req.Body); err != nil {
 			return err
 		}
 		rbody, err := readReply(conn, wire.TypeResponse)
@@ -88,19 +88,19 @@ func (r *Router) handleQuery(rw io.ReadWriter, body []byte) error {
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	r.queries.Add(1)
-	return wire.WriteCandidateResponse(rw, r.mergeCandidates(parts), sumStats(stats))
+	r.loop.Counters[wire.StatQueries].Add(1)
+	return wire.WriteCandidateResponse(req.W, r.mergeCandidates(parts), sumStats(stats))
 }
 
 // handleBatch is handleQuery over a whole batch frame: one forward per
 // partition, then a per-query merge in batch order.
-func (r *Router) handleBatch(rw io.ReadWriter, body []byte) error {
+func (r *Router) handleBatch(req *request) error {
 	parts := make([][][]wire.Candidate, r.n)
 	stats := make([][]wire.ResponseStats, r.n)
 	err := r.scatter(nil, false, func(p int, conn net.Conn) error {
-		if err := wire.WriteRaw(conn, wire.TypeBatchQuery, body); err != nil {
+		if err := wire.WriteRaw(conn, wire.TypeBatchQuery, req.Body); err != nil {
 			return err
 		}
 		rbody, err := readReply(conn, wire.TypeBatchResponse)
@@ -115,12 +115,12 @@ func (r *Router) handleBatch(rw io.ReadWriter, body []byte) error {
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	nq := len(parts[0])
 	for p := 1; p < r.n; p++ {
 		if len(parts[p]) != nq {
-			return r.refuse(rw, fmt.Errorf("cluster: partition %d answered %d queries, partition 0 answered %d", p, len(parts[p]), nq))
+			return fmt.Errorf("cluster: partition %d answered %d queries, partition 0 answered %d", p, len(parts[p]), nq)
 		}
 	}
 	merged := make([][]wire.Candidate, nq)
@@ -135,8 +135,8 @@ func (r *Router) handleBatch(rw io.ReadWriter, body []byte) error {
 		merged[qi] = r.mergeCandidates(per)
 		mstats[qi] = sumStats(sts)
 	}
-	r.queries.Add(int64(nq))
-	return wire.WriteCandidateBatchResponse(rw, merged, mstats)
+	r.loop.Counters[wire.StatQueries].Add(int64(nq))
+	return wire.WriteCandidateBatchResponse(req.W, merged, mstats)
 }
 
 // handleAdmin routes one corpus update to the owning partitions with
@@ -147,27 +147,27 @@ func (r *Router) handleBatch(rw io.ReadWriter, body []byte) error {
 // half-applied write replayed against a replica could fork the two
 // histories. The ack sums the live-doc and segment counts of the
 // partitions this frame touched.
-func (r *Router) handleAdmin(rw io.ReadWriter, typ byte, body []byte) error {
+func (r *Router) handleAdmin(req *request) error {
 	perDocs := make([][]wire.DocText, r.n)
 	perIDs := make([][]uint32, r.n)
-	switch typ {
+	switch req.Type {
 	case wire.TypeAddDocs:
-		dts, err := wire.DecodeAddDocs(body)
+		dts, err := wire.DecodeAddDocs(req.Body)
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
 		for _, d := range dts {
 			g := int(d.ID)
 			if g < r.base {
-				return r.refuse(rw, fmt.Errorf("cluster: document id %d is below the partition base %d (template ids are fixed at build time)", g, r.base))
+				return fmt.Errorf("cluster: document id %d is below the partition base %d (template ids are fixed at build time)", g, r.base)
 			}
 			p := r.ownerOf(g)
 			perDocs[p] = append(perDocs[p], wire.DocText{ID: uint32(r.localID(g)), Text: d.Text})
 		}
 	case wire.TypeDeleteDocs:
-		ids, err := wire.DecodeDeleteDocs(body)
+		ids, err := wire.DecodeDeleteDocs(req.Body)
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
 		for _, id := range ids {
 			g := int(id)
@@ -191,13 +191,13 @@ func (r *Router) handleAdmin(rw io.ReadWriter, typ byte, body []byte) error {
 		}
 	}
 	if len(targets) == 0 {
-		return r.refuse(rw, fmt.Errorf("cluster: empty admin frame"))
+		return fmt.Errorf("cluster: empty admin frame")
 	}
 	lives := make([]int, r.n)
 	segs := make([]int, r.n)
 	err := r.scatter(targets, true, func(p int, conn net.Conn) error {
 		var werr error
-		if typ == wire.TypeAddDocs {
+		if req.Type == wire.TypeAddDocs {
 			werr = wire.WriteAddDocs(conn, perDocs[p])
 		} else {
 			werr = wire.WriteDeleteDocs(conn, perIDs[p])
@@ -217,27 +217,21 @@ func (r *Router) handleAdmin(rw io.ReadWriter, typ byte, body []byte) error {
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	r.updates.Add(1)
+	r.loop.Counters[wire.StatUpdates].Add(1)
 	live, seg := 0, 0
 	for _, p := range targets {
 		live += lives[p]
 		seg += segs[p]
 	}
-	return wire.WriteAdminOK(rw, live, seg)
+	return wire.WriteAdminOK(req.W, live, seg)
 }
 
-// handleStats aggregates the cluster's counters: partition totals are
-// summed (watermarks take the max), and the router's own routing
-// counters ride in the appended RouterPartitions/Retries/Failovers
-// fields. Like the single-process server it is served without touching
-// the request path's admission machinery.
-func (r *Router) handleStats(rw io.ReadWriter, body []byte) error {
-	if len(body) != 0 {
-		r.errs.Add(1)
-		return wire.WriteError(rw, "stats request carries no body")
-	}
+// handleStats aggregates the cluster's counters by each field's rule in
+// wire.StatFields: partition totals summed, watermarks maxed, Durable
+// an AND, and the routing fields the router's own.
+func (r *Router) handleStats(req *request) error {
 	parts := make([]wire.Stats, r.n)
 	err := r.scatter(nil, false, func(p int, conn net.Conn) error {
 		if err := wire.WriteStatsRequest(conn); err != nil {
@@ -247,68 +241,16 @@ func (r *Router) handleStats(rw io.ReadWriter, body []byte) error {
 		if err != nil {
 			return err
 		}
-		st, err := wire.DecodeStats(rbody)
-		if err != nil {
-			return err
-		}
-		parts[p] = st
-		return nil
+		parts[p], err = wire.DecodeStats(rbody)
+		return err
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	agg := wire.Stats{Durable: 1}
-	maxU := func(dst *uint64, v uint64) {
-		if v > *dst {
-			*dst = v
-		}
-	}
-	for _, st := range parts {
-		agg.Accepted += st.Accepted
-		agg.Rejected += st.Rejected
-		agg.Active += st.Active
-		agg.Queries += st.Queries
-		agg.Updates += st.Updates
-		agg.Retrievals += st.Retrievals
-		agg.Errors += st.Errors
-		agg.QueryNs += st.QueryNs
-		maxU(&agg.MaxQueryNs, st.MaxQueryNs)
-		agg.Inflight += st.Inflight
-		agg.Queued += st.Queued
-		agg.QueuedTotal += st.QueuedTotal
-		agg.QueueWaitNs += st.QueueWaitNs
-		maxU(&agg.MaxQueueWaitNs, st.MaxQueueWaitNs)
-		agg.ShedQueueFull += st.ShedQueueFull
-		agg.ShedQueueTimeout += st.ShedQueueTimeout
-		agg.Deadlines += st.Deadlines
-		if st.Durable == 0 {
-			agg.Durable = 0
-		}
-		maxU(&agg.WALSeq, st.WALSeq)
-		maxU(&agg.WALCheckpointSeq, st.WALCheckpointSeq)
-		maxU(&agg.CheckpointAgeNs, st.CheckpointAgeNs)
-		agg.PIRModMuls += st.PIRModMuls
-		agg.PIRTableMuls += st.PIRTableMuls
-		agg.PIRRecursiveQueries += st.PIRRecursiveQueries
-		agg.PIRRecursivePartials += st.PIRRecursivePartials
-		maxU(&agg.ReplPrimarySeq, st.ReplPrimarySeq)
-		agg.ReplLagOps += st.ReplLagOps
-		agg.DecoyQueries += st.DecoyQueries
-		agg.RiskAudited += st.RiskAudited
-		agg.RiskSkipped += st.RiskSkipped
-		agg.RiskSumMicros += st.RiskSumMicros
-	}
-	agg.RouterPartitions = uint64(r.n)
-	agg.RouterRetries = uint64(r.retriesTotal.Load())
-	agg.RouterFailovers = uint64(r.failoversTotal.Load())
-	return wire.WriteStats(rw, agg)
+	return wire.WriteStats(req.W, wire.Aggregate(r.loop.Snapshot(), parts))
 }
 
 // handleClusterMap serves the configured topology.
-func (r *Router) handleClusterMap(rw io.ReadWriter, body []byte) error {
-	if len(body) != 0 {
-		r.errs.Add(1)
-		return wire.WriteError(rw, "cluster map request carries no body")
-	}
-	return wire.WriteClusterMap(rw, r.Map())
+func (r *Router) handleClusterMap(req *request) error {
+	return wire.WriteClusterMap(req.W, r.Map())
 }

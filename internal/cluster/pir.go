@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"net"
 
@@ -117,23 +116,20 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 	return docstore.Params{BlockSize: blockSize, NumBlocks: ep.total, Exts: exts}, ep, nil
 }
 
-// handlePIRParams serves the merged block mapping and returns the
-// epoch it was built from, which becomes the connection's slicing
-// snapshot for subsequent PIR queries.
-func (r *Router) handlePIRParams(rw io.ReadWriter, body []byte) (*pirEpoch, error) {
-	if len(body) != 0 {
-		r.errs.Add(1)
-		return nil, wire.WriteError(rw, "params request carries no body")
-	}
+// handlePIRParams serves the merged block mapping, and the epoch it was
+// built from becomes the connection's slicing snapshot for subsequent
+// PIR queries. A refused params request leaves the previous epoch.
+func (r *Router) handlePIRParams(req *request) error {
 	parts, err := r.gatherParams()
 	if err != nil {
-		return nil, r.refuse(rw, err)
+		return err
 	}
 	merged, ep, err := r.mergeParams(parts)
 	if err != nil {
-		return nil, r.refuse(rw, err)
+		return err
 	}
-	return ep, wire.WritePIRParams(rw, merged)
+	*req.State = ep
+	return wire.WritePIRParams(req.W, merged)
 }
 
 // sliceQuery cuts one global-column query into per-partition
@@ -215,18 +211,18 @@ func (r *Router) ensureEpoch(epoch **pirEpoch) (*pirEpoch, error) {
 
 // handlePIRQuery routes one block query: slice at the partition
 // boundaries, scatter, multiply the answers back together.
-func (r *Router) handlePIRQuery(rw io.ReadWriter, body []byte, epoch **pirEpoch) error {
-	q, err := wire.DecodePIRQuery(body)
+func (r *Router) handlePIRQuery(req *request) error {
+	q, err := wire.DecodePIRQuery(req.Body)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	ep, err := r.ensureEpoch(epoch)
+	ep, err := r.ensureEpoch(req.State)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	ps, subs, err := ep.sliceQuery(q)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	answers := make([]*pir.Answer, len(ps))
 	err = r.scatter(ps, false, func(p int, conn net.Conn) error {
@@ -252,14 +248,14 @@ func (r *Router) handlePIRQuery(rw io.ReadWriter, body []byte, epoch **pirEpoch)
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	combined, err := combineAnswers(q.N, answers)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	r.retrievals.Add(1)
-	return wire.WritePIRAnswer(rw, combined)
+	r.loop.Counters[wire.StatRetrievals].Add(1)
+	return wire.WritePIRAnswer(req.W, combined)
 }
 
 // handlePIRRecursive routes one recursive batch frame. The grid splits
@@ -276,26 +272,26 @@ func (r *Router) handlePIRQuery(rw io.ReadWriter, body []byte, epoch **pirEpoch)
 // partition holding fewer blocks than its epoch Span refuses (the
 // stale-map symptom after a re-partition) and the refusal is relayed
 // to the client verbatim.
-func (r *Router) handlePIRRecursive(rw io.ReadWriter, body []byte, epoch **pirEpoch) error {
-	qs, err := wire.DecodePIRRecursiveQuery(body)
+func (r *Router) handlePIRRecursive(req *request) error {
+	qs, err := wire.DecodePIRRecursiveQuery(req.Body)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	// Clients address the whole grid; the windowed level-1-only form is
 	// what the ROUTER sends downstream, never what it accepts.
 	if len(qs[0].Cols) == 0 {
-		return r.refuse(rw, errors.New("cluster: level-1-only recursive queries are router-internal"))
+		return errors.New("cluster: level-1-only recursive queries are router-internal")
 	}
 	if qs[0].Offset != 0 || qs[0].Span != 0 {
-		return r.refuse(rw, errors.New("cluster: recursive queries must address the full grid"))
+		return errors.New("cluster: recursive queries must address the full grid")
 	}
-	ep, err := r.ensureEpoch(epoch)
+	ep, err := r.ensureEpoch(req.State)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	w := qs[0].Width
 	if w > ep.total {
-		return r.refuse(rw, fmt.Errorf("cluster: recursive grid over %d blocks exceeds the served block space of %d", w, ep.total))
+		return fmt.Errorf("cluster: recursive grid over %d blocks exceeds the served block space of %d", w, ep.total)
 	}
 	// Partitions the grid overlaps, each with its window (prefix
 	// addressing clamps the last one, exactly like sliceQuery).
@@ -315,7 +311,7 @@ func (r *Router) handlePIRRecursive(rw io.ReadWriter, body []byte, epoch **pirEp
 		los[p], spans[p] = lo, hi-lo
 	}
 	if len(targets) == 0 {
-		return r.refuse(rw, errors.New("cluster: recursive query addresses no partition"))
+		return errors.New("cluster: recursive query addresses no partition")
 	}
 	// partials[qi][p] is partition p's level-1 matrix for batch member qi.
 	partials := make([][]*pir.Answer, len(qs))
@@ -362,22 +358,22 @@ func (r *Router) handlePIRRecursive(rw io.ReadWriter, body []byte, epoch **pirEp
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	for qi, q := range qs {
 		combined, err := combineAnswers(q.N, partials[qi])
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
 		ans, _, err := pir.RecursiveLevel2(context.Background(), q, combined.Gammas, ep.blockSize, pir.Exec{})
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
-		if err := wire.WritePIRBatchAnswer(rw, qi, ans); err != nil {
+		if err := wire.WritePIRBatchAnswer(req.W, qi, ans); err != nil {
 			return err
 		}
 	}
-	r.retrievals.Add(int64(len(qs)))
+	r.loop.Counters[wire.StatRetrievals].Add(int64(len(qs)))
 	return nil
 }
 
@@ -389,14 +385,14 @@ func (r *Router) handlePIRRecursive(rw io.ReadWriter, body []byte, epoch **pirEp
 // replica — reads are idempotent, so the retry is invisible beyond the
 // latency. The epoch comes first so that a seeded vector wider than the
 // served block space is refused before it expands.
-func (r *Router) handlePIRBatch(rw io.ReadWriter, body []byte, epoch **pirEpoch) error {
-	ep, err := r.ensureEpoch(epoch)
+func (r *Router) handlePIRBatch(req *request) error {
+	ep, err := r.ensureEpoch(req.State)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
-	qs, err := wire.DecodePIRBatchQueryWithin(body, ep.total)
+	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, ep.total)
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	// Per partition: which batch members address it, and with what
 	// slice.
@@ -405,7 +401,7 @@ func (r *Router) handlePIRBatch(rw io.ReadWriter, body []byte, epoch **pirEpoch)
 	for qi, q := range qs {
 		ps, subs, err := ep.sliceQuery(q)
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
 		for i, p := range ps {
 			perQIs[p] = append(perQIs[p], qi)
@@ -450,17 +446,17 @@ func (r *Router) handlePIRBatch(rw io.ReadWriter, body []byte, epoch **pirEpoch)
 		return nil
 	})
 	if err != nil {
-		return r.refuse(rw, err)
+		return err
 	}
 	for qi, q := range qs {
 		combined, err := combineAnswers(q.N, answers[qi])
 		if err != nil {
-			return r.refuse(rw, err)
+			return err
 		}
-		if err := wire.WritePIRBatchAnswer(rw, qi, combined); err != nil {
+		if err := wire.WritePIRBatchAnswer(req.W, qi, combined); err != nil {
 			return err
 		}
 	}
-	r.retrievals.Add(int64(len(qs)))
+	r.loop.Counters[wire.StatRetrievals].Add(int64(len(qs)))
 	return nil
 }

@@ -27,12 +27,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"embellish/internal/serve"
 	"embellish/internal/wire"
 )
 
@@ -94,27 +94,21 @@ type Router struct {
 	deadline time.Duration
 	retries  int
 	backoff  time.Duration
-	idle     time.Duration
 
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	pool      map[string][]net.Conn
-	shutdown  bool
+	// loop runs the handler table and holds the counters, the routing
+	// rows included.
+	loop          *serve.Server[*pirEpoch]
+	partRetries   []atomic.Int64
+	partFailovers []atomic.Int64
 
-	accepted   atomic.Int64
-	active     atomic.Int64
-	inflight   atomic.Int64
-	queries    atomic.Int64
-	updates    atomic.Int64
-	retrievals atomic.Int64
-	errs       atomic.Int64
-
-	retriesTotal   atomic.Int64
-	failoversTotal atomic.Int64
-	partRetries    []atomic.Int64
-	partFailovers  []atomic.Int64
+	mu       sync.Mutex
+	pool     map[string][]net.Conn
+	shutdown bool
 }
+
+// request is one frame in hand on a router connection. The connection's
+// state is its PIR epoch (see pir.go).
+type request = serve.Request[*pirEpoch]
 
 // NewRouter validates the topology and builds a router.
 func NewRouter(cfg Config) (*Router, error) {
@@ -136,9 +130,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		deadline:      cfg.Deadline,
 		retries:       cfg.Retries,
 		backoff:       cfg.Backoff,
-		idle:          cfg.IdleTimeout,
-		listeners:     make(map[net.Listener]struct{}),
-		conns:         make(map[net.Conn]struct{}),
 		pool:          make(map[string][]net.Conn),
 		partRetries:   make([]atomic.Int64, len(cfg.Partitions)),
 		partFailovers: make([]atomic.Int64, len(cfg.Partitions)),
@@ -158,6 +149,25 @@ func NewRouter(cfg Config) (*Router, error) {
 	if r.backoff < 0 {
 		r.backoff = 0
 	}
+	// Every row is admitted: the router has no queue, but inflight spans
+	// every routed request, so the drain covers it. TypeDecoyQuery rides
+	// the query row with its type byte forwarded, so partitions account
+	// the decoys. Types the table leaves out — the WAL pull, the lexicon
+	// sync and the session audit — are served by workers only.
+	r.loop = serve.New(serve.Config{Name: "cluster: router", IdleTimeout: cfg.IdleTimeout}, []serve.Handler[*pirEpoch]{
+		wire.TypeQuery:             {Admitted: true, Exec: r.handleQuery},
+		wire.TypeDecoyQuery:        {Admitted: true, Exec: r.handleQuery},
+		wire.TypeBatchQuery:        {Admitted: true, Exec: r.handleBatch},
+		wire.TypeAddDocs:           {Admitted: true, Exec: r.handleAdmin},
+		wire.TypeDeleteDocs:        {Admitted: true, Exec: r.handleAdmin},
+		wire.TypePIRParams:         {Name: "params", EmptyBody: true, Admitted: true, Exec: r.handlePIRParams},
+		wire.TypePIRQuery:          {Admitted: true, Exec: r.handlePIRQuery},
+		wire.TypePIRBatchQuery:     {Admitted: true, Exec: r.handlePIRBatch},
+		wire.TypePIRRecursiveQuery: {Admitted: true, Exec: r.handlePIRRecursive},
+		wire.TypeStats:             {Name: "stats", EmptyBody: true, Admitted: true, Exec: r.handleStats},
+		wire.TypeClusterMap:        {Name: "cluster map", EmptyBody: true, Admitted: true, Exec: r.handleClusterMap},
+	})
+	r.loop.Counters[wire.StatRouterPartitions].Store(int64(r.n))
 	return r, nil
 }
 
@@ -255,7 +265,7 @@ func (r *Router) withEndpoint(p int, writeOnly bool, fn func(conn net.Conn) erro
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			r.retriesTotal.Add(1)
+			r.loop.Counters[wire.StatRouterRetries].Add(1)
 			r.partRetries[p].Add(1)
 			if r.backoff > 0 {
 				sleep := r.backoff << uint(a-1)
@@ -267,7 +277,7 @@ func (r *Router) withEndpoint(p int, writeOnly bool, fn func(conn net.Conn) erro
 		}
 		addr := eps[a%len(eps)]
 		if a%len(eps) != 0 {
-			r.failoversTotal.Add(1)
+			r.loop.Counters[wire.StatRouterFailovers].Add(1)
 			r.partFailovers[p].Add(1)
 		}
 		conn, err := r.getConn(addr)
@@ -340,86 +350,27 @@ func (r *Router) scatter(ps []int, writeOnly bool, fn func(p int, conn net.Conn)
 	return first
 }
 
-// Serve accepts client connections until the listener closes. Mirrors
-// NetServer.Serve: each connection is handled in its own goroutine and
-// a clean shutdown returns nil.
+// Serve accepts client connections until the listener closes, each in
+// its own goroutine; a clean shutdown returns nil.
 func (r *Router) Serve(l net.Listener) error {
-	r.mu.Lock()
-	if r.shutdown {
-		r.mu.Unlock()
-		l.Close()
-		return errors.New("cluster: router is shut down")
-	}
-	r.listeners[l] = struct{}{}
-	r.mu.Unlock()
-	defer func() {
-		r.mu.Lock()
-		delete(r.listeners, l)
-		r.mu.Unlock()
-	}()
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.shutdown {
-			r.mu.Unlock()
-			conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.mu.Unlock()
-		r.accepted.Add(1)
-		r.active.Add(1)
-		go func() {
-			defer func() {
-				conn.Close()
-				r.mu.Lock()
-				delete(r.conns, conn)
-				r.mu.Unlock()
-				r.active.Add(-1)
-			}()
-			_ = r.serveConn(conn, conn)
-		}()
-	}
+	return r.loop.Serve(l)
 }
 
 // ServeConn serves the protocol on one already-established transport,
 // for in-process wiring and tests.
 func (r *Router) ServeConn(conn net.Conn) error {
-	return r.serveConn(conn, conn)
+	return r.loop.ServeConn(conn, conn)
 }
 
 // Shutdown closes the listeners, waits for in-flight requests (up to
-// ctx), then closes every client and pooled worker connection.
+// ctx), then closes every client and pooled worker connection. Requests
+// draining meanwhile reuse pooled connections but dial no new ones.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
 	r.shutdown = true
-	for l := range r.listeners {
-		l.Close()
-	}
 	r.mu.Unlock()
-
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	var err error
-drain:
-	for r.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break drain
-		case <-tick.C:
-		}
-	}
+	err := r.loop.Shutdown(ctx)
 	r.mu.Lock()
-	for c := range r.conns {
-		c.Close()
-	}
 	for addr, cs := range r.pool {
 		for _, c := range cs {
 			c.Close()
@@ -428,71 +379,4 @@ drain:
 	}
 	r.mu.Unlock()
 	return err
-}
-
-// serveConn answers one client session. Malformed or unroutable
-// requests get a wire error and the session survives; transport
-// failures end it.
-func (r *Router) serveConn(rw io.ReadWriter, deadliner net.Conn) error {
-	// pirEpoch is the per-connection block-space snapshot: the
-	// per-partition widths behind the merged params this connection was
-	// last served. PIR queries are sliced against it, so a client
-	// addressing blocks from the params it fetched keeps hitting
-	// exactly those blocks even while other connections grow the store
-	// (each partition only ever appends blocks).
-	var epoch *pirEpoch
-	for {
-		if r.idle > 0 && deadliner != nil {
-			_ = deadliner.SetReadDeadline(time.Now().Add(r.idle))
-		}
-		typ, body, err := wire.ReadMessage(rw)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		if r.idle > 0 && deadliner != nil {
-			_ = deadliner.SetReadDeadline(time.Time{})
-		}
-		r.inflight.Add(1)
-		switch typ {
-		case wire.TypeQuery:
-			err = r.handleQuery(rw, body)
-		case wire.TypeBatchQuery:
-			err = r.handleBatch(rw, body)
-		case wire.TypeAddDocs, wire.TypeDeleteDocs:
-			err = r.handleAdmin(rw, typ, body)
-		case wire.TypePIRParams:
-			epoch, err = r.handlePIRParams(rw, body)
-		case wire.TypePIRQuery:
-			err = r.handlePIRQuery(rw, body, &epoch)
-		case wire.TypePIRBatchQuery:
-			err = r.handlePIRBatch(rw, body, &epoch)
-		case wire.TypePIRRecursiveQuery:
-			err = r.handlePIRRecursive(rw, body, &epoch)
-		case wire.TypeStats:
-			err = r.handleStats(rw, body)
-		case wire.TypeClusterMap:
-			err = r.handleClusterMap(rw, body)
-		default:
-			r.errs.Add(1)
-			err = wire.WriteError(rw, fmt.Sprintf("%s %d", wire.UnknownTypeRefusal, typ))
-		}
-		r.inflight.Add(-1)
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// refuse relays an error to the client: peer refusals verbatim,
-// everything else under the router's own description.
-func (r *Router) refuse(rw io.Writer, err error) error {
-	r.errs.Add(1)
-	var pe *peerError
-	if errors.As(err, &pe) {
-		return wire.WriteError(rw, pe.Error())
-	}
-	return wire.WriteError(rw, err.Error())
 }

@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+
+	"embellish/internal/wire"
+)
 
 // RouterStats is a snapshot of the router's own counters — the routing
 // tier's view, as opposed to the aggregated partition view served over
@@ -28,15 +32,15 @@ type RouterStats struct {
 func (r *Router) Stats() RouterStats {
 	st := RouterStats{
 		Partitions:         r.n,
-		Accepted:           r.accepted.Load(),
-		Active:             r.active.Load(),
-		Inflight:           r.inflight.Load(),
-		Queries:            r.queries.Load(),
-		Updates:            r.updates.Load(),
-		Retrievals:         r.retrievals.Load(),
-		Errors:             r.errs.Load(),
-		Retries:            r.retriesTotal.Load(),
-		Failovers:          r.failoversTotal.Load(),
+		Accepted:           r.loop.Counters[wire.StatAccepted].Load(),
+		Active:             r.loop.Counters[wire.StatActive].Load(),
+		Inflight:           r.loop.Counters[wire.StatInflight].Load(),
+		Queries:            r.loop.Counters[wire.StatQueries].Load(),
+		Updates:            r.loop.Counters[wire.StatUpdates].Load(),
+		Retrievals:         r.loop.Counters[wire.StatRetrievals].Load(),
+		Errors:             r.loop.Counters[wire.StatErrors].Load(),
+		Retries:            r.loop.Counters[wire.StatRouterRetries].Load(),
+		Failovers:          r.loop.Counters[wire.StatRouterFailovers].Load(),
 		PartitionRetries:   make([]int64, r.n),
 		PartitionFailovers: make([]int64, r.n),
 	}

@@ -1,34 +1,34 @@
-package embellish
+package serve
 
 import (
 	"errors"
 	"sync"
 	"time"
+
+	"embellish/internal/wire"
 )
 
-// Bounded admission control for NetServer: instead of refusing load at
-// a hard connection cap, requests past the inflight limit park in a
-// FIFO queue of configurable depth and wait up to a queue timeout for
-// an execution slot. Overload then degrades in a controlled order —
-// queue, then shed-with-retry-hint — and the latency of ACCEPTED
-// requests stays bounded by queue depth × service time instead of
-// collapsing, which is what the open-loop load harness in
-// embellish-bench measures (docs/OPERATIONS.md).
+// Bounded admission control: instead of refusing load at a hard
+// connection cap, requests past the inflight limit park in a FIFO queue
+// of configurable depth and wait up to a queue timeout for an execution
+// slot. Overload then degrades in a controlled order — queue, then
+// shed-with-retry-hint — and the latency of ACCEPTED requests stays
+// bounded by queue depth × service time instead of collapsing
+// (docs/OPERATIONS.md).
 
 // DefaultQueueDepth is the admission-queue depth applied when
-// ServeConfig.QueueDepth is zero and admission control is enabled.
+// Config.QueueDepth is zero and admission control is enabled.
 const DefaultQueueDepth = 256
 
 // DefaultQueueTimeout is the per-request queue wait bound applied when
-// ServeConfig.QueueTimeout is zero and admission control is enabled.
+// Config.QueueTimeout is zero and admission control is enabled.
 const DefaultQueueTimeout = time.Second
 
-// Shed reasons, distinguished so the serving layer can send a precise
-// retry hint and count them separately.
+// Shed reasons. Their texts are the refusals the loop sends.
 var (
-	errQueueFull    = errors.New("admission queue full")
-	errQueueTimeout = errors.New("queue timeout expired")
-	errQueueClosed  = errors.New("admission closed")
+	errQueueFull    = errors.New(wire.OverloadRefusal + ": admission queue full; retry later")
+	errQueueTimeout = errors.New(wire.OverloadRefusal + ": queue wait exceeded; retry later")
+	errQueueClosed  = errors.New(wire.OverloadRefusal + ": server is shutting down")
 )
 
 // waiter is one parked request. granted is written under the

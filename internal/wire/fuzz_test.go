@@ -206,8 +206,8 @@ func seedFrames(f *testing.F) {
 	add(func(w *bytes.Buffer) error { return WriteAdminOK(w, 10, 2) })
 	add(func(w *bytes.Buffer) error { return WriteError(w, "seed error") })
 	add(func(w *bytes.Buffer) error {
-		return WriteStats(w, Stats{Accepted: 12, Queries: 99, QueryNs: 1 << 40, Inflight: 3,
-			Queued: 2, ShedQueueFull: 1, Durable: 1, WALSeq: 77, WALCheckpointSeq: 70})
+		return WriteStats(w, Stats{StatAccepted: 12, StatQueries: 99, StatQueryNs: 1 << 40, StatInflight: 3,
+			StatQueued: 2, StatShedQueueFull: 1, StatDurable: 1, StatWALSeq: 77, StatWALCheckpointSeq: 70})
 	})
 	add(func(w *bytes.Buffer) error { return WriteLexiconSync(w, 0) })
 	add(func(w *bytes.Buffer) error { return WriteLexiconSync(w, 0xdeadbeef) })

@@ -39,77 +39,177 @@ const (
 // while a forged count still cannot force large allocations.
 const maxStatsFields = 64
 
-// Stats is the wire form of the server's serving counters. Fields are
-// encoded positionally as vbytes, in declaration order — APPEND-ONLY:
-// new fields go at the end, and decoders tolerate both shorter (older
-// server) and longer (newer server) field lists, defaulting missing
-// trailing fields to zero.
-type Stats struct {
-	// Connection lifecycle.
-	Accepted uint64 // connections accepted
-	Rejected uint64 // connections refused at the conn cap
-	Active   uint64 // connections open now
-	// Request counters.
-	Queries    uint64 // search queries answered (batch members included)
-	Updates    uint64 // admin add/delete frames applied
-	Retrievals uint64 // PIR executions answered
-	Errors     uint64 // error frames written
-	// Query latency (engine processing only, not queue wait).
-	QueryNs    uint64 // total nanoseconds across all queries
-	MaxQueryNs uint64 // slowest single query
-	// Admission control.
-	Inflight         uint64 // requests executing now
-	Queued           uint64 // requests parked in the admission queue now
-	QueuedTotal      uint64 // requests that ever waited in the queue
-	QueueWaitNs      uint64 // total queue wait across queued requests
-	MaxQueueWaitNs   uint64 // longest single queue wait
-	ShedQueueFull    uint64 // requests shed because the queue was full
-	ShedQueueTimeout uint64 // requests shed after waiting out the queue timeout
-	Deadlines        uint64 // requests stopped by the server-side deadline
-	// Durability (zero on in-memory engines; Durable distinguishes
-	// "in-memory" from "durable with zero lag").
-	Durable          uint64 // 1 when a write-ahead log is attached
-	WALSeq           uint64 // last journaled sequence number
-	WALCheckpointSeq uint64 // sequence covered by the newest checkpoint
-	CheckpointAgeNs  uint64 // nanoseconds since that checkpoint was taken
-	// PIR work accounting (partial work of cancelled scans included).
-	PIRModMuls   uint64 // modular multiplications spent serving PIR
-	PIRTableMuls uint64 // subset of PIRModMuls spent on per-query setup
-	// Replication (zero unless the server is a WAL-shipped replica;
-	// ReplPrimarySeq distinguishes "not a replica" from "lag zero").
-	ReplPrimarySeq uint64 // primary's WALSeq at the last successful pull
-	ReplLagOps     uint64 // journal records the replica still trails by
-	// Cluster routing (zero unless the answering process is a router).
-	RouterPartitions uint64 // partitions behind the router
-	RouterRetries    uint64 // per-partition attempts beyond the first
-	RouterFailovers  uint64 // attempts answered by a non-primary endpoint
-	// Privacy traffic and auditing (audit rows zero unless the server
-	// runs with per-session risk auditing enabled).
-	DecoyQueries  uint64 // decoy-marked query frames answered (subset of Queries)
-	RiskAudited   uint64 // query frames the risk audit scored
-	RiskSkipped   uint64 // query frames the audit declined to score
-	RiskSumMicros uint64 // total observed risk over audited frames, micro-units
-	// Recursive retrieval (zero until a client sends TypePIRRecursiveQuery).
-	PIRRecursiveQueries  uint64 // recursive queries answered (subset of Retrievals)
-	PIRRecursivePartials uint64 // level-1-only partition answers (cluster scatter legs)
+// Stat indexes one serving counter. The index is the counter's position
+// on the wire: APPEND-ONLY — new counters go at the end, and decoders
+// tolerate both shorter (older server) and longer (newer server) field
+// lists, defaulting missing trailing fields to zero.
+type Stat int
+
+// The serving counters, in wire order. StatFields describes each one.
+const (
+	StatAccepted Stat = iota
+	StatRejected
+	StatActive
+	StatQueries
+	StatUpdates
+	StatRetrievals
+	StatErrors
+	StatQueryNs
+	StatMaxQueryNs
+	StatInflight
+	StatQueued
+	StatQueuedTotal
+	StatQueueWaitNs
+	StatMaxQueueWaitNs
+	StatShedQueueFull
+	StatShedQueueTimeout
+	StatDeadlines
+	StatDurable
+	StatWALSeq
+	StatWALCheckpointSeq
+	StatCheckpointAgeNs
+	StatPIRModMuls
+	StatPIRTableMuls
+	StatReplPrimarySeq
+	StatReplLagOps
+	StatRouterPartitions
+	StatRouterRetries
+	StatRouterFailovers
+	StatDecoyQueries
+	StatRiskAudited
+	StatRiskSkipped
+	StatRiskSumMicros
+	StatPIRRecursiveQueries
+	StatPIRRecursivePartials
+	NumStatFields
+)
+
+// Stats is the wire form of a server's serving counters, indexed by
+// Stat and encoded positionally as vbytes.
+type Stats [NumStatFields]uint64
+
+// Unit is how a counter is read and exported.
+type Unit uint8
+
+const (
+	UnitCount  Unit = iota // a monotonic total or a level, exported as is
+	UnitGauge              // an instantaneous level; a transiently negative read clamps to 0
+	UnitNanos              // nanoseconds, exported in seconds
+	UnitMicros             // micro-units, exported in units
+)
+
+// Agg is how a cluster router folds its partitions' values of a counter.
+type Agg uint8
+
+const (
+	AggSum    Agg = iota // the cluster's figure is the partitions' sum
+	AggMax               // a watermark: the largest partition's
+	AggAnd               // a flag: 1 only when every partition reports nonzero
+	AggRouter            // the router's own figure; partitions' values are ignored
+)
+
+// StatField describes one counter.
+type StatField struct {
+	// Name is the counter's wire name, used by the docs.
+	Name string
+	// Metric is its name on a server's /metrics page after the
+	// "embellish_" prefix; empty when the page does not carry it.
+	Metric string
+	Unit   Unit
+	Agg    Agg
 }
 
-// fields returns the positional encoding order. Append-only.
-func (s *Stats) fields() []*uint64 {
-	return []*uint64{
-		&s.Accepted, &s.Rejected, &s.Active,
-		&s.Queries, &s.Updates, &s.Retrievals, &s.Errors,
-		&s.QueryNs, &s.MaxQueryNs,
-		&s.Inflight, &s.Queued, &s.QueuedTotal,
-		&s.QueueWaitNs, &s.MaxQueueWaitNs,
-		&s.ShedQueueFull, &s.ShedQueueTimeout, &s.Deadlines,
-		&s.Durable, &s.WALSeq, &s.WALCheckpointSeq, &s.CheckpointAgeNs,
-		&s.PIRModMuls, &s.PIRTableMuls,
-		&s.ReplPrimarySeq, &s.ReplLagOps,
-		&s.RouterPartitions, &s.RouterRetries, &s.RouterFailovers,
-		&s.DecoyQueries, &s.RiskAudited, &s.RiskSkipped, &s.RiskSumMicros,
-		&s.PIRRecursiveQueries, &s.PIRRecursivePartials,
+// StatFields is the one declaration of the serving counters: the codec,
+// the /metrics exposition and the router's aggregation all walk it.
+var StatFields = [NumStatFields]StatField{
+	// Connection lifecycle.
+	StatAccepted: {"Accepted", "connections_accepted_total", UnitCount, AggSum},
+	StatRejected: {"Rejected", "connections_rejected_total", UnitCount, AggSum},
+	StatActive:   {"Active", "connections_active", UnitGauge, AggSum},
+	// Requests.
+	StatQueries:    {"Queries", "queries_total", UnitCount, AggSum},
+	StatUpdates:    {"Updates", "updates_total", UnitCount, AggSum},
+	StatRetrievals: {"Retrievals", "retrievals_total", UnitCount, AggSum},
+	StatErrors:     {"Errors", "errors_total", UnitCount, AggSum},
+	// Query latency (engine processing only, not queue wait).
+	StatQueryNs:    {"QueryNs", "query_seconds_total", UnitNanos, AggSum},
+	StatMaxQueryNs: {"MaxQueryNs", "query_seconds_max", UnitNanos, AggMax},
+	// Admission control.
+	StatInflight:         {"Inflight", "inflight", UnitGauge, AggSum},
+	StatQueued:           {"Queued", "queue_depth", UnitGauge, AggSum},
+	StatQueuedTotal:      {"QueuedTotal", "queued_total", UnitCount, AggSum},
+	StatQueueWaitNs:      {"QueueWaitNs", "queue_wait_seconds_total", UnitNanos, AggSum},
+	StatMaxQueueWaitNs:   {"MaxQueueWaitNs", "queue_wait_seconds_max", UnitNanos, AggMax},
+	StatShedQueueFull:    {"ShedQueueFull", "shed_queue_full_total", UnitCount, AggSum},
+	StatShedQueueTimeout: {"ShedQueueTimeout", "shed_queue_timeout_total", UnitCount, AggSum},
+	StatDeadlines:        {"Deadlines", "deadline_cancellations_total", UnitCount, AggSum},
+	// Durability (zero on in-memory engines; Durable tells "in-memory"
+	// from "durable with zero lag").
+	StatDurable:          {"Durable", "durable", UnitCount, AggAnd},
+	StatWALSeq:           {"WALSeq", "wal_seq", UnitCount, AggMax},
+	StatWALCheckpointSeq: {"WALCheckpointSeq", "wal_checkpoint_seq", UnitCount, AggMax},
+	StatCheckpointAgeNs:  {"CheckpointAgeNs", "checkpoint_age_seconds", UnitNanos, AggMax},
+	// PIR work (partial work of cancelled scans included).
+	StatPIRModMuls:   {"PIRModMuls", "pir_modmuls_total", UnitCount, AggSum},
+	StatPIRTableMuls: {"PIRTableMuls", "pir_table_muls_total", UnitCount, AggSum},
+	// Replication (zero unless the server is a WAL-shipped replica).
+	StatReplPrimarySeq: {"ReplPrimarySeq", "repl_primary_seq", UnitCount, AggMax},
+	StatReplLagOps:     {"ReplLagOps", "repl_lag_ops", UnitCount, AggSum},
+	// Cluster routing (zero unless the answering process is a router,
+	// whose own page exports them).
+	StatRouterPartitions: {"RouterPartitions", "", UnitCount, AggRouter},
+	StatRouterRetries:    {"RouterRetries", "", UnitCount, AggRouter},
+	StatRouterFailovers:  {"RouterFailovers", "", UnitCount, AggRouter},
+	// Privacy traffic and auditing.
+	StatDecoyQueries:  {"DecoyQueries", "decoy_queries_total", UnitCount, AggSum},
+	StatRiskAudited:   {"RiskAudited", "risk_audited_total", UnitCount, AggSum},
+	StatRiskSkipped:   {"RiskSkipped", "risk_skipped_total", UnitCount, AggSum},
+	StatRiskSumMicros: {"RiskSumMicros", "risk_sum", UnitMicros, AggSum},
+	// Recursive retrieval.
+	StatPIRRecursiveQueries:  {"PIRRecursiveQueries", "pir_recursive_queries_total", UnitCount, AggSum},
+	StatPIRRecursivePartials: {"PIRRecursivePartials", "pir_recursive_partials_total", UnitCount, AggSum},
+}
+
+// Exported is v in the unit the /metrics page shows: seconds for
+// nanoseconds, units for micro-units, the count itself otherwise.
+func (f StatField) Exported(v uint64) any {
+	switch f.Unit {
+	case UnitNanos:
+		return float64(v) / 1e9
+	case UnitMicros:
+		return float64(v) / 1e6
+	default:
+		return v
 	}
+}
+
+// Aggregate folds partitions' counters into one cluster view, each field
+// by its Agg rule; the AggRouter fields are taken from own, the router's
+// own counters.
+func Aggregate(own Stats, parts []Stats) Stats {
+	var out Stats
+	for i, f := range StatFields {
+		switch f.Agg {
+		case AggRouter:
+			out[i] = own[i]
+			continue
+		case AggAnd:
+			out[i] = 1
+		}
+		for _, p := range parts {
+			switch f.Agg {
+			case AggSum:
+				out[i] += p[i]
+			case AggMax:
+				out[i] = max(out[i], p[i])
+			case AggAnd:
+				if p[i] == 0 {
+					out[i] = 0
+				}
+			}
+		}
+	}
+	return out
 }
 
 // WriteStatsRequest frames the client's empty stats request.
@@ -118,15 +218,13 @@ func WriteStatsRequest(w io.Writer) error {
 }
 
 // WriteStats frames and writes the server's stats response: a field
-// count followed by that many vbyte-coded values in the positional
-// order of Stats.fields.
+// count followed by that many vbyte-coded values in Stat order.
 func WriteStats(w io.Writer, st Stats) error {
-	fs := st.fields()
-	var body []byte
+	body := make([]byte, 0, 2+len(st)*vbyte.MaxLen)
 	body = append(body, TypeStats)
-	body = vbyte.Append(body, uint64(len(fs)))
-	for _, f := range fs {
-		body = vbyte.Append(body, *f)
+	body = vbyte.Append(body, uint64(len(st)))
+	for _, v := range st {
+		body = vbyte.Append(body, v)
 	}
 	return writeFrame(w, body)
 }
@@ -142,15 +240,14 @@ func DecodeStats(body []byte) (Stats, error) {
 		return st, fmt.Errorf("wire: stats field count: %w", orRange(err))
 	}
 	body = body[used:]
-	fs := st.fields()
 	for i := 0; i < int(n); i++ {
 		v, used, err := vbyte.Decode(body)
 		if err != nil {
 			return Stats{}, fmt.Errorf("wire: stats field %d: %w", i, err)
 		}
 		body = body[used:]
-		if i < len(fs) {
-			*fs[i] = v
+		if i < len(st) {
+			st[i] = v
 		}
 	}
 	if len(body) != 0 {

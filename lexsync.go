@@ -138,16 +138,9 @@ func SyncLexicon(conn io.ReadWriter) (*RemoteWorld, error) {
 	if err := wire.WriteLexiconSync(conn, 0); err != nil {
 		return nil, fmt.Errorf("embellish: sending lexicon sync: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeLexicon, "lexicon")
 	if err != nil {
-		return nil, fmt.Errorf("embellish: reading lexicon: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return nil, remoteError(body)
-	case wire.TypeLexicon:
-	default:
-		return nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return nil, err
 	}
 	l, err := wire.DecodeLexicon(body)
 	if err != nil {
@@ -177,16 +170,9 @@ func CheckLexicon(conn io.ReadWriter, version uint64) error {
 	if err := wire.WriteLexiconSync(conn, version); err != nil {
 		return fmt.Errorf("embellish: sending lexicon probe: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeLexicon, "lexicon probe response")
 	if err != nil {
-		return fmt.Errorf("embellish: reading lexicon probe response: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return remoteError(body)
-	case wire.TypeLexicon:
-	default:
-		return fmt.Errorf("embellish: unexpected message type %d", typ)
+		return err
 	}
 	l, err := wire.DecodeLexicon(body)
 	if err != nil {

@@ -8,78 +8,41 @@ import (
 	"embellish/internal/wire"
 )
 
-// The metrics surface: the same ServeStats snapshot is exported three
-// ways — over the wire protocol (TypeStats, served without admission
-// so it stays readable under saturation), as a Prometheus-style text
-// page for the embellish-server -metrics HTTP listener, and to remote
-// clients via ServerStats. All three read the identical counters, so
+// The metrics surface: one counter snapshot in the wire.Stats form is
+// exported three ways — over the wire protocol (TypeStats, served
+// without admission so it stays readable under saturation), as a
+// Prometheus-style text page for the embellish-server -metrics HTTP
+// listener, and to remote clients via ServerStats. All three read the
+// identical counters, walked through the one table wire.StatFields, so
 // an operator's dashboard and a client's retry policy never disagree
 // about what the server is doing.
 
-// gauge clamps a signed instantaneous counter for the unsigned wire
-// schema. The live gauges (Active, Inflight, Queued) can read
-// transiently negative — a disconnect accounted on one core before the
-// connect lands on another — and a straight uint64 cast would render
-// that as ~1.8e19 on a dashboard. Monotonic totals never go negative,
-// so only the gauges pass through here.
-func gauge(v int64) uint64 {
-	if v < 0 {
-		return 0
-	}
-	return uint64(v)
-}
-
-// statsPayload flattens one counter snapshot into the positional wire
-// schema.
+// statsPayload snapshots the server's counters, with the durability and
+// replication rows read from the engine and the replication probe.
 func (s *NetServer) statsPayload() wire.Stats {
-	st := s.Stats()
-	p := wire.Stats{
-		Accepted:             uint64(st.Accepted),
-		Rejected:             uint64(st.Rejected),
-		Active:               gauge(st.Active),
-		Queries:              uint64(st.Queries),
-		Updates:              uint64(st.Updates),
-		Retrievals:           uint64(st.Retrievals),
-		Errors:               uint64(st.Errors),
-		QueryNs:              uint64(st.QueryTime),
-		MaxQueryNs:           uint64(st.MaxQueryTime),
-		Inflight:             gauge(st.Inflight),
-		Queued:               gauge(st.Queued),
-		QueuedTotal:          uint64(st.QueuedTotal),
-		QueueWaitNs:          uint64(st.QueueWait),
-		MaxQueueWaitNs:       uint64(st.MaxQueueWait),
-		ShedQueueFull:        uint64(st.ShedQueueFull),
-		ShedQueueTimeout:     uint64(st.ShedQueueTimeout),
-		Deadlines:            uint64(st.Deadlines),
-		WALSeq:               st.WALSeq,
-		WALCheckpointSeq:     st.WALCheckpointSeq,
-		CheckpointAgeNs:      uint64(st.CheckpointAge),
-		PIRModMuls:           uint64(st.PIRModMuls),
-		PIRTableMuls:         uint64(st.PIRTableMuls),
-		PIRRecursiveQueries:  uint64(st.PIRRecursiveQueries),
-		PIRRecursivePartials: uint64(st.PIRRecursivePartials),
-		ReplPrimarySeq:       st.ReplPrimarySeq,
-		ReplLagOps:           st.ReplLag,
-		DecoyQueries:         uint64(st.DecoyQueries),
-		RiskAudited:          uint64(st.RiskAudited),
-		RiskSkipped:          uint64(st.RiskSkipped),
-		RiskSumMicros:        uint64(st.RiskSumMicros),
+	st := s.loop.Snapshot()
+	if ws, ok := s.engine.WALStatus(); ok {
+		st[wire.StatDurable] = 1
+		st[wire.StatWALSeq] = ws.Seq
+		st[wire.StatWALCheckpointSeq] = ws.CheckpointSeq
+		if !ws.LastCheckpointAt.IsZero() {
+			st[wire.StatCheckpointAgeNs] = uint64(time.Since(ws.LastCheckpointAt))
+		}
 	}
-	if st.Durable {
-		p.Durable = 1
+	if probe := s.replicaStatus.Load(); probe != nil {
+		if primarySeq, ok := (*probe)(); ok {
+			st[wire.StatReplPrimarySeq] = primarySeq
+			if walSeq := st[wire.StatWALSeq]; primarySeq > walSeq {
+				st[wire.StatReplLagOps] = primarySeq - walSeq
+			}
+		}
 	}
-	return p
+	return st
 }
 
-// answerStats serves one TypeStats request. The request carries no
-// body — a non-empty one is a malformed frame, refused like every
-// other malformed request (the connection stays up).
-func (s *NetServer) answerStats(rw io.ReadWriter, body []byte) error {
-	if len(body) != 0 {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "stats request carries no body")
-	}
-	return wire.WriteStats(rw, s.statsPayload())
+// answerStats serves one TypeStats request.
+func (s *NetServer) answerStats(req *netRequest) error {
+	return wire.WriteStats(req.W, s.statsPayload())
 }
 
 // MetricsText renders the counter snapshot as a Prometheus-style text
@@ -87,48 +50,58 @@ func (s *NetServer) answerStats(rw io.ReadWriter, body []byte) error {
 // -metrics HTTP listener in cmd/embellish-server. Durations are
 // exported in seconds, matching Prometheus convention.
 func (s *NetServer) MetricsText() []byte {
-	st := s.Stats()
+	return metricsText(s.statsPayload())
+}
+
+func metricsText(st wire.Stats) []byte {
 	var b []byte
-	line := func(name string, v interface{}) {
-		b = fmt.Appendf(b, "embellish_%s %v\n", name, v)
+	for i, f := range wire.StatFields {
+		if f.Metric != "" {
+			b = fmt.Appendf(b, "embellish_%s %v\n", f.Metric, f.Exported(st[i]))
+		}
 	}
-	secs := func(d int64) float64 { return float64(d) / 1e9 }
-	line("connections_accepted_total", st.Accepted)
-	line("connections_rejected_total", st.Rejected)
-	line("connections_active", gauge(st.Active))
-	line("queries_total", st.Queries)
-	line("updates_total", st.Updates)
-	line("retrievals_total", st.Retrievals)
-	line("errors_total", st.Errors)
-	line("query_seconds_total", secs(int64(st.QueryTime)))
-	line("query_seconds_max", secs(int64(st.MaxQueryTime)))
-	line("inflight", gauge(st.Inflight))
-	line("queue_depth", gauge(st.Queued))
-	line("queued_total", st.QueuedTotal)
-	line("queue_wait_seconds_total", secs(int64(st.QueueWait)))
-	line("queue_wait_seconds_max", secs(int64(st.MaxQueueWait)))
-	line("shed_queue_full_total", st.ShedQueueFull)
-	line("shed_queue_timeout_total", st.ShedQueueTimeout)
-	line("deadline_cancellations_total", st.Deadlines)
-	durable := 0
-	if st.Durable {
-		durable = 1
-	}
-	line("durable", durable)
-	line("wal_seq", st.WALSeq)
-	line("wal_checkpoint_seq", st.WALCheckpointSeq)
-	line("checkpoint_age_seconds", secs(int64(st.CheckpointAge)))
-	line("pir_modmuls_total", st.PIRModMuls)
-	line("pir_table_muls_total", st.PIRTableMuls)
-	line("pir_recursive_queries_total", st.PIRRecursiveQueries)
-	line("pir_recursive_partials_total", st.PIRRecursivePartials)
-	line("repl_primary_seq", st.ReplPrimarySeq)
-	line("repl_lag_ops", st.ReplLag)
-	line("decoy_queries_total", st.DecoyQueries)
-	line("risk_audited_total", st.RiskAudited)
-	line("risk_skipped_total", st.RiskSkipped)
-	line("risk_sum", float64(st.RiskSumMicros)/1e6)
 	return b
+}
+
+// serveStats is the public view of a wire snapshot — the one place the
+// counters are copied field by field.
+func serveStats(p wire.Stats) ServeStats {
+	return ServeStats{
+		Accepted:             int64(p[wire.StatAccepted]),
+		Rejected:             int64(p[wire.StatRejected]),
+		Active:               int64(p[wire.StatActive]),
+		Queries:              int64(p[wire.StatQueries]),
+		Updates:              int64(p[wire.StatUpdates]),
+		Retrievals:           int64(p[wire.StatRetrievals]),
+		Errors:               int64(p[wire.StatErrors]),
+		QueryTime:            time.Duration(p[wire.StatQueryNs]),
+		MaxQueryTime:         time.Duration(p[wire.StatMaxQueryNs]),
+		Inflight:             int64(p[wire.StatInflight]),
+		Queued:               int64(p[wire.StatQueued]),
+		QueuedTotal:          int64(p[wire.StatQueuedTotal]),
+		QueueWait:            time.Duration(p[wire.StatQueueWaitNs]),
+		MaxQueueWait:         time.Duration(p[wire.StatMaxQueueWaitNs]),
+		ShedQueueFull:        int64(p[wire.StatShedQueueFull]),
+		ShedQueueTimeout:     int64(p[wire.StatShedQueueTimeout]),
+		Deadlines:            int64(p[wire.StatDeadlines]),
+		Durable:              p[wire.StatDurable] != 0,
+		WALSeq:               p[wire.StatWALSeq],
+		WALCheckpointSeq:     p[wire.StatWALCheckpointSeq],
+		CheckpointAge:        time.Duration(p[wire.StatCheckpointAgeNs]),
+		PIRModMuls:           int64(p[wire.StatPIRModMuls]),
+		PIRTableMuls:         int64(p[wire.StatPIRTableMuls]),
+		PIRRecursiveQueries:  int64(p[wire.StatPIRRecursiveQueries]),
+		PIRRecursivePartials: int64(p[wire.StatPIRRecursivePartials]),
+		ReplPrimarySeq:       p[wire.StatReplPrimarySeq],
+		ReplLag:              p[wire.StatReplLagOps],
+		RouterPartitions:     p[wire.StatRouterPartitions],
+		RouterRetries:        p[wire.StatRouterRetries],
+		RouterFailovers:      p[wire.StatRouterFailovers],
+		DecoyQueries:         int64(p[wire.StatDecoyQueries]),
+		RiskAudited:          int64(p[wire.StatRiskAudited]),
+		RiskSkipped:          int64(p[wire.StatRiskSkipped]),
+		RiskSumMicros:        int64(p[wire.StatRiskSumMicros]),
+	}
 }
 
 // ServerStats fetches a remote server's counter snapshot over an open
@@ -140,55 +113,13 @@ func ServerStats(conn io.ReadWriter) (ServeStats, error) {
 	if err := wire.WriteStatsRequest(conn); err != nil {
 		return ServeStats{}, fmt.Errorf("embellish: sending stats request: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeStats, "stats")
 	if err != nil {
-		return ServeStats{}, fmt.Errorf("embellish: reading stats: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return ServeStats{}, remoteError(body)
-	case wire.TypeStats:
-	default:
-		return ServeStats{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return ServeStats{}, err
 	}
 	p, err := wire.DecodeStats(body)
 	if err != nil {
 		return ServeStats{}, err
 	}
-	return ServeStats{
-		Accepted:             int64(p.Accepted),
-		Rejected:             int64(p.Rejected),
-		Active:               int64(p.Active),
-		Queries:              int64(p.Queries),
-		Updates:              int64(p.Updates),
-		Retrievals:           int64(p.Retrievals),
-		Errors:               int64(p.Errors),
-		QueryTime:            time.Duration(p.QueryNs),
-		MaxQueryTime:         time.Duration(p.MaxQueryNs),
-		Inflight:             int64(p.Inflight),
-		Queued:               int64(p.Queued),
-		QueuedTotal:          int64(p.QueuedTotal),
-		QueueWait:            time.Duration(p.QueueWaitNs),
-		MaxQueueWait:         time.Duration(p.MaxQueueWaitNs),
-		ShedQueueFull:        int64(p.ShedQueueFull),
-		ShedQueueTimeout:     int64(p.ShedQueueTimeout),
-		Deadlines:            int64(p.Deadlines),
-		Durable:              p.Durable != 0,
-		WALSeq:               p.WALSeq,
-		WALCheckpointSeq:     p.WALCheckpointSeq,
-		CheckpointAge:        time.Duration(p.CheckpointAgeNs),
-		PIRModMuls:           int64(p.PIRModMuls),
-		PIRTableMuls:         int64(p.PIRTableMuls),
-		PIRRecursiveQueries:  int64(p.PIRRecursiveQueries),
-		PIRRecursivePartials: int64(p.PIRRecursivePartials),
-		ReplPrimarySeq:       p.ReplPrimarySeq,
-		ReplLag:              p.ReplLagOps,
-		RouterPartitions:     p.RouterPartitions,
-		RouterRetries:        p.RouterRetries,
-		RouterFailovers:      p.RouterFailovers,
-		DecoyQueries:         int64(p.DecoyQueries),
-		RiskAudited:          int64(p.RiskAudited),
-		RiskSkipped:          int64(p.RiskSkipped),
-		RiskSumMicros:        int64(p.RiskSumMicros),
-	}, nil
+	return serveStats(p), nil
 }

@@ -6,32 +6,40 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"embellish/internal/core"
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
+	"embellish/internal/serve"
 	"embellish/internal/wire"
 )
 
 // Network deployment: the paper's protocol is client-server — the
 // client embellishes and decrypts, the engine only ever sees the
 // embellished query. NetServer turns an Engine into a long-running
-// concurrent service speaking the internal/wire framing: one goroutine
-// per connection, a connection limit, graceful shutdown, and per-query
-// timing. SearchRemote runs the client side of one query against any
-// such service; SearchRemoteBatch amortizes framing over several
-// queries. Both endpoints typically load the same engine file
-// (Save/LoadEngine), which is how they come to agree on the bucket
-// organization.
+// concurrent service speaking the internal/wire framing: its frame
+// types are rows of one handler table, run by internal/serve's request
+// loop (connection cap, idle deadline, admission, request deadline,
+// refusals, counters, graceful shutdown). SearchRemote runs the client
+// side of one query against any such service; SearchRemoteBatch
+// amortizes framing over several queries. Both endpoints typically load
+// the same engine file (Save/LoadEngine), which is how they come to
+// agree on the bucket organization.
 
 // DefaultMaxConns is the simultaneous-connection limit applied when
 // ServeConfig.MaxConns is zero.
 const DefaultMaxConns = 1024
+
+// DefaultQueueDepth is the admission-queue depth applied when
+// ServeConfig.QueueDepth is zero and admission control is enabled.
+const DefaultQueueDepth = serve.DefaultQueueDepth
+
+// DefaultQueueTimeout is the per-request queue wait bound applied when
+// ServeConfig.QueueTimeout is zero and admission control is enabled.
+const DefaultQueueTimeout = serve.DefaultQueueTimeout
 
 // ServeConfig tunes a NetServer.
 type ServeConfig struct {
@@ -213,66 +221,24 @@ type ServeStats struct {
 // over any number of listeners and connections concurrently. The
 // zero value is not usable; construct with Engine.NewNetServer.
 type NetServer struct {
-	engine           *Engine
-	maxConns         int
-	idle             time.Duration
-	allowUpdates     bool
-	allowRetrieval   bool
-	allowReplication bool
-	allowLexiconSync bool
-	riskAudit        bool
+	engine *Engine
+	// loop runs the handler table and holds the counters.
+	loop      *serve.Server[sessionAudit]
+	riskAudit bool
 	// pirOverride is ServeConfig.PIRWorkers (clamped); 0 defers to the
 	// engine's Options.PIRWorkers at answer time. recursiveOverride is
 	// ServeConfig.PIRRecursive under the same contract.
 	pirOverride       int
 	recursiveOverride int
-	// adm is the bounded admission queue; nil when MaxInflight is 0
-	// (admission control disabled).
-	adm        *admission
-	reqTimeout time.Duration
-	// testHookAdmitted, when set, runs after a request clears admission
-	// and before it executes — the test seam that makes slot occupancy
-	// deterministic. Never set in production.
-	testHookAdmitted func(typ byte)
-
-	mu        sync.Mutex
-	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
-	shutdown  bool
 	// replicaStatus, when set (SetReplicaStatus), reports the primary's
 	// newest known sequence number for the staleness rows of the stats
-	// surface. Guarded by mu.
-	replicaStatus func() (uint64, bool)
-
-	accepted   atomic.Int64
-	rejected   atomic.Int64
-	active     atomic.Int64
-	queries    atomic.Int64
-	updates    atomic.Int64
-	retrievals atomic.Int64
-	errs       atomic.Int64
-	busyNs     atomic.Int64 // total processing time
-	maxNs      atomic.Int64 // slowest single query
-	inflight   atomic.Int64 // queries currently being processed
-
-	queuedTotal    atomic.Int64
-	queueWaitNs    atomic.Int64
-	maxQueueWaitNs atomic.Int64
-	shedFull       atomic.Int64
-	shedTimeout    atomic.Int64
-	deadlines      atomic.Int64
-
-	pirModMuls   atomic.Int64
-	pirTableMuls atomic.Int64
-
-	pirRecQueries  atomic.Int64
-	pirRecPartials atomic.Int64
-
-	decoyQueries  atomic.Int64
-	riskAudited   atomic.Int64
-	riskSkipped   atomic.Int64
-	riskSumMicros atomic.Int64
+	// surface.
+	replicaStatus atomic.Pointer[func() (uint64, bool)]
 }
+
+// netRequest is one frame in hand on a NetServer connection; the
+// connection's state is its session audit.
+type netRequest = serve.Request[sessionAudit]
 
 // NewNetServer builds a concurrent protocol server around the engine.
 func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
@@ -283,56 +249,67 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	if maxConns == 0 {
 		maxConns = DefaultMaxConns
 	}
-	// Clamp the override to the validated Options.PIRWorkers range:
-	// the engine value passed validation, but the ServeConfig override
-	// arrives unchecked and an unbounded count would size a per-scan
-	// goroutine pool.
-	pirOverride := cfg.PIRWorkers
-	if pirOverride < -1 {
-		pirOverride = -1
+	s := &NetServer{
+		engine:    e,
+		riskAudit: cfg.RiskAudit,
+		// Clamp the overrides to the validated Options ranges: the engine
+		// values passed validation, but ServeConfig arrives unchecked and
+		// an unbounded count would size a per-scan goroutine pool.
+		pirOverride:       min(max(cfg.PIRWorkers, -1), maxPIRWorkers),
+		recursiveOverride: min(max(cfg.PIRRecursive, -1), 1),
 	}
-	if pirOverride > maxPIRWorkers {
-		pirOverride = maxPIRWorkers
+	updates := serve.Gate{Off: !cfg.AllowUpdates, Refusal: "live updates are disabled on this server"}
+	// An engine's store is fixed when it is built, so a server with
+	// retrieval on and no store refuses those frames at the gate too.
+	retrieval := serve.Gate{Off: !cfg.AllowRetrieval, Refusal: "private document retrieval is disabled on this server"}
+	if !retrieval.Off && e.store == nil {
+		retrieval = serve.Gate{Off: true, Refusal: "this server stores no documents"}
 	}
-	recursiveOverride := cfg.PIRRecursive
-	if recursiveOverride < -1 {
-		recursiveOverride = -1
+	// Every frame that spends engine work is admitted. TypeDecoyQuery is
+	// admitted exactly like TypeQuery: decoys are real server work, and
+	// exempting them from admission would make them an overload side
+	// channel. Admin updates are admitted, so the drain never cuts one
+	// between applying and acknowledging it, but deadline-exempt. The
+	// unadmitted rows read cached or accumulated state that must stay
+	// answerable while the server is saturated: stats (that is when an
+	// operator needs them), WAL pulls (replicas are the failover
+	// targets), the lexicon and the session audit.
+	table := []serve.Handler[sessionAudit]{
+		wire.TypeQuery:             {Admitted: true, Deadline: true, Exec: s.answerQuery},
+		wire.TypeDecoyQuery:        {Admitted: true, Deadline: true, Exec: s.answerQuery},
+		wire.TypeBatchQuery:        {Admitted: true, Deadline: true, Exec: s.answerBatch},
+		wire.TypeAddDocs:           {Gate: updates, Admitted: true, Exec: s.answerAdmin},
+		wire.TypeDeleteDocs:        {Gate: updates, Admitted: true, Exec: s.answerAdmin},
+		wire.TypePIRParams:         {Name: "params", Gate: retrieval, EmptyBody: true, Admitted: true, Exec: s.answerPIRParams},
+		wire.TypePIRQuery:          {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRQuery},
+		wire.TypePIRBatchQuery:     {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRBatch},
+		wire.TypePIRRecursiveQuery: {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRRecursive},
+		wire.TypeStats:             {Name: "stats", EmptyBody: true, Exec: s.answerStats},
+		wire.TypeWALPull: {
+			Gate: serve.Gate{Off: !cfg.AllowReplication, Refusal: "replication is disabled on this server"},
+			Exec: s.answerWALPull,
+		},
+		wire.TypeLexiconSync: {
+			Gate: serve.Gate{Off: !cfg.AllowLexiconSync, Refusal: "lexicon sync is disabled on this server"},
+			Exec: s.answerLexiconSync,
+		},
+		wire.TypeRiskAudit: {
+			Name:      "risk audit",
+			Gate:      serve.Gate{Off: !cfg.RiskAudit, Refusal: "risk auditing is disabled on this server"},
+			EmptyBody: true,
+			Exec:      s.answerRiskAudit,
+		},
 	}
-	if recursiveOverride > 1 {
-		recursiveOverride = 1
-	}
-	var adm *admission
-	if cfg.MaxInflight != 0 {
-		slots := cfg.MaxInflight
-		if slots < 0 {
-			slots = runtime.GOMAXPROCS(0)
-		}
-		depth := cfg.QueueDepth
-		if depth <= 0 {
-			depth = DefaultQueueDepth
-		}
-		timeout := cfg.QueueTimeout
-		if timeout == 0 {
-			timeout = DefaultQueueTimeout
-		}
-		adm = newAdmission(slots, depth, timeout)
-	}
-	return &NetServer{
-		engine:            e,
-		maxConns:          maxConns,
-		idle:              cfg.IdleTimeout,
-		allowUpdates:      cfg.AllowUpdates,
-		allowRetrieval:    cfg.AllowRetrieval,
-		allowReplication:  cfg.AllowReplication,
-		allowLexiconSync:  cfg.AllowLexiconSync,
-		riskAudit:         cfg.RiskAudit,
-		pirOverride:       pirOverride,
-		recursiveOverride: recursiveOverride,
-		adm:               adm,
-		reqTimeout:        cfg.RequestTimeout,
-		listeners:         make(map[net.Listener]struct{}),
-		conns:             make(map[net.Conn]struct{}),
-	}
+	s.loop = serve.New(serve.Config{
+		Name:           "embellish: server",
+		MaxConns:       maxConns,
+		IdleTimeout:    cfg.IdleTimeout,
+		RequestTimeout: cfg.RequestTimeout,
+		MaxInflight:    cfg.MaxInflight,
+		QueueDepth:     cfg.QueueDepth,
+		QueueTimeout:   cfg.QueueTimeout,
+	}, table)
+	return s
 }
 
 // pirWorkers resolves the worker count for one PIR scan: the
@@ -360,61 +337,13 @@ func (s *NetServer) pirRecursive() bool {
 // counters — called on error paths too, so cancelled scans' partial
 // work stays visible to work_fraction consumers.
 func (s *NetServer) countPIRWork(st pir.Stats) {
-	s.pirModMuls.Add(int64(st.ModMuls))
-	s.pirTableMuls.Add(int64(st.TableMuls))
+	s.loop.Counters[wire.StatPIRModMuls].Add(int64(st.ModMuls))
+	s.loop.Counters[wire.StatPIRTableMuls].Add(int64(st.TableMuls))
 }
 
 // Stats returns a snapshot of the server's counters.
 func (s *NetServer) Stats() ServeStats {
-	st := ServeStats{
-		Accepted:             s.accepted.Load(),
-		Rejected:             s.rejected.Load(),
-		Active:               s.active.Load(),
-		Queries:              s.queries.Load(),
-		Updates:              s.updates.Load(),
-		Retrievals:           s.retrievals.Load(),
-		Errors:               s.errs.Load(),
-		QueryTime:            time.Duration(s.busyNs.Load()),
-		MaxQueryTime:         time.Duration(s.maxNs.Load()),
-		Inflight:             s.inflight.Load(),
-		QueuedTotal:          s.queuedTotal.Load(),
-		QueueWait:            time.Duration(s.queueWaitNs.Load()),
-		MaxQueueWait:         time.Duration(s.maxQueueWaitNs.Load()),
-		ShedQueueFull:        s.shedFull.Load(),
-		ShedQueueTimeout:     s.shedTimeout.Load(),
-		Deadlines:            s.deadlines.Load(),
-		PIRModMuls:           s.pirModMuls.Load(),
-		PIRTableMuls:         s.pirTableMuls.Load(),
-		PIRRecursiveQueries:  s.pirRecQueries.Load(),
-		PIRRecursivePartials: s.pirRecPartials.Load(),
-		DecoyQueries:         s.decoyQueries.Load(),
-		RiskAudited:          s.riskAudited.Load(),
-		RiskSkipped:          s.riskSkipped.Load(),
-		RiskSumMicros:        s.riskSumMicros.Load(),
-	}
-	if s.adm != nil {
-		st.Queued = int64(s.adm.queued())
-	}
-	if ws, ok := s.engine.WALStatus(); ok {
-		st.Durable = true
-		st.WALSeq = ws.Seq
-		st.WALCheckpointSeq = ws.CheckpointSeq
-		if !ws.LastCheckpointAt.IsZero() {
-			st.CheckpointAge = time.Since(ws.LastCheckpointAt)
-		}
-	}
-	s.mu.Lock()
-	replicaStatus := s.replicaStatus
-	s.mu.Unlock()
-	if replicaStatus != nil {
-		if primarySeq, ok := replicaStatus(); ok {
-			st.ReplPrimarySeq = primarySeq
-			if primarySeq > st.WALSeq {
-				st.ReplLag = primarySeq - st.WALSeq
-			}
-		}
-	}
-	return st
+	return serveStats(s.statsPayload())
 }
 
 // Serve accepts connections until the listener is closed (directly or
@@ -422,104 +351,15 @@ func (s *NetServer) Stats() ServeStats {
 // returns the listener's accept error — net.ErrClosed after a clean
 // shutdown becomes nil.
 func (s *NetServer) Serve(l net.Listener) error {
-	s.mu.Lock()
-	if s.shutdown {
-		s.mu.Unlock()
-		l.Close()
-		return errors.New("embellish: server is shut down")
-	}
-	s.listeners[l] = struct{}{}
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.listeners, l)
-		s.mu.Unlock()
-	}()
-
-	for {
-		conn, err := l.Accept()
-		if err != nil {
-			if errors.Is(err, net.ErrClosed) {
-				return nil
-			}
-			return err
-		}
-		if !s.register(conn) {
-			// Over the cap (or shutting down): tell the peer why before
-			// hanging up, so clients fail with a useful error.
-			s.rejected.Add(1)
-			_ = wire.WriteError(conn, wire.OverloadRefusal+": connection limit reached; retry later")
-			conn.Close()
-			continue
-		}
-		s.accepted.Add(1)
-		go func() {
-			defer s.unregister(conn)
-			_ = s.serveConn(conn, conn)
-		}()
-	}
-}
-
-func (s *NetServer) register(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.shutdown {
-		return false
-	}
-	if s.maxConns > 0 && len(s.conns) >= s.maxConns {
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	s.active.Add(1)
-	return true
-}
-
-func (s *NetServer) unregister(conn net.Conn) {
-	conn.Close()
-	s.mu.Lock()
-	if _, ok := s.conns[conn]; ok {
-		delete(s.conns, conn)
-		s.active.Add(-1)
-	}
-	s.mu.Unlock()
+	return s.loop.Serve(l)
 }
 
 // Shutdown gracefully stops the server: close the listeners, wait for
-// in-flight queries to finish (up to the context deadline), then close
-// all connections. It returns the context's error when the deadline
-// fired before the server drained.
+// in-flight and queued requests to finish (up to the context deadline),
+// then close all connections. It returns the context's error when the
+// deadline fired before the server drained.
 func (s *NetServer) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.shutdown = true
-	for l := range s.listeners {
-		l.Close()
-	}
-	s.mu.Unlock()
-
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	var err error
-drain:
-	for s.inflight.Load() > 0 {
-		select {
-		case <-ctx.Done():
-			err = ctx.Err()
-			break drain
-		case <-tick.C:
-		}
-	}
-
-	// Shed whatever is still parked in the admission queue (normally
-	// empty after the drain — queued requests hold inflight) before
-	// cutting the transports under them.
-	if s.adm != nil {
-		s.adm.abort()
-	}
-	s.mu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
+	err := s.loop.Shutdown(ctx)
 	// A graceful shutdown leaves a durable engine checkpoint-clean, so
 	// the next boot loads the snapshot and replays nothing. Runs after
 	// the drain: every acknowledged update is in the captured state.
@@ -529,233 +369,90 @@ drain:
 	return err
 }
 
-// serveConn answers queries on one transport until EOF or a transport
-// error. Malformed queries are answered with a protocol error message
-// and the connection stays up; transport failures end the session.
-// deadliner is the connection for deadline control, nil for plain
-// io.ReadWriter transports.
-func (s *NetServer) serveConn(rw io.ReadWriter, deadliner net.Conn) error {
-	// The session's privacy audit, when enabled. Owned by this
-	// goroutine — the protocol is strictly request-response per
-	// connection, so observe() and answerRiskAudit never race.
-	var sess *sessionAudit
-	if s.riskAudit {
-		sess = s.newSessionAudit()
-	}
-	for {
-		if s.idle > 0 && deadliner != nil {
-			_ = deadliner.SetReadDeadline(time.Now().Add(s.idle))
-		}
-		typ, body, err := wire.ReadMessage(rw)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return nil
-			}
-			return err
-		}
-		// The idle window measures PEER silence only. A request is now in
-		// hand, so clear the read deadline before it queues or executes —
-		// a request parked in the admission queue longer than IdleTimeout
-		// must not leave a deadline meant for dead peers armed against its
-		// connection. The loop re-arms a fresh deadline before its own
-		// next read, but the stale expiry would be live for any read
-		// issued between dispatch and that re-arm — the batch handlers
-		// are one frame-read refactor away from exactly that.
-		if s.idle > 0 && deadliner != nil {
-			_ = deadliner.SetReadDeadline(time.Time{})
-		}
-		switch typ {
-		case wire.TypeQuery, wire.TypeBatchQuery, wire.TypeDecoyQuery,
-			wire.TypeAddDocs, wire.TypeDeleteDocs,
-			wire.TypePIRParams, wire.TypePIRQuery, wire.TypePIRBatchQuery,
-			wire.TypePIRRecursiveQuery:
-			// TypeDecoyQuery is admitted exactly like TypeQuery: decoys
-			// are real server work, and exempting them from admission
-			// would make them an overload side channel.
-			err = s.admitAndDispatch(rw, typ, body, sess)
-		case wire.TypeLexiconSync:
-			// Served without admission, like the other metadata surfaces:
-			// the payload is cached bytes, and a client that cannot sync
-			// cannot form queries at all.
-			err = s.answerLexiconSync(rw, body)
-		case wire.TypeRiskAudit:
-			// Also without admission: the audit is a read of accumulated
-			// counters, and it must stay readable while the server is
-			// saturated — like the stats surface.
-			err = s.answerRiskAudit(rw, body, sess)
-		case wire.TypeStats:
-			// Served without admission: the stats surface must stay
-			// readable while the server is saturated — that is when an
-			// operator most needs it.
-			err = s.answerStats(rw, body)
-		case wire.TypeWALPull:
-			// Also served without admission: replicas are the failover
-			// targets, and saturation is exactly when they must not be
-			// starved into staleness. See replication.go.
-			err = s.answerWALPull(rw, body)
-		default:
-			s.errs.Add(1)
-			err = wire.WriteError(rw, fmt.Sprintf("%s %d", wire.UnknownTypeRefusal, typ))
-		}
-		if err != nil {
-			return err
-		}
-	}
-}
-
-// admitAndDispatch runs one request through the admission queue (when
-// enabled) and then the per-type handler. inflight is raised BEFORE
-// acquiring a slot so a graceful Shutdown's drain covers queued
-// requests too — a request parked in the queue is work the server has
-// accepted responsibility for.
-func (s *NetServer) admitAndDispatch(rw io.ReadWriter, typ byte, body []byte, sess *sessionAudit) error {
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
-	if s.adm != nil {
-		wait, err := s.adm.acquire()
-		if wait > 0 {
-			s.queuedTotal.Add(1)
-			ns := int64(wait)
-			s.queueWaitNs.Add(ns)
-			for {
-				cur := s.maxQueueWaitNs.Load()
-				if ns <= cur || s.maxQueueWaitNs.CompareAndSwap(cur, ns) {
-					break
-				}
-			}
-		}
-		if err != nil {
-			s.errs.Add(1)
-			switch {
-			case errors.Is(err, errQueueFull):
-				s.shedFull.Add(1)
-				return wire.WriteError(rw, wire.OverloadRefusal+": admission queue full; retry later")
-			case errors.Is(err, errQueueTimeout):
-				s.shedTimeout.Add(1)
-				return wire.WriteError(rw, wire.OverloadRefusal+": queue wait exceeded; retry later")
-			default: // errQueueClosed
-				return wire.WriteError(rw, wire.OverloadRefusal+": server is shutting down")
-			}
-		}
-		defer s.adm.release()
-	}
-	if s.testHookAdmitted != nil {
-		s.testHookAdmitted(typ)
-	}
-	switch typ {
-	case wire.TypeQuery, wire.TypeDecoyQuery:
-		// inflight spans decode through response write (for batches,
-		// the whole batch), so a graceful Shutdown never cuts a
-		// connection between computing an answer and delivering it.
-		return s.answerQuery(rw, body, sess, typ == wire.TypeDecoyQuery)
-	case wire.TypeBatchQuery:
-		return s.answerBatch(rw, body, sess)
-	case wire.TypeAddDocs, wire.TypeDeleteDocs:
-		// inflight also spans admin operations so a graceful Shutdown
-		// never cuts a connection between applying an update and
-		// acknowledging it.
-		return s.answerAdmin(rw, typ, body)
-	default: // wire.TypePIRParams, wire.TypePIRQuery, wire.TypePIRBatchQuery, wire.TypePIRRecursiveQuery
-		return s.answerRetrieval(rw, typ, body)
-	}
-}
-
-// requestCtx starts the server-side deadline for one admitted request.
-// The clock starts here — after admission — so queue wait never eats
-// into a request's execution budget (QueueTimeout bounds that wait
-// separately).
-func (s *NetServer) requestCtx() (context.Context, context.CancelFunc) {
-	if s.reqTimeout > 0 {
-		return context.WithTimeout(context.Background(), s.reqTimeout)
-	}
-	return context.Background(), func() {}
-}
-
 // process runs one embellished query through the engine's configured
-// pipeline, timing it into the server counters. The caller (serveConn)
-// holds the inflight count for the whole message exchange.
+// pipeline, timing it into the server counters.
 func (s *NetServer) process(ctx context.Context, q *core.Query) (*core.Response, core.Stats, error) {
 	start := time.Now()
 	resp, st, err := s.engine.processCoreCtx(ctx, q)
-	elapsed := time.Since(start)
-	s.queries.Add(1)
-	s.busyNs.Add(int64(elapsed))
-	for {
-		cur := s.maxNs.Load()
-		if int64(elapsed) <= cur || s.maxNs.CompareAndSwap(cur, int64(elapsed)) {
-			break
-		}
-	}
+	elapsed := int64(time.Since(start))
+	s.loop.Counters[wire.StatQueries].Add(1)
+	s.loop.Counters[wire.StatQueryNs].Add(elapsed)
+	s.loop.Counters.Max(wire.StatMaxQueryNs, elapsed)
 	return resp, st, err
 }
 
-// deadlineError answers one deadline-cancelled request with the typed
-// DeadlineRefusal wire error (the connection stays up) and counts it.
-func (s *NetServer) deadlineError(rw io.ReadWriter, detail string) error {
-	s.deadlines.Add(1)
-	s.errs.Add(1)
-	return wire.WriteError(rw, wire.DeadlineRefusal+": "+detail)
-}
-
-// isCtxErr reports whether err is the context's own cancellation —
-// the signal that the scan was cut short by the server deadline, as
-// opposed to failing on its own.
-func isCtxErr(ctx context.Context, err error) bool {
-	if err == nil {
-		return false
-	}
-	// Sentinel check rather than comparing against ctx.Err(): a scan
-	// stopped by its wall-clock deadline check reports DeadlineExceeded
-	// before the context's own timer has necessarily fired.
+// isCtxErr reports whether err is a context's cancellation — the
+// signal that the scan was cut short by the server deadline, as opposed
+// to failing on its own. Sentinel check rather than comparing against
+// ctx.Err(): a scan stopped by its wall-clock deadline check reports
+// DeadlineExceeded before the context's own timer has necessarily
+// fired.
+func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-func (s *NetServer) answerQuery(rw io.ReadWriter, body []byte, sess *sessionAudit, decoy bool) error {
-	q, err := wire.DecodeQuery(body)
+func (s *NetServer) answerQuery(req *netRequest) error {
+	q, err := wire.DecodeQuery(req.Body)
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
+	decoy := req.Type == wire.TypeDecoyQuery
 	if decoy {
-		s.decoyQueries.Add(1)
+		s.loop.Counters[wire.StatDecoyQueries].Add(1)
 	}
-	sess.observe(q, decoy)
-	ctx, cancel := s.requestCtx()
-	defer cancel()
-	resp, stats, err := s.process(ctx, q)
+	s.observe(req.State, q, decoy)
+	resp, stats, err := s.process(req.Ctx, q)
 	if err != nil {
-		if isCtxErr(ctx, err) {
-			return s.deadlineError(rw, fmt.Sprintf("query cancelled after %d postings", stats.Postings))
+		if isCtxErr(err) {
+			return serve.Deadline(fmt.Sprintf("query cancelled after %d postings", stats.Postings))
 		}
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
-	return wire.WriteResponse(rw, resp, stats)
+	return wire.WriteResponse(req.W, resp, stats)
 }
 
-// answerAdmin applies one online corpus update — behind the opt-in
-// AllowUpdates flag — and acknowledges with the resulting corpus shape.
-// Rejected and malformed requests are answered with a wire error and
-// the connection stays up.
-func (s *NetServer) answerAdmin(rw io.ReadWriter, typ byte, body []byte) error {
-	if !s.allowUpdates {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "live updates are disabled on this server")
+func (s *NetServer) answerBatch(req *netRequest) error {
+	qs, err := wire.DecodeBatchQuery(req.Body)
+	if err != nil {
+		return err
 	}
+	for _, q := range qs {
+		s.observe(req.State, q, false)
+	}
+	// One deadline covers the whole batch: the peer sent one frame and
+	// gets one response, so the batch is the unit of server work.
+	resps := make([]*core.Response, len(qs))
+	stats := make([]core.Stats, len(qs))
+	for i, q := range qs {
+		resp, st, err := s.process(req.Ctx, q)
+		if err != nil {
+			if isCtxErr(err) {
+				return serve.Deadline(fmt.Sprintf("batch cancelled in query %d", i))
+			}
+			return fmt.Errorf("batch query %d: %v", i, err)
+		}
+		resps[i] = resp
+		stats[i] = st
+	}
+	return wire.WriteBatchResponse(req.W, resps, stats)
+}
+
+// answerAdmin applies one online corpus update and acknowledges with
+// the resulting corpus shape.
+func (s *NetServer) answerAdmin(req *netRequest) error {
 	var err error
-	switch typ {
-	case wire.TypeAddDocs:
+	if req.Type == wire.TypeAddDocs {
 		var dts []wire.DocText
-		if dts, err = wire.DecodeAddDocs(body); err == nil {
+		if dts, err = wire.DecodeAddDocs(req.Body); err == nil {
 			docs := make([]Document, len(dts))
 			for i, d := range dts {
 				docs[i] = Document{ID: int(d.ID), Text: d.Text}
 			}
 			err = s.engine.AddDocuments(docs)
 		}
-	case wire.TypeDeleteDocs:
+	} else {
 		var ids []uint32
-		if ids, err = wire.DecodeDeleteDocs(body); err == nil {
+		if ids, err = wire.DecodeDeleteDocs(req.Body); err == nil {
 			del := make([]int, len(ids))
 			for i, id := range ids {
 				del[i] = int(id)
@@ -764,10 +461,9 @@ func (s *NetServer) answerAdmin(rw io.ReadWriter, typ byte, body []byte) error {
 		}
 	}
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
-	s.updates.Add(1)
+	s.loop.Counters[wire.StatUpdates].Add(1)
 	// On durable engines, fold the journal into a checkpoint in the
 	// background once the Durability thresholds are crossed — bounding
 	// both log growth and the next restart's replay time. Single-flight
@@ -777,120 +473,98 @@ func (s *NetServer) answerAdmin(rw io.ReadWriter, typ byte, body []byte) error {
 	// internally consistent even when other updates or merges land
 	// between the apply and the ack.
 	snap := s.engine.Snapshot()
-	return wire.WriteAdminOK(rw, snap.NumDocs(), snap.NumSegments())
+	return wire.WriteAdminOK(req.W, snap.NumDocs(), snap.NumSegments())
 }
 
-// answerRetrieval serves the private document-fetch messages — behind
-// the opt-in AllowRetrieval flag — from one store snapshot per
-// message. Refusals and malformed queries are answered with a wire
-// error and the connection stays up, matching the admin path.
-func (s *NetServer) answerRetrieval(rw io.ReadWriter, typ byte, body []byte) error {
-	if !s.allowRetrieval {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "private document retrieval is disabled on this server")
-	}
-	snap, err := s.engine.storeSnapshot()
+// The private document-fetch messages are each served from one store
+// snapshot per frame.
+
+func (s *NetServer) answerPIRParams(req *netRequest) error {
+	return wire.WritePIRParams(req.W, s.engine.store.Snapshot().Params())
+}
+
+// answerPIRQuery serves a TypePIRQuery: a flat frame of one.
+func (s *NetServer) answerPIRQuery(req *netRequest) error {
+	snap := s.engine.store.Snapshot()
+	q, err := wire.DecodePIRQuery(req.Body)
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "this server stores no documents")
+		return err
 	}
-	switch typ {
-	case wire.TypePIRParams:
-		if len(body) != 0 {
-			s.errs.Add(1)
-			return wire.WriteError(rw, "params request carries no body")
+	answers, _, err := s.answerPIRFrame(req.Ctx, snap, []*pir.Query{q})
+	if err != nil {
+		if isCtxErr(err) {
+			return serve.Deadline("block scan cancelled")
 		}
-		return wire.WritePIRParams(rw, snap.Params())
-	case wire.TypePIRRecursiveQuery:
-		// The recursive layout is gated separately from AllowRetrieval:
-		// the refusal reuses the frozen UnknownTypeRefusal prefix, so a
-		// client cannot distinguish "knob off" from "server predates the
-		// frame" and falls back to flat queries in both cases.
-		if !s.pirRecursive() {
-			s.errs.Add(1)
-			return wire.WriteError(rw, fmt.Sprintf("%s %d: recursive retrieval is disabled on this server", wire.UnknownTypeRefusal, typ))
-		}
-		qs, err := wire.DecodePIRRecursiveQuery(body)
-		if err != nil {
-			s.errs.Add(1)
-			return wire.WriteError(rw, err.Error())
-		}
-		ctx, cancel := s.requestCtx()
-		defer cancel()
-		answers, stats, err := answerPIRRecursiveCtx(ctx, snap, qs, s.pirWorkers())
-		for _, st := range stats {
-			s.countPIRWork(st)
-		}
-		if err != nil {
-			if isCtxErr(ctx, err) {
-				return s.deadlineError(rw, "recursive scan cancelled")
-			}
-			s.errs.Add(1)
-			return wire.WriteError(rw, err.Error())
-		}
-		// Answers reuse the batch-response frame, streamed in batch
-		// order like the flat path.
-		for i, ans := range answers {
-			s.retrievals.Add(1)
-			s.pirRecQueries.Add(1)
-			if len(qs[i].Cols) == 0 {
-				s.pirRecPartials.Add(1)
-			}
-			if err := wire.WritePIRBatchAnswer(rw, i, ans); err != nil {
-				return err
-			}
-		}
-		return nil
-	case wire.TypePIRBatchQuery:
-		// One snapshot answers the whole batch, so a pipelined fetch
-		// reads an internally consistent corpus prefix. Answers stream
-		// back one frame each, strictly in batch order; a failing block
-		// is answered with a wire error in place of the whole batch
-		// (the connection survives, matching the single-query path). A
-		// seeded vector wider than the store is refused before it expands.
-		qs, err := wire.DecodePIRBatchQueryWithin(body, snap.NumBlocks())
-		if err != nil {
-			s.errs.Add(1)
-			return wire.WriteError(rw, err.Error())
-		}
-		// One deadline covers the whole batch frame, matching the
-		// search-batch path.
-		ctx, cancel := s.requestCtx()
-		defer cancel()
-		answers, at, err := s.answerPIRFrame(ctx, snap, qs)
-		if err != nil {
-			if isCtxErr(ctx, err) {
-				return s.deadlineError(rw, fmt.Sprintf("batch cancelled in block %d", at))
-			}
-			s.errs.Add(1)
-			return wire.WriteError(rw, fmt.Sprintf("batch block %d: %v", at, err))
-		}
-		for i, ans := range answers {
-			s.retrievals.Add(1)
-			if err := wire.WritePIRBatchAnswer(rw, i, ans); err != nil {
-				return err
-			}
-		}
-		return nil
-	default: // wire.TypePIRQuery: a frame of one
-		q, err := wire.DecodePIRQuery(body)
-		if err != nil {
-			s.errs.Add(1)
-			return wire.WriteError(rw, err.Error())
-		}
-		ctx, cancel := s.requestCtx()
-		defer cancel()
-		answers, _, err := s.answerPIRFrame(ctx, snap, []*pir.Query{q})
-		if err != nil {
-			if isCtxErr(ctx, err) {
-				return s.deadlineError(rw, "block scan cancelled")
-			}
-			s.errs.Add(1)
-			return wire.WriteError(rw, err.Error())
-		}
-		s.retrievals.Add(1)
-		return wire.WritePIRAnswer(rw, answers[0])
+		return err
 	}
+	s.loop.Counters[wire.StatRetrievals].Add(1)
+	return wire.WritePIRAnswer(req.W, answers[0])
+}
+
+// answerPIRBatch serves a TypePIRBatchQuery. One snapshot answers the
+// whole batch, so a pipelined fetch reads an internally consistent
+// corpus prefix, and one deadline covers it, matching the search-batch
+// path. Answers stream back one frame each, strictly in batch order; a
+// failing block is refused in place of the whole batch. A seeded vector
+// wider than the store is refused before it expands.
+func (s *NetServer) answerPIRBatch(req *netRequest) error {
+	snap := s.engine.store.Snapshot()
+	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, snap.NumBlocks())
+	if err != nil {
+		return err
+	}
+	answers, at, err := s.answerPIRFrame(req.Ctx, snap, qs)
+	if err != nil {
+		if isCtxErr(err) {
+			return serve.Deadline(fmt.Sprintf("batch cancelled in block %d", at))
+		}
+		return fmt.Errorf("batch block %d: %v", at, err)
+	}
+	for i, ans := range answers {
+		s.loop.Counters[wire.StatRetrievals].Add(1)
+		if err := wire.WritePIRBatchAnswer(req.W, i, ans); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// answerPIRRecursive serves a TypePIRRecursiveQuery, whose answers reuse
+// the batch-response frame, streamed in batch order like the flat path.
+func (s *NetServer) answerPIRRecursive(req *netRequest) error {
+	// The recursive layout is switched separately from AllowRetrieval,
+	// live: the refusal reuses the frozen UnknownTypeRefusal prefix, so a
+	// client cannot distinguish "knob off" from "server predates the
+	// frame" and falls back to flat queries in both cases.
+	if !s.pirRecursive() {
+		return errors.New(serve.UnknownType(req.Type) + ": recursive retrieval is disabled on this server")
+	}
+	snap := s.engine.store.Snapshot()
+	qs, err := wire.DecodePIRRecursiveQuery(req.Body)
+	if err != nil {
+		return err
+	}
+	answers, stats, err := answerPIRRecursiveCtx(req.Ctx, snap, qs, s.pirWorkers())
+	for _, st := range stats {
+		s.countPIRWork(st)
+	}
+	if err != nil {
+		if isCtxErr(err) {
+			return serve.Deadline("recursive scan cancelled")
+		}
+		return err
+	}
+	for i, ans := range answers {
+		s.loop.Counters[wire.StatRetrievals].Add(1)
+		s.loop.Counters[wire.StatPIRRecursiveQueries].Add(1)
+		if len(qs[i].Cols) == 0 {
+			s.loop.Counters[wire.StatPIRRecursivePartials].Add(1)
+		}
+		if err := wire.WritePIRBatchAnswer(req.W, i, ans); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // answerPIRFrame computes the answers of one flat PIR frame — the
@@ -934,36 +608,6 @@ func (s *NetServer) answerPIRFrame(ctx context.Context, snap *docstore.Snapshot,
 	return answers, 0, nil
 }
 
-func (s *NetServer) answerBatch(rw io.ReadWriter, body []byte, sess *sessionAudit) error {
-	qs, err := wire.DecodeBatchQuery(body)
-	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
-	}
-	for _, q := range qs {
-		sess.observe(q, false)
-	}
-	// One deadline covers the whole batch: the peer sent one frame and
-	// gets one response, so the batch is the unit of server work.
-	ctx, cancel := s.requestCtx()
-	defer cancel()
-	resps := make([]*core.Response, len(qs))
-	stats := make([]core.Stats, len(qs))
-	for i, q := range qs {
-		resp, st, err := s.process(ctx, q)
-		if err != nil {
-			if isCtxErr(ctx, err) {
-				return s.deadlineError(rw, fmt.Sprintf("batch cancelled in query %d", i))
-			}
-			s.errs.Add(1)
-			return wire.WriteError(rw, fmt.Sprintf("batch query %d: %v", i, err))
-		}
-		resps[i] = resp
-		stats[i] = st
-	}
-	return wire.WriteBatchResponse(rw, resps, stats)
-}
-
 // Serve accepts connections on a default-configured NetServer. Kept as
 // the simple entry point; deployments needing connection limits,
 // timeouts or graceful shutdown construct a NetServer explicitly.
@@ -976,7 +620,7 @@ func (e *Engine) Serve(l net.Listener) error {
 // the caller.
 func (e *Engine) ServeConn(conn io.ReadWriter) error {
 	deadliner, _ := conn.(net.Conn)
-	return e.NewNetServer(ServeConfig{}).serveConn(conn, deadliner)
+	return e.NewNetServer(ServeConfig{}).loop.ServeConn(conn, deadliner)
 }
 
 // Client-visible classifications of a server refusal. Both are
@@ -1013,6 +657,24 @@ func remoteError(body []byte) error {
 	}
 }
 
+// readReply reads one server reply: the wanted type yields its body, a
+// TypeError its remoteError, any other type an error. what names the
+// reply in a read failure.
+func readReply(conn io.Reader, want byte, what string) ([]byte, error) {
+	typ, body, err := wire.ReadMessage(conn)
+	if err != nil {
+		return nil, fmt.Errorf("embellish: reading %s: %w", what, err)
+	}
+	switch typ {
+	case want:
+		return body, nil
+	case wire.TypeError:
+		return nil, remoteError(body)
+	default:
+		return nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+	}
+}
+
 // SearchRemote runs one private query against a remote engine: Algorithm
 // 3 locally, Algorithm 4 on the server, Algorithm 5 locally. The
 // connection can be reused across calls.
@@ -1024,16 +686,9 @@ func (c *Client) SearchRemote(conn io.ReadWriter, query string, k int) ([]Result
 	if err := wire.WriteQuery(conn, eq.inner); err != nil {
 		return nil, fmt.Errorf("embellish: sending query: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeResponse, "response")
 	if err != nil {
-		return nil, fmt.Errorf("embellish: reading response: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return nil, remoteError(body)
-	case wire.TypeResponse:
-	default:
-		return nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return nil, err
 	}
 	cands, _, err := wire.DecodeResponse(body)
 	if err != nil {
@@ -1063,16 +718,9 @@ func (c *Client) SearchRemoteBatch(conn io.ReadWriter, queries []string, k int) 
 	if err := wire.WriteBatchQuery(conn, qs); err != nil {
 		return nil, fmt.Errorf("embellish: sending batch: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeBatchResponse, "batch response")
 	if err != nil {
-		return nil, fmt.Errorf("embellish: reading batch response: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return nil, remoteError(body)
-	case wire.TypeBatchResponse:
-	default:
-		return nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return nil, err
 	}
 	cands, _, err := wire.DecodeBatchResponse(body)
 	if err != nil {
@@ -1188,16 +836,9 @@ func adminRoundTrip(conn io.ReadWriter, write func() error) (AdminStatus, error)
 	if err := write(); err != nil {
 		return AdminStatus{}, fmt.Errorf("embellish: sending update: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeAdminOK, "update response")
 	if err != nil {
-		return AdminStatus{}, fmt.Errorf("embellish: reading update response: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return AdminStatus{}, remoteError(body)
-	case wire.TypeAdminOK:
-	default:
-		return AdminStatus{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return AdminStatus{}, err
 	}
 	live, segs, err := wire.DecodeAdminOK(body)
 	if err != nil {

@@ -67,7 +67,7 @@ func TestAdmissionQueueFullShedsAndConnSurvives(t *testing.T) {
 	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 1, QueueTimeout: -1})
 	admitted := make(chan byte, 16)
 	release := make(chan struct{})
-	srv.testHookAdmitted = func(typ byte) { admitted <- typ; <-release }
+	srv.loop.AfterAdmit = func(typ byte) { admitted <- typ; <-release }
 	addr := admStart(t, srv)
 
 	query := e.lex.db.Lemma(e.searchable[2])
@@ -128,7 +128,7 @@ func TestAdmissionFIFOOrder(t *testing.T) {
 	var mu sync.Mutex
 	var order []byte
 	gate := make(chan struct{})
-	srv.testHookAdmitted = func(typ byte) {
+	srv.loop.AfterAdmit = func(typ byte) {
 		mu.Lock()
 		order = append(order, typ)
 		first := len(order) == 1
@@ -195,7 +195,7 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 8, QueueTimeout: 80 * time.Millisecond})
 	admitted := make(chan byte, 16)
 	release := make(chan struct{})
-	srv.testHookAdmitted = func(typ byte) { admitted <- typ; <-release }
+	srv.loop.AfterAdmit = func(typ byte) { admitted <- typ; <-release }
 	addr := admStart(t, srv)
 
 	query := e.lex.db.Lemma(e.searchable[4])
@@ -239,7 +239,7 @@ func TestShutdownDrainsQueuedRequests(t *testing.T) {
 	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 8, QueueTimeout: -1})
 	admitted := make(chan byte, 16)
 	release := make(chan struct{})
-	srv.testHookAdmitted = func(typ byte) { admitted <- typ; <-release }
+	srv.loop.AfterAdmit = func(typ byte) { admitted <- typ; <-release }
 	addr := admStart(t, srv)
 
 	query := e.lex.db.Lemma(e.searchable[3])
@@ -302,7 +302,7 @@ func TestIdleDeadlineQueuedRequest(t *testing.T) {
 	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 8, QueueTimeout: -1, IdleTimeout: idle})
 	admitted := make(chan byte, 16)
 	var holdOnce sync.Once
-	srv.testHookAdmitted = func(typ byte) {
+	srv.loop.AfterAdmit = func(typ byte) {
 		admitted <- typ
 		holdOnce.Do(func() { time.Sleep(hold) }) // slow-draining slot holder
 	}
@@ -354,7 +354,7 @@ func TestServerStatsWhileSaturated(t *testing.T) {
 	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 4, QueueTimeout: -1})
 	admitted := make(chan byte, 16)
 	release := make(chan struct{})
-	srv.testHookAdmitted = func(typ byte) { admitted <- typ; <-release }
+	srv.loop.AfterAdmit = func(typ byte) { admitted <- typ; <-release }
 	addr := admStart(t, srv)
 
 	query := e.lex.db.Lemma(e.searchable[5])
@@ -382,6 +382,54 @@ func TestServerStatsWhileSaturated(t *testing.T) {
 	}
 	if st.Inflight < 2 {
 		t.Fatalf("Inflight = %d, want >= 2 (executing + queued)", st.Inflight)
+	}
+
+	close(release)
+	if err := <-errA; err != nil {
+		t.Fatalf("slot holder failed: %v", err)
+	}
+	if err := <-errB; err != nil {
+		t.Fatalf("queued request failed: %v", err)
+	}
+}
+
+// TestGateRefusesBeforeAdmission: a frame whose gate is off is refused
+// at once with its gate text while the server is saturated — slot held,
+// queue full — and is never queued or shed.
+func TestGateRefusesBeforeAdmission(t *testing.T) {
+	e, _ := testEngine(t)
+	srv := e.NewNetServer(ServeConfig{MaxConns: -1, MaxInflight: 1, QueueDepth: 1, QueueTimeout: -1})
+	admitted := make(chan byte, 16)
+	release := make(chan struct{})
+	srv.loop.AfterAdmit = func(typ byte) { admitted <- typ; <-release }
+	addr := admStart(t, srv)
+
+	query := e.lex.db.Lemma(e.searchable[2])
+	connA, clA := admDial(t, e, addr, "ga")
+	connB, clB := admDial(t, e, addr, "gb")
+	connC, _ := admDial(t, e, addr, "gc")
+
+	errA := make(chan error, 1)
+	go func() { _, err := clA.SearchRemote(connA, query, 5); errA <- err }()
+	<-admitted
+	errB := make(chan error, 1)
+	go func() { _, err := clB.SearchRemote(connB, query, 5); errB <- err }()
+	admWait(t, srv, "B to queue", func(st ServeStats) bool { return st.Queued == 1 })
+
+	_, err := AddDocumentsRemote(connC, []Document{{ID: 1 << 20, Text: query}})
+	if err == nil || errors.Is(err, ErrOverloaded) || !strings.Contains(err.Error(), "live updates are disabled on this server") {
+		t.Fatalf("gated add on a saturated server: %v, want the gate refusal", err)
+	}
+	if err := wire.WritePIRParamsRequest(connC); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := wire.ReadMessage(connC)
+	if err != nil || typ != wire.TypeError || string(body) != "private document retrieval is disabled on this server" {
+		t.Fatalf("gated params on a saturated server: type %d %q err %v", typ, body, err)
+	}
+	st := srv.Stats()
+	if st.ShedQueueFull != 0 || st.Queued != 1 || st.Errors != 2 {
+		t.Fatalf("gated frames touched admission: shed %d, queued %d, errors %d", st.ShedQueueFull, st.Queued, st.Errors)
 	}
 
 	close(release)

@@ -136,26 +136,18 @@ func (e *Engine) ApplyReplicated(records []byte) (int, error) {
 	return applied, err
 }
 
-// answerWALPull serves one replica catch-up request. Like TypeStats it
-// bypasses admission: shipping journal bytes is cheap sequential I/O,
-// and starving it under load is exactly when replicas (the failover
-// targets) must not fall behind.
-func (s *NetServer) answerWALPull(rw io.ReadWriter, body []byte) error {
-	if !s.allowReplication {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "replication is disabled on this server")
-	}
-	after, err := wire.DecodeWALPull(body)
+// answerWALPull serves one replica catch-up request: shipping journal
+// bytes is cheap sequential I/O, so it bypasses admission.
+func (s *NetServer) answerWALPull(req *netRequest) error {
+	after, err := wire.DecodeWALPull(req.Body)
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
 	c, err := s.engine.WALRecordsAfter(after, maxWALChunkBytes)
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
-	return wire.WriteWALChunk(rw, wire.WALChunk{
+	return wire.WriteWALChunk(req.W, wire.WALChunk{
 		PrimarySeq: c.PrimarySeq,
 		LastSeq:    c.LastSeq,
 		More:       c.More,
@@ -168,9 +160,7 @@ func (s *NetServer) answerWALPull(rw io.ReadWriter, body []byte) error {
 // (ok false while no pull has succeeded yet). Call it on a replica's
 // NetServer so TypeStats and /metrics expose staleness.
 func (s *NetServer) SetReplicaStatus(fn func() (primarySeq uint64, ok bool)) {
-	s.mu.Lock()
-	s.replicaStatus = fn
-	s.mu.Unlock()
+	s.replicaStatus.Store(&fn)
 }
 
 // PullWAL fetches one catch-up chunk from a primary over an open
@@ -180,16 +170,9 @@ func PullWAL(conn io.ReadWriter, afterSeq uint64) (WALChunk, error) {
 	if err := wire.WriteWALPull(conn, afterSeq); err != nil {
 		return WALChunk{}, fmt.Errorf("embellish: sending WAL pull: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeWALChunk, "WAL chunk")
 	if err != nil {
-		return WALChunk{}, fmt.Errorf("embellish: reading WAL chunk: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return WALChunk{}, remoteError(body)
-	case wire.TypeWALChunk:
-	default:
-		return WALChunk{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return WALChunk{}, err
 	}
 	c, err := wire.DecodeWALChunk(body)
 	if err != nil {

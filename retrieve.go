@@ -280,16 +280,9 @@ func (r remotePIR) Params() (docstore.Params, error) {
 	if err := wire.WritePIRParamsRequest(r.conn); err != nil {
 		return docstore.Params{}, fmt.Errorf("embellish: requesting PIR params: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(r.conn)
+	body, err := readReply(r.conn, wire.TypePIRParams, "PIR params")
 	if err != nil {
-		return docstore.Params{}, fmt.Errorf("embellish: reading PIR params: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return docstore.Params{}, remoteError(body)
-	case wire.TypePIRParams:
-	default:
-		return docstore.Params{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return docstore.Params{}, err
 	}
 	return wire.DecodePIRParams(body)
 }
@@ -314,16 +307,9 @@ func (r remotePIR) runSequential(ctx context.Context, qs <-chan *pir.Query, deli
 		if err := wire.WritePIRQuery(r.conn, q); err != nil {
 			return fmt.Errorf("embellish: sending PIR query: %w", err)
 		}
-		typ, body, err := wire.ReadMessage(r.conn)
+		body, err := readReply(r.conn, wire.TypePIRResponse, "PIR answer")
 		if err != nil {
-			return fmt.Errorf("embellish: reading PIR answer: %w", err)
-		}
-		switch typ {
-		case wire.TypeError:
-			return remoteError(body)
-		case wire.TypePIRResponse:
-		default:
-			return fmt.Errorf("embellish: unexpected message type %d", typ)
+			return err
 		}
 		ans, err := wire.DecodePIRAnswer(body)
 		if err != nil {

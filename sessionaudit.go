@@ -31,11 +31,11 @@ const auditCoherenceCap = 12
 // the cap still count, they just do not enter the adversary's round.
 const maxPendingDecoys = 64
 
-// sessionAudit accumulates one connection's observed-risk report. It
-// lives on the connection's serving goroutine, so no locking: the wire
-// protocol is strictly request-response per connection.
+// sessionAudit accumulates one connection's observed-risk report: it is
+// the NetServer's per-connection state. It lives on the connection's
+// serving goroutine, so no locking: the wire protocol is strictly
+// request-response per connection.
 type sessionAudit struct {
-	srv *NetServer
 	// aud is built lazily on the first observed frame: each session
 	// needs its own semdist.Calculator (not safe for concurrent use),
 	// and sessions that never see a query frame should not pay for one.
@@ -44,19 +44,15 @@ type sessionAudit struct {
 	pendingDecoys []float64 // coherences of decoys since the last genuine frame
 }
 
-func (s *NetServer) newSessionAudit() *sessionAudit {
-	return &sessionAudit{srv: s}
-}
-
-// observe folds one decoded query frame into the session report. Only
-// frames that decode are observed — the adversary scores term streams,
-// and a malformed frame has none.
-func (a *sessionAudit) observe(q *core.Query, decoy bool) {
-	if a == nil {
+// observe folds one decoded query frame into the session report when
+// auditing is on. Only frames that decode are observed — the adversary
+// scores term streams, and a malformed frame has none.
+func (s *NetServer) observe(a *sessionAudit, q *core.Query, decoy bool) {
+	if !s.riskAudit {
 		return
 	}
 	if a.aud == nil {
-		a.aud = privacy.NewAuditor(a.srv.engine.org, a.srv.engine.lex.db)
+		a.aud = privacy.NewAuditor(s.engine.org, s.engine.lex.db)
 	}
 	terms := make([]wordnet.TermID, len(q.Entries))
 	for i, e := range q.Entries {
@@ -91,15 +87,15 @@ func (a *sessionAudit) observe(q *core.Query, decoy bool) {
 			a.pendingDecoys = a.pendingDecoys[:0]
 		}
 	}
-	buckets, err := privacy.Decompose(a.srv.engine.org, terms)
+	buckets, err := privacy.Decompose(s.engine.org, terms)
 	if err == nil {
 		var risk float64
 		if risk, err = a.aud.ObservedRisk(buckets); err == nil {
 			a.report.Audited++
-			a.srv.riskAudited.Add(1)
+			s.loop.Counters[wire.StatRiskAudited].Add(1)
 			m := micros(risk)
 			a.report.RiskSumMicros += m
-			a.srv.riskSumMicros.Add(int64(m))
+			s.loop.Counters[wire.StatRiskSumMicros].Add(int64(m))
 			if m > a.report.MaxRiskMicros {
 				a.report.MaxRiskMicros = m
 			}
@@ -109,7 +105,7 @@ func (a *sessionAudit) observe(q *core.Query, decoy bool) {
 	// Not an embellished frame, or the candidate space exceeded the
 	// work cap: counted, never silently dropped.
 	a.report.Skipped++
-	a.srv.riskSkipped.Add(1)
+	s.loop.Counters[wire.StatRiskSkipped].Add(1)
 }
 
 // micros converts a risk or coherence value to the wire's integer
@@ -122,55 +118,33 @@ func micros(v float64) uint64 {
 }
 
 // answerRiskAudit serves one TypeRiskAudit request from the
-// connection's accumulated session report — behind the opt-in
-// ServeConfig.RiskAudit flag, and like the other gates the refusal
-// leaves the connection reusable.
-func (s *NetServer) answerRiskAudit(rw io.ReadWriter, body []byte, sess *sessionAudit) error {
-	if !s.riskAudit {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "risk auditing is disabled on this server")
-	}
-	if len(body) != 0 {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "risk audit request carries no body")
-	}
-	var report wire.RiskAudit
-	if sess != nil {
-		report = sess.report
-	}
-	return wire.WriteRiskAudit(rw, report)
+// connection's accumulated session report.
+func (s *NetServer) answerRiskAudit(req *netRequest) error {
+	return wire.WriteRiskAudit(req.W, req.State.report)
 }
 
-// answerLexiconSync serves one TypeLexiconSync request — behind the
-// opt-in ServeConfig.AllowLexiconSync flag. Version 0 requests the
-// full tables; the server's own version answers with the no-payload
-// "current" form; any other version is refused with the typed
-// StaleLexiconRefusal error (the client's organization no longer
+// answerLexiconSync serves one TypeLexiconSync request. Version 0
+// requests the full tables; the server's own version answers with the
+// no-payload "current" form; any other version is refused with the
+// typed StaleLexiconRefusal error (the client's organization no longer
 // matches and its queries would be malformed).
-func (s *NetServer) answerLexiconSync(rw io.ReadWriter, body []byte) error {
-	if !s.allowLexiconSync {
-		s.errs.Add(1)
-		return wire.WriteError(rw, "lexicon sync is disabled on this server")
-	}
-	version, err := wire.DecodeLexiconSync(body)
+func (s *NetServer) answerLexiconSync(req *netRequest) error {
+	version, err := wire.DecodeLexiconSync(req.Body)
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
 	l, err := s.engine.lexiconPayload()
 	if err != nil {
-		s.errs.Add(1)
-		return wire.WriteError(rw, err.Error())
+		return err
 	}
 	switch version {
 	case 0:
-		return wire.WriteLexicon(rw, l)
+		return wire.WriteLexicon(req.W, l)
 	case l.Version:
-		return wire.WriteLexicon(rw, wire.Lexicon{Version: l.Version, Current: true})
+		return wire.WriteLexicon(req.W, wire.Lexicon{Version: l.Version, Current: true})
 	default:
-		s.errs.Add(1)
-		return wire.WriteError(rw, fmt.Sprintf(
-			"%s: server lexicon version is %d, client synced %d; re-sync", wire.StaleLexiconRefusal, l.Version, version))
+		return fmt.Errorf("%s: server lexicon version is %d, client synced %d; re-sync",
+			wire.StaleLexiconRefusal, l.Version, version)
 	}
 }
 
@@ -221,16 +195,9 @@ func SessionRiskAudit(conn io.ReadWriter) (RiskAuditReport, error) {
 	if err := wire.WriteRiskAuditRequest(conn); err != nil {
 		return RiskAuditReport{}, fmt.Errorf("embellish: sending audit request: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(conn)
+	body, err := readReply(conn, wire.TypeRiskAudit, "audit")
 	if err != nil {
-		return RiskAuditReport{}, fmt.Errorf("embellish: reading audit: %w", err)
-	}
-	switch typ {
-	case wire.TypeError:
-		return RiskAuditReport{}, remoteError(body)
-	case wire.TypeRiskAudit:
-	default:
-		return RiskAuditReport{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return RiskAuditReport{}, err
 	}
 	a, err := wire.DecodeRiskAudit(body)
 	if err != nil {
