@@ -102,38 +102,39 @@ func respBytes(t *testing.T, resp *Response) []byte {
 	return buf.Bytes()
 }
 
+// cancelSchedules are the two schedules the cancellation tests run the
+// one ranking plan on: an engine built at GOMAXPROCS 1 walks one shard on
+// one worker, one built at GOMAXPROCS 2 splits it over two shards and
+// two workers.
+var cancelSchedules = []struct {
+	name  string
+	procs int
+}{
+	{"sequential", 1},
+	{"sharded", 2},
+}
+
 // TestCancellationProperty is the satellite property test: across
-// random corpora, all three execution plans, and deadlines sampled
-// across the scan's latency range, a cancelled ProcessContext (a)
+// random corpora, both schedules, and deadlines sampled across the
+// scan's latency range, a cancelled ProcessContext (a)
 // returns a CancelledError satisfying errors.Is on the context
 // sentinel, (b) returns promptly (bounded overshoot), (c) reports
 // partial work strictly inside the full scan's, and (d) leaves the
 // engine answering the same query byte-identically afterwards — all
 // without leaking goroutines.
 func TestCancellationProperty(t *testing.T) {
-	plans := []struct {
-		name                        string
-		shards, window, parallelism int
-	}{
-		{"sequential", 0, -1, 0},
-		{"striped", 0, -1, 2},
-		{"sharded", 2, -1, 2},
-	}
 	meta := rand.New(rand.NewSource(0xE11E))
 	for _, seed := range []int64{meta.Int63(), meta.Int63()} {
 		seed := seed
 		t.Run(fmt.Sprintf("corpus%d", seed%1000), func(t *testing.T) {
 			before := runtime.NumGoroutine()
-			e, c := cancelEngine(t, seed, false)
-			rng := rand.New(rand.NewSource(seed + 1))
-			q := cancelQuery(t, e, c, rng, 8)
-
-			for _, pl := range plans {
+			for _, pl := range cancelSchedules {
 				t.Run(pl.name, func(t *testing.T) {
-					if err := e.ConfigureExecution(pl.shards, pl.window, pl.parallelism); err != nil {
-						t.Fatalf("ConfigureExecution: %v", err)
-					}
-					// Baseline: full latency and reference bytes for this plan.
+					setProcs(t, pl.procs)
+					e, c := cancelEngine(t, seed, false)
+					rng := rand.New(rand.NewSource(seed + 1))
+					q := cancelQuery(t, e, c, rng, 8)
+					// Baseline: full latency and reference bytes for this schedule.
 					warm, err := e.Process(q)
 					if err != nil {
 						t.Fatalf("warm Process: %v", err)
@@ -217,7 +218,7 @@ func TestCancellationProperty(t *testing.T) {
 				})
 			}
 
-			// No plan may leak scan workers: give exited goroutines a
+			// No schedule may leak scan workers: give exited goroutines a
 			// moment to be reaped, then require the count to settle back
 			// to (near) the pre-engine level.
 			deadline := time.Now().Add(5 * time.Second)
@@ -323,7 +324,7 @@ func TestCancellationFetchDocuments(t *testing.T) {
 }
 
 // TestCancellationParallelFetch extends the overshoot regression to
-// the partitioned scan: with two workers, a multi-document fetch pushes
+// the partitioned scan: at GOMAXPROCS 2, a multi-document fetch pushes
 // whole batches through ONE database pass split across goroutines, so a
 // deadline landing inside that pass exercises every worker's
 // cancellation checks and the recombine's. A cancelled fetch must stop
@@ -331,10 +332,8 @@ func TestCancellationFetchDocuments(t *testing.T) {
 // partial results, and the store must keep serving identical bytes
 // after the abandonment.
 func TestCancellationParallelFetch(t *testing.T) {
-	e, c := cancelEngine(t, 515151, true)
-	if err := e.ConfigurePIRWorkers(2); err != nil {
-		t.Fatalf("ConfigurePIRWorkers: %v", err)
-	}
+	setProcs(t, 2)
+	_, c := cancelEngine(t, 515151, true)
 	ids := []int{5, 19, 42, 77, 103}
 
 	baseline, _, err := c.FetchDocuments(ids)
@@ -447,30 +446,18 @@ func newFakeScanClock(seed int64, deadline time.Time, polls int) *fakeScanClock 
 const maxPastDeadlinePolls = 16
 
 // TestCancellationDeterministicQuery is the deflaked overshoot
-// regression for query scans: the pinned clock drives every execution
-// plan's deadline polls, the scan must cancel at poll granularity with
+// regression for query scans: the pinned clock drives both schedules'
+// deadline polls, the scan must cancel at poll granularity with
 // the context sentinel and no partial response, and afterwards the
 // engine serves the same query byte-identically. No wall-clock
 // measurement is involved, so the test is exact under -race on one
 // core.
 func TestCancellationDeterministicQuery(t *testing.T) {
-	e, c := cancelEngine(t, 626262, false)
-	rng := rand.New(rand.NewSource(626263))
-	q := cancelQuery(t, e, c, rng, 8)
-	plans := []struct {
-		name                        string
-		shards, window, parallelism int
-	}{
-		{"sequential", 0, -1, 0},
-		{"striped", 0, -1, 2},
-		{"sharded", 2, -1, 2},
-	}
-	for i, pl := range plans {
-		pl, i := pl, i
+	for i, pl := range cancelSchedules {
 		t.Run(pl.name, func(t *testing.T) {
-			if err := e.ConfigureExecution(pl.shards, pl.window, pl.parallelism); err != nil {
-				t.Fatalf("ConfigureExecution: %v", err)
-			}
+			setProcs(t, pl.procs)
+			e, c := cancelEngine(t, 626262, false)
+			q := cancelQuery(t, e, c, rand.New(rand.NewSource(626263)), 8)
 			base, err := e.Process(q)
 			if err != nil {
 				t.Fatalf("baseline Process: %v", err)
@@ -523,10 +510,8 @@ func TestCancellationDeterministicQuery(t *testing.T) {
 // with no partial documents, and keep serving byte-identical documents
 // afterwards.
 func TestCancellationDeterministicFetch(t *testing.T) {
-	e, c := cancelEngine(t, 737373, true)
-	if err := e.ConfigurePIRWorkers(2); err != nil {
-		t.Fatalf("ConfigurePIRWorkers: %v", err)
-	}
+	setProcs(t, 2)
+	_, c := cancelEngine(t, 737373, true)
 	ids := []int{5, 19, 42, 77, 103}
 	baseline, _, err := c.FetchDocuments(ids)
 	if err != nil {

@@ -339,22 +339,12 @@ func buildCancelProbe(db *wordnet.Database, cfg loadConfig) (*embellish.Engine, 
 	popts := embellish.DefaultOptions()
 	popts.BucketSize = cfg.bktSz
 	// Full-size keys over a few thousand documents: each posting's
-	// homomorphic multiply is then expensive enough that the full
-	// sequential scan takes tens of milliseconds, far above timer
-	// jitter.
+	// homomorphic multiply is then expensive enough that the full scan
+	// takes milliseconds on the engine's schedule (GOMAXPROCS shards and
+	// workers, fixed-base tables), well above timer jitter.
 	popts.KeyBits = 512
 	probe, err := embellish.NewEngine(embellish.SyntheticLexicon(cfg.synsets, cfg.seed), pworld, popts)
 	if err != nil {
-		return nil, nil, err
-	}
-	// Sharded plan, one worker, pinned 6-bit fixed-base window: the
-	// plan builds every query term's table in its setup phase BEFORE
-	// the postings walk starts, the way a deadline-aware server wants
-	// its fixed costs paid up front. A deadline at 50% of the full
-	// latency then lands well under 50% of the postings walk, and the
-	// single worker keeps the latency being halved free of intra-query
-	// scheduling noise.
-	if err := probe.ConfigureExecution(2, 6, 1); err != nil {
 		return nil, nil, err
 	}
 	probeClient, err := probe.NewClient(nil)

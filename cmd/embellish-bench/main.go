@@ -26,7 +26,7 @@
 //	                [-queries 12] [-bktsz 8] [-keybits 256] [-seed 1]
 //	                [-fetch-sizes "1200,12000"] [-fetch-count 2]
 //	                [-fetch-block 1024] [-fetch-keybits 64]
-//	                [-fetch-pipeline 16] [-pir-workers -1]
+//	                [-fetch-pipeline 16]
 //	                [-durable-docs 8000] [-durable-synsets 6000]
 //	                [-durable-ops 200] [-durable-batch 3]
 //	                [-durable-every 64]
@@ -205,7 +205,6 @@ func main() {
 		fetchBlock = flag.Int("fetch-block", 1024, "PIR block size in bytes for the fetch legs")
 		fetchBits  = flag.Int("fetch-keybits", 64, "PIR modulus size for the fetch legs")
 		fetchPipe  = flag.Int("fetch-pipeline", 16, "fetch-pipeline depth for the loopback legs")
-		pirWorkers = flag.Int("pir-workers", -1, "PIR serving workers for the fetch legs (0/1 one goroutine, -1 GOMAXPROCS)")
 
 		durDocs    = flag.Int("durable-docs", 8000, "base corpus size for the durability leg (0 disables)")
 		durSynsets = flag.Int("durable-synsets", 6000, "lexicon size for the durability leg")
@@ -272,7 +271,7 @@ func main() {
 		return legConfig{
 			synsets: *synsets, size: size, bktSz: *bktSz, keyBits: *keyBits,
 			fetchBits: *fetchBits, blockSize: *fetchBlock, fetches: *fetchCount,
-			pipeline: *fetchPipe, workers: *pirWorkers, seed: *seed,
+			pipeline: *fetchPipe, seed: *seed,
 		}
 	}
 	switch *only {
@@ -477,7 +476,7 @@ func writeReport(rep *Report, out string) {
 type legConfig struct {
 	synsets, size, bktSz, keyBits int
 	fetchBits, blockSize, fetches int
-	pipeline, workers             int
+	pipeline                      int
 	seed                          int64
 }
 
@@ -507,9 +506,6 @@ func fetchLeg(db *wordnet.Database, cfg legConfig) (FetchLeg, error) {
 	e, err := embellish.NewEngine(embellish.SyntheticLexicon(cfg.synsets, cfg.seed), world, opts)
 	if err != nil {
 		return leg, fmt.Errorf("fetch leg %d docs: %w", cfg.size, err)
-	}
-	if err := e.ConfigurePIRWorkers(cfg.workers); err != nil {
-		return leg, err
 	}
 	leg.Docs = cfg.size
 	leg.StoredBytes = stored

@@ -44,7 +44,7 @@
 //	                 [-bktsz B] [-keybits K] [-query "terms..."] [-topk K]
 //	                 [-add docs.txt] [-delete "3,17"]
 //	                 [-store] [-block-size B] [-fetch N] [-fetch-mode private|plain]
-//	                 [-fetch-keybits K] [-fetch-pipeline D] [-pir-workers N]
+//	                 [-fetch-keybits K] [-fetch-pipeline D]
 //	embellish-search -connect HOST:PORT (-load engine.bin | -sync-lexicon)
 //	                 [-keybits K] [-query "terms..."] [-topk K]
 //	                 [-add docs.txt] [-delete "3,17"]
@@ -91,14 +91,13 @@ func main() {
 		addFile = flag.String("add", "", "add documents live before querying: file with one document per line")
 		delIDs  = flag.String("delete", "", "delete documents live before querying: comma-separated ids")
 
-		store      = flag.Bool("store", false, "store document bytes so results can be fetched (build path only)")
-		blockSize  = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
-		fetchN     = flag.Int("fetch", 0, "retrieve the top N result documents after ranking (0 off)")
-		fetchMode  = flag.String("fetch-mode", "private", "document retrieval mode: private (PIR) or plain")
-		fetchBits  = flag.Int("fetch-keybits", 0, "PIR modulus size for -fetch (0 inherits the engine's key size)")
-		fetchPipe  = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 sequential round-trips); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
-		pirWorkers = flag.Int("pir-workers", 0, "PIR fetch-serving workers for the local engine (0/1 one goroutine, -1 GOMAXPROCS)")
-		srvStats   = flag.Bool("server-stats", false, "with -connect: print the remote server's serving counters after the query")
+		store     = flag.Bool("store", false, "store document bytes so results can be fetched (build path only)")
+		blockSize = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
+		fetchN    = flag.Int("fetch", 0, "retrieve the top N result documents after ranking (0 off)")
+		fetchMode = flag.String("fetch-mode", "private", "document retrieval mode: private (PIR) or plain")
+		fetchBits = flag.Int("fetch-keybits", 0, "PIR modulus size for -fetch (0 inherits the engine's key size)")
+		fetchPipe = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 sequential round-trips); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
+		srvStats  = flag.Bool("server-stats", false, "with -connect: print the remote server's serving counters after the query")
 	)
 	flag.Parse()
 
@@ -223,17 +222,6 @@ func main() {
 		if err := client.SetFetchPipeline(*fetchPipe); err != nil {
 			fmt.Fprintln(os.Stderr, "fetch-pipeline:", err)
 			os.Exit(1)
-		}
-	}
-	if *pirWorkers != 0 && engine != nil {
-		// Runtime-only, like the execution knobs: applies to locally
-		// served fetches (a remote server picks its own count).
-		if err := engine.ConfigurePIRWorkers(*pirWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "pir-workers:", err)
-			os.Exit(1)
-		}
-		if *connect != "" {
-			fmt.Fprintln(os.Stderr, "note: -pir-workers tunes only locally served fetches; the remote server picks its own count (embellish-server -pir-workers)")
 		}
 	}
 

@@ -12,11 +12,10 @@
 //	embellish-server [-listen :7878] [-load engine.bin]
 //	                 [-lexicon mini|synthetic] [-synsets N] [-docs N]
 //	                 [-bktsz B] [-save engine.bin] [-once]
-//	                 [-shards N] [-window W] [-workers N]
 //	                 [-max-conns N] [-idle-timeout D] [-stats-every D]
 //	                 [-allow-updates] [-max-segments N]
 //	                 [-store] [-block-size B] [-allow-retrieval]
-//	                 [-pir-workers N] [-pir-recursive N]
+//	                 [-pir-recursive N]
 //	                 [-data-dir DIR] [-fsync record|interval|off]
 //	                 [-checkpoint-every N]
 //	                 [-max-inflight N] [-queue-depth N] [-queue-timeout D]
@@ -114,12 +113,8 @@ func main() {
 		store          = flag.Bool("store", false, "store document bytes for private retrieval (build path only)")
 		blockSize      = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
 		allowRetrieval = flag.Bool("allow-retrieval", false, "answer private document fetches (requires a stored corpus)")
-		pirWorkers     = flag.Int("pir-workers", 0, "PIR fetch-serving workers (0/1 one goroutine, -1 GOMAXPROCS)")
 		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-23 frames; refused clients fall back to flat queries)")
 
-		shards       = flag.Int("shards", -1, "document shards of the ranking plan (-1 GOMAXPROCS, 0 or 1 one shard, N pinned)")
-		window       = flag.Int("window", -1, "fixed-base exponentiation window bits (-1 default, 0 off, 1..8 pinned)")
-		workers      = flag.Int("workers", -1, "score-accumulation workers (-1 GOMAXPROCS, 0 single-threaded, N pinned)")
 		maxConns     = flag.Int("max-conns", 0, "simultaneous connection cap (0 default, -1 unlimited)")
 		allowUpdates = flag.Bool("allow-updates", false, "accept online corpus updates over the wire")
 		maxSegments  = flag.Int("max-segments", 0, "live-index segment bound before background merge (0 default, -1 never merge)")
@@ -229,17 +224,9 @@ func main() {
 		}
 		fmt.Printf("durable state initialized in %s\n", *dataDir)
 	}
-	if err := engine.ConfigureExecution(*shards, *window, *workers); err != nil {
-		fatal(err)
-	}
 	// Merge policy is runtime-only (not persisted), so apply it in the
 	// -load path too.
 	if err := engine.ConfigureMergePolicy(*maxSegments); err != nil {
-		fatal(err)
-	}
-	// The PIR worker count is runtime-only as well; the NetServer
-	// inherits it (ServeConfig.PIRWorkers left at 0).
-	if err := engine.ConfigurePIRWorkers(*pirWorkers); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("engine: %d docs, %d searchable terms, %d buckets\n",

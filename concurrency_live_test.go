@@ -97,17 +97,16 @@ func churn(e *Engine, log *snapshotLog, rounds int) error {
 }
 
 // TestSearchDuringUpdatesLocal churns the corpus while concurrent
-// local clients search, under the full concurrent pipeline (sharding,
-// precomputation, worker pool) and an aggressive merge policy so
-// merges race the queries too. Run with -race in CI.
+// local clients search, under the full concurrent pipeline (two
+// shards at GOMAXPROCS 2, precomputation, worker pool) and an
+// aggressive merge policy so merges race the queries too. Run with
+// -race in CI.
 func TestSearchDuringUpdatesLocal(t *testing.T) {
+	setProcs(t, 2)
 	opts := DefaultOptions()
 	opts.BucketSize = 4
 	opts.KeyBits = 256
 	opts.ScoreSpace = 10
-	opts.Shards = 2
-	opts.PrecomputeWindow = -1
-	opts.Parallelism = -1
 	opts.MaxSegments = 3
 	e, err := NewEngine(MiniLexicon(), demoDocs(t), opts)
 	if err != nil {
@@ -175,12 +174,11 @@ func TestSearchDuringUpdatesLocal(t *testing.T) {
 // TCP: the mutator drives AddDocumentsRemote / DeleteDocumentsRemote
 // against an updates-enabled NetServer while remote clients search.
 func TestSearchDuringUpdatesTCP(t *testing.T) {
+	setProcs(t, 2)
 	opts := DefaultOptions()
 	opts.BucketSize = 4
 	opts.KeyBits = 256
 	opts.ScoreSpace = 10
-	opts.Shards = 2
-	opts.PrecomputeWindow = -1
 	opts.MaxSegments = 3
 	e, err := NewEngine(MiniLexicon(), demoDocs(t), opts)
 	if err != nil {

@@ -13,18 +13,16 @@ import (
 	"embellish/internal/wire"
 )
 
-// shardedTestEngine builds an engine with the full concurrent pipeline
-// enabled: document sharding, fixed-base precomputation, and the
-// worker pool.
+// shardedTestEngine builds an engine at GOMAXPROCS 4, so its one
+// schedule runs the full concurrent pipeline on any host: four document
+// shards, fixed-base precomputation, and the worker pool.
 func shardedTestEngine(t *testing.T) (*Engine, *Client) {
 	t.Helper()
+	setProcs(t, 4)
 	opts := DefaultOptions()
 	opts.BucketSize = 4
 	opts.KeyBits = 256
 	opts.ScoreSpace = 10
-	opts.Shards = 4
-	opts.PrecomputeWindow = -1
-	opts.Parallelism = -1
 	e, err := NewEngine(MiniLexicon(), demoDocs(t), opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)

@@ -111,7 +111,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, knob := range []string{
-		"Shards", "PrecomputeWindow", "Parallelism", "PIRWorkers",
+		"schedule derived from GOMAXPROCS",
 		"ProcessColumnsMultiExecCtx", "Deleted plans",
 		"PIRRecursive", "ConfigurePIRRecursive", "SetFetchRecursive",
 		"BlockSize", "RetrievalKeyBits", "SetFetchPipeline", "MaxSegments",

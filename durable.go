@@ -247,9 +247,10 @@ func (e *Engine) EnableDurability(d Durability) error {
 // opts supplies only the runtime Durability policy (fsync mode,
 // checkpoint thresholds; opts.Durability.Dir is ignored in favor of
 // dir). Everything indexed — options, lexicon, organization, segments,
-// store — comes from the checkpoint file, exactly as with LoadEngine;
-// runtime execution knobs are reapplied afterwards with the Configure*
-// methods as usual.
+// store — comes from the checkpoint file, exactly as with LoadEngine,
+// and the engine runs the execution schedule a built one does; the
+// runtime merge and recursive-serving policies are reapplied afterwards
+// with the Configure* methods as usual.
 func OpenDurable(dir string, opts Options) (*Engine, error) {
 	d := opts.Durability
 	d.Dir = dir

@@ -63,14 +63,10 @@ type Engine struct {
 	// EnableDurability); nil on in-memory engines. Its non-atomic
 	// fields are guarded by updateMu.
 	wal *walState
-	// pirWorkers is the live PIR fetch-serving worker count (the
-	// Options.PIRWorkers encoding), held in an atomic so
-	// ConfigurePIRWorkers can retune a serving engine without racing
-	// the fetch paths that read it per answer.
-	pirWorkers atomic.Int64
 	// pirRecursive is the live recursive-serving switch (the
-	// Options.PIRRecursive encoding: 0 default-on, -1 off, 1 on), in an
-	// atomic for the same reason. The zero value is the default, so
+	// Options.PIRRecursive encoding: 0 default-on, -1 off, 1 on), held in
+	// an atomic so ConfigurePIRRecursive can flip a serving engine without
+	// racing the fetch paths that read it. The zero value is the default, so
 	// loaded engines serve recursive frames without any explicit store.
 	pirRecursive atomic.Int64
 	// lexsync caches the serialized lexicon-sync payload (organization
@@ -157,7 +153,6 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 	}
 	e.org = org
 	e.server = core.NewLiveServer(e.live, org, lex.db)
-	e.pirWorkers.Store(int64(opts.PIRWorkers))
 	e.pirRecursive.Store(int64(opts.PIRRecursive))
 	e.applyExecution()
 	if opts.Durability.Dir != "" {
@@ -335,11 +330,9 @@ type ProcessStats struct {
 }
 
 // processCore runs one embellished core query through the one ranking
-// plan — core's document-sharded fold at max(1, Shards) shards — on the
-// worker count Parallelism resolves to (0: one worker, which walks the
-// shards serially; -1: GOMAXPROCS). Shard count, worker count and
-// PrecomputeWindow change how the fold is scheduled and how E(u)^p is
-// computed, never a ciphertext: every setting returns the response of
+// plan — core's document-sharded fold on the schedule applyExecution
+// set, with GOMAXPROCS workers. The schedule changes how the fold is
+// run and how E(u)^p is computed, never a ciphertext: the response is
 // the paper's sequential Algorithm 4 (core.Server.Process, kept as the
 // oracle) byte for byte.
 func (e *Engine) processCore(q *core.Query) (*core.Response, core.Stats, error) {
@@ -350,59 +343,16 @@ func (e *Engine) processCore(q *core.Query) (*core.Response, core.Stats, error) 
 // ctx and stops mid-scan on cancellation, returning ctx.Err() with the
 // partial-work stats.
 func (e *Engine) processCoreCtx(ctx context.Context, q *core.Query) (*core.Response, core.Stats, error) {
-	workers := e.opts.Parallelism // > 0 as given; < 0: GOMAXPROCS
-	if workers == 0 {
-		workers = 1
-	}
-	return e.server.ProcessParallelCtx(ctx, q, workers)
+	return e.server.ProcessParallelCtx(ctx, q, 0)
 }
-
-// ConfigureExecution adjusts the runtime execution knobs — they tune
-// how scores are computed, never what they decrypt to, and are not part
-// of the persisted engine file (load an engine, then configure it for
-// the deployment's hardware). The arguments follow the Options fields
-// of the same names; see Options for the encodings of 0 and -1.
-func (e *Engine) ConfigureExecution(shards, precomputeWindow, parallelism int) error {
-	opts := e.opts
-	opts.Shards = shards
-	opts.PrecomputeWindow = precomputeWindow
-	opts.Parallelism = parallelism
-	if err := opts.validate(); err != nil {
-		return err
-	}
-	e.opts = opts
-	e.applyExecution()
-	return nil
-}
-
-// ConfigurePIRWorkers adjusts the PIR fetch-serving worker count — the
-// Options.PIRWorkers knob, with the same encoding (0 and 1 one
-// goroutine, -1 GOMAXPROCS workers, n pinned). Answers are
-// byte-identical at every count. Like the other execution knobs it is
-// not persisted (loaded engines start on one goroutine); unlike them it
-// is safe to call on a LIVE engine — the count lives in its own atomic
-// (e.opts is deliberately NOT touched, so this never races readers of
-// the options struct), in-flight fetches finish on the old count and
-// later ones pick up the new one.
-func (e *Engine) ConfigurePIRWorkers(n int) error {
-	if err := validatePIRWorkers(n); err != nil {
-		return err
-	}
-	e.pirWorkers.Store(int64(n))
-	return nil
-}
-
-// livePIRWorkers reads the current fetch-serving worker count; safe
-// from any goroutine.
-func (e *Engine) livePIRWorkers() int { return int(e.pirWorkers.Load()) }
 
 // ConfigurePIRRecursive flips the recursive (two-level) serving switch
 // — the Options.PIRRecursive knob, same encoding (0 default = serve,
-// -1 refuse, 1 serve) — on a live engine. Like the other PIR knobs it
-// lives in its own atomic, is not persisted, and never changes decoded
-// documents: recursive answers decrypt to the same bytes as flat ones,
-// the knob only controls whether the server accepts the recursive
-// frame (and whether local fetches may use the recursive layout).
+// -1 refuse, 1 serve) — on a live engine. It lives in its own atomic,
+// is not persisted, and never changes decoded documents: recursive
+// answers decrypt to the same bytes as flat ones, the knob only
+// controls whether the server accepts the recursive frame (and whether
+// local fetches may use the recursive layout).
 func (e *Engine) ConfigurePIRRecursive(n int) error {
 	if err := validatePIRRecursive(n); err != nil {
 		return err
@@ -417,34 +367,27 @@ func (e *Engine) livePIRRecursive() bool { return e.pirRecursive.Load() >= 0 }
 
 // answerPIRMultiCtx serves a batch of k >= 1 equal-width, same-modulus
 // PIR block queries in ONE pass over a pinned store snapshot — the one
-// flat serving path; a single query is a batch of one. The workers
-// encoding is Options.PIRWorkers'. A cancelled scan stops within a
-// bounded slice of work and returns ctx.Err(); the per-query Stats
-// count the multiplications actually performed — partial on
-// cancellation — so serving layers can meter work.
-func answerPIRMultiCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query, workers int) ([]*pir.Answer, []pir.Stats, error) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return snap.AnswerMultiExecCtx(ctx, qs, pir.Exec{Workers: workers})
+// flat serving path; a single query is a batch of one — on GOMAXPROCS
+// column-partitioned workers. A cancelled scan stops within a bounded
+// slice of work and returns ctx.Err(); the per-query Stats count the
+// multiplications actually performed — partial on cancellation — so
+// serving layers can meter work.
+func answerPIRMultiCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
+	return snap.AnswerMultiExecCtx(ctx, qs, pir.Exec{Workers: runtime.GOMAXPROCS(0)})
 }
 
 // answerPIRRecursiveCtx serves a batch of recursive block queries in
-// one level-1 pass over the snapshot, under answerPIRMultiCtx's workers
-// encoding and cancellation contract.
-func answerPIRRecursiveCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.RecursiveQuery, workers int) ([]*pir.Answer, []pir.Stats, error) {
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return snap.AnswerRecursiveMultiExecCtx(ctx, qs, pir.Exec{Workers: workers})
+// one level-1 pass over the snapshot, on answerPIRMultiCtx's workers
+// and under its cancellation contract.
+func answerPIRRecursiveCtx(ctx context.Context, snap *docstore.Snapshot, qs []*pir.RecursiveQuery) ([]*pir.Answer, []pir.Stats, error) {
+	return snap.AnswerRecursiveMultiExecCtx(ctx, qs, pir.Exec{Workers: runtime.GOMAXPROCS(0)})
 }
 
 // ConfigureMergePolicy adjusts the live-index segment bound — the
 // Options.MaxSegments knob, with the same encoding (0 default, -1
-// disable automatic merging, >= 1 pinned) — at runtime. Like the
-// execution knobs it is not part of the persisted engine file, so
-// loaded engines start at the default; deployments reapply their
-// policy after LoadEngine.
+// disable automatic merging, >= 1 pinned) — at runtime. It is not part
+// of the persisted engine file, so loaded engines start at the default;
+// deployments reapply their policy after LoadEngine.
 func (e *Engine) ConfigureMergePolicy(maxSegments int) error {
 	// updateMu orders the opts write against the write path, which reads
 	// opts while building segments.
@@ -460,10 +403,13 @@ func (e *Engine) ConfigureMergePolicy(maxSegments int) error {
 	return nil
 }
 
-// applyExecution pushes the execution options into the core server.
+// applyExecution resolves the ranking schedule, once, for NewEngine and
+// the load path alike: GOMAXPROCS document shards (processCore runs as
+// many workers) and the default fixed-base window. Nothing sets it
+// afterwards, so queries read it without a lock.
 func (e *Engine) applyExecution() {
-	e.server.SetSharding(e.opts.Shards)
-	e.server.SetPrecompute(e.opts.precomputeWindow())
+	e.server.SetSharding(runtime.GOMAXPROCS(0))
+	e.server.SetPrecompute(benaloh.DefaultWindow)
 }
 
 // CancelledError reports a query stopped mid-scan by context

@@ -426,7 +426,6 @@ func TestParallelEngineMatchesSequential(t *testing.T) {
 	opts.BucketSize = 4
 	opts.KeyBits = 256
 	opts.ScoreSpace = 10
-	opts.Parallelism = -1
 	e, err := NewEngine(MiniLexicon(), demoDocs(t), opts)
 	if err != nil {
 		t.Fatal(err)

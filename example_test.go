@@ -166,7 +166,7 @@ func ExampleClient_FetchDocumentsRemote() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := engine.NewNetServer(embellish.ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	srv := engine.NewNetServer(embellish.ServeConfig{AllowRetrieval: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -65,16 +65,6 @@ type ServeConfig struct {
 	// Options.StoreDocuments (or loaded from a version-3 file carrying
 	// a store).
 	AllowRetrieval bool
-	// PIRWorkers caps the parallelism of the PIR scans this server
-	// computes, overriding the engine's Options.PIRWorkers knob: 0
-	// inherits the engine option (read at answer time, so
-	// Engine.ConfigurePIRWorkers affects live servers exactly like the
-	// other execution knobs), -1 selects GOMAXPROCS workers, and any
-	// positive value pins the worker count (1 = one goroutine). Values
-	// outside the Options.PIRWorkers range [-1, 4096] are clamped to
-	// it (the constructor has no error path). Answers are
-	// byte-identical at every count.
-	PIRWorkers int
 	// PIRRecursive overrides the engine's Options.PIRRecursive switch
 	// for recursive (two-level) fetch frames served by this server: 0
 	// inherits the engine knob (read at answer time, so
@@ -225,10 +215,8 @@ type NetServer struct {
 	// loop runs the handler table and holds the counters.
 	loop      *serve.Server[sessionAudit]
 	riskAudit bool
-	// pirOverride is ServeConfig.PIRWorkers (clamped); 0 defers to the
-	// engine's Options.PIRWorkers at answer time. recursiveOverride is
-	// ServeConfig.PIRRecursive under the same contract.
-	pirOverride       int
+	// recursiveOverride is ServeConfig.PIRRecursive (clamped); 0 defers
+	// to the engine's Options.PIRRecursive at answer time.
 	recursiveOverride int
 	// replicaStatus, when set (SetReplicaStatus), reports the primary's
 	// newest known sequence number for the staleness rows of the stats
@@ -252,10 +240,7 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	s := &NetServer{
 		engine:    e,
 		riskAudit: cfg.RiskAudit,
-		// Clamp the overrides to the validated Options ranges: the engine
-		// values passed validation, but ServeConfig arrives unchecked and
-		// an unbounded count would size a per-scan goroutine pool.
-		pirOverride:       min(max(cfg.PIRWorkers, -1), maxPIRWorkers),
+		// ServeConfig arrives unchecked: clamp to the Options range.
 		recursiveOverride: min(max(cfg.PIRRecursive, -1), 1),
 	}
 	updates := serve.Gate{Off: !cfg.AllowUpdates, Refusal: "live updates are disabled on this server"}
@@ -310,17 +295,6 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 		QueueTimeout:   cfg.QueueTimeout,
 	}, table)
 	return s
-}
-
-// pirWorkers resolves the worker count for one PIR scan: the
-// ServeConfig override when set, else the engine's CURRENT count —
-// read atomically at answer time, so ConfigurePIRWorkers affects
-// live servers.
-func (s *NetServer) pirWorkers() int {
-	if s.pirOverride != 0 {
-		return s.pirOverride
-	}
-	return s.engine.livePIRWorkers()
 }
 
 // pirRecursive resolves the recursive-serving switch for one recursive
@@ -544,7 +518,7 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 	if err != nil {
 		return err
 	}
-	answers, stats, err := answerPIRRecursiveCtx(req.Ctx, snap, qs, s.pirWorkers())
+	answers, stats, err := answerPIRRecursiveCtx(req.Ctx, snap, qs)
 	for _, st := range stats {
 		s.countPIRWork(st)
 	}
@@ -594,7 +568,7 @@ func (s *NetServer) answerPIRFrame(ctx context.Context, snap *docstore.Snapshot,
 		for j, i := range idx {
 			sub[j] = qs[i]
 		}
-		got, stats, err := answerPIRMultiCtx(ctx, snap, sub, s.pirWorkers())
+		got, stats, err := answerPIRMultiCtx(ctx, snap, sub)
 		for _, st := range stats {
 			s.countPIRWork(st)
 		}

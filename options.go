@@ -3,7 +3,6 @@ package embellish
 import (
 	"fmt"
 
-	"embellish/internal/benaloh"
 	"embellish/internal/docstore"
 	"embellish/internal/index"
 	"embellish/internal/pir"
@@ -40,33 +39,19 @@ type Options struct {
 	// scheme works with any impact-based similarity model (Appendix B of
 	// the paper names Okapi explicitly); Cosine is Equation 3.
 	Scoring Scoring
-	// Parallelism sets the worker count for server-side score
-	// accumulation: 0 keeps single-threaded execution (one worker
-	// walking the shards serially), -1 selects GOMAXPROCS, and any
-	// positive value pins the worker count; the pool never exceeds the
-	// shard count. The homomorphic accumulation commutes, so responses
-	// are identical.
+	// Parallelism is ignored: the engine ranks on GOMAXPROCS workers.
+	//
+	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	Parallelism int
-	// Shards partitions the inverted index by document for the one
-	// ranking plan's worker pool: shard s owns the postings of documents
-	// d with d mod n == s, so per-shard candidate sets are disjoint and
-	// merge without homomorphic additions. 0 and 1 are one shard, which
-	// walks the inverted lists as they are; -1 selects GOMAXPROCS
-	// shards, and any larger value pins the shard count. More than one
-	// shard copies the postings once at configuration time into a
-	// sharded view (roughly doubling index memory) in exchange for
-	// contiguous per-shard scans. Sharding never changes a response —
-	// only which goroutine computes it; set Parallelism to size the
-	// worker pool.
+	// Shards is ignored: the engine partitions its index into GOMAXPROCS
+	// document shards.
+	//
+	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	Shards int
-	// PrecomputeWindow enables fixed-base windowed exponentiation for
-	// the per-term flag powers E(u)^p: the server builds one table of
-	// 2^w-entry windows per query term and answers each posting's power
-	// with table lookups plus at most one multiplication, instead of a
-	// square-and-multiply exponentiation per posting. 0 disables the
-	// tables (the same fold, no table), -1 selects the default window
-	// (4 bits), and 1..8 pin the window width. Ciphertexts are identical
-	// either way.
+	// PrecomputeWindow is ignored: the engine builds its fixed-base
+	// tables at the default window.
+	//
+	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	PrecomputeWindow int
 	// MaxConns caps simultaneous connections in Engine.Serve and
 	// NetServers built with a zero ServeConfig.MaxConns. 0 selects
@@ -95,16 +80,10 @@ type Options struct {
 	// client-side security knob: tests and benchmarks use small values
 	// for speed, real deployments want >= 1024.
 	RetrievalKeyBits int
-	// PIRWorkers sets the worker count for serving PIR document
-	// fetches (the Kushilevitz-Ostrovsky database scans, every batch of
-	// block queries answered in one pass by the internal/pir executor):
-	// 0 and 1 scan on one goroutine, -1 selects a GOMAXPROCS-wide
-	// column-partitioned worker pool, any other positive value pins the
-	// worker count. Answers are byte-identical at every count — the
-	// knob tunes only how fast the server multiplies. Like Parallelism
-	// it is runtime-only and not persisted; Engine.ConfigurePIRWorkers
-	// retunes it safely on a live engine, and NetServers can override
-	// it per server with ServeConfig.PIRWorkers.
+	// PIRWorkers is ignored: PIR fetches are served on GOMAXPROCS
+	// column-partitioned workers.
+	//
+	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	PIRWorkers int
 	// PIRRecursive selects the recursive (two-level) Kushilevitz-
 	// Ostrovsky layout for document fetches: the block store is treated
@@ -128,35 +107,21 @@ type Options struct {
 	// log in Durability.Dir before it is applied, and checkpoints
 	// periodically fold the log into a full snapshot. An empty Dir (the
 	// zero value) keeps the engine in-memory; see the Durability type,
-	// OpenDurable and docs/DURABILITY.md. Like the execution knobs, the
+	// OpenDurable and docs/DURABILITY.md. Like MaxSegments, the
 	// policy itself is runtime-only — checkpoint files never embed it.
 	Durability Durability
 	// MaxSegments bounds the live segment set: when AddDocuments leaves
 	// more than MaxSegments segments, a background merge folds the
 	// smallest ones together, rewriting deleted postings away. 0 selects
 	// DefaultMaxSegments, -1 disables automatic merging (Engine.Compact
-	// remains available), and values >= 1 pin the bound. Like the
-	// execution knobs this is runtime-only and not persisted.
+	// remains available), and values >= 1 pin the bound. It is
+	// runtime-only and not persisted.
 	MaxSegments int
 }
 
 // DefaultMaxSegments is the live-index segment bound applied when
 // Options.MaxSegments is zero.
 const DefaultMaxSegments = index.DefaultMaxSegments
-
-// maxPIRWorkers bounds the PIR serving worker count — shared by
-// Options validation and the NetServer's ServeConfig clamp so the two
-// can never diverge.
-const maxPIRWorkers = 1 << 12
-
-// validatePIRWorkers is the one range check for the PIRWorkers
-// encoding, shared by Options.validate and Engine.ConfigurePIRWorkers.
-func validatePIRWorkers(n int) error {
-	if n < -1 || n > maxPIRWorkers {
-		return fmt.Errorf("embellish: PIRWorkers %d out of range [-1, %d]; -1 selects GOMAXPROCS, 0 and 1 one goroutine", n, maxPIRWorkers)
-	}
-	return nil
-}
 
 // validatePIRRecursive is the range check for the PIRRecursive
 // encoding, shared by Options.validate and
@@ -209,15 +174,6 @@ func (o Options) validate() error {
 	if o.Scoring > BM25 {
 		return fmt.Errorf("embellish: unknown scoring %d", o.Scoring)
 	}
-	if o.Shards < -1 || o.Shards > 1<<12 {
-		return fmt.Errorf("embellish: Shards %d out of range [-1, %d]", o.Shards, 1<<12)
-	}
-	if o.PrecomputeWindow < -1 || o.PrecomputeWindow > 8 {
-		return fmt.Errorf("embellish: PrecomputeWindow %d out of range [-1, 8]", o.PrecomputeWindow)
-	}
-	if o.Parallelism < -1 || o.Parallelism > 1<<12 {
-		return fmt.Errorf("embellish: Parallelism %d out of range [-1, %d]; -1 selects GOMAXPROCS, 0 single-threaded", o.Parallelism, 1<<12)
-	}
 	if o.MaxConns < -1 {
 		return fmt.Errorf("embellish: MaxConns %d out of range; -1 disables the cap, 0 selects the default", o.MaxConns)
 	}
@@ -231,9 +187,6 @@ func (o Options) validate() error {
 		if err := pir.CheckKeyBits(o.RetrievalKeyBits); err != nil {
 			return fmt.Errorf("embellish: RetrievalKeyBits: %w", err)
 		}
-	}
-	if err := validatePIRWorkers(o.PIRWorkers); err != nil {
-		return err
 	}
 	if err := validatePIRRecursive(o.PIRRecursive); err != nil {
 		return err
@@ -262,16 +215,4 @@ func (o Options) maxSegments() int {
 		return 0
 	}
 	return o.MaxSegments
-}
-
-// precomputeWindow resolves the PrecomputeWindow knob to a radix
-// exponent for internal/benaloh (0 = disabled).
-func (o Options) precomputeWindow() uint {
-	switch {
-	case o.PrecomputeWindow < 0:
-		return benaloh.DefaultWindow
-	case o.PrecomputeWindow > 0:
-		return uint(o.PrecomputeWindow)
-	}
-	return 0
 }

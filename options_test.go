@@ -7,9 +7,9 @@ import (
 )
 
 // TestOptionsValidateExecutionKnobs pins the documented semantics of
-// every execution/serving knob: -1 and 0 are the only special values;
-// anything below -1 or past the sanity cap is rejected with an error
-// naming the field.
+// the serving knobs: -1 and 0 are the only special values; anything
+// below -1 or past the sanity cap is rejected with an error naming the
+// field. The deprecated schedule fields are ignored, never validated.
 func TestOptionsValidateExecutionKnobs(t *testing.T) {
 	base := DefaultOptions()
 	base.KeyBits = 256
@@ -19,17 +19,9 @@ func TestOptionsValidateExecutionKnobs(t *testing.T) {
 		wantErr string // empty = must validate
 	}{
 		{"defaults", func(o *Options) {}, ""},
-		{"shards gomaxprocs", func(o *Options) { o.Shards = -1 }, ""},
-		{"shards pinned", func(o *Options) { o.Shards = 16 }, ""},
-		{"shards below -1", func(o *Options) { o.Shards = -2 }, "Shards"},
-		{"shards huge", func(o *Options) { o.Shards = 1<<12 + 1 }, "Shards"},
-		{"window default", func(o *Options) { o.PrecomputeWindow = -1 }, ""},
-		{"window below -1", func(o *Options) { o.PrecomputeWindow = -2 }, "PrecomputeWindow"},
-		{"window too wide", func(o *Options) { o.PrecomputeWindow = 9 }, "PrecomputeWindow"},
-		{"parallelism single", func(o *Options) { o.Parallelism = 0 }, ""},
-		{"parallelism gomaxprocs", func(o *Options) { o.Parallelism = -1 }, ""},
-		{"parallelism below -1", func(o *Options) { o.Parallelism = -5 }, "Parallelism"},
-		{"parallelism huge", func(o *Options) { o.Parallelism = 1<<12 + 1 }, "Parallelism"},
+		{"schedule fields ignored", func(o *Options) {
+			o.Shards, o.Parallelism, o.PrecomputeWindow, o.PIRWorkers = -7, 1<<20, 99, -2
+		}, ""},
 		{"maxconns unlimited", func(o *Options) { o.MaxConns = -1 }, ""},
 		{"maxconns below -1", func(o *Options) { o.MaxConns = -7 }, "MaxConns"},
 		{"maxsegments disable", func(o *Options) { o.MaxSegments = -1 }, ""},
@@ -53,37 +45,6 @@ func TestOptionsValidateExecutionKnobs(t *testing.T) {
 			t.Errorf("%s: error %q does not name %s", tc.name, err, tc.wantErr)
 		}
 	}
-}
-
-// TestConfigureExecutionRejectsBadKnobs checks the runtime path applies
-// the same validation, leaves a rejected engine fully working, and
-// actually applies accepted values.
-func TestConfigureExecutionRejectsBadKnobs(t *testing.T) {
-	e, c := liveTestEngine(t, 0)
-	for _, bad := range [][3]int{
-		{-2, 0, 0}, // shards
-		{0, 9, 0},  // window
-		{0, -2, 0}, // window below -1
-		{0, 0, -2}, // parallelism
-		{1 << 13, 0, 0},
-	} {
-		if err := e.ConfigureExecution(bad[0], bad[1], bad[2]); err == nil {
-			t.Fatalf("ConfigureExecution(%v) accepted", bad)
-		}
-	}
-	query := liveQueries(e)[0]
-	assertClaim1(t, e, c, query)
-
-	if err := e.ConfigureExecution(2, 4, 2); err != nil {
-		t.Fatalf("valid ConfigureExecution rejected: %v", err)
-	}
-	assertClaim1(t, e, c, query)
-	if err := e.AddDocuments(moreDocs(e, 4, 99)); err != nil {
-		t.Fatal(err)
-	}
-	// The sharded pipeline keeps matching plaintext after an update on
-	// the reconfigured engine.
-	assertClaim1(t, e, c, query)
 }
 
 // TestConfigureMergePolicy checks the runtime merge-policy knob: it is

@@ -71,8 +71,8 @@ type engineState struct {
 	store *docstore.Snapshot
 	// opts is the options struct as of the capture. The header is
 	// serialized from this copy, never from live e.opts — a background
-	// checkpoint races ConfigureMergePolicy/ConfigureExecution, which
-	// replace e.opts under updateMu.
+	// checkpoint races ConfigureMergePolicy, which replaces e.opts under
+	// updateMu.
 	opts Options
 	// seq is the last journaled operation folded into snap/store; 0 on
 	// in-memory engines. Capturing it in the SAME lock hold as the

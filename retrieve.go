@@ -204,10 +204,7 @@ type pirTransport interface {
 // protocols gather a whole document's block queries — and, across
 // documents, up to the wire batch cap — and serve each gathered batch
 // in ONE pass over the store (runBatched).
-type localPIR struct {
-	sn      *docstore.Snapshot
-	workers int
-}
+type localPIR struct{ sn *docstore.Snapshot }
 
 func (l localPIR) Params() (docstore.Params, error) { return l.sn.Params(), nil }
 
@@ -215,7 +212,7 @@ func (l localPIR) Params() (docstore.Params, error) { return l.sn.Params(), nil 
 // one block-count, satisfying the executor's equal-width contract.
 func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
 	return runBatched(ctx, qs, wire.MaxPIRBatch, deliver, func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
-		return answerPIRMultiCtx(ctx, l.sn, batch, l.workers)
+		return answerPIRMultiCtx(ctx, l.sn, batch)
 	})
 }
 
@@ -223,7 +220,7 @@ func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*p
 // level-1 database pass across the batch exactly like the flat scan.
 func (l localPIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
 	return runBatched(ctx, qs, wire.MaxPIRRecursiveBatch, deliver, func(batch []*pir.RecursiveQuery) ([]*pir.Answer, []pir.Stats, error) {
-		return answerPIRRecursiveCtx(ctx, l.sn, batch, l.workers)
+		return answerPIRRecursiveCtx(ctx, l.sn, batch)
 	})
 }
 
@@ -678,7 +675,7 @@ type FetchStats struct {
 // running the identical PIR protocol so tests and benchmarks measure
 // the real fetch path. Results align with ids. The whole call reads
 // one pinned store snapshot; answers are served by the one-pass
-// executor on the engine's PIRWorkers worker count, and query
+// executor on GOMAXPROCS workers, and query
 // generation overlaps serving through the client's fetch pipeline
 // (SetFetchPipeline).
 func (c *Client) FetchDocuments(ids []int) ([][]byte, FetchStats, error) {
@@ -707,7 +704,7 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	if c.fetchRecursive && c.engine.livePIRRecursive() {
 		shape = fetchRecursive
 	}
-	return c.fetchVia(ctx, localPIR{sn: sn, workers: c.engine.livePIRWorkers()}, ids, shape)
+	return c.fetchVia(ctx, localPIR{sn: sn}, ids, shape)
 }
 
 // FetchDocumentsRemote privately fetches the given documents from a

@@ -305,7 +305,7 @@ func pirFrameConn(t *testing.T, e *Engine, c *Client, cfg ServeConfig) (net.Conn
 // order.
 func TestPIRFramesShareOnePath(t *testing.T) {
 	e, c, texts := storeWorld(t, 20, 32)
-	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRWorkers: 2})
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
 	old, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)

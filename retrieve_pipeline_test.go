@@ -18,43 +18,38 @@ import (
 	"embellish/internal/wire"
 )
 
-// TestFetchPipelineDepthsAndPlansAgree: every combination of fetch-
-// pipeline depth and PIR worker count must fetch byte-identical
-// documents — the pipeline reschedules work, the worker knob
-// reassociates multiplications, and neither may change a single byte.
+// TestFetchPipelineDepthsAndPlansAgree: every fetch-pipeline depth
+// must fetch byte-identical documents — the pipeline reschedules work
+// and may not change a single byte. (The executor's worker-count sweep
+// lives in internal/pir's conformance battery.)
 func TestFetchPipelineDepthsAndPlansAgree(t *testing.T) {
 	e, _, texts := storeWorld(t, 25, 32)
 	ids := []int{0, 7, 13, 24}
-	for _, workers := range []int{0, 1, -1, 3} {
-		if err := e.ConfigurePIRWorkers(workers); err != nil {
+	for _, depth := range []int{1, 2, 5, DefaultFetchPipeline} {
+		c, err := e.NewClient(detrand.New(fmt.Sprintf("pipe-%d", depth)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, depth := range []int{1, 2, 5, DefaultFetchPipeline} {
-			c, err := e.NewClient(detrand.New(fmt.Sprintf("pipe-%d-%d", workers, depth)))
-			if err != nil {
-				t.Fatal(err)
+		if err := c.SetFetchPipeline(depth); err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := c.FetchDocuments(ids)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		for i, id := range ids {
+			if string(got[i]) != texts[id] {
+				t.Fatalf("depth %d doc %d: fetched %q, want %q", depth, id, got[i], texts[id])
 			}
-			if err := c.SetFetchPipeline(depth); err != nil {
-				t.Fatal(err)
-			}
-			got, st, err := c.FetchDocuments(ids)
-			if err != nil {
-				t.Fatalf("workers %d depth %d: %v", workers, depth, err)
-			}
-			for i, id := range ids {
-				if string(got[i]) != texts[id] {
-					t.Fatalf("workers %d depth %d doc %d: fetched %q, want %q", workers, depth, id, got[i], texts[id])
-				}
-			}
-			if st.Runs == 0 || st.QueryBytes == 0 || st.AnswerBytes == 0 {
-				t.Fatalf("workers %d depth %d: stats not accounted: %+v", workers, depth, st)
-			}
+		}
+		if st.Runs == 0 || st.QueryBytes == 0 || st.AnswerBytes == 0 {
+			t.Fatalf("depth %d: stats not accounted: %+v", depth, st)
 		}
 	}
 }
 
 func TestSetFetchPipelineValidation(t *testing.T) {
-	e, c, _ := storeWorld(t, 20, 32)
+	_, c, _ := storeWorld(t, 20, 32)
 	if err := c.SetFetchPipeline(0); err == nil {
 		t.Fatal("depth 0 accepted")
 	}
@@ -63,12 +58,6 @@ func TestSetFetchPipelineValidation(t *testing.T) {
 	}
 	if err := c.SetFetchPipeline(1); err != nil {
 		t.Fatal(err)
-	}
-	if err := e.ConfigurePIRWorkers(-2); err == nil {
-		t.Fatal("PIRWorkers -2 accepted")
-	}
-	if err := e.ConfigurePIRWorkers(1 << 13); err == nil {
-		t.Fatal("absurd PIRWorkers accepted")
 	}
 }
 
@@ -82,7 +71,7 @@ func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 	lemmas := miniLemmas()
 	e, _, texts := storeWorld(t, 30, 32)
 	var mu sync.Mutex // guards texts
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -207,7 +196,7 @@ func (o *onFirstBatch) Write(p []byte) (int, error) {
 // and fetching — the documented reuse contract.
 func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 	e, _, texts := storeWorld(t, 25, 32)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -361,29 +350,6 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	}
 }
 
-// TestServeConfigPIRWorkersClamped: the constructor has no error
-// path, so out-of-range ServeConfig overrides are clamped to the
-// validated Options range instead of sizing an unbounded pool (or
-// silently meaning GOMAXPROCS for typos like -2).
-func TestServeConfigPIRWorkersClamped(t *testing.T) {
-	e, _, _ := storeWorld(t, 20, 32)
-	for _, cfg := range []int{-2, -1000, 1 << 20} {
-		srv := e.NewNetServer(ServeConfig{AllowRetrieval: true, PIRWorkers: cfg})
-		if w := srv.pirWorkers(); w < -1 || w > 1<<12 {
-			t.Fatalf("ServeConfig.PIRWorkers %d resolved to %d, outside [-1, 4096]", cfg, w)
-		}
-	}
-	// A zero override tracks the engine knob at answer time, so
-	// configuring a live server's engine takes effect.
-	srv := e.NewNetServer(ServeConfig{AllowRetrieval: true})
-	if err := e.ConfigurePIRWorkers(3); err != nil {
-		t.Fatal(err)
-	}
-	if w := srv.pirWorkers(); w != 3 {
-		t.Fatalf("live server ignored ConfigurePIRWorkers: resolved %d, want 3", w)
-	}
-}
-
 // TestPIRBatchWriterNilFirstQuery: a nil query at index 0 must be
 // refused like any other index, not panic on the modulus read.
 func TestPIRBatchWriterNilFirstQuery(t *testing.T) {
@@ -423,7 +389,7 @@ func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
 					err = wire.WriteError(srvConn, derr.Error())
 					break
 				}
-				answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, []*pir.Query{q}, 0)
+				answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, []*pir.Query{q})
 				if aerr != nil {
 					err = wire.WriteError(srvConn, aerr.Error())
 					break
@@ -508,7 +474,7 @@ func (f *frameCounter) Write(p []byte) (int, error) {
 // and two frames (4 + 2) at the default window of 8, every time.
 func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
 	e, c, texts := storeWorld(t, 25, 512) // every document fits one block
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	ids := []int{1, 5, 9, 14, 20, 23}
 	for _, tc := range []struct{ window, frames int }{{16, 1}, {DefaultFetchPipeline, 2}} {
 		if err := c.SetFetchPipeline(tc.window); err != nil {
@@ -548,7 +514,7 @@ func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
 func TestBatchServingAccountsPIRWork(t *testing.T) {
 	e, c, texts := storeWorld(t, 25, 32)
 	ids := []int{0, 6, 12, 19, 24}
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -579,35 +545,4 @@ func TestBatchServingAccountsPIRWork(t *testing.T) {
 	if ss.PIRTableMuls <= 0 || ss.PIRTableMuls >= ss.PIRModMuls {
 		t.Fatalf("PIRTableMuls = %d not in (0, %d)", ss.PIRTableMuls, ss.PIRModMuls)
 	}
-}
-
-// TestConfigurePIRWorkersConcurrentWithFetch: retuning the worker
-// count on a live engine must not race fetches (the count lives in its
-// own atomic; e.opts is never rewritten). Run with -race.
-func TestConfigurePIRWorkersConcurrentWithFetch(t *testing.T) {
-	e, _, texts := storeWorld(t, 15, 32)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 60; i++ {
-			if err := e.ConfigurePIRWorkers(i % 3); err != nil {
-				t.Error(err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 5; i++ {
-		fc, err := e.NewClient(detrand.New(fmt.Sprintf("retune-%d", i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := fc.FetchDocuments([]int{i})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got[0]) != texts[i] {
-			t.Fatalf("doc %d: fetched %q, want %q", i, got[0], texts[i])
-		}
-	}
-	<-done
 }

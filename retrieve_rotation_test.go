@@ -63,7 +63,7 @@ func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, by
 // each rotation the boundary orphans in place of its byte.
 func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 	e, c, texts, byBlocks := rotationWorld(t)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	key, err := c.pirKey()
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func (s *oldBatchServer) serve(conn net.Conn, sn *docstore.Snapshot, refuse func
 			s.mu.Lock()
 			s.served++
 			s.mu.Unlock()
-			answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, qs, 0)
+			answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, qs)
 			if aerr != nil {
 				err = wire.WriteError(conn, aerr.Error())
 				break
@@ -412,7 +412,7 @@ func TestFetchDoesNotRetryOtherRefusals(t *testing.T) {
 // the documents verify.
 func TestRotatedFetchAgainstOlderParams(t *testing.T) {
 	e, c, texts, byBlocks := rotationWorld(t)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestRotatedFetchAgainstOlderParams(t *testing.T) {
 // the same products.
 func TestBatchFrameRotationsAnsweredLikeFullVectors(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
-	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRWorkers: -1})
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)
