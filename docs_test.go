@@ -203,6 +203,10 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"AllowUpdates", "AllowRetrieval", "AllowReplication",
 		"AllowLexiconSync", "RiskAudit", "StaleLexiconRefusal",
 		"ErrStaleLexicon", "DecoyQueries",
+		// The fetch hello and the packed answers.
+		"ParamsBodyRefusal", "ParamsDigest", "WritePIRHello",
+		"DecodePIRParamsReply", "WritePIRHelloReply", "WritePIRAnswerPacked",
+		"WritePIRBatchAnswerPacked",
 	} {
 		if !strings.Contains(string(wireDoc), name) {
 			t.Errorf("docs/WIRE.md does not document %s", name)
@@ -216,6 +220,8 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		// The cluster tier: binaries, id math anchors, replication path.
 		"embellish-router", "Config.Base", "TypeWALPull",
 		"AllowReplication", "failover",
+		// The fetch lifecycle opens with the hello.
+		"TypePIRParams hello",
 	} {
 		if !strings.Contains(string(arch), name) {
 			t.Errorf("docs/ARCHITECTURE.md does not document %s", name)
@@ -235,6 +241,8 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"AllowLexiconSync", "RiskAudit", "TypeDecoyQuery",
 		"NewDecoyStream", "GhostRate", "StaleLexiconRefusal",
 		"RiskPoint", "coheren",
+		// What the hello's digest links, and the packed answer's length.
+		"ParamsDigest", "8·BlockSize·modBytes",
 	} {
 		if !strings.Contains(string(threat), name) {
 			t.Errorf("docs/THREAT_MODEL.md does not document %s", name)

@@ -662,6 +662,9 @@ type Client struct {
 	fetchBits      int
 	fetchDepth     int
 	fetchRecursive bool
+	// fetched is what the client remembers of the connection it last
+	// fetched over (FetchDocumentsRemote): the mapping it holds there.
+	fetched fetchConn
 }
 
 // NewClient generates a fresh key pair and returns a client bound to the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
 
@@ -38,6 +39,18 @@ type pirEpoch struct {
 	widths    []int // partition p's NumBlocks at params time
 	total     int   // sum of widths
 	blockSize int   // the cluster-wide block size behind those widths
+	// packed is set once the connection sent the fetch hello: its answers
+	// go packed. Every later epoch of the connection inherits it.
+	packed bool
+}
+
+// writeBatchAnswer streams answer i of a frame under modulus n to the
+// client: packed on a connection that sent the hello.
+func (ep *pirEpoch) writeBatchAnswer(w io.Writer, i int, a *pir.Answer, n *big.Int) error {
+	if ep.packed {
+		return wire.WritePIRBatchAnswerPacked(w, i, a, n)
+	}
+	return wire.WritePIRBatchAnswer(w, i, a)
 }
 
 // gatherParams fetches every partition's current block mapping.
@@ -116,10 +129,21 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 	return docstore.Params{BlockSize: blockSize, NumBlocks: ep.total, Exts: exts}, ep, nil
 }
 
-// handlePIRParams serves the merged block mapping, and the epoch it was
-// built from becomes the connection's slicing snapshot for subsequent
-// PIR queries. A refused params request leaves the previous epoch.
+// handlePIRParams serves the merged block mapping — the table alone to
+// the empty request, the unchanged or changed reply to the hello, judged
+// by the digest of the merged table — and the epoch it was built from
+// becomes the connection's slicing snapshot for subsequent PIR queries,
+// changed or not. Partitions are always asked with the empty request. A
+// refused params request leaves the previous epoch.
 func (r *Router) handlePIRParams(req *request) error {
+	var have *wire.ParamsDigest
+	hello := len(req.Body) != 0
+	if hello {
+		var err error
+		if have, err = wire.DecodePIRHello(req.Body); err != nil {
+			return err
+		}
+	}
 	parts, err := r.gatherParams()
 	if err != nil {
 		return err
@@ -128,8 +152,12 @@ func (r *Router) handlePIRParams(req *request) error {
 	if err != nil {
 		return err
 	}
+	ep.packed = hello || (*req.State != nil && (*req.State).packed)
 	*req.State = ep
-	return wire.WritePIRParams(req.W, merged)
+	if !hello {
+		return wire.WritePIRParams(req.W, merged)
+	}
+	return wire.WritePIRHelloReply(req.W, merged, have)
 }
 
 // sliceQuery cuts one global-column query into per-partition
@@ -255,6 +283,9 @@ func (r *Router) handlePIRQuery(req *request) error {
 		return err
 	}
 	r.loop.Counters[wire.StatRetrievals].Add(1)
+	if ep.packed {
+		return wire.WritePIRAnswerPacked(req.W, combined, q.N)
+	}
 	return wire.WritePIRAnswer(req.W, combined)
 }
 
@@ -369,7 +400,7 @@ func (r *Router) handlePIRRecursive(req *request) error {
 		if err != nil {
 			return err
 		}
-		if err := wire.WritePIRBatchAnswer(req.W, qi, ans); err != nil {
+		if err := ep.writeBatchAnswer(req.W, qi, ans, q.N); err != nil {
 			return err
 		}
 	}
@@ -453,7 +484,7 @@ func (r *Router) handlePIRBatch(req *request) error {
 		if err != nil {
 			return err
 		}
-		if err := wire.WritePIRBatchAnswer(req.W, qi, combined); err != nil {
+		if err := ep.writeBatchAnswer(req.W, qi, combined, q.N); err != nil {
 			return err
 		}
 	}

@@ -160,7 +160,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		wire.TypeBatchQuery:        {Admitted: true, Exec: r.handleBatch},
 		wire.TypeAddDocs:           {Admitted: true, Exec: r.handleAdmin},
 		wire.TypeDeleteDocs:        {Admitted: true, Exec: r.handleAdmin},
-		wire.TypePIRParams:         {Name: "params", EmptyBody: true, Admitted: true, Exec: r.handlePIRParams},
+		wire.TypePIRParams:         {Admitted: true, Exec: r.handlePIRParams},
 		wire.TypePIRQuery:          {Admitted: true, Exec: r.handlePIRQuery},
 		wire.TypePIRBatchQuery:     {Admitted: true, Exec: r.handlePIRBatch},
 		wire.TypePIRRecursiveQuery: {Admitted: true, Exec: r.handlePIRRecursive},

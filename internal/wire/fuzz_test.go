@@ -90,9 +90,17 @@ func FuzzDecodeMessage(f *testing.F) {
 		case TypeAdminOK:
 			_, _, _ = DecodeAdminOK(body)
 		case TypePIRParams:
-			if p, err := DecodePIRParams(body); err == nil {
-				for i, ext := range p.Exts {
-					if int(ext.First)+int(ext.Blocks) > p.NumBlocks {
+			// The body is a request — empty or the hello — or a reply: the
+			// table alone or a reply to the hello.
+			if d, err := DecodePIRHello(body); err == nil && d == nil && len(body) != 1 {
+				t.Fatalf("a %d-byte hello decoded as the single 0", len(body))
+			}
+			if r, err := DecodePIRParamsReply(body); err == nil {
+				if r.Hello && r.Changed && digestTable(body[1+ParamsDigestBytes+1:]) != r.Digest {
+					t.Fatal("a changed reply's digest escaped validation")
+				}
+				for i, ext := range r.Params.Exts {
+					if int(ext.First)+int(ext.Blocks) > r.Params.NumBlocks {
 						t.Fatalf("extent %d escaped validation", i)
 					}
 				}
@@ -100,7 +108,9 @@ func FuzzDecodeMessage(f *testing.F) {
 		case TypePIRQuery:
 			_, _ = DecodePIRQuery(body)
 		case TypePIRResponse:
-			_, _ = DecodePIRAnswer(body)
+			if a, err := DecodePIRAnswer(body); err == nil && len(a.Gammas) == 0 {
+				t.Fatal("an answer of no gammas escaped validation")
+			}
 		case TypePIRBatchQuery:
 			if qs, err := DecodePIRBatchQuery(body); err == nil {
 				for i, q := range qs {
@@ -200,6 +210,20 @@ func seedFrames(f *testing.F) {
 	})
 	add(func(w *bytes.Buffer) error {
 		return WritePIRAnswer(w, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}})
+	})
+	// The hello, its two replies and the packed answers.
+	mapping := docstore.Params{BlockSize: 8, NumBlocks: 3, Exts: []docstore.Extent{
+		{First: 0, Blocks: 2, Length: 9}, {First: 2, Blocks: 1, Length: 4, Deleted: true}}}
+	digest := DigestPIRParams(mapping)
+	add(func(w *bytes.Buffer) error { return WritePIRHello(w, nil) })
+	add(func(w *bytes.Buffer) error { return WritePIRHello(w, &digest) })
+	add(func(w *bytes.Buffer) error { return WritePIRHelloReply(w, mapping, &digest) })
+	add(func(w *bytes.Buffer) error { return WritePIRHelloReply(w, mapping, nil) })
+	add(func(w *bytes.Buffer) error {
+		return WritePIRBatchAnswerPacked(w, 1, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(999)}}, big.NewInt(1000))
+	})
+	add(func(w *bytes.Buffer) error {
+		return WritePIRAnswerPacked(w, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}}, key.N)
 	})
 	add(func(w *bytes.Buffer) error { return WriteAddDocs(w, []DocText{{ID: 0, Text: "seed doc"}}) })
 	add(func(w *bytes.Buffer) error { return WriteDeleteDocs(w, []uint32{3, 7}) })

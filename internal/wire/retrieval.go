@@ -20,15 +20,17 @@ import (
 // A server exposes them only behind the serving layer's AllowRetrieval
 // flag.
 //
-// TypePIRParams: sent with an EMPTY body it is the client's request;
-// the response body is the public block mapping — block size vbyte,
-// block count vbyte, document count vbyte, then per document: first
-// block vbyte, block count vbyte, byte length vbyte, content crc32
-// vbyte, deleted byte.
+// TypePIRParams: sent with an EMPTY body it is the request of a client
+// predating the hello (retrieval_hello.go); the response body is the
+// public block mapping, the table — block size vbyte, block count
+// vbyte, document count vbyte, then per document: first block vbyte,
+// block count vbyte, byte length vbyte, content crc32 vbyte, deleted
+// byte.
 // TypePIRQuery: modulus big | value count vbyte | one group element
 // per block column.
 // TypePIRResponse: gamma count vbyte | one group element per matrix
-// row (8 per block byte).
+// row (8 per block byte) — or, on a connection that sent the hello, the
+// packed form.
 
 // Retrieval message types (9-11; 1-5 are the ranking protocol, 6-8
 // admin).
@@ -58,8 +60,11 @@ func WritePIRParamsRequest(w io.Writer) error {
 
 // WritePIRParams frames and writes the server's block mapping.
 func WritePIRParams(w io.Writer, p docstore.Params) error {
-	var body []byte
-	body = append(body, TypePIRParams)
+	return writeFrame(w, appendParams([]byte{TypePIRParams}, p))
+}
+
+// appendParams appends the table body of p.
+func appendParams(body []byte, p docstore.Params) []byte {
 	body = vbyte.Append(body, uint64(p.BlockSize))
 	body = vbyte.Append(body, uint64(p.NumBlocks))
 	body = vbyte.Append(body, uint64(len(p.Exts)))
@@ -74,7 +79,7 @@ func WritePIRParams(w io.Writer, p docstore.Params) error {
 			body = append(body, 0)
 		}
 	}
-	return writeFrame(w, body)
+	return body
 }
 
 // DecodePIRParams parses a TypePIRParams response body.
@@ -306,9 +311,13 @@ func appendAnswer(body []byte, a *pir.Answer) ([]byte, error) {
 	return body, nil
 }
 
-// DecodePIRAnswer parses a TypePIRResponse body.
+// DecodePIRAnswer parses a TypePIRResponse body of either form: gammas
+// length-prefixed, or packed (a leading 0, which is no gamma count).
 func DecodePIRAnswer(body []byte) (*pir.Answer, error) {
 	count, used, err := vbyte.Decode(body)
+	if err == nil && count == 0 {
+		return decodePacked(body[used:])
+	}
 	// A gamma costs at least 1 body byte (its length prefix), so a
 	// count past the remaining body is forged — reject before
 	// allocating the pointer slice.

@@ -13,11 +13,13 @@ import (
 
 // Batched private retrieval: a pipelining client packs up to
 // MaxPIRBatch block queries — all under ONE client modulus — into a
-// single TypePIRBatchQuery frame, and the server streams one
-// TypePIRBatchResponse frame back per block as each answer is
-// computed. Streaming is the point: the client decodes (and
-// residuosity-tests) answer i while the server is still multiplying
-// answer i+1, and a k-block fetch costs one round-trip instead of k.
+// single TypePIRBatchQuery frame, and the server answers with one
+// TypePIRBatchResponse frame per block. The server computes every answer
+// of the frame's equal-width queries in one pass over the store before
+// the first of them is written, so the frame, not the block, is the unit
+// of overlap: the client decodes one frame's answers while the server
+// scans for the next frame, and a k-block fetch costs one round-trip
+// instead of k.
 //
 // TypePIRBatchQuery comes in two forms, told apart by the byte after
 // the modulus.
@@ -41,10 +43,11 @@ import (
 // other — so the CPU a frame can demand is what it was; only the bytes
 // that demand it shrink.
 // TypePIRBatchResponse: query index vbyte | gamma count vbyte | one
-// group element per matrix row. Indexes are 0-based positions in the
-// batch and arrive strictly in order; a per-query serving error is
-// answered with TypeError and ends the batch (the connection
-// survives).
+// group element per matrix row — or, on a connection that sent the
+// hello, query index vbyte | the packed form (retrieval_hello.go).
+// Indexes are 0-based positions in the batch and arrive strictly in
+// order; a per-query serving error is answered with TypeError and ends
+// the batch (the connection survives).
 //
 // The caps are the single-query ones: the modulus ceiling bounds the
 // per-bit serving cost, forged counts are rejected against the
@@ -434,10 +437,10 @@ func WritePIRBatchAnswer(w io.Writer, index int, a *pir.Answer) error {
 	return writeFrame(w, body)
 }
 
-// DecodePIRBatchAnswer parses a TypePIRBatchResponse body, returning
-// the in-batch query index alongside the answer. After the index the
-// body is exactly a TypePIRResponse body, so the gamma bounds live in
-// one place (DecodePIRAnswer).
+// DecodePIRBatchAnswer parses a TypePIRBatchResponse body of either form,
+// returning the in-batch query index alongside the answer. After the
+// index the body is exactly a TypePIRResponse body, so the gamma bounds
+// live in one place (DecodePIRAnswer).
 func DecodePIRBatchAnswer(body []byte) (int, *pir.Answer, error) {
 	index, used, err := vbyte.Decode(body)
 	if err != nil || index >= MaxPIRBatch {

@@ -190,8 +190,8 @@ func TestDecodedElementsDoNotShareCapacity(t *testing.T) {
 }
 
 // recursiveAnswer is an answer the size of one recursive block answer of
-// the repository benchmark: 65,536 ciphertexts under a 64-bit modulus.
-func recursiveAnswer(tb testing.TB) *pir.Answer {
+// the repository benchmark, 65,536 ciphertexts, and its 64-bit modulus.
+func recursiveAnswer(tb testing.TB) (*pir.Answer, *big.Int) {
 	tb.Helper()
 	key, err := pir.GenerateKey(detrand.New("wire-rec-answer"), 64)
 	if err != nil {
@@ -202,43 +202,51 @@ func recursiveAnswer(tb testing.TB) *pir.Answer {
 	for i := range ans.Gammas {
 		ans.Gammas[i] = new(big.Int).Rand(rng, key.N)
 	}
-	return ans
+	return ans, key.N
 }
 
 // TestPIRAnswerCodecAllocations: a 65,536-ciphertext answer encodes and
 // decodes in a handful of allocations — slabs, not one or two per
-// ciphertext.
+// ciphertext — length-prefixed and packed alike.
 func TestPIRAnswerCodecAllocations(t *testing.T) {
-	ans := recursiveAnswer(t)
-	var frame bytes.Buffer
-	if err := WritePIRBatchAnswer(&frame, 3, ans); err != nil {
-		t.Fatal(err)
-	}
-	_, body, err := ReadMessage(bytes.NewReader(frame.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(5, func() {
-		if err := WritePIRBatchAnswer(io.Discard, 3, ans); err != nil {
+	ans, n := recursiveAnswer(t)
+	for _, form := range []struct {
+		name  string
+		write func(w io.Writer) error
+	}{
+		{"prefixed", func(w io.Writer) error { return WritePIRBatchAnswer(w, 3, ans) }},
+		{"packed", func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 3, ans, n) }},
+	} {
+		var frame bytes.Buffer
+		if err := form.write(&frame); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 8 {
-		t.Errorf("encoding the answer allocates %v times, want <= 8", n)
-	}
-	if n := testing.AllocsPerRun(5, func() {
-		if _, _, err := DecodePIRBatchAnswer(body); err != nil {
+		_, body, err := ReadMessage(bytes.NewReader(frame.Bytes()))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}); n > 8 {
-		t.Errorf("decoding the answer allocates %v times, want <= 8", n)
-	}
-	idx, got, err := DecodePIRBatchAnswer(body)
-	if err != nil || idx != 3 || len(got.Gammas) != len(ans.Gammas) {
-		t.Fatalf("round trip: index %d, %d gammas, err %v", idx, len(got.Gammas), err)
-	}
-	for i := range ans.Gammas {
-		if got.Gammas[i].Cmp(ans.Gammas[i]) != 0 {
-			t.Fatalf("gamma %d differs after the round trip", i)
+		if n := testing.AllocsPerRun(5, func() {
+			if err := form.write(io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 8 {
+			t.Errorf("%s: encoding the answer allocates %v times, want <= 8", form.name, n)
+		}
+		if n := testing.AllocsPerRun(5, func() {
+			if _, _, err := DecodePIRBatchAnswer(body); err != nil {
+				t.Fatal(err)
+			}
+		}); n > 8 {
+			t.Errorf("%s: decoding the answer allocates %v times, want <= 8", form.name, n)
+		}
+		idx, got, err := DecodePIRBatchAnswer(body)
+		if err != nil || idx != 3 || len(got.Gammas) != len(ans.Gammas) {
+			t.Fatalf("%s round trip: index %d, %d gammas, err %v", form.name, idx, len(got.Gammas), err)
+		}
+		for i := range ans.Gammas {
+			if got.Gammas[i].Cmp(ans.Gammas[i]) != 0 {
+				t.Fatalf("%s: gamma %d differs after the round trip", form.name, i)
+			}
 		}
 	}
 }
@@ -269,24 +277,35 @@ func TestReadMessageBufReuses(t *testing.T) {
 }
 
 // BenchmarkPIRAnswerCodec encodes and decodes one recursive block answer
-// of the repository benchmark: 65,536 one-word ciphertexts, ~590 KB.
+// of the repository benchmark, 65,536 one-word ciphertexts, in both
+// forms: length-prefixed (~590 KB) and packed at the modulus's 8 bytes
+// (~524 KB), what a connection that sent the hello receives.
 func BenchmarkPIRAnswerCodec(b *testing.B) {
-	ans := recursiveAnswer(b)
-	var frame bytes.Buffer
-	var buf []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame.Reset()
-		if err := WritePIRBatchAnswer(&frame, 0, ans); err != nil {
-			b.Fatal(err)
-		}
-		_, body, err := ReadMessageBuf(&frame, &buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := DecodePIRBatchAnswer(body); err != nil {
-			b.Fatal(err)
-		}
+	ans, n := recursiveAnswer(b)
+	for _, form := range []struct {
+		name  string
+		write func(w io.Writer) error
+	}{
+		{"prefixed", func(w io.Writer) error { return WritePIRBatchAnswer(w, 0, ans) }},
+		{"packed", func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 0, ans, n) }},
+	} {
+		b.Run(form.name, func(b *testing.B) {
+			var frame bytes.Buffer
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				frame.Reset()
+				if err := form.write(&frame); err != nil {
+					b.Fatal(err)
+				}
+				_, body, err := ReadMessageBuf(&frame, &buf)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, _, err := DecodePIRBatchAnswer(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -265,7 +266,7 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 		wire.TypeBatchQuery:        {Admitted: true, Deadline: true, Exec: s.answerBatch},
 		wire.TypeAddDocs:           {Gate: updates, Admitted: true, Exec: s.answerAdmin},
 		wire.TypeDeleteDocs:        {Gate: updates, Admitted: true, Exec: s.answerAdmin},
-		wire.TypePIRParams:         {Name: "params", Gate: retrieval, EmptyBody: true, Admitted: true, Exec: s.answerPIRParams},
+		wire.TypePIRParams:         {Gate: retrieval, Admitted: true, Exec: s.answerPIRParams},
 		wire.TypePIRQuery:          {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRQuery},
 		wire.TypePIRBatchQuery:     {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRBatch},
 		wire.TypePIRRecursiveQuery: {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRRecursive},
@@ -453,8 +454,20 @@ func (s *NetServer) answerAdmin(req *netRequest) error {
 // The private document-fetch messages are each served from one store
 // snapshot per frame.
 
+// answerPIRParams answers the empty request with the table alone and the
+// hello with the unchanged or changed reply; a hello switches the
+// connection's answers to the packed form.
 func (s *NetServer) answerPIRParams(req *netRequest) error {
-	return wire.WritePIRParams(req.W, s.engine.store.Snapshot().Params())
+	params := s.engine.store.Snapshot().Params()
+	if len(req.Body) == 0 {
+		return wire.WritePIRParams(req.W, params)
+	}
+	have, err := wire.DecodePIRHello(req.Body)
+	if err != nil {
+		return err
+	}
+	req.State.packed = true
+	return wire.WritePIRHelloReply(req.W, params, have)
 }
 
 // answerPIRQuery serves a TypePIRQuery: a flat frame of one.
@@ -472,7 +485,19 @@ func (s *NetServer) answerPIRQuery(req *netRequest) error {
 		return err
 	}
 	s.loop.Counters[wire.StatRetrievals].Add(1)
+	if req.State.packed {
+		return wire.WritePIRAnswerPacked(req.W, answers[0], q.N)
+	}
 	return wire.WritePIRAnswer(req.W, answers[0])
+}
+
+// writeBatchAnswer streams answer i of a type-12 or type-23 frame under
+// modulus n: packed on a connection that sent the hello.
+func writeBatchAnswer(req *netRequest, i int, ans *pir.Answer, n *big.Int) error {
+	if req.State.packed {
+		return wire.WritePIRBatchAnswerPacked(req.W, i, ans, n)
+	}
+	return wire.WritePIRBatchAnswer(req.W, i, ans)
 }
 
 // answerPIRBatch serves a TypePIRBatchQuery. One snapshot answers the
@@ -496,7 +521,7 @@ func (s *NetServer) answerPIRBatch(req *netRequest) error {
 	}
 	for i, ans := range answers {
 		s.loop.Counters[wire.StatRetrievals].Add(1)
-		if err := wire.WritePIRBatchAnswer(req.W, i, ans); err != nil {
+		if err := writeBatchAnswer(req, i, ans, qs[0].N); err != nil {
 			return err
 		}
 	}
@@ -534,7 +559,7 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 		if len(qs[i].Cols) == 0 {
 			s.loop.Counters[wire.StatPIRRecursivePartials].Add(1)
 		}
-		if err := wire.WritePIRBatchAnswer(req.W, i, ans); err != nil {
+		if err := writeBatchAnswer(req, i, ans, qs[i].N); err != nil {
 			return err
 		}
 	}

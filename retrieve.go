@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -160,11 +161,12 @@ func (c *Client) pipelineDepth() int {
 
 // SetFetchRecursive opts this client's document fetches into the
 // two-level recursive PIR protocol: each block query carries two
-// selection vectors over a sqrt(n) x sqrt(n) grid instead of one flat
-// vector over all n blocks, cutting per-query upload from n to at most
-// 3*ceil(sqrt(n)) group elements at the cost of an answer that is
-// modBytes times larger (one ciphertext per byte of the level-1
-// answer). The answers decode to byte-identical documents either way.
+// selection vectors of at most 3*ceil(sqrt(n)) group elements over a
+// sqrt(n) x sqrt(n) grid, where the flat protocol uploads one seeded
+// vector per document — ceil(n/4)+19 bytes for 128 <= n < 16,384 blocks
+// (wire.SeededEntryBytes) — and a byte per further block. Its answer is
+// modBytes times larger (one ciphertext per byte of the level-1 answer).
+// The answers decode to byte-identical documents either way.
 //
 // Local fetches use the recursive plan only while the engine's
 // PIRRecursive knob allows it (Options.PIRRecursive /
@@ -271,9 +273,78 @@ func runBatched[Q any](ctx context.Context, qs <-chan Q, limit int, deliver func
 type remotePIR struct {
 	conn  io.ReadWriter
 	depth int
+	// at is what the client remembers of conn; nil is a client that never
+	// sends the hello.
+	at *fetchConn
 }
 
+// fetchConn is what a client remembers of the connection it fetched over
+// last: the block mapping the server sent on it and the digest that names
+// it — or that the server there predates the hello.
+type fetchConn struct {
+	conn io.ReadWriter
+	// legacy marks a server that refused the hello or answered it with the
+	// table alone: the connection asks with the empty request from then on.
+	legacy bool
+	// digest names params, the mapping the last hello reply left the
+	// client holding; nil until a server answered the hello.
+	digest *wire.ParamsDigest
+	params docstore.Params
+}
+
+// sameConn reports whether a and b are one connection value; a value ==
+// cannot compare is never the one a client fetched over last.
+func sameConn(a, b io.ReadWriter) bool {
+	return a != nil && reflect.ValueOf(b).Comparable() && a == b
+}
+
+// Params sends the hello — naming the mapping the client holds on this
+// connection, if any — and returns the mapping the reply leaves it
+// holding. A server that refuses the hello (the frozen
+// wire.ParamsBodyRefusal) is asked again with the empty request, on this
+// exchange and every later one on the connection.
 func (r remotePIR) Params() (docstore.Params, error) {
+	at := r.at
+	if at == nil || at.legacy {
+		return r.tableAlone()
+	}
+	if err := wire.WritePIRHello(r.conn, at.digest); err != nil {
+		return docstore.Params{}, fmt.Errorf("embellish: sending the PIR hello: %w", err)
+	}
+	typ, body, err := wire.ReadMessage(r.conn)
+	if err != nil {
+		return docstore.Params{}, fmt.Errorf("embellish: reading PIR params: %w", err)
+	}
+	switch typ {
+	case wire.TypePIRParams:
+	case wire.TypeError:
+		if string(body) == wire.ParamsBodyRefusal {
+			at.legacy = true
+			return r.tableAlone()
+		}
+		return docstore.Params{}, remoteError(body)
+	default:
+		return docstore.Params{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+	}
+	reply, err := wire.DecodePIRParamsReply(body)
+	if err != nil {
+		return docstore.Params{}, err
+	}
+	switch {
+	case !reply.Hello:
+		at.legacy = true
+		return reply.Params, nil
+	case reply.Changed:
+		at.params = reply.Params
+	case at.digest == nil || *at.digest != reply.Digest:
+		return docstore.Params{}, errors.New("embellish: the server called current a block mapping the client does not hold")
+	}
+	at.digest = &reply.Digest
+	return at.params, nil
+}
+
+// tableAlone asks for the mapping with the empty request.
+func (r remotePIR) tableAlone() (docstore.Params, error) {
 	if err := wire.WritePIRParamsRequest(r.conn); err != nil {
 		return docstore.Params{}, fmt.Errorf("embellish: requesting PIR params: %w", err)
 	}
@@ -714,6 +785,20 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // ranks (SearchRemote) and then fetches the winners. The server
 // observes only the number of blocks fetched, never which ones.
 //
+// Every fetch opens with the hello (wire.WritePIRHello), and the server
+// answers every block of a connection that sent it packed, each gamma at
+// the modulus's width. The hello names the block mapping the client holds
+// for conn: the client keeps the mapping of the one conn it fetched over
+// last and downloads it again only when the server's changed, so only a
+// fetch that reuses the conn of the previous one while the store stays
+// unchanged skips the table; a first fetch on a conn pays 18 bytes more
+// for the hello's reply than the table alone. The mapping follows the
+// conn value passed in, not the socket under it: a wrapper that
+// reconnects underneath names its old mapping on the new socket, and the
+// client holds a reference to conn until it fetches over another. A
+// server predating the hello refuses it (wire.ParamsBodyRefusal) and is
+// asked with the empty request for the rest of the connection.
+//
 // Block fetches are pipelined over the single connection: up to the
 // fetch-pipeline window (SetFetchPipeline, default
 // DefaultFetchPipeline) of block queries travel in batch frames while
@@ -750,8 +835,11 @@ func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWr
 	if c.fetchRecursive {
 		ladder = append([]fetchShape{fetchRecursive}, ladder...)
 	}
+	if !sameConn(c.fetched.conn, conn) {
+		c.fetched = fetchConn{conn: conn}
+	}
 	for i := 0; ; i++ {
-		t := remotePIR{conn: conn, depth: c.pipelineDepth()}
+		t := remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}
 		if ladder[i] == fetchSequential {
 			t.depth = 1
 		}

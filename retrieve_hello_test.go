@@ -1,0 +1,479 @@
+package embellish
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"slices"
+	"testing"
+
+	"embellish/internal/detrand"
+	"embellish/internal/pir"
+	"embellish/internal/vbyte"
+	"embellish/internal/wire"
+)
+
+// The fetch hello: a client opens each fetch with a params request that
+// names the block mapping it holds on the connection, downloads the table
+// only when it changed, and receives every answer at the modulus's width.
+// These tests count the bytes of both directions exactly, fetch across a
+// change of the mapping, fall back against a server that predates the
+// hello, and hold a peer that never sends it to today's frames.
+
+// tapConn is a net.Conn that keeps everything written to and read from
+// it.
+type tapConn struct {
+	net.Conn
+	wrote, read []byte
+}
+
+func (c *tapConn) Write(p []byte) (int, error) {
+	c.wrote = append(c.wrote, p...)
+	return c.Conn.Write(p)
+}
+
+func (c *tapConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.read = append(c.read, p[:n]...)
+	return n, err
+}
+
+// reset forgets what was tapped so far.
+func (c *tapConn) reset() { c.wrote, c.read = nil, nil }
+
+// tappedFrame is one frame a tapConn moved.
+type tappedFrame struct {
+	typ  byte
+	body []byte
+}
+
+// tappedFrames splits raw into frames.
+func tappedFrames(t *testing.T, raw []byte) []tappedFrame {
+	t.Helper()
+	var out []tappedFrame
+	for r := bytes.NewReader(raw); r.Len() > 0; {
+		typ, body, err := wire.ReadMessage(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tappedFrame{typ, body})
+	}
+	return out
+}
+
+// threeBlockWorld is a store world at 1 KiB blocks with two documents of
+// three blocks each appended, and a client whose fetch key is 64 bits: a
+// block answer is 8,192 gammas of 8 bytes, the benchmark's shape.
+func threeBlockWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, ids []int) {
+	t.Helper()
+	e, c, texts = storeWorld(t, 20, 1024)
+	lemmas := miniLemmas()
+	var docs []Document
+	for i := 0; i < 2; i++ {
+		id := e.NextDocID() + i
+		text := storeDocText(id, lemmas)
+		for len(text) <= 2048+100*i {
+			text += " " + lemmas[2+(len(text)+i)%20]
+		}
+		texts[id] = text
+		docs = append(docs, Document{ID: id, Text: text})
+		ids = append(ids, id)
+	}
+	if err := e.AddDocuments(docs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetRetrievalKeyBits(64); err != nil {
+		t.Fatal(err)
+	}
+	return e, c, texts, ids
+}
+
+// fetchOver fetches ids over conn and checks the bytes against texts.
+func fetchOver(t *testing.T, c *Client, conn net.Conn, ids []int, texts map[int]string) FetchStats {
+	t.Helper()
+	got, st, err := c.FetchDocumentsRemote(conn, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if string(got[i]) != texts[id] {
+			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
+		}
+	}
+	return st
+}
+
+// TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers: the second fetch
+// of two three-block documents on a connection downloads exactly one
+// 23-byte unchanged reply and six 65,546-byte packed answer frames — and
+// uploads a hello of its 16-byte digest.
+func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
+	e, c, texts, ids := threeBlockWorld(t)
+	raw, err := net.Dial("tcp", startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := &tapConn{Conn: raw}
+	fetchOver(t, c, conn, ids, texts) // cold: the hello names no mapping
+	conn.reset()
+	if st := fetchOver(t, c, conn, ids, texts); st.Runs != 6 {
+		t.Fatalf("%d PIR runs for two three-block documents", st.Runs)
+	}
+	const unchanged, answer = 23, 65546
+	if got, want := len(conn.read), unchanged+6*answer; got != want {
+		t.Fatalf("the warm fetch downloaded %d bytes, want %d: one unchanged reply and six packed answers", got, want)
+	}
+	down := tappedFrames(t, conn.read)
+	if down[0].typ != wire.TypePIRParams || 4+1+len(down[0].body) != unchanged {
+		t.Fatalf("the first frame down is type %d of %d bytes, want the %d-byte unchanged reply", down[0].typ, 5+len(down[0].body), unchanged)
+	}
+	reply, err := wire.DecodePIRParamsReply(down[0].body)
+	if err != nil || !reply.Hello || reply.Changed {
+		t.Fatalf("the reply to the warm hello: %+v, %v", reply, err)
+	}
+	for i, f := range down[1:] {
+		if f.typ != wire.TypePIRBatchResponse || 4+1+len(f.body) != answer {
+			t.Fatalf("answer %d is type %d of %d bytes, want %d", i, f.typ, 5+len(f.body), answer)
+		}
+	}
+	up := tappedFrames(t, conn.wrote)
+	if up[0].typ != wire.TypePIRParams || !bytes.Equal(up[0].body, reply.Digest[:]) {
+		t.Fatalf("the warm hello carried %x, want the digest %x", up[0].body, reply.Digest)
+	}
+}
+
+// TestColdFetchCostsEighteenBytesOnTheMapping: a fetch that does not
+// reuse the connection of the one before it — one fetch per fresh
+// connection, as eb-search runs — is measured against the same fetch from
+// a client that asks with the empty request, byte for byte what the
+// client sent before the hello. The cold hello uploads exactly one byte
+// more and its reply downloads exactly 18 bytes more than the table
+// alone; every answer frame is packed, 65,546 bytes against the
+// length-prefixed frame's ~73,700.
+func TestColdFetchCostsEighteenBytesOnTheMapping(t *testing.T) {
+	e, c, texts, ids := threeBlockWorld(t)
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
+	// fetch runs one fetch on a fresh connection, asking with the empty
+	// request when legacy, and returns the frames both ways.
+	fetch := func(legacy bool) (up, down []tappedFrame, wrote, read int) {
+		t.Helper()
+		raw, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer raw.Close()
+		conn := &tapConn{Conn: raw}
+		if legacy {
+			c.fetched = fetchConn{conn: conn, legacy: true}
+		}
+		fetchOver(t, c, conn, ids, texts)
+		return tappedFrames(t, conn.wrote), tappedFrames(t, conn.read), len(conn.wrote), len(conn.read)
+	}
+	oldUp, oldDown, oldWrote, oldRead := fetch(true)
+	for run := 0; run < 2; run++ {
+		up, down, wrote, read := fetch(false)
+		if !bytes.Equal(up[0].body, []byte{0x80}) || len(oldUp[0].body) != 0 {
+			t.Fatalf("run %d: params requests %x and %x, want the cold hello 80 and the empty request", run, up[0].body, oldUp[0].body)
+		}
+		if wrote != oldWrote+1 {
+			t.Fatalf("run %d: a cold fetch uploaded %d bytes, the empty request's %d; want one more", run, wrote, oldWrote)
+		}
+		if len(down[0].body) != len(oldDown[0].body)+18 {
+			t.Fatalf("run %d: the cold reply has %d bytes, the table alone %d; want 18 more", run, len(down[0].body), len(oldDown[0].body))
+		}
+		if len(down) != 7 || len(oldDown) != 7 {
+			t.Fatalf("run %d: %d and %d frames down, want the mapping and six answers", run, len(down), len(oldDown))
+		}
+		packedSaved := 0
+		for i := 1; i < 7; i++ {
+			if got := 5 + len(down[i].body); got != 65546 {
+				t.Fatalf("run %d: answer %d is %d bytes, want 65,546 packed", run, i, got)
+			}
+			if len(oldDown[i].body) <= len(down[i].body) {
+				t.Fatalf("run %d: a length-prefixed answer of %d bytes is no longer than the packed %d", run, len(oldDown[i].body), len(down[i].body))
+			}
+			packedSaved += len(oldDown[i].body) - len(down[i].body)
+		}
+		if read != oldRead+18-packedSaved {
+			t.Fatalf("run %d: downloaded %d bytes, want %d = %d + 18 - %d", run, read, oldRead+18-packedSaved, oldRead, packedSaved)
+		}
+		t.Logf("cold fetch: %d B down, %d B up; the empty request's: %d B down, %d B up", read, wrote, oldRead, oldWrote)
+	}
+}
+
+// TestSameConnNeverPanics: a connection value whose dynamic type cannot be
+// compared is never the connection a client fetched over last, and
+// comparing it does not panic.
+func TestSameConnNeverPanics(t *testing.T) {
+	type rw struct {
+		io.Reader
+		io.Writer
+	}
+	var buf bytes.Buffer
+	funcs := rw{Reader: readerFunc(buf.Read), Writer: &buf}
+	if sameConn(funcs, funcs) {
+		t.Fatal("a value holding a func reported as the last connection")
+	}
+	ptr := &rw{Reader: &buf, Writer: &buf}
+	if !sameConn(ptr, ptr) || sameConn(ptr, &rw{Reader: &buf, Writer: &buf}) || sameConn(nil, ptr) {
+		t.Fatal("pointer identity misjudged")
+	}
+}
+
+// readerFunc is an io.Reader of a func type: == cannot compare it.
+type readerFunc func([]byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// TestFetchAfterAddReceivesTheFullTable: a document added between two
+// fetches on one connection changes the mapping, so the next hello is
+// answered with the whole new table — and the fetched documents, the new
+// one among them, are the stored bytes.
+func TestFetchAfterAddReceivesTheFullTable(t *testing.T) {
+	e, c, texts, ids := threeBlockWorld(t)
+	raw, err := net.Dial("tcp", startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	conn := &tapConn{Conn: raw}
+	fetchOver(t, c, conn, ids, texts)
+	added := e.NextDocID()
+	texts[added] = storeDocText(added, miniLemmas())
+	if err := e.AddDocuments([]Document{{ID: added, Text: texts[added]}}); err != nil {
+		t.Fatal(err)
+	}
+	conn.reset()
+	fetchOver(t, c, conn, []int{ids[1], added}, texts)
+	reply, err := wire.DecodePIRParamsReply(tappedFrames(t, conn.read)[0].body)
+	if err != nil || !reply.Hello || !reply.Changed {
+		t.Fatalf("the reply to the hello after an add: %+v, %v", reply, err)
+	}
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Params.NumBlocks != sn.NumBlocks() || len(reply.Params.Exts) != added+1 {
+		t.Fatalf("the changed reply maps %d blocks and %d documents, the store %d and %d", reply.Params.NumBlocks, len(reply.Params.Exts), sn.NumBlocks(), added+1)
+	}
+	for _, id := range append(ids, added) {
+		stored, err := e.Document(id)
+		if err != nil || string(stored) != texts[id] {
+			t.Fatalf("doc %d: stored %q (%v)", id, stored, err)
+		}
+	}
+}
+
+// TestHelloRefusedOnceThenEmptyRequest: a server predating the hello
+// refuses its body with wire.ParamsBodyRefusal. The first fetch on the
+// connection costs exactly one extra exchange — the refused hello — and
+// the second costs none: it asks with the empty request at once.
+func TestHelloRefusedOnceThenEmptyRequest(t *testing.T) {
+	e, c, texts, byBlocks := rotationWorld(t)
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvConn, cliConn := net.Pipe()
+	defer cliConn.Close()
+	var srv oldBatchServer
+	go srv.serve(srvConn, sn, func([]byte) (string, bool) { return "", false })
+	conn := &tapConn{Conn: cliConn}
+	ids := []int{byBlocks[3], byBlocks[2]}
+	for fetch, want := range [][]string{{"80", ""}, {""}} {
+		conn.reset()
+		fetchOver(t, c, conn, ids, texts)
+		var params []string
+		for _, f := range tappedFrames(t, conn.wrote) {
+			if f.typ == wire.TypePIRParams {
+				params = append(params, fmt.Sprintf("%x", f.body))
+			}
+		}
+		if !slices.Equal(params, want) {
+			t.Fatalf("fetch %d sent params requests %q, want %q", fetch, params, want)
+		}
+		refusals := 0
+		for _, f := range tappedFrames(t, conn.read) {
+			if f.typ == wire.TypeError {
+				if string(f.body) != wire.ParamsBodyRefusal {
+					t.Fatalf("fetch %d: refused %q", fetch, f.body)
+				}
+				refusals++
+			}
+		}
+		if refusals != len(want)-1 {
+			t.Fatalf("fetch %d drew %d refusals, want %d", fetch, refusals, len(want)-1)
+		}
+	}
+}
+
+// TestLegacyPeerGetsTodaysFrames: a peer that never sends the hello — an
+// older client — gets the table alone for its empty request and every
+// answer length-prefixed, byte-identical to what the writers of those
+// forms produce from the oracle's answers, and readable by a decoder that
+// knows only that form.
+func TestLegacyPeerGetsTodaysFrames(t *testing.T) {
+	e, c, _, byBlocks := rotationWorld(t)
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	readFrame := func() []byte {
+		t.Helper()
+		var head [4]byte
+		if _, err := io.ReadFull(conn, head[:]); err != nil {
+			t.Fatal(err)
+		}
+		frame := append(head[:], make([]byte, binary.LittleEndian.Uint32(head[:]))...)
+		if _, err := io.ReadFull(conn, frame[4:]); err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	if err := wire.WritePIRParamsRequest(conn); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := wire.WritePIRParams(&want, sn.Params()); err != nil {
+		t.Fatal(err)
+	}
+	if got := readFrame(); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("the empty request got %x, want the table alone %x", got, want.Bytes())
+	}
+	q, err := key.NewQuery(detrand.New("legacy-peer"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[2]].First))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, _, err := sn.AnswerCtx(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WritePIRQuery(conn, q); err != nil {
+		t.Fatal(err)
+	}
+	want.Reset()
+	if err := wire.WritePIRAnswer(&want, oracle); err != nil {
+		t.Fatal(err)
+	}
+	got := readFrame()
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("a type-10 query's answer differs from the length-prefixed frame")
+	}
+	if count, _, err := vbyte.Decode(got[5:]); err != nil || count != uint64(len(oracle.Gammas)) {
+		t.Fatalf("the answer opens on gamma count %d (%v), want %d", count, err, len(oracle.Gammas))
+	}
+	qs := []*pir.Query{q, q.Next()}
+	if err := wire.WritePIRBatchQuery(conn, qs); err != nil {
+		t.Fatal(err)
+	}
+	for i, bq := range qs {
+		oracle, _, err := sn.AnswerCtx(context.Background(), bq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Reset()
+		if err := wire.WritePIRBatchAnswer(&want, i, oracle); err != nil {
+			t.Fatal(err)
+		}
+		if got := readFrame(); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("batch answer %d differs from the length-prefixed frame", i)
+		}
+	}
+}
+
+// TestHelloPacksEveryAnswer: once a connection sent the hello, its
+// type-11 answers and its type-13 answers — flat and recursive — arrive
+// packed at the modulus's width and decode to the oracle's gammas.
+func TestHelloPacksEveryAnswer(t *testing.T) {
+	e, c, _, byBlocks := rotationWorld(t)
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRRecursive: 1})
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := (key.N.BitLen() + 7) / 8
+	if err := wire.WritePIRHello(conn, nil); err != nil {
+		t.Fatal(err)
+	}
+	typ, body, err := wire.ReadMessage(conn)
+	if err != nil || typ != wire.TypePIRParams {
+		t.Fatalf("hello answered with type %d (%s), %v", typ, body, err)
+	}
+	reply, err := wire.DecodePIRParamsReply(body)
+	if err != nil || !reply.Hello || !reply.Changed || reply.Params.NumBlocks != sn.NumBlocks() {
+		t.Fatalf("the cold hello's reply: %+v, %v", reply, err)
+	}
+	// packedAnswer reads one answer of type typ and checks its form and
+	// its gammas.
+	packedAnswer := func(typ byte, index int, want *pir.Answer) {
+		t.Helper()
+		got, body, err := wire.ReadMessage(conn)
+		if err != nil || got != typ {
+			t.Fatalf("answer of type %d (%s), %v; want type %d", got, body, err, typ)
+		}
+		tail := body
+		if typ == wire.TypePIRBatchResponse {
+			tail = tail[vbyte.Len(uint64(index)):]
+		}
+		head := vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), uint64(width)), uint64(len(want.Gammas)))
+		if !bytes.HasPrefix(tail, head) || len(tail) != len(head)+width*len(want.Gammas) {
+			t.Fatalf("a %d-byte answer tail, want %x and %d gammas of %d bytes", len(tail), head, len(want.Gammas), width)
+		}
+		var ans *pir.Answer
+		if typ == wire.TypePIRBatchResponse {
+			var at int
+			at, ans, err = wire.DecodePIRBatchAnswer(body)
+			if at != index {
+				t.Fatalf("answer index %d, want %d", at, index)
+			}
+		} else {
+			ans, err = wire.DecodePIRAnswer(body)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range want.Gammas {
+			if ans.Gammas[i].Cmp(g) != 0 {
+				t.Fatalf("gamma %d: %v, the oracle's %v", i, ans.Gammas[i], g)
+			}
+		}
+	}
+	q, err := key.NewQuery(detrand.New("packed"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[3]].First))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := func(q *pir.Query) *pir.Answer {
+		t.Helper()
+		a, _, err := sn.AnswerCtx(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	if err := wire.WritePIRQuery(conn, q); err != nil {
+		t.Fatal(err)
+	}
+	packedAnswer(wire.TypePIRResponse, 0, oracle(q))
+	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{q, q.Next()}); err != nil {
+		t.Fatal(err)
+	}
+	packedAnswer(wire.TypePIRBatchResponse, 0, oracle(q))
+	packedAnswer(wire.TypePIRBatchResponse, 1, oracle(q.Next()))
+	rq, err := key.NewRecursiveQuery(detrand.New("packed-rec"), sn.NumBlocks(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recAnswers, _, err := answerPIRRecursiveCtx(context.Background(), sn, []*pir.RecursiveQuery{rq})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.WritePIRRecursiveQuery(conn, []*pir.RecursiveQuery{rq}); err != nil {
+		t.Fatal(err)
+	}
+	packedAnswer(wire.TypePIRBatchResponse, 0, recAnswers[0])
+}

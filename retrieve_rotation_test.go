@@ -57,7 +57,7 @@ func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, by
 // connection, a fetch uploads one seeded selection vector per DOCUMENT
 // and a byte per further block, and FetchStats.QueryBytes is exactly that
 // figure. What else the socket carries is counted to the byte: the
-// five-byte params request and each frame's head (length, type, modulus,
+// six-byte hello and each frame's head (length, type, modulus,
 // the seeded form's 0, count, V and Z) — and, at the default window,
 // where a frame boundary can fall inside a document, the seeded entry of
 // each rotation the boundary orphans in place of its byte.
@@ -118,7 +118,7 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 			if got := cc.frames[wire.TypePIRBatchQuery]; got != frames || (window == 16 && frames != 1) {
 				t.Fatalf("%s, window %d: %d blocks went out in %d batch frames, want %d", tc.name, window, blocks, got, frames)
 			}
-			extra := 5 // the params request
+			extra := 6 // the hello of a fresh connection: a single 0
 			for _, body := range cc.bodies(wire.TypePIRBatchQuery) {
 				qs, err := wire.DecodePIRBatchQuery(body)
 				if err != nil || qs[0].Seed == nil {
@@ -231,9 +231,11 @@ func preRotationRefusal(body []byte) (string, bool) {
 	return "", false
 }
 
-// oldBatchServer speaks the batch protocol as an older server did:
-// refuse answers a type-12 frame with an error frame (and the connection
-// stays up) or lets it through to the one executor.
+// oldBatchServer speaks the batch protocol as an older server did: it
+// refuses a params request that carries a body, the hello, with
+// wire.ParamsBodyRefusal, and refuse answers a type-12 frame with an error
+// frame (and the connection stays up) or lets it through to the one
+// executor.
 type oldBatchServer struct {
 	mu              sync.Mutex
 	refused, served int
@@ -254,6 +256,10 @@ func (s *oldBatchServer) serve(conn net.Conn, sn *docstore.Snapshot, refuse func
 		}
 		switch typ {
 		case wire.TypePIRParams:
+			if len(body) != 0 {
+				err = wire.WriteError(conn, wire.ParamsBodyRefusal)
+				break
+			}
 			err = wire.WritePIRParams(conn, sn.Params())
 		case wire.TypePIRBatchQuery:
 			if text, refused := refuse(body); refused {
