@@ -26,9 +26,8 @@ import (
 
 // Document is one indexable text.
 type Document struct {
-	// ID is the document's corpus id. NewEngine accepts any ids, but
-	// storing engines (Options.StoreDocuments) and AddDocuments require
-	// the dense sequence 0,1,2,... that NextDocID continues.
+	// ID is the document's corpus id. NewEngine requires the dense
+	// sequence 0,1,2,..., and AddDocuments continues it from NextDocID.
 	ID int
 	// Text is the raw document body: what gets analyzed, indexed and —
 	// on storing engines — kept for private retrieval.
@@ -89,6 +88,13 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 	if len(docs) == 0 {
 		return nil, errors.New("embellish: no documents")
 	}
+	// The index numbers documents 0,1,2,... in the order it is handed
+	// them, and AddDocuments continues that sequence.
+	for i, d := range docs {
+		if d.ID != i {
+			return nil, fmt.Errorf("embellish: document ids must be dense from 0: got %d at position %d", d.ID, i)
+		}
+	}
 	lex.freeze()
 
 	e := &Engine{opts: opts, lex: lex}
@@ -104,16 +110,11 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("embellish: %w", err)
 		}
-		// The store requires the dense-id contract NewEngine already
-		// implies (AddDocuments continues the sequence from NumDocs),
-		// and the same per-document size cap AddDocuments enforces —
+		// The store takes the per-document size cap AddDocuments enforces:
 		// the wire params codec rejects larger extents, so an oversized
 		// document here would break every remote fetch later.
 		texts := make([][]byte, len(docs))
 		for i, d := range docs {
-			if d.ID != i {
-				return nil, fmt.Errorf("embellish: StoreDocuments requires dense document ids: got %d at position %d", d.ID, i)
-			}
 			if len(d.Text) > maxStoredDocBytes {
 				return nil, fmt.Errorf("embellish: document %d text of %d bytes exceeds the storable limit %d", d.ID, len(d.Text), maxStoredDocBytes)
 			}
@@ -124,9 +125,7 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 		}
 		e.store = store
 	}
-	for _, d := range docs {
-		b.Add(index.DocID(d.ID), e.analyzer.Analyze(d.Text))
-	}
+	e.indexDocuments(b, docs)
 	baseIx := b.Build()
 	e.live = index.NewLive(baseIx)
 	e.live.SetMaxSegments(opts.maxSegments())
@@ -183,6 +182,42 @@ func buildAnalyzer(db *wordnet.Database, stopwords bool) *textproc.Analyzer {
 	}
 	a.Matcher = textproc.NewDictionaryMatcher(lemmas)
 	return a
+}
+
+// analyzeChunk is how many documents are analyzed before the builder
+// takes their tokens. Only one chunk's token slices are alive at a time,
+// so ingest memory does not grow with the batch: the paper's 172,961
+// documents would hold ~0.5 GB of tokens at once.
+const analyzeChunk = 512
+
+// indexDocuments adds docs to b as its documents 0,1,2,..., analyzing
+// them on GOMAXPROCS workers a chunk at a time. The builder takes each
+// chunk in id order, so the index is the same at any worker count.
+func (e *Engine) indexDocuments(b *index.Builder, docs []Document) {
+	tokens := make([][]string, min(analyzeChunk, len(docs)))
+	for lo := 0; lo < len(docs); lo += analyzeChunk {
+		chunk := docs[lo:min(lo+analyzeChunk, len(docs))]
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := min(runtime.GOMAXPROCS(0), len(chunk)); w > 0; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					i := int(next.Add(1)) - 1
+					if i >= len(chunk) {
+						return
+					}
+					tokens[i] = e.analyzer.Analyze(chunk[i].Text)
+				}
+			}()
+		}
+		wg.Wait()
+		for i := range chunk {
+			b.Add(index.DocID(lo+i), tokens[i])
+			tokens[i] = nil
+		}
+	}
 }
 
 // clientWorld is the client-side slice of an engine: everything needed
@@ -532,9 +567,7 @@ func (e *Engine) addDocuments(docs []Document, journal bool) error {
 	if e.opts.Scoring == BM25 {
 		b.Scoring = index.ScoringBM25
 	}
-	for i, d := range docs {
-		b.Add(index.DocID(i), e.analyzer.Analyze(d.Text))
-	}
+	e.indexDocuments(b, docs)
 	// Build the segment FIRST and pre-check Append's preconditions, so
 	// nothing below can fail after the store mutation: a store left
 	// ahead of the index would brick every later update.

@@ -75,6 +75,16 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(MiniLexicon(), docs, DefaultOptions()); err == nil {
 		t.Fatal("starved dictionary accepted")
 	}
+	// Ids that are not 0..n-1 are refused with an error, storing or not,
+	// before anything reaches the index builder (which panics on them).
+	sparse := []Document{{ID: 0, Text: "osteosarcoma therapy"}, {ID: 5, Text: "radiation therapy"}}
+	for _, store := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.StoreDocuments = store
+		if _, err := NewEngine(MiniLexicon(), sparse, opts); err == nil || !strings.Contains(err.Error(), "dense") {
+			t.Fatalf("StoreDocuments=%v: ids {0, 5} gave %v, want a dense-id error", store, err)
+		}
+	}
 }
 
 func TestEngineAccessors(t *testing.T) {

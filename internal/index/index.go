@@ -17,10 +17,13 @@
 package index
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // DocID identifies a document in the corpus, dense from 0.
@@ -140,8 +143,10 @@ type Builder struct {
 	BM25  BM25Params
 	terms map[string]int
 	vocab []string
-	// freqs[i] maps doc -> f_{d,t} during collection.
-	freqs  []map[DocID]int32
+	// freqs[i] is term i's postings during collection, ascending by doc:
+	// documents arrive in id order, so a repeat within the current
+	// document bumps the last entry.
+	freqs  [][]docFreq
 	docLen []int32
 	// tokLen[d] is the token count of document d (BM25's dl).
 	tokLen  []int32
@@ -159,13 +164,21 @@ type Builder struct {
 	Scale float64
 }
 
+// docFreq is one collected posting: a document and f_{d,t}.
+type docFreq struct {
+	doc DocID
+	f   int32
+}
+
 // NewBuilder returns an empty Builder with default quantization.
 func NewBuilder() *Builder {
 	return &Builder{terms: make(map[string]int), QuantLevels: 255}
 }
 
 // Add indexes one document given its analyzed token stream. Documents
-// must be added with consecutive DocIDs starting at 0.
+// must be added with consecutive DocIDs starting at 0. The builder keeps
+// no token string it is handed: new vocabulary is cloned, so a token cut
+// from a document's text does not keep that text alive.
 func (b *Builder) Add(doc DocID, tokens []string) {
 	if int(doc) != b.numDocs {
 		panic(fmt.Sprintf("index: documents must be added in order; got %d want %d", doc, b.numDocs))
@@ -175,15 +188,19 @@ func (b *Builder) Add(doc DocID, tokens []string) {
 	for _, tok := range tokens {
 		ti, ok := b.terms[tok]
 		if !ok {
+			tok = strings.Clone(tok)
 			ti = len(b.vocab)
 			b.terms[tok] = ti
 			b.vocab = append(b.vocab, tok)
-			b.freqs = append(b.freqs, make(map[DocID]int32))
+			b.freqs = append(b.freqs, nil)
 		}
-		if b.freqs[ti][doc] == 0 {
-			seen++
+		list := b.freqs[ti]
+		if n := len(list); n > 0 && list[n-1].doc == doc {
+			list[n-1].f++
+			continue
 		}
-		b.freqs[ti][doc]++
+		b.freqs[ti] = append(list, docFreq{doc, 1})
+		seen++
 	}
 	b.docLen = append(b.docLen, int32(seen))
 	b.tokLen = append(b.tokLen, int32(len(tokens)))
@@ -197,10 +214,10 @@ func (b *Builder) Build() *Index {
 	// Equation 3 sums the squared DOCUMENT weights only — w_t does not
 	// enter the normalizer.
 	wd := make([]float64, b.numDocs)
-	for ti := range b.vocab {
-		for d, fdt := range b.freqs[ti] {
-			wdt := 1 + math.Log(float64(fdt))
-			wd[d] += wdt * wdt
+	for _, list := range b.freqs {
+		for _, p := range list {
+			wdt := 1 + math.Log(float64(p.f))
+			wd[p.doc] += wdt * wdt
 		}
 	}
 	for d := range wd {
@@ -227,23 +244,23 @@ func (b *Builder) Build() *Index {
 		avgdl /= float64(b.numDocs)
 	}
 	maxImpact := 0.0
-	for ti := range b.vocab {
-		ft := float64(len(b.freqs[ti]))
+	for ti, freqs := range b.freqs {
+		ft := float64(len(freqs))
 		wt := math.Log(1 + n/ft)
-		list := make([]Posting, 0, len(b.freqs[ti]))
-		for d, fdt := range b.freqs[ti] {
+		list := make([]Posting, len(freqs))
+		for i, p := range freqs {
 			var imp float64
 			switch b.Scoring {
 			case ScoringBM25:
-				imp = bm25Impact(bmp, n, ft, float64(fdt), float64(b.tokLen[d]), avgdl)
+				imp = bm25Impact(bmp, n, ft, float64(p.f), float64(b.tokLen[p.doc]), avgdl)
 			default:
-				wdt := 1 + math.Log(float64(fdt))
-				imp = wdt * wt / wd[d]
+				wdt := 1 + math.Log(float64(p.f))
+				imp = wdt * wt / wd[p.doc]
 			}
 			if imp > maxImpact {
 				maxImpact = imp
 			}
-			list = append(list, Posting{Doc: d, Impact: imp})
+			list[i] = Posting{Doc: p.doc, Impact: imp}
 		}
 		ix.lists[ti] = list
 	}
@@ -265,16 +282,23 @@ func (b *Builder) Build() *Index {
 			}
 			list[i].Quantized = q
 		}
-		sort.Slice(list, func(i, j int) bool {
-			if list[i].Impact != list[j].Impact {
-				return list[i].Impact > list[j].Impact
-			}
-			return list[i].Doc < list[j].Doc
-		})
+		slices.SortFunc(list, byImpact)
 		ix.lists[ti] = list
 	}
 	b.freqs = nil
 	return ix
+}
+
+// byImpact orders postings by decreasing impact, ties by ascending doc:
+// a total order within one list, so every sort of it agrees.
+func byImpact(a, b Posting) int {
+	if a.Impact != b.Impact {
+		if a.Impact > b.Impact {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Doc, b.Doc)
 }
 
 // Result is one scored document.

@@ -75,36 +75,36 @@ func TestAnalyzerStemOption(t *testing.T) {
 func TestPorterStemVectors(t *testing.T) {
 	// Canonical vectors from Porter's paper.
 	vectors := map[string]string{
-		"caresses":   "caress",
-		"ponies":     "poni",
-		"ties":       "ti",
-		"caress":     "caress",
-		"cats":       "cat",
-		"feed":       "feed",
-		"agreed":     "agre",
-		"plastered":  "plaster",
-		"bled":       "bled",
-		"motoring":   "motor",
-		"sing":       "sing",
-		"conflated":  "conflat",
-		"troubled":   "troubl",
-		"sized":      "size",
-		"hopping":    "hop",
-		"tanned":     "tan",
-		"falling":    "fall",
-		"hissing":    "hiss",
-		"fizzed":     "fizz",
-		"failing":    "fail",
-		"filing":     "file",
-		"happy":      "happi",
-		"sky":        "sky",
-		"relational": "relat",
-		"conditional": "condit",
-		"rational":    "ration",
-		"valenci":     "valenc",
-		"digitizer":   "digit",
-		"operator":    "oper",
-		"feudalism":   "feudal",
+		"caresses":     "caress",
+		"ponies":       "poni",
+		"ties":         "ti",
+		"caress":       "caress",
+		"cats":         "cat",
+		"feed":         "feed",
+		"agreed":       "agre",
+		"plastered":    "plaster",
+		"bled":         "bled",
+		"motoring":     "motor",
+		"sing":         "sing",
+		"conflated":    "conflat",
+		"troubled":     "troubl",
+		"sized":        "size",
+		"hopping":      "hop",
+		"tanned":       "tan",
+		"falling":      "fall",
+		"hissing":      "hiss",
+		"fizzed":       "fizz",
+		"failing":      "fail",
+		"filing":       "file",
+		"happy":        "happi",
+		"sky":          "sky",
+		"relational":   "relat",
+		"conditional":  "condit",
+		"rational":     "ration",
+		"valenci":      "valenc",
+		"digitizer":    "digit",
+		"operator":     "oper",
+		"feudalism":    "feudal",
 		"decisiveness": "decis",
 		"hopefulness":  "hope",
 		"formaliti":    "formal",
@@ -159,7 +159,7 @@ func TestDictionaryMatcherFuse(t *testing.T) {
 	m := NewDictionaryMatcher([]string{
 		"abu sayyaf", "residual nitrogen time", "water", "abu sayyaf group",
 	})
-	got := m.Fuse([]string{"the", "abu", "sayyaf", "group", "claimed", "residual", "nitrogen", "time"})
+	got := m.Fuse(nil, []string{"the", "abu", "sayyaf", "group", "claimed", "residual", "nitrogen", "time"})
 	want := []string{"the", "abu sayyaf group", "claimed", "residual nitrogen time"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -168,7 +168,7 @@ func TestDictionaryMatcherFuse(t *testing.T) {
 
 func TestDictionaryMatcherLongestFirst(t *testing.T) {
 	m := NewDictionaryMatcher([]string{"radiation therapy", "accelerated radiation therapy"})
-	got := m.Fuse([]string{"accelerated", "radiation", "therapy"})
+	got := m.Fuse(nil, []string{"accelerated", "radiation", "therapy"})
 	want := []string{"accelerated radiation therapy"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
@@ -177,7 +177,7 @@ func TestDictionaryMatcherLongestFirst(t *testing.T) {
 
 func TestDictionaryMatcherPartialNoMatch(t *testing.T) {
 	m := NewDictionaryMatcher([]string{"abu sayyaf"})
-	got := m.Fuse([]string{"abu", "dhabi"})
+	got := m.Fuse(nil, []string{"abu", "dhabi"})
 	want := []string{"abu", "dhabi"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("got %v, want %v", got, want)
