@@ -23,9 +23,8 @@ var (
 	benchEnv  *eval.Env
 	benchErr  error
 
-	printMu      sync.Mutex
-	printedFig   = map[string]bool{}
-	printedBench = map[string]bool{}
+	printMu    sync.Mutex
+	printedFig = map[string]bool{}
 )
 
 // benchConfig is the shared benchmark environment scale. PIR server work

@@ -491,6 +491,12 @@ func TestCancellationDeterministicQuery(t *testing.T) {
 				t.Fatalf("scan made %d post-deadline polls (%d total), want 1..%d",
 					clock.pastDeadline, clock.polls, maxPastDeadlinePolls)
 			}
+			// Cancellation frees capacity: the stop lands mid-walk, after
+			// some postings and before the last. The pinned clock makes
+			// the count exact, so this is a bound on work, not on time.
+			if got, full := cerr.Stats.PostingsScanned, base.Stats.PostingsScanned; got <= 0 || got >= full {
+				t.Fatalf("cancelled scan walked %d of %d postings, want strictly between 0 and %d", got, full, full)
+			}
 
 			after, err := e.Process(q)
 			if err != nil {

@@ -1,6 +1,7 @@
 package embellish
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -115,13 +116,40 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"ProcessColumnsMultiExecCtx", "Deleted plans",
 		"PIRRecursive", "ConfigurePIRRecursive", "SetFetchRecursive",
 		"BlockSize", "RetrievalKeyBits", "SetFetchPipeline", "MaxSegments",
-		"Durability", "CheckpointEveryOps", "BENCH_PR7.json",
-		"BENCH_PR10.json", "amort_ms_per_doc", "amort_pipe_ms_per_doc",
-		"rec_ms_per_doc", "rec_query_bytes", "Montgomery",
+		"Durability", "CheckpointEveryOps", "Montgomery",
 		"OPERATIONS.md", "What an engine build costs",
 	} {
 		if !strings.Contains(string(perf), knob) {
 			t.Errorf("docs/PERFORMANCE.md does not mention %s", knob)
+		}
+	}
+	// The one benchmark: its command, every workload and every end-to-end
+	// metric BENCHMARK.json declares.
+	var bench struct {
+		Command   []string                `json:"command"`
+		Workloads []struct{ Name string } `json:"workloads"`
+		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+	}
+	raw, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
+	}
+	if len(bench.Workloads) == 0 || len(bench.EndToEnd) == 0 {
+		t.Fatalf("BENCHMARK.json declares %d workloads and %d end-to-end metrics", len(bench.Workloads), len(bench.EndToEnd))
+	}
+	names := []string{strings.Join(bench.Command, " ")}
+	for _, w := range bench.Workloads {
+		names = append(names, "`"+w.Name+"`")
+	}
+	for _, m := range bench.EndToEnd {
+		names = append(names, "`"+m.Name+"`")
+	}
+	for _, name := range names {
+		if !strings.Contains(string(perf), name) {
+			t.Errorf("docs/PERFORMANCE.md does not name the benchmark's %s", name)
 		}
 	}
 	ops, err := os.ReadFile("docs/OPERATIONS.md")
@@ -144,13 +172,9 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		// ...the replication and cluster knobs...
 		"-allow-replication", "-replicate-from", "-replicate-every",
 		"-partition", "embellish_router_",
-		"-only cluster", "BENCH_PR8.json",
-		// ...the privacy serving surfaces...
+		// ...and the privacy serving surfaces.
 		"-allow-lexicon-sync", "-risk-audit", "-sync-lexicon",
-		"-decoys", "-audit", "BENCH_PR9.json",
-		// ...and the load harness.
-		"BENCH_PR7.json", "-load-rates", "-load-strict",
-		"work_fraction", "p99_ms",
+		"-decoys", "-audit",
 	} {
 		if !strings.Contains(string(ops), name) {
 			t.Errorf("docs/OPERATIONS.md does not document %s", name)
