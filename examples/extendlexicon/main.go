@@ -106,4 +106,3 @@ func medicalCorpus() [][]string {
 	}
 	return docs
 }
-

@@ -22,6 +22,7 @@ import (
 	"embellish"
 	"embellish/internal/cluster"
 	"embellish/internal/detrand"
+	"embellish/internal/docstore"
 	"embellish/internal/wire"
 	"embellish/internal/wordnet"
 )
@@ -52,6 +53,14 @@ func docText(id int, lemmas []string) string {
 	return b.String()
 }
 
+// padText lengthens text to at least minBytes with lemmas picked by id.
+func padText(text string, id, minBytes int, lemmas []string) string {
+	for len(text) < minBytes {
+		text += " " + lemmas[2+(len(text)+id)%20]
+	}
+	return text
+}
+
 // tmpl caches the shared template engine file: building it costs two
 // keypairs, and every engine in the battery loads the SAME bytes —
 // which is the cluster's identity contract, not just a test shortcut.
@@ -64,7 +73,7 @@ var tmpl struct {
 
 func templateEngine(t *testing.T) ([]byte, map[int]string) {
 	t.Helper()
-	tmpl.once.Do(func() { tmpl.raw, tmpl.texts, tmpl.err = buildTemplate(128) })
+	tmpl.once.Do(func() { tmpl.raw, tmpl.texts, tmpl.err = buildTemplate(128, 0) })
 	if tmpl.err != nil {
 		t.Fatalf("building template engine: %v", tmpl.err)
 	}
@@ -74,12 +83,12 @@ func templateEngine(t *testing.T) ([]byte, map[int]string) {
 // buildTemplate builds and serializes a template engine of templateDocs
 // documents at the given PIR block size: 128 holds every document in one
 // block, 16 spreads each over three or four.
-func buildTemplate(blockSize int) ([]byte, map[int]string, error) {
+func buildTemplate(blockSize, minBytes int) ([]byte, map[int]string, error) {
 	lemmas := lemmaList()
 	texts := make(map[int]string, templateDocs)
 	docs := make([]embellish.Document, templateDocs)
 	for i := range docs {
-		texts[i] = docText(i, lemmas)
+		texts[i] = padText(docText(i, lemmas), i, minBytes, lemmas)
 		docs[i] = embellish.Document{ID: i, Text: texts[i]}
 	}
 	opts := embellish.DefaultOptions()
@@ -183,6 +192,9 @@ func newWorld(t *testing.T) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := client.SetRetrievalKeyBits(64); err != nil { // a one-word key decodes tall columns fast
+		t.Fatal(err)
+	}
 	w.client = client
 
 	for i := 0; i < 3; i++ {
@@ -237,15 +249,20 @@ func (w *world) grow(t *testing.T, n int) {
 		t.Fatalf("deleting template corpus on reference: %v", err)
 	}
 	for g := templateDocs; g < templateDocs+n; g++ {
-		text := docText(g, w.lemmas)
-		w.texts[g] = text
-		doc := []embellish.Document{{ID: g, Text: text}}
-		if _, err := embellish.AddDocumentsRemote(w.routerConn, doc); err != nil {
-			t.Fatalf("adding doc %d via router: %v", g, err)
-		}
-		if _, err := embellish.AddDocumentsRemote(w.refConn, doc); err != nil {
-			t.Fatalf("adding doc %d on reference: %v", g, err)
-		}
+		w.add(t, g, docText(g, w.lemmas))
+	}
+}
+
+// add ingests one document through the router and on the reference.
+func (w *world) add(t *testing.T, id int, text string) {
+	t.Helper()
+	w.texts[id] = text
+	doc := []embellish.Document{{ID: id, Text: text}}
+	if _, err := embellish.AddDocumentsRemote(w.routerConn, doc); err != nil {
+		t.Fatalf("adding doc %d via router: %v", id, err)
+	}
+	if _, err := embellish.AddDocumentsRemote(w.refConn, doc); err != nil {
+		t.Fatalf("adding doc %d on reference: %v", id, err)
 	}
 }
 
@@ -400,14 +417,26 @@ func TestClusterByteIdentity(t *testing.T) {
 
 	// Round 1: the template corpus lives on EVERY partition; the merge
 	// must take each document from its owner exactly once. Fetch ids
-	// cover all three owners.
+	// cover all three owners — 10 is partition 1's, whose class view
+	// also holds the template documents it does not own, each sent the
+	// identity.
 	w.identicalRound(t, w.routerConn, []int{3, 10, 17})
 
 	// Round 2: retire the template corpus, grow a round-robin
 	// partitioned one, and prove transparency again — deletes fanned
-	// everywhere, adds routed to owners, ids rewritten both ways.
+	// everywhere, adds routed to owners, ids rewritten both ways. The
+	// grown corpus ends on a document longer than the tallest view — two
+	// columns, a vector and its rotation — and an empty one, which has no
+	// column.
 	w.grow(t, 18)
-	w.identicalRound(t, w.routerConn, []int{24, 25, 26, 41})
+	long, empty := templateDocs+18, templateDocs+19
+	w.add(t, long, padText(docText(long, w.lemmas), long, docstore.Heights(128)*128+100, w.lemmas))
+	w.add(t, empty, "")
+	merged := blockMapping(t, w.routerConn)
+	if _, _, k := merged.Layout().Place(long); k != 2 {
+		t.Fatalf("the long document fills %d columns of the merged view, want 2", k)
+	}
+	w.identicalRound(t, w.routerConn, []int{24, 25, 26, 41, long, empty})
 
 	// The cluster map the router serves matches the topology.
 	if err := wire.WriteClusterMapRequest(w.routerConn); err != nil {

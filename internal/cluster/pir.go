@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"slices"
 
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
@@ -32,6 +33,15 @@ import (
 // params time, which addresses the same local blocks regardless of
 // later appends: the single-store prefix-stability property, preserved
 // per partition.
+//
+// Class views factor the same way. The merged mapping lists documents
+// partition-major in First order, so each partition's documents are one
+// contiguous range of every merged view. A partition's own view h holds
+// the template documents it does not own too, interleaved in its local
+// First order; the epoch records, per view and partition, which merged
+// column each local column carries, and the router fills the columns of
+// documents the partition does not own with the identity 1, which
+// multiplies every gamma by 1.
 
 // pirEpoch is one connection's merged-params snapshot.
 type pirEpoch struct {
@@ -39,6 +49,11 @@ type pirEpoch struct {
 	widths    []int // partition p's NumBlocks at params time
 	total     int   // sum of widths
 	blockSize int   // the cluster-wide block size behind those widths
+	// views[h] is the width of merged view h (views[0] the block space)
+	// and columns[h][p][c] the merged column that partition p's local
+	// column c of view h carries, or -1 for a document p does not own.
+	views   []int
+	columns [][][]int32
 	// packed is set once the connection sent the fetch hello: its answers
 	// go packed. Every later epoch of the connection inherits it.
 	packed bool
@@ -104,14 +119,9 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 	seen := make([]bool, nglobal)
 	for p, pp := range parts {
 		for l, ext := range pp.Exts {
-			var g int
-			if l < r.base {
-				if p != l%r.n {
-					continue // template doc reported by its owner only
-				}
-				g = l
-			} else {
-				g = r.globalID(p, l)
+			g, owned := r.ownedID(p, l)
+			if !owned {
+				continue // template doc reported by its owner only
 			}
 			if g >= nglobal || seen[g] {
 				return docstore.Params{}, nil, fmt.Errorf("cluster: partition %d local doc %d maps to global id %d outside the dense corpus of %d", p, l, g, nglobal)
@@ -126,7 +136,38 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 			return docstore.Params{}, nil, fmt.Errorf("cluster: no partition stores global document %d; the corpus was not ingested round-robin", g)
 		}
 	}
-	return docstore.Params{BlockSize: blockSize, NumBlocks: ep.total, Exts: exts}, ep, nil
+	merged := docstore.Params{BlockSize: blockSize, NumBlocks: ep.total, Exts: exts}
+	global := merged.Layout()
+	ep.views = global.Widths()
+	ep.columns = make([][][]int32, len(ep.views))
+	for h := range ep.columns {
+		ep.columns[h] = make([][]int32, r.n)
+	}
+	for p, pp := range parts {
+		local := pp.Layout()
+		for h, w := range local.Widths()[1:] {
+			ep.columns[h+1][p] = slices.Repeat([]int32{-1}, w)
+		}
+		for l := range pp.Exts {
+			h, col, k := local.Place(l)
+			g, owned := r.ownedID(p, l)
+			if k == 0 || !owned {
+				continue
+			}
+			_, gcol, _ := global.Place(g)
+			for j := 0; j < k; j++ {
+				ep.columns[h][p][col+j] = int32(gcol + j)
+			}
+		}
+	}
+	return merged, ep, nil
+}
+
+// ownedID returns the global id of partition p's local document l, and
+// whether p owns it: every partition holds the template documents, and
+// each is its owner's, partition l mod n.
+func (r *Router) ownedID(p, l int) (int, bool) {
+	return r.globalID(p, l), l >= r.base || p == l%r.n
 }
 
 // handlePIRParams serves the merged block mapping — the table alone to
@@ -160,11 +201,18 @@ func (r *Router) handlePIRParams(req *request) error {
 	return wire.WritePIRHelloReply(req.W, merged, have)
 }
 
+// identity is the column value a partition's sub-query carries for a
+// document it does not own: 1 leaves every gamma as it is.
+var identity = big.NewInt(1)
+
 // sliceQuery cuts one global-column query into per-partition
 // sub-queries under the epoch. Partitions whose column range lies
 // entirely past the query's width are skipped (prefix addressing — the
 // paper's protocol lets a narrow query address the store's prefix).
 func (ep *pirEpoch) sliceQuery(q *pir.Query) (ps []int, subs []*pir.Query, err error) {
+	if q.Height != 0 {
+		return ep.sliceView(q)
+	}
 	w := len(q.Values)
 	if w > ep.total {
 		return nil, nil, fmt.Errorf("cluster: PIR query over %d columns exceeds the served block space of %d", w, ep.total)
@@ -180,6 +228,38 @@ func (ep *pirEpoch) sliceQuery(q *pir.Query) (ps []int, subs []*pir.Query, err e
 		}
 		ps = append(ps, p)
 		subs = append(subs, &pir.Query{N: q.N, Values: q.Values[lo:hi]})
+	}
+	if len(ps) == 0 {
+		return nil, nil, fmt.Errorf("cluster: PIR query addresses no partition")
+	}
+	return ps, subs, nil
+}
+
+// sliceView is sliceQuery for a query over merged view h: partition p's
+// sub-query is the prefix of its local view h up to the last column it
+// carries for the query's columns, each column the query's value for the
+// merged column it carries or the identity.
+func (ep *pirEpoch) sliceView(q *pir.Query) (ps []int, subs []*pir.Query, err error) {
+	h, w := q.Height, len(q.Values)
+	if h >= len(ep.views) || w > ep.views[h] {
+		return nil, nil, fmt.Errorf("cluster: PIR query over %d columns of view %d exceeds the served views %v", w, h, ep.views)
+	}
+	for p, local := range ep.columns[h] {
+		n := len(local)
+		for n > 0 && (local[n-1] < 0 || int(local[n-1]) >= w) {
+			n--
+		}
+		if n == 0 {
+			continue
+		}
+		vals := make([]*big.Int, n)
+		for c, g := range local[:n] {
+			if vals[c] = identity; g >= 0 {
+				vals[c] = q.Values[g]
+			}
+		}
+		ps = append(ps, p)
+		subs = append(subs, &pir.Query{N: q.N, Values: vals, Height: h})
 	}
 	if len(ps) == 0 {
 		return nil, nil, fmt.Errorf("cluster: PIR query addresses no partition")
@@ -414,14 +494,14 @@ func (r *Router) handlePIRRecursive(req *request) error {
 // (the protocol's contract). A worker death mid-stream fails that
 // partition's whole sub-batch, and withEndpoint replays it against the
 // replica — reads are idempotent, so the retry is invisible beyond the
-// latency. The epoch comes first so that a seeded vector wider than the
-// served block space is refused before it expands.
+// latency. The epoch comes first so that an entry naming no served view,
+// or wider than its view, is refused before any seed expands.
 func (r *Router) handlePIRBatch(req *request) error {
 	ep, err := r.ensureEpoch(req.State)
 	if err != nil {
 		return err
 	}
-	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, ep.total)
+	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, ep.views)
 	if err != nil {
 		return err
 	}

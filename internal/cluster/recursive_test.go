@@ -63,12 +63,19 @@ func TestClusterRecursiveByteIdentity(t *testing.T) {
 	if recSt.Runs != refSt.Runs {
 		t.Fatalf("recursive fetch ran %d executions, flat ran %d", recSt.Runs, refSt.Runs)
 	}
-	// Routing changes neither protocol's upload: at the router's width n
-	// the flat fetch sends a seeded entry per document and a byte per
-	// further block, the recursive one at most 3*ceil(sqrt(n)) group
-	// elements a query.
-	n := blockMapping(t, w.routerConn).NumBlocks
-	if want := flatSt.Vectors*wire.SeededEntryBytes(n, 0) + flatSt.Runs - flatSt.Vectors; flatSt.QueryBytes != want {
+	// Routing changes neither protocol's upload: the flat fetch sends a
+	// seeded entry per document at the width of its class view in the
+	// router's mapping and a byte per further column, the recursive one at
+	// most 3*ceil(sqrt(n)) group elements a query at the router's block
+	// count n.
+	merged := blockMapping(t, w.routerConn)
+	n, layout := merged.NumBlocks, merged.Layout()
+	want := flatSt.Runs - flatSt.Vectors
+	for _, id := range fetchIDs {
+		h, _, _ := layout.Place(id)
+		want += wire.SeededEntryBytes(layout.Widths()[h], h, 0)
+	}
+	if flatSt.QueryBytes != want {
 		t.Fatalf("routed flat fetch uploaded %d query bytes, want %d", flatSt.QueryBytes, want)
 	}
 	r, c := pir.RecursiveGrid(n)

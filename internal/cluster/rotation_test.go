@@ -1,11 +1,13 @@
-// Rotated block queries through the router: a client sends one seeded
-// selection vector per document and its further blocks as rotations; the
-// router slices every materialised vector at the partition boundaries,
-// and the slices, which carry no seed, travel written out. A column
-// slice of a rotation is NOT the rotation of the same slice of its base
-// — the element that wraps in comes from the neighbouring partition's
-// range — so the sub-batches a partition gets must carry every slice in
-// full, unless one partition spans the whole width.
+// Rotated column queries through the router: a client sends one seeded
+// selection vector per document over its class view and its further
+// columns as rotations; the router cuts every materialised vector into
+// each partition's part of the view — the template documents a partition
+// does not own as the identity — and the parts, which carry no seed,
+// travel written out. A part of a rotation is NOT the rotation of the
+// same part of its base — the element that wraps in comes from the
+// neighbouring partition's range — so the sub-batches a partition gets
+// must carry every part in full, unless one partition spans the whole
+// width.
 package cluster_test
 
 import (
@@ -127,7 +129,11 @@ func blockMapping(t *testing.T, conn net.Conn) docstore.Params {
 }
 
 func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
-	raw, texts, err := buildTemplate(16) // every document spans three or four blocks
+	// At 4 KiB blocks the tallest view is one block, H = 1, so a document
+	// of three blocks is three columns of view 1: a vector and two
+	// rotations.
+	const blockSize, minBytes = 4096, 2*4096 + 1
+	raw, texts, err := buildTemplate(blockSize, minBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +153,9 @@ func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
 	if err := client.SetFetchPipeline(32); err != nil { // a document never straddles a frame
 		t.Fatal(err)
 	}
+	if err := client.SetRetrievalKeyBits(64); err != nil { // a one-word key decodes 32,768-row columns fast
+		t.Fatal(err)
+	}
 
 	// Two more documents per partition, one per frame, so every
 	// partition's block space ends on a document ingested through the
@@ -157,7 +166,7 @@ func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
 		all[id] = text
 	}
 	for g := templateDocs; g < templateDocs+6; g++ {
-		all[g] = docText(g, lemmas) + " " + strings.Repeat(lemmas[2+g%5]+" ", g%4)
+		all[g] = padText(docText(g, lemmas)+" "+strings.Repeat(lemmas[2+g%5]+" ", g%4), g, minBytes, lemmas)
 		if _, err := embellish.AddDocumentsRemote(routerConn, []embellish.Document{{ID: g, Text: all[g]}}); err != nil {
 			t.Fatalf("adding doc %d via router: %v", g, err)
 		}

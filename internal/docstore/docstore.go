@@ -1,39 +1,52 @@
 // Package docstore lays live document bytes out into fixed-size PIR
 // blocks, completing the paper's second privacy stage: after ranking
 // privately, the client fetches the winning documents without revealing
-// which ones won. The server treats the block array as one
-// Kushilevitz-Ostrovsky PIR database (one column per block); the client
-// maps a ranked document id to its block range through the public
-// Params and runs one PIR protocol execution per block.
+// which ones won.
+//
+// The block array is the store's layout and its persisted form. A flat
+// fetch reads it through class views: a document of b >= 1 blocks is in
+// class h = min(b, H), where H = Heights(BlockSize), and fills
+// k = ceil(b/h) consecutive columns of h blocks each (the last one
+// zero-padded) in view h — the Kushilevitz-Ostrovsky PIR database of the
+// documents of its class, one column per document of at most H blocks.
+// The client maps a ranked document id to its class and columns through
+// the public Params (Params.Layout) and runs one PIR protocol execution
+// per column. A column is never a copy: each document's blocks are
+// windows on one slab, and so are its view columns.
 //
 // Layout invariants, chosen so the mapping every client holds stays
 // valid under concurrent corpus churn:
 //
 //   - append-only blocks: a document's blocks are allocated once, at
 //     dense positions continuing the previous document's, and NEVER
-//     move — index segment appends and merges do not touch the store;
-//   - tombstone padding: deleting a document ZEROES its blocks in
-//     place but keeps them allocated (padded out, not skipped), so no
-//     later document's offsets shift and the block count a client
-//     learned from an old Params never shrinks. Compacting deleted
-//     blocks away would leak churn through offsets — an observer of
-//     two Params could diff them — and would invalidate in-flight
-//     fetches;
+//     move — index segment appends and merges do not touch the store.
+//     Each view lists its documents in First order, so views are
+//     append-only and prefix-stable too;
+//   - tombstone padding: deleting a document ZEROES its blocks and its
+//     view columns in place but keeps them allocated (padded out, not
+//     skipped), so no later document's offsets shift and the block and
+//     column counts a client learned from an old Params never shrink.
+//     Compacting deleted blocks away would leak churn through offsets —
+//     an observer of two Params could diff them — and would invalidate
+//     in-flight fetches;
 //   - snapshot isolation: readers pin an immutable Snapshot (blocks
-//     are copy-on-write per document) and are never blocked by
-//     writers.
+//     and views are copy-on-write per document) and are never blocked
+//     by writers.
 //
-// What the server learns from a fetch: only the NUMBER of PIR
-// executions, i.e. the block count of the fetched document — never
-// which blocks. Deployments that consider length a secret should pad
-// documents to a common size before adding them.
+// What the server learns from a fetch: the class of each fetched
+// document — the height its frame names — and, for a document taller
+// than H blocks, its column count; never which document of the class.
+// Deployments that consider length a secret should pad documents to a
+// common size before adding them, which makes one class the whole store.
 package docstore
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,6 +60,29 @@ const DefaultBlockSize = 512
 // MaxBlockSize bounds the block size: 8*MaxBlockSize is the PIR answer
 // row count, which the client must be able to hold and test.
 const MaxBlockSize = 1 << 20
+
+// MaxColumnBytes bounds a view column: it is the largest column whose
+// answer — 8*MaxColumnBytes gammas at the wire's widest modulus, 1,024
+// bytes behind a two-byte length each — fits one 64 MiB wire frame.
+const MaxColumnBytes = 8176
+
+// Heights returns H, the tallest column at blockSize, in blocks: a store
+// has views of heights 1..H. It is 7 at 1 KiB blocks, and 1 for blocks
+// over MaxColumnBytes/2.
+func Heights(blockSize int) int {
+	return max(1, MaxColumnBytes/max(blockSize, 1))
+}
+
+// class returns the view a document of b blocks sits in and the columns
+// it fills there under the tallest height hmax; an empty document has
+// neither.
+func class(b, hmax int) (h, k int) {
+	if b == 0 {
+		return 0, 0
+	}
+	h = min(b, hmax)
+	return h, (b + h - 1) / h
+}
 
 // Extent maps one document id onto the block array.
 type Extent struct {
@@ -77,6 +113,10 @@ type Snapshot struct {
 	blockSize int
 	blocks    [][]byte // each exactly blockSize bytes, immutable
 	exts      []Extent // indexed by document id
+	// views[h], h in 1..H, are the columns of view h, each h*blockSize
+	// bytes; views[0] is unused (height 0 is the block array).
+	views  [][][]byte
+	layout *Layout // where each document sits in views
 }
 
 // BlockSize returns the fixed block size in bytes.
@@ -137,42 +177,119 @@ func (sn *Snapshot) Params() Params {
 	return Params{BlockSize: sn.blockSize, NumBlocks: len(sn.blocks), Exts: sn.exts}
 }
 
+// Layout places the documents of one block mapping in their class views.
+// It is a function of the Params alone, so a client derives it once per
+// mapping and addresses exactly the columns the server holds.
+type Layout struct {
+	blockSize int
+	exts      []Extent
+	widths    []int    // widths[h]: the columns of view h; widths[0] the blocks
+	cols      []uint32 // cols[id]: the document's first column in its view
+}
+
+// newLayout returns the layout of a mapping of exts over numBlocks
+// blocks with no document placed yet: cols has a slot per document.
+func newLayout(blockSize, numBlocks int, exts []Extent) *Layout {
+	l := &Layout{blockSize: blockSize, exts: exts, widths: make([]int, Heights(blockSize)+1), cols: make([]uint32, len(exts))}
+	l.widths[0] = numBlocks
+	return l
+}
+
+// put places document id, of b blocks, at the end of its class view and
+// returns the view, the document's first column there and the columns
+// it fills. It is the one placement rule: the store applies it as it
+// appends, Params.Layout as it replays a mapping in First order.
+func (l *Layout) put(id, b int) (h, col, k int) {
+	h, k = class(b, len(l.widths)-1)
+	if k == 0 {
+		return 0, 0, 0
+	}
+	col = l.widths[h]
+	l.cols[id], l.widths[h] = uint32(col), col+k
+	return h, col, k
+}
+
+// Layout returns the class views of the mapping: each view lists its
+// documents in First order. In a store that is id order; in a router's
+// merged mapping it is partition-major, so each partition's documents are
+// one contiguous range of every view.
+func (p Params) Layout() *Layout {
+	l := newLayout(p.BlockSize, p.NumBlocks, p.Exts)
+	order := make([]int, len(p.Exts))
+	for id := range order {
+		order[id] = id
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(p.Exts[a].First, p.Exts[b].First) })
+	for _, id := range order {
+		l.put(id, int(p.Exts[id].Blocks))
+	}
+	return l
+}
+
+// Layout returns the snapshot's class views, as Params.Layout derives
+// them from its mapping. It is shared and immutable.
+func (sn *Snapshot) Layout() *Layout { return sn.layout }
+
+// Widths returns the column count of every view, indexed by height: [0]
+// is the block count and [h] the width of view h, for h in 1..H. The
+// slice is shared and must not be mutated.
+func (l *Layout) Widths() []int { return l.widths }
+
+// Place returns where document id sits: its class h, its first column in
+// view h and the k columns it fills there. An empty document has h = 0
+// and k = 0: it has no column.
+func (l *Layout) Place(id int) (h, col, k int) {
+	h, k = class(int(l.exts[id].Blocks), len(l.widths)-1)
+	return h, int(l.cols[id]), k
+}
+
+// ColumnBytes returns the byte height of a column of view h: h blocks,
+// or one for the block array (height 0).
+func (l *Layout) ColumnBytes(h int) int { return max(h, 1) * l.blockSize }
+
 // AnswerMultiExecCtx runs the server side of a batch of k >= 1 PIR
 // executions in one database pass (the flat executor,
-// pir.ProcessColumnsMultiExecCtx): the block bytes are read and
+// pir.ProcessColumnsMultiExecCtx): the column bytes are read and
 // transposed once for the whole batch, ex.Workers partitions column
-// groups and ex.Window pins the window width. The batch addresses the
-// FIRST len(qs[0].Values) blocks: accepting any width up to the current
-// block count keeps fetches valid across concurrent appends — a client
-// querying against an older Params simply addresses the prefix that
-// existed when it fetched the mapping. All queries must share one
-// modulus and one prefix width (callers group mixed-width batches);
-// answers come back in batch order with per-query Stats, and a
-// cancelled scan returns no answers but the Stats of the
-// multiplications actually performed.
+// groups and ex.Window pins the window width. The queries' Height names
+// the database: 0 is the block array, one column per block, and h in
+// 1..H is view h, one column of h blocks per document of class h. The
+// batch addresses the FIRST len(qs[0].Values) columns of it: accepting
+// any width up to the current column count keeps fetches valid across
+// concurrent appends — a client querying against an older Params simply
+// addresses the prefix that existed when it fetched the mapping. All
+// queries must share one modulus, one height and one prefix width
+// (callers group mixed batches); answers come back in batch order with
+// per-query Stats, and a cancelled scan returns no answers but the Stats
+// of the multiplications actually performed.
 func (sn *Snapshot) AnswerMultiExecCtx(ctx context.Context, qs []*pir.Query, ex pir.Exec) ([]*pir.Answer, []pir.Stats, error) {
 	if len(qs) == 0 {
 		return nil, nil, errors.New("docstore: empty PIR batch")
 	}
-	w, err := sn.queryWidth(qs[0])
+	for _, q := range qs[1:] {
+		if q.Height != qs[0].Height {
+			return nil, nil, errors.New("docstore: a PIR batch mixes column heights")
+		}
+	}
+	cols, colBytes, err := sn.columns(qs[0])
 	if err != nil {
 		return nil, nil, err
 	}
-	return pir.ProcessColumnsMultiExecCtx(ctx, sn.blocks[:w], sn.blockSize, qs, ex)
+	return pir.ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs, ex)
 }
 
 // AnswerCtx answers one PIR execution through the sequential oracle
 // (pir.ProcessColumnsCtx) — one modular multiplication per addressed
-// corpus bit, the paper's Section 5.2 cost model, under the same prefix
-// addressing. Tests and cost-model baselines compare against it;
-// serving goes through AnswerMultiExecCtx, which returns the identical
-// gammas.
+// corpus bit, the paper's Section 5.2 cost model, under the same height
+// and prefix addressing. Tests and cost-model baselines compare against
+// it; serving goes through AnswerMultiExecCtx, which returns the
+// identical gammas.
 func (sn *Snapshot) AnswerCtx(ctx context.Context, q *pir.Query) (*pir.Answer, pir.Stats, error) {
-	w, err := sn.queryWidth(q)
+	cols, colBytes, err := sn.columns(q)
 	if err != nil {
 		return nil, pir.Stats{}, err
 	}
-	return pir.ProcessColumnsCtx(ctx, sn.blocks[:w], sn.blockSize, q)
+	return pir.ProcessColumnsCtx(ctx, cols, colBytes, q)
 }
 
 // AnswerRecursiveMultiExecCtx answers a batch of k >= 1 recursive
@@ -189,16 +306,27 @@ func (sn *Snapshot) AnswerRecursiveMultiExecCtx(ctx context.Context, qs []*pir.R
 	return pir.ProcessColumnsRecursiveMultiExecCtx(ctx, sn.blocks, sn.blockSize, qs, ex)
 }
 
-// queryWidth validates a PIR query's width against the block array.
-func (sn *Snapshot) queryWidth(q *pir.Query) (int, error) {
+// columns returns the prefix of the database a PIR query addresses and
+// its column height in bytes, validating the query's height and width.
+func (sn *Snapshot) columns(q *pir.Query) ([][]byte, int, error) {
 	w := len(q.Values)
 	if w < 1 {
-		return 0, errors.New("docstore: empty PIR query")
+		return nil, 0, errors.New("docstore: empty PIR query")
 	}
-	if w > len(sn.blocks) {
-		return 0, fmt.Errorf("docstore: query addresses %d blocks, store holds %d", w, len(sn.blocks))
+	if q.Height == 0 {
+		if w > len(sn.blocks) {
+			return nil, 0, fmt.Errorf("docstore: query addresses %d blocks, store holds %d", w, len(sn.blocks))
+		}
+		return sn.blocks[:w], sn.blockSize, nil
 	}
-	return w, nil
+	if q.Height < 0 || q.Height >= len(sn.views) {
+		return nil, 0, fmt.Errorf("docstore: no view of height %d (the tallest is %d)", q.Height, len(sn.views)-1)
+	}
+	view := sn.views[q.Height]
+	if w > len(view) {
+		return nil, 0, fmt.Errorf("docstore: query addresses %d columns, view %d holds %d", w, q.Height, len(view))
+	}
+	return view[:w], q.Height * sn.blockSize, nil
 }
 
 // Store is the mutable, concurrency-safe document store. Readers pin
@@ -206,7 +334,9 @@ func (sn *Snapshot) queryWidth(q *pir.Query) (int, error) {
 // lock and publish new snapshots atomically.
 type Store struct {
 	blockSize int
-	zero      []byte // the shared all-zero block tombstoning swaps in
+	// zero is the shared all-zero column of the tallest view; tombstoning
+	// swaps its prefixes in for blocks and view columns.
+	zero []byte
 
 	mu    sync.Mutex
 	state atomic.Pointer[Snapshot]
@@ -220,9 +350,16 @@ func New(blockSize int) (*Store, error) {
 	if blockSize < 1 || blockSize > MaxBlockSize {
 		return nil, fmt.Errorf("docstore: block size %d out of range [1, %d]", blockSize, MaxBlockSize)
 	}
-	s := &Store{blockSize: blockSize, zero: make([]byte, blockSize)}
-	s.state.Store(&Snapshot{blockSize: blockSize})
+	hmax := Heights(blockSize)
+	s := &Store{blockSize: blockSize, zero: make([]byte, hmax*blockSize)}
+	s.state.Store(&Snapshot{blockSize: blockSize, views: make([][][]byte, hmax+1), layout: newLayout(blockSize, 0, nil)})
 	return s, nil
+}
+
+// zeroColumn returns the shared all-zero column of h blocks (h >= 1).
+func (s *Store) zeroColumn(h int) []byte {
+	n := h * s.blockSize
+	return s.zero[:n:n]
 }
 
 // FromParts reassembles a store from persisted parts: the extents in
@@ -230,19 +367,24 @@ func New(blockSize int) (*Store, error) {
 // the append-only tiling invariant (extents are dense and consecutive)
 // and re-zeroes tombstoned documents' blocks, restoring the padding
 // invariant even from a file whose deleted regions were tampered with.
+// Blocks and view columns are windows on raw; only the zero-padded last
+// column of a document taller than H blocks is a copy.
 func FromParts(blockSize int, exts []Extent, raw []byte) (*Store, error) {
 	s, err := New(blockSize)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw)%s.blockSize != 0 {
-		return nil, fmt.Errorf("docstore: %d block bytes are not a multiple of block size %d", len(raw), s.blockSize)
+	B := s.blockSize
+	if len(raw)%B != 0 {
+		return nil, fmt.Errorf("docstore: %d block bytes are not a multiple of block size %d", len(raw), B)
 	}
-	numBlocks := len(raw) / s.blockSize
+	numBlocks := len(raw) / B
 	blocks := make([][]byte, numBlocks)
 	for i := range blocks {
-		blocks[i] = raw[i*s.blockSize : (i+1)*s.blockSize : (i+1)*s.blockSize]
+		blocks[i] = raw[i*B : (i+1)*B : (i+1)*B]
 	}
+	layout := newLayout(B, numBlocks, slices.Clone(exts))
+	views := make([][][]byte, len(layout.widths))
 	next := uint32(0)
 	for id, ext := range exts {
 		if ext.First != next {
@@ -251,17 +393,32 @@ func FromParts(blockSize int, exts []Extent, raw []byte) (*Store, error) {
 		if int(ext.Blocks) > numBlocks-int(next) {
 			return nil, fmt.Errorf("docstore: document %d extent exceeds the block array", id)
 		}
-		if ext.Length > ext.Blocks*uint32(s.blockSize) || (ext.Blocks > 0 && ext.Length <= (ext.Blocks-1)*uint32(s.blockSize)) {
+		if ext.Length > ext.Blocks*uint32(B) || (ext.Blocks > 0 && ext.Length <= (ext.Blocks-1)*uint32(B)) {
 			return nil, fmt.Errorf("docstore: document %d length %d does not fit %d blocks", id, ext.Length, ext.Blocks)
 		}
+		b, first := int(ext.Blocks), int(ext.First)
 		if ext.Deleted {
-			for i := 0; i < int(ext.Blocks); i++ {
-				blocks[int(ext.First)+i] = s.zero
+			for i := 0; i < b; i++ {
+				blocks[first+i] = s.zeroColumn(1)
 			}
 		} else if ext.Length > 0 {
-			doc := raw[int(ext.First)*s.blockSize:]
+			doc := raw[first*B:]
 			if crc32.ChecksumIEEE(doc[:ext.Length]) != ext.Crc {
 				return nil, fmt.Errorf("docstore: document %d bytes do not match its checksum", id)
+			}
+		}
+		h, _, k := layout.put(id, b)
+		for c := 0; c < k; c++ {
+			lo, hi := (first+c*h)*B, (first+(c+1)*h)*B
+			switch {
+			case ext.Deleted:
+				views[h] = append(views[h], s.zeroColumn(h))
+			case c*h+h > b: // the padded tail
+				col := make([]byte, h*B)
+				copy(col, raw[lo:(first+b)*B])
+				views[h] = append(views[h], col)
+			default:
+				views[h] = append(views[h], raw[lo:hi:hi])
 			}
 		}
 		next += ext.Blocks
@@ -269,7 +426,7 @@ func FromParts(blockSize int, exts []Extent, raw []byte) (*Store, error) {
 	if int(next) != numBlocks {
 		return nil, fmt.Errorf("docstore: extents cover %d blocks, store holds %d", next, numBlocks)
 	}
-	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: append([]Extent(nil), exts...)})
+	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: layout.exts, views: views, layout: layout})
 	return s, nil
 }
 
@@ -287,8 +444,10 @@ func (s *Store) Add(id int, data []byte) error {
 }
 
 // AddBatch appends documents base, base+1, ... in one snapshot swap —
-// the batch-ingest path: the block and extent slices are copied once
-// per batch, not once per document.
+// the batch-ingest path: the block, extent and view slices are copied
+// once per batch, not once per document. Each document is one slab of
+// its k columns, zero-padded; its blocks and its view columns are
+// windows on that slab.
 func (s *Store) AddBatch(base int, docs [][]byte) error {
 	if len(docs) == 0 {
 		return errors.New("docstore: empty batch")
@@ -299,6 +458,7 @@ func (s *Store) AddBatch(base int, docs [][]byte) error {
 	if base != len(cur.exts) {
 		return fmt.Errorf("docstore: document ids must be dense: got %d, want %d", base, len(cur.exts))
 	}
+	B := s.blockSize
 	newBlocks := 0
 	for i, data := range docs {
 		// uint64 comparison: int(^uint32(0)) would wrap negative on
@@ -306,29 +466,41 @@ func (s *Store) AddBatch(base int, docs [][]byte) error {
 		if uint64(len(data)) > uint64(^uint32(0)) {
 			return fmt.Errorf("docstore: document %d of %d bytes is too large", base+i, len(data))
 		}
-		newBlocks += (len(data) + s.blockSize - 1) / s.blockSize
+		newBlocks += (len(data) + B - 1) / B
 	}
 	// Fresh backing arrays sized for the whole batch: older snapshots
-	// never alias them, and the copy happens once per batch.
+	// never alias them, and the copy happens once per batch. The views
+	// are clipped, so the first append to one copies it.
 	blocks := make([][]byte, len(cur.blocks), len(cur.blocks)+newBlocks)
 	copy(blocks, cur.blocks)
 	exts := make([]Extent, len(cur.exts), len(cur.exts)+len(docs))
 	copy(exts, cur.exts)
-	for _, data := range docs {
-		nBlocks := (len(data) + s.blockSize - 1) / s.blockSize
-		for j := 0; j < nBlocks; j++ {
-			b := make([]byte, s.blockSize)
-			copy(b, data[j*s.blockSize:])
-			blocks = append(blocks, b)
+	layout := &Layout{blockSize: B, widths: slices.Clone(cur.layout.widths), cols: make([]uint32, len(cur.exts)+len(docs))}
+	copy(layout.cols, cur.layout.cols)
+	views := slices.Clone(cur.views)
+	for h := range views {
+		views[h] = slices.Clip(views[h])
+	}
+	for i, data := range docs {
+		b := (len(data) + B - 1) / B
+		h, _, k := layout.put(base+i, b)
+		slab := make([]byte, k*h*B)
+		copy(slab, data)
+		for j := 0; j < b; j++ {
+			blocks = append(blocks, slab[j*B:(j+1)*B:(j+1)*B])
+		}
+		for c := 0; c < k; c++ {
+			views[h] = append(views[h], slab[c*h*B:(c+1)*h*B:(c+1)*h*B])
 		}
 		exts = append(exts, Extent{
-			First:  uint32(len(blocks) - nBlocks),
-			Blocks: uint32(nBlocks),
+			First:  uint32(len(blocks) - b),
+			Blocks: uint32(b),
 			Length: uint32(len(data)),
 			Crc:    crc32.ChecksumIEEE(data),
 		})
 	}
-	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: exts})
+	layout.exts, layout.widths[0] = exts, len(blocks)
+	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: exts, views: views, layout: layout})
 	return nil
 }
 
@@ -338,11 +510,11 @@ func (s *Store) Delete(id int) error {
 }
 
 // DeleteBatch tombstones documents in one snapshot swap: their blocks
-// are swapped for the shared zero block — padded out in place, never
-// compacted away — so every other document's offsets survive and the
-// churn is not observable through the block layout. Every id must be
-// live (repeats within the batch count as already deleted); the batch
-// is validated in full before anything is applied.
+// and view columns are swapped for the shared zero column — padded out
+// in place, never compacted away — so every other document's offsets
+// survive and the churn is not observable through the layout. Every id
+// must be live (repeats within the batch count as already deleted); the
+// batch is validated in full before anything is applied.
 func (s *Store) DeleteBatch(ids []int) error {
 	if len(ids) == 0 {
 		return errors.New("docstore: empty batch")
@@ -360,15 +532,26 @@ func (s *Store) DeleteBatch(ids []int) error {
 		}
 		seen[id] = true
 	}
-	blocks := append([][]byte(nil), cur.blocks...)
-	exts := append([]Extent(nil), cur.exts...)
+	blocks := slices.Clone(cur.blocks)
+	exts := slices.Clone(cur.exts)
+	views := slices.Clone(cur.views)
+	cloned := make([]bool, len(views))
 	for _, id := range ids {
 		ext := exts[id]
 		for i := 0; i < int(ext.Blocks); i++ {
-			blocks[int(ext.First)+i] = s.zero
+			blocks[int(ext.First)+i] = s.zeroColumn(1)
+		}
+		h, col, k := cur.layout.Place(id)
+		if k > 0 && !cloned[h] {
+			views[h], cloned[h] = slices.Clone(views[h]), true
+		}
+		for c := 0; c < k; c++ {
+			views[h][col+c] = s.zeroColumn(h)
 		}
 		exts[id].Deleted = true
 	}
-	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: exts})
+	layout := *cur.layout
+	layout.exts = exts
+	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: exts, views: views, layout: &layout})
 	return nil
 }

@@ -341,6 +341,10 @@ type Query struct {
 	// router's column slice, travels written out.
 	Seed *Seed
 	Rot  int
+	// Height names the database the columns are: 0 is a store's block
+	// array, one column per block, and h >= 1 its class view h, one column
+	// of h blocks per document of that class (internal/docstore).
+	Height int
 }
 
 // NewQuery builds a query retrieving column target out of cols columns.
@@ -622,7 +626,7 @@ func (q *Query) Next() *Query {
 	vals := make([]*big.Int, n)
 	vals[0] = q.Values[n-1]
 	copy(vals[1:], q.Values)
-	next := &Query{N: q.N, Values: vals, Seed: q.Seed}
+	next := &Query{N: q.N, Values: vals, Seed: q.Seed, Height: q.Height}
 	if q.Seed != nil {
 		next.Rot = (q.Rot + 1) % n
 	}
@@ -630,13 +634,13 @@ func (q *Query) Next() *Query {
 }
 
 // Follows reports whether q is prev.Next(): the very elements of prev,
-// pointer for pointer, one column up over the full cycle. It is an
-// identity, not a comparison of values — two vectors that merely agree
-// on some window (a router's slice of a rotation, say) do not follow
-// one another unless every element does.
+// pointer for pointer, one column up over the full cycle, over the same
+// database (Height). It is an identity, not a comparison of values —
+// two vectors that merely agree on some window (a router's slice of a
+// rotation, say) do not follow one another unless every element does.
 func (q *Query) Follows(prev *Query) bool {
 	n := len(q.Values)
-	if n == 0 || n != len(prev.Values) || q.Values[0] != prev.Values[n-1] {
+	if n == 0 || n != len(prev.Values) || q.Height != prev.Height || q.Values[0] != prev.Values[n-1] {
 		return false
 	}
 	for j, v := range q.Values[1:] {

@@ -34,13 +34,13 @@ type World struct {
 
 // Options configures BuildWorld.
 type Options struct {
-	Synsets  int
-	NumDocs  int
-	BktSz    int
-	SegSz    int // 0 selects the maximum N/BktSz
-	Seed     int64
-	MeanLen  int
-	UseMini  bool // use the hand-curated mini lexicon instead of wngen
+	Synsets int
+	NumDocs int
+	BktSz   int
+	SegSz   int // 0 selects the maximum N/BktSz
+	Seed    int64
+	MeanLen int
+	UseMini bool // use the hand-curated mini lexicon instead of wngen
 }
 
 // BuildWorld constructs a world: generate (or reuse) a lexicon, sequence

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -385,6 +386,20 @@ func FuzzPIRBatchQuery(f *testing.F) {
 	}
 	seedRotationFrames(f, key)
 	sn := fuzzStore(f)
+	// Frames with heights: a one-column vector and its rotation at
+	// heights 0, 1, H and H+1 — the block array, the shortest view, the
+	// tallest (empty in this store) and none — seeded and written out.
+	top := docstore.Heights(sn.BlockSize())
+	for _, h := range []int{0, 1, top, top + 1} {
+		q, err := key.NewSeededQuery(detrand.New(fmt.Sprintf("fuzz-heights-%d", h)), 1, 0)
+		if err != nil {
+			f.Fatal(err)
+		}
+		q.Height = h
+		qs := []*pir.Query{q, q.Next()}
+		f.Add(batchBody(f, qs))
+		f.Add(batchBody(f, writtenOut(qs)))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkPIRBatchBody(t, sn, body) })
 }
 
@@ -409,18 +424,34 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 	}
 	sameQueries(t, "written again", mustDecodeBatch(t, batchBody(t, qs)), qs)
 	sameQueries(t, "written in full", mustDecodeBatch(t, batchBody(t, inFull(qs))), qs)
-	// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
-	// equal-width contract: mixed-width frames are grouped by the
-	// server before reaching it, so the fuzz serves only uniform
-	// batches and requires a clean refusal otherwise.
+	// Decoded against the store, a frame is refused exactly when one of
+	// its entries names no view or is wider than its view — what the
+	// executor would refuse — unless it is written out without heights,
+	// whose widths are read as they come.
+	widths := sn.Layout().Widths()
+	inRange := true
 	for _, q := range qs {
-		if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
+		if q.Height >= len(widths) || len(q.Values) > widths[q.Height] {
+			inRange = false
+		}
+	}
+	_, rest, _ := decodeBig(body)
+	_, marked := leadingZero(rest)
+	if _, err := DecodePIRBatchQueryWithin(body, widths); (err == nil) != (inRange || !marked) {
+		t.Fatalf("decoded against views %v: %v, in range: %v", widths, err, inRange)
+	}
+	// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
+	// equal-shape contract: mixed frames are grouped by the server before
+	// reaching it, so the fuzz serves only uniform batches and requires a
+	// clean refusal otherwise.
+	for _, q := range qs {
+		if q.N.BitLen() > 512 || !inRange {
 			return
 		}
 	}
 	uniform := true
 	for _, q := range qs[1:] {
-		if len(q.Values) != len(qs[0].Values) {
+		if len(q.Values) != len(qs[0].Values) || q.Height != qs[0].Height {
 			uniform = false
 			break
 		}
@@ -428,7 +459,7 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 	answers, _, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
 	if !uniform {
 		if err == nil {
-			t.Fatal("mixed-width batch served without error")
+			t.Fatal("mixed-shape batch served without error")
 		}
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/big"
 
+	"embellish/internal/docstore"
 	"embellish/internal/pir"
 	"embellish/internal/vbyte"
 )
@@ -22,7 +23,7 @@ import (
 // instead of k.
 //
 // TypePIRBatchQuery comes in two forms, told apart by the byte after
-// the modulus.
+// the modulus, and each form in two shapes: with and without heights.
 //
 // Seeded: modulus big | 0 | query count vbyte | V big | Z big | per
 // query: width vbyte | seed (pir.SeedBytes) | rotation vbyte |
@@ -33,15 +34,27 @@ import (
 // group element.
 //
 // Written out: modulus big | query count vbyte | per query: value count
-// vbyte | one group element per block column — or, for any query but
-// the first, a value count of 0: the query before it rotated.
+// vbyte | one group element per column — or, for any query but the
+// first, a value count of 0: the query before it rotated.
 //
-// The blocks of a document are consecutive columns, so a document
-// travels as ONE selection vector plus one zero byte per further block.
-// Either way every entry is a full query to everything past the decoder
-// — it counts against MaxPIRBatch, is scanned and is answered like any
-// other — so the CPU a frame can demand is what it was; only the bytes
-// that demand it shrink.
+// With heights: modulus big | 0 | 0 | the rest of either form, each
+// vector entry's width or value count followed by its height vbyte
+// (pir.Query.Height: 0 the block array, h >= 1 class view h of the
+// store, whose columns are h blocks tall); a rotation entry has the
+// height of the vector it rotates. A frame whose queries all have height
+// 0 travels without heights, byte for byte the frame of a store with no
+// views; the two zeros were a refused seeded count of 0 before heights
+// existed. A server refuses an entry whose height names no view of its
+// store, or that is wider than its view, with ViewRefusal, before any
+// seed expands.
+//
+// A document of one view column travels as ONE selection vector; the
+// k > 1 columns of a document taller than the tallest view, or the
+// blocks of one in the block array, as one vector plus one zero byte per
+// further column. Either way every entry is a full query to everything
+// past the decoder — it counts against MaxPIRBatch, is scanned and is
+// answered like any other — so the CPU a frame can demand is what it
+// was; only the bytes that demand it shrink.
 // TypePIRBatchResponse: query index vbyte | gamma count vbyte | one
 // group element per matrix row — or, on a connection that sent the
 // hello, query index vbyte | the packed form (retrieval_hello.go).
@@ -96,27 +109,58 @@ func RotationRefusal(i int) string {
 // own refusals never use it.
 const SeedRefusal = "wire: PIR batch query count: value out of range"
 
-// PIRBatchRefusal returns the error body a server predating the form
-// WritePIRBatchQuery wrote qs in answers that frame with: SeedRefusal
-// for a seeded frame, RotationRefusal(i) for a written-out frame whose
-// entry i is its first rotation, "" for a frame every type-12 server
-// decodes. qs must be a batch WritePIRBatchQuery accepted.
-func PIRBatchRefusal(qs []*pir.Query) string {
-	if seededBatch(qs) {
-		return SeedRefusal
+// HeightsRefusal is the error body a server that speaks the seeded form
+// but predates heights sends for a frame with heights: its decoder reads
+// the frame's second 0 as a seeded query count and refuses it with
+// exactly this text, keeping the connection. FROZEN like SeedRefusal:
+// pipelined fetch clients match it on the first batch answer and retry
+// seeded over the block array. This decoder still words a seeded count
+// of 0 or over MaxPIRBatch through it.
+const HeightsRefusal = "wire: seeded PIR batch query count: value out of range"
+
+// ViewRefusal opens the error body a server sends for a type-12 entry
+// whose height names no view of its store, or that is wider than its
+// view. The frame is refused whole, before any seed expands, and the
+// connection serves the next frame.
+const ViewRefusal = "wire: no such column view"
+
+// PIRBatchRefusals returns the error bodies servers predating the form
+// WritePIRBatchQuery wrote qs in answer that frame with, newest server
+// first: HeightsRefusal and SeedRefusal for a frame with heights (a
+// server predating seeds too reads its first 0 as the query count),
+// SeedRefusal for a seeded frame, RotationRefusal(i) for a written-out
+// frame whose entry i is its first rotation, none for a frame every
+// type-12 server decodes. qs must be a batch WritePIRBatchQuery accepted.
+func PIRBatchRefusals(qs []*pir.Query) []string {
+	switch {
+	case withHeights(qs):
+		return []string{HeightsRefusal, SeedRefusal}
+	case seededBatch(qs):
+		return []string{SeedRefusal}
 	}
 	for i := 1; i < len(qs); i++ {
 		if qs[i].Follows(qs[i-1]) {
-			return RotationRefusal(i)
+			return []string{RotationRefusal(i)}
 		}
 	}
-	return ""
+	return nil
 }
 
-// SeededEntryBytes is what one vector of width columns, rotated rot
-// columns up, costs in a seeded frame; a rotation entry costs one byte.
-func SeededEntryBytes(width, rot int) int {
-	return vbyte.Len(uint64(width)) + pir.SeedBytes + vbyte.Len(uint64(rot)) + (width+3)/4
+// SeededEntryBytes is what one vector of width columns over the database
+// of height h, rotated rot columns up, costs in a seeded frame; a
+// rotation entry costs one byte. A height of 0 is priced as a frame
+// without heights carries it, where it costs nothing.
+func SeededEntryBytes(width, h, rot int) int {
+	return vbyte.Len(uint64(width)) + heightBytes(h) + pir.SeedBytes + vbyte.Len(uint64(rot)) + (width+3)/4
+}
+
+// heightBytes is what an entry's height costs in a frame with heights; a
+// height of 0 is priced at nothing, as in a frame without them.
+func heightBytes(h int) int {
+	if h == 0 {
+		return 0
+	}
+	return vbyte.Len(uint64(h))
 }
 
 // MaxSeededValues caps the group elements one seeded frame may expand
@@ -142,6 +186,9 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 	for i, q := range qs {
 		if q == nil || q.N == nil || len(q.Values) == 0 {
 			return fmt.Errorf("wire: nil PIR query %d in batch", i)
+		}
+		if q.Height < 0 {
+			return fmt.Errorf("wire: PIR batch query %d has height %d", i, q.Height)
 		}
 		if n == nil {
 			n = q.N
@@ -170,22 +217,44 @@ func seededBatch(qs []*pir.Query) bool {
 	return true
 }
 
+// withHeights reports whether qs travel in the shape with heights: some
+// query addresses a class view.
+func withHeights(qs []*pir.Query) bool {
+	for _, q := range qs {
+		if q.Height != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// appendHead opens a type-12 body: the type, the modulus and, for a
+// frame with heights, its two zeros.
+func appendHead(body []byte, n *big.Int, heights bool) []byte {
+	body = append(body, TypePIRBatchQuery)
+	body = appendBig(body, n)
+	if heights {
+		body = append(vbyte.Append(body, 0), vbyte.Append(nil, 0)...)
+	}
+	return body
+}
+
 // appendWrittenOut lays a batch out written out. Entry i travels as a
 // zero count exactly when it IS the entry before it rotated
-// (pir.Query.Follows: the same elements over the full cycle); the first
-// entry of a frame has no base and is always written out.
+// (pir.Query.Follows: the same elements over the full cycle, at the same
+// height); the first entry of a frame has no base and is always written
+// out.
 func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 	rotated := make([]bool, len(qs))
-	size := pirHeadSize + bigsSize(n)
+	heights := withHeights(qs)
+	size := 2*pirHeadSize + bigsSize(n)
 	for i, q := range qs {
-		size += pirHeadSize
+		size += 2 * pirHeadSize
 		if rotated[i] = i > 0 && q.Follows(qs[i-1]); !rotated[i] {
 			size += bigsSize(q.Values...)
 		}
 	}
-	body := make([]byte, 0, size)
-	body = append(body, TypePIRBatchQuery)
-	body = appendBig(body, n)
+	body := appendHead(make([]byte, 0, size), n, heights)
 	body = vbyte.Append(body, uint64(len(qs)))
 	for i, q := range qs {
 		if rotated[i] {
@@ -193,6 +262,9 @@ func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 			continue
 		}
 		body = vbyte.Append(body, uint64(len(q.Values)))
+		if heights {
+			body = vbyte.Append(body, uint64(q.Height))
+		}
 		for _, v := range q.Values {
 			body = appendBig(body, v)
 		}
@@ -201,31 +273,30 @@ func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 }
 
 // appendSeeded lays a batch out seeded. Entry i travels as a zero width
-// exactly when it is the entry before it one column on: the same seed,
-// the next rotation.
+// exactly when it is the entry before it one column on: the same seed
+// and height, the next rotation.
 func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	rotated := make([]bool, len(qs))
+	heights := withHeights(qs)
 	s0 := qs[0].Seed
-	size, values := 2*pirHeadSize+bigsSize(n, s0.V, s0.Z), 0
+	size, values := 3*pirHeadSize+bigsSize(n, s0.V, s0.Z), 0
 	for i, q := range qs {
 		width := len(q.Values)
 		if q.Rot < 0 || q.Rot >= width || len(q.Seed.Codes) != (width+3)/4 {
 			return nil, fmt.Errorf("wire: PIR batch query %d: its seed does not fit its %d values", i, width)
 		}
 		prev := qs[max(i-1, 0)]
-		if rotated[i] = i > 0 && q.Seed == prev.Seed && width == len(prev.Values) && q.Rot == (prev.Rot+1)%width; rotated[i] {
+		if rotated[i] = i > 0 && q.Seed == prev.Seed && q.Height == prev.Height && width == len(prev.Values) && q.Rot == (prev.Rot+1)%width; rotated[i] {
 			size++
 			continue
 		}
-		size += SeededEntryBytes(width, q.Rot)
+		size += SeededEntryBytes(width, q.Height, q.Rot) + 1
 		values += width
 	}
 	if limit := MaxSeededValues((n.BitLen() + 7) / 8); values > limit {
 		return nil, fmt.Errorf("wire: seeded PIR batch of %d values exceeds the %d a frame may expand to", values, limit)
 	}
-	body := make([]byte, 0, size)
-	body = append(body, TypePIRBatchQuery)
-	body = appendBig(body, n)
+	body := appendHead(make([]byte, 0, size), n, heights)
 	body = vbyte.Append(body, 0)
 	body = vbyte.Append(body, uint64(len(qs)))
 	body = appendBig(body, s0.V)
@@ -236,6 +307,9 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 			continue
 		}
 		body = vbyte.Append(body, uint64(len(q.Values)))
+		if heights {
+			body = vbyte.Append(body, uint64(q.Height))
+		}
 		body = append(body, q.Seed.Key[:]...)
 		body = vbyte.Append(body, uint64(q.Rot))
 		body = append(body, q.Seed.Codes...)
@@ -243,9 +317,11 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	return body, nil
 }
 
-// DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form.
-// The same bounds as DecodePIRQuery apply to the shared modulus and to
-// every value; the query count is additionally capped at MaxPIRBatch.
+// DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form,
+// with heights or without. The same bounds as DecodePIRQuery apply to
+// the shared modulus and to every value; the query count is additionally
+// capped at MaxPIRBatch, and a height at docstore.MaxColumnBytes, the
+// tallest view any block size has.
 //
 // Every entry comes back as one *pir.Query of full width, a rotation
 // entry included, so nothing past the decoder knows the frame was
@@ -260,16 +336,20 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 // everything downstream only reads Values: the executor copies before
 // it reduces, the router slices.
 func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
-	return DecodePIRBatchQueryWithin(body, maxPIRBlocks)
+	return DecodePIRBatchQueryWithin(body, nil)
 }
 
 // DecodePIRBatchQueryWithin is DecodePIRBatchQuery for a server whose
-// store is cols columns wide. A seeded vector wider than that, which the
-// executor would refuse once the decoder had expanded it, is refused
-// before anything expands, so the expansion one frame can demand is at
-// most MaxPIRBatch vectors of the store's width. Written-out vectors are
-// read as they come, whatever their width: their bytes pay for them.
-func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
+// databases are widths[h] columns wide: widths[0] the block array and
+// widths[h] class view h, for h up to the store's tallest
+// (docstore.Layout.Widths). An entry whose height names no view, or
+// that is wider than its view, is refused with ViewRefusal; so is a
+// seeded vector wider than the block array, with the text servers
+// before views sent. Every such refusal comes before anything expands,
+// so the expansion one frame can demand is at most MaxPIRBatch vectors
+// of a view's width. Written-out vectors without heights are read as
+// they come, whatever their width: their bytes pay for them.
+func DecodePIRBatchQueryWithin(body []byte, widths []int) ([]*pir.Query, error) {
 	n, body, err := decodeBig(body)
 	if err != nil {
 		return nil, fmt.Errorf("wire: PIR batch modulus: %w", err)
@@ -277,19 +357,26 @@ func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
 	if n.Sign() <= 0 || (n.BitLen()+7)/8 > maxPIRModulusBytes {
 		return nil, errors.New("wire: PIR batch modulus out of range")
 	}
-	count, used, err := vbyte.Decode(body)
-	if err == nil && count == 0 {
-		return decodeSeeded(n, body[used:], cols)
+	heights := false
+	if rest, ok := leadingZero(body); ok {
+		if body, heights = leadingZero(rest); !heights {
+			return decodeSeeded(n, rest, widths, false)
+		}
+		if rest, ok := leadingZero(body); ok {
+			return decodeSeeded(n, rest, widths, true)
+		}
 	}
-	if err != nil || count > MaxPIRBatch {
+	count, used, err := vbyte.Decode(body)
+	if err != nil || count == 0 || count > MaxPIRBatch {
 		return nil, fmt.Errorf("wire: PIR batch query count: %w", orRange(err))
 	}
 	body = body[used:]
 	qs := make([]*pir.Query, count)
 	var (
-		ring  []*big.Int // the last full vector, behind room for its rotations
-		at    int        // where the previous entry's window starts in ring
-		width int        // of that window
+		ring   []*big.Int // the last full vector, behind room for its rotations
+		at     int        // where the previous entry's window starts in ring
+		width  int        // of that window
+		height int        // and its database
 	)
 	for qi := range qs {
 		nv, used, err := vbyte.Decode(body)
@@ -308,6 +395,12 @@ func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
 			at--
 			ring[at] = ring[at+width]
 		} else {
+			height = 0
+			if heights {
+				if height, body, err = decodeHeight(body, qi, nv, widths); err != nil {
+					return nil, err
+				}
+			}
 			// At most the entries still to come can rotate this vector.
 			at, width = len(qs)-1-qi, int(nv)
 			ring = make([]*big.Int, at+width)
@@ -318,7 +411,7 @@ func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
 		}
 		// Capacity stops at the window: an append to one query's Values
 		// cannot write into its neighbour's.
-		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width]}
+		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Height: height}
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after PIR batch query")
@@ -326,13 +419,45 @@ func DecodePIRBatchQueryWithin(body []byte, cols int) ([]*pir.Query, error) {
 	return qs, nil
 }
 
+// leadingZero reports whether body opens with a vbyte 0, and what
+// follows it.
+func leadingZero(body []byte) ([]byte, bool) {
+	v, used, err := vbyte.Decode(body)
+	if err != nil || v != 0 {
+		return body, false
+	}
+	return body[used:], true
+}
+
+// decodeHeight reads the height of entry qi, a vector of width columns,
+// and refuses it with ViewRefusal when it names no view of the store
+// widths describes, or is wider than its view. Without widths it refuses
+// only a height no block size has.
+func decodeHeight(body []byte, qi int, width uint64, widths []int) (int, []byte, error) {
+	h, used, err := vbyte.Decode(body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("wire: PIR batch query %d height: %w", qi, err)
+	}
+	switch {
+	case widths == nil && h > docstore.MaxColumnBytes:
+		return 0, nil, fmt.Errorf("%s: query %d has height %d, past any store's tallest", ViewRefusal, qi, h)
+	case widths == nil:
+	case h >= uint64(len(widths)):
+		return 0, nil, fmt.Errorf("%s: query %d has height %d, the store's tallest is %d", ViewRefusal, qi, h, len(widths)-1)
+	case width > uint64(widths[h]):
+		return 0, nil, fmt.Errorf("%s: query %d is %d columns wide, view %d holds %d", ViewRefusal, qi, width, h, widths[h])
+	}
+	return int(h), body[used:], nil
+}
+
 // decodeSeeded parses what follows the 0 of a seeded TypePIRBatchQuery
-// body. It reads the whole frame — every width, seed, rotation and code
-// byte — before it expands or copies anything, and refuses a vector wider
-// than cols and a frame whose vectors would expand to more than
-// MaxSeededValues group elements, so what a seeded frame can make its
-// decoder allocate is bounded as a written-out frame's is.
-func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
+// body, each vector entry followed by its height when heights is set. It
+// reads the whole frame — every width, height, seed, rotation and code
+// byte — before it expands or copies anything, and refuses a vector
+// wider than its database and a frame whose vectors would expand to more
+// than MaxSeededValues group elements, so what a seeded frame can make
+// its decoder allocate is bounded as a written-out frame's is.
+func decodeSeeded(n *big.Int, body []byte, widths []int, heights bool) ([]*pir.Query, error) {
 	count, used, err := vbyte.Decode(body)
 	if err != nil || count == 0 || count > MaxPIRBatch {
 		return nil, fmt.Errorf("wire: seeded PIR batch query count: %w", orRange(err))
@@ -350,8 +475,8 @@ func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
 	// An entry's bytes, still in the body: key and codes are nil for a
 	// rotation.
 	type entry struct {
-		key, codes []byte
-		width, rot int
+		key, codes         []byte
+		width, rot, height int
 	}
 	entries := make([]entry, count)
 	limit, values := MaxSeededValues((n.BitLen()+7)/8), 0
@@ -360,8 +485,8 @@ func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
 		if err != nil || width > maxPIRBlocks {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d width: %w", qi, orRange(err))
 		}
-		if width > uint64(cols) {
-			return nil, fmt.Errorf("wire: seeded PIR batch query %d is %d columns wide, the store %d", qi, width, cols)
+		if !heights && widths != nil && width > uint64(widths[0]) {
+			return nil, fmt.Errorf("wire: seeded PIR batch query %d is %d columns wide, the store %d", qi, width, widths[0])
 		}
 		body = body[used:]
 		if width == 0 {
@@ -370,11 +495,16 @@ func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
 			}
 			continue
 		}
+		e := entry{width: int(width)}
+		if heights {
+			if e.height, body, err = decodeHeight(body, qi, width, widths); err != nil {
+				return nil, err
+			}
+		}
 		if len(body) < pir.SeedBytes {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d seed: truncated", qi)
 		}
-		e := entry{key: body[:pir.SeedBytes], width: int(width)}
-		body = body[pir.SeedBytes:]
+		e.key, body = body[:pir.SeedBytes], body[pir.SeedBytes:]
 		rot, used, err := vbyte.Decode(body)
 		if err != nil || rot >= width {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d rotation: %w", qi, orRange(err))
@@ -408,7 +538,7 @@ func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
 			prev := qs[qi-1]
 			at--
 			ring[at] = ring[at+width]
-			qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: prev.Seed, Rot: (prev.Rot + 1) % width}
+			qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: prev.Seed, Rot: (prev.Rot + 1) % width, Height: prev.Height}
 			continue
 		}
 		at, width = len(qs)-1-qi, e.width
@@ -418,7 +548,7 @@ func decodeSeeded(n *big.Int, body []byte, cols int) ([]*pir.Query, error) {
 		if err := s.Expand(n, ring[at:], e.rot); err != nil {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d: %w", qi, err)
 		}
-		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: s, Rot: e.rot}
+		qs[qi] = &pir.Query{N: n, Values: ring[at : at+width : at+width], Seed: s, Rot: e.rot, Height: e.height}
 	}
 	return qs, nil
 }

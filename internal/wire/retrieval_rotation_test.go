@@ -50,7 +50,7 @@ func documentQueries(t testing.TB, key *pir.ClientKey, cols int, blocks ...int) 
 func writtenOut(qs []*pir.Query) []*pir.Query {
 	out := make([]*pir.Query, len(qs))
 	for i, q := range qs {
-		out[i] = &pir.Query{N: q.N, Values: q.Values}
+		out[i] = &pir.Query{N: q.N, Values: q.Values, Height: q.Height}
 	}
 	return out
 }
@@ -61,7 +61,7 @@ func writtenOut(qs []*pir.Query) []*pir.Query {
 func inFull(qs []*pir.Query) []*pir.Query {
 	out := make([]*pir.Query, len(qs))
 	for i, q := range qs {
-		out[i] = &pir.Query{N: q.N, Values: make([]*big.Int, len(q.Values))}
+		out[i] = &pir.Query{N: q.N, Values: make([]*big.Int, len(q.Values)), Height: q.Height}
 		for j, v := range q.Values {
 			out[i].Values[j] = new(big.Int).Set(v)
 		}
@@ -89,8 +89,8 @@ func sameQueries(t testing.TB, label string, got, want []*pir.Query) {
 		t.Fatalf("%s: %d queries, want %d", label, len(got), len(want))
 	}
 	for i, q := range got {
-		if q.N.Cmp(want[i].N) != 0 || len(q.Values) != len(want[i].Values) {
-			t.Fatalf("%s: query %d has %d values, want %d", label, i, len(q.Values), len(want[i].Values))
+		if q.N.Cmp(want[i].N) != 0 || len(q.Values) != len(want[i].Values) || q.Height != want[i].Height {
+			t.Fatalf("%s: query %d has %d values at height %d, want %d at %d", label, i, len(q.Values), q.Height, len(want[i].Values), want[i].Height)
 		}
 		for j, v := range q.Values {
 			if v.Cmp(want[i].Values[j]) != 0 {

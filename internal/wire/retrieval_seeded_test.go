@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"embellish/internal/detrand"
+	"embellish/internal/docstore"
 	"embellish/internal/pir"
 	"embellish/internal/vbyte"
 )
@@ -42,6 +43,23 @@ func seededEntry(width, rot uint64, seed byte, codes ...byte) []byte {
 // seededRotation is a rotation entry of the seeded form.
 var seededRotation = vbyte.Append(nil, 0)
 
+// heightsBody hand-builds a seeded type-12 body with heights: modulus,
+// the two zeros, the seeded form's 0, a query count, V, Z, then the
+// entries as given.
+func heightsBody(n, v, z *big.Int, count uint64, entries ...[]byte) []byte {
+	body := vbyte.Append(appendBig(nil, n), 0)
+	body = vbyte.Append(body, 0)
+	return append(body, seededBody(n, v, z, count, entries...)[len(appendBig(nil, n)):]...)
+}
+
+// heightsEntry is one vector entry with its height: width, height, a
+// seed of sixteen seed bytes, rotation, codes.
+func heightsEntry(width, height, rot uint64, seed byte, codes ...byte) []byte {
+	e := seededEntry(width, rot, seed, codes...)
+	w := vbyte.Len(width)
+	return append(vbyte.Append(e[:w:w], height), e[w:]...)
+}
+
 // seededBodies are seeded type-12 bodies by hand, under N = 35, V = 2
 // (Jacobi −1) and Z = 3 (a Jacobi-(+1) non-residue): the shapes honest
 // writers produce beside the hostile ones. The fuzz targets take them
@@ -55,7 +73,7 @@ func seededBodies() map[string][]byte {
 		"two documents":         seededBody(n, v, z, 5, doc, seededRotation, seededRotation, seededEntry(3, 1, 2, 0x12), seededRotation),
 		"width 1 rotated":       seededBody(n, v, z, 2, seededEntry(1, 0, 3, 0x01), seededRotation),
 		"rotation of a rewidth": seededBody(n, v, z, 4, doc, seededRotation, seededEntry(2, 1, 4, 0x09), seededRotation),
-		"zero count":            seededBody(n, v, z, 0, doc),
+		"zero count":            heightsBody(n, v, z, 0, heightsEntry(3, 1, 0, 1, 0x27)),
 		"rotation at entry 0":   seededBody(n, v, z, 2, seededRotation, doc),
 		"padding bits set":      seededBody(n, v, z, 1, seededEntry(3, 0, 1, 0x67)),
 		"truncated codes":       seededBody(n, v, z, 1, seededEntry(9, 0, 1, 0x00, 0x00)),
@@ -69,24 +87,31 @@ func seededBodies() map[string][]byte {
 		"one entry too many":    seededBody(n, v, z, MaxPIRBatch+1, doc),
 		"past the expansion cap": seededBody(over, b(2), b(3), 1,
 			seededEntry(uint64(overCap), 0, 5, make([]byte, (overCap+3)/4)...)),
+		"heights: two documents": heightsBody(n, v, z, 3, heightsEntry(3, 1, 0, 1, 0x27), seededRotation, heightsEntry(3, 2, 1, 2, 0x12)),
+		"heights: a height of 0": heightsBody(n, v, z, 2, heightsEntry(3, 0, 0, 1, 0x27), heightsEntry(3, 7, 0, 2, 0x12)),
+		"heights: past any store": heightsBody(n, v, z, 1,
+			heightsEntry(3, docstore.MaxColumnBytes+1, 0, 1, 0x27)),
+		"heights: height truncated": heightsBody(n, v, z, 1, vbyte.Append(nil, 3)),
 	}
 }
 
 func TestPIRBatchSeededHostileFrames(t *testing.T) {
 	refused := map[string]string{
-		"zero count":             "wire: seeded PIR batch query count: value out of range",
-		"rotation at entry 0":    "wire: seeded PIR batch query 0 rotates no vector",
-		"padding bits set":       "wire: seeded PIR batch query 0 codes: bits set past column 2",
-		"truncated codes":        "wire: seeded PIR batch query 0 codes: truncated",
-		"truncated seed":         "wire: seeded PIR batch query 0 seed: truncated",
-		"rotation at the width":  "wire: seeded PIR batch query 0 rotation: value out of range",
-		"trailing byte":          "wire: trailing bytes after PIR batch query",
-		"V outside":              "wire: seeded PIR batch V outside Z_n",
-		"V zero":                 "wire: seeded PIR batch V outside Z_n",
-		"Z outside":              "wire: seeded PIR batch Z outside Z_n",
-		"product outside":        "wire: seeded PIR batch query 0: pir: seeded value 0 outside Z_n",
-		"one entry too many":     "wire: seeded PIR batch query count: value out of range",
-		"past the expansion cap": fmt.Sprintf("wire: seeded PIR batch expands past the %d values a frame may carry", MaxSeededValues(maxPIRModulusBytes)),
+		"zero count":                "wire: seeded PIR batch query count: value out of range",
+		"rotation at entry 0":       "wire: seeded PIR batch query 0 rotates no vector",
+		"padding bits set":          "wire: seeded PIR batch query 0 codes: bits set past column 2",
+		"truncated codes":           "wire: seeded PIR batch query 0 codes: truncated",
+		"truncated seed":            "wire: seeded PIR batch query 0 seed: truncated",
+		"rotation at the width":     "wire: seeded PIR batch query 0 rotation: value out of range",
+		"trailing byte":             "wire: trailing bytes after PIR batch query",
+		"V outside":                 "wire: seeded PIR batch V outside Z_n",
+		"V zero":                    "wire: seeded PIR batch V outside Z_n",
+		"Z outside":                 "wire: seeded PIR batch Z outside Z_n",
+		"product outside":           "wire: seeded PIR batch query 0: pir: seeded value 0 outside Z_n",
+		"one entry too many":        "wire: seeded PIR batch query count: value out of range",
+		"past the expansion cap":    fmt.Sprintf("wire: seeded PIR batch expands past the %d values a frame may carry", MaxSeededValues(maxPIRModulusBytes)),
+		"heights: past any store":   fmt.Sprintf("%s: query 0 has height %d, past any store's tallest", ViewRefusal, docstore.MaxColumnBytes+1),
+		"heights: height truncated": "wire: PIR batch query 0 height: vbyte: truncated value",
 	}
 	for name, body := range seededBodies() {
 		qs, err := DecodePIRBatchQuery(body)
@@ -175,7 +200,7 @@ func TestPIRBatchSeededMatchesClient(t *testing.T) {
 					want++
 					continue
 				}
-				want += SeededEntryBytes(tc.cols, q.Rot)
+				want += SeededEntryBytes(tc.cols, 0, q.Rot)
 			}
 			if len(seeded) != want {
 				t.Fatalf("%s: the seeded frame is %d bytes, its entries %d", label, len(seeded), want)
@@ -263,7 +288,7 @@ func TestPIRBatchSeededExpansionBound(t *testing.T) {
 	// is still wider than the store, and is refused before it expands.
 	one := seededBody(n, b(2), b(3), 1, seededEntry(half, 0, 1, make([]byte, (half+3)/4)...))
 	runtime.ReadMemStats(&before)
-	_, err = DecodePIRBatchQueryWithin(one, 6029)
+	_, err = DecodePIRBatchQueryWithin(one, []int{6029})
 	runtime.ReadMemStats(&after)
 	if want := fmt.Sprintf("wire: seeded PIR batch query 0 is %d columns wide, the store 6029", half); err == nil || err.Error() != want {
 		t.Fatalf("a %d-column vector against a 6,029-block store: %v", half, err)
@@ -272,10 +297,10 @@ func TestPIRBatchSeededExpansionBound(t *testing.T) {
 		t.Fatalf("refusing a vector wider than the store allocated %d bytes", got)
 	}
 	narrow := seededBody(b(35), b(2), b(3), 1, seededEntry(5, 0, 1, 0x00, 0x00))
-	if _, err := DecodePIRBatchQueryWithin(narrow, 5); err != nil {
+	if _, err := DecodePIRBatchQueryWithin(narrow, []int{5}); err != nil {
 		t.Fatalf("a vector as wide as the store: %v", err)
 	}
-	if _, err := DecodePIRBatchQueryWithin(narrow, 4); err == nil {
+	if _, err := DecodePIRBatchQueryWithin(narrow, []int{4}); err == nil {
 		t.Fatal("a vector a column wider than the store decoded")
 	}
 	s := &pir.Seed{V: b(2), Z: b(3), Codes: make([]byte, (half+3)/4)}

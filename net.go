@@ -477,7 +477,7 @@ func (s *NetServer) answerPIRQuery(req *netRequest) error {
 	if err != nil {
 		return err
 	}
-	answers, _, err := s.answerPIRFrame(req.Ctx, snap, []*pir.Query{q})
+	answers, _, err := s.servePIRFrame(req.Ctx, snap, []*pir.Query{q})
 	if err != nil {
 		if isCtxErr(err) {
 			return serve.Deadline("block scan cancelled")
@@ -504,15 +504,16 @@ func writeBatchAnswer(req *netRequest, i int, ans *pir.Answer, n *big.Int) error
 // whole batch, so a pipelined fetch reads an internally consistent
 // corpus prefix, and one deadline covers it, matching the search-batch
 // path. Answers stream back one frame each, strictly in batch order; a
-// failing block is refused in place of the whole batch. A seeded vector
-// wider than the store is refused before it expands.
+// failing column is refused in place of the whole batch. An entry whose
+// height names no view of the store, or that is wider than its view, is
+// refused before any seed expands.
 func (s *NetServer) answerPIRBatch(req *netRequest) error {
 	snap := s.engine.store.Snapshot()
-	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, snap.NumBlocks())
+	qs, err := wire.DecodePIRBatchQueryWithin(req.Body, snap.Layout().Widths())
 	if err != nil {
 		return err
 	}
-	answers, at, err := s.answerPIRFrame(req.Ctx, snap, qs)
+	answers, at, err := s.servePIRFrame(req.Ctx, snap, qs)
 	if err != nil {
 		if isCtxErr(err) {
 			return serve.Deadline(fmt.Sprintf("batch cancelled in block %d", at))
@@ -568,43 +569,54 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 
 // answerPIRFrame computes the answers of one flat PIR frame — the
 // queries of a TypePIRBatchQuery, or the one query of a TypePIRQuery —
-// in frame order through the one-pass executor. Queries of equal width
-// are computed together in a single pass over the store (prefix
-// addressing under churn means widths MAY differ inside one frame, so
-// positions are grouped by width first), which also means a deadline
-// cancels the whole frame before any answer streams rather than between
-// blocks. On failure it returns the frame position of the failing
-// group's first query; every group's per-query Stats are counted even
-// then.
-func (s *NetServer) answerPIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, int, error) {
-	var widths []int
-	byWidth := make(map[int][]int)
+// in frame order through the one-pass executor, and returns them with
+// the Stats of every pass that ran. Queries of equal height and width
+// are computed together in a single pass over their database (a frame
+// may name several class views, and prefix addressing under churn means
+// widths MAY differ inside one view, so positions are grouped by both
+// first), which also means a deadline cancels the whole frame before any
+// answer streams rather than between columns. On failure it returns the
+// frame position of the failing group's first query. Local fetches
+// serve their batches through it too.
+func answerPIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, []pir.Stats, int, error) {
+	type shape struct{ height, width int }
+	var shapes []shape
+	byShape := make(map[shape][]int)
 	for i, q := range qs {
-		w := len(q.Values)
-		if _, ok := byWidth[w]; !ok {
-			widths = append(widths, w)
+		sh := shape{q.Height, len(q.Values)}
+		if _, ok := byShape[sh]; !ok {
+			shapes = append(shapes, sh)
 		}
-		byWidth[w] = append(byWidth[w], i)
+		byShape[sh] = append(byShape[sh], i)
 	}
 	answers := make([]*pir.Answer, len(qs))
-	for _, w := range widths {
-		idx := byWidth[w]
+	var all []pir.Stats
+	for _, sh := range shapes {
+		idx := byShape[sh]
 		sub := make([]*pir.Query, len(idx))
 		for j, i := range idx {
 			sub[j] = qs[i]
 		}
 		got, stats, err := answerPIRMultiCtx(ctx, snap, sub)
-		for _, st := range stats {
-			s.countPIRWork(st)
-		}
+		all = append(all, stats...)
 		if err != nil {
-			return nil, idx[0], err
+			return nil, all, idx[0], err
 		}
 		for j, i := range idx {
 			answers[i] = got[j]
 		}
 	}
-	return answers, 0, nil
+	return answers, all, 0, nil
+}
+
+// servePIRFrame is answerPIRFrame on the server, which counts the work
+// of every pass.
+func (s *NetServer) servePIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, int, error) {
+	answers, stats, at, err := answerPIRFrame(ctx, snap, qs)
+	for _, st := range stats {
+		s.countPIRWork(st)
+	}
+	return answers, at, err
 }
 
 // Serve accepts connections on a default-configured NetServer. Kept as

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,24 +21,28 @@ import (
 // story. Stage one (Embellish/Process/Decode) ranks without revealing
 // the query; this file fetches the winning documents without revealing
 // which ones won. The engine lays document bytes out into fixed-size
-// PIR blocks (Options.StoreDocuments); the client maps each ranked doc
-// id to its block range through the public block mapping and runs one
-// Kushilevitz-Ostrovsky PIR execution per block, locally against the
-// engine or remotely over the wire protocol (TypePIRParams /
-// TypePIRQuery / TypePIRResponse, behind ServeConfig.AllowRetrieval).
-// The blocks of a document are consecutive columns, so the flat
-// protocol draws ONE selection vector per document and asks for every
-// further block as that vector rotated one column up (pir.Query.Next) —
-// a public permutation the server applies for itself, one byte on the
-// wire. The vector itself travels as a seed and two bits a column
-// (pir.Seed), which the server expands into the group elements.
+// PIR blocks (Options.StoreDocuments), and every document of b blocks
+// into a column of its class view, the documents of min(b, H) blocks
+// (internal/docstore). The client maps each ranked doc id to its class
+// and column through the public block mapping (docstore.Params.Layout)
+// and runs one Kushilevitz-Ostrovsky PIR execution per column over that
+// view, locally against the engine or remotely over the wire protocol
+// (TypePIRParams / TypePIRBatchQuery / TypePIRBatchResponse, behind
+// ServeConfig.AllowRetrieval). A document taller than H blocks is k
+// consecutive columns, so the flat protocol draws ONE selection vector
+// per document and asks for every further column as that vector rotated
+// one column up (pir.Query.Next) — a public permutation the server
+// applies for itself, one byte on the wire. The vector itself travels
+// as a seed and two bits a column (pir.Seed), which the server expands
+// into the group elements.
 //
-// What the server observes: the number of PIR executions — i.e. the
-// block count of each fetched document — and nothing else. Which
-// blocks were touched is hidden by the quadratic-residuosity
-// assumption, exactly as in Section 5.2's PIR baseline. The block
-// layout itself is churn-stable (tombstoned documents are padded out,
-// never compacted away), so fetch offsets do not leak corpus updates.
+// What the server observes: each fetched document's class — the height
+// its frame names — and its number of PIR executions, and nothing else.
+// Which column of the class was touched is hidden by the
+// quadratic-residuosity assumption, exactly as in Section 5.2's PIR
+// baseline. The layout itself is churn-stable (tombstoned documents are
+// padded out, never compacted away), so fetch offsets do not leak
+// corpus updates.
 
 // StoresDocuments reports whether the engine holds a document store
 // (Options.StoreDocuments at construction, or loaded from a version-3
@@ -180,17 +185,19 @@ func (c *Client) SetFetchRecursive(on bool) {
 
 // pirTransport abstracts where the PIR server lives: in-process
 // (localPIR) or across a connection (remotePIR). Params is fetched
-// once per FetchDocuments call; Run serves the protocol executions.
+// once per FetchDocuments call, with the class views it lays out; Run
+// serves the protocol executions.
 type pirTransport interface {
-	Params() (docstore.Params, error)
-	// Run consumes block queries from qs (closed by the caller when
-	// generation ends) and calls deliver exactly once per consumed
-	// query, in consumption order — the ordered-reassembly contract.
-	// It returns after qs closes and every answer is delivered, or on
-	// the first generation, serving, transport or delivery error.
-	// Cancellation of ctx stops the run between (or, for in-process
-	// serving, inside) protocol executions with ctx.Err().
-	Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error
+	Params() (docstore.Params, *docstore.Layout, error)
+	// Run consumes column queries from qs (closed by the caller when
+	// generation ends), none wider than widest columns, and calls
+	// deliver exactly once per consumed query, in consumption order —
+	// the ordered-reassembly contract. It returns after qs closes and
+	// every answer is delivered, or on the first generation, serving,
+	// transport or delivery error. Cancellation of ctx stops the run
+	// between (or, for in-process serving, inside) protocol executions
+	// with ctx.Err().
+	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error
 	// RunRecursive is Run for two-level recursive queries, under the
 	// same ordered-delivery contract. A transport whose server does not
 	// speak the recursive protocol returns errShapeRefused (wrapped) from
@@ -208,13 +215,16 @@ type pirTransport interface {
 // in ONE pass over the store (runBatched).
 type localPIR struct{ sn *docstore.Snapshot }
 
-func (l localPIR) Params() (docstore.Params, error) { return l.sn.Params(), nil }
+func (l localPIR) Params() (docstore.Params, *docstore.Layout, error) {
+	return l.sn.Params(), l.sn.Layout(), nil
+}
 
-// Run serves flat fetches. Local fetch queries all share one key and
-// one block-count, satisfying the executor's equal-width contract.
-func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
+// Run serves flat fetches: each gathered batch is grouped by view and
+// width as a server groups a frame (answerPIRFrame), one pass a group.
+func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, _ int, deliver func(*pir.Answer) error) error {
 	return runBatched(ctx, qs, wire.MaxPIRBatch, deliver, func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
-		return answerPIRMultiCtx(ctx, l.sn, batch)
+		answers, stats, _, err := answerPIRFrame(ctx, l.sn, batch)
+		return answers, stats, err
 	})
 }
 
@@ -290,6 +300,7 @@ type fetchConn struct {
 	// client holding; nil until a server answered the hello.
 	digest *wire.ParamsDigest
 	params docstore.Params
+	layout *docstore.Layout // params's class views, derived once per mapping
 }
 
 // sameConn reports whether a and b are one connection value; a value ==
@@ -302,18 +313,19 @@ func sameConn(a, b io.ReadWriter) bool {
 // connection, if any — and returns the mapping the reply leaves it
 // holding. A server that refuses the hello (the frozen
 // wire.ParamsBodyRefusal) is asked again with the empty request, on this
-// exchange and every later one on the connection.
-func (r remotePIR) Params() (docstore.Params, error) {
+// exchange and every later one on the connection. The class views of a
+// mapping the client holds are derived once, when the mapping arrives.
+func (r remotePIR) Params() (docstore.Params, *docstore.Layout, error) {
 	at := r.at
 	if at == nil || at.legacy {
 		return r.tableAlone()
 	}
 	if err := wire.WritePIRHello(r.conn, at.digest); err != nil {
-		return docstore.Params{}, fmt.Errorf("embellish: sending the PIR hello: %w", err)
+		return docstore.Params{}, nil, fmt.Errorf("embellish: sending the PIR hello: %w", err)
 	}
 	typ, body, err := wire.ReadMessage(r.conn)
 	if err != nil {
-		return docstore.Params{}, fmt.Errorf("embellish: reading PIR params: %w", err)
+		return docstore.Params{}, nil, fmt.Errorf("embellish: reading PIR params: %w", err)
 	}
 	switch typ {
 	case wire.TypePIRParams:
@@ -322,44 +334,48 @@ func (r remotePIR) Params() (docstore.Params, error) {
 			at.legacy = true
 			return r.tableAlone()
 		}
-		return docstore.Params{}, remoteError(body)
+		return docstore.Params{}, nil, remoteError(body)
 	default:
-		return docstore.Params{}, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return docstore.Params{}, nil, fmt.Errorf("embellish: unexpected message type %d", typ)
 	}
 	reply, err := wire.DecodePIRParamsReply(body)
 	if err != nil {
-		return docstore.Params{}, err
+		return docstore.Params{}, nil, err
 	}
 	switch {
 	case !reply.Hello:
 		at.legacy = true
-		return reply.Params, nil
+		return reply.Params, reply.Params.Layout(), nil
 	case reply.Changed:
-		at.params = reply.Params
+		at.params, at.layout = reply.Params, reply.Params.Layout()
 	case at.digest == nil || *at.digest != reply.Digest:
-		return docstore.Params{}, errors.New("embellish: the server called current a block mapping the client does not hold")
+		return docstore.Params{}, nil, errors.New("embellish: the server called current a block mapping the client does not hold")
 	}
 	at.digest = &reply.Digest
-	return at.params, nil
+	return at.params, at.layout, nil
 }
 
 // tableAlone asks for the mapping with the empty request.
-func (r remotePIR) tableAlone() (docstore.Params, error) {
+func (r remotePIR) tableAlone() (docstore.Params, *docstore.Layout, error) {
 	if err := wire.WritePIRParamsRequest(r.conn); err != nil {
-		return docstore.Params{}, fmt.Errorf("embellish: requesting PIR params: %w", err)
+		return docstore.Params{}, nil, fmt.Errorf("embellish: requesting PIR params: %w", err)
 	}
 	body, err := readReply(r.conn, wire.TypePIRParams, "PIR params")
 	if err != nil {
-		return docstore.Params{}, err
+		return docstore.Params{}, nil, err
 	}
-	return wire.DecodePIRParams(body)
+	params, err := wire.DecodePIRParams(body)
+	if err != nil {
+		return docstore.Params{}, nil, err
+	}
+	return params, params.Layout(), nil
 }
 
-func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
+func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error {
 	if r.depth <= 1 {
 		return r.runSequential(ctx, qs, deliver)
 	}
-	return r.runPipelined(ctx, qs, deliver)
+	return r.runPipelined(ctx, qs, widest, deliver)
 }
 
 // runSequential is the depth-1 protocol: one synchronous TypePIRQuery
@@ -399,16 +415,16 @@ const maxPIRBatchFrameBytes = 16 << 20
 // pirBatchLimit sizes one batch: half the pipeline window (so two
 // batches keep the window full), capped by the wire batch limit, by the
 // frame byte budget at what the writer puts on the wire for one query of
-// this shape — a seeded entry, or numValues length-prefixed group
-// elements on the rungs that write vectors out, priced as a vector
-// either way — and, seeded, by the values the server may expand one
-// frame to.
+// numValues columns, the widest of the fetch — a seeded entry, or
+// numValues length-prefixed group elements on the rungs that write
+// vectors out, priced as a vector either way — and, seeded, by the
+// values the server may expand one frame to.
 func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
 	limit := min(max(depth/2, 1), wire.MaxPIRBatch)
 	modBytes := (modBits + 7) / 8
 	perQuery := numValues*(modBytes+3) + 16
 	if seeded {
-		perQuery = wire.SeededEntryBytes(numValues, numValues-1)
+		perQuery = wire.SeededEntryBytes(numValues, docstore.MaxColumnBytes, numValues-1)
 		limit = min(limit, wire.MaxSeededValues(modBytes)/numValues)
 	}
 	return max(1, min(limit, maxPIRBatchFrameBytes/perQuery))
@@ -430,7 +446,7 @@ func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
 // also unblocks the writer). In every case the writer goroutine exits
 // once the connection is closed; it never outlives a successful or
 // drained call.
-func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
+func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error {
 	var (
 		committed  atomic.Int64 // answer frames the server owes us (queries written)
 		abortOnce  sync.Once
@@ -464,7 +480,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			default:
 			}
 			if batchMax == 0 {
-				batchMax = pirBatchLimit(r.depth, len(first.Values), first.N.BitLen(), first.Seed != nil)
+				batchMax = pirBatchLimit(r.depth, widest, first.N.BitLen(), first.Seed != nil)
 			}
 			batch := append(make([]*pir.Query, 0, batchMax), first)
 			// Every frame, the first included, blocks on the generator
@@ -493,7 +509,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 			}
 			sent := sentFrame{entries: len(batch)}
 			if firstBatch {
-				sent.refusal = wire.PIRBatchRefusal(batch)
+				sent.refusals = wire.PIRBatchRefusals(batch)
 			}
 			committed.Add(int64(len(batch)))
 			select {
@@ -539,7 +555,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 					// type 12; the caller falls back to depth 1.
 					return fmt.Errorf("%w: %s", errBatchUnsupported, body)
 				}
-				if typ == wire.TypeError && sent.refusal != "" && string(body) == sent.refusal {
+				if typ == wire.TypeError && slices.Contains(sent.refusals, string(body)) {
 					// The exact refusal a server predating the frame's
 					// form sends for it — one error frame for the one
 					// batch frame, so the stream is aligned; the caller
@@ -588,10 +604,10 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, deliv
 // frame it has written.
 type sentFrame struct {
 	entries int // answers the server owes for it
-	// refusal is what a server predating the frame's form answers it
-	// with (wire.PIRBatchRefusal); set on a fetch's first frame only,
-	// where that answer means an old server.
-	refusal string
+	// refusals are what servers predating the frame's form answer it
+	// with (wire.PIRBatchRefusals); set on a fetch's first frame only,
+	// where such an answer means an old server.
+	refusals []string
 }
 
 // drain consumes the answer frames still owed by the server after a
@@ -720,24 +736,26 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 // FetchStats describes the cost of one FetchDocuments call, feeding
 // the PIR-vs-plaintext cost comparison of the Section 5.2 experiments.
 type FetchStats struct {
-	// Runs is the number of PIR protocol executions (one per block).
+	// Runs is the number of PIR protocol executions: one per column of
+	// a document's class view — one for a document of at most H blocks —
+	// or, on the remote retries that address the block array and in the
+	// recursive protocol, one per block.
 	Runs int
 	// Vectors is the number of selection vectors drawn. The flat
 	// protocol draws one per document and asks for the document's further
-	// blocks as one-byte rotations of it, so Runs − Vectors executions
+	// columns as one-byte rotations of it, so Runs − Vectors executions
 	// cost a byte of upload each; the recursive protocol and the flat
 	// retries that send a vector per block draw one per block (Vectors ==
 	// Runs).
 	Vectors int
 	// QueryBytes and AnswerBytes total the protocol traffic: per vector
-	// drawn its seeded entry (wire.SeededEntryBytes: width, seed,
+	// drawn its seeded entry (wire.SeededEntryBytes: width, height, seed,
 	// rotation and two bits a column) — or its group elements, in a local
 	// fetch and on the remote retries that write vectors out — plus one
-	// byte per rotation up; the gammas down. The figure is the protocol's, not the frame
-	// schedule's: a rotation that a frame boundary separates from its
-	// vector (the 4 + 2 split of two three-block documents at the default
-	// window) travels as an entry of its own, once per boundary, and is
-	// still counted as its byte.
+	// byte per rotation up; the gammas down. The figure is the protocol's,
+	// not the frame schedule's: a rotation that a frame boundary separates
+	// from its vector travels as an entry of its own, once per boundary,
+	// and is still counted as its byte.
 	QueryBytes, AnswerBytes int
 }
 
@@ -771,7 +789,7 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	// the pair a remote fetch negotiates over the wire. Nothing local
 	// crosses a wire, so the flat vectors are drawn written out: the
 	// seeded form's codes would buy no byte.
-	shape := fetchRotated
+	shape := fetchLocal
 	if c.fetchRecursive && c.engine.livePIRRecursive() {
 		shape = fetchRecursive
 	}
@@ -807,9 +825,9 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // the batch messages are detected on the first frame and the fetch
 // transparently retries through the sequential one-round-trip-per-
 // block protocol (which SetFetchPipeline(1) also selects directly);
-// servers predating seeded vectors or rotation entries refuse the first
-// frame that carries one, and the fetch retries in the form they speak
-// (fetchLadder).
+// servers predating class views, seeded vectors or rotation entries
+// refuse the first frame that carries one, and the fetch retries in the
+// form they speak (fetchLadder).
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
@@ -861,11 +879,18 @@ type fetchShape int
 
 const (
 	// fetchSeeded is the flat protocol: one seeded selection vector per
-	// document (pir.Seed), each further block the vector before it
-	// rotated.
+	// document (pir.Seed) over its class view, each further column the
+	// vector before it rotated.
 	fetchSeeded fetchShape = iota
-	// fetchRotated is fetchSeeded with the vectors drawn and written out:
-	// the local fetch, and the rung below fetchSeeded.
+	// fetchLocal is fetchSeeded with the vectors drawn and written out:
+	// the local fetch.
+	fetchLocal
+	// fetchSeededBlocks is the rung below fetchSeeded, for a server
+	// predating views: a seeded vector per document over the block
+	// array, each further block the vector before it rotated.
+	fetchSeededBlocks
+	// fetchRotated is the rung below that, for a server predating seeds:
+	// fetchSeededBlocks with the vectors written out.
 	fetchRotated
 	// fetchPerBlock writes out a fresh vector per block.
 	fetchPerBlock
@@ -876,18 +901,31 @@ const (
 	fetchRecursive
 )
 
+// views reports whether the shape addresses class views; the others
+// address the block array, as the servers they are spoken to do.
+func (s fetchShape) views() bool { return s == fetchSeeded || s == fetchLocal }
+
+// seeded reports whether the shape's vectors travel seeded.
+func (s fetchShape) seeded() bool { return s == fetchSeeded || s == fetchSeededBlocks }
+
+// rotates reports whether the shape asks for a document's further
+// columns as rotations of its vector.
+func (s fetchShape) rotates() bool { return s.views() || s == fetchSeededBlocks || s == fetchRotated }
+
 // fetchLadder is the remote flat fetch's fallback ladder, newest form
 // first: each rung is what a server predating the one above it decodes.
 // Every fetch starts at the top (below fetchRecursive, when the client
-// opted into it) and moves down one rung only on the refusal such a
-// server sends to the rung's first frame — the frozen wire.SeedRefusal
-// or wire.RotationRefusal text, or the unknown-type refusal of a type
-// 23 frame (errShapeRefused) — or to the sequential rung on the unknown-
-// type refusal of type 12 (errBatchUnsupported). A first frame is
-// answered before a second is sent, so exactly one frame was exchanged
-// and the stream is still aligned. Every other error is the server's
-// verdict on the fetch and is returned.
-var fetchLadder = []fetchShape{fetchSeeded, fetchRotated, fetchPerBlock, fetchSequential}
+// opted into it) and moves down one rung only on a refusal an older
+// server sends to the rung's first frame — the frozen wire.HeightsRefusal,
+// wire.SeedRefusal or wire.RotationRefusal text (wire.PIRBatchRefusals),
+// or the unknown-type refusal of a type 23 frame (errShapeRefused) — or
+// to the sequential rung on the unknown-type refusal of type 12
+// (errBatchUnsupported). A server predating seeds refuses both seeded
+// rungs, so it costs one refused frame more than one predating views. A
+// first frame is answered before a second is sent, so exactly one frame
+// was exchanged and the stream is still aligned. Every other error is
+// the server's verdict on the fetch and is returned.
+var fetchLadder = []fetchShape{fetchSeeded, fetchSeededBlocks, fetchRotated, fetchPerBlock, fetchSequential}
 
 // errShapeRefused marks a server that refused a fetch's first frame in
 // a form it predates.
@@ -898,15 +936,17 @@ var errShapeRefused = errors.New("embellish: server does not speak this PIR quer
 var errBatchUnsupported = errors.New("embellish: server does not speak batched PIR fetches")
 
 // fetchVia runs the client side of the fetch protocol: obtain the
-// block mapping, then one PIR execution per block of each document —
-// generated by a pipeline goroutine, served by the transport, and
-// reassembled strictly in order, each document checksum-verified as
-// its last block arrives. Any unfetchable id (never assigned, or
-// tombstoned) fails the whole call — the error names the id, and no
-// partial results are returned. Under fetchRecursive the executions are
-// two-level recursive queries (RunRecursive) whose answers decode to
-// the same block bytes — the reassembly, truncation and checksum logic
-// is deliberately shared so the protocols cannot drift.
+// block mapping, then one PIR execution per column of each document —
+// over its class view, or over the block array on the shapes that
+// address blocks — generated by a pipeline goroutine, served by the
+// transport, and reassembled strictly in order, each document
+// checksum-verified as its last column arrives. Any unfetchable id
+// (never assigned, or tombstoned) fails the whole call — the error names
+// the id, and no partial results are returned. Under fetchRecursive the
+// executions are two-level recursive queries (RunRecursive) whose
+// answers decode to the same block bytes — the reassembly, truncation
+// and checksum logic is deliberately shared so the protocols cannot
+// drift.
 func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape fetchShape) ([][]byte, FetchStats, error) {
 	recursive := shape == fetchRecursive
 	var st FetchStats
@@ -917,7 +957,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	if err != nil {
 		return nil, st, err
 	}
-	params, err := t.Params()
+	params, layout, err := t.Params()
 	if err != nil {
 		return nil, st, err
 	}
@@ -931,31 +971,40 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 		}
 	}
 
-	// One task per PIR run, in delivery order; remaining[i] counts the
-	// blocks of ids[i] still to arrive.
-	type task struct{ pos, col int }
+	// One task per PIR run, in delivery order: run j of document pos, at
+	// column col of the database of height h (a class view, or the block
+	// array at 0), width columns wide in the mapping; remaining[i] counts
+	// the runs of ids[i] still to arrive.
+	type task struct{ pos, run, col, height, width int }
 	var tasks []task
 	out := make([][]byte, len(ids))
 	remaining := make([]int, len(ids))
+	widest := 0
 	for i, id := range ids {
 		ext := params.Exts[id]
-		remaining[i] = int(ext.Blocks)
-		out[i] = make([]byte, 0, int(ext.Blocks)*params.BlockSize)
-		for b := 0; b < int(ext.Blocks); b++ {
-			tasks = append(tasks, task{pos: i, col: int(ext.First) + b})
+		h, col, k := 0, int(ext.First), int(ext.Blocks)
+		if shape.views() {
+			h, col, k = layout.Place(id)
 		}
-		if ext.Blocks == 0 && crc32.ChecksumIEEE(nil) != ext.Crc {
+		width := layout.Widths()[h]
+		widest = max(widest, width)
+		remaining[i] = k
+		out[i] = make([]byte, 0, k*layout.ColumnBytes(h))
+		for j := 0; j < k; j++ {
+			tasks = append(tasks, task{pos: i, run: j, col: col + j, height: h, width: width})
+		}
+		if k == 0 && crc32.ChecksumIEEE(nil) != ext.Crc {
 			return nil, st, fmt.Errorf("embellish: document %d bytes fail their checksum (deleted or corrupted mid-fetch)", id)
 		}
 	}
 
 	// Generator goroutine: building a query costs residue symbols per
-	// block column (residuosity draws per GRID row+column for recursive
+	// column (residuosity draws per GRID row+column for recursive
 	// queries), so it runs ahead of the transport, bounded by the
-	// pipeline window. Under fetchSeeded and fetchRotated only a
-	// document's first block draws: its further blocks are the
-	// consecutive columns, so each is the query before it rotated one
-	// column up. It owns its stats until joined below.
+	// pipeline window. Under the rotating shapes only a document's first
+	// column draws: its further columns are consecutive, so each is the
+	// query before it rotated one column up. It owns its stats until
+	// joined below.
 	qch := make(chan *pir.Query, c.pipelineDepth())
 	rch := make(chan *pir.RecursiveQuery, c.pipelineDepth())
 	done := make(chan struct{})
@@ -987,20 +1036,21 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				}
 				continue
 			}
-			if (shape == fetchSeeded || shape == fetchRotated) && ti > 0 && tasks[ti-1].pos == tk.pos {
+			if shape.rotates() && ti > 0 && tasks[ti-1].pos == tk.pos {
 				q = q.Next()
 				genQueryBytes++
 			} else {
 				// Only a vector that travels seeded pays for its codes.
-				draw, size := key.NewQuery, key.QueryBytes(params.NumBlocks)
-				if shape == fetchSeeded {
-					draw, size = key.NewSeededQuery, wire.SeededEntryBytes(params.NumBlocks, 0)
+				draw, size := key.NewQuery, key.QueryBytes(tk.width)
+				if shape.seeded() {
+					draw, size = key.NewSeededQuery, wire.SeededEntryBytes(tk.width, tk.height, 0)
 				}
 				var err error
-				if q, err = draw(c.inner.CryptoRand, params.NumBlocks, tk.col); err != nil {
+				if q, err = draw(c.inner.CryptoRand, tk.width, tk.col); err != nil {
 					genErr = err
 					return
 				}
+				q.Height = tk.height
 				genVectors++
 				genQueryBytes += size
 			}
@@ -1014,16 +1064,18 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 
 	// Ordered reassembly: answers arrive in task order; a document is
 	// finalized — truncated to its true length and checksum-verified —
-	// the moment its last block lands. A document deleted between the
-	// mapping fetch and its last block decodes as (partially) zeroed
-	// blocks (the server zeroes tombstoned blocks in place); the
-	// checksum turns that silent corruption into an error.
+	// the moment its last column lands. A document deleted between the
+	// mapping fetch and its last column decodes as (partially) zeroed
+	// columns (the server zeroes tombstoned blocks and columns in place);
+	// the checksum turns that silent corruption into an error.
 	next := 0
 	var deliverErr error // deliver's own errors already carry context
 	deliver := func(ans *pir.Answer) error {
 		if next >= len(tasks) {
 			return errors.New("embellish: more PIR answers than queries")
 		}
+		tk := tasks[next]
+		colBytes := layout.ColumnBytes(tk.height)
 		var bits []bool
 		if recursive {
 			var derr error
@@ -1032,16 +1084,15 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				return fmt.Errorf("embellish: decoding recursive PIR answer: %w", derr)
 			}
 		} else {
-			if len(ans.Gammas) != 8*params.BlockSize {
-				return fmt.Errorf("embellish: PIR answer has %d rows, want %d", len(ans.Gammas), 8*params.BlockSize)
+			if len(ans.Gammas) != 8*colBytes {
+				return fmt.Errorf("embellish: PIR answer has %d rows, want %d", len(ans.Gammas), 8*colBytes)
 			}
 			bits = key.Decode(ans)
 		}
 		st.Runs++
 		st.AnswerBytes += key.AnswerBytes(len(ans.Gammas))
-		tk := tasks[next]
 		next++
-		out[tk.pos] = append(out[tk.pos], pir.ColumnBytes(bits)[:params.BlockSize]...)
+		out[tk.pos] = append(out[tk.pos], pir.ColumnBytes(bits)[:colBytes]...)
 		remaining[tk.pos]--
 		if remaining[tk.pos] == 0 {
 			ext := params.Exts[ids[tk.pos]]
@@ -1057,7 +1108,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	if recursive {
 		err = t.RunRecursive(ctx, rch, deliver)
 	} else {
-		err = t.Run(ctx, qch, deliver)
+		err = t.Run(ctx, qch, widest, deliver)
 	}
 	close(done)
 	wg.Wait()
@@ -1065,12 +1116,10 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	if err != nil {
 		// Delivery errors already name their document; transport and
 		// serving errors get the first undelivered position attached,
-		// so a failing fetch names which document and block it died on.
+		// so a failing fetch names which document and column it died on.
 		if err != deliverErr && next < len(tasks) {
 			tk := tasks[next]
-			ext := params.Exts[ids[tk.pos]]
-			return nil, st, fmt.Errorf("embellish: document %d block %d: %w",
-				ids[tk.pos], int(ext.Blocks)-remaining[tk.pos], err)
+			return nil, st, fmt.Errorf("embellish: document %d column %d: %w", ids[tk.pos], tk.run, err)
 		}
 		return nil, st, err
 	}
@@ -1078,7 +1127,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 		return nil, st, fmt.Errorf("embellish: building PIR query: %w", genErr)
 	}
 	if next != len(tasks) {
-		return nil, st, fmt.Errorf("embellish: fetch ended after %d of %d blocks", next, len(tasks))
+		return nil, st, fmt.Errorf("embellish: fetch ended after %d of %d runs", next, len(tasks))
 	}
 	return out, st, nil
 }

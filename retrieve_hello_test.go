@@ -65,8 +65,9 @@ func tappedFrames(t *testing.T, raw []byte) []tappedFrame {
 }
 
 // threeBlockWorld is a store world at 1 KiB blocks with two documents of
-// three blocks each appended, and a client whose fetch key is 64 bits: a
-// block answer is 8,192 gammas of 8 bytes, the benchmark's shape.
+// three blocks each appended, and a client whose fetch key is 64 bits:
+// each document is one column of class view 3, whose answer is 24,576
+// gammas of 8 bytes — the benchmark's shape.
 func threeBlockWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, ids []int) {
 	t.Helper()
 	e, c, texts = storeWorld(t, 20, 1024)
@@ -106,10 +107,16 @@ func fetchOver(t *testing.T, c *Client, conn net.Conn, ids []int, texts map[int]
 	return st
 }
 
+// packedColumnAnswer is the frame of one packed answer to a column of
+// class view 3 at 1 KiB blocks under a 64-bit modulus: length, type,
+// index, the packed form's 0, the width 8, the count 24,576 (three vbyte
+// bytes) and 24,576 gammas of 8 bytes.
+const packedColumnAnswer = 4 + 1 + 1 + 1 + 1 + 3 + 8*3*1024*8
+
 // TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers: the second fetch
 // of two three-block documents on a connection downloads exactly one
-// 23-byte unchanged reply and six 65,546-byte packed answer frames — and
-// uploads a hello of its 16-byte digest.
+// 23-byte unchanged reply and two 196,619-byte packed answer frames, one
+// per document — and uploads a hello of its 16-byte digest.
 func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
 	e, c, texts, ids := threeBlockWorld(t)
 	raw, err := net.Dial("tcp", startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true}))
@@ -120,12 +127,12 @@ func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
 	conn := &tapConn{Conn: raw}
 	fetchOver(t, c, conn, ids, texts) // cold: the hello names no mapping
 	conn.reset()
-	if st := fetchOver(t, c, conn, ids, texts); st.Runs != 6 {
+	if st := fetchOver(t, c, conn, ids, texts); st.Runs != 2 {
 		t.Fatalf("%d PIR runs for two three-block documents", st.Runs)
 	}
-	const unchanged, answer = 23, 65546
-	if got, want := len(conn.read), unchanged+6*answer; got != want {
-		t.Fatalf("the warm fetch downloaded %d bytes, want %d: one unchanged reply and six packed answers", got, want)
+	const unchanged, answer = 23, packedColumnAnswer
+	if got, want := len(conn.read), unchanged+2*answer; got != want {
+		t.Fatalf("the warm fetch downloaded %d bytes, want %d: one unchanged reply and two packed answers", got, want)
 	}
 	down := tappedFrames(t, conn.read)
 	if down[0].typ != wire.TypePIRParams || 4+1+len(down[0].body) != unchanged {
@@ -152,8 +159,8 @@ func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
 // a client that asks with the empty request, byte for byte what the
 // client sent before the hello. The cold hello uploads exactly one byte
 // more and its reply downloads exactly 18 bytes more than the table
-// alone; every answer frame is packed, 65,546 bytes against the
-// length-prefixed frame's ~73,700.
+// alone; every answer frame is packed, 196,619 bytes against the
+// length-prefixed frame's ~221,000.
 func TestColdFetchCostsEighteenBytesOnTheMapping(t *testing.T) {
 	e, c, texts, ids := threeBlockWorld(t)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
@@ -185,13 +192,13 @@ func TestColdFetchCostsEighteenBytesOnTheMapping(t *testing.T) {
 		if len(down[0].body) != len(oldDown[0].body)+18 {
 			t.Fatalf("run %d: the cold reply has %d bytes, the table alone %d; want 18 more", run, len(down[0].body), len(oldDown[0].body))
 		}
-		if len(down) != 7 || len(oldDown) != 7 {
-			t.Fatalf("run %d: %d and %d frames down, want the mapping and six answers", run, len(down), len(oldDown))
+		if len(down) != 3 || len(oldDown) != 3 {
+			t.Fatalf("run %d: %d and %d frames down, want the mapping and two answers", run, len(down), len(oldDown))
 		}
 		packedSaved := 0
-		for i := 1; i < 7; i++ {
-			if got := 5 + len(down[i].body); got != 65546 {
-				t.Fatalf("run %d: answer %d is %d bytes, want 65,546 packed", run, i, got)
+		for i := 1; i < 3; i++ {
+			if got := 5 + len(down[i].body); got != packedColumnAnswer {
+				t.Fatalf("run %d: answer %d is %d bytes, want %d packed", run, i, got, packedColumnAnswer)
 			}
 			if len(oldDown[i].body) <= len(down[i].body) {
 				t.Fatalf("run %d: a length-prefixed answer of %d bytes is no longer than the packed %d", run, len(oldDown[i].body), len(down[i].body))

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"embellish/internal/detrand"
+	"embellish/internal/docstore"
 	"embellish/internal/pir"
 	"embellish/internal/vbyte"
 	"embellish/internal/wire"
@@ -270,7 +271,7 @@ func TestPIRBatchLimitBudget(t *testing.T) {
 			}
 			frame := limit * (c.values*((c.bits+7)/8+3) + 16)
 			if seeded {
-				frame = limit * wire.SeededEntryBytes(c.values, c.values-1)
+				frame = limit * wire.SeededEntryBytes(c.values, docstore.MaxColumnBytes, c.values-1)
 				if limit*c.values > wire.MaxSeededValues((c.bits+7)/8) {
 					t.Fatalf("limit(%+v) = %d seeded vectors expand past the server's bound", c, limit)
 				}
@@ -333,7 +334,7 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 		}
 	}()
 	answers := 0
-	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, func(*pir.Answer) error {
+	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, cols, func(*pir.Answer) error {
 		answers++
 		return nil
 	})

@@ -47,16 +47,22 @@ func TestFetchDocumentsRecursiveLocal(t *testing.T) {
 			t.Fatalf("doc %d: fetched %q, want %q", id, rec[i], texts[id])
 		}
 	}
-	if recSt.Runs != flatSt.Runs {
-		t.Fatalf("recursive ran %d executions, flat ran %d", recSt.Runs, flatSt.Runs)
-	}
-	// The point of the recursion: per-query upload drops from n to <=
-	// 3*ceil(sqrt(n)) group elements. (The flat protocol's seeded
-	// vectors, a seed and two bits a column per document, undercut both.)
+	// The recursive protocol runs once per block, the flat one once per
+	// column of a class view: once per document here.
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
+	blocks := 0
+	for _, id := range ids {
+		blocks += int(sn.Params().Exts[id].Blocks)
+	}
+	if recSt.Runs != blocks || flatSt.Runs != len(ids) {
+		t.Fatalf("recursive ran %d executions, flat %d, for %d blocks of %d documents", recSt.Runs, flatSt.Runs, blocks, len(ids))
+	}
+	// The point of the recursion: per-query upload drops from n to <=
+	// 3*ceil(sqrt(n)) group elements. (The flat protocol's seeded
+	// vectors, a seed and two bits a column per document, undercut both.)
 	key, err := c.pirKey()
 	if err != nil {
 		t.Fatal(err)

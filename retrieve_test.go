@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"embellish/internal/detrand"
+	"embellish/internal/docstore"
 )
 
 // storeWorld builds a retrieval-enabled engine over a corpus of SMALL
@@ -186,14 +187,32 @@ func TestLoadRejectsStoreTombstoneDesync(t *testing.T) {
 // compactions — with a concurrent PIR fetcher running throughout — the
 // bytes privately fetched for every live document equal the direct
 // store read AND the originally indexed text, and every tombstoned id
-// errors from both paths. Run it with -race: the fetcher shares the
-// engine with the mutator.
+// errors from both paths. The corpus holds an empty document, which has
+// no column, and one longer than the tallest view, whose two columns
+// travel as a vector and its rotation. Run it with -race: the fetcher
+// shares the engine with the mutator.
 func TestPIRFetchPropertyUnderChurn(t *testing.T) {
 	lemmas := miniLemmas()
 	for _, seed := range []int64{3, 11} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			e, _, texts := storeWorld(t, 30, 32)
+			long, empty := e.NextDocID(), e.NextDocID()+1
+			texts[long] = storeDocText(long, lemmas)
+			for len(texts[long]) <= docstore.Heights(32)*32+100 {
+				texts[long] += " " + lemmas[2+len(texts[long])%20]
+			}
+			texts[empty] = ""
+			if err := e.AddDocuments([]Document{{ID: long, Text: texts[long]}, {ID: empty}}); err != nil {
+				t.Fatal(err)
+			}
+			sn, err := e.storeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, k := sn.Layout().Place(long); k != 2 {
+				t.Fatalf("the long document fills %d columns, want 2", k)
+			}
 			rng := rand.New(rand.NewSource(seed))
 			var mu sync.Mutex // guards texts + deleted
 			deleted := map[int]bool{}
