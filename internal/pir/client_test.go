@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"testing"
@@ -156,6 +157,102 @@ func TestDecodeMatchesIsQR(t *testing.T) {
 	decodeBoth("even", even, q, target)
 }
 
+// packGammas lays gammas out at width big-endian bytes each, back to
+// back: the packed wire form.
+func packGammas(gammas []*big.Int, width int) []byte {
+	image := make([]byte, len(gammas)*width)
+	for i, g := range gammas {
+		g.FillBytes(image[i*width : (i+1)*width])
+	}
+	return image
+}
+
+// TestDecodesAgree: the three flat decodes read the same bits — DecodeImage
+// over packed bytes, Decode over the same gammas as big.Ints, and the isQR
+// oracle, cut to its p1 half under a key whose p1 fits a word, as Decode
+// documents for forged gammas (honest ones decode the same under either
+// half; TestDecodeMatchesIsQR). They agree on executor answers over random
+// columns at 64-, 128- and 256-bit keys (the last runs the isQR fallback)
+// and row counts that are not multiples of 8 × workers, so the workers'
+// byte ranges split unevenly; and on forged gammas: 0, multiples of p1,
+// values past N, all-0xFF, and a width wider than the modulus's.
+func TestDecodesAgree(t *testing.T) {
+	for _, keyBits := range []int{64, 128, 256} {
+		k := sizedKey(t, keyBits)
+		modBytes := (k.N.BitLen() + 7) / 8
+		d := k.decoder()
+		if d.word != (keyBits <= 128) {
+			t.Fatalf("%d-bit key: word decoder = %v", keyBits, d.word)
+		}
+		oracle := func(g *big.Int) bool {
+			if d.word {
+				return new(big.Int).Exp(g, k.e1, k.p1).Cmp(one) != 0
+			}
+			return !k.isQR(g)
+		}
+		check := func(name string, gammas []*big.Int, width int) []byte {
+			t.Helper()
+			bits := k.Decode(&Answer{Gammas: gammas})
+			column := bytes.Repeat([]byte{0xa5}, len(gammas)/8) // every byte must be written
+			if err := k.DecodeImage(packGammas(gammas, width), width, column); err != nil {
+				t.Fatalf("%d-bit key, %s: %v", keyBits, name, err)
+			}
+			if !bytes.Equal(column, ColumnBytes(bits)) {
+				t.Fatalf("%d-bit key, %s: DecodeImage %x, Decode %x", keyBits, name, column, ColumnBytes(bits))
+			}
+			for i, g := range gammas {
+				if bits[i] != oracle(g) {
+					t.Fatalf("%d-bit key, %s, gamma %d (%v): Decode %v, oracle %v", keyBits, name, i, g, bits[i], oracle(g))
+				}
+			}
+			return column
+		}
+		const nCols = 5
+		var honest []*big.Int
+		for _, colBytes := range []int{1, 3, 129, 389} {
+			cols := randomColumns(t, int64(colBytes), nCols, colBytes)
+			answers, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, multiBatch(t, k, "agree", nCols, 2), Exec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for qi, a := range answers {
+				if got := check(fmt.Sprintf("%d-byte column %d", colBytes, qi), a.Gammas, modBytes); !bytes.Equal(got, cols[qi]) {
+					t.Fatalf("%d-bit key, %d-byte column %d: decoded %x, stored %x", keyBits, colBytes, qi, got, cols[qi])
+				}
+			}
+			honest = answers[0].Gammas
+		}
+
+		ones := func(width int) *big.Int { return new(big.Int).Sub(new(big.Int).Lsh(one, uint(8*width)), one) }
+		forged := []*big.Int{
+			new(big.Int),
+			new(big.Int).Set(k.p1),
+			new(big.Int).Mul(k.p1, big.NewInt(3)),
+			new(big.Int).Set(k.N),
+			new(big.Int).Add(k.N, one),
+			new(big.Int).Add(k.N, new(big.Int).Rsh(new(big.Int).Sub(ones(modBytes), k.N), 1)),
+			ones(modBytes),
+			new(big.Int).Sub(ones(modBytes), one),
+		}
+		for i := 0; len(forged)%8 != 0 || len(forged) < 24; i++ {
+			forged = append(forged, honest[i])
+		}
+		check("forged", forged, modBytes)
+		// Three bytes wider than the modulus: leading zeros on every gamma
+		// above, and values only the wider width holds.
+		check("forged, wide", append(forged[:len(forged)-8:len(forged)-8],
+			ones(modBytes+3), new(big.Int).Lsh(k.N, 16), new(big.Int).Add(new(big.Int).Lsh(k.p1, 20), one), honest[0],
+			new(big.Int).Add(honest[1], k.N), new(big.Int).Add(honest[2], new(big.Int).Lsh(k.N, 1)), ones(modBytes+1), k.p2), modBytes+3)
+
+		if err := k.DecodeImage(make([]byte, 8*modBytes-1), modBytes, make([]byte, 1)); err == nil {
+			t.Fatalf("%d-bit key: an image one byte short decoded", keyBits)
+		}
+		if err := k.DecodeImage(nil, 0, nil); err == nil {
+			t.Fatalf("%d-bit key: a zero width decoded", keyBits)
+		}
+	}
+}
+
 // BenchmarkNewQuery is one flat query at the repository benchmark's
 // width (6,029 blocks) under its 64-bit key, from crypto/rand: drawn
 // residues, and seeded.
@@ -190,5 +287,25 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Decode(answers[0])
+	}
+}
+
+// BenchmarkDecodeImage is BenchmarkDecode over the packed bytes of the
+// same answer, where a fetch now reads them.
+func BenchmarkDecodeImage(b *testing.B) {
+	k := benchmarkKey(b)
+	cols := randomColumns(b, 9, 16, 1024)
+	answers, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, 1024, multiBatch(b, k, "bench-decode", 16, 1), Exec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	width := (k.N.BitLen() + 7) / 8
+	image, column := packGammas(answers[0].Gammas, width), make([]byte, 1024)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := k.DecodeImage(image, width, column); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -105,9 +105,10 @@ type ClientKey struct {
 	// v is the seeded vectors' V: the smallest integer of Jacobi symbol
 	// −1 modulo N — public, and anyone holding N can find it.
 	v *big.Int
-	// The cached residue-test kernel of both decoders
-	// (recursive_decode.go). The atomic makes ClientKey share-but-not-
-	// copy; every caller already holds keys by pointer.
+	// The cached residue-test kernel of the decoders and of the seed
+	// coder's p1 symbols (recursive_decode.go). The atomic makes
+	// ClientKey share-but-not-copy; every caller already holds keys by
+	// pointer.
 	decoderCache
 }
 
@@ -540,13 +541,17 @@ func (s *unitStream) word() uint {
 // symbol modulo p1 — y_j's times V's if a_j — is −1. Both primes of a
 // demo-sized key fit a word, and the symbols then come from the
 // decoders' Euler lanes (qrDecoder.powWords, branching on the key's
-// exponent only); wider primes use big.Jacobi. It reports false — draw
-// another seed — when a unit shares a factor with N: that unit would be
-// public and would give the factor away.
+// exponent only) — p1's the key's cached decoder, p2's built per call;
+// wider primes use big.Jacobi. It reports false — draw another seed —
+// when a unit shares a factor with N: that unit would be public and would
+// give the factor away.
 func (k *ClientKey) code(s *Seed, width, target int) bool {
 	units := newUnitStream(k.N, &s.Key)
 	vNeg := big.Jacobi(new(big.Int).Mod(s.V, k.p1), k.p1) < 0
-	d1, d2 := wordEuler(k.p1, k.e1), wordEuler(k.p2, k.e2)
+	d1, d2 := k.decoder(), wordEuler(k.p2, k.e2)
+	if !d1.word {
+		d1 = nil
+	}
 	var r1, r2 [256]uint
 	var l1, l2 [256]int
 	y, t := new(big.Int), new(big.Int)
@@ -754,13 +759,16 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 
 // Decode recovers the target column's bits from the answer: bit i is 1
 // exactly when γ_i is a quadratic non-residue. Gammas must be
-// non-negative (the wire decoder's range).
+// non-negative (the wire decoder's range). It is DecodeImage for an
+// answer held as big.Ints — the local fetch's, or a length-prefixed one
+// off the wire.
 //
-// The test is the key's cached residue kernel (qrDecoder.qnrs: four
-// Euler tests in lock step), shared with DecodeRecursive. For keys with
-// a one-word p1 it is a single-prime Euler test — exact for every gamma a server can derive from an honest
-// query (every value sent has equal quadratic character modulo both
-// primes, and products preserve that); a forged gamma may decode to a
+// The test is the key's cached residue kernel (decodeColumn: four Euler
+// tests in lock step, on GOMAXPROCS workers), shared with
+// DecodeRecursive. For keys with a one-word p1 it is a single-prime Euler
+// test — exact for every gamma a server can derive from an honest query
+// (every value sent has equal quadratic character modulo both primes, and
+// products preserve that); a forged gamma may decode to a
 // wrong bit, which is garbage the per-document CRC of the fetch path
 // already rejects, never a key leak. It is also one fixed-length
 // square-and-multiply chain per gamma, so decoding costs the same for a
@@ -769,10 +777,32 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 // the client's think-time before its next frame grow with the number of
 // 0-bits in the block it had just fetched.
 func (k *ClientKey) Decode(ans *Answer) []bool {
-	d := k.decoder()
-	bits := make([]bool, len(ans.Gammas))
-	d.qnrs(k, ans.Gammas, bits)
+	column := make([]byte, (len(ans.Gammas)+7)/8)
+	k.decodeColumn(answerGammas(ans.Gammas), len(ans.Gammas), column)
+	return columnBits(column, len(ans.Gammas))
+}
+
+// columnBits is ColumnBytes undone: the first rows bits of column.
+func columnBits(column []byte, rows int) []bool {
+	bits := make([]bool, rows)
+	for i := range bits {
+		bits[i] = column[i>>3]&(0x80>>(i&7)) != 0
+	}
 	return bits
+}
+
+// DecodeImage is Decode over a packed answer where it lies: image holds
+// 8·len(column) gammas of width big-endian bytes each, back to back (the
+// packed wire form, internal/wire), and their bits go straight into
+// column, MSB-first — the bytes ColumnBytes(Decode(ans)) would return,
+// without a big.Int or a []bool in between. Every byte of column is
+// written. It runs Decode's test on Decode's workers.
+func (k *ClientKey) DecodeImage(image []byte, width int, column []byte) error {
+	if width <= 0 || len(image) != 8*len(column)*width {
+		return fmt.Errorf("pir: a %d-byte image is not %d gammas of %d bytes", len(image), 8*len(column), width)
+	}
+	k.decodeColumn(gammaImage{image, width}, 8*len(column), column)
+	return nil
 }
 
 // QueryBytes returns the size in bytes of a query with the given number

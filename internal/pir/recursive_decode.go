@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -79,19 +80,15 @@ func symHome(pow uint) uint {
 }
 
 // decoder returns the key's cached residue-test kernel, building it on
-// first use.
+// first use: the word Euler kernel of p1 (wordEuler), or the isQR
+// fallback when p1 is wider than a word, plus the level-2 symbol table.
 func (k *ClientKey) decoder() *qrDecoder {
 	if d := k.dec.Load(); d != nil {
 		return d
 	}
-	d := &qrDecoder{}
-	if m, err := NewMont(k.p1); err == nil && m.Words() == 1 && len(k.e1.Bits()) == 1 {
-		d.word = true
-		d.p = uint(m.n[0])
-		d.pinv = uint(m.n0inv)
-		d.prr = uint(m.rr[0])
-		d.pone = montMulWord(1, d.prr, d.p, d.pinv)
-		d.e = uint(k.e1.Bits()[0])
+	d := wordEuler(k.p1, k.e1)
+	if d == nil {
+		d = &qrDecoder{}
 	}
 	if k.y != nil {
 		if d.word {
@@ -133,18 +130,27 @@ func (d *qrDecoder) modP(g *big.Int) uint {
 }
 
 // modPBytes is modP of a big-endian magnitude — a fixed-width gamma of
-// the level-1 image, read without a big.Int in between.
+// a packed answer or of the level-1 image, read without a big.Int in
+// between.
 func (d *qrDecoder) modPBytes(b []byte) uint {
 	const wordBytes = bits.UintSize / 8
 	var r uint
-	for len(b) > 0 {
-		n := (len(b)-1)%wordBytes + 1 // the short word, if any, leads
+	if n := len(b) % wordBytes; n != 0 { // the short word, if any, leads
 		var w uint
 		for _, c := range b[:n] {
 			w = w<<8 | uint(c)
 		}
 		_, r = bits.Div(r, w, d.p)
 		b = b[n:]
+	}
+	for ; len(b) > 0; b = b[wordBytes:] {
+		var w uint
+		if wordBytes == 8 {
+			w = uint(binary.BigEndian.Uint64(b))
+		} else {
+			w = uint(binary.BigEndian.Uint32(b))
+		}
+		_, r = bits.Div(r, w, d.p)
 	}
 	return r
 }
@@ -202,57 +208,105 @@ func (d *qrDecoder) powWords(rs []uint, e uint) {
 	}
 }
 
-// powChunks is the decoders' common loop over the lanes: it stages the
-// n residues residue(0) … residue(n−1) a stack buffer at a time, raises
-// each bufferful to e (powWords) and hands every power, in order, to use.
-// It returns −1, or the first index use refused — where it stops.
-func (d *qrDecoder) powChunks(n int, e uint, residue func(i int) uint, use func(i int, pow uint) bool) int {
+// powChunks is the decoders' common loop over the lanes: a stack buffer
+// at a time, fill(lo, rs) stages the residues of items lo … lo+len(rs)−1,
+// powWords raises them to e, and use(lo, rs) takes the powers. It returns
+// −1, or the first item use refused — the index it returned plus lo —
+// where it stops.
+func (d *qrDecoder) powChunks(n int, e uint, fill func(lo int, rs []uint), use func(lo int, pows []uint) int) int {
 	var rs [256]uint
 	for lo := 0; lo < n; lo += len(rs) {
 		chunk := rs[:min(len(rs), n-lo)]
-		for j := range chunk {
-			chunk[j] = residue(lo + j)
-		}
+		fill(lo, chunk)
 		d.powWords(chunk, e)
-		for j, pow := range chunk {
-			if !use(lo+j, pow) {
-				return lo + j
-			}
+		if at := use(lo, chunk); at >= 0 {
+			return lo + at
 		}
 	}
 	return -1
 }
 
-// qnrs reports, per gamma, whether it is a quadratic non-residue — the
-// bit value — by the single-prime Euler test through the lanes when the
-// kernel applies: r^e is ±1 for a unit and 0 for a multiple of p1 (not 1,
-// as isQR's Exp(g, e1, p1) = 0 is not), compared in form against pone.
-// Gammas must be non-negative.
-func (d *qrDecoder) qnrs(k *ClientKey, gammas []*big.Int, out []bool) {
-	if !d.word {
-		for i, g := range gammas {
-			out[i] = !k.isQR(g)
-		}
-		return
-	}
-	d.powChunks(len(gammas), d.e,
-		func(i int) uint { return d.modP(gammas[i]) },
-		func(i int, pow uint) bool { out[i] = pow != d.pone; return true })
+// gammaSource is where a flat decode reads an answer's gammas: the
+// big.Ints of an Answer (answerGammas), or fixed-width big-endian bytes
+// where they lie — a packed frame, or the level-1 image of a recursive
+// answer (gammaImage). Gammas are non-negative either way.
+type gammaSource interface {
+	// residues fills rs with gammas lo … lo+len(rs)−1 mod p1, the word
+	// kernel's input.
+	residues(d *qrDecoder, lo int, rs []uint)
+	// gamma returns gamma i as a big.Int, in tmp when it has to build one.
+	gamma(i int, tmp *big.Int) *big.Int
 }
 
-// imageQNRs is qnrs over the level-1 image: len(out) gammas of modBytes
-// big-endian bytes each.
-func (d *qrDecoder) imageQNRs(k *ClientKey, image []byte, modBytes int, out []bool) {
+type answerGammas []*big.Int
+
+func (a answerGammas) residues(d *qrDecoder, lo int, rs []uint) {
+	for j, g := range a[lo : lo+len(rs)] {
+		rs[j] = d.modP(g)
+	}
+}
+
+func (a answerGammas) gamma(i int, _ *big.Int) *big.Int { return a[i] }
+
+// gammaImage is gammas of width bytes each, back to back.
+type gammaImage struct {
+	b     []byte
+	width int
+}
+
+func (g gammaImage) at(i int) []byte { return g.b[i*g.width : (i+1)*g.width] }
+
+func (g gammaImage) residues(d *qrDecoder, lo int, rs []uint) {
+	for j := range rs {
+		rs[j] = d.modPBytes(g.at(lo + j))
+	}
+}
+
+func (g gammaImage) gamma(i int, tmp *big.Int) *big.Int { return tmp.SetBytes(g.at(i)) }
+
+// decodeRowsMin is the fewest rows a decode worker takes: below it a
+// goroutine costs more than the Euler tests it would run.
+const decodeRowsMin = 512
+
+// decodeColumn is the one Euler test of the flat decodes: it writes the
+// bits of the rows gammas of src into column, MSB-first, (rows+7)/8
+// bytes — bit i is 1 exactly when gamma i is a quadratic non-residue. The
+// bytes are split across parallelRanges, so the workers' rows start on
+// whole bytes and no two workers share one.
+func (k *ClientKey) decodeColumn(src gammaSource, rows int, column []byte) {
+	d := k.decoder()
+	parallelRanges(len(column), decodeRowsMin/8, func(lo, hi int) {
+		d.qnrBytes(k, src, 8*lo, min(8*hi, rows), column[lo:hi])
+	})
+}
+
+// qnrBytes tests rows lo … hi−1 of src into out, eight rows a byte. With
+// the word kernel it tests modulo p1 through the lanes: r^e is ±1 for a
+// unit and 0 for a multiple of p1 (not 1, as isQR's Exp(g, e1, p1) = 0 is
+// not), compared in form against pone. Wider keys run isQR.
+func (d *qrDecoder) qnrBytes(k *ClientKey, src gammaSource, lo, hi int, out []byte) {
+	clear(out)
 	if !d.word {
-		g := new(big.Int)
-		for r := range out {
-			out[r] = !k.isQR(g.SetBytes(image[r*modBytes : (r+1)*modBytes]))
+		tmp := new(big.Int)
+		for i := lo; i < hi; i++ {
+			if !k.isQR(src.gamma(i, tmp)) {
+				out[(i-lo)>>3] |= 0x80 >> ((i - lo) & 7)
+			}
 		}
 		return
 	}
-	d.powChunks(len(out), d.e,
-		func(r int) uint { return d.modPBytes(image[r*modBytes : (r+1)*modBytes]) },
-		func(r int, pow uint) bool { out[r] = pow != d.pone; return true })
+	d.powChunks(hi-lo, d.e,
+		func(at int, rs []uint) { src.residues(d, lo+at, rs) },
+		func(at int, pows []uint) int {
+			for j, pow := range pows {
+				var bit byte
+				if pow != d.pone {
+					bit = 0x80 // a conditional move, not a branch on the bit
+				}
+				out[(at+j)>>3] |= bit >> ((at + j) & 7)
+			}
+			return -1
+		})
 }
 
 // symbolOf looks a Montgomery-form power up in the word decoder's table.
@@ -298,8 +352,17 @@ func (d *qrDecoder) symbols(k *ClientKey, cts []*big.Int, raw []byte) int {
 		return -1
 	}
 	return d.powChunks(len(cts), d.e8,
-		func(i int) uint { return d.modP(cts[i]) },
-		func(i int, pow uint) (ok bool) { raw[i], ok = d.symbolOf(pow); return ok })
+		func(lo int, rs []uint) { answerGammas(cts).residues(d, lo, rs) },
+		func(lo int, pows []uint) int {
+			for j, pow := range pows {
+				m, ok := d.symbolOf(pow)
+				if !ok {
+					return j
+				}
+				raw[lo+j] = m
+			}
+			return -1
+		})
 }
 
 // AnswerLengthError is DecodeRecursive's refusal of an answer that does
@@ -353,11 +416,9 @@ func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 	if bad < len(raw) {
 		return nil, &SymbolError{Pos: bad}
 	}
-	out := make([]bool, rows)
-	parallelRanges(rows, 512, func(lo, hi int) {
-		d.imageQNRs(k, raw[lo*modBytes:hi*modBytes], modBytes, out[lo:hi])
-	})
-	return out, nil
+	column := make([]byte, colBytes)
+	k.decodeColumn(gammaImage{raw, modBytes}, rows, column)
+	return columnBits(column, rows), nil
 }
 
 // parallelRanges splits [0, n) across up to 8 goroutines (never fewer

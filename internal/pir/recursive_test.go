@@ -691,8 +691,7 @@ func TestRecursiveDecoderMatchesIsQR(t *testing.T) {
 			vals = append(vals, p.Mod(p, k.N))
 		}
 	}
-	got := make([]bool, len(vals))
-	d.qnrs(k, vals, got)
+	got := k.Decode(&Answer{Gammas: vals})
 	for i, v := range vals {
 		if want := !k.isQR(v); got[i] != want {
 			t.Fatalf("decoder disagrees with isQR on %v: got %v, want %v", v, got[i], want)

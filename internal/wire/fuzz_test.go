@@ -611,3 +611,75 @@ func FuzzReadMessage(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPIRAnswerView holds the in-place reading of a TypePIRBatchResponse
+// body to the decoder: ViewPIRBatchAnswer and DecodePIRBatchAnswer accept
+// and refuse exactly the same bodies, in both forms, and agree on the
+// index and the gamma count. A packed view is zero-copy — its gamma bytes
+// are the tail of the body itself, count × width of them — and those bytes
+// re-pack at the view's width to the gammas the decoder copied out; a
+// length-prefixed view carries the decoded answer and no bytes.
+func FuzzPIRAnswerView(f *testing.F) {
+	n := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(59))
+	ans := &pir.Answer{Gammas: []*big.Int{big.NewInt(0), big.NewInt(5), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rsh(n, 7)}}
+	for _, index := range []uint64{0, 1, MaxPIRBatch - 1, MaxPIRBatch} {
+		head := vbyte.Append(nil, index)
+		packed, err := appendPacked(bytes.Clone(head), ans, n)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(packed)
+		f.Add(packed[:len(packed)-1])
+		written, err := appendAnswer(bytes.Clone(head), ans)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(written)
+	}
+	for _, tail := range [][]byte{
+		{0x80},                         // a packed mark and nothing after it
+		{0x80, 0x80, 0x81},             // width 0
+		{0x80, 0x88, 0x80},             // count 0
+		{0x80, 0x88, 0x82, 1, 2, 3},    // count × width past the body
+		{0x80, 0x81, 0x82, 7, 9, 0xff}, // one byte over
+		{0x80, 0x81, 0x81, 0xff},       // one all-ones byte
+	} {
+		f.Add(append([]byte{0x81}, tail...))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		v, verr := ViewPIRBatchAnswer(body)
+		idx, a, derr := DecodePIRBatchAnswer(body)
+		if (verr == nil) != (derr == nil) {
+			t.Fatalf("view error %v, decode error %v", verr, derr)
+		}
+		if verr != nil {
+			return
+		}
+		if v.Index != idx || v.Count != len(a.Gammas) {
+			t.Fatalf("view reads index %d, %d gammas; decoder %d, %d", v.Index, v.Count, idx, len(a.Gammas))
+		}
+		if v.Answer != nil {
+			if v.Width != 0 || v.Gammas != nil {
+				t.Fatalf("a length-prefixed view carries width %d and %d bytes", v.Width, len(v.Gammas))
+			}
+			for i, g := range v.Answer.Gammas {
+				if g.Cmp(a.Gammas[i]) != 0 {
+					t.Fatalf("gamma %d: view %v, decoder %v", i, g, a.Gammas[i])
+				}
+			}
+			return
+		}
+		if v.Width <= 0 || v.Count*v.Width != len(v.Gammas) {
+			t.Fatalf("packed view of %d %d-byte gammas holds %d bytes", v.Count, v.Width, len(v.Gammas))
+		}
+		if tail := body[len(body)-len(v.Gammas):]; &tail[0] != &v.Gammas[0] {
+			t.Fatal("the packed view copied its gammas out of the body")
+		}
+		for i, g := range a.Gammas {
+			at := v.Gammas[i*v.Width : (i+1)*v.Width]
+			if g.BitLen() > 8*v.Width || !bytes.Equal(g.FillBytes(make([]byte, v.Width)), at) {
+				t.Fatalf("gamma %d: decoder %v does not re-pack to the view's %x", i, g, at)
+			}
+		}
+	})
+}

@@ -314,24 +314,34 @@ func appendAnswer(body []byte, a *pir.Answer) ([]byte, error) {
 // DecodePIRAnswer parses a TypePIRResponse body of either form: gammas
 // length-prefixed, or packed (a leading 0, which is no gamma count).
 func DecodePIRAnswer(body []byte) (*pir.Answer, error) {
+	v, err := viewPIRAnswer(body)
+	if err != nil {
+		return nil, err
+	}
+	return v.answer(), nil
+}
+
+// viewPIRAnswer reads a TypePIRResponse body of either form: a packed one
+// in place, a length-prefixed one decoded.
+func viewPIRAnswer(body []byte) (PIRAnswerView, error) {
 	count, used, err := vbyte.Decode(body)
 	if err == nil && count == 0 {
-		return decodePacked(body[used:])
+		return viewPacked(body[used:])
 	}
 	// A gamma costs at least 1 body byte (its length prefix), so a
 	// count past the remaining body is forged — reject before
 	// allocating the pointer slice.
 	if err != nil || count == 0 || count > 8*docstore.MaxBlockSize || count > uint64(len(body)) {
-		return nil, fmt.Errorf("wire: PIR gamma count: %w", orRange(err))
+		return PIRAnswerView{}, fmt.Errorf("wire: PIR gamma count: %w", orRange(err))
 	}
 	body = body[used:]
 	a := &pir.Answer{Gammas: make([]*big.Int, count)}
 	body, at, err := decodeBigs(body, a.Gammas, nil)
 	if err != nil {
-		return nil, bigsError("PIR gamma", at, err)
+		return PIRAnswerView{}, bigsError("PIR gamma", at, err)
 	}
 	if len(body) != 0 {
-		return nil, errors.New("wire: trailing bytes after PIR answer")
+		return PIRAnswerView{}, errors.New("wire: trailing bytes after PIR answer")
 	}
-	return a, nil
+	return PIRAnswerView{Count: len(a.Gammas), Answer: a}, nil
 }

@@ -568,17 +568,30 @@ func WritePIRBatchAnswer(w io.Writer, index int, a *pir.Answer) error {
 }
 
 // DecodePIRBatchAnswer parses a TypePIRBatchResponse body of either form,
-// returning the in-batch query index alongside the answer. After the
-// index the body is exactly a TypePIRResponse body, so the gamma bounds
-// live in one place (DecodePIRAnswer).
+// returning the in-batch query index alongside the answer: the view
+// (ViewPIRBatchAnswer) with a packed body's gammas copied out of the
+// frame.
 func DecodePIRBatchAnswer(body []byte) (int, *pir.Answer, error) {
-	index, used, err := vbyte.Decode(body)
-	if err != nil || index >= MaxPIRBatch {
-		return 0, nil, fmt.Errorf("wire: PIR batch answer index: %w", orRange(err))
-	}
-	a, err := DecodePIRAnswer(body[used:])
+	v, err := ViewPIRBatchAnswer(body)
 	if err != nil {
 		return 0, nil, err
 	}
-	return int(index), a, nil
+	return v.Index, v.answer(), nil
+}
+
+// ViewPIRBatchAnswer reads a TypePIRBatchResponse body of either form
+// without copying a packed one's gammas. After the index the body is
+// exactly a TypePIRResponse body, so the gamma bounds live in one place
+// (viewPIRAnswer).
+func ViewPIRBatchAnswer(body []byte) (PIRAnswerView, error) {
+	index, used, err := vbyte.Decode(body)
+	if err != nil || index >= MaxPIRBatch {
+		return PIRAnswerView{}, fmt.Errorf("wire: PIR batch answer index: %w", orRange(err))
+	}
+	v, err := viewPIRAnswer(body[used:])
+	if err != nil {
+		return PIRAnswerView{}, err
+	}
+	v.Index = int(index)
+	return v, nil
 }

@@ -204,33 +204,63 @@ func appendPacked(body []byte, a *pir.Answer, n *big.Int) ([]byte, error) {
 	return body, nil
 }
 
-// decodePacked parses what follows the 0 of a packed answer. The width is
-// bounded by the modulus ceiling and the count by the single-answer cap,
-// and count × width must be exactly the rest of the body — all before
-// anything is allocated. The gammas decode into ONE big.Int slab over ONE
-// word slab, as decodeBigs' do.
-func decodePacked(body []byte) (*pir.Answer, error) {
+// PIRAnswerView is a PIR answer body read where it lies
+// (ViewPIRBatchAnswer). A packed body's gammas stay in the frame: Gammas
+// is a slice of the body, valid as long as the buffer it was read into,
+// and a client Euler-tests those bytes in place
+// (pir.ClientKey.DecodeImage). A length-prefixed body has no fixed
+// width; its gammas arrive decoded in Answer, and Width and Gammas are
+// zero.
+type PIRAnswerView struct {
+	Index int // the query it answers, within its batch
+	Count int // its gammas
+	Width int // a packed gamma's byte length
+	// Gammas is the Count × Width packed gamma bytes, big-endian.
+	Gammas []byte
+	Answer *pir.Answer
+}
+
+// viewPacked parses what follows the 0 of a packed answer — the one
+// parser of the packed header. The width is bounded by the modulus
+// ceiling and the count by the single-answer cap, and count × width must
+// be exactly the rest of the body; nothing is copied or allocated.
+func viewPacked(body []byte) (PIRAnswerView, error) {
 	width, used, err := vbyte.Decode(body)
 	if err != nil || width == 0 || width > maxPIRModulusBytes {
-		return nil, fmt.Errorf("wire: packed PIR answer width: %w", orRange(err))
+		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR answer width: %w", orRange(err))
 	}
 	body = body[used:]
 	count, used, err := vbyte.Decode(body)
 	if err != nil || count == 0 || count > 8*docstore.MaxBlockSize {
-		return nil, fmt.Errorf("wire: packed PIR gamma count: %w", orRange(err))
+		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR gamma count: %w", orRange(err))
 	}
 	body = body[used:]
 	if count*width != uint64(len(body)) {
-		return nil, fmt.Errorf("wire: packed PIR answer of %d %d-byte gammas carries %d bytes", count, width, len(body))
+		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR answer of %d %d-byte gammas carries %d bytes", count, width, len(body))
 	}
-	size, words := int(width), (int(width)+wordBytes-1)/wordBytes
-	a := &pir.Answer{Gammas: make([]*big.Int, count)}
-	ints := make([]big.Int, count)
-	slab := make([]big.Word, int(count)*words)
+	return PIRAnswerView{Count: int(count), Width: int(width), Gammas: body}, nil
+}
+
+// answer returns the view's gammas as big.Ints: a length-prefixed body's
+// Answer, or a packed one's gammas copied out of the frame (decodePacked).
+func (v PIRAnswerView) answer() *pir.Answer {
+	if v.Answer != nil {
+		return v.Answer
+	}
+	return decodePacked(v)
+}
+
+// decodePacked copies a packed view's gammas out of the frame into ONE
+// big.Int slab over ONE word slab, as decodeBigs' do.
+func decodePacked(v PIRAnswerView) *pir.Answer {
+	size, words := v.Width, (v.Width+wordBytes-1)/wordBytes
+	a := &pir.Answer{Gammas: make([]*big.Int, v.Count)}
+	ints := make([]big.Int, v.Count)
+	slab := make([]big.Word, v.Count*words)
 	for i := range ints {
 		// Capacity stops at the gamma's own words, as in decodeBigs.
 		dst := slab[i*words : (i+1)*words : (i+1)*words]
-		a.Gammas[i] = ints[i].SetBits(magnitudeWords(dst, body[i*size:(i+1)*size]))
+		a.Gammas[i] = ints[i].SetBits(magnitudeWords(dst, v.Gammas[i*size:(i+1)*size]))
 	}
-	return a, nil
+	return a
 }

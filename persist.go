@@ -33,10 +33,10 @@ import (
 //
 // Version 2 (the pre-retrieval layout, identical up to and including
 // the tombstone section) still loads, as an engine without a document
-// store; saveV2 can still write it, dropping any store. Version 1 (the
-// legacy single-index layout: lexicon | index | organization) also
-// still loads, as a live set of one segment with no tombstones; saveV1
-// can still write it for engines in that state.
+// store. Version 1 (the legacy single-index layout: lexicon | index |
+// organization) also still loads, as a live set of one segment with no
+// tombstones. Only the tests write either version, as fixtures
+// (persist_fixtures_test.go).
 
 const (
 	engineMagic   = "EENG"
@@ -53,14 +53,6 @@ const (
 // (keys belong to users); only public artifacts are written.
 func (e *Engine) Save(w io.Writer) error {
 	return e.save(w, engineVersion)
-}
-
-// saveV2 writes the pre-retrieval format, readable by deployments that
-// predate the document store; any store is dropped. Kept unexported:
-// the compat path must stay testable, and tests are the writer of
-// record for v2 fixtures.
-func (e *Engine) saveV2(w io.Writer) error {
-	return e.save(w, 2)
 }
 
 // engineState is one consistent captured state of the engine: the
@@ -152,29 +144,6 @@ func (e *Engine) writeState(w io.Writer, version byte, st engineState) error {
 type docStoreSection struct{ sn *docstore.Snapshot }
 
 func (d docStoreSection) WriteTo(w io.Writer) (int64, error) { return docstore.Write(w, d.sn) }
-
-// saveV1 writes the legacy single-index format, readable by pre-live
-// deployments. It refuses engines whose live state the format cannot
-// express (more than one segment, or tombstones); Compact first, unless
-// documents were deleted — deletions make ids sparse, which v1 cannot
-// carry. Kept unexported: the compat path must stay testable, and tests
-// are the writer of record for v1 fixtures.
-func (e *Engine) saveV1(w io.Writer) error {
-	snap := e.live.Snapshot()
-	if len(snap.Segs) != 1 || snap.Tombs.Count() != 0 {
-		return fmt.Errorf("embellish: v1 format cannot express %d segments with %d deletions",
-			len(snap.Segs), snap.Tombs.Count())
-	}
-	if err := writeEngineHeader(w, 1, e.opts); err != nil {
-		return err
-	}
-	for _, section := range []io.WriterTo{e.lex.db, snap.Segs[0], e.org} {
-		if err := writeSection(w, section); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // writeEngineHeader writes the magic, version and options block shared
 // by all format versions, from a captured options copy.

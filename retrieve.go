@@ -196,8 +196,9 @@ type pirTransport interface {
 	// every answer is delivered, or on the first generation, serving,
 	// transport or delivery error. Cancellation of ctx stops the run
 	// between (or, for in-process serving, inside) protocol executions
-	// with ctx.Err().
-	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error
+	// with ctx.Err(). An answer is delivered as it arrived: a packed one
+	// as the frame's bytes, which are only valid until deliver returns.
+	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error
 	// RunRecursive is Run for two-level recursive queries, under the
 	// same ordered-delivery contract. A transport whose server does not
 	// speak the recursive protocol returns errShapeRefused (wrapped) from
@@ -221,8 +222,8 @@ func (l localPIR) Params() (docstore.Params, *docstore.Layout, error) {
 
 // Run serves flat fetches: each gathered batch is grouped by view and
 // width as a server groups a frame (answerPIRFrame), one pass a group.
-func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, _ int, deliver func(*pir.Answer) error) error {
-	return runBatched(ctx, qs, wire.MaxPIRBatch, deliver, func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
+func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, _ int, deliver func(wire.PIRAnswerView) error) error {
+	return runBatched(ctx, qs, wire.MaxPIRBatch, viewing(deliver), func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
 		answers, stats, _, err := answerPIRFrame(ctx, l.sn, batch)
 		return answers, stats, err
 	})
@@ -275,6 +276,13 @@ func runBatched[Q any](ctx context.Context, qs <-chan Q, limit int, deliver func
 		return err
 	}
 	return ctx.Err()
+}
+
+// viewing adapts a deliver of answer views to answers held as big.Ints.
+func viewing(deliver func(wire.PIRAnswerView) error) func(*pir.Answer) error {
+	return func(a *pir.Answer) error {
+		return deliver(wire.PIRAnswerView{Count: len(a.Gammas), Answer: a})
+	}
 }
 
 // remotePIR speaks the wire protocol over one connection: sequential
@@ -371,9 +379,9 @@ func (r remotePIR) tableAlone() (docstore.Params, *docstore.Layout, error) {
 	return params, params.Layout(), nil
 }
 
-func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error {
+func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
 	if r.depth <= 1 {
-		return r.runSequential(ctx, qs, deliver)
+		return r.runSequential(ctx, qs, viewing(deliver))
 	}
 	return r.runPipelined(ctx, qs, widest, deliver)
 }
@@ -446,7 +454,7 @@ func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
 // also unblocks the writer). In every case the writer goroutine exits
 // once the connection is closed; it never outlives a successful or
 // drained call.
-func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(*pir.Answer) error) error {
+func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
 	var (
 		committed  atomic.Int64 // answer frames the server owes us (queries written)
 		abortOnce  sync.Once
@@ -534,7 +542,11 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 
 	consumed := 0
 	greenLit := false
-	var frame []byte // every answer frame of the fetch is read into this one buffer
+	// Every answer frame of the fetch is read into this one buffer, and a
+	// packed answer is delivered as a view of it: deliver decodes the
+	// gammas before it returns, so the next ReadMessageBuf may overwrite
+	// them.
+	var frame []byte
 	for sent := range sizes {
 		if err := ctx.Err(); err != nil {
 			// Cancelled between batches: stop the writer and drain the
@@ -576,12 +588,12 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 			default:
 				return fmt.Errorf("embellish: unexpected message type %d", typ)
 			}
-			idx, ans, err := wire.DecodePIRBatchAnswer(body)
+			ans, err := wire.ViewPIRBatchAnswer(body)
 			if err != nil {
 				return err
 			}
-			if idx != i {
-				return fmt.Errorf("embellish: batch answer %d arrived at position %d", idx, i)
+			if ans.Index != i {
+				return fmt.Errorf("embellish: batch answer %d arrived at position %d", ans.Index, i)
 			}
 			if err := deliver(ans); err != nil {
 				// Delivery failures (checksum, shape) leave the stream
@@ -1070,29 +1082,37 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	// the checksum turns that silent corruption into an error.
 	next := 0
 	var deliverErr error // deliver's own errors already carry context
-	deliver := func(ans *pir.Answer) error {
+	deliver := func(ans wire.PIRAnswerView) error {
 		if next >= len(tasks) {
 			return errors.New("embellish: more PIR answers than queries")
 		}
 		tk := tasks[next]
 		colBytes := layout.ColumnBytes(tk.height)
-		var bits []bool
-		if recursive {
-			var derr error
-			bits, derr = key.DecodeRecursive(ans, params.BlockSize)
+		if !recursive && ans.Count != 8*colBytes {
+			return fmt.Errorf("embellish: PIR answer has %d rows, want %d", ans.Count, 8*colBytes)
+		}
+		// The column's bytes land in the document's own buffer, sized for
+		// all its columns up front.
+		at := len(out[tk.pos])
+		col := out[tk.pos][at : at+colBytes]
+		switch {
+		case recursive:
+			bits, derr := key.DecodeRecursive(ans.Answer, params.BlockSize)
 			if derr != nil {
 				return fmt.Errorf("embellish: decoding recursive PIR answer: %w", derr)
 			}
-		} else {
-			if len(ans.Gammas) != 8*colBytes {
-				return fmt.Errorf("embellish: PIR answer has %d rows, want %d", len(ans.Gammas), 8*colBytes)
+			copy(col, pir.ColumnBytes(bits))
+		case ans.Answer != nil:
+			copy(col, pir.ColumnBytes(key.Decode(ans.Answer)))
+		default:
+			if derr := key.DecodeImage(ans.Gammas, ans.Width, col); derr != nil {
+				return fmt.Errorf("embellish: decoding PIR answer: %w", derr)
 			}
-			bits = key.Decode(ans)
 		}
 		st.Runs++
-		st.AnswerBytes += key.AnswerBytes(len(ans.Gammas))
+		st.AnswerBytes += key.AnswerBytes(ans.Count)
 		next++
-		out[tk.pos] = append(out[tk.pos], pir.ColumnBytes(bits)[:colBytes]...)
+		out[tk.pos] = out[tk.pos][:at+colBytes]
 		remaining[tk.pos]--
 		if remaining[tk.pos] == 0 {
 			ext := params.Exts[ids[tk.pos]]
@@ -1106,7 +1126,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 		return nil
 	}
 	if recursive {
-		err = t.RunRecursive(ctx, rch, deliver)
+		err = t.RunRecursive(ctx, rch, viewing(deliver))
 	} else {
 		err = t.Run(ctx, qch, widest, deliver)
 	}

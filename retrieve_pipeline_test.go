@@ -334,7 +334,7 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 		}
 	}()
 	answers := 0
-	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, cols, func(*pir.Answer) error {
+	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, cols, func(wire.PIRAnswerView) error {
 		answers++
 		return nil
 	})
