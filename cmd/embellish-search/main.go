@@ -96,7 +96,7 @@ func main() {
 		fetchN    = flag.Int("fetch", 0, "retrieve the top N result documents after ranking (0 off)")
 		fetchMode = flag.String("fetch-mode", "private", "document retrieval mode: private (PIR) or plain")
 		fetchBits = flag.Int("fetch-keybits", 0, "PIR modulus size for -fetch (0 inherits the engine's key size)")
-		fetchPipe = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 sequential round-trips); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
+		fetchPipe = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 one query a frame); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
 		srvStats  = flag.Bool("server-stats", false, "with -connect: print the remote server's serving counters after the query")
 	)
 	flag.Parse()

@@ -210,7 +210,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for typ := 1; typ <= 23; typ++ { // 22 is listed as retired
+	for typ := 1; typ <= 23; typ++ { // 10, 11 and 22 are listed as retired
 		if !strings.Contains(string(wireDoc), fmt.Sprintf("| %d |", typ)) {
 			t.Errorf("docs/WIRE.md type table misses message type %d", typ)
 		}
@@ -218,8 +218,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	for _, name := range []string{
 		"TypeQuery", "TypeResponse", "TypeError", "TypeBatchQuery",
 		"TypeBatchResponse", "TypeAddDocs", "TypeDeleteDocs", "TypeAdminOK",
-		"TypePIRParams", "TypePIRQuery", "TypePIRResponse",
-		"TypePIRBatchQuery", "TypePIRBatchResponse", "TypeStats",
+		"TypePIRParams", "TypePIRBatchQuery", "TypePIRBatchResponse", "TypeStats",
 		"TypeWALPull", "TypeWALChunk", "TypeClusterMap",
 		"TypeLexiconSync", "TypeLexicon", "TypeDecoyQuery", "TypeRiskAudit",
 		"TypePIRRecursiveQuery", "MaxPIRRecursiveBatch", "PIRRecursive",
@@ -228,9 +227,8 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"AllowLexiconSync", "RiskAudit", "StaleLexiconRefusal",
 		"ErrStaleLexicon", "DecoyQueries",
 		// The fetch hello and the packed answers.
-		"ParamsBodyRefusal", "ParamsDigest", "WritePIRHello",
-		"DecodePIRParamsReply", "WritePIRHelloReply", "WritePIRAnswerPacked",
-		"WritePIRBatchAnswerPacked",
+		"ParamsDigest", "WritePIRHello", "DecodePIRParamsReply",
+		"WritePIRHelloReply", "WritePIRBatchAnswerPacked",
 	} {
 		if !strings.Contains(string(wireDoc), name) {
 			t.Errorf("docs/WIRE.md does not document %s", name)

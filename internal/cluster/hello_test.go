@@ -1,13 +1,14 @@
 // The fetch hello through the router: the router digests the merged
-// block mapping, answers a client's hello unchanged or changed by it, and
-// packs the combined answers of a connection that sent one, while its own
-// requests to the partitions stay the empty request and their answers
-// length-prefixed.
+// block mapping and answers a client's hello unchanged or changed by it,
+// while its own requests to the partitions stay the empty request; every
+// answer, the partitions' and the router's, travels packed. The retired
+// single-query frames get one refusal each on a connection that survives.
 package cluster_test
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -83,11 +84,11 @@ func TestClusterHelloThroughRouter(t *testing.T) {
 	}
 
 	cold, _ := fetch(1, 7)
-	if !cold.Hello || !cold.Changed {
+	if !cold.Changed {
 		t.Fatalf("the cold hello's reply: %+v", cold)
 	}
 	warm, answers := fetch(1, 7)
-	if !warm.Hello || warm.Changed || warm.Digest != cold.Digest {
+	if warm.Changed || warm.Digest != cold.Digest {
 		t.Fatalf("the warm hello's reply: %+v, want unchanged under %x", warm, cold.Digest)
 	}
 	if len(answers) != 2 {
@@ -107,11 +108,49 @@ func TestClusterHelloThroughRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	after, _ := fetch(added, 1)
-	if !after.Hello || !after.Changed || after.Digest == cold.Digest {
+	if !after.Changed || after.Digest == cold.Digest {
 		t.Fatalf("the hello after an add: %+v", after)
 	}
 	if len(after.Params.Exts) != templateDocs+1 || after.Params.NumBlocks <= cold.Params.NumBlocks {
 		t.Fatalf("the changed reply maps %d documents over %d blocks, the cold one %d over %d",
 			len(after.Params.Exts), after.Params.NumBlocks, len(cold.Params.Exts), cold.Params.NumBlocks)
+	}
+}
+
+// TestClusterRetiredFramesRefusedInPlace: a router of two partitions
+// answers a type-10 and a type-11 frame — the retired one-query fetch —
+// with exactly one unknown-type refusal each, and a fetch on the same
+// connection then returns the stored bytes.
+func TestClusterRetiredFramesRefusedInPlace(t *testing.T) {
+	raw, texts := templateEngine(t)
+	cfg := embellish.ServeConfig{AllowRetrieval: true}
+	var parts []*batchSniffer
+	for p := 0; p < 2; p++ {
+		addr, _ := serve(t, loadEngine(t, raw, false), cfg)
+		parts = append(parts, sniffBatches(t, addr))
+	}
+	conn := routeThrough(t, parts...)
+	for _, typ := range []byte{10, 11} {
+		if err := wire.WriteRaw(conn, typ, []byte{0x81, 0x87}); err != nil {
+			t.Fatal(err)
+		}
+		got, body, err := wire.ReadMessage(conn)
+		if err != nil || got != wire.TypeError || string(body) != fmt.Sprintf("unexpected message type %d", typ) {
+			t.Fatalf("a type-%d frame answered type %d %q, %v", typ, got, body, err)
+		}
+	}
+	client, err := loadEngine(t, raw, false).NewClient(detrand.New("cluster-retired"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{1, 6}
+	got, _, err := client.FetchDocumentsRemote(conn, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if string(got[i]) != texts[id] {
+			t.Fatalf("doc %d through the router: %q, want %q", id, got[i], texts[id])
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"net"
 	"slices"
@@ -54,18 +53,6 @@ type pirEpoch struct {
 	// column c of view h carries, or -1 for a document p does not own.
 	views   []int
 	columns [][][]int32
-	// packed is set once the connection sent the fetch hello: its answers
-	// go packed. Every later epoch of the connection inherits it.
-	packed bool
-}
-
-// writeBatchAnswer streams answer i of a frame under modulus n to the
-// client: packed on a connection that sent the hello.
-func (ep *pirEpoch) writeBatchAnswer(w io.Writer, i int, a *pir.Answer, n *big.Int) error {
-	if ep.packed {
-		return wire.WritePIRBatchAnswerPacked(w, i, a, n)
-	}
-	return wire.WritePIRBatchAnswer(w, i, a)
 }
 
 // gatherParams fetches every partition's current block mapping.
@@ -193,7 +180,6 @@ func (r *Router) handlePIRParams(req *request) error {
 	if err != nil {
 		return err
 	}
-	ep.packed = hello || (*req.State != nil && (*req.State).packed)
 	*req.State = ep
 	if !hello {
 		return wire.WritePIRParams(req.W, merged)
@@ -317,58 +303,6 @@ func (r *Router) ensureEpoch(epoch **pirEpoch) (*pirEpoch, error) {
 	return ep, nil
 }
 
-// handlePIRQuery routes one block query: slice at the partition
-// boundaries, scatter, multiply the answers back together.
-func (r *Router) handlePIRQuery(req *request) error {
-	q, err := wire.DecodePIRQuery(req.Body)
-	if err != nil {
-		return err
-	}
-	ep, err := r.ensureEpoch(req.State)
-	if err != nil {
-		return err
-	}
-	ps, subs, err := ep.sliceQuery(q)
-	if err != nil {
-		return err
-	}
-	answers := make([]*pir.Answer, len(ps))
-	err = r.scatter(ps, false, func(p int, conn net.Conn) error {
-		var sub *pir.Query
-		var slot int
-		for i, pp := range ps {
-			if pp == p {
-				sub, slot = subs[i], i
-			}
-		}
-		if err := wire.WritePIRQuery(conn, sub); err != nil {
-			return err
-		}
-		rbody, err := readReply(conn, wire.TypePIRResponse)
-		if err != nil {
-			return err
-		}
-		a, err := wire.DecodePIRAnswer(rbody)
-		if err != nil {
-			return err
-		}
-		answers[slot] = a
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	combined, err := combineAnswers(q.N, answers)
-	if err != nil {
-		return err
-	}
-	r.loop.Counters[wire.StatRetrievals].Add(1)
-	if ep.packed {
-		return wire.WritePIRAnswerPacked(req.W, combined, q.N)
-	}
-	return wire.WritePIRAnswer(req.W, combined)
-}
-
 // handlePIRRecursive routes one recursive batch frame. The grid splits
 // across partitions by BLOCK, not by selection-vector column: every
 // partition receives the full Rows vector plus its epoch window
@@ -480,7 +414,7 @@ func (r *Router) handlePIRRecursive(req *request) error {
 		if err != nil {
 			return err
 		}
-		if err := ep.writeBatchAnswer(req.W, qi, ans, q.N); err != nil {
+		if err := wire.WritePIRBatchAnswerPacked(req.W, qi, ans, q.N); err != nil {
 			return err
 		}
 	}
@@ -564,7 +498,7 @@ func (r *Router) handlePIRBatch(req *request) error {
 		if err != nil {
 			return err
 		}
-		if err := ep.writeBatchAnswer(req.W, qi, combined, q.N); err != nil {
+		if err := wire.WritePIRBatchAnswerPacked(req.W, qi, combined, q.N); err != nil {
 			return err
 		}
 	}

@@ -161,7 +161,6 @@ func NewRouter(cfg Config) (*Router, error) {
 		wire.TypeAddDocs:           {Admitted: true, Exec: r.handleAdmin},
 		wire.TypeDeleteDocs:        {Admitted: true, Exec: r.handleAdmin},
 		wire.TypePIRParams:         {Admitted: true, Exec: r.handlePIRParams},
-		wire.TypePIRQuery:          {Admitted: true, Exec: r.handlePIRQuery},
 		wire.TypePIRBatchQuery:     {Admitted: true, Exec: r.handlePIRBatch},
 		wire.TypePIRRecursiveQuery: {Admitted: true, Exec: r.handlePIRRecursive},
 		wire.TypeStats:             {Name: "stats", EmptyBody: true, Admitted: true, Exec: r.handleStats},

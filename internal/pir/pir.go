@@ -760,8 +760,7 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 // Decode recovers the target column's bits from the answer: bit i is 1
 // exactly when γ_i is a quadratic non-residue. Gammas must be
 // non-negative (the wire decoder's range). It is DecodeImage for an
-// answer held as big.Ints — the local fetch's, or a length-prefixed one
-// off the wire.
+// answer held as big.Ints: the local fetch's.
 //
 // The test is the key's cached residue kernel (decodeColumn: four Euler
 // tests in lock step, on GOMAXPROCS workers), shared with

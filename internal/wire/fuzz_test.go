@@ -96,22 +96,23 @@ func FuzzDecodeMessage(f *testing.F) {
 			if d, err := DecodePIRHello(body); err == nil && d == nil && len(body) != 1 {
 				t.Fatalf("a %d-byte hello decoded as the single 0", len(body))
 			}
-			if r, err := DecodePIRParamsReply(body); err == nil {
-				if r.Hello && r.Changed && digestTable(body[1+ParamsDigestBytes+1:]) != r.Digest {
-					t.Fatal("a changed reply's digest escaped validation")
-				}
-				for i, ext := range r.Params.Exts {
-					if int(ext.First)+int(ext.Blocks) > r.Params.NumBlocks {
+			checkExtents := func(p docstore.Params) {
+				for i, ext := range p.Exts {
+					if int(ext.First)+int(ext.Blocks) > p.NumBlocks {
 						t.Fatalf("extent %d escaped validation", i)
 					}
 				}
 			}
-		case TypePIRQuery:
-			_, _ = DecodePIRQuery(body)
-		case TypePIRResponse:
-			if a, err := DecodePIRAnswer(body); err == nil && len(a.Gammas) == 0 {
-				t.Fatal("an answer of no gammas escaped validation")
+			if p, err := DecodePIRParams(body); err == nil {
+				checkExtents(p)
 			}
+			if r, err := DecodePIRParamsReply(body); err == nil {
+				if r.Changed && digestTable(body[1+ParamsDigestBytes+1:]) != r.Digest {
+					t.Fatal("a changed reply's digest escaped validation")
+				}
+				checkExtents(r.Params)
+			}
+		// Types 10 and 11 are retired: no decoder reads them.
 		case TypePIRBatchQuery:
 			if qs, err := DecodePIRBatchQuery(body); err == nil {
 				for i, q := range qs {
@@ -123,7 +124,9 @@ func FuzzDecodeMessage(f *testing.F) {
 				}
 			}
 		case TypePIRBatchResponse:
-			_, _, _ = DecodePIRBatchAnswer(body)
+			if _, a, err := DecodePIRBatchAnswer(body); err == nil && len(a.Gammas) == 0 {
+				t.Fatal("an answer of no gammas escaped validation")
+			}
 		case TypePIRRecursiveQuery:
 			if qs, err := DecodePIRRecursiveQuery(body); err == nil {
 				for i, q := range qs {
@@ -184,7 +187,7 @@ func seedFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	add(func(w *bytes.Buffer) error { return WritePIRQuery(w, q) })
+	f.Add(append([]byte{10}, appendPrefixed(appendBig(nil, q.N), q.Values...)...)) // retired
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q}) })
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q.Next(), q.Next().Next()}) })
 	add(func(w *bytes.Buffer) error {
@@ -202,16 +205,12 @@ func seedFrames(f *testing.F) {
 	add(func(w *bytes.Buffer) error { return WritePIRRecursiveQuery(w, []*pir.RecursiveQuery{rq, rq}) })
 	l1 := &pir.RecursiveQuery{N: rq.N, Width: rq.Width, GridCols: rq.GridCols, Span: 2, Rows: rq.Rows}
 	add(func(w *bytes.Buffer) error { return WritePIRRecursiveQuery(w, []*pir.RecursiveQuery{l1}) })
-	add(func(w *bytes.Buffer) error {
-		return WritePIRBatchAnswer(w, 1, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}})
-	})
+	f.Add(append([]byte{TypePIRBatchResponse}, appendPrefixed([]byte{0x81}, big.NewInt(5), big.NewInt(9))...)) // length-prefixed, retired
 	add(func(w *bytes.Buffer) error {
 		return WritePIRParams(w, docstore.Params{BlockSize: 8, NumBlocks: 3, Exts: []docstore.Extent{
 			{First: 0, Blocks: 2, Length: 9}, {First: 2, Blocks: 1, Length: 4, Deleted: true}}})
 	})
-	add(func(w *bytes.Buffer) error {
-		return WritePIRAnswer(w, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}})
-	})
+	f.Add(append([]byte{11}, appendPrefixed(nil, big.NewInt(5), big.NewInt(9))...)) // retired
 	// The hello, its two replies and the packed answers.
 	mapping := docstore.Params{BlockSize: 8, NumBlocks: 3, Exts: []docstore.Extent{
 		{First: 0, Blocks: 2, Length: 9}, {First: 2, Blocks: 1, Length: 4, Deleted: true}}}
@@ -223,9 +222,11 @@ func seedFrames(f *testing.F) {
 	add(func(w *bytes.Buffer) error {
 		return WritePIRBatchAnswerPacked(w, 1, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(999)}}, big.NewInt(1000))
 	})
-	add(func(w *bytes.Buffer) error {
-		return WritePIRAnswerPacked(w, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}}, key.N)
-	})
+	packed, err := appendPacked([]byte{11}, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}}, key.N)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(packed) // retired
 	add(func(w *bytes.Buffer) error { return WriteAddDocs(w, []DocText{{ID: 0, Text: "seed doc"}}) })
 	add(func(w *bytes.Buffer) error { return WriteDeleteDocs(w, []uint32{3, 7}) })
 	add(func(w *bytes.Buffer) error { return WriteAdminOK(w, 10, 2) })
@@ -257,15 +258,13 @@ func seedFrames(f *testing.F) {
 	})
 }
 
-// FuzzPIRQuery goes one layer deeper than FuzzDecodeMessage: bodies
-// that survive decoding are served against a real block store as a
-// batch of one — the serving path of a TypePIRQuery frame — and the
-// answer must be byte-identical to the sequential oracle, so the
-// executor (not just the decoder) holds up under hostile queries. Every
-// body is also read as a TypePIRBatchQuery body (checkPIRBatchBody), so
-// the seeded form and the rotation entries of type 12 — compact against
-// written in full, then served — ride the same corpus and the same CI
-// step.
+// FuzzPIRQuery goes one layer deeper than FuzzDecodeMessage for one
+// query: every body is read as the one entry of a written-out type-12
+// frame — a modulus, a value count and the values, the layout the
+// retired type 10 carried — and as a whole type-12 body, and what decodes
+// is served against a real block store and held to the sequential oracle
+// (checkPIRBatchBody), so the executor, not just the decoder, holds up
+// under hostile queries.
 func FuzzPIRQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir"), 96)
 	if err != nil {
@@ -276,15 +275,7 @@ func FuzzPIRQuery(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := WritePIRQuery(&buf, q); err != nil {
-			f.Fatal(err)
-		}
-		_, body, err := ReadMessage(&buf)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(body)
+		f.Add(appendPrefixed(appendBig(nil, q.N), q.Values...))
 	}
 	// The encodings no writer produces (zero-led, empty, multi-word,
 	// over-limit, truncated, out-of-range magnitudes), each between two
@@ -298,36 +289,9 @@ func FuzzPIRQuery(f *testing.F) {
 	sn := fuzzStore(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkPIRBatchBody(t, sn, body)
-		q, err := DecodePIRQuery(body)
-		if err != nil {
-			return
-		}
-		for i, v := range q.Values {
-			if v == nil || v.Sign() <= 0 || v.Cmp(q.N) >= 0 {
-				t.Fatalf("value %d escaped validation", i)
-			}
-		}
-		// Serve decoded queries only at sane moduli: the decoder accepts
-		// up to 8192-bit N (a deliberate serving-cost ceiling), which is
-		// too slow for per-input fuzz iterations.
-		if q.N.BitLen() > 512 || len(q.Values) > sn.NumBlocks() {
-			return
-		}
-		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{q}, pir.Exec{})
-		if err != nil {
-			t.Fatalf("in-range decoded query refused: %v", err)
-		}
-		ref, _, err := sn.AnswerCtx(context.Background(), q)
-		if err != nil {
-			t.Fatalf("oracle refused: %v", err)
-		}
-		if len(answers[0].Gammas) != 8*sn.BlockSize() || len(ref.Gammas) != 8*sn.BlockSize() {
-			t.Fatalf("answer has %d gammas (oracle %d), want %d", len(answers[0].Gammas), len(ref.Gammas), 8*sn.BlockSize())
-		}
-		for j := range ref.Gammas {
-			if answers[0].Gammas[j].Cmp(ref.Gammas[j]) != 0 {
-				t.Fatalf("gamma %d: executor diverges from the oracle", j)
-			}
+		if _, rest, err := decodeBig(body); err == nil {
+			modulus := body[:len(body)-len(rest)]
+			checkPIRBatchBody(t, sn, bytes.Join([][]byte{modulus, vbyte.Append(nil, 1), rest}, nil))
 		}
 	})
 }
@@ -348,7 +312,7 @@ func fuzzStore(f *testing.F) *docstore.Snapshot {
 
 // seedRotationFrames seeds type-12 bodies with rotation entries: what
 // the fetch generator produces for documents of 3, 1 and 2 blocks —
-// seeded, and written out as the fallback sends it — and the hand-built
+// seeded, and written out as a router forwards it — and the hand-built
 // shapes of both forms.
 func seedRotationFrames(f *testing.F, key *pir.ClientKey) {
 	for _, qs := range [][]*pir.Query{documentQueries(f, key, 3, 3, 1, 2), documentQueries(f, key, 6, 3, 3)} {
@@ -400,6 +364,14 @@ func FuzzPIRBatchQuery(f *testing.F) {
 		f.Add(batchBody(f, qs))
 		f.Add(batchBody(f, writtenOut(qs)))
 	}
+	// The encodings no writer produces (zero-led, empty, multi-word,
+	// over-limit, truncated, out-of-range magnitudes), each between two
+	// honest values of the one three-value entry of a written-out frame.
+	honest := appendBig(nil, big.NewInt(1234567))
+	for _, h := range hostileElements() {
+		head := vbyte.Append(vbyte.Append(appendBig(nil, key.N), 1), 3)
+		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest}, nil))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkPIRBatchBody(t, sn, body) })
 }
 
@@ -440,8 +412,10 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 	if _, err := DecodePIRBatchQueryWithin(body, widths); (err == nil) != (inRange || !marked) {
 		t.Fatalf("decoded against views %v: %v, in range: %v", widths, err, inRange)
 	}
-	// Same serving-cost ceiling as FuzzPIRQuery, plus the executor's
-	// equal-shape contract: mixed frames are grouped by the server before
+	// Serve decoded queries only at sane moduli — the decoder accepts up
+	// to 8192-bit N, a deliberate serving-cost ceiling too slow for
+	// per-input fuzz iterations — and under the executor's equal-shape
+	// contract: mixed frames are grouped by the server before
 	// reaching it, so the fuzz serves only uniform batches and requires a
 	// clean refusal otherwise.
 	for _, q := range qs {
@@ -559,7 +533,7 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 				}
 			}
 		}
-		// Serving-cost ceiling, as in FuzzPIRQuery: the decoder's caps
+		// Serving-cost ceiling, as in checkPIRBatchBody: the decoder's caps
 		// are deliberate protocol bounds far above what a fuzz iteration
 		// can afford to scan.
 		for _, q := range qs {
@@ -614,11 +588,12 @@ func FuzzReadMessage(f *testing.F) {
 
 // FuzzPIRAnswerView holds the in-place reading of a TypePIRBatchResponse
 // body to the decoder: ViewPIRBatchAnswer and DecodePIRBatchAnswer accept
-// and refuse exactly the same bodies, in both forms, and agree on the
-// index and the gamma count. A packed view is zero-copy — its gamma bytes
-// are the tail of the body itself, count × width of them — and those bytes
-// re-pack at the view's width to the gammas the decoder copied out; a
-// length-prefixed view carries the decoded answer and no bytes.
+// and refuse exactly the same bodies, refuse every body whose answer does
+// not open with the packed form's 0 — the retired length-prefixed form
+// among them — and agree on the index and the gamma count. A view is
+// zero-copy — its gamma bytes are the tail of the body itself, count ×
+// width of them — and those bytes re-pack at the view's width to the
+// gammas the decoder copied out.
 func FuzzPIRAnswerView(f *testing.F) {
 	n := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(59))
 	ans := &pir.Answer{Gammas: []*big.Int{big.NewInt(0), big.NewInt(5), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rsh(n, 7)}}
@@ -630,11 +605,7 @@ func FuzzPIRAnswerView(f *testing.F) {
 		}
 		f.Add(packed)
 		f.Add(packed[:len(packed)-1])
-		written, err := appendAnswer(bytes.Clone(head), ans)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(written)
+		f.Add(appendPrefixed(bytes.Clone(head), ans.Gammas...))
 	}
 	for _, tail := range [][]byte{
 		{0x80},                         // a packed mark and nothing after it
@@ -655,19 +626,11 @@ func FuzzPIRAnswerView(f *testing.F) {
 		if verr != nil {
 			return
 		}
-		if v.Index != idx || v.Count != len(a.Gammas) {
-			t.Fatalf("view reads index %d, %d gammas; decoder %d, %d", v.Index, v.Count, idx, len(a.Gammas))
+		if _, used, _ := vbyte.Decode(body); !startsPacked(body[used:]) {
+			t.Fatal("a body whose answer does not open with the packed form's 0 was accepted")
 		}
-		if v.Answer != nil {
-			if v.Width != 0 || v.Gammas != nil {
-				t.Fatalf("a length-prefixed view carries width %d and %d bytes", v.Width, len(v.Gammas))
-			}
-			for i, g := range v.Answer.Gammas {
-				if g.Cmp(a.Gammas[i]) != 0 {
-					t.Fatalf("gamma %d: view %v, decoder %v", i, g, a.Gammas[i])
-				}
-			}
-			return
+		if v.Index != idx || v.Count != len(a.Gammas) || v.Answer != nil {
+			t.Fatalf("view reads index %d, %d gammas; decoder %d, %d", v.Index, v.Count, idx, len(a.Gammas))
 		}
 		if v.Width <= 0 || v.Count*v.Width != len(v.Gammas) {
 			t.Fatalf("packed view of %d %d-byte gammas holds %d bytes", v.Count, v.Width, len(v.Gammas))
@@ -682,4 +645,11 @@ func FuzzPIRAnswerView(f *testing.F) {
 			}
 		}
 	})
+}
+
+// startsPacked reports whether an answer opens with a vbyte 0, the mark
+// of the packed form.
+func startsPacked(answer []byte) bool {
+	v, _, err := vbyte.Decode(answer)
+	return err == nil && v == 0
 }

@@ -7,10 +7,8 @@ import (
 	"io"
 	"math/big"
 	"math/bits"
-	"slices"
 
 	"embellish/internal/docstore"
-	"embellish/internal/pir"
 	"embellish/internal/vbyte"
 )
 
@@ -20,25 +18,18 @@ import (
 // A server exposes them only behind the serving layer's AllowRetrieval
 // flag.
 //
-// TypePIRParams: sent with an EMPTY body it is the request of a client
-// predating the hello (retrieval_hello.go); the response body is the
+// TypePIRParams: the fetch opens with the hello, a request with a body
+// (retrieval_hello.go). Sent with an EMPTY body it asks for the table
+// alone, as a router's partition legs do; that response body is the
 // public block mapping, the table — block size vbyte, block count
 // vbyte, document count vbyte, then per document: first block vbyte,
 // block count vbyte, byte length vbyte, content crc32 vbyte, deleted
-// byte.
-// TypePIRQuery: modulus big | value count vbyte | one group element
-// per block column.
-// TypePIRResponse: gamma count vbyte | one group element per matrix
-// row (8 per block byte) — or, on a connection that sent the hello, the
-// packed form.
+// byte. Types 10 and 11, the retired one-query-a-round-trip fetch, get
+// the unknown-type refusal.
 
-// Retrieval message types (9-11; 1-5 are the ranking protocol, 6-8
-// admin).
-const (
-	TypePIRParams   = 9
-	TypePIRQuery    = 10
-	TypePIRResponse = 11
-)
+// TypePIRParams is the retrieval message type 9 (1-5 are the ranking
+// protocol, 6-8 admin).
+const TypePIRParams = 9
 
 // Retrieval caps on attacker-controlled sizes.
 const (
@@ -143,21 +134,6 @@ func DecodePIRParams(body []byte) (docstore.Params, error) {
 	return p, nil
 }
 
-// WritePIRQuery frames and writes one PIR block query.
-func WritePIRQuery(w io.Writer, q *pir.Query) error {
-	if q == nil || q.N == nil || len(q.Values) == 0 {
-		return errors.New("wire: nil PIR query")
-	}
-	body := make([]byte, 0, pirHeadSize+bigsSize(q.N)+bigsSize(q.Values...))
-	body = append(body, TypePIRQuery)
-	body = appendBig(body, q.N)
-	body = vbyte.Append(body, uint64(len(q.Values)))
-	for _, v := range q.Values {
-		body = appendBig(body, v)
-	}
-	return writeFrame(w, body)
-}
-
 // pirHeadSize bounds the bytes a PIR frame body spends outside its group
 // elements: the type byte and a vbyte count.
 const pirHeadSize = 1 + 10
@@ -187,7 +163,7 @@ var errOutsideGroup = errors.New("outside Z_n")
 const wordBytes = bits.UintSize / 8
 
 // decodeBigs decodes len(out) length-prefixed big-endian magnitudes —
-// the group elements of a PIR frame, 65,536 to a recursive answer — into
+// the group elements of a written-out PIR query frame — into
 // ONE big.Int slab and ONE word slab, where a decodeBig per element
 // would allocate both per element. The values are decodeBig's (leading
 // zero bytes and empty magnitudes normalise as SetBytes does) and so is
@@ -255,93 +231,4 @@ func bigsError(what string, at int, err error) error {
 		return fmt.Errorf("wire: %s %d outside Z_n", what, at)
 	}
 	return fmt.Errorf("wire: %s %d: %w", what, at, err)
-}
-
-// DecodePIRQuery parses a TypePIRQuery body. Every value is bounded to
-// (0, N) and the modulus width is capped: the answer computation costs
-// one |N|-bit multiplication per database bit, so the decoder is the
-// server's CPU-exhaustion gate.
-func DecodePIRQuery(body []byte) (*pir.Query, error) {
-	n, body, err := decodeBig(body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: PIR modulus: %w", err)
-	}
-	if n.Sign() <= 0 || (n.BitLen()+7)/8 > maxPIRModulusBytes {
-		return nil, errors.New("wire: PIR modulus out of range")
-	}
-	count, used, err := vbyte.Decode(body)
-	// Each value costs at least 2 body bytes (length prefix + one
-	// byte), so a count past half the remaining body is forged — reject
-	// before allocating the pointer slice.
-	if err != nil || count == 0 || count > maxPIRBlocks || count*2 > uint64(len(body)) {
-		return nil, fmt.Errorf("wire: PIR value count: %w", orRange(err))
-	}
-	body = body[used:]
-	q := &pir.Query{N: n, Values: make([]*big.Int, count)}
-	body, at, err := decodeBigs(body, q.Values, n)
-	if err != nil {
-		return nil, bigsError("PIR value", at, err)
-	}
-	if len(body) != 0 {
-		return nil, errors.New("wire: trailing bytes after PIR query")
-	}
-	return q, nil
-}
-
-// WritePIRAnswer frames and writes the server's PIR answer.
-func WritePIRAnswer(w io.Writer, a *pir.Answer) error {
-	body, err := appendAnswer([]byte{TypePIRResponse}, a)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, body)
-}
-
-// appendAnswer encodes one PIR answer (gamma count + gammas) — the
-// shared tail of TypePIRResponse and TypePIRBatchResponse bodies.
-func appendAnswer(body []byte, a *pir.Answer) ([]byte, error) {
-	if a == nil || len(a.Gammas) == 0 {
-		return nil, errors.New("wire: nil PIR answer")
-	}
-	body = slices.Grow(body, pirHeadSize+bigsSize(a.Gammas...))
-	body = vbyte.Append(body, uint64(len(a.Gammas)))
-	for _, g := range a.Gammas {
-		body = appendBig(body, g)
-	}
-	return body, nil
-}
-
-// DecodePIRAnswer parses a TypePIRResponse body of either form: gammas
-// length-prefixed, or packed (a leading 0, which is no gamma count).
-func DecodePIRAnswer(body []byte) (*pir.Answer, error) {
-	v, err := viewPIRAnswer(body)
-	if err != nil {
-		return nil, err
-	}
-	return v.answer(), nil
-}
-
-// viewPIRAnswer reads a TypePIRResponse body of either form: a packed one
-// in place, a length-prefixed one decoded.
-func viewPIRAnswer(body []byte) (PIRAnswerView, error) {
-	count, used, err := vbyte.Decode(body)
-	if err == nil && count == 0 {
-		return viewPacked(body[used:])
-	}
-	// A gamma costs at least 1 body byte (its length prefix), so a
-	// count past the remaining body is forged — reject before
-	// allocating the pointer slice.
-	if err != nil || count == 0 || count > 8*docstore.MaxBlockSize || count > uint64(len(body)) {
-		return PIRAnswerView{}, fmt.Errorf("wire: PIR gamma count: %w", orRange(err))
-	}
-	body = body[used:]
-	a := &pir.Answer{Gammas: make([]*big.Int, count)}
-	body, at, err := decodeBigs(body, a.Gammas, nil)
-	if err != nil {
-		return PIRAnswerView{}, bigsError("PIR gamma", at, err)
-	}
-	if len(body) != 0 {
-		return PIRAnswerView{}, errors.New("wire: trailing bytes after PIR answer")
-	}
-	return PIRAnswerView{Count: len(a.Gammas), Answer: a}, nil
 }

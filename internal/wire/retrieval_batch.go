@@ -55,9 +55,8 @@ import (
 // past the decoder — it counts against MaxPIRBatch, is scanned and is
 // answered like any other — so the CPU a frame can demand is what it
 // was; only the bytes that demand it shrink.
-// TypePIRBatchResponse: query index vbyte | gamma count vbyte | one
-// group element per matrix row — or, on a connection that sent the
-// hello, query index vbyte | the packed form (retrieval_hello.go).
+// TypePIRBatchResponse: query index vbyte | the packed answer
+// (retrieval_hello.go), on every connection.
 // Indexes are 0-based positions in the batch and arrive strictly in
 // order; a per-query serving error is answered with TypeError and ends
 // the batch (the connection survives).
@@ -67,8 +66,8 @@ import (
 // remaining body before any allocation, and the batch size itself is
 // capped so one frame cannot commit the server to unbounded CPU.
 
-// Batch retrieval message types (12-13; 9-11 are the single-query
-// retrieval protocol).
+// Batch retrieval message types (12-13; 9 is the params request, and
+// 10-11, the retired single-query fetch, are refused as unknown types).
 const (
 	TypePIRBatchQuery    = 12
 	TypePIRBatchResponse = 13
@@ -81,70 +80,16 @@ const (
 const MaxPIRBatch = 64
 
 // UnknownTypeRefusal is the error-body prefix servers send for an
-// unrecognized message type. FROZEN: servers predating the batch
-// messages already sent exactly this text, and pipelined fetch
-// clients detect them by matching it on the first batch answer —
-// changing it would break the sequential fallback against every
-// deployed server.
+// unrecognized message type. FROZEN: a recursive fetch client matches it
+// on the answer to its first type-23 frame and retries flat, which is
+// how a server with its PIRRecursive knob off refuses that frame.
 const UnknownTypeRefusal = "unexpected message type"
-
-// RotationRefusal is the error body a server predating rotation
-// entries sends for a batch frame whose entry i is one: its decoder
-// refuses the zero value count with exactly this text and keeps the
-// connection. FROZEN like UnknownTypeRefusal: pipelined fetch clients
-// match it on the first batch answer and retry with one vector per
-// block, and this decoder still words its own value-count refusals (a
-// zero count on entry 0, a forged count) through it — rewording it
-// would strand those clients against every deployed server.
-func RotationRefusal(i int) string {
-	return fmt.Sprintf("wire: PIR batch query %d value count: value out of range", i)
-}
-
-// SeedRefusal is the error body a server predating the seeded form sends
-// for a seeded frame: its decoder reads the form's 0 as the query count
-// and refuses it with exactly this text, keeping the connection. FROZEN
-// like RotationRefusal: pipelined fetch clients match it on the first
-// batch answer and retry with vectors written out. This decoder still
-// words a written-out count over MaxPIRBatch through it; a seeded frame's
-// own refusals never use it.
-const SeedRefusal = "wire: PIR batch query count: value out of range"
-
-// HeightsRefusal is the error body a server that speaks the seeded form
-// but predates heights sends for a frame with heights: its decoder reads
-// the frame's second 0 as a seeded query count and refuses it with
-// exactly this text, keeping the connection. FROZEN like SeedRefusal:
-// pipelined fetch clients match it on the first batch answer and retry
-// seeded over the block array. This decoder still words a seeded count
-// of 0 or over MaxPIRBatch through it.
-const HeightsRefusal = "wire: seeded PIR batch query count: value out of range"
 
 // ViewRefusal opens the error body a server sends for a type-12 entry
 // whose height names no view of its store, or that is wider than its
 // view. The frame is refused whole, before any seed expands, and the
 // connection serves the next frame.
 const ViewRefusal = "wire: no such column view"
-
-// PIRBatchRefusals returns the error bodies servers predating the form
-// WritePIRBatchQuery wrote qs in answer that frame with, newest server
-// first: HeightsRefusal and SeedRefusal for a frame with heights (a
-// server predating seeds too reads its first 0 as the query count),
-// SeedRefusal for a seeded frame, RotationRefusal(i) for a written-out
-// frame whose entry i is its first rotation, none for a frame every
-// type-12 server decodes. qs must be a batch WritePIRBatchQuery accepted.
-func PIRBatchRefusals(qs []*pir.Query) []string {
-	switch {
-	case withHeights(qs):
-		return []string{HeightsRefusal, SeedRefusal}
-	case seededBatch(qs):
-		return []string{SeedRefusal}
-	}
-	for i := 1; i < len(qs); i++ {
-		if qs[i].Follows(qs[i-1]) {
-			return []string{RotationRefusal(i)}
-		}
-	}
-	return nil
-}
 
 // SeededEntryBytes is what one vector of width columns over the database
 // of height h, rotated rot columns up, costs in a seeded frame; a
@@ -318,10 +263,11 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 }
 
 // DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form,
-// with heights or without. The same bounds as DecodePIRQuery apply to
-// the shared modulus and to every value; the query count is additionally
-// capped at MaxPIRBatch, and a height at docstore.MaxColumnBytes, the
-// tallest view any block size has.
+// with heights or without. Every value is bounded to (0, N) and the
+// modulus width is capped — the answer computation costs one |N|-bit
+// multiplication per database bit, so the decoder is the server's
+// CPU-exhaustion gate. The query count is capped at MaxPIRBatch, and a
+// height at docstore.MaxColumnBytes, the tallest view any block size has.
 //
 // Every entry comes back as one *pir.Query of full width, a rotation
 // entry included, so nothing past the decoder knows the frame was
@@ -343,9 +289,9 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 // databases are widths[h] columns wide: widths[0] the block array and
 // widths[h] class view h, for h up to the store's tallest
 // (docstore.Layout.Widths). An entry whose height names no view, or
-// that is wider than its view, is refused with ViewRefusal; so is a
-// seeded vector wider than the block array, with the text servers
-// before views sent. Every such refusal comes before anything expands,
+// that is wider than its view, is refused with ViewRefusal, and a
+// seeded vector without a height that is wider than the block array is
+// refused too. Every such refusal comes before anything expands,
 // so the expansion one frame can demand is at most MaxPIRBatch vectors
 // of a view's width. Written-out vectors without heights are read as
 // they come, whatever their width: their bytes pay for them.
@@ -388,7 +334,7 @@ func DecodePIRBatchQueryWithin(body []byte, widths []int) ([]*pir.Query, error) 
 		// reject before allocating the pointer slice. A zero count is a
 		// rotation of the entry before it: entry 0 has none.
 		if (nv == 0 && qi == 0) || nv > maxPIRBlocks || nv*2 > uint64(len(body)) {
-			return nil, errors.New(RotationRefusal(qi))
+			return nil, fmt.Errorf("wire: PIR batch query %d value count: %w", qi, orRange(nil))
 		}
 		body = body[used:]
 		if nv == 0 {
@@ -553,42 +499,30 @@ func decodeSeeded(n *big.Int, body []byte, widths []int, heights bool) ([]*pir.Q
 	return qs, nil
 }
 
-// WritePIRBatchAnswer frames and writes one streamed batch answer:
-// the index of the query it answers (0-based within its batch)
-// followed by a standard PIR answer encoding.
-func WritePIRBatchAnswer(w io.Writer, index int, a *pir.Answer) error {
-	if index < 0 || index >= MaxPIRBatch {
-		return fmt.Errorf("wire: PIR batch answer index %d out of range", index)
-	}
-	body, err := appendAnswer(vbyte.Append([]byte{TypePIRBatchResponse}, uint64(index)), a)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, body)
-}
-
-// DecodePIRBatchAnswer parses a TypePIRBatchResponse body of either form,
-// returning the in-batch query index alongside the answer: the view
-// (ViewPIRBatchAnswer) with a packed body's gammas copied out of the
-// frame.
+// DecodePIRBatchAnswer parses a TypePIRBatchResponse body, returning
+// the in-batch query index alongside the answer: the view
+// (ViewPIRBatchAnswer) with its gammas copied out of the frame.
 func DecodePIRBatchAnswer(body []byte) (int, *pir.Answer, error) {
 	v, err := ViewPIRBatchAnswer(body)
 	if err != nil {
 		return 0, nil, err
 	}
-	return v.Index, v.answer(), nil
+	return v.Index, decodePacked(v), nil
 }
 
-// ViewPIRBatchAnswer reads a TypePIRBatchResponse body of either form
-// without copying a packed one's gammas. After the index the body is
-// exactly a TypePIRResponse body, so the gamma bounds live in one place
-// (viewPIRAnswer).
+// ViewPIRBatchAnswer reads a TypePIRBatchResponse body without copying
+// its gammas. A body whose answer does not open with the packed form's 0
+// — the retired length-prefixed form — is refused.
 func ViewPIRBatchAnswer(body []byte) (PIRAnswerView, error) {
 	index, used, err := vbyte.Decode(body)
 	if err != nil || index >= MaxPIRBatch {
 		return PIRAnswerView{}, fmt.Errorf("wire: PIR batch answer index: %w", orRange(err))
 	}
-	v, err := viewPIRAnswer(body[used:])
+	rest, packed := leadingZero(body[used:])
+	if !packed {
+		return PIRAnswerView{}, errors.New("wire: PIR batch answer is not packed")
+	}
+	v, err := viewPacked(rest)
 	if err != nil {
 		return PIRAnswerView{}, err
 	}

@@ -60,7 +60,7 @@ func TestPIRBatchQueryRoundTrip(t *testing.T) {
 func TestPIRBatchAnswerRoundTrip(t *testing.T) {
 	a := &pir.Answer{Gammas: []*big.Int{big.NewInt(7), big.NewInt(1), big.NewInt(99)}}
 	var buf bytes.Buffer
-	if err := WritePIRBatchAnswer(&buf, 5, a); err != nil {
+	if err := WritePIRBatchAnswerPacked(&buf, 5, a, big.NewInt(101)); err != nil {
 		t.Fatal(err)
 	}
 	typ, body, err := ReadMessage(&buf)
@@ -104,10 +104,10 @@ func TestPIRBatchWriterValidation(t *testing.T) {
 	if err := WritePIRBatchQuery(&buf, oversized); err == nil {
 		t.Fatal("oversized batch written")
 	}
-	if err := WritePIRBatchAnswer(&buf, MaxPIRBatch, &pir.Answer{Gammas: []*big.Int{b(1)}}); err == nil {
+	if err := WritePIRBatchAnswerPacked(&buf, MaxPIRBatch, &pir.Answer{Gammas: []*big.Int{b(1)}}, b(35)); err == nil {
 		t.Fatal("out-of-range answer index written")
 	}
-	if err := WritePIRBatchAnswer(&buf, 0, &pir.Answer{}); err == nil {
+	if err := WritePIRBatchAnswerPacked(&buf, 0, &pir.Answer{}, b(35)); err == nil {
 		t.Fatal("empty answer written")
 	}
 }
@@ -154,16 +154,13 @@ func TestPIRBatchDecoderRejections(t *testing.T) {
 	}
 
 	// Answer-side rejections.
-	var ans []byte
-	ans = vbyte.Append(ans, MaxPIRBatch) // index out of range
-	ans = vbyte.Append(ans, 1)
-	ans = appendBig(ans, b(3))
-	if _, _, err := DecodePIRBatchAnswer(ans); err == nil {
+	if _, _, err := DecodePIRBatchAnswer(vbyte.Append(vbyte.Append(nil, MaxPIRBatch), 0)); err == nil {
 		t.Error("out-of-range answer index accepted")
 	}
-	var forged []byte
-	forged = vbyte.Append(forged, 0)
-	forged = vbyte.Append(forged, 1<<30) // forged gamma count
+	if _, _, err := DecodePIRBatchAnswer(appendPrefixed(vbyte.Append(nil, 0), b(3))); err == nil {
+		t.Error("length-prefixed answer accepted")
+	}
+	forged := vbyte.Append(vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), 0), 8), 1<<30)
 	if _, _, err := DecodePIRBatchAnswer(forged); err == nil {
 		t.Error("forged gamma count accepted")
 	}
@@ -194,7 +191,7 @@ func BenchmarkPIRBatchRoundTrip(b *testing.B) {
 		if err := WritePIRBatchQuery(&buf, qs); err != nil {
 			b.Fatal(err)
 		}
-		if err := WritePIRBatchAnswer(&buf, 0, ans); err != nil {
+		if err := WritePIRBatchAnswerPacked(&buf, 0, ans, key.N); err != nil {
 			b.Fatal(err)
 		}
 		_, body, err := ReadMessage(&buf)

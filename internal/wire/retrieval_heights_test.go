@@ -58,22 +58,6 @@ func TestPIRBatchHeightsRoundTrip(t *testing.T) {
 					t.Fatalf("%s: a frame without heights decoded at height %d", label, q.Height)
 				}
 			}
-			// A server that speaks seeds but predates heights reads the
-			// first 0 as the seeded form's mark and the second as its
-			// query count; one predating seeds reads the first 0 as its
-			// query count.
-			n, rest, err := decodeBig(tallBody)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rest, _ = leadingZero(rest)
-			_, seedEra := decodeSeeded(n, rest, nil, false)
-			if got := PIRBatchRefusals(tall); seedEra == nil || fmt.Sprint(got) != fmt.Sprint([]string{seedEra.Error(), SeedRefusal}) || got[0] != HeightsRefusal {
-				t.Fatalf("%s: older servers answer a frame with heights with %q then %q, PIRBatchRefusals says %q", label, seedEra, SeedRefusal, got)
-			}
-			if got := PIRBatchRefusals(flat); form.name == "seeded" && fmt.Sprint(got) != fmt.Sprint([]string{SeedRefusal}) {
-				t.Fatalf("%s: a seeded frame without heights is refused with %q, PIRBatchRefusals says %q", label, SeedRefusal, got)
-			}
 		}
 	}
 	// One frame may mix heights, a height of 0 among them; a rotation has

@@ -15,15 +15,14 @@ import (
 )
 
 // The fetch hello and packed answers. A fetch client opens with the
-// hello, a TypePIRParams request with a body; it learns from the reply
+// hello, a TypePIRParams request with a body, and learns from the reply
 // whether the block mapping it holds on this connection is still the
-// server's, and from then on the connection receives every PIR answer
-// packed: gammas at the modulus's width instead of length-prefixed.
+// server's. Every PIR answer travels packed: gammas at the modulus's
+// width.
 //
 // Hello (request body): the ParamsDigestBytes-byte digest of the mapping
 // the client holds on this connection, or a single 0 when it holds none.
-// An empty body is the request of a client that predates the hello, and
-// gets the table alone, as it always did.
+// An empty body asks for the table alone (retrieval.go).
 //
 // Reply to the hello: 0 | digest (ParamsDigestBytes) | changed byte (0/1)
 // | when changed, the table body. The leading 0 is a block size no table
@@ -31,20 +30,10 @@ import (
 // names the table: the first ParamsDigestBytes bytes of the SHA-256 of its
 // body.
 //
-// Packed answer (the tail of a type-11 or type-13 body): 0 | width vbyte
-// | gamma count vbyte | count × width bytes, every gamma big-endian at
-// width bytes, the byte length of the frame's modulus. The leading 0 is a
-// gamma count the length-prefixed form refuses, so DecodePIRAnswer reads
-// both forms.
-
-// ParamsBodyRefusal is the error body a server predating the hello sends
-// for a TypePIRParams request that carries a body: its request loop
-// refuses every such frame with exactly this text and keeps the
-// connection. FROZEN like SeedRefusal: fetch clients match it on the reply
-// to their hello and ask with the empty request for the rest of the
-// connection — rewording it would strand them against every deployed
-// server and router.
-const ParamsBodyRefusal = "params request carries no body"
+// Packed answer (the tail of a type-13 body): 0 | width vbyte | gamma
+// count vbyte | count × width bytes, every gamma big-endian at width
+// bytes, the byte length of the frame's modulus. The leading 0 marks the
+// form: an answer that does not open with it is refused.
 
 // ParamsDigestBytes is the length of a block-mapping digest.
 const ParamsDigestBytes = 16
@@ -104,30 +93,25 @@ func DecodePIRHello(body []byte) (*ParamsDigest, error) {
 	return &d, nil
 }
 
-// ParamsReply is a decoded TypePIRParams reply of either form.
+// ParamsReply is a decoded reply to the hello.
 type ParamsReply struct {
-	// Hello marks a reply to the hello; the table alone, what a server
-	// predating the hello sends, carries no digest.
-	Hello bool
-	// Digest names the server's mapping (hello replies only).
+	// Digest names the server's mapping.
 	Digest ParamsDigest
-	// Changed reports that Params carries the mapping: always for the
-	// table alone, and for a hello reply whose hello named another.
+	// Changed reports that Params carries the mapping: the hello named
+	// another, or none.
 	Changed bool
 	Params  docstore.Params
 }
 
-// DecodePIRParamsReply parses a TypePIRParams reply body: the table alone,
-// or a reply to the hello. A changed reply whose digest does not name its
-// table is refused, and so are trailing bytes after either reply.
+// DecodePIRParamsReply parses the TypePIRParams reply to the hello. The
+// table alone — the reply to the empty request — is refused, and so are a
+// changed reply whose digest does not name its table and trailing bytes.
 func DecodePIRParamsReply(body []byte) (ParamsReply, error) {
-	mark, used, err := vbyte.Decode(body)
-	if err != nil || mark != 0 {
-		p, err := DecodePIRParams(body)
-		return ParamsReply{Changed: true, Params: p}, err
+	body, hello := leadingZero(body)
+	if !hello {
+		return ParamsReply{}, errors.New("wire: params reply is not a reply to the hello")
 	}
-	body = body[used:]
-	r := ParamsReply{Hello: true}
+	var r ParamsReply
 	if len(body) < ParamsDigestBytes+1 {
 		return r, errors.New("wire: params reply digest: truncated")
 	}
@@ -144,23 +128,14 @@ func DecodePIRParamsReply(body []byte) (ParamsReply, error) {
 		return r, errors.New("wire: params reply digest does not name its table")
 	}
 	r.Changed = true
+	var err error
 	r.Params, err = DecodePIRParams(table)
 	return r, err
 }
 
-// WritePIRAnswerPacked is WritePIRAnswer packed, for a connection that
-// sent the hello: every gamma at the byte length of the query's modulus n.
-func WritePIRAnswerPacked(w io.Writer, a *pir.Answer, n *big.Int) error {
-	body, err := appendPacked([]byte{TypePIRResponse}, a, n)
-	if err != nil {
-		return err
-	}
-	return writeFrame(w, body)
-}
-
-// WritePIRBatchAnswerPacked is WritePIRBatchAnswer packed, for a
-// connection that sent the hello: every gamma at the byte length of the
-// frame's modulus n.
+// WritePIRBatchAnswerPacked frames and writes one streamed batch answer:
+// the index of the query it answers (0-based within its batch) and the
+// answer packed, every gamma at the byte length of the frame's modulus n.
 func WritePIRBatchAnswerPacked(w io.Writer, index int, a *pir.Answer, n *big.Int) error {
 	if index < 0 || index >= MaxPIRBatch {
 		return fmt.Errorf("wire: PIR batch answer index %d out of range", index)
@@ -205,12 +180,11 @@ func appendPacked(body []byte, a *pir.Answer, n *big.Int) ([]byte, error) {
 }
 
 // PIRAnswerView is a PIR answer body read where it lies
-// (ViewPIRBatchAnswer). A packed body's gammas stay in the frame: Gammas
-// is a slice of the body, valid as long as the buffer it was read into,
-// and a client Euler-tests those bytes in place
-// (pir.ClientKey.DecodeImage). A length-prefixed body has no fixed
-// width; its gammas arrive decoded in Answer, and Width and Gammas are
-// zero.
+// (ViewPIRBatchAnswer). Its gammas stay in the frame: Gammas is a slice
+// of the body, valid as long as the buffer it was read into, and a client
+// Euler-tests those bytes in place (pir.ClientKey.DecodeImage). An answer
+// computed in process never crossed a wire; it arrives in Answer, and
+// Width and Gammas are zero.
 type PIRAnswerView struct {
 	Index int // the query it answers, within its batch
 	Count int // its gammas
@@ -239,15 +213,6 @@ func viewPacked(body []byte) (PIRAnswerView, error) {
 		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR answer of %d %d-byte gammas carries %d bytes", count, width, len(body))
 	}
 	return PIRAnswerView{Count: int(count), Width: int(width), Gammas: body}, nil
-}
-
-// answer returns the view's gammas as big.Ints: a length-prefixed body's
-// Answer, or a packed one's gammas copied out of the frame (decodePacked).
-func (v PIRAnswerView) answer() *pir.Answer {
-	if v.Answer != nil {
-		return v.Answer
-	}
-	return decodePacked(v)
 }
 
 // decodePacked copies a packed view's gammas out of the frame into ONE

@@ -80,7 +80,7 @@ func TestPIRHelloGolden(t *testing.T) {
 	if got := written(t, func(w io.Writer) error { return WritePIRHelloReply(w, p, &digest) }); !bytes.Equal(got, want) || len(got) != 23 {
 		t.Fatalf("unchanged reply written as %x (%d bytes), golden %x", got, len(got), want)
 	}
-	if r, err := DecodePIRParamsReply(frameBody(t, want, TypePIRParams)); err != nil || !r.Hello || r.Changed || r.Digest != digest {
+	if r, err := DecodePIRParamsReply(frameBody(t, want, TypePIRParams)); err != nil || r.Changed || r.Digest != digest {
 		t.Fatalf("golden unchanged reply decodes to %+v, %v", r, err)
 	}
 
@@ -91,7 +91,7 @@ func TestPIRHelloGolden(t *testing.T) {
 		}
 	}
 	r, err := DecodePIRParamsReply(frameBody(t, want, TypePIRParams))
-	if err != nil || !r.Hello || !r.Changed || r.Digest != digest || fmt.Sprint(r.Params) != fmt.Sprint(goldenParams()) {
+	if err != nil || !r.Changed || r.Digest != digest || fmt.Sprint(r.Params) != fmt.Sprint(goldenParams()) {
 		t.Fatalf("golden changed reply decodes to %+v, %v", r, err)
 	}
 
@@ -107,18 +107,21 @@ func TestPIRHelloGolden(t *testing.T) {
 }
 
 // TestTableAloneDecodesWithoutDigest: the reply to the empty request,
-// WritePIRParams' table alone, reads back through DecodePIRParamsReply as
-// a changed mapping that carries no digest; and the changed reply to a
-// hello names its table with DigestPIRParams' digest.
+// WritePIRParams' table alone, reads back through DecodePIRParams and
+// carries no digest, so the reply decoder refuses it as no reply to the
+// hello; and the changed reply to a hello names its table with
+// DigestPIRParams' digest.
 func TestTableAloneDecodesWithoutDigest(t *testing.T) {
-	want := written(t, func(w io.Writer) error { return WritePIRParams(w, testParams()) })
-	r, err := DecodePIRParamsReply(frameBody(t, want, TypePIRParams))
-	if err != nil || r.Hello || !r.Changed || fmt.Sprint(r.Params) != fmt.Sprint(testParams()) {
-		t.Fatalf("the table alone decodes as %+v, %v", r, err)
+	table := frameBody(t, written(t, func(w io.Writer) error { return WritePIRParams(w, testParams()) }), TypePIRParams)
+	if p, err := DecodePIRParams(table); err != nil || fmt.Sprint(p) != fmt.Sprint(testParams()) {
+		t.Fatalf("the table alone decodes as %+v, %v", p, err)
+	}
+	if r, err := DecodePIRParamsReply(table); err == nil {
+		t.Fatalf("the table alone decodes as a reply to the hello: %+v", r)
 	}
 	changed := written(t, func(w io.Writer) error { return WritePIRHelloReply(w, testParams(), nil) })
-	r, err = DecodePIRParamsReply(frameBody(t, changed, TypePIRParams))
-	if err != nil || !r.Hello || !r.Changed || r.Digest != DigestPIRParams(testParams()) {
+	r, err := DecodePIRParamsReply(frameBody(t, changed, TypePIRParams))
+	if err != nil || !r.Changed || r.Digest != DigestPIRParams(testParams()) {
 		t.Fatalf("the changed reply decodes as %+v, %v; want digest %x", r, err, DigestPIRParams(testParams()))
 	}
 }
@@ -165,40 +168,34 @@ func TestPIRHelloDecodersRefuse(t *testing.T) {
 	}
 }
 
-// packedAnswer writes a in the packed form under modulus n and returns the
-// body after the type byte.
-func packedAnswer(t *testing.T, a *pir.Answer, n *big.Int) []byte {
+// packedAnswer writes a as answer index of a batch, packed under modulus
+// n, and returns the body after the type byte.
+func packedAnswer(t *testing.T, index int, a *pir.Answer, n *big.Int) []byte {
 	t.Helper()
-	return frameBody(t, written(t, func(w io.Writer) error { return WritePIRAnswerPacked(w, a, n) }), TypePIRResponse)
+	return frameBody(t, written(t, func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, index, a, n) }), TypePIRBatchResponse)
 }
 
 // TestPIRPackedAnswerRoundTrip: at moduli of one, seven, eight, nine,
 // sixteen and 128 bytes, gammas from 1 to N-1 travel at exactly the
 // modulus's width — head plus count × width, no byte more — and decode to
-// themselves through DecodePIRAnswer and DecodePIRBatchAnswer alike.
+// themselves.
 func TestPIRPackedAnswerRoundTrip(t *testing.T) {
 	for _, bits := range []int{7, 56, 64, 65, 128, 1024} {
 		n := new(big.Int).Sub(new(big.Int).Lsh(b(1), uint(bits)), b(3))
 		width := (bits + 7) / 8
 		gammas := []*big.Int{b(1), b(2), new(big.Int).Sub(n, b(1)), new(big.Int).Rsh(n, 1), b(100)}
-		a := &pir.Answer{Gammas: gammas}
-		body := packedAnswer(t, a, n)
-		head := vbyte.Len(0) + vbyte.Len(uint64(width)) + vbyte.Len(uint64(len(gammas)))
+		body := packedAnswer(t, 7, &pir.Answer{Gammas: gammas}, n)
+		head := vbyte.Len(7) + vbyte.Len(0) + vbyte.Len(uint64(width)) + vbyte.Len(uint64(len(gammas)))
 		if len(body) != head+len(gammas)*width {
 			t.Fatalf("%d-bit modulus: a %d-byte body, want %d + %d × %d", bits, len(body), head, len(gammas), width)
 		}
-		got, err := DecodePIRAnswer(body)
-		if err != nil {
-			t.Fatalf("%d-bit modulus: %v", bits, err)
-		}
-		batch := frameBody(t, written(t, func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 7, a, n) }), TypePIRBatchResponse)
-		idx, fromBatch, err := DecodePIRBatchAnswer(batch)
+		idx, got, err := DecodePIRBatchAnswer(body)
 		if err != nil || idx != 7 {
 			t.Fatalf("%d-bit modulus: batch answer index %d, %v", bits, idx, err)
 		}
 		for i, g := range gammas {
-			if got.Gammas[i].Cmp(g) != 0 || fromBatch.Gammas[i].Cmp(g) != 0 {
-				t.Fatalf("%d-bit modulus: gamma %d is %v and %v, want %v", bits, i, got.Gammas[i], fromBatch.Gammas[i], g)
+			if got.Gammas[i].Cmp(g) != 0 {
+				t.Fatalf("%d-bit modulus: gamma %d is %v, want %v", bits, i, got.Gammas[i], g)
 			}
 		}
 	}
@@ -208,7 +205,8 @@ func TestPIRPackedAnswerRoundTrip(t *testing.T) {
 // modulus and a modulus past the ceiling; the decoder refuses a width of 0
 // or past maxPIRModulusBytes, a count of 0 or past the answer cap, and a
 // count × width that is not exactly the rest of the body — a forged count
-// before it allocates.
+// before it allocates — and an answer without the packed form's 0, the
+// retired length-prefixed form.
 func TestPIRPackedAnswerRefusals(t *testing.T) {
 	if _, err := appendPacked(nil, &pir.Answer{Gammas: []*big.Int{b(256)}}, b(255)); err == nil {
 		t.Error("a gamma wider than the modulus written")
@@ -220,7 +218,7 @@ func TestPIRPackedAnswerRefusals(t *testing.T) {
 		t.Error("an empty answer written")
 	}
 	packed := func(width, count uint64, gammas int) []byte {
-		body := vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), width), count)
+		body := vbyte.Append(vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), 0), width), count)
 		return append(body, make([]byte, gammas)...)
 	}
 	for name, body := range map[string][]byte{
@@ -230,13 +228,14 @@ func TestPIRPackedAnswerRefusals(t *testing.T) {
 		"count past cap":  packed(1, 8*docstore.MaxBlockSize+1, 8*docstore.MaxBlockSize+1),
 		"one byte short":  packed(8, 3, 23),
 		"one byte over":   packed(8, 3, 25),
-		"no width":        {0x80},
-		"no count":        {0x80, 0x88},
+		"no width":        {0x80, 0x80},
+		"no count":        {0x80, 0x80, 0x88},
 		"forged count":    packed(8, 1<<20, 64),
-		"overlong width":  {0x80, 0x08, 0x80, 0x81, 0},
-		"truncated width": {0x80, 0x08},
+		"overlong width":  {0x80, 0x80, 0x08, 0x80, 0x81, 0},
+		"truncated width": {0x80, 0x80, 0x08},
+		"length-prefixed": appendPrefixed([]byte{0x80}, b(7), b(9)),
 	} {
-		if _, err := DecodePIRAnswer(body); err == nil {
+		if _, _, err := DecodePIRBatchAnswer(body); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -244,7 +243,7 @@ func TestPIRPackedAnswerRefusals(t *testing.T) {
 	forged := packed(8, 1<<20, 64)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _ = DecodePIRAnswer(forged)
+	_, _, _ = DecodePIRBatchAnswer(forged)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 		t.Errorf("refusing a forged count allocated %d bytes", grew)
@@ -256,7 +255,7 @@ func TestPIRPackedAnswerRefusals(t *testing.T) {
 // the next.
 func TestPackedGammasDoNotShareCapacity(t *testing.T) {
 	n := new(big.Int).Lsh(b(1), 100)
-	got, err := DecodePIRAnswer(packedAnswer(t, &pir.Answer{Gammas: []*big.Int{b(7), b(9)}}, n))
+	_, got, err := DecodePIRBatchAnswer(packedAnswer(t, 0, &pir.Answer{Gammas: []*big.Int{b(7), b(9)}}, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,4 +263,15 @@ func TestPackedGammasDoNotShareCapacity(t *testing.T) {
 	if got.Gammas[1].Cmp(b(9)) != 0 {
 		t.Fatalf("a neighbour's arithmetic changed gamma 1 to %v", got.Gammas[1])
 	}
+}
+
+// appendPrefixed appends a count and then every element of vs, a vbyte
+// length and its magnitude each: the tail of the retired types 10 and 11
+// and of the retired length-prefixed type-13 answer.
+func appendPrefixed(body []byte, vs ...*big.Int) []byte {
+	body = vbyte.Append(body, uint64(len(vs)))
+	for _, v := range vs {
+		body = appendBig(body, v)
+	}
+	return body
 }

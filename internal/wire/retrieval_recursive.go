@@ -19,7 +19,7 @@ import (
 // gamma matrix). One frame carries a small batch; answers stream back
 // as standard
 // TypePIRBatchResponse frames in batch order, so the answer-side
-// bounds live in one place (DecodePIRAnswer) and a pipelining client
+// bounds live in one place (ViewPIRBatchAnswer) and a pipelining client
 // reuses its batch reassembly loop unchanged.
 //
 // TypePIRRecursiveQuery: modulus big | width vbyte | gridCols vbyte |
@@ -30,10 +30,9 @@ import (
 // shape rather than carried per query — a forged per-query length
 // cannot disagree with the shape the server validates against.
 //
-// Servers that predate this message — pre-recursive ones and those of
-// the retired type 22 alike — refuse it with the frozen
-// UnknownTypeRefusal prefix, which is exactly the signal the client's
-// fetch path uses to fall back to flat frames.
+// A server with its PIRRecursive knob off refuses this message with the
+// frozen UnknownTypeRefusal prefix, which is exactly the signal the
+// client's fetch path uses to fall back to flat frames.
 
 // TypePIRRecursiveQuery is the recursive retrieval request (type 23;
 // answers reuse TypePIRBatchResponse). Type 22 carried the same layout

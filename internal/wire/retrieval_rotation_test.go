@@ -242,8 +242,6 @@ func rotationBodies() map[string][]byte {
 func TestPIRBatchRotationHostileFrames(t *testing.T) {
 	bodies := rotationBodies()
 	refused := map[string]string{
-		// The FROZEN text (RotationRefusal): clients match it to detect
-		// servers predating rotation entries, which say exactly this.
 		"zero count at entry 0": "wire: PIR batch query 0 value count: value out of range",
 		"only a zero count":     "wire: PIR batch query 0 value count: value out of range",
 		"one entry too many":    "wire: PIR batch query count: value out of range",
@@ -267,9 +265,6 @@ func TestPIRBatchRotationHostileFrames(t *testing.T) {
 		if again := batchBody(t, qs); !bytes.Equal(again, body) {
 			t.Errorf("%s: written again as %x, was %x", name, again, body)
 		}
-	}
-	if got := RotationRefusal(17); got != "wire: PIR batch query 17 value count: value out of range" {
-		t.Errorf("the frozen refusal text moved: %q", got)
 	}
 	// A rotation of a width-1 vector is the vector itself; a rotation
 	// after a new width rotates THAT vector.

@@ -145,15 +145,6 @@ func TestPIRBatchSeededHostileFrames(t *testing.T) {
 	if len(qs[3].Values) != 2 || qs[3].Seed != qs[2].Seed || qs[3].Rot != 0 || qs[3].Values[0] != qs[2].Values[1] {
 		t.Errorf("rewidth entry rotated to %v at rotation %d", qs[3].Values, qs[3].Rot)
 	}
-	// No seeded refusal is the frozen text an old server sends for the form.
-	for name, want := range refused {
-		if want == SeedRefusal {
-			t.Errorf("%s: a seeded frame is refused with SeedRefusal", name)
-		}
-	}
-	if SeedRefusal != "wire: PIR batch query count: value out of range" {
-		t.Errorf("the frozen refusal text moved: %q", SeedRefusal)
-	}
 }
 
 // TestPIRBatchSeededMatchesClient: what the server expands a seeded frame

@@ -207,46 +207,39 @@ func recursiveAnswer(tb testing.TB) (*pir.Answer, *big.Int) {
 
 // TestPIRAnswerCodecAllocations: a 65,536-ciphertext answer encodes and
 // decodes in a handful of allocations — slabs, not one or two per
-// ciphertext — length-prefixed and packed alike.
+// ciphertext.
 func TestPIRAnswerCodecAllocations(t *testing.T) {
 	ans, n := recursiveAnswer(t)
-	for _, form := range []struct {
-		name  string
-		write func(w io.Writer) error
-	}{
-		{"prefixed", func(w io.Writer) error { return WritePIRBatchAnswer(w, 3, ans) }},
-		{"packed", func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 3, ans, n) }},
-	} {
-		var frame bytes.Buffer
-		if err := form.write(&frame); err != nil {
+	write := func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 3, ans, n) }
+	var frame bytes.Buffer
+	if err := write(&frame); err != nil {
+		t.Fatal(err)
+	}
+	_, body, err := ReadMessage(bytes.NewReader(frame.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := write(io.Discard); err != nil {
 			t.Fatal(err)
 		}
-		_, body, err := ReadMessage(bytes.NewReader(frame.Bytes()))
-		if err != nil {
+	}); n > 8 {
+		t.Errorf("encoding the answer allocates %v times, want <= 8", n)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, _, err := DecodePIRBatchAnswer(body); err != nil {
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(5, func() {
-			if err := form.write(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		}); n > 8 {
-			t.Errorf("%s: encoding the answer allocates %v times, want <= 8", form.name, n)
-		}
-		if n := testing.AllocsPerRun(5, func() {
-			if _, _, err := DecodePIRBatchAnswer(body); err != nil {
-				t.Fatal(err)
-			}
-		}); n > 8 {
-			t.Errorf("%s: decoding the answer allocates %v times, want <= 8", form.name, n)
-		}
-		idx, got, err := DecodePIRBatchAnswer(body)
-		if err != nil || idx != 3 || len(got.Gammas) != len(ans.Gammas) {
-			t.Fatalf("%s round trip: index %d, %d gammas, err %v", form.name, idx, len(got.Gammas), err)
-		}
-		for i := range ans.Gammas {
-			if got.Gammas[i].Cmp(ans.Gammas[i]) != 0 {
-				t.Fatalf("%s: gamma %d differs after the round trip", form.name, i)
-			}
+	}); n > 8 {
+		t.Errorf("decoding the answer allocates %v times, want <= 8", n)
+	}
+	idx, got, err := DecodePIRBatchAnswer(body)
+	if err != nil || idx != 3 || len(got.Gammas) != len(ans.Gammas) {
+		t.Fatalf("round trip: index %d, %d gammas, err %v", idx, len(got.Gammas), err)
+	}
+	for i := range ans.Gammas {
+		if got.Gammas[i].Cmp(ans.Gammas[i]) != 0 {
+			t.Fatalf("gamma %d differs after the round trip", i)
 		}
 	}
 }
@@ -277,35 +270,24 @@ func TestReadMessageBufReuses(t *testing.T) {
 }
 
 // BenchmarkPIRAnswerCodec encodes and decodes one recursive block answer
-// of the repository benchmark, 65,536 one-word ciphertexts, in both
-// forms: length-prefixed (~590 KB) and packed at the modulus's 8 bytes
-// (~524 KB), what a connection that sent the hello receives.
+// of the repository benchmark, 65,536 one-word ciphertexts packed at the
+// modulus's 8 bytes (~524 KB).
 func BenchmarkPIRAnswerCodec(b *testing.B) {
 	ans, n := recursiveAnswer(b)
-	for _, form := range []struct {
-		name  string
-		write func(w io.Writer) error
-	}{
-		{"prefixed", func(w io.Writer) error { return WritePIRBatchAnswer(w, 0, ans) }},
-		{"packed", func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 0, ans, n) }},
-	} {
-		b.Run(form.name, func(b *testing.B) {
-			var frame bytes.Buffer
-			var buf []byte
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				frame.Reset()
-				if err := form.write(&frame); err != nil {
-					b.Fatal(err)
-				}
-				_, body, err := ReadMessageBuf(&frame, &buf)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := DecodePIRBatchAnswer(body); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	var frame bytes.Buffer
+	var buf []byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		frame.Reset()
+		if err := WritePIRBatchAnswerPacked(&frame, 0, ans, n); err != nil {
+			b.Fatal(err)
+		}
+		_, body, err := ReadMessageBuf(&frame, &buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := DecodePIRBatchAnswer(body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

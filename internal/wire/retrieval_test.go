@@ -80,30 +80,43 @@ func TestPIRParamsRejectsBadExtents(t *testing.T) {
 	}
 }
 
+// oneQuery frames q as the one entry of a type-12 frame and returns the
+// body.
+func oneQuery(t *testing.T, q *pir.Query) []byte {
+	t.Helper()
+	return roundTripFrame(t, func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q}) }, TypePIRBatchQuery)
+}
+
+// TestPIRQueryRoundTrip: one query travels as the one entry of a type-12
+// frame, written out or seeded, and decodes to its values.
 func TestPIRQueryRoundTrip(t *testing.T) {
 	key, err := pir.GenerateKey(detrand.New("pirq"), 96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := key.NewQuery(detrand.New("pirq-vals"), 5, 3)
+	seeded, err := key.NewSeededQuery(detrand.New("pirq-vals"), 5, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := roundTripFrame(t, func(w *bytes.Buffer) error { return WritePIRQuery(w, want) }, TypePIRQuery)
-	got, err := DecodePIRQuery(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N.Cmp(want.N) != 0 || len(got.Values) != len(want.Values) {
-		t.Fatalf("query shape mismatch")
-	}
-	for i := range want.Values {
-		if got.Values[i].Cmp(want.Values[i]) != 0 {
-			t.Fatalf("value %d differs", i)
+	for _, want := range []*pir.Query{{N: seeded.N, Values: seeded.Values}, seeded} {
+		got, err := DecodePIRBatchQuery(oneQuery(t, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].N.Cmp(want.N) != 0 || len(got[0].Values) != len(want.Values) || (got[0].Seed == nil) != (want.Seed == nil) {
+			t.Fatalf("query shape mismatch")
+		}
+		for i := range want.Values {
+			if got[0].Values[i].Cmp(want.Values[i]) != 0 {
+				t.Fatalf("value %d differs", i)
+			}
 		}
 	}
 }
 
+// TestPIRQueryRejectsHostileInputs: the decoder of a one-query frame
+// refuses a value outside Z_n, a modulus past the serving-cost ceiling
+// and trailing bytes.
 func TestPIRQueryRejectsHostileInputs(t *testing.T) {
 	key, err := pir.GenerateKey(detrand.New("pirq-bad"), 96)
 	if err != nil {
@@ -113,38 +126,31 @@ func TestPIRQueryRejectsHostileInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encode := func(q *pir.Query) []byte {
-		var buf bytes.Buffer
-		if err := WritePIRQuery(&buf, q); err != nil {
-			t.Fatal(err)
-		}
-		_, body, err := ReadMessage(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
 	// Value outside Z_n.
 	bad := &pir.Query{N: q.N, Values: []*big.Int{big.NewInt(0).Set(q.N), q.Values[1], q.Values[2]}}
-	if _, err := DecodePIRQuery(encode(bad)); err == nil {
+	if _, err := DecodePIRBatchQuery(oneQuery(t, bad)); err == nil {
 		t.Fatal("value >= N accepted")
 	}
 	// Oversized modulus: CPU-exhaustion gate.
 	huge := new(big.Int).Lsh(big.NewInt(1), 8*maxPIRModulusBytes+1)
 	bad = &pir.Query{N: huge, Values: []*big.Int{big.NewInt(2)}}
-	if _, err := DecodePIRQuery(encode(bad)); err == nil {
+	if _, err := DecodePIRBatchQuery(oneQuery(t, bad)); err == nil {
 		t.Fatal("oversized modulus accepted")
 	}
 	// Trailing garbage.
-	if _, err := DecodePIRQuery(append(encode(q), 0xFF)); err == nil {
+	if _, err := DecodePIRBatchQuery(append(oneQuery(t, q), 0xFF)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
 
+// TestPIRAnswerRoundTrip: an answer travels packed and decodes to its
+// gammas; a truncated one is refused.
 func TestPIRAnswerRoundTrip(t *testing.T) {
 	want := &pir.Answer{Gammas: []*big.Int{big.NewInt(17), big.NewInt(1), big.NewInt(123456789)}}
-	body := roundTripFrame(t, func(w *bytes.Buffer) error { return WritePIRAnswer(w, want) }, TypePIRResponse)
-	got, err := DecodePIRAnswer(body)
+	body := roundTripFrame(t, func(w *bytes.Buffer) error {
+		return WritePIRBatchAnswerPacked(w, 0, want, big.NewInt(1<<40))
+	}, TypePIRBatchResponse)
+	_, got, err := DecodePIRBatchAnswer(body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +162,14 @@ func TestPIRAnswerRoundTrip(t *testing.T) {
 			t.Fatalf("gamma %d differs", i)
 		}
 	}
-	if _, err := DecodePIRAnswer(body[:len(body)-1]); err == nil {
+	if _, _, err := DecodePIRBatchAnswer(body[:len(body)-1]); err == nil {
 		t.Fatal("truncated answer accepted")
 	}
 }
 
 // TestPIRFetchOverWire runs the whole PIR exchange through the wire
-// codecs: params, per-block queries and answers, byte-exact decode.
+// codecs: params, a one-query frame per block and its packed answer,
+// byte-exact decode.
 func TestPIRFetchOverWire(t *testing.T) {
 	s, err := docstore.New(8)
 	if err != nil {
@@ -207,32 +214,18 @@ func TestPIRFetchOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wireBuf.Reset()
-		if err := WritePIRQuery(&wireBuf, q); err != nil {
-			t.Fatal(err)
-		}
-		_, qbody, err := ReadMessage(&wireBuf)
+		sq, err := DecodePIRBatchQuery(oneQuery(t, q))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sq, err := DecodePIRQuery(qbody)
+		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), sq, pir.Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		answers, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{sq}, pir.Exec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ans := answers[0]
-		wireBuf.Reset()
-		if err := WritePIRAnswer(&wireBuf, ans); err != nil {
-			t.Fatal(err)
-		}
-		_, abody, err := ReadMessage(&wireBuf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ca, err := DecodePIRAnswer(abody)
+		abody := roundTripFrame(t, func(w *bytes.Buffer) error {
+			return WritePIRBatchAnswerPacked(w, 0, answers[0], sq[0].N)
+		}, TypePIRBatchResponse)
+		_, ca, err := DecodePIRBatchAnswer(abody)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -59,10 +58,10 @@ type ServeConfig struct {
 	// them — typically on a separate, access-controlled listener.
 	AllowUpdates bool
 	// AllowRetrieval opts the server in to the private document-fetch
-	// messages (TypePIRParams / TypePIRQuery / TypePIRBatchQuery). Off
-	// by default: each PIR answer costs ~8·BlockSize·NumBlocks modular
-	// multiplications, so a deployment must deliberately expose that
-	// CPU surface. Requires an engine built with
+	// messages (TypePIRParams / TypePIRBatchQuery /
+	// TypePIRRecursiveQuery). Off by default: each PIR answer costs
+	// ~8·BlockSize·NumBlocks modular multiplications over the database it
+	// scans, so a deployment must deliberately expose that CPU surface. Requires an engine built with
 	// Options.StoreDocuments (or loaded from a version-3 file carrying
 	// a store).
 	AllowRetrieval bool
@@ -267,7 +266,6 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 		wire.TypeAddDocs:           {Gate: updates, Admitted: true, Exec: s.answerAdmin},
 		wire.TypeDeleteDocs:        {Gate: updates, Admitted: true, Exec: s.answerAdmin},
 		wire.TypePIRParams:         {Gate: retrieval, Admitted: true, Exec: s.answerPIRParams},
-		wire.TypePIRQuery:          {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRQuery},
 		wire.TypePIRBatchQuery:     {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRBatch},
 		wire.TypePIRRecursiveQuery: {Gate: retrieval, Admitted: true, Deadline: true, Exec: s.answerPIRRecursive},
 		wire.TypeStats:             {Name: "stats", EmptyBody: true, Exec: s.answerStats},
@@ -309,8 +307,8 @@ func (s *NetServer) pirRecursive() bool {
 }
 
 // countPIRWork folds one answer's Stats into the server-wide mul
-// counters — called on error paths too, so cancelled scans' partial
-// work stays visible to work_fraction consumers.
+// counters — called on error paths too, so a cancelled scan's partial
+// work stays visible in the PIR work counters.
 func (s *NetServer) countPIRWork(st pir.Stats) {
 	s.loop.Counters[wire.StatPIRModMuls].Add(int64(st.ModMuls))
 	s.loop.Counters[wire.StatPIRTableMuls].Add(int64(st.TableMuls))
@@ -455,8 +453,7 @@ func (s *NetServer) answerAdmin(req *netRequest) error {
 // snapshot per frame.
 
 // answerPIRParams answers the empty request with the table alone and the
-// hello with the unchanged or changed reply; a hello switches the
-// connection's answers to the packed form.
+// hello with the unchanged or changed reply.
 func (s *NetServer) answerPIRParams(req *netRequest) error {
 	params := s.engine.store.Snapshot().Params()
 	if len(req.Body) == 0 {
@@ -466,38 +463,7 @@ func (s *NetServer) answerPIRParams(req *netRequest) error {
 	if err != nil {
 		return err
 	}
-	req.State.packed = true
 	return wire.WritePIRHelloReply(req.W, params, have)
-}
-
-// answerPIRQuery serves a TypePIRQuery: a flat frame of one.
-func (s *NetServer) answerPIRQuery(req *netRequest) error {
-	snap := s.engine.store.Snapshot()
-	q, err := wire.DecodePIRQuery(req.Body)
-	if err != nil {
-		return err
-	}
-	answers, _, err := s.servePIRFrame(req.Ctx, snap, []*pir.Query{q})
-	if err != nil {
-		if isCtxErr(err) {
-			return serve.Deadline("block scan cancelled")
-		}
-		return err
-	}
-	s.loop.Counters[wire.StatRetrievals].Add(1)
-	if req.State.packed {
-		return wire.WritePIRAnswerPacked(req.W, answers[0], q.N)
-	}
-	return wire.WritePIRAnswer(req.W, answers[0])
-}
-
-// writeBatchAnswer streams answer i of a type-12 or type-23 frame under
-// modulus n: packed on a connection that sent the hello.
-func writeBatchAnswer(req *netRequest, i int, ans *pir.Answer, n *big.Int) error {
-	if req.State.packed {
-		return wire.WritePIRBatchAnswerPacked(req.W, i, ans, n)
-	}
-	return wire.WritePIRBatchAnswer(req.W, i, ans)
 }
 
 // answerPIRBatch serves a TypePIRBatchQuery. One snapshot answers the
@@ -513,7 +479,10 @@ func (s *NetServer) answerPIRBatch(req *netRequest) error {
 	if err != nil {
 		return err
 	}
-	answers, at, err := s.servePIRFrame(req.Ctx, snap, qs)
+	answers, stats, at, err := answerPIRFrame(req.Ctx, snap, qs)
+	for _, st := range stats {
+		s.countPIRWork(st)
+	}
 	if err != nil {
 		if isCtxErr(err) {
 			return serve.Deadline(fmt.Sprintf("batch cancelled in block %d", at))
@@ -522,7 +491,7 @@ func (s *NetServer) answerPIRBatch(req *netRequest) error {
 	}
 	for i, ans := range answers {
 		s.loop.Counters[wire.StatRetrievals].Add(1)
-		if err := writeBatchAnswer(req, i, ans, qs[0].N); err != nil {
+		if err := wire.WritePIRBatchAnswerPacked(req.W, i, ans, qs[0].N); err != nil {
 			return err
 		}
 	}
@@ -533,9 +502,8 @@ func (s *NetServer) answerPIRBatch(req *netRequest) error {
 // the batch-response frame, streamed in batch order like the flat path.
 func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 	// The recursive layout is switched separately from AllowRetrieval,
-	// live: the refusal reuses the frozen UnknownTypeRefusal prefix, so a
-	// client cannot distinguish "knob off" from "server predates the
-	// frame" and falls back to flat queries in both cases.
+	// live: the refusal reuses the frozen UnknownTypeRefusal prefix, and a
+	// client falls back to flat queries on it.
 	if !s.pirRecursive() {
 		return errors.New(serve.UnknownType(req.Type) + ": recursive retrieval is disabled on this server")
 	}
@@ -560,7 +528,7 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 		if len(qs[i].Cols) == 0 {
 			s.loop.Counters[wire.StatPIRRecursivePartials].Add(1)
 		}
-		if err := writeBatchAnswer(req, i, ans, qs[i].N); err != nil {
+		if err := wire.WritePIRBatchAnswerPacked(req.W, i, ans, qs[i].N); err != nil {
 			return err
 		}
 	}
@@ -568,8 +536,7 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 }
 
 // answerPIRFrame computes the answers of one flat PIR frame — the
-// queries of a TypePIRBatchQuery, or the one query of a TypePIRQuery —
-// in frame order through the one-pass executor, and returns them with
+// queries of a TypePIRBatchQuery — in frame order through the one-pass executor, and returns them with
 // the Stats of every pass that ran. Queries of equal height and width
 // are computed together in a single pass over their database (a frame
 // may name several class views, and prefix addressing under churn means
@@ -607,16 +574,6 @@ func answerPIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Quer
 		}
 	}
 	return answers, all, 0, nil
-}
-
-// servePIRFrame is answerPIRFrame on the server, which counts the work
-// of every pass.
-func (s *NetServer) servePIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, int, error) {
-	answers, stats, at, err := answerPIRFrame(ctx, snap, qs)
-	for _, st := range stats {
-		s.countPIRWork(st)
-	}
-	return answers, at, err
 }
 
 // Serve accepts connections on a default-configured NetServer. Kept as

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -139,14 +138,12 @@ const DefaultFetchPipeline = 8
 const maxFetchPipeline = 1024
 
 // SetFetchPipeline sets this client's fetch-pipeline window: the
-// approximate number of PIR block queries in flight at once during
-// FetchDocuments / FetchDocumentsRemote. Depth 1 selects the
-// sequential protocol — one TypePIRQuery round-trip per block, wire-
-// compatible with servers predating the batch messages. Depths >= 2
-// pipeline: query generation, server-side database scans and
-// client-side answer decoding all overlap, and remote fetches pack
-// queries into batch frames (TypePIRBatchQuery) so a k-block fetch
-// costs ~k/depth round-trips instead of k. The protocol answers are
+// approximate number of PIR column queries in flight at once during
+// FetchDocuments / FetchDocumentsRemote. Query generation, server-side
+// database scans and client-side answer decoding all overlap, and a
+// remote fetch packs up to half the window into each batch frame
+// (TypePIRBatchQuery), so a k-column fetch costs about 2k/depth frames;
+// depth 1 sends frames of one query each. The protocol answers are
 // identical at every depth; only the scheduling changes.
 func (c *Client) SetFetchPipeline(depth int) error {
 	if depth < 1 || depth > maxFetchPipeline {
@@ -178,7 +175,7 @@ func (c *Client) pipelineDepth() int {
 // ConfigurePIRRecursive); otherwise they silently serve flat. Remote
 // fetches send TypePIRRecursiveQuery frames and transparently retry
 // the whole fetch through the flat protocol when the server refuses
-// them (old server, or its knob set to -1).
+// them (its PIRRecursive knob off).
 func (c *Client) SetFetchRecursive(on bool) {
 	c.fetchRecursive = on
 }
@@ -200,10 +197,10 @@ type pirTransport interface {
 	// as the frame's bytes, which are only valid until deliver returns.
 	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error
 	// RunRecursive is Run for two-level recursive queries, under the
-	// same ordered-delivery contract. A transport whose server does not
-	// speak the recursive protocol returns errShapeRefused (wrapped) from
-	// the first execution, with the stream still frame-aligned so the
-	// caller can retry flat.
+	// same ordered-delivery contract. A transport whose server refuses the
+	// recursive protocol returns errRecursiveRefused (wrapped) from the
+	// first execution, with the stream still frame-aligned so the caller
+	// can retry flat.
 	RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error
 }
 
@@ -278,32 +275,27 @@ func runBatched[Q any](ctx context.Context, qs <-chan Q, limit int, deliver func
 	return ctx.Err()
 }
 
-// viewing adapts a deliver of answer views to answers held as big.Ints.
+// viewing adapts a deliver of answer views to answers held as big.Ints:
+// those computed in process, and recursive answers.
 func viewing(deliver func(wire.PIRAnswerView) error) func(*pir.Answer) error {
 	return func(a *pir.Answer) error {
 		return deliver(wire.PIRAnswerView{Count: len(a.Gammas), Answer: a})
 	}
 }
 
-// remotePIR speaks the wire protocol over one connection: sequential
-// TypePIRQuery round-trips at depth 1, streamed TypePIRBatchQuery /
-// TypePIRBatchResponse frames at deeper windows.
+// remotePIR speaks the wire protocol over one connection: the hello,
+// then streamed TypePIRBatchQuery / TypePIRBatchResponse frames.
 type remotePIR struct {
 	conn  io.ReadWriter
 	depth int
-	// at is what the client remembers of conn; nil is a client that never
-	// sends the hello.
-	at *fetchConn
+	at    *fetchConn // what the client remembers of conn
 }
 
 // fetchConn is what a client remembers of the connection it fetched over
 // last: the block mapping the server sent on it and the digest that names
-// it — or that the server there predates the hello.
+// it.
 type fetchConn struct {
 	conn io.ReadWriter
-	// legacy marks a server that refused the hello or answered it with the
-	// table alone: the connection asks with the empty request from then on.
-	legacy bool
 	// digest names params, the mapping the last hello reply left the
 	// client holding; nil until a server answered the hello.
 	digest *wire.ParamsDigest
@@ -319,41 +311,23 @@ func sameConn(a, b io.ReadWriter) bool {
 
 // Params sends the hello — naming the mapping the client holds on this
 // connection, if any — and returns the mapping the reply leaves it
-// holding. A server that refuses the hello (the frozen
-// wire.ParamsBodyRefusal) is asked again with the empty request, on this
-// exchange and every later one on the connection. The class views of a
-// mapping the client holds are derived once, when the mapping arrives.
+// holding. The class views of a mapping are derived once, when the
+// mapping arrives. A reply that is not a reply to the hello (the table
+// alone) is a protocol error.
 func (r remotePIR) Params() (docstore.Params, *docstore.Layout, error) {
 	at := r.at
-	if at == nil || at.legacy {
-		return r.tableAlone()
-	}
 	if err := wire.WritePIRHello(r.conn, at.digest); err != nil {
 		return docstore.Params{}, nil, fmt.Errorf("embellish: sending the PIR hello: %w", err)
 	}
-	typ, body, err := wire.ReadMessage(r.conn)
+	body, err := readReply(r.conn, wire.TypePIRParams, "PIR params")
 	if err != nil {
-		return docstore.Params{}, nil, fmt.Errorf("embellish: reading PIR params: %w", err)
-	}
-	switch typ {
-	case wire.TypePIRParams:
-	case wire.TypeError:
-		if string(body) == wire.ParamsBodyRefusal {
-			at.legacy = true
-			return r.tableAlone()
-		}
-		return docstore.Params{}, nil, remoteError(body)
-	default:
-		return docstore.Params{}, nil, fmt.Errorf("embellish: unexpected message type %d", typ)
+		return docstore.Params{}, nil, err
 	}
 	reply, err := wire.DecodePIRParamsReply(body)
 	if err != nil {
 		return docstore.Params{}, nil, err
 	}
 	switch {
-	case !reply.Hello:
-		at.legacy = true
-		return reply.Params, reply.Params.Layout(), nil
 	case reply.Changed:
 		at.params, at.layout = reply.Params, reply.Params.Layout()
 	case at.digest == nil || *at.digest != reply.Digest:
@@ -361,57 +335,6 @@ func (r remotePIR) Params() (docstore.Params, *docstore.Layout, error) {
 	}
 	at.digest = &reply.Digest
 	return at.params, at.layout, nil
-}
-
-// tableAlone asks for the mapping with the empty request.
-func (r remotePIR) tableAlone() (docstore.Params, *docstore.Layout, error) {
-	if err := wire.WritePIRParamsRequest(r.conn); err != nil {
-		return docstore.Params{}, nil, fmt.Errorf("embellish: requesting PIR params: %w", err)
-	}
-	body, err := readReply(r.conn, wire.TypePIRParams, "PIR params")
-	if err != nil {
-		return docstore.Params{}, nil, err
-	}
-	params, err := wire.DecodePIRParams(body)
-	if err != nil {
-		return docstore.Params{}, nil, err
-	}
-	return params, params.Layout(), nil
-}
-
-func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
-	if r.depth <= 1 {
-		return r.runSequential(ctx, qs, viewing(deliver))
-	}
-	return r.runPipelined(ctx, qs, widest, deliver)
-}
-
-// runSequential is the depth-1 protocol: one synchronous TypePIRQuery
-// round-trip per block, wire-compatible with pre-batch servers. The
-// context is checked between round-trips — a cancelled fetch stops
-// before committing the next query, leaving the stream frame-aligned
-// and the connection reusable.
-func (r remotePIR) runSequential(ctx context.Context, qs <-chan *pir.Query, deliver func(*pir.Answer) error) error {
-	for q := range qs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := wire.WritePIRQuery(r.conn, q); err != nil {
-			return fmt.Errorf("embellish: sending PIR query: %w", err)
-		}
-		body, err := readReply(r.conn, wire.TypePIRResponse, "PIR answer")
-		if err != nil {
-			return err
-		}
-		ans, err := wire.DecodePIRAnswer(body)
-		if err != nil {
-			return err
-		}
-		if err := deliver(ans); err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
 }
 
 // maxPIRBatchFrameBytes budgets one batch frame well under the wire
@@ -422,23 +345,16 @@ const maxPIRBatchFrameBytes = 16 << 20
 
 // pirBatchLimit sizes one batch: half the pipeline window (so two
 // batches keep the window full), capped by the wire batch limit, by the
-// frame byte budget at what the writer puts on the wire for one query of
-// numValues columns, the widest of the fetch — a seeded entry, or
-// numValues length-prefixed group elements on the rungs that write
-// vectors out, priced as a vector either way — and, seeded, by the
-// values the server may expand one frame to.
-func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
-	limit := min(max(depth/2, 1), wire.MaxPIRBatch)
-	modBytes := (modBits + 7) / 8
-	perQuery := numValues*(modBytes+3) + 16
-	if seeded {
-		perQuery = wire.SeededEntryBytes(numValues, docstore.MaxColumnBytes, numValues-1)
-		limit = min(limit, wire.MaxSeededValues(modBytes)/numValues)
-	}
+// frame byte budget at what one seeded entry of numValues columns, the
+// widest of the fetch, costs on the wire — priced as a vector — and by
+// the values the server may expand one frame to.
+func pirBatchLimit(depth, numValues, modBits int) int {
+	limit := min(max(depth/2, 1), wire.MaxPIRBatch, wire.MaxSeededValues((modBits+7)/8)/numValues)
+	perQuery := wire.SeededEntryBytes(numValues, docstore.MaxColumnBytes, numValues-1)
 	return max(1, min(limit, maxPIRBatchFrameBytes/perQuery))
 }
 
-// runPipelined keeps a window of block queries in flight on one
+// Run keeps a window of block queries in flight on one
 // connection: a writer goroutine packs queries into TypePIRBatchQuery
 // frames while this goroutine reads the streamed per-block answers
 // back in order — so query generation, the server's database scans
@@ -454,21 +370,15 @@ func pirBatchLimit(depth, numValues, modBits int, seeded bool) int {
 // also unblocks the writer). In every case the writer goroutine exits
 // once the connection is closed; it never outlives a successful or
 // drained call.
-func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
+func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
 	var (
 		committed  atomic.Int64 // answer frames the server owes us (queries written)
 		abortOnce  sync.Once
 		abort      = make(chan struct{})
 		werr       = make(chan error, 1)
-		sizes      = make(chan sentFrame, 2) // written, not-yet-fully-read batches
+		sizes      = make(chan int, 2) // entries of written, not-yet-fully-read batches
 		writerDone = make(chan struct{})
 		commitPing = make(chan struct{}, 1) // wakes a draining reader per commit
-		// firstOK is the green light: the writer holds off on a second
-		// batch until the first answer frame proves the server speaks
-		// the batch protocol, so a pre-batch server is detected after
-		// exactly ONE exchanged frame and the sequential fallback
-		// starts on an aligned stream.
-		firstOK = make(chan struct{})
 	)
 	stop := func() { abortOnce.Do(func() { close(abort) }) }
 	defer stop()
@@ -476,7 +386,6 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 		defer close(writerDone)
 		defer close(sizes)
 		var batchMax int
-		firstBatch := true
 		for {
 			first, ok := <-qs
 			if !ok {
@@ -488,7 +397,7 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 			default:
 			}
 			if batchMax == 0 {
-				batchMax = pirBatchLimit(r.depth, widest, first.N.BitLen(), first.Seed != nil)
+				batchMax = pirBatchLimit(r.depth, widest, first.N.BitLen())
 			}
 			batch := append(make([]*pir.Query, 0, batchMax), first)
 			// Every frame, the first included, blocks on the generator
@@ -515,39 +424,26 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 				werr <- fmt.Errorf("embellish: sending PIR batch: %w", err)
 				return
 			}
-			sent := sentFrame{entries: len(batch)}
-			if firstBatch {
-				sent.refusals = wire.PIRBatchRefusals(batch)
-			}
 			committed.Add(int64(len(batch)))
 			select {
 			case commitPing <- struct{}{}:
 			default: // a pending ping already wakes the drainer
 			}
 			select {
-			case sizes <- sent:
+			case sizes <- len(batch):
 			case <-abort:
 				return
-			}
-			if firstBatch {
-				firstBatch = false
-				select {
-				case <-firstOK:
-				case <-abort:
-					return
-				}
 			}
 		}
 	}()
 
 	consumed := 0
-	greenLit := false
 	// Every answer frame of the fetch is read into this one buffer, and a
 	// packed answer is delivered as a view of it: deliver decodes the
 	// gammas before it returns, so the next ReadMessageBuf may overwrite
 	// them.
 	var frame []byte
-	for sent := range sizes {
+	for entries := range sizes {
 		if err := ctx.Err(); err != nil {
 			// Cancelled between batches: stop the writer and drain the
 			// answers the server still owes, so the stream stays
@@ -555,29 +451,12 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 			stop()
 			return r.drain(consumed, &committed, writerDone, commitPing, err)
 		}
-		for i := 0; i < sent.entries; i++ {
+		for i := 0; i < entries; i++ {
 			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading PIR batch answer: %w", err)
 			}
 			consumed++
-			if !greenLit {
-				if typ == wire.TypeError && strings.HasPrefix(string(body), wire.UnknownTypeRefusal) {
-					// The exact refusal pre-batch servers send for
-					// type 12; the caller falls back to depth 1.
-					return fmt.Errorf("%w: %s", errBatchUnsupported, body)
-				}
-				if typ == wire.TypeError && slices.Contains(sent.refusals, string(body)) {
-					// The exact refusal a server predating the frame's
-					// form sends for it — one error frame for the one
-					// batch frame, so the stream is aligned; the caller
-					// steps down its ladder. Any other error is the
-					// server's verdict on the fetch and is reported below.
-					return fmt.Errorf("%w: %s", errShapeRefused, body)
-				}
-				greenLit = true
-				close(firstOK)
-			}
 			switch typ {
 			case wire.TypeError:
 				// The server aborted this batch partway; the remaining
@@ -610,16 +489,6 @@ func (r remotePIR) runPipelined(ctx context.Context, qs <-chan *pir.Query, wides
 	default:
 		return nil
 	}
-}
-
-// sentFrame is what runPipelined's writer tells its reader about a batch
-// frame it has written.
-type sentFrame struct {
-	entries int // answers the server owes for it
-	// refusals are what servers predating the frame's form answer it
-	// with (wire.PIRBatchRefusals); set on a fetch's first frame only,
-	// where such an answer means an old server.
-	refusals []string
 }
 
 // drain consumes the answer frames still owed by the server after a
@@ -671,9 +540,9 @@ func recursiveBatchLimit(values, modBits int) int {
 // wire.MaxPIRRecursiveBatch queries per TypePIRRecursiveQuery frame,
 // answered by that many index-checked TypePIRBatchResponse frames.
 // Frames are synchronous — the answer stream is read to the end before
-// the next frame is written — so a refusal (old server, or one with
-// its PIRRecursive knob off) is detected after exactly one exchanged
-// frame with the stream still aligned, and the caller retries flat.
+// the next frame is written — so a refusal (a server with its
+// PIRRecursive knob off) is detected after exactly one exchanged frame
+// with the stream still aligned, and the caller retries flat.
 // Collection blocks on the generator to fill each frame: recursive
 // query generation costs sqrt(n) residuosity draws, orders of
 // magnitude cheaper than the grid scan it feeds.
@@ -696,11 +565,9 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 			}
 			if first {
 				if typ == wire.TypeError && strings.HasPrefix(string(body), wire.UnknownTypeRefusal) {
-					// The refusal pre-recursive servers, servers of the
-					// retired bit-per-ciphertext type 22 and a disabled
-					// PIRRecursive knob all send for type 23; the caller
-					// falls back to the flat protocol.
-					return fmt.Errorf("%w: %s", errShapeRefused, body)
+					// The refusal a disabled PIRRecursive knob sends for
+					// type 23; the caller falls back to the flat protocol.
+					return fmt.Errorf("%w: %s", errRecursiveRefused, body)
 				}
 				first = false
 			}
@@ -750,21 +617,18 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 type FetchStats struct {
 	// Runs is the number of PIR protocol executions: one per column of
 	// a document's class view — one for a document of at most H blocks —
-	// or, on the remote retries that address the block array and in the
-	// recursive protocol, one per block.
+	// or, in the recursive protocol, one per block.
 	Runs int
 	// Vectors is the number of selection vectors drawn. The flat
 	// protocol draws one per document and asks for the document's further
 	// columns as one-byte rotations of it, so Runs − Vectors executions
-	// cost a byte of upload each; the recursive protocol and the flat
-	// retries that send a vector per block draw one per block (Vectors ==
-	// Runs).
+	// cost a byte of upload each; the recursive protocol draws one per
+	// block (Vectors == Runs).
 	Vectors int
 	// QueryBytes and AnswerBytes total the protocol traffic: per vector
 	// drawn its seeded entry (wire.SeededEntryBytes: width, height, seed,
 	// rotation and two bits a column) — or its group elements, in a local
-	// fetch and on the remote retries that write vectors out — plus one
-	// byte per rotation up; the gammas down. The figure is the protocol's,
+	// fetch — plus one byte per rotation up; the gammas down. The figure is the protocol's,
 	// not the frame schedule's: a rotation that a frame boundary separates
 	// from its vector travels as an entry of its own, once per boundary,
 	// and is still counted as its byte.
@@ -816,30 +680,25 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // observes only the number of blocks fetched, never which ones.
 //
 // Every fetch opens with the hello (wire.WritePIRHello), and the server
-// answers every block of a connection that sent it packed, each gamma at
-// the modulus's width. The hello names the block mapping the client holds
-// for conn: the client keeps the mapping of the one conn it fetched over
-// last and downloads it again only when the server's changed, so only a
-// fetch that reuses the conn of the previous one while the store stays
-// unchanged skips the table; a first fetch on a conn pays 18 bytes more
-// for the hello's reply than the table alone. The mapping follows the
-// conn value passed in, not the socket under it: a wrapper that
-// reconnects underneath names its old mapping on the new socket, and the
-// client holds a reference to conn until it fetches over another. A
-// server predating the hello refuses it (wire.ParamsBodyRefusal) and is
-// asked with the empty request for the rest of the connection.
+// answers every block packed, each gamma at the modulus's width. The
+// hello names the block mapping the client holds for conn: the client
+// keeps the mapping of the one conn it fetched over last and downloads it
+// again only when the server's changed, so only a fetch that reuses the
+// conn of the previous one while the store stays unchanged skips the
+// table; a first fetch on a conn pays 18 bytes more for the hello's reply
+// than the table alone. The mapping follows the conn value passed in, not
+// the socket under it: a wrapper that reconnects underneath names its old
+// mapping on the new socket, and the client holds a reference to conn
+// until it fetches over another. A hello answered by anything but a reply
+// to the hello fails the fetch.
 //
-// Block fetches are pipelined over the single connection: up to the
+// Column queries are pipelined over the single connection: up to the
 // fetch-pipeline window (SetFetchPipeline, default
-// DefaultFetchPipeline) of block queries travel in batch frames while
+// DefaultFetchPipeline) of them travel seeded in batch frames while
 // earlier answers stream back, so the connection must support
-// concurrent Read and Write (every net.Conn does). Servers predating
-// the batch messages are detected on the first frame and the fetch
-// transparently retries through the sequential one-round-trip-per-
-// block protocol (which SetFetchPipeline(1) also selects directly);
-// servers predating class views, seeded vectors or rotation entries
-// refuse the first frame that carries one, and the fetch retries in the
-// form they speak (fetchLadder).
+// concurrent Read and Write (every net.Conn does). A client that opted
+// into the recursive protocol (SetFetchRecursive) tries it first and
+// fetches flat when the server refuses it.
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
@@ -858,31 +717,17 @@ func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, 
 // (The server applies its own per-request deadline to each scan; see
 // ServeConfig.RequestTimeout.)
 func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
-	ladder := fetchLadder
-	if c.pipelineDepth() <= 1 {
-		ladder = ladder[len(ladder)-1:]
-	}
-	if c.fetchRecursive {
-		ladder = append([]fetchShape{fetchRecursive}, ladder...)
-	}
 	if !sameConn(c.fetched.conn, conn) {
 		c.fetched = fetchConn{conn: conn}
 	}
-	for i := 0; ; i++ {
-		t := remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}
-		if ladder[i] == fetchSequential {
-			t.depth = 1
+	t := remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}
+	if c.fetchRecursive {
+		out, st, err := c.fetchVia(ctx, t, ids, fetchRecursive)
+		if !errors.Is(err, errRecursiveRefused) {
+			return out, st, err
 		}
-		out, st, err := c.fetchVia(ctx, t, ids, ladder[i])
-		if i+1 < len(ladder) && errors.Is(err, errBatchUnsupported) {
-			i = len(ladder) - 2 // the loop's i++ lands on fetchSequential
-			continue
-		}
-		if i+1 < len(ladder) && errors.Is(err, errShapeRefused) {
-			continue
-		}
-		return out, st, err
 	}
+	return c.fetchVia(ctx, t, ids, fetchSeeded)
 }
 
 // fetchShape is how fetchVia draws a fetch's block queries, and in
@@ -897,60 +742,20 @@ const (
 	// fetchLocal is fetchSeeded with the vectors drawn and written out:
 	// the local fetch.
 	fetchLocal
-	// fetchSeededBlocks is the rung below fetchSeeded, for a server
-	// predating views: a seeded vector per document over the block
-	// array, each further block the vector before it rotated.
-	fetchSeededBlocks
-	// fetchRotated is the rung below that, for a server predating seeds:
-	// fetchSeededBlocks with the vectors written out.
-	fetchRotated
-	// fetchPerBlock writes out a fresh vector per block.
-	fetchPerBlock
-	// fetchSequential is fetchPerBlock in one TypePIRQuery round trip a
-	// block.
-	fetchSequential
-	// fetchRecursive is the two-level protocol (RunRecursive).
+	// fetchRecursive is the two-level protocol (RunRecursive), one query
+	// per block of the block array.
 	fetchRecursive
 )
 
-// views reports whether the shape addresses class views; the others
-// address the block array, as the servers they are spoken to do.
-func (s fetchShape) views() bool { return s == fetchSeeded || s == fetchLocal }
-
-// seeded reports whether the shape's vectors travel seeded.
-func (s fetchShape) seeded() bool { return s == fetchSeeded || s == fetchSeededBlocks }
-
-// rotates reports whether the shape asks for a document's further
-// columns as rotations of its vector.
-func (s fetchShape) rotates() bool { return s.views() || s == fetchSeededBlocks || s == fetchRotated }
-
-// fetchLadder is the remote flat fetch's fallback ladder, newest form
-// first: each rung is what a server predating the one above it decodes.
-// Every fetch starts at the top (below fetchRecursive, when the client
-// opted into it) and moves down one rung only on a refusal an older
-// server sends to the rung's first frame — the frozen wire.HeightsRefusal,
-// wire.SeedRefusal or wire.RotationRefusal text (wire.PIRBatchRefusals),
-// or the unknown-type refusal of a type 23 frame (errShapeRefused) — or
-// to the sequential rung on the unknown-type refusal of type 12
-// (errBatchUnsupported). A server predating seeds refuses both seeded
-// rungs, so it costs one refused frame more than one predating views. A
-// first frame is answered before a second is sent, so exactly one frame
-// was exchanged and the stream is still aligned. Every other error is
-// the server's verdict on the fetch and is returned.
-var fetchLadder = []fetchShape{fetchSeeded, fetchSeededBlocks, fetchRotated, fetchPerBlock, fetchSequential}
-
-// errShapeRefused marks a server that refused a fetch's first frame in
-// a form it predates.
-var errShapeRefused = errors.New("embellish: server does not speak this PIR query form")
-
-// errBatchUnsupported marks a server that answered the first batch
-// frame with the pre-batch "unexpected message type" refusal.
-var errBatchUnsupported = errors.New("embellish: server does not speak batched PIR fetches")
+// errRecursiveRefused marks a server that refused a recursive fetch's
+// first frame with the unknown-type refusal: its PIRRecursive knob is
+// off.
+var errRecursiveRefused = errors.New("embellish: server does not serve recursive PIR fetches")
 
 // fetchVia runs the client side of the fetch protocol: obtain the
 // block mapping, then one PIR execution per column of each document —
-// over its class view, or over the block array on the shapes that
-// address blocks — generated by a pipeline goroutine, served by the
+// over its class view, or per block of the block array in the recursive
+// protocol — generated by a pipeline goroutine, served by the
 // transport, and reassembled strictly in order, each document
 // checksum-verified as its last column arrives. Any unfetchable id
 // (never assigned, or tombstoned) fails the whole call — the error names
@@ -995,7 +800,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	for i, id := range ids {
 		ext := params.Exts[id]
 		h, col, k := 0, int(ext.First), int(ext.Blocks)
-		if shape.views() {
+		if !recursive {
 			h, col, k = layout.Place(id)
 		}
 		width := layout.Widths()[h]
@@ -1013,7 +818,7 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 	// Generator goroutine: building a query costs residue symbols per
 	// column (residuosity draws per GRID row+column for recursive
 	// queries), so it runs ahead of the transport, bounded by the
-	// pipeline window. Under the rotating shapes only a document's first
+	// pipeline window. In the flat protocol only a document's first
 	// column draws: its further columns are consecutive, so each is the
 	// query before it rotated one column up. It owns its stats until
 	// joined below.
@@ -1048,13 +853,13 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				}
 				continue
 			}
-			if shape.rotates() && ti > 0 && tasks[ti-1].pos == tk.pos {
+			if ti > 0 && tasks[ti-1].pos == tk.pos {
 				q = q.Next()
 				genQueryBytes++
 			} else {
 				// Only a vector that travels seeded pays for its codes.
 				draw, size := key.NewQuery, key.QueryBytes(tk.width)
-				if shape.seeded() {
+				if shape == fetchSeeded {
 					draw, size = key.NewSeededQuery, wire.SeededEntryBytes(tk.width, tk.height, 0)
 				}
 				var err error

@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/big"
 	"net"
-	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"embellish/internal/detrand"
@@ -20,8 +22,8 @@ import (
 // names the block mapping it holds on the connection, downloads the table
 // only when it changed, and receives every answer at the modulus's width.
 // These tests count the bytes of both directions exactly, fetch across a
-// change of the mapping, fall back against a server that predates the
-// hello, and hold a peer that never sends it to today's frames.
+// change of the mapping, fail a fetch whose hello is not answered by a
+// reply to it, and hold a peer that never sends it to today's frames.
 
 // tapConn is a net.Conn that keeps everything written to and read from
 // it.
@@ -139,7 +141,7 @@ func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
 		t.Fatalf("the first frame down is type %d of %d bytes, want the %d-byte unchanged reply", down[0].typ, 5+len(down[0].body), unchanged)
 	}
 	reply, err := wire.DecodePIRParamsReply(down[0].body)
-	if err != nil || !reply.Hello || reply.Changed {
+	if err != nil || reply.Changed {
 		t.Fatalf("the reply to the warm hello: %+v, %v", reply, err)
 	}
 	for i, f := range down[1:] {
@@ -155,60 +157,51 @@ func TestWarmFetchDownloadsUnchangedReplyAndPackedAnswers(t *testing.T) {
 
 // TestColdFetchCostsEighteenBytesOnTheMapping: a fetch that does not
 // reuse the connection of the one before it — one fetch per fresh
-// connection, as eb-search runs — is measured against the same fetch from
-// a client that asks with the empty request, byte for byte what the
-// client sent before the hello. The cold hello uploads exactly one byte
-// more and its reply downloads exactly 18 bytes more than the table
-// alone; every answer frame is packed, 196,619 bytes against the
-// length-prefixed frame's ~221,000.
+// connection, as eb-search runs — opens with the one-byte hello of a
+// client that holds no mapping, and its reply downloads exactly 18 bytes
+// more than the table alone the empty request gets; every answer frame
+// is packed, 196,619 bytes.
 func TestColdFetchCostsEighteenBytesOnTheMapping(t *testing.T) {
 	e, c, texts, ids := threeBlockWorld(t)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
-	// fetch runs one fetch on a fresh connection, asking with the empty
-	// request when legacy, and returns the frames both ways.
-	fetch := func(legacy bool) (up, down []tappedFrame, wrote, read int) {
+	dial := func() net.Conn {
 		t.Helper()
-		raw, err := net.Dial("tcp", addr)
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer raw.Close()
-		conn := &tapConn{Conn: raw}
-		if legacy {
-			c.fetched = fetchConn{conn: conn, legacy: true}
-		}
-		fetchOver(t, c, conn, ids, texts)
-		return tappedFrames(t, conn.wrote), tappedFrames(t, conn.read), len(conn.wrote), len(conn.read)
+		t.Cleanup(func() { conn.Close() })
+		return conn
 	}
-	oldUp, oldDown, oldWrote, oldRead := fetch(true)
+	plain := dial()
+	if err := wire.WritePIRParamsRequest(plain); err != nil {
+		t.Fatal(err)
+	}
+	table, err := readReply(plain, wire.TypePIRParams, "the table")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for run := 0; run < 2; run++ {
-		up, down, wrote, read := fetch(false)
-		if !bytes.Equal(up[0].body, []byte{0x80}) || len(oldUp[0].body) != 0 {
-			t.Fatalf("run %d: params requests %x and %x, want the cold hello 80 and the empty request", run, up[0].body, oldUp[0].body)
+		conn := &tapConn{Conn: dial()}
+		fetchOver(t, c, conn, ids, texts)
+		up, down := tappedFrames(t, conn.wrote), tappedFrames(t, conn.read)
+		if !bytes.Equal(up[0].body, []byte{0x80}) {
+			t.Fatalf("run %d: params request %x, want the cold hello 80", run, up[0].body)
 		}
-		if wrote != oldWrote+1 {
-			t.Fatalf("run %d: a cold fetch uploaded %d bytes, the empty request's %d; want one more", run, wrote, oldWrote)
+		if len(down[0].body) != len(table)+18 {
+			t.Fatalf("run %d: the cold reply has %d bytes, the table alone %d; want 18 more", run, len(down[0].body), len(table))
 		}
-		if len(down[0].body) != len(oldDown[0].body)+18 {
-			t.Fatalf("run %d: the cold reply has %d bytes, the table alone %d; want 18 more", run, len(down[0].body), len(oldDown[0].body))
+		if len(down) != 3 {
+			t.Fatalf("run %d: %d frames down, want the mapping and two answers", run, len(down))
 		}
-		if len(down) != 3 || len(oldDown) != 3 {
-			t.Fatalf("run %d: %d and %d frames down, want the mapping and two answers", run, len(down), len(oldDown))
-		}
-		packedSaved := 0
 		for i := 1; i < 3; i++ {
 			if got := 5 + len(down[i].body); got != packedColumnAnswer {
 				t.Fatalf("run %d: answer %d is %d bytes, want %d packed", run, i, got, packedColumnAnswer)
 			}
-			if len(oldDown[i].body) <= len(down[i].body) {
-				t.Fatalf("run %d: a length-prefixed answer of %d bytes is no longer than the packed %d", run, len(oldDown[i].body), len(down[i].body))
-			}
-			packedSaved += len(oldDown[i].body) - len(down[i].body)
 		}
-		if read != oldRead+18-packedSaved {
-			t.Fatalf("run %d: downloaded %d bytes, want %d = %d + 18 - %d", run, read, oldRead+18-packedSaved, oldRead, packedSaved)
+		if want := 5 + len(table) + 18 + 2*packedColumnAnswer; len(conn.read) != want {
+			t.Fatalf("run %d: downloaded %d bytes, want %d", run, len(conn.read), want)
 		}
-		t.Logf("cold fetch: %d B down, %d B up; the empty request's: %d B down, %d B up", read, wrote, oldRead, oldWrote)
 	}
 }
 
@@ -257,7 +250,7 @@ func TestFetchAfterAddReceivesTheFullTable(t *testing.T) {
 	conn.reset()
 	fetchOver(t, c, conn, []int{ids[1], added}, texts)
 	reply, err := wire.DecodePIRParamsReply(tappedFrames(t, conn.read)[0].body)
-	if err != nil || !reply.Hello || !reply.Changed {
+	if err != nil || !reply.Changed {
 		t.Fatalf("the reply to the hello after an add: %+v, %v", reply, err)
 	}
 	sn, err := e.storeSnapshot()
@@ -275,54 +268,78 @@ func TestFetchAfterAddReceivesTheFullTable(t *testing.T) {
 	}
 }
 
-// TestHelloRefusedOnceThenEmptyRequest: a server predating the hello
-// refuses its body with wire.ParamsBodyRefusal. The first fetch on the
-// connection costs exactly one extra exchange — the refused hello — and
-// the second costs none: it asks with the empty request at once.
-func TestHelloRefusedOnceThenEmptyRequest(t *testing.T) {
-	e, c, texts, byBlocks := rotationWorld(t)
-	sn, err := e.storeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	var srv oldBatchServer
-	go srv.serve(srvConn, sn, func([]byte) (string, bool) { return "", false })
-	conn := &tapConn{Conn: cliConn}
-	ids := []int{byBlocks[3], byBlocks[2]}
-	for fetch, want := range [][]string{{"80", ""}, {""}} {
-		conn.reset()
-		fetchOver(t, c, conn, ids, texts)
-		var params []string
-		for _, f := range tappedFrames(t, conn.wrote) {
-			if f.typ == wire.TypePIRParams {
-				params = append(params, fmt.Sprintf("%x", f.body))
-			}
+// scriptedServer answers each frame it reads on a connection with what
+// answer writes, and counts the frames it read of each type.
+type scriptedServer struct {
+	mu   sync.Mutex
+	read [256]int
+}
+
+func (s *scriptedServer) serve(conn net.Conn, answer func(w io.Writer, typ byte, body []byte) error) {
+	defer conn.Close()
+	for {
+		typ, body, err := wire.ReadMessage(conn)
+		if err != nil {
+			return
 		}
-		if !slices.Equal(params, want) {
-			t.Fatalf("fetch %d sent params requests %q, want %q", fetch, params, want)
-		}
-		refusals := 0
-		for _, f := range tappedFrames(t, conn.read) {
-			if f.typ == wire.TypeError {
-				if string(f.body) != wire.ParamsBodyRefusal {
-					t.Fatalf("fetch %d: refused %q", fetch, f.body)
-				}
-				refusals++
-			}
-		}
-		if refusals != len(want)-1 {
-			t.Fatalf("fetch %d drew %d refusals, want %d", fetch, refusals, len(want)-1)
+		s.mu.Lock()
+		s.read[typ]++
+		s.mu.Unlock()
+		if answer(conn, typ, body) != nil {
+			return
 		}
 	}
 }
 
-// TestLegacyPeerGetsTodaysFrames: a peer that never sends the hello — an
-// older client — gets the table alone for its empty request and every
-// answer length-prefixed, byte-identical to what the writers of those
-// forms produce from the oracle's answers, and readable by a decoder that
-// knows only that form.
+// frames returns how many frames of type typ the server read.
+func (s *scriptedServer) frames(typ byte) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.read[typ]
+}
+
+// TestHelloAnsweredWithoutAReplyFailsTheFetch: a hello answered by the
+// table alone, or refused as a server predating the hello refused it,
+// fails the fetch after that one exchange — the client asks no second
+// time and sends no query.
+func TestHelloAnsweredWithoutAReplyFailsTheFetch(t *testing.T) {
+	e, c, _, byBlocks := rotationWorld(t)
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		answer func(io.Writer) error
+		want   string
+	}{
+		{"the table alone", func(w io.Writer) error { return wire.WritePIRParams(w, sn.Params()) }, "not a reply to the hello"},
+		{"the pre-hello refusal", func(w io.Writer) error { return wire.WriteError(w, "params request carries no body") }, "server error: params request carries no body"},
+	} {
+		srvConn, cliConn := net.Pipe()
+		var srv scriptedServer
+		go srv.serve(srvConn, func(w io.Writer, typ byte, _ []byte) error {
+			if typ != wire.TypePIRParams {
+				return wire.WriteError(w, fmt.Sprintf("unexpected message type %d", typ))
+			}
+			return tc.answer(w)
+		})
+		_, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[3]})
+		cliConn.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: the fetch returned %v, want %q", tc.name, err, tc.want)
+		}
+		if p, q := srv.frames(wire.TypePIRParams), srv.frames(wire.TypePIRBatchQuery); p != 1 || q != 0 {
+			t.Fatalf("%s: the client sent %d params requests and %d batch frames, want the one hello", tc.name, p, q)
+		}
+	}
+}
+
+// TestLegacyPeerGetsTodaysFrames: a peer that never sends the hello gets
+// the table alone for its empty request, one unknown-type refusal for
+// each retired frame — a type-10 query and a type-11 answer — on a
+// connection that survives them, and every type-13 answer packed,
+// byte-identical to the packed frames of the oracle's answers.
 func TestLegacyPeerGetsTodaysFrames(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
@@ -352,27 +369,18 @@ func TestLegacyPeerGetsTodaysFrames(t *testing.T) {
 	if got := readFrame(); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("the empty request got %x, want the table alone %x", got, want.Bytes())
 	}
-	q, err := key.NewQuery(detrand.New("legacy-peer"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[2]].First))
+	q, err := key.NewSeededQuery(detrand.New("legacy-peer"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[2]].First))
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := sn.AnswerCtx(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WritePIRQuery(conn, q); err != nil {
-		t.Fatal(err)
-	}
-	want.Reset()
-	if err := wire.WritePIRAnswer(&want, oracle); err != nil {
-		t.Fatal(err)
-	}
-	got := readFrame()
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("a type-10 query's answer differs from the length-prefixed frame")
-	}
-	if count, _, err := vbyte.Decode(got[5:]); err != nil || count != uint64(len(oracle.Gammas)) {
-		t.Fatalf("the answer opens on gamma count %d (%v), want %d", count, err, len(oracle.Gammas))
+	for typ, body := range map[byte][]byte{10: retiredBody(q.N, q.Values...), 11: retiredBody(nil, q.Values...)} {
+		if err := wire.WriteRaw(conn, typ, body); err != nil {
+			t.Fatal(err)
+		}
+		typ2, body, err := wire.ReadMessage(conn)
+		if err != nil || typ2 != wire.TypeError || string(body) != fmt.Sprintf("unexpected message type %d", typ) {
+			t.Fatalf("a type-%d frame answered type %d %q, %v", typ, typ2, body, err)
+		}
 	}
 	qs := []*pir.Query{q, q.Next()}
 	if err := wire.WritePIRBatchQuery(conn, qs); err != nil {
@@ -384,18 +392,46 @@ func TestLegacyPeerGetsTodaysFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		want.Reset()
-		if err := wire.WritePIRBatchAnswer(&want, i, oracle); err != nil {
+		if err := wire.WritePIRBatchAnswerPacked(&want, i, oracle, q.N); err != nil {
 			t.Fatal(err)
 		}
 		if got := readFrame(); !bytes.Equal(got, want.Bytes()) {
-			t.Fatalf("batch answer %d differs from the length-prefixed frame", i)
+			t.Fatalf("batch answer %d differs from the packed frame", i)
 		}
+	}
+	// The connection the retired frames were refused on serves a fetch.
+	id := byBlocks[3]
+	got, _, err := c.FetchDocumentsRemote(conn, []int{id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := e.Document(id); err != nil || !bytes.Equal(got[0], stored) {
+		t.Fatalf("doc %d: fetched %q, stored %q (%v)", id, got[0], stored, err)
 	}
 }
 
+// retiredBody lays out the body of a retired type-10 or type-11 frame:
+// the modulus n, when set, then a count and the elements, each a vbyte
+// length and its big-endian magnitude.
+func retiredBody(n *big.Int, elems ...*big.Int) []byte {
+	put := func(body []byte, v *big.Int) []byte {
+		mag := v.Bytes()
+		return append(vbyte.Append(body, uint64(len(mag))), mag...)
+	}
+	var body []byte
+	if n != nil {
+		body = put(body, n)
+	}
+	body = vbyte.Append(body, uint64(len(elems)))
+	for _, v := range elems {
+		body = put(body, v)
+	}
+	return body
+}
+
 // TestHelloPacksEveryAnswer: once a connection sent the hello, its
-// type-11 answers and its type-13 answers — flat and recursive — arrive
-// packed at the modulus's width and decode to the oracle's gammas.
+// type-13 answers — flat and recursive — arrive packed at the modulus's
+// width and decode to the oracle's gammas.
 func TestHelloPacksEveryAnswer(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRRecursive: 1})
@@ -412,37 +448,24 @@ func TestHelloPacksEveryAnswer(t *testing.T) {
 		t.Fatalf("hello answered with type %d (%s), %v", typ, body, err)
 	}
 	reply, err := wire.DecodePIRParamsReply(body)
-	if err != nil || !reply.Hello || !reply.Changed || reply.Params.NumBlocks != sn.NumBlocks() {
+	if err != nil || !reply.Changed || reply.Params.NumBlocks != sn.NumBlocks() {
 		t.Fatalf("the cold hello's reply: %+v, %v", reply, err)
 	}
-	// packedAnswer reads one answer of type typ and checks its form and
-	// its gammas.
-	packedAnswer := func(typ byte, index int, want *pir.Answer) {
+	// packedAnswer reads one answer and checks its form and its gammas.
+	packedAnswer := func(index int, want *pir.Answer) {
 		t.Helper()
 		got, body, err := wire.ReadMessage(conn)
-		if err != nil || got != typ {
-			t.Fatalf("answer of type %d (%s), %v; want type %d", got, body, err, typ)
+		if err != nil || got != wire.TypePIRBatchResponse {
+			t.Fatalf("answer of type %d (%s), %v", got, body, err)
 		}
-		tail := body
-		if typ == wire.TypePIRBatchResponse {
-			tail = tail[vbyte.Len(uint64(index)):]
-		}
+		tail := body[vbyte.Len(uint64(index)):]
 		head := vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), uint64(width)), uint64(len(want.Gammas)))
 		if !bytes.HasPrefix(tail, head) || len(tail) != len(head)+width*len(want.Gammas) {
 			t.Fatalf("a %d-byte answer tail, want %x and %d gammas of %d bytes", len(tail), head, len(want.Gammas), width)
 		}
-		var ans *pir.Answer
-		if typ == wire.TypePIRBatchResponse {
-			var at int
-			at, ans, err = wire.DecodePIRBatchAnswer(body)
-			if at != index {
-				t.Fatalf("answer index %d, want %d", at, index)
-			}
-		} else {
-			ans, err = wire.DecodePIRAnswer(body)
-		}
-		if err != nil {
-			t.Fatal(err)
+		at, ans, err := wire.DecodePIRBatchAnswer(body)
+		if err != nil || at != index {
+			t.Fatalf("answer index %d, want %d: %v", at, index, err)
 		}
 		for i, g := range want.Gammas {
 			if ans.Gammas[i].Cmp(g) != 0 {
@@ -462,15 +485,11 @@ func TestHelloPacksEveryAnswer(t *testing.T) {
 		}
 		return a
 	}
-	if err := wire.WritePIRQuery(conn, q); err != nil {
-		t.Fatal(err)
-	}
-	packedAnswer(wire.TypePIRResponse, 0, oracle(q))
 	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{q, q.Next()}); err != nil {
 		t.Fatal(err)
 	}
-	packedAnswer(wire.TypePIRBatchResponse, 0, oracle(q))
-	packedAnswer(wire.TypePIRBatchResponse, 1, oracle(q.Next()))
+	packedAnswer(0, oracle(q))
+	packedAnswer(1, oracle(q.Next()))
 	rq, err := key.NewRecursiveQuery(detrand.New("packed-rec"), sn.NumBlocks(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -482,5 +501,5 @@ func TestHelloPacksEveryAnswer(t *testing.T) {
 	if err := wire.WritePIRRecursiveQuery(conn, []*pir.RecursiveQuery{rq}); err != nil {
 		t.Fatal(err)
 	}
-	packedAnswer(wire.TypePIRBatchResponse, 0, recAnswers[0])
+	packedAnswer(0, recAnswers[0])
 }

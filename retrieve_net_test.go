@@ -296,13 +296,13 @@ func pirFrameConn(t *testing.T, e *Engine, c *Client, cfg ServeConfig) (net.Conn
 	return conn, key
 }
 
-// TestPIRFramesShareOnePath: a TypePIRQuery frame is a batch of one. The
-// same query sent as a single-query frame and as a one-query batch
-// frame returns byte-identical gammas and charges the SAME
-// multiplications to ServerStats, the executor's own count for a batch
-// of one — one executor serves both — and a batch frame whose queries address different prefix widths (a fetch
-// racing an append) is grouped by width and still answered in frame
-// order.
+// TestPIRFramesShareOnePath: a seeded query is its vector. The same
+// query sent written out and seeded, each a one-query batch frame,
+// returns byte-identical gammas and charges the SAME multiplications to
+// ServerStats, the executor's own count for a batch of one — one executor
+// serves both — and a batch frame whose queries address different prefix
+// widths (a fetch racing an append) is grouped by width and still
+// answered in frame order.
 func TestPIRFramesShareOnePath(t *testing.T) {
 	e, c, texts := storeWorld(t, 20, 32)
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
@@ -311,7 +311,7 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 5
-	q, err := key.NewQuery(detrand.New("one-path"), old.NumBlocks(), target)
+	q, err := key.NewSeededQuery(detrand.New("one-path"), old.NumBlocks(), target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +335,12 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 		return body
 	}
 
-	if err := wire.WritePIRQuery(conn, q); err != nil {
+	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{{N: q.N, Values: q.Values}}); err != nil {
 		t.Fatal(err)
 	}
-	single, err := wire.DecodePIRAnswer(readAnswer(wire.TypePIRResponse))
-	if err != nil {
-		t.Fatal(err)
+	idx, single, err := wire.DecodePIRBatchAnswer(readAnswer(wire.TypePIRBatchResponse))
+	if err != nil || idx != 0 {
+		t.Fatalf("written-out answer: index %d, err %v", idx, err)
 	}
 	mulsSingle, tableSingle := work()
 
@@ -349,20 +349,20 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 	}
 	idx, batched, err := wire.DecodePIRBatchAnswer(readAnswer(wire.TypePIRBatchResponse))
 	if err != nil || idx != 0 {
-		t.Fatalf("batch answer: index %d, err %v", idx, err)
+		t.Fatalf("seeded answer: index %d, err %v", idx, err)
 	}
 	mulsBoth, tableBoth := work()
 
 	if len(single.Gammas) != len(batched.Gammas) {
-		t.Fatalf("single frame %d gammas, batch-of-one frame %d", len(single.Gammas), len(batched.Gammas))
+		t.Fatalf("written-out frame %d gammas, seeded frame %d", len(single.Gammas), len(batched.Gammas))
 	}
 	for r := range single.Gammas {
 		if single.Gammas[r].Cmp(batched.Gammas[r]) != 0 {
-			t.Fatalf("gamma %d differs between the single and the batch-of-one frame", r)
+			t.Fatalf("gamma %d differs between the written-out and the seeded frame", r)
 		}
 	}
 	if mulsSingle <= 0 || mulsBoth != 2*mulsSingle || tableBoth != 2*tableSingle {
-		t.Fatalf("work single frame (%d, %d), after batch-of-one (%d, %d): the frames ran different plans",
+		t.Fatalf("work written-out frame (%d, %d), after the seeded one (%d, %d): the frames ran different plans",
 			mulsSingle, tableSingle, mulsBoth, tableBoth)
 	}
 	// ... and that one plan is the executor's batch of one.
@@ -371,7 +371,7 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	if int64(direct[0].ModMuls) != mulsSingle || int64(direct[0].TableMuls) != tableSingle {
-		t.Fatalf("single frame charged (%d, %d), the executor's batch of one costs %+v", mulsSingle, tableSingle, direct[0])
+		t.Fatalf("written-out frame charged (%d, %d), the executor's batch of one costs %+v", mulsSingle, tableSingle, direct[0])
 	}
 
 	// Grow the store, then one frame mixing the old and the new width.

@@ -63,11 +63,10 @@ func TestSetFetchPipelineValidation(t *testing.T) {
 }
 
 // TestPipelinedRemoteFetchUnderChurn is the end-to-end acceptance of
-// the batched wire path: a sequential (depth 1, TypePIRQuery) client
-// and a deeply pipelined (TypePIRBatchQuery) client fetch the same
-// documents over TCP from a parallel-serving NetServer while the
-// corpus churns; both must return the exact indexed bytes, and the
-// server must count every block execution from both protocols.
+// the batched wire path: a depth-1 client (type-12 frames of one entry)
+// and a deeply pipelined client fetch the same documents over TCP from a
+// parallel-serving NetServer while the corpus churns; both must return
+// the exact indexed bytes.
 func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 	lemmas := miniLemmas()
 	e, _, texts := storeWorld(t, 30, 32)
@@ -156,7 +155,7 @@ func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 			}
 			if !bytes.Equal(results[0][i], results[1][i]) {
 				mu.Unlock()
-				t.Fatalf("round %d doc %d: protocols disagree", round, id)
+				t.Fatalf("round %d doc %d: depths disagree", round, id)
 			}
 		}
 		mu.Unlock()
@@ -169,7 +168,7 @@ func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 	if got := int(e.NewNetServer(ServeConfig{}).Stats().Retrievals); got != 0 {
 		t.Fatalf("fresh server born with %d retrievals", got) // sanity: counters are per server
 	}
-	_ = totalRuns // both protocols completed; per-server counter checked in TestServeStatsCountRetrievals
+	_ = totalRuns // both depths completed; per-server counter checked in TestServeStatsCountRetrievals
 }
 
 // onFirstBatch wraps a connection and runs do the instant the first PIR
@@ -237,25 +236,21 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 }
 
 // TestPIRBatchLimitBudget: batches shrink with the wire cost of one
-// query in the form the writer sends it, so a batch frame can never
-// approach the 64 MiB frame cap — nor a seeded one the values a server
-// expands a frame to — and wide moduli over big stores pick smaller
-// batches instead of failing.
+// seeded query, so a batch frame can never approach the 64 MiB frame cap
+// nor expand past the values a server expands a frame to, and wide
+// moduli over big stores pick smaller batches instead of failing.
 func TestPIRBatchLimitBudget(t *testing.T) {
-	for _, seeded := range []bool{false, true} {
-		if got := pirBatchLimit(16, 100, 64, seeded); got != 8 {
-			t.Fatalf("small world, seeded %v: limit %d, want depth/2 = 8", seeded, got)
-		}
-		if got := pirBatchLimit(1024, 100, 64, seeded); got != wire.MaxPIRBatch {
-			t.Fatalf("deep window, seeded %v: limit %d, want wire cap %d", seeded, got, wire.MaxPIRBatch)
-		}
+	if got := pirBatchLimit(16, 100, 64); got != 8 {
+		t.Fatalf("small world: limit %d, want depth/2 = 8", got)
 	}
-	// 1024-bit modulus over a 130k-block store: ~17 MB per query written
-	// out, 32.5 KB seeded.
-	if got := pirBatchLimit(128, 130000, 1024, false); got != 1 {
-		t.Fatalf("huge query: limit %d, want 1", got)
+	if got := pirBatchLimit(1024, 100, 64); got != wire.MaxPIRBatch {
+		t.Fatalf("deep window: limit %d, want wire cap %d", got, wire.MaxPIRBatch)
 	}
-	if got := pirBatchLimit(128, 130000, 1024, true); got != 4 {
+	if got := pirBatchLimit(1, 100, 64); got != 1 {
+		t.Fatalf("depth 1: limit %d, want frames of one query", got)
+	}
+	// 1024-bit modulus over a 130k-block store: 32.5 KB a seeded query.
+	if got := pirBatchLimit(128, 130000, 1024); got != 4 {
 		t.Fatalf("huge seeded query: limit %d, want the 4 a frame may expand to", got)
 	}
 	// The budget must keep every batch whose single query is itself
@@ -264,21 +259,15 @@ func TestPIRBatchLimitBudget(t *testing.T) {
 	for _, c := range []struct{ depth, values, bits int }{
 		{2, 1, 64}, {1024, 1 << 20, 64}, {128, 130000, 1024}, {8, 30413, 64},
 	} {
-		for _, seeded := range []bool{false, true} {
-			limit := pirBatchLimit(c.depth, c.values, c.bits, seeded)
-			if limit < 1 {
-				t.Fatalf("limit(%+v, seeded %v) = %d", c, seeded, limit)
-			}
-			frame := limit * (c.values*((c.bits+7)/8+3) + 16)
-			if seeded {
-				frame = limit * wire.SeededEntryBytes(c.values, docstore.MaxColumnBytes, c.values-1)
-				if limit*c.values > wire.MaxSeededValues((c.bits+7)/8) {
-					t.Fatalf("limit(%+v) = %d seeded vectors expand past the server's bound", c, limit)
-				}
-			}
-			if frame > wire.MaxFrame/2 {
-				t.Fatalf("limit(%+v, seeded %v) = %d admits ~%d-byte frames", c, seeded, limit, frame)
-			}
+		limit := pirBatchLimit(c.depth, c.values, c.bits)
+		if limit < 1 {
+			t.Fatalf("limit(%+v) = %d", c, limit)
+		}
+		if limit*c.values > wire.MaxSeededValues((c.bits+7)/8) {
+			t.Fatalf("limit(%+v) = %d seeded vectors expand past the server's bound", c, limit)
+		}
+		if frame := limit * wire.SeededEntryBytes(c.values, docstore.MaxColumnBytes, c.values-1); frame > wire.MaxFrame/2 {
+			t.Fatalf("limit(%+v) = %d admits ~%d-byte frames", c, limit, frame)
 		}
 	}
 }
@@ -287,12 +276,9 @@ func TestPIRBatchLimitBudget(t *testing.T) {
 // writer puts on the wire, a six-block fetch over 600,000 columns —
 // wider than the paper's 172,961 documents make a store — is one frame
 // at window 16 and so one store pass. Priced as six written-out vectors,
-// as it was, the same fetch took three.
+// the same fetch would take three.
 func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	const cols, window = 600000, 16
-	if got := pirBatchLimit(window, cols, 64, false); got != 2 {
-		t.Fatalf("written out: %d queries a frame, want 2", got)
-	}
 	key, err := pir.GenerateKey(detrand.New("wide-frame"), 64)
 	if err != nil {
 		t.Fatal(err)
@@ -327,14 +313,14 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 			count, _, _ := vbyte.Decode(body[used+int(size)+1:])
 			frames <- int(count)
 			for i := 0; i < int(count); i++ {
-				if wire.WritePIRBatchAnswer(srvConn, i, &pir.Answer{Gammas: []*big.Int{big.NewInt(1)}}) != nil {
+				if wire.WritePIRBatchAnswerPacked(srvConn, i, &pir.Answer{Gammas: []*big.Int{big.NewInt(1)}}, key.N) != nil {
 					return
 				}
 			}
 		}
 	}()
 	answers := 0
-	err = remotePIR{conn: cliConn, depth: window}.runPipelined(context.Background(), qs, cols, func(wire.PIRAnswerView) error {
+	err = remotePIR{conn: cliConn, depth: window}.Run(context.Background(), qs, cols, func(wire.PIRAnswerView) error {
 		answers++
 		return nil
 	})
@@ -358,66 +344,6 @@ func TestPIRBatchWriterNilFirstQuery(t *testing.T) {
 	err := wire.WritePIRBatchQuery(&buf, make([]*pir.Query, 2))
 	if err == nil || !strings.Contains(err.Error(), "nil PIR query 0") {
 		t.Fatalf("nil first query: %v", err)
-	}
-}
-
-// TestFetchFallsBackToSequentialOnPreBatchServer: a server from
-// before the batch messages answers type 12 with "unexpected message
-// type"; a default (pipelined) client must detect that on the first
-// frame and transparently complete the fetch through the sequential
-// protocol on the same connection.
-func TestFetchFallsBackToSequentialOnPreBatchServer(t *testing.T) {
-	e, c, texts := storeWorld(t, 20, 32)
-	sn, err := e.storeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	go func() { // minimal PR 3-era server: params + single PIR queries only
-		defer srvConn.Close()
-		for {
-			typ, body, err := wire.ReadMessage(srvConn)
-			if err != nil {
-				return
-			}
-			switch typ {
-			case wire.TypePIRParams:
-				err = wire.WritePIRParams(srvConn, sn.Params())
-			case wire.TypePIRQuery:
-				q, derr := wire.DecodePIRQuery(body)
-				if derr != nil {
-					err = wire.WriteError(srvConn, derr.Error())
-					break
-				}
-				answers, _, aerr := answerPIRMultiCtx(context.Background(), sn, []*pir.Query{q})
-				if aerr != nil {
-					err = wire.WriteError(srvConn, aerr.Error())
-					break
-				}
-				err = wire.WritePIRAnswer(srvConn, answers[0])
-			default:
-				err = wire.WriteError(srvConn, fmt.Sprintf("unexpected message type %d", typ))
-			}
-			if err != nil {
-				return
-			}
-		}
-	}()
-
-	// Default depth is pipelined; the fallback must make this succeed.
-	ids := []int{2, 11}
-	got, st, err := c.FetchDocumentsRemote(cliConn, ids)
-	if err != nil {
-		t.Fatalf("fetch against pre-batch server: %v", err)
-	}
-	for i, id := range ids {
-		if string(got[i]) != texts[id] {
-			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
-		}
-	}
-	if st.Runs == 0 {
-		t.Fatal("no PIR runs accounted on the fallback path")
 	}
 }
 
@@ -510,8 +436,7 @@ func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
 // TestBatchServingAccountsPIRWork: a pipelined client fetching over
 // batch frames must receive the stored bytes, and the server must
 // account its PIR work on the wire stats: positive mod-mul totals with
-// the table share a strict subset, so work_fraction dashboards stay
-// meaningful for batch serving.
+// the table products a strict subset of them.
 func TestBatchServingAccountsPIRWork(t *testing.T) {
 	e, c, texts := storeWorld(t, 25, 32)
 	ids := []int{0, 6, 12, 19, 24}

@@ -3,24 +3,23 @@ package embellish
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/big"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 
 	"embellish/internal/detrand"
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
-	"embellish/internal/vbyte"
 	"embellish/internal/wire"
 )
 
 // One selection vector per document: the flat fetch draws a vector for a
 // document's first column and asks for every further column as that
 // vector rotated one column up — one byte on the wire. These tests count
-// the bytes, walk the fallback against a server that predates the
-// rotation entry, and fetch through a mapping older than the store.
+// the bytes, hold a refused frame to one refusal and no retry, and fetch
+// through a mapping older than the store.
 
 // classBlockSize is classWorld's block size: H = 3 at it.
 const classBlockSize = 2048
@@ -193,11 +192,13 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 	}
 }
 
-// TestFetchSequentialProtocolSendsFullVectors: the depth-1 protocol has
-// no rotation entry — every block is a fresh vector in a TypePIRQuery
-// frame, and the stats say so.
-func TestFetchSequentialProtocolSendsFullVectors(t *testing.T) {
-	e, c, texts, byBlocks := rotationWorld(t)
+// TestFetchDepthOneSendsSeededFramesOfOneEntry: depth 1 speaks the one
+// flat dialect in frames of one entry — every column of a document taller
+// than the tallest view travels seeded over its class view, the second
+// column as the first's seed one rotation on — and the stats are the
+// protocol's: one vector per document, a byte per further column.
+func TestFetchDepthOneSendsSeededFramesOfOneEntry(t *testing.T) {
+	e, c, texts, byBlocks := classWorld(t)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	if err := c.SetFetchPipeline(1); err != nil {
 		t.Fatal(err)
@@ -208,13 +209,19 @@ func TestFetchSequentialProtocolSendsFullVectors(t *testing.T) {
 	}
 	defer conn.Close()
 	fc := &frameCounter{Conn: conn}
-	id := byBlocks[3]
+	id := byBlocks[5] // two columns of view 3
 	got, st, err := c.FetchDocumentsRemote(fc, []int{id})
 	if err != nil || string(got[0]) != texts[id] {
 		t.Fatalf("fetched %q, %v", got, err)
 	}
-	if st.Runs != 3 || st.Vectors != 3 || fc.frames[wire.TypePIRQuery] != 3 || fc.frames[wire.TypePIRBatchQuery] != 0 {
-		t.Fatalf("%d runs, %d vectors, %d single-query frames, %d batch frames: want three full vectors", st.Runs, st.Vectors, fc.frames[wire.TypePIRQuery], fc.frames[wire.TypePIRBatchQuery])
+	if st.Runs != 2 || st.Vectors != 1 || fc.frames[wire.TypePIRBatchQuery] != 2 {
+		t.Fatalf("%d runs, %d vectors, %d batch frames: want two frames of one column each, one vector", st.Runs, st.Vectors, fc.frames[wire.TypePIRBatchQuery])
+	}
+	for i, body := range fc.bodies(wire.TypePIRBatchQuery) {
+		qs, err := wire.DecodePIRBatchQuery(body)
+		if err != nil || len(qs) != 1 || qs[0].Seed == nil || qs[0].Height != 3 || qs[0].Rot != i {
+			t.Fatalf("frame %d: %d entries (%v), want one seeded entry over view 3 at rotation %d", i, len(qs), err, i)
+		}
 	}
 }
 
@@ -252,284 +259,48 @@ func TestLocalFetchRotates(t *testing.T) {
 	}
 }
 
-// preSeedRefusal applies the query-count rule of a decoder predating the
-// seeded form to a type-12 body: a count of 0 — the seeded form's mark —
-// is out of range, and the refusal is this text verbatim.
-func preSeedRefusal(body []byte) (string, bool) {
-	size, used, _ := vbyte.Decode(body) // the modulus
-	if count, _, _ := vbyte.Decode(body[used+int(size):]); count == 0 {
-		return wire.SeedRefusal, true
-	}
-	return "", false
-}
-
-// preViewRefusal applies the query-count rule of a decoder that speaks
-// the seeded form but predates heights: it reads a first 0 as the seeded
-// form's mark, so the second 0 of a frame with heights is its seeded
-// query count, out of range, and the refusal is this text verbatim.
-func preViewRefusal(body []byte) (string, bool) {
-	size, used, _ := vbyte.Decode(body) // the modulus
-	rest := body[used+int(size):]
-	if mark, used, _ := vbyte.Decode(rest); mark == 0 {
-		if count, _, _ := vbyte.Decode(rest[used:]); count == 0 {
-			return wire.HeightsRefusal, true
-		}
-	}
-	return "", false
-}
-
-// preRotationRefusal adds the value-count rule of a decoder predating
-// rotation entries: a zero count is out of range, at any entry.
-func preRotationRefusal(body []byte) (string, bool) {
-	if text, refused := preSeedRefusal(body); refused {
-		return text, true
-	}
-	skipBig := func() {
-		size, used, _ := vbyte.Decode(body)
-		body = body[used+int(size):]
-	}
-	skipBig() // the modulus
-	count, used, _ := vbyte.Decode(body)
-	body = body[used:]
-	for qi := 0; qi < int(count); qi++ {
-		nv, used, _ := vbyte.Decode(body)
-		body = body[used:]
-		if nv == 0 {
-			return fmt.Sprintf("wire: PIR batch query %d value count: value out of range", qi), true
-		}
-		for ; nv > 0; nv-- {
-			skipBig()
-		}
-	}
-	return "", false
-}
-
-// oldBatchServer speaks the batch protocol as an older server did: it
-// refuses a params request that carries a body, the hello, with
-// wire.ParamsBodyRefusal, and refuse answers a type-12 frame with an error
-// frame (and the connection stays up) or lets it through to the one
-// executor.
-type oldBatchServer struct {
-	mu              sync.Mutex
-	refused, served int
-}
-
-func (s *oldBatchServer) counts() (refused, served int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.refused, s.served
-}
-
-func (s *oldBatchServer) serve(conn net.Conn, sn *docstore.Snapshot, refuse func(body []byte) (string, bool)) {
-	defer conn.Close()
-	for {
-		typ, body, err := wire.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		switch typ {
-		case wire.TypePIRParams:
-			if len(body) != 0 {
-				err = wire.WriteError(conn, wire.ParamsBodyRefusal)
-				break
-			}
-			err = wire.WritePIRParams(conn, sn.Params())
-		case wire.TypePIRBatchQuery:
-			if text, refused := refuse(body); refused {
-				s.mu.Lock()
-				s.refused++
-				s.mu.Unlock()
-				err = wire.WriteError(conn, text)
-				break
-			}
-			qs, derr := wire.DecodePIRBatchQuery(body)
-			if derr != nil {
-				err = wire.WriteError(conn, derr.Error())
-				break
-			}
-			s.mu.Lock()
-			s.served++
-			s.mu.Unlock()
-			answers, _, _, aerr := answerPIRFrame(context.Background(), sn, qs)
-			if aerr != nil {
-				err = wire.WriteError(conn, aerr.Error())
-				break
-			}
-			for i, ans := range answers {
-				if err = wire.WritePIRBatchAnswer(conn, i, ans); err != nil {
-					return
-				}
-			}
-		default:
-			err = wire.WriteError(conn, fmt.Sprintf("unexpected message type %d", typ))
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// fetchFromOldServer fetches ids from a stub server that refuses what
-// refuse refuses, checks the bytes and that the connection survives the
-// refusals and the retries, and returns the stats, the store and the
-// stub's counts.
-func fetchFromOldServer(t *testing.T, refuse func([]byte) (string, bool)) (st FetchStats, sn *docstore.Snapshot, refused, served int) {
-	t.Helper()
-	e, c, texts, byBlocks := rotationWorld(t)
-	sn, err := e.storeSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srvConn, cliConn := net.Pipe()
-	defer cliConn.Close()
-	var srv oldBatchServer
-	go srv.serve(srvConn, sn, refuse)
-
-	ids := []int{byBlocks[3], byBlocks[1], byBlocks[5]}
-	got, st, err := c.FetchDocumentsRemote(cliConn, ids)
-	if err != nil {
-		t.Fatalf("fetch against an old server: %v", err)
-	}
-	for i, id := range ids {
-		if string(got[i]) != texts[id] {
-			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
-		}
-	}
-	refused, served = srv.counts()
-	if got, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[1]}); err != nil || string(got[0]) != texts[byBlocks[1]] {
-		t.Fatalf("fetch after the fallback: %q, %v", got, err)
-	}
-	return st, sn, refused, served
-}
-
-// TestFetchFallsBackToSeededBlocksOnPreViewServer: a server that speaks
-// the seeded form but predates class views refuses the first batch
-// frame, which carries heights, with wire.HeightsRefusal and keeps the
-// connection. The client must step exactly one rung down and fetch as
-// that server always served: a seeded vector per document over the whole
-// block array, each further block a one-byte rotation.
-func TestFetchFallsBackToSeededBlocksOnPreViewServer(t *testing.T) {
-	var (
-		mu     sync.Mutex
-		frames [][]*pir.Query
-	)
-	st, sn, refused, served := fetchFromOldServer(t, func(body []byte) (string, bool) {
-		if text, refused := preViewRefusal(body); refused {
-			return text, true
-		}
-		if qs, err := wire.DecodePIRBatchQuery(body); err == nil {
-			mu.Lock()
-			frames = append(frames, qs)
-			mu.Unlock()
-		}
-		return "", false
-	})
-	if refused != 1 || served == 0 {
-		t.Fatalf("the old server refused %d frames and served %d: want one refusal, then seeded frames", refused, served)
-	}
-	if st.Runs != 9 || st.Vectors != 3 {
-		t.Fatalf("the retry reported %d runs and %d vectors: want a vector for each of 3 documents", st.Runs, st.Vectors)
-	}
-	n := sn.NumBlocks()
-	if want := 3*wire.SeededEntryBytes(n, 0, 0) + 6; st.QueryBytes != want {
-		t.Fatalf("the retry uploaded %d query bytes, want %d: three seeded vectors of %d columns and six rotations", st.QueryBytes, want, n)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, qs := range frames {
-		for i, q := range qs {
-			if q.Seed == nil || q.Height != 0 || len(q.Values) != n {
-				t.Fatalf("served entry %d: seeded %v, height %d, %d columns: want seeded over the %d blocks", i, q.Seed != nil, q.Height, len(q.Values), n)
-			}
-		}
-	}
-}
-
-// TestFetchFallsBackToWrittenOutVectorsOnPreSeedServer: a server that
-// predates the seeded form refuses a batch frame for the 0 that marks
-// it, with wire.SeedRefusal, and keeps the connection. It refuses both
-// seeded rungs — over views and over blocks — and the client steps down
-// to the same vectors written out, their rotations still one byte, and
-// returns the stored bytes.
-func TestFetchFallsBackToWrittenOutVectorsOnPreSeedServer(t *testing.T) {
-	st, _, refused, served := fetchFromOldServer(t, preSeedRefusal)
-	if refused != 2 || served == 0 {
-		t.Fatalf("the old server refused %d frames and served %d: want two refusals, then written-out frames", refused, served)
-	}
-	if st.Runs != 9 || st.Vectors != 3 {
-		t.Fatalf("the retry reported %d runs and %d vectors: want a vector for each of 3 documents", st.Runs, st.Vectors)
-	}
-}
-
-// TestFetchFallsBackToFullVectorsOnPreRotationServer: a server that
-// predates rotation entries refuses the seeded frames as above and then
-// the written-out frame for the zero count in it, with the frozen
-// RotationRefusal text. The client walks down three rungs, to a vector
-// per block — frames that server has always served.
-func TestFetchFallsBackToFullVectorsOnPreRotationServer(t *testing.T) {
-	st, _, refused, served := fetchFromOldServer(t, preRotationRefusal)
-	if refused != 3 || served == 0 {
-		t.Fatalf("the old server refused %d frames and served %d: want three refusals, then full-vector frames", refused, served)
-	}
-	if st.Runs != 9 || st.Vectors != 9 {
-		t.Fatalf("the retry reported %d runs and %d vectors: want a vector for each of 9 blocks", st.Runs, st.Vectors)
-	}
-}
-
-// TestFetchDoesNotRetryOtherRefusals: only the frozen refusal of the
-// first frame's own form means "old server". Any other error on the
-// first answer — load shedding, a deadline, the same words about another
-// entry or another form — is the server's verdict and is reported once,
-// not retried with more upload. That holds on each rung: refused on the
-// rung over views, the fetch sends one frame; on the seeded rung over
-// blocks (after wire.HeightsRefusal stepped it down), two; on the
-// written-out rung (after wire.SeedRefusal stepped it down twice), three
-// — never a per-block frame.
+// TestFetchDoesNotRetryOtherRefusals: a refusal of a fetch's first
+// frame is the server's verdict and is reported once, after that one
+// frame, whatever its text — load shedding, a deadline, and the refusals
+// servers predating type 12, the seeded form, heights or rotation entries
+// sent among them: the fetch speaks one dialect, so there is no other
+// form to retry in.
 func TestFetchDoesNotRetryOtherRefusals(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	overload := "server overloaded: admission queue full"
-	deadline := "embellish: server deadline exceeded: batch cancelled in block 0"
-	// The server each rung is spoken to refuses the rungs above it.
-	older := []func([]byte) (string, bool){nil, preViewRefusal, preSeedRefusal}
-	for _, tc := range []struct {
-		text string
-		rung int // the rung the text answers: 0 seeded over views, 1 seeded over blocks, 2 written out
-	}{
-		{overload, 0},
-		{deadline, 0},
-		{wire.RotationRefusal(1), 0}, // the first frame is seeded, not written out
-		{wire.SeedRefusal + " (and then some)", 0},
-		{wire.HeightsRefusal + " (and then some)", 0},
-		{overload, 1},
-		{wire.HeightsRefusal, 1}, // the frame carries no heights
-		{wire.RotationRefusal(1), 1},
-		{overload, 2},
-		{deadline, 2},
-		{wire.RotationRefusal(0), 2}, // entry 0 is never a rotation
-		{wire.RotationRefusal(2), 2}, // the frame's first rotation is entry 1
-		{wire.RotationRefusal(1) + " (and then some)", 2},
+	if err := c.SetFetchPipeline(16); err != nil { // every column in one frame
+		t.Fatal(err)
+	}
+	for _, text := range []string{
+		"server overloaded: admission queue full",
+		"embellish: server deadline exceeded: batch cancelled in block 0",
+		"unexpected message type 12",
+		"wire: seeded PIR batch query count: value out of range",
+		"wire: PIR batch query count: value out of range",
+		"wire: PIR batch query 1 value count: value out of range",
 	} {
 		srvConn, cliConn := net.Pipe()
-		var srv oldBatchServer
-		go srv.serve(srvConn, sn, func(body []byte) (string, bool) {
-			if tc.rung > 0 {
-				if text, refused := older[tc.rung](body); refused {
-					return text, true
-				}
+		var srv scriptedServer
+		go srv.serve(srvConn, func(w io.Writer, typ byte, body []byte) error {
+			if typ != wire.TypePIRParams {
+				return wire.WriteError(w, text)
 			}
-			return tc.text, true
+			have, err := wire.DecodePIRHello(body)
+			if err != nil {
+				return err
+			}
+			return wire.WritePIRHelloReply(w, sn.Params(), have)
 		})
 		_, _, err := c.FetchDocumentsRemote(cliConn, []int{byBlocks[3]})
 		cliConn.Close()
-		if err == nil || !strings.Contains(err.Error(), tc.text) {
-			t.Fatalf("refusal %q (rung %d) came back as %v", tc.text, tc.rung, err)
+		if err == nil || !strings.Contains(err.Error(), text) {
+			t.Fatalf("refusal %q came back as %v", text, err)
 		}
-		if refused, _ := srv.counts(); refused != tc.rung+1 {
-			t.Fatalf("refusal %q (rung %d): the client sent %d batch frames, want %d", tc.text, tc.rung, refused, tc.rung+1)
+		if got := srv.frames(wire.TypePIRBatchQuery); got != 1 {
+			t.Fatalf("refusal %q: the client sent %d batch frames, want 1", text, got)
 		}
 	}
 }

@@ -36,9 +36,6 @@ const maxPendingDecoys = 64
 // serving goroutine, so no locking: the wire protocol is strictly
 // request-response per connection.
 type sessionAudit struct {
-	// packed is set once the connection sent the fetch hello: from then on
-	// its PIR answers go packed (wire.WritePIRBatchAnswerPacked).
-	packed bool
 	// aud is built lazily on the first observed frame: each session
 	// needs its own semdist.Calculator (not safe for concurrent use),
 	// and sessions that never see a query frame should not pay for one.
