@@ -15,7 +15,6 @@
 //	                 [-max-conns N] [-idle-timeout D] [-stats-every D]
 //	                 [-allow-updates] [-max-segments N]
 //	                 [-store] [-block-size B] [-allow-retrieval]
-//	                 [-pir-recursive N]
 //	                 [-data-dir DIR] [-fsync record|interval|off]
 //	                 [-checkpoint-every N]
 //	                 [-max-inflight N] [-queue-depth N] [-queue-timeout D]
@@ -113,7 +112,6 @@ func main() {
 		store          = flag.Bool("store", false, "store document bytes for private retrieval (build path only)")
 		blockSize      = flag.Int("block-size", 0, "PIR block size in bytes for -store (0 default)")
 		allowRetrieval = flag.Bool("allow-retrieval", false, "answer private document fetches (requires a stored corpus)")
-		pirRecursive   = flag.Int("pir-recursive", 0, "recursive (two-level) PIR serving (0 inherit the engine knob, 1 force on, -1 refuse type-23 frames; refused clients fall back to flat queries)")
 
 		maxConns     = flag.Int("max-conns", 0, "simultaneous connection cap (0 default, -1 unlimited)")
 		allowUpdates = flag.Bool("allow-updates", false, "accept online corpus updates over the wire")
@@ -284,7 +282,6 @@ func main() {
 		AllowReplication: *allowRepl,
 		AllowLexiconSync: *allowLexSync,
 		RiskAudit:        *riskAudit,
-		PIRRecursive:     *pirRecursive,
 	})
 	if *allowLexSync {
 		v, err := engine.LexiconVersion()

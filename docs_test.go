@@ -114,7 +114,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	for _, knob := range []string{
 		"schedule derived from GOMAXPROCS",
 		"ProcessColumnsMultiExecCtx", "Deleted plans",
-		"PIRRecursive", "ConfigurePIRRecursive", "SetFetchRecursive",
+		"SetFetchRecursive",
 		"BlockSize", "RetrievalKeyBits", "SetFetchPipeline", "MaxSegments",
 		"Durability", "CheckpointEveryOps", "Montgomery",
 		"OPERATIONS.md", "What an engine build costs",
@@ -168,7 +168,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		// ...the metrics surface (the counters themselves below)...
 		"TypeStats", "ServerStats", "/metrics", "/stats.json",
 		// ...the recursive PIR serving surface...
-		"PIRRecursive", "-pir-recursive", "SetFetchRecursive",
+		"SetFetchRecursive",
 		// ...the replication and cluster knobs...
 		"-allow-replication", "-replicate-from", "-replicate-every",
 		"-partition", "embellish_router_",
@@ -221,7 +221,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"TypePIRParams", "TypePIRBatchQuery", "TypePIRBatchResponse", "TypeStats",
 		"TypeWALPull", "TypeWALChunk", "TypeClusterMap",
 		"TypeLexiconSync", "TypeLexicon", "TypeDecoyQuery", "TypeRiskAudit",
-		"TypePIRRecursiveQuery", "MaxPIRRecursiveBatch", "PIRRecursive",
+		"TypePIRRecursiveQuery", "MaxPIRRecursiveBatch",
 		"SetFetchRecursive", "RecursiveLevel2", "re-partitioned",
 		"AllowUpdates", "AllowRetrieval", "AllowReplication",
 		"AllowLexiconSync", "RiskAudit", "StaleLexiconRefusal",

@@ -62,12 +62,6 @@ type Engine struct {
 	// EnableDurability); nil on in-memory engines. Its non-atomic
 	// fields are guarded by updateMu.
 	wal *walState
-	// pirRecursive is the live recursive-serving switch (the
-	// Options.PIRRecursive encoding: 0 default-on, -1 off, 1 on), held in
-	// an atomic so ConfigurePIRRecursive can flip a serving engine without
-	// racing the fetch paths that read it. The zero value is the default, so
-	// loaded engines serve recursive frames without any explicit store.
-	pirRecursive atomic.Int64
 	// lexsync caches the serialized lexicon-sync payload (organization
 	// and synset tables are pinned at construction, so it never
 	// changes); see lexsync.go.
@@ -152,7 +146,6 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 	}
 	e.org = org
 	e.server = core.NewLiveServer(e.live, org, lex.db)
-	e.pirRecursive.Store(int64(opts.PIRRecursive))
 	e.applyExecution()
 	if opts.Durability.Dir != "" {
 		// The freshly built corpus becomes checkpoint 0; every later
@@ -380,25 +373,6 @@ func (e *Engine) processCore(q *core.Query) (*core.Response, core.Stats, error) 
 func (e *Engine) processCoreCtx(ctx context.Context, q *core.Query) (*core.Response, core.Stats, error) {
 	return e.server.ProcessParallelCtx(ctx, q, 0)
 }
-
-// ConfigurePIRRecursive flips the recursive (two-level) serving switch
-// — the Options.PIRRecursive knob, same encoding (0 default = serve,
-// -1 refuse, 1 serve) — on a live engine. It lives in its own atomic,
-// is not persisted, and never changes decoded documents: recursive
-// answers decrypt to the same bytes as flat ones, the knob only
-// controls whether the server accepts the recursive frame (and whether
-// local fetches may use the recursive layout).
-func (e *Engine) ConfigurePIRRecursive(n int) error {
-	if err := validatePIRRecursive(n); err != nil {
-		return err
-	}
-	e.pirRecursive.Store(int64(n))
-	return nil
-}
-
-// livePIRRecursive reports whether recursive block queries should be
-// served; safe from any goroutine.
-func (e *Engine) livePIRRecursive() bool { return e.pirRecursive.Load() >= 0 }
 
 // answerPIRMultiCtx serves a batch of k >= 1 equal-width, same-modulus
 // PIR block queries in ONE pass over a pinned store snapshot — the one

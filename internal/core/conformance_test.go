@@ -158,13 +158,14 @@ func TestPlanConformsToOracle(t *testing.T) {
 	}
 }
 
-// TestPlanFallsBackToOracle: a modulus with no Montgomery form and a
-// flag only math/big reduces are served — by the oracle — not refused
-// and not mis-served.
-func TestPlanFallsBackToOracle(t *testing.T) {
+// TestPlanRefusesWithoutWordForm: a modulus with no Montgomery form and
+// a flag outside [0, n) are refused by the serving plan before any work
+// (an error, no response, zero Stats), while the oracle still answers
+// both.
+func TestPlanRefusesWithoutWordForm(t *testing.T) {
 	w, k := world(t)
 	c := NewClient(w.Org, k, 2111)
-	c.CryptoRand = testenv.NewDetRand("core-fallback-client")
+	c.CryptoRand = testenv.NewDetRand("core-refusal-client")
 	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(2112)), 2))
 	if err != nil {
 		t.Fatal(err)
@@ -180,15 +181,13 @@ func TestPlanFallsBackToOracle(t *testing.T) {
 		"even modulus":       requantize(q, &benaloh.PublicKey{N: even, G: k.G, R: k.R}, rand.New(rand.NewSource(2113))),
 		"non-canonical flag": wide,
 	} {
-		want, wantSt, err := srv.Process(q)
-		if err != nil {
+		if _, _, err := srv.Process(q); err != nil {
 			t.Fatalf("%s: oracle: %v", name, err)
 		}
-		got, gotSt, err := srv.ProcessParallel(q, 3)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		resp, st, err := srv.ProcessParallel(q, 3)
+		if err == nil || resp != nil || st != (Stats{}) {
+			t.Fatalf("%s: served %v with %+v (err %v), want a refusal with no work", name, resp, st, err)
 		}
-		sameResponse(t, name, got, want, gotSt, wantSt)
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 // This file is the Algorithm 4 oracle: the paper's sequential fold,
 // entry by entry on math/big, sharing no arithmetic with the serving
 // plan (processSharded). The conformance battery holds the plan to it
-// ciphertext for ciphertext and count for count, and the plan itself
-// falls back to it for moduli that have no Montgomery form.
+// ciphertext for ciphertext and count for count. It serves nothing: a
+// query the plan cannot put in Montgomery form is refused, not handed
+// here.
 
 // totalPostings counts a query term's postings across every segment —
 // the size powerFn uses to decide whether a fixed-base table pays off.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/big"
 	"runtime"
 	"sync"
@@ -71,22 +72,22 @@ func (s *Server) chargeIO(q *Query, r *resolvedState) Stats {
 
 // wordForm returns the Montgomery context the fold runs the query in and
 // every entry's flag converted into it (entry i at [i·Words():(i+1)·Words()]),
-// or nil when the query has no such form and goes to the oracle: an even
-// or degenerate modulus (no honest key's, but keys arrive off the wire),
-// or a flag outside [0, n), which only math/big reduces.
-func wordForm(q *Query) (*mont.Modulus, []big.Word) {
+// or an error when the query has no such form: an even or degenerate
+// modulus (no honest key's, but keys arrive off the wire), or a flag
+// outside [0, n).
+func wordForm(q *Query) (*mont.Modulus, []big.Word, error) {
 	mod, err := mont.New(q.Pub.N)
 	if err != nil {
-		return nil, nil
+		return nil, nil, err
 	}
 	k := mod.Words()
 	flags := make([]big.Word, len(q.Entries)*k)
 	for i, e := range q.Entries {
-		if mod.Put(flags[i*k:(i+1)*k], e.Flag) != nil {
-			return nil, nil
+		if err := mod.Put(flags[i*k:(i+1)*k], e.Flag); err != nil {
+			return nil, nil, fmt.Errorf("core: entry %d flag: %w", i, err)
 		}
 	}
-	return mod, flags
+	return mod, flags, nil
 }
 
 // entryPlan is the per-query-term execution state shared read-only by
@@ -125,13 +126,14 @@ func fanOut(workers int, fn func(w int)) {
 }
 
 // processSharded is the serving plan, run against one index snapshot.
+// A query without a word form (wordForm) is refused before any work.
 // Workers poll ctx at entry claims and every cancelCheckPostings
 // postings; a cancelled worker records the partial stats of its current
 // shard before exiting.
 func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Response, Stats, error) {
-	mod, flags := wordForm(q)
-	if mod == nil {
-		return s.ProcessCtx(ctx, q)
+	mod, flags, err := wordForm(q)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	r := s.resolve()
 	st := s.chargeIO(q, r)

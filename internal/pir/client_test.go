@@ -93,15 +93,24 @@ func TestNewQueryProperties(t *testing.T) {
 // stored bytes — whichever serving kernel multiplied the gammas: the
 // one-word one (a full-width and a sub-word modulus), the multi-word one
 // with a one-word p1 (128 bits: the word decoder folds a two-word gamma)
-// and with a wide p1 (192 bits: the decoder is isQR), and the big.Int one
-// (an even modulus 2·p, which REDC and the word decoder both reject).
+// and with a wide p1 (192 bits: the decoder is isQR). An even modulus
+// 2·p, which REDC and the word decoder both reject, is refused by the
+// executor; the sequential reference multiplies its gammas instead, so
+// the isQR decoder is still held to p1 = 2.
 func TestDecodeMatchesIsQR(t *testing.T) {
 	const nCols, colBytes = 21, 6
 	cols := churnColumns(t, 53, nCols, colBytes)
 	decodeBoth := func(name string, k *ClientKey, q *Query, target int) {
 		t.Helper()
-		answers, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, []*Query{q}, Exec{})
-		if err != nil {
+		answers, stats, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, []*Query{q}, Exec{})
+		if _, merr := NewMont(q.N); merr != nil {
+			assertRefused(t, name, answers, stats, err)
+			ans, _, err := ProcessColumnsCtx(context.Background(), cols, colBytes, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answers = []*Answer{ans}
+		} else if err != nil {
 			t.Fatal(err)
 		}
 		got := k.Decode(answers[0])

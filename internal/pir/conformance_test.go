@@ -139,8 +139,34 @@ func churnColumns(t testing.TB, seed int64, nCols, colBytes int) [][]byte {
 }
 
 // evenModulus is a client-chosen modulus the Montgomery kernel rejects
-// (REDC needs an odd one): it selects the executor's big.Int kernel.
+// (REDC needs an odd one): the executors refuse it before any work, and
+// only the references answer it.
 var evenModulus = big.NewInt(1 << 20)
+
+// rawRecursiveQuery is rawQuery's recursive counterpart: random row and
+// column selectors modulo n over the grid of nCols blocks.
+func rawRecursiveQuery(rng *rand.Rand, n *big.Int, nCols int) *RecursiveQuery {
+	R, C := RecursiveGrid(nCols)
+	return &RecursiveQuery{
+		N: n, Width: nCols, GridCols: C,
+		Rows: rawQuery(rng, n, R).Values,
+		Cols: rawQuery(rng, n, C).Values,
+	}
+}
+
+// assertRefused fails unless an executor refused its batch outright: an
+// error, no answers, and no multiplication charged.
+func assertRefused(t *testing.T, label string, answers []*Answer, stats []Stats, err error) {
+	t.Helper()
+	if err == nil || len(answers) != 0 {
+		t.Fatalf("%s: served %d answers (err %v), want a refusal", label, len(answers), err)
+	}
+	for i, st := range stats {
+		if st != (Stats{}) {
+			t.Fatalf("%s query %d: refusal charged work %+v", label, i, st)
+		}
+	}
+}
 
 // rawQuery builds a query of uniformly random residues modulo n — no
 // key, so it decodes to nothing; the flat plans must still agree on its
@@ -200,18 +226,19 @@ func sameGammas(t *testing.T, label string, got, want *planResult) {
 	}
 }
 
-// TestPIRConformance is the battery. The three executor kernels (64-bit
-// one-word Montgomery, 192-bit multi-word Montgomery, even-modulus
-// big.Int) run over clean and churned corpora (tombstoned blocks,
-// padded tails) and grids from degenerate to exact-square. Both
-// references answer a MaxMulti-wide batch once per corpus; the executor
-// is then crossed over batch widths {1, 4, MaxMulti}, workers {1, 3}
-// and windows {auto, 1, pinned} and must match BOTH references
-// gamma-for-gamma on every case; keyed kernels must also decode every
-// target to the stored bytes, through the recursive executor too — the
-// one-word key on its packed word kernel, the wide key on the big.Int
-// reference — whose blocks must equal the flat path's on the same
-// snapshot.
+// TestPIRConformance is the battery. The two executor kernels (64-bit
+// one-word Montgomery, 192-bit multi-word Montgomery) run over clean
+// and churned corpora (tombstoned blocks, padded tails) and grids from
+// degenerate to exact-square. Both references answer a MaxMulti-wide
+// batch once per corpus; the executor is then crossed over batch widths
+// {1, 4, MaxMulti}, workers {1, 3} and windows {auto, 1, pinned} and
+// must match BOTH references gamma-for-gamma on every case; keyed
+// kernels must also decode every target to the stored bytes, through
+// the recursive executor too — the one-word key on its packed word
+// kernel, the wide key on the big.Int reference — whose blocks must
+// equal the flat path's on the same snapshot. An even modulus has no
+// Montgomery form: the references still answer it, and every executor
+// entry refuses it with no work done (assertRefused).
 func TestPIRConformance(t *testing.T) {
 	type shape struct{ nCols, colBytes int }
 	kernels := []struct {
@@ -303,6 +330,11 @@ func TestPIRConformance(t *testing.T) {
 							for _, window := range []int{0, 1, 4} {
 								ex := Exec{Workers: workers, Window: window}
 								label := fmt.Sprintf("executor batch %d %+v", width, ex)
+								if kern.k == nil {
+									answers, stats, err := ProcessColumnsMultiExecCtx(ctx, cols, shape.colBytes, qs[:width], ex)
+									assertRefused(t, label, answers, stats, err)
+									continue
+								}
 								res, err := executor.run(ctx, kern.k, cols, shape.colBytes, qs[:width], nil, ex)
 								if err != nil {
 									t.Fatalf("%s: %v", label, err)
@@ -317,6 +349,25 @@ func TestPIRConformance(t *testing.T) {
 						}
 					}
 					if kern.k == nil {
+						rq := rawRecursiveQuery(rng, evenModulus, shape.nCols)
+						for _, ex := range []Exec{{}, {Workers: 3, Window: 4}} {
+							answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, shape.colBytes, []*RecursiveQuery{rq}, ex)
+							assertRefused(t, fmt.Sprintf("recursive %+v", ex), answers, stats, err)
+							level1 := *rq
+							level1.Cols = nil
+							answers, stats, err = ProcessColumnsRecursiveMultiExecCtx(ctx, cols, shape.colBytes, []*RecursiveQuery{&level1}, ex)
+							assertRefused(t, fmt.Sprintf("recursive level 1 %+v", ex), answers, stats, err)
+							matrix := make([]*big.Int, rq.GridCols*shape.colBytes*8)
+							for i := range matrix {
+								matrix[i] = big.NewInt(1)
+							}
+							ans, st, err := RecursiveLevel2(ctx, rq, matrix, shape.colBytes, ex)
+							var level2 []*Answer
+							if ans != nil {
+								level2 = []*Answer{ans}
+							}
+							assertRefused(t, fmt.Sprintf("level 2 %+v", ex), level2, []Stats{st}, err)
+						}
 						return
 					}
 					rtargets := conformanceTargets(shape.nCols)
@@ -355,8 +406,9 @@ func TestPIRConformance(t *testing.T) {
 // batch of one: operands the oracle's Mod tolerates — negative, >= N,
 // zero — are canonicalised once ahead of every kernel, and a width-zero
 // batch is answered with the empty product directly. Gamma-for-gamma
-// with ProcessColumnsCtx on the one-word, multi-word and even-modulus
-// kernels.
+// with ProcessColumnsCtx on the one-word and multi-word kernels; an even
+// modulus is refused at every width, the empty one included, with no
+// work charged.
 func TestExecutorHostileOperands(t *testing.T) {
 	const nCols, colBytes = 9, 2
 	cols := churnColumns(t, 77, nCols, colBytes)
@@ -383,6 +435,10 @@ func TestExecutorHostileOperands(t *testing.T) {
 					t.Fatal(err)
 				}
 				got, stats, err := ProcessColumnsMultiExecCtx(ctx, cols[:width], colBytes, []*Query{sub}, ex)
+				if tc.n == evenModulus {
+					assertRefused(t, fmt.Sprintf("%s width %d %+v", tc.name, width, ex), got, stats, err)
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s width %d %+v: %v", tc.name, width, ex, err)
 				}

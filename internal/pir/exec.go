@@ -42,8 +42,9 @@ import (
 // form is an exact bijection entered and left by exact multiplications,
 // so the gammas are bit-for-bit the oracle's. The privacy argument is
 // untouched: the server still evaluates the same function of the same
-// uninterpretable query values. Client-chosen moduli the REDC kernel
-// rejects (even ones) run the same scan on a big.Int kernel.
+// uninterpretable query values. A client-chosen modulus the REDC
+// kernel rejects (even, tiny, or beyond the wire width ceiling) is
+// refused before any of it.
 
 // Exec tunes the executors. The zero value selects a single worker and
 // an automatic window.
@@ -224,6 +225,12 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 	if err := validateColumns(cols, colBytes, qs[0]); err != nil {
 		return nil, nil, err
 	}
+	// One Montgomery context per batch (read-only, shared by all
+	// workers); a modulus without one is refused before any work.
+	mont, err := NewMont(n)
+	if err != nil {
+		return nil, nil, err
+	}
 	k, rows := len(qs), colBytes*8
 	poll := newScanPoll(ctx)
 	answers := make([]*Answer, k)
@@ -256,11 +263,6 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 	groups := (len(cols) + window - 1) / window
 	workers := min(max(ex.Workers, 1), groups)
 
-	// One Montgomery context per batch (read-only, shared by all
-	// workers); a rejected modulus — even, tiny, or beyond the wire
-	// width ceiling — selects the big.Int kernel.
-	mont, _ := NewMont(n)
-
 	// Partition GROUPS (not raw columns) across workers so every
 	// worker's column range is a whole number of windows.
 	parts := make([]scanPart, workers)
@@ -271,7 +273,7 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 		wg.Add(1)
 		go func(p *scanPart) {
 			defer wg.Done()
-			p.kern = newScanKernel(mont, n, k, hi-lo, rows, window)
+			p.kern = newScanKernel(mont, k, hi-lo, rows, window)
 			p.scan(poll, cols, vals, colBytes, window, lo, hi)
 		}(&parts[w])
 	}
@@ -340,14 +342,14 @@ func processOne(ctx context.Context, cols [][]byte, colBytes int, q *Query, ex E
 // stopped on cancellation; the partials are then incomplete and must
 // not be recombined, but the counts still record the work performed.
 type scanPart struct {
-	kern      scanKernel
+	kern      *montKernel
 	muls      []int
 	tableMuls []int
 	err       error
 }
 
 // scan is the group-major one-pass scan over columns [lo, hi), the one
-// skeleton every kernel runs under. Per group: transpose the group's
+// skeleton the kernel runs under. Per group: transpose the group's
 // database bytes into one pattern per row ONCE (the per-byte work the
 // batch shares), then for each query build its 2^g subset-product table
 // and fold table[pats[r]] into its row accumulators. The multiplication

@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
+
+	"embellish/internal/scanclock"
 )
 
 // multiBatch builds k queries over one key with distinct targets.
@@ -140,62 +143,82 @@ func TestExecutorStatsPinned(t *testing.T) {
 	}
 }
 
-// traceKernel is a scanKernel that multiplies nothing and records what
-// the skeleton asks of it: the (query, first column) of every build and
-// the patterns every fold was handed.
-type traceKernel struct {
-	builds [][2]int
-	folds  map[[2]int][]uint16 // (query, first column of its group) -> patterns
-	cur    [2]int
-}
-
-func (tk *traceKernel) costs() (int, int)               { return 0, 0 }
-func (tk *traceKernel) load(int, int, []*big.Int)       {}
-func (tk *traceKernel) merge(scanKernel, int, int, int) {}
-func (tk *traceKernel) export(int, int, []*big.Int)     {}
-func (tk *traceKernel) build(i, j0, _ int) {
-	tk.cur = [2]int{i, j0}
-	tk.builds = append(tk.builds, tk.cur)
-}
-func (tk *traceKernel) fold(i, _ int, pats []uint16, _ bool) {
-	tk.folds[tk.cur] = append(tk.folds[tk.cur], pats...)
-}
-
 // TestExecutorSharesTransposition is the guardrail against silently
 // losing the batch sharing in a refactor: whatever the batch width k, the
 // skeleton walks the store group-major — each column group is transposed
-// once and its patterns serve the k queries' builds and folds back to
-// back — never query-major (k store passes). Deterministic on purpose:
-// what the sharing is worth in wall time is BenchmarkExecutorBatch*'s to
-// say.
+// once and serves the k queries' builds and folds back to back — never
+// query-major (k store passes). A scan stopped anywhere in its middle
+// third, on the scan clock, must find every query within one group's
+// work of every other: a query-major walk would have finished the first
+// queries and not begun the last. The uncut scan's gammas must be the
+// oracle's, so each fold was handed its group's patterns. Deterministic
+// on purpose: what the sharing is worth in wall time is
+// BenchmarkExecutorBatch*'s to say.
 func TestExecutorSharesTransposition(t *testing.T) {
 	const nCols, colBytes, window = 23, 5, 4 // six groups, the last ragged
+	rows := colBytes * 8
 	cols := randomColumns(t, 31, nCols, colBytes)
-	for _, k := range []int{1, 4} {
-		tk := &traceKernel{folds: map[[2]int][]uint16{}}
-		p := scanPart{kern: tk}
+	key := testKey(t)
+	// One group's multiplications for one query: its table, then a fold
+	// of every row.
+	perGroup := 2*(1<<window-2) + rows
+	for _, k := range []int{2, 4} {
+		qs := multiBatch(t, key, fmt.Sprintf("shares-%d", k), nCols, k)
+		mont, err := NewMont(qs[0].N)
+		if err != nil {
+			t.Fatal(err)
+		}
 		vals := make([][]*big.Int, k)
-		for i := range vals {
-			vals[i] = make([]*big.Int, nCols)
+		for i, q := range qs {
+			vals[i] = q.Values
 		}
-		p.scan(newScanPoll(context.Background()), cols, vals, colBytes, window, 0, nCols)
-		if p.err != nil {
-			t.Fatal(p.err)
+		// scanTo runs one worker's scan under a clock that crosses the
+		// deadline at poll number cut (never, when 0) and reports the
+		// polls made.
+		scanTo := func(cut int) (*scanPart, int) {
+			deadline := time.Now().Add(time.Hour)
+			ctx, cancel := context.WithDeadline(context.Background(), deadline)
+			defer cancel()
+			polls := 0
+			restore := scanclock.Set(func() time.Time {
+				polls++
+				if cut > 0 && polls >= cut {
+					return deadline
+				}
+				return deadline.Add(-time.Minute)
+			})
+			defer restore()
+			p := &scanPart{kern: newScanKernel(mont, k, nCols, rows, window)}
+			p.scan(newScanPoll(ctx), cols, vals, colBytes, window, 0, nCols)
+			return p, polls
 		}
-		var want [][2]int
-		for start := 0; start < nCols; start += window {
-			for i := 0; i < k; i++ {
-				want = append(want, [2]int{i, start})
+		full, total := scanTo(0)
+		if full.err != nil {
+			t.Fatal(full.err)
+		}
+		for i, q := range qs {
+			want, _, err := ProcessColumnsCtx(context.Background(), cols, colBytes, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]*big.Int, rows)
+			full.kern.export(i, 0, got)
+			for r := range got {
+				if got[r].Cmp(want.Gammas[r]) != 0 {
+					t.Fatalf("batch %d query %d row %d: gamma differs from the oracle's", k, i, r)
+				}
 			}
 		}
-		if !slices.Equal(tk.builds, want) {
-			t.Fatalf("batch %d: build order %v, want group-major %v", k, tk.builds, want)
-		}
-		pats := make([]uint16, colBytes*8)
-		for _, at := range want {
-			refGroupPatterns(cols, at[1], min(at[1]+window, nCols), colBytes, pats)
-			if !slices.Equal(tk.folds[at], pats) {
-				t.Fatalf("batch %d query %d group at %d: folded patterns differ from the group's transposition", k, at[0], at[1])
+		loads := 2 * nCols
+		for cut := total / 3; cut <= 2*total/3; cut++ {
+			p, _ := scanTo(cut)
+			if p.err == nil {
+				t.Fatalf("batch %d: scan cut at poll %d of %d ran to the end", k, cut, total)
+			}
+			lo, hi := slices.Min(p.muls), slices.Max(p.muls)
+			if lo <= loads || hi-lo > perGroup {
+				t.Fatalf("batch %d, cut at poll %d of %d: per-query work %v, want every query past its loads (%d) and within %d of the others",
+					k, cut, total, p.muls, loads, perGroup)
 			}
 		}
 	}

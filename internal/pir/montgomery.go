@@ -9,8 +9,8 @@ import (
 
 // Montgomery-form modular multiplication under the executors. The
 // multi-word kernel — the CIOS loop, the REDC constants, the refusal of
-// even, degenerate and over-wide client moduli (callers then fall back
-// to the big.Int path) — is internal/mont's, shared with the ranking
+// even, degenerate and over-wide client moduli (the executors then
+// refuse the request) — is internal/mont's, shared with the ranking
 // fold. This file keeps what is pir's own: the one-word REDC forms the
 // scan inlines into its loops, and the Mont view that hands their
 // callers the constants as plain fields.

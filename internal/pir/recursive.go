@@ -278,10 +278,11 @@ type recShape struct {
 // answers every recursive query of the batch (k >= 1) in one pass per
 // level, sharing the level-1 transposition across the batch exactly as
 // the flat executor shares the flat one. All queries must agree on
-// modulus and shape. Single-word moduli run on the montMulWord kernel;
-// everything else falls back to the reference (level 1 as one
-// batch-of-one flat scan per grid column, level 2 in big.Int), so every
-// modulus the flat executor serves, this serves too.
+// modulus and shape, and a modulus without a Montgomery form is refused
+// before any work, as the flat executor refuses it. Single-word moduli
+// run on the montMulWord kernel; wider ones on the reference (level 1
+// as one batch-of-one flat scan per grid column, level 2 in big.Int),
+// so every modulus the flat executor serves, this serves too.
 //
 // The store may hold FEWER blocks than Width−Offset: missing cells are
 // absent (identity), which is how a partition serves its slice of the
@@ -312,6 +313,10 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 			len(q.Rows) != len(q0.Rows) || len(q.Cols) != len(q0.Cols) {
 			return nil, nil, errRecursiveShape
 		}
+	}
+	mont, err := NewMont(q0.N)
+	if err != nil {
+		return nil, nil, err
 	}
 	if colBytes <= 0 {
 		return nil, nil, errColumnSize
@@ -348,8 +353,7 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 	answers := make([]*Answer, k)
 	stats := make([]Stats, k)
 
-	mont, _ := NewMont(q0.N)
-	if mont != nil && mont.Words() == 1 {
+	if mont.Words() == 1 {
 		// Chunk the batch so at most ~128 MiB of gamma matrices (one
 		// word per cell) are live at once; within a chunk level 1 runs
 		// all queries in one pass.
@@ -374,8 +378,8 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 		return answers, stats, nil
 	}
 
-	// Reference path: slower, but it covers every modulus the flat
-	// executor does (multi-word, even, hostile), and its answers define
+	// Reference path: slower, but it is the one path for a multi-word
+	// modulus (an honest key wider than a word), and its answers define
 	// what the fast path must equal.
 	for i, q := range qs {
 		ans, st, err := recursiveRefOne(ctx, cols, colBytes, q, ex, sh)
@@ -621,8 +625,8 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 
 // recursiveRefOne is the reference recursive answer for one query:
 // level 1 as gridCols batch-of-one flat scans over the strided
-// sub-databases, level 2 through level2Ref. Used for every modulus the
-// word kernel rejects, and by the tests as the oracle the fast path
+// sub-databases, level 2 through level2Ref. Used for every multi-word
+// modulus, and by the tests as the oracle the fast path
 // must match ciphertext for ciphertext.
 func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec, sh recShape) (*Answer, Stats, error) {
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
@@ -689,7 +693,8 @@ func matrixImage(matrix []*big.Int, n *big.Int, C, rows, modBytes int) [][]byte 
 // and re-encrypted a byte per ciphertext against q.Cols. The cluster
 // router calls this after combining partition partials; the in-process
 // paths run the same two kernels behind their own level 1. Matrix cells
-// must be canonical residues.
+// must be canonical residues. A modulus without a Montgomery form is
+// refused before any work.
 func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, colBytes int, ex Exec) (*Answer, Stats, error) {
 	if len(q.Cols) != q.GridCols {
 		return nil, Stats{}, errRecursiveCols
@@ -706,8 +711,12 @@ func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, 
 	if int64(rows)*int64(modBytes) > maxRecursiveCells {
 		return nil, Stats{}, errRecursiveCells
 	}
+	mont, err := NewMont(q.N)
+	if err != nil {
+		return nil, Stats{}, err
+	}
 	poll := newScanPoll(ctx)
-	if mont, _ := NewMont(q.N); mont != nil && mont.Words() == 1 {
+	if mont.Words() == 1 {
 		cells := make([]big.Word, len(matrix))
 		for i, g := range matrix {
 			if w := imageCell(g, q.N, modBytes).Bits(); len(w) == 1 {
@@ -853,12 +862,19 @@ func putCells(buf []byte, cells []big.Word, modBytes int) []byte {
 	return buf
 }
 
-// level2Ref is the packed level 2 in big.Int, for every modulus the
-// word kernel rejects — and the oracle level2Word must equal ciphertext
+// level2Ref is the packed level 2 in big.Int, for every multi-word
+// modulus — and the oracle level2Word must equal ciphertext
 // for ciphertext: the same power tables and the same one multiplication
 // per (byte, column), sequential and out of Montgomery form throughout.
 func level2Ref(poll *scanPoll, n *big.Int, sel []*big.Int, image [][]byte, imgBytes int) (*Answer, Stats, error) {
-	bk := &bigKernel{n: n}
+	// mulMod sets dst = a·b mod n through reused scratch; dst may alias
+	// a or b. Operands are canonical, so QuoRem's remainder is the
+	// canonical residue.
+	var prod, quo big.Int
+	mulMod := func(dst, a, b *big.Int) {
+		prod.Mul(a, b)
+		quo.QuoRem(&prod, n, dst)
+	}
 	var st Stats
 	pow := make([][1 << packBits]big.Int, len(image))
 	for gc, v := range canonical(sel, n) {
@@ -868,7 +884,7 @@ func level2Ref(poll *scanPoll, n *big.Int, sel []*big.Int, image [][]byte, imgBy
 		pow[gc][0].Mod(one, n)
 		pow[gc][1].Set(v)
 		for m := 2; m < 1<<packBits; m++ {
-			bk.mulMod(&pow[gc][m], &pow[gc][m-1], v)
+			mulMod(&pow[gc][m], &pow[gc][m-1], v)
 		}
 		st.ModMuls += 1<<packBits - 2
 		st.TableMuls += 1<<packBits - 2
@@ -882,7 +898,7 @@ func level2Ref(poll *scanPoll, n *big.Int, sel []*big.Int, image [][]byte, imgBy
 		c := &cts[b]
 		c.Set(&pow[0][image[0][b]])
 		for gc := 1; gc < len(image); gc++ {
-			bk.mulMod(c, c, &pow[gc][image[gc][b]])
+			mulMod(c, c, &pow[gc][image[gc][b]])
 		}
 		st.ModMuls += len(image) - 1
 		gammas[b] = c

@@ -372,6 +372,9 @@ func FuzzPIRBatchQuery(f *testing.F) {
 		head := vbyte.Append(vbyte.Append(appendBig(nil, key.N), 1), 3)
 		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest}, nil))
 	}
+	// An in-range frame at an even modulus, which the executor refuses.
+	even := vbyte.Append(vbyte.Append(appendBig(nil, big.NewInt(1<<40)), 1), 3)
+	f.Add(bytes.Join([][]byte{even, honest, honest, honest}, nil))
 	f.Fuzz(func(t *testing.T, body []byte) { checkPIRBatchBody(t, sn, body) })
 }
 
@@ -381,7 +384,9 @@ func FuzzPIRBatchQuery(f *testing.F) {
 // rotations — and written in full, it must decode to the same queries
 // both times, so no rotation entry means anything but the vector before
 // it one column up; and served in one pass, rotations aliasing their
-// vectors, every answer must be the per-query oracle's.
+// vectors, every answer must be the per-query oracle's — when the
+// modulus has a Montgomery form (pir.NewMont). Without one the batch is
+// refused whole, before any work.
 func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 	qs, err := DecodePIRBatchQuery(body)
 	if err != nil {
@@ -430,10 +435,21 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 			break
 		}
 	}
-	answers, _, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
+	answers, stats, err := sn.AnswerMultiExecCtx(context.Background(), qs, pir.Exec{})
 	if !uniform {
 		if err == nil {
 			t.Fatal("mixed-shape batch served without error")
+		}
+		return
+	}
+	if _, merr := pir.NewMont(qs[0].N); merr != nil {
+		if err == nil || answers != nil {
+			t.Fatalf("batch at a modulus without a Montgomery form (%v) served: %v", merr, err)
+		}
+		for i, st := range stats {
+			if st != (pir.Stats{}) {
+				t.Fatalf("refused batch charged query %d with %+v", i, st)
+			}
 		}
 		return
 	}
@@ -462,7 +478,9 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 // decoder or the pir shape validation — never panic, never
 // over-allocate — and bodies that survive are served with two different
 // execution tunings whose ciphertexts must agree (the fast kernels
-// against themselves under a different worker/window split).
+// against themselves under a different worker/window split). A modulus
+// without a Montgomery form (pir.NewMont) is refused by both, before
+// any work.
 func FuzzPIRRecursiveQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir-rec"), 96)
 	if err != nil {
@@ -509,6 +527,9 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 		head := encodeRecursive(wordKey.N, 3, 1, 0, 0, 1, 1, nil)
 		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest, honest}, nil))
 	}
+	// A well-formed frame at an even modulus, which the executor refuses.
+	even := encodeRecursive(big.NewInt(1<<40), 3, 1, 0, 0, 1, 1, nil)
+	f.Add(bytes.Join([][]byte{even, honest, honest, honest, honest}, nil))
 	store, err := docstore.New(4)
 	if err != nil {
 		f.Fatal(err)
@@ -541,10 +562,21 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 				return
 			}
 		}
-		a1, _, err1 := sn.AnswerRecursiveMultiExecCtx(context.Background(), qs, pir.Exec{Workers: 1, Window: 1})
-		a2, _, err2 := sn.AnswerRecursiveMultiExecCtx(context.Background(), qs, pir.Exec{Workers: 3, Window: 4})
+		a1, s1, err1 := sn.AnswerRecursiveMultiExecCtx(context.Background(), qs, pir.Exec{Workers: 1, Window: 1})
+		a2, s2, err2 := sn.AnswerRecursiveMultiExecCtx(context.Background(), qs, pir.Exec{Workers: 3, Window: 4})
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("execution tunings disagree on validity: %v vs %v", err1, err2)
+		}
+		if _, merr := pir.NewMont(qs[0].N); merr != nil {
+			if err1 == nil || a1 != nil || a2 != nil {
+				t.Fatalf("recursive batch at a modulus without a Montgomery form (%v) served: %v", merr, err1)
+			}
+			for i, st := range append(s1, s2...) {
+				if st != (pir.Stats{}) {
+					t.Fatalf("refused recursive batch charged entry %d with %+v", i, st)
+				}
+			}
+			return
 		}
 		if err1 != nil {
 			return

@@ -80,9 +80,9 @@ const (
 const MaxPIRBatch = 64
 
 // UnknownTypeRefusal is the error-body prefix servers send for an
-// unrecognized message type. FROZEN: a recursive fetch client matches it
-// on the answer to its first type-23 frame and retries flat, which is
-// how a server with its PIRRecursive knob off refuses that frame.
+// unrecognized message type, the retired types 10, 11 and 22 among
+// them. FROZEN: it is how a peer tells a type the server does not speak
+// from a frame the server refused.
 const UnknownTypeRefusal = "unexpected message type"
 
 // ViewRefusal opens the error body a server sends for a type-12 entry

@@ -30,16 +30,14 @@ import (
 // shape rather than carried per query — a forged per-query length
 // cannot disagree with the shape the server validates against.
 //
-// A server with its PIRRecursive knob off refuses this message with the
-// frozen UnknownTypeRefusal prefix, which is exactly the signal the
-// client's fetch path uses to fall back to flat frames.
+// Every server with retrieval enabled serves this message; a refused
+// frame fails the client's fetch.
 
 // TypePIRRecursiveQuery is the recursive retrieval request (type 23;
 // answers reuse TypePIRBatchResponse). Type 22 carried the same layout
 // under bit-per-ciphertext semantics — the column vector held KO
 // residues and the answer one gamma per BIT of the level-1 image — and
-// is retired: servers answer it like any unknown type, so its clients
-// fall back to flat frames.
+// is retired: servers answer it like any unknown type.
 const TypePIRRecursiveQuery = 23
 
 // MaxPIRRecursiveBatch caps the recursive queries per frame. A

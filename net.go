@@ -59,20 +59,14 @@ type ServeConfig struct {
 	AllowUpdates bool
 	// AllowRetrieval opts the server in to the private document-fetch
 	// messages (TypePIRParams / TypePIRBatchQuery /
-	// TypePIRRecursiveQuery). Off by default: each PIR answer costs
-	// ~8·BlockSize·NumBlocks modular multiplications over the database it
-	// scans, so a deployment must deliberately expose that CPU surface. Requires an engine built with
-	// Options.StoreDocuments (or loaded from a version-3 file carrying
-	// a store).
+	// TypePIRRecursiveQuery). Off by default: a flat PIR answer scans
+	// its document's class view, ~8·h·BlockSize modular multiplications
+	// per column of the view of height h (Options.BlockSize), and a
+	// recursive one the whole block array, so a deployment must
+	// deliberately expose that CPU surface. Requires an engine built
+	// with Options.StoreDocuments (or loaded from a version-3 file
+	// carrying a store).
 	AllowRetrieval bool
-	// PIRRecursive overrides the engine's Options.PIRRecursive switch
-	// for recursive (two-level) fetch frames served by this server: 0
-	// inherits the engine knob (read at answer time, so
-	// Engine.ConfigurePIRRecursive affects live servers), -1 refuses
-	// TypePIRRecursiveQuery frames (clients fall back to flat queries),
-	// 1 forces serving them. Values outside [-1, 1] are clamped.
-	// Decoded documents are byte-identical either way.
-	PIRRecursive int
 	// MaxInflight enables bounded admission control: at most this many
 	// requests execute at once, and requests past the limit park in a
 	// FIFO queue (QueueDepth, QueueTimeout) instead of piling onto the
@@ -215,9 +209,6 @@ type NetServer struct {
 	// loop runs the handler table and holds the counters.
 	loop      *serve.Server[sessionAudit]
 	riskAudit bool
-	// recursiveOverride is ServeConfig.PIRRecursive (clamped); 0 defers
-	// to the engine's Options.PIRRecursive at answer time.
-	recursiveOverride int
 	// replicaStatus, when set (SetReplicaStatus), reports the primary's
 	// newest known sequence number for the staleness rows of the stats
 	// surface.
@@ -232,17 +223,9 @@ type netRequest = serve.Request[sessionAudit]
 func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 	maxConns := cfg.MaxConns
 	if maxConns == 0 {
-		maxConns = e.opts.MaxConns
-	}
-	if maxConns == 0 {
 		maxConns = DefaultMaxConns
 	}
-	s := &NetServer{
-		engine:    e,
-		riskAudit: cfg.RiskAudit,
-		// ServeConfig arrives unchecked: clamp to the Options range.
-		recursiveOverride: min(max(cfg.PIRRecursive, -1), 1),
-	}
+	s := &NetServer{engine: e, riskAudit: cfg.RiskAudit}
 	updates := serve.Gate{Off: !cfg.AllowUpdates, Refusal: "live updates are disabled on this server"}
 	// An engine's store is fixed when it is built, so a server with
 	// retrieval on and no store refuses those frames at the gate too.
@@ -294,16 +277,6 @@ func (e *Engine) NewNetServer(cfg ServeConfig) *NetServer {
 		QueueTimeout:   cfg.QueueTimeout,
 	}, table)
 	return s
-}
-
-// pirRecursive resolves the recursive-serving switch for one recursive
-// frame: the ServeConfig override when set, else the engine's current
-// knob.
-func (s *NetServer) pirRecursive() bool {
-	if s.recursiveOverride != 0 {
-		return s.recursiveOverride > 0
-	}
-	return s.engine.livePIRRecursive()
 }
 
 // countPIRWork folds one answer's Stats into the server-wide mul
@@ -501,12 +474,6 @@ func (s *NetServer) answerPIRBatch(req *netRequest) error {
 // answerPIRRecursive serves a TypePIRRecursiveQuery, whose answers reuse
 // the batch-response frame, streamed in batch order like the flat path.
 func (s *NetServer) answerPIRRecursive(req *netRequest) error {
-	// The recursive layout is switched separately from AllowRetrieval,
-	// live: the refusal reuses the frozen UnknownTypeRefusal prefix, and a
-	// client falls back to flat queries on it.
-	if !s.pirRecursive() {
-		return errors.New(serve.UnknownType(req.Type) + ": recursive retrieval is disabled on this server")
-	}
 	snap := s.engine.store.Snapshot()
 	qs, err := wire.DecodePIRRecursiveQuery(req.Body)
 	if err != nil {

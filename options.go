@@ -53,11 +53,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	PrecomputeWindow int
-	// MaxConns caps simultaneous connections in Engine.Serve and
-	// NetServers built with a zero ServeConfig.MaxConns. 0 selects
-	// DefaultMaxConns; -1 disables the cap (any other negative value is
-	// rejected).
-	MaxConns int
 	// StoreDocuments opts the engine in to storing the document BYTES
 	// (not just the inverted index) in a PIR block store, enabling the
 	// paper's second privacy stage: fetching the winning documents
@@ -67,13 +62,16 @@ type Options struct {
 	// it roughly doubles the engine's memory footprint.
 	StoreDocuments bool
 	// BlockSize is the PIR block size in bytes for the document store:
-	// documents are laid out into fixed-size blocks and one PIR
-	// protocol execution fetches one block. Smaller blocks shrink the
-	// per-execution answer but cost more executions per document; the
-	// server-side work is ~8·BlockSize·NumBlocks modular
-	// multiplications either way. 0 selects docstore.DefaultBlockSize
-	// (512). Ignored unless StoreDocuments is set; persisted with the
-	// store.
+	// documents are laid out into fixed-size blocks, and a document of
+	// b blocks lives in the class view of height h = min(b, H), H =
+	// docstore.Heights(BlockSize), filling ceil(b/h) columns of h
+	// blocks. One flat PIR protocol execution fetches one column of its
+	// document's class view, at ~8·h·BlockSize modular multiplications
+	// per column of that view; a recursive one fetches one block and
+	// scans the whole block array. Smaller blocks make finer classes
+	// (and a finer length leak), larger ones fewer, taller classes.
+	// 0 selects docstore.DefaultBlockSize (512). Ignored unless
+	// StoreDocuments is set; persisted with the store.
 	BlockSize int
 	// RetrievalKeyBits sizes the Kushilevitz-Ostrovsky PIR modulus used
 	// by document fetches. 0 inherits KeyBits. Like KeyBits it is a
@@ -85,23 +83,6 @@ type Options struct {
 	//
 	// Deprecated: ignored; the schedule is derived from GOMAXPROCS.
 	PIRWorkers int
-	// PIRRecursive selects the recursive (two-level) Kushilevitz-
-	// Ostrovsky layout for document fetches: the block store is treated
-	// as a √n×√n grid, the client uploads two ~√n-element selection
-	// vectors instead of one element per block, and the answer carries
-	// the recursively-encrypted target block. Uploads shrink from n to
-	// at most 3·⌈√n⌉ group elements per fetched block; answers grow by
-	// a factor of |modulus| bytes (one ciphertext per byte of the flat
-	// answer), and decoded documents are byte-identical to the flat
-	// path. 0 (the default) and 1 enable the recursive serving path and
-	// let local fetches use it; -1 disables
-	// it — the server refuses recursive frames (clients fall back to
-	// flat queries) and local fetches stay flat. Runtime-only and not
-	// persisted; Engine.ConfigurePIRRecursive retunes a live engine,
-	// and NetServers can override it per server with
-	// ServeConfig.PIRRecursive. Whether a CLIENT sends recursive
-	// queries is its own knob (Client.SetFetchRecursive).
-	PIRRecursive int
 	// Durability opts the engine in to crash-safe persistence: every
 	// AddDocuments/DeleteDocuments batch is journaled to a write-ahead
 	// log in Durability.Dir before it is applied, and checkpoints
@@ -122,16 +103,6 @@ type Options struct {
 // DefaultMaxSegments is the live-index segment bound applied when
 // Options.MaxSegments is zero.
 const DefaultMaxSegments = index.DefaultMaxSegments
-
-// validatePIRRecursive is the range check for the PIRRecursive
-// encoding, shared by Options.validate and
-// Engine.ConfigurePIRRecursive.
-func validatePIRRecursive(n int) error {
-	if n < -1 || n > 1 {
-		return fmt.Errorf("embellish: PIRRecursive %d out of range [-1, 1]; -1 refuses recursive fetches, 0/1 serve them", n)
-	}
-	return nil
-}
 
 // Scoring selects the similarity function used to precompute posting
 // impacts.
@@ -174,9 +145,6 @@ func (o Options) validate() error {
 	if o.Scoring > BM25 {
 		return fmt.Errorf("embellish: unknown scoring %d", o.Scoring)
 	}
-	if o.MaxConns < -1 {
-		return fmt.Errorf("embellish: MaxConns %d out of range; -1 disables the cap, 0 selects the default", o.MaxConns)
-	}
 	if o.MaxSegments < -1 || o.MaxSegments > 1<<12 {
 		return fmt.Errorf("embellish: MaxSegments %d out of range [-1, %d]; -1 disables merging, 0 selects the default", o.MaxSegments, 1<<12)
 	}
@@ -187,9 +155,6 @@ func (o Options) validate() error {
 		if err := pir.CheckKeyBits(o.RetrievalKeyBits); err != nil {
 			return fmt.Errorf("embellish: RetrievalKeyBits: %w", err)
 		}
-	}
-	if err := validatePIRRecursive(o.PIRRecursive); err != nil {
-		return err
 	}
 	if err := o.Durability.validate(); err != nil {
 		return err

@@ -22,8 +22,6 @@ func TestOptionsValidateExecutionKnobs(t *testing.T) {
 		{"schedule fields ignored", func(o *Options) {
 			o.Shards, o.Parallelism, o.PrecomputeWindow, o.PIRWorkers = -7, 1<<20, 99, -2
 		}, ""},
-		{"maxconns unlimited", func(o *Options) { o.MaxConns = -1 }, ""},
-		{"maxconns below -1", func(o *Options) { o.MaxConns = -7 }, "MaxConns"},
 		{"maxsegments disable", func(o *Options) { o.MaxSegments = -1 }, ""},
 		{"maxsegments pinned", func(o *Options) { o.MaxSegments = 3 }, ""},
 		{"maxsegments below -1", func(o *Options) { o.MaxSegments = -2 }, "MaxSegments"},

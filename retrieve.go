@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -170,12 +169,9 @@ func (c *Client) pipelineDepth() int {
 // modBytes times larger (one ciphertext per byte of the level-1 answer).
 // The answers decode to byte-identical documents either way.
 //
-// Local fetches use the recursive plan only while the engine's
-// PIRRecursive knob allows it (Options.PIRRecursive /
-// ConfigurePIRRecursive); otherwise they silently serve flat. Remote
-// fetches send TypePIRRecursiveQuery frames and transparently retry
-// the whole fetch through the flat protocol when the server refuses
-// them (its PIRRecursive knob off).
+// Local fetches then run the recursive plan in process, and remote
+// fetches send TypePIRRecursiveQuery frames, which every server with
+// AllowRetrieval serves. A refused frame fails the fetch.
 func (c *Client) SetFetchRecursive(on bool) {
 	c.fetchRecursive = on
 }
@@ -197,10 +193,7 @@ type pirTransport interface {
 	// as the frame's bytes, which are only valid until deliver returns.
 	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error
 	// RunRecursive is Run for two-level recursive queries, under the
-	// same ordered-delivery contract. A transport whose server refuses the
-	// recursive protocol returns errRecursiveRefused (wrapped) from the
-	// first execution, with the stream still frame-aligned so the caller
-	// can retry flat.
+	// same ordered-delivery contract.
 	RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error
 }
 
@@ -539,16 +532,13 @@ func recursiveBatchLimit(values, modBits int) int {
 // RunRecursive speaks the recursive protocol: batches of up to
 // wire.MaxPIRRecursiveBatch queries per TypePIRRecursiveQuery frame,
 // answered by that many index-checked TypePIRBatchResponse frames.
-// Frames are synchronous — the answer stream is read to the end before
-// the next frame is written — so a refusal (a server with its
-// PIRRecursive knob off) is detected after exactly one exchanged frame
-// with the stream still aligned, and the caller retries flat.
+// Frames are synchronous: the answer stream is read to the end before
+// the next frame is written, and a refused frame fails the fetch.
 // Collection blocks on the generator to fill each frame: recursive
 // query generation costs sqrt(n) residuosity draws, orders of
 // magnitude cheaper than the grid scan it feeds.
 func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
 	var batchMax int
-	first := true
 	batch := make([]*pir.RecursiveQuery, 0, wire.MaxPIRRecursiveBatch)
 	var frame []byte // every ~590 KB answer frame of the fetch is read into this one buffer
 	serve := func() error {
@@ -562,14 +552,6 @@ func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQue
 			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading recursive PIR answer: %w", err)
-			}
-			if first {
-				if typ == wire.TypeError && strings.HasPrefix(string(body), wire.UnknownTypeRefusal) {
-					// The refusal a disabled PIRRecursive knob sends for
-					// type 23; the caller falls back to the flat protocol.
-					return fmt.Errorf("%w: %s", errRecursiveRefused, body)
-				}
-				first = false
 			}
 			switch typ {
 			case wire.TypeError:
@@ -660,13 +642,10 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	if err != nil {
 		return nil, FetchStats{}, err
 	}
-	// Local fetches honor BOTH sides of the recursive handshake: the
-	// client's opt-in and the engine's live PIRRecursive knob — exactly
-	// the pair a remote fetch negotiates over the wire. Nothing local
-	// crosses a wire, so the flat vectors are drawn written out: the
-	// seeded form's codes would buy no byte.
+	// Nothing local crosses a wire, so the flat vectors are drawn
+	// written out: the seeded form's codes would buy no byte.
 	shape := fetchLocal
-	if c.fetchRecursive && c.engine.livePIRRecursive() {
+	if c.fetchRecursive {
 		shape = fetchRecursive
 	}
 	return c.fetchVia(ctx, localPIR{sn: sn}, ids, shape)
@@ -697,8 +676,8 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // DefaultFetchPipeline) of them travel seeded in batch frames while
 // earlier answers stream back, so the connection must support
 // concurrent Read and Write (every net.Conn does). A client that opted
-// into the recursive protocol (SetFetchRecursive) tries it first and
-// fetches flat when the server refuses it.
+// into the recursive protocol (SetFetchRecursive) fetches through it
+// instead, one synchronous frame at a time.
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
@@ -721,13 +700,11 @@ func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWr
 		c.fetched = fetchConn{conn: conn}
 	}
 	t := remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}
+	shape := fetchSeeded
 	if c.fetchRecursive {
-		out, st, err := c.fetchVia(ctx, t, ids, fetchRecursive)
-		if !errors.Is(err, errRecursiveRefused) {
-			return out, st, err
-		}
+		shape = fetchRecursive
 	}
-	return c.fetchVia(ctx, t, ids, fetchSeeded)
+	return c.fetchVia(ctx, t, ids, shape)
 }
 
 // fetchShape is how fetchVia draws a fetch's block queries, and in
@@ -746,11 +723,6 @@ const (
 	// per block of the block array.
 	fetchRecursive
 )
-
-// errRecursiveRefused marks a server that refused a recursive fetch's
-// first frame with the unknown-type refusal: its PIRRecursive knob is
-// off.
-var errRecursiveRefused = errors.New("embellish: server does not serve recursive PIR fetches")
 
 // fetchVia runs the client side of the fetch protocol: obtain the
 // block mapping, then one PIR execution per column of each document —

@@ -434,7 +434,7 @@ func retiredBody(n *big.Int, elems ...*big.Int) []byte {
 // width and decode to the oracle's gammas.
 func TestHelloPacksEveryAnswer(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
-	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, PIRRecursive: 1})
+	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)

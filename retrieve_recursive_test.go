@@ -76,50 +76,6 @@ func TestFetchDocumentsRecursiveLocal(t *testing.T) {
 	}
 }
 
-// TestFetchRecursiveKnobLocal pins the local handshake: the engine's
-// PIRRecursive knob gates a recursive-opted client (silently flat at
-// -1), and ConfigurePIRRecursive flips it live.
-func TestFetchRecursiveKnobLocal(t *testing.T) {
-	_, c, _ := storeWorld(t, 30, 32)
-	e := c.engine
-	ids := fetchAllIDs(8)
-	c.SetFetchRecursive(true)
-
-	_, recSt, err := c.FetchDocuments(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.ConfigurePIRRecursive(-1); err != nil {
-		t.Fatal(err)
-	}
-	got, flatSt, err := c.FetchDocuments(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ids) {
-		t.Fatalf("fetched %d documents, want %d", len(got), len(ids))
-	}
-	// Knob off: the same opted-in client silently served flat, visible
-	// in the answer accounting (recursive answers are modBytes times
-	// wider).
-	if flatSt.AnswerBytes >= recSt.AnswerBytes {
-		t.Fatalf("knob -1 downloaded %d bytes, recursive run downloaded %d — still recursive?", flatSt.AnswerBytes, recSt.AnswerBytes)
-	}
-	if err := e.ConfigurePIRRecursive(1); err != nil {
-		t.Fatal(err)
-	}
-	_, backSt, err := c.FetchDocuments(ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if backSt.QueryBytes != recSt.QueryBytes {
-		t.Fatalf("knob restored: uploaded %d bytes, want %d", backSt.QueryBytes, recSt.QueryBytes)
-	}
-	if err := e.ConfigurePIRRecursive(2); err == nil {
-		t.Fatal("ConfigurePIRRecursive(2) accepted")
-	}
-}
-
 // TestFetchDocumentsRecursiveRemote drives type-23 frames over TCP:
 // byte-identity against direct reads, upload accounting below the flat
 // path, and the server's recursive counters tracking the executions.
@@ -184,44 +140,6 @@ func TestFetchDocumentsRecursiveRemote(t *testing.T) {
 	}
 }
 
-// TestFetchRecursiveFallsBackToFlat: a server whose PIRRecursive knob
-// is -1 refuses type 23 with the frozen unknown-type prefix, and the
-// opted-in client transparently retries the whole fetch flat on the
-// same connection — indistinguishable from talking to an old server,
-// pre-recursive or of the retired type 22 (TestRetiredRecursiveType
-// pins that refusal's text from the other side).
-func TestFetchRecursiveFallsBackToFlat(t *testing.T) {
-	e, _, texts := storeWorld(t, 20, 32)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRRecursive: -1})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c, err := e.NewClient(detrand.New("fallback-client"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SetFetchRecursive(true)
-	ids := fetchAllIDs(12)
-	got, st, err := c.FetchDocumentsRemote(conn, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		if string(got[i]) != texts[id] {
-			t.Fatalf("doc %d: fetched %q, want %q", id, got[i], texts[id])
-		}
-	}
-	if st.Runs == 0 {
-		t.Fatal("no PIR executions accounted")
-	}
-	// The connection survived the refusal and the retry: fetch again.
-	if _, _, err := c.FetchDocumentsRemote(conn, ids[:3]); err != nil {
-		t.Fatalf("fetch after fallback: %v", err)
-	}
-}
-
 // TestFetchRecursiveRemoteCancellation: a deadline expiring mid-fetch
 // surfaces ctx.Err() through the recursive path without wedging the
 // client or the server.
@@ -247,13 +165,12 @@ func TestFetchRecursiveRemoteCancellation(t *testing.T) {
 
 // TestRetiredRecursiveType: type 22 — the same frame layout under the
 // retired bit-per-ciphertext semantics — reaches no decoder: a server
-// that serves type 23 answers a well-formed type-22 frame from the
-// default branch, with exactly the refusal an old client's fallback
-// matches on, and the connection survives to serve the same body as
-// type 23.
+// answers a well-formed type-22 frame from the default branch, with the
+// frozen unknown-type refusal, and the connection survives to serve the
+// same body as type 23.
 func TestRetiredRecursiveType(t *testing.T) {
 	e, _, texts := storeWorld(t, 20, 32)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true, PIRRecursive: 1})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
