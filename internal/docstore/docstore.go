@@ -108,7 +108,9 @@ type Extent struct {
 
 // Snapshot is one immutable state of a Store: the block array and the
 // per-document extents. Concurrent readers use it without locks; it
-// stays internally consistent forever.
+// stays internally consistent forever. Its one mutable part is a cache
+// of derived data: the transposition of each height, which the first
+// complete flat scan of that height fills.
 type Snapshot struct {
 	blockSize int
 	blocks    [][]byte // each exactly blockSize bytes, immutable
@@ -117,6 +119,10 @@ type Snapshot struct {
 	// bytes; views[0] is unused (height 0 is the block array).
 	views  [][][]byte
 	layout *Layout // where each document sits in views
+	// pats[h] is the transposition cache of the height-h database (the
+	// block array at 0), filled by its first complete flat scan. It lives
+	// and dies with the snapshot: a write publishes empty ones.
+	pats []pir.Transposition
 }
 
 // BlockSize returns the fixed block size in bytes.
@@ -249,9 +255,11 @@ func (l *Layout) ColumnBytes(h int) int { return max(h, 1) * l.blockSize }
 
 // AnswerMultiExecCtx runs the server side of a batch of k >= 1 PIR
 // executions in one database pass (the flat executor,
-// pir.ProcessColumnsMultiExecCtx): the column bytes are read and
-// transposed once for the whole batch, ex.Workers partitions column
-// groups and ex.Window pins the window width. The queries' Height names
+// pir.ProcessColumnsMultiExecCtx): ex.Workers partitions column groups
+// and ex.Window pins the window width. The column bytes are transposed
+// once per snapshot and height, by the first complete scan of that
+// database, and later scans fold from those patterns (the snapshot sets
+// ex.Patterns; a caller's is ignored). The queries' Height names
 // the database: 0 is the block array, one column per block, and h in
 // 1..H is view h, one column of h blocks per document of class h. The
 // batch addresses the FIRST len(qs[0].Values) columns of it: accepting
@@ -275,6 +283,7 @@ func (sn *Snapshot) AnswerMultiExecCtx(ctx context.Context, qs []*pir.Query, ex 
 	if err != nil {
 		return nil, nil, err
 	}
+	ex.Patterns = &sn.pats[qs[0].Height]
 	return pir.ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs, ex)
 }
 
@@ -352,7 +361,7 @@ func New(blockSize int) (*Store, error) {
 	}
 	hmax := Heights(blockSize)
 	s := &Store{blockSize: blockSize, zero: make([]byte, hmax*blockSize)}
-	s.state.Store(&Snapshot{blockSize: blockSize, views: make([][][]byte, hmax+1), layout: newLayout(blockSize, 0, nil)})
+	s.state.Store(&Snapshot{blockSize: blockSize, views: make([][][]byte, hmax+1), layout: newLayout(blockSize, 0, nil), pats: make([]pir.Transposition, hmax+1)})
 	return s, nil
 }
 
@@ -426,7 +435,7 @@ func FromParts(blockSize int, exts []Extent, raw []byte) (*Store, error) {
 	if int(next) != numBlocks {
 		return nil, fmt.Errorf("docstore: extents cover %d blocks, store holds %d", next, numBlocks)
 	}
-	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: layout.exts, views: views, layout: layout})
+	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: layout.exts, views: views, layout: layout, pats: make([]pir.Transposition, len(views))})
 	return s, nil
 }
 
@@ -500,7 +509,7 @@ func (s *Store) AddBatch(base int, docs [][]byte) error {
 		})
 	}
 	layout.exts, layout.widths[0] = exts, len(blocks)
-	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: exts, views: views, layout: layout})
+	s.state.Store(&Snapshot{blockSize: B, blocks: blocks, exts: exts, views: views, layout: layout, pats: make([]pir.Transposition, len(views))})
 	return nil
 }
 
@@ -552,6 +561,6 @@ func (s *Store) DeleteBatch(ids []int) error {
 	}
 	layout := *cur.layout
 	layout.exts = exts
-	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: exts, views: views, layout: &layout})
+	s.state.Store(&Snapshot{blockSize: s.blockSize, blocks: blocks, exts: exts, views: views, layout: &layout, pats: make([]pir.Transposition, len(views))})
 	return nil
 }

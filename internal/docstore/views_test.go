@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -209,4 +210,126 @@ func TestAnswerClassViewColumns(t *testing.T) {
 	if _, _, err := sn.AnswerMultiExecCtx(context.Background(), []*pir.Query{q, other}, pir.Exec{}); err == nil {
 		t.Fatal("a batch mixing heights was answered")
 	}
+}
+
+// TestTranspositionPerSnapshot: each height of a snapshot is transposed
+// once, by its first complete flat scan, and every scan — cold, warm,
+// replacing the cached transposition, or transposing per call — returns
+// the oracle's gammas and exactly the Stats of a scan without the cache,
+// at one, two and three workers. View 1 at 1 KiB blocks holds 8,192 rows,
+// where a batch of one picks window 9 and a batch of two window 10. A
+// write publishes a snapshot that scans the appended or zeroed columns,
+// and the older snapshot keeps serving its own bytes.
+func TestTranspositionPerSnapshot(t *testing.T) {
+	const blockSize = 1024
+	rng := rand.New(rand.NewSource(36))
+	s, err := New(blockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// View 1 gets 23 columns, view 2 four; the block array 31, with the
+	// two-block documents among the others so that no view's columns are
+	// a prefix of it.
+	var docs [][]byte
+	for i := 0; i < 27; i++ {
+		blocks := 1
+		if i%7 == 3 {
+			blocks = 2
+		}
+		doc := make([]byte, blocks*blockSize-rng.Intn(blockSize))
+		rng.Read(doc)
+		docs = append(docs, doc)
+	}
+	if err := s.AddBatch(0, docs); err != nil {
+		t.Fatal(err)
+	}
+	key, err := pir.GenerateKey(detrand.New("transposition-pir"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type scan struct{ height, width, batch, workers int }
+	run := func(label string, sn *Snapshot, scans []scan) {
+		t.Helper()
+		for n, sc := range scans {
+			qs := make([]*pir.Query, sc.batch)
+			for i := range qs {
+				q, err := key.NewQuery(detrand.New(fmt.Sprintf("%s-%d-%d", label, n, i)), sc.width, (7*i+n)%sc.width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q.Height = sc.height
+				qs[i] = q
+			}
+			ex := pir.Exec{Workers: sc.workers}
+			got, st, err := sn.AnswerMultiExecCtx(context.Background(), qs, ex)
+			if err != nil {
+				t.Fatalf("%s, scan %+v: %v", label, sc, err)
+			}
+			cols, colBytes, err := sn.columns(qs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, plainSt, err := pir.ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(st, plainSt) {
+				t.Errorf("%s, scan %+v: Stats %v, a scan without the cache %v", label, sc, st, plainSt)
+			}
+			for i, q := range qs {
+				ref, _, err := sn.AnswerCtx(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := range ref.Gammas {
+					if got[i].Gammas[r].Cmp(ref.Gammas[r]) != 0 {
+						t.Fatalf("%s, scan %+v: query %d row %d differs from the oracle", label, sc, i, r)
+					}
+				}
+			}
+		}
+	}
+	old := s.Snapshot()
+	run("first snapshot", old, []scan{
+		{1, 23, 1, 1}, // cold at window 9
+		{1, 23, 1, 3}, // warm
+		{1, 23, 2, 2}, // window 10 replaces it
+		{1, 23, 2, 3}, // warm
+		{1, 23, 1, 2}, // window 9 again: per call
+		{1, 20, 2, 1}, // an older prefix on a group edge
+		{1, 15, 2, 3}, // and one ending mid-group
+		{2, 4, 2, 2},  // cold, then warm
+		{2, 4, 2, 1},
+		{0, 31, 2, 2}, // the block array: cold, then warm
+		{0, 31, 2, 3},
+	})
+	grown := make([][]byte, 3)
+	for i := range grown {
+		grown[i] = make([]byte, blockSize-rng.Intn(blockSize))
+		rng.Read(grown[i])
+	}
+	if err := s.AddBatch(len(docs), grown); err != nil {
+		t.Fatal(err)
+	}
+	run("after AddBatch", s.Snapshot(), []scan{
+		{1, 26, 2, 2}, // cold over the appended columns, then warm
+		{1, 26, 2, 3},
+		{1, 23, 2, 1}, // the prefix an older mapping addresses
+		{0, 34, 2, 2},
+	})
+	if err := s.DeleteBatch([]int{0, 4, 11, 24}); err != nil {
+		t.Fatal(err)
+	}
+	run("after DeleteBatch", s.Snapshot(), []scan{
+		{1, 26, 2, 2}, // the zeroed columns, cold then warm
+		{1, 26, 2, 1},
+		{2, 4, 2, 3},
+		{0, 34, 2, 2},
+		{0, 34, 2, 1},
+	})
+	run("first snapshot again", old, []scan{
+		{1, 23, 2, 2},
+		{2, 4, 2, 1},
+		{0, 31, 2, 3},
+	})
 }

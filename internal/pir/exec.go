@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"embellish/internal/scanclock"
@@ -24,10 +25,12 @@ import (
 //     squared value at 0-bits) are precomputed per query. Every row then
 //     multiplies one table entry per group — ~cols/w multiplications
 //     per row instead of cols;
-//   - shared transposition: the database bytes are read and
-//     bit-transposed into row patterns once per column group, not once
-//     per query (groupPatterns16, table-driven). The pattern buffer
-//     (2 bytes/row) then feeds all k row scans from cache;
+//   - shared transposition: a column group's bytes are bit-transposed
+//     into one pattern per row (groupPatterns16, table-driven, 2 bytes
+//     per row) that feeds all k row scans from cache. The patterns do
+//     not depend on the queries, so a Transposition handed in through
+//     Exec keeps them for every later scan of the same immutable store:
+//     the first complete scan transposes, the rest only fold;
 //   - the Montgomery REDC kernel (montgomery.go): query values and
 //     tables are converted into Montgomery form once per batch, the row
 //     loops multiply word slices with no per-operation quotient or
@@ -61,6 +64,82 @@ type Exec struct {
 	// its own: a pin in 2..16 is honoured, anything else — 0, 1, wider —
 	// means the shape-only recursiveWindow.
 	Window int
+	// Patterns, when non-nil, is the transposition cache of the column
+	// store the flat executor scans; nil transposes every group on every
+	// call. The recursive executor ignores it.
+	Patterns *Transposition
+}
+
+// Transposition caches the row patterns of one immutable column store:
+// the groupPatterns16 output of every window-aligned group of a prefix
+// of its columns. It is filled lazily by the scan that misses it — each
+// worker writes its groups into a fresh slab as it transposes them — and
+// published by compare-and-swap once that scan has completed, so a
+// cancelled scan publishes nothing and concurrent cold scans never wait
+// on each other. A later scan reads a group from it only when the
+// published slab holds that group whole, at the scan's window, with the
+// same bounds; every other group is transposed per call. A scan that
+// covers more columns than the published slab, or the same columns at a
+// wider window, replaces it. The zero value is empty; it is safe for
+// concurrent use, and must only ever serve one store, whose bytes and
+// column height never change. It costs 2 bytes per row per group.
+type Transposition struct {
+	slab atomic.Pointer[patternSlab]
+}
+
+// patternSlab is one transposition: the patterns of groups [0, width)
+// of window columns each (the last one ragged), rows patterns a group.
+type patternSlab struct {
+	width, window, rows int
+	pats                []uint16
+}
+
+// plan returns the published slab a scan of the first width columns at
+// window may read, or — when that scan covers more than the published
+// one — a new slab for it to fill. Neither means per-call transposition.
+func (t *Transposition) plan(width, window, rows int) (read, fill *patternSlab) {
+	if t == nil {
+		return nil, nil
+	}
+	cur := t.slab.Load()
+	if cur.below(width, window) {
+		groups := (width + window - 1) / window
+		return nil, &patternSlab{width: width, window: window, rows: rows, pats: make([]uint16, groups*rows)}
+	}
+	if cur.window == window && cur.rows == rows {
+		return cur, nil
+	}
+	return nil, nil
+}
+
+// below reports whether a scan of width columns at window covers more
+// than s: more columns, or the same ones at a wider window. A nil slab
+// covers nothing.
+func (s *patternSlab) below(width, window int) bool {
+	return s == nil || s.width < width || s.width == width && s.window < window
+}
+
+// publish installs a slab its scan has filled completely, unless a
+// concurrent scan has published one that covers at least as much.
+func (t *Transposition) publish(s *patternSlab) {
+	for {
+		cur := t.slab.Load()
+		if !cur.below(s.width, s.window) || t.slab.CompareAndSwap(cur, s) {
+			return
+		}
+	}
+}
+
+// holds reports whether s transposed the group [start, end) whole, with
+// these bounds; start is a multiple of s's window.
+func (s *patternSlab) holds(start, end int) bool {
+	return s != nil && start < s.width && end == min(start+s.window, s.width)
+}
+
+// group returns the patterns of the group starting at column start.
+func (s *patternSlab) group(start int) []uint16 {
+	g := start / s.window
+	return s.pats[g*s.rows : (g+1)*s.rows : (g+1)*s.rows]
 }
 
 // MaxBatchWindow caps the window width: tables hold 2^w entries per
@@ -103,13 +182,14 @@ func validateColumns(cols [][]byte, colBytes int, q *Query) error {
 // per-column, per-query cost is rows/w row multiplications plus
 // 2^(w+1)/w table build, and the build term is charged at 1/k so batches
 // push the optimum wider. Nothing a batch shares earns that discount —
-// the shared transposition is ~10% of a six-query scan and every query
-// builds its own table — but MaxBatchWindow makes it harmless: at 8,192
-// rows the model picks 9 for a batch of one and the cap of 10 from k = 2
-// up, and undiscounted the two cost the same 1,024 multiplications per
-// column. Changing it moves every served window and multiplication
-// count, so it waits for a measured re-fit. Also bounded by a ceiling on
-// the k simultaneously-live group tables.
+// the model leaves the transposition out (~40% of one worker's CPU in a
+// cold two-query scan of a 762-column, 3 KiB view, and none of a warm
+// one's) and every query builds its own table — but MaxBatchWindow makes
+// it harmless: at 8,192 rows the model picks 9 for a batch of one and the
+// cap of 10 from k = 2 up, and undiscounted the two cost the same 1,024
+// multiplications per column. Changing it moves every served window and
+// multiplication count, so it waits for a measured re-fit. Also bounded
+// by a ceiling on the k simultaneously-live group tables.
 func autoWindowMulti(rows, cols, modBytes, k int) int {
 	best, bestCost := 1, int(^uint(0)>>1)
 	for w := 1; w <= MaxBatchWindow; w++ {
@@ -264,7 +344,9 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 	workers := min(max(ex.Workers, 1), groups)
 
 	// Partition GROUPS (not raw columns) across workers so every
-	// worker's column range is a whole number of windows.
+	// worker's column range is a whole number of windows, and every
+	// group's bounds are the same at any worker count.
+	read, fill := ex.Patterns.plan(len(cols), window, rows)
 	parts := make([]scanPart, workers)
 	var wg sync.WaitGroup
 	for w := range parts {
@@ -274,7 +356,7 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 		go func(p *scanPart) {
 			defer wg.Done()
 			p.kern = newScanKernel(mont, k, hi-lo, rows, window)
-			p.scan(poll, cols, vals, colBytes, window, lo, hi)
+			p.scan(poll, cols, vals, colBytes, window, lo, hi, read, fill)
 		}(&parts[w])
 	}
 	wg.Wait()
@@ -319,12 +401,17 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 		}
 		answers[i] = &Answer{Gammas: gammas}
 	}
+	if fill != nil {
+		ex.Patterns.publish(fill)
+	}
 	return answers, stats, nil
 }
 
 // processOne runs the flat executor on a batch of one, for the
-// recursive path's level-1 reference and level 2.
+// recursive path's level-1 reference and level 2. Their columns are not
+// the store's, so no transposition cache applies.
 func processOne(ctx context.Context, cols [][]byte, colBytes int, q *Query, ex Exec) (*Answer, Stats, error) {
+	ex.Patterns = nil
 	answers, stats, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, []*Query{q}, ex)
 	var st Stats
 	if len(stats) > 0 {
@@ -349,12 +436,14 @@ type scanPart struct {
 }
 
 // scan is the group-major one-pass scan over columns [lo, hi), the one
-// skeleton the kernel runs under. Per group: transpose the group's
-// database bytes into one pattern per row ONCE (the per-byte work the
-// batch shares), then for each query build its 2^g subset-product table
-// and fold table[pats[r]] into its row accumulators. The multiplication
+// skeleton the kernel runs under. Per group: take the group's row
+// patterns (the per-byte work the batch shares), then for each query
+// build its 2^g subset-product table and fold table[pats[r]] into its
+// row accumulators. The patterns come from read when it holds the group,
+// are transposed into fill's slot when this scan fills a cache, and are
+// transposed into a per-worker buffer otherwise. The multiplication
 // order per row is the oracle's column order up to reassociation.
-func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colBytes, window, lo, hi int) {
+func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colBytes, window, lo, hi int, read, fill *patternSlab) {
 	k, rows := len(vals), colBytes*8
 	p.muls, p.tableMuls = make([]int, k), make([]int, k)
 	setup := func(i, muls int) {
@@ -373,14 +462,27 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 			setup(i, loadMuls*(j1-j0))
 		}
 	}
-	pats := make([]uint16, rows)
+	var buf []uint16
 	for start := lo; start < hi; start += window {
 		if poll.stopped() {
 			p.err = poll.err()
 			return
 		}
 		end := min(start+window, hi)
-		groupPatterns16(cols, start, end, colBytes, pats)
+		var pats []uint16
+		switch {
+		case fill != nil:
+			pats = fill.group(start)
+			groupPatterns16(cols, start, end, colBytes, pats)
+		case read.holds(start, end):
+			pats = read.group(start)
+		default:
+			if buf == nil {
+				buf = make([]uint16, rows)
+			}
+			pats = buf
+			groupPatterns16(cols, start, end, colBytes, pats)
+		}
 		// In a worker's first group the accumulator IS the table entry
 		// (the oracle's 1·v first step): no multiplication, no poll.
 		first := start == lo

@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -189,7 +190,7 @@ func TestExecutorSharesTransposition(t *testing.T) {
 			})
 			defer restore()
 			p := &scanPart{kern: newScanKernel(mont, k, nCols, rows, window)}
-			p.scan(newScanPoll(ctx), cols, vals, colBytes, window, 0, nCols)
+			p.scan(newScanPoll(ctx), cols, vals, colBytes, window, 0, nCols, nil, nil)
 			return p, polls
 		}
 		full, total := scanTo(0)
@@ -219,6 +220,141 @@ func TestExecutorSharesTransposition(t *testing.T) {
 			if lo <= loads || hi-lo > perGroup {
 				t.Fatalf("batch %d, cut at poll %d of %d: per-query work %v, want every query past its loads (%d) and within %d of the others",
 					k, cut, total, p.muls, loads, perGroup)
+			}
+		}
+	}
+}
+
+// TestTranspositionMatchesOracle: scans through one Transposition — the
+// cold scan that fills it, warm scans that read it, and scans that
+// replace it — return the oracle's gammas and exactly the Stats of a scan
+// without one, at one, two and three workers. The columns a step must
+// take from the cache are zeroed in the bytes it scans, so only the
+// cache can give it the oracle's gammas; a step that must take nothing
+// from the cache and fill nothing scans all-zero columns and must get
+// their gammas.
+func TestTranspositionMatchesOracle(t *testing.T) {
+	const nCols, colBytes = 29, 6
+	cols := randomColumns(t, 43, nCols, colBytes)
+	blank := make([][]byte, nCols)
+	for j := range blank {
+		blank[j] = make([]byte, colBytes)
+	}
+	key := testKey(t)
+	steps := []struct {
+		name                 string
+		width, window, batch int
+		fills                bool   // transposes every group into a new slab
+		cached               int    // leading columns read from the cache
+		slab                 [2]int // the published width and window after the step
+	}{
+		{"cold", 20, 4, 2, true, 0, [2]int{20, 4}},
+		{"warm", 20, 4, 2, false, 20, [2]int{20, 4}},
+		{"warm batch of one", 20, 4, 1, false, 20, [2]int{20, 4}},
+		{"prefix on a group edge", 12, 4, 3, false, 12, [2]int{20, 4}},
+		{"prefix mid-group", 14, 4, 2, false, 12, [2]int{20, 4}},
+		{"another window", 20, 3, 2, false, 0, [2]int{20, 4}},
+		{"more columns", 29, 4, 2, true, 0, [2]int{29, 4}},
+		{"warm ragged last group", 29, 4, 2, false, 29, [2]int{29, 4}},
+		{"same columns, wider window", 29, 5, 2, true, 0, [2]int{29, 5}},
+		{"older prefix, narrower window", 20, 4, 2, false, 0, [2]int{29, 5}},
+	}
+	for _, workers := range []int{1, 2, 3} {
+		tr := new(Transposition)
+		for _, st := range steps {
+			src, want := cols[:st.width], cols[:st.width]
+			if !st.fills {
+				src = append(slices.Clone(blank[:st.cached]), cols[st.cached:st.width]...)
+				if st.cached == 0 {
+					src, want = blank[:st.width], blank[:st.width]
+				}
+			}
+			qs := multiBatch(t, key, "tr-"+st.name, st.width, st.batch)
+			ex := Exec{Workers: workers, Window: st.window}
+			_, plainSt, err := ProcessColumnsMultiExecCtx(context.Background(), src, colBytes, qs, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex.Patterns = tr
+			got, gotSt, err := ProcessColumnsMultiExecCtx(context.Background(), src, colBytes, qs, ex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotSt, plainSt) {
+				t.Errorf("%d workers, %s: Stats %v, want %v", workers, st.name, gotSt, plainSt)
+			}
+			for i, q := range qs {
+				ref, _, err := ProcessColumnsCtx(context.Background(), want, colBytes, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, g := range got[i].Gammas {
+					if g.Cmp(ref.Gammas[r]) != 0 {
+						t.Fatalf("%d workers, %s: query %d row %d differs from the oracle", workers, st.name, i, r)
+					}
+				}
+			}
+			if sl := tr.slab.Load(); sl == nil || [2]int{sl.width, sl.window} != st.slab {
+				t.Fatalf("%d workers, after %s: published slab %+v, want width and window %v", workers, st.name, sl, st.slab)
+			}
+		}
+	}
+}
+
+// TestCancelledScanPublishesNothing: a cold scan cut at any poll, on the
+// scan clock, returns no answers and leaves its Transposition empty;
+// the next, uncut scan fills it and returns the oracle's gammas.
+func TestCancelledScanPublishesNothing(t *testing.T) {
+	const nCols, colBytes, window = 23, 5, 4
+	cols := randomColumns(t, 47, nCols, colBytes)
+	qs := multiBatch(t, testKey(t), "cut", nCols, 2)
+	for _, workers := range []int{1, 2} {
+		// scan runs one scan under a clock that crosses the deadline at
+		// poll number cut (never, when 0) and reports the polls made.
+		scan := func(tr *Transposition, cut int64) ([]*Answer, int64, error) {
+			deadline := time.Now().Add(time.Hour)
+			ctx, cancel := context.WithDeadline(context.Background(), deadline)
+			defer cancel()
+			var polls atomic.Int64
+			restore := scanclock.Set(func() time.Time {
+				if n := polls.Add(1); cut > 0 && n >= cut {
+					return deadline
+				}
+				return deadline.Add(-time.Minute)
+			})
+			defer restore()
+			ans, _, err := ProcessColumnsMultiExecCtx(ctx, cols, colBytes, qs, Exec{Workers: workers, Window: window, Patterns: tr})
+			return ans, polls.Load(), err
+		}
+		_, total, err := scan(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := int64(1); cut <= total; cut++ {
+			tr := new(Transposition)
+			if ans, _, err := scan(tr, cut); err == nil || ans != nil {
+				t.Fatalf("%d workers, cut at poll %d of %d: answers %v, err %v", workers, cut, total, ans != nil, err)
+			}
+			if tr.slab.Load() != nil {
+				t.Fatalf("%d workers, cut at poll %d of %d: a cancelled scan published its slab", workers, cut, total)
+			}
+			ans, _, err := scan(tr, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.slab.Load() == nil {
+				t.Fatalf("%d workers: the uncut scan published nothing", workers)
+			}
+			for i, q := range qs {
+				ref, _, err := ProcessColumnsCtx(context.Background(), cols, colBytes, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r, g := range ans[i].Gammas {
+					if g.Cmp(ref.Gammas[r]) != 0 {
+						t.Fatalf("%d workers, after a cut at poll %d: query %d row %d differs from the oracle", workers, cut, i, r)
+					}
+				}
 			}
 		}
 	}
@@ -347,10 +483,11 @@ func BenchmarkOracle(b *testing.B) {
 	}
 }
 
-// benchmarkExecutor measures one executor pass at the oracle's shape
-// (small), a block-store-like one (512 columns × 8192 rows) or the
-// repository benchmark's store (6,029 × 8192: what one frame of a
-// fetch-flat op scans — the one-query slow-start probe, then the rest).
+// benchmarkExecutor measures one executor pass, transposing every group,
+// at the oracle's shape (small), a block-store-like one (512 columns ×
+// 8192 rows) or the repository benchmark's whole block array (6,029 ×
+// 8192: what a traced block-array query scans, and a flat fetch does
+// not since fetches scan class views).
 func benchmarkExecutor(b *testing.B, nCols, colBytes, batch, workers int) {
 	cols := randomColumns(b, 2, nCols, colBytes)
 	qs := multiBatch(b, benchmarkKey(b), "bench-multi", nCols, batch)
@@ -369,6 +506,34 @@ func BenchmarkExecutorBatch4(b *testing.B)  { benchmarkExecutor(b, 512, 1024, 4,
 func BenchmarkExecutorBatch16(b *testing.B) { benchmarkExecutor(b, 512, 1024, 16, 1) }
 func BenchmarkExecutorStore1(b *testing.B)  { benchmarkExecutor(b, 6029, 1024, 1, 2) }
 func BenchmarkExecutorStore6(b *testing.B)  { benchmarkExecutor(b, 6029, 1024, 6, 2) }
+
+// benchmarkView measures what one fetch-flat frame of the repository
+// benchmark scans: two queries over its class-3 view (762 columns of
+// 3 KiB) on two workers, through a Transposition. Cold passes each get a
+// fresh one — the first scan of a view in a snapshot, which transposes
+// and fills it; warm passes share one filled before the timer starts.
+func benchmarkView(b *testing.B, warm bool) {
+	const nCols, colBytes = 762, 3 * 1024
+	cols := randomColumns(b, 2, nCols, colBytes)
+	qs := multiBatch(b, benchmarkKey(b), "bench-view", nCols, 2)
+	ex := Exec{Workers: 2, Patterns: new(Transposition)}
+	if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, ex); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !warm {
+			ex.Patterns = new(Transposition)
+		}
+		if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, ex); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExecutorViewCold(b *testing.B) { benchmarkView(b, false) }
+func BenchmarkExecutorViewWarm(b *testing.B) { benchmarkView(b, true) }
 
 // benchmarkGroupPatterns is one transposition pass over a store of the
 // repository benchmark's shape (6,029 blocks of 1 KB, ten columns per

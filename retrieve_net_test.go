@@ -199,6 +199,72 @@ func TestRemoteSearchThenPIRFetchDuringChurn(t *testing.T) {
 	}
 }
 
+// TestFetchColdViewsConcurrently: several connections fetch the same
+// documents at once from views no scan has transposed yet — each round
+// runs on a fresh snapshot, the first on the built store and the rest
+// after AddDocuments or DeleteDocuments — so their cold scans fill each
+// view's transposition side by side and later frames read it. Every
+// fetch returns Engine.Document's bytes.
+func TestFetchColdViewsConcurrently(t *testing.T) {
+	e, _, _ := storeWorld(t, 30, 32)
+	lemmas := miniLemmas()
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
+	const fetchers = 4
+	clients := make([]*Client, fetchers)
+	conns := make([]net.Conn, fetchers)
+	for i := range clients {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		c, err := e.NewClient(detrand.New(fmt.Sprintf("cold-view-%d", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i], conns[i] = c, conn
+	}
+	for round := 0; round < 4; round++ {
+		switch round {
+		case 1, 3:
+			base := e.NextDocID()
+			docs := []Document{{ID: base, Text: storeDocText(base, lemmas)}, {ID: base + 1, Text: fillerDocText(base+1, lemmas)}}
+			if err := e.AddDocuments(docs); err != nil {
+				t.Fatal(err)
+			}
+		case 2:
+			if err := e.DeleteDocuments([]int{2, 9, 16}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids []int
+		var want [][]byte
+		for id := round; id < e.NextDocID(); id += 3 {
+			if doc, err := e.Document(id); err == nil {
+				ids, want = append(ids, id), append(want, doc)
+			}
+		}
+		var wg sync.WaitGroup
+		for i := range clients {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				got, _, err := clients[i].FetchDocumentsRemote(conns[i], ids)
+				if err != nil {
+					t.Errorf("round %d, fetcher %d: %v", round, i, err)
+					return
+				}
+				for j, id := range ids {
+					if string(got[j]) != string(want[j]) {
+						t.Errorf("round %d, fetcher %d: doc %d fetched %q, want %q", round, i, id, got[j], want[j])
+					}
+				}
+			}(i)
+		}
+		wg.Wait()
+	}
+}
+
 // TestRetrievalDisabledByDefault: a server without AllowRetrieval
 // refuses params and query messages with a wire error (and keeps the
 // connection serving searches); a retrieval-enabled server over a
