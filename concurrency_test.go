@@ -48,7 +48,7 @@ func testQueries(e *Engine, n int) []string {
 
 // TestEngineProcessConcurrent drives parallel Engine.Process calls on
 // one sharded engine; under -race this is the data-race check for the
-// shared sharded view, fixed-base tables and stats plumbing. Every
+// shared cut segments, fixed-base tables and stats plumbing. Every
 // concurrent private ranking must match PlaintextSearch (Claim 1).
 func TestEngineProcessConcurrent(t *testing.T) {
 	e, c := shardedTestEngine(t)

@@ -145,7 +145,6 @@ func NewEngine(lex *Lexicon, docs []Document, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("embellish: bucket formation: %w", err)
 	}
 	e.org = org
-	e.server = core.NewLiveServer(e.live, org, lex.db)
 	e.applyExecution()
 	if opts.Durability.Dir != "" {
 		// The freshly built corpus becomes checkpoint 0; every later
@@ -413,11 +412,14 @@ func (e *Engine) ConfigureMergePolicy(maxSegments int) error {
 }
 
 // applyExecution resolves the ranking schedule, once, for NewEngine and
-// the load path alike: GOMAXPROCS document shards (processCore runs as
-// many workers) and the default fixed-base window. Nothing sets it
-// afterwards, so queries read it without a lock.
+// the load path alike, and builds the ranking server on it: the live set
+// cut into GOMAXPROCS document shards (processCore runs as many
+// workers) before the server resolves its first snapshot, and the
+// default fixed-base window. Nothing sets it afterwards, so queries read
+// it without a lock.
 func (e *Engine) applyExecution() {
-	e.server.SetSharding(runtime.GOMAXPROCS(0))
+	e.live.SetSharding(runtime.GOMAXPROCS(0))
+	e.server = core.NewLiveServer(e.live, e.org, e.lex.db)
 	e.server.SetPrecompute(benaloh.DefaultWindow)
 }
 

@@ -143,7 +143,7 @@ func TestPlanConformsToOracle(t *testing.T) {
 					t.Fatalf("oracle run exercises nothing: %d candidates, %+v", len(want.Docs), wantSt)
 				}
 				for _, shards := range []int{1, 3} {
-					srv.SetSharding(shards)
+					srv.Live.SetSharding(shards)
 					for _, workers := range []int{1, 3} {
 						name := fmt.Sprintf("segments=%d bits=%d window=%d shards=%d workers=%d", segments, bits, window, shards, workers)
 						got, gotSt, err := srv.ProcessParallel(q, workers)
@@ -172,7 +172,7 @@ func TestPlanRefusesWithoutWordForm(t *testing.T) {
 	}
 	srv := NewServer(w.Index, w.Org, w.DB)
 	srv.SetPrecompute(benaloh.DefaultWindow)
-	srv.SetSharding(3)
+	srv.Live.SetSharding(3)
 
 	even := new(big.Int).Lsh(k.N, 1)
 	wide := &Query{Pub: &k.PublicKey, Entries: append([]QueryEntry(nil), q.Entries...)}
@@ -213,7 +213,7 @@ func TestPlanCancelsMidFold(t *testing.T) {
 		t.Fatalf("query scans %d postings, too few to cancel inside", full.Postings)
 	}
 	for _, cfg := range []struct{ shards, workers int }{{1, 1}, {3, 3}} {
-		srv.SetSharding(cfg.shards)
+		srv.Live.SetSharding(cfg.shards)
 		deadline := time.Now().Add(time.Hour)
 		var polls atomic.Int64
 		restore := scanclock.Set(func() time.Time {

@@ -212,9 +212,6 @@ type Server struct {
 	// be matched against each segment's dictionary.
 	db   *wordnet.Database
 	Disk simio.Model
-	// shardN is the document-shard count of the serving plan; the zero
-	// value serves as one shard.
-	shardN int
 	// window is the fixed-base exponentiation radix exponent; 0 disables
 	// the tables and every E(u)^p is a square-and-multiply exponentiation.
 	window uint
@@ -227,7 +224,7 @@ type Server struct {
 	// the new segment.
 	resolveMu sync.Mutex
 	resolved  atomic.Pointer[resolvedState]
-	segCache  map[*index.Segment]*segResolved
+	segCache  map[*index.Index]*segResolved
 }
 
 // segResolved is one immutable segment's resolution against the
@@ -261,24 +258,6 @@ func (r *resolvedState) term(si int, t wordnet.TermID) int32 {
 	return m[t]
 }
 
-// SetSharding partitions the server's index into n document shards for
-// the worker pool of ProcessParallel: n < 0 selects GOMAXPROCS shards,
-// n <= 1 is one shard, which walks the inverted lists as they are. More
-// than one shard keeps a sharded view per segment (appends and merges
-// cover new segments automatically) that copies the segment's postings,
-// roughly doubling their resident memory. Not safe to call concurrently
-// with Process calls; configure before serving.
-func (s *Server) SetSharding(n int) {
-	if n < 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	s.shardN = max(1, n)
-	if n <= 1 {
-		n = 0 // no view for one shard
-	}
-	s.Live.SetSharding(n)
-}
-
 // SetPrecompute enables fixed-base windowed exponentiation for the
 // per-term flag powers E(u)^p: window is the radix exponent w (tables of
 // 2^w entries per window of the exponent), and 0 disables the tables.
@@ -298,7 +277,7 @@ func NewServer(ix *index.Index, org *bucket.Organization, db *wordnet.Database) 
 // matched against each segment's dictionary.
 func NewLiveServer(live *index.Live, org *bucket.Organization, db *wordnet.Database) *Server {
 	s := &Server{Live: live, Org: org, db: db, Disk: simio.Default(),
-		segCache: make(map[*index.Segment]*segResolved)}
+		segCache: make(map[*index.Index]*segResolved)}
 	s.resolve()
 	return s
 }
@@ -322,7 +301,7 @@ func (s *Server) resolve() *resolvedState {
 	r := &resolvedState{snap: snap}
 	r.termOf = make([][]int32, len(snap.Segs))
 	r.bucketBytes = make([]int, s.Org.NumBuckets())
-	alive := make(map[*index.Segment]bool, len(snap.Segs))
+	alive := make(map[*index.Index]bool, len(snap.Segs))
 	for si, seg := range snap.Segs {
 		alive[seg] = true
 		sr, ok := s.segCache[seg]
@@ -349,7 +328,7 @@ func (s *Server) resolve() *resolvedState {
 
 // resolveSegment computes one segment's resolution; called once per
 // segment lifetime, under resolveMu.
-func (s *Server) resolveSegment(seg *index.Segment) *segResolved {
+func (s *Server) resolveSegment(seg *index.Index) *segResolved {
 	sr := &segResolved{
 		termOf:      make([]int32, s.db.NumTerms()),
 		bucketBytes: make([]int, s.Org.NumBuckets()),
@@ -368,10 +347,11 @@ func (s *Server) resolveSegment(seg *index.Segment) *segResolved {
 	return sr
 }
 
-// ListFor returns the live postings of a dictionary term — concatenated
-// across segments, tombstoned documents removed — or nil when the term
-// does not occur in the corpus. On the common static single-segment
-// server the underlying list is returned without copying.
+// ListFor returns the live postings of a dictionary term — each
+// segment's list (its runs back to back) concatenated across segments,
+// tombstoned documents removed — or nil when the term does not occur in
+// the corpus. On the common static single-segment server the underlying
+// list is returned without copying.
 func (s *Server) ListFor(t wordnet.TermID) []index.Posting {
 	r := s.resolve()
 	if len(r.snap.Segs) == 1 && r.snap.Tombs.Count() == 0 {

@@ -120,7 +120,7 @@ func TestLivePlansAgreeAfterUpdates(t *testing.T) {
 	}
 	check("one shard", resp, st)
 
-	srv.SetSharding(3)
+	srv.Live.SetSharding(3)
 	resp, st, err = srv.ProcessParallel(q, 4)
 	if err != nil {
 		t.Fatal(err)

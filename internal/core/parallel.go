@@ -19,14 +19,14 @@ import (
 // ProcessParallel is Algorithm 4 as it is served: the one ranking plan,
 // processSharded, on a pool of workers (workers <= 0 selects GOMAXPROCS;
 // the pool never exceeds the shard count). The postings are partitioned
-// by document into max(1, SetSharding's n) shards: each worker claims
-// whole shards from a work queue and folds every query term's shard-local
-// postings — segment by segment — into a private accumulator. Shards own
-// disjoint document sets across ALL segments (the partition is by global
-// doc id), so the per-shard candidate sets never overlap and the final
-// merge is pure concatenation — no cross-shard homomorphic additions, no
-// locks on the hot path. Tombstoned documents are skipped before any
-// group operation.
+// by document into the snapshot's Runs shards (index.Live.SetSharding):
+// each worker claims whole shards from a work queue and folds every query
+// term's run of that shard — segment by segment — into a private
+// accumulator. Shards own disjoint document sets across ALL segments (the
+// partition is by global doc id), so the per-shard candidate sets never
+// overlap and the final merge is pure concatenation — no cross-shard
+// homomorphic additions, no locks on the hot path. Tombstoned documents
+// are skipped before any group operation.
 //
 // The arithmetic is word-level: ciphertexts are carried through the fold
 // in Montgomery form on []big.Word slabs (internal/mont) — flags
@@ -140,7 +140,7 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	pk := q.Pub
 	segs := r.snap.Segs
 	k := mod.Words()
-	nsh := max(1, s.shardN)
+	nsh := r.snap.Runs
 	workers = min(workers, nsh)
 	done := ctx.Done()
 	dl, hasDL := ctx.Deadline()
@@ -202,14 +202,12 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	}
 	room = min(room, int(r.snap.NextDoc))/nsh + 1
 
-	// Phase 2: workers claim shards and fold every entry's shard-local
-	// postings into the shard's accumulator: one slab of k-word slots, a
-	// document's slot found through a map — no big.Int per candidate, no
-	// allocation per product. A shard's postings come from the segment's
-	// prebuilt sharded view; a segment whose view is missing or built for
-	// another shard count is filter-scanned instead, which is slower but
-	// yields the identical postings. One shard walks the lists as they
-	// are.
+	// Phase 2: workers claim shards and fold every entry's run of the
+	// shard, in every segment, into the shard's accumulator: one slab of
+	// k-word slots, a document's slot found through a map — no big.Int
+	// per candidate, no allocation per product. Every segment of the
+	// snapshot is cut into nsh runs, so run si is the shard's postings
+	// and the shard count cannot disagree with the layout.
 	type shardOut struct {
 		docs       []DocScore
 		modMuls    int
@@ -259,14 +257,7 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 					if ti < 0 {
 						continue
 					}
-					list, filter := seg.List(int(ti)), nsh > 1
-					if view := seg.ShardedView(); filter && view != nil && view.NumShards() == nsh {
-						list, filter = view.List(int(ti), si), false
-					}
-					for _, p := range list {
-						if filter && int(p.Doc)%nsh != si {
-							continue
-						}
+					for _, p := range seg.Run(int(ti), si) {
 						if posts&(cancelCheckPostings-1) == 0 && check() {
 							break planLoop
 						}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -34,7 +36,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.SetSharding(cfg.shards)
+		s.Live.SetSharding(cfg.shards)
 		s.SetPrecompute(cfg.window)
 		shResp, shStats, err := s.ProcessParallel(q, cfg.workers)
 		if err != nil {
@@ -108,18 +110,21 @@ func TestPrecomputeMatchesSequential(t *testing.T) {
 }
 
 // TestShardedConcurrentQueries runs many queries against one sharded
-// server from concurrent goroutines; run under -race this doubles as
-// the data-race check for the shared sharded view and fixed-base plans.
+// server from concurrent goroutines while another re-cuts the live set
+// between 2 and 4 shards: every response still equals the oracle's. Run
+// under -race this doubles as the data-race check for the shared cut
+// segments, the re-cut's publication and the fixed-base plans.
 func TestShardedConcurrentQueries(t *testing.T) {
 	w, _ := world(t)
 	c, s := newPair(t, 96)
-	s.SetSharding(4)
+	s.Live.SetSharding(4)
 	s.SetPrecompute(4)
 	rng := rand.New(rand.NewSource(97))
 
 	type job struct {
 		q    *Query
-		want []Ranked
+		want *Response
+		st   Stats
 	}
 	jobs := make([]job, 6)
 	for i := range jobs {
@@ -128,35 +133,45 @@ func TestShardedConcurrentQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, _, err := s.Process(q)
+		want, st, err := s.Process(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.PostFilter(resp, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jobs[i] = job{q: q, want: want}
+		jobs[i] = job{q: q, want: want, st: st}
 	}
 
+	// The flipper runs until every querier is done, and each querier
+	// keeps querying until the shard count has flipped a few times, so
+	// the re-cuts overlap the queries at any GOMAXPROCS.
+	var flips atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for n := 0; ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.Live.SetSharding(2 + 2*(n%2))
+			flips.Add(1)
+		}
+	}()
 	var wg sync.WaitGroup
 	errs := make(chan error, len(jobs))
 	for _, jb := range jobs {
 		wg.Add(1)
 		go func(jb job) {
 			defer wg.Done()
-			resp, _, err := s.ProcessParallel(jb.q, 2)
-			if err != nil {
-				errs <- err
-				return
-			}
-			got, err := c.PostFilter(resp, 0)
-			if err != nil {
-				errs <- err
-				return
-			}
-			for i := range jb.want {
-				if got[i] != jb.want[i] {
+			for round := 0; round < 3 || flips.Load() < 4; round++ {
+				got, st, err := s.ProcessParallel(jb.q, 2)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if st != jb.st || !slices.EqualFunc(got.Docs, jb.want.Docs, func(a, b DocScore) bool {
+					return a.Doc == b.Doc && a.Enc.Cmp(b.Enc) == 0
+				}) {
 					errs <- errMismatch{}
 					return
 				}
@@ -164,6 +179,8 @@ func TestShardedConcurrentQueries(t *testing.T) {
 		}(jb)
 	}
 	wg.Wait()
+	close(stop)
+	<-stopped
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -172,4 +189,4 @@ func TestShardedConcurrentQueries(t *testing.T) {
 
 type errMismatch struct{}
 
-func (errMismatch) Error() string { return "sharded ranking diverged from sequential" }
+func (errMismatch) Error() string { return "sharded response diverged from the oracle's" }

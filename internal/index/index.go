@@ -54,9 +54,12 @@ type Index struct {
 	terms map[string]int
 	// vocab is the inverse mapping.
 	vocab []string
-	// lists[i] is the inverted list of term i, sorted by decreasing
-	// impact.
+	// lists[i] is the inverted list of term i: in byImpact order, or,
+	// when runs > 1, cut into that many runs (cut.go).
 	lists [][]Posting
+	// runs is the number of runs each list is cut into; 0 and 1 are
+	// uncut.
+	runs int
 	// docLen[d] is the number of distinct terms in document d.
 	docLen []int32
 	// QuantLevels records the quantization resolution used at build time.
@@ -84,11 +87,13 @@ func (ix *Index) LookupTerm(s string) (int, bool) {
 	return i, ok
 }
 
-// List returns the inverted list of term i (impact-ordered). The returned
-// slice is owned by the index.
+// List returns the inverted list of term i: impact-ordered on an uncut
+// index, its runs back to back on a cut one (Cut). The returned slice is
+// owned by the index.
 func (ix *Index) List(i int) []Posting { return ix.lists[i] }
 
-// ListByTerm returns the inverted list for a dictionary string, or nil.
+// ListByTerm returns the inverted list for a dictionary string, in
+// List's order, or nil.
 func (ix *Index) ListByTerm(s string) []Posting {
 	if i, ok := ix.terms[s]; ok {
 		return ix.lists[i]
@@ -309,14 +314,20 @@ type Result struct {
 
 // TopK evaluates a plaintext query (a set of term numbers) with the
 // impact-ordered algorithm of Figure 10 and returns the k highest-scoring
-// documents in decreasing score order (ties by ascending DocID).
+// documents in decreasing score order (ties by ascending DocID). A cut
+// index opens one cursor per run, so the pops, and every float sum, are
+// those of the uncut lists.
 func (ix *Index) TopK(queryTerms []int, k int) []Result {
 	var pq impactHeap
 	for _, ti := range queryTerms {
-		if ti < 0 || ti >= len(ix.lists) || len(ix.lists[ti]) == 0 {
+		if ti < 0 || ti >= len(ix.lists) {
 			continue
 		}
-		pq = append(pq, cursorRef{list: ix.lists[ti], pos: 0})
+		for s := range ix.Runs() {
+			if run := ix.Run(ti, s); len(run) > 0 {
+				pq = append(pq, cursorRef{list: run})
+			}
+		}
 	}
 	heap.Init(&pq)
 	acc := make(map[DocID]float64)

@@ -3,8 +3,8 @@
 // static impact-ordered index; Live reintroduces updates Lucene-style
 // without touching the private-retrieval protocol:
 //
-//   - the corpus is a set of immutable Segments, each an impact-ordered
-//     mini-index quantized against ONE scale pinned at creation time
+//   - the corpus is a set of immutable segments, each an Index (a
+//     mini-index) quantized against ONE scale pinned at creation time
 //     (the quantization-pinning invariant: E(u)^p exponents from
 //     different segments stay comparable, so Claim 1 — private ranking
 //     equals plaintext ranking — keeps holding across updates);
@@ -14,13 +14,18 @@
 //     evaluation skips their postings without any homomorphic work;
 //   - a merge policy folds the smallest segments together when the set
 //     grows past a bound, rewriting tombstoned postings away. Merges
-//     copy impacts verbatim, so a merge never changes any score.
+//     copy impacts verbatim, so a merge never changes any score;
+//   - every segment of a snapshot is cut into the snapshot's Runs runs
+//     (cut.go), the ranking plan's document shards.
+//
+// A segment's postings carry GLOBAL document ids, offset at append time.
 package index
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -101,12 +106,17 @@ func (t *Tombstones) withDeleted(ids []DocID, bound DocID) (*Tombstones, error) 
 // Snapshot stays valid (and internally consistent) forever, even after
 // later updates and merges.
 type Snapshot struct {
-	Segs  []*Segment
+	Segs  []*Index
 	Tombs *Tombstones
 	// NextDoc is the next document id an append will assign; ids are
 	// dense over everything ever added, deleted ids are never reused.
 	NextDoc DocID
-	// Version increments on every swap (append, delete, merge).
+	// Runs is the number of runs every segment's lists are cut into
+	// (Index.Cut) — the ranking plan's shard count. Live.SetSharding
+	// sets it; a new live set starts uncut, at 1.
+	Runs int
+	// Version increments on every swap that changes the content
+	// (append, delete, merge); a re-cut keeps it.
 	Version uint64
 }
 
@@ -194,14 +204,13 @@ type Live struct {
 
 	mu          sync.Mutex // serializes writers and merges
 	maxSegments int        // merge when the set grows past this; <= 0 disables
-	shardN      int        // per-segment sharded views maintained when > 0
 	merging     atomic.Bool
 	state       atomic.Pointer[Snapshot]
 }
 
 // NewLive wraps a freshly built (or legacy single-file) index as a
-// one-segment live set, pinning its quantization scale for all future
-// segments.
+// one-segment, uncut live set, pinning its quantization scale for all
+// future segments.
 func NewLive(base *Index) *Live {
 	lv := &Live{
 		quantLevels: base.QuantLevels,
@@ -209,23 +218,24 @@ func NewLive(base *Index) *Live {
 		maxSegments: DefaultMaxSegments,
 	}
 	lv.state.Store(&Snapshot{
-		Segs:    []*Segment{NewSegment(base)},
+		Segs:    []*Index{base.Cut(1)},
 		Tombs:   &Tombstones{},
 		NextDoc: DocID(base.NumDocs),
+		Runs:    1,
 	})
 	return lv
 }
 
 // NewLiveFromParts reassembles a live set from persisted parts: the
 // segment indexes in order, the deleted ids, and the next unassigned
-// document id. It validates the quantization-pinning invariant (all
-// segments share one scale and resolution) and the id-space bounds.
+// document id, uncut. It validates the quantization-pinning invariant
+// (all segments share one scale and resolution) and the id-space bounds.
 func NewLiveFromParts(ixs []*Index, deleted []DocID, nextDoc DocID) (*Live, error) {
 	if len(ixs) == 0 {
 		return nil, errors.New("index: live set needs at least one segment")
 	}
 	ql, scale := ixs[0].QuantLevels, ixs[0].maxImpact
-	segs := make([]*Segment, len(ixs))
+	segs := make([]*Index, len(ixs))
 	for i, ix := range ixs {
 		if ix.QuantLevels != ql {
 			return nil, fmt.Errorf("index: segment %d quantizes to %d levels, segment 0 to %d", i, ix.QuantLevels, ql)
@@ -236,14 +246,14 @@ func NewLiveFromParts(ixs []*Index, deleted []DocID, nextDoc DocID) (*Live, erro
 		if ix.NumDocs > int(nextDoc) {
 			return nil, fmt.Errorf("index: segment %d doc bound %d exceeds next doc id %d", i, ix.NumDocs, nextDoc)
 		}
-		segs[i] = NewSegment(ix)
+		segs[i] = ix.Cut(1)
 	}
 	tombs, err := (&Tombstones{}).withDeleted(deleted, nextDoc)
 	if err != nil {
 		return nil, err
 	}
 	lv := &Live{quantLevels: ql, scale: scale, maxSegments: DefaultMaxSegments}
-	lv.state.Store(&Snapshot{Segs: segs, Tombs: tombs, NextDoc: nextDoc})
+	lv.state.Store(&Snapshot{Segs: segs, Tombs: tombs, NextDoc: nextDoc, Runs: 1})
 	return lv, nil
 }
 
@@ -272,24 +282,35 @@ func (lv *Live) SetMaxSegments(n int) {
 	lv.maybeMerge()
 }
 
-// SetSharding maintains per-segment document-partitioned views for the
-// worker-pool plan: n > 0 builds a view per current segment (appends
-// and merges keep future segments covered), n <= 0 drops the views.
-// Like Server.SetSharding this is a configuration call, not a hot-path
-// one; it may copy every segment's postings.
+// SetSharding sets the ranking plan's shard count: it publishes a
+// snapshot whose segments are cut into n runs (n < 1 is 1), and
+// Append, MergeNow and Compact cut every later segment the same way.
+// The content is unchanged, and so is Version. Published snapshots keep
+// their segments, so it is safe while queries run; it copies every
+// segment's postings once, and the uncut copies go when no snapshot
+// holds them.
 func (lv *Live) SetSharding(n int) {
+	n = max(1, n)
 	lv.mu.Lock()
 	defer lv.mu.Unlock()
-	lv.shardN = n
-	for _, seg := range lv.state.Load().Segs {
-		seg.ensureSharded(n)
+	cur := lv.state.Load()
+	if cur.Runs == n {
+		return
 	}
+	segs := make([]*Index, len(cur.Segs))
+	for i, seg := range cur.Segs {
+		segs[i] = seg.Cut(n)
+	}
+	next := *cur
+	next.Segs, next.Runs = segs, n
+	lv.state.Store(&next)
 }
 
-// swapLocked publishes a new snapshot; the caller holds lv.mu.
-func (lv *Live) swapLocked(segs []*Segment, tombs *Tombstones, nextDoc DocID) {
+// swapLocked publishes a new snapshot at the current cut; the caller
+// holds lv.mu and has cut every new segment.
+func (lv *Live) swapLocked(segs []*Index, tombs *Tombstones, nextDoc DocID) {
 	old := lv.state.Load()
-	lv.state.Store(&Snapshot{Segs: segs, Tombs: tombs, NextDoc: nextDoc, Version: old.Version + 1})
+	lv.state.Store(&Snapshot{Segs: segs, Tombs: tombs, NextDoc: nextDoc, Runs: old.Runs, Version: old.Version + 1})
 }
 
 // Append adds a locally built index (dense doc ids from 0, built with
@@ -308,12 +329,8 @@ func (lv *Live) Append(local *Index) (DocID, error) {
 	cur := lv.state.Load()
 	base := cur.NextDoc
 	local.offsetDocs(base)
-	seg := NewSegment(local)
-	if lv.shardN > 0 {
-		seg.ensureSharded(lv.shardN)
-	}
-	segs := make([]*Segment, 0, len(cur.Segs)+1)
-	segs = append(append(segs, cur.Segs...), seg)
+	segs := make([]*Index, 0, len(cur.Segs)+1)
+	segs = append(append(segs, cur.Segs...), local.Cut(cur.Runs))
 	lv.swapLocked(segs, cur.Tombs, DocID(local.NumDocs))
 	lv.mu.Unlock()
 	lv.maybeMerge()
@@ -383,8 +400,8 @@ func (lv *Live) MergeNow() bool {
 	for _, i := range order[:k] {
 		victim[i] = true
 	}
-	victims := make([]*Segment, 0, k)
-	survivors := make([]*Segment, 0, len(cur.Segs)-k+1)
+	victims := make([]*Index, 0, k)
+	survivors := make([]*Index, 0, len(cur.Segs)-k+1)
 	for i, seg := range cur.Segs {
 		if victim[i] {
 			victims = append(victims, seg)
@@ -392,10 +409,7 @@ func (lv *Live) MergeNow() bool {
 			survivors = append(survivors, seg)
 		}
 	}
-	merged := mergeSegments(victims, cur.Tombs)
-	if lv.shardN > 0 {
-		merged.ensureSharded(lv.shardN)
-	}
+	merged := mergeSegments(victims, cur.Tombs, cur.Runs)
 	lv.swapLocked(append(survivors, merged), cur.Tombs, cur.NextDoc)
 	return true
 }
@@ -410,9 +424,42 @@ func (lv *Live) Compact() {
 	if len(cur.Segs) == 1 && cur.Tombs.Count() == 0 {
 		return
 	}
-	merged := mergeSegments(cur.Segs, cur.Tombs)
-	if lv.shardN > 0 {
-		merged.ensureSharded(lv.shardN)
+	lv.swapLocked([]*Index{mergeSegments(cur.Segs, cur.Tombs, cur.Runs)}, cur.Tombs, cur.NextDoc)
+}
+
+// mergeSegments rewrites several segments into one cut into n runs,
+// dropping postings of tombstoned documents. Impacts and quantized
+// values are copied verbatim — a merge never recomputes statistics, so
+// every surviving posting scores exactly as it did before and rankings
+// are unchanged. The layout is restored by sorting the concatenation.
+func mergeSegments(segs []*Index, dead *Tombstones, n int) *Index {
+	out := &Index{
+		terms:       make(map[string]int),
+		QuantLevels: segs[0].QuantLevels,
+		maxImpact:   segs[0].maxImpact,
+		runs:        n,
 	}
-	lv.swapLocked([]*Segment{merged}, cur.Tombs, cur.NextDoc)
+	for _, seg := range segs {
+		if seg.NumDocs > out.NumDocs {
+			out.NumDocs = seg.NumDocs
+		}
+		for ti, term := range seg.vocab {
+			oi, ok := out.terms[term]
+			if !ok {
+				oi = len(out.vocab)
+				out.terms[term] = oi
+				out.vocab = append(out.vocab, term)
+				out.lists = append(out.lists, nil)
+			}
+			for _, p := range seg.lists[ti] {
+				if !dead.Has(p.Doc) {
+					out.lists[oi] = append(out.lists[oi], p)
+				}
+			}
+		}
+	}
+	for _, list := range out.lists {
+		slices.SortFunc(list, inRuns(n))
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"embellish/internal/vbyte"
 )
@@ -20,8 +21,9 @@ import (
 //	per term: posting count, then per posting doc vbyte, quantized
 //	vbyte, impact f64 | crc32(payload)
 //
-// Inverted lists are written in their in-memory impact order, so a
-// loaded index is byte-for-byte behaviourally identical to the built
+// Inverted lists are written in byImpact order — a cut index's runs
+// are sorted back into it — so the file does not depend on the cut, and
+// a loaded index is byte-for-byte behaviourally identical to the built
 // one. Impacts stay full-precision float64: quantized values alone
 // would perturb plaintext scoring.
 
@@ -65,7 +67,13 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, err
 	}
 	// Inverted lists.
+	var sorted []Posting
 	for _, list := range ix.lists {
+		if ix.Runs() > 1 {
+			sorted = append(sorted[:0], list...)
+			slices.SortFunc(sorted, byImpact)
+			list = sorted
+		}
 		buf = vbyte.Append(buf[:0], uint64(len(list)))
 		for _, p := range list {
 			buf = vbyte.Append(buf, uint64(p.Doc))
@@ -198,10 +206,11 @@ func ReadIndex(r io.Reader) (*Index, error) {
 			}
 			list[i] = Posting{Doc: DocID(doc), Quantized: int32(q), Impact: imp}
 		}
-		// The impact ordering is an index invariant; reject files that
-		// violate it rather than silently mis-ranking.
+		// byImpact is the order WriteTo restores and a strict total one
+		// (a repeated document breaks it): reject a file out of it rather
+		// than mis-rank, or save it back as other bytes.
 		for i := 1; i < len(list); i++ {
-			if list[i].Impact > list[i-1].Impact {
+			if byImpact(list[i-1], list[i]) >= 0 {
 				return nil, fmt.Errorf("index: list %d not impact-ordered at %d", t, i)
 			}
 		}

@@ -133,3 +133,42 @@ func TestPersistEmptyListsSurvive(t *testing.T) {
 		t.Fatalf("tiny index mangled: %d terms", got.NumTerms())
 	}
 }
+
+// TestPersistRejectsListsOutOfImpactOrder: the loader holds every list
+// to byImpact, the order WriteTo restores, so a file it accepts saves
+// back byte for byte. Equal impacts out of doc order, and a document
+// repeated at equal impact, are both refused; the golden order loads.
+func TestPersistRejectsListsOutOfImpactOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		list []Posting
+		ok   bool
+	}{
+		{"byImpact", []Posting{{Doc: 1, Impact: 0.7, Quantized: 2}, {Doc: 0, Impact: 0.5, Quantized: 1}, {Doc: 2, Impact: 0.5, Quantized: 1}}, true},
+		{"equal impacts, docs descending", []Posting{{Doc: 2, Impact: 0.5, Quantized: 1}, {Doc: 0, Impact: 0.5, Quantized: 1}}, false},
+		{"repeated doc at equal impact", []Posting{{Doc: 1, Impact: 0.5, Quantized: 1}, {Doc: 1, Impact: 0.5, Quantized: 1}}, false},
+		{"impact rising", []Posting{{Doc: 0, Impact: 0.5, Quantized: 1}, {Doc: 1, Impact: 0.7, Quantized: 2}}, false},
+	} {
+		crafted := &Index{
+			NumDocs:     3,
+			terms:       map[string]int{"t": 0},
+			vocab:       []string{"t"},
+			lists:       [][]Posting{tc.list},
+			docLen:      []int32{1, 1, 1},
+			QuantLevels: 2,
+			maxImpact:   0.7,
+		}
+		var buf bytes.Buffer
+		if _, err := crafted.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		file := bytes.Clone(buf.Bytes())
+		got, err := ReadIndex(&buf)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%s: load error %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err == nil && !bytes.Equal(indexBytes(t, got.Cut(2)), file) {
+			t.Fatalf("%s: loaded file does not save back byte for byte", tc.name)
+		}
+	}
+}

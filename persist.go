@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"embellish/internal/bucket"
-	"embellish/internal/core"
 	"embellish/internal/docstore"
 	"embellish/internal/index"
 	"embellish/internal/textproc"
@@ -322,7 +321,6 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 			e.searchable = append(e.searchable, t)
 		}
 	}
-	e.server = core.NewLiveServer(live, org, db)
 	e.applyExecution()
 	return e, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"embellish/internal/detrand"
+	"embellish/internal/index"
 )
 
 // Golden-file persistence tests: tiny v1/v2/v3 engine files are
@@ -73,6 +74,13 @@ func goldenPath(version int) string {
 	return filepath.Join("testdata", fmt.Sprintf("engine_v%d.bin", version))
 }
 
+// goldenWriters writes each golden format version.
+var goldenWriters = map[int]func(*Engine, *bytes.Buffer) error{
+	1: func(e *Engine, buf *bytes.Buffer) error { return e.saveV1(buf) },
+	2: func(e *Engine, buf *bytes.Buffer) error { return e.saveV2(buf) },
+	3: func(e *Engine, buf *bytes.Buffer) error { return e.Save(buf) },
+}
+
 func maybeUpdateGolden(t *testing.T) {
 	t.Helper()
 	if !*updateGolden {
@@ -81,11 +89,7 @@ func maybeUpdateGolden(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for version, write := range map[int]func(*Engine, *bytes.Buffer) error{
-		1: func(e *Engine, buf *bytes.Buffer) error { return e.saveV1(buf) },
-		2: func(e *Engine, buf *bytes.Buffer) error { return e.saveV2(buf) },
-		3: func(e *Engine, buf *bytes.Buffer) error { return e.Save(buf) },
-	} {
+	for version, write := range goldenWriters {
 		e := goldenEngine(t, version == 3, version != 1)
 		var buf bytes.Buffer
 		if err := write(e, &buf); err != nil {
@@ -234,6 +238,59 @@ func TestGoldenV3EngineFile(t *testing.T) {
 	if err != nil || string(got) != "post-load stored doc" {
 		t.Fatalf("post-load add not stored: %q, %v", got, err)
 	}
+}
+
+// TestGoldenFilesSaveBackByteIdentical: every golden file, loaded at one
+// shard and at four (its segments cut into as many runs), saves back
+// byte for byte in its own format, and so does the world rebuilt at
+// four shards: the file never depends on the cut. (Four, not three: the
+// golden corpus's three-way cut happens to keep every list in impact
+// order, which would let a writer that ignores the cut pass.)
+func TestGoldenFilesSaveBackByteIdentical(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		setProcs(t, procs)
+		for version := 1; version <= 3; version++ {
+			want, err := os.ReadFile(goldenPath(version))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, e := range map[string]*Engine{
+				"loaded":  loadGolden(t, version),
+				"rebuilt": goldenEngine(t, version == 3, version != 1),
+			} {
+				snap := e.live.Snapshot()
+				if snap.Runs != procs {
+					t.Fatalf("v%d %s at GOMAXPROCS %d: %d shards", version, name, procs, snap.Runs)
+				}
+				if procs > 1 && !cutReorders(snap) {
+					t.Fatalf("v%d %s: cutting into %d runs kept every list in impact order", version, name, procs)
+				}
+				var got bytes.Buffer
+				if err := goldenWriters[version](e, &got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("v%d %s at GOMAXPROCS %d saves %d bytes unlike the golden file's %d", version, name, procs, got.Len(), len(want))
+				}
+			}
+		}
+	}
+}
+
+// cutReorders reports whether some list of the snapshot is laid out
+// out of impact order.
+func cutReorders(snap *index.Snapshot) bool {
+	for _, seg := range snap.Segs {
+		for ti := range seg.NumTerms() {
+			list := seg.List(ti)
+			for i := 1; i < len(list); i++ {
+				if list[i].Impact > list[i-1].Impact {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // TestGoldenRoundTripCurrentFormat guards the CURRENT writer against

@@ -20,11 +20,11 @@ func setProcs(t *testing.T, n int) {
 }
 
 // TestLoadedEngineServesTheBuiltSchedule: an engine from LoadEngine and
-// one from OpenDurable run the schedule NewEngine's does — GOMAXPROCS
-// shards with a sharded view on every segment, including the segment a
-// WAL replay appends, and fixed-base tables — so one query costs the same
-// products on all three, fewer than the table-less oracle's, and
-// returns the oracle's ciphertexts.
+// one from OpenDurable run the schedule NewEngine's does — a snapshot of
+// GOMAXPROCS shards with every segment cut into as many runs, the
+// segment a WAL replay appends included, and fixed-base tables — so one
+// query costs the same products on all three, fewer than the table-less
+// oracle's, and returns the oracle's ciphertexts.
 func TestLoadedEngineServesTheBuiltSchedule(t *testing.T) {
 	setProcs(t, 2)
 	dir := t.TempDir()
@@ -74,13 +74,13 @@ func TestLoadedEngineServesTheBuiltSchedule(t *testing.T) {
 		name string
 		e    *Engine
 	}{{"built", built}, {"loaded", loaded}, {"recovered", recovered}} {
-		segs := eng.e.live.Snapshot().Segs
-		if len(segs) != 2 {
-			t.Fatalf("%s: %d segments, want 2", eng.name, len(segs))
+		snap := eng.e.live.Snapshot()
+		if len(snap.Segs) != 2 || snap.Runs != 2 {
+			t.Fatalf("%s: %d segments at %d shards, want 2 at 2", eng.name, len(snap.Segs), snap.Runs)
 		}
-		for i, seg := range segs {
-			if v := seg.ShardedView(); v == nil || v.NumShards() != 2 {
-				t.Fatalf("%s: segment %d has sharded view %v, want 2 shards", eng.name, i, v)
+		for i, seg := range snap.Segs {
+			if seg.Runs() != 2 {
+				t.Fatalf("%s: segment %d cut into %d runs, want 2", eng.name, i, seg.Runs())
 			}
 		}
 		resp, st, err := eng.e.processCore(q.inner)
