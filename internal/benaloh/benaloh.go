@@ -232,15 +232,21 @@ func primeWithOrder(randSrc io.Reader, bits int, r *big.Int) (*big.Int, error) {
 }
 
 // primeCoprimeOrder finds a prime p of the given bit length such that
-// gcd(r, p-1) = 1, i.e. no prime factor of r divides p-1.
+// gcd(r, p-1) = 1, i.e. no prime factor of r divides p-1. Its top two
+// bits are set, so n = p1·p2 is the full length or one bit short. A
+// candidate is the bytes read from randSrc and nothing else, so a key
+// depends only on the reader's stream (crypto/rand.Prime reads one byte
+// more or not at random: randutil.MaybeReadByte).
 func primeCoprimeOrder(randSrc io.Reader, bits int, r *big.Int, primeFactors []*big.Int) (*big.Int, error) {
+	p := new(big.Int)
 	pm1 := new(big.Int)
 	mod := new(big.Int)
 	for tries := 0; tries < 100000; tries++ {
-		p, err := rand.Prime(randSrc, bits)
-		if err != nil {
+		if err := randomBits(randSrc, bits, p); err != nil {
 			return nil, err
 		}
+		p.SetBit(p, bits-2, 1)
+		p.SetBit(p, 0, 1)
 		pm1.Sub(p, one)
 		ok := true
 		for _, f := range primeFactors {
@@ -249,7 +255,7 @@ func primeCoprimeOrder(randSrc io.Reader, bits int, r *big.Int, primeFactors []*
 				break
 			}
 		}
-		if ok {
+		if ok && p.ProbablyPrime(20) {
 			return p, nil
 		}
 	}

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"embellish/internal/detrand"
 )
 
 // detRand is a deterministic "randomness" stream for reproducible keys in
@@ -87,6 +89,28 @@ func TestKeyWidth(t *testing.T) {
 				if got := key.N.BitLen(); got != bits && got != bits-1 {
 					t.Errorf("%d-bit key, r = 3^%d: n has %d bits, want %d or %d", bits, k, got, bits-1, bits)
 				}
+			}
+		}
+	}
+}
+
+// TestGenerateKeyDeterministic: a key depends only on the bytes its
+// reader returns — two internal/detrand readers with one seed give the
+// same key, primes and generator, at every width.
+func TestGenerateKeyDeterministic(t *testing.T) {
+	for _, bits := range []int{128, 256, 512} {
+		for trial := range 8 {
+			seed := fmt.Sprint("deterministic-", bits, "-", trial)
+			a, err := GenerateKey(detrand.New(seed), bits, Pow3(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := GenerateKey(detrand.New(seed), bits, Pow3(9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.P1.Cmp(b.P1) != 0 || a.P2.Cmp(b.P2) != 0 || a.N.Cmp(b.N) != 0 || a.G.Cmp(b.G) != 0 {
+				t.Fatalf("%d-bit keys from seed %q differ: n %x and %x", bits, seed, a.N, b.N)
 			}
 		}
 	}

@@ -21,6 +21,7 @@ import (
 	"embellish/internal/index"
 	"embellish/internal/scanclock"
 	"embellish/internal/testenv"
+	"embellish/internal/wordnet"
 )
 
 // conformanceKeys returns the public keys of the battery by modulus
@@ -234,6 +235,112 @@ func TestPlanCancelsMidFold(t *testing.T) {
 		}
 		if cfg.workers == 1 && st.Postings != 2*cancelCheckPostings {
 			t.Fatalf("one worker stopped after %d postings, want the third poll's %d", st.Postings, 2*cancelCheckPostings)
+		}
+	}
+}
+
+// TestPlanReturnsDocumentOrder: the serving plan builds its response in
+// document order — row by row, and within a row shard by shard — with no
+// sort. At every run count, over a live set whose NextDoc (173) is a
+// multiple of none of them but 1, with tombstoned candidates, shards
+// that score nothing and a candidate at NextDoc−1, the response's
+// documents strictly increase and are the oracle's, ciphertext for
+// ciphertext, with equal Stats. A deadline that passes in the fold still
+// returns no response.
+func TestPlanReturnsDocumentOrder(t *testing.T) {
+	w, k := world(t)
+	docs := w.Corp.Docs
+	b := index.NewBuilder()
+	for _, d := range docs[:150] {
+		b.Add(index.DocID(d.ID), d.Tokens)
+	}
+	live := index.NewLive(b.Build())
+	b = index.NewBuilder()
+	b.Scale = live.Scale()
+	for i := range 23 {
+		b.Add(index.DocID(i), docs[i*7%150].Tokens)
+	}
+	if _, err := live.Append(b.Build()); err != nil {
+		t.Fatal(err)
+	}
+	last := live.Snapshot().NextDoc - 1
+	if last != 172 {
+		t.Fatalf("NextDoc is %d, want 173", last+1)
+	}
+	// The genuine terms are two of the last document's.
+	lemmas := make(map[string]bool)
+	for _, tok := range docs[22*7%150].Tokens {
+		lemmas[tok] = true
+	}
+	var genuine []wordnet.TermID
+	for _, term := range w.Searchable {
+		if lemmas[w.DB.Lemma(term)] && len(genuine) < 2 {
+			genuine = append(genuine, term)
+		}
+	}
+	c := NewClient(w.Org, k, 2131)
+	c.CryptoRand = testenv.NewDetRand("core-order-client")
+	q, _, err := c.Embellish(genuine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewLiveServer(live, w.Org, w.DB)
+	srv.SetPrecompute(benaloh.DefaultWindow)
+	before, _, err := srv.Process(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victims []index.DocID
+	for i, ds := range before.Docs {
+		if i%5 == 1 && ds.Doc != last {
+			victims = append(victims, ds.Doc)
+		}
+	}
+	if err := live.Delete(victims); err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, err := srv.Process(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantSt.Tombstoned == 0 || want.Docs[len(want.Docs)-1].Doc != last {
+		t.Fatalf("oracle run exercises no tombstone or no candidate at NextDoc-1: %+v, last candidate %d", wantSt, want.Docs[len(want.Docs)-1].Doc)
+	}
+	for _, runs := range []int{1, 2, 3, 8, 64} {
+		live.SetSharding(runs)
+		empty := runs
+		for s := range runs {
+			for _, ds := range want.Docs {
+				if int(ds.Doc)%runs == s {
+					empty--
+					break
+				}
+			}
+		}
+		if runs == 64 && empty == 0 {
+			t.Fatal("every one of 64 shards scores a candidate; the battery needs an empty one")
+		}
+		for _, workers := range []int{1, 3} {
+			name := fmt.Sprintf("runs=%d workers=%d", runs, workers)
+			got, gotSt, err := srv.ProcessParallel(q, workers)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i := 1; i < len(got.Docs); i++ {
+				if got.Docs[i-1].Doc >= got.Docs[i].Doc {
+					t.Fatalf("%s: candidate %d is doc %d after doc %d", name, i, got.Docs[i].Doc, got.Docs[i-1].Doc)
+				}
+			}
+			sameResponse(t, name, got, want, gotSt, wantSt)
+		}
+		deadline := time.Now().Add(time.Hour)
+		restore := scanclock.Set(func() time.Time { return deadline })
+		ctx, cancel := context.WithDeadline(context.Background(), deadline)
+		resp, st, err := srv.ProcessParallelCtx(ctx, q, 3)
+		restore()
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || resp != nil || st.Candidates != 0 {
+			t.Fatalf("runs=%d: a deadline in the fold returned %v with %+v (err %v), want no response", runs, resp, st, err)
 		}
 	}
 }

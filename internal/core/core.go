@@ -15,6 +15,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -22,6 +23,7 @@ import (
 	"math/big"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -194,9 +196,15 @@ func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 	return out, nil
 }
 
+// sortRanked sorts ranked results by decreasing score, ties by
+// ascending document ID.
 func sortRanked(rs []Ranked) {
-	// Insertion-free: small helper keeps package sort-import local.
-	lessSwap(rs)
+	slices.SortFunc(rs, func(a, b Ranked) int {
+		if a.Score != b.Score {
+			return cmp.Compare(b.Score, a.Score)
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
 }
 
 // Server is the search-engine endpoint. It owns the live segmented

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math/big"
+	"slices"
 	"time"
 
 	"embellish/internal/benaloh"
@@ -137,6 +139,13 @@ func (s *Server) ProcessCtx(ctx context.Context, q *Query) (*Response, Stats, er
 	sortDocScores(resp.Docs)
 	st.Candidates = len(resp.Docs)
 	return resp, st, nil
+}
+
+// sortDocScores orders the oracle's candidate set, drawn from a map, by
+// document ID: the order the serving plan builds its response in, and
+// one that leaks nothing (the ciphertexts are already order-free).
+func sortDocScores(ds []DocScore) {
+	slices.SortFunc(ds, func(a, b DocScore) int { return cmp.Compare(a.Doc, b.Doc) })
 }
 
 // powerFn returns the E(u)^p evaluator for one query entry — a

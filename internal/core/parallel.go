@@ -24,9 +24,9 @@ import (
 // term's run of that shard — segment by segment — into a private
 // accumulator. Shards own disjoint document sets across ALL segments (the
 // partition is by global doc id), so the per-shard candidate sets never
-// overlap and the final merge is pure concatenation — no cross-shard
-// homomorphic additions, no locks on the hot path. Tombstoned documents
-// are skipped before any group operation.
+// overlap and the final merge reads them out in document order — no
+// sort, no cross-shard homomorphic additions, no locks on the hot path.
+// Tombstoned documents are skipped before any group operation.
 //
 // The arithmetic is word-level: ciphertexts are carried through the fold
 // in Montgomery form on []big.Word slabs (internal/mont) — flags
@@ -194,22 +194,24 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	if err := ctx.Err(); err != nil {
 		return nil, st, err
 	}
-	// A shard holds at most its share of the postings, and of the ids
-	// ever assigned: the size its accumulator starts at.
+	// Shard si owns the ids ≡ si (mod nsh): doc/nsh is its row. It holds
+	// at most its share of the postings and rows: its slab's start size.
 	room := 0
 	for i := range plans {
 		room += plans[i].postings
 	}
-	room = min(room, int(r.snap.NextDoc))/nsh + 1
+	rows := int(r.snap.NextDoc)/nsh + 1
+	room = min(room/nsh, rows)
 
 	// Phase 2: workers claim shards and fold every entry's run of the
 	// shard, in every segment, into the shard's accumulator: one slab of
-	// k-word slots, a document's slot found through a map — no big.Int
-	// per candidate, no allocation per product. Every segment of the
-	// snapshot is cut into nsh runs, so run si is the shard's postings
-	// and the shard count cannot disagree with the layout.
+	// k-word slots, a document's slot found at its row — no big.Int per
+	// candidate, no allocation per product. Every segment of the snapshot
+	// is cut into nsh runs, so run si is the shard's postings and the
+	// shard count cannot disagree with the layout.
 	type shardOut struct {
-		docs       []DocScore
+		at         []int32   // row doc/nsh -> slot+1, 0 = no candidate
+		encs       []big.Int // slot -> ciphertext
 		modMuls    int
 		postings   int
 		tombstoned int
@@ -223,10 +225,9 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 			if si >= nsh {
 				return
 			}
-			slots := make(map[index.DocID]int32, room)
-			ids := make([]index.DocID, 0, room) // slot -> document
-			acc := make([]big.Word, 0, room*k)  // slot i at acc[i*k:(i+1)*k]
-			muls, posts, tombs := 0, 0, 0
+			at := make([]int32, rows)
+			acc := make([]big.Word, 0, room*k) // slot i at acc[i*k:(i+1)*k]
+			slots, muls, posts, tombs := int32(0), 0, 0, 0
 			cancelled := false
 			check := func() bool {
 				if done == nil {
@@ -268,13 +269,13 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 						}
 						c, m := pl.pow(mod, scratch, uint64(p.Quantized))
 						muls += m
-						if slot, ok := slots[p.Doc]; ok {
-							a := acc[int(slot)*k : (int(slot)+1)*k]
+						if slot := at[int(p.Doc)/nsh]; slot != 0 {
+							a := acc[int(slot-1)*k : int(slot)*k]
 							mod.Mul(a, a, c)
 							muls++
 						} else {
-							slots[p.Doc] = int32(len(ids))
-							ids = append(ids, p.Doc)
+							slots++
+							at[int(p.Doc)/nsh] = slots
 							acc = append(acc, c...)
 						}
 					}
@@ -291,33 +292,38 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 			// Convert the candidates out of the form in place; each
 			// ciphertext is a cap-limited window of the slab, so a caller
 			// that grows one cannot write into its neighbour.
-			encs := make([]big.Int, len(ids))
-			out.docs = make([]DocScore, len(ids))
-			for i, d := range ids {
+			out.at, out.encs = at, make([]big.Int, slots)
+			for i := range out.encs {
 				a := acc[i*k : (i+1)*k : (i+1)*k]
 				mod.Mul(a, a, mod.One())
-				out.docs[i] = DocScore{Doc: d, Enc: encs[i].SetBits(a)}
+				out.encs[i].SetBits(a)
 			}
 		}
 	})
 
-	// Phase 3: aggregate stats and concatenate the disjoint shard sets.
+	// Phase 3: aggregate stats, then read the disjoint shard sets out
+	// row by row, shard by shard within a row: document row·nsh+si
+	// comes after every smaller id, so the response is in document order
+	// with no sort.
 	total := 0
 	for i := range outs {
 		st.ModMuls += outs[i].modMuls
 		st.Postings += outs[i].postings
 		st.Tombstoned += outs[i].tombstoned
-		total += len(outs[i].docs)
+		total += len(outs[i].encs)
 	}
 	if aborted.Load() || ctx.Err() != nil {
 		return nil, st, ctxScanErr(ctx)
 	}
 	resp := &Response{ctxBytes: pk.CiphertextBytes()}
 	resp.Docs = make([]DocScore, 0, total)
-	for i := range outs {
-		resp.Docs = append(resp.Docs, outs[i].docs...)
+	for row := range rows {
+		for si := range outs {
+			if slot := outs[si].at[row]; slot != 0 {
+				resp.Docs = append(resp.Docs, DocScore{Doc: index.DocID(row*nsh + si), Enc: &outs[si].encs[slot-1]})
+			}
+		}
 	}
-	sortDocScores(resp.Docs)
 	st.Candidates = len(resp.Docs)
 	return resp, st, nil
 }

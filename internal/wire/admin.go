@@ -48,9 +48,7 @@ func WriteAddDocs(w io.Writer, docs []DocText) error {
 	if len(docs) > MaxAdminDocs {
 		return fmt.Errorf("wire: add of %d docs exceeds limit %d", len(docs), MaxAdminDocs)
 	}
-	var body []byte
-	body = append(body, TypeAddDocs)
-	body = vbyte.Append(body, uint64(len(docs)))
+	body := vbyte.Append(newFrame(TypeAddDocs, 0), uint64(len(docs)))
 	for _, d := range docs {
 		if len(d.Text) > maxDocTextBytes {
 			return fmt.Errorf("wire: document %d text of %d bytes exceeds limit", d.ID, len(d.Text))
@@ -101,9 +99,7 @@ func WriteDeleteDocs(w io.Writer, ids []uint32) error {
 	if len(ids) > MaxAdminDocs {
 		return fmt.Errorf("wire: delete of %d ids exceeds limit %d", len(ids), MaxAdminDocs)
 	}
-	var body []byte
-	body = append(body, TypeDeleteDocs)
-	body = vbyte.Append(body, uint64(len(ids)))
+	body := vbyte.Append(newFrame(TypeDeleteDocs, len(ids)*vbyte.MaxLen), uint64(len(ids)))
 	for _, id := range ids {
 		body = vbyte.Append(body, uint64(id))
 	}
@@ -135,9 +131,7 @@ func DecodeDeleteDocs(body []byte) ([]uint32, error) {
 // WriteAdminOK frames and writes the acknowledgement of an applied
 // admin request: the server's live document and segment counts.
 func WriteAdminOK(w io.Writer, liveDocs, segments int) error {
-	var body []byte
-	body = append(body, TypeAdminOK)
-	body = vbyte.Append(body, uint64(liveDocs))
+	body := vbyte.Append(newFrame(TypeAdminOK, 2*vbyte.MaxLen), uint64(liveDocs))
 	body = vbyte.Append(body, uint64(segments))
 	return writeFrame(w, body)
 }

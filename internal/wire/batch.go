@@ -39,20 +39,23 @@ func WriteBatchQuery(w io.Writer, qs []*core.Query) error {
 			return errors.New("wire: batch queries must share one public key")
 		}
 	}
-	var body []byte
-	body = append(body, TypeBatchQuery)
-	body = appendBig(body, pub.N)
-	body = appendBig(body, pub.G)
-	body = appendBig(body, pub.R)
-	body = vbyte.Append(body, uint64(len(qs)))
+	size := bigsSize(pub.N, pub.G, pub.R) + vbyte.MaxLen
 	for _, q := range qs {
-		body = vbyte.Append(body, uint64(len(q.Entries)))
+		size += vbyte.MaxLen + len(q.Entries)*entryBytes(pub)
+	}
+	frame := newFrame(TypeBatchQuery, size)
+	frame = appendBig(frame, pub.N)
+	frame = appendBig(frame, pub.G)
+	frame = appendBig(frame, pub.R)
+	frame = vbyte.Append(frame, uint64(len(qs)))
+	for _, q := range qs {
+		frame = vbyte.Append(frame, uint64(len(q.Entries)))
 		for _, e := range q.Entries {
-			body = vbyte.Append(body, uint64(e.Term))
-			body = appendBig(body, e.Flag)
+			frame = vbyte.Append(frame, uint64(e.Term))
+			frame = appendBig(frame, e.Flag)
 		}
 	}
-	return writeFrame(w, body)
+	return writeFrame(w, frame)
 }
 
 // DecodeBatchQuery parses a TypeBatchQuery body. The returned queries
@@ -117,20 +120,12 @@ func WriteBatchResponse(w io.Writer, resps []*core.Response, stats []core.Stats)
 	if len(resps) != len(stats) {
 		return errors.New("wire: responses and stats length mismatch")
 	}
-	var body []byte
-	body = append(body, TypeBatchResponse)
-	body = vbyte.Append(body, uint64(len(resps)))
+	cands := make([][]Candidate, len(resps))
+	rstats := make([]ResponseStats, len(stats))
 	for i, resp := range resps {
-		body = vbyte.Append(body, uint64(len(resp.Docs)))
-		for _, d := range resp.Docs {
-			body = vbyte.Append(body, uint64(d.Doc))
-			body = appendBig(body, d.Enc)
-		}
-		body = vbyte.Append(body, uint64(stats[i].Postings))
-		body = vbyte.Append(body, uint64(stats[i].IO.Seeks))
-		body = vbyte.Append(body, uint64(stats[i].IO.Bytes))
+		cands[i], rstats[i] = resp.Docs, responseStats(stats[i])
 	}
-	return writeFrame(w, body)
+	return WriteCandidateBatchResponse(w, cands, rstats)
 }
 
 // DecodeBatchResponse parses a TypeBatchResponse body.

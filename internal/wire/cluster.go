@@ -48,8 +48,7 @@ const (
 // WriteWALPull frames a replica's catch-up request: ship every journal
 // record with sequence number greater than afterSeq.
 func WriteWALPull(w io.Writer, afterSeq uint64) error {
-	body := append([]byte{TypeWALPull}, vbyte.Append(nil, afterSeq)...)
-	return writeFrame(w, body)
+	return writeFrame(w, vbyte.Append(newFrame(TypeWALPull, vbyte.MaxLen), afterSeq))
 }
 
 // DecodeWALPull parses a TypeWALPull body.
@@ -82,8 +81,7 @@ type WALChunk struct {
 
 // WriteWALChunk frames and writes one shipped journal slice.
 func WriteWALChunk(w io.Writer, c WALChunk) error {
-	var body []byte
-	body = append(body, TypeWALChunk)
+	body := newFrame(TypeWALChunk, 4*vbyte.MaxLen+len(c.Records))
 	body = vbyte.Append(body, c.PrimarySeq)
 	body = vbyte.Append(body, c.LastSeq)
 	if c.More {
@@ -141,7 +139,7 @@ type ClusterMap struct {
 
 // WriteClusterMapRequest frames the client's empty topology request.
 func WriteClusterMapRequest(w io.Writer) error {
-	return writeFrame(w, []byte{TypeClusterMap})
+	return writeFrame(w, newFrame(TypeClusterMap, 0))
 }
 
 // WriteClusterMap frames and writes the router's partition topology.
@@ -149,8 +147,7 @@ func WriteClusterMap(w io.Writer, m ClusterMap) error {
 	if len(m.Partitions) == 0 || len(m.Partitions) > maxClusterPartitions {
 		return fmt.Errorf("wire: cluster map with %d partitions", len(m.Partitions))
 	}
-	var body []byte
-	body = append(body, TypeClusterMap)
+	body := newFrame(TypeClusterMap, 0)
 	body = vbyte.Append(body, uint64(m.Base))
 	body = vbyte.Append(body, uint64(len(m.Partitions)))
 	for _, eps := range m.Partitions {
@@ -215,21 +212,18 @@ func DecodeClusterMap(body []byte) (ClusterMap, error) {
 // byte — the router's forwarding primitive: a client frame is relayed
 // to every partition verbatim, without a decode/re-encode round trip.
 func WriteRaw(w io.Writer, typ byte, body []byte) error {
-	framed := make([]byte, 0, 1+len(body))
-	framed = append(framed, typ)
-	framed = append(framed, body...)
-	return writeFrame(w, framed)
+	return writeFrame(w, append(newFrame(typ, len(body)), body...))
 }
 
-// WriteCandidateResponse re-frames decoded candidates as a TypeResponse
-// — the router's merge output. It is the byte-exact inverse of
-// DecodeResponse composed with WriteResponse: a candidate list decoded,
-// merged, and re-encoded is indistinguishable from one the engine
-// produced directly, which is what keeps the cluster transparent to
-// clients.
+// WriteCandidateResponse frames candidates as a TypeResponse — the
+// engine's reply (WriteResponse) and the router's merge output alike, so
+// it is the byte-exact inverse of DecodeResponse: a candidate list
+// decoded, merged, and re-encoded is indistinguishable from one the
+// engine produced directly, which is what keeps the cluster transparent
+// to clients.
 func WriteCandidateResponse(w io.Writer, cands []Candidate, st ResponseStats) error {
-	body := appendCandidates([]byte{TypeResponse}, cands, st)
-	return writeFrame(w, body)
+	frame := newFrame(TypeResponse, candidatesSize(cands))
+	return writeFrame(w, appendCandidates(frame, cands, st))
 }
 
 // WriteCandidateBatchResponse re-frames decoded per-query candidate
@@ -238,25 +232,13 @@ func WriteCandidateBatchResponse(w io.Writer, cands [][]Candidate, stats []Respo
 	if len(cands) != len(stats) {
 		return errors.New("wire: candidates and stats length mismatch")
 	}
-	var body []byte
-	body = append(body, TypeBatchResponse)
-	body = vbyte.Append(body, uint64(len(cands)))
+	size := vbyte.MaxLen
 	for i := range cands {
-		body = appendCandidates(body, cands[i], stats[i])
+		size += candidatesSize(cands[i])
 	}
-	return writeFrame(w, body)
-}
-
-// appendCandidates encodes one candidate set + stats tail, the shared
-// layout of TypeResponse and each TypeBatchResponse member.
-func appendCandidates(body []byte, cands []Candidate, st ResponseStats) []byte {
-	body = vbyte.Append(body, uint64(len(cands)))
-	for _, c := range cands {
-		body = vbyte.Append(body, uint64(c.Doc))
-		body = appendBig(body, c.Enc)
+	frame := vbyte.Append(newFrame(TypeBatchResponse, size), uint64(len(cands)))
+	for i := range cands {
+		frame = appendCandidates(frame, cands[i], stats[i])
 	}
-	body = vbyte.Append(body, uint64(st.Postings))
-	body = vbyte.Append(body, uint64(st.Seeks))
-	body = vbyte.Append(body, uint64(st.IOBytes))
-	return body
+	return writeFrame(w, frame)
 }

@@ -64,8 +64,7 @@ const maxRiskFields = 64
 // asks for the full tables; a non-zero version asks the server to
 // confirm it is still current.
 func WriteLexiconSync(w io.Writer, version uint64) error {
-	body := append([]byte{TypeLexiconSync}, vbyte.Append(nil, version)...)
-	return writeFrame(w, body)
+	return writeFrame(w, vbyte.Append(newFrame(TypeLexiconSync, vbyte.MaxLen), version))
 }
 
 // DecodeLexiconSync parses a TypeLexiconSync body.
@@ -104,9 +103,7 @@ type Lexicon struct {
 
 // WriteLexicon frames and writes a TypeLexicon response.
 func WriteLexicon(w io.Writer, l Lexicon) error {
-	var body []byte
-	body = append(body, TypeLexicon)
-	body = vbyte.Append(body, l.Version)
+	body := vbyte.Append(newFrame(TypeLexicon, 0), l.Version)
 	if l.Current {
 		body = append(body, 0)
 		return writeFrame(w, body)
@@ -254,15 +251,13 @@ func (a *RiskAudit) fields() []*uint64 {
 
 // WriteRiskAuditRequest frames the client's empty audit request.
 func WriteRiskAuditRequest(w io.Writer) error {
-	return writeFrame(w, []byte{TypeRiskAudit})
+	return writeFrame(w, newFrame(TypeRiskAudit, 0))
 }
 
 // WriteRiskAudit frames and writes the server's session-audit response.
 func WriteRiskAudit(w io.Writer, a RiskAudit) error {
 	fs := a.fields()
-	var body []byte
-	body = append(body, TypeRiskAudit)
-	body = vbyte.Append(body, uint64(len(fs)))
+	body := vbyte.Append(newFrame(TypeRiskAudit, (len(fs)+1)*vbyte.MaxLen), uint64(len(fs)))
 	for _, f := range fs {
 		body = vbyte.Append(body, *f)
 	}

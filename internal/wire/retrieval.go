@@ -46,12 +46,12 @@ const (
 
 // WritePIRParamsRequest frames the client's empty params request.
 func WritePIRParamsRequest(w io.Writer) error {
-	return writeFrame(w, []byte{TypePIRParams})
+	return writeFrame(w, newFrame(TypePIRParams, 0))
 }
 
 // WritePIRParams frames and writes the server's block mapping.
 func WritePIRParams(w io.Writer, p docstore.Params) error {
-	return writeFrame(w, appendParams([]byte{TypePIRParams}, p))
+	return writeFrame(w, appendParams(newFrame(TypePIRParams, 0), p))
 }
 
 // appendParams appends the table body of p.
@@ -138,21 +138,23 @@ func DecodePIRParams(body []byte) (docstore.Params, error) {
 // elements: the type byte and a vbyte count.
 const pirHeadSize = 1 + 10
 
-// bigsSize returns the bytes appendBig spends on vs — a vbyte length and
-// the magnitude each, for magnitudes under 16 KiB, eight times the PIR
-// modulus ceiling — so the PIR writers allocate their bodies (54 KB per
-// 6,029-block query at a 64-bit modulus, 330 KB per six-query batch)
-// once instead of growing them from nil.
+// bigsSize returns the bytes appendBig spends on vs, so the writers
+// allocate their frames (54 KB per 6,029-block query at a 64-bit
+// modulus, 330 KB per six-query batch) once instead of growing them from
+// nil.
 func bigsSize(vs ...*big.Int) int {
 	size := 0
 	for _, v := range vs {
-		n := (v.BitLen() + 7) / 8
-		size += 1 + n
-		if n >= 1<<7 {
-			size++
-		}
+		size += bigSize(v)
 	}
 	return size
+}
+
+// bigSize returns the bytes appendBig spends on v: a vbyte length and the
+// magnitude.
+func bigSize(v *big.Int) int {
+	n := (v.BitLen() + 7) / 8
+	return vbyte.Len(uint64(n)) + n
 }
 
 // errOutsideGroup is decodeBigs' refusal of a group element outside

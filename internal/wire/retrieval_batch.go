@@ -173,10 +173,9 @@ func withHeights(qs []*pir.Query) bool {
 	return false
 }
 
-// appendHead opens a type-12 body: the type, the modulus and, for a
-// frame with heights, its two zeros.
+// appendHead continues a type-12 frame: the modulus and, for a frame
+// with heights, its two zeros.
 func appendHead(body []byte, n *big.Int, heights bool) []byte {
-	body = append(body, TypePIRBatchQuery)
 	body = appendBig(body, n)
 	if heights {
 		body = append(vbyte.Append(body, 0), vbyte.Append(nil, 0)...)
@@ -199,7 +198,7 @@ func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 			size += bigsSize(q.Values...)
 		}
 	}
-	body := appendHead(make([]byte, 0, size), n, heights)
+	body := appendHead(newFrame(TypePIRBatchQuery, size), n, heights)
 	body = vbyte.Append(body, uint64(len(qs)))
 	for i, q := range qs {
 		if rotated[i] {
@@ -241,7 +240,7 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	if limit := MaxSeededValues((n.BitLen() + 7) / 8); values > limit {
 		return nil, fmt.Errorf("wire: seeded PIR batch of %d values exceeds the %d a frame may expand to", values, limit)
 	}
-	body := appendHead(make([]byte, 0, size), n, heights)
+	body := appendHead(newFrame(TypePIRBatchQuery, size), n, heights)
 	body = vbyte.Append(body, 0)
 	body = vbyte.Append(body, uint64(len(qs)))
 	body = appendBig(body, s0.V)

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -57,7 +56,7 @@ func DigestPIRParams(p docstore.Params) ParamsDigest {
 // holds no mapping: the unchanged reply when have names p, the changed
 // reply carrying p's table otherwise.
 func WritePIRHelloReply(w io.Writer, p docstore.Params, have *ParamsDigest) error {
-	body := vbyte.Append([]byte{TypePIRParams}, 0)
+	body := vbyte.Append(newFrame(TypePIRParams, 0), 0)
 	at := len(body)
 	body = append(body, make([]byte, ParamsDigestBytes+1)...)
 	body = appendParams(body, p)
@@ -75,9 +74,9 @@ func WritePIRHelloReply(w io.Writer, p docstore.Params, have *ParamsDigest) erro
 // client holds on this connection, nil when it holds none.
 func WritePIRHello(w io.Writer, have *ParamsDigest) error {
 	if have == nil {
-		return writeFrame(w, vbyte.Append([]byte{TypePIRParams}, 0))
+		return writeFrame(w, vbyte.Append(newFrame(TypePIRParams, 1), 0))
 	}
-	return writeFrame(w, append([]byte{TypePIRParams}, have[:]...))
+	return writeFrame(w, append(newFrame(TypePIRParams, ParamsDigestBytes), have[:]...))
 }
 
 // DecodePIRHello parses a non-empty TypePIRParams request body: the digest
@@ -140,7 +139,7 @@ func WritePIRBatchAnswerPacked(w io.Writer, index int, a *pir.Answer, n *big.Int
 	if index < 0 || index >= MaxPIRBatch {
 		return fmt.Errorf("wire: PIR batch answer index %d out of range", index)
 	}
-	body, err := appendPacked(vbyte.Append([]byte{TypePIRBatchResponse}, uint64(index)), a, n)
+	body, err := appendPacked(vbyte.Append(newFrame(TypePIRBatchResponse, 0), uint64(index)), a, n)
 	if err != nil {
 		return err
 	}
@@ -166,15 +165,7 @@ func appendPacked(body []byte, a *pir.Answer, n *big.Int) ([]byte, error) {
 		}
 		at := len(body)
 		body = body[:at+width]
-		// One-word gammas — every gamma under a 64-bit modulus — are cut
-		// straight out of the word, as appendBig does.
-		if ws := g.Bits(); len(ws) == 1 && width <= 8 {
-			var be [8]byte
-			binary.BigEndian.PutUint64(be[:], uint64(ws[0]))
-			copy(body[at:], be[8-width:])
-		} else {
-			g.FillBytes(body[at:])
-		}
+		putMagnitude(body[at:], g.Bits())
 	}
 	return body, nil
 }

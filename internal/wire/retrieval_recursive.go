@@ -88,9 +88,7 @@ func WritePIRRecursiveQuery(w io.Writer, qs []*pir.RecursiveQuery) error {
 	if len(q0.Cols) != 0 {
 		colMode = 1
 	}
-	var body []byte
-	body = append(body, TypePIRRecursiveQuery)
-	body = appendBig(body, q0.N)
+	body := appendBig(newFrame(TypePIRRecursiveQuery, 0), q0.N)
 	body = vbyte.Append(body, uint64(q0.Width))
 	body = vbyte.Append(body, uint64(q0.GridCols))
 	body = vbyte.Append(body, uint64(q0.Offset))

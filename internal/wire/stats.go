@@ -214,15 +214,13 @@ func Aggregate(own Stats, parts []Stats) Stats {
 
 // WriteStatsRequest frames the client's empty stats request.
 func WriteStatsRequest(w io.Writer) error {
-	return writeFrame(w, []byte{TypeStats})
+	return writeFrame(w, newFrame(TypeStats, 0))
 }
 
 // WriteStats frames and writes the server's stats response: a field
 // count followed by that many vbyte-coded values in Stat order.
 func WriteStats(w io.Writer, st Stats) error {
-	body := make([]byte, 0, 2+len(st)*vbyte.MaxLen)
-	body = append(body, TypeStats)
-	body = vbyte.Append(body, uint64(len(st)))
+	body := vbyte.Append(newFrame(TypeStats, (len(st)+1)*vbyte.MaxLen), uint64(len(st)))
 	for _, v := range st {
 		body = vbyte.Append(body, v)
 	}

@@ -71,32 +71,31 @@ func writeQueryTyped(w io.Writer, typ byte, q *core.Query) error {
 	if q == nil || q.Pub == nil {
 		return errors.New("wire: nil query")
 	}
-	var body []byte
-	body = append(body, typ)
-	body = appendBig(body, q.Pub.N)
-	body = appendBig(body, q.Pub.G)
-	body = appendBig(body, q.Pub.R)
-	body = vbyte.Append(body, uint64(len(q.Entries)))
+	frame := newFrame(typ, bigsSize(q.Pub.N, q.Pub.G, q.Pub.R)+vbyte.MaxLen+len(q.Entries)*entryBytes(q.Pub))
+	frame = appendBig(frame, q.Pub.N)
+	frame = appendBig(frame, q.Pub.G)
+	frame = appendBig(frame, q.Pub.R)
+	frame = vbyte.Append(frame, uint64(len(q.Entries)))
 	for _, e := range q.Entries {
-		body = vbyte.Append(body, uint64(e.Term))
-		body = appendBig(body, e.Flag)
+		frame = vbyte.Append(frame, uint64(e.Term))
+		frame = appendBig(frame, e.Flag)
 	}
-	return writeFrame(w, body)
+	return writeFrame(w, frame)
 }
 
-// WriteResponse frames and writes a candidate response.
+// entryBytes bounds the bytes a query entry under pub spends: a term id
+// (under 2^31, five vbyte bytes at most) and a flag in (0, N).
+func entryBytes(pub *benaloh.PublicKey) int { return 5 + bigSize(pub.N) }
+
+// WriteResponse frames and writes a candidate response: the engine's
+// candidate set and the stats figures that cross the wire.
 func WriteResponse(w io.Writer, resp *core.Response, stats core.Stats) error {
-	var body []byte
-	body = append(body, TypeResponse)
-	body = vbyte.Append(body, uint64(len(resp.Docs)))
-	for _, d := range resp.Docs {
-		body = vbyte.Append(body, uint64(d.Doc))
-		body = appendBig(body, d.Enc)
-	}
-	body = vbyte.Append(body, uint64(stats.Postings))
-	body = vbyte.Append(body, uint64(stats.IO.Seeks))
-	body = vbyte.Append(body, uint64(stats.IO.Bytes))
-	return writeFrame(w, body)
+	return WriteCandidateResponse(w, resp.Docs, responseStats(stats))
+}
+
+// responseStats returns the figures of st that a response carries.
+func responseStats(st core.Stats) ResponseStats {
+	return ResponseStats{Postings: st.Postings, Seeks: st.IO.Seeks, IOBytes: st.IO.Bytes}
 }
 
 // WriteError frames and writes a server-side error message.
@@ -104,8 +103,7 @@ func WriteError(w io.Writer, msg string) error {
 	if len(msg) > 1<<16 {
 		msg = msg[:1<<16]
 	}
-	body := append([]byte{TypeError}, msg...)
-	return writeFrame(w, body)
+	return writeFrame(w, append(newFrame(TypeError, len(msg)), msg...))
 }
 
 // ReadMessage reads one frame and returns its type byte and body.
@@ -255,6 +253,30 @@ func decodeCandidates(body []byte) ([]Candidate, []byte, error) {
 	return out, body, nil
 }
 
+// candidatesSize returns the bytes appendCandidates spends on cands, its
+// three stats figures counted at their widest.
+func candidatesSize(cands []Candidate) int {
+	size := 4 * vbyte.MaxLen
+	for _, c := range cands {
+		size += vbyte.Len(uint64(c.Doc)) + bigSize(c.Enc)
+	}
+	return size
+}
+
+// appendCandidates encodes one candidate set + stats tail, the shared
+// layout of TypeResponse and each TypeBatchResponse member.
+func appendCandidates(body []byte, cands []Candidate, st ResponseStats) []byte {
+	body = vbyte.Append(body, uint64(len(cands)))
+	for _, c := range cands {
+		body = vbyte.Append(body, uint64(c.Doc))
+		body = appendBig(body, c.Enc)
+	}
+	body = vbyte.Append(body, uint64(st.Postings))
+	body = vbyte.Append(body, uint64(st.Seeks))
+	body = vbyte.Append(body, uint64(st.IOBytes))
+	return body
+}
+
 // decodeResponseStats decodes the cost figures that follow a candidate
 // set and returns the bytes after them.
 func decodeResponseStats(body []byte) (ResponseStats, []byte, error) {
@@ -270,34 +292,58 @@ func decodeResponseStats(body []byte) (ResponseStats, []byte, error) {
 	return st, body, nil
 }
 
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > MaxFrame {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit", len(body))
+// frameHead is the length header's size: a frame's first four bytes.
+const frameHead = 4
+
+// newFrame starts a frame of type typ with room for size more body
+// bytes: frameHead bytes that writeFrame fills, then the type byte. Every
+// writer builds its frame on one, so a frame is one buffer and one Write.
+func newFrame(typ byte, size int) []byte {
+	frame := make([]byte, frameHead+1, frameHead+1+size)
+	frame[frameHead] = typ
+	return frame
+}
+
+// writeFrame fills the length header of a frame begun by newFrame and
+// writes the frame with one Write.
+func writeFrame(w io.Writer, frame []byte) error {
+	body := len(frame) - frameHead
+	if body > MaxFrame {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit", body)
 	}
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(body)))
-	if _, err := w.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+	binary.LittleEndian.PutUint32(frame, uint32(body))
+	_, err := w.Write(frame)
 	return err
 }
 
 // appendBig appends v's length-prefixed big-endian magnitude, written in
-// place: the PIR writers pre-size their bodies (bigsSize), so an element
-// costs no allocation. One-word values — every element under a 64-bit
-// modulus — are cut straight out of the word.
+// place from v's words: the writers pre-size their frames (bigsSize), so
+// an element costs no allocation.
 func appendBig(dst []byte, v *big.Int) []byte {
 	n := (v.BitLen() + 7) / 8
-	dst = vbyte.Append(dst, uint64(n))
-	if w := v.Bits(); len(w) == 1 {
-		var be [8]byte
-		binary.BigEndian.PutUint64(be[:], uint64(w[0]))
-		return append(dst, be[8-n:]...)
+	dst = slices.Grow(vbyte.Append(dst, uint64(n)), n)
+	at := len(dst)
+	dst = dst[:at+n]
+	putMagnitude(dst[at:], v.Bits())
+	return dst
+}
+
+// putMagnitude writes the little-endian words ws into mag big-endian,
+// right-aligned, and zeroes the bytes above them; mag must hold their
+// magnitude. It is magnitudeWords' inverse.
+func putMagnitude(mag []byte, ws []big.Word) {
+	for _, w := range ws {
+		if wordBytes == 8 && len(mag) >= 8 {
+			binary.BigEndian.PutUint64(mag[len(mag)-8:], uint64(w))
+			mag = mag[:len(mag)-8]
+			continue
+		}
+		for i := 0; i < wordBytes && len(mag) > 0; i, w = i+1, w>>8 {
+			mag[len(mag)-1] = byte(w)
+			mag = mag[:len(mag)-1]
+		}
 	}
-	dst = slices.Grow(dst, n)
-	v.FillBytes(dst[len(dst) : len(dst)+n])
-	return dst[:len(dst)+n]
+	clear(mag)
 }
 
 func decodeBig(buf []byte) (*big.Int, []byte, error) {

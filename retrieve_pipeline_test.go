@@ -174,7 +174,8 @@ func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
 // onFirstBatch wraps a connection and runs do the instant the first PIR
 // batch frame leaves the client — after the client validated its ids
 // against Params, before the server sees a query — making a store
-// change that races a fetch deterministic.
+// change that races a fetch deterministic. A frame leaves in one Write,
+// its type byte after the four-byte length header.
 type onFirstBatch struct {
 	net.Conn
 	once sync.Once
@@ -182,7 +183,7 @@ type onFirstBatch struct {
 }
 
 func (o *onFirstBatch) Write(p []byte) (int, error) {
-	if len(p) > 0 && p[0] == wire.TypePIRBatchQuery {
+	if len(p) > 4 && p[4] == wire.TypePIRBatchQuery {
 		o.once.Do(o.do)
 	}
 	return o.Conn.Write(p)

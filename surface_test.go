@@ -161,6 +161,56 @@ func TestSurface(t *testing.T) {
 			})
 		}
 	})
+
+	// One ranking plan (processSharded) beside the one math/big oracle
+	// (ProcessCtx): a second lower-case process* method on core.Server,
+	// or the retired term-striped plan named anywhere, is a plan growing
+	// back. The plan builds its response in document order, row by row
+	// of its shards: it calls no sort and declares no map.
+	t.Run("one ranking plan, in document order", func(t *testing.T) {
+		var plans []string
+		var plan *ast.FuncDecl
+		for _, f := range files {
+			ast.Inspect(f.file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && id.Name == "processTermStriped" {
+					t.Errorf("%s names processTermStriped", f.path)
+				}
+				return true
+			})
+			if f.test || path.Dir(f.path) != "internal/core" {
+				continue
+			}
+			for _, decl := range f.file.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && receiver(fn) == "Server" && strings.HasPrefix(fn.Name.Name, "process") {
+					plans = append(plans, fn.Name.Name)
+					if fn.Name.Name == "processSharded" {
+						plan = fn
+					}
+				}
+			}
+		}
+		if len(plans) != 1 || plan == nil {
+			t.Fatalf("core.Server declares the plans %v, want processSharded alone", plans)
+		}
+		ast.Inspect(plan.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.MapType:
+				t.Errorf("processSharded declares a map")
+			case *ast.CallExpr:
+				switch fun := n.Fun.(type) {
+				case *ast.Ident:
+					if fun.Name == "sortDocScores" {
+						t.Errorf("processSharded calls sortDocScores")
+					}
+				case *ast.SelectorExpr:
+					if pkg, ok := fun.X.(*ast.Ident); ok && (pkg.Name == "sort" || pkg.Name == "slices" && strings.HasPrefix(fun.Sel.Name, "Sort")) {
+						t.Errorf("processSharded calls %s.%s", pkg.Name, fun.Sel.Name)
+					}
+				}
+			}
+			return true
+		})
+	})
 }
 
 // flagDefiner reports whether a function of package flag (or a method
