@@ -29,7 +29,7 @@ var (
 
 // benchConfig is the shared benchmark environment scale. PIR server work
 // grows with inverted-list length × bucket size, so the corpus is kept
-// moderate; shapes are stable across scales (see EXPERIMENTS.md).
+// moderate.
 func benchConfig() eval.Config {
 	cfg := eval.DefaultConfig()
 	cfg.Synsets = 2000

@@ -2,7 +2,9 @@ package embellish
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -278,5 +280,45 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 	}
 	if !strings.Contains(string(readme), "THREAT_MODEL.md") {
 		t.Error("README.md does not link the threat model")
+	}
+}
+
+// TestDocsOneBenchmarkHarness: bench/ is the only benchmark harness. The
+// retired tool's directory stays gone, no report of it is kept anywhere
+// in the tree, and README.md and docs/ cite neither.
+func TestDocsOneBenchmarkHarness(t *testing.T) {
+	if _, err := os.Stat("cmd/embellish-bench"); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("cmd/embellish-bench: %v, want it absent", err)
+	}
+	report := regexp.MustCompile(`^BENCH_PR.*\.json$`)
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && report.MatchString(d.Name()) {
+			t.Errorf("%s is a report of the retired benchmark tool", p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil || len(docs) == 0 {
+		t.Fatalf("docs/*.md: %d files, %v", len(docs), err)
+	}
+	for _, file := range append(docs, "README.md") {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"cmd/embellish-bench", "BENCH_PR"} {
+			if strings.Contains(string(data), name) {
+				t.Errorf("%s cites %s", file, name)
+			}
+		}
 	}
 }

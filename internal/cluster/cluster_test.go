@@ -253,6 +253,25 @@ func (w *world) grow(t *testing.T, n int) {
 	}
 }
 
+// repartition replaces worker 2 by a fresh template-only engine at the
+// same endpoint: fewer stored blocks than an epoch pinned before it
+// credits the partition with.
+func (w *world) repartition(t *testing.T) {
+	t.Helper()
+	if err := w.workerSrvs[2].Shutdown(context.Background()); err != nil {
+		t.Fatalf("stopping worker 2: %v", err)
+	}
+	raw, _ := templateEngine(t)
+	fresh := loadEngine(t, raw, false)
+	l, err := net.Listen("tcp", w.workerAddrs[2])
+	if err != nil {
+		t.Fatalf("rebinding worker 2 endpoint: %v", err)
+	}
+	srv := fresh.NewNetServer(embellish.ServeConfig{AllowRetrieval: true})
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+}
+
 // add ingests one document through the router and on the reference.
 func (w *world) add(t *testing.T, id int, text string) {
 	t.Helper()

@@ -16,6 +16,7 @@ import (
 	"embellish"
 	"embellish/internal/cluster"
 	"embellish/internal/detrand"
+	"embellish/internal/pir"
 	"embellish/internal/vbyte"
 	"embellish/internal/wire"
 )
@@ -114,6 +115,88 @@ func TestClusterHelloThroughRouter(t *testing.T) {
 	if len(after.Params.Exts) != templateDocs+1 || after.Params.NumBlocks <= cold.Params.NumBlocks {
 		t.Fatalf("the changed reply maps %d documents over %d blocks, the cold one %d over %d",
 			len(after.Params.Exts), after.Params.NumBlocks, len(cold.Params.Exts), cold.Params.NumBlocks)
+	}
+}
+
+// TestClusterFlatStaleMapRefused is the flat twin of
+// TestClusterRecursiveStaleMapRefused: a connection pins its epoch with
+// the hello, worker 2 is then re-partitioned down to the template
+// corpus, and seeded type-12 frames for each grown document — one at
+// its view's full width, one at the prefix ending with the document —
+// must be refused or decode to the document's stored bytes, never to
+// other bytes. A full-width frame reaches worker 2, which lost its grown
+// documents, so some frame is refused; a prefix that ends before worker
+// 2's columns never reaches it, so some frame decodes.
+func TestClusterFlatStaleMapRefused(t *testing.T) {
+	w := newWorld(t)
+	w.grow(t, 9)
+	conn := dial(t, w.routerAddr)
+	if err := wire.WritePIRHello(conn, nil); err != nil {
+		t.Fatal(err)
+	}
+	body, err := readTyped(t, conn, wire.TypePIRParams)
+	if err != nil {
+		t.Fatalf("hello via router: %v", err)
+	}
+	reply, err := wire.DecodePIRParamsReply(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := reply.Params.Layout()
+	w.repartition(t)
+
+	key, err := pir.GenerateKey(detrand.New("flat-stale-map"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused, decoded := 0, 0
+	for id := templateDocs; id < templateDocs+9; id++ {
+		h, col, k := layout.Place(id)
+		for _, width := range []int{layout.Widths()[h], col + k} {
+			q, err := key.NewSeededQuery(detrand.New("flat-stale-map-q"), width, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q.Height = h
+			qs := []*pir.Query{q}
+			for len(qs) < k {
+				qs = append(qs, qs[len(qs)-1].Next())
+			}
+			if err := wire.WritePIRBatchQuery(conn, qs); err != nil {
+				t.Fatal(err)
+			}
+			var got []byte
+			for i := range qs {
+				typ, body, err := wire.ReadMessage(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if typ == wire.TypeError {
+					t.Logf("document %d at width %d: refused: %s", id, width, body)
+					refused++
+					got = nil
+					break
+				}
+				if typ != wire.TypePIRBatchResponse {
+					t.Fatalf("document %d at width %d: answered type %d", id, width, typ)
+				}
+				idx, ans, err := wire.DecodePIRBatchAnswer(body)
+				if err != nil || idx != i {
+					t.Fatalf("document %d at width %d: answer %d: index %d, %v", id, width, i, idx, err)
+				}
+				got = append(got, pir.ColumnBytes(key.Decode(ans))...)
+			}
+			if got == nil {
+				continue
+			}
+			if text := w.texts[id]; string(got[:min(len(got), len(text))]) != text {
+				t.Fatalf("document %d at width %d decodes to %q, want the stored %q", id, width, got, text)
+			}
+			decoded++
+		}
+	}
+	if refused == 0 || decoded == 0 {
+		t.Fatalf("%d frames refused and %d decoded; want some of each, as worker 2 lost its grown documents and the other partitions did not", refused, decoded)
 	}
 }
 

@@ -9,7 +9,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"net"
 	"strings"
@@ -120,21 +119,7 @@ func TestClusterRecursiveStaleMapRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-partition: worker 2 is replaced by a fresh template-only
-	// engine at the same endpoint — fewer stored blocks than the epoch
-	// credits it with.
-	if err := w.workerSrvs[2].Shutdown(context.Background()); err != nil {
-		t.Fatalf("stopping worker 2: %v", err)
-	}
-	raw, _ := templateEngine(t)
-	fresh := loadEngine(t, raw, false)
-	l, err := net.Listen("tcp", w.workerAddrs[2])
-	if err != nil {
-		t.Fatalf("rebinding worker 2 endpoint: %v", err)
-	}
-	srv := fresh.NewNetServer(embellish.ServeConfig{AllowRetrieval: true})
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Shutdown(context.Background()) })
+	w.repartition(t)
 
 	key, err := pir.GenerateKey(detrand.New("stale-map"), 96)
 	if err != nil {
