@@ -2,10 +2,8 @@ package embellish
 
 import (
 	"context"
-	"fmt"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,151 +42,6 @@ func testQueries(e *Engine, n int) []string {
 		out[i] = a + " " + b
 	}
 	return out
-}
-
-// TestEngineProcessConcurrent drives parallel Engine.Process calls on
-// one sharded engine; under -race this is the data-race check for the
-// shared cut segments, fixed-base tables and stats plumbing. Every
-// concurrent private ranking must match PlaintextSearch (Claim 1).
-func TestEngineProcessConcurrent(t *testing.T) {
-	e, c := shardedTestEngine(t)
-	queries := testQueries(e, 8)
-
-	type prepared struct {
-		q     *Query
-		query string
-		want  []Result
-	}
-	jobs := make([]prepared, len(queries))
-	for i, query := range queries {
-		q, err := c.Embellish(query)
-		if err != nil {
-			t.Fatalf("embellish %q: %v", query, err)
-		}
-		want, err := e.PlaintextSearch(query, 10)
-		if err != nil {
-			t.Fatalf("plaintext %q: %v", query, err)
-		}
-		jobs[i] = prepared{q: q, query: query, want: want}
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, len(jobs)*3)
-	for round := 0; round < 3; round++ {
-		for _, jb := range jobs {
-			wg.Add(1)
-			go func(jb prepared) {
-				defer wg.Done()
-				resp, err := e.Process(jb.q)
-				if err != nil {
-					errs <- fmt.Errorf("%q: %v", jb.query, err)
-					return
-				}
-				got, err := c.Decode(resp, 10)
-				if err != nil {
-					errs <- fmt.Errorf("%q: decode: %v", jb.query, err)
-					return
-				}
-				if len(got) != len(jb.want) {
-					errs <- fmt.Errorf("%q: %d results, want %d", jb.query, len(got), len(jb.want))
-					return
-				}
-				for i := range got {
-					if got[i] != jb.want[i] {
-						errs <- fmt.Errorf("%q rank %d: private %+v plaintext %+v", jb.query, i, got[i], jb.want[i])
-						return
-					}
-				}
-			}(jb)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-// TestNetServerConcurrentClients drives >= 8 simultaneous remote
-// searches through a NetServer over real TCP, each client with its own
-// key pair, and checks every private ranking against PlaintextSearch.
-func TestNetServerConcurrentClients(t *testing.T) {
-	e, _ := shardedTestEngine(t)
-	srv := e.NewNetServer(ServeConfig{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
-
-	const clients = 8
-	queries := testQueries(e, clients)
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			query := queries[i]
-			want, err := e.PlaintextSearch(query, 10)
-			if err != nil {
-				errs <- err
-				return
-			}
-			conn, err := net.Dial("tcp", l.Addr().String())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer conn.Close()
-			cl, err := e.NewClient(detrand.New(fmt.Sprintf("net-client-%d", i)))
-			if err != nil {
-				errs <- err
-				return
-			}
-			got, err := cl.SearchRemote(conn, query, 10)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if len(got) != len(want) {
-				errs <- fmt.Errorf("client %d: %d results, want %d", i, len(got), len(want))
-				return
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					errs <- fmt.Errorf("client %d rank %d: private %+v plaintext %+v", i, j, got[j], want[j])
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	st := srv.Stats()
-	if st.Accepted != clients {
-		t.Fatalf("accepted %d connections, want %d", st.Accepted, clients)
-	}
-	if st.Queries != clients {
-		t.Fatalf("answered %d queries, want %d", st.Queries, clients)
-	}
-	if st.QueryTime <= 0 || st.MaxQueryTime <= 0 {
-		t.Fatalf("query timing not recorded: %+v", st)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatalf("shutdown: %v", err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Fatalf("serve exited with %v", err)
-	}
 }
 
 // TestSearchRemoteBatch sends several queries as one batch frame and

@@ -25,7 +25,7 @@ const (
 func goldenDurableState(t testing.TB) string {
 	t.Helper()
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 12, 32)
+	e, _, texts := storeWorld(t, 12, 32, durableOpts(dir))
 	lemmas := miniLemmas()
 	for i := 0; i < 2; i++ {
 		id := e.NextDocID()

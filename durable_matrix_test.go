@@ -140,7 +140,7 @@ func logFrameEnds(t testing.TB, data []byte) []int {
 
 func TestCrashPointMatrixRecovery(t *testing.T) {
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 12, 32)
+	e, _, texts := storeWorld(t, 12, 32, durableOpts(dir))
 	ledger, ckptSeq := matrixWorkload(t, e, texts)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
@@ -234,7 +234,7 @@ func containsInt(xs []int, x int) bool {
 // must chain the old checkpoint through BOTH journal segments.
 func TestRecoverySpansLogChain(t *testing.T) {
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 12, 32)
+	e, _, texts := storeWorld(t, 12, 32, durableOpts(dir))
 	lemmas := miniLemmas()
 	addOne := func() {
 		id := e.NextDocID()

@@ -21,31 +21,6 @@ func durableOpts(dir string) Durability {
 	return Durability{Dir: dir, Fsync: FsyncEveryRecord, CheckpointEveryOps: -1, CheckpointEveryBytes: -1}
 }
 
-// durableStoreWorld is storeWorld on a durable directory.
-func durableStoreWorld(t testing.TB, dir string, nDocs, blockSize int) (*Engine, map[int]string) {
-	t.Helper()
-	lemmas := miniLemmas()
-	texts := make(map[int]string, nDocs)
-	docs := make([]Document, nDocs)
-	for i := range docs {
-		texts[i] = storeDocText(i, lemmas)
-		docs[i] = Document{ID: i, Text: texts[i]}
-	}
-	opts := DefaultOptions()
-	opts.BucketSize = 4
-	opts.KeyBits = 256
-	opts.ScoreSpace = 10
-	opts.StoreDocuments = true
-	opts.BlockSize = blockSize
-	opts.RetrievalKeyBits = 96
-	opts.Durability = durableOpts(dir)
-	e, err := NewEngine(MiniLexicon(), docs, opts)
-	if err != nil {
-		t.Fatalf("NewEngine(durable): %v", err)
-	}
-	return e, texts
-}
-
 // copyDurableDir captures a durable directory's current state the way
 // a crash would freeze it — without stopping the engine that is
 // writing to it. Log segments are copied BEFORE checkpoint files:
@@ -53,7 +28,7 @@ func durableStoreWorld(t testing.TB, dir string, nDocs, blockSize int) (*Engine,
 // rotation, so this order can never capture a checkpoint whose log
 // chain is missing (the reverse order could). Files that vanish
 // mid-copy were retired by a concurrent checkpoint and are skipped.
-// Failures are reported with Errorf, never Fatal — the churn test
+// Failures are reported with Errorf, never Fatal — the simulation
 // freezes directories from a non-test goroutine.
 func copyDurableDir(t testing.TB, src string) string {
 	t.Helper()
@@ -93,7 +68,7 @@ func copyDurableDir(t testing.TB, src string) string {
 // accepting and journaling updates.
 func TestDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 20, 32)
+	e, _, texts := storeWorld(t, 20, 32, durableOpts(dir))
 	lemmas := miniLemmas()
 	if !e.Durable() {
 		t.Fatal("Durable() = false on a durable engine")
@@ -193,17 +168,8 @@ func assertCorpusEquals(t testing.TB, e *Engine, texts map[int]string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The private candidate set includes zero-score decoy matches the
-	// plaintext ranking never surfaces; Claim 1 is about the scored
-	// results.
-	var scored []Result
-	for _, r := range private {
-		if r.Score > 0 {
-			scored = append(scored, r)
-		}
-	}
-	if fmt.Sprint(scored) != fmt.Sprint(plain) {
-		t.Fatalf("recovered engine breaks Claim 1: private %v, plaintext %v", scored, plain)
+	if !claim1Holds(private, plain) {
+		t.Fatalf("recovered engine breaks Claim 1: private %v, plaintext %v", private, plain)
 	}
 }
 
@@ -212,7 +178,7 @@ func assertCorpusEquals(t testing.TB, e *Engine, texts map[int]string) {
 // replays nothing.
 func TestCheckpointRotatesAndRetires(t *testing.T) {
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 20, 32)
+	e, _, texts := storeWorld(t, 20, 32, durableOpts(dir))
 	defer e.Close()
 	lemmas := miniLemmas()
 	for i := 0; i < 3; i++ {
@@ -266,7 +232,7 @@ func dirNames(t testing.TB, dir string) []string {
 // TestEnableDurabilityOnLoadedEngine: the -load + -data-dir server
 // path — a plain engine file becomes durable after the fact.
 func TestEnableDurabilityOnLoadedEngine(t *testing.T) {
-	e, _, texts := storeWorld(t, 20, 32)
+	e, _, texts := storeWorld(t, 20, 32, Durability{})
 	var buf bytes.Buffer
 	if err := e.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -359,7 +325,7 @@ func TestOpenDurableValidation(t *testing.T) {
 // Run with -race.
 func TestSaveRacesAddCapturesConsistentSeq(t *testing.T) {
 	dir := t.TempDir()
-	e, texts := durableStoreWorld(t, dir, 20, 32)
+	e, _, texts := storeWorld(t, 20, 32, durableOpts(dir))
 	lemmas := miniLemmas()
 	var mu sync.Mutex // guards texts
 

@@ -356,18 +356,13 @@ type ProcessStats struct {
 	SimulatedIOms float64
 }
 
-// processCore runs one embellished core query through the one ranking
-// plan — core's document-sharded fold on the schedule applyExecution
-// set, with GOMAXPROCS workers. The schedule changes how the fold is
-// run and how E(u)^p is computed, never a ciphertext: the response is
-// the paper's sequential Algorithm 4 (core.Server.Process, kept as the
-// oracle) byte for byte.
-func (e *Engine) processCore(q *core.Query) (*core.Response, core.Stats, error) {
-	return e.processCoreCtx(context.Background(), q)
-}
-
-// processCoreCtx is processCore under a context: the posting walk checks
-// ctx and stops mid-scan on cancellation, returning ctx.Err() with the
+// processCoreCtx runs one embellished core query through the one
+// ranking plan — core's document-sharded fold on the schedule
+// applyExecution set, with GOMAXPROCS workers. The schedule changes how
+// the fold is run and how E(u)^p is computed, never a ciphertext: the
+// response is the paper's sequential Algorithm 4 (core.Server.Process,
+// kept as the oracle) byte for byte. The posting walk checks ctx and
+// stops mid-scan on cancellation, returning ctx.Err() with the
 // partial-work stats.
 func (e *Engine) processCoreCtx(ctx context.Context, q *core.Query) (*core.Response, core.Stats, error) {
 	return e.server.ProcessParallelCtx(ctx, q, 0)
@@ -413,7 +408,7 @@ func (e *Engine) ConfigureMergePolicy(maxSegments int) error {
 
 // applyExecution resolves the ranking schedule, once, for NewEngine and
 // the load path alike, and builds the ranking server on it: the live set
-// cut into GOMAXPROCS document shards (processCore runs as many
+// cut into GOMAXPROCS document shards (processCoreCtx runs as many
 // workers) before the server resolves its first snapshot, and the
 // default fixed-base window. Nothing sets it afterwards, so queries read
 // it without a lock.

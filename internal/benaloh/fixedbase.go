@@ -27,8 +27,7 @@ type FixedBase struct {
 	window uint
 	mask   int64
 	// table holds entry (i, d) at word offset ((i<<window)+d)·Words().
-	table  []big.Word
-	maxExp int64
+	table []big.Word
 	// setupMuls is the number of modular multiplications spent building
 	// the table, so callers can account precomputation in their CPU cost
 	// models.
@@ -59,7 +58,7 @@ func (pk *PublicKey) NewFixedBase(base *big.Int, maxExp int64, window uint) *Fix
 		b, err = m.ToMont(base)
 	}
 	if err != nil {
-		return &FixedBase{window: window, mask: 1<<window - 1, maxExp: max(maxExp, 1), base: base, n: pk.N}
+		return &FixedBase{window: window, mask: 1<<window - 1, base: base, n: pk.N}
 	}
 	return NewFixedBaseMont(m, b, maxExp, window)
 }
@@ -83,7 +82,6 @@ func NewFixedBaseMont(m *mont.Modulus, base []big.Word, maxExp int64, window uin
 		m:      m,
 		window: window,
 		mask:   int64(size) - 1,
-		maxExp: maxExp,
 		table:  make([]big.Word, numWindows*size*k),
 	}
 	// windowBase = base^(2^{w·i}), advanced by repeated squaring between
@@ -115,15 +113,12 @@ func NewFixedBaseMont(m *mont.Modulus, base []big.Word, maxExp int64, window uin
 // SetupMuls reports the modular multiplications spent building the table.
 func (fb *FixedBase) SetupMuls() int { return fb.setupMuls }
 
-// MaxExp reports the largest exponent the table covers.
-func (fb *FixedBase) MaxExp() int64 { return fb.maxExp }
-
-// PowWords returns base^e mod n in Montgomery form for 0 <= e <= MaxExp,
-// spending one modular multiplication per nonzero base-2^w digit of e
-// beyond the first; muls reports how many. The result is a table entry
-// when e has a single nonzero digit (the caller must not write it) and
-// scratch, a Words()-long buffer of the caller's, otherwise. It
-// allocates nothing.
+// PowWords returns base^e mod n in Montgomery form for e from 0 to the
+// maxExp the table was built for, spending one modular multiplication
+// per nonzero base-2^w digit of e beyond the first; muls reports how
+// many. The result is a table entry when e has a single nonzero digit
+// (the caller must not write it) and scratch, a Words()-long buffer of
+// the caller's, otherwise. It allocates nothing.
 func (fb *FixedBase) PowWords(scratch []big.Word, e int64) (c []big.Word, muls int) {
 	k := fb.m.Words()
 	for at := 0; e > 0 && at < len(fb.table); at += k << fb.window {

@@ -63,9 +63,6 @@ func New(db *wordnet.Database, maxDist float64) *Calculator {
 	return c
 }
 
-// SetWeights overrides the relation weights.
-func (c *Calculator) SetWeights(w Weights) { c.w = w }
-
 type pqItem struct {
 	s wordnet.SynsetID
 	d float64

@@ -11,7 +11,7 @@ import (
 	"embellish/internal/bucket"
 	"embellish/internal/docstore"
 	"embellish/internal/index"
-	"embellish/internal/textproc"
+	"embellish/internal/sequence"
 	"embellish/internal/vbyte"
 	"embellish/internal/wordnet"
 )
@@ -306,18 +306,12 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 		org:   org,
 		store: store,
 	}
-	// Rebuild the derived pieces exactly as NewEngine does.
-	e.analyzer = textproc.NewAnalyzer()
-	if !opts.Stopwords {
-		e.analyzer.Stopwords = nil
-	}
-	lemmas := make([]string, 0, db.NumTerms())
-	for _, t := range db.AllTerms() {
-		lemmas = append(lemmas, db.Lemma(t))
-	}
-	e.analyzer.Matcher = textproc.NewDictionaryMatcher(lemmas)
-	for b := 0; b < org.NumBuckets(); b++ {
-		for _, t := range org.Bucket(b) {
+	// Rebuild the derived pieces exactly as NewEngine does: the
+	// searchable dictionary is the organized terms in Algorithm 1
+	// sequence order, the order the privacy audit samples from.
+	e.analyzer = buildAnalyzer(db, opts.Stopwords)
+	for _, t := range sequence.Run(db) {
+		if _, ok := org.BucketOf(t); ok {
 			e.searchable = append(e.searchable, t)
 		}
 	}

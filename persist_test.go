@@ -2,6 +2,7 @@ package embellish
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -25,6 +26,11 @@ func TestEngineSaveLoadRoundTrip(t *testing.T) {
 			loaded.NumDocs(), e.NumDocs(),
 			loaded.NumSearchableTerms(), e.NumSearchableTerms(),
 			loaded.NumBuckets(), e.NumBuckets())
+	}
+	// The searchable dictionary keeps its Algorithm 1 sequence order,
+	// which PrivacyAudit samples from.
+	if !slices.Equal(loaded.SearchableLemmas(), e.SearchableLemmas()) {
+		t.Fatal("searchable dictionary order changed across Save and LoadEngine")
 	}
 
 	// A query embellished against the ORIGINAL engine must process

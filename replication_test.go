@@ -32,9 +32,9 @@ func dialNetServer(t *testing.T, srv *NetServer) net.Conn {
 // replPair builds a primary and a replica from the SAME engine bytes
 // (the template-file contract: identical organization, dictionary and
 // scale), each with its own durable directory.
-func replPair(t *testing.T) (primary, replica *Engine, texts map[int]string) {
+func replPair(t *testing.T) (primary, replica *Engine) {
 	t.Helper()
-	seed, texts := durableStoreWorld(t, t.TempDir(), 24, 128)
+	seed, _, _ := storeWorld(t, 24, 128, durableOpts(t.TempDir()))
 	var buf bytes.Buffer
 	if err := seed.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -53,77 +53,11 @@ func replPair(t *testing.T) (primary, replica *Engine, texts map[int]string) {
 		t.Cleanup(func() { e.Close() })
 		return e
 	}
-	return load(), load(), texts
-}
-
-func replCatchUp(t *testing.T, primary, replica *Engine) int {
-	t.Helper()
-	applied := 0
-	for {
-		st, _ := replica.WALStatus()
-		c, err := primary.WALRecordsAfter(st.Seq, 0)
-		if err != nil {
-			t.Fatalf("WALRecordsAfter(%d): %v", st.Seq, err)
-		}
-		n, err := replica.ApplyReplicated(c.Records)
-		if err != nil {
-			t.Fatalf("ApplyReplicated: %v", err)
-		}
-		applied += n
-		if !c.More && c.LastSeq >= c.PrimarySeq {
-			return applied
-		}
-	}
-}
-
-func TestReplicationConverges(t *testing.T) {
-	primary, replica, _ := replPair(t)
-	lemmas := miniLemmas()
-	base := primary.NextDocID()
-	for i := 0; i < 5; i++ {
-		id := primary.NextDocID()
-		if err := primary.AddDocuments([]Document{{ID: id, Text: storeDocText(id, lemmas)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := primary.DeleteDocuments([]int{base, base + 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	applied := replCatchUp(t, primary, replica)
-	if applied != 6 {
-		t.Fatalf("applied %d ops, want 6", applied)
-	}
-	pst, _ := primary.WALStatus()
-	rst, _ := replica.WALStatus()
-	if pst.Seq != rst.Seq {
-		t.Fatalf("replica at seq %d, primary at %d", rst.Seq, pst.Seq)
-	}
-	if primary.NumDocs() != replica.NumDocs() || primary.NextDocID() != replica.NextDocID() {
-		t.Fatalf("replica corpus diverged: %d/%d docs, next %d/%d",
-			replica.NumDocs(), primary.NumDocs(), replica.NextDocID(), primary.NextDocID())
-	}
-	// The replica answers queries with the primary's rankings.
-	pRank, err := primary.PlaintextSearch(lemmas[1]+" "+lemmas[4], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rRank, err := replica.PlaintextSearch(lemmas[1]+" "+lemmas[4], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pRank) != len(rRank) {
-		t.Fatalf("rank lengths %d vs %d", len(pRank), len(rRank))
-	}
-	for i := range pRank {
-		if pRank[i] != rRank[i] {
-			t.Fatalf("rank %d: %+v vs %+v", i, pRank[i], rRank[i])
-		}
-	}
+	return load(), load()
 }
 
 func TestWALRecordsAfterEdges(t *testing.T) {
-	primary, _, _ := replPair(t)
+	primary, _ := replPair(t)
 	st, _ := primary.WALStatus()
 	// Caught up: empty chunk, LastSeq echoes the cursor.
 	c, err := primary.WALRecordsAfter(st.Seq, 0)
@@ -142,7 +76,7 @@ func TestWALRecordsAfterEdges(t *testing.T) {
 }
 
 func TestWALRecordsAfterChunking(t *testing.T) {
-	primary, replica, _ := replPair(t)
+	primary, replica := replPair(t)
 	lemmas := miniLemmas()
 	for i := 0; i < 4; i++ {
 		id := primary.NextDocID()
@@ -181,7 +115,7 @@ func TestWALRecordsAfterChunking(t *testing.T) {
 }
 
 func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
-	primary, replica, _ := replPair(t)
+	primary, replica := replPair(t)
 	lemmas := miniLemmas()
 	id := primary.NextDocID()
 	if err := primary.AddDocuments([]Document{{ID: id, Text: storeDocText(id, lemmas)}}); err != nil {
@@ -217,7 +151,7 @@ func TestApplyReplicatedDuplicatesAndGaps(t *testing.T) {
 }
 
 func TestAnswerWALPullOverWire(t *testing.T) {
-	primary, replica, _ := replPair(t)
+	primary, replica := replPair(t)
 	lemmas := miniLemmas()
 	id := primary.NextDocID()
 	if err := primary.AddDocuments([]Document{{ID: id, Text: storeDocText(id, lemmas)}}); err != nil {
@@ -247,7 +181,7 @@ func TestAnswerWALPullOverWire(t *testing.T) {
 }
 
 func TestWALPullRefusedWithoutOptIn(t *testing.T) {
-	primary, _, _ := replPair(t)
+	primary, _ := replPair(t)
 	srv := primary.NewNetServer(ServeConfig{})
 	client := dialNetServer(t, srv)
 	_, err := PullWAL(client, 0)
@@ -257,7 +191,7 @@ func TestWALPullRefusedWithoutOptIn(t *testing.T) {
 }
 
 func TestReplicaStatusInStats(t *testing.T) {
-	_, replica, _ := replPair(t)
+	_, replica := replPair(t)
 	srv := replica.NewNetServer(ServeConfig{})
 	rst, _ := replica.WALStatus()
 	srv.SetReplicaStatus(func() (uint64, bool) { return rst.Seq + 3, true })
@@ -279,7 +213,7 @@ func TestReplicaStatusInStats(t *testing.T) {
 }
 
 func TestReplicationGapSurfaces(t *testing.T) {
-	primary, replica, _ := replPair(t)
+	primary, replica := replPair(t)
 	lemmas := miniLemmas()
 	for i := 0; i < 3; i++ {
 		id := primary.NextDocID()

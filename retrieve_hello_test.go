@@ -72,7 +72,7 @@ func tappedFrames(t *testing.T, raw []byte) []tappedFrame {
 // gammas of 8 bytes — the benchmark's shape.
 func threeBlockWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, ids []int) {
 	t.Helper()
-	e, c, texts = storeWorld(t, 20, 1024)
+	e, c, texts = storeWorld(t, 20, 1024, Durability{})
 	lemmas := miniLemmas()
 	var docs []Document
 	for i := 0; i < 2; i++ {

@@ -38,167 +38,6 @@ func startRetrievalServer(t *testing.T, e *Engine, cfg ServeConfig) string {
 	return l.Addr().String()
 }
 
-// TestRemoteSearchThenPIRFetchDuringChurn is the end-to-end acceptance
-// path: a remote client ranks privately over TCP and then PIR-fetches
-// the winning documents over the same connection, byte-identical to
-// the indexed text, while another goroutine churns the corpus with
-// adds and deletes the whole time. A quiescent final pass ties the
-// fetched bytes to PlaintextSearch's selection exactly.
-func TestRemoteSearchThenPIRFetchDuringChurn(t *testing.T) {
-	lemmas := miniLemmas()
-	e, _, texts := storeWorld(t, 30, 32)
-	var mu sync.Mutex // guards texts
-	addr := startRetrievalServer(t, e, ServeConfig{AllowUpdates: true, AllowRetrieval: true})
-
-	queries := []string{
-		lemmas[1] + " " + lemmas[6],
-		lemmas[11] + " " + lemmas[16],
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // churn: grow the corpus, delete only filler docs
-		defer wg.Done()
-		var fillers []int
-		// Bounded and throttled: PIR fetch cost scales with the block
-		// count, so unchecked growth would starve the fetch rounds.
-		for i := 0; i < 25; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			base := e.NextDocID()
-			docs := make([]Document, 2)
-			mu.Lock()
-			for j := range docs {
-				id := base + j
-				if j == 0 {
-					texts[id] = fillerDocText(id, lemmas)
-					fillers = append(fillers, id)
-				} else {
-					texts[id] = storeDocText(id, lemmas)
-				}
-				docs[j] = Document{ID: id, Text: texts[id]}
-			}
-			mu.Unlock()
-			if err := e.AddDocuments(docs); err != nil {
-				t.Errorf("churn add: %v", err)
-				return
-			}
-			if len(fillers) > 3 {
-				id := fillers[0]
-				fillers = fillers[1:]
-				if err := e.DeleteDocuments([]int{id}); err != nil {
-					t.Errorf("churn delete %d: %v", id, err)
-					return
-				}
-			}
-		}
-	}()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	c, err := e.NewClient(detrand.New("remote-fetcher"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 4; round++ {
-		query := queries[round%len(queries)]
-		res, err := c.SearchRemote(conn, query, 5)
-		if err != nil {
-			t.Fatalf("round %d search: %v", round, err)
-		}
-		var winners []int
-		for _, r := range res {
-			if r.Score > 0 {
-				winners = append(winners, r.DocID)
-			}
-		}
-		if len(winners) == 0 {
-			t.Fatalf("round %d: query %q matched nothing", round, query)
-		}
-		got, st, err := c.FetchDocumentsRemote(conn, winners)
-		if err != nil {
-			t.Fatalf("round %d fetch: %v", round, err)
-		}
-		if st.Runs == 0 {
-			t.Fatalf("round %d: no PIR executions accounted", round)
-		}
-		mu.Lock()
-		for i, id := range winners {
-			if want := texts[id]; string(got[i]) != want {
-				mu.Unlock()
-				t.Fatalf("round %d doc %d: fetched %q, want %q", round, id, got[i], want)
-			}
-		}
-		mu.Unlock()
-	}
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-
-	// Quiescent pass: with churn stopped, the remote ranking equals
-	// PlaintextSearch on the same corpus state, and the PIR-fetched
-	// bytes equal the direct reads of exactly those selected documents.
-	snap := e.Snapshot()
-	query := queries[0]
-	res, err := c.SearchRemote(conn, query, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := snap.PlaintextSearch(query, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) < len(plain) {
-		t.Fatalf("remote returned %d results for %d plaintext hits", len(res), len(plain))
-	}
-	ids := make([]int, len(plain))
-	for i, p := range plain {
-		if res[i].DocID != p.DocID || res[i].Score != p.Score {
-			t.Fatalf("rank %d: remote %+v, plaintext %+v", i, res[i], p)
-		}
-		ids[i] = p.DocID
-	}
-	got, _, err := c.FetchDocumentsRemote(conn, ids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		direct, err := snap.Document(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got[i]) != string(direct) {
-			t.Fatalf("doc %d: PIR fetch %q != direct %q", id, got[i], direct)
-		}
-	}
-	// A deleted id is refused remotely too.
-	var deletedID = -1
-	mu.Lock()
-	for id, text := range texts {
-		if strings.Contains(text, "#filler-") {
-			if _, err := e.Document(id); err != nil {
-				deletedID = id
-				break
-			}
-		}
-	}
-	mu.Unlock()
-	if deletedID >= 0 {
-		if _, _, err := c.FetchDocumentsRemote(conn, []int{deletedID}); err == nil {
-			t.Fatalf("tombstoned doc %d fetched remotely", deletedID)
-		}
-	}
-}
-
 // TestFetchColdViewsConcurrently: several connections fetch the same
 // documents at once from views no scan has transposed yet — each round
 // runs on a fresh snapshot, the first on the built store and the rest
@@ -206,7 +45,7 @@ func TestRemoteSearchThenPIRFetchDuringChurn(t *testing.T) {
 // view's transposition side by side and later frames read it. Every
 // fetch returns Engine.Document's bytes.
 func TestFetchColdViewsConcurrently(t *testing.T) {
-	e, _, _ := storeWorld(t, 30, 32)
+	e, _, _ := storeWorld(t, 30, 32, Durability{})
 	lemmas := miniLemmas()
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	const fetchers = 4
@@ -228,7 +67,7 @@ func TestFetchColdViewsConcurrently(t *testing.T) {
 		switch round {
 		case 1, 3:
 			base := e.NextDocID()
-			docs := []Document{{ID: base, Text: storeDocText(base, lemmas)}, {ID: base + 1, Text: fillerDocText(base+1, lemmas)}}
+			docs := []Document{{ID: base, Text: storeDocText(base, lemmas)}, {ID: base + 1, Text: fmt.Sprintf("%s %s #filler-%d", lemmas[30], lemmas[30], base+1)}}
 			if err := e.AddDocuments(docs); err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +109,7 @@ func TestFetchColdViewsConcurrently(t *testing.T) {
 // connection serving searches); a retrieval-enabled server over a
 // store-less engine explains itself too.
 func TestRetrievalDisabledByDefault(t *testing.T) {
-	e, _, _ := storeWorld(t, 30, 32)
+	e, _, _ := storeWorld(t, 30, 32, Durability{})
 	addr := startRetrievalServer(t, e, ServeConfig{})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -308,7 +147,7 @@ func TestRetrievalDisabledByDefault(t *testing.T) {
 // TestServeStatsCountRetrievals: the Retrievals counter tracks PIR
 // protocol executions.
 func TestServeStatsCountRetrievals(t *testing.T) {
-	e, _, _ := storeWorld(t, 20, 32)
+	e, _, _ := storeWorld(t, 20, 32, Durability{})
 	srv := e.NewNetServer(ServeConfig{AllowRetrieval: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -370,7 +209,7 @@ func pirFrameConn(t *testing.T, e *Engine, c *Client, cfg ServeConfig) (net.Conn
 // widths (a fetch racing an append) is grouped by width and still
 // answered in frame order.
 func TestPIRFramesShareOnePath(t *testing.T) {
-	e, c, texts := storeWorld(t, 20, 32)
+	e, c, texts := storeWorld(t, 20, 32, Durability{})
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
 	old, err := e.storeSnapshot()
 	if err != nil {
@@ -486,7 +325,7 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 // deadline refusal — never a prefix of answers — and the connection
 // stays frame-aligned.
 func TestPIRBatchDeadlineStreamsNoPartialAnswer(t *testing.T) {
-	e, c, _ := storeWorld(t, 20, 32)
+	e, c, _ := storeWorld(t, 20, 32, Durability{})
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true, RequestTimeout: time.Nanosecond})
 	sn, err := e.storeSnapshot()
 	if err != nil {

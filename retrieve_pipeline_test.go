@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"embellish/internal/detrand"
 	"embellish/internal/docstore"
@@ -24,7 +23,7 @@ import (
 // and may not change a single byte. (The executor's worker-count sweep
 // lives in internal/pir's conformance battery.)
 func TestFetchPipelineDepthsAndPlansAgree(t *testing.T) {
-	e, _, texts := storeWorld(t, 25, 32)
+	e, _, texts := storeWorld(t, 25, 32, Durability{})
 	ids := []int{0, 7, 13, 24}
 	for _, depth := range []int{1, 2, 5, DefaultFetchPipeline} {
 		c, err := e.NewClient(detrand.New(fmt.Sprintf("pipe-%d", depth)))
@@ -50,7 +49,7 @@ func TestFetchPipelineDepthsAndPlansAgree(t *testing.T) {
 }
 
 func TestSetFetchPipelineValidation(t *testing.T) {
-	_, c, _ := storeWorld(t, 20, 32)
+	_, c, _ := storeWorld(t, 20, 32, Durability{})
 	if err := c.SetFetchPipeline(0); err == nil {
 		t.Fatal("depth 0 accepted")
 	}
@@ -60,115 +59,6 @@ func TestSetFetchPipelineValidation(t *testing.T) {
 	if err := c.SetFetchPipeline(1); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestPipelinedRemoteFetchUnderChurn is the end-to-end acceptance of
-// the batched wire path: a depth-1 client (type-12 frames of one entry)
-// and a deeply pipelined client fetch the same documents over TCP from a
-// parallel-serving NetServer while the corpus churns; both must return
-// the exact indexed bytes.
-func TestPipelinedRemoteFetchUnderChurn(t *testing.T) {
-	lemmas := miniLemmas()
-	e, _, texts := storeWorld(t, 30, 32)
-	var mu sync.Mutex // guards texts
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { // churn: adds + filler deletes, throttled
-		defer wg.Done()
-		var fillers []int
-		for i := 0; i < 20; i++ {
-			select {
-			case <-stop:
-				return
-			case <-time.After(5 * time.Millisecond):
-			}
-			base := e.NextDocID()
-			mu.Lock()
-			texts[base] = fillerDocText(base, lemmas)
-			texts[base+1] = storeDocText(base+1, lemmas)
-			docs := []Document{{ID: base, Text: texts[base]}, {ID: base + 1, Text: texts[base+1]}}
-			mu.Unlock()
-			fillers = append(fillers, base)
-			if err := e.AddDocuments(docs); err != nil {
-				t.Errorf("churn add: %v", err)
-				return
-			}
-			if len(fillers) > 3 {
-				id := fillers[0]
-				fillers = fillers[1:]
-				if err := e.DeleteDocuments([]int{id}); err != nil {
-					t.Errorf("churn delete %d: %v", id, err)
-					return
-				}
-			}
-		}
-	}()
-
-	type proto struct {
-		name  string
-		depth int
-	}
-	clients := []proto{{"sequential", 1}, {"pipelined", 16}}
-	conns := make([]net.Conn, len(clients))
-	cs := make([]*Client, len(clients))
-	for i, p := range clients {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
-		conns[i] = conn
-		c, err := e.NewClient(detrand.New("churn-" + p.name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SetFetchPipeline(p.depth); err != nil {
-			t.Fatal(err)
-		}
-		cs[i] = c
-	}
-
-	// The base non-filler docs are never deleted: stable fetch targets.
-	ids := []int{1, 9, 17, 26}
-	totalRuns := 0
-	for round := 0; round < 3; round++ {
-		var results [][][]byte
-		for i, p := range clients {
-			got, st, err := cs[i].FetchDocumentsRemote(conns[i], ids)
-			if err != nil {
-				t.Fatalf("round %d %s fetch: %v", round, p.name, err)
-			}
-			if st.Runs == 0 {
-				t.Fatalf("round %d %s: no runs accounted", round, p.name)
-			}
-			totalRuns += st.Runs
-			results = append(results, got)
-		}
-		mu.Lock()
-		for i, id := range ids {
-			if want := texts[id]; string(results[0][i]) != want {
-				mu.Unlock()
-				t.Fatalf("round %d doc %d: sequential fetched %q, want %q", round, id, results[0][i], want)
-			}
-			if !bytes.Equal(results[0][i], results[1][i]) {
-				mu.Unlock()
-				t.Fatalf("round %d doc %d: depths disagree", round, id)
-			}
-		}
-		mu.Unlock()
-	}
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if got := int(e.NewNetServer(ServeConfig{}).Stats().Retrievals); got != 0 {
-		t.Fatalf("fresh server born with %d retrievals", got) // sanity: counters are per server
-	}
-	_ = totalRuns // both depths completed; per-server counter checked in TestServeStatsCountRetrievals
 }
 
 // onFirstBatch wraps a connection and runs do the instant the first PIR
@@ -196,7 +86,7 @@ func (o *onFirstBatch) Write(p []byte) (int, error) {
 // connection at a frame boundary, so the same session keeps searching
 // and fetching — the documented reuse contract.
 func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
-	e, _, texts := storeWorld(t, 25, 32)
+	e, _, texts := storeWorld(t, 25, 32, Durability{})
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -401,7 +291,7 @@ func (f *frameCounter) Write(p []byte) (int, error) {
 // ran first. Six one-block documents are one frame of six at window 16
 // and two frames (4 + 2) at the default window of 8, every time.
 func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
-	e, c, texts := storeWorld(t, 25, 512) // every document fits one block
+	e, c, texts := storeWorld(t, 25, 512, Durability{}) // every document fits one block
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	ids := []int{1, 5, 9, 14, 20, 23}
 	for _, tc := range []struct{ window, frames int }{{16, 1}, {DefaultFetchPipeline, 2}} {
@@ -439,7 +329,7 @@ func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
 // account its PIR work on the wire stats: positive mod-mul totals with
 // the table products a strict subset of them.
 func TestBatchServingAccountsPIRWork(t *testing.T) {
-	e, c, texts := storeWorld(t, 25, 32)
+	e, c, texts := storeWorld(t, 25, 32, Durability{})
 	ids := []int{0, 6, 12, 19, 24}
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)

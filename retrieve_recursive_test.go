@@ -27,7 +27,7 @@ func fetchAllIDs(nDocs int) []int {
 // on the same corpus, with fewer uploaded query bytes than a written-out
 // vector per block and the wider recursive answers accounted.
 func TestFetchDocumentsRecursiveLocal(t *testing.T) {
-	e, c, texts := storeWorld(t, 40, 32)
+	e, c, texts := storeWorld(t, 40, 32, Durability{})
 	ids := fetchAllIDs(40)
 
 	flat, flatSt, err := c.FetchDocuments(ids)
@@ -80,7 +80,7 @@ func TestFetchDocumentsRecursiveLocal(t *testing.T) {
 // byte-identity against direct reads, upload accounting below the flat
 // path, and the server's recursive counters tracking the executions.
 func TestFetchDocumentsRecursiveRemote(t *testing.T) {
-	e, _, texts := storeWorld(t, 30, 32)
+	e, _, texts := storeWorld(t, 30, 32, Durability{})
 	srv := e.NewNetServer(ServeConfig{AllowRetrieval: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -144,7 +144,7 @@ func TestFetchDocumentsRecursiveRemote(t *testing.T) {
 // surfaces ctx.Err() through the recursive path without wedging the
 // client or the server.
 func TestFetchRecursiveRemoteCancellation(t *testing.T) {
-	e, _, _ := storeWorld(t, 30, 32)
+	e, _, _ := storeWorld(t, 30, 32, Durability{})
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestFetchRecursiveRemoteCancellation(t *testing.T) {
 // frozen unknown-type refusal, and the connection survives to serve the
 // same body as type 23.
 func TestRetiredRecursiveType(t *testing.T) {
-	e, _, texts := storeWorld(t, 20, 32)
+	e, _, texts := storeWorld(t, 20, 32, Durability{})
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -44,7 +44,7 @@ func classWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, byBlo
 	if docstore.Heights(classBlockSize) != 3 {
 		t.Fatalf("H is %d at %d-byte blocks", docstore.Heights(classBlockSize), classBlockSize)
 	}
-	e, c, texts = storeWorld(t, 8, classBlockSize)
+	e, c, texts = storeWorld(t, 8, classBlockSize, Durability{})
 	lemmas := miniLemmas()
 	byBlocks = map[int]int{1: 0}
 	var docs []Document
@@ -76,7 +76,7 @@ func classWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, byBlo
 // the ids of one document per block count.
 func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, byBlocks map[int]int) {
 	t.Helper()
-	e, c, texts = storeWorld(t, 24, 16)
+	e, c, texts = storeWorld(t, 24, 16, Durability{})
 	lemmas := miniLemmas()
 	tiny, long := e.NextDocID(), e.NextDocID()+1
 	texts[tiny] = fmt.Sprintf("%s #t%d", lemmas[2], tiny)

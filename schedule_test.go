@@ -2,6 +2,7 @@ package embellish
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -83,9 +84,9 @@ func TestLoadedEngineServesTheBuiltSchedule(t *testing.T) {
 				t.Fatalf("%s: segment %d cut into %d runs, want 2", eng.name, i, seg.Runs())
 			}
 		}
-		resp, st, err := eng.e.processCore(q.inner)
+		resp, st, err := eng.e.processCoreCtx(context.Background(), q.inner)
 		if err != nil {
-			t.Fatalf("%s: processCore: %v", eng.name, err)
+			t.Fatalf("%s: processCoreCtx: %v", eng.name, err)
 		}
 		if !bytes.Equal(respBytes(t, &Response{inner: resp}), want) {
 			t.Fatalf("%s: response differs from the oracle's", eng.name)
