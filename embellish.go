@@ -649,8 +649,9 @@ func (e *Engine) Compact() { e.live.Compact() }
 // queries, and decrypts responses. A Client is not safe for concurrent
 // use; create one per session.
 type Client struct {
-	// engine is the in-process engine for local execution; nil on
-	// clients built from a lexicon sync (remote-only).
+	// engine is the engine Search and FetchDocuments open in-memory wire
+	// sessions to; nil on clients built from a lexicon sync
+	// (remote-only).
 	engine *Engine
 	// world is what embellishment actually reads: lexicon, analyzer,
 	// organization and key parameters. Never nil.
@@ -761,21 +762,17 @@ func (c *Client) Decode(resp *Response, k int) ([]Result, error) {
 	return c.decodeCandidates(resp.inner.Docs, k)
 }
 
-// Search is the end-to-end convenience: Embellish, Process, Decode.
-// Requires an in-process engine; remote-only clients use SearchRemote.
+// Search is the end-to-end convenience: SearchRemote over an in-memory
+// wire session to the client's own engine, whose server answers from
+// the corpus state the query frame arrives at. Requires an in-process
+// engine; remote-only clients use SearchRemote.
 func (c *Client) Search(query string, k int) ([]Result, error) {
 	if c.engine == nil {
 		return nil, ErrRemoteOnly
 	}
-	q, err := c.Embellish(query)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.engine.Process(q)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decode(resp, k)
+	conn := c.engine.dial(context.Background())
+	defer conn.Close()
+	return c.SearchRemote(conn, query, k)
 }
 
 // Snapshot pins one state of the live corpus: the segment set and

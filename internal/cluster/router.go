@@ -358,7 +358,7 @@ func (r *Router) Serve(l net.Listener) error {
 // ServeConn serves the protocol on one already-established transport,
 // for in-process wiring and tests.
 func (r *Router) ServeConn(conn net.Conn) error {
-	return r.loop.ServeConn(conn, conn)
+	return r.loop.ServeConn(context.Background(), conn, conn)
 }
 
 // Shutdown closes the listeners, waits for in-flight requests (up to

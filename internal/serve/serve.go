@@ -53,7 +53,8 @@ type Gate struct {
 
 // Request is one frame in hand. The loop reuses one per connection.
 type Request[S any] struct {
-	// Ctx carries RequestTimeout when the row's Deadline is set.
+	// Ctx is the session's context, carrying RequestTimeout when the
+	// row's Deadline is set.
 	Ctx  context.Context
 	Type byte
 	Body []byte
@@ -214,7 +215,7 @@ func (s *Server[S]) Serve(l net.Listener) error {
 		s.Counters[wire.StatAccepted].Add(1)
 		go func() {
 			defer s.unregister(conn)
-			_ = s.ServeConn(conn, conn)
+			_ = s.ServeConn(context.Background(), conn, conn)
 		}()
 	}
 }
@@ -295,10 +296,11 @@ func (r *replyWriter) Write(p []byte) (int, error) {
 }
 
 // ServeConn answers frames on one transport until EOF or a transport
-// error, without connection accounting. A refused frame leaves the
-// session up; a failed read or reply write ends it. deadliner is the
-// connection for the idle deadline, nil for plain io.ReadWriters.
-func (s *Server[S]) ServeConn(rw io.ReadWriter, deadliner net.Conn) error {
+// error, without connection accounting, each request running under ctx.
+// A refused frame leaves the session up; a failed read or reply write
+// ends it. deadliner is the connection for the idle deadline, nil for
+// plain io.ReadWriters.
+func (s *Server[S]) ServeConn(ctx context.Context, rw io.ReadWriter, deadliner net.Conn) error {
 	var state S
 	w := &replyWriter{w: rw}
 	req := &Request[S]{State: &state, W: w}
@@ -322,7 +324,7 @@ func (s *Server[S]) ServeConn(rw io.ReadWriter, deadliner net.Conn) error {
 		if idle {
 			_ = deadliner.SetReadDeadline(time.Time{})
 		}
-		req.Type, req.Body = typ, body
+		req.Ctx, req.Type, req.Body = ctx, typ, body
 		s.serve(req, w)
 		if w.err != nil {
 			return w.err
@@ -364,7 +366,6 @@ func (s *Server[S]) serve(req *Request[S], w *replyWriter) {
 			s.AfterAdmit(req.Type)
 		}
 	}
-	req.Ctx = context.Background()
 	if h.Deadline && s.cfg.RequestTimeout > 0 {
 		// The clock starts after admission: queue wait never eats into
 		// the execution budget (QueueTimeout bounds it separately).

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"net"
 	"testing"
@@ -34,7 +35,7 @@ func TestLoopRefusals(t *testing.T) {
 	})
 	client, server := net.Pipe()
 	defer client.Close()
-	go s.ServeConn(server, server)
+	go s.ServeConn(context.Background(), server, server)
 
 	for _, tc := range []struct {
 		typ       byte
@@ -79,7 +80,7 @@ func TestLoopEndsSessionOnFailedReply(t *testing.T) {
 		}},
 	})
 	done := make(chan error, 1)
-	go func() { done <- s.ServeConn(server, server) }()
+	go func() { done <- s.ServeConn(context.Background(), server, server) }()
 	if err := wire.WriteRaw(client, 1, nil); err != nil {
 		t.Fatal(err)
 	}

