@@ -182,32 +182,6 @@ func (d *DecoyStream) SearchRemote(ctx context.Context, conn io.ReadWriter, quer
 	return results, nil
 }
 
-// genuineTerms runs the analyzer half of Embellish: the query's
-// searchable term ids, plus the words that fell outside the
-// dictionary. The decoy scheduler needs the terms BEFORE
-// embellishment — ghost queries must match the genuine query's term
-// count, not its embellished frame size.
-func (c *Client) genuineTerms(query string) ([]wordnet.TermID, []string, error) {
-	tokens := c.world.analyzer.Analyze(query)
-	if len(tokens) == 0 {
-		return nil, nil, errors.New("embellish: query has no indexable terms")
-	}
-	var genuine []wordnet.TermID
-	var skipped []string
-	for _, tok := range tokens {
-		t, ok := c.world.lex.db.Lookup(tok)
-		if !ok {
-			skipped = append(skipped, tok)
-			continue
-		}
-		genuine = append(genuine, t)
-	}
-	if len(genuine) == 0 {
-		return nil, nil, fmt.Errorf("embellish: no query term is in the searchable dictionary (skipped: %v)", skipped)
-	}
-	return genuine, skipped, nil
-}
-
 // SendGhosts emits n decoy frames on the connection without a genuine
 // query — idle-time cover traffic. Exposed for the load harness and
 // tests; respects the context between frames.

@@ -224,7 +224,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"TypeWALPull", "TypeWALChunk", "TypeClusterMap",
 		"TypeLexiconSync", "TypeLexicon", "TypeDecoyQuery", "TypeRiskAudit",
 		"TypePIRRecursiveQuery", "MaxPIRRecursiveBatch",
-		"SetFetchRecursive", "RecursiveLevel2", "re-partitioned",
+		"SetFetchRecursive", "ViewRefusal", "StaleMapRefusal",
 		"AllowUpdates", "AllowRetrieval", "AllowReplication",
 		"AllowLexiconSync", "RiskAudit", "StaleLexiconRefusal",
 		"ErrStaleLexicon", "DecoyQueries",

@@ -706,14 +706,15 @@ func (c *Client) SetEmbellishSeed(seed int64) {
 	c.inner.Rand = rand.New(rand.NewSource(seed))
 }
 
-// Embellish implements Algorithm 3 on a natural-language query: analyze
-// it with the engine's pipeline, replace each genuine term with its full
-// host bucket, attach encrypted genuineness flags, and permute. Words
-// outside the searchable dictionary are reported in Query.Skipped.
-func (c *Client) Embellish(query string) (*Query, error) {
+// genuineTerms runs the analyzer half of Embellish: the query's
+// searchable term ids, plus the words that fell outside the
+// dictionary. The decoy scheduler needs the terms BEFORE
+// embellishment — ghost queries must match the genuine query's term
+// count, not its embellished frame size.
+func (c *Client) genuineTerms(query string) ([]wordnet.TermID, []string, error) {
 	tokens := c.world.analyzer.Analyze(query)
 	if len(tokens) == 0 {
-		return nil, errors.New("embellish: query has no indexable terms")
+		return nil, nil, errors.New("embellish: query has no indexable terms")
 	}
 	var genuine []wordnet.TermID
 	var skipped []string
@@ -726,7 +727,19 @@ func (c *Client) Embellish(query string) (*Query, error) {
 		genuine = append(genuine, t)
 	}
 	if len(genuine) == 0 {
-		return nil, fmt.Errorf("embellish: no query term is in the searchable dictionary (skipped: %v)", skipped)
+		return nil, nil, fmt.Errorf("embellish: no query term is in the searchable dictionary (skipped: %v)", skipped)
+	}
+	return genuine, skipped, nil
+}
+
+// Embellish implements Algorithm 3 on a natural-language query: analyze
+// it with the engine's pipeline, replace each genuine term with its full
+// host bucket, attach encrypted genuineness flags, and permute. Words
+// outside the searchable dictionary are reported in Query.Skipped.
+func (c *Client) Embellish(query string) (*Query, error) {
+	genuine, skipped, err := c.genuineTerms(query)
+	if err != nil {
+		return nil, err
 	}
 	inner, skippedIDs, err := c.inner.Embellish(genuine)
 	if err != nil {

@@ -417,9 +417,22 @@ func (w *world) identicalRound(t *testing.T, routerConn net.Conn, fetchIDs []int
 	if err != nil {
 		t.Fatalf("reference fetch %v: %v", fetchIDs, err)
 	}
-	gotDocs, _, err := w.client.FetchDocumentsRemote(routerConn, fetchIDs)
+	gotDocs, st, err := w.client.FetchDocumentsRemote(routerConn, fetchIDs)
 	if err != nil {
 		t.Fatalf("router fetch %v: %v", fetchIDs, err)
+	}
+	// Routing leaves the upload as it is: a seeded entry per document at
+	// the width of its class view in the router's mapping, and a byte per
+	// further column.
+	layout := blockMapping(t, routerConn).Layout()
+	want := st.Runs - st.Vectors
+	for _, id := range fetchIDs {
+		if h, _, k := layout.Place(id); k > 0 {
+			want += wire.SeededEntryBytes(layout.Widths()[h], h, 0)
+		}
+	}
+	if st.QueryBytes != want {
+		t.Fatalf("routed fetch of %v uploaded %d query bytes, want %d", fetchIDs, st.QueryBytes, want)
 	}
 	for i, id := range fetchIDs {
 		if string(refDocs[i]) != w.texts[id] {

@@ -2,7 +2,8 @@
 // block mapping and answers a client's hello unchanged or changed by it,
 // while its own requests to the partitions stay the empty request; every
 // answer, the partitions' and the router's, travels packed. The retired
-// single-query frames get one refusal each on a connection that survives.
+// single-query frames and the recursive frame get one refusal each on a
+// connection that survives.
 package cluster_test
 
 import (
@@ -10,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,15 +120,15 @@ func TestClusterHelloThroughRouter(t *testing.T) {
 	}
 }
 
-// TestClusterFlatStaleMapRefused is the flat twin of
-// TestClusterRecursiveStaleMapRefused: a connection pins its epoch with
-// the hello, worker 2 is then re-partitioned down to the template
-// corpus, and seeded type-12 frames for each grown document — one at
-// its view's full width, one at the prefix ending with the document —
-// must be refused or decode to the document's stored bytes, never to
-// other bytes. A full-width frame reaches worker 2, which lost its grown
-// documents, so some frame is refused; a prefix that ends before worker
-// 2's columns never reaches it, so some frame decodes.
+// TestClusterFlatStaleMapRefused: a connection pins its epoch with the
+// hello, worker 2 is then re-partitioned down to the template corpus,
+// and seeded type-12 frames for each grown document — one at its view's
+// full width, one at the prefix ending with the document — must be
+// refused with wire.StaleMapRefusal or decode to the document's stored
+// bytes, never to other bytes. A full-width frame reaches worker 2,
+// which lost its grown documents, so some frame is refused; a prefix
+// that ends before worker 2's columns never reaches it, so some frame
+// decodes.
 func TestClusterFlatStaleMapRefused(t *testing.T) {
 	w := newWorld(t)
 	w.grow(t, 9)
@@ -172,7 +174,9 @@ func TestClusterFlatStaleMapRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 				if typ == wire.TypeError {
-					t.Logf("document %d at width %d: refused: %s", id, width, body)
+					if !strings.HasPrefix(string(body), wire.StaleMapRefusal) {
+						t.Fatalf("document %d at width %d: refused without naming the stale mapping: %s", id, width, body)
+					}
 					refused++
 					got = nil
 					break
@@ -202,8 +206,10 @@ func TestClusterFlatStaleMapRefused(t *testing.T) {
 
 // TestClusterRetiredFramesRefusedInPlace: a router of two partitions
 // answers a type-10 and a type-11 frame — the retired one-query fetch —
-// with exactly one unknown-type refusal each, and a fetch on the same
-// connection then returns the stored bytes.
+// and a type-23 frame — the recursive fetch, which a router does not
+// serve — with exactly one unknown-type refusal each, a type-12 entry at
+// height 0 (the block array) with one wire.ViewRefusal, and a flat fetch
+// on the same connection then returns the stored bytes.
 func TestClusterRetiredFramesRefusedInPlace(t *testing.T) {
 	raw, texts := templateEngine(t)
 	cfg := embellish.ServeConfig{AllowRetrieval: true}
@@ -213,7 +219,7 @@ func TestClusterRetiredFramesRefusedInPlace(t *testing.T) {
 		parts = append(parts, sniffBatches(t, addr))
 	}
 	conn := routeThrough(t, parts...)
-	for _, typ := range []byte{10, 11} {
+	for _, typ := range []byte{10, 11, wire.TypePIRRecursiveQuery} {
 		if err := wire.WriteRaw(conn, typ, []byte{0x81, 0x87}); err != nil {
 			t.Fatal(err)
 		}
@@ -221,6 +227,13 @@ func TestClusterRetiredFramesRefusedInPlace(t *testing.T) {
 		if err != nil || got != wire.TypeError || string(body) != fmt.Sprintf("unexpected message type %d", typ) {
 			t.Fatalf("a type-%d frame answered type %d %q, %v", typ, got, body, err)
 		}
+	}
+	// Modulus 35, one written-out entry of width 1 at height 0, the value 2.
+	if err := wire.WriteRaw(conn, wire.TypePIRBatchQuery, []byte{0x81, 0x23, 0x81, 0x81, 0x80, 0x81, 0x02}); err != nil {
+		t.Fatal(err)
+	}
+	if got, body, err := wire.ReadMessage(conn); err != nil || got != wire.TypeError || !strings.HasPrefix(string(body), wire.ViewRefusal+": query 0 has height 0") {
+		t.Fatalf("a height-0 entry answered type %d %q, %v", got, body, err)
 	}
 	client, err := loadEngine(t, raw, false).NewClient(detrand.New("cluster-retired"))
 	if err != nil {
@@ -237,3 +250,26 @@ func TestClusterRetiredFramesRefusedInPlace(t *testing.T) {
 		}
 	}
 }
+
+// readTyped reads one frame, failing the test on transport errors and
+// returning a peer refusal as an error.
+func readTyped(t *testing.T, conn net.Conn, want byte) ([]byte, error) {
+	t.Helper()
+	typ, body, err := wire.ReadMessage(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch typ {
+	case want:
+		return body, nil
+	case wire.TypeError:
+		return nil, &refusalError{string(body)}
+	default:
+		t.Fatalf("answered type %d, wanted %d", typ, want)
+		return nil, nil
+	}
+}
+
+type refusalError struct{ msg string }
+
+func (e *refusalError) Error() string { return e.msg }

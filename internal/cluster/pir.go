@@ -1,56 +1,53 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/big"
 	"net"
 	"slices"
+	"strings"
 
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
 	"embellish/internal/wire"
 )
 
-// PIR routing. The cluster's block space is the concatenation of the
-// partitions' block spaces (all partitions share one BlockSize, pinned
-// by the template engine file): partition p's local block b is global
-// block offset[p]+b. A KO-PIR answer factors across that split — gamma
-// row i is the product over all columns of q_j^bit(i,j), so slicing
-// the query's column vector at the partition boundaries, letting each
-// partition answer over its own columns, and multiplying the per-
-// partition gammas element-wise mod N reconstructs exactly the answer
-// a single store holding the concatenated blocks would have computed.
+// PIR routing. The router serves one fetch protocol, the flat one over
+// class views (type 12); the recursive protocol (type 23) is
+// single-node only, and the router refuses it as an unknown type.
 //
-// Addressing under churn: partitions only ever append blocks, so a
-// partition's local block indices are stable, but the CONCATENATED
-// offsets shift when an earlier partition grows. The router therefore
-// slices every query against the epoch — the per-partition widths
-// behind the params it served on that same connection. A sub-query
-// sliced with epoch offsets has exactly the width the partition had at
-// params time, which addresses the same local blocks regardless of
-// later appends: the single-store prefix-stability property, preserved
-// per partition.
+// The merged mapping concatenates the partitions' block spaces (all
+// partitions share one BlockSize, pinned by the template engine file)
+// and lists documents partition-major in First order, so each
+// partition's documents are one contiguous range of every merged class
+// view. A KO-PIR answer factors across that split — gamma row i is the
+// product over all columns of q_j^bit(i,j) — so cutting the query's
+// column vector at the partition boundaries, letting each partition
+// answer over its own columns, and multiplying the per-partition gammas
+// element-wise mod N reconstructs exactly the answer a single store
+// holding every document would have computed. A partition's own view h
+// holds the template documents it does not own too, interleaved in its
+// local First order; the epoch records, per view and partition, which
+// merged column each local column carries, and the router fills the
+// columns of documents the partition does not own with the identity 1,
+// which multiplies every gamma by 1.
 //
-// Class views factor the same way. The merged mapping lists documents
-// partition-major in First order, so each partition's documents are one
-// contiguous range of every merged view. A partition's own view h holds
-// the template documents it does not own too, interleaved in its local
-// First order; the epoch records, per view and partition, which merged
-// column each local column carries, and the router fills the columns of
-// documents the partition does not own with the identity 1, which
-// multiplies every gamma by 1.
+// Addressing under churn: partitions only ever append, so a partition's
+// local columns are stable, but the merged columns shift when an earlier
+// partition grows. The router therefore slices every query against the
+// epoch — the mapping behind the params it served on that same
+// connection — and a sub-query sliced from it is a prefix of the
+// partition's view as it stood at params time, which addresses the same
+// local columns regardless of later appends. A partition that refuses
+// such a sub-query as outside its views no longer holds the epoch's
+// columns, and the router answers with wire.StaleMapRefusal.
 
-// pirEpoch is one connection's merged-params snapshot.
+// pirEpoch is one connection's merged-params snapshot: views[h] is the
+// width of merged view h (views[0] the block array, never addressed) and
+// columns[h][p][c] the merged column that partition p's local column c
+// of view h carries, or -1 for a document p does not own.
 type pirEpoch struct {
-	offsets   []int // partition p's first column in the merged space
-	widths    []int // partition p's NumBlocks at params time
-	total     int   // sum of widths
-	blockSize int   // the cluster-wide block size behind those widths
-	// views[h] is the width of merged view h (views[0] the block space)
-	// and columns[h][p][c] the merged column that partition p's local
-	// column c of view h carries, or -1 for a document p does not own.
 	views   []int
 	columns [][][]int32
 }
@@ -81,12 +78,14 @@ func (r *Router) gatherParams() ([]docstore.Params, error) {
 
 // mergeParams builds the cluster-global block mapping: blocks
 // concatenate in partition order, and each global document's extent
-// comes from its owner with First shifted by the owner's offset. The
-// global extent table must come out dense — a hole means the corpus
-// was not ingested through the router's round-robin assignment.
+// comes from its owner with First shifted by the blocks of the
+// partitions before it. The global extent table must come out dense — a
+// hole means the corpus was not ingested through the router's
+// round-robin assignment.
 func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoch, error) {
 	blockSize := parts[0].BlockSize
-	ep := &pirEpoch{offsets: make([]int, r.n), widths: make([]int, r.n), blockSize: blockSize}
+	offsets := make([]int, r.n)
+	total := 0
 	for p, pp := range parts {
 		if pp.BlockSize != blockSize {
 			return docstore.Params{}, nil, fmt.Errorf("cluster: partition %d block size %d differs from partition 0's %d", p, pp.BlockSize, blockSize)
@@ -94,9 +93,8 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 		if len(pp.Exts) < r.base {
 			return docstore.Params{}, nil, fmt.Errorf("cluster: partition %d stores %d documents, fewer than the template base %d", p, len(pp.Exts), r.base)
 		}
-		ep.offsets[p] = ep.total
-		ep.widths[p] = pp.NumBlocks
-		ep.total += pp.NumBlocks
+		offsets[p] = total
+		total += pp.NumBlocks
 	}
 	nglobal := r.base
 	for _, pp := range parts {
@@ -113,7 +111,7 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 			if g >= nglobal || seen[g] {
 				return docstore.Params{}, nil, fmt.Errorf("cluster: partition %d local doc %d maps to global id %d outside the dense corpus of %d", p, l, g, nglobal)
 			}
-			ext.First += uint32(ep.offsets[p])
+			ext.First += uint32(offsets[p])
 			exts[g] = ext
 			seen[g] = true
 		}
@@ -123,9 +121,9 @@ func (r *Router) mergeParams(parts []docstore.Params) (docstore.Params, *pirEpoc
 			return docstore.Params{}, nil, fmt.Errorf("cluster: no partition stores global document %d; the corpus was not ingested round-robin", g)
 		}
 	}
-	merged := docstore.Params{BlockSize: blockSize, NumBlocks: ep.total, Exts: exts}
+	merged := docstore.Params{BlockSize: blockSize, NumBlocks: total, Exts: exts}
 	global := merged.Layout()
-	ep.views = global.Widths()
+	ep := &pirEpoch{views: global.Widths()}
 	ep.columns = make([][][]int32, len(ep.views))
 	for h := range ep.columns {
 		ep.columns[h] = make([][]int32, r.n)
@@ -191,40 +189,13 @@ func (r *Router) handlePIRParams(req *request) error {
 // document it does not own: 1 leaves every gamma as it is.
 var identity = big.NewInt(1)
 
-// sliceQuery cuts one global-column query into per-partition
-// sub-queries under the epoch. Partitions whose column range lies
-// entirely past the query's width are skipped (prefix addressing — the
-// paper's protocol lets a narrow query address the store's prefix).
-func (ep *pirEpoch) sliceQuery(q *pir.Query) (ps []int, subs []*pir.Query, err error) {
-	if q.Height != 0 {
-		return ep.sliceView(q)
-	}
-	w := len(q.Values)
-	if w > ep.total {
-		return nil, nil, fmt.Errorf("cluster: PIR query over %d columns exceeds the served block space of %d", w, ep.total)
-	}
-	for p := range ep.offsets {
-		lo := ep.offsets[p]
-		hi := lo + ep.widths[p]
-		if hi > w {
-			hi = w
-		}
-		if hi <= lo {
-			continue
-		}
-		ps = append(ps, p)
-		subs = append(subs, &pir.Query{N: q.N, Values: q.Values[lo:hi]})
-	}
-	if len(ps) == 0 {
-		return nil, nil, fmt.Errorf("cluster: PIR query addresses no partition")
-	}
-	return ps, subs, nil
-}
-
-// sliceView is sliceQuery for a query over merged view h: partition p's
-// sub-query is the prefix of its local view h up to the last column it
-// carries for the query's columns, each column the query's value for the
-// merged column it carries or the identity.
+// sliceView cuts one query over merged view h into per-partition
+// sub-queries under the epoch: partition p's sub-query is the prefix of
+// its local view h up to the last column it carries for the query's
+// columns, each column the query's value for the merged column it
+// carries or the identity. Partitions that carry none of the query's
+// columns are skipped (prefix addressing — the paper's protocol lets a
+// narrow query address the view's prefix).
 func (ep *pirEpoch) sliceView(q *pir.Query) (ps []int, subs []*pir.Query, err error) {
 	h, w := q.Height, len(q.Values)
 	if h >= len(ep.views) || w > ep.views[h] {
@@ -303,125 +274,6 @@ func (r *Router) ensureEpoch(epoch **pirEpoch) (*pirEpoch, error) {
 	return ep, nil
 }
 
-// handlePIRRecursive routes one recursive batch frame. The grid splits
-// across partitions by BLOCK, not by selection-vector column: every
-// partition receives the full Rows vector plus its epoch window
-// (Offset, Span) onto the global grid and answers level 1 only — a raw
-// gamma matrix in which cells outside its window are the
-// multiplicative identity. The router multiplies the partial matrices
-// element-wise (the same factorization combineAnswers exploits for
-// flat queries) and runs level 2 locally (pir.RecursiveLevel2: the
-// combined matrix re-encrypted a byte per ciphertext against the Cols
-// vector the partitions never saw) — the only place the full matrix
-// exists, so the level-2 scan never crosses the network. A
-// partition holding fewer blocks than its epoch Span refuses (the
-// stale-map symptom after a re-partition) and the refusal is relayed
-// to the client verbatim.
-func (r *Router) handlePIRRecursive(req *request) error {
-	qs, err := wire.DecodePIRRecursiveQuery(req.Body)
-	if err != nil {
-		return err
-	}
-	// Clients address the whole grid; the windowed level-1-only form is
-	// what the ROUTER sends downstream, never what it accepts.
-	if len(qs[0].Cols) == 0 {
-		return errors.New("cluster: level-1-only recursive queries are router-internal")
-	}
-	if qs[0].Offset != 0 || qs[0].Span != 0 {
-		return errors.New("cluster: recursive queries must address the full grid")
-	}
-	ep, err := r.ensureEpoch(req.State)
-	if err != nil {
-		return err
-	}
-	w := qs[0].Width
-	if w > ep.total {
-		return fmt.Errorf("cluster: recursive grid over %d blocks exceeds the served block space of %d", w, ep.total)
-	}
-	// Partitions the grid overlaps, each with its window (prefix
-	// addressing clamps the last one, exactly like sliceQuery).
-	var targets []int
-	los := make([]int, r.n)
-	spans := make([]int, r.n)
-	for p := 0; p < r.n; p++ {
-		lo := ep.offsets[p]
-		hi := lo + ep.widths[p]
-		if hi > w {
-			hi = w
-		}
-		if hi <= lo {
-			continue
-		}
-		targets = append(targets, p)
-		los[p], spans[p] = lo, hi-lo
-	}
-	if len(targets) == 0 {
-		return errors.New("cluster: recursive query addresses no partition")
-	}
-	// partials[qi][p] is partition p's level-1 matrix for batch member qi.
-	partials := make([][]*pir.Answer, len(qs))
-	for qi := range partials {
-		partials[qi] = make([]*pir.Answer, r.n)
-	}
-	wantCells := qs[0].GridCols * ep.blockSize * 8
-	err = r.scatter(targets, false, func(p int, conn net.Conn) error {
-		subs := make([]*pir.RecursiveQuery, len(qs))
-		for qi, q := range qs {
-			subs[qi] = &pir.RecursiveQuery{
-				N:        q.N,
-				Width:    q.Width,
-				GridCols: q.GridCols,
-				Offset:   los[p],
-				Span:     spans[p],
-				Rows:     q.Rows,
-			}
-		}
-		if err := wire.WritePIRRecursiveQuery(conn, subs); err != nil {
-			return err
-		}
-		got := make([]*pir.Answer, len(subs))
-		for range subs {
-			rbody, err := readReply(conn, wire.TypePIRBatchResponse)
-			if err != nil {
-				return err
-			}
-			idx, a, err := wire.DecodePIRBatchAnswer(rbody)
-			if err != nil {
-				return err
-			}
-			if idx < 0 || idx >= len(got) || got[idx] != nil {
-				return fmt.Errorf("cluster: partition %d answered recursive index %d out of order", p, idx)
-			}
-			got[idx] = a
-		}
-		for qi, a := range got {
-			if len(a.Gammas) != wantCells {
-				return fmt.Errorf("cluster: partition %d answered %d level-1 cells, want %d", p, len(a.Gammas), wantCells)
-			}
-			partials[qi][p] = a
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for qi, q := range qs {
-		combined, err := combineAnswers(q.N, partials[qi])
-		if err != nil {
-			return err
-		}
-		ans, _, err := pir.RecursiveLevel2(context.Background(), q, combined.Gammas, ep.blockSize, pir.Exec{})
-		if err != nil {
-			return err
-		}
-		if err := wire.WritePIRBatchAnswerPacked(req.W, qi, ans, q.N); err != nil {
-			return err
-		}
-	}
-	r.loop.Counters[wire.StatRetrievals].Add(int64(len(qs)))
-	return nil
-}
-
 // handlePIRBatch routes one batch frame: each query is sliced, every
 // partition gets one sub-batch of the slices addressed to it, and the
 // combined answers stream back to the client strictly in batch order
@@ -429,7 +281,10 @@ func (r *Router) handlePIRRecursive(req *request) error {
 // partition's whole sub-batch, and withEndpoint replays it against the
 // replica — reads are idempotent, so the retry is invisible beyond the
 // latency. The epoch comes first so that an entry naming no served view,
-// or wider than its view, is refused before any seed expands.
+// or wider than its view, is refused before any seed expands. A
+// partition refusing its sub-batch with wire.ViewRefusal no longer holds
+// the epoch's columns, and the client is told to send the hello again
+// (wire.StaleMapRefusal).
 func (r *Router) handlePIRBatch(req *request) error {
 	ep, err := r.ensureEpoch(req.State)
 	if err != nil {
@@ -444,7 +299,7 @@ func (r *Router) handlePIRBatch(req *request) error {
 	perQIs := make([][]int, r.n)
 	perSubs := make([][]*pir.Query, r.n)
 	for qi, q := range qs {
-		ps, subs, err := ep.sliceQuery(q)
+		ps, subs, err := ep.sliceView(q)
 		if err != nil {
 			return err
 		}
@@ -490,6 +345,9 @@ func (r *Router) handlePIRBatch(req *request) error {
 		}
 		return nil
 	})
+	if pe := (*peerError)(nil); errors.As(err, &pe) && strings.HasPrefix(pe.Error(), wire.ViewRefusal) {
+		return fmt.Errorf("%s: a partition no longer holds the columns of the block mapping this connection was sent (%s); send the PIR hello again", wire.StaleMapRefusal, pe)
+	}
 	if err != nil {
 		return err
 	}

@@ -155,16 +155,15 @@ func NewRouter(cfg Config) (*Router, error) {
 	// the decoys. Types the table leaves out — the WAL pull, the lexicon
 	// sync and the session audit — are served by workers only.
 	r.loop = serve.New(serve.Config{Name: "cluster: router", IdleTimeout: cfg.IdleTimeout}, []serve.Handler[*pirEpoch]{
-		wire.TypeQuery:             {Admitted: true, Exec: r.handleQuery},
-		wire.TypeDecoyQuery:        {Admitted: true, Exec: r.handleQuery},
-		wire.TypeBatchQuery:        {Admitted: true, Exec: r.handleBatch},
-		wire.TypeAddDocs:           {Admitted: true, Exec: r.handleAdmin},
-		wire.TypeDeleteDocs:        {Admitted: true, Exec: r.handleAdmin},
-		wire.TypePIRParams:         {Admitted: true, Exec: r.handlePIRParams},
-		wire.TypePIRBatchQuery:     {Admitted: true, Exec: r.handlePIRBatch},
-		wire.TypePIRRecursiveQuery: {Admitted: true, Exec: r.handlePIRRecursive},
-		wire.TypeStats:             {Name: "stats", EmptyBody: true, Admitted: true, Exec: r.handleStats},
-		wire.TypeClusterMap:        {Name: "cluster map", EmptyBody: true, Admitted: true, Exec: r.handleClusterMap},
+		wire.TypeQuery:         {Admitted: true, Exec: r.handleQuery},
+		wire.TypeDecoyQuery:    {Admitted: true, Exec: r.handleQuery},
+		wire.TypeBatchQuery:    {Admitted: true, Exec: r.handleBatch},
+		wire.TypeAddDocs:       {Admitted: true, Exec: r.handleAdmin},
+		wire.TypeDeleteDocs:    {Admitted: true, Exec: r.handleAdmin},
+		wire.TypePIRParams:     {Admitted: true, Exec: r.handlePIRParams},
+		wire.TypePIRBatchQuery: {Admitted: true, Exec: r.handlePIRBatch},
+		wire.TypeStats:         {Name: "stats", EmptyBody: true, Admitted: true, Exec: r.handleStats},
+		wire.TypeClusterMap:    {Name: "cluster map", EmptyBody: true, Admitted: true, Exec: r.handleClusterMap},
 	})
 	r.loop.Counters[wire.StatRouterPartitions].Store(int64(r.n))
 	return r, nil

@@ -52,7 +52,7 @@ func TestSliceViewSendsIdentityToNonOwners(t *testing.T) {
 		{3, map[int][]int64{0: {10, 1, 1, 11}, 1: {1, 12}}},
 	} {
 		q := &pir.Query{N: big.NewInt(97), Values: vals[:tc.width], Height: 1}
-		ps, subs, err := ep.sliceQuery(q)
+		ps, subs, err := ep.sliceView(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,9 @@ func TestSliceViewSendsIdentityToNonOwners(t *testing.T) {
 			t.Fatalf("width %d: sub-queries %v, want %v", tc.width, got, tc.want)
 		}
 	}
-	if _, _, err := ep.sliceQuery(&pir.Query{N: big.NewInt(97), Values: vals, Height: 2}); err == nil {
-		t.Fatal("a query over an empty view was sliced")
+	for _, h := range []int{0, 2} {
+		if _, _, err := ep.sliceView(&pir.Query{N: big.NewInt(97), Values: vals, Height: h}); err == nil {
+			t.Fatalf("a query over view %d, the block array or empty, was sliced", h)
+		}
 	}
 }

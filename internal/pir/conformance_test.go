@@ -353,20 +353,6 @@ func TestPIRConformance(t *testing.T) {
 						for _, ex := range []Exec{{}, {Workers: 3, Window: 4}} {
 							answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, shape.colBytes, []*RecursiveQuery{rq}, ex)
 							assertRefused(t, fmt.Sprintf("recursive %+v", ex), answers, stats, err)
-							level1 := *rq
-							level1.Cols = nil
-							answers, stats, err = ProcessColumnsRecursiveMultiExecCtx(ctx, cols, shape.colBytes, []*RecursiveQuery{&level1}, ex)
-							assertRefused(t, fmt.Sprintf("recursive level 1 %+v", ex), answers, stats, err)
-							matrix := make([]*big.Int, rq.GridCols*shape.colBytes*8)
-							for i := range matrix {
-								matrix[i] = big.NewInt(1)
-							}
-							ans, st, err := RecursiveLevel2(ctx, rq, matrix, shape.colBytes, ex)
-							var level2 []*Answer
-							if ans != nil {
-								level2 = []*Answer{ans}
-							}
-							assertRefused(t, fmt.Sprintf("level 2 %+v", ex), level2, []Stats{st}, err)
 						}
 						return
 					}

@@ -344,7 +344,8 @@ type Query struct {
 	Rot  int
 	// Height names the database the columns are: 0 is a store's block
 	// array, one column per block, and h >= 1 its class view h, one column
-	// of h blocks per document of that class (internal/docstore).
+	// of h blocks per document of that class (internal/docstore). The
+	// wire carries class views only (internal/wire, TypePIRBatchQuery).
 	Height int
 }
 

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"math/big"
@@ -50,15 +49,6 @@ import (
 // Answers must decode to byte-identical blocks to the flat path on
 // the same snapshot — that, not gamma equality (the protocols differ),
 // is the correctness spine the conformance battery checks.
-//
-// Partition mode: a query whose Cols vector is empty asks for level 1
-// only — the router in internal/cluster scatters such queries to the
-// partitions (each with its own Offset/Span window into the global
-// grid), multiplies the partial matrices element-wise, and runs
-// RecursiveLevel2 locally. Grid cells OUTSIDE a partition's window
-// contribute the multiplicative identity — skipped, not squared — so
-// the element-wise product across partitions is exactly the
-// single-process matrix, value for value.
 
 // maxRecursiveCells bounds both the level-1 gamma matrix
 // (gridCols·rows cells) and the level-2 answer (rows·modBytes
@@ -69,45 +59,24 @@ const maxRecursiveCells = 8 << 20
 
 // Validation errors of the recursive serving path.
 var (
-	errRecursiveWidth  = errors.New("pir: recursive width must be positive")
-	errRecursiveGrid   = errors.New("pir: grid columns outside [1, min(width, 2·ceil(sqrt(width)))]")
-	errRecursiveRows   = errors.New("pir: row selection vector does not match the grid")
-	errRecursiveCols   = errors.New("pir: column selection vector does not match the grid")
-	errRecursiveOffset = errors.New("pir: recursive offset outside the database width")
-	errRecursiveSpan   = errors.New("pir: recursive span exceeds the database width")
-	errRecursiveShape  = errors.New("pir: batch queries disagree on recursive shape")
-	errRecursiveMatrix = errors.New("pir: level-1 matrix does not match the grid")
-	errRecursiveCells  = errors.New("pir: recursive grid exceeds the cell ceiling")
+	errRecursiveWidth = errors.New("pir: recursive width must be positive")
+	errRecursiveGrid  = errors.New("pir: grid columns outside [1, min(width, 2·ceil(sqrt(width)))]")
+	errRecursiveRows  = errors.New("pir: row selection vector does not match the grid")
+	errRecursiveCols  = errors.New("pir: column selection vector does not match the grid")
+	errRecursiveShape = errors.New("pir: batch queries disagree on recursive shape")
+	errRecursiveCells = errors.New("pir: recursive grid exceeds the cell ceiling")
 )
-
-// recursiveSpanError is the refusal a partition returns when a query's
-// Span claims more blocks than the partition holds — the symptom of a
-// router scattering against a re-partitioned cluster with a stale map.
-func recursiveSpanError(span, stored int) error {
-	return fmt.Errorf("pir: recursive span %d exceeds the %d stored blocks (was the cluster re-partitioned?)", span, stored)
-}
 
 // RecursiveQuery is the client→server message of the recursive path.
 type RecursiveQuery struct {
 	N *big.Int
-	// Width is the GLOBAL database width in blocks the grid covers;
-	// the grid has gridRows(Width, GridCols)×GridCols cells, the last
-	// partial grid row padded with absent cells.
+	// Width is the database width in blocks the grid covers; the grid
+	// has gridRows(Width, GridCols)×GridCols cells, the last partial
+	// grid row padded with absent cells.
 	Width    int
 	GridCols int
-	// Offset and Span window the grid onto this server's column store:
-	// the store's block j is grid cell Offset+j, and Span (0 = auto:
-	// everything the store holds within Width) is the exact number of
-	// blocks to serve. Single-process serving uses the zero values;
-	// the cluster router sets both from its partition map, and a
-	// partition holding fewer than Span blocks refuses rather than
-	// silently serving cells that belong to its neighbour.
-	Offset int
-	Span   int
-	// Rows selects the target grid row (length gridRows). Cols selects
-	// the target grid column (length GridCols) — or is empty for
-	// level-1-only partition mode, answered with the raw gamma matrix
-	// in grid-column-major order.
+	// Rows selects the target grid row (length gridRows), Cols the
+	// target grid column (length GridCols).
 	Rows []*big.Int
 	Cols []*big.Int
 }
@@ -221,56 +190,37 @@ func validateRecursiveShape(q *RecursiveQuery) error {
 	if len(q.Rows) != gridRows(q.Width, q.GridCols) {
 		return errRecursiveRows
 	}
-	if len(q.Cols) != 0 && len(q.Cols) != q.GridCols {
+	if len(q.Cols) != q.GridCols {
 		return errRecursiveCols
-	}
-	if q.Offset < 0 || q.Offset >= q.Width {
-		return errRecursiveOffset
-	}
-	if q.Span < 0 || q.Offset+q.Span > q.Width {
-		return errRecursiveSpan
 	}
 	return nil
 }
 
 // presentRange returns the grid rows in [g0, g1) whose cell at grid
-// column gc falls inside the served window [off, off+w): cell (g, gc)
-// is global block g·C+gc. Present cells are always one contiguous run
-// per (group, grid column) — the window is an interval and g·C+gc is
-// monotone in g — so the scan folds a subset table over exactly the run
-// and absent cells contribute the multiplicative identity (NOT a square:
-// identity is what makes partition partials combine to the
-// single-process matrix). Both ends of the run are non-increasing in gc,
-// so one group sees at most three distinct runs across the grid columns.
-func presentRange(g0, g1, gc, C, off, w int) (int, int) {
-	if w <= 0 {
-		return 0, 0
-	}
-	lo := g0
-	if off > gc {
-		if m := (off - gc + C - 1) / C; m > lo {
-			lo = m
-		}
-	}
-	last := off + w - 1 - gc
+// column gc falls inside the served window [0, w): cell (g, gc) is block
+// g·C+gc. Present cells are always one run from g0 per (group, grid
+// column) — g·C+gc is monotone in g — so the scan folds a subset table
+// over exactly the run and absent cells contribute the multiplicative
+// identity, which decodes as a zero block. The run's end is
+// non-increasing in gc and takes at most two values, so one group sees
+// at most two distinct runs across the grid columns.
+func presentRange(g0, g1, gc, C, w int) (int, int) {
+	last := w - 1 - gc
 	if last < 0 {
 		return 0, 0
 	}
-	hi := last/C + 1
-	if hi > g1 {
-		hi = g1
-	}
-	if hi <= lo {
+	hi := min(last/C+1, g1)
+	if hi <= g0 {
 		return 0, 0
 	}
-	return lo, hi
+	return g0, hi
 }
 
 // recShape is the resolved geometry one batch serves under: the grid,
 // the window of the store actually served, and the block row count.
 type recShape struct {
 	gridRows, gridCols int
-	offset, window     int // local window: cols[:window] are the served blocks
+	window             int // cols[:window] are the served blocks
 	rows               int // bit rows per block, colBytes·8
 }
 
@@ -284,12 +234,9 @@ type recShape struct {
 // as one batch-of-one flat scan per grid column, level 2 in big.Int),
 // so every modulus the flat executor serves, this serves too.
 //
-// The store may hold FEWER blocks than Width−Offset: missing cells are
-// absent (identity), which is how a partition serves its slice of the
-// global grid. It may also hold MORE: with Span set, exactly Span
-// blocks are served and a Span beyond the store is refused (the stale
-// cluster-map symptom); with Span zero the store is clamped to the
-// grid.
+// The store may hold FEWER blocks than Width: missing cells are absent
+// (identity), the prefix addressing of the flat scan. It may also hold
+// MORE: the store is clamped to the grid.
 //
 // Cancellation is all-or-nothing per batch with partial Stats, the
 // contract of the flat executor.
@@ -309,7 +256,6 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 			return nil, nil, errBatchModulus
 		}
 		if q.Width != q0.Width || q.GridCols != q0.GridCols ||
-			q.Offset != q0.Offset || q.Span != q0.Span ||
 			len(q.Rows) != len(q0.Rows) || len(q.Cols) != len(q0.Cols) {
 			return nil, nil, errRecursiveShape
 		}
@@ -325,29 +271,16 @@ func ProcessColumnsRecursiveMultiExecCtx(ctx context.Context, cols [][]byte, col
 	C := q0.GridCols
 	R := len(q0.Rows)
 	modBytes := (q0.N.BitLen() + 7) / 8
-	if int64(C)*int64(rows) > maxRecursiveCells {
+	if int64(C)*int64(rows) > maxRecursiveCells || int64(rows)*int64(modBytes) > maxRecursiveCells {
 		return nil, nil, errRecursiveCells
 	}
-	if len(q0.Cols) != 0 && int64(rows)*int64(modBytes) > maxRecursiveCells {
-		return nil, nil, errRecursiveCells
-	}
-	w := q0.Span
-	if w > 0 {
-		if w > len(cols) {
-			return nil, nil, recursiveSpanError(w, len(cols))
-		}
-	} else {
-		w = q0.Width - q0.Offset
-		if w > len(cols) {
-			w = len(cols)
-		}
-	}
+	w := min(q0.Width, len(cols))
 	for j := 0; j < w; j++ {
 		if len(cols[j]) < colBytes {
 			return nil, nil, shortColumnError(j, len(cols[j]), colBytes)
 		}
 	}
-	sh := recShape{gridRows: R, gridCols: C, offset: q0.Offset, window: w, rows: rows}
+	sh := recShape{gridRows: R, gridCols: C, window: w, rows: rows}
 
 	k := len(qs)
 	answers := make([]*Answer, k)
@@ -404,8 +337,7 @@ type recursivePartial struct {
 }
 
 // recursiveChunkWord runs level 1 for one chunk of the batch on the
-// one-word Montgomery kernel and finishes each query with level 2 (or
-// the raw matrix in partition mode).
+// one-word Montgomery kernel and finishes each query with level 2.
 func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*RecursiveQuery, ex Exec, sh recShape, mont *Mont, outAns []*Answer, outSt []Stats) error {
 	k := len(qs)
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
@@ -482,14 +414,7 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 
 	modBytes := (qs[0].N.BitLen() + 7) / 8
 	for i, q := range qs {
-		cells := mat[i*C*rows : (i+1)*C*rows]
-		if len(q.Cols) == 0 {
-			// Partition mode: the canonical matrix itself is the answer,
-			// its words the gammas' own.
-			outAns[i] = &Answer{Gammas: wordGammas(cells)}
-			continue
-		}
-		ans2, st2, err := level2Word(poll, mont, q.Cols, cells, rows, modBytes, ex)
+		ans2, st2, err := level2Word(poll, mont, q.Cols, mat[i*C*rows:(i+1)*C*rows], rows, modBytes, ex)
 		outSt[i].ModMuls += st2.ModMuls
 		outSt[i].TableMuls += st2.TableMuls
 		if err != nil {
@@ -535,11 +460,11 @@ func canonicalColumns(poll *scanPoll, mat []big.Word, C, c0, c1, rows int, nW, n
 // recursiveLevel1Word is one worker's level-1 scan over grid columns
 // [c0, c1): group-major over grid-row windows of win rows. Per (group,
 // grid column) the present grid rows are one run [lo, hi) (presentRange):
-// the whole group everywhere but at the edges of the served window. The
+// the whole group everywhere but at the end of the served window. The
 // worker keeps the subset tables of ONE run per query — built when the
-// run changes, which both ends being monotone in gc bounds at three
-// builds per group, one in the interior — and every grid column folds
-// them through its transposed pattern buffer. A window edge is therefore
+// run changes, which its end taking at most two values bounds at two
+// builds per group — and every grid column folds
+// them through its transposed pattern buffer. The window's end is therefore
 // a smaller table, not a different loop: absent cells contribute the
 // identity by being left out of the table, and no product, load or
 // branch of the scan depends on a stored bit. Grid columns no present
@@ -547,7 +472,7 @@ func canonicalColumns(poll *scanPoll, mat []big.Word, C, c0, c1, rows int, nW, n
 func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShape, win int, nW, ninv uint, oneM big.Word, mv1, msq1 [][]big.Word, mat []big.Word, c0, c1 int) recursivePartial {
 	k := len(mv1)
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
-	off, w := sh.offset, sh.window
+	w := sh.window
 	p := recursivePartial{muls: make([]int, k), tableMuls: make([]int, k)}
 	stop := func() bool {
 		if poll.stopped() {
@@ -568,7 +493,7 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 		g1 := min(g0+win, R)
 		tblLo, tblHi := 0, 0 // the run the tables hold; none yet
 		for gc := c0; gc < c1; gc++ {
-			lo, hi := presentRange(g0, g1, gc, C, off, w)
+			lo, hi := presentRange(g0, g1, gc, C, w)
 			if lo >= hi {
 				continue
 			}
@@ -585,7 +510,7 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 				tblLo, tblHi = lo, hi
 			}
 			for t := range sub[:hi-lo] {
-				sub[t] = cols[(lo+t)*C+gc-off]
+				sub[t] = cols[(lo+t)*C+gc]
 			}
 			groupPatterns16(sub, 0, hi-lo, colBytes, pats)
 			// First touch: the accumulator IS the table entry (the
@@ -607,8 +532,8 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 			inited[gc-c0] = true
 		}
 	}
-	// Grid columns with no present cell at all (partition slices, or a
-	// store shorter than the grid): identity, in form.
+	// Grid columns with no present cell at all (a store shorter than the
+	// grid): identity, in form.
 	for gc := c0; gc < c1; gc++ {
 		if inited[gc-c0] {
 			continue
@@ -633,10 +558,10 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 	var st Stats
 	matrix := make([]*big.Int, C*rows)
 	for gc := 0; gc < C; gc++ {
-		lo, hi := presentRange(0, R, gc, C, sh.offset, sh.window)
+		lo, hi := presentRange(0, R, gc, C, sh.window)
 		sub := make([][]byte, hi-lo)
 		for t := range sub {
-			sub[t] = cols[(lo+t)*C+gc-sh.offset]
+			sub[t] = cols[(lo+t)*C+gc]
 		}
 		// An empty sub-database (fully absent grid column) is the flat
 		// executor's width-zero case: all-ones gammas, the identity cells.
@@ -647,9 +572,6 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 			return nil, st, err
 		}
 		copy(matrix[gc*rows:(gc+1)*rows], ans1.Gammas)
-	}
-	if len(q.Cols) == 0 {
-		return &Answer{Gammas: matrix}, st, nil
 	}
 	modBytes := (q.N.BitLen() + 7) / 8
 	ans2, st2, err := level2Ref(newScanPoll(ctx), q.N, q.Cols, matrixImage(matrix, q.N, C, rows, modBytes), rows*modBytes)
@@ -685,47 +607,6 @@ func matrixImage(matrix []*big.Int, n *big.Int, C, rows, modBytes int) [][]byte 
 		image[gc] = buf
 	}
 	return image
-}
-
-// RecursiveLevel2 serves the second level of the recursion over an
-// already-computed level-1 gamma matrix (grid-column-major,
-// gridCols·colBytes·8 cells): the matrix is laid out as the byte image
-// and re-encrypted a byte per ciphertext against q.Cols. The cluster
-// router calls this after combining partition partials; the in-process
-// paths run the same two kernels behind their own level 1. Matrix cells
-// must be canonical residues. A modulus without a Montgomery form is
-// refused before any work.
-func RecursiveLevel2(ctx context.Context, q *RecursiveQuery, matrix []*big.Int, colBytes int, ex Exec) (*Answer, Stats, error) {
-	if len(q.Cols) != q.GridCols {
-		return nil, Stats{}, errRecursiveCols
-	}
-	if colBytes <= 0 {
-		return nil, Stats{}, errColumnSize
-	}
-	rows := colBytes * 8
-	C := q.GridCols
-	if len(matrix) != C*rows {
-		return nil, Stats{}, errRecursiveMatrix
-	}
-	modBytes := (q.N.BitLen() + 7) / 8
-	if int64(rows)*int64(modBytes) > maxRecursiveCells {
-		return nil, Stats{}, errRecursiveCells
-	}
-	mont, err := NewMont(q.N)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	poll := newScanPoll(ctx)
-	if mont.Words() == 1 {
-		cells := make([]big.Word, len(matrix))
-		for i, g := range matrix {
-			if w := imageCell(g, q.N, modBytes).Bits(); len(w) == 1 {
-				cells[i] = w[0]
-			}
-		}
-		return level2Word(poll, mont, q.Cols, cells, rows, modBytes, ex)
-	}
-	return level2Ref(poll, q.N, q.Cols, matrixImage(matrix, q.N, C, rows, modBytes), rows*modBytes)
 }
 
 // level2TileBytes is how many image bytes one level-2 tile covers: a

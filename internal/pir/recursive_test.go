@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -43,15 +42,10 @@ func recursiveOne(cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec) (*Ans
 // recursiveShapeFor mirrors the geometry resolution of the serving
 // path — the oracle tests need it to call recursiveRefOne directly.
 func recursiveShapeFor(q *RecursiveQuery, nCols, colBytes int) recShape {
-	w := q.Span
-	if w == 0 {
-		w = min(q.Width-q.Offset, nCols)
-	}
 	return recShape{
 		gridRows: len(q.Rows),
 		gridCols: q.GridCols,
-		offset:   q.Offset,
-		window:   w,
+		window:   min(q.Width, nCols),
 		rows:     colBytes * 8,
 	}
 }
@@ -86,60 +80,48 @@ func TestRecursiveGridShape(t *testing.T) {
 // optimization, not a different protocol. Crossed over workers, level-1
 // windows (auto, and pins from 2 to the cap of 16: every served window
 // below then has a partial FIRST and a partial LAST group under some of
-// them, the runs the edge tables fold), batch widths, level-1-only
-// partition mode and served windows (an offset/span slice of the grid
-// that starts and ends mid-row, a run inside one grid row, a single
-// block, and a store that stops inside the last grid row), on images of
-// several level-2 tiles with a partial last one.
+// them, the runs the edge tables fold), batch widths and served windows
+// (the whole grid, a store that stops inside the last grid row, and a
+// store of one block), on images of several level-2 tiles with a partial
+// last one.
 func TestRecursiveFastMatchesRef(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 80 // 22×7 grid (4 padding cells), 5,120-byte image: three tiles
 	cols := churnColumns(t, 41, nCols, colBytes)
 	windows := []struct {
-		name         string
-		offset, span int
-		store        [][]byte
+		name  string
+		store [][]byte
 	}{
-		{"full", 0, 0, cols},
-		{"slice", 37, 58, cols[37 : 37+58]}, // grid row 5 column 2 to row 13 column 3
-		{"one-row run", 37, 3, cols[37:40]},
-		{"one block", 96, 1, cols[96:97]},
-		{"short store", 0, 0, cols[:131]},
+		{"full", cols},
+		{"short store", cols[:131]},
+		{"one block", cols[:1]},
 	}
 	ctx := context.Background()
 	for _, win := range windows {
-		for _, partial := range []bool{false, true} {
-			qs := recursiveBatch(t, k, fmt.Sprintf("fastref-%s-%v", win.name, partial), nCols, 6)
-			for _, q := range qs {
-				q.Offset, q.Span = win.offset, win.span
-				if partial {
-					q.Cols = nil // level-1-only partition mode
-				}
+		qs := recursiveBatch(t, k, "fastref-"+win.name, nCols, 6)
+		refs := make([]*Answer, len(qs))
+		for i, q := range qs {
+			ref, _, err := recursiveRefOne(ctx, win.store, colBytes, q, Exec{}, recursiveShapeFor(q, len(win.store), colBytes))
+			if err != nil {
+				t.Fatal(err)
 			}
-			refs := make([]*Answer, len(qs))
-			for i, q := range qs {
-				ref, _, err := recursiveRefOne(ctx, win.store, colBytes, q, Exec{}, recursiveShapeFor(q, len(win.store), colBytes))
-				if err != nil {
-					t.Fatal(err)
-				}
-				refs[i] = ref
-			}
-			for _, workers := range []int{1, 3} {
-				for _, window := range []int{0, 2, 10, 13, 16} {
-					for _, batch := range []int{1, 6} {
-						label := fmt.Sprintf("%s partial=%v workers=%d window=%d batch=%d", win.name, partial, workers, window, batch)
-						fast, _, err := ProcessColumnsRecursiveMultiExecCtx(ctx, win.store, colBytes, qs[:batch], Exec{Workers: workers, Window: window})
-						if err != nil {
-							t.Fatalf("%s: %v", label, err)
+			refs[i] = ref
+		}
+		for _, workers := range []int{1, 3} {
+			for _, window := range []int{0, 2, 10, 13, 16} {
+				for _, batch := range []int{1, 6} {
+					label := fmt.Sprintf("%s workers=%d window=%d batch=%d", win.name, workers, window, batch)
+					fast, _, err := ProcessColumnsRecursiveMultiExecCtx(ctx, win.store, colBytes, qs[:batch], Exec{Workers: workers, Window: window})
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					for i, ans := range fast {
+						if len(ans.Gammas) != len(refs[i].Gammas) {
+							t.Fatalf("%s query %d: %d ciphertexts vs ref %d", label, i, len(ans.Gammas), len(refs[i].Gammas))
 						}
-						for i, ans := range fast {
-							if len(ans.Gammas) != len(refs[i].Gammas) {
-								t.Fatalf("%s query %d: %d ciphertexts vs ref %d", label, i, len(ans.Gammas), len(refs[i].Gammas))
-							}
-							for j := range ans.Gammas {
-								if ans.Gammas[j].Cmp(refs[i].Gammas[j]) != 0 {
-									t.Fatalf("%s query %d ciphertext %d: fast path differs from reference", label, i, j)
-								}
+						for j := range ans.Gammas {
+							if ans.Gammas[j].Cmp(refs[i].Gammas[j]) != 0 {
+								t.Fatalf("%s query %d ciphertext %d: fast path differs from reference", label, i, j)
 							}
 						}
 					}
@@ -155,8 +137,7 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 // branches on the selection vectors, and — since the window edges fold
 // tables like every other group — nothing branches on a stored bit
 // either: every target costs the same, and so does every store of one
-// shape whatever it holds (zeros, ones, text), on the whole grid and on a
-// partition slice with partial groups at both ends.
+// shape whatever it holds (zeros, ones, text).
 func TestRecursiveWorkTargetIndependent(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 40
@@ -168,30 +149,25 @@ func TestRecursiveWorkTargetIndependent(t *testing.T) {
 		ones[j] = bytes.Repeat([]byte{0xFF}, colBytes)
 	}
 	stores := [][][]byte{churnColumns(t, 43, nCols, colBytes), zeros, ones, text}
-	for _, slice := range [][2]int{{0, nCols}, {37, 95}} {
-		for _, ex := range []Exec{{}, {Workers: 3, Window: 4}, {Workers: 2, Window: 13}} {
-			var first Stats
-			for si, store := range stores {
-				for ti, target := range []int{0, 1, 77, nCols - 1} {
-					q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("work-%d", target)), nCols, target)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if slice[0] != 0 {
-						q.Offset, q.Span = slice[0], slice[1]-slice[0]
-					}
-					_, st, err := recursiveOne(store[slice[0]:slice[1]], colBytes, q, ex)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if st.ModMuls <= 0 || st.TableMuls <= 0 || st.TableMuls > st.ModMuls {
-						t.Fatalf("%+v target %d: implausible stats %+v", ex, target, st)
-					}
-					if si == 0 && ti == 0 {
-						first = st
-					} else if st != first {
-						t.Fatalf("%+v slice %v: store %d target %d cost %+v, store 0 target 0 cost %+v", ex, slice, si, target, st, first)
-					}
+	for _, ex := range []Exec{{}, {Workers: 3, Window: 4}, {Workers: 2, Window: 13}} {
+		var first Stats
+		for si, store := range stores {
+			for ti, target := range []int{0, 1, 77, nCols - 1} {
+				q, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("work-%d", target)), nCols, target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, st, err := recursiveOne(store, colBytes, q, ex)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.ModMuls <= 0 || st.TableMuls <= 0 || st.TableMuls > st.ModMuls {
+					t.Fatalf("%+v target %d: implausible stats %+v", ex, target, st)
+				}
+				if si == 0 && ti == 0 {
+					first = st
+				} else if st != first {
+					t.Fatalf("%+v: store %d target %d cost %+v, store 0 target 0 cost %+v", ex, si, target, st, first)
 				}
 			}
 		}
@@ -356,7 +332,8 @@ func TestGenerateKeyProperties(t *testing.T) {
 
 // TestRecursiveCancelMidLevel2: a deadline crossed inside the level-2
 // scan — timed in polls on the pinned scan clock, not on the wall —
-// returns the context error, the work done so far, and no answer at all.
+// returns the context error, the work done so far, and no answer at all,
+// from the level-2 kernel alone and from the executor it ends.
 func TestRecursiveCancelMidLevel2(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 80
@@ -365,11 +342,15 @@ func TestRecursiveCancelMidLevel2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l1 := *q
-	l1.Cols = nil
-	matrix, _, err := recursiveOne(cols, colBytes, &l1, Exec{})
+	mont, err := NewMont(k.N)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Level 2's polls and products depend on the matrix's shape alone, so
+	// any cells of the executor's shape time it.
+	cells := make([]big.Word, q.GridCols*colBytes*8)
+	for i, v := range rawQuery(rand.New(rand.NewSource(53)), k.N, len(cells)).Values {
+		cells[i] = big.Word(v.Uint64())
 	}
 	deadline := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
@@ -390,7 +371,7 @@ func TestRecursiveCancelMidLevel2(t *testing.T) {
 		return polls, ans, st, err
 	}
 	level2 := func() (*Answer, Stats, error) {
-		return RecursiveLevel2(ctx, q, matrix.Gammas, colBytes, Exec{Window: 4})
+		return level2Word(newScanPoll(ctx), mont, q.Cols, cells, colBytes*8, (k.N.BitLen()+7)/8, Exec{})
 	}
 	full := func() (*Answer, Stats, error) {
 		answers, stats, err := ProcessColumnsRecursiveMultiExecCtx(ctx, cols, colBytes, []*RecursiveQuery{q}, Exec{Window: 4})
@@ -399,18 +380,13 @@ func TestRecursiveCancelMidLevel2(t *testing.T) {
 		}
 		return answers[0], stats[0], nil
 	}
-	l2Polls, want, l2Stats, err := run(0, level2)
+	l2Polls, _, l2Stats, err := run(0, level2)
 	if err != nil || l2Polls < 4 {
 		t.Fatalf("level 2 alone: %d polls, err %v", l2Polls, err)
 	}
-	fullPolls, got, fullStats, err := run(0, full)
+	fullPolls, _, fullStats, err := run(0, full)
 	if err != nil || fullPolls <= l2Polls {
 		t.Fatalf("full scan: %d polls (level 2 alone %d), err %v", fullPolls, l2Polls, err)
-	}
-	for i := range want.Gammas {
-		if got.Gammas[i].Cmp(want.Gammas[i]) != 0 {
-			t.Fatalf("ciphertext %d: executor and RecursiveLevel2 disagree", i)
-		}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -418,7 +394,7 @@ func TestRecursiveCancelMidLevel2(t *testing.T) {
 		serve   func() (*Answer, Stats, error)
 		whole   Stats
 	}{
-		{"RecursiveLevel2", l2Polls / 2, level2, l2Stats},
+		{"level2Word", l2Polls / 2, level2, l2Stats},
 		// Level 2 is the tail of the full scan: half its polls from the
 		// end lands inside it.
 		{"executor", fullPolls - l2Polls/2, full, fullStats},
@@ -504,89 +480,6 @@ func TestRecursiveBatchIdentical(t *testing.T) {
 	}
 }
 
-// TestRecursivePartitionCompose is the cluster identity in miniature:
-// three partitions each serve a level-1-only query over their slice of
-// the store (with the grid windowed by Offset/Span), the partial
-// matrices combine element-wise mod N, level 2 runs over the combined
-// matrix — and the result is gamma-identical to the single-process
-// full answer. Exercised at splits that cut grid rows mid-row.
-func TestRecursivePartitionCompose(t *testing.T) {
-	k := wordTestKey(t)
-	const nCols, colBytes = 31, 4
-	cols := churnColumns(t, 71, nCols, colBytes)
-	rows := colBytes * 8
-	for target := 0; target < nCols; target += 4 {
-		full, err := k.NewRecursiveQuery(newDetRand(fmt.Sprintf("part-%d", target)), nCols, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := recursiveOne(cols, colBytes, full, Exec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		C := full.GridCols
-		combined := make([]*big.Int, C*rows)
-		for i := range combined {
-			combined[i] = big.NewInt(1)
-		}
-		for _, cut := range [][2]int{{0, 11}, {11, 24}, {24, nCols}} {
-			part := &RecursiveQuery{
-				N: full.N, Width: full.Width, GridCols: full.GridCols,
-				Offset: cut[0], Span: cut[1] - cut[0], Rows: full.Rows,
-			}
-			ans, _, err := recursiveOne(cols[cut[0]:cut[1]], colBytes, part, Exec{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ans.Gammas) != C*rows {
-				t.Fatalf("partition answered %d gammas, want %d", len(ans.Gammas), C*rows)
-			}
-			for i, g := range ans.Gammas {
-				combined[i].Mul(combined[i], g)
-				combined[i].Mod(combined[i], full.N)
-			}
-		}
-		got, _, err := RecursiveLevel2(context.Background(), full, combined, colBytes, Exec{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range want.Gammas {
-			if got.Gammas[r].Cmp(want.Gammas[r]) != 0 {
-				t.Fatalf("target %d: composed gamma %d differs from single process", target, r)
-			}
-		}
-		bits, err := k.DecodeRecursive(got, colBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if decoded := ColumnBytes(bits); !bytes.Equal(decoded, cols[target]) {
-			t.Fatalf("target %d: composed answer decoded %x, want %x", target, decoded, cols[target])
-		}
-	}
-}
-
-// TestRecursiveSpanRefusal: a Span beyond the stored blocks — the
-// stale-cluster-map symptom — is refused with the diagnostic error,
-// never served short.
-func TestRecursiveSpanRefusal(t *testing.T) {
-	k := wordTestKey(t)
-	cols := churnColumns(t, 81, 5, 2)
-	q, err := k.NewRecursiveQuery(newDetRand("span"), 12, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.Cols = nil
-	q.Offset, q.Span = 4, 8 // partition claims 8 blocks; the store holds 5
-	_, _, err = recursiveOne(cols, 2, q, Exec{})
-	if err == nil || !strings.Contains(err.Error(), "re-partitioned") {
-		t.Fatalf("oversized span: got %v", err)
-	}
-	q.Span = 5 // exactly the store: served
-	if _, _, err := recursiveOne(cols, 2, q, Exec{}); err != nil {
-		t.Fatalf("exact span refused: %v", err)
-	}
-}
-
 // TestRecursiveValidation: hostile shapes are errors before any
 // dimension-sized allocation, and batch members must agree on shape.
 func TestRecursiveValidation(t *testing.T) {
@@ -609,9 +502,7 @@ func TestRecursiveValidation(t *testing.T) {
 		{"grid cols beyond cap", func(q *RecursiveQuery) { q.GridCols = 7 }, errRecursiveGrid},
 		{"rows mismatch", func(q *RecursiveQuery) { q.Rows = q.Rows[1:] }, errRecursiveRows},
 		{"cols mismatch", func(q *RecursiveQuery) { q.Cols = q.Cols[1:] }, errRecursiveCols},
-		{"negative offset", func(q *RecursiveQuery) { q.Offset = -1 }, errRecursiveOffset},
-		{"offset at width", func(q *RecursiveQuery) { q.Offset = 9 }, errRecursiveOffset},
-		{"span past width", func(q *RecursiveQuery) { q.Span = 10 }, errRecursiveSpan},
+		{"no cols", func(q *RecursiveQuery) { q.Cols = nil }, errRecursiveCols},
 	}
 	for _, tc := range cases {
 		q := good()
@@ -649,16 +540,7 @@ func TestRecursiveValidation(t *testing.T) {
 	mixed := good()
 	mixed.Cols = nil
 	if _, _, err := ProcessColumnsRecursiveMultiExecCtx(context.Background(), cols, 2, []*RecursiveQuery{good(), mixed}, Exec{}); err != errRecursiveShape {
-		t.Errorf("mode mismatch: got %v", err)
-	}
-	// Level 2 guards its own inputs (the router calls it directly).
-	lq := good()
-	if _, _, err := RecursiveLevel2(context.Background(), lq, make([]*big.Int, 3), 2, Exec{}); err != errRecursiveMatrix {
-		t.Errorf("matrix mismatch: got %v", err)
-	}
-	lq.Cols = nil
-	if _, _, err := RecursiveLevel2(context.Background(), lq, nil, 2, Exec{}); err != errRecursiveCols {
-		t.Errorf("level-2 without Cols: got %v", err)
+		t.Errorf("shape mismatch: got %v", err)
 	}
 }
 
@@ -736,10 +618,10 @@ func TestRecursiveTrafficAccounting(t *testing.T) {
 	}
 }
 
-// TestRecursiveOverwideStore: with Span zero, a store longer than the
-// grid is clamped (the extra blocks are simply not addressed), and a
-// store SHORTER than Width−Offset serves what it has with identity
-// cells — no error, the partition posture.
+// TestRecursiveOverwideStore: a store longer than the grid is clamped
+// (the extra blocks are simply not addressed), and a store SHORTER than
+// Width serves what it has with identity cells — no error, the prefix
+// addressing of the flat scan.
 func TestRecursiveOverwideStore(t *testing.T) {
 	k := wordTestKey(t)
 	cols := churnColumns(t, 111, 10, 2)
@@ -950,19 +832,16 @@ func TestRecursiveLevel2WordMatchesRef(t *testing.T) {
 
 // TestRecursiveCancelAnywhere: wherever the deadline is crossed — counted
 // in polls on the pinned scan clock, so every poll site is visited: the
-// row-vector load, whole groups, the partial groups at both edges of a
-// partition slice, the conversion out of form, level 2 — the batch
-// returns the context error, never an answer, and charges no more than
-// the whole scan costs.
+// row-vector load, whole groups, the partial runs at the end of a store
+// that stops inside a grid row, the conversion out of form, level 2 —
+// the batch returns the context error, never an answer, and charges no
+// more than the whole scan costs.
 func TestRecursiveCancelAnywhere(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 150, 80
 	cols := churnColumns(t, 57, nCols, colBytes)
 	qs := recursiveBatch(t, k, "cancel-any", nCols, 2)
-	for _, q := range qs {
-		q.Offset, q.Span = 37, 58 // first and last group partial under window 4
-	}
-	store := cols[37 : 37+58]
+	store := cols[:95] // grid row 13 ends at column 3; the last group is partial under window 4
 	deadline := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), deadline)
 	defer cancel()

@@ -187,6 +187,7 @@ func seedFrames(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	q.Height = 1
 	f.Add(append([]byte{10}, appendPrefixed(appendBig(nil, q.N), q.Values...)...)) // retired
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q}) })
 	add(func(w *bytes.Buffer) error { return WritePIRBatchQuery(w, []*pir.Query{q, q.Next(), q.Next().Next()}) })
@@ -203,8 +204,6 @@ func seedFrames(f *testing.F) {
 		f.Fatal(err)
 	}
 	add(func(w *bytes.Buffer) error { return WritePIRRecursiveQuery(w, []*pir.RecursiveQuery{rq, rq}) })
-	l1 := &pir.RecursiveQuery{N: rq.N, Width: rq.Width, GridCols: rq.GridCols, Span: 2, Rows: rq.Rows}
-	add(func(w *bytes.Buffer) error { return WritePIRRecursiveQuery(w, []*pir.RecursiveQuery{l1}) })
 	f.Add(append([]byte{TypePIRBatchResponse}, appendPrefixed([]byte{0x81}, big.NewInt(5), big.NewInt(9))...)) // length-prefixed, retired
 	add(func(w *bytes.Buffer) error {
 		return WritePIRParams(w, docstore.Params{BlockSize: 8, NumBlocks: 3, Exts: []docstore.Extent{
@@ -260,11 +259,11 @@ func seedFrames(f *testing.F) {
 
 // FuzzPIRQuery goes one layer deeper than FuzzDecodeMessage for one
 // query: every body is read as the one entry of a written-out type-12
-// frame — a modulus, a value count and the values, the layout the
-// retired type 10 carried — and as a whole type-12 body, and what decodes
-// is served against a real block store and held to the sequential oracle
-// (checkPIRBatchBody), so the executor, not just the decoder, holds up
-// under hostile queries.
+// frame at height 1 — a modulus, a value count and the values, the
+// layout the retired type 10 carried — and as a whole type-12 body, and
+// what decodes is served against a real block store and held to the
+// sequential oracle (checkPIRBatchBody), so the executor, not just the
+// decoder, holds up under hostile queries.
 func FuzzPIRQuery(f *testing.F) {
 	key, err := pir.GenerateKey(detrand.New("fuzz-pir"), 96)
 	if err != nil {
@@ -290,8 +289,11 @@ func FuzzPIRQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkPIRBatchBody(t, sn, body)
 		if _, rest, err := decodeBig(body); err == nil {
-			modulus := body[:len(body)-len(rest)]
-			checkPIRBatchBody(t, sn, bytes.Join([][]byte{modulus, vbyte.Append(nil, 1), rest}, nil))
+			if _, used, err := vbyte.Decode(rest); err == nil {
+				modulus := body[:len(body)-len(rest)]
+				one := vbyte.Append(nil, 1)
+				checkPIRBatchBody(t, sn, bytes.Join([][]byte{modulus, one, rest[:used], one, rest[used:]}, nil))
+			}
 		}
 	})
 }
@@ -344,17 +346,18 @@ func FuzzPIRBatchQuery(f *testing.F) {
 			if err != nil {
 				f.Fatal(err)
 			}
+			q.Height = 1
 			qs[i] = q
 		}
 		f.Add(batchBody(f, qs))
 	}
 	seedRotationFrames(f, key)
 	sn := fuzzStore(f)
-	// Frames with heights: a one-column vector and its rotation at
-	// heights 0, 1, H and H+1 — the block array, the shortest view, the
-	// tallest (empty in this store) and none — seeded and written out.
+	// A one-column vector and its rotation at heights 1, 2, H and H+1 —
+	// the two shortest views, the tallest (empty in this store) and none —
+	// seeded and written out; height 0 is among the hand-built bodies.
 	top := docstore.Heights(sn.BlockSize())
-	for _, h := range []int{0, 1, top, top + 1} {
+	for _, h := range []int{1, 2, top, top + 1} {
 		q, err := key.NewSeededQuery(detrand.New(fmt.Sprintf("fuzz-heights-%d", h)), 1, 0)
 		if err != nil {
 			f.Fatal(err)
@@ -369,11 +372,11 @@ func FuzzPIRBatchQuery(f *testing.F) {
 	// honest values of the one three-value entry of a written-out frame.
 	honest := appendBig(nil, big.NewInt(1234567))
 	for _, h := range hostileElements() {
-		head := vbyte.Append(vbyte.Append(appendBig(nil, key.N), 1), 3)
+		head := vbyte.Append(vbyte.Append(vbyte.Append(appendBig(nil, key.N), 1), 3), 1)
 		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest}, nil))
 	}
 	// An in-range frame at an even modulus, which the executor refuses.
-	even := vbyte.Append(vbyte.Append(appendBig(nil, big.NewInt(1<<40)), 1), 3)
+	even := vbyte.Append(vbyte.Append(vbyte.Append(appendBig(nil, big.NewInt(1<<40)), 1), 3), 1)
 	f.Add(bytes.Join([][]byte{even, honest, honest, honest}, nil))
 	f.Fuzz(func(t *testing.T, body []byte) { checkPIRBatchBody(t, sn, body) })
 }
@@ -403,18 +406,18 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 	sameQueries(t, "written in full", mustDecodeBatch(t, batchBody(t, inFull(qs))), qs)
 	// Decoded against the store, a frame is refused exactly when one of
 	// its entries names no view or is wider than its view — what the
-	// executor would refuse — unless it is written out without heights,
-	// whose widths are read as they come.
+	// executor would refuse.
 	widths := sn.Layout().Widths()
 	inRange := true
 	for _, q := range qs {
+		if q.Height < 1 {
+			t.Fatalf("an entry at height %d decoded", q.Height)
+		}
 		if q.Height >= len(widths) || len(q.Values) > widths[q.Height] {
 			inRange = false
 		}
 	}
-	_, rest, _ := decodeBig(body)
-	_, marked := leadingZero(rest)
-	if _, err := DecodePIRBatchQueryWithin(body, widths); (err == nil) != (inRange || !marked) {
+	if _, err := DecodePIRBatchQueryWithin(body, widths); (err == nil) != inRange {
 		t.Fatalf("decoded against views %v: %v, in range: %v", widths, err, inRange)
 	}
 	// Serve decoded queries only at sane moduli — the decoder accepts up
@@ -507,14 +510,13 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 			f.Add(body)
 		}
 	}
-	// Level-1-only partition frame (no column vector), as a router sends.
-	pq, err := key.NewRecursiveQuery(detrand.New("fuzz-pir-rec-p"), 3, 1)
+	// A grid wider than the six-block store: the cells past it are absent.
+	wide, err := wordKey.NewRecursiveQuery(detrand.New("fuzz-pir-rec-wide"), 9, 7)
 	if err != nil {
 		f.Fatal(err)
 	}
-	pq.Cols, pq.Span = nil, 2
 	var buf bytes.Buffer
-	if err := WritePIRRecursiveQuery(&buf, []*pir.RecursiveQuery{pq}); err != nil {
+	if err := WritePIRRecursiveQuery(&buf, []*pir.RecursiveQuery{wide}); err != nil {
 		f.Fatal(err)
 	}
 	if _, body, err := ReadMessage(&buf); err == nil {
@@ -524,11 +526,11 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 	// width-3 query (a 3×1 grid: three row values, one column value).
 	honest := appendBig(nil, big.NewInt(1234567))
 	for _, h := range hostileElements() {
-		head := encodeRecursive(wordKey.N, 3, 1, 0, 0, 1, 1, nil)
+		head := encodeRecursive(wordKey.N, 3, 1, 1, nil)
 		f.Add(bytes.Join([][]byte{head, honest, h.enc, honest, honest}, nil))
 	}
 	// A well-formed frame at an even modulus, which the executor refuses.
-	even := encodeRecursive(big.NewInt(1<<40), 3, 1, 0, 0, 1, 1, nil)
+	even := encodeRecursive(big.NewInt(1<<40), 3, 1, 1, nil)
 	f.Add(bytes.Join([][]byte{even, honest, honest, honest, honest}, nil))
 	store, err := docstore.New(4)
 	if err != nil {
@@ -584,9 +586,6 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 		modBytes := (qs[0].N.BitLen() + 7) / 8
 		for i := range qs {
 			want := 8 * sn.BlockSize() * modBytes // one ciphertext per image byte
-			if len(qs[i].Cols) == 0 {
-				want = qs[i].GridCols * 8 * sn.BlockSize()
-			}
 			if len(a1[i].Gammas) != want {
 				t.Fatalf("query %d: answer holds %d gammas, want %d", i, len(a1[i].Gammas), want)
 			}

@@ -23,38 +23,31 @@ import (
 // instead of k.
 //
 // TypePIRBatchQuery comes in two forms, told apart by the byte after
-// the modulus, and each form in two shapes: with and without heights.
+// the modulus. Every query names a class view of the store by its height
+// (pir.Query.Height, h >= 1: view h, whose columns are h blocks tall).
 //
 // Seeded: modulus big | 0 | query count vbyte | V big | Z big | per
-// query: width vbyte | seed (pir.SeedBytes) | rotation vbyte |
-// ⌈width/4⌉ code bytes — the vector pir.Seed.Expand makes of them,
-// rotated that many columns up — or, for any query but the first, a
-// width of 0 and nothing else: the query before it rotated one column
-// up (pir.Query.Next). A vector costs two bits a column where it cost a
-// group element.
+// query: width vbyte | height vbyte | seed (pir.SeedBytes) | rotation
+// vbyte | ⌈width/4⌉ code bytes — the vector pir.Seed.Expand makes of
+// them, rotated that many columns up — or, for any query but the first,
+// a width of 0 and nothing else: the query before it rotated one column
+// up (pir.Query.Next), at its height. A vector costs two bits a column
+// where it cost a group element.
 //
 // Written out: modulus big | query count vbyte | per query: value count
-// vbyte | one group element per column — or, for any query but the
-// first, a value count of 0: the query before it rotated.
+// vbyte | height vbyte | one group element per column — or, for any
+// query but the first, a value count of 0: the query before it rotated.
 //
-// With heights: modulus big | 0 | 0 | the rest of either form, each
-// vector entry's width or value count followed by its height vbyte
-// (pir.Query.Height: 0 the block array, h >= 1 class view h of the
-// store, whose columns are h blocks tall); a rotation entry has the
-// height of the vector it rotates. A frame whose queries all have height
-// 0 travels without heights, byte for byte the frame of a store with no
-// views; the two zeros were a refused seeded count of 0 before heights
-// existed. A server refuses an entry whose height names no view of its
-// store, or that is wider than its view, with ViewRefusal, before any
-// seed expands.
+// A server refuses an entry whose height is 0, names no view of its
+// store, or is wider than its view, with ViewRefusal, before any seed
+// expands.
 //
 // A document of one view column travels as ONE selection vector; the
-// k > 1 columns of a document taller than the tallest view, or the
-// blocks of one in the block array, as one vector plus one zero byte per
-// further column. Either way every entry is a full query to everything
-// past the decoder — it counts against MaxPIRBatch, is scanned and is
-// answered like any other — so the CPU a frame can demand is what it
-// was; only the bytes that demand it shrink.
+// k > 1 columns of a document taller than the tallest view as one vector
+// plus one zero byte per further column. Either way every entry is a
+// full query to everything past the decoder — it counts against
+// MaxPIRBatch, is scanned and is answered like any other — so the CPU a
+// frame can demand is what it was; only the bytes that demand it shrink.
 // TypePIRBatchResponse: query index vbyte | the packed answer
 // (retrieval_hello.go), on every connection.
 // Indexes are 0-based positions in the batch and arrive strictly in
@@ -86,26 +79,24 @@ const MaxPIRBatch = 64
 const UnknownTypeRefusal = "unexpected message type"
 
 // ViewRefusal opens the error body a server sends for a type-12 entry
-// whose height names no view of its store, or that is wider than its
-// view. The frame is refused whole, before any seed expands, and the
+// whose height is 0, names no view of its store, or that is wider than
+// its view. The frame is refused whole, before any seed expands, and the
 // connection serves the next frame.
 const ViewRefusal = "wire: no such column view"
 
-// SeededEntryBytes is what one vector of width columns over the database
-// of height h, rotated rot columns up, costs in a seeded frame; a
-// rotation entry costs one byte. A height of 0 is priced as a frame
-// without heights carries it, where it costs nothing.
-func SeededEntryBytes(width, h, rot int) int {
-	return vbyte.Len(uint64(width)) + heightBytes(h) + pir.SeedBytes + vbyte.Len(uint64(rot)) + (width+3)/4
-}
+// StaleMapRefusal opens the error body a cluster router sends when a
+// partition refuses, with ViewRefusal, a sub-batch the router sliced from
+// the block mapping of the connection's last hello: the partition no
+// longer holds that mapping's columns (the cluster was re-partitioned, or
+// the read failed over to a lagging replica). FROZEN: it tells the client
+// to send the hello again, not that its query was malformed.
+const StaleMapRefusal = "wire: stale block mapping"
 
-// heightBytes is what an entry's height costs in a frame with heights; a
-// height of 0 is priced at nothing, as in a frame without them.
-func heightBytes(h int) int {
-	if h == 0 {
-		return 0
-	}
-	return vbyte.Len(uint64(h))
+// SeededEntryBytes is what one vector of width columns over the view of
+// height h, rotated rot columns up, costs in a seeded frame; a rotation
+// entry costs one byte.
+func SeededEntryBytes(width, h, rot int) int {
+	return vbyte.Len(uint64(width)) + vbyte.Len(uint64(h)) + pir.SeedBytes + vbyte.Len(uint64(rot)) + (width+3)/4
 }
 
 // MaxSeededValues caps the group elements one seeded frame may expand
@@ -132,8 +123,8 @@ func WritePIRBatchQuery(w io.Writer, qs []*pir.Query) error {
 		if q == nil || q.N == nil || len(q.Values) == 0 {
 			return fmt.Errorf("wire: nil PIR query %d in batch", i)
 		}
-		if q.Height < 0 {
-			return fmt.Errorf("wire: PIR batch query %d has height %d", i, q.Height)
+		if q.Height < 1 {
+			return fmt.Errorf("wire: PIR batch query %d has height %d, not a view's", i, q.Height)
 		}
 		if n == nil {
 			n = q.N
@@ -162,27 +153,6 @@ func seededBatch(qs []*pir.Query) bool {
 	return true
 }
 
-// withHeights reports whether qs travel in the shape with heights: some
-// query addresses a class view.
-func withHeights(qs []*pir.Query) bool {
-	for _, q := range qs {
-		if q.Height != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// appendHead continues a type-12 frame: the modulus and, for a frame
-// with heights, its two zeros.
-func appendHead(body []byte, n *big.Int, heights bool) []byte {
-	body = appendBig(body, n)
-	if heights {
-		body = append(vbyte.Append(body, 0), vbyte.Append(nil, 0)...)
-	}
-	return body
-}
-
 // appendWrittenOut lays a batch out written out. Entry i travels as a
 // zero count exactly when it IS the entry before it rotated
 // (pir.Query.Follows: the same elements over the full cycle, at the same
@@ -190,15 +160,14 @@ func appendHead(body []byte, n *big.Int, heights bool) []byte {
 // out.
 func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 	rotated := make([]bool, len(qs))
-	heights := withHeights(qs)
-	size := 2*pirHeadSize + bigsSize(n)
+	size := pirHeadSize + bigsSize(n)
 	for i, q := range qs {
 		size += 2 * pirHeadSize
 		if rotated[i] = i > 0 && q.Follows(qs[i-1]); !rotated[i] {
 			size += bigsSize(q.Values...)
 		}
 	}
-	body := appendHead(newFrame(TypePIRBatchQuery, size), n, heights)
+	body := appendBig(newFrame(TypePIRBatchQuery, size), n)
 	body = vbyte.Append(body, uint64(len(qs)))
 	for i, q := range qs {
 		if rotated[i] {
@@ -206,9 +175,7 @@ func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 			continue
 		}
 		body = vbyte.Append(body, uint64(len(q.Values)))
-		if heights {
-			body = vbyte.Append(body, uint64(q.Height))
-		}
+		body = vbyte.Append(body, uint64(q.Height))
 		for _, v := range q.Values {
 			body = appendBig(body, v)
 		}
@@ -221,9 +188,8 @@ func appendWrittenOut(n *big.Int, qs []*pir.Query) []byte {
 // and height, the next rotation.
 func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	rotated := make([]bool, len(qs))
-	heights := withHeights(qs)
 	s0 := qs[0].Seed
-	size, values := 3*pirHeadSize+bigsSize(n, s0.V, s0.Z), 0
+	size, values := 2*pirHeadSize+bigsSize(n, s0.V, s0.Z), 0
 	for i, q := range qs {
 		width := len(q.Values)
 		if q.Rot < 0 || q.Rot >= width || len(q.Seed.Codes) != (width+3)/4 {
@@ -240,7 +206,7 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	if limit := MaxSeededValues((n.BitLen() + 7) / 8); values > limit {
 		return nil, fmt.Errorf("wire: seeded PIR batch of %d values exceeds the %d a frame may expand to", values, limit)
 	}
-	body := appendHead(newFrame(TypePIRBatchQuery, size), n, heights)
+	body := appendBig(newFrame(TypePIRBatchQuery, size), n)
 	body = vbyte.Append(body, 0)
 	body = vbyte.Append(body, uint64(len(qs)))
 	body = appendBig(body, s0.V)
@@ -251,9 +217,7 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 			continue
 		}
 		body = vbyte.Append(body, uint64(len(q.Values)))
-		if heights {
-			body = vbyte.Append(body, uint64(q.Height))
-		}
+		body = vbyte.Append(body, uint64(q.Height))
 		body = append(body, q.Seed.Key[:]...)
 		body = vbyte.Append(body, uint64(q.Rot))
 		body = append(body, q.Seed.Codes...)
@@ -261,12 +225,12 @@ func appendSeeded(n *big.Int, qs []*pir.Query) ([]byte, error) {
 	return body, nil
 }
 
-// DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form,
-// with heights or without. Every value is bounded to (0, N) and the
-// modulus width is capped — the answer computation costs one |N|-bit
-// multiplication per database bit, so the decoder is the server's
-// CPU-exhaustion gate. The query count is capped at MaxPIRBatch, and a
-// height at docstore.MaxColumnBytes, the tallest view any block size has.
+// DecodePIRBatchQuery parses a TypePIRBatchQuery body of either form.
+// Every value is bounded to (0, N) and the modulus width is capped — the
+// answer computation costs one |N|-bit multiplication per database bit,
+// so the decoder is the server's CPU-exhaustion gate. The query count is capped at MaxPIRBatch, and a
+// height must lie in [1, docstore.MaxColumnBytes], the tallest view any
+// block size has.
 //
 // Every entry comes back as one *pir.Query of full width, a rotation
 // entry included, so nothing past the decoder knows the frame was
@@ -285,15 +249,12 @@ func DecodePIRBatchQuery(body []byte) ([]*pir.Query, error) {
 }
 
 // DecodePIRBatchQueryWithin is DecodePIRBatchQuery for a server whose
-// databases are widths[h] columns wide: widths[0] the block array and
-// widths[h] class view h, for h up to the store's tallest
-// (docstore.Layout.Widths). An entry whose height names no view, or
-// that is wider than its view, is refused with ViewRefusal, and a
-// seeded vector without a height that is wider than the block array is
-// refused too. Every such refusal comes before anything expands,
-// so the expansion one frame can demand is at most MaxPIRBatch vectors
-// of a view's width. Written-out vectors without heights are read as
-// they come, whatever their width: their bytes pay for them.
+// class view h is widths[h] columns wide, for h from 1 up to the store's
+// tallest (docstore.Layout.Widths; widths[0], the block array, is never
+// addressed). An entry whose height is 0 or names no view, or that is
+// wider than its view, is refused with ViewRefusal before anything
+// expands, so the expansion one frame can demand is at most MaxPIRBatch
+// vectors of a view's width.
 func DecodePIRBatchQueryWithin(body []byte, widths []int) ([]*pir.Query, error) {
 	n, body, err := decodeBig(body)
 	if err != nil {
@@ -302,14 +263,8 @@ func DecodePIRBatchQueryWithin(body []byte, widths []int) ([]*pir.Query, error) 
 	if n.Sign() <= 0 || (n.BitLen()+7)/8 > maxPIRModulusBytes {
 		return nil, errors.New("wire: PIR batch modulus out of range")
 	}
-	heights := false
 	if rest, ok := leadingZero(body); ok {
-		if body, heights = leadingZero(rest); !heights {
-			return decodeSeeded(n, rest, widths, false)
-		}
-		if rest, ok := leadingZero(body); ok {
-			return decodeSeeded(n, rest, widths, true)
-		}
+		return decodeSeeded(n, rest, widths)
 	}
 	count, used, err := vbyte.Decode(body)
 	if err != nil || count == 0 || count > MaxPIRBatch {
@@ -340,11 +295,8 @@ func DecodePIRBatchQueryWithin(body []byte, widths []int) ([]*pir.Query, error) 
 			at--
 			ring[at] = ring[at+width]
 		} else {
-			height = 0
-			if heights {
-				if height, body, err = decodeHeight(body, qi, nv, widths); err != nil {
-					return nil, err
-				}
+			if height, body, err = decodeHeight(body, qi, nv, widths); err != nil {
+				return nil, err
 			}
 			// At most the entries still to come can rotate this vector.
 			at, width = len(qs)-1-qi, int(nv)
@@ -375,15 +327,17 @@ func leadingZero(body []byte) ([]byte, bool) {
 }
 
 // decodeHeight reads the height of entry qi, a vector of width columns,
-// and refuses it with ViewRefusal when it names no view of the store
-// widths describes, or is wider than its view. Without widths it refuses
-// only a height no block size has.
+// and refuses it with ViewRefusal when it is 0, names no view of the
+// store widths describes, or is wider than its view. Without widths it
+// refuses, beside 0, only a height no block size has.
 func decodeHeight(body []byte, qi int, width uint64, widths []int) (int, []byte, error) {
 	h, used, err := vbyte.Decode(body)
 	if err != nil {
 		return 0, nil, fmt.Errorf("wire: PIR batch query %d height: %w", qi, err)
 	}
 	switch {
+	case h == 0:
+		return 0, nil, fmt.Errorf("%s: query %d has height 0, the block array", ViewRefusal, qi)
 	case widths == nil && h > docstore.MaxColumnBytes:
 		return 0, nil, fmt.Errorf("%s: query %d has height %d, past any store's tallest", ViewRefusal, qi, h)
 	case widths == nil:
@@ -396,13 +350,12 @@ func decodeHeight(body []byte, qi int, width uint64, widths []int) (int, []byte,
 }
 
 // decodeSeeded parses what follows the 0 of a seeded TypePIRBatchQuery
-// body, each vector entry followed by its height when heights is set. It
-// reads the whole frame — every width, height, seed, rotation and code
-// byte — before it expands or copies anything, and refuses a vector
-// wider than its database and a frame whose vectors would expand to more
-// than MaxSeededValues group elements, so what a seeded frame can make
-// its decoder allocate is bounded as a written-out frame's is.
-func decodeSeeded(n *big.Int, body []byte, widths []int, heights bool) ([]*pir.Query, error) {
+// body. It reads the whole frame — every width, height, seed, rotation
+// and code byte — before it expands or copies anything, and refuses a
+// vector wider than its view and a frame whose vectors would expand to
+// more than MaxSeededValues group elements, so what a seeded frame can
+// make its decoder allocate is bounded as a written-out frame's is.
+func decodeSeeded(n *big.Int, body []byte, widths []int) ([]*pir.Query, error) {
 	count, used, err := vbyte.Decode(body)
 	if err != nil || count == 0 || count > MaxPIRBatch {
 		return nil, fmt.Errorf("wire: seeded PIR batch query count: %w", orRange(err))
@@ -430,9 +383,6 @@ func decodeSeeded(n *big.Int, body []byte, widths []int, heights bool) ([]*pir.Q
 		if err != nil || width > maxPIRBlocks {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d width: %w", qi, orRange(err))
 		}
-		if !heights && widths != nil && width > uint64(widths[0]) {
-			return nil, fmt.Errorf("wire: seeded PIR batch query %d is %d columns wide, the store %d", qi, width, widths[0])
-		}
 		body = body[used:]
 		if width == 0 {
 			if qi == 0 {
@@ -441,10 +391,8 @@ func decodeSeeded(n *big.Int, body []byte, widths []int, heights bool) ([]*pir.Q
 			continue
 		}
 		e := entry{width: int(width)}
-		if heights {
-			if e.height, body, err = decodeHeight(body, qi, width, widths); err != nil {
-				return nil, err
-			}
+		if e.height, body, err = decodeHeight(body, qi, width, widths); err != nil {
+			return nil, err
 		}
 		if len(body) < pir.SeedBytes {
 			return nil, fmt.Errorf("wire: seeded PIR batch query %d seed: truncated", qi)

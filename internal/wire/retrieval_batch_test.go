@@ -24,6 +24,7 @@ func batchTestQueries(t *testing.T, n, cols int) []*pir.Query {
 		if err != nil {
 			t.Fatal(err)
 		}
+		qs[i].Height = 1 + i%2
 	}
 	return qs
 }
@@ -46,7 +47,7 @@ func TestPIRBatchQueryRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d queries, want %d", len(got), len(qs))
 	}
 	for i, q := range got {
-		if q.N.Cmp(qs[i].N) != 0 || len(q.Values) != len(qs[i].Values) {
+		if q.N.Cmp(qs[i].N) != 0 || len(q.Values) != len(qs[i].Values) || q.Height != qs[i].Height {
 			t.Fatalf("query %d shape mismatch", i)
 		}
 		for j, v := range q.Values {
@@ -93,6 +94,7 @@ func TestPIRBatchWriterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q2.Height = 1
 	if err := WritePIRBatchQuery(&buf, []*pir.Query{qs[0], q2}); err == nil ||
 		!strings.Contains(err.Error(), "different modulus") {
 		t.Fatalf("mixed-modulus batch written: %v", err)
@@ -104,6 +106,13 @@ func TestPIRBatchWriterValidation(t *testing.T) {
 	if err := WritePIRBatchQuery(&buf, oversized); err == nil {
 		t.Fatal("oversized batch written")
 	}
+	// Every entry names a class view: the block array is not served.
+	blocks := *qs[1]
+	blocks.Height = 0
+	if err := WritePIRBatchQuery(&buf, []*pir.Query{qs[0], &blocks}); err == nil ||
+		!strings.Contains(err.Error(), "height 0") {
+		t.Fatalf("height-0 entry written: %v", err)
+	}
 	if err := WritePIRBatchAnswerPacked(&buf, MaxPIRBatch, &pir.Answer{Gammas: []*big.Int{b(1)}}, b(35)); err == nil {
 		t.Fatal("out-of-range answer index written")
 	}
@@ -114,13 +123,17 @@ func TestPIRBatchWriterValidation(t *testing.T) {
 
 func b(v int64) *big.Int { return big.NewInt(v) }
 
-// encodeBatch builds a hand-rolled batch body for decoder attacks.
+// encodeBatch builds a hand-rolled written-out batch body for decoder
+// attacks, every vector entry at height 1.
 func encodeBatch(n *big.Int, counts []uint64, values [][]*big.Int) []byte {
 	var body []byte
 	body = appendBig(body, n)
 	body = vbyte.Append(body, uint64(len(counts)))
 	for i, c := range counts {
 		body = vbyte.Append(body, c)
+		if c != 0 {
+			body = vbyte.Append(body, 1)
+		}
 		for _, v := range values[i] {
 			body = appendBig(body, v)
 		}
@@ -179,6 +192,7 @@ func BenchmarkPIRBatchRoundTrip(b *testing.B) {
 		if qs[i], err = key.NewQuery(nil, 6029, i); err != nil {
 			b.Fatal(err)
 		}
+		qs[i].Height = 1
 	}
 	ans := &pir.Answer{Gammas: qs[0].Values[:0:0]}
 	for len(ans.Gammas) < 8192 {

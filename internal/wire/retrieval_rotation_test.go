@@ -20,9 +20,10 @@ import (
 // refused exactly where that one is, and cost the decoder what its body
 // holds, never entries x width.
 
-// documentQueries draws the block queries of one fetch: per document a
-// fresh seeded vector over cols columns, then one pir.Query.Next per
-// further block — what fetchVia's generator hands the frame writer.
+// documentQueries draws the column queries of one fetch over view 1: per
+// document a fresh seeded vector over cols columns, then one
+// pir.Query.Next per further column — what fetchVia's generator hands
+// the frame writer.
 func documentQueries(t testing.TB, key *pir.ClientKey, cols int, blocks ...int) []*pir.Query {
 	t.Helper()
 	var qs []*pir.Query
@@ -32,6 +33,7 @@ func documentQueries(t testing.TB, key *pir.ClientKey, cols int, blocks ...int) 
 		if err != nil {
 			t.Fatal(err)
 		}
+		q.Height = 1
 		for b := 0; b < n; b++ {
 			if b > 0 {
 				q = q.Next()
@@ -162,7 +164,7 @@ func TestPIRBatchRotationDifferential(t *testing.T) {
 		if tc.cols >= 3 {
 			sliced := make([]*pir.Query, len(fromCompact))
 			for i, q := range fromCompact {
-				sliced[i] = &pir.Query{N: q.N, Values: q.Values[1 : tc.cols-1]}
+				sliced[i] = &pir.Query{N: q.N, Values: q.Values[1 : tc.cols-1], Height: q.Height}
 			}
 			sameQueries(t, label+", sliced", mustDecodeBatch(t, batchBody(t, sliced)), sliced)
 			if body := batchBody(t, sliced); len(body) != len(batchBody(t, inFull(sliced))) {
@@ -188,7 +190,7 @@ func mustDecodeBatch(t testing.TB, body []byte) []*pir.Query {
 func TestPIRBatchRotationRefusalsMatchFullFrame(t *testing.T) {
 	honest := rawElement([]byte{9, 9})
 	head := vbyte.Append(appendBig(nil, slabTestModulus), 3) // three entries
-	width := vbyte.Append(nil, 3)
+	width := vbyte.Append(vbyte.Append(nil, 3), 1)           // at height 1
 	rotation := vbyte.Append(nil, 0)
 	for _, h := range hostileElements() {
 		// An encoding that does not end where it says it does reads on
@@ -236,6 +238,7 @@ func rotationBodies() map[string][]byte {
 		"trailing zero count":   append(full(2), 0x80),
 		"missing rotation":      full(3)[:len(full(3))-1],
 		"overlong zero count":   append(full(2)[:len(full(2))-1], 0x00, 0x80),
+		"a height of 0":         bytes.Join([][]byte{appendBig(nil, n), {0x81, 0x81, 0x80}, appendBig(nil, b(2))}, nil),
 	}
 }
 
@@ -249,6 +252,7 @@ func TestPIRBatchRotationHostileFrames(t *testing.T) {
 		"trailing zero count":   "wire: trailing bytes after PIR batch query",
 		"missing rotation":      "wire: PIR batch query 2 value count: vbyte: truncated value",
 		"overlong zero count":   "wire: PIR batch query 1 value count: vbyte: non-canonical encoding (trailing zero group)",
+		"a height of 0":         ViewRefusal + ": query 0 has height 0, the block array",
 	}
 	for name, body := range bodies {
 		qs, err := DecodePIRBatchQuery(body)
@@ -284,9 +288,9 @@ func TestPIRBatchRotationHostileFrames(t *testing.T) {
 }
 
 // TestPIRBatchRotationGolden pins the layout to a checked-in frame: 4
-// length bytes, type 12, modulus 35, five entries — the vector (2, 3, 4),
-// two rotation entries (a lone 0x80 each), the vector (5, 6, 8), one
-// rotation entry. A format change must keep reading it, and keep
+// length bytes, type 12, modulus 35, five entries — the vector (2, 3, 4)
+// at height 1, two rotation entries (a lone 0x80 each), the vector
+// (5, 6, 8) at height 1, one rotation entry. A format change must keep reading it, and keep
 // writing it.
 func TestPIRBatchRotationGolden(t *testing.T) {
 	text, err := os.ReadFile("testdata/pir_batch_rotated.hex")
@@ -307,8 +311,8 @@ func TestPIRBatchRotationGolden(t *testing.T) {
 		t.Fatalf("%d queries, want %d", len(qs), len(want))
 	}
 	for i, q := range qs {
-		if q.N.Int64() != 35 || len(q.Values) != 3 {
-			t.Fatalf("query %d: modulus %v, %d values", i, q.N, len(q.Values))
+		if q.N.Int64() != 35 || len(q.Values) != 3 || q.Height != 1 {
+			t.Fatalf("query %d: modulus %v, %d values at height %d", i, q.N, len(q.Values), q.Height)
 		}
 		for j, v := range q.Values {
 			if v.Int64() != want[i][j] {

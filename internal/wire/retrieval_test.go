@@ -98,12 +98,13 @@ func TestPIRQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []*pir.Query{{N: seeded.N, Values: seeded.Values}, seeded} {
+	seeded.Height = 2
+	for _, want := range []*pir.Query{{N: seeded.N, Values: seeded.Values, Height: 2}, seeded} {
 		got, err := DecodePIRBatchQuery(oneQuery(t, want))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || got[0].N.Cmp(want.N) != 0 || len(got[0].Values) != len(want.Values) || (got[0].Seed == nil) != (want.Seed == nil) {
+		if len(got) != 1 || got[0].N.Cmp(want.N) != 0 || len(got[0].Values) != len(want.Values) || (got[0].Seed == nil) != (want.Seed == nil) || got[0].Height != 2 {
 			t.Fatalf("query shape mismatch")
 		}
 		for i := range want.Values {
@@ -126,14 +127,15 @@ func TestPIRQueryRejectsHostileInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Height = 1
 	// Value outside Z_n.
-	bad := &pir.Query{N: q.N, Values: []*big.Int{big.NewInt(0).Set(q.N), q.Values[1], q.Values[2]}}
+	bad := &pir.Query{N: q.N, Values: []*big.Int{big.NewInt(0).Set(q.N), q.Values[1], q.Values[2]}, Height: 1}
 	if _, err := DecodePIRBatchQuery(oneQuery(t, bad)); err == nil {
 		t.Fatal("value >= N accepted")
 	}
 	// Oversized modulus: CPU-exhaustion gate.
 	huge := new(big.Int).Lsh(big.NewInt(1), 8*maxPIRModulusBytes+1)
-	bad = &pir.Query{N: huge, Values: []*big.Int{big.NewInt(2)}}
+	bad = &pir.Query{N: huge, Values: []*big.Int{big.NewInt(2)}, Height: 1}
 	if _, err := DecodePIRBatchQuery(oneQuery(t, bad)); err == nil {
 		t.Fatal("oversized modulus accepted")
 	}
@@ -168,8 +170,8 @@ func TestPIRAnswerRoundTrip(t *testing.T) {
 }
 
 // TestPIRFetchOverWire runs the whole PIR exchange through the wire
-// codecs: params, a one-query frame per block and its packed answer,
-// byte-exact decode.
+// codecs: params, a one-query frame per column of the document's class
+// view and its packed answer, byte-exact decode.
 func TestPIRFetchOverWire(t *testing.T) {
 	s, err := docstore.New(8)
 	if err != nil {
@@ -208,12 +210,15 @@ func TestPIRFetchOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	ext := params.Exts[2]
+	layout := params.Layout()
+	h, col, k := layout.Place(2)
 	var got []byte
-	for b := 0; b < int(ext.Blocks); b++ {
-		q, err := key.NewQuery(detrand.New("wire-fetch-q"), params.NumBlocks, int(ext.First)+b)
+	for j := 0; j < k; j++ {
+		q, err := key.NewQuery(detrand.New("wire-fetch-q"), layout.Widths()[h], col+j)
 		if err != nil {
 			t.Fatal(err)
 		}
+		q.Height = h
 		sq, err := DecodePIRBatchQuery(oneQuery(t, q))
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +234,7 @@ func TestPIRFetchOverWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, pir.ColumnBytes(key.Decode(ca))[:params.BlockSize]...)
+		got = append(got, pir.ColumnBytes(key.Decode(ca))[:layout.ColumnBytes(h)]...)
 	}
 	if !bytes.Equal(got[:ext.Length], docs[2]) {
 		t.Fatalf("fetched %q, want %q", got[:ext.Length], docs[2])

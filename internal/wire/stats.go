@@ -80,7 +80,6 @@ const (
 	StatRiskSkipped
 	StatRiskSumMicros
 	StatPIRRecursiveQueries
-	StatPIRRecursivePartials
 	NumStatFields
 )
 
@@ -166,8 +165,7 @@ var StatFields = [NumStatFields]StatField{
 	StatRiskSkipped:   {"RiskSkipped", "risk_skipped_total", UnitCount, AggSum},
 	StatRiskSumMicros: {"RiskSumMicros", "risk_sum", UnitMicros, AggSum},
 	// Recursive retrieval.
-	StatPIRRecursiveQueries:  {"PIRRecursiveQueries", "pir_recursive_queries_total", UnitCount, AggSum},
-	StatPIRRecursivePartials: {"PIRRecursivePartials", "pir_recursive_partials_total", UnitCount, AggSum},
+	StatPIRRecursiveQueries: {"PIRRecursiveQueries", "pir_recursive_queries_total", UnitCount, AggSum},
 }
 
 // Exported is v in the unit the /metrics page shows: seconds for

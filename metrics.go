@@ -67,40 +67,39 @@ func metricsText(st wire.Stats) []byte {
 // counters are copied field by field.
 func serveStats(p wire.Stats) ServeStats {
 	return ServeStats{
-		Accepted:             int64(p[wire.StatAccepted]),
-		Rejected:             int64(p[wire.StatRejected]),
-		Active:               int64(p[wire.StatActive]),
-		Queries:              int64(p[wire.StatQueries]),
-		Updates:              int64(p[wire.StatUpdates]),
-		Retrievals:           int64(p[wire.StatRetrievals]),
-		Errors:               int64(p[wire.StatErrors]),
-		QueryTime:            time.Duration(p[wire.StatQueryNs]),
-		MaxQueryTime:         time.Duration(p[wire.StatMaxQueryNs]),
-		Inflight:             int64(p[wire.StatInflight]),
-		Queued:               int64(p[wire.StatQueued]),
-		QueuedTotal:          int64(p[wire.StatQueuedTotal]),
-		QueueWait:            time.Duration(p[wire.StatQueueWaitNs]),
-		MaxQueueWait:         time.Duration(p[wire.StatMaxQueueWaitNs]),
-		ShedQueueFull:        int64(p[wire.StatShedQueueFull]),
-		ShedQueueTimeout:     int64(p[wire.StatShedQueueTimeout]),
-		Deadlines:            int64(p[wire.StatDeadlines]),
-		Durable:              p[wire.StatDurable] != 0,
-		WALSeq:               p[wire.StatWALSeq],
-		WALCheckpointSeq:     p[wire.StatWALCheckpointSeq],
-		CheckpointAge:        time.Duration(p[wire.StatCheckpointAgeNs]),
-		PIRModMuls:           int64(p[wire.StatPIRModMuls]),
-		PIRTableMuls:         int64(p[wire.StatPIRTableMuls]),
-		PIRRecursiveQueries:  int64(p[wire.StatPIRRecursiveQueries]),
-		PIRRecursivePartials: int64(p[wire.StatPIRRecursivePartials]),
-		ReplPrimarySeq:       p[wire.StatReplPrimarySeq],
-		ReplLag:              p[wire.StatReplLagOps],
-		RouterPartitions:     p[wire.StatRouterPartitions],
-		RouterRetries:        p[wire.StatRouterRetries],
-		RouterFailovers:      p[wire.StatRouterFailovers],
-		DecoyQueries:         int64(p[wire.StatDecoyQueries]),
-		RiskAudited:          int64(p[wire.StatRiskAudited]),
-		RiskSkipped:          int64(p[wire.StatRiskSkipped]),
-		RiskSumMicros:        int64(p[wire.StatRiskSumMicros]),
+		Accepted:            int64(p[wire.StatAccepted]),
+		Rejected:            int64(p[wire.StatRejected]),
+		Active:              int64(p[wire.StatActive]),
+		Queries:             int64(p[wire.StatQueries]),
+		Updates:             int64(p[wire.StatUpdates]),
+		Retrievals:          int64(p[wire.StatRetrievals]),
+		Errors:              int64(p[wire.StatErrors]),
+		QueryTime:           time.Duration(p[wire.StatQueryNs]),
+		MaxQueryTime:        time.Duration(p[wire.StatMaxQueryNs]),
+		Inflight:            int64(p[wire.StatInflight]),
+		Queued:              int64(p[wire.StatQueued]),
+		QueuedTotal:         int64(p[wire.StatQueuedTotal]),
+		QueueWait:           time.Duration(p[wire.StatQueueWaitNs]),
+		MaxQueueWait:        time.Duration(p[wire.StatMaxQueueWaitNs]),
+		ShedQueueFull:       int64(p[wire.StatShedQueueFull]),
+		ShedQueueTimeout:    int64(p[wire.StatShedQueueTimeout]),
+		Deadlines:           int64(p[wire.StatDeadlines]),
+		Durable:             p[wire.StatDurable] != 0,
+		WALSeq:              p[wire.StatWALSeq],
+		WALCheckpointSeq:    p[wire.StatWALCheckpointSeq],
+		CheckpointAge:       time.Duration(p[wire.StatCheckpointAgeNs]),
+		PIRModMuls:          int64(p[wire.StatPIRModMuls]),
+		PIRTableMuls:        int64(p[wire.StatPIRTableMuls]),
+		PIRRecursiveQueries: int64(p[wire.StatPIRRecursiveQueries]),
+		ReplPrimarySeq:      p[wire.StatReplPrimarySeq],
+		ReplLag:             p[wire.StatReplLagOps],
+		RouterPartitions:    p[wire.StatRouterPartitions],
+		RouterRetries:       p[wire.StatRouterRetries],
+		RouterFailovers:     p[wire.StatRouterFailovers],
+		DecoyQueries:        int64(p[wire.StatDecoyQueries]),
+		RiskAudited:         int64(p[wire.StatRiskAudited]),
+		RiskSkipped:         int64(p[wire.StatRiskSkipped]),
+		RiskSumMicros:       int64(p[wire.StatRiskSumMicros]),
 	}
 }
 

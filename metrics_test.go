@@ -91,7 +91,6 @@ func metricsOracle(st ServeStats) []byte {
 	line("pir_modmuls_total", st.PIRModMuls)
 	line("pir_table_muls_total", st.PIRTableMuls)
 	line("pir_recursive_queries_total", st.PIRRecursiveQueries)
-	line("pir_recursive_partials_total", st.PIRRecursivePartials)
 	line("repl_primary_seq", st.ReplPrimarySeq)
 	line("repl_lag_ops", st.ReplLag)
 	line("decoy_queries_total", st.DecoyQueries)

@@ -59,7 +59,8 @@ type ServeConfig struct {
 	AllowUpdates bool
 	// AllowRetrieval opts the server in to the private document-fetch
 	// messages (TypePIRParams / TypePIRBatchQuery /
-	// TypePIRRecursiveQuery). Off by default: a flat PIR answer scans
+	// TypePIRRecursiveQuery, the last single-node only: a cluster router
+	// refuses it). Off by default: a flat PIR answer scans
 	// its document's class view, ~8·h·BlockSize modular multiplications
 	// per column of the view of height h (Options.BlockSize), and a
 	// recursive one the whole block array, so a deployment must
@@ -177,11 +178,8 @@ type ServeStats struct {
 	// these sums never double-count.
 	PIRModMuls, PIRTableMuls int64
 	// PIRRecursiveQueries counts recursive (two-level) block queries
-	// answered — a subset of Retrievals. PIRRecursivePartials counts
-	// the level-1-only partition answers served to cluster routers (a
-	// subset of PIRRecursiveQueries); a plain client-facing server
-	// reports it as zero.
-	PIRRecursiveQueries, PIRRecursivePartials int64
+	// answered — a subset of Retrievals.
+	PIRRecursiveQueries int64
 	// RouterPartitions, RouterRetries and RouterFailovers are filled
 	// only when the stats came from a cluster router: the partition
 	// count behind it, per-partition attempts beyond the first, and
@@ -492,9 +490,6 @@ func (s *NetServer) answerPIRRecursive(req *netRequest) error {
 	for i, ans := range answers {
 		s.loop.Counters[wire.StatRetrievals].Add(1)
 		s.loop.Counters[wire.StatPIRRecursiveQueries].Add(1)
-		if len(qs[i].Cols) == 0 {
-			s.loop.Counters[wire.StatPIRRecursivePartials].Add(1)
-		}
 		if err := wire.WritePIRBatchAnswerPacked(req.W, i, ans, qs[i].N); err != nil {
 			return err
 		}

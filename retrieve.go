@@ -170,8 +170,9 @@ func (c *Client) pipelineDepth() int {
 // The answers decode to byte-identical documents either way.
 //
 // Fetches, in process and remote alike, then send TypePIRRecursiveQuery
-// frames, which every server with AllowRetrieval serves. A refused
-// frame fails the fetch.
+// frames, which every single-node server with AllowRetrieval serves. A
+// cluster router refuses them as an unknown type, and a refused frame
+// fails the fetch.
 func (c *Client) SetFetchRecursive(on bool) {
 	c.fetchRecursive = on
 }
@@ -581,7 +582,8 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // earlier answers stream back, so the connection must support
 // concurrent Read and Write (every net.Conn does). A client that opted
 // into the recursive protocol (SetFetchRecursive) fetches through it
-// instead, one synchronous frame at a time.
+// instead, one synchronous frame at a time, from a single-node server:
+// a cluster router refuses the recursive protocol, and the fetch fails.
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch

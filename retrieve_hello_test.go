@@ -369,10 +369,12 @@ func TestLegacyPeerGetsTodaysFrames(t *testing.T) {
 	if got := readFrame(); !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("the empty request got %x, want the table alone %x", got, want.Bytes())
 	}
-	q, err := key.NewSeededQuery(detrand.New("legacy-peer"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[2]].First))
+	h, col, _ := sn.Layout().Place(byBlocks[2])
+	q, err := key.NewSeededQuery(detrand.New("legacy-peer"), sn.Layout().Widths()[h], col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Height = h
 	for typ, body := range map[byte][]byte{10: retiredBody(q.N, q.Values...), 11: retiredBody(nil, q.Values...)} {
 		if err := wire.WriteRaw(conn, typ, body); err != nil {
 			t.Fatal(err)
@@ -473,10 +475,12 @@ func TestHelloPacksEveryAnswer(t *testing.T) {
 			}
 		}
 	}
-	q, err := key.NewQuery(detrand.New("packed"), sn.NumBlocks(), int(sn.Params().Exts[byBlocks[3]].First))
+	h, col, _ := sn.Layout().Place(byBlocks[3])
+	q, err := key.NewQuery(detrand.New("packed"), sn.Layout().Widths()[h], col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Height = h
 	oracle := func(q *pir.Query) *pir.Answer {
 		t.Helper()
 		a, _, err := sn.AnswerCtx(context.Background(), q)

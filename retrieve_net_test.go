@@ -216,10 +216,12 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	const target = 5
-	q, err := key.NewSeededQuery(detrand.New("one-path"), old.NumBlocks(), target)
+	h, col, _ := old.Layout().Place(target)
+	q, err := key.NewSeededQuery(detrand.New("one-path"), old.Layout().Widths()[h], col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	q.Height = h
 	work := func() (int64, int64) {
 		t.Helper()
 		ss, err := ServerStats(conn)
@@ -240,7 +242,7 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 		return body
 	}
 
-	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{{N: q.N, Values: q.Values}}); err != nil {
+	if err := wire.WritePIRBatchQuery(conn, []*pir.Query{{N: q.N, Values: q.Values, Height: h}}); err != nil {
 		t.Fatal(err)
 	}
 	idx, single, err := wire.DecodePIRBatchAnswer(readAnswer(wire.TypePIRBatchResponse))
@@ -289,16 +291,19 @@ func TestPIRFramesShareOnePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown.NumBlocks() == old.NumBlocks() {
-		t.Fatal("append did not grow the store")
+	hn, coln, _ := grown.Layout().Place(id)
+	oldW, newW := old.Layout().Widths()[hn], grown.Layout().Widths()[hn]
+	if newW == oldW || oldW == 0 {
+		t.Fatalf("append left view %d at %d columns, from %d", hn, newW, oldW)
 	}
-	targets := []int{3, grown.NumBlocks() - 1, 9}
-	widths := []int{old.NumBlocks(), grown.NumBlocks(), old.NumBlocks()}
+	targets := []int{0, coln, oldW - 1}
+	widths := []int{oldW, newW, oldW}
 	frame := make([]*pir.Query, len(targets))
 	for i := range frame {
 		if frame[i], err = key.NewQuery(detrand.New(fmt.Sprintf("mixed-%d", i)), widths[i], targets[i]); err != nil {
 			t.Fatal(err)
 		}
+		frame[i].Height = hn
 	}
 	if err := wire.WritePIRBatchQuery(conn, frame); err != nil {
 		t.Fatal(err)
@@ -333,9 +338,10 @@ func TestPIRBatchDeadlineStreamsNoPartialAnswer(t *testing.T) {
 	}
 	frame := make([]*pir.Query, 3)
 	for i := range frame {
-		if frame[i], err = key.NewQuery(detrand.New(fmt.Sprintf("deadline-%d", i)), sn.NumBlocks(), i); err != nil {
+		if frame[i], err = key.NewQuery(detrand.New(fmt.Sprintf("deadline-%d", i)), sn.Layout().Widths()[1], i%sn.Layout().Widths()[1]); err != nil {
 			t.Fatal(err)
 		}
+		frame[i].Height = 1
 	}
 	if err := wire.WritePIRBatchQuery(conn, frame); err != nil {
 		t.Fatal(err)

@@ -186,7 +186,7 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	values := make([]*big.Int, cols)
 	qs := make(chan *pir.Query, 6)
 	for rot := 0; rot < 6; rot++ {
-		qs <- &pir.Query{N: key.N, Values: values, Seed: s, Rot: rot}
+		qs <- &pir.Query{N: key.N, Values: values, Seed: s, Rot: rot, Height: 1}
 	}
 	close(qs)
 	srvConn, cliConn := net.Pipe()

@@ -132,9 +132,6 @@ func TestFetchDocumentsRecursiveRemote(t *testing.T) {
 	if stats.PIRRecursiveQueries != int64(st.Runs) {
 		t.Fatalf("server counted %d recursive queries, client ran %d", stats.PIRRecursiveQueries, st.Runs)
 	}
-	if stats.PIRRecursivePartials != 0 {
-		t.Fatalf("non-cluster server counted %d recursive partials", stats.PIRRecursivePartials)
-	}
 	if stats.Retrievals != int64(st.Runs+flatSt.Runs) {
 		t.Fatalf("server counted %d retrievals, clients ran %d", stats.Retrievals, st.Runs+flatSt.Runs)
 	}

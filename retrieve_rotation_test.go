@@ -1,6 +1,7 @@
 package embellish
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"embellish/internal/detrand"
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
+	"embellish/internal/vbyte"
 	"embellish/internal/wire"
 )
 
@@ -107,8 +109,7 @@ func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, by
 // over its class view, and a byte per further column, and
 // FetchStats.QueryBytes is exactly that figure. What else the socket
 // carries is counted to the byte: the six-byte hello and each frame's
-// head (length, type, modulus, the two zeros of a frame with heights,
-// the seeded form's 0, count, V and Z) — and, at the default window,
+// head (length, type, modulus, the seeded form's 0, count, V and Z) — and, at the default window,
 // where a frame boundary can fall inside a document, the seeded entry of
 // each rotation the boundary orphans in place of its byte.
 func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
@@ -180,7 +181,7 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 				if err != nil || qs[0].Seed == nil || qs[0].Height == 0 {
 					t.Fatalf("%s, window %d: a batch frame that is not seeded over a view (%v)", tc.name, window, err)
 				}
-				extra += 4 + 1 + bigBytes(key.N) + 2 + 1 + 1 + bigBytes(qs[0].Seed.V) + bigBytes(qs[0].Seed.Z)
+				extra += 4 + 1 + bigBytes(key.N) + 1 + 1 + bigBytes(qs[0].Seed.V) + bigBytes(qs[0].Seed.Z)
 				if qs[0].Rot > 0 { // an orphan: an entry where the protocol counts a byte
 					extra += wire.SeededEntryBytes(len(qs[0].Values), qs[0].Height, qs[0].Rot) - 1
 				}
@@ -360,20 +361,21 @@ func TestBatchFrameRotationsAnsweredLikeFullVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := sn.Params()
+	layout := sn.Layout()
 	var compact, full []*pir.Query
 	for _, n := range []int{3, 5} {
-		ext := params.Exts[byBlocks[n]]
-		q, err := key.NewQuery(detrand.New(fmt.Sprintf("frame-%d", n)), params.NumBlocks, int(ext.First))
+		h, col, _ := layout.Place(byBlocks[n])
+		q, err := key.NewQuery(detrand.New(fmt.Sprintf("frame-%d", n)), layout.Widths()[h], col)
 		if err != nil {
 			t.Fatal(err)
 		}
+		q.Height = h
 		for b := 0; b < n; b++ {
 			if b > 0 {
 				q = q.Next()
 			}
 			compact = append(compact, q)
-			own := &pir.Query{N: q.N, Values: make([]*big.Int, len(q.Values))}
+			own := &pir.Query{N: q.N, Values: make([]*big.Int, len(q.Values)), Height: h}
 			for j, v := range q.Values {
 				own.Values[j] = new(big.Int).Set(v)
 			}
@@ -525,9 +527,10 @@ func TestFetchWorkIsTargetIndependentWithinAClass(t *testing.T) {
 }
 
 // TestHostileViewFramesRefusedInPlace: a live server refuses a type-12
-// entry whose height names no view of its store, or that is wider than
-// its view, with one typed refusal (wire.ViewRefusal) for the frame, and
-// the connection answers the next frame.
+// entry at height 0 (the block array, which no writer produces), whose
+// height names no view of its store, or that is wider than its view,
+// with one typed refusal (wire.ViewRefusal) for the frame, and the
+// connection answers the next frame.
 func TestHostileViewFramesRefusedInPlace(t *testing.T) {
 	e, c, _, byBlocks := classWorld(t)
 	conn, key := pirFrameConn(t, e, c, ServeConfig{AllowRetrieval: true})
@@ -544,17 +547,26 @@ func TestHostileViewFramesRefusedInPlace(t *testing.T) {
 	}{
 		{"a height past the tallest view", top + 1, widths[1]},
 		{"a vector wider than its view", 1, widths[1] + 1},
+		{"the block array", 0, widths[0]},
 	} {
 		q, err := key.NewSeededQuery(detrand.New(tc.name), tc.width, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.Height = tc.height
-		if err := wire.WritePIRBatchQuery(conn, []*pir.Query{q, q.Next()}); err != nil {
+		q.Height = max(tc.height, 1)
+		var frame bytes.Buffer
+		if err := wire.WritePIRBatchQuery(&frame, []*pir.Query{q, q.Next()}); err != nil {
+			t.Fatal(err)
+		}
+		if tc.height == 0 {
+			zeroFirstHeight(frame.Bytes())
+		}
+		if _, err := conn.Write(frame.Bytes()); err != nil {
 			t.Fatal(err)
 		}
 		typ, body, err := wire.ReadMessage(conn)
-		if err != nil || typ != wire.TypeError || !strings.HasPrefix(string(body), wire.ViewRefusal) {
+		if err != nil || typ != wire.TypeError || !strings.HasPrefix(string(body), wire.ViewRefusal) ||
+			tc.height == 0 && !strings.Contains(string(body), "height 0") {
 			t.Fatalf("%s: answered type %d %q, %v", tc.name, typ, body, err)
 		}
 		// The next frame on the connection is served: a column of view 3.
@@ -574,6 +586,21 @@ func TestHostileViewFramesRefusedInPlace(t *testing.T) {
 			t.Fatalf("%s: the next frame's answer: %v", tc.name, err)
 		}
 	}
+}
+
+// zeroFirstHeight sets the height of the first entry of a seeded type-12
+// frame to 0: past the 4-byte length and the type, the modulus, the
+// seeded form's 0, the count, V, Z and the width.
+func zeroFirstHeight(frame []byte) {
+	b := frame[5:]
+	for field := 0; field < 6; field++ {
+		v, used, _ := vbyte.Decode(b)
+		b = b[used:]
+		if field == 0 || field == 3 || field == 4 { // a big integer's bytes
+			b = b[v:]
+		}
+	}
+	b[0] = 0x80
 }
 
 // TestFrameOfTwoViewsServedPerView: one frame whose entries name views 2

@@ -98,8 +98,10 @@ type position struct {
 	name string
 }
 
-// configFiles declare the structs a setting would be a field of.
-var configFiles = []string{"options.go", "net.go", "internal/cluster/router.go"}
+// configFiles declare the structs a setting would be a field of; the
+// recursive query's is among them, for the partition window it no
+// longer has.
+var configFiles = []string{"options.go", "net.go", "internal/cluster/router.go", "internal/pir/recursive.go"}
 
 // rule is one row: the guard it belongs to, the files or directories it
 // reads ("" is the whole module), and its check.
@@ -189,6 +191,14 @@ var rules = []rule{
 	// and no Client method runs the engine's ranking itself.
 	retired("one client path", ident|tests, "", `^(localPIR|runBatched|viewing|fetchLocal|pirTransport)$`),
 	count("one client path", "Client methods running the ranking", "", 0, 0, methodsWith("Client", exprs(`\.(Process|ProcessContext|processCoreCtx)$`))),
+	// One routed fetch database: a router serves the flat fetch over class
+	// views only, so nothing in internal/cluster names the recursive frame;
+	// the recursive scan has no partition window, level-1-only mode or
+	// router-side level 2; and every type-12 entry carries its view's
+	// height, so there is no frame without heights.
+	retired("one routed fetch database", ident, "internal/cluster", `^TypePIRRecursiveQuery$`),
+	retired("one routed fetch database", ident|tests, "", `^(handlePIRRecursive|RecursiveLevel2|recursiveSpanError|errRecursive(Offset|Span)|withHeights|StatPIRRecursivePartials|PIRRecursivePartials)$`),
+	retired("one routed fetch database", field, "internal/pir/recursive.go", `^(Offset|Span)$`),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
