@@ -3,10 +3,12 @@ package embellish
 import (
 	"bytes"
 	"fmt"
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
 
+	"embellish/internal/benaloh"
 	"embellish/internal/detrand"
 )
 
@@ -354,6 +356,8 @@ func TestOptionsValidate(t *testing.T) {
 		{BucketSize: 0, KeyBits: 256, ScoreSpace: 9, QuantLevels: 255},
 		{BucketSize: 4, KeyBits: 8, ScoreSpace: 9, QuantLevels: 255},
 		{BucketSize: 4, KeyBits: 256, ScoreSpace: 0, QuantLevels: 255},
+		// A decrypted score is an int64: 3^39 < 2^63 - 1 < 3^40.
+		{BucketSize: 4, KeyBits: 256, ScoreSpace: 40, QuantLevels: 255},
 		{BucketSize: 4, KeyBits: 256, ScoreSpace: 9, QuantLevels: 0},
 	}
 	for i, o := range cases {
@@ -363,6 +367,14 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if err := DefaultOptions().validate(); err != nil {
 		t.Fatalf("default options rejected: %v", err)
+	}
+	widest := DefaultOptions()
+	widest.ScoreSpace = 39
+	if err := widest.validate(); err != nil {
+		t.Fatalf("ScoreSpace 39 rejected: %v", err)
+	}
+	if maxInt64 := new(big.Int).SetUint64(1<<63 - 1); benaloh.Pow3(39).Cmp(maxInt64) > 0 || benaloh.Pow3(40).Cmp(maxInt64) <= 0 {
+		t.Fatal("3^39 <= 2^63-1 < 3^40 does not hold")
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 	"math/bits"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -685,6 +687,70 @@ func TestDecryptAcrossPrimeWidths(t *testing.T) {
 		if m, err := d.DecryptInt(c); err != nil || m != 4242 {
 			t.Fatalf("%d-bit key: DecryptInt after refusals = %d, %v", tc.bits, m, err)
 		}
+		checkBatchLanes(t, sk, d, newDetRand(seed+"-batch"))
+	}
+}
+
+// checkBatchLanes holds DecryptInts to one DecryptInt per ciphertext over
+// batches of one to five — pairs and an odd tail — and, with a non-unit at
+// every position in turn, to the lowest failure: its index and ErrNotUnit,
+// every score before it written.
+func checkBatchLanes(t *testing.T, sk *PrivateKey, d *Decryptor, rnd io.Reader) {
+	t.Helper()
+	msgs := []int64{0, 1, 4242, 59048, 31337}
+	cts := make([]*big.Int, len(msgs))
+	for i, m := range msgs {
+		var err error
+		if cts[i], err = sk.EncryptInt(rnd, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= len(cts); n++ {
+		ms := make([]int64, n)
+		if got, err := d.DecryptInts(ms, cts[:n]); err != nil || got != n || !slices.Equal(ms, msgs[:n]) {
+			t.Fatalf("%d-bit key, %d ciphertexts: DecryptInts = %d, %v, scores %v", sk.N.BitLen(), n, got, err, ms)
+		}
+		for bad := 0; bad < n; bad++ {
+			in := slices.Clone(cts[:n])
+			in[bad] = sk.P1
+			ms := make([]int64, n)
+			if got, err := d.DecryptInts(ms, in); !errors.Is(err, ErrNotUnit) || got != bad || !slices.Equal(ms[:bad], msgs[:bad]) {
+				t.Fatalf("%d-bit key, %d ciphertexts, non-unit at %d: DecryptInts = %d, %v, scores %v", sk.N.BitLen(), n, bad, got, err, ms)
+			}
+		}
+	}
+}
+
+// TestDecryptIntRefusesWidePlaintext decrypts under r = 3^40 > 2^63: a
+// score of 2^63 + 5 is a plaintext Decrypt recovers but no int64 holds,
+// and DecryptInt and DecryptInts refuse it rather than wrap it negative.
+func TestDecryptIntRefusesWidePlaintext(t *testing.T) {
+	sk, err := GenerateKey(newDetRand("wide-plaintext"), 256, Pow3(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rnd := newDetRand("wide-plaintext-msgs")
+	wide := new(big.Int).Add(new(big.Int).Lsh(one, 63), big.NewInt(5))
+	cWide, err := sk.Encrypt(rnd, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sk.Decrypt(cWide); err != nil || m.Cmp(wide) != 0 {
+		t.Fatalf("Decrypt(E(2^63+5)) = %v, %v", m, err)
+	}
+	if m, err := sk.DecryptInt(cWide); err == nil {
+		t.Fatalf("DecryptInt(E(2^63+5)) = %d with no error", m)
+	}
+	cMax, err := sk.EncryptInt(rnd, math.MaxInt64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := sk.DecryptInt(cMax); err != nil || m != math.MaxInt64 {
+		t.Fatalf("DecryptInt(E(2^63-1)) = %d, %v", m, err)
+	}
+	ms := make([]int64, 3)
+	if n, err := sk.NewDecryptor().DecryptInts(ms, []*big.Int{cMax, cWide, cMax}); n != 1 || err == nil || ms[0] != math.MaxInt64 {
+		t.Fatalf("DecryptInts(E(2^63-1), E(2^63+5), E(2^63-1)) = %d, %v, scores %v", n, err, ms)
 	}
 }
 
@@ -740,7 +806,9 @@ func TestConcurrentDecrypt(t *testing.T) {
 
 // FuzzDecrypt feeds Decrypt arbitrary integers under a 3^k key with unequal
 // chunks and under a prime-r key: the typed refusal or the oracle's
-// plaintext, never a panic.
+// plaintext, never a panic. The value and a second one go through
+// DecryptInts as a pair and an odd tail, each score held to its single
+// Decrypt and the count and error to the lowest refusal.
 func FuzzDecrypt(f *testing.F) {
 	pow3Key, err := GenerateKey(newDetRand("fuzz-pow3"), 128, Pow3(5))
 	if err != nil {
@@ -755,14 +823,33 @@ func FuzzDecrypt(f *testing.F) {
 	for _, sk := range keys {
 		c, _ := sk.EncryptInt(rnd, 200)
 		for _, v := range []*big.Int{c, new(big.Int), one, sk.N, sk.P1, sk.P2, new(big.Int).Add(c, sk.N)} {
-			f.Add(v.Bytes(), false)
-			f.Add(v.Bytes(), true)
+			f.Add(v.Bytes(), false, c.Bytes())
+			f.Add(v.Bytes(), true, v.Bytes())
+			f.Add(c.Bytes(), false, v.Bytes())
 		}
 	}
-	f.Fuzz(func(t *testing.T, data []byte, neg bool) {
+	f.Fuzz(func(t *testing.T, data []byte, neg bool, data2 []byte) {
 		c := new(big.Int).SetBytes(data)
 		if neg {
 			c.Neg(c)
+		}
+		c2 := new(big.Int).SetBytes(data2)
+		for _, sk := range keys {
+			cs := []*big.Int{c, c2, c}
+			ms := make([]int64, len(cs))
+			n, err := sk.NewDecryptor().DecryptInts(ms, cs)
+			for i, ci := range cs {
+				want, wantErr := sk.Decrypt(ci)
+				switch {
+				case i < n && (wantErr != nil || ms[i] != want.Int64()):
+					t.Fatalf("DecryptInts lane %d of %v = %d, Decrypt = %v, %v", i, cs, ms[i], want, wantErr)
+				case i == n && (wantErr == nil || err != wantErr):
+					t.Fatalf("DecryptInts(%v) stopped at %d with %v, Decrypt = %v, %v", cs, n, err, want, wantErr)
+				}
+			}
+			if (n == len(cs)) != (err == nil) {
+				t.Fatalf("DecryptInts(%v) = %d, %v", cs, n, err)
+			}
 		}
 		for _, sk := range keys {
 			m, err := sk.Decrypt(c)
@@ -808,6 +895,19 @@ func BenchmarkDecryptInt(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink, _ = d.DecryptInt(cts[i%len(cts)])
 		}
+	})
+	// The batch entry over the 64 ciphertexts, as PostFilter hands it a
+	// worker's range: 32 two-lane pairs.
+	b.Run("batch", func(b *testing.B) {
+		b.ReportAllocs()
+		d := sk.NewDecryptor()
+		ms := make([]int64, len(cts))
+		for i := 0; i < b.N; i++ {
+			if _, err := d.DecryptInts(ms, cts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(cts)), "ns/ciphertext")
 	})
 }
 

@@ -14,6 +14,10 @@ var ErrNotUnit = errors.New("benaloh: ciphertext not in Z_n^*")
 // subgroup the tables enumerate.
 var errNoLog = errors.New("benaloh: decryption failed (invalid key)")
 
+// errInt64 refuses a plaintext outside int64's range: under r > 2^63 a
+// score can be one, and Int64 would wrap it into a wrong number.
+var errInt64 = errors.New("benaloh: plaintext does not fit an int64")
+
 // maxChunk caps the base-3 digits one table look-up resolves: 3^8 entries
 // keep the two tables of a 512-bit key under 1 MB together.
 const maxChunk = 8
@@ -32,18 +36,21 @@ type Decryptor struct {
 	sk *PrivateKey
 	m  big.Int // the plaintext
 	t  big.Int // one chunk's contribution to it
-	// xw is the subgroup element being solved and yw a power of it, both
-	// in the form; cw is a canonical value on its way out of it.
-	xw, yw, cw []big.Word
-	rw         []big.Word // c mod p2 in the form, for the unit check
-	buf        []byte     // cw as a logTab key
+	// x0 and x1 are the two lanes' subgroup elements being solved; y0 and
+	// y1 hold the lanes' residues of c on the way in, and y0 then powers
+	// of the element being solved. All are in the form; cw is a canonical
+	// value on its way out of it.
+	x0, x1, y0, y1, cw []big.Word
+	rw                 []big.Word // c mod p2 in the form, for the unit check
+	buf                []byte     // cw as a logTab key
 }
 
 // NewDecryptor returns a Decryptor for the key.
 func (sk *PrivateKey) NewDecryptor() *Decryptor {
 	k, k2 := sk.m1.Words(), sk.m2.Words()
-	w := make([]big.Word, 3*k+k2)
-	return &Decryptor{sk: sk, xw: w[:k], yw: w[k : 2*k], cw: w[2*k : 3*k], rw: w[3*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
+	w := make([]big.Word, 5*k+k2)
+	return &Decryptor{sk: sk, x0: w[:k:k], x1: w[k : 2*k : 2*k], y0: w[2*k : 3*k : 3*k], y1: w[3*k : 4*k : 4*k], cw: w[4*k : 5*k : 5*k],
+		rw: w[5*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
 }
 
 // Decrypt recovers the plaintext of c with one exponentiation modulo p1
@@ -51,47 +58,112 @@ func (sk *PrivateKey) NewDecryptor() *Decryptor {
 // r costs O(√r) multiplications modulo p1 on top (baby-step giant-step).
 func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	d := sk.NewDecryptor()
-	if err := d.decrypt(c); err != nil {
+	if err := d.enter(d.y0, c); err != nil {
+		return nil, err
+	}
+	sk.m1.Exp(d.x0, d.y0, sk.cofactor.Bits())
+	if err := d.solve(d.x0); err != nil {
 		return nil, err
 	}
 	return &d.m, nil
 }
 
-// DecryptInt decrypts and returns the plaintext as an int64.
+// DecryptInt decrypts and returns the plaintext as an int64, refusing one
+// that does not fit (r above 2^63 admits such plaintexts).
 func (sk *PrivateKey) DecryptInt(c *big.Int) (int64, error) {
 	return sk.NewDecryptor().DecryptInt(c)
 }
 
-// DecryptInt decrypts and returns the plaintext as an int64.
+// DecryptInt decrypts and returns the plaintext as an int64, refusing one
+// that does not fit: DecryptInts with one ciphertext.
 func (d *Decryptor) DecryptInt(c *big.Int) (int64, error) {
-	if err := d.decrypt(c); err != nil {
-		return 0, err
-	}
-	return d.m.Int64(), nil
+	var m [1]int64
+	_, err := d.DecryptInts(m[:], []*big.Int{c})
+	return m[0], err
 }
 
-// decrypt leaves the plaintext of c in d.m. The whole plaintext lives in
-// the order-r subgroup of Z_p1^*: key generation makes r | p1-1, so for
-// c = g^m·µ^r
+// DecryptInts decrypts cs[i] into ms[i] in order (ms at least as long as
+// cs) and returns how many it decrypted: len(cs), or the index of the
+// first ciphertext that fails — a non-unit, or a plaintext no int64
+// holds — with its error. Each consecutive pair's cofactor powers, most
+// of a decryption, run as one two-lane chain (mont.Modulus.ExpPair) and
+// an odd last ciphertext on the single chain; a pair whose second
+// ciphertext is refused on the way in decrypts its first alone, so the
+// failure reported is always the lowest one's.
+//
+// c^((p1-1)/r) is where the whole plaintext lives, in the order-r
+// subgroup of Z_p1^*: key generation makes r | p1-1, so for c = g^m·µ^r
 //
 //	c^((p1-1)/r) = h^m · µ^(p1-1) = h^m  (mod p1),  h = g^((p1-1)/r),
 //
 // and h has exact order r because g^(φ/p) ≠ 1 for every prime p | r while
-// gcd(r, p2-1) = 1. Nothing below works modulo n.
-func (d *Decryptor) decrypt(c *big.Int) error {
-	sk, m1 := d.sk, d.sk.m1
+// gcd(r, p2-1) = 1. Nothing here works modulo n.
+func (d *Decryptor) DecryptInts(ms []int64, cs []*big.Int) (int, error) {
+	m1, e := d.sk.m1, d.sk.cofactor.Bits()
+	for i := 0; i < len(cs); i += 2 {
+		if err := d.enter(d.y0, cs[i]); err != nil {
+			return i, err
+		}
+		pair := i+1 < len(cs)
+		var err1 error
+		if pair {
+			err1 = d.enter(d.y1, cs[i+1])
+		}
+		if pair && err1 == nil {
+			m1.ExpPair(d.x0, d.x1, d.y0, d.y1, e)
+		} else {
+			m1.Exp(d.x0, d.y0, e)
+		}
+		if err := d.solveInt(&ms[i], d.x0); err != nil {
+			return i, err
+		}
+		if !pair {
+			break
+		}
+		if err1 != nil {
+			return i + 1, err1
+		}
+		if err := d.solveInt(&ms[i+1], d.x1); err != nil {
+			return i + 1, err
+		}
+	}
+	return len(cs), nil
+}
+
+// enter checks that c is a unit of Z_n^* and leaves its residue modulo p1,
+// in the form, in y.
+func (d *Decryptor) enter(y []big.Word, c *big.Int) error {
+	sk := d.sk
 	if c.Sign() <= 0 || c.Cmp(sk.N) >= 0 {
 		return ErrNotUnit
 	}
 	// A unit is nonzero modulo both primes; the form of zero is zero.
 	sk.m2.Reduce(d.rw, c.Bits())
-	m1.Reduce(d.yw, c.Bits())
-	if isZero(d.rw) || isZero(d.yw) {
+	sk.m1.Reduce(y, c.Bits())
+	if isZero(d.rw) || isZero(y) {
 		return ErrNotUnit
 	}
-	m1.Exp(d.xw, d.yw, sk.cofactor.Bits())
+	return nil
+}
+
+// solveInt is solve with the plaintext stored as an int64.
+func (d *Decryptor) solveInt(dst *int64, x []big.Word) error {
+	if err := d.solve(x); err != nil {
+		return err
+	}
+	if !d.m.IsInt64() {
+		return errInt64
+	}
+	*dst = d.m.Int64()
+	return nil
+}
+
+// solve leaves in d.m the m of x = h^m, the cofactor power of a
+// ciphertext, consuming x; d.y0 and d.cw are its scratch.
+func (d *Decryptor) solve(x []big.Word) error {
+	sk, m1 := d.sk, d.sk.m1
 	if sk.k == 0 {
-		return d.babyGiant()
+		return d.babyGiant(x)
 	}
 	// Pohlig-Hellman over chunks of base-3 digits, lowest first. With the
 	// digits below position o peeled off, x = h^(3^o·m') and raising it to
@@ -101,8 +173,8 @@ func (d *Decryptor) decrypt(c *big.Int) error {
 	d.m.SetInt64(0)
 	for o := 0; o < sk.k; o += sk.chunk {
 		w := min(sk.chunk, sk.k-o)
-		m1.Exp(d.yw, d.xw, sk.pow3[sk.k-o-w].Bits())
-		i, ok := sk.logTab[string(d.key(d.yw))]
+		m1.Exp(d.y0, x, sk.pow3[sk.k-o-w].Bits())
+		i, ok := sk.logTab[string(d.key(d.y0))]
 		if !ok {
 			return errNoLog
 		}
@@ -113,8 +185,8 @@ func (d *Decryptor) decrypt(c *big.Int) error {
 			if err := m1.Put(d.cw, sk.peel[digits]); err != nil {
 				return errNoLog
 			}
-			m1.Exp(d.yw, d.cw, sk.pow3[o].Bits())
-			m1.Mul(d.xw, d.xw, d.yw)
+			m1.Exp(d.y0, d.cw, sk.pow3[o].Bits())
+			m1.Mul(x, x, d.y0)
 		}
 	}
 	return nil
@@ -145,18 +217,18 @@ func (d *Decryptor) key(v []big.Word) []byte {
 // babyGiant solves h^m = x for a prime r: m = i·s + j where the i-th giant
 // step x·h^(-s·i) is the baby step h^j; s² > r bounds i below s, and the
 // first hit is m itself.
-func (d *Decryptor) babyGiant() error {
+func (d *Decryptor) babyGiant(x []big.Word) error {
 	sk, m1 := d.sk, d.sk.m1
-	if err := m1.Put(d.yw, sk.giant); err != nil {
+	if err := m1.Put(d.y0, sk.giant); err != nil {
 		return errNoLog
 	}
 	s := int64(len(sk.logTab))
 	for i := int64(0); i < s; i++ {
-		if j, ok := sk.logTab[string(d.key(d.xw))]; ok {
+		if j, ok := sk.logTab[string(d.key(x))]; ok {
 			d.m.SetInt64(i*s + int64(j))
 			return nil
 		}
-		m1.Mul(d.xw, d.xw, d.yw)
+		m1.Mul(x, x, d.y0)
 	}
 	return errNoLog
 }

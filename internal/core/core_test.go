@@ -344,7 +344,7 @@ func TestMaxScoreGuard(t *testing.T) {
 func TestPostFilterAllocsPerCandidate(t *testing.T) {
 	_, k := world(t)
 	c := NewClient(cachedWorld.Org, k, 70)
-	resp := candidateSet(t, 588)
+	resp := candidateSet(t, k, 588)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := c.PostFilter(resp, 10); err != nil {
 			t.Fatal(err)

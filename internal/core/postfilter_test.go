@@ -17,18 +17,17 @@ import (
 )
 
 // candidateSet returns a response of n candidates with random scores
-// under the test key, in shuffled document order — PostFilter's input
-// without a server behind it, at any size.
-func candidateSet(t *testing.T, n int) *Response {
-	t.Helper()
-	_, k := world(t)
+// under key, in shuffled document order — PostFilter's input without a
+// server behind it, at any size.
+func candidateSet(tb testing.TB, k *benaloh.PrivateKey, n int) *Response {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(int64(n)))
 	src := testenv.NewDetRand(fmt.Sprintf("candidates-%d", n))
 	resp := &Response{Docs: make([]DocScore, n)}
 	for i, d := range rng.Perm(n) {
 		enc, err := k.EncryptInt(src, rng.Int63n(k.R.Int64()))
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		resp.Docs[i] = DocScore{Doc: index.DocID(d), Enc: enc}
 	}
@@ -56,12 +55,13 @@ func serialPostFilter(key *benaloh.PrivateKey, resp *Response, k int) ([]Ranked,
 
 // TestPostFilterWidths holds the fan-out to the serial oracle at every
 // width the rule can choose: the same ranking in the same order, and the
-// lowest failing candidate's error whichever worker meets it.
+// lowest failing candidate's error whichever worker meets it and
+// whichever lane of a two-candidate decryption it sits in.
 func TestPostFilterWidths(t *testing.T) {
 	_, key := world(t)
 	c := NewClient(cachedWorld.Org, key, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	all := candidateSet(t, 5000)
+	all := candidateSet(t, key, 5000)
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, n := range []int{0, 1, 63, 64, 65, 588, 5000} {
@@ -84,21 +84,49 @@ func TestPostFilterWidths(t *testing.T) {
 			}
 			// Two bad ciphertexts, in one range and in different ones.
 			for _, at := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {n/2 - 1, n / 2}, {n - 2, n - 1}} {
-				i, j := at[0], at[1]
-				if i >= j {
+				if at[0] < at[1] {
+					checkBadAt(t, c, key, resp, procs, at[:])
+				}
+			}
+			// In every worker's range, bad ciphertexts at a pair's first
+			// lane, its second lane, both lanes, and the unpaired tail of
+			// an odd-length range.
+			workers := max(1, min(procs, n/postFilterGrain))
+			for w := range workers {
+				lo, hi := w*n/workers, (w+1)*n/workers
+				if hi-lo < 2 {
 					continue
 				}
-				bad := &Response{Docs: append([]DocScore(nil), resp.Docs...)}
-				bad.Docs[i].Enc = new(big.Int)
-				bad.Docs[j].Enc = new(big.Int).Set(key.N)
-				_, want := serialPostFilter(key, bad, 0)
-				_, err := c.PostFilter(bad, 0)
-				if err == nil || !errors.Is(err, benaloh.ErrNotUnit) || err.Error() != want.Error() ||
-					!strings.Contains(err.Error(), fmt.Sprintf("doc %d:", bad.Docs[i].Doc)) {
-					t.Fatalf("GOMAXPROCS %d, %d candidates, bad at %d and %d: error %v, want %v", procs, n, i, j, err, want)
+				first := lo + (hi-lo-2)/4*2 // an even offset: a pair's first lane
+				for _, at := range [][]int{{first}, {first + 1}, {first, first + 1}} {
+					checkBadAt(t, c, key, resp, procs, at)
+				}
+				if (hi-lo)%2 == 1 {
+					checkBadAt(t, c, key, resp, procs, []int{hi - 1})
 				}
 			}
 		}
+	}
+}
+
+// checkBadAt replaces the candidates at the ascending positions at with
+// non-units — zero first, n after — and holds PostFilter's error to the
+// serial oracle's: ErrNotUnit, naming the lowest one's document.
+func checkBadAt(t *testing.T, c *Client, key *benaloh.PrivateKey, resp *Response, procs int, at []int) {
+	t.Helper()
+	bad := &Response{Docs: append([]DocScore(nil), resp.Docs...)}
+	for i, pos := range at {
+		if i == 0 {
+			bad.Docs[pos].Enc = new(big.Int)
+		} else {
+			bad.Docs[pos].Enc = new(big.Int).Set(key.N)
+		}
+	}
+	_, want := serialPostFilter(key, bad, 0)
+	_, err := c.PostFilter(bad, 0)
+	if err == nil || !errors.Is(err, benaloh.ErrNotUnit) || err.Error() != want.Error() ||
+		!strings.Contains(err.Error(), fmt.Sprintf("doc %d:", bad.Docs[at[0]].Doc)) {
+		t.Fatalf("GOMAXPROCS %d, %d candidates, bad at %v: error %v, want %v", procs, len(resp.Docs), at, err, want)
 	}
 }
 
@@ -109,7 +137,7 @@ func TestPostFilterConcurrentCallers(t *testing.T) {
 	c := NewClient(cachedWorld.Org, key, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(4)
-	resp := candidateSet(t, 588)
+	resp := candidateSet(t, key, 588)
 	want, err := serialPostFilter(key, resp, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -133,4 +161,23 @@ func TestPostFilterConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// BenchmarkPostFilter decodes a candidate set at the served shape: 588
+// candidates — W2k's three-term search — under a 256-bit key with
+// r = 3^12, at the run's GOMAXPROCS; run with -benchmem.
+func BenchmarkPostFilter(b *testing.B) {
+	key, err := benaloh.GenerateKey(testenv.NewDetRand("bench-postfilter"), 256, benaloh.Pow3(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := NewClient(nil, key, 1)
+	resp := candidateSet(b, key, 588)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := c.PostFilter(resp, 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(resp.Docs)), "ns/candidate")
 }

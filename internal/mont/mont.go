@@ -19,10 +19,12 @@
 //
 // The kernel is one loop, generic in width. A two-word modulus — the
 // prime Benaloh decryption works modulo at 130- to 257-bit keys — takes
-// the same algorithm unrolled onto registers (mulWord2); Mul and Exp pick
-// it by the modulus's width and by nothing else, with the same operand
-// contract, product count and canonical results, and the generic loop is
-// the reference the tests hold it to word for word.
+// the same reduction unrolled onto registers (mulWord2); Mul, Exp and
+// ExpPair pick it by the modulus's width and by nothing else, with the
+// same operand contract, product count and canonical results, and the
+// generic loop is the reference the tests hold it to word for word.
+// ExpPair walks one exponent over two bases, so that at two words the two
+// chains' products overlap in one core.
 //
 // REDC needs gcd(n, R) = 1, an odd modulus. Honest moduli are products
 // of odd primes, but the serving paths take client-chosen moduli off the
@@ -192,6 +194,41 @@ func (m *Modulus) Exp(dst, base, e []big.Word) (muls int) {
 	return muls
 }
 
+// ExpPair sets dst0 = base0^e and dst1 = base1^e: Exp's walk of one
+// exponent over two bases, with Exp's canonical results and its product
+// count, which it returns once — each lane takes that many. At two words
+// both lanes ride one loop in registers, each step issuing the two lanes'
+// independent products back to back, so the core runs one lane's
+// multiplies while the other's wait out the multiplier's latency; at
+// every other width it is two Exp chains. Neither dst may alias either
+// base, nor the other dst. Allocation-free and variable-time in e.
+func (m *Modulus) ExpPair(dst0, dst1, base0, base1, e []big.Word) (muls int) {
+	for len(e) > 0 && e[len(e)-1] == 0 {
+		e = e[:len(e)-1]
+	}
+	if len(m.n) != 2 || len(e) == 0 {
+		m.Exp(dst0, base0, e)
+		return m.Exp(dst1, base1, e)
+	}
+	n0, n1, n0inv := uint(m.n[0]), uint(m.n[1]), uint(m.n0inv)
+	a0, a1 := uint(base0[0]), uint(base0[1])
+	c0, c1 := uint(base1[0]), uint(base1[1])
+	x0, x1, y0, y1 := a0, a1, c0, c1
+	for bit := len(e)*bits.UintSize - bits.LeadingZeros(uint(e[len(e)-1])) - 2; bit >= 0; bit-- {
+		x0, x1 = mulWord2(x0, x1, x0, x1, n0, n1, n0inv)
+		y0, y1 = mulWord2(y0, y1, y0, y1, n0, n1, n0inv)
+		muls++
+		if e[bit/bits.UintSize]>>(bit%bits.UintSize)&1 == 1 {
+			x0, x1 = mulWord2(x0, x1, a0, a1, n0, n1, n0inv)
+			y0, y1 = mulWord2(y0, y1, c0, c1, n0, n1, n0inv)
+			muls++
+		}
+	}
+	dst0[1], dst0[0] = big.Word(x1), big.Word(x0)
+	dst1[1], dst1[0] = big.Word(y1), big.Word(y0)
+	return muls
+}
+
 // Reduce sets dst = x·R mod n, the Montgomery form of x mod n, for a
 // non-negative x of any width given as little-endian words (a big.Int's
 // Bits) — a reduction without a division. Cut into limbs of the modulus
@@ -310,57 +347,59 @@ func (m *Modulus) exp2(dst, base, e []big.Word) (muls int) {
 	return muls
 }
 
-// mulWord2 is mul for a two-word modulus, unrolled: the same two fused
-// passes and the same final compare-and-subtract on values that never
-// leave registers — no accumulator to clear, no slice to bound. Benaloh
+// mulWord2 is mul for a two-word modulus on values that never leave
+// registers — no accumulator to clear, no slice to bound — in operand-
+// scanning order rather than mul's interleaved one: the whole four-word
+// product a·b first (four independent multiplies), then two REDC folds,
+// each adding q·n a word up in one carry chain, then the final
+// compare-and-subtract, chosen by a mask rather than a branch. Benaloh
 // decryption works modulo p1, half the key's width, so at 256-bit keys
-// every one of its ~185 products per candidate is this one. Like mul it
-// asks for b canonical and takes any two-word a.
+// every one of its ~185 products per candidate is this one, and with two
+// lanes in flight (ExpPair) a mispredicted branch in either would flush
+// both. Like mul it asks for b canonical and takes any two-word a, and it
+// returns mul's canonical result word for word.
 func mulWord2(a0, a1, b0, b1, n0, n1, n0inv uint) (uint, uint) {
-	// Pass 0 starts from a zero accumulator: t = (a0·b + q·n) / 2^W.
-	c1, lo := bits.Mul(a0, b0)
-	q := lo * n0inv
-	c2, lo2 := bits.Mul(q, n0)
-	_, c := bits.Add(lo2, lo, 0) // the low word cancels by the choice of q
-	c2 += c
-	hi, lo := bits.Mul(a0, b1)
-	lo, c = bits.Add(lo, c1, 0)
-	c1 = hi + c
-	hi, lo2 = bits.Mul(q, n1)
-	lo2, c = bits.Add(lo2, lo, 0)
-	hi += c
-	t0, c := bits.Add(lo2, c2, 0)
-	c2 = hi + c
-	t1, top := bits.Add(c1, c2, 0)
+	// p = a·b in four words: below R·n, so nothing carries out of p3.
+	h00, p0 := bits.Mul(a0, b0)
+	h01, l01 := bits.Mul(a0, b1)
+	h10, l10 := bits.Mul(a1, b0)
+	h11, l11 := bits.Mul(a1, b1)
+	p1, c := bits.Add(h00, l01, 0)
+	p2, c := bits.Add(h01, l11, c)
+	p3, _ := bits.Add(h11, 0, c)
+	p1, c = bits.Add(p1, l10, 0)
+	p2, c = bits.Add(p2, h10, c)
+	p3, _ = bits.Add(p3, 0, c)
 
-	// Pass 1: t = (t + a1·b + q·n) / 2^W, below 2n in two words and top.
-	c1, lo = bits.Mul(a1, b0)
-	lo, c = bits.Add(lo, t0, 0)
-	c1 += c
-	q = lo * n0inv
-	c2, lo2 = bits.Mul(q, n0)
-	_, c = bits.Add(lo2, lo, 0)
-	c2 += c
-	hi, lo = bits.Mul(a1, b1)
-	lo, c = bits.Add(lo, t1, 0)
-	hi += c
-	lo, c = bits.Add(lo, c1, 0)
-	c1 = hi + c
-	hi, lo2 = bits.Mul(q, n1)
-	lo2, c = bits.Add(lo2, lo, 0)
-	hi += c
-	t0, c = bits.Add(lo2, c2, 0)
-	c2 = hi + c
-	t1, c = bits.Add(c1, c2, 0)
-	t1, c2 = bits.Add(t1, top, 0)
-	top = c + c2
+	// Fold 0: p += q·n with q chosen so p0 cancels; p4 is the bit above p3.
+	q := p0 * n0inv
+	hq0, lq0 := bits.Mul(q, n0)
+	hq1, lq1 := bits.Mul(q, n1)
+	_, c = bits.Add(p0, lq0, 0)
+	p1, c = bits.Add(p1, hq0, c)
+	p2, c = bits.Add(p2, hq1, c)
+	p3, p4 := bits.Add(p3, 0, c)
+	p1, c = bits.Add(p1, lq1, 0)
+	p2, c = bits.Add(p2, 0, c)
+	p3, c = bits.Add(p3, 0, c)
+	p4 += c
+
+	// Fold 1 cancels p1: t = p / R = p4:p3:p2, below 2n.
+	q = p1 * n0inv
+	hq0, lq0 = bits.Mul(q, n0)
+	hq1, lq1 = bits.Mul(q, n1)
+	_, c = bits.Add(p1, lq0, 0)
+	p2, c = bits.Add(p2, hq0, c)
+	p3, c = bits.Add(p3, hq1, c)
+	p4 += c
+	p2, c = bits.Add(p2, lq1, 0)
+	p3, c = bits.Add(p3, 0, c)
+	p4 += c
 
 	// t - n; a borrow out of a value without the top bit means t < n, and
-	// t itself is the result.
-	d0, borrow := bits.Sub(t0, n0, 0)
-	d1, borrow := bits.Sub(t1, n1, borrow)
-	if borrow > top {
-		return t0, t1
-	}
-	return d0, d1
+	// t itself is the result: keep is all ones then, zero otherwise.
+	d0, borrow := bits.Sub(p2, n0, 0)
+	d1, borrow := bits.Sub(p3, n1, borrow)
+	keep := -(borrow &^ p4)
+	return d0 ^ (p2^d0)&keep, d1 ^ (p3^d1)&keep
 }

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -368,6 +369,52 @@ func TestExpMatchesBigInt(t *testing.T) {
 	}
 }
 
+// TestExpPairMatchesExp holds the two-lane walk to two Exp calls word for
+// word and product for product at every test width: the exponents Exp
+// trims (zero, zero under zero words, a cofactor-sized one under zero top
+// words), one, a word boundary, and two equal bases as well as two
+// distinct ones — the lanes share nothing but the exponent.
+func TestExpPairMatchesExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cofactor := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 108))
+	cofactor.SetBit(cofactor, 108, 1)
+	exps := [][]big.Word{nil, {0}, {0, 0}, {1}, {1, 0}, {2}, {^big.Word(0)}, {0, 1}, cofactor.Bits(),
+		append(append([]big.Word(nil), cofactor.Bits()...), 0, 0)}
+	for _, words := range testWidths {
+		n := oddModulus(rng, words, big.Word(rng.Uint64())|1<<(bits.UintSize-1))
+		m, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, _ := m.ToMont(new(big.Int).Rand(rng, n))
+		y, _ := m.ToMont(new(big.Int).Rand(rng, n))
+		for _, bases := range [][2][]big.Word{{x, y}, {x, x}, {m.R(), y}} {
+			for _, e := range exps {
+				want0, want1 := make([]big.Word, words), make([]big.Word, words)
+				muls := m.Exp(want0, bases[0], e)
+				if m.Exp(want1, bases[1], e) != muls {
+					t.Fatalf("%d words: Exp's product count depends on the base", words)
+				}
+				got0, got1 := make([]big.Word, words), make([]big.Word, words)
+				for i := range got0 {
+					got0[i], got1[i] = ^big.Word(0), ^big.Word(0) // a stale destination must not show
+				}
+				if got := m.ExpPair(got0, got1, bases[0], bases[1], e); got != muls ||
+					!slices.Equal(got0, want0) || !slices.Equal(got1, want1) {
+					t.Fatalf("%d words, e = %x: ExpPair = %x, %x in %d products; Exp = %x, %x in %d", words, e, got0, got1, got, want0, want1, muls)
+				}
+			}
+		}
+		if words == MaxWords {
+			continue // one pair of chains at 8192 bits is enough
+		}
+		d0, d1 := make([]big.Word, words), make([]big.Word, words)
+		if avg := testing.AllocsPerRun(10, func() { m.ExpPair(d0, d1, x, y, cofactor.Bits()) }); avg != 0 {
+			t.Errorf("%d words: ExpPair allocates %v times per pair of chains", words, avg)
+		}
+	}
+}
+
 // TestReduceMatchesBigInt holds the division-free reduction to Mod: values
 // of every width around the modulus's — shorter, equal, a partial limb
 // over, several limbs — with the edges a limb fold can trip on (0, n, n-1,
@@ -498,15 +545,17 @@ func FuzzMul(f *testing.F) {
 // FuzzExp holds Exp — the register chain at two words, the generic one
 // elsewhere — to big.Int.Exp, and its product count to the bits of the
 // exponent; at two words the generic kernel's chain is a second reference.
-// The exponent is capped at 32 bytes: a chain costs a product per bit.
+// ExpPair over x and a second base y must equal the two Exp chains word
+// for word and product for product. The exponent is capped at 32 bytes: a
+// chain costs a product per bit.
 func FuzzExp(f *testing.F) {
 	for i := range testWidths {
-		f.Add(uint8(i), seedOnes, []byte{2}, []byte{0})
-		f.Add(uint8(i), seedOnes2, seedOnes, seedOnes)
-		f.Add(uint8(i), seedR1, seedOnes2, seedR1)
-		f.Add(uint8(i), seedEdges, seedEdges, seedOnes2)
+		f.Add(uint8(i), seedOnes, []byte{2}, []byte{3}, []byte{0})
+		f.Add(uint8(i), seedOnes2, seedOnes, seedOnes, seedOnes)
+		f.Add(uint8(i), seedR1, seedOnes2, []byte{1}, seedR1)
+		f.Add(uint8(i), seedEdges, seedEdges, seedEdges, seedOnes2)
 	}
-	f.Fuzz(func(t *testing.T, width uint8, nb, xb, eb []byte) {
+	f.Fuzz(func(t *testing.T, width uint8, nb, xb, yb, eb []byte) {
 		n, m, ok := fuzzModulus(t, width, nb)
 		if !ok {
 			return
@@ -530,6 +579,17 @@ func FuzzExp(f *testing.F) {
 			if refMuls := genericExp(m, ref, base, e); refMuls != muls || [2]big.Word(ref) != [2]big.Word(dst) {
 				t.Fatalf("mod %v: %v^%v = %x in %d products, generic kernel %x in %d", n, x, e, dst, muls, ref, refMuls)
 			}
+		}
+		y := fuzzOperand(yb, n)
+		base1, err := m.ToMont(y)
+		if err != nil {
+			t.Fatalf("ToMont(%v) mod %v: %v", y, n, err)
+		}
+		dst1 := make([]big.Word, m.Words())
+		m.Exp(dst1, base1, e.Bits())
+		got0, got1 := make([]big.Word, m.Words()), make([]big.Word, m.Words())
+		if pairMuls := m.ExpPair(got0, got1, base, base1, e.Bits()); pairMuls != muls || !slices.Equal(got0, dst) || !slices.Equal(got1, dst1) {
+			t.Fatalf("mod %v: (%v, %v)^%v: ExpPair = %x, %x in %d products; Exp = %x, %x in %d", n, x, y, e, got0, got1, pairMuls, dst, dst1, muls)
 		}
 	})
 }

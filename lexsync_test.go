@@ -179,4 +179,8 @@ func TestBuildWorldRejectsCorruptPayloads(t *testing.T) {
 	if _, err := buildWorld(bad); err == nil {
 		t.Error("zero score space accepted")
 	}
+	bad.ScoreSpace = 40
+	if _, err := buildWorld(bad); err == nil {
+		t.Error("score space 3^40, wider than an int64 score, accepted")
+	}
 }

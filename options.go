@@ -27,7 +27,8 @@ type Options struct {
 	KeyBits int
 	// ScoreSpace is the exponent k of the Benaloh plaintext space
 	// r = 3^k. Relevance scores accumulate modulo r, so r must exceed
-	// the maximum possible quantized score of a document.
+	// the maximum possible quantized score of a document; a decrypted
+	// score is an int64, so k is at most 39.
 	ScoreSpace int
 	// QuantLevels is the integer quantization resolution for posting
 	// impacts (footnote 1 of the paper requires integer impacts).
@@ -104,6 +105,10 @@ type Options struct {
 // Options.MaxSegments is zero.
 const DefaultMaxSegments = index.DefaultMaxSegments
 
+// maxScoreSpace is the widest plaintext space whose scores an int64
+// holds: 3^39 < 2^63 < 3^40.
+const maxScoreSpace = 39
+
 // Scoring selects the similarity function used to precompute posting
 // impacts.
 type Scoring uint8
@@ -136,8 +141,8 @@ func (o Options) validate() error {
 	if o.KeyBits < 64 {
 		return fmt.Errorf("embellish: KeyBits %d too small for Benaloh key generation", o.KeyBits)
 	}
-	if o.ScoreSpace < 1 {
-		return fmt.Errorf("embellish: ScoreSpace must be at least 1, got %d", o.ScoreSpace)
+	if o.ScoreSpace < 1 || o.ScoreSpace > maxScoreSpace {
+		return fmt.Errorf("embellish: ScoreSpace %d out of range [1, %d]; a score modulo 3^k must fit an int64", o.ScoreSpace, maxScoreSpace)
 	}
 	if o.QuantLevels < 1 || o.QuantLevels > 1<<20 {
 		return fmt.Errorf("embellish: QuantLevels %d out of range", o.QuantLevels)

@@ -125,15 +125,16 @@ var rules = []rule{
 	retired("no execution-schedule setting", read|tests, "", `^(Shards|Parallelism|PrecomputeWindow|PIRWorkers)$`),
 	// The width of Algorithm 5's fan-out is derived from GOMAXPROCS and
 	// the candidate count, and the PIR decode's from GOMAXPROCS and the
-	// answer's rows — never configured.
-	retired("no decode worker-count setting", ident|tests, "", `Decode(Workers|Parallel|Lanes)`),
-	retired("no decode worker-count setting", flagKey|envKey|tests, "", `(?i)decode[-_]?(workers|parallel|lanes)`),
+	// answer's rows — never configured. A decryption's lane count is the
+	// constant two of Decryptor.DecryptInts, not a setting either.
+	retired("no decode worker-count setting", ident|tests, "", `(Decode|Decrypt)(Workers|Parallel|Lanes)`),
+	retired("no decode worker-count setting", flagKey|envKey|tests, "", `(?i)(decode|decrypt)[-_]?(workers|parallel|lanes)`),
 	// The two-word register form is chosen by the modulus — one dispatch
-	// on its width in Mul and one in Exp — never configured: no selector,
-	// setter or flag names a kernel.
+	// on its width in each of Mul, Exp and ExpPair — never configured: no
+	// selector, setter or flag names a kernel.
 	retired("no Montgomery kernel selector", ident|tests, "", `UseGeneric|ForceGeneric|SetKernel`),
 	retired("no Montgomery kernel selector", flagKey|envKey|tests, "", `(?i)generic|kernel`),
-	count("no Montgomery kernel selector", "len(m.n) == 2", "internal/mont/mont.go", 2, 2, exprs(`^len\(m\.n\) == 2$`)),
+	count("no Montgomery kernel selector", "a test of len(m.n) against 2", "internal/mont/mont.go", 3, 3, exprs(`^len\(m\.n\) [=!]= 2$`)),
 	// One multi-word CIOS loop (internal/mont) beside pir's inlined
 	// one-word REDC forms: the REDC folding constant is multiplied in
 	// those two files and nowhere else.
