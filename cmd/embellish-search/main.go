@@ -44,13 +44,13 @@
 //	                 [-bktsz B] [-keybits K] [-query "terms..."] [-topk K]
 //	                 [-add docs.txt] [-delete "3,17"]
 //	                 [-store] [-block-size B] [-fetch N] [-fetch-mode private|plain]
-//	                 [-fetch-keybits K] [-fetch-pipeline D]
+//	                 [-fetch-keybits K]
 //	embellish-search -connect HOST:PORT (-load engine.bin | -sync-lexicon)
 //	                 [-keybits K] [-query "terms..."] [-topk K]
 //	                 [-add docs.txt] [-delete "3,17"]
 //	                 [-decoys N] [-audit]
 //	                 [-fetch N] [-fetch-mode private|plain]
-//	                 [-fetch-keybits K] [-fetch-pipeline D]
+//	                 [-fetch-keybits K]
 //	                 [-server-stats]
 //
 // With no -query, a random searchable term pair is used.
@@ -96,7 +96,6 @@ func main() {
 		fetchN    = flag.Int("fetch", 0, "retrieve the top N result documents after ranking (0 off)")
 		fetchMode = flag.String("fetch-mode", "private", "document retrieval mode: private (PIR) or plain")
 		fetchBits = flag.Int("fetch-keybits", 0, "PIR modulus size for -fetch (0 inherits the engine's key size)")
-		fetchPipe = flag.Int("fetch-pipeline", 0, "block queries kept in flight during -fetch (0 default, 1 one query a frame); batches are also capped by the 16 MiB frame byte budget, so wide -fetch-keybits moduli over big stores pack fewer queries per frame")
 		srvStats  = flag.Bool("server-stats", false, "with -connect: print the remote server's serving counters after the query")
 	)
 	flag.Parse()
@@ -215,12 +214,6 @@ func main() {
 		// engine files too (Options.RetrievalKeyBits is build-time only).
 		if err := client.SetRetrievalKeyBits(*fetchBits); err != nil {
 			fmt.Fprintln(os.Stderr, "fetch-keybits:", err)
-			os.Exit(1)
-		}
-	}
-	if *fetchPipe > 0 {
-		if err := client.SetFetchPipeline(*fetchPipe); err != nil {
-			fmt.Fprintln(os.Stderr, "fetch-pipeline:", err)
 			os.Exit(1)
 		}
 	}

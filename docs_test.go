@@ -117,7 +117,7 @@ func TestDocsMentionCurrentSurface(t *testing.T) {
 		"schedule derived from GOMAXPROCS",
 		"ProcessColumnsMultiExecCtx", "Deleted plans",
 		"SetFetchRecursive",
-		"BlockSize", "RetrievalKeyBits", "SetFetchPipeline", "MaxSegments",
+		"BlockSize", "RetrievalKeyBits", "MaxSegments",
 		"Durability", "CheckpointEveryOps", "Montgomery",
 		"OPERATIONS.md", "What an engine build costs",
 	} {

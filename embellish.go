@@ -659,13 +659,11 @@ type Client struct {
 	inner *core.Client
 	// fetchKey is the PIR key for private document fetches, generated
 	// lazily on the first FetchDocuments/FetchDocumentsRemote call;
-	// fetchBits overrides its size (SetRetrievalKeyBits); fetchDepth is
-	// the fetch-pipeline window (SetFetchPipeline; 0 selects
-	// DefaultFetchPipeline); fetchRecursive opts this client's fetches
-	// into the two-level recursive PIR protocol (SetFetchRecursive).
+	// fetchBits overrides its size (SetRetrievalKeyBits); fetchRecursive
+	// opts this client's fetches into the two-level recursive PIR
+	// protocol (SetFetchRecursive).
 	fetchKey       *pir.ClientKey
 	fetchBits      int
-	fetchDepth     int
 	fetchRecursive bool
 	// fetched is what the client remembers of the connection it last
 	// fetched over (FetchDocumentsRemote): the mapping it holds there.

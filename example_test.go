@@ -155,8 +155,8 @@ func ExampleClient_FetchDocuments() {
 }
 
 // ExampleClient_FetchDocumentsRemote ranks and then fetches over one
-// TCP connection against a NetServer; block queries are pipelined in
-// batch frames (SetFetchPipeline).
+// TCP connection against a NetServer; the block queries travel in as few
+// batch frames as the wire allows.
 func ExampleClient_FetchDocumentsRemote() {
 	opts := exampleOptions()
 	opts.StoreDocuments = true
@@ -180,9 +180,6 @@ func ExampleClient_FetchDocumentsRemote() {
 	defer conn.Close()
 	client, err := engine.NewClient(nil)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := client.SetFetchPipeline(8); err != nil {
 		log.Fatal(err)
 	}
 	results, err := client.SearchRemote(conn, "terrorism", 1)

@@ -150,9 +150,6 @@ func TestClusterRotatedFetchAcrossPartitionBoundaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SetFetchPipeline(32); err != nil { // a document never straddles a frame
-		t.Fatal(err)
-	}
 	if err := client.SetRetrievalKeyBits(64); err != nil { // a one-word key decodes 32,768-row columns fast
 		t.Fatal(err)
 	}

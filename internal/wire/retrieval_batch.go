@@ -12,15 +12,14 @@ import (
 	"embellish/internal/vbyte"
 )
 
-// Batched private retrieval: a pipelining client packs up to
-// MaxPIRBatch block queries — all under ONE client modulus — into a
-// single TypePIRBatchQuery frame, and the server answers with one
+// Batched private retrieval: a client packs up to MaxPIRBatch block
+// queries — all under ONE client modulus — into a single
+// TypePIRBatchQuery frame, and the server answers with one
 // TypePIRBatchResponse frame per block. The server computes every answer
 // of the frame's equal-width queries in one pass over the store before
 // the first of them is written, so the frame, not the block, is the unit
-// of overlap: the client decodes one frame's answers while the server
-// scans for the next frame, and a k-block fetch costs one round-trip
-// instead of k.
+// of a store pass, and a k-block fetch costs one round-trip instead of
+// k.
 //
 // TypePIRBatchQuery comes in two forms, told apart by the byte after
 // the modulus. Every query names a class view of the store by its height
@@ -68,8 +67,8 @@ const (
 
 // MaxPIRBatch caps the block queries per batch frame. Each query in
 // the batch costs the server one full database scan, so the cap (with
-// the modulus ceiling) bounds the CPU a single frame can demand;
-// clients with deeper pipelines split across frames.
+// the modulus ceiling) bounds the CPU a single frame can demand; a
+// fetch of more queries splits across frames.
 const MaxPIRBatch = 64
 
 // UnknownTypeRefusal is the error-body prefix servers send for an

@@ -17,8 +17,8 @@ import (
 // recursively-encrypted block, one ciphertext per byte of the level-1
 // answer. One frame carries a small batch; answers stream back as
 // standard TypePIRBatchResponse frames in batch order, so the answer-side
-// bounds live in one place (ViewPIRBatchAnswer) and a pipelining client
-// reuses its batch reassembly loop unchanged.
+// bounds live in one place (ViewPIRBatchAnswer) and a client reads them
+// in the flat fetch's frame loop.
 //
 // TypePIRRecursiveQuery: modulus big | width vbyte | gridCols vbyte |
 // query count vbyte | per query: gridRows(width, gridCols) row elements,

@@ -438,7 +438,7 @@ func (s *NetServer) answerPIRParams(req *netRequest) error {
 }
 
 // answerPIRBatch serves a TypePIRBatchQuery. One snapshot answers the
-// whole batch, so a pipelined fetch reads an internally consistent
+// whole batch, so a fetch's frame reads an internally consistent
 // corpus prefix, and one deadline covers it, matching the search-batch
 // path. Answers stream back one frame each, strictly in batch order; a
 // failing column is refused in place of the whole batch. An entry whose

@@ -7,8 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"reflect"
-	"sync"
-	"sync/atomic"
 
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
@@ -126,39 +124,12 @@ func (c *Client) pirKey() (*pir.ClientKey, error) {
 	return c.fetchKey, nil
 }
 
-// DefaultFetchPipeline is the fetch-pipeline window applied when a
-// client never calls SetFetchPipeline: up to this many block queries
-// are in flight at once during a fetch.
-const DefaultFetchPipeline = 8
-
-// maxFetchPipeline bounds SetFetchPipeline: past this the window only
-// buys memory pressure — batches are capped at wire.MaxPIRBatch
-// queries (and by the frame byte budget) regardless of depth.
-const maxFetchPipeline = 1024
-
-// SetFetchPipeline sets this client's fetch-pipeline window: the
-// approximate number of PIR column queries in flight at once during
-// FetchDocuments / FetchDocumentsRemote. Query generation, server-side
-// database scans and client-side answer decoding all overlap, and a
-// remote fetch packs up to half the window into each batch frame
-// (TypePIRBatchQuery), so a k-column fetch costs about 2k/depth frames;
-// depth 1 sends frames of one query each. The protocol answers are
-// identical at every depth; only the scheduling changes.
-func (c *Client) SetFetchPipeline(depth int) error {
-	if depth < 1 || depth > maxFetchPipeline {
-		return fmt.Errorf("embellish: fetch pipeline depth %d out of range [1, %d]", depth, maxFetchPipeline)
-	}
-	c.fetchDepth = depth
-	return nil
-}
-
-// pipelineDepth resolves the fetch-pipeline window.
-func (c *Client) pipelineDepth() int {
-	if c.fetchDepth == 0 {
-		return DefaultFetchPipeline
-	}
-	return c.fetchDepth
-}
+// SetFetchPipeline once set a window of column queries kept in flight
+// during a fetch. A fetch now sends its queries in as few frames as the wire
+// allows, each exchanged in turn, so there is no window to set.
+//
+// Deprecated: ignored; it returns nil.
+func (c *Client) SetFetchPipeline(depth int) error { return nil }
 
 // SetFetchRecursive opts this client's document fetches into the
 // two-level recursive PIR protocol: each block query carries two
@@ -178,11 +149,10 @@ func (c *Client) SetFetchRecursive(on bool) {
 }
 
 // remotePIR speaks the wire protocol over one connection: the hello,
-// then streamed TypePIRBatchQuery / TypePIRBatchResponse frames.
+// then the fetch's query frames, each answered before the next is sent.
 type remotePIR struct {
-	conn  io.ReadWriter
-	depth int
-	at    *fetchConn // what the client remembers of conn
+	conn io.ReadWriter
+	at   *fetchConn // what the client remembers of conn
 }
 
 // fetchConn is what a client remembers of the connection it fetched over
@@ -231,137 +201,91 @@ func (r remotePIR) Params() (docstore.Params, *docstore.Layout, error) {
 	return at.params, at.layout, nil
 }
 
-// maxPIRBatchFrameBytes budgets one batch frame well under the wire
-// frame cap: a batch of b queries costs ~b·values·modBytes on the
-// wire, so wide moduli over big stores must shrink the batch, not
-// overflow the frame.
+// maxPIRBatchFrameBytes budgets one fetch frame well under the wire
+// frame cap, and the answers it asks for alike: wide moduli over big
+// stores, and tall columns, shrink a frame rather than overflow it or
+// commit the server to hundreds of MB of answers in one pass.
 const maxPIRBatchFrameBytes = 16 << 20
 
-// pirBatchLimit sizes one batch: half the pipeline window (so two
-// batches keep the window full), capped by the wire batch limit, by the
-// frame byte budget at what one seeded entry of numValues columns, the
-// widest of the fetch, costs on the wire — priced as a vector — and by
-// the values the server may expand one frame to.
-func pirBatchLimit(depth, numValues, modBits int) int {
-	limit := min(max(depth/2, 1), wire.MaxPIRBatch, wire.MaxSeededValues((modBits+7)/8)/numValues)
-	perQuery := wire.SeededEntryBytes(numValues, docstore.MaxColumnBytes, numValues-1)
-	return max(1, min(limit, maxPIRBatchFrameBytes/perQuery))
+// queryCost is what one query adds to its frame: its entry's bytes, the
+// group elements a seeded frame expands it to and its answer's bytes. A
+// query that rotates the one before it in the same frame costs one byte
+// and expands to nothing.
+type queryCost struct {
+	entry, values, answer int
+	rotates               bool // it is the query before it one column on
 }
 
-// Run keeps a window of block queries in flight on one
-// connection: a writer goroutine packs queries into TypePIRBatchQuery
-// frames while this goroutine reads the streamed per-block answers
-// back in order — so query generation, the server's database scans
-// and the client's decoding all overlap, and round-trips amortize
-// across the window.
-//
-// Failure handling preserves the connection where that is sound: on a
-// delivery error (e.g. a document failing its checksum after a
-// mid-fetch delete) the stream is still frame-aligned, so the
-// remaining in-flight answers are drained and the connection stays
-// reusable. Transport and protocol-level failures leave the stream in
-// an undefined state — the caller must close the connection (which
-// also unblocks the writer). In every case the writer goroutine exits
-// once the connection is closed; it never outlives a successful or
-// drained call.
-func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, deliver func(wire.PIRAnswerView) error) error {
-	var (
-		committed  atomic.Int64 // answer frames the server owes us (queries written)
-		abortOnce  sync.Once
-		abort      = make(chan struct{})
-		werr       = make(chan error, 1)
-		sizes      = make(chan int, 2) // entries of written, not-yet-fully-read batches
-		writerDone = make(chan struct{})
-		commitPing = make(chan struct{}, 1) // wakes a draining reader per commit
-	)
-	stop := func() { abortOnce.Do(func() { close(abort) }) }
-	defer stop()
-	go func() {
-		defer close(writerDone)
-		defer close(sizes)
-		var batchMax int
-		for {
-			first, ok := <-qs
-			if !ok {
-				return
+// frameSizes cuts a fetch's queries, in order, into frames and returns
+// how many each takes: as many as fit the wire's batch cap most, the
+// maxValues group elements a seeded frame may expand to, and
+// maxPIRBatchFrameBytes of entry bytes and of answer bytes. A frame takes
+// at least one query; one too large to send fails when it is written.
+func frameSizes(costs []queryCost, most, maxValues int) []int {
+	var sizes []int
+	for at := 0; at < len(costs); {
+		n, bytes, values, answers := 0, 0, 0, 0
+		for ; at+n < len(costs) && n < most; n++ {
+			c := costs[at+n]
+			if c.rotates && n > 0 {
+				c.entry, c.values = 1, 0
 			}
-			select {
-			case <-abort:
-				return
-			default:
+			if n > 0 && (bytes+c.entry > maxPIRBatchFrameBytes || values+c.values > maxValues || answers+c.answer > maxPIRBatchFrameBytes) {
+				break
 			}
-			if batchMax == 0 {
-				batchMax = pirBatchLimit(r.depth, widest, first.N.BitLen())
-			}
-			batch := append(make([]*pir.Query, 0, batchMax), first)
-			// Every frame, the first included, blocks on the generator
-			// until it carries a full batch or generation ends: the
-			// server scans the store once per frame, so a frame's width
-			// is what its one-pass scan shares the database read over,
-			// and how many frames a fetch takes must not depend on which
-			// goroutine ran first. Generation is far cheaper than
-			// serving, and from the second frame on the previous batch's
-			// scan overlaps the wait.
-		fill:
-			for len(batch) < batchMax {
-				select {
-				case q, ok := <-qs:
-					if !ok {
-						break fill
-					}
-					batch = append(batch, q)
-				case <-abort:
-					return
-				}
-			}
-			if err := wire.WritePIRBatchQuery(r.conn, batch); err != nil {
-				werr <- fmt.Errorf("embellish: sending PIR batch: %w", err)
-				return
-			}
-			committed.Add(int64(len(batch)))
-			select {
-			case commitPing <- struct{}{}:
-			default: // a pending ping already wakes the drainer
-			}
-			select {
-			case sizes <- len(batch):
-			case <-abort:
-				return
-			}
+			bytes, values, answers = bytes+c.entry, values+c.values, answers+c.answer
 		}
-	}()
+		sizes = append(sizes, n)
+		at += n
+	}
+	return sizes
+}
 
-	consumed := 0
-	// Every answer frame of the fetch is read into this one buffer, and a
-	// packed answer is delivered as a view of it: deliver decodes the
-	// gammas before it returns, so the next ReadMessageBuf may overwrite
-	// them.
-	var frame []byte
-	for entries := range sizes {
+// exchange sends a fetch's queries in frames of the given sizes, one
+// frame at a time on conn: it checks ctx, builds the frame's queries
+// (query(i) is the fetch's i-th), writes them, then reads exactly that
+// frame's answers, in order, each read with view, checked by index and
+// delivered. A refused frame (one TypeError) ends the fetch. After a
+// delivery error, such as a checksum failure, the rest of the frame's
+// answers are read and discarded, so the connection stays at a frame
+// boundary; a transport or protocol failure leaves the stream undefined,
+// and the caller must close the connection. Every answer frame is read
+// into one buffer: deliver decodes a view before it returns, so the next
+// read may overwrite it.
+func exchange[Q any](ctx context.Context, conn io.ReadWriter, sizes []int, query func(int) (Q, error), write func(io.Writer, []Q) error, view func([]byte) (wire.PIRAnswerView, error), deliver func(wire.PIRAnswerView) error) error {
+	var (
+		batch []Q
+		frame []byte
+		next  int
+	)
+	for _, size := range sizes {
 		if err := ctx.Err(); err != nil {
-			// Cancelled between batches: stop the writer and drain the
-			// answers the server still owes, so the stream stays
-			// frame-aligned and the connection survives the abandon.
-			stop()
-			return r.drain(consumed, &committed, writerDone, commitPing, err)
+			return err
 		}
-		for i := 0; i < entries; i++ {
-			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
+		batch = batch[:0]
+		for ; len(batch) < size; next++ {
+			q, err := query(next)
+			if err != nil {
+				return err
+			}
+			batch = append(batch, q)
+		}
+		if err := write(conn, batch); err != nil {
+			return fmt.Errorf("embellish: sending PIR batch: %w", err)
+		}
+		for i := range batch {
+			typ, body, err := wire.ReadMessageBuf(conn, &frame)
 			if err != nil {
 				return fmt.Errorf("embellish: reading PIR batch answer: %w", err)
 			}
-			consumed++
 			switch typ {
 			case wire.TypeError:
-				// The server aborted this batch partway; the remaining
-				// frame accounting is unknowable, so the connection is
-				// not reusable after this error.
 				return remoteError(body)
 			case wire.TypePIRBatchResponse:
 			default:
 				return fmt.Errorf("embellish: unexpected message type %d", typ)
 			}
-			ans, err := wire.ViewPIRBatchAnswer(body)
+			ans, err := view(body)
 			if err != nil {
 				return err
 			}
@@ -369,130 +293,26 @@ func (r remotePIR) Run(ctx context.Context, qs <-chan *pir.Query, widest int, de
 				return fmt.Errorf("embellish: batch answer %d arrived at position %d", ans.Index, i)
 			}
 			if err := deliver(ans); err != nil {
-				// Delivery failures (checksum, shape) leave the stream
-				// frame-aligned: drain what is in flight so the
-				// connection survives for the next search or fetch.
-				stop()
-				return r.drain(consumed, &committed, writerDone, commitPing, err)
-			}
-		}
-	}
-	select {
-	case err := <-werr:
-		return err
-	default:
-		return nil
-	}
-}
-
-// drain consumes the answer frames still owed by the server after a
-// delivery error, leaving the connection at a frame boundary. The
-// writer has been told to stop; it may still commit the one batch it
-// was writing, so drain tracks its committed count until it exits —
-// woken by the per-commit ping, never polling. The original failure
-// is always returned; if the connection breaks (or the server errors)
-// mid-drain, the stream is left undefined and the caller should
-// discard the connection.
-func (r remotePIR) drain(consumed int, committed *atomic.Int64, writerDone, commitPing <-chan struct{}, failure error) error {
-	for {
-		if int64(consumed) < committed.Load() {
-			typ, _, err := wire.ReadMessage(r.conn)
-			if err != nil || typ == wire.TypeError {
-				return failure
-			}
-			consumed++
-			continue
-		}
-		select {
-		case <-writerDone:
-			if int64(consumed) == committed.Load() {
-				return failure
-			}
-			// One more batch was committed as the writer exited; loop
-			// to read it.
-		case <-commitPing:
-		}
-	}
-}
-
-// recursiveBatchLimit sizes one TypePIRRecursiveQuery frame: the wire
-// batch cap, shrunk by the frame byte budget for queries of this shape
-// (values group elements per query — the two selection vectors).
-func recursiveBatchLimit(values, modBits int) int {
-	limit := wire.MaxPIRRecursiveBatch
-	perQuery := values*((modBits+7)/8+3) + 16
-	if byBytes := maxPIRBatchFrameBytes / perQuery; byBytes < limit {
-		limit = byBytes
-	}
-	if limit < 1 {
-		limit = 1
-	}
-	return limit
-}
-
-// RunRecursive speaks the recursive protocol: batches of up to
-// wire.MaxPIRRecursiveBatch queries per TypePIRRecursiveQuery frame,
-// answered by that many index-checked TypePIRBatchResponse frames.
-// Frames are synchronous: the answer stream is read to the end before
-// the next frame is written, and a refused frame fails the fetch.
-// Collection blocks on the generator to fill each frame: recursive
-// query generation costs sqrt(n) residuosity draws, orders of
-// magnitude cheaper than the grid scan it feeds.
-func (r remotePIR) RunRecursive(ctx context.Context, qs <-chan *pir.RecursiveQuery, deliver func(*pir.Answer) error) error {
-	var batchMax int
-	batch := make([]*pir.RecursiveQuery, 0, wire.MaxPIRRecursiveBatch)
-	var frame []byte // every ~590 KB answer frame of the fetch is read into this one buffer
-	serve := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := wire.WritePIRRecursiveQuery(r.conn, batch); err != nil {
-			return fmt.Errorf("embellish: sending recursive PIR batch: %w", err)
-		}
-		for i := range batch {
-			typ, body, err := wire.ReadMessageBuf(r.conn, &frame)
-			if err != nil {
-				return fmt.Errorf("embellish: reading recursive PIR answer: %w", err)
-			}
-			switch typ {
-			case wire.TypeError:
-				return remoteError(body)
-			case wire.TypePIRBatchResponse:
-			default:
-				return fmt.Errorf("embellish: unexpected message type %d", typ)
-			}
-			idx, ans, err := wire.DecodePIRBatchAnswer(body)
-			if err != nil {
-				return err
-			}
-			if idx != i {
-				return fmt.Errorf("embellish: recursive answer %d arrived at position %d", idx, i)
-			}
-			if err := deliver(ans); err != nil {
-				return err
-			}
-		}
-		batch = batch[:0]
-		return nil
-	}
-	for q := range qs {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if batchMax == 0 {
-			batchMax = recursiveBatchLimit(len(q.Rows)+len(q.Cols), q.N.BitLen())
-		}
-		batch = append(batch, q)
-		if len(batch) == batchMax {
-			if err := serve(); err != nil {
+				for range len(batch) - 1 - i {
+					if typ, _, rerr := wire.ReadMessageBuf(conn, &frame); rerr != nil || typ == wire.TypeError {
+						break
+					}
+				}
 				return err
 			}
 		}
 	}
-	if err := serve(); err != nil {
-		return err
+	return nil
+}
+
+// viewRecursive reads a recursive answer: level 2 decodes big.Int
+// ciphertexts, so its gammas are copied out of the frame.
+func viewRecursive(body []byte) (wire.PIRAnswerView, error) {
+	i, a, err := wire.DecodePIRBatchAnswer(body)
+	if err != nil {
+		return wire.PIRAnswerView{}, err
 	}
-	return ctx.Err()
+	return wire.PIRAnswerView{Index: i, Count: len(a.Gammas), Answer: a}, nil
 }
 
 // FetchStats describes the cost of one FetchDocuments call, feeding
@@ -524,8 +344,7 @@ type FetchStats struct {
 // FetchStats are a remote fetch's. Results align with ids. The server
 // answers each batch frame from one store snapshot, so a document
 // deleted mid-fetch fails its checksum rather than reading as a mix of
-// states. Query generation overlaps serving through the client's fetch
-// pipeline (SetFetchPipeline).
+// states.
 func (c *Client) FetchDocuments(ids []int) ([][]byte, FetchStats, error) {
 	return c.FetchDocumentsContext(context.Background(), ids)
 }
@@ -543,7 +362,7 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 	defer conn.Close()
 	// The session is fetched over once: the mapping the client holds
 	// for its remote connection stays put.
-	docs, st, err := c.fetchVia(ctx, remotePIR{conn: conn, depth: c.pipelineDepth(), at: &fetchConn{conn: conn}}, ids)
+	docs, st, err := c.fetchVia(ctx, remotePIR{conn: conn, at: &fetchConn{conn: conn}}, ids)
 	if errors.Is(err, ErrRemoteDeadline) {
 		// The session's only deadline is ctx's, which a scan's clock check
 		// can see pass before ctx's own timer fires.
@@ -576,19 +395,19 @@ func (c *Client) FetchDocumentsContext(ctx context.Context, ids []int) ([][]byte
 // until it fetches over another. A hello answered by anything but a reply
 // to the hello fails the fetch.
 //
-// Column queries are pipelined over the single connection: up to the
-// fetch-pipeline window (SetFetchPipeline, default
-// DefaultFetchPipeline) of them travel seeded in batch frames while
-// earlier answers stream back, so the connection must support
-// concurrent Read and Write (every net.Conn does). A client that opted
-// into the recursive protocol (SetFetchRecursive) fetches through it
-// instead, one synchronous frame at a time, from a single-node server:
-// a cluster router refuses the recursive protocol, and the fetch fails.
+// The column queries travel seeded in as few batch frames as the wire
+// allows — a frame holds up to wire.MaxPIRBatch of them, within 16 MiB
+// of frame bytes and 16 MiB of answers — and each frame's answers are
+// read before the next frame is written, so the server scans the store
+// once a frame. A client that opted into the recursive protocol
+// (SetFetchRecursive) fetches through it instead, in frames of up to
+// wire.MaxPIRRecursiveBatch queries, from a single-node server: a cluster
+// router refuses the recursive protocol, and the fetch fails.
 //
 // After a successful fetch the connection is immediately reusable.
 // After a document-level failure (a checksum error from a mid-fetch
-// delete, an unfetchable id) the in-flight answers are drained and
-// the connection remains usable. After a transport or protocol
+// delete, an unfetchable id) the rest of the frame's answers are read
+// and the connection remains usable. After a transport or protocol
 // failure the stream state is undefined: close the connection and
 // dial a fresh one.
 func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
@@ -596,30 +415,29 @@ func (c *Client) FetchDocumentsRemote(conn io.ReadWriter, ids []int) ([][]byte, 
 }
 
 // FetchDocumentsRemoteContext is FetchDocumentsRemote under a context:
-// cancellation is honored at frame boundaries — the client stops
-// committing new block queries and drains the answers already in
-// flight, so the connection stays reusable after an abandoned fetch.
+// cancellation is honored at frame boundaries — the client checks ctx
+// before it writes each frame, when no answer is owed, so the connection
+// stays reusable after an abandoned fetch.
 // (The server applies its own per-request deadline to each scan; see
 // ServeConfig.RequestTimeout.)
 func (c *Client) FetchDocumentsRemoteContext(ctx context.Context, conn io.ReadWriter, ids []int) ([][]byte, FetchStats, error) {
 	if !sameConn(c.fetched.conn, conn) {
 		c.fetched = fetchConn{conn: conn}
 	}
-	return c.fetchVia(ctx, remotePIR{conn: conn, depth: c.pipelineDepth(), at: &c.fetched}, ids)
+	return c.fetchVia(ctx, remotePIR{conn: conn, at: &c.fetched}, ids)
 }
 
 // fetchVia runs the client side of the fetch protocol: obtain the
 // block mapping, then one PIR execution per column of each document —
 // over its class view, or per block of the block array in the recursive
-// protocol — generated by a pipeline goroutine, served by the
-// transport, and reassembled strictly in order, each document
-// checksum-verified as its last column arrives. Any unfetchable id
-// (never assigned, or tombstoned) fails the whole call — the error names
-// the id, and no partial results are returned. Under SetFetchRecursive
-// the executions are two-level recursive queries (RunRecursive) whose
-// answers decode to the same block bytes — the reassembly, truncation
-// and checksum logic is deliberately shared so the protocols cannot
-// drift.
+// protocol — built, sent and answered a frame at a time (exchange) and
+// reassembled strictly in order, each document checksum-verified as its
+// last column arrives. Any unfetchable id (never assigned, or
+// tombstoned) fails the whole call — the error names the id, and no
+// partial results are returned. Under SetFetchRecursive the executions
+// are two-level recursive queries whose answers decode to the same block
+// bytes — the frame loop, reassembly, truncation and checksum logic are
+// deliberately shared so the protocols cannot drift.
 func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte, FetchStats, error) {
 	recursive := c.fetchRecursive
 	var st FetchStats
@@ -647,12 +465,22 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 	// One task per PIR run, in delivery order: run j of document pos, at
 	// column col of the database of height h (a class view, or the block
 	// array at 0), width columns wide in the mapping; remaining[i] counts
-	// the runs of ids[i] still to arrive.
+	// the runs of ids[i] still to arrive. costs prices each run in its
+	// frame: a flat run past a document's first rotates the run before it.
 	type task struct{ pos, run, col, height, width int }
-	var tasks []task
+	var (
+		tasks []task
+		costs []queryCost
+	)
 	out := make([][]byte, len(ids))
 	remaining := make([]int, len(ids))
-	widest := 0
+	modBytes := (key.N.BitLen() + 7) / 8
+	var recursiveCost queryCost
+	if recursive {
+		// Every grid element is a magnitude behind a length of at most two bytes.
+		rows, cols := pir.RecursiveGrid(params.NumBlocks)
+		recursiveCost = queryCost{entry: (rows + cols) * (modBytes + 2), answer: key.RecursiveAnswerBytes(params.BlockSize)}
+	}
 	for i, id := range ids {
 		ext := params.Exts[id]
 		h, col, k := 0, int(ext.First), int(ext.Blocks)
@@ -660,75 +488,56 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 			h, col, k = layout.Place(id)
 		}
 		width := layout.Widths()[h]
-		widest = max(widest, width)
 		remaining[i] = k
 		out[i] = make([]byte, 0, k*layout.ColumnBytes(h))
 		for j := 0; j < k; j++ {
 			tasks = append(tasks, task{pos: i, run: j, col: col + j, height: h, width: width})
+			cost := recursiveCost
+			if !recursive {
+				cost = queryCost{entry: wire.SeededEntryBytes(width, h, j), values: width, answer: key.AnswerBytes(8 * layout.ColumnBytes(h)), rotates: j > 0}
+			}
+			costs = append(costs, cost)
 		}
 		if k == 0 && crc32.ChecksumIEEE(nil) != ext.Crc {
 			return nil, st, fmt.Errorf("embellish: document %d bytes fail their checksum (deleted or corrupted mid-fetch)", id)
 		}
 	}
 
-	// Generator goroutine: building a query costs residue symbols per
-	// column (residuosity draws per GRID row+column for recursive
-	// queries), so it runs ahead of the transport, bounded by the
-	// pipeline window. In the flat protocol only a document's first
-	// column draws: its further columns are consecutive, so each is the
-	// query before it rotated one column up. It owns its stats until
-	// joined below.
-	qch := make(chan *pir.Query, c.pipelineDepth())
-	rch := make(chan *pir.RecursiveQuery, c.pipelineDepth())
-	done := make(chan struct{})
-	var (
-		wg            sync.WaitGroup
-		genErr        error
-		genQueryBytes int
-		genVectors    int
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer close(qch)
-		defer close(rch)
-		var q *pir.Query
-		for ti, tk := range tasks {
-			if recursive {
-				rq, err := key.NewRecursiveQuery(c.inner.CryptoRand, params.NumBlocks, tk.col)
-				if err != nil {
-					genErr = err
-					return
-				}
-				genQueryBytes += key.RecursiveQueryBytes(params.NumBlocks)
-				genVectors++
-				select {
-				case rch <- rq:
-				case <-done:
-					return
-				}
-				continue
-			}
-			if ti > 0 && tasks[ti-1].pos == tk.pos {
-				q = q.Next()
-				genQueryBytes++
-			} else {
-				var err error
-				if q, err = key.NewSeededQuery(c.inner.CryptoRand, tk.width, tk.col); err != nil {
-					genErr = err
-					return
-				}
-				q.Height = tk.height
-				genVectors++
-				genQueryBytes += wire.SeededEntryBytes(tk.width, tk.height, 0)
-			}
-			select {
-			case qch <- q:
-			case <-done:
-				return
-			}
+	// Queries are built as their frame is: a query costs residue symbols
+	// per column (residuosity draws per GRID row+column for recursive
+	// queries), far less than the scan it feeds. In the flat protocol only
+	// a document's first column draws: its further columns are
+	// consecutive, so each is the query before it rotated one column up.
+	// An error that already names its document is not named again.
+	var named error
+	var q *pir.Query
+	flatQuery := func(i int) (*pir.Query, error) {
+		tk := tasks[i]
+		if tk.run > 0 {
+			q = q.Next()
+			st.QueryBytes++
+			return q, nil
 		}
-	}()
+		var err error
+		if q, err = key.NewSeededQuery(c.inner.CryptoRand, tk.width, tk.col); err != nil {
+			named = fmt.Errorf("embellish: building PIR query for document %d: %w", ids[tk.pos], err)
+			return nil, named
+		}
+		q.Height = tk.height
+		st.Vectors++
+		st.QueryBytes += wire.SeededEntryBytes(tk.width, tk.height, 0)
+		return q, nil
+	}
+	recursiveQuery := func(i int) (*pir.RecursiveQuery, error) {
+		rq, err := key.NewRecursiveQuery(c.inner.CryptoRand, params.NumBlocks, tasks[i].col)
+		if err != nil {
+			named = fmt.Errorf("embellish: building PIR query for document %d: %w", ids[tasks[i].pos], err)
+			return nil, named
+		}
+		st.Vectors++
+		st.QueryBytes += key.RecursiveQueryBytes(params.NumBlocks)
+		return rq, nil
+	}
 
 	// Ordered reassembly: answers arrive in task order; a document is
 	// finalized — truncated to its true length and checksum-verified —
@@ -737,11 +546,7 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 	// columns (the server zeroes tombstoned blocks and columns in place);
 	// the checksum turns that silent corruption into an error.
 	next := 0
-	var deliverErr error // deliver's own errors already carry context
 	deliver := func(ans wire.PIRAnswerView) error {
-		if next >= len(tasks) {
-			return errors.New("embellish: more PIR answers than queries")
-		}
 		tk := tasks[next]
 		colBytes := layout.ColumnBytes(tk.height)
 		if !recursive && ans.Count != 8*colBytes {
@@ -772,38 +577,27 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 			ext := params.Exts[ids[tk.pos]]
 			doc := out[tk.pos][:ext.Length]
 			if crc32.ChecksumIEEE(doc) != ext.Crc {
-				deliverErr = fmt.Errorf("embellish: document %d bytes fail their checksum (deleted or corrupted mid-fetch)", ids[tk.pos])
-				return deliverErr
+				named = fmt.Errorf("embellish: document %d bytes fail their checksum (deleted or corrupted mid-fetch)", ids[tk.pos])
+				return named
 			}
 			out[tk.pos] = doc
 		}
 		return nil
 	}
 	if recursive {
-		err = t.RunRecursive(ctx, rch, func(a *pir.Answer) error {
-			return deliver(wire.PIRAnswerView{Count: len(a.Gammas), Answer: a})
-		})
+		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRRecursiveBatch, 0), recursiveQuery, wire.WritePIRRecursiveQuery, viewRecursive, deliver)
 	} else {
-		err = t.Run(ctx, qch, widest, deliver)
+		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRBatch, wire.MaxSeededValues(modBytes)), flatQuery, wire.WritePIRBatchQuery, wire.ViewPIRBatchAnswer, deliver)
 	}
-	close(done)
-	wg.Wait()
-	st.QueryBytes, st.Vectors = genQueryBytes, genVectors
 	if err != nil {
-		// Delivery errors already name their document; transport and
-		// serving errors get the first undelivered position attached,
-		// so a failing fetch names which document and column it died on.
-		if err != deliverErr && next < len(tasks) {
+		// Transport and serving errors get the first undelivered position
+		// attached, so a failing fetch names which document and column it
+		// died on.
+		if err != named && next < len(tasks) {
 			tk := tasks[next]
 			return nil, st, fmt.Errorf("embellish: document %d column %d: %w", ids[tk.pos], tk.run, err)
 		}
 		return nil, st, err
-	}
-	if genErr != nil {
-		return nil, st, fmt.Errorf("embellish: building PIR query: %w", genErr)
-	}
-	if next != len(tasks) {
-		return nil, st, fmt.Errorf("embellish: fetch ended after %d of %d runs", next, len(tasks))
 	}
 	return out, st, nil
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"fmt"
 	"math/big"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,62 +18,20 @@ import (
 	"embellish/internal/wire"
 )
 
-// TestFetchPipelineDepthsAndPlansAgree: every fetch-pipeline depth
-// must fetch byte-identical documents — the pipeline reschedules work
-// and may not change a single byte. (The executor's worker-count sweep
-// lives in internal/pir's conformance battery.)
-func TestFetchPipelineDepthsAndPlansAgree(t *testing.T) {
-	e, _, texts := storeWorld(t, 25, 32, Durability{})
-	ids := []int{0, 7, 13, 24}
-	for _, depth := range []int{1, 2, 5, DefaultFetchPipeline} {
-		c, err := e.NewClient(detrand.New(fmt.Sprintf("pipe-%d", depth)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.SetFetchPipeline(depth); err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := c.FetchDocuments(ids)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
-		}
-		for i, id := range ids {
-			if string(got[i]) != texts[id] {
-				t.Fatalf("depth %d doc %d: fetched %q, want %q", depth, id, got[i], texts[id])
-			}
-		}
-		if st.Runs == 0 || st.QueryBytes == 0 || st.AnswerBytes == 0 {
-			t.Fatalf("depth %d: stats not accounted: %+v", depth, st)
-		}
-	}
-}
-
-func TestSetFetchPipelineValidation(t *testing.T) {
-	_, c, _ := storeWorld(t, 20, 32, Durability{})
-	if err := c.SetFetchPipeline(0); err == nil {
-		t.Fatal("depth 0 accepted")
-	}
-	if err := c.SetFetchPipeline(maxFetchPipeline + 1); err == nil {
-		t.Fatal("oversized depth accepted")
-	}
-	if err := c.SetFetchPipeline(1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// onFirstBatch wraps a connection and runs do the instant the first PIR
-// batch frame leaves the client — after the client validated its ids
-// against Params, before the server sees a query — making a store
+// onFirstBatch wraps a connection and runs do the instant the first
+// query frame of type typ leaves the client — after the client validated
+// its ids against Params, before the server sees a query — making a store
 // change that races a fetch deterministic. A frame leaves in one Write,
 // its type byte after the four-byte length header.
 type onFirstBatch struct {
 	net.Conn
+	typ  byte
 	once sync.Once
 	do   func()
 }
 
 func (o *onFirstBatch) Write(p []byte) (int, error) {
-	if len(p) > 4 && p[4] == wire.TypePIRBatchQuery {
+	if len(p) > 4 && p[4] == o.typ {
 		o.once.Do(o.do)
 	}
 	return o.Conn.Write(p)
@@ -81,10 +39,10 @@ func (o *onFirstBatch) Write(p []byte) (int, error) {
 
 // TestPipelinedFetchChecksumFailureKeepsConnectionUsable: a document
 // deleted between the mapping fetch and its block fetches fails its
-// checksum (the server zeroes tombstoned blocks in place); the
-// pipelined client must drain the in-flight answers and leave the
-// connection at a frame boundary, so the same session keeps searching
-// and fetching — the documented reuse contract.
+// checksum (the server zeroes tombstoned blocks in place); the client
+// must read the rest of the frame's answers and leave the connection at
+// a frame boundary, so the same session keeps searching and fetching —
+// the documented reuse contract.
 func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 	e, _, texts := storeWorld(t, 25, 32, Durability{})
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
@@ -94,7 +52,7 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 	}
 	defer raw.Close()
 	const victim, bystander = 5, 9
-	conn := &onFirstBatch{Conn: raw, do: func() {
+	conn := &onFirstBatch{Conn: raw, typ: wire.TypePIRBatchQuery, do: func() {
 		if err := e.DeleteDocuments([]int{victim}); err != nil {
 			t.Errorf("mid-fetch delete: %v", err)
 		}
@@ -102,9 +60,6 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 
 	c, err := e.NewClient(detrand.New("drain-client"))
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetFetchPipeline(8); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = c.FetchDocumentsRemote(conn, []int{victim, bystander})
@@ -126,50 +81,72 @@ func TestPipelinedFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
 	}
 }
 
-// TestPIRBatchLimitBudget: batches shrink with the wire cost of one
-// seeded query, so a batch frame can never approach the 64 MiB frame cap
-// nor expand past the values a server expands a frame to, and wide
-// moduli over big stores pick smaller batches instead of failing.
+// TestPIRBatchLimitBudget: a fetch's frames take as many queries as fit
+// the wire's batch cap, the values a server expands a seeded frame to, and
+// 16 MiB of frame bytes and of answers — so wide moduli over big stores
+// and tall columns shrink a frame instead of failing, and nothing else
+// cuts one.
 func TestPIRBatchLimitBudget(t *testing.T) {
-	if got := pirBatchLimit(16, 100, 64); got != 8 {
-		t.Fatalf("small world: limit %d, want depth/2 = 8", got)
+	// A fetch's queries: docs documents of cols columns each, over a view
+	// width columns wide, answers of answer bytes.
+	fetch := func(docs, cols, width, answer int) []queryCost {
+		var costs []queryCost
+		for range docs {
+			for j := range cols {
+				costs = append(costs, queryCost{entry: wire.SeededEntryBytes(width, 1, j), values: width, answer: answer, rotates: j > 0})
+			}
+		}
+		return costs
 	}
-	if got := pirBatchLimit(1024, 100, 64); got != wire.MaxPIRBatch {
-		t.Fatalf("deep window: limit %d, want wire cap %d", got, wire.MaxPIRBatch)
-	}
-	if got := pirBatchLimit(1, 100, 64); got != 1 {
-		t.Fatalf("depth 1: limit %d, want frames of one query", got)
-	}
-	// 1024-bit modulus over a 130k-block store: 32.5 KB a seeded query.
-	if got := pirBatchLimit(128, 130000, 1024); got != 4 {
-		t.Fatalf("huge seeded query: limit %d, want the 4 a frame may expand to", got)
-	}
-	// The budget must keep every batch whose single query is itself
-	// sendable under the frame cap (a query too large to frame at all
-	// is unfetchable by any protocol and fails on its own).
-	for _, c := range []struct{ depth, values, bits int }{
-		{2, 1, 64}, {1024, 1 << 20, 64}, {128, 130000, 1024}, {8, 30413, 64},
+	seeded64 := wire.MaxSeededValues(8)
+	for _, c := range []struct {
+		name         string
+		costs        []queryCost
+		most, values int
+		want         []int
+	}{
+		{"six one-column documents", fetch(6, 1, 100, 8*512*8), wire.MaxPIRBatch, seeded64, []int{6}},
+		{"past the batch cap", fetch(65, 1, 100, 8*512*8), wire.MaxPIRBatch, seeded64, []int{64, 1}},
+		{"one document at the batch cap", fetch(1, 64, 100, 8*512*8), wire.MaxPIRBatch, seeded64, []int{64}},
+		// 1024-bit modulus over a 130k-column view: four vectors expand to
+		// what a frame may, but a vector's rotations expand to nothing.
+		{"huge seeded vectors", fetch(6, 1, 130000, 8*512*128), wire.MaxPIRBatch, wire.MaxSeededValues(128), []int{4, 2}},
+		{"huge seeded vector rotated", fetch(1, 6, 130000, 8*512*128), wire.MaxPIRBatch, wire.MaxSeededValues(128), []int{6}},
+		// The default 512-bit key over columns of MaxColumnBytes: a 4 MB
+		// answer each, so four a frame.
+		{"tall columns, wide key", fetch(1, 6, 100, 8*docstore.MaxColumnBytes*64), wire.MaxPIRBatch, wire.MaxSeededValues(64), []int{4, 2}},
+		{"recursive cap", make([]queryCost, 20), wire.MaxPIRRecursiveBatch, 0, []int{16, 4}},
+		{"an answer past the budget alone", []queryCost{{answer: 20 << 20}, {answer: 20 << 20}}, wire.MaxPIRBatch, 0, []int{1, 1}},
 	} {
-		limit := pirBatchLimit(c.depth, c.values, c.bits)
-		if limit < 1 {
-			t.Fatalf("limit(%+v) = %d", c, limit)
+		got := frameSizes(c.costs, c.most, c.values)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s: frames of %v, want %v", c.name, got, c.want)
 		}
-		if limit*c.values > wire.MaxSeededValues((c.bits+7)/8) {
-			t.Fatalf("limit(%+v) = %d seeded vectors expand past the server's bound", c, limit)
-		}
-		if frame := limit * wire.SeededEntryBytes(c.values, docstore.MaxColumnBytes, c.values-1); frame > wire.MaxFrame/2 {
-			t.Fatalf("limit(%+v) = %d admits ~%d-byte frames", c, limit, frame)
+		// Every frame of more than one query keeps within every budget.
+		at := 0
+		for _, n := range got {
+			bytes, values, answers := 0, 0, 0
+			for i, q := range c.costs[at : at+n] {
+				if q.rotates && i > 0 {
+					q.entry, q.values = 1, 0
+				}
+				bytes, values, answers = bytes+q.entry, values+q.values, answers+q.answer
+			}
+			if n > 1 && (n > c.most || bytes > maxPIRBatchFrameBytes || values > c.values || answers > maxPIRBatchFrameBytes) {
+				t.Errorf("%s: a frame of %d queries holds %d bytes, %d values and %d answer bytes", c.name, n, bytes, values, answers)
+			}
+			at += n
 		}
 	}
 }
 
 // TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame: priced by what the
 // writer puts on the wire, a six-block fetch over 600,000 columns —
-// wider than the paper's 172,961 documents make a store — is one frame
-// at window 16 and so one store pass. Priced as six written-out vectors,
-// the same fetch would take three.
+// wider than the paper's 172,961 documents make a store — is one frame,
+// and so one store pass: the frame loop sends the six queries frameSizes
+// cuts into one frame together and reads back their six answers.
 func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
-	const cols, window = 600000, 16
+	const cols = 600000
 	key, err := pir.GenerateKey(detrand.New("wide-frame"), 64)
 	if err != nil {
 		t.Fatal(err)
@@ -178,17 +155,18 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A six-block document as the generator hands it to the writer: a
-	// seeded vector and its five rotations. The writer reads only the
-	// width of Values, so one slice of unset elements stands in for all
-	// six.
+	// A six-block document as fetchVia builds it: a seeded vector and its
+	// five rotations. The writer reads only the width of Values, so one
+	// slice of unset elements stands in for all six.
 	s := &pir.Seed{Key: small.Seed.Key, V: small.Seed.V, Z: small.Seed.Z, Codes: make([]byte, (cols+3)/4)}
 	values := make([]*big.Int, cols)
-	qs := make(chan *pir.Query, 6)
+	var qs []*pir.Query
+	var costs []queryCost
 	for rot := 0; rot < 6; rot++ {
-		qs <- &pir.Query{N: key.N, Values: values, Seed: s, Rot: rot, Height: 1}
+		qs = append(qs, &pir.Query{N: key.N, Values: values, Seed: s, Rot: rot, Height: 1})
+		costs = append(costs, queryCost{entry: wire.SeededEntryBytes(cols, 1, rot), values: cols, answer: key.AnswerBytes(8 * 1024), rotates: rot > 0})
 	}
-	close(qs)
+	sizes := frameSizes(costs, wire.MaxPIRBatch, wire.MaxSeededValues((key.N.BitLen()+7)/8))
 	srvConn, cliConn := net.Pipe()
 	defer cliConn.Close()
 	frames := make(chan int, 6) // one entry count per frame
@@ -211,10 +189,11 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 		}
 	}()
 	answers := 0
-	err = remotePIR{conn: cliConn, depth: window}.Run(context.Background(), qs, cols, func(wire.PIRAnswerView) error {
-		answers++
-		return nil
-	})
+	err = exchange(context.Background(), cliConn, sizes, func(i int) (*pir.Query, error) { return qs[i], nil },
+		wire.WritePIRBatchQuery, wire.ViewPIRBatchAnswer, func(wire.PIRAnswerView) error {
+			answers++
+			return nil
+		})
 	cliConn.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +202,8 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	for c := range frames {
 		counts = append(counts, c)
 	}
-	if answers != 6 || len(counts) != 1 || counts[0] != 6 {
-		t.Fatalf("six blocks over %d columns went out as frames of %v, %d answered: want one frame of six", cols, counts, answers)
+	if answers != 6 || len(counts) != 1 || counts[0] != 6 || !slices.Equal(sizes, []int{6}) {
+		t.Fatalf("six blocks over %d columns went out as frames of %v (cut %v), %d answered: want one frame of six", cols, counts, sizes, answers)
 	}
 }
 
@@ -287,44 +266,38 @@ func (f *frameCounter) Write(p []byte) (int, error) {
 
 // TestFetchFrameScheduleIsDeterministic: how many batch frames a fetch
 // ships — and so how many times the server scans the store — is a
-// function of the block count and the window, never of which goroutine
-// ran first. Six one-block documents are one frame of six at window 16
-// and two frames (4 + 2) at the default window of 8, every time.
+// function of its queries alone. Six one-block documents are one frame of
+// six, every time.
 func TestFetchFrameScheduleIsDeterministic(t *testing.T) {
 	e, c, texts := storeWorld(t, 25, 512, Durability{}) // every document fits one block
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	ids := []int{1, 5, 9, 14, 20, 23}
-	for _, tc := range []struct{ window, frames int }{{16, 1}, {DefaultFetchPipeline, 2}} {
-		if err := c.SetFetchPipeline(tc.window); err != nil {
+	for rep := 0; rep < 20; rep++ {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for rep := 0; rep < 20; rep++ {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
+		fc := &frameCounter{Conn: conn}
+		got, st, err := c.FetchDocumentsRemote(fc, ids)
+		conn.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Runs != len(ids) {
+			t.Fatalf("%d PIR runs for %d one-block documents", st.Runs, len(ids))
+		}
+		for i, id := range ids {
+			if string(got[i]) != texts[id] {
+				t.Fatalf("doc %d fetched %q, want %q", id, got[i], texts[id])
 			}
-			fc := &frameCounter{Conn: conn}
-			got, st, err := c.FetchDocumentsRemote(fc, ids)
-			conn.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Runs != len(ids) {
-				t.Fatalf("window %d: %d PIR runs for %d one-block documents", tc.window, st.Runs, len(ids))
-			}
-			for i, id := range ids {
-				if string(got[i]) != texts[id] {
-					t.Fatalf("window %d: doc %d fetched %q, want %q", tc.window, id, got[i], texts[id])
-				}
-			}
-			if n := fc.frames[wire.TypePIRBatchQuery]; n != tc.frames {
-				t.Fatalf("window %d, repetition %d: %d batch frames, want %d", tc.window, rep, n, tc.frames)
-			}
+		}
+		if n := fc.frames[wire.TypePIRBatchQuery]; n != 1 {
+			t.Fatalf("repetition %d: %d batch frames, want 1", rep, n)
 		}
 	}
 }
 
-// TestBatchServingAccountsPIRWork: a pipelined client fetching over
+// TestBatchServingAccountsPIRWork: a client fetching over
 // batch frames must receive the stored bytes, and the server must
 // account its PIR work on the wire stats: positive mod-mul totals with
 // the table products a strict subset of them.
@@ -337,9 +310,6 @@ func TestBatchServingAccountsPIRWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := c.SetFetchPipeline(16); err != nil {
-		t.Fatal(err)
-	}
 	got, st, err := c.FetchDocumentsRemote(conn, ids)
 	if err != nil {
 		t.Fatal(err)

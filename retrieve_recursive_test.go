@@ -160,6 +160,47 @@ func TestFetchRecursiveRemoteCancellation(t *testing.T) {
 	}
 }
 
+// TestRecursiveFetchChecksumFailureKeepsConnectionUsable: a document
+// deleted as the type-23 frame leaves fails its checksum, and the
+// recursive fetch, like the flat one, reads the rest of the frame's
+// answers before it returns — so the same session still searches and
+// fetches, the reuse contract of FetchDocumentsRemote.
+func TestRecursiveFetchChecksumFailureKeepsConnectionUsable(t *testing.T) {
+	e, _, texts := storeWorld(t, 25, 32, Durability{})
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	const victim, bystander = 5, 9
+	conn := &onFirstBatch{Conn: raw, typ: wire.TypePIRRecursiveQuery, do: func() {
+		if err := e.DeleteDocuments([]int{victim}); err != nil {
+			t.Errorf("mid-fetch delete: %v", err)
+		}
+	}}
+	c, err := e.NewClient(detrand.New("recursive-drain-client"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetFetchRecursive(true)
+	_, _, err = c.FetchDocumentsRemote(conn, []int{victim, bystander})
+	if err == nil || !strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("mid-fetch delete not surfaced as checksum failure: %v", err)
+	}
+
+	if _, err := c.SearchRemote(conn, miniLemmas()[1], 3); err != nil {
+		t.Fatalf("search after the failed recursive fetch: %v", err)
+	}
+	got, _, err := c.FetchDocumentsRemote(conn, []int{bystander})
+	if err != nil {
+		t.Fatalf("fetch after the failed recursive fetch: %v", err)
+	}
+	if string(got[0]) != texts[bystander] {
+		t.Fatalf("post-failure fetch returned %q, want %q", got[0], texts[bystander])
+	}
+}
+
 // TestRetiredRecursiveType: type 22 — the same frame layout under the
 // retired bit-per-ciphertext semantics — reaches no decoder: a server
 // answers a well-formed type-22 frame from the default branch, with the

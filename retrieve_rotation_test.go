@@ -108,10 +108,8 @@ func rotationWorld(t *testing.T) (e *Engine, c *Client, texts map[int]string, by
 // connection, a fetch uploads one seeded selection vector per DOCUMENT,
 // over its class view, and a byte per further column, and
 // FetchStats.QueryBytes is exactly that figure. What else the socket
-// carries is counted to the byte: the six-byte hello and each frame's
-// head (length, type, modulus, the seeded form's 0, count, V and Z) — and, at the default window,
-// where a frame boundary can fall inside a document, the seeded entry of
-// each rotation the boundary orphans in place of its byte.
+// carries is counted to the byte: the six-byte hello and the one frame's
+// head (length, type, modulus, the seeded form's 0, count, V and Z).
 func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 	e, c, texts, byBlocks := classWorld(t)
 	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
@@ -146,83 +144,138 @@ func TestFetchUploadsOneVectorPerDocument(t *testing.T) {
 			runs += k
 			vectors += entry(id, 0)
 		}
-		for _, window := range []int{16, DefaultFetchPipeline} {
-			if err := c.SetFetchPipeline(window); err != nil {
-				t.Fatal(err)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := &frameCounter{Conn: conn}
+		got, st, err := c.FetchDocumentsRemote(cc, tc.ids)
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, id := range tc.ids {
+			if string(got[i]) != texts[id] {
+				t.Fatalf("%s: doc %d fetched %q, want %q", tc.name, id, got[i], texts[id])
 			}
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cc := &frameCounter{Conn: conn}
-			got, st, err := c.FetchDocumentsRemote(cc, tc.ids)
-			conn.Close()
-			if err != nil {
-				t.Fatalf("%s, window %d: %v", tc.name, window, err)
-			}
-			for i, id := range tc.ids {
-				if string(got[i]) != texts[id] {
-					t.Fatalf("%s, window %d: doc %d fetched %q, want %q", tc.name, window, id, got[i], texts[id])
-				}
-			}
-			if st.Runs != runs || st.Vectors != len(tc.ids) {
-				t.Fatalf("%s, window %d: %d runs and %d vectors for %d columns of %d documents", tc.name, window, st.Runs, st.Vectors, runs, len(tc.ids))
-			}
-			if want := vectors + runs - len(tc.ids); st.QueryBytes != want {
-				t.Fatalf("%s, window %d: FetchStats.QueryBytes %d, want %d", tc.name, window, st.QueryBytes, want)
-			}
-			frames := (runs + window/2 - 1) / (window / 2)
-			if got := cc.frames[wire.TypePIRBatchQuery]; got != frames || (window == 16 && frames != 1) {
-				t.Fatalf("%s, window %d: %d columns went out in %d batch frames, want %d", tc.name, window, runs, got, frames)
-			}
-			extra := 6 // the hello of a fresh connection: a single 0
-			for _, body := range cc.bodies(wire.TypePIRBatchQuery) {
-				qs, err := wire.DecodePIRBatchQuery(body)
-				if err != nil || qs[0].Seed == nil || qs[0].Height == 0 {
-					t.Fatalf("%s, window %d: a batch frame that is not seeded over a view (%v)", tc.name, window, err)
-				}
-				extra += 4 + 1 + bigBytes(key.N) + 1 + 1 + bigBytes(qs[0].Seed.V) + bigBytes(qs[0].Seed.Z)
-				if qs[0].Rot > 0 { // an orphan: an entry where the protocol counts a byte
-					extra += wire.SeededEntryBytes(len(qs[0].Values), qs[0].Height, qs[0].Rot) - 1
-				}
-			}
-			if cc.up != st.QueryBytes+extra {
-				t.Fatalf("%s, window %d: uploaded %d bytes, the protocol's %d and %d of frame heads and orphans", tc.name, window, cc.up, st.QueryBytes, extra)
-			}
+		}
+		if st.Runs != runs || st.Vectors != len(tc.ids) {
+			t.Fatalf("%s: %d runs and %d vectors for %d columns of %d documents", tc.name, st.Runs, st.Vectors, runs, len(tc.ids))
+		}
+		if want := vectors + runs - len(tc.ids); st.QueryBytes != want {
+			t.Fatalf("%s: FetchStats.QueryBytes %d, want %d", tc.name, st.QueryBytes, want)
+		}
+		bodies := cc.bodies(wire.TypePIRBatchQuery)
+		if len(bodies) != 1 {
+			t.Fatalf("%s: %d columns went out in %d batch frames, want 1", tc.name, runs, len(bodies))
+		}
+		qs, err := wire.DecodePIRBatchQuery(bodies[0])
+		if err != nil || qs[0].Seed == nil || qs[0].Height == 0 {
+			t.Fatalf("%s: a batch frame that is not seeded over a view (%v)", tc.name, err)
+		}
+		// The hello of a fresh connection, a single 0, and the frame head.
+		extra := 6 + 4 + 1 + bigBytes(key.N) + 1 + 1 + bigBytes(qs[0].Seed.V) + bigBytes(qs[0].Seed.Z)
+		if cc.up != st.QueryBytes+extra {
+			t.Fatalf("%s: uploaded %d bytes, the protocol's %d and %d of hello and frame head", tc.name, cc.up, st.QueryBytes, extra)
 		}
 	}
 }
 
-// TestFetchDepthOneSendsSeededFramesOfOneEntry: depth 1 speaks the one
-// flat dialect in frames of one entry — every column of a document taller
-// than the tallest view travels seeded over its class view, the second
-// column as the first's seed one rotation on — and the stats are the
-// protocol's: one vector per document, a byte per further column.
-func TestFetchDepthOneSendsSeededFramesOfOneEntry(t *testing.T) {
-	e, c, texts, byBlocks := classWorld(t)
-	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
-	if err := c.SetFetchPipeline(1); err != nil {
+// TestFetchSplitsATallDocumentAcrossFrames: a document of more columns
+// than one frame holds goes out in the frames frameSizes cuts — at 4 KiB
+// blocks H = 1, so its 65 blocks are 65 columns of view 1, and the
+// answers a frame asks for outgrow 16 MiB before the wire's batch cap.
+// The vector travels once; each later frame opens with the same seed at
+// the rotation where the frame before it stopped, and the stats are the
+// protocol's: one vector, a byte per further column.
+func TestFetchSplitsATallDocumentAcrossFrames(t *testing.T) {
+	const blockSize, blocks = 4096, 65
+	if h := docstore.Heights(blockSize); h != 1 {
+		t.Fatalf("H is %d at %d-byte blocks", h, blockSize)
+	}
+	e, c, texts := storeWorld(t, 8, blockSize, Durability{})
+	lemmas := miniLemmas()
+	id := e.NextDocID()
+	var text strings.Builder
+	text.WriteString(storeDocText(id, lemmas))
+	for text.Len() <= (blocks-1)*blockSize+50 {
+		text.WriteString(" " + lemmas[2+text.Len()%20])
+	}
+	texts[id] = text.String()
+	if err := e.AddDocuments([]Document{{ID: id, Text: texts[id]}}); err != nil {
 		t.Fatal(err)
 	}
+	sn, err := e.storeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := sn.Layout()
+	h, _, cols := layout.Place(id)
+	if h != 1 || cols != blocks {
+		t.Fatalf("document %d is %d columns of view %d, want %d of view 1", id, cols, h, blocks)
+	}
+	key, err := c.pirKey()
+	if err != nil {
+		t.Fatal(err)
+	}
+	width := layout.Widths()[1]
+	costs := make([]queryCost, cols)
+	for j := range costs {
+		costs[j] = queryCost{entry: wire.SeededEntryBytes(width, 1, j), values: width, answer: key.AnswerBytes(8 * blockSize), rotates: j > 0}
+	}
+	sizes := frameSizes(costs, wire.MaxPIRBatch, wire.MaxSeededValues((key.N.BitLen()+7)/8))
+	if len(sizes) < 2 || sizes[0] >= wire.MaxPIRBatch {
+		t.Fatalf("frames of %v: want the answer budget to cut the document short of the batch cap", sizes)
+	}
+
+	addr := startRetrievalServer(t, e, ServeConfig{AllowRetrieval: true})
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	fc := &frameCounter{Conn: conn}
-	id := byBlocks[5] // two columns of view 3
 	got, st, err := c.FetchDocumentsRemote(fc, []int{id})
-	if err != nil || string(got[0]) != texts[id] {
-		t.Fatalf("fetched %q, %v", got, err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.Runs != 2 || st.Vectors != 1 || fc.frames[wire.TypePIRBatchQuery] != 2 {
-		t.Fatalf("%d runs, %d vectors, %d batch frames: want two frames of one column each, one vector", st.Runs, st.Vectors, fc.frames[wire.TypePIRBatchQuery])
+	direct, err := e.Document(id)
+	if err != nil || string(got[0]) != texts[id] || string(direct) != texts[id] {
+		t.Fatalf("fetched %d bytes, stored %d (%v), indexed %d", len(got[0]), len(direct), err, len(texts[id]))
 	}
-	for i, body := range fc.bodies(wire.TypePIRBatchQuery) {
+	if st.Runs != cols || st.Vectors != 1 || st.QueryBytes != wire.SeededEntryBytes(width, 1, 0)+cols-1 {
+		t.Fatalf("%d runs, %d vectors, %d query bytes: want %d columns on one vector", st.Runs, st.Vectors, st.QueryBytes, cols)
+	}
+	bodies := fc.bodies(wire.TypePIRBatchQuery)
+	if len(bodies) != len(sizes) {
+		t.Fatalf("%d batch frames, want the %d of %v", len(bodies), len(sizes), sizes)
+	}
+	var seed *pir.Seed
+	rot := 0
+	// The socket carries the protocol's bytes, the hello of a fresh
+	// connection, each frame's head and, in place of the byte the protocol
+	// counts, a seeded entry for each rotation a frame boundary orphans.
+	bigBytes := func(v *big.Int) int { return 1 + (v.BitLen()+7)/8 }
+	up := st.QueryBytes + 6
+	for f, body := range bodies {
 		qs, err := wire.DecodePIRBatchQuery(body)
-		if err != nil || len(qs) != 1 || qs[0].Seed == nil || qs[0].Height != 3 || qs[0].Rot != i {
-			t.Fatalf("frame %d: %d entries (%v), want one seeded entry over view 3 at rotation %d", i, len(qs), err, i)
+		if err != nil || len(qs) != sizes[f] {
+			t.Fatalf("frame %d: %d entries (%v), want %d", f, len(qs), err, sizes[f])
 		}
+		if seed == nil {
+			seed = qs[0].Seed
+		}
+		if q := qs[0]; q.Seed == nil || q.Seed.Key != seed.Key || q.Height != 1 || q.Rot != rot {
+			t.Fatalf("frame %d opens at rotation %d of view %d (seeded %v), want the first frame's seed at rotation %d of view 1", f, q.Rot, q.Height, q.Seed != nil, rot)
+		}
+		up += 4 + 1 + bigBytes(key.N) + 1 + 1 + bigBytes(seed.V) + bigBytes(seed.Z)
+		if rot > 0 {
+			up += wire.SeededEntryBytes(width, 1, rot) - 1
+		}
+		rot += len(qs)
+	}
+	if fc.up != up {
+		t.Fatalf("uploaded %d bytes, want %d: the protocol's %d, the hello, %d frame heads and %d orphans", fc.up, up, st.QueryBytes, len(bodies), len(bodies)-1)
 	}
 }
 
@@ -266,9 +319,6 @@ func TestFetchDoesNotRetryOtherRefusals(t *testing.T) {
 	e, c, _, byBlocks := rotationWorld(t)
 	sn, err := e.storeSnapshot()
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetFetchPipeline(16); err != nil { // every column in one frame
 		t.Fatal(err)
 	}
 	for _, text := range []string{
@@ -317,7 +367,7 @@ func TestRotatedFetchAgainstOlderParams(t *testing.T) {
 	defer raw.Close()
 	lemmas := miniLemmas()
 	before := e.NextDocID()
-	conn := &onFirstBatch{Conn: raw, do: func() {
+	conn := &onFirstBatch{Conn: raw, typ: wire.TypePIRBatchQuery, do: func() {
 		docs := make([]Document, 3)
 		for i, b := range []int{1, 3, 5} {
 			docs[i] = Document{ID: before + i, Text: classText(before+i, b, lemmas)}
@@ -326,9 +376,6 @@ func TestRotatedFetchAgainstOlderParams(t *testing.T) {
 			t.Errorf("mid-fetch append: %v", err)
 		}
 	}}
-	if err := c.SetFetchPipeline(32); err != nil {
-		t.Fatal(err)
-	}
 	// The last five-block document is the last of the old view 3: its
 	// rotation puts the non-residue in the vector's last column.
 	ids := []int{byBlocks[5] + 3, byBlocks[3], byBlocks[2]}

@@ -459,9 +459,8 @@ func (s *sim) batchQuery() {
 	}
 }
 
-// fetch reads a sample of live documents privately over TCP, at
-// pipeline depth 1 (frames of one query) and the default. A tombstoned
-// id is refused on the same connection, which stays usable.
+// fetch reads a sample of live documents privately over TCP. A
+// tombstoned id is refused on the same connection, which stays usable.
 func (s *sim) fetch() {
 	w, v := s.w, s.head()
 	ids := s.sample(v.live, 1+s.rng.Intn(3))
@@ -470,10 +469,7 @@ func (s *sim) fetch() {
 			s.fatalf("tombstoned doc %d fetched over TCP", id)
 		}
 	}
-	for _, depth := range []int{1, DefaultFetchPipeline} {
-		s.ok(w.c.SetFetchPipeline(depth), "depth %d", depth)
-		s.texts(fmt.Sprintf("depth-%d fetch", depth), ids)(w.c.FetchDocumentsRemote(w.conn, ids))
-	}
+	s.texts("remote fetch", ids)(w.c.FetchDocumentsRemote(w.conn, ids))
 }
 
 func (s *sim) checkpoint() {
@@ -705,10 +701,7 @@ func (s *sim) reader(stop <-chan struct{}, remote bool) {
 		}
 		to := s.published()
 		if err == nil && remote {
-			// Alternate frames of one query with the default window.
-			if err = c.SetFetchPipeline([]int{1, DefaultFetchPipeline}[i%2]); err == nil {
-				docs, _, err = c.FetchDocumentsRemote(conn, []int{id})
-			}
+			docs, _, err = c.FetchDocumentsRemote(conn, []int{id})
 		} else if err == nil {
 			docs, _, err = c.FetchDocuments([]int{id})
 		}

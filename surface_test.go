@@ -200,6 +200,15 @@ var rules = []rule{
 	retired("one routed fetch database", ident, "internal/cluster", `^TypePIRRecursiveQuery$`),
 	retired("one routed fetch database", ident|tests, "", `^(handlePIRRecursive|RecursiveLevel2|recursiveSpanError|errRecursive(Offset|Span)|withHeights|StatPIRRecursivePartials|PIRRecursivePartials)$`),
 	retired("one routed fetch database", field, "internal/pir/recursive.go", `^(Offset|Span)$`),
+	// One frame loop per fetch (exchange): a fetch sends its queries in as
+	// few frames as the wire allows, each answered before the next is
+	// written, so there is no pipeline window to set, no second read loop
+	// for the recursive form and no goroutine in the fetch. bench/ still
+	// calls the deprecated, ignored SetFetchPipeline.
+	retired("one fetch frame loop", ident|tests, "", `^(pipelineDepth|fetchDepth|DefaultFetchPipeline|maxFetchPipeline|RunRecursive|commitPing)$`),
+	retired("one fetch frame loop", flagKey|tests, "", `^fetch-pipeline$`),
+	retired("one fetch frame loop", read|tests, "", `^SetFetchPipeline$`),
+	count("one fetch frame loop", "a go statement", "retrieve.go", 0, 0, goStmt),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
@@ -424,6 +433,12 @@ func exprs(re string) func(ast.Node) bool {
 		e, ok := n.(ast.Expr)
 		return ok && source.MatchString(types.ExprString(e))
 	}
+}
+
+// goStmt matches a go statement.
+func goStmt(n ast.Node) bool {
+	_, ok := n.(*ast.GoStmt)
+	return ok
 }
 
 // methodsWith matches a method of recv whose body holds a node match
