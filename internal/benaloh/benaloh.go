@@ -17,14 +17,18 @@
 // decryption is ambiguous when r is composite — and the scheme is normally
 // run with r = 3^k, which makes the discrete log of decryption smooth.
 //
-// The key holder decrypts without arithmetic modulo n: p1 is chosen with
-// r | p1-1 and gcd(r, p2-1) = 1, so c^((p1-1)/r) mod p1 = h^m for an h of
-// exact order r in Z_p1^*, µ gone. That is one exponentiation over the
-// half-width modulus; m then falls out of ⌈k/j⌉ look-ups in a 3^j-entry
-// table, j = ⌈k/2⌉ capped at 8 (Pohlig-Hellman over chunks of j base-3
-// digits), or of baby-step giant-step when r is prime. GenerateKey builds
-// the tables — two of 3^j residues of p1 each, 729 for the default 3^12 —
-// and a key is read-only afterwards.
+// The key holder encrypts and decrypts without arithmetic modulo n. It
+// encrypts modulo p1 and p2 and recombines by the Chinese remainder
+// theorem (PrivateKey.Encrypt), the ciphertext byte for byte the one
+// PublicKey.Encrypt computes modulo n from the same random stream. It
+// decrypts modulo p1 alone: p1 is chosen with r | p1-1 and
+// gcd(r, p2-1) = 1, so c^((p1-1)/r) mod p1 = h^m for an h of exact order
+// r in Z_p1^*, µ gone. That is one exponentiation over the half-width
+// modulus; m then falls out of ⌈k/j⌉ look-ups in a 3^j-entry table,
+// j = ⌈k/2⌉ capped at 8 (Pohlig-Hellman over chunks of j base-3 digits),
+// or of baby-step giant-step when r is prime. GenerateKey builds the
+// tables — two of 3^j residues of p1 each, 729 for the default 3^12, in
+// Montgomery form — and a key is read-only afterwards.
 package benaloh
 
 import (
@@ -33,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 
 	"embellish/internal/mont"
 )
@@ -55,15 +60,17 @@ type PublicKey struct {
 type PrivateKey struct {
 	PublicKey
 	P1, P2   *big.Int
-	m1, m2   *mont.Modulus    // p1 and p2 in Montgomery form: decryption's arithmetic, and its unit check
-	cofactor *big.Int         // (p1-1)/r: raising to it maps Z_p1^* onto the order-r subgroup ⟨h⟩
-	logTab   map[string]int32 // W^i -> i (r = 3^k, W = h^(3^(k-chunk))) or h^i -> i (prime r)
+	m1, m2   *mont.Modulus // p1 and p2 in Montgomery form: the key holder's arithmetic
+	g1, g2   []big.Word    // g mod p1 and mod p2, in the form
+	p2Inv    []big.Word    // p2^-1 mod p1, canonical: Garner's coefficient
+	cofactor *big.Int      // (p1-1)/r: raising to it maps Z_p1^* onto the order-r subgroup ⟨h⟩
+	logTab   *formTable    // W^i -> i (r = 3^k, W = h^(3^(k-chunk))) or h^i -> i (prime r)
 	// r = 3^k: base-3 digits are solved chunk at a time.
 	k, chunk int
 	pow3     []*big.Int // 3^i for i = 0..k
-	peel     []*big.Int // h^-i mod p1 for i < 3^chunk
+	peel     []big.Word // h^-i mod p1 for i < 3^chunk, in the form, one p1 width each
 	// Prime r: baby-step giant-step.
-	giant *big.Int // h^-s mod p1, s = len(logTab) = ⌈√r⌉
+	giant []big.Word // h^-s mod p1 in the form, s = logTab.size = ⌈√r⌉
 }
 
 // CiphertextBytes returns the byte length of one ciphertext.
@@ -155,15 +162,23 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err // unreachable: p2 is an odd prime
 	}
+	k1, k2 := m1.Words(), m2.Words()
+	w := make([]big.Word, 2*k1+k2)
 	priv := &PrivateKey{
 		PublicKey: PublicKey{N: n, G: g, R: new(big.Int).Set(r)},
 		P1:        p1,
 		P2:        p2,
 		m1:        m1,
 		m2:        m2,
+		g1:        w[:k1:k1],
+		p2Inv:     w[k1 : 2*k1 : 2*k1],
+		g2:        w[2*k1:],
 		cofactor:  new(big.Int).Div(new(big.Int).Sub(p1, one), r),
 		k:         k,
 	}
+	m1.Reduce(priv.g1, g.Bits())
+	m2.Reduce(priv.g2, g.Bits())
+	copy(priv.p2Inv, new(big.Int).ModInverse(new(big.Int).Mod(p2, p1), p1).Bits())
 	h := new(big.Int).Exp(g, priv.cofactor, p1)
 	hInv := new(big.Int).ModInverse(h, p1)
 	if isPow3 {
@@ -173,12 +188,14 @@ func GenerateKey(randSrc io.Reader, bits int, r *big.Int) (*PrivateKey, error) {
 			priv.pow3[i] = Pow3(i)
 		}
 		size := int(priv.pow3[priv.chunk].Int64())
-		priv.logTab = logTable(h.Exp(h, priv.pow3[k-priv.chunk], p1), size, p1)
-		priv.peel = powers(hInv, size, p1)
+		priv.logTab = newFormTable(m1, h.Exp(h, priv.pow3[k-priv.chunk], p1), size)
+		priv.peel = powerForms(m1, hInv, size)
 	} else {
 		size := int(new(big.Int).Sqrt(r).Int64()) + 1
-		priv.logTab = logTable(h, size, p1)
-		priv.giant = hInv.Exp(hInv, big.NewInt(int64(size)), p1)
+		priv.logTab = newFormTable(m1, h, size)
+		if priv.giant, err = m1.ToMont(hInv.Exp(hInv, big.NewInt(int64(size)), p1)); err != nil {
+			return nil, err // unreachable: a residue modulo p1
+		}
 	}
 	return priv, nil
 }
@@ -333,6 +350,88 @@ func (pk *PublicKey) Encrypt(randSrc io.Reader, m *big.Int) (*big.Int, error) {
 // EncryptInt encrypts a small non-negative integer.
 func (pk *PublicKey) EncryptInt(randSrc io.Reader, m int64) (*big.Int, error) {
 	return pk.Encrypt(randSrc, big.NewInt(m))
+}
+
+// Encrypt is PublicKey.Encrypt for the key holder, on its primes
+// (Quisquater–Couvreur): the same ciphertext, byte for byte, from the same
+// random stream, at half-width products. It draws µ with the rand.Int reads
+// PublicKey.Encrypt makes and tests it for a unit by its residues modulo p1
+// and p2 in place of a GCD, computes g^m·µ^r modulo each prime on the word
+// kernel, and recombines the two residues by Garner's formula
+//
+//	c = c2 + p2·((c1 - c2)·p2^-1 mod p1),
+//
+// which lands in [0, n) and so is the residue modulo n. A flag costs the
+// same products for m = 0 and m = 1: g^m takes none either way.
+func (sk *PrivateKey) Encrypt(randSrc io.Reader, m *big.Int) (*big.Int, error) {
+	c, _, err := sk.encrypt(randSrc, m)
+	return c, err
+}
+
+// EncryptInt encrypts a small non-negative integer on the key's primes.
+func (sk *PrivateKey) EncryptInt(randSrc io.Reader, m int64) (*big.Int, error) {
+	return sk.Encrypt(randSrc, big.NewInt(m))
+}
+
+// encrypt is Encrypt, also reporting the products it took.
+func (sk *PrivateKey) encrypt(randSrc io.Reader, m *big.Int) (c *big.Int, muls int, err error) {
+	if randSrc == nil {
+		randSrc = rand.Reader
+	}
+	if m.Sign() < 0 || m.Cmp(sk.R) >= 0 {
+		return nil, 0, fmt.Errorf("benaloh: message out of range [0, r)")
+	}
+	m1, m2 := sk.m1, sk.m2
+	k1, k2 := m1.Words(), m2.Words()
+	w := make([]big.Word, 3*k1+3*k2)
+	u1, c1, t1 := w[:k1:k1], w[k1:2*k1:2*k1], w[2*k1:3*k1:3*k1]
+	u2, c2, t2 := w[3*k1:3*k1+k2:3*k1+k2], w[3*k1+k2:3*k1+2*k2:3*k1+2*k2], w[3*k1+2*k2:]
+	for {
+		mu, err := rand.Int(randSrc, sk.N)
+		if err != nil {
+			return nil, 0, err
+		}
+		// µ ∈ [0, n) is a unit of Z_n iff neither prime divides it, zero
+		// included; the form of zero is zero.
+		m1.Reduce(u1, mu.Bits())
+		m2.Reduce(u2, mu.Bits())
+		if !isZero(u1) && !isZero(u2) {
+			break
+		}
+	}
+	muls = m1.Exp(c1, u1, sk.R.Bits()) + m1.Exp(t1, sk.g1, m.Bits())
+	m1.Mul(c1, c1, t1)
+	muls += m2.Exp(c2, u2, sk.R.Bits()) + m2.Exp(t2, sk.g2, m.Bits())
+	m2.Mul(c2, c2, t2)
+	m2.Mul(c2, c2, m2.One())
+	// Garner: c1 stays in the form, so (c1 - c2)·R times the canonical
+	// p2^-1 is the canonical coefficient.
+	m1.Reduce(u1, c2)
+	subMod(t1, c1, u1, m1.N())
+	m1.Mul(t1, t1, sk.p2Inv)
+	muls += 4
+	c = new(big.Int).Mul(new(big.Int).SetBits(t1), sk.P2)
+	return c.Add(c, new(big.Int).SetBits(c2)), muls, nil
+}
+
+// subMod sets dst = a - b mod p for a and b in [0, p), all of p's width;
+// dst may alias a or b. Subtraction commutes with the Montgomery form.
+func subMod(dst, a, b, p []big.Word) {
+	var borrow uint
+	for i := range dst {
+		var d uint
+		d, borrow = bits.Sub(uint(a[i]), uint(b[i]), borrow)
+		dst[i] = big.Word(d)
+	}
+	if borrow == 0 {
+		return
+	}
+	var carry uint
+	for i := range dst {
+		var s uint
+		s, carry = bits.Add(uint(dst[i]), uint(p[i]), carry)
+		dst[i] = big.Word(s)
+	}
 }
 
 // Add returns the ciphertext of the sum: E(m1)·E(m2) mod n. The result is

@@ -534,9 +534,10 @@ func TestDecryptMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("GenerateKey(%d bits, 3^%d): %v", bits, k, err)
 			}
-			if want := min((k+1)/2, maxChunk); sk.chunk != want || len(sk.peel) != int(Pow3(want).Int64()) || len(sk.logTab) != len(sk.peel) {
-				t.Fatalf("3^%d: chunk %d with %d/%d table entries, want chunk %d", k, sk.chunk, len(sk.logTab), len(sk.peel), want)
+			if want := min((k+1)/2, maxChunk); sk.chunk != want || sk.logTab.size != int(Pow3(want).Int64()) || len(sk.peel) != sk.logTab.size*sk.m1.Words() {
+				t.Fatalf("3^%d: chunk %d with %d table entries and %d peel words, want chunk %d", k, sk.chunk, sk.logTab.size, len(sk.peel), want)
 			}
+			checkFormTable(t, sk)
 			exerciseKey(t, sk, newDetRand(seed+"-msgs"))
 		}
 	}
@@ -772,8 +773,9 @@ func TestDecryptorReuse(t *testing.T) {
 }
 
 func TestConcurrentDecrypt(t *testing.T) {
-	// The tables are built by GenerateKey, so one key decrypts from many
-	// goroutines with no synchronisation; run with -race.
+	// The tables and the encryption constants are built by GenerateKey, so
+	// one key encrypts and decrypts from many goroutines with no
+	// synchronisation; run with -race.
 	primeKey, err := GenerateKey(newDetRand("bsgs"), 192, big.NewInt(10007))
 	if err != nil {
 		t.Fatal(err)
@@ -790,10 +792,20 @@ func TestConcurrentDecrypt(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				own := newDetRand(fmt.Sprint("concurrent-", g))
 				for rep := 0; rep < 20; rep++ {
 					for i, c := range cts {
 						if got, err := sk.DecryptInt(c); err != nil || got != msgs[i] {
 							t.Errorf("r=%v: DecryptInt(E(%d)) = %d, %v", sk.R, msgs[i], got, err)
+							return
+						}
+						fresh, err := sk.EncryptInt(own, msgs[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got, err := sk.DecryptInt(fresh); err != nil || got != msgs[i] {
+							t.Errorf("r=%v: DecryptInt of a concurrent E(%d) = %d, %v", sk.R, msgs[i], got, err)
 							return
 						}
 					}
@@ -941,8 +953,8 @@ func BenchmarkGenerateKeyTables(b *testing.B) {
 	h := big.NewInt(2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		logTable(h, len(sk.peel), sk.P1)
-		powers(h, len(sk.peel), sk.P1)
+		newFormTable(sk.m1, h, sk.logTab.size)
+		powerForms(sk.m1, h, sk.logTab.size)
 	}
 }
 
@@ -1017,7 +1029,7 @@ func TestCorruptKeyFailsDecryption(t *testing.T) {
 	for _, sk := range []*PrivateKey{key(t), prime} {
 		c, _ := sk.EncryptInt(newDetRand("corrupt"), 5)
 		broken := *sk
-		broken.logTab = logTable(big.NewInt(2), len(sk.logTab), sk.P1) // the powers of 2, not of h
+		broken.logTab = newFormTable(sk.m1, big.NewInt(2), sk.logTab.size) // the powers of 2, not of h
 		if m, err := broken.Decrypt(c); err == nil || errors.Is(err, ErrNotUnit) {
 			t.Errorf("r=%v: Decrypt under a corrupt key = %v, %v", sk.R, m, err)
 		}

@@ -3,7 +3,9 @@ package benaloh
 import (
 	"errors"
 	"math/big"
-	"math/bits"
+	"slices"
+
+	"embellish/internal/mont"
 )
 
 // ErrNotUnit reports a ciphertext outside (0, n) or sharing a factor with
@@ -25,33 +27,40 @@ const maxChunk = 8
 // maxPrimeBits caps a prime r: the baby-step table has ⌈√r⌉ entries.
 const maxPrimeBits = 40
 
+// int64Digits is the most base-3 digits whose every plaintext an int64
+// holds: 3^39 < 2^63 < 3^40. Under r = 3^k with k above it the digit sum
+// runs in a big.Int.
+const int64Digits = 39
+
 // Decryptor decrypts under one key with temporaries it reuses, so decoding
 // a candidate set allocates nothing of its own per ciphertext. A Decryptor
 // is not safe for concurrent use; the key it came from is.
 //
 // Everything runs on machine words in Montgomery form (sk.m1, sk.m2,
-// internal/mont): the residues of c, the exponentiations and the peels
-// are products of the one CIOS kernel, with no big.Int quotient.
+// internal/mont): the residues of c, the exponentiations, the peels and
+// the table look-ups are products and compares of words, with no big.Int
+// quotient and nothing taken out of the form.
 type Decryptor struct {
-	sk *PrivateKey
-	m  big.Int // the plaintext
-	t  big.Int // one chunk's contribution to it
+	sk  *PrivateKey
+	sum int64   // the plaintext, when r <= 3^int64Digits or r is prime
+	m   big.Int // the plaintext of a wider r, and Decrypt's result
+	t   big.Int // one chunk's contribution to a wide plaintext
 	// x0 and x1 are the two lanes' subgroup elements being solved; y0 and
 	// y1 hold the lanes' residues of c on the way in, and y0 then powers
-	// of the element being solved. All are in the form; cw is a canonical
-	// value on its way out of it.
-	x0, x1, y0, y1, cw []big.Word
-	rw                 []big.Word // c mod p2 in the form, for the unit check
-	buf                []byte     // cw as a logTab key
+	// of the element being solved. All are in the form.
+	x0, x1, y0, y1 []big.Word
+	rw             []big.Word // c mod p2 in the form, for the unit check
 }
 
 // NewDecryptor returns a Decryptor for the key.
 func (sk *PrivateKey) NewDecryptor() *Decryptor {
 	k, k2 := sk.m1.Words(), sk.m2.Words()
-	w := make([]big.Word, 5*k+k2)
-	return &Decryptor{sk: sk, x0: w[:k:k], x1: w[k : 2*k : 2*k], y0: w[2*k : 3*k : 3*k], y1: w[3*k : 4*k : 4*k], cw: w[4*k : 5*k : 5*k],
-		rw: w[5*k:], buf: make([]byte, (sk.P1.BitLen()+7)/8)}
+	w := make([]big.Word, 4*k+k2)
+	return &Decryptor{sk: sk, x0: w[:k:k], x1: w[k : 2*k : 2*k], y0: w[2*k : 3*k : 3*k], y1: w[3*k : 4*k : 4*k], rw: w[4*k:]}
 }
+
+// wide reports whether a plaintext under the key can exceed an int64.
+func (sk *PrivateKey) wide() bool { return sk.k > int64Digits }
 
 // Decrypt recovers the plaintext of c with one exponentiation modulo p1
 // and, when r = 3^k, one table look-up per chunk of base-3 digits; a prime
@@ -64,6 +73,9 @@ func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	sk.m1.Exp(d.x0, d.y0, sk.cofactor.Bits())
 	if err := d.solve(d.x0); err != nil {
 		return nil, err
+	}
+	if !sk.wide() {
+		d.m.SetInt64(d.sum)
 	}
 	return &d.m, nil
 }
@@ -151,6 +163,10 @@ func (d *Decryptor) solveInt(dst *int64, x []big.Word) error {
 	if err := d.solve(x); err != nil {
 		return err
 	}
+	if !d.sk.wide() {
+		*dst = d.sum
+		return nil
+	}
 	if !d.m.IsInt64() {
 		return errInt64
 	}
@@ -158,8 +174,9 @@ func (d *Decryptor) solveInt(dst *int64, x []big.Word) error {
 	return nil
 }
 
-// solve leaves in d.m the m of x = h^m, the cofactor power of a
-// ciphertext, consuming x; d.y0 and d.cw are its scratch.
+// solve finds the m of x = h^m, the cofactor power of a ciphertext,
+// consuming x; d.y0 is its scratch. It leaves m in d.sum, or in d.m when
+// the key is wide.
 func (d *Decryptor) solve(x []big.Word) error {
 	sk, m1 := d.sk, d.sk.m1
 	if sk.k == 0 {
@@ -170,22 +187,27 @@ func (d *Decryptor) solve(x []big.Word) error {
 	// 3^(k-o-w) leaves only the next w digits of m in the exponent of
 	// W = h^(3^(k-chunk)), shifted up when the chunk is narrower than the
 	// table: W^(digits·3^(chunk-w)).
-	d.m.SetInt64(0)
+	wide, k1 := sk.wide(), m1.Words()
+	d.sum = 0
+	if wide {
+		d.m.SetInt64(0)
+	}
 	for o := 0; o < sk.k; o += sk.chunk {
 		w := min(sk.chunk, sk.k-o)
 		m1.Exp(d.y0, x, sk.pow3[sk.k-o-w].Bits())
-		i, ok := sk.logTab[string(d.key(d.y0))]
+		i, ok := sk.logTab.lookup(d.y0)
 		if !ok {
 			return errNoLog
 		}
 		digits := int64(i) / sk.pow3[sk.chunk-w].Int64()
-		d.m.Add(&d.m, d.t.Mul(d.t.SetInt64(digits), sk.pow3[o]))
+		if wide {
+			d.m.Add(&d.m, d.t.Mul(d.t.SetInt64(digits), sk.pow3[o]))
+		} else {
+			d.sum += digits * sk.pow3[o].Int64()
+		}
 		if o+w < sk.k {
 			// x ·= h^(-digits·3^o)
-			if err := m1.Put(d.cw, sk.peel[digits]); err != nil {
-				return errNoLog
-			}
-			m1.Exp(d.y0, d.cw, sk.pow3[o].Bits())
+			m1.Exp(d.y0, sk.peel[int(digits)*k1:(int(digits)+1)*k1], sk.pow3[o].Bits())
 			m1.Mul(x, x, d.y0)
 		}
 	}
@@ -202,61 +224,91 @@ func isZero(v []big.Word) bool {
 	return true
 }
 
-// key returns the logTab key of a value in the form: its canonical
-// residue as big-endian bytes of p1's width, in d.buf.
-func (d *Decryptor) key(v []big.Word) []byte {
-	d.sk.m1.Mul(d.cw, v, d.sk.m1.One())
-	const wordBytes = bits.UintSize / 8
-	for i := range d.buf {
-		at := len(d.buf) - 1 - i // byte i of the value, least significant first
-		d.buf[at] = byte(d.cw[i/wordBytes] >> (i % wordBytes * 8))
-	}
-	return d.buf
-}
-
 // babyGiant solves h^m = x for a prime r: m = i·s + j where the i-th giant
 // step x·h^(-s·i) is the baby step h^j; s² > r bounds i below s, and the
 // first hit is m itself.
 func (d *Decryptor) babyGiant(x []big.Word) error {
-	sk, m1 := d.sk, d.sk.m1
-	if err := m1.Put(d.y0, sk.giant); err != nil {
-		return errNoLog
-	}
-	s := int64(len(sk.logTab))
+	sk := d.sk
+	s := int64(sk.logTab.size)
 	for i := int64(0); i < s; i++ {
-		if j, ok := sk.logTab[string(d.key(x))]; ok {
-			d.m.SetInt64(i*s + int64(j))
+		if j, ok := sk.logTab.lookup(x); ok {
+			d.sum = i*s + int64(j)
 			return nil
 		}
-		m1.Mul(x, x, d.y0)
+		sk.m1.Mul(x, x, sk.giant)
 	}
 	return errNoLog
 }
 
-// powers returns base^i mod p for i in [0, n).
-func powers(base *big.Int, n int, p *big.Int) []*big.Int {
-	out := make([]*big.Int, n)
-	out[0] = big.NewInt(1)
-	for i := 1; i < n; i++ {
-		out[i] = new(big.Int).Mul(out[i-1], base)
-		out[i].Mod(out[i], p)
+// powerForms returns base^i mod p for i in [0, n) in m's Montgomery form,
+// one modulus width each, in one slab.
+func powerForms(m *mont.Modulus, base *big.Int, n int) []big.Word {
+	k := m.Words()
+	out := make([]big.Word, n*k)
+	copy(out, m.R())
+	if n > 1 {
+		m.Reduce(out[k:2*k], base.Bits())
+	}
+	for i := 2; i < n; i++ {
+		m.Mul(out[i*k:(i+1)*k], out[(i-1)*k:i*k], out[k:2*k])
 	}
 	return out
 }
 
-// logTable maps base^i mod p, as bytes of p's width, to i for i in [0, n).
-// The keys are slices of one string, so the table costs one allocation of
-// n·width bytes beyond the map.
-func logTable(base *big.Int, n int, p *big.Int) map[string]int32 {
-	width := (p.BitLen() + 7) / 8
-	raw := make([]byte, n*width)
-	for i, v := range powers(base, n, p) {
-		v.FillBytes(raw[i*width : (i+1)*width])
+// formTable maps the Montgomery form of base^i mod p to i, for i in
+// [0, size): an open-addressed table probed linearly from a hash of the
+// key's low word, over a power-of-two slot count at most 7/8 full. A slot
+// is a key of the modulus's width in one slab of words and its i + 1 in
+// another (0: empty), so decryption looks up the values it holds in the
+// form by comparing words, and the table costs two allocations.
+type formTable struct {
+	size  int
+	words int        // the modulus width: every key's length
+	shift uint       // 64 - log2 of the slot count
+	keys  []big.Word // slot s holds keys[s·words:(s+1)·words]
+	vals  []int32    // i + 1 of slot s's key, 0 for an empty slot
+}
+
+// newFormTable builds the table of the powers of base modulo m.
+func newFormTable(m *mont.Modulus, base *big.Int, size int) *formTable {
+	k := m.Words()
+	t := &formTable{size: size, words: k, shift: 64}
+	slots := 1
+	for slots*7 < size*8 {
+		slots <<= 1
+		t.shift--
 	}
-	keys := string(raw)
-	tab := make(map[string]int32, n)
-	for i := 0; i < n; i++ {
-		tab[keys[i*width:(i+1)*width]] = int32(i)
+	t.keys = make([]big.Word, slots*k)
+	t.vals = make([]int32, slots)
+	pows := powerForms(m, base, size)
+	for i := range size {
+		key := pows[i*k : (i+1)*k]
+		s := t.slot(key)
+		for t.vals[s] != 0 {
+			s = (s + 1) & (slots - 1)
+		}
+		copy(t.keys[s*k:], key)
+		t.vals[s] = int32(i + 1)
 	}
-	return tab
+	return t
+}
+
+// slot is the first slot probed for key: its low word by Fibonacci
+// hashing, which spreads residues whatever their low bits share.
+func (t *formTable) slot(key []big.Word) int {
+	return int(uint64(key[0]) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// lookup returns the i of key = base^i in the form, if i < size.
+func (t *formTable) lookup(key []big.Word) (int, bool) {
+	k, mask := t.words, len(t.vals)-1
+	for s := t.slot(key); ; s = (s + 1) & mask {
+		v := t.vals[s]
+		if v == 0 {
+			return 0, false
+		}
+		if slices.Equal(t.keys[s*k:(s+1)*k], key) {
+			return int(v - 1), true
+		}
+	}
 }

@@ -156,9 +156,10 @@ type Ranked struct {
 // the ~5 µs it takes to start a goroutine and hand it a Decryptor.
 const postFilterGrain = 64
 
-// PostFilter implements Algorithm 5: decrypt every candidate score, sort
-// decreasing, and return the top k (k <= 0 returns all). Ties break by
-// ascending document ID for determinism.
+// PostFilter implements Algorithm 5: decrypt every candidate score and
+// return the top k by decreasing score (k <= 0 returns all), ties broken
+// by ascending document ID for determinism. Under k < candidates one pass
+// keeps the k best (topRanked) and only they are sorted.
 //
 // The decryptions are independent and the key is read-only, so the
 // candidates are cut into contiguous ranges, one worker with its own
@@ -191,27 +192,70 @@ func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 			return nil, err
 		}
 	}
+	if k > 0 && k < len(docs) {
+		return topRanked(docs, scores, k), nil
+	}
 	out := make([]Ranked, len(docs))
 	for i := range docs {
 		out[i] = Ranked{Doc: docs[i].Doc, Score: scores[i]}
 	}
 	sortRanked(out)
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
 	return out, nil
 }
 
-// sortRanked sorts ranked results by decreasing score, ties by
-// ascending document ID.
-func sortRanked(rs []Ranked) {
-	slices.SortFunc(rs, func(a, b Ranked) int {
-		if a.Score != b.Score {
-			return cmp.Compare(b.Score, a.Score)
+// topRanked returns the k best of the candidates, 0 < k < len(docs), in
+// rankedOrder: one pass over a heap of the k best so far, its worst at the
+// root, which a candidate replaces only by ranking before it. The order
+// is total on distinct candidates, so the result is the head of the full
+// sort, ties and all.
+func topRanked(docs []DocScore, scores []int64, k int) []Ranked {
+	h := make([]Ranked, k)
+	for i := range h {
+		h[i] = Ranked{Doc: docs[i].Doc, Score: scores[i]}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWorst(h, i)
+	}
+	for i := k; i < len(docs); i++ {
+		if r := (Ranked{Doc: docs[i].Doc, Score: scores[i]}); rankedOrder(r, h[0]) < 0 {
+			h[0] = r
+			siftWorst(h, 0)
 		}
-		return cmp.Compare(a.Doc, b.Doc)
-	})
+	}
+	sortRanked(h)
+	return h
 }
+
+// siftWorst restores the heap below i: every entry ranks after, or
+// equal to, its children.
+func siftWorst(h []Ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && rankedOrder(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if rankedOrder(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// rankedOrder orders ranked results by decreasing score, ties by
+// ascending document ID.
+func rankedOrder(a, b Ranked) int {
+	if a.Score != b.Score {
+		return cmp.Compare(b.Score, a.Score)
+	}
+	return cmp.Compare(a.Doc, b.Doc)
+}
+
+// sortRanked sorts ranked results in rankedOrder.
+func sortRanked(rs []Ranked) { slices.SortFunc(rs, rankedOrder) }
 
 // Server is the search-engine endpoint. It owns the live segmented
 // index, the bucket organization (public), and the bucket-aligned

@@ -34,6 +34,50 @@ func candidateSet(tb testing.TB, k *benaloh.PrivateKey, n int) *Response {
 	return resp
 }
 
+// scoredSet returns a response whose candidate at position i scores
+// scores[i], under the document ids docs[i].
+func scoredSet(tb testing.TB, k *benaloh.PrivateKey, docs []index.DocID, scores []int64) *Response {
+	tb.Helper()
+	src := testenv.NewDetRand(fmt.Sprintf("scored-%d", len(scores)))
+	resp := &Response{Docs: make([]DocScore, len(scores))}
+	for i, s := range scores {
+		enc, err := k.EncryptInt(src, s)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		resp.Docs[i] = DocScore{Doc: docs[i], Enc: enc}
+	}
+	return resp
+}
+
+// tieHeavySets are candidate sets whose ranking rests on the tie-break:
+// a few scores over an all-zero tail, in shuffled document order; one
+// score shared by every candidate, the document ids descending so the
+// lowest ids sit in the last worker's range; and a few scores repeated
+// in blocks that straddle every range boundary at every width.
+func tieHeavySets(tb testing.TB, k *benaloh.PrivateKey) map[string]*Response {
+	tb.Helper()
+	const n = 588
+	rng := rand.New(rand.NewSource(588))
+	shuffled, descending := make([]index.DocID, n), make([]index.DocID, n)
+	for i, d := range rng.Perm(n) {
+		shuffled[i], descending[i] = index.DocID(d), index.DocID(n-1-i)
+	}
+	zeroTail, equal, blocks := make([]int64, n), make([]int64, n), make([]int64, n)
+	for i := range n {
+		if i < 40 {
+			zeroTail[i] = rng.Int63n(4)
+		}
+		equal[i] = 7
+		blocks[i] = int64(i/50) % 3
+	}
+	return map[string]*Response{
+		"zero tail":      scoredSet(tb, k, shuffled, zeroTail),
+		"one score":      scoredSet(tb, k, descending, equal),
+		"blocks of ties": scoredSet(tb, k, descending, blocks),
+	}
+}
+
 // serialPostFilter is the oracle: Algorithm 5 as one loop over one
 // Decryptor, the whole of PostFilter before it had a width.
 func serialPostFilter(key *benaloh.PrivateKey, resp *Response, k int) ([]Ranked, error) {
@@ -53,8 +97,9 @@ func serialPostFilter(key *benaloh.PrivateKey, resp *Response, k int) ([]Ranked,
 	return out, nil
 }
 
-// TestPostFilterWidths holds the fan-out to the serial oracle at every
-// width the rule can choose: the same ranking in the same order, and the
+// TestPostFilterWidths holds the fan-out and the top-k pass to the serial
+// oracle at every width the rule can choose and at k = 0, 1, 10, n-1, n
+// and n+1: the same ranking in the same order, ties included, and the
 // lowest failing candidate's error whichever worker meets it and
 // whichever lane of a two-candidate decryption it sits in.
 func TestPostFilterWidths(t *testing.T) {
@@ -62,23 +107,15 @@ func TestPostFilterWidths(t *testing.T) {
 	c := NewClient(cachedWorld.Org, key, 1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	all := candidateSet(t, key, 5000)
+	ties := tieHeavySets(t, key)
 	for _, procs := range []int{1, 2, 4, 8} {
 		runtime.GOMAXPROCS(procs)
+		for name, resp := range ties {
+			checkTopK(t, c, key, resp, procs, name)
+		}
 		for _, n := range []int{0, 1, 63, 64, 65, 588, 5000} {
 			resp := &Response{Docs: all.Docs[:n]}
-			for _, k := range []int{0, 10} {
-				want, err := serialPostFilter(key, resp, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := c.PostFilter(resp, k)
-				if err != nil {
-					t.Fatalf("GOMAXPROCS %d, %d candidates, k %d: %v", procs, n, k, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("GOMAXPROCS %d, %d candidates, k %d: ranking differs from the serial oracle", procs, n, k)
-				}
-			}
+			checkTopK(t, c, key, resp, procs, "random scores")
 			if n < 2 {
 				continue
 			}
@@ -105,6 +142,26 @@ func TestPostFilterWidths(t *testing.T) {
 					checkBadAt(t, c, key, resp, procs, []int{hi - 1})
 				}
 			}
+		}
+	}
+}
+
+// checkTopK holds PostFilter to the serial oracle at k = 0, 1, 10, n-1,
+// n and n+1 for a response of n candidates.
+func checkTopK(t *testing.T, c *Client, key *benaloh.PrivateKey, resp *Response, procs int, what string) {
+	t.Helper()
+	n := len(resp.Docs)
+	for _, k := range []int{0, 1, 10, n - 1, n, n + 1} {
+		want, err := serialPostFilter(key, resp, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.PostFilter(resp, k)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d, %d candidates (%s), k %d: %v", procs, n, what, k, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d, %d candidates (%s), k %d: ranking differs from the serial oracle", procs, n, what, k)
 		}
 	}
 }

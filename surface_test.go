@@ -209,6 +209,10 @@ var rules = []rule{
 	retired("one fetch frame loop", flagKey|tests, "", `^fetch-pipeline$`),
 	retired("one fetch frame loop", read|tests, "", `^SetFetchPipeline$`),
 	count("one fetch frame loop", "a go statement", "retrieve.go", 0, 0, goStmt),
+	// The key holder's log tables are keyed on the Montgomery form
+	// (formTable): no byte-keyed map of canonical residues, and no
+	// conversion out of the form to look a value up.
+	retired("a log table keyed on the form", decl|tests, "internal/benaloh", `^(logTable|Decryptor\.key)$`),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
