@@ -362,24 +362,14 @@ func (pk *PublicKey) EncryptInt(randSrc io.Reader, m int64) (*big.Int, error) {
 //	c = c2 + p2·((c1 - c2)·p2^-1 mod p1),
 //
 // which lands in [0, n) and so is the residue modulo n. A flag costs the
-// same products for m = 0 and m = 1: g^m takes none either way.
+// same products for m = 0 and m = 1: the draw of µ and its two powers do
+// not depend on m, and mont.Modulus.Exp takes no product for g^0 or g^1.
 func (sk *PrivateKey) Encrypt(randSrc io.Reader, m *big.Int) (*big.Int, error) {
-	c, _, err := sk.encrypt(randSrc, m)
-	return c, err
-}
-
-// EncryptInt encrypts a small non-negative integer on the key's primes.
-func (sk *PrivateKey) EncryptInt(randSrc io.Reader, m int64) (*big.Int, error) {
-	return sk.Encrypt(randSrc, big.NewInt(m))
-}
-
-// encrypt is Encrypt, also reporting the products it took.
-func (sk *PrivateKey) encrypt(randSrc io.Reader, m *big.Int) (c *big.Int, muls int, err error) {
 	if randSrc == nil {
 		randSrc = rand.Reader
 	}
 	if m.Sign() < 0 || m.Cmp(sk.R) >= 0 {
-		return nil, 0, fmt.Errorf("benaloh: message out of range [0, r)")
+		return nil, fmt.Errorf("benaloh: message out of range [0, r)")
 	}
 	m1, m2 := sk.m1, sk.m2
 	k1, k2 := m1.Words(), m2.Words()
@@ -389,7 +379,7 @@ func (sk *PrivateKey) encrypt(randSrc io.Reader, m *big.Int) (c *big.Int, muls i
 	for {
 		mu, err := rand.Int(randSrc, sk.N)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		// µ ∈ [0, n) is a unit of Z_n iff neither prime divides it, zero
 		// included; the form of zero is zero.
@@ -399,9 +389,11 @@ func (sk *PrivateKey) encrypt(randSrc io.Reader, m *big.Int) (c *big.Int, muls i
 			break
 		}
 	}
-	muls = m1.Exp(c1, u1, sk.R.Bits()) + m1.Exp(t1, sk.g1, m.Bits())
+	m1.Exp(c1, u1, sk.R.Bits())
+	m1.Exp(t1, sk.g1, m.Bits())
 	m1.Mul(c1, c1, t1)
-	muls += m2.Exp(c2, u2, sk.R.Bits()) + m2.Exp(t2, sk.g2, m.Bits())
+	m2.Exp(c2, u2, sk.R.Bits())
+	m2.Exp(t2, sk.g2, m.Bits())
 	m2.Mul(c2, c2, t2)
 	m2.Mul(c2, c2, m2.One())
 	// Garner: c1 stays in the form, so (c1 - c2)·R times the canonical
@@ -409,9 +401,13 @@ func (sk *PrivateKey) encrypt(randSrc io.Reader, m *big.Int) (c *big.Int, muls i
 	m1.Reduce(u1, c2)
 	subMod(t1, c1, u1, m1.N())
 	m1.Mul(t1, t1, sk.p2Inv)
-	muls += 4
-	c = new(big.Int).Mul(new(big.Int).SetBits(t1), sk.P2)
-	return c.Add(c, new(big.Int).SetBits(c2)), muls, nil
+	c := new(big.Int).Mul(new(big.Int).SetBits(t1), sk.P2)
+	return c.Add(c, new(big.Int).SetBits(c2)), nil
+}
+
+// EncryptInt encrypts a small non-negative integer on the key's primes.
+func (sk *PrivateKey) EncryptInt(randSrc io.Reader, m int64) (*big.Int, error) {
+	return sk.Encrypt(randSrc, big.NewInt(m))
 }
 
 // subMod sets dst = a - b mod p for a and b in [0, p), all of p's width;

@@ -27,11 +27,6 @@ const maxChunk = 8
 // maxPrimeBits caps a prime r: the baby-step table has ⌈√r⌉ entries.
 const maxPrimeBits = 40
 
-// int64Digits is the most base-3 digits whose every plaintext an int64
-// holds: 3^39 < 2^63 < 3^40. Under r = 3^k with k above it the digit sum
-// runs in a big.Int.
-const int64Digits = 39
-
 // Decryptor decrypts under one key with temporaries it reuses, so decoding
 // a candidate set allocates nothing of its own per ciphertext. A Decryptor
 // is not safe for concurrent use; the key it came from is.
@@ -41,10 +36,9 @@ const int64Digits = 39
 // the table look-ups are products and compares of words, with no big.Int
 // quotient and nothing taken out of the form.
 type Decryptor struct {
-	sk  *PrivateKey
-	sum int64   // the plaintext, when r <= 3^int64Digits or r is prime
-	m   big.Int // the plaintext of a wider r, and Decrypt's result
-	t   big.Int // one chunk's contribution to a wide plaintext
+	sk *PrivateKey
+	m  big.Int // the plaintext
+	t  big.Int // one chunk's contribution to it
 	// x0 and x1 are the two lanes' subgroup elements being solved; y0 and
 	// y1 hold the lanes' residues of c on the way in, and y0 then powers
 	// of the element being solved. All are in the form.
@@ -59,9 +53,6 @@ func (sk *PrivateKey) NewDecryptor() *Decryptor {
 	return &Decryptor{sk: sk, x0: w[:k:k], x1: w[k : 2*k : 2*k], y0: w[2*k : 3*k : 3*k], y1: w[3*k : 4*k : 4*k], rw: w[4*k:]}
 }
 
-// wide reports whether a plaintext under the key can exceed an int64.
-func (sk *PrivateKey) wide() bool { return sk.k > int64Digits }
-
 // Decrypt recovers the plaintext of c with one exponentiation modulo p1
 // and, when r = 3^k, one table look-up per chunk of base-3 digits; a prime
 // r costs O(√r) multiplications modulo p1 on top (baby-step giant-step).
@@ -73,9 +64,6 @@ func (sk *PrivateKey) Decrypt(c *big.Int) (*big.Int, error) {
 	sk.m1.Exp(d.x0, d.y0, sk.cofactor.Bits())
 	if err := d.solve(d.x0); err != nil {
 		return nil, err
-	}
-	if !sk.wide() {
-		d.m.SetInt64(d.sum)
 	}
 	return &d.m, nil
 }
@@ -163,10 +151,6 @@ func (d *Decryptor) solveInt(dst *int64, x []big.Word) error {
 	if err := d.solve(x); err != nil {
 		return err
 	}
-	if !d.sk.wide() {
-		*dst = d.sum
-		return nil
-	}
 	if !d.m.IsInt64() {
 		return errInt64
 	}
@@ -174,9 +158,8 @@ func (d *Decryptor) solveInt(dst *int64, x []big.Word) error {
 	return nil
 }
 
-// solve finds the m of x = h^m, the cofactor power of a ciphertext,
-// consuming x; d.y0 is its scratch. It leaves m in d.sum, or in d.m when
-// the key is wide.
+// solve leaves in d.m the m of x = h^m, the cofactor power of a
+// ciphertext, consuming x; d.y0 is its scratch.
 func (d *Decryptor) solve(x []big.Word) error {
 	sk, m1 := d.sk, d.sk.m1
 	if sk.k == 0 {
@@ -187,11 +170,8 @@ func (d *Decryptor) solve(x []big.Word) error {
 	// 3^(k-o-w) leaves only the next w digits of m in the exponent of
 	// W = h^(3^(k-chunk)), shifted up when the chunk is narrower than the
 	// table: W^(digits·3^(chunk-w)).
-	wide, k1 := sk.wide(), m1.Words()
-	d.sum = 0
-	if wide {
-		d.m.SetInt64(0)
-	}
+	k1 := m1.Words()
+	d.m.SetInt64(0)
 	for o := 0; o < sk.k; o += sk.chunk {
 		w := min(sk.chunk, sk.k-o)
 		m1.Exp(d.y0, x, sk.pow3[sk.k-o-w].Bits())
@@ -200,11 +180,7 @@ func (d *Decryptor) solve(x []big.Word) error {
 			return errNoLog
 		}
 		digits := int64(i) / sk.pow3[sk.chunk-w].Int64()
-		if wide {
-			d.m.Add(&d.m, d.t.Mul(d.t.SetInt64(digits), sk.pow3[o]))
-		} else {
-			d.sum += digits * sk.pow3[o].Int64()
-		}
+		d.m.Add(&d.m, d.t.Mul(d.t.SetInt64(digits), sk.pow3[o]))
 		if o+w < sk.k {
 			// x ·= h^(-digits·3^o)
 			m1.Exp(d.y0, sk.peel[int(digits)*k1:(int(digits)+1)*k1], sk.pow3[o].Bits())
@@ -232,7 +208,7 @@ func (d *Decryptor) babyGiant(x []big.Word) error {
 	s := int64(sk.logTab.size)
 	for i := int64(0); i < s; i++ {
 		if j, ok := sk.logTab.lookup(x); ok {
-			d.sum = i*s + int64(j)
+			d.m.SetInt64(i*s + int64(j))
 			return nil
 		}
 		sk.m1.Mul(x, x, sk.giant)

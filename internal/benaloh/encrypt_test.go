@@ -99,27 +99,26 @@ func TestPrivateEncryptSkipsNonUnits(t *testing.T) {
 	}
 }
 
-// TestEncryptFlagProductsEqual: a flag costs the same products whether it
-// encrypts 0 or 1, on the same draw of µ and across draws.
-func TestEncryptFlagProductsEqual(t *testing.T) {
+// TestEncryptFlagsShareTheDraw: a 0 flag and a 1 flag encrypted from the
+// same stream use the same µ — E(1) = E(0)·g mod n — and read the same
+// bytes of it, so nothing the draw or µ^r does depends on the flag.
+func TestEncryptFlagsShareTheDraw(t *testing.T) {
 	for name, sk := range crtKeys(t) {
-		want := -1
 		for rep := range 8 {
 			seed := fmt.Sprintf("crt-flag-%s-%d", name, rep)
-			c0, muls0, err := sk.encrypt(detrand.New(seed), new(big.Int))
+			s0, s1 := detrand.New(seed), detrand.New(seed)
+			c0, err := sk.EncryptInt(s0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c1, muls1, err := sk.encrypt(detrand.New(seed), big.NewInt(1))
+			c1, err := sk.EncryptInt(s1, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want < 0 {
-				want = muls0
+			if want := new(big.Int).Mul(c0, sk.G); want.Mod(want, sk.N).Cmp(c1) != 0 {
+				t.Fatalf("%s, draw %d: E(1) = %x is not E(0)·g = %x", name, rep, c1, want)
 			}
-			if muls0 != want || muls1 != want {
-				t.Fatalf("%s, draw %d: %d products for a 0 flag, %d for a 1, want %d", name, rep, muls0, muls1, want)
-			}
+			sameRest(t, name, s0, s1)
 			if m, err := sk.DecryptInt(c0); err != nil || m != 0 {
 				t.Fatalf("%s: E(0) decrypts to %d, %v", name, m, err)
 			}

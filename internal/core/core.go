@@ -158,8 +158,8 @@ const postFilterGrain = 64
 
 // PostFilter implements Algorithm 5: decrypt every candidate score and
 // return the top k by decreasing score (k <= 0 returns all), ties broken
-// by ascending document ID for determinism. Under k < candidates one pass
-// keeps the k best (topRanked) and only they are sorted.
+// by ascending document ID for determinism. One pass keeps the k best
+// (topRanked) and only they are sorted.
 //
 // The decryptions are independent and the key is read-only, so the
 // candidates are cut into contiguous ranges, one worker with its own
@@ -192,18 +192,13 @@ func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 			return nil, err
 		}
 	}
-	if k > 0 && k < len(docs) {
-		return topRanked(docs, scores, k), nil
+	if k <= 0 || k > len(docs) {
+		k = len(docs)
 	}
-	out := make([]Ranked, len(docs))
-	for i := range docs {
-		out[i] = Ranked{Doc: docs[i].Doc, Score: scores[i]}
-	}
-	sortRanked(out)
-	return out, nil
+	return topRanked(docs, scores, k), nil
 }
 
-// topRanked returns the k best of the candidates, 0 < k < len(docs), in
+// topRanked returns the k best of the candidates, k <= len(docs), in
 // rankedOrder: one pass over a heap of the k best so far, its worst at the
 // root, which a candidate replaces only by ranking before it. The order
 // is total on distinct candidates, so the result is the head of the full
