@@ -18,15 +18,19 @@ import (
 // The table uses radix 2^w: entry (i, d) = base^(d·2^{w·i}) mod n for
 // d ∈ [0, 2^w) and i over the ⌈maxBits/w⌉ windows needed to cover the
 // largest expected exponent. A power multiplies one entry per nonzero
-// base-2^w digit of e. The entries live in Montgomery form in one slab
-// of machine words (internal/mont), built and read without a big.Int:
-// PowWords is the serving fold's entry point, Pow converts out for
-// everyone else.
+// base-2^w digit of e. The entries live in one slab of machine words
+// (internal/mont), built and read without a big.Int: row 0 in Montgomery
+// form, every higher row as plain residues. A Montgomery product of a
+// form entry and a plain one is plain, so a power with a row-0 digit and
+// a higher digit comes out of the form with no product of its own. PowR
+// is the serving fold's entry point and reports each power's scale; Pow
+// takes it out of the form for everyone else.
 type FixedBase struct {
 	m      *mont.Modulus
 	window uint
 	mask   int64
-	// table holds entry (i, d) at word offset ((i<<window)+d)·Words().
+	// table holds entry (i, d) at word offset ((i<<window)+d)·Words():
+	// row 0 in Montgomery form, the rows above it plain.
 	table []big.Word
 	// setupMuls is the number of modular multiplications spent building
 	// the table, so callers can account precomputation in their CPU cost
@@ -82,29 +86,37 @@ func NewFixedBaseMont(m *mont.Modulus, base []big.Word, maxExp int64, window uin
 		m:      m,
 		window: window,
 		mask:   int64(size) - 1,
-		table:  make([]big.Word, numWindows*size*k),
 	}
-	// windowBase = base^(2^{w·i}), advanced by repeated squaring between
-	// windows; each table row is windowBase^d for d = 0..2^w-1. The
-	// squarings run in the next row's entry 1, where the result belongs.
+	// windowBase = base^(2^{w·i}) in the form, advanced by repeated
+	// squaring in sq between windows; each table row is windowBase^d for
+	// d = 0..2^w-1. Row 0 is windowBase's own powers; a higher row starts
+	// from windowBase taken out of the form — the one product per row
+	// that is not counted, as conversions are not — and each product with
+	// windowBase keeps it plain.
+	slab := make([]big.Word, (numWindows*size+1)*k)
+	sq := slab[numWindows*size*k:]
+	fb.table = slab[:numWindows*size*k]
 	windowBase := base
 	for i := 0; i < numWindows; i++ {
 		row := fb.table[i*size*k : (i+1)*size*k]
-		copy(row[:k], m.R())
-		copy(row[k:2*k], windowBase)
-		windowBase = row[k : 2*k]
+		if i == 0 {
+			copy(row[:k], m.R())
+			copy(row[k:2*k], windowBase)
+		} else {
+			copy(row[:k], m.One())
+			m.Mul(row[k:2*k], windowBase, m.One())
+		}
 		for d := 2; d < size; d++ {
 			m.Mul(row[d*k:(d+1)*k], row[(d-1)*k:d*k], windowBase)
 			fb.setupMuls++
 		}
 		if i+1 < numWindows {
-			next := fb.table[((i+1)*size+1)*k : ((i+1)*size+2)*k]
-			copy(next, windowBase)
+			copy(sq, windowBase)
 			for s := uint(0); s < window; s++ {
-				m.Mul(next, next, next)
+				m.Mul(sq, sq, sq)
 				fb.setupMuls++
 			}
-			windowBase = next
+			windowBase = sq
 		}
 	}
 	return fb
@@ -113,13 +125,17 @@ func NewFixedBaseMont(m *mont.Modulus, base []big.Word, maxExp int64, window uin
 // SetupMuls reports the modular multiplications spent building the table.
 func (fb *FixedBase) SetupMuls() int { return fb.setupMuls }
 
-// PowWords returns base^e mod n in Montgomery form for e from 0 to the
-// maxExp the table was built for, spending one modular multiplication
-// per nonzero base-2^w digit of e beyond the first; muls reports how
-// many. The result is a table entry when e has a single nonzero digit
-// (the caller must not write it) and scratch, a Words()-long buffer of
-// the caller's, otherwise. It allocates nothing.
-func (fb *FixedBase) PowWords(scratch []big.Word, e int64) (c []big.Word, muls int) {
+// PowR returns base^e·R^s mod n for e from 0 to the maxExp the table was
+// built for, and the scale s: 1 (the Montgomery form) when e's only
+// nonzero digit is in row 0, and one less than the sum of the factors'
+// scales per product otherwise — 0, plain, for a row-0 digit beside one
+// higher digit, or for one higher digit alone (e = 0 too). It spends one
+// modular multiplication per nonzero base-2^w digit of e beyond the
+// first; muls reports how many. The result is a table entry or the
+// modulus's One when e has at most one nonzero digit (the caller must not
+// write it) and scratch, a Words()-long buffer of the caller's, otherwise.
+// It allocates nothing; mont.Exit takes any s out of the form.
+func (fb *FixedBase) PowR(scratch []big.Word, e int64) (c []big.Word, s, muls int) {
 	k := fb.m.Words()
 	for at := 0; e > 0 && at < len(fb.table); at += k << fb.window {
 		d := int(e & fb.mask)
@@ -127,23 +143,26 @@ func (fb *FixedBase) PowWords(scratch []big.Word, e int64) (c []big.Word, muls i
 		if d == 0 {
 			continue
 		}
-		entry := fb.table[at+d*k : at+(d+1)*k]
+		entry, es := fb.table[at+d*k:at+(d+1)*k], 0
+		if at == 0 {
+			es = 1
+		}
 		if c == nil {
-			c = entry
+			c, s = entry, es
 			continue
 		}
 		fb.m.Mul(scratch, c, entry)
-		c = scratch
+		c, s = scratch, s+es-1
 		muls++
 	}
 	if c == nil {
-		c = fb.m.R()
+		return fb.m.One(), 0, 0
 	}
-	return c, muls
+	return c, s, muls
 }
 
-// Pow is PowWords converted out of the form: a fresh big.Int the caller
-// may mutate.
+// Pow is PowR taken out of the form: a fresh big.Int the caller may
+// mutate.
 func (fb *FixedBase) Pow(e int64) (c *big.Int, muls int) {
 	if fb.m == nil {
 		for v := e; v > 0; v >>= fb.window {
@@ -153,6 +172,8 @@ func (fb *FixedBase) Pow(e int64) (c *big.Int, muls int) {
 		}
 		return new(big.Int).Exp(fb.base, big.NewInt(e), fb.n), max(muls-1, 0)
 	}
-	w, muls := fb.PowWords(make([]big.Word, fb.m.Words()), e)
-	return fb.m.FromMont(w), muls
+	out := make([]big.Word, fb.m.Words())
+	w, s, muls := fb.PowR(out, e)
+	fb.m.NewExit().Leave(out, w, s)
+	return new(big.Int).SetBits(out), muls
 }

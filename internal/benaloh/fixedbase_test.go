@@ -2,6 +2,7 @@ package benaloh
 
 import (
 	"math/big"
+	"math/bits"
 	"testing"
 
 	"embellish/internal/detrand"
@@ -72,16 +73,83 @@ func TestFixedBaseAccounting(t *testing.T) {
 					digits++
 				}
 			}
-			got, muls := fb.PowWords(scratch, e)
+			got, s, muls := fb.PowR(scratch, e)
 			if muls != max(digits-1, 0) {
-				t.Fatalf("window %d: PowWords(%d) cost %d products for %d nonzero digits", window, e, muls, digits)
+				t.Fatalf("window %d: PowR(%d) cost %d products for %d nonzero digits", window, e, muls, digits)
 			}
-			if want := new(big.Int).Exp(c, big.NewInt(e), pk.N); m.FromMont(got).Cmp(want) != 0 {
-				t.Fatalf("window %d: PowWords(%d) = %v, want %v", window, e, m.FromMont(got), want)
+			out := make([]big.Word, m.Words())
+			m.NewExit().Leave(out, got, s)
+			if want, got := new(big.Int).Exp(c, big.NewInt(e), pk.N), new(big.Int).SetBits(out); got.Cmp(want) != 0 {
+				t.Fatalf("window %d: PowR(%d) = %v, want %v", window, e, got, want)
 			}
 		}
-		if avg := testing.AllocsPerRun(50, func() { fb.PowWords(scratch, 255) }); avg != 0 {
-			t.Errorf("window %d: PowWords allocates %v times per power", window, avg)
+		if avg := testing.AllocsPerRun(50, func() { fb.PowR(scratch, 255) }); avg != 0 {
+			t.Errorf("window %d: PowR allocates %v times per power", window, avg)
+		}
+	}
+}
+
+// TestFixedBasePlainRows holds the mixed table to its scale rule at
+// windows 1-8 over every exponent in range: PowR's words are base^e·R^s
+// mod n exactly, s is 1 for a power of row 0 alone and the sum of the
+// factors' scales less one per product otherwise (row 0 is at 1, every
+// higher row at 0), and the power taken out of the form is big.Int.Exp's,
+// for the same product count as a table held wholly in the form.
+func TestFixedBasePlainRows(t *testing.T) {
+	key := fbTestKey(t)
+	pk := &key.PublicKey
+	c, err := pk.EncryptInt(detrand.New("fb-plain"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mont.New(pk.N)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := m.ToMont(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := new(big.Int).Lsh(big.NewInt(1), uint(m.Words()*bits.UintSize))
+	rInv := new(big.Int).ModInverse(r, pk.N)
+	const maxExp = 255
+	for window := uint(1); window <= 8; window++ {
+		fb := NewFixedBaseMont(m, base, maxExp, window)
+		scratch, out := make([]big.Word, m.Words()), make([]big.Word, m.Words())
+		exit := m.NewExit()
+		for e := int64(0); e <= maxExp; e++ {
+			digits, wantS := 0, 0
+			for v, row := e, 0; v > 0; v, row = v>>window, row+1 {
+				if v&(1<<window-1) == 0 {
+					continue
+				}
+				if digits++; row == 0 {
+					wantS++
+				}
+			}
+			wantS -= max(digits-1, 0)
+			got, s, muls := fb.PowR(scratch, e)
+			if s != wantS || muls != max(digits-1, 0) {
+				t.Fatalf("window %d: PowR(%d) at scale %d in %d products, want %d in %d", window, e, s, muls, wantS, max(digits-1, 0))
+			}
+			want := new(big.Int).Exp(c, big.NewInt(e), pk.N)
+			scaled := new(big.Int).Set(want)
+			for i := 0; i < s; i++ {
+				scaled.Mul(scaled, r).Mod(scaled, pk.N)
+			}
+			for i := s; i < 0; i++ {
+				scaled.Mul(scaled, rInv).Mod(scaled, pk.N)
+			}
+			if raw := new(big.Int).SetBits(append([]big.Word(nil), got...)); raw.Cmp(scaled) != 0 {
+				t.Fatalf("window %d: PowR(%d) words %v, want base^e·R^%d = %v", window, e, raw, s, scaled)
+			}
+			exit.Leave(out, got, s)
+			if plain := new(big.Int).SetBits(append([]big.Word(nil), out...)); plain.Cmp(want) != 0 {
+				t.Fatalf("window %d: PowR(%d) out of the form = %v, want %v", window, e, plain, want)
+			}
+			if p, pm := fb.Pow(e); p.Cmp(want) != 0 || pm != muls {
+				t.Fatalf("window %d: Pow(%d) = %v in %d products, want %v in %d", window, e, p, pm, want, muls)
+			}
 		}
 	}
 }

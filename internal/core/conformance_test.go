@@ -195,7 +195,8 @@ func TestPlanRefusesWithoutWordForm(t *testing.T) {
 // TestPlanCancelsMidFold: a deadline that passes while the fold is
 // running stops it at the next poll, with the work done so far in the
 // stats and no response. The clock is the scan's own poll clock, so the
-// crossing is counted in polls, not raced.
+// crossing is counted in polls, not raced. A cancellation that meets a
+// worker waiting at the barrier between the phases returns the same.
 func TestPlanCancelsMidFold(t *testing.T) {
 	w, k := world(t)
 	c := NewClient(w.Org, k, 2121)
@@ -236,6 +237,26 @@ func TestPlanCancelsMidFold(t *testing.T) {
 		if cfg.workers == 1 && st.Postings != 2*cancelCheckPostings {
 			t.Fatalf("one worker stopped after %d postings, want the third poll's %d", st.Postings, 2*cancelCheckPostings)
 		}
+	}
+	// Cancelled at the barrier: the worker that claims entry 0 is held
+	// until another has planned every other entry and reached the
+	// barrier, which cancels the query there. No worker folds a posting.
+	srv.Live.SetSharding(3)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	planHooks.claimed = func(entry int) {
+		if entry == 0 {
+			<-ctx.Done()
+		}
+	}
+	planHooks.barrier = cancel
+	resp, st, err := srv.ProcessParallelCtx(ctx, q, 3)
+	planHooks.claimed, planHooks.barrier = nil, nil
+	if !errors.Is(err, context.Canceled) || resp != nil {
+		t.Fatalf("cancelled at the barrier: response %v, error %v; want no response and Canceled", resp, err)
+	}
+	if st.Postings != 0 || st.Candidates != 0 || st.ModMuls == 0 || st.IO != full.IO {
+		t.Fatalf("cancelled at the barrier: stats %+v, want the tables' setup only", st)
 	}
 }
 

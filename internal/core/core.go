@@ -152,23 +152,32 @@ type Ranked struct {
 }
 
 // postFilterGrain is the fewest candidates worth a worker of their own: 64
-// decryptions, in pairs, are ~0.14 ms of work at a 256-bit key, against
-// the ~5 µs it takes to start a goroutine and hand it a Decryptor.
+// decryptions, in pairs, are ~0.14 ms of work at a 256-bit key. A
+// goroutine is no cheap start on a 2-vCPU guest: 69-105 µs passed from
+// the go statement to its first statement in BenchmarkProcessParallel,
+// and 131-149 µs in queries served by bench/'s rank-serve workload.
 const postFilterGrain = 64
+
+// postFilterChunk is the run of candidates a PostFilter worker claims at a
+// time: even, so a chunk's pairs are the pairs DecryptInts would form, and
+// small, so the caller waits on a late worker for one chunk at most.
+const postFilterChunk = 32
 
 // PostFilter implements Algorithm 5: decrypt every candidate score and
 // return the top k by decreasing score (k <= 0 returns all), ties broken
 // by ascending document ID for determinism. One pass keeps the k best
 // (topRanked) and only they are sorted.
 //
-// The decryptions are independent and the key is read-only, so the
-// candidates are cut into contiguous ranges, one worker with its own
-// Decryptor per range, min(GOMAXPROCS, candidates/postFilterGrain) of
-// them; each hands its range to Decryptor.DecryptInts, which decrypts it
-// two candidates at a time into the range's own slots of the scores. A
-// small set is one range decrypted on the caller's goroutine by the same
-// call. The error returned is that of the lowest failing candidate at
-// every width.
+// The decryptions are independent and the key is read-only, so
+// min(GOMAXPROCS, candidates/postFilterGrain) workers, each with its own
+// Decryptor, claim postFilterChunk-candidate chunks in ascending order from
+// a shared counter and hand each to Decryptor.DecryptInts, which decrypts
+// it two candidates at a time into the chunk's own slots of the scores. A
+// small set is one worker on the caller's goroutine. The error returned
+// is that of the lowest failing candidate at every width: a worker stops
+// at its first failure, every chunk below it was claimed and is finished
+// by its claimer, so the lowest failure over the workers is the lowest
+// overall.
 func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 	docs := resp.Docs
 	encs := make([]*big.Int, len(docs))
@@ -177,20 +186,30 @@ func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 		encs[i] = docs[i].Enc
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), len(docs)/postFilterGrain))
-	// A worker stops at its first failure and the ranges ascend, so the
-	// first worker holding an error holds the lowest failing candidate's.
-	errs := make([]error, workers)
+	bad, errs := make([]int, workers), make([]error, workers)
+	var next atomic.Int32
 	fanOut(workers, func(w int) {
-		lo, hi := w*len(docs)/workers, (w+1)*len(docs)/workers
-		n, err := c.Key.NewDecryptor().DecryptInts(scores[lo:hi], encs[lo:hi])
-		if err != nil {
-			errs[w] = fmt.Errorf("core: decrypting score of doc %d: %w", docs[lo+n].Doc, err)
+		dec := c.Key.NewDecryptor()
+		for {
+			lo := (int(next.Add(1)) - 1) * postFilterChunk
+			if lo >= len(docs) {
+				return
+			}
+			hi := min(lo+postFilterChunk, len(docs))
+			if n, err := dec.DecryptInts(scores[lo:hi], encs[lo:hi]); err != nil {
+				bad[w], errs[w] = lo+n, err
+				return
+			}
 		}
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	first := -1
+	for w, err := range errs {
+		if err != nil && (first < 0 || bad[w] < bad[first]) {
+			first = w
 		}
+	}
+	if first >= 0 {
+		return nil, fmt.Errorf("core: decrypting score of doc %d: %w", docs[bad[first]].Doc, errs[first])
 	}
 	if k <= 0 || k > len(docs) {
 		k = len(docs)

@@ -29,10 +29,12 @@ import (
 // Tombstoned documents are skipped before any group operation.
 //
 // The arithmetic is word-level: ciphertexts are carried through the fold
-// in Montgomery form on []big.Word slabs (internal/mont) — flags
-// converted in once per entry, the fixed-base tables of SetPrecompute
-// built once per query and shared read-only by all workers, candidates
-// converted out once each by the worker that owns them. Multiplication
+// on []big.Word slabs (internal/mont) — flags converted into Montgomery
+// form once per entry, the fixed-base tables of SetPrecompute built once
+// per query and shared read-only by all workers, each slot carrying its
+// value at a scale x·R^s with s beside it, and each candidate taken out of
+// the form by the worker that owns it: one product by R^(1-s) when s is
+// not 0, none when it is. Multiplication
 // modulo n is commutative and every path returns canonical residues, so
 // the response is the oracle's (Process) ciphertext for ciphertext, with
 // the same Stats, at every shard count, worker count and window.
@@ -99,15 +101,39 @@ type entryPlan struct {
 	table    *benaloh.FixedBase // E(u)^p by table; nil: by square-and-multiply
 }
 
-// pow returns E(u)^p in Montgomery form and the multiplications it cost:
-// a table's digit products, or mulsForExponent(p) of square-and-multiply.
-// The result is scratch or a read-only table entry: the caller copies or
-// multiplies it, never writes it.
-func (pl *entryPlan) pow(mod *mont.Modulus, scratch []big.Word, p uint64) ([]big.Word, int) {
+// pow returns E(u)^p·R^s mod n, its scale s (mont.Exit) and the
+// multiplications it cost: a table's digit products at the table's
+// scale, or mulsForExponent(p) of square-and-multiply in the form
+// (s = 1). The result is scratch or a read-only table entry: the caller
+// copies or multiplies it, never writes it.
+func (pl *entryPlan) pow(mod *mont.Modulus, scratch []big.Word, p uint64) ([]big.Word, int, int) {
 	if pl.table != nil {
-		return pl.table.PowWords(scratch, int64(p))
+		return pl.table.PowR(scratch, int64(p))
 	}
-	return scratch, mod.Exp(scratch, pl.base, []big.Word{big.Word(p)})
+	return scratch, 1, mod.Exp(scratch, pl.base, []big.Word{big.Word(p)})
+}
+
+// planEntry resolves term in every segment of r and, when
+// precomputation is on and its list is long enough to amortize one,
+// builds its fixed-base table; it returns the table's setup products.
+func (s *Server) planEntry(pl *entryPlan, r *resolvedState, term wordnet.TermID, base []big.Word, mod *mont.Modulus) int {
+	segs := r.snap.Segs
+	pl.terms = make([]int32, len(segs))
+	for si, seg := range segs {
+		pl.terms[si] = r.term(si, term)
+		if pl.terms[si] >= 0 {
+			pl.postings += len(seg.List(int(pl.terms[si])))
+		}
+	}
+	if pl.postings == 0 {
+		return 0
+	}
+	pl.base = base
+	if s.window == 0 || pl.postings < fixedBaseMinPostings {
+		return 0
+	}
+	pl.table = benaloh.NewFixedBaseMont(mod, base, int64(s.Live.QuantLevels()), s.window)
+	return pl.table.SetupMuls()
 }
 
 // fanOut runs fn(0..workers-1) and waits; worker 0 runs on the caller's
@@ -125,11 +151,24 @@ func fanOut(workers int, fn func(w int)) {
 	wg.Wait()
 }
 
+// planHooks are nil outside tests: claimed runs when a worker has claimed
+// an entry, before it plans it, and barrier when a worker reaches the
+// barrier between the phases, before it waits there.
+var planHooks struct {
+	claimed func(entry int)
+	barrier func()
+}
+
 // processSharded is the serving plan, run against one index snapshot.
-// A query without a word form (wordForm) is refused before any work.
-// Workers poll ctx at entry claims and every cancelCheckPostings
-// postings; a cancelled worker records the partial stats of its current
-// shard before exiting.
+// A query without a word form (wordForm) is refused before any work; q
+// holds at least one entry (ProcessParallelCtx refuses an empty query),
+// so some worker plans the last entry and opens the barrier. One fan-out runs both phases: each worker plans entries until none is
+// left unclaimed, waits at a barrier until every entry is planned, then
+// folds shards. A helper that starts late finds the entries claimed and
+// goes straight to the shards, so a late start costs the query nothing.
+// Workers poll ctx at entry claims, at the barrier and every
+// cancelCheckPostings postings; a cancelled worker records the partial
+// stats of its current shard before exiting.
 func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Response, Stats, error) {
 	mod, flags, err := wordForm(q)
 	if err != nil {
@@ -149,13 +188,33 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	// deadline check can fire before the context's timer goroutine runs.
 	var aborted atomic.Bool
 
-	// Phase 1: resolve terms and build the per-entry fixed-base tables,
-	// fanned out over the pool (entries are independent of each other). A table is built when
-	// precomputation is on and the entry's list is long enough to
-	// amortize it; the same fold runs either way.
+	// Phase 1 state: entries are claimed one at a time (they are
+	// independent of each other); whoever plans the last one computes the
+	// shard slabs' start size and closes built, the barrier.
 	plans := make([]entryPlan, len(q.Entries))
 	setupMuls := make([]int, workers)
-	var nextEntry atomic.Int32
+	var nextEntry, planned atomic.Int32
+	built := make(chan struct{})
+	// Shard si owns the ids ≡ si (mod nsh): doc/nsh is its row. It holds
+	// at most its share of the postings and rows: its slab's start size.
+	rows := int(r.snap.NextDoc)/nsh + 1
+	room := 0
+
+	// Phase 2 state: workers claim shards and fold every entry's run of
+	// the shard, in every segment, into the shard's accumulator: one slab
+	// of k-word slots, a document's slot found at its row — no big.Int
+	// per candidate, no allocation per product. Every segment of the
+	// snapshot is cut into nsh runs, so run si is the shard's postings and
+	// the shard count cannot disagree with the layout.
+	type shardOut struct {
+		at         []int32   // row doc/nsh -> slot+1, 0 = no candidate
+		encs       []big.Int // slot -> ciphertext
+		modMuls    int
+		postings   int
+		tombstoned int
+	}
+	outs := make([]shardOut, nsh)
+	var nextShard atomic.Int32
 	fanOut(workers, func(w int) {
 		for {
 			if done != nil {
@@ -166,60 +225,32 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 				}
 			}
 			i := int(nextEntry.Add(1)) - 1
-			if i >= len(q.Entries) {
-				return
+			if i >= len(plans) {
+				break
 			}
-			e := q.Entries[i]
-			pl := &plans[i]
-			pl.terms = make([]int32, len(segs))
-			for si, seg := range segs {
-				pl.terms[si] = r.term(si, e.Term)
-				if pl.terms[si] >= 0 {
-					pl.postings += len(seg.List(int(pl.terms[si])))
+			if planHooks.claimed != nil {
+				planHooks.claimed(i)
+			}
+			setupMuls[w] += s.planEntry(&plans[i], r, q.Entries[i].Term, flags[i*k:(i+1)*k:(i+1)*k], mod)
+			if int(planned.Add(1)) == len(plans) {
+				for i := range plans {
+					room += plans[i].postings
 				}
-			}
-			if pl.postings == 0 {
-				continue
-			}
-			pl.base = flags[i*k : (i+1)*k : (i+1)*k]
-			if s.window != 0 && pl.postings >= fixedBaseMinPostings {
-				pl.table = benaloh.NewFixedBaseMont(mod, pl.base, int64(s.Live.QuantLevels()), s.window)
-				setupMuls[w] += pl.table.SetupMuls()
+				room = min(room/nsh, rows)
+				close(built)
 			}
 		}
-	})
-	for _, m := range setupMuls {
-		st.ModMuls += m
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, st, err
-	}
-	// Shard si owns the ids ≡ si (mod nsh): doc/nsh is its row. It holds
-	// at most its share of the postings and rows: its slab's start size.
-	room := 0
-	for i := range plans {
-		room += plans[i].postings
-	}
-	rows := int(r.snap.NextDoc)/nsh + 1
-	room = min(room/nsh, rows)
+		if planHooks.barrier != nil {
+			planHooks.barrier()
+		}
+		select {
+		case <-built:
+		case <-done:
+			return
+		}
 
-	// Phase 2: workers claim shards and fold every entry's run of the
-	// shard, in every segment, into the shard's accumulator: one slab of
-	// k-word slots, a document's slot found at its row — no big.Int per
-	// candidate, no allocation per product. Every segment of the snapshot
-	// is cut into nsh runs, so run si is the shard's postings and the
-	// shard count cannot disagree with the layout.
-	type shardOut struct {
-		at         []int32   // row doc/nsh -> slot+1, 0 = no candidate
-		encs       []big.Int // slot -> ciphertext
-		modMuls    int
-		postings   int
-		tombstoned int
-	}
-	outs := make([]shardOut, nsh)
-	var nextShard atomic.Int32
-	fanOut(workers, func(int) {
 		scratch := make([]big.Word, k)
+		exit := mod.NewExit()
 		for {
 			si := int(nextShard.Add(1)) - 1
 			if si >= nsh {
@@ -227,6 +258,8 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 			}
 			at := make([]int32, rows)
 			acc := make([]big.Word, 0, room*k) // slot i at acc[i*k:(i+1)*k]
+			// scale[i] is slot i's R exponent: the slot holds x·R^scale.
+			scale := make([]int32, 0, room)
 			slots, muls, posts, tombs := int32(0), 0, 0, 0
 			cancelled := false
 			check := func() bool {
@@ -267,16 +300,18 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 							tombs++
 							continue
 						}
-						c, m := pl.pow(mod, scratch, uint64(p.Quantized))
+						c, cs, m := pl.pow(mod, scratch, uint64(p.Quantized))
 						muls += m
 						if slot := at[int(p.Doc)/nsh]; slot != 0 {
 							a := acc[int(slot-1)*k : int(slot)*k]
 							mod.Mul(a, a, c)
+							scale[slot-1] += int32(cs) - 1
 							muls++
 						} else {
 							slots++
 							at[int(p.Doc)/nsh] = slots
 							acc = append(acc, c...)
+							scale = append(scale, int32(cs))
 						}
 					}
 				}
@@ -289,17 +324,21 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 			if cancelled {
 				return
 			}
-			// Convert the candidates out of the form in place; each
-			// ciphertext is a cap-limited window of the slab, so a caller
-			// that grows one cannot write into its neighbour.
+			// Take the candidates out of the form in place, one product
+			// each unless a slot is already plain; each ciphertext is a
+			// cap-limited window of the slab, so a caller that grows one
+			// cannot write into its neighbour.
 			out.at, out.encs = at, make([]big.Int, slots)
 			for i := range out.encs {
 				a := acc[i*k : (i+1)*k : (i+1)*k]
-				mod.Mul(a, a, mod.One())
+				exit.Leave(a, a, int(scale[i]))
 				out.encs[i].SetBits(a)
 			}
 		}
 	})
+	for _, m := range setupMuls {
+		st.ModMuls += m
+	}
 
 	// Phase 3: aggregate stats, then read the disjoint shard sets out
 	// row by row, shard by shard within a row: document row·nsh+si

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,7 +101,7 @@ func serialPostFilter(key *benaloh.PrivateKey, resp *Response, k int) ([]Ranked,
 // TestPostFilterWidths holds the fan-out and the top-k pass to the serial
 // oracle at every width the rule can choose and at k = 0, 1, 10, n-1, n
 // and n+1: the same ranking in the same order, ties included, and the
-// lowest failing candidate's error whichever worker meets it and
+// lowest failing candidate's error whichever worker claims its chunk and
 // whichever lane of a two-candidate decryption it sits in.
 func TestPostFilterWidths(t *testing.T) {
 	_, key := world(t)
@@ -119,24 +120,26 @@ func TestPostFilterWidths(t *testing.T) {
 			if n < 2 {
 				continue
 			}
-			// Two bad ciphertexts, in one range and in different ones.
-			for _, at := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {n/2 - 1, n / 2}, {n - 2, n - 1}} {
-				if at[0] < at[1] {
+			// Two bad ciphertexts, in one chunk and in different ones; in
+			// the last pair the lower failure closes the first chunk and
+			// the higher opens the second, so with two workers the higher
+			// one is most often met first.
+			for _, at := range [][2]int{{0, n - 1}, {n / 2, n - 1}, {n/2 - 1, n / 2}, {n - 2, n - 1}, {postFilterChunk - 1, postFilterChunk}} {
+				if at[0] < at[1] && at[1] < n {
 					checkBadAt(t, c, key, resp, procs, at[:])
 				}
 			}
-			// In every worker's range, bad ciphertexts at a pair's first
-			// lane, its second lane, both lanes, and the unpaired tail of
-			// an odd-length range.
-			workers := max(1, min(procs, n/postFilterGrain))
-			for w := range workers {
-				lo, hi := w*n/workers, (w+1)*n/workers
-				if hi-lo < 2 {
-					continue
-				}
-				first := lo + (hi-lo-2)/4*2 // an even offset: a pair's first lane
-				for _, at := range [][]int{{first}, {first + 1}, {first, first + 1}} {
-					checkBadAt(t, c, key, resp, procs, at)
+			// In the first two chunks, the middle one and the last, bad
+			// ciphertexts at a pair's first lane, its second lane, both
+			// lanes, and the unpaired tail of an odd-length last chunk.
+			chunks := (n + postFilterChunk - 1) / postFilterChunk
+			for _, ch := range slices.Compact([]int{0, min(1, chunks-1), chunks / 2, chunks - 1}) {
+				lo, hi := ch*postFilterChunk, min((ch+1)*postFilterChunk, n)
+				if hi-lo >= 2 {
+					first := lo + (hi-lo-2)/4*2 // an even offset: a pair's first lane
+					for _, at := range [][]int{{first}, {first + 1}, {first, first + 1}} {
+						checkBadAt(t, c, key, resp, procs, at)
+					}
 				}
 				if (hi-lo)%2 == 1 {
 					checkBadAt(t, c, key, resp, procs, []int{hi - 1})

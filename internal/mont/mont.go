@@ -20,11 +20,22 @@
 // The kernel is one loop, generic in width. A two-word modulus — the
 // prime Benaloh decryption works modulo at 130- to 257-bit keys — takes
 // the same reduction unrolled onto registers (mulWord2); Mul, Exp and
-// ExpPair pick it by the modulus's width and by nothing else, with the
-// same operand contract, product count and canonical results, and the
-// generic loop is the reference the tests hold it to word for word.
-// ExpPair walks one exponent over two bases, so that at two words the two
-// chains' products overlap in one core.
+// ExpPair pick it by the modulus's width and by nothing else. A four-word
+// modulus — n itself at 193- to 256-bit keys, which every ranking fold
+// multiplies modulo — takes the loop's CIOS rows with the accumulator,
+// the operand and the modulus in locals (mulWord4), picked by Mul alone
+// and reached by Exp through it. Both keep the generic loop's operand
+// contract, product count and canonical results, and the generic loop is
+// the reference the tests hold them to word for word. ExpPair walks one
+// exponent over two bases, so that at two words the two chains' products
+// overlap in one core.
+//
+// A caller may also carry values at other scales than the form: x·R^s
+// with s tracked beside the value, a product of scales s and t landing at
+// s+t-1 (plain operands are s = 0). Exit takes any s <= 1 out by one
+// product with R^(1-s), and a plain value with none — the ranking fold's
+// fixed-base tables keep their higher rows plain so that most candidates
+// leave with no product at all.
 //
 // REDC needs gcd(n, R) = 1, an odd modulus. Honest moduli are products
 // of odd primes, but the serving paths take client-chosen moduli off the
@@ -150,12 +161,58 @@ func (m *Modulus) FromMont(a []big.Word) *big.Int {
 	return new(big.Int).SetBits(dst)
 }
 
+// Exit takes values out of the form at any scale: a value carried as
+// x·R^s mod n, for an integer s <= 1, leaves by one product with R^(1-s),
+// which cancels the scale — One for a value in the form (s = 1), R² for
+// one at R^-1. A product of two values at scales s and t is at s+t-1, so
+// a caller mixing form and plain operands tracks s beside each value and
+// leaves once at the end. The powers past R² are built from R² by one
+// product each on first use and kept; one Exit serves one goroutine.
+type Exit struct {
+	m    *Modulus
+	high []big.Word // R^3, R^4, ... mod n, R^j at [(j-3)·k, (j-2)·k)
+}
+
+// NewExit returns an Exit for m holding no power past R² yet.
+func (m *Modulus) NewExit() *Exit { return &Exit{m: m} }
+
+// Leave sets dst = x, canonical, for a = x·R^s mod n with s <= 1: a copy
+// at s = 0, one product otherwise. dst may alias a.
+func (ex *Exit) Leave(dst, a []big.Word, s int) {
+	m, k := ex.m, len(ex.m.n)
+	var by []big.Word
+	switch j := 1 - s; j {
+	case 0:
+		by = m.one
+	case 1:
+		copy(dst, a)
+		return
+	case 2:
+		by = m.rr
+	default:
+		for have := len(ex.high)/k + 2; have < j; have++ {
+			prev := m.rr
+			if have > 2 {
+				prev = ex.high[len(ex.high)-k:]
+			}
+			ex.high = append(ex.high, make([]big.Word, k)...)
+			m.Mul(ex.high[len(ex.high)-k:], prev, m.rr)
+		}
+		by = ex.high[(j-3)*k : (j-2)*k]
+	}
+	m.Mul(dst, a, by)
+}
+
 // Mul sets dst = a·b·R^{-1} mod n, the Montgomery product, as its
 // canonical representative. dst may alias a or b. Allocation-free.
 func (m *Modulus) Mul(dst, a, b []big.Word) {
 	if len(m.n) == 2 {
 		d0, d1 := mulWord2(uint(a[0]), uint(a[1]), uint(b[0]), uint(b[1]), uint(m.n[0]), uint(m.n[1]), uint(m.n0inv))
 		dst[1], dst[0] = big.Word(d1), big.Word(d0)
+		return
+	}
+	if len(m.n) == 4 {
+		mulWord4((*[4]big.Word)(dst), (*[4]big.Word)(a), (*[4]big.Word)(b), (*[4]big.Word)(m.n), uint(m.n0inv))
 		return
 	}
 	if k := len(m.n); k <= smallWords {
@@ -402,4 +459,59 @@ func mulWord2(a0, a1, b0, b1, n0, n1, n0inv uint) (uint, uint) {
 	d1, borrow := bits.Sub(p3, n1, borrow)
 	keep := -(borrow &^ p4)
 	return d0 ^ (p2^d0)&keep, d1 ^ (p3^d1)&keep
+}
+
+// mulWord4 is mul for a four-word modulus — n at 193- to 256-bit keys, the
+// modulus every ranking fold runs on at the served 256 — with the
+// accumulator, b and n in locals: the same CIOS rows in the same order,
+// each unrolled into four word steps, and the final compare-and-subtract
+// chosen by a mask. dst is written once, after the last read of a and b,
+// so it may alias either. Like mul it asks for b canonical and takes any
+// four-word a, and it returns mul's canonical result word for word.
+func mulWord4(dst, a, b, n *[4]big.Word, n0inv uint) {
+	b0, b1, b2, b3 := uint(b[0]), uint(b[1]), uint(b[2]), uint(b[3])
+	n0, n1, n2, n3 := uint(n[0]), uint(n[1]), uint(n[2]), uint(n[3])
+	var t0, t1, t2, t3, top uint
+	for _, ai := range a {
+		ai := uint(ai)
+		c1, lo := bits.Mul(ai, b0)
+		lo, c := bits.Add(lo, t0, 0)
+		c1 += c
+		q := lo * n0inv
+		c2, lo2 := bits.Mul(q, n0)
+		_, c = bits.Add(lo2, lo, 0) // the low word cancels by the choice of q
+		c2 += c
+		t0, c1, c2 = ciosStep(ai, b1, t1, q, n1, c1, c2)
+		t1, c1, c2 = ciosStep(ai, b2, t2, q, n2, c1, c2)
+		t2, c1, c2 = ciosStep(ai, b3, t3, q, n3, c1, c2)
+		t3, c = bits.Add(c1, c2, 0)
+		t3, c2 = bits.Add(t3, top, 0)
+		top = c + c2
+	}
+	// t - n; a borrow out of a value without the top bit means t < n, and
+	// t itself is the result: keep is all ones then, zero otherwise.
+	d0, borrow := bits.Sub(t0, n0, 0)
+	d1, borrow := bits.Sub(t1, n1, borrow)
+	d2, borrow := bits.Sub(t2, n2, borrow)
+	d3, borrow := bits.Sub(t3, n3, borrow)
+	keep := -(borrow &^ top)
+	dst[0], dst[1] = big.Word(d0^(t0^d0)&keep), big.Word(d1^(t1^d1)&keep)
+	dst[2], dst[3] = big.Word(d2^(t2^d2)&keep), big.Word(d3^(t3^d3)&keep)
+}
+
+// ciosStep is word j of a CIOS row, mul's inner loop body: it adds ai·bj
+// and q·nj to tj under the row's two carries, returns the word that lands
+// at j-1 and the carries out. Neither high word can overflow:
+// x·y + z + w <= 2^2W - 1.
+func ciosStep(ai, bj, tj, q, nj, c1, c2 uint) (t, c1out, c2out uint) {
+	hi, lo := bits.Mul(ai, bj)
+	lo, c := bits.Add(lo, tj, 0)
+	hi += c
+	lo, c = bits.Add(lo, c1, 0)
+	c1out = hi + c
+	hi, t = bits.Mul(q, nj)
+	t, c = bits.Add(t, lo, 0)
+	hi += c
+	t, c = bits.Add(t, c2, 0)
+	return t, c1out, hi + c
 }

@@ -69,6 +69,11 @@ func checkMul(t *testing.T, m *Modulus, n, a, b *big.Int) {
 			t.Fatalf("mod %v: %v*%v in form: two-word %x, generic kernel %x", n, a, b, got, want)
 		}
 	}
+	if m.Words() == 4 {
+		if got, want := [4]big.Word(dst), genericMul4(m, ma, mb); got != want {
+			t.Fatalf("mod %v: %v*%v in form: four-word %x, generic kernel %x", n, a, b, got, want)
+		}
+	}
 	m.Mul(ma, ma, ma) // in-place square
 	if got, want := m.FromMont(ma), refMul(a, a, n); got.Cmp(want) != 0 {
 		t.Fatalf("mod %v: %v squared in place = %v, want %v", n, a, got, want)
@@ -221,6 +226,172 @@ func TestTwoWordExpMatchesGenericAndBigInt(t *testing.T) {
 				}
 				if got, want := m.FromMont(dst), new(big.Int).Exp(x, eInt, n); got.Cmp(want) != 0 {
 					t.Fatalf("mod %x: %x^%x = %x, want %x", n, x, eInt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// fourWordModuli are twoWordModuli's shapes at four words: 2^(3W) + 1,
+// R - 1 and R - 3 (all ones), a top word of 1 over random low words, the
+// top bit set as every generated key's n has it, and random moduli.
+func fourWordModuli(rng *rand.Rand) []*big.Int {
+	r := new(big.Int).Lsh(big.NewInt(1), 4*bits.UintSize)
+	return []*big.Int{
+		new(big.Int).SetBits([]big.Word{1, 0, 0, 1}),
+		new(big.Int).Sub(r, big.NewInt(1)),
+		new(big.Int).Sub(r, big.NewInt(3)),
+		oddModulus(rng, 4, 1),
+		oddModulus(rng, 4, big.Word(rng.Uint64())|1<<(bits.UintSize-1)),
+		oddModulus(rng, 4, big.Word(rng.Uint64())|1<<(bits.UintSize-1)),
+		oddModulus(rng, 4, big.Word(rng.Uint64()>>9)|1),
+		oddModulus(rng, 4, big.Word(rng.Uint64())|1),
+	}
+}
+
+// genericMul4 is a four-word product through the generic kernel.
+func genericMul4(m *Modulus, a, b []big.Word) [4]big.Word {
+	var t, dst [4]big.Word
+	m.mul(t[:], dst[:], a, b)
+	return dst
+}
+
+// TestFourWordMulMatchesGenericAndBigInt holds mulWord4 to the generic
+// kernel and to math/big as TestTwoWordMulMatchesGenericAndBigInt holds
+// mulWord2: a·b·R^-1 mod n for a anywhere below R and b canonical,
+// through every aliasing of dst.
+func TestFourWordMulMatchesGenericAndBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	r := new(big.Int).Lsh(big.NewInt(1), 4*bits.UintSize)
+	words := func(x *big.Int) []big.Word {
+		w := make([]big.Word, 4)
+		copy(w, x.Bits())
+		return w
+	}
+	for _, n := range fourWordModuli(rng) {
+		m, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%x): %v", n, err)
+		}
+		rInv := new(big.Int).ModInverse(r, n)
+		nm1 := new(big.Int).Sub(n, big.NewInt(1))
+		bs := []*big.Int{new(big.Int), big.NewInt(1), nm1}
+		as := []*big.Int{new(big.Int), big.NewInt(1), nm1, n, new(big.Int).Sub(r, big.NewInt(1))}
+		for i := 0; i < 8; i++ {
+			bs = append(bs, new(big.Int).Rand(rng, n))
+			as = append(as, new(big.Int).Rand(rng, n))
+			over := new(big.Int).Rand(rng, new(big.Int).Sub(r, n))
+			as = append(as, over.Add(over, n))
+		}
+		for _, a := range as {
+			for _, b := range bs {
+				aw, bw := words(a), words(b)
+				want := new(big.Int).Mul(a, b)
+				want.Mul(want, rInv).Mod(want, n)
+				var got [4]big.Word
+				mulWord4(&got, (*[4]big.Word)(aw), (*[4]big.Word)(bw), (*[4]big.Word)(m.n), uint(m.n0inv))
+				if new(big.Int).SetBits(got[:]).Cmp(want) != 0 {
+					t.Fatalf("mod %x: mulWord4(%x, %x) = %x, want %x", n, a, b, got, want)
+				}
+				if ref := genericMul4(m, aw, bw); got != ref {
+					t.Fatalf("mod %x: mulWord4(%x, %x) = %x, generic kernel %x", n, a, b, got, ref)
+				}
+				dst := make([]big.Word, 4)
+				m.Mul(dst, aw, bw)
+				if [4]big.Word(dst) != got {
+					t.Fatalf("mod %x: Mul(%x, %x) = %x, want %x", n, a, b, dst, got)
+				}
+				dst = words(a)
+				m.Mul(dst, dst, bw) // dst aliases a
+				if [4]big.Word(dst) != got {
+					t.Fatalf("mod %x, dst=a: Mul(%x, %x) = %x, want %x", n, a, b, dst, got)
+				}
+				dst = words(b)
+				m.Mul(dst, aw, dst) // dst aliases b
+				if [4]big.Word(dst) != got {
+					t.Fatalf("mod %x, dst=b: Mul(%x, %x) = %x, want %x", n, a, b, dst, got)
+				}
+			}
+		}
+		for _, b := range bs { // dst aliases both
+			bw := words(b)
+			want := genericMul4(m, bw, bw)
+			m.Mul(bw, bw, bw)
+			if [4]big.Word(bw) != want {
+				t.Fatalf("mod %x: %x squared in place = %x, want %x", n, b, bw, want)
+			}
+		}
+	}
+}
+
+// TestFourWordExpMatchesGenericAndBigInt: Exp at four words, which reaches
+// mulWord4 through Mul, returns big.Int.Exp's value and the value and
+// product count of the same chain on the generic kernel, product for
+// product, on the exponents the fold and encryption raise to.
+func TestFourWordExpMatchesGenericAndBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	wide := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 200))
+	exps := [][]big.Word{nil, {0}, {1}, {2}, {16}, {255}, {^big.Word(0)}, {0, 1}, wide.Bits(),
+		append(append([]big.Word(nil), wide.Bits()...), 0, 0)}
+	for _, n := range fourWordModuli(rng) {
+		m, err := New(n)
+		if err != nil {
+			t.Fatalf("New(%x): %v", n, err)
+		}
+		for _, x := range []*big.Int{new(big.Int), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rand(rng, n), new(big.Int).Rand(rng, n)} {
+			base, err := m.ToMont(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range exps {
+				eInt := new(big.Int).SetBits(append([]big.Word(nil), e...))
+				dst, ref := []big.Word{^big.Word(0), ^big.Word(0), ^big.Word(0), ^big.Word(0)}, make([]big.Word, 4)
+				muls := m.Exp(dst, base, e)
+				refMuls := genericExp(m, ref, base, eInt)
+				if muls != refMuls || [4]big.Word(dst) != [4]big.Word(ref) {
+					t.Fatalf("mod %x: %x^%x = %x in %d products, generic kernel %x in %d", n, x, eInt, dst, muls, ref, refMuls)
+				}
+				if got, want := m.FromMont(dst), new(big.Int).Exp(x, eInt, n); got.Cmp(want) != 0 {
+					t.Fatalf("mod %x: %x^%x = %x, want %x", n, x, eInt, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestExitLeavesEveryScale: a value carried as x·R^s mod n leaves as x
+// for every scale from the form (s = 1) down past the powers Exit builds
+// (s = -12), through a fresh Exit and one already grown, aliased and not,
+// at two, four and five words.
+func TestExitLeavesEveryScale(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, words := range []int{2, 4, 5} {
+		n := oddModulus(rng, words, big.Word(rng.Uint64())|1<<(bits.UintSize-1))
+		m, err := New(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := new(big.Int).Lsh(big.NewInt(1), uint(words*bits.UintSize))
+		rInv := new(big.Int).ModInverse(r, n)
+		grown := m.NewExit()
+		grown.Leave(make([]big.Word, words), make([]big.Word, words), -12)
+		for s := 1; s >= -12; s-- {
+			x := new(big.Int).Rand(rng, n)
+			scaled := new(big.Int).Set(x) // x·R^s mod n
+			if s == 1 {
+				scaled.Mul(scaled, r).Mod(scaled, n)
+			}
+			for i := s; i < 0; i++ {
+				scaled.Mul(scaled, rInv).Mod(scaled, n)
+			}
+			for _, exit := range []*Exit{m.NewExit(), grown} {
+				a := make([]big.Word, words)
+				copy(a, scaled.Bits())
+				dst := make([]big.Word, words)
+				exit.Leave(dst, a, s)
+				exit.Leave(a, a, s) // dst aliases a
+				if got := new(big.Int).SetBits(dst); got.Cmp(x) != 0 || !slices.Equal(a, dst) {
+					t.Fatalf("%d words, scale %d: left as %x (in place %x), want %x", words, s, got, a, x)
 				}
 			}
 		}

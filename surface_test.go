@@ -129,12 +129,13 @@ var rules = []rule{
 	// constant two of Decryptor.DecryptInts, not a setting either.
 	retired("no decode worker-count setting", ident|tests, "", `(Decode|Decrypt)(Workers|Parallel|Lanes)`),
 	retired("no decode worker-count setting", flagKey|envKey|tests, "", `(?i)(decode|decrypt)[-_]?(workers|parallel|lanes)`),
-	// The two-word register form is chosen by the modulus — one dispatch
-	// on its width in each of Mul, Exp and ExpPair — never configured: no
-	// selector, setter or flag names a kernel.
+	// The register forms are chosen by the modulus — one dispatch on its
+	// width in each of Mul, Exp and ExpPair for two words, one in Mul for
+	// four — never configured: no selector, setter or flag names a kernel.
 	retired("no Montgomery kernel selector", ident|tests, "", `UseGeneric|ForceGeneric|SetKernel`),
 	retired("no Montgomery kernel selector", flagKey|envKey|tests, "", `(?i)generic|kernel`),
 	count("no Montgomery kernel selector", "a test of len(m.n) against 2", "internal/mont/mont.go", 3, 3, exprs(`^len\(m\.n\) [=!]= 2$`)),
+	count("no Montgomery kernel selector", "a test of len(m.n) against 4", "internal/mont/mont.go", 1, 1, exprs(`^len\(m\.n\) [=!]= 4$`)),
 	// One multi-word CIOS loop (internal/mont) beside pir's inlined
 	// one-word REDC forms: the REDC folding constant is multiplied in
 	// those two files and nowhere else.
@@ -186,6 +187,10 @@ var rules = []rule{
 	retired("one ranking plan, in document order", ident|tests, "", `^processTermStriped$`),
 	count("one ranking plan, in document order", "a map type", "internal/core/parallel.go", 0, 0, exprs(`^map\[`)),
 	count("one ranking plan, in document order", "a sort call", "internal/core/parallel.go", 0, 0, exprs(`^(sortDocScores|sort\.\w+|slices\.Sort\w*)\(`)),
+	// The plan fans out once per query: its workers plan the entries, meet
+	// at a barrier and fold the shards in one pool, so a helper that starts
+	// late lands in the fold rather than after a second fan-out.
+	count("one fan-out per query", "a fanOut call", "internal/core/parallel.go", 1, 1, exprs(`(^|\.)fanOut\(`)),
 	// One client path: an in-process search or fetch is a wire session
 	// over an in-memory connection (Engine.dial). No local PIR transport,
 	// batching loop or written-out fetch shape serves beside the wire's,
