@@ -51,9 +51,8 @@ type DecoyStreamStats struct {
 // belongs to one connection's request-response loop, like the Client
 // it wraps.
 type DecoyStream struct {
-	c    *Client
-	gen  *trackmenot.Generator
-	rate int
+	c   *Client
+	gen *trackmenot.Generator
 
 	genuine atomic.Int64
 	decoys  atomic.Int64
@@ -81,20 +80,7 @@ func (c *Client) NewDecoyStream(cfg DecoyStreamConfig) (*DecoyStream, error) {
 		rate = 0
 	}
 	gen.GhostRate = rate
-	return &DecoyStream{c: c, gen: gen, rate: rate}, nil
-}
-
-// GhostRate reports the stream's decoys-per-genuine-query rate.
-func (d *DecoyStream) GhostRate() int { return d.rate }
-
-// SetGhostRate changes the decoys-per-genuine-query rate for
-// subsequent searches; negative values clamp to 0 (no cover traffic).
-func (d *DecoyStream) SetGhostRate(rate int) {
-	if rate < 0 {
-		rate = 0
-	}
-	d.rate = rate
-	d.gen.GhostRate = rate
+	return &DecoyStream{c: c, gen: gen}, nil
 }
 
 // Stats returns a snapshot of the stream's traffic counters.

@@ -406,16 +406,13 @@ func (e *Engine) ConfigureMergePolicy(maxSegments int) error {
 	return nil
 }
 
-// applyExecution resolves the ranking schedule, once, for NewEngine and
-// the load path alike, and builds the ranking server on it: the live set
-// cut into GOMAXPROCS document shards (processCoreCtx runs as many
-// workers) before the server resolves its first snapshot, and the
-// default fixed-base window. Nothing sets it afterwards, so queries read
-// it without a lock.
+// applyExecution builds the ranking server, once, for NewEngine and the
+// load path alike, on the schedule core.NewLiveServer resolves: GOMAXPROCS
+// document shards (processCoreCtx runs as many workers) and the default
+// fixed-base window. Nothing sets it afterwards, so queries read it
+// without a lock.
 func (e *Engine) applyExecution() {
-	e.live.SetSharding(runtime.GOMAXPROCS(0))
 	e.server = core.NewLiveServer(e.live, e.org, e.lex.db)
-	e.server.SetPrecompute(benaloh.DefaultWindow)
 }
 
 // CancelledError reports a query stopped mid-scan by context

@@ -18,7 +18,6 @@ import (
 	"embellish/internal/eval"
 	"embellish/internal/pir"
 	"embellish/internal/pirsearch"
-	"embellish/internal/simio"
 	"embellish/internal/wordnet"
 )
 
@@ -52,7 +51,6 @@ func main() {
 	pirClient.CryptoRand = detrand.New("longquery-pir")
 	pirServer := pirsearch.NewServer(env.Index, org, env.DB)
 
-	disk := simio.Default()
 	rng := rand.New(rand.NewSource(3))
 
 	fmt.Printf("%-10s  %22s  %22s\n", "", "PR", "PIR")
@@ -67,7 +65,7 @@ func main() {
 			log.Fatal(err)
 		}
 		userPR := time.Since(start)
-		resp, prStats, err := prServer.Process(q)
+		resp, _, err := prServer.ProcessParallel(q, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,7 +76,7 @@ func main() {
 		userPR += time.Since(start)
 		prTraffic := q.Bytes() + resp.Bytes()
 
-		// PIR: one protocol run per genuine term.
+		// PIR: one protocol run per genuine term, a bucket's runs in one scan.
 		_, pirStats, err := pirClient.Search(pirServer, genuine, 20)
 		if err != nil {
 			log.Fatal(err)
@@ -89,8 +87,6 @@ func main() {
 			size,
 			float64(prTraffic)/1024, float64(userPR.Nanoseconds())/1e6,
 			float64(pirTraffic)/1024, float64(pirStats.ClientNS)/1e6)
-		_ = prStats
-		_ = disk
 	}
 
 	fmt.Println(`

@@ -135,7 +135,7 @@ func TestPlanConformsToOracle(t *testing.T) {
 		for _, bits := range []int{128, 256, 257, 512} {
 			q := requantize(base, keys[bits], rng)
 			for _, window := range []uint{0, benaloh.DefaultWindow, 2} {
-				srv.SetPrecompute(window)
+				srv.window = window
 				want, wantSt, err := srv.Process(q)
 				if err != nil {
 					t.Fatal(err)
@@ -172,7 +172,6 @@ func TestPlanRefusesWithoutWordForm(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(w.Index, w.Org, w.DB)
-	srv.SetPrecompute(benaloh.DefaultWindow)
 	srv.Live.SetSharding(3)
 
 	even := new(big.Int).Lsh(k.N, 1)
@@ -206,7 +205,6 @@ func TestPlanCancelsMidFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(w.Index, w.Org, w.DB)
-	srv.SetPrecompute(benaloh.DefaultWindow)
 	_, full, err := srv.Process(q)
 	if err != nil {
 		t.Fatal(err)
@@ -306,7 +304,6 @@ func TestPlanReturnsDocumentOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewLiveServer(live, w.Org, w.DB)
-	srv.SetPrecompute(benaloh.DefaultWindow)
 	before, _, err := srv.Process(q)
 	if err != nil {
 		t.Fatal(err)

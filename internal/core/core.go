@@ -284,8 +284,11 @@ type Server struct {
 	// be matched against each segment's dictionary.
 	db   *wordnet.Database
 	Disk simio.Model
-	// window is the fixed-base exponentiation radix exponent; 0 disables
-	// the tables and every E(u)^p is a square-and-multiply exponentiation.
+	// window is the fixed-base exponentiation radix exponent:
+	// benaloh.DefaultWindow, set by NewLiveServer. 0 disables the tables
+	// and every E(u)^p is a square-and-multiply exponentiation; only the
+	// package's tests sweep it. The ciphertexts, and hence the protocol
+	// transcript, are the same at every window.
 	window uint
 
 	// resolved caches the per-segment term resolution and bucket
@@ -330,13 +333,6 @@ func (r *resolvedState) term(si int, t wordnet.TermID) int32 {
 	return m[t]
 }
 
-// SetPrecompute enables fixed-base windowed exponentiation for the
-// per-term flag powers E(u)^p: window is the radix exponent w (tables of
-// 2^w entries per window of the exponent), and 0 disables the tables.
-// Precomputation changes only which group operations compute E(u)^p —
-// the ciphertexts, and hence the protocol transcript, are identical.
-func (s *Server) SetPrecompute(window uint) { s.window = window }
-
 // NewServer wires a static single index to a bucket organization — the
 // paper's original deployment shape, kept for callers that never
 // update. It is a one-segment live server.
@@ -344,12 +340,17 @@ func NewServer(ix *index.Index, org *bucket.Organization, db *wordnet.Database) 
 	return NewLiveServer(index.NewLive(ix), org, db)
 }
 
-// NewLiveServer wires a live segmented index to a bucket organization.
-// db supplies the lemma spelling of each organization term so it can be
-// matched against each segment's dictionary.
+// NewLiveServer wires a live segmented index to a bucket organization,
+// on the served schedule: the live set cut into GOMAXPROCS document
+// shards (ProcessParallel runs as many workers) before the server
+// resolves its first snapshot, and fixed-base tables of
+// benaloh.DefaultWindow. db supplies the lemma spelling of each
+// organization term so it can be matched against each segment's
+// dictionary.
 func NewLiveServer(live *index.Live, org *bucket.Organization, db *wordnet.Database) *Server {
+	live.SetSharding(runtime.GOMAXPROCS(0))
 	s := &Server{Live: live, Org: org, db: db, Disk: simio.Default(),
-		segCache: make(map[*index.Index]*segResolved)}
+		window: benaloh.DefaultWindow, segCache: make(map[*index.Index]*segResolved)}
 	s.resolve()
 	return s
 }

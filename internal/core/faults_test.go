@@ -1,11 +1,16 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"embellish/internal/benaloh"
+	"embellish/internal/index"
 	"embellish/internal/testenv"
 )
 
@@ -73,80 +78,102 @@ func TestTamperedFlagChangesOnlyThatTermsContribution(t *testing.T) {
 	}
 }
 
-func TestGarbageCiphertextFailsDecryption(t *testing.T) {
-	// A flag replaced by a random group element is (overwhelmingly) not
-	// a valid encryption of any message; score decryption must report an
-	// error, not return garbage silently.
-	w, _ := world(t)
-	c, s := newPair(t, 62)
-	genuine := pickGenuine(w, rand.New(rand.NewSource(63)), 1)
-	q, _, err := c.Embellish(genuine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 7 is virtually never of the form g^m·µ^r for tiny m with these
-	// parameters; if it happens to be, the test would still pass via the
-	// score path below failing to trigger.
-	q.Entries[0].Flag = big.NewInt(7)
-	resp, _, err := s.Process(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.PostFilter(resp, 0); err == nil {
-		t.Skip("garbage ciphertext happened to decrypt; acceptable with tiny test keys")
-	}
-}
-
-func TestWrongKeyFailsOrMisdecrypts(t *testing.T) {
-	// Decrypting with a different private key must error (the typical
-	// case) — it must never panic.
-	w, _ := world(t)
-	c, s := newPair(t, 64)
-	genuine := pickGenuine(w, rand.New(rand.NewSource(65)), 1)
-	q, _, err := c.Embellish(genuine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, _, err := s.Process(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherKey, err := benaloh.GenerateKey(testenv.NewDetRand("other-key"), 256, benaloh.Pow3(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	imposter := NewClient(w.Org, otherKey, 1)
-	if _, err := imposter.PostFilter(resp, 0); err == nil {
-		t.Skip("foreign ciphertexts decrypted by chance under small test keys")
-	}
-}
-
-func TestProcessUnknownTermsOnly(t *testing.T) {
-	// An embellished query whose terms none occur in the corpus yields
-	// an empty candidate set, not an error.
+// TestPostFilterRanksUnitsAndRefusesNonUnits: Benaloh decryption has no
+// integrity — every unit of Z_n decrypts to some m in [0, r) — so a flag
+// replaced by an arbitrary unit, and a response of arbitrary units (what
+// a foreign key's ciphertexts look like), rank without error, every
+// score in [0, r). Integrity is delegated to the transport, as the paper
+// assumes. What decryption refuses is a non-unit: a score of 0 or a
+// multiple of p1 fails PostFilter, naming the lowest failing candidate.
+func TestPostFilterRanksUnitsAndRefusesNonUnits(t *testing.T) {
 	w, k := world(t)
-	_, s := newPair(t, 66)
-	// Build a query manually from org terms that are absent from the
-	// index (if any exist in this world).
-	var absent []QueryEntry
-	for b := 0; b < w.Org.NumBuckets() && len(absent) == 0; b++ {
-		for _, tm := range w.Org.Bucket(b) {
-			if s.ListFor(tm) == nil {
-				flag, _ := k.EncryptInt(testenv.NewDetRand("abs"), 1)
-				absent = append(absent, QueryEntry{Term: tm, Flag: flag})
-				break
+	c, s := newPair(t, 62)
+	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(63)), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Entries[0].Flag = big.NewInt(7)
+	garbled, _, err := s.ProcessParallel(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(64))
+	units := &Response{Docs: make([]DocScore, 3*postFilterGrain)}
+	for i := range units.Docs {
+		u := new(big.Int).Rand(rng, k.N)
+		for new(big.Int).GCD(nil, nil, u, k.N).Cmp(big.NewInt(1)) != 0 {
+			u.Rand(rng, k.N)
+		}
+		units.Docs[i] = DocScore{Doc: index.DocID(i), Enc: u}
+	}
+	for name, resp := range map[string]*Response{"a garbled flag": garbled, "arbitrary units": units} {
+		ranked, err := c.PostFilter(resp, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(ranked) != len(resp.Docs) || len(ranked) == 0 {
+			t.Fatalf("%s: ranked %d of %d candidates", name, len(ranked), len(resp.Docs))
+		}
+		for _, r := range ranked {
+			if r.Score < 0 || r.Score >= k.R.Int64() {
+				t.Fatalf("%s: doc %d scores %d, outside [0, %v)", name, r.Doc, r.Score, k.R)
 			}
 		}
 	}
-	if len(absent) == 0 {
-		t.Skip("every organization term occurs in this corpus")
+
+	n := len(units.Docs)
+	for name, nonUnit := range map[string]*big.Int{"zero": new(big.Int), "a multiple of p1": new(big.Int).Mul(k.P1, big.NewInt(6))} {
+		for _, at := range [][2]int{{0, n - 1}, {postFilterChunk - 1, postFilterChunk}, {n - 2, n - 1}} {
+			bad := &Response{Docs: slices.Clone(units.Docs)}
+			bad.Docs[at[0]].Enc = nonUnit
+			bad.Docs[at[1]].Enc = new(big.Int)
+			_, err := c.PostFilter(bad, 0)
+			if !errors.Is(err, benaloh.ErrNotUnit) || !strings.Contains(err.Error(), fmt.Sprintf("doc %d:", bad.Docs[at[0]].Doc)) {
+				t.Fatalf("%s at %d, zero at %d: error %v, want ErrNotUnit naming doc %d", name, at[0], at[1], err, bad.Docs[at[0]].Doc)
+			}
+		}
 	}
-	resp, st, err := s.Process(&Query{Entries: absent, Pub: &k.PublicKey})
+}
+
+// TestProcessUnknownTermsOnly: a query whose every term has no live
+// postings — here one organization term whose documents are all
+// tombstoned — yields an empty candidate set, not an error, on the
+// oracle and the plan alike.
+func TestProcessUnknownTermsOnly(t *testing.T) {
+	w, k := world(t)
+	_, s := newPair(t, 66)
+	term := w.Searchable[0]
+	var docs []index.DocID
+	for _, p := range s.ListFor(term) {
+		docs = append(docs, p.Doc)
+	}
+	if len(docs) == 0 {
+		t.Fatal("the term has no postings to tombstone")
+	}
+	if err := s.Live.Delete(docs); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.ListFor(term)); n != 0 {
+		t.Fatalf("%d live postings after tombstoning every holder", n)
+	}
+	flag, err := k.EncryptInt(testenv.NewDetRand("abs"), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Docs) != 0 || st.Candidates != 0 {
-		t.Fatalf("absent-term query returned %d candidates", len(resp.Docs))
+	q := &Query{Entries: []QueryEntry{{Term: term, Flag: flag}}, Pub: &k.PublicKey}
+	oracle, ost, err := s.Process(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, pst, err := s.ProcessParallel(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(oracle.Docs) != 0 || len(plan.Docs) != 0 || ost.Candidates != 0 || pst.Candidates != 0 {
+		t.Fatalf("tombstoned-term query returned %d (oracle) and %d (plan) candidates", len(oracle.Docs), len(plan.Docs))
+	}
+	if ost.Tombstoned != len(docs) || pst.Tombstoned != len(docs) {
+		t.Fatalf("tombstones skipped: oracle %d, plan %d, want %d", ost.Tombstoned, pst.Tombstoned, len(docs))
 	}
 }
 

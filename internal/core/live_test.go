@@ -41,7 +41,7 @@ func TestLivePlansAgreeAfterUpdates(t *testing.T) {
 	w, live := liveWorld(t)
 	_, k := world(t)
 	srv := NewLiveServer(live, w.Org, w.DB)
-	srv.SetPrecompute(4)
+	srv.window = 4
 
 	c := NewClient(w.Org, k, 7)
 	c.CryptoRand = testenv.NewDetRand("core-live-client")

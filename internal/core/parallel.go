@@ -30,12 +30,12 @@ import (
 //
 // The arithmetic is word-level: ciphertexts are carried through the fold
 // on []big.Word slabs (internal/mont) — flags converted into Montgomery
-// form once per entry, the fixed-base tables of SetPrecompute built once
-// per query and shared read-only by all workers, each slot carrying its
-// value at a scale x·R^s with s beside it, and each candidate taken out of
-// the form by the worker that owns it: one product by R^(1-s) when s is
-// not 0, none when it is. Multiplication
-// modulo n is commutative and every path returns canonical residues, so
+// form once per entry, the fixed-base tables of the server's window
+// built once per query and shared read-only by all workers, each slot
+// carrying its value at a scale x·R^s with s beside it, and each
+// candidate taken out of the form by the worker that owns it: one product
+// by R^(1-s) when s is not 0, none when it is. Multiplication modulo n is
+// commutative and every path returns canonical residues, so
 // the response is the oracle's (Process) ciphertext for ciphertext, with
 // the same Stats, at every shard count, worker count and window.
 func (s *Server) ProcessParallel(q *Query, workers int) (*Response, Stats, error) {

@@ -22,7 +22,6 @@ func BenchmarkProcessParallel(b *testing.B) {
 	c := NewClient(w.Org, k, 7)
 	c.CryptoRand = testenv.NewDetRand("bench-process-client")
 	srv := NewServer(w.Index, w.Org, w.DB)
-	srv.SetPrecompute(benaloh.DefaultWindow)
 	srv.Live.SetSharding(2)
 	rng := rand.New(rand.NewSource(7))
 	qs := make([]*Query, 16)

@@ -2,10 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"embellish/internal/benaloh"
 )
 
 // TestShardedMatchesSequential: the document-sharded worker-pool
@@ -27,6 +30,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 	} {
 		c, s := newPair(t, 90)
 		_, seqServer := newPair(t, 90)
+		seqServer.window = 0
 		genuine := pickGenuine(w, rng, 3)
 		q, _, err := c.Embellish(genuine)
 		if err != nil {
@@ -37,7 +41,7 @@ func TestShardedMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.Live.SetSharding(cfg.shards)
-		s.SetPrecompute(cfg.window)
+		s.window = cfg.window
 		shResp, shStats, err := s.ProcessParallel(q, cfg.workers)
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +78,7 @@ func TestPrecomputeMatchesSequential(t *testing.T) {
 	w, _ := world(t)
 	c, plain := newPair(t, 94)
 	_, pre := newPair(t, 94)
-	pre.SetPrecompute(4)
+	plain.window, pre.window = 0, 4
 	genuine := pickGenuine(w, rand.New(rand.NewSource(95)), 3)
 	q, _, err := c.Embellish(genuine)
 	if err != nil {
@@ -118,7 +122,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	w, _ := world(t)
 	c, s := newPair(t, 96)
 	s.Live.SetSharding(4)
-	s.SetPrecompute(4)
+	s.window = 4
 	rng := rand.New(rand.NewSource(97))
 
 	type job struct {
@@ -190,3 +194,32 @@ func TestShardedConcurrentQueries(t *testing.T) {
 type errMismatch struct{}
 
 func (errMismatch) Error() string { return "sharded response diverged from the oracle's" }
+
+// TestNewLiveServerResolvesTheServedSchedule: the constructor cuts the
+// live set into GOMAXPROCS shards and builds fixed-base tables of
+// benaloh.DefaultWindow, the schedule the engine serves, so the plan
+// spends fewer products than the table-less oracle.
+func TestNewLiveServerResolvesTheServedSchedule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	w, _ := world(t)
+	c, s := newPair(t, 98)
+	if s.window != benaloh.DefaultWindow || s.Live.Snapshot().Runs != 3 {
+		t.Fatalf("window %d over %d shards, want %d over GOMAXPROCS = 3", s.window, s.Live.Snapshot().Runs, benaloh.DefaultWindow)
+	}
+	q, _, err := c.Embellish(pickGenuine(w, rand.New(rand.NewSource(99)), 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := s.ProcessParallel(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.window = 0
+	_, ost, err := s.Process(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ModMuls >= ost.ModMuls {
+		t.Fatalf("served schedule spent %d products, the table-less oracle %d: want fewer", st.ModMuls, ost.ModMuls)
+	}
+}

@@ -336,8 +336,9 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 // the serving path: under a random interleaving of adds and deletes,
 // for EVERY live document and every one of its blocks, the executor's
 // gammas (AnswerMultiExecCtx) are byte-identical to the sequential
-// oracle (AnswerCtx) AND to Matrix.Process over a materialized bit
-// matrix of the same snapshot — and they decode to the stored block.
+// oracle (AnswerCtx) AND to that oracle over a bit matrix the test
+// materializes from the documents' bytes, not from the store's columns
+// — and they decode to the stored block.
 func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 	const blockSize = 8
 	key, err := pir.GenerateKey(detrand.New("exec-churn-pir"), 96)
@@ -370,14 +371,13 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 		}
 
 		sn := s.Snapshot()
-		// Materialize the snapshot as the reference bit matrix.
-		m := pir.NewMatrix(blockSize*8, sn.NumBlocks())
-		for b := 0; b < sn.NumBlocks(); b++ {
-			data, err := fetchBlockClear(sn, b)
-			if err != nil {
+		// Materialize the snapshot as the reference bit matrix, one
+		// column per block, cut from the documents' bytes.
+		matrix := make([][]byte, sn.NumBlocks())
+		for b := range matrix {
+			if matrix[b], err = fetchBlockClear(sn, b); err != nil {
 				t.Fatal(err)
 			}
-			m.SetColumn(b, data)
 		}
 		for id := 0; id < sn.NumDocs(); id++ {
 			ext, _ := sn.Extent(id)
@@ -394,7 +394,7 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, _, err := m.Process(q)
+				ref, _, err := pir.ProcessColumnsCtx(context.Background(), matrix, blockSize, q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -404,7 +404,7 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 				}
 				for r := range ref.Gammas {
 					if seq.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("op %d doc %d block %d row %d: AnswerCtx differs from Matrix.Process", op, id, b, r)
+						t.Fatalf("op %d doc %d block %d row %d: AnswerCtx differs from the materialized matrix", op, id, b, r)
 					}
 				}
 				for _, ex := range execs {
@@ -414,7 +414,7 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 					}
 					for r := range ref.Gammas {
 						if got.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-							t.Fatalf("op %d doc %d block %d row %d exec %+v: gamma differs from Matrix.Process", op, id, b, r, ex)
+							t.Fatalf("op %d doc %d block %d row %d exec %+v: gamma differs from the materialized matrix", op, id, b, r, ex)
 						}
 					}
 				}

@@ -22,7 +22,8 @@ type RetrievalPoint struct {
 }
 
 // measurePR runs Trials random queries of the given size through the
-// private retrieval scheme and averages the four metrics.
+// private retrieval scheme — ranked on the served plan (ProcessParallel,
+// GOMAXPROCS workers) — and averages the four metrics.
 func (e *Env) measurePR(org *bucket.Organization, querySize int, rng *rand.Rand) (RetrievalPoint, error) {
 	client := core.NewClient(org, e.PRKey, rng.Int63())
 	client.CryptoRand = e.Rand
@@ -41,7 +42,7 @@ func (e *Env) measurePR(org *bucket.Organization, querySize int, rng *rand.Rand)
 		}
 
 		serverStart := time.Now()
-		resp, st, err := server.Process(q)
+		resp, st, err := server.ProcessParallel(q, 0)
 		serverNS := time.Since(serverStart).Nanoseconds()
 		if err != nil {
 			return pt, fmt.Errorf("eval: PR process: %w", err)
@@ -62,7 +63,8 @@ func (e *Env) measurePR(org *bucket.Organization, querySize int, rng *rand.Rand)
 	return pt, nil
 }
 
-// measurePIR runs the same workload through the PIR baseline.
+// measurePIR runs the same workload through the PIR baseline, each
+// bucket's runs answered in one scan on the flat executor.
 func (e *Env) measurePIR(org *bucket.Organization, querySize int, rng *rand.Rand) (RetrievalPoint, error) {
 	client := pirsearch.NewClient(org, e.PIRKey)
 	client.CryptoRand = e.Rand

@@ -366,7 +366,7 @@ func refGroupPatterns(cols [][]byte, start, end, colBytes int, pats []uint16) {
 	clear(pats)
 	for k := 0; start+k < end; k++ {
 		for r := 0; r < colBytes*8; r++ {
-			// MSB-first, matching Matrix.SetColumn's layout.
+			// MSB-first, the column layout of ProcessColumnsCtx.
 			if cols[start+k][r>>3]&(0x80>>(r&7)) != 0 {
 				pats[r] |= 1 << k
 			}

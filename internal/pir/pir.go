@@ -32,49 +32,6 @@ func shortColumnError(j, got, want int) error {
 	return fmt.Errorf("pir: column %d holds %d of %d bytes", j, got, want)
 }
 
-// Matrix is the server-side database: a rows×cols bit matrix stored
-// row-major, one bit per cell.
-type Matrix struct {
-	Rows, Cols int
-	bits       []byte // ceil(rows*cols/8) bytes
-}
-
-// NewMatrix allocates an all-zero matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	return &Matrix{Rows: rows, Cols: cols, bits: make([]byte, (rows*cols+7)/8)}
-}
-
-// Set sets the bit at (r, c) to v.
-func (m *Matrix) Set(r, c int, v bool) {
-	idx := r*m.Cols + c
-	if v {
-		m.bits[idx>>3] |= 1 << (idx & 7)
-	} else {
-		m.bits[idx>>3] &^= 1 << (idx & 7)
-	}
-}
-
-// Get returns the bit at (r, c).
-func (m *Matrix) Get(r, c int) bool {
-	idx := r*m.Cols + c
-	return m.bits[idx>>3]&(1<<(idx&7)) != 0
-}
-
-// SetColumn writes the bytes of data into column c, most significant bit
-// of each byte first, starting at row 0. Rows beyond the data stay zero
-// (the padding the paper requires for lists shorter than the bucket max).
-func (m *Matrix) SetColumn(c int, data []byte) {
-	for i, b := range data {
-		for j := 0; j < 8; j++ {
-			r := i*8 + j
-			if r >= m.Rows {
-				return
-			}
-			m.Set(r, c, b&(1<<(7-j)) != 0)
-		}
-	}
-}
-
 // ColumnBytes converts a column bit vector (as returned by Decode) back to
 // bytes, MSB first.
 func ColumnBytes(bits []bool) []byte {
@@ -675,45 +632,11 @@ type Stats struct {
 	TableMuls int
 }
 
-// Process computes the server response: γ_i = Π_j v_ij with v_ij = q_j²
-// when bit (i,j) = 0 and v_ij = q_j when bit (i,j) = 1.
-func (m *Matrix) Process(q *Query) (*Answer, Stats, error) {
-	if len(q.Values) != m.Cols {
-		return nil, Stats{}, errors.New("pir: query width does not match matrix")
-	}
-	// Precompute the squares once per column instead of once per cell.
-	sq := make([]*big.Int, m.Cols)
-	var st Stats
-	for j, v := range q.Values {
-		sq[j] = new(big.Int).Mul(v, v)
-		sq[j].Mod(sq[j], q.N)
-		st.ModMuls++
-		st.TableMuls++
-	}
-	ans := &Answer{Gammas: make([]*big.Int, m.Rows)}
-	tmp := new(big.Int)
-	for i := 0; i < m.Rows; i++ {
-		g := big.NewInt(1)
-		for j := 0; j < m.Cols; j++ {
-			if m.Get(i, j) {
-				tmp.Set(q.Values[j])
-			} else {
-				tmp.Set(sq[j])
-			}
-			g.Mul(g, tmp)
-			g.Mod(g, q.N)
-			st.ModMuls++
-		}
-		ans.Gammas[i] = g
-	}
-	return ans, st, nil
-}
-
-// ProcessColumnsCtx computes the same server response as Matrix.Process
-// over a database given as one byte slice per column (MSB-first within
-// each byte, exactly the Matrix.SetColumn layout), without
-// materializing a Matrix. Column j must hold at least colBytes bytes;
-// the logical matrix has colBytes*8 rows. It is the sequential oracle of
+// ProcessColumnsCtx computes the server response γ_r = Π_j v_rj, with
+// v_rj = q_j when bit (r, j) is 1 and q_j² when it is 0, over a database
+// given as one byte slice per column: bit (r, j) is bit 7−r%8 of
+// cols[j][r/8], most significant bit first. Column j must hold at least
+// colBytes bytes; the database has colBytes*8 rows. It is the sequential oracle of
 // the column layout — one modular multiplication per database bit, the
 // paper's Section 5.2 cost model — that the conformance battery holds
 // the executor (exec.go) to gamma for gamma; nothing serves through it.

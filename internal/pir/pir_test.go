@@ -41,36 +41,16 @@ func testKey(t *testing.T) *ClientKey {
 	return cachedKey
 }
 
-func TestMatrixSetGet(t *testing.T) {
-	m := NewMatrix(10, 7)
-	m.Set(3, 4, true)
-	m.Set(9, 6, true)
-	if !m.Get(3, 4) || !m.Get(9, 6) || m.Get(0, 0) {
-		t.Fatal("bit matrix get/set broken")
-	}
-	m.Set(3, 4, false)
-	if m.Get(3, 4) {
-		t.Fatal("clear failed")
-	}
-}
-
-func TestSetColumnRoundTrip(t *testing.T) {
+// TestColumnBytesRoundTrip: ColumnBytes packs a column's bits MSB
+// first, the layout the column stores hold and columnBits reads.
+func TestColumnBytesRoundTrip(t *testing.T) {
 	data := []byte{0xA5, 0x3C, 0xFF, 0x00, 0x81}
-	m := NewMatrix(len(data)*8, 3)
-	m.SetColumn(1, data)
-	bits := make([]bool, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		bits[r] = m.Get(r, 1)
+	bits := columnBits(data, len(data)*8)
+	if !bits[0] || bits[1] || !bits[7] || bits[8] {
+		t.Fatalf("columnBits(%x) is not MSB first: %v", data, bits[:9])
 	}
-	got := ColumnBytes(bits)
-	if !bytes.Equal(got, data) {
+	if got := ColumnBytes(bits); !bytes.Equal(got, data) {
 		t.Fatalf("column round trip: got %x, want %x", got, data)
-	}
-	// Other columns untouched.
-	for r := 0; r < m.Rows; r++ {
-		if m.Get(r, 0) || m.Get(r, 2) {
-			t.Fatal("SetColumn leaked into neighboring column")
-		}
 	}
 }
 
@@ -101,47 +81,46 @@ func TestQRQNRClassification(t *testing.T) {
 func TestRetrieveColumn(t *testing.T) {
 	k := testKey(t)
 	rnd := newDetRand("retrieve")
-	rows, cols := 64, 5
-	m := NewMatrix(rows, cols)
+	colBytes, width := 8, 5
+	cols := make([][]byte, width)
 	rng := rand.New(rand.NewSource(77))
-	for r := 0; r < rows; r++ {
-		for c := 0; c < cols; c++ {
-			m.Set(r, c, rng.Intn(2) == 1)
-		}
+	for c := range cols {
+		cols[c] = make([]byte, colBytes)
+		rng.Read(cols[c])
 	}
-	for target := 0; target < cols; target++ {
-		q, err := k.NewQuery(rnd, cols, target)
+	for target := 0; target < width; target++ {
+		q, err := k.NewQuery(rnd, width, target)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ans, st, err := m.Process(q)
+		ans, st, err := ProcessColumnsCtx(context.Background(), cols, colBytes, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.ModMuls == 0 {
 			t.Fatal("no work recorded")
 		}
-		bits := k.Decode(ans)
-		for r := 0; r < rows; r++ {
-			if bits[r] != m.Get(r, target) {
-				t.Fatalf("column %d row %d: got %v, want %v", target, r, bits[r], m.Get(r, target))
-			}
+		if got := ColumnBytes(k.Decode(ans)); !bytes.Equal(got, cols[target]) {
+			t.Fatalf("column %d: got %x, want %x", target, got, cols[target])
 		}
 	}
 }
 
 func TestQueryWidthValidation(t *testing.T) {
 	k := testKey(t)
-	m := NewMatrix(8, 4)
 	q, err := k.NewQuery(newDetRand("w"), 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Process(q); err == nil {
+	cols := [][]byte{{0}, {0}, {0}, {0}}
+	if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, 1, []*Query{q}, Exec{}); err == nil {
 		t.Fatal("mismatched query width accepted")
 	}
 	if _, err := k.NewQuery(newDetRand("w"), 4, 7); err == nil {
 		t.Fatal("out-of-range target accepted")
+	}
+	if _, err := k.NewSeededQuery(newDetRand("w"), 4, 4); err == nil {
+		t.Fatal("out-of-range seeded target accepted")
 	}
 }
 
@@ -158,14 +137,23 @@ func TestTrafficAccounting(t *testing.T) {
 
 func TestServerWorkScalesWithMatrix(t *testing.T) {
 	k := testKey(t)
-	rnd := newDetRand("work")
-	small := NewMatrix(8, 4)
-	large := NewMatrix(64, 4)
-	q, _ := k.NewQuery(rnd, 4, 1)
-	_, stS, _ := small.Process(q)
-	_, stL, _ := large.Process(q)
-	if stL.ModMuls <= stS.ModMuls {
-		t.Fatalf("work did not scale: %d vs %d", stS.ModMuls, stL.ModMuls)
+	q, err := k.NewQuery(newDetRand("work"), 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := func(colBytes int) int {
+		cols := make([][]byte, 4)
+		for c := range cols {
+			cols[c] = make([]byte, colBytes)
+		}
+		_, st, err := ProcessColumnsCtx(context.Background(), cols, colBytes, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.ModMuls
+	}
+	if small, large := work(1), work(8); large <= small {
+		t.Fatalf("work did not scale: %d vs %d", small, large)
 	}
 }
 
@@ -180,15 +168,18 @@ func TestRetrieveProperty(t *testing.T) {
 		if len(pattern) > 8 {
 			pattern = pattern[:8]
 		}
-		cols := 3
-		target := int(colRaw) % cols
-		m := NewMatrix(len(pattern)*8, cols)
-		m.SetColumn(target, pattern)
-		q, err := k.NewQuery(rnd, cols, target)
+		width := 3
+		target := int(colRaw) % width
+		cols := make([][]byte, width)
+		for c := range cols {
+			cols[c] = make([]byte, len(pattern))
+		}
+		copy(cols[target], pattern)
+		q, err := k.NewQuery(rnd, width, target)
 		if err != nil {
 			return false
 		}
-		ans, _, err := m.Process(q)
+		ans, _, err := ProcessColumnsCtx(context.Background(), cols, len(pattern), q)
 		if err != nil {
 			return false
 		}

@@ -387,9 +387,10 @@ func (e *SymbolError) Error() string {
 // byte out of every level-2 ciphertext into the byte image of the
 // target grid column, cut the image into colBytes·8 fixed-width level-1
 // gammas, and Euler-test those into the target block's bits (MSB-first,
-// the Matrix.SetColumn layout — feed the result to ColumnBytes for the
-// block's bytes). A wrong-length answer is an *AnswerLengthError, an
-// undecryptable ciphertext a *SymbolError naming the first one.
+// the column layout of ProcessColumnsCtx — feed the result to
+// ColumnBytes for the block's bytes). A wrong-length answer is an
+// *AnswerLengthError, an undecryptable ciphertext a *SymbolError naming
+// the first one.
 func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 	if colBytes <= 0 {
 		return nil, errColumnSize

@@ -2,20 +2,24 @@
 // 4: fetching the genuine terms' inverted lists through Kushilevitz-
 // Ostrovsky PIR, with each bucket treated as a private database. The
 // inverted lists within a bucket are padded to a common length; the
-// database matrix has one column per bucket term and one row per bit of
-// the padded lists. Each protocol run retrieves exactly one list, so a
-// query with multiple genuine terms in one bucket must execute the
-// protocol repeatedly — the scaling weakness Figures 7 and 8 expose.
+// database has one column per bucket term and one row per bit of the
+// padded lists. Each protocol run retrieves exactly one list, so a query
+// with multiple genuine terms in one bucket needs one run per term — the
+// scaling weakness Figures 7 and 8 expose. The runs against one bucket
+// are answered in one scan of its columns, the way a served frame of
+// equal-shape queries is (pir.ProcessColumnsMultiExecCtx).
 //
 // After fetching the genuine lists, the client computes relevance scores
 // locally; the server never sees which column was touched.
 package pirsearch
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"time"
 
@@ -23,34 +27,37 @@ import (
 	"embellish/internal/index"
 	"embellish/internal/pir"
 	"embellish/internal/simio"
+	"embellish/internal/wire"
 	"embellish/internal/wordnet"
 )
 
-// Server hosts one PIR matrix per bucket.
+// Server hosts one column store per bucket.
 type Server struct {
 	Org  *bucket.Organization
 	Disk simio.Model
 
-	matrices []*pir.Matrix
-	// listBytes[b] is the padded per-column byte length of bucket b.
-	listBytes []int
-	// rawBytes[b] is the physical footprint of bucket b (its matrix).
-	rawBytes []int
+	buckets []columns
+}
+
+// columns is one bucket's database: a column per bucket term, each the
+// term's list padded to colBytes bytes, and the transposition every scan
+// of the store shares.
+type columns struct {
+	cols     [][]byte
+	colBytes int
+	patterns pir.Transposition
 }
 
 // postingWire is the serialized size of one posting: 4-byte doc id +
 // 4-byte quantized impact.
 const postingWire = 8
 
-// NewServer builds the per-bucket matrices from the index. db maps
+// NewServer builds the per-bucket column stores from the index. db maps
 // organization terms to dictionary strings, exactly as core.NewServer
 // does, so both schemes serve identical data.
 func NewServer(ix *index.Index, org *bucket.Organization, db *wordnet.Database) *Server {
-	s := &Server{Org: org, Disk: simio.Default()}
-	s.matrices = make([]*pir.Matrix, org.NumBuckets())
-	s.listBytes = make([]int, org.NumBuckets())
-	s.rawBytes = make([]int, org.NumBuckets())
-	for b := 0; b < org.NumBuckets(); b++ {
+	s := &Server{Org: org, Disk: simio.Default(), buckets: make([]columns, org.NumBuckets())}
+	for b := range s.buckets {
 		terms := org.Bucket(b)
 		// Pad every list to the bucket maximum (the paper's requirement).
 		maxLen := 0
@@ -59,22 +66,15 @@ func NewServer(ix *index.Index, org *bucket.Organization, db *wordnet.Database) 
 			if ti, ok := ix.LookupTerm(db.Lemma(t)); ok {
 				lists[i] = ix.List(ti)
 			}
-			if n := len(lists[i]); n > maxLen {
-				maxLen = n
-			}
+			maxLen = max(maxLen, len(lists[i]))
 		}
 		// A one-posting minimum keeps empty buckets well-formed.
-		if maxLen == 0 {
-			maxLen = 1
-		}
-		colBytes := 4 + maxLen*postingWire // 4-byte true length header
-		m := pir.NewMatrix(colBytes*8, len(terms))
+		colBytes := 4 + max(maxLen, 1)*postingWire // 4-byte true length header
+		cols := make([][]byte, len(terms))
 		for i, list := range lists {
-			m.SetColumn(i, encodeList(list, colBytes))
+			cols[i] = encodeList(list, colBytes)
 		}
-		s.matrices[b] = m
-		s.listBytes[b] = colBytes
-		s.rawBytes[b] = colBytes * len(terms)
+		s.buckets[b].cols, s.buckets[b].colBytes = cols, colBytes
 	}
 	return s
 }
@@ -129,26 +129,40 @@ type Stats struct {
 	ClientNS int64
 }
 
-// Retrieve answers one PIR run against bucket b for the column the query
-// targets (which the server cannot determine).
-func (s *Server) Retrieve(b int, q *pir.Query) (*pir.Answer, Stats, error) {
-	if b < 0 || b >= len(s.matrices) {
+// Retrieve answers one PIR run per query against bucket b, for the
+// columns the queries target (which the server cannot determine): one
+// scan of the bucket's columns on GOMAXPROCS workers, which reads the
+// bucket once for the whole batch.
+func (s *Server) Retrieve(b int, qs []*pir.Query) ([]*pir.Answer, Stats, error) {
+	if b < 0 || b >= len(s.buckets) {
 		return nil, Stats{}, fmt.Errorf("pirsearch: bucket %d out of range", b)
 	}
+	bc := &s.buckets[b]
 	var st Stats
-	st.Runs = 1
-	st.IO.Charge(s.rawBytes[b])
-	ans, ps, err := s.matrices[b].Process(q)
-	if err != nil {
-		return nil, st, err
+	st.IO.Charge(bc.colBytes * len(bc.cols))
+	ex := pir.Exec{Workers: runtime.GOMAXPROCS(0), Patterns: &bc.patterns}
+	answers := make([]*pir.Answer, 0, len(qs))
+	for len(qs) > 0 {
+		batch := qs[:min(len(qs), pir.MaxMulti)]
+		qs = qs[len(batch):]
+		ans, ps, err := pir.ProcessColumnsMultiExecCtx(context.Background(), bc.cols, bc.colBytes, batch, ex)
+		for _, p := range ps {
+			st.ModMuls += p.ModMuls
+		}
+		if err != nil {
+			return nil, st, err
+		}
+		st.Runs += len(ans)
+		for _, a := range ans {
+			st.RowsReturned += len(a.Gammas)
+		}
+		answers = append(answers, ans...)
 	}
-	st.ModMuls = ps.ModMuls
-	st.RowsReturned = len(ans.Gammas)
-	return ans, st, nil
+	return answers, st, nil
 }
 
-// Rows returns the matrix height of bucket b, for traffic accounting.
-func (s *Server) Rows(b int) int { return s.matrices[b].Rows }
+// Rows returns the database height of bucket b, for traffic accounting.
+func (s *Server) Rows(b int) int { return s.buckets[b].colBytes * 8 }
 
 // Client executes the full PIR retrieval workflow for a query.
 type Client struct {
@@ -167,26 +181,33 @@ func NewClient(org *bucket.Organization, key *pir.ClientKey) *Client {
 }
 
 // Search privately fetches the inverted list of every genuine term (one
-// PIR run each) and scores the union locally. It returns the ranked
-// documents plus combined client/server statistics.
+// PIR run each, the runs against one bucket sent as one batch of seeded
+// vectors) and scores the union locally. It returns the ranked documents
+// plus combined client/server statistics.
 func (c *Client) Search(srv *Server, genuine []wordnet.TermID, k int) ([]Ranked, Stats, error) {
 	var agg Stats
 	acc := make(map[index.DocID]int64)
 	start := time.Now()
+	byBucket := make(map[int][]wordnet.TermID)
 	for _, t := range genuine {
-		b, ok := c.Org.BucketOf(t)
-		if !ok {
-			continue
+		if b, ok := c.Org.BucketOf(t); ok {
+			byBucket[b] = append(byBucket[b], t)
 		}
-		slot, _ := c.Org.SlotOf(t)
-		cols := len(c.Org.Bucket(b))
-		q, err := c.Key.NewQuery(c.CryptoRand, cols, slot)
-		if err != nil {
-			return nil, agg, err
+	}
+	for _, b := range c.Org.BucketsFor(genuine) {
+		terms, cols := byBucket[b], len(c.Org.Bucket(b))
+		qs := make([]*pir.Query, len(terms))
+		for i, t := range terms {
+			slot, _ := c.Org.SlotOf(t)
+			q, err := c.Key.NewSeededQuery(c.CryptoRand, cols, slot)
+			if err != nil {
+				return nil, agg, err
+			}
+			qs[i] = q
+			agg.QueryBytes += wire.SeededEntryBytes(cols, 1, 0)
 		}
-		agg.QueryBytes += c.Key.QueryBytes(cols)
 		srvStart := time.Now()
-		ans, st, err := srv.Retrieve(b, q)
+		answers, st, err := srv.Retrieve(b, qs)
 		agg.ServerNS += time.Since(srvStart).Nanoseconds()
 		if err != nil {
 			return nil, agg, err
@@ -196,16 +217,18 @@ func (c *Client) Search(srv *Server, genuine []wordnet.TermID, k int) ([]Ranked,
 		agg.IO.Seeks += st.IO.Seeks
 		agg.IO.Bytes += st.IO.Bytes
 		agg.RowsReturned += st.RowsReturned
-		agg.AnswerBytes += c.Key.AnswerBytes(len(ans.Gammas))
 
-		bits := c.Key.Decode(ans)
-		c.QRTests += len(bits)
-		list, err := decodeList(pir.ColumnBytes(bits))
-		if err != nil {
-			return nil, agg, fmt.Errorf("pirsearch: term %d: %w", t, err)
-		}
-		for _, p := range list {
-			acc[p.Doc] += int64(p.Quantized)
+		for i, ans := range answers {
+			agg.AnswerBytes += c.Key.AnswerBytes(len(ans.Gammas))
+			bits := c.Key.Decode(ans)
+			c.QRTests += len(bits)
+			list, err := decodeList(pir.ColumnBytes(bits))
+			if err != nil {
+				return nil, agg, fmt.Errorf("pirsearch: term %d: %w", terms[i], err)
+			}
+			for _, p := range list {
+				acc[p.Doc] += int64(p.Quantized)
+			}
 		}
 	}
 	out := make([]Ranked, 0, len(acc))

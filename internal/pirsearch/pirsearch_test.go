@@ -9,6 +9,7 @@ import (
 	"embellish/internal/index"
 	"embellish/internal/pir"
 	"embellish/internal/testenv"
+	"embellish/internal/wire"
 	"embellish/internal/wordnet"
 )
 
@@ -97,23 +98,28 @@ func TestEmptyListEncodes(t *testing.T) {
 func TestServerMatrixShape(t *testing.T) {
 	w, _ := world(t)
 	srv := NewServer(w.Index, w.Org, w.DB)
-	if len(srv.matrices) != w.Org.NumBuckets() {
-		t.Fatalf("%d matrices, want %d buckets", len(srv.matrices), w.Org.NumBuckets())
+	if len(srv.buckets) != w.Org.NumBuckets() {
+		t.Fatalf("%d column stores, want %d buckets", len(srv.buckets), w.Org.NumBuckets())
 	}
 	for b := 0; b < w.Org.NumBuckets(); b++ {
-		m := srv.matrices[b]
-		if m.Cols != len(w.Org.Bucket(b)) {
-			t.Fatalf("bucket %d: %d cols, want %d terms", b, m.Cols, len(w.Org.Bucket(b)))
+		bc := &srv.buckets[b]
+		if len(bc.cols) != len(w.Org.Bucket(b)) {
+			t.Fatalf("bucket %d: %d cols, want %d terms", b, len(bc.cols), len(w.Org.Bucket(b)))
 		}
-		if m.Rows != srv.listBytes[b]*8 {
-			t.Fatalf("bucket %d: %d rows, want %d bits", b, m.Rows, srv.listBytes[b]*8)
+		for j, col := range bc.cols {
+			if len(col) != bc.colBytes {
+				t.Fatalf("bucket %d column %d: %d bytes, want %d", b, j, len(col), bc.colBytes)
+			}
+		}
+		if srv.Rows(b) != bc.colBytes*8 {
+			t.Fatalf("bucket %d: %d rows, want %d bits", b, srv.Rows(b), bc.colBytes*8)
 		}
 		// Padded length covers the longest list in the bucket.
 		for _, tm := range w.Org.Bucket(b) {
 			if ti, ok := w.Index.LookupTerm(w.DB.Lemma(tm)); ok {
 				need := 4 + len(w.Index.List(ti))*postingWire
-				if need > srv.listBytes[b] {
-					t.Fatalf("bucket %d: column %d bytes exceed padded %d", b, need, srv.listBytes[b])
+				if need > bc.colBytes {
+					t.Fatalf("bucket %d: column %d bytes exceed padded %d", b, need, bc.colBytes)
 				}
 			}
 		}
@@ -127,10 +133,10 @@ func TestRetrieveBucketOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := srv.Retrieve(-1, q); err == nil {
+	if _, _, err := srv.Retrieve(-1, []*pir.Query{q}); err == nil {
 		t.Fatal("negative bucket accepted")
 	}
-	if _, _, err := srv.Retrieve(w.Org.NumBuckets(), q); err == nil {
+	if _, _, err := srv.Retrieve(w.Org.NumBuckets(), []*pir.Query{q}); err == nil {
 		t.Fatal("out-of-range bucket accepted")
 	}
 }
@@ -235,7 +241,7 @@ func TestStatsAccumulate(t *testing.T) {
 	if st.QueryBytes <= 0 || st.AnswerBytes <= 0 {
 		t.Fatalf("traffic accounting empty: %+v", st)
 	}
-	if st.ModMuls <= 0 || st.IO.Seeks != countBuckets(w, genuine, st.Runs) {
+	if st.ModMuls <= 0 || st.IO.Seeks != countBuckets(w, genuine) {
 		t.Fatalf("work accounting off: %+v", st)
 	}
 	if c.QRTests != st.RowsReturned {
@@ -243,9 +249,11 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-// countBuckets: PIR seeks once per protocol run (a run reads the whole
-// bucket matrix), so seeks == runs.
-func countBuckets(_ *testenv.World, _ []wordnet.TermID, runs int) int { return runs }
+// countBuckets: PIR seeks once per bucket a query names — the runs
+// against one bucket share one scan of its columns.
+func countBuckets(w *testenv.World, genuine []wordnet.TermID) int {
+	return len(w.Org.BucketsFor(genuine))
+}
 
 func TestUnknownGenuineTermSkipped(t *testing.T) {
 	w, k := world(t)
@@ -262,7 +270,9 @@ func TestUnknownGenuineTermSkipped(t *testing.T) {
 }
 
 // TestMultipleGenuineTermsSameBucket verifies the protocol's documented
-// weakness: two genuine terms in one bucket need two protocol runs.
+// weakness: two genuine terms in one bucket need two protocol runs, two
+// seeded vectors up and two padded columns down — in one scan of the
+// bucket.
 func TestMultipleGenuineTermsSameBucket(t *testing.T) {
 	w, k := world(t)
 	srv := NewServer(w.Index, w.Org, w.DB)
@@ -276,6 +286,15 @@ func TestMultipleGenuineTermsSameBucket(t *testing.T) {
 	}
 	if st.Runs != 2 {
 		t.Fatalf("Runs = %d, want 2 (one per genuine term even when co-bucketed)", st.Runs)
+	}
+	if st.IO.Seeks != 1 {
+		t.Fatalf("Seeks = %d, want 1 (one scan answers the bucket's runs)", st.IO.Seeks)
+	}
+	if want := 2 * wire.SeededEntryBytes(len(b0), 1, 0); st.QueryBytes != want {
+		t.Fatalf("QueryBytes = %d, want %d (two seeded vectors)", st.QueryBytes, want)
+	}
+	if want := 2 * k.AnswerBytes(srv.Rows(0)); st.AnswerBytes != want {
+		t.Fatalf("AnswerBytes = %d, want %d (two padded columns)", st.AnswerBytes, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -122,10 +123,12 @@ func TestAdminDecodersRejectHostileInput(t *testing.T) {
 	}
 }
 
-// TestAdminDecodersAtTheirCaps: each cap is inclusive. A frame of
-// exactly MaxAdminDocs documents or ids decodes and one more is refused;
-// a text of exactly maxDocTextBytes bytes decodes and one byte more is
-// refused, its bytes all present.
+// TestAdminDecodersAtTheirCaps: each cap is inclusive, at the writers
+// and the decoders alike. A frame of exactly MaxAdminDocs documents or
+// ids is written and decodes, and one more is refused; a text of exactly
+// maxDocTextBytes bytes is written and decodes, and one byte more is
+// refused, its bytes all present; the id 2^31−1 decodes and 2^31 is
+// refused.
 func TestAdminDecodersAtTheirCaps(t *testing.T) {
 	frame := func(n, textLen int, add bool) []byte {
 		body := vbyte.Append(nil, uint64(n))
@@ -144,6 +147,24 @@ func TestAdminDecodersAtTheirCaps(t *testing.T) {
 		}
 		if _, err := DecodeDeleteDocs(frame(tc.n, 0, false)); tc.textLen == 0 && (err == nil) != ok {
 			t.Errorf("delete of %d ids: err %v, want accepted %v", tc.n, err, ok)
+		}
+		docs := make([]DocText, tc.n)
+		docs[0].Text = strings.Repeat("x", tc.textLen)
+		if err := WriteAddDocs(io.Discard, docs); (err == nil) != ok {
+			t.Errorf("writing an add of %d docs with a %d-byte text: err %v, want accepted %v", tc.n, tc.textLen, err, ok)
+		}
+		if err := WriteDeleteDocs(io.Discard, make([]uint32, tc.n)); tc.textLen == 0 && (err == nil) != ok {
+			t.Errorf("writing a delete of %d ids: err %v, want accepted %v", tc.n, err, ok)
+		}
+	}
+	for _, id := range []uint64{1<<31 - 1, 1 << 31} {
+		ok := id < 1<<31
+		add := vbyte.Append(vbyte.Append(vbyte.Append(nil, 1), id), 0) // one doc, an empty text
+		if _, err := DecodeAddDocs(add); (err == nil) != ok {
+			t.Errorf("add of id %d: err %v, want accepted %v", id, err, ok)
+		}
+		if _, err := DecodeDeleteDocs(vbyte.Append(vbyte.Append(nil, 1), id)); (err == nil) != ok {
+			t.Errorf("delete of id %d: err %v, want accepted %v", id, err, ok)
 		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 
-	"embellish/internal/benaloh"
 	"embellish/internal/core"
 	"embellish/internal/vbyte"
-	"embellish/internal/wordnet"
 )
 
 // Batch messages amortize framing and round-trips when one client
@@ -43,17 +41,10 @@ func WriteBatchQuery(w io.Writer, qs []*core.Query) error {
 	for _, q := range qs {
 		size += vbyte.MaxLen + len(q.Entries)*entryBytes(pub)
 	}
-	frame := newFrame(TypeBatchQuery, size)
-	frame = appendBig(frame, pub.N)
-	frame = appendBig(frame, pub.G)
-	frame = appendBig(frame, pub.R)
+	frame := appendKey(newFrame(TypeBatchQuery, size), pub)
 	frame = vbyte.Append(frame, uint64(len(qs)))
 	for _, q := range qs {
-		frame = vbyte.Append(frame, uint64(len(q.Entries)))
-		for _, e := range q.Entries {
-			frame = vbyte.Append(frame, uint64(e.Term))
-			frame = appendBig(frame, e.Flag)
-		}
+		frame = appendEntries(frame, q.Entries)
 	}
 	return writeFrame(w, frame)
 }
@@ -61,22 +52,10 @@ func WriteBatchQuery(w io.Writer, qs []*core.Query) error {
 // DecodeBatchQuery parses a TypeBatchQuery body. The returned queries
 // share one PublicKey value.
 func DecodeBatchQuery(body []byte) ([]*core.Query, error) {
-	pubN, body, err := decodeBig(body)
+	pub, body, err := decodeKey(body)
 	if err != nil {
-		return nil, fmt.Errorf("wire: batch N: %w", err)
+		return nil, err
 	}
-	pubG, body, err := decodeBig(body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: batch G: %w", err)
-	}
-	pubR, body, err := decodeBig(body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: batch R: %w", err)
-	}
-	if pubN.Sign() <= 0 || pubG.Sign() <= 0 || pubR.Sign() <= 0 {
-		return nil, errors.New("wire: nonpositive key parameter")
-	}
-	pub := &benaloh.PublicKey{N: pubN, G: pubG, R: pubR}
 	nq, used, err := vbyte.Decode(body)
 	if err != nil || nq == 0 || nq > MaxBatch {
 		return nil, fmt.Errorf("wire: batch count: %w", orRange(err))
@@ -84,29 +63,11 @@ func DecodeBatchQuery(body []byte) ([]*core.Query, error) {
 	body = body[used:]
 	out := make([]*core.Query, nq)
 	for qi := range out {
-		n, used, err := vbyte.Decode(body)
-		if err != nil || n > maxEntries || n*minEntryBytes > uint64(len(body)) {
-			return nil, fmt.Errorf("wire: batch query %d entry count: %w", qi, orRange(err))
+		var entries []core.QueryEntry
+		if entries, body, err = decodeEntries(body, pub.N); err != nil {
+			return nil, fmt.Errorf("wire: batch query %d: %w", qi, err)
 		}
-		body = body[used:]
-		q := &core.Query{Pub: pub, Entries: make([]core.QueryEntry, n)}
-		for i := range q.Entries {
-			term, used, err := vbyte.Decode(body)
-			if err != nil || term >= 1<<31 {
-				return nil, fmt.Errorf("wire: batch query %d entry %d term: %w", qi, i, orRange(err))
-			}
-			body = body[used:]
-			flag, rest, err := decodeBig(body)
-			if err != nil {
-				return nil, fmt.Errorf("wire: batch query %d entry %d flag: %w", qi, i, err)
-			}
-			if flag.Sign() <= 0 || flag.Cmp(pubN) >= 0 {
-				return nil, fmt.Errorf("wire: batch query %d entry %d flag outside Z_n", qi, i)
-			}
-			body = rest
-			q.Entries[i] = core.QueryEntry{Term: wordnet.TermID(term), Flag: flag}
-		}
-		out[qi] = q
+		out[qi] = &core.Query{Pub: pub, Entries: entries}
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after batch query")

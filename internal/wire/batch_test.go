@@ -190,3 +190,60 @@ func TestDecodeRejectsInt32Overflow(t *testing.T) {
 		t.Fatal("DecodeBatchQuery accepted term 2^31 (wraps negative int32)")
 	}
 }
+
+// TestQueryDecodersRefuseBoundaries: both ranking-query decoders read the
+// body through one key parser and one entry parser, and both refuse a
+// zero N, G or R, a zero flag and a flag equal to n — the edges of
+// "positive" and of (0, n) — while the flag n−1 decodes. The zero-N case
+// has no entries, so the key check alone must refuse it.
+func TestQueryDecodersRefuseBoundaries(t *testing.T) {
+	k := sampleKey(t)
+	decoders := map[string]func(q *core.Query) error{
+		"DecodeQuery": func(q *core.Query) error {
+			var buf bytes.Buffer
+			if err := WriteQuery(&buf, q); err != nil {
+				return err
+			}
+			_, body, err := ReadMessage(&buf)
+			if err == nil {
+				_, err = DecodeQuery(body)
+			}
+			return err
+		},
+		"DecodeBatchQuery": func(q *core.Query) error {
+			var buf bytes.Buffer
+			if err := WriteBatchQuery(&buf, []*core.Query{q}); err != nil {
+				return err
+			}
+			_, body, err := ReadMessage(&buf)
+			if err == nil {
+				_, err = DecodeBatchQuery(body)
+			}
+			return err
+		},
+	}
+	zero := new(big.Int)
+	for _, c := range []struct {
+		name string
+		edit func(q *core.Query)
+		ok   bool
+	}{
+		{"as drawn", func(*core.Query) {}, true},
+		{"flag n-1", func(q *core.Query) { q.Entries[0].Flag = new(big.Int).Sub(k.N, big.NewInt(1)) }, true},
+		{"zero N", func(q *core.Query) { q.Pub.N, q.Entries = zero, nil }, false},
+		{"zero G", func(q *core.Query) { q.Pub.G = zero }, false},
+		{"zero R", func(q *core.Query) { q.Pub.R = zero }, false},
+		{"zero flag", func(q *core.Query) { q.Entries[0].Flag = zero }, false},
+		{"flag n", func(q *core.Query) { q.Entries[0].Flag = k.N }, false},
+	} {
+		for name, decode := range decoders {
+			q := sampleQuery(t, k)
+			pub := *q.Pub
+			q.Pub = &pub
+			c.edit(q)
+			if err := decode(q); (err == nil) != c.ok {
+				t.Errorf("%s, %s: error %v, want accepted %v", name, c.name, err, c.ok)
+			}
+		}
+	}
+}

@@ -243,7 +243,9 @@ func seedFrames(f *testing.F) {
 		return WriteLexicon(w, Lexicon{Version: 7, ScoreSpace: 12, KeyBits: 192, Stopwords: true,
 			Org: []byte("EBKT-seed-org"), Lex: []byte("ELEX-seed-db")})
 	})
-	add(func(w *bytes.Buffer) error { return WriteDecoyQuery(w, []byte{0x81, 7, 0x81, 3, 0x81, 5, 0x81, 0x80}) })
+	add(func(w *bytes.Buffer) error {
+		return WriteRaw(w, TypeDecoyQuery, []byte{0x81, 7, 0x81, 3, 0x81, 5, 0x81, 0x80})
+	})
 	add(func(w *bytes.Buffer) error { return WriteRiskAuditRequest(w) })
 	// The ranking decoders' forged counts: the fewest bytes that name the
 	// most elements.

@@ -192,17 +192,10 @@ func DecodeLexicon(body []byte) (Lexicon, error) {
 	return l, nil
 }
 
-// WriteDecoyQuery frames an embellished query as decoy-marked cover
+// WriteQueryDecoy frames an embellished query as decoy-marked cover
 // traffic. The body layout is byte-identical to WriteQuery — only the
 // type byte differs — so servers answer it through the same path and
 // the response is indistinguishable from a genuine query's.
-func WriteDecoyQuery(w io.Writer, body []byte) error {
-	return WriteRaw(w, TypeDecoyQuery, body)
-}
-
-// WriteQueryDecoy encodes an embellished query and frames it with the
-// decoy type byte — the query-carrying counterpart of WriteDecoyQuery
-// for callers holding a decoded query rather than raw body bytes.
 func WriteQueryDecoy(w io.Writer, q *core.Query) error {
 	return writeQueryTyped(w, TypeDecoyQuery, q)
 }

@@ -151,12 +151,12 @@ func TestLexiconHostileInputs(t *testing.T) {
 func TestDecoyQueryFramesLikeQuery(t *testing.T) {
 	// The decoy frame must be byte-identical to the query frame except
 	// for the type byte — that is the indistinguishability contract.
-	raw := []byte{0x81, 7, 0x81, 3}
+	query := sampleQuery(t, sampleKey(t))
 	var dec, q bytes.Buffer
-	if err := WriteDecoyQuery(&dec, raw); err != nil {
+	if err := WriteQueryDecoy(&dec, query); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteRaw(&q, TypeQuery, raw); err != nil {
+	if err := WriteQuery(&q, query); err != nil {
 		t.Fatal(err)
 	}
 	db, qb := dec.Bytes(), q.Bytes()

@@ -72,15 +72,24 @@ func writeQueryTyped(w io.Writer, typ byte, q *core.Query) error {
 		return errors.New("wire: nil query")
 	}
 	frame := newFrame(typ, bigsSize(q.Pub.N, q.Pub.G, q.Pub.R)+vbyte.MaxLen+len(q.Entries)*entryBytes(q.Pub))
-	frame = appendBig(frame, q.Pub.N)
-	frame = appendBig(frame, q.Pub.G)
-	frame = appendBig(frame, q.Pub.R)
-	frame = vbyte.Append(frame, uint64(len(q.Entries)))
-	for _, e := range q.Entries {
+	frame = appendKey(frame, q.Pub)
+	return writeFrame(w, appendEntries(frame, q.Entries))
+}
+
+// appendKey appends the public key a ranking query travels under.
+func appendKey(frame []byte, pub *benaloh.PublicKey) []byte {
+	return appendBig(appendBig(appendBig(frame, pub.N), pub.G), pub.R)
+}
+
+// appendEntries appends one query's entry count and its (term, flag)
+// entries.
+func appendEntries(frame []byte, entries []core.QueryEntry) []byte {
+	frame = vbyte.Append(frame, uint64(len(entries)))
+	for _, e := range entries {
 		frame = vbyte.Append(frame, uint64(e.Term))
 		frame = appendBig(frame, e.Flag)
 	}
-	return writeFrame(w, frame)
+	return frame
 }
 
 // entryBytes bounds the bytes a query entry under pub spends: a term id
@@ -139,48 +148,63 @@ func ReadMessageBuf(r io.Reader, buf *[]byte) (byte, []byte, error) {
 
 // DecodeQuery parses a TypeQuery body.
 func DecodeQuery(body []byte) (*core.Query, error) {
-	pubN, body, err := decodeBig(body)
+	pub, body, err := decodeKey(body)
 	if err != nil {
-		return nil, fmt.Errorf("wire: query N: %w", err)
+		return nil, err
 	}
-	pubG, body, err := decodeBig(body)
+	entries, body, err := decodeEntries(body, pub.N)
 	if err != nil {
-		return nil, fmt.Errorf("wire: query G: %w", err)
-	}
-	pubR, body, err := decodeBig(body)
-	if err != nil {
-		return nil, fmt.Errorf("wire: query R: %w", err)
-	}
-	if pubN.Sign() <= 0 || pubG.Sign() <= 0 || pubR.Sign() <= 0 {
-		return nil, errors.New("wire: nonpositive key parameter")
-	}
-	n, used, err := vbyte.Decode(body)
-	if err != nil || n > maxEntries || n*minEntryBytes > uint64(len(body)) {
-		return nil, fmt.Errorf("wire: entry count: %w", orRange(err))
-	}
-	body = body[used:]
-	q := &core.Query{Pub: &benaloh.PublicKey{N: pubN, G: pubG, R: pubR}}
-	q.Entries = make([]core.QueryEntry, n)
-	for i := range q.Entries {
-		term, used, err := vbyte.Decode(body)
-		if err != nil || term >= 1<<31 {
-			return nil, fmt.Errorf("wire: entry %d term: %w", i, orRange(err))
-		}
-		body = body[used:]
-		flag, rest, err := decodeBig(body)
-		if err != nil {
-			return nil, fmt.Errorf("wire: entry %d flag: %w", i, err)
-		}
-		if flag.Sign() <= 0 || flag.Cmp(pubN) >= 0 {
-			return nil, fmt.Errorf("wire: entry %d flag outside Z_n", i)
-		}
-		body = rest
-		q.Entries[i] = core.QueryEntry{Term: wordnet.TermID(term), Flag: flag}
+		return nil, fmt.Errorf("wire: %w", err)
 	}
 	if len(body) != 0 {
 		return nil, errors.New("wire: trailing bytes after query")
 	}
-	return q, nil
+	return &core.Query{Pub: pub, Entries: entries}, nil
+}
+
+// decodeKey parses the public key appendKey wrote: N, G and R, each
+// positive.
+func decodeKey(body []byte) (*benaloh.PublicKey, []byte, error) {
+	var params [3]*big.Int
+	for i, name := range []string{"N", "G", "R"} {
+		v, rest, err := decodeBig(body)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wire: key %s: %w", name, err)
+		}
+		if v.Sign() <= 0 {
+			return nil, nil, fmt.Errorf("wire: nonpositive key parameter %s", name)
+		}
+		params[i], body = v, rest
+	}
+	return &benaloh.PublicKey{N: params[0], G: params[1], R: params[2]}, body, nil
+}
+
+// decodeEntries parses the entries appendEntries wrote, each flag a
+// nonzero residue modulo n. Its errors name the entry; the caller names
+// the query.
+func decodeEntries(body []byte, n *big.Int) ([]core.QueryEntry, []byte, error) {
+	count, used, err := vbyte.Decode(body)
+	if err != nil || count > maxEntries || count*minEntryBytes > uint64(len(body)) {
+		return nil, nil, fmt.Errorf("entry count: %w", orRange(err))
+	}
+	body = body[used:]
+	entries := make([]core.QueryEntry, count)
+	for i := range entries {
+		term, used, err := vbyte.Decode(body)
+		if err != nil || term >= 1<<31 {
+			return nil, nil, fmt.Errorf("entry %d term: %w", i, orRange(err))
+		}
+		flag, rest, err := decodeBig(body[used:])
+		if err != nil {
+			return nil, nil, fmt.Errorf("entry %d flag: %w", i, err)
+		}
+		if flag.Sign() <= 0 || flag.Cmp(n) >= 0 {
+			return nil, nil, fmt.Errorf("entry %d flag outside Z_n", i)
+		}
+		body = rest
+		entries[i] = core.QueryEntry{Term: wordnet.TermID(term), Flag: flag}
+	}
+	return entries, body, nil
 }
 
 // Candidate is one decoded response document: core's candidate struct,

@@ -214,6 +214,24 @@ var rules = []rule{
 	retired("one fetch frame loop", flagKey|tests, "", `^fetch-pipeline$`),
 	retired("one fetch frame loop", read|tests, "", `^SetFetchPipeline$`),
 	count("one fetch frame loop", "a go statement", "retrieve.go", 0, 0, goStmt),
+	// Every computation keeps one reference, and only tests run it: the
+	// ranking oracle (core.Server.Process/ProcessCtx) and the PIR column
+	// oracle (pir.ProcessColumnsCtx, docstore's AnswerCtx) have no
+	// production caller outside their packages — Figures 7 and 8 and the
+	// examples run the served kernels — and the per-cell bit matrix, a
+	// second PIR oracle, is gone. The schedule NewLiveServer resolves
+	// has no setter. A call on a core.Server is told by its file
+	// importing internal/core.
+	retired("no production code runs a reference", decl|tests, "internal/pir", `^(Matrix|NewMatrix)$`),
+	retired("no production code runs a reference", decl|tests, "internal/core", `^Server\.SetPrecompute$`),
+	none("no production code runs a reference", "a Process or ProcessCtx call", imports("embellish/internal/core"), exprs(`\.(Process|ProcessCtx)\(`), "internal/core"),
+	none("no production code runs a reference", "a ProcessColumnsCtx or AnswerCtx call", nil, exprs(`(^|\.)(ProcessColumnsCtx|AnswerCtx)\(`), "internal/pir", "internal/docstore"),
+	// A decoy stream's rate is set once, by DecoyStreamConfig.GhostRate,
+	// and a decoy frame is written by WriteQueryDecoy (or WriteRaw, for a
+	// body already encoded): no accessor or setter nothing calls, and no
+	// raw-body twin.
+	retired("no decoy surface nothing calls", decl|tests, "", `^DecoyStream\.(GhostRate|SetGhostRate)$`),
+	retired("no decoy surface nothing calls", ident|tests, "", `^WriteDecoyQuery$`),
 	// The key holder's log tables are keyed on the Montgomery form
 	// (formTable): no byte-keyed map of canonical residues, and no
 	// conversion out of the form to look a value up.
@@ -356,6 +374,28 @@ func consts(guard, in, prefix string, want ...int) rule {
 			t.Errorf("%s: %s* constants hold %v, want %v", in, prefix, got, want)
 		}
 	}}
+}
+
+// none: the non-test files outside every one of except, of those keep
+// passes (nil passes all), hold no node match finds.
+func none(guard, what string, keep func(*ast.File) bool, match func(ast.Node) bool, except ...string) rule {
+	return rule{guard, except, func(t *testing.T, files []moduleFile) {
+		for _, f := range files {
+			if f.test || keep != nil && !keep(f.file) || slices.ContainsFunc(except, func(in string) bool { return within(f.path, in) }) {
+				continue
+			}
+			if n := hits(f, match); n > 0 {
+				t.Errorf("%s holds %d of %s, want none outside %v", f.path, n, what, except)
+			}
+		}
+	}}
+}
+
+// imports reports whether a file imports the package at path.
+func imports(path string) func(*ast.File) bool {
+	return func(f *ast.File) bool {
+		return slices.ContainsFunc(f.Imports, func(s *ast.ImportSpec) bool { return s.Path.Value == strconv.Quote(path) })
+	}
 }
 
 // within reports whether the file at p is in, or under the directory in.
