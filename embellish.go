@@ -358,7 +358,8 @@ type ProcessStats struct {
 
 // processCoreCtx runs one embellished core query through the one
 // ranking plan — core's document-sharded fold on the schedule
-// applyExecution set, with GOMAXPROCS workers. The schedule changes how
+// applyExecution set, on as many workers as the query's postings pay for
+// (one per 1,536, up to GOMAXPROCS and the shard count). The schedule changes how
 // the fold is run and how E(u)^p is computed, never a ciphertext: the
 // response is the paper's sequential Algorithm 4 (core.Server.Process,
 // kept as the oracle) byte for byte. The posting walk checks ctx and

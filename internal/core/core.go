@@ -151,12 +151,10 @@ type Ranked struct {
 	Score int64
 }
 
-// postFilterGrain is the fewest candidates worth a worker of their own: 64
-// decryptions, in pairs, are ~0.14 ms of work at a 256-bit key. A
-// goroutine is no cheap start on a 2-vCPU guest: 69-105 µs passed from
-// the go statement to its first statement in BenchmarkProcessParallel,
-// and 131-149 µs in queries served by bench/'s rank-serve workload.
-const postFilterGrain = 64
+// postFilterGrain is the most candidates one PostFilter worker decrypts
+// alone: 128 decryptions, in pairs, are ~0.28 ms of work at a 256-bit
+// key, so a helper (see rankGrain for its start cost) joins at the 129th.
+const postFilterGrain = 128
 
 // postFilterChunk is the run of candidates a PostFilter worker claims at a
 // time: even, so a chunk's pairs are the pairs DecryptInts would form, and
@@ -169,7 +167,7 @@ const postFilterChunk = 32
 // (topRanked) and only they are sorted.
 //
 // The decryptions are independent and the key is read-only, so
-// min(GOMAXPROCS, candidates/postFilterGrain) workers, each with its own
+// width(candidates, postFilterGrain) workers, each with its own
 // Decryptor, claim postFilterChunk-candidate chunks in ascending order from
 // a shared counter and hand each to Decryptor.DecryptInts, which decrypts
 // it two candidates at a time into the chunk's own slots of the scores. A
@@ -185,7 +183,7 @@ func (c *Client) PostFilter(resp *Response, k int) ([]Ranked, error) {
 	for i := range docs {
 		encs[i] = docs[i].Enc
 	}
-	workers := max(1, min(runtime.GOMAXPROCS(0), len(docs)/postFilterGrain))
+	workers := width(len(docs), postFilterGrain)
 	bad, errs := make([]int, workers), make([]error, workers)
 	var next atomic.Int32
 	fanOut(workers, func(w int) {
@@ -342,11 +340,11 @@ func NewServer(ix *index.Index, org *bucket.Organization, db *wordnet.Database) 
 
 // NewLiveServer wires a live segmented index to a bucket organization,
 // on the served schedule: the live set cut into GOMAXPROCS document
-// shards (ProcessParallel runs as many workers) before the server
-// resolves its first snapshot, and fixed-base tables of
-// benaloh.DefaultWindow. db supplies the lemma spelling of each
-// organization term so it can be matched against each segment's
-// dictionary.
+// shards before the server resolves its first snapshot (ProcessParallel
+// folds them on up to as many workers, one per rankGrain postings of
+// the query), and fixed-base tables of benaloh.DefaultWindow. db
+// supplies the lemma spelling of each organization term so it can be
+// matched against each segment's dictionary.
 func NewLiveServer(live *index.Live, org *bucket.Organization, db *wordnet.Database) *Server {
 	live.SetSharding(runtime.GOMAXPROCS(0))
 	s := &Server{Live: live, Org: org, db: db, Disk: simio.Default(),

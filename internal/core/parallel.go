@@ -17,15 +17,20 @@ import (
 )
 
 // ProcessParallel is Algorithm 4 as it is served: the one ranking plan,
-// processSharded, on a pool of workers (workers <= 0 selects GOMAXPROCS;
-// the pool never exceeds the shard count). The postings are partitioned
-// by document into the snapshot's Runs shards (index.Live.SetSharding):
-// each worker claims whole shards from a work queue and folds every query
-// term's run of that shard — segment by segment — into a private
-// accumulator. Shards own disjoint document sets across ALL segments (the
-// partition is by global doc id), so the per-shard candidate sets never
-// overlap and the final merge reads them out in document order — no
-// sort, no cross-shard homomorphic additions, no locks on the hot path.
+// processSharded, on a pool of workers. workers <= 0, the served default,
+// picks the width from the query's postings, counted from the resolved
+// list lengths before any worker starts: min(GOMAXPROCS, shards,
+// ⌈postings/rankGrain⌉), at least one, so a query too small to pay for a
+// second worker ranks on the caller's goroutine alone. workers > 0 asks
+// for that many; the pool never exceeds the shard count. The postings
+// are partitioned by document into the snapshot's Runs shards
+// (index.Live.SetSharding): each worker claims whole shards from a work
+// queue and folds every query term's run of that shard — segment by
+// segment — into a private accumulator. Shards own disjoint document
+// sets across ALL segments (the partition is by global doc id), so the
+// per-shard candidate sets never overlap and the final merge reads them
+// out in document order — no sort, no cross-shard homomorphic additions,
+// no locks on the hot path.
 // Tombstoned documents are skipped before any group operation.
 //
 // The arithmetic is word-level: ciphertexts are carried through the fold
@@ -51,9 +56,6 @@ func (s *Server) ProcessParallel(q *Query, workers int) (*Response, Stats, error
 func (s *Server) ProcessParallelCtx(ctx context.Context, q *Query, workers int) (*Response, Stats, error) {
 	if len(q.Entries) == 0 {
 		return nil, Stats{}, errors.New("core: empty query")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	return s.processSharded(ctx, q, workers)
 }
@@ -113,10 +115,9 @@ func (pl *entryPlan) pow(mod *mont.Modulus, scratch []big.Word, p uint64) ([]big
 	return scratch, 1, mod.Exp(scratch, pl.base, []big.Word{big.Word(p)})
 }
 
-// planEntry resolves term in every segment of r and, when
-// precomputation is on and its list is long enough to amortize one,
-// builds its fixed-base table; it returns the table's setup products.
-func (s *Server) planEntry(pl *entryPlan, r *resolvedState, term wordnet.TermID, base []big.Word, mod *mont.Modulus) int {
+// resolve finds term's number in every segment of r and counts its
+// postings there, tombstoned included; it returns the count.
+func (pl *entryPlan) resolve(r *resolvedState, term wordnet.TermID) int {
 	segs := r.snap.Segs
 	pl.terms = make([]int32, len(segs))
 	for si, seg := range segs {
@@ -125,6 +126,13 @@ func (s *Server) planEntry(pl *entryPlan, r *resolvedState, term wordnet.TermID,
 			pl.postings += len(seg.List(int(pl.terms[si])))
 		}
 	}
+	return pl.postings
+}
+
+// planTable sets a resolved entry's base and, when precomputation is on and
+// its list is long enough to amortize one, builds its fixed-base table;
+// it returns the table's setup products.
+func (s *Server) planTable(pl *entryPlan, base []big.Word, mod *mont.Modulus) int {
 	if pl.postings == 0 {
 		return 0
 	}
@@ -134,6 +142,26 @@ func (s *Server) planEntry(pl *entryPlan, r *resolvedState, term wordnet.TermID,
 	}
 	pl.table = benaloh.NewFixedBaseMont(mod, base, int64(s.Live.QuantLevels()), s.window)
 	return pl.table.SetupMuls()
+}
+
+// rankGrain is P, the most postings one worker folds alone: a served
+// query takes ⌈postings/P⌉ workers, up to GOMAXPROCS and its shard count.
+// A helper goroutine is no cheap start on a 2-vCPU guest: 69-105 µs
+// passed from the go statement to its first statement in
+// BenchmarkProcessParallel, and 131-149 µs in queries served by bench/'s
+// rank-serve workload. On that guest BenchmarkProcessParallel's recipe
+// (256-bit key, tables of benaloh.DefaultWindow, two shards) read one
+// worker and two even at 740 postings a query (1,960 documents) and at
+// 1,123 (3,000), two ~15% ahead at 1,506 (4,000) and ~20% ahead at
+// 2,931 (7,840): P sits just above that crossing, so a mean W2k query
+// ranks on one worker and a mean 4x one on two.
+const rankGrain = 1536
+
+// width returns the workers a fan-out of work units gets when one worker
+// takes at most grain of them: ⌈work/grain⌉, at least one, at most
+// GOMAXPROCS. It is the one place the fan-outs read GOMAXPROCS.
+func width(work, grain int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), (work+grain-1)/grain))
 }
 
 // fanOut runs fn(0..workers-1) and waits; worker 0 runs on the caller's
@@ -162,10 +190,14 @@ var planHooks struct {
 // processSharded is the serving plan, run against one index snapshot.
 // A query without a word form (wordForm) is refused before any work; q
 // holds at least one entry (ProcessParallelCtx refuses an empty query),
-// so some worker plans the last entry and opens the barrier. One fan-out runs both phases: each worker plans entries until none is
-// left unclaimed, waits at a barrier until every entry is planned, then
-// folds shards. A helper that starts late finds the entries claimed and
-// goes straight to the shards, so a late start costs the query nothing.
+// so some worker plans the last entry and opens the barrier. The
+// caller's goroutine resolves every entry's terms and postings and, for
+// workers <= 0, picks the width from the postings (width, rankGrain);
+// the pool never exceeds the shard count. One fan-out runs both phases:
+// each worker builds entries' tables until none is left unclaimed, waits
+// at a barrier until every entry is planned, then folds shards. A helper
+// that starts late finds the entries claimed and goes straight to the
+// shards, so a late start costs the query nothing.
 // Workers poll ctx at entry claims, at the barrier and every
 // cancelCheckPostings postings; a cancelled worker records the partial
 // stats of its current shard before exiting.
@@ -180,6 +212,17 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	segs := r.snap.Segs
 	k := mod.Words()
 	nsh := r.snap.Runs
+	// Every entry's term numbers and postings count come from the
+	// resolved lists' lengths on the caller's goroutine, so the width is
+	// known before any worker starts.
+	plans := make([]entryPlan, len(q.Entries))
+	postings := 0
+	for i, e := range q.Entries {
+		postings += plans[i].resolve(r, e.Term)
+	}
+	if workers <= 0 {
+		workers = width(postings, rankGrain)
+	}
 	workers = min(workers, nsh)
 	done := ctx.Done()
 	dl, hasDL := ctx.Deadline()
@@ -189,16 +232,15 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 	var aborted atomic.Bool
 
 	// Phase 1 state: entries are claimed one at a time (they are
-	// independent of each other); whoever plans the last one computes the
-	// shard slabs' start size and closes built, the barrier.
-	plans := make([]entryPlan, len(q.Entries))
+	// independent of each other) for their tables; whoever plans the
+	// last one closes built, the barrier.
 	setupMuls := make([]int, workers)
 	var nextEntry, planned atomic.Int32
 	built := make(chan struct{})
 	// Shard si owns the ids ≡ si (mod nsh): doc/nsh is its row. It holds
 	// at most its share of the postings and rows: its slab's start size.
 	rows := int(r.snap.NextDoc)/nsh + 1
-	room := 0
+	room := min(postings/nsh, rows)
 
 	// Phase 2 state: workers claim shards and fold every entry's run of
 	// the shard, in every segment, into the shard's accumulator: one slab
@@ -231,12 +273,8 @@ func (s *Server) processSharded(ctx context.Context, q *Query, workers int) (*Re
 			if planHooks.claimed != nil {
 				planHooks.claimed(i)
 			}
-			setupMuls[w] += s.planEntry(&plans[i], r, q.Entries[i].Term, flags[i*k:(i+1)*k:(i+1)*k], mod)
+			setupMuls[w] += s.planTable(&plans[i], flags[i*k:(i+1)*k:(i+1)*k], mod)
 			if int(planned.Add(1)) == len(plans) {
-				for i := range plans {
-					room += plans[i].postings
-				}
-				room = min(room/nsh, rows)
 				close(built)
 			}
 		}

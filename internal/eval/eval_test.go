@@ -181,6 +181,17 @@ func TestFigure7Shapes(t *testing.T) {
 			t.Fatalf("BktSz=%v: I/O gap PR=%.2f PIR=%.2f too wide", prIO.X[i], prIO.Y[i], pirIO.Y[i])
 		}
 	}
+	// Panels (b) and (d): CPU time, with the same calls' wall time beside
+	// it; every reading is positive.
+	for _, id := range []string{"7b", "7d"} {
+		f := byID[id]
+		for _, name := range []string{"PIR", "PR", "PIR wall", "PR wall"} {
+			s, ok := f.SeriesByName(name)
+			if !ok || len(s.Y) != 2 || s.Y[0] <= 0 || s.Y[1] <= 0 {
+				t.Fatalf("panel %s: series %q is %v (found %v), want two positive readings", id, name, s.Y, ok)
+			}
+		}
+	}
 }
 
 func TestFigure8Shapes(t *testing.T) {

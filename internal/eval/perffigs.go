@@ -3,27 +3,74 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"syscall"
 	"time"
 
 	"embellish/internal/bucket"
 	"embellish/internal/core"
+	"embellish/internal/pir"
 	"embellish/internal/pirsearch"
 	"embellish/internal/simio"
 	"embellish/internal/wordnet"
 )
 
 // RetrievalPoint is the averaged measurement of one scheme at one sweep
-// point — the four panels of Figures 7 and 8.
+// point — the four panels of Figures 7 and 8, with the wall time of
+// panels b and d beside their CPU time.
 type RetrievalPoint struct {
-	ServerIOms  float64 // (a) simulated disk time per query
-	ServerCPUms float64 // (b) measured server compute per query
-	TrafficKB   float64 // (c) query + response bytes per query
-	UserCPUms   float64 // (d) measured client compute per query
+	ServerIOms   float64 // (a) simulated disk time per query
+	ServerCPUms  float64 // (b) server CPU time per query, every worker's
+	ServerWallms float64 // (b) the same calls' elapsed time
+	TrafficKB    float64 // (c) query + response bytes per query
+	UserCPUms    float64 // (d) client CPU time per query, every worker's
+	UserWallms   float64 // (d) the same calls' elapsed time
+}
+
+// cost is the process CPU time and the wall time some calls took. The
+// served kernels fan out on several goroutines, so a call's elapsed time
+// undercounts its work; its CPU time does not. The eval runs one call at
+// a time, so the process's CPU time across a call is the call's.
+type cost struct{ cpu, wall time.Duration }
+
+// stamp is a reading of the process's CPU time (user plus system, every
+// thread: getrusage(RUSAGE_SELF)) and of the wall clock.
+type stamp struct {
+	cpu  time.Duration
+	wall time.Time
+}
+
+func now() stamp {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		panic(err) // RUSAGE_SELF into a valid struct cannot fail
+	}
+	return stamp{time.Duration(ru.Utime.Nano() + ru.Stime.Nano()), time.Now()}
+}
+
+// since returns the cost of what ran between s and now.
+func (s stamp) since() cost {
+	t := now()
+	return cost{t.cpu - s.cpu, t.wall.Sub(s.wall)}
+}
+
+func (c *cost) add(d cost) { c.cpu, c.wall = c.cpu+d.cpu, c.wall+d.wall }
+
+func (c cost) sub(d cost) cost { return cost{c.cpu - d.cpu, c.wall - d.wall} }
+
+// charge adds the server's and the user's costs of one query to p, in
+// milliseconds.
+func (p *RetrievalPoint) charge(server, user cost) {
+	ms := func(d time.Duration) float64 { return float64(d) / 1e6 }
+	p.ServerCPUms += ms(server.cpu)
+	p.ServerWallms += ms(server.wall)
+	p.UserCPUms += ms(user.cpu)
+	p.UserWallms += ms(user.wall)
 }
 
 // measurePR runs Trials random queries of the given size through the
-// private retrieval scheme — ranked on the served plan (ProcessParallel,
-// GOMAXPROCS workers) — and averages the four metrics.
+// private retrieval scheme — ranked on the served plan (ProcessParallel on
+// the width its rule picks from the query's postings) — and averages the
+// four metrics.
 func (e *Env) measurePR(org *bucket.Organization, querySize int, rng *rand.Rand) (RetrievalPoint, error) {
 	client := core.NewClient(org, e.PRKey, rng.Int63())
 	client.CryptoRand = e.Rand
@@ -34,37 +81,50 @@ func (e *Env) measurePR(org *bucket.Organization, querySize int, rng *rand.Rand)
 	for i := 0; i < e.Cfg.Trials; i++ {
 		genuine := e.randomQuery(rng, querySize)
 
-		userStart := time.Now()
+		start := now()
 		q, _, err := client.Embellish(genuine)
-		userNS := time.Since(userStart).Nanoseconds()
+		user := start.since()
 		if err != nil {
 			return pt, fmt.Errorf("eval: PR embellish: %w", err)
 		}
 
-		serverStart := time.Now()
+		start = now()
 		resp, st, err := server.ProcessParallel(q, 0)
-		serverNS := time.Since(serverStart).Nanoseconds()
+		srv := start.since()
 		if err != nil {
 			return pt, fmt.Errorf("eval: PR process: %w", err)
 		}
 
-		userStart = time.Now()
+		start = now()
 		if _, err := client.PostFilter(resp, 20); err != nil {
 			return pt, fmt.Errorf("eval: PR post-filter: %w", err)
 		}
-		userNS += time.Since(userStart).Nanoseconds()
+		user.add(start.since())
 
 		pt.ServerIOms += st.IO.Ms(disk)
-		pt.ServerCPUms += float64(serverNS) / 1e6
+		pt.charge(srv, user)
 		pt.TrafficKB += float64(q.Bytes()+resp.Bytes()) / 1024
-		pt.UserCPUms += float64(userNS) / 1e6
 	}
 	pt.scale(1 / float64(e.Cfg.Trials))
 	return pt, nil
 }
 
+// metered is a PIR server that adds the cost of each Retrieve call to
+// cost: the server's share of a Search.
+type metered struct {
+	*pirsearch.Server
+	cost cost
+}
+
+func (m *metered) Retrieve(b int, qs []*pir.Query) ([]*pir.Answer, pirsearch.Stats, error) {
+	start := now()
+	defer func() { m.cost.add(start.since()) }()
+	return m.Server.Retrieve(b, qs)
+}
+
 // measurePIR runs the same workload through the PIR baseline, each
-// bucket's runs answered in one scan on the flat executor.
+// bucket's runs answered in one scan on the flat executor. The server's
+// cost is its Retrieve calls'; the user's is the rest of the Search.
 func (e *Env) measurePIR(org *bucket.Organization, querySize int, rng *rand.Rand) (RetrievalPoint, error) {
 	client := pirsearch.NewClient(org, e.PIRKey)
 	client.CryptoRand = e.Rand
@@ -74,14 +134,16 @@ func (e *Env) measurePIR(org *bucket.Organization, querySize int, rng *rand.Rand
 	var pt RetrievalPoint
 	for i := 0; i < e.Cfg.Trials; i++ {
 		genuine := e.randomQuery(rng, querySize)
-		_, st, err := client.Search(server, genuine, 20)
+		m := &metered{Server: server}
+		start := now()
+		_, st, err := client.Search(m, genuine, 20)
+		total := start.since()
 		if err != nil {
 			return pt, fmt.Errorf("eval: PIR search: %w", err)
 		}
 		pt.ServerIOms += st.IO.Ms(disk)
-		pt.ServerCPUms += float64(st.ServerNS) / 1e6
+		pt.charge(m.cost, total.sub(m.cost))
 		pt.TrafficKB += float64(st.QueryBytes+st.AnswerBytes) / 1024
-		pt.UserCPUms += float64(st.ClientNS) / 1e6
 	}
 	pt.scale(1 / float64(e.Cfg.Trials))
 	return pt, nil
@@ -90,8 +152,10 @@ func (e *Env) measurePIR(org *bucket.Organization, querySize int, rng *rand.Rand
 func (p *RetrievalPoint) scale(f float64) {
 	p.ServerIOms *= f
 	p.ServerCPUms *= f
+	p.ServerWallms *= f
 	p.TrafficKB *= f
 	p.UserCPUms *= f
+	p.UserWallms *= f
 }
 
 // randomQuery draws querySize distinct searchable terms (the Section 5.2
@@ -114,28 +178,38 @@ func (e *Env) randomQuery(rng *rand.Rand, querySize int) []wordnet.TermID {
 
 // perfFigures assembles the four panels from per-sweep-point
 // measurements.
+// Panels b and d plot CPU time as "PIR" and "PR", with the wall time
+// of the same calls beside it as "PIR wall" and "PR wall".
 func perfFigures(idPrefix, title, xlabel string, xs []float64, pr, pir []RetrievalPoint) []Figure {
-	panel := func(suffix, metric, unit string, get func(RetrievalPoint) float64) Figure {
+	panel := func(suffix, metric, unit string, get, wall func(RetrievalPoint) float64) Figure {
 		f := Figure{
 			ID:     idPrefix + suffix,
 			Title:  title + " — " + metric,
 			XLabel: xlabel,
 			YLabel: unit,
 		}
-		prS := Series{Name: "PR", X: xs}
-		pirS := Series{Name: "PIR", X: xs}
-		for i := range xs {
-			prS.Y = append(prS.Y, get(pr[i]))
-			pirS.Y = append(pirS.Y, get(pir[i]))
+		series := func(name string, pts []RetrievalPoint, get func(RetrievalPoint) float64) {
+			s := Series{Name: name, X: xs}
+			for _, p := range pts {
+				s.Y = append(s.Y, get(p))
+			}
+			f.Series = append(f.Series, s)
 		}
-		f.Series = []Series{pirS, prS}
+		series("PIR", pir, get)
+		series("PR", pr, get)
+		if wall != nil {
+			series("PIR wall", pir, wall)
+			series("PR wall", pr, wall)
+		}
 		return f
 	}
 	return []Figure{
-		panel("a", "Search Engine I/O", "msec", func(p RetrievalPoint) float64 { return p.ServerIOms }),
-		panel("b", "Search Engine CPU", "msec", func(p RetrievalPoint) float64 { return p.ServerCPUms }),
-		panel("c", "Network Traffic", "KB", func(p RetrievalPoint) float64 { return p.TrafficKB }),
-		panel("d", "User CPU", "msec", func(p RetrievalPoint) float64 { return p.UserCPUms }),
+		panel("a", "Search Engine I/O", "msec", func(p RetrievalPoint) float64 { return p.ServerIOms }, nil),
+		panel("b", "Search Engine CPU", "msec", func(p RetrievalPoint) float64 { return p.ServerCPUms },
+			func(p RetrievalPoint) float64 { return p.ServerWallms }),
+		panel("c", "Network Traffic", "KB", func(p RetrievalPoint) float64 { return p.TrafficKB }, nil),
+		panel("d", "User CPU", "msec", func(p RetrievalPoint) float64 { return p.UserCPUms },
+			func(p RetrievalPoint) float64 { return p.UserWallms }),
 	}
 }
 

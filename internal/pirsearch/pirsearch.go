@@ -21,7 +21,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"time"
 
 	"embellish/internal/bucket"
 	"embellish/internal/index"
@@ -122,11 +121,12 @@ type Stats struct {
 	QueryBytes   int
 	AnswerBytes  int
 	RowsReturned int
-	// ServerNS and ClientNS split the wall-clock time of Search between
-	// the server protocol and the user-side work (query generation,
-	// QR/QNR decoding, scoring), feeding the Figure 7/8 CPU panels.
-	ServerNS int64
-	ClientNS int64
+}
+
+// Retriever answers a bucket's batch of PIR runs: a *Server, or a
+// wrapper that meters the server's share of a Search.
+type Retriever interface {
+	Retrieve(b int, qs []*pir.Query) ([]*pir.Answer, Stats, error)
 }
 
 // Retrieve answers one PIR run per query against bucket b, for the
@@ -184,10 +184,9 @@ func NewClient(org *bucket.Organization, key *pir.ClientKey) *Client {
 // PIR run each, the runs against one bucket sent as one batch of seeded
 // vectors) and scores the union locally. It returns the ranked documents
 // plus combined client/server statistics.
-func (c *Client) Search(srv *Server, genuine []wordnet.TermID, k int) ([]Ranked, Stats, error) {
+func (c *Client) Search(srv Retriever, genuine []wordnet.TermID, k int) ([]Ranked, Stats, error) {
 	var agg Stats
 	acc := make(map[index.DocID]int64)
-	start := time.Now()
 	byBucket := make(map[int][]wordnet.TermID)
 	for _, t := range genuine {
 		if b, ok := c.Org.BucketOf(t); ok {
@@ -206,9 +205,7 @@ func (c *Client) Search(srv *Server, genuine []wordnet.TermID, k int) ([]Ranked,
 			qs[i] = q
 			agg.QueryBytes += wire.SeededEntryBytes(cols, 1, 0)
 		}
-		srvStart := time.Now()
 		answers, st, err := srv.Retrieve(b, qs)
-		agg.ServerNS += time.Since(srvStart).Nanoseconds()
 		if err != nil {
 			return nil, agg, err
 		}
@@ -244,7 +241,6 @@ func (c *Client) Search(srv *Server, genuine []wordnet.TermID, k int) ([]Ranked,
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
-	agg.ClientNS = time.Since(start).Nanoseconds() - agg.ServerNS
 	return out, agg, nil
 }
 

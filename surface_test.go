@@ -191,6 +191,12 @@ var rules = []rule{
 	// at a barrier and fold the shards in one pool, so a helper that starts
 	// late lands in the fold rather than after a second fan-out.
 	count("one fan-out per query", "a fanOut call", "internal/core/parallel.go", 1, 1, exprs(`(^|\.)fanOut\(`)),
+	// One width rule: both of core's fan-outs (the ranking plan's and
+	// PostFilter's) take their width from width(work, grain), the one
+	// GOMAXPROCS read besides the shard count NewLiveServer cuts.
+	count("one width rule", "runtime.GOMAXPROCS reads", "internal/core", 2, 2, exprs(`^runtime\.GOMAXPROCS\(`)),
+	count("one width rule", "width reading GOMAXPROCS", "internal/core/parallel.go", 1, 1, funcWith("width", exprs(`^runtime\.GOMAXPROCS\(`))),
+	count("one width rule", "NewLiveServer cutting GOMAXPROCS shards", "internal/core/core.go", 1, 1, funcWith("NewLiveServer", exprs(`^live\.SetSharding\(runtime\.GOMAXPROCS\(0\)\)$`))),
 	// One client path: an in-process search or fetch is a wire session
 	// over an in-memory connection (Engine.dial). No local PIR transport,
 	// batching loop or written-out fetch shape serves beside the wire's,
@@ -504,6 +510,15 @@ func methodsWith(recv string, match func(ast.Node) bool) func(ast.Node) bool {
 			return !found
 		})
 		return found
+	}
+}
+
+// funcWith matches the function or method named name whose body holds
+// a match.
+func funcWith(name string, match func(ast.Node) bool) func(ast.Node) bool {
+	return func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		return ok && fn.Name.Name == name && methodsWith(receiver(fn), match)(n)
 	}
 }
 
