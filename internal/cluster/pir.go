@@ -225,28 +225,30 @@ func (ep *pirEpoch) sliceView(q *pir.Query) (ps []int, subs []*pir.Query, err er
 }
 
 // combineAnswers multiplies per-partition gamma vectors element-wise
-// mod n — the column-split factorization of the KO-PIR answer. Nil
-// entries (partitions the query did not address) contribute the
-// multiplicative identity.
+// mod n — the column-split factorization of the KO-PIR answer — into the
+// first answer's image, at n's byte length. Nil entries (partitions the
+// query did not address) contribute the multiplicative identity.
 func combineAnswers(n *big.Int, answers []*pir.Answer) (*pir.Answer, error) {
 	var out *pir.Answer
+	var acc, g big.Int
 	for _, a := range answers {
 		if a == nil {
 			continue
 		}
+		if a.Width != (n.BitLen()+7)/8 {
+			return nil, fmt.Errorf("cluster: partition answered %d-byte gammas under a %d-bit modulus", a.Width, n.BitLen())
+		}
 		if out == nil {
-			out = &pir.Answer{Gammas: make([]*big.Int, len(a.Gammas))}
-			for i, g := range a.Gammas {
-				out.Gammas[i] = new(big.Int).Set(g)
-			}
+			out = a
 			continue
 		}
-		if len(a.Gammas) != len(out.Gammas) {
-			return nil, fmt.Errorf("cluster: partition answered %d gammas, expected %d", len(a.Gammas), len(out.Gammas))
+		if len(a.Image) != len(out.Image) {
+			return nil, fmt.Errorf("cluster: partition answered %d gammas, expected %d", a.Count(), out.Count())
 		}
-		for i, g := range a.Gammas {
-			out.Gammas[i].Mul(out.Gammas[i], g)
-			out.Gammas[i].Mod(out.Gammas[i], n)
+		for at := 0; at < len(out.Image); at += out.Width {
+			slot := out.Image[at : at+out.Width]
+			acc.Mul(acc.SetBytes(slot), g.SetBytes(a.Image[at:at+out.Width]))
+			acc.Mod(&acc, n).FillBytes(slot)
 		}
 	}
 	if out == nil {

@@ -402,20 +402,16 @@ func TestAnswerExecMatchesMatrixUnderChurn(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r := range ref.Gammas {
-					if seq.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("op %d doc %d block %d row %d: AnswerCtx differs from the materialized matrix", op, id, b, r)
-					}
+				if !bytes.Equal(seq.Image, ref.Image) {
+					t.Fatalf("op %d doc %d block %d: AnswerCtx differs from the materialized matrix", op, id, b)
 				}
 				for _, ex := range execs {
 					got, err := answerOne(sn, q, ex)
 					if err != nil {
 						t.Fatalf("exec %+v: %v", ex, err)
 					}
-					for r := range ref.Gammas {
-						if got.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-							t.Fatalf("op %d doc %d block %d row %d exec %+v: gamma differs from the materialized matrix", op, id, b, r, ex)
-						}
+					if !bytes.Equal(got.Image, ref.Image) {
+						t.Fatalf("op %d doc %d block %d exec %+v: gammas differ from the materialized matrix", op, id, b, ex)
 					}
 				}
 				// The decoded block carries the document's bytes for this

@@ -181,10 +181,8 @@ func TestAnswerClassViewColumns(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for r := range ref.Gammas {
-				if ans.Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-					t.Fatalf("doc %d column %d row %d: the executor and the oracle disagree", id, j, r)
-				}
+			if !bytes.Equal(ans.Image, ref.Image) {
+				t.Fatalf("doc %d column %d: the executor and the oracle disagree", id, j)
 			}
 			got = append(got, pir.ColumnBytes(key.Decode(ans))[:layout.ColumnBytes(h)]...)
 		}
@@ -281,10 +279,8 @@ func TestTranspositionPerSnapshot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r := range ref.Gammas {
-					if got[i].Gammas[r].Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("%s, scan %+v: query %d row %d differs from the oracle", label, sc, i, r)
-					}
+				if !bytes.Equal(got[i].Image, ref.Image) {
+					t.Fatalf("%s, scan %+v: query %d differs from the oracle", label, sc, i)
 				}
 			}
 		}

@@ -114,7 +114,7 @@ func TestDecodeMatchesIsQR(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := k.Decode(answers[0])
-		for i, g := range answers[0].Gammas {
+		for i, g := range gammasOf(answers[0]) {
 			if got[i] == k.isQR(g) {
 				t.Fatalf("%s target %d gamma %d: Decode says %v, isQR says %v", name, target, i, got[i], k.isQR(g))
 			}
@@ -176,8 +176,17 @@ func packGammas(gammas []*big.Int, width int) []byte {
 	return image
 }
 
+// gammasOf reads an answer's gammas out of its image as big.Ints.
+func gammasOf(a *Answer) []*big.Int {
+	gammas := make([]*big.Int, a.Count())
+	for i := range gammas {
+		gammas[i] = new(big.Int).SetBytes(a.gamma(i))
+	}
+	return gammas
+}
+
 // TestDecodesAgree: the three flat decodes read the same bits — DecodeImage
-// over packed bytes, Decode over the same gammas as big.Ints, and the isQR
+// over packed bytes, Decode over an Answer of the same image, and the isQR
 // oracle, cut to its p1 half under a key whose p1 fits a word, as Decode
 // documents for forged gammas (honest ones decode the same under either
 // half; TestDecodeMatchesIsQR). They agree on executor answers over random
@@ -201,9 +210,10 @@ func TestDecodesAgree(t *testing.T) {
 		}
 		check := func(name string, gammas []*big.Int, width int) []byte {
 			t.Helper()
-			bits := k.Decode(&Answer{Gammas: gammas})
+			image := packGammas(gammas, width)
+			bits := k.Decode(&Answer{Width: width, Image: image})
 			column := bytes.Repeat([]byte{0xa5}, len(gammas)/8) // every byte must be written
-			if err := k.DecodeImage(packGammas(gammas, width), width, column); err != nil {
+			if err := k.DecodeImage(image, width, column); err != nil {
 				t.Fatalf("%d-bit key, %s: %v", keyBits, name, err)
 			}
 			if !bytes.Equal(column, ColumnBytes(bits)) {
@@ -225,11 +235,11 @@ func TestDecodesAgree(t *testing.T) {
 				t.Fatal(err)
 			}
 			for qi, a := range answers {
-				if got := check(fmt.Sprintf("%d-byte column %d", colBytes, qi), a.Gammas, modBytes); !bytes.Equal(got, cols[qi]) {
+				if got := check(fmt.Sprintf("%d-byte column %d", colBytes, qi), gammasOf(a), modBytes); !bytes.Equal(got, cols[qi]) {
 					t.Fatalf("%d-bit key, %d-byte column %d: decoded %x, stored %x", keyBits, colBytes, qi, got, cols[qi])
 				}
 			}
-			honest = answers[0].Gammas
+			honest = gammasOf(answers[0])
 		}
 
 		ones := func(width int) *big.Int { return new(big.Int).Sub(new(big.Int).Lsh(one, uint(8*width)), one) }
@@ -299,8 +309,8 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkDecodeImage is BenchmarkDecode over the packed bytes of the
-// same answer, where a fetch now reads them.
+// BenchmarkDecodeImage is BenchmarkDecode over the image of the same
+// answer as a fetch reads it: a frame's bytes, into a column buffer.
 func BenchmarkDecodeImage(b *testing.B) {
 	k := benchmarkKey(b)
 	cols := randomColumns(b, 9, 16, 1024)
@@ -308,8 +318,7 @@ func BenchmarkDecodeImage(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	width := (k.N.BitLen() + 7) / 8
-	image, column := packGammas(answers[0].Gammas, width), make([]byte, 1024)
+	image, width, column := answers[0].Image, answers[0].Width, make([]byte, 1024)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

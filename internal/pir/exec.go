@@ -12,13 +12,13 @@ import (
 )
 
 // This file is the flat executor: the one serving path for
-// Kushilevitz-Ostrovsky answers. Matrix.Process and ProcessColumnsCtx
-// remain the sequential oracle — one modular multiplication per database
-// bit, the paper's Section 5.2 cost model — and nothing serves through
-// them. The executor answers a batch of k >= 1 queries in ONE scan of
-// the column store (a single query is a batch of one) and computes the
-// exact same gammas with constant-factor reductions that exploit the
-// algebra, not the security assumptions:
+// Kushilevitz-Ostrovsky answers. ProcessColumnsCtx remains the sequential
+// oracle — one modular multiplication per database bit, the paper's
+// Section 5.2 cost model — and nothing serves through it. The executor
+// answers a batch of k >= 1 queries in ONE scan of the column store (a
+// single query is a batch of one) and computes the exact same gammas
+// with constant-factor reductions that exploit the algebra, not the
+// security assumptions:
 //
 //   - windowed subset products: columns are grouped w at a time and the
 //     2^w possible products of each group (query value at 1-bits,
@@ -34,7 +34,8 @@ import (
 //   - the Montgomery REDC kernel (montgomery.go): query values and
 //     tables are converted into Montgomery form once per batch, the row
 //     loops multiply word slices with no per-operation quotient or
-//     allocation, and the k·rows gammas convert back out at the end;
+//     allocation, and the k·rows gammas convert back out at the end,
+//     straight into each answer's packed image (montKernel.export);
 //   - column partitioning: groups are split across a worker pool, each
 //     worker computing per-row partial products over its own column
 //     range, recombined with workers-1 multiplications per row.
@@ -43,7 +44,7 @@ import (
 // Π_j v_ij mod n; multiplication modulo n is commutative and
 // associative, every operand is a canonical residue, and the Montgomery
 // form is an exact bijection entered and left by exact multiplications,
-// so the gammas are bit-for-bit the oracle's. The privacy argument is
+// so the answers are byte-for-byte the oracle's. The privacy argument is
 // untouched: the server still evaluates the same function of the same
 // uninterpretable query values. A client-chosen modulus the REDC
 // kernel rejects (even, tiny, or beyond the wire width ceiling) is
@@ -322,11 +323,11 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 			return nil, stats, poll.err()
 		}
 		for i := range answers {
-			gammas := make([]*big.Int, rows)
-			for r := range gammas {
-				gammas[r] = big.NewInt(1)
+			a := newAnswer(n, rows)
+			for r := range rows {
+				a.gamma(r)[a.Width-1] = 1
 			}
-			answers[i] = &Answer{Gammas: gammas}
+			answers[i] = a
 		}
 		return answers, stats, nil
 	}
@@ -380,12 +381,12 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 
 	// Recombine the per-partition partials row-wise (workers-1
 	// multiplications per row per query, still in kernel form) and
-	// export the gammas, under the same cancellation contract as the
-	// scan.
+	// export the gammas into the answers' images, under the same
+	// cancellation contract as the scan.
 	kern := parts[0].kern
 	_, exportMuls := kern.costs()
 	for i := range answers {
-		gammas := make([]*big.Int, rows)
+		ans := newAnswer(n, rows)
 		for r0 := 0; r0 < rows; r0 += cancelCheckRows {
 			if poll.stopped() {
 				return nil, stats, poll.err()
@@ -395,11 +396,11 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 				kern.merge(p.kern, i, r0, r1)
 				stats[i].ModMuls += r1 - r0
 			}
-			kern.export(i, r0, gammas[r0:r1])
+			kern.export(i, r0, ans.Image[r0*ans.Width:r1*ans.Width], ans.Width)
 			stats[i].ModMuls += exportMuls * (r1 - r0)
 			stats[i].TableMuls += exportMuls * (r1 - r0)
 		}
-		answers[i] = &Answer{Gammas: gammas}
+		answers[i] = ans
 	}
 	if fill != nil {
 		ex.Patterns.publish(fill)
@@ -546,7 +547,7 @@ func groupPatterns16(cols [][]byte, start, end, colBytes int, pats []uint16) {
 
 // bitSpread[b] holds bit 7-j of b in the lowest bit of its byte j: a
 // stored byte laid out as the eight rows it covers, most significant bit
-// first (Matrix.SetColumn's layout), one byte lane per row.
+// first (the column layout of ProcessColumnsCtx), one byte lane per row.
 var bitSpread = func() (t [256]uint64) {
 	for b := range t {
 		for j := 0; j < 8; j++ {

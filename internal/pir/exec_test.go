@@ -1,6 +1,7 @@
 package pir
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/big"
@@ -202,12 +203,10 @@ func TestExecutorSharesTransposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]*big.Int, rows)
-			full.kern.export(i, 0, got)
-			for r := range got {
-				if got[r].Cmp(want.Gammas[r]) != 0 {
-					t.Fatalf("batch %d query %d row %d: gamma differs from the oracle's", k, i, r)
-				}
+			got := make([]byte, len(want.Image))
+			full.kern.export(i, 0, got, want.Width)
+			if !bytes.Equal(got, want.Image) {
+				t.Fatalf("batch %d query %d: image differs from the oracle's", k, i)
 			}
 		}
 		loads := 2 * nCols
@@ -288,10 +287,8 @@ func TestTranspositionMatchesOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r, g := range got[i].Gammas {
-					if g.Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("%d workers, %s: query %d row %d differs from the oracle", workers, st.name, i, r)
-					}
+				if !bytes.Equal(got[i].Image, ref.Image) {
+					t.Fatalf("%d workers, %s: query %d differs from the oracle", workers, st.name, i)
 				}
 			}
 			if sl := tr.slab.Load(); sl == nil || [2]int{sl.width, sl.window} != st.slab {
@@ -350,10 +347,8 @@ func TestCancelledScanPublishesNothing(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for r, g := range ans[i].Gammas {
-					if g.Cmp(ref.Gammas[r]) != 0 {
-						t.Fatalf("%d workers, after a cut at poll %d: query %d row %d differs from the oracle", workers, cut, i, r)
-					}
+				if !bytes.Equal(ans[i].Image, ref.Image) {
+					t.Fatalf("%d workers, after a cut at poll %d: query %d differs from the oracle", workers, cut, i)
 				}
 			}
 		}
@@ -509,9 +504,11 @@ func BenchmarkExecutorStore6(b *testing.B)  { benchmarkExecutor(b, 6029, 1024, 6
 
 // benchmarkView measures what one fetch-flat frame of the repository
 // benchmark scans: two queries over its class-3 view (762 columns of
-// 3 KiB) on two workers, through a Transposition. Cold passes each get a
-// fresh one — the first scan of a view in a snapshot, which transposes
-// and fills it; warm passes share one filled before the timer starts.
+// 3 KiB) on two workers, through a Transposition, under its 64-bit key.
+// Cold passes each get a fresh one — the first scan of a view in a
+// snapshot, which transposes and fills it; warm passes share one filled
+// before the timer starts, as every served frame after a snapshot's first
+// does (BenchmarkExecutorServed).
 func benchmarkView(b *testing.B, warm bool) {
 	const nCols, colBytes = 762, 3 * 1024
 	cols := randomColumns(b, 2, nCols, colBytes)
@@ -533,7 +530,28 @@ func benchmarkView(b *testing.B, warm bool) {
 }
 
 func BenchmarkExecutorViewCold(b *testing.B) { benchmarkView(b, false) }
-func BenchmarkExecutorViewWarm(b *testing.B) { benchmarkView(b, true) }
+func BenchmarkExecutorServed(b *testing.B)   { benchmarkView(b, true) }
+
+// TestExecutorAllocationsFlatInHeight: what the executor allocates does
+// not grow with the column height — an answer is one image however many
+// rows it holds, and no gamma is an object of its own — at the served
+// shape's batch and workers, warm, at 512 B and 4 KiB columns.
+func TestExecutorAllocationsFlatInHeight(t *testing.T) {
+	const nCols = 40
+	qs := multiBatch(t, sizedKey(t, 64), "allocs", nCols, 2)
+	allocs := func(colBytes int) float64 {
+		cols := randomColumns(t, 3, nCols, colBytes)
+		ex := Exec{Workers: 2, Patterns: new(Transposition)}
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, ex); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if short, tall := allocs(512), allocs(4096); short != tall {
+		t.Fatalf("a scan of 512 B columns allocates %v times, of 4 KiB columns %v", short, tall)
+	}
+}
 
 // benchmarkGroupPatterns is one transposition pass over a store of the
 // repository benchmark's shape (6,029 blocks of 1 KB, ten columns per

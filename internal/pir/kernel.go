@@ -1,6 +1,10 @@
 package pir
 
-import "math/big"
+import (
+	"encoding/binary"
+	"math/big"
+	"math/bits"
+)
 
 // newScanKernel builds the Montgomery kernel of one worker's flat scan
 // for a batch of k queries over width columns and rows rows.
@@ -45,7 +49,7 @@ type montKernel struct {
 
 // costs reports the multiplications load spends per column and export
 // spends per row, for the skeleton's accounting: two per column in
-// (ToMont, square), one per row out (FromMont).
+// (ToMont, square), one per row out (the product with 1).
 func (mk *montKernel) costs() (int, int) { return 2, 1 }
 
 // load takes query i's canonical values for columns j0.. into
@@ -118,19 +122,47 @@ func (mk *montKernel) merge(from *montKernel, i, r0, r1 int) {
 	}
 }
 
-// export writes query i's gammas for rows r0.. as canonical residues.
-// It is the last use of those rows' accumulators: it converts them out
-// of Montgomery form in place and hands them out as the gammas' own
-// words, one big.Int header slab per call, no copy.
-func (mk *montKernel) export(i, r0 int, out []*big.Int) {
+// export writes query i's gammas for rows r0.. into image, width bytes
+// each: the answer's packed image, written where it is computed. It is
+// the last use of those rows' accumulators: it takes them out of
+// Montgomery form in place (a one-word row is one montMulWord with 1)
+// and stores their words big-endian in the rows' slots (putCells).
+func (mk *montKernel) export(i, r0 int, image []byte, width int) {
 	kw := mk.kw
-	ints := make([]big.Int, len(out))
-	for r := range out {
-		at := (r0 + r) * kw
-		a := mk.acc[i][at : at+kw : at+kw]
-		mk.m.Mul(a, a, mk.m.one)
-		out[r] = ints[r].SetBits(a)
+	acc := mk.acc[i][r0*kw : (r0+len(image)/width)*kw]
+	if kw == 1 {
+		for r, a := range acc {
+			acc[r] = big.Word(montMulWord(uint(a), 1, mk.n0, mk.ninv))
+		}
+	} else {
+		for at := 0; at < len(acc); at += kw {
+			mk.m.Mul(acc[at:at+kw], acc[at:at+kw], mk.m.one)
+		}
 	}
+	putCells(image, acc, kw, width)
+}
+
+// putCells stores canonical cells of kw words each, little-endian as the
+// slabs hold them, into consecutive width-byte big-endian slots of buf —
+// width is the modulus's byte length, so every cell fits its slot — and
+// returns the bytes written. A one-word cell in a word-wide slot (every
+// 64-bit key) is one store.
+func putCells(buf []byte, cells []big.Word, kw, width int) []byte {
+	buf = buf[:len(cells)/kw*width]
+	if kw == 1 && width == 8 {
+		for r, cell := range cells {
+			binary.BigEndian.PutUint64(buf[r*8:r*8+8], uint64(cell))
+		}
+		return buf
+	}
+	const wordBytes = bits.UintSize / 8
+	for at := 0; at < len(buf); at += width {
+		slot, cell := buf[at:at+width], cells[at/width*kw:]
+		for b := range slot { // b bytes up from the least significant
+			slot[width-1-b] = byte(cell[b/wordBytes] >> (8 * (b % wordBytes)))
+		}
+	}
+	return buf
 }
 
 // wordTable builds, by doubling, the 2^len(mv) subset-product table of

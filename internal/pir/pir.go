@@ -614,10 +614,33 @@ func (q *Query) Follows(prev *Query) bool {
 	return true
 }
 
-// Answer is the server→client message: one group element per row.
+// Answer is the server→client message, in the form the wire carries it
+// (internal/wire, TypePIRBatchResponse): Image holds one group element per
+// row — a gamma, or a recursive answer's level-2 ciphertext — at Width
+// bytes each, big-endian, back to back. Width is the byte length of the
+// modulus. The executors write the image where they compute it, the
+// writer frames it as it is, and the decoders read it where it lies.
 type Answer struct {
-	Gammas []*big.Int
+	Width int
+	Image []byte
 }
+
+// newAnswer returns an answer of rows zero gammas at n's byte length.
+func newAnswer(n *big.Int, rows int) *Answer {
+	width := (n.BitLen() + 7) / 8
+	return &Answer{Width: width, Image: make([]byte, rows*width)}
+}
+
+// Count returns the number of gammas a holds.
+func (a *Answer) Count() int {
+	if a.Width <= 0 {
+		return 0
+	}
+	return len(a.Image) / a.Width
+}
+
+// gamma returns gamma i's bytes.
+func (a *Answer) gamma(i int) []byte { return a.Image[i*a.Width : (i+1)*a.Width] }
 
 // Stats records the server-side work of one Answer computation, for the
 // cost models in the Figure 7/8 experiments.
@@ -659,14 +682,15 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 		st.TableMuls++
 	}
 	rows := colBytes * 8
-	ans := &Answer{Gammas: make([]*big.Int, rows)}
+	ans := newAnswer(q.N, rows)
 	poll := newScanPoll(ctx)
+	g := new(big.Int)
 	for r := 0; r < rows; r++ {
 		if poll.stopped() {
 			return nil, st, poll.err()
 		}
 		byteIdx, mask := r>>3, byte(1)<<(7-r&7)
-		g := big.NewInt(1)
+		g.SetInt64(1)
 		for j := range cols {
 			if cols[j][byteIdx]&mask != 0 {
 				g.Mul(g, q.Values[j])
@@ -676,15 +700,14 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 			g.Mod(g, q.N)
 			st.ModMuls++
 		}
-		ans.Gammas[r] = g
+		g.FillBytes(ans.gamma(r))
 	}
 	return ans, st, nil
 }
 
 // Decode recovers the target column's bits from the answer: bit i is 1
-// exactly when γ_i is a quadratic non-residue. Gammas must be
-// non-negative (the wire decoder's range). It is DecodeImage for an
-// answer held as big.Ints: the local fetch's.
+// exactly when γ_i is a quadratic non-residue. It is DecodeImage for an
+// answer whose row count need not fill whole bytes.
 //
 // The test is the key's cached residue kernel (decodeColumn: four Euler
 // tests in lock step, on GOMAXPROCS workers), shared with
@@ -700,9 +723,10 @@ func ProcessColumnsCtx(ctx context.Context, cols [][]byte, colBytes int, q *Quer
 // the client's think-time before its next frame grow with the number of
 // 0-bits in the block it had just fetched.
 func (k *ClientKey) Decode(ans *Answer) []bool {
-	column := make([]byte, (len(ans.Gammas)+7)/8)
-	k.decodeColumn(answerGammas(ans.Gammas), len(ans.Gammas), column)
-	return columnBits(column, len(ans.Gammas))
+	rows := ans.Count()
+	column := make([]byte, (rows+7)/8)
+	k.decodeColumn(ans, rows, column)
+	return columnBits(column, rows)
 }
 
 // columnBits is ColumnBytes undone: the first rows bits of column.
@@ -715,16 +739,15 @@ func columnBits(column []byte, rows int) []bool {
 }
 
 // DecodeImage is Decode over a packed answer where it lies: image holds
-// 8·len(column) gammas of width big-endian bytes each, back to back (the
-// packed wire form, internal/wire), and their bits go straight into
-// column, MSB-first — the bytes ColumnBytes(Decode(ans)) would return,
-// without a big.Int or a []bool in between. Every byte of column is
-// written. It runs Decode's test on Decode's workers.
+// 8·len(column) gammas of width big-endian bytes each, back to back (an
+// Answer's Image, or a type-13 frame's body), and their bits go straight
+// into column, MSB-first — the bytes ColumnBytes(Decode(ans)) would
+// return, without a []bool in between. Every byte of column is written.
 func (k *ClientKey) DecodeImage(image []byte, width int, column []byte) error {
 	if width <= 0 || len(image) != 8*len(column)*width {
 		return fmt.Errorf("pir: a %d-byte image is not %d gammas of %d bytes", len(image), 8*len(column), width)
 	}
-	k.decodeColumn(gammaImage{image, width}, 8*len(column), column)
+	k.decodeColumn(&Answer{Width: width, Image: image}, 8*len(column), column)
 	return nil
 }
 

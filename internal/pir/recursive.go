@@ -3,7 +3,6 @@ package pir
 import (
 	"context"
 	"crypto/rand"
-	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -425,17 +424,6 @@ func recursiveChunkWord(ctx context.Context, cols [][]byte, colBytes int, qs []*
 	return nil
 }
 
-// wordGammas hands a slab of canonical one-word residues out as gammas:
-// one big.Int header slab over the words themselves, no copy.
-func wordGammas(words []big.Word) []*big.Int {
-	ints := make([]big.Int, len(words))
-	gammas := make([]*big.Int, len(words))
-	for i := range words {
-		gammas[i] = ints[i].SetBits(words[i : i+1 : i+1])
-	}
-	return gammas
-}
-
 // canonicalColumns takes grid columns [c0, c1) of every query's gamma
 // matrix out of Montgomery form in place, one multiplication per cell,
 // polled between runs of cancelCheckRows cells like the fold.
@@ -556,7 +544,9 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *RecursiveQuery, ex Exec, sh recShape) (*Answer, Stats, error) {
 	R, C, rows := sh.gridRows, sh.gridCols, sh.rows
 	var st Stats
-	matrix := make([]*big.Int, C*rows)
+	// Level 1's answers, one per grid column, ARE the level-2 image: rows
+	// gammas of modBytes big-endian bytes each.
+	image := make([][]byte, C)
 	for gc := 0; gc < C; gc++ {
 		lo, hi := presentRange(0, R, gc, C, sh.window)
 		sub := make([][]byte, hi-lo)
@@ -571,42 +561,15 @@ func recursiveRefOne(ctx context.Context, cols [][]byte, colBytes int, q *Recurs
 		if err != nil {
 			return nil, st, err
 		}
-		copy(matrix[gc*rows:(gc+1)*rows], ans1.Gammas)
+		image[gc] = ans1.Image
 	}
-	modBytes := (q.N.BitLen() + 7) / 8
-	ans2, st2, err := level2Ref(newScanPoll(ctx), q.N, q.Cols, matrixImage(matrix, q.N, C, rows, modBytes), rows*modBytes)
+	ans2, st2, err := level2Ref(newScanPoll(ctx), q.N, q.Cols, image, rows*((q.N.BitLen()+7)/8))
 	st.ModMuls += st2.ModMuls
 	st.TableMuls += st2.TableMuls
 	if err != nil {
 		return nil, st, err
 	}
 	return ans2, st, nil
-}
-
-// imageCell returns the value a matrix cell contributes to the level-2
-// image: the cell itself, or — defensively, matching the flat paths'
-// tolerance — its residue when it is negative or would not fit its
-// modBytes-wide slot.
-func imageCell(g, n *big.Int, modBytes int) *big.Int {
-	if g.Sign() < 0 || g.BitLen() > 8*modBytes {
-		return new(big.Int).Mod(g, n)
-	}
-	return g
-}
-
-// matrixImage lays a level-1 gamma matrix (grid-column-major) out as
-// the level-2 image the reference serves from: per grid column, its rows
-// gammas as fixed-width big-endian bytes.
-func matrixImage(matrix []*big.Int, n *big.Int, C, rows, modBytes int) [][]byte {
-	image := make([][]byte, C)
-	for gc := range image {
-		buf := make([]byte, rows*modBytes)
-		for r := 0; r < rows; r++ {
-			imageCell(matrix[gc*rows+r], n, modBytes).FillBytes(buf[r*modBytes : (r+1)*modBytes])
-		}
-		image[gc] = buf
-	}
-	return image
 }
 
 // level2TileBytes is how many image bytes one level-2 tile covers: a
@@ -619,7 +582,8 @@ const level2TileBytes = 2048
 // image it stands for — each cell's modBytes big-endian bytes — is never
 // laid out whole: a worker serializes one tile's stretch of a column
 // (putCells) as it folds it. The answer is rows·modBytes ciphertexts,
-// c_b = Π_gc sel[gc]^(byte b of column gc). Per column the 256 powers
+// c_b = Π_gc sel[gc]^(byte b of column gc), each stored in the answer's
+// image as its tile completes. Per column the 256 powers
 // sel[gc]^v are tabulated once, and every (byte, column) pair is then one
 // table look-up and one product — C per ciphertext with the conversion
 // out, no bit transposition and no exponent loop.
@@ -655,7 +619,7 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 		return nil, st, poll.err()
 	}
 
-	out := make([]big.Word, imgBytes)
+	ans := newAnswer(mont.nInt, imgBytes)
 	tileCells := max(level2TileBytes/modBytes, 1)
 	tiles := (rows + tileCells - 1) / tileCells
 	workers := min(max(ex.Workers, 1), tiles)
@@ -669,14 +633,14 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 			// The tile's stretch of two image columns, serialized as it
 			// is needed: the only form the image ever takes.
 			var img, img2 [level2TileBytes]byte
+			tileAcc := make([]big.Word, tileCells*modBytes)
 			for tile := wk * tiles / workers; tile < (wk+1)*tiles/workers; tile++ {
 				r0 := tile * tileCells
 				r1 := min(r0+tileCells, rows)
-				// The tile's slice of the answer slab is its accumulator.
 				// The first column's power IS the accumulator: no
 				// multiplication.
-				acc := out[r0*modBytes : r1*modBytes]
-				col := putCells(img[:], cells[r0:r1], modBytes)
+				acc := tileAcc[:(r1-r0)*modBytes]
+				col := putCells(img[:], cells[r0:r1], 1, modBytes)
 				for b := range acc {
 					acc[b] = pow[0][col[b]]
 				}
@@ -686,7 +650,7 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 						errs[wk] = poll.err()
 						return
 					}
-					col, t := putCells(img[:], cells[gc*rows+r0:gc*rows+r1], modBytes), &pow[gc]
+					col, t := putCells(img[:], cells[gc*rows+r0:gc*rows+r1], 1, modBytes), &pow[gc]
 					if gc+1 == C {
 						// An even C leaves one column for a pass of its own.
 						for b := range acc {
@@ -694,7 +658,7 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 						}
 						break
 					}
-					col2, t2 := putCells(img2[:], cells[(gc+1)*rows+r0:(gc+1)*rows+r1], modBytes), &pow[gc+1]
+					col2, t2 := putCells(img2[:], cells[(gc+1)*rows+r0:(gc+1)*rows+r1], 1, modBytes), &pow[gc+1]
 					for b := range acc {
 						x := montMulWordSel(uint(acc[b]), uint(t[col[b]]), nW, ninv)
 						acc[b] = big.Word(montMulWordSel(x, uint(t2[col2[b]]), nW, ninv))
@@ -703,6 +667,7 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 				for b, a := range acc {
 					acc[b] = big.Word(montMulWordSel(uint(a), 1, nW, ninv))
 				}
+				putCells(ans.Image[r0*modBytes*modBytes:], acc, 1, modBytes)
 				muls[wk] += len(acc) * C
 			}
 		}(wk)
@@ -719,28 +684,7 @@ func level2Word(poll *scanPoll, mont *Mont, sel []*big.Int, cells []big.Word, ro
 		return nil, st, cancelErr
 	}
 	st.TableMuls += imgBytes // the conversions out
-	return &Answer{Gammas: wordGammas(out)}, st, nil
-}
-
-// putCells serializes canonical one-word cells into consecutive
-// modBytes-wide big-endian slots of buf and returns the bytes written. A
-// word-wide modulus — every 64-bit key — stores whole words.
-func putCells(buf []byte, cells []big.Word, modBytes int) []byte {
-	buf = buf[:len(cells)*modBytes]
-	if modBytes == 8 {
-		for r, cell := range cells {
-			binary.BigEndian.PutUint64(buf[r*8:r*8+8], uint64(cell))
-		}
-		return buf
-	}
-	for r, cell := range cells {
-		slot := buf[r*modBytes : (r+1)*modBytes]
-		for b := modBytes - 1; b >= 0; b-- {
-			slot[b] = byte(cell)
-			cell >>= 8
-		}
-	}
-	return buf
+	return ans, st, nil
 }
 
 // level2Ref is the packed level 2 in big.Int, for every multi-word
@@ -770,19 +714,18 @@ func level2Ref(poll *scanPoll, n *big.Int, sel []*big.Int, image [][]byte, imgBy
 		st.ModMuls += 1<<packBits - 2
 		st.TableMuls += 1<<packBits - 2
 	}
-	cts := make([]big.Int, imgBytes)
-	gammas := make([]*big.Int, imgBytes)
-	for b := range cts {
+	ans := newAnswer(n, imgBytes)
+	var c big.Int
+	for b := range imgBytes {
 		if b&63 == 0 && poll.stopped() {
 			return nil, st, poll.err()
 		}
-		c := &cts[b]
 		c.Set(&pow[0][image[0][b]])
 		for gc := 1; gc < len(image); gc++ {
-			mulMod(c, c, &pow[gc][image[gc][b]])
+			mulMod(&c, &c, &pow[gc][image[gc][b]])
 		}
 		st.ModMuls += len(image) - 1
-		gammas[b] = c
+		c.FillBytes(ans.gamma(b))
 	}
-	return &Answer{Gammas: gammas}, st, nil
+	return ans, st, nil
 }

@@ -226,54 +226,25 @@ func (d *qrDecoder) powChunks(n int, e uint, fill func(lo int, rs []uint), use f
 	return -1
 }
 
-// gammaSource is where a flat decode reads an answer's gammas: the
-// big.Ints of an Answer (answerGammas), or fixed-width big-endian bytes
-// where they lie — a packed frame, or the level-1 image of a recursive
-// answer (gammaImage). Gammas are non-negative either way.
-type gammaSource interface {
-	// residues fills rs with gammas lo … lo+len(rs)−1 mod p1, the word
-	// kernel's input.
-	residues(d *qrDecoder, lo int, rs []uint)
-	// gamma returns gamma i as a big.Int, in tmp when it has to build one.
-	gamma(i int, tmp *big.Int) *big.Int
-}
-
-type answerGammas []*big.Int
-
-func (a answerGammas) residues(d *qrDecoder, lo int, rs []uint) {
-	for j, g := range a[lo : lo+len(rs)] {
-		rs[j] = d.modP(g)
-	}
-}
-
-func (a answerGammas) gamma(i int, _ *big.Int) *big.Int { return a[i] }
-
-// gammaImage is gammas of width bytes each, back to back.
-type gammaImage struct {
-	b     []byte
-	width int
-}
-
-func (g gammaImage) at(i int) []byte { return g.b[i*g.width : (i+1)*g.width] }
-
-func (g gammaImage) residues(d *qrDecoder, lo int, rs []uint) {
+// residues fills rs with gammas lo … lo+len(rs)−1 of a mod p1, the word
+// kernel's input, read from the image where it lies.
+func (a *Answer) residues(d *qrDecoder, lo int, rs []uint) {
 	for j := range rs {
-		rs[j] = d.modPBytes(g.at(lo + j))
+		rs[j] = d.modPBytes(a.gamma(lo + j))
 	}
 }
-
-func (g gammaImage) gamma(i int, tmp *big.Int) *big.Int { return tmp.SetBytes(g.at(i)) }
 
 // decodeRowsMin is the fewest rows a decode worker takes: below it a
 // goroutine costs more than the Euler tests it would run.
 const decodeRowsMin = 512
 
 // decodeColumn is the one Euler test of the flat decodes: it writes the
-// bits of the rows gammas of src into column, MSB-first, (rows+7)/8
-// bytes — bit i is 1 exactly when gamma i is a quadratic non-residue. The
-// bytes are split across parallelRanges, so the workers' rows start on
-// whole bytes and no two workers share one.
-func (k *ClientKey) decodeColumn(src gammaSource, rows int, column []byte) {
+// bits of the first rows gammas of src — a served answer, a packed frame,
+// or the level-1 image of a recursive answer — into column, MSB-first,
+// (rows+7)/8 bytes: bit i is 1 exactly when gamma i is a quadratic
+// non-residue. The bytes are split across parallelRanges, so the workers'
+// rows start on whole bytes and no two workers share one.
+func (k *ClientKey) decodeColumn(src *Answer, rows int, column []byte) {
 	d := k.decoder()
 	parallelRanges(len(column), decodeRowsMin/8, func(lo, hi int) {
 		d.qnrBytes(k, src, 8*lo, min(8*hi, rows), column[lo:hi])
@@ -284,12 +255,12 @@ func (k *ClientKey) decodeColumn(src gammaSource, rows int, column []byte) {
 // the word kernel it tests modulo p1 through the lanes: r^e is ±1 for a
 // unit and 0 for a multiple of p1 (not 1, as isQR's Exp(g, e1, p1) = 0 is
 // not), compared in form against pone. Wider keys run isQR.
-func (d *qrDecoder) qnrBytes(k *ClientKey, src gammaSource, lo, hi int, out []byte) {
+func (d *qrDecoder) qnrBytes(k *ClientKey, src *Answer, lo, hi int, out []byte) {
 	clear(out)
 	if !d.word {
-		tmp := new(big.Int)
+		g := new(big.Int)
 		for i := lo; i < hi; i++ {
-			if !k.isQR(src.gamma(i, tmp)) {
+			if !k.isQR(g.SetBytes(src.gamma(i))) {
 				out[(i-lo)>>3] |= 0x80 >> ((i - lo) & 7)
 			}
 		}
@@ -336,14 +307,16 @@ func (d *qrDecoder) symbol(k *ClientKey, c *big.Int) (m uint8, ok bool) {
 	return d.symbolOf(d.powWord(d.modP(c), d.e8))
 }
 
-// symbols is symbol over a run of ciphertexts, through the lanes when the
-// kernel applies: it fills raw and returns −1, or returns the position of
-// the FIRST ciphertext outside the symbol subgroup (raw is then
+// symbols is symbol over the run of len(raw) ciphertexts of cts from
+// first, read where they lie and through the lanes when the kernel
+// applies: it fills raw and returns −1, or returns the position in the run
+// of the FIRST ciphertext outside the symbol subgroup (raw is then
 // unspecified).
-func (d *qrDecoder) symbols(k *ClientKey, cts []*big.Int, raw []byte) int {
+func (d *qrDecoder) symbols(k *ClientKey, cts *Answer, first int, raw []byte) int {
 	if !d.word {
-		for i, c := range cts {
-			m, ok := d.symbol(k, c)
+		c := new(big.Int)
+		for i := range raw {
+			m, ok := d.symbol(k, c.SetBytes(cts.gamma(first+i)))
 			if !ok {
 				return i
 			}
@@ -351,8 +324,8 @@ func (d *qrDecoder) symbols(k *ClientKey, cts []*big.Int, raw []byte) int {
 		}
 		return -1
 	}
-	return d.powChunks(len(cts), d.e8,
-		func(lo int, rs []uint) { answerGammas(cts).residues(d, lo, rs) },
+	return d.powChunks(len(raw), d.e8,
+		func(lo int, rs []uint) { cts.residues(d, first+lo, rs) },
 		func(lo int, pows []uint) int {
 			for j, pow := range pows {
 				m, ok := d.symbolOf(pow)
@@ -400,15 +373,15 @@ func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 	}
 	rows := colBytes * 8
 	modBytes := (k.N.BitLen() + 7) / 8
-	if len(ans.Gammas) != rows*modBytes {
-		return nil, &AnswerLengthError{Got: len(ans.Gammas), Want: rows * modBytes}
+	if ans.Width <= 0 || len(ans.Image) != rows*modBytes*ans.Width {
+		return nil, &AnswerLengthError{Got: ans.Count(), Want: rows * modBytes}
 	}
 	d := k.decoder()
-	raw := make([]byte, len(ans.Gammas)) // the grid column's gamma image
+	raw := make([]byte, rows*modBytes) // the grid column's gamma image
 	var mu sync.Mutex
 	bad := len(raw) // the first undecryptable ciphertext, across workers
 	parallelRanges(len(raw), 4096, func(lo, hi int) {
-		if at := d.symbols(k, ans.Gammas[lo:hi], raw[lo:hi]); at >= 0 {
+		if at := d.symbols(k, ans, lo, raw[lo:hi]); at >= 0 {
 			mu.Lock()
 			bad = min(bad, lo+at)
 			mu.Unlock()
@@ -418,7 +391,7 @@ func (k *ClientKey) DecodeRecursive(ans *Answer, colBytes int) ([]bool, error) {
 		return nil, &SymbolError{Pos: bad}
 	}
 	column := make([]byte, colBytes)
-	k.decodeColumn(gammaImage{raw, modBytes}, rows, column)
+	k.decodeColumn(&Answer{Width: modBytes, Image: raw}, rows, column)
 	return columnBits(column, rows), nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -116,13 +117,8 @@ func TestRecursiveFastMatchesRef(t *testing.T) {
 						t.Fatalf("%s: %v", label, err)
 					}
 					for i, ans := range fast {
-						if len(ans.Gammas) != len(refs[i].Gammas) {
-							t.Fatalf("%s query %d: %d ciphertexts vs ref %d", label, i, len(ans.Gammas), len(refs[i].Gammas))
-						}
-						for j := range ans.Gammas {
-							if ans.Gammas[j].Cmp(refs[i].Gammas[j]) != 0 {
-								t.Fatalf("%s query %d ciphertext %d: fast path differs from reference", label, i, j)
-							}
+						if ans.Width != refs[i].Width || !bytes.Equal(ans.Image, refs[i].Image) {
+							t.Fatalf("%s query %d: %d ciphertexts differ from the reference's %d", label, i, ans.Count(), refs[i].Count())
 						}
 					}
 				}
@@ -250,23 +246,25 @@ func TestDecodeRecursiveTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		gammas := gammasOf(ans)
+		packed := func(gs []*big.Int) *Answer { return &Answer{Width: ans.Width, Image: packGammas(gs, ans.Width)} }
 		for _, bad := range []*Answer{
-			{Gammas: ans.Gammas[:len(ans.Gammas)-1]},
-			{Gammas: append(append([]*big.Int(nil), ans.Gammas...), big.NewInt(1))},
+			packed(gammas[:len(gammas)-1]),
+			packed(append(slices.Clone(gammas), big.NewInt(1))),
 			{},
 		} {
 			var lerr *AnswerLengthError
 			if _, err := k.DecodeRecursive(bad, colBytes); !errors.As(err, &lerr) ||
-				lerr.Got != len(bad.Gammas) || lerr.Want != len(ans.Gammas) {
-				t.Fatalf("answer of %d ciphertexts: got %v", len(bad.Gammas), err)
+				lerr.Got != bad.Count() || lerr.Want != len(gammas) {
+				t.Fatalf("answer of %d ciphertexts: got %v", bad.Count(), err)
 			}
 		}
-		for _, pos := range []int{0, 5, len(ans.Gammas) - 1} {
-			forged := append([]*big.Int(nil), ans.Gammas...)
+		for _, pos := range []int{0, 5, len(gammas) - 1} {
+			forged := slices.Clone(gammas)
 			forged[pos] = new(big.Int).Lsh(k.p1, 1) // a multiple of p1 below N
 			forged[len(forged)-1] = new(big.Int)
 			var serr *SymbolError
-			if _, err := k.DecodeRecursive(&Answer{Gammas: forged}, colBytes); !errors.As(err, &serr) || serr.Pos != pos {
+			if _, err := k.DecodeRecursive(packed(forged), colBytes); !errors.As(err, &serr) || serr.Pos != pos {
 				t.Fatalf("forged ciphertext at %d: got %v", pos, err)
 			}
 		}
@@ -465,10 +463,8 @@ func TestRecursiveBatchIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := range want.Gammas {
-			if got[i].Gammas[r].Cmp(want.Gammas[r]) != 0 {
-				t.Fatalf("batch query %d gamma %d differs from single run", i, r)
-			}
+		if !bytes.Equal(got[i].Image, want.Image) {
+			t.Fatalf("batch query %d differs from single run", i)
 		}
 		bits, err := k.DecodeRecursive(got[i], colBytes)
 		if err != nil {
@@ -573,7 +569,8 @@ func TestRecursiveDecoderMatchesIsQR(t *testing.T) {
 			vals = append(vals, p.Mod(p, k.N))
 		}
 	}
-	got := k.Decode(&Answer{Gammas: vals})
+	width := (k.N.BitLen() + 7) / 8
+	got := k.Decode(&Answer{Width: width, Image: packGammas(vals, width)})
 	for i, v := range vals {
 		if want := !k.isQR(v); got[i] != want {
 			t.Fatalf("decoder disagrees with isQR on %v: got %v, want %v", v, got[i], want)
@@ -744,10 +741,10 @@ func TestRecursiveLevel2MatchesDefinition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got.Gammas) != imgBytes || st.ModMuls != C*254+imgBytes*(C-1) {
-			t.Fatalf("%d ciphertexts, stats %+v", len(got.Gammas), st)
+		if got.Count() != imgBytes || st.ModMuls != C*254+imgBytes*(C-1) {
+			t.Fatalf("%d ciphertexts, stats %+v", got.Count(), st)
 		}
-		for b, c := range got.Gammas {
+		for b, c := range gammasOf(got) {
 			want := big.NewInt(1)
 			for gc := range image {
 				want.Mul(want, new(big.Int).Exp(sel[gc], big.NewInt(int64(image[gc][b])), n))
@@ -787,8 +784,12 @@ func TestRecursiveLevel2WordMatchesRef(t *testing.T) {
 			for i, g := range matrix {
 				cells[i] = big.Word(g.Uint64())
 			}
+			image := make([][]byte, C)
+			for gc := range image {
+				image[gc] = putCells(make([]byte, rows*modBytes), cells[gc*rows:(gc+1)*rows], 1, modBytes)
+			}
 			sel := rawQuery(rng, k.N, C).Values
-			want, wantSt, err := level2Ref(newScanPoll(context.Background()), k.N, sel, matrixImage(matrix, k.N, C, rows, modBytes), rows*modBytes)
+			want, wantSt, err := level2Ref(newScanPoll(context.Background()), k.N, sel, image, rows*modBytes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -798,13 +799,8 @@ func TestRecursiveLevel2WordMatchesRef(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(got.Gammas) != rows*modBytes {
-					t.Fatalf("%d-bit C=%d: %d ciphertexts, want %d", k.N.BitLen(), C, len(got.Gammas), rows*modBytes)
-				}
-				for b := range want.Gammas {
-					if got.Gammas[b].Cmp(want.Gammas[b]) != 0 {
-						t.Fatalf("%d-bit C=%d workers=%d: ciphertext %d differs from the reference", k.N.BitLen(), C, workers, b)
-					}
+				if got.Count() != rows*modBytes || !bytes.Equal(got.Image, want.Image) {
+					t.Fatalf("%d-bit C=%d workers=%d: %d ciphertexts differ from the reference's %d", k.N.BitLen(), C, workers, got.Count(), want.Count())
 				}
 				// The word kernel's products: the reference's, plus the
 				// conversions in and out of Montgomery form.
@@ -821,7 +817,7 @@ func TestRecursiveLevel2WordMatchesRef(t *testing.T) {
 			if err != nil || zst != first {
 				t.Fatalf("%d-bit C=%d: all-zero cells cost %+v (err %v), random cells %+v", k.N.BitLen(), C, zst, err, first)
 			}
-			for b, c := range zeros.Gammas {
+			for b, c := range gammasOf(zeros) {
 				if c.Cmp(one) != 0 {
 					t.Fatalf("%d-bit C=%d: ciphertext %d of the zero image is %v, want the empty product", k.N.BitLen(), C, b, c)
 				}
@@ -939,17 +935,18 @@ func TestDecodeRecursiveLanes(t *testing.T) {
 		if err != nil || !bytes.Equal(ColumnBytes(bits), cols[5]) {
 			t.Fatalf("%d-byte blocks: decoded %x (err %v), want %x", colBytes, ColumnBytes(bits), err, cols[5])
 		}
-		n := len(ans.Gammas)
+		gammas := gammasOf(ans)
+		n := len(gammas)
 		nonUnit := new(big.Int).Lsh(k.p1, 1)
 		for _, planted := range [][]int{{0}, {1}, {2}, {3}, {4}, {n - 1}, {n - 2}, {n - 3}, {n - 4}, {n - 5}, {n - 1, 2}, {7, 6, 5}, {n / 2, n/2 + 1}} {
-			forged := append([]*big.Int(nil), ans.Gammas...)
+			forged := slices.Clone(gammas)
 			first := n
 			for _, pos := range planted {
 				forged[pos] = nonUnit
 				first = min(first, pos)
 			}
 			var serr *SymbolError
-			if _, err := k.DecodeRecursive(&Answer{Gammas: forged}, colBytes); !errors.As(err, &serr) || serr.Pos != first {
+			if _, err := k.DecodeRecursive(&Answer{Width: ans.Width, Image: packGammas(forged, ans.Width)}, colBytes); !errors.As(err, &serr) || serr.Pos != first {
 				t.Fatalf("%d-byte blocks, non-units at %v: got %v, want position %d", colBytes, planted, err, first)
 			}
 		}
@@ -968,10 +965,10 @@ func TestDecodeRecursiveLanes(t *testing.T) {
 	}
 	for n := 0; n <= 21; n++ {
 		raw := make([]byte, n)
-		if at := d.symbols(k, ans.Gammas[:n], raw); at != -1 {
+		if at := d.symbols(k, ans, 0, raw); at != -1 {
 			t.Fatalf("prefix of %d: refused ciphertext %d", n, at)
 		}
-		for i, c := range ans.Gammas[:n] {
+		for i, c := range gammasOf(ans)[:n] {
 			if m, ok := d.symbol(k, c); !ok || raw[i] != m {
 				t.Fatalf("prefix of %d: ciphertext %d read %d through the lanes, %d alone (ok=%v)", n, i, raw[i], m, ok)
 			}

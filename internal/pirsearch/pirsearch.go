@@ -154,7 +154,7 @@ func (s *Server) Retrieve(b int, qs []*pir.Query) ([]*pir.Answer, Stats, error) 
 		}
 		st.Runs += len(ans)
 		for _, a := range ans {
-			st.RowsReturned += len(a.Gammas)
+			st.RowsReturned += a.Count()
 		}
 		answers = append(answers, ans...)
 	}
@@ -216,7 +216,7 @@ func (c *Client) Search(srv Retriever, genuine []wordnet.TermID, k int) ([]Ranke
 		agg.RowsReturned += st.RowsReturned
 
 		for i, ans := range answers {
-			agg.AnswerBytes += c.Key.AnswerBytes(len(ans.Gammas))
+			agg.AnswerBytes += c.Key.AnswerBytes(ans.Count())
 			bits := c.Key.Decode(ans)
 			c.QRTests += len(bits)
 			list, err := decodeList(pir.ColumnBytes(bits))

@@ -13,7 +13,6 @@ import (
 	"embellish/internal/core"
 	"embellish/internal/detrand"
 	"embellish/internal/index"
-	"embellish/internal/pir"
 	"embellish/internal/simio"
 	"embellish/internal/vbyte"
 )
@@ -64,8 +63,8 @@ func edgeValues() []*big.Int {
 }
 
 // TestAppendBigFromWords: appendBig writes a magnitude from its words as
-// big.Int's own Bytes does, at every width up to nine words, and a packed
-// gamma is that magnitude zero-padded to the modulus's width.
+// big.Int's own Bytes does, at every width up to nine words, and
+// putMagnitude writes it zero-padded to a wider slot.
 func TestAppendBigFromWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	vs := edgeValues()
@@ -81,14 +80,10 @@ func TestAppendBigFromWords(t *testing.T) {
 		if got := bigSize(v); got != len(want)-1 {
 			t.Fatalf("bigSize(%x) = %d, appendBig spends %d", v, got, len(want)-1)
 		}
-		n := new(big.Int).Lsh(big.NewInt(1), uint(v.BitLen()+rng.Intn(24)))
-		width := (n.BitLen() + 7) / 8
-		packed, err := appendPacked(nil, &pir.Answer{Gammas: []*big.Int{v}}, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := packed[len(packed)-width:]; !bytes.Equal(got, v.FillBytes(make([]byte, width))) {
-			t.Fatalf("packed %x at width %d = %x", v, width, got)
+		width := (v.BitLen()+7)/8 + rng.Intn(4)
+		got := make([]byte, width)
+		if putMagnitude(got, v.Bits()); !bytes.Equal(got, v.FillBytes(make([]byte, width))) {
+			t.Fatalf("%x zero-padded to %d bytes = %x", v, width, got)
 		}
 	}
 }

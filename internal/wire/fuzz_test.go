@@ -124,7 +124,7 @@ func FuzzDecodeMessage(f *testing.F) {
 				}
 			}
 		case TypePIRBatchResponse:
-			if _, a, err := DecodePIRBatchAnswer(body); err == nil && len(a.Gammas) == 0 {
+			if _, a, err := DecodePIRBatchAnswer(body); err == nil && a.Count() == 0 {
 				t.Fatal("an answer of no gammas escaped validation")
 			}
 		case TypePIRRecursiveQuery:
@@ -219,13 +219,10 @@ func seedFrames(f *testing.F) {
 	add(func(w *bytes.Buffer) error { return WritePIRHelloReply(w, mapping, &digest) })
 	add(func(w *bytes.Buffer) error { return WritePIRHelloReply(w, mapping, nil) })
 	add(func(w *bytes.Buffer) error {
-		return WritePIRBatchAnswerPacked(w, 1, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(999)}}, big.NewInt(1000))
+		return WritePIRBatchAnswerPacked(w, 1, imageOf(big.NewInt(1000), big.NewInt(5), big.NewInt(999)), big.NewInt(1000))
 	})
-	packed, err := appendPacked([]byte{11}, &pir.Answer{Gammas: []*big.Int{big.NewInt(5), big.NewInt(9)}}, key.N)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(packed) // retired
+	retired := imageOf(key.N, big.NewInt(5), big.NewInt(9))
+	f.Add(append(vbyte.Append(vbyte.Append(vbyte.Append([]byte{11}, 0), uint64(retired.Width)), 2), retired.Image...)) // retired
 	add(func(w *bytes.Buffer) error { return WriteAddDocs(w, []DocText{{ID: 0, Text: "seed doc"}}) })
 	add(func(w *bytes.Buffer) error { return WriteDeleteDocs(w, []uint32{3, 7}) })
 	add(func(w *bytes.Buffer) error { return WriteAdminOK(w, 10, 2) })
@@ -466,13 +463,8 @@ func checkPIRBatchBody(t *testing.T, sn *docstore.Snapshot, body []byte) {
 		if err != nil {
 			t.Fatalf("per-query reference %d refused: %v", i, err)
 		}
-		if len(answers[i].Gammas) != len(ref.Gammas) {
-			t.Fatalf("query %d: %d gammas, reference has %d", i, len(answers[i].Gammas), len(ref.Gammas))
-		}
-		for j := range ref.Gammas {
-			if answers[i].Gammas[j].Cmp(ref.Gammas[j]) != 0 {
-				t.Fatalf("query %d gamma %d: one-pass answer diverges from per-query reference", i, j)
-			}
+		if answers[i].Width != ref.Width || !bytes.Equal(answers[i].Image, ref.Image) {
+			t.Fatalf("query %d: one-pass answer of %d gammas diverges from the per-query reference's %d", i, answers[i].Count(), ref.Count())
 		}
 	}
 }
@@ -588,17 +580,16 @@ func FuzzPIRRecursiveQuery(f *testing.F) {
 		modBytes := (qs[0].N.BitLen() + 7) / 8
 		for i := range qs {
 			want := 8 * sn.BlockSize() * modBytes // one ciphertext per image byte
-			if len(a1[i].Gammas) != want {
-				t.Fatalf("query %d: answer holds %d gammas, want %d", i, len(a1[i].Gammas), want)
+			if a1[i].Width != modBytes || a1[i].Count() != want {
+				t.Fatalf("query %d: answer holds %d gammas of %d bytes, want %d of %d", i, a1[i].Count(), a1[i].Width, want, modBytes)
 			}
-			for j := range a1[i].Gammas {
-				g := a1[i].Gammas[j]
-				if g == nil || g.Sign() < 0 || g.Cmp(qs[i].N) >= 0 {
+			for j := range want {
+				if new(big.Int).SetBytes(a1[i].Image[j*modBytes:(j+1)*modBytes]).Cmp(qs[i].N) >= 0 {
 					t.Fatalf("query %d gamma %d escaped the group", i, j)
 				}
-				if g.Cmp(a2[i].Gammas[j]) != 0 {
-					t.Fatalf("query %d gamma %d: tunings diverge", i, j)
-				}
+			}
+			if !bytes.Equal(a1[i].Image, a2[i].Image) {
+				t.Fatalf("query %d: tunings diverge", i)
 			}
 		}
 	})
@@ -623,22 +614,23 @@ func FuzzReadMessage(f *testing.F) {
 // body to the decoder: ViewPIRBatchAnswer and DecodePIRBatchAnswer accept
 // and refuse exactly the same bodies, refuse every body whose answer does
 // not open with the packed form's 0 — the retired length-prefixed form
-// among them — and agree on the index and the gamma count. A view is
-// zero-copy — its gamma bytes are the tail of the body itself, count ×
-// width of them — and those bytes re-pack at the view's width to the
-// gammas the decoder copied out.
+// among them — and agree on the index, the width and the gamma count. A
+// view is zero-copy — its image is the tail of the body itself, count ×
+// width bytes — and the decoder's answer holds the same image in memory
+// of its own.
 func FuzzPIRAnswerView(f *testing.F) {
 	n := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 64), big.NewInt(59))
-	ans := &pir.Answer{Gammas: []*big.Int{big.NewInt(0), big.NewInt(5), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rsh(n, 7)}}
+	gammas := []*big.Int{big.NewInt(0), big.NewInt(5), new(big.Int).Sub(n, big.NewInt(1)), new(big.Int).Rsh(n, 7)}
+	var image []byte
+	for _, g := range gammas {
+		image = append(image, g.FillBytes(make([]byte, 8))...)
+	}
 	for _, index := range []uint64{0, 1, MaxPIRBatch - 1, MaxPIRBatch} {
 		head := vbyte.Append(nil, index)
-		packed, err := appendPacked(bytes.Clone(head), ans, n)
-		if err != nil {
-			f.Fatal(err)
-		}
+		packed := append(vbyte.Append(vbyte.Append(vbyte.Append(bytes.Clone(head), 0), 8), uint64(len(gammas))), image...)
 		f.Add(packed)
 		f.Add(packed[:len(packed)-1])
-		f.Add(appendPrefixed(bytes.Clone(head), ans.Gammas...))
+		f.Add(appendPrefixed(bytes.Clone(head), gammas...))
 	}
 	for _, tail := range [][]byte{
 		{0x80},                         // a packed mark and nothing after it
@@ -662,20 +654,17 @@ func FuzzPIRAnswerView(f *testing.F) {
 		if _, used, _ := vbyte.Decode(body); !startsPacked(body[used:]) {
 			t.Fatal("a body whose answer does not open with the packed form's 0 was accepted")
 		}
-		if v.Index != idx || v.Count != len(a.Gammas) || v.Answer != nil {
-			t.Fatalf("view reads index %d, %d gammas; decoder %d, %d", v.Index, v.Count, idx, len(a.Gammas))
+		if v.Index != idx || v.Count != a.Count() || v.Width != a.Width {
+			t.Fatalf("view reads index %d, %d gammas of %d bytes; decoder %d, %d of %d", v.Index, v.Count, v.Width, idx, a.Count(), a.Width)
 		}
-		if v.Width <= 0 || v.Count*v.Width != len(v.Gammas) {
-			t.Fatalf("packed view of %d %d-byte gammas holds %d bytes", v.Count, v.Width, len(v.Gammas))
+		if v.Width <= 0 || v.Count*v.Width != len(v.Image) {
+			t.Fatalf("packed view of %d %d-byte gammas holds %d bytes", v.Count, v.Width, len(v.Image))
 		}
-		if tail := body[len(body)-len(v.Gammas):]; &tail[0] != &v.Gammas[0] {
-			t.Fatal("the packed view copied its gammas out of the body")
+		if tail := body[len(body)-len(v.Image):]; &tail[0] != &v.Image[0] {
+			t.Fatal("the packed view copied its image out of the body")
 		}
-		for i, g := range a.Gammas {
-			at := v.Gammas[i*v.Width : (i+1)*v.Width]
-			if g.BitLen() > 8*v.Width || !bytes.Equal(g.FillBytes(make([]byte, v.Width)), at) {
-				t.Fatalf("gamma %d: decoder %v does not re-pack to the view's %x", i, g, at)
-			}
+		if !bytes.Equal(a.Image, v.Image) || &a.Image[0] == &v.Image[0] {
+			t.Fatal("the decoder's image is not a copy of the view's")
 		}
 	})
 }

@@ -447,13 +447,13 @@ func decodeSeeded(n *big.Int, body []byte, widths []int) ([]*pir.Query, error) {
 
 // DecodePIRBatchAnswer parses a TypePIRBatchResponse body, returning
 // the in-batch query index alongside the answer: the view
-// (ViewPIRBatchAnswer) with its gammas copied out of the frame.
+// (ViewPIRBatchAnswer) with its image copied out of the frame.
 func DecodePIRBatchAnswer(body []byte) (int, *pir.Answer, error) {
 	v, err := ViewPIRBatchAnswer(body)
 	if err != nil {
 		return 0, nil, err
 	}
-	return v.Index, decodePacked(v), nil
+	return v.Index, &pir.Answer{Width: v.Width, Image: bytes.Clone(v.Image)}, nil
 }
 
 // ViewPIRBatchAnswer reads a TypePIRBatchResponse body without copying

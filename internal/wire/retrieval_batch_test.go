@@ -59,7 +59,7 @@ func TestPIRBatchQueryRoundTrip(t *testing.T) {
 }
 
 func TestPIRBatchAnswerRoundTrip(t *testing.T) {
-	a := &pir.Answer{Gammas: []*big.Int{big.NewInt(7), big.NewInt(1), big.NewInt(99)}}
+	a := imageOf(big.NewInt(101), big.NewInt(7), big.NewInt(1), big.NewInt(99))
 	var buf bytes.Buffer
 	if err := WritePIRBatchAnswerPacked(&buf, 5, a, big.NewInt(101)); err != nil {
 		t.Fatal(err)
@@ -72,10 +72,8 @@ func TestPIRBatchAnswerRoundTrip(t *testing.T) {
 	if err != nil || idx != 5 {
 		t.Fatalf("index %d, err %v", idx, err)
 	}
-	for i := range a.Gammas {
-		if got.Gammas[i].Cmp(a.Gammas[i]) != 0 {
-			t.Fatalf("gamma %d mismatch", i)
-		}
+	if got.Width != a.Width || !bytes.Equal(got.Image, a.Image) {
+		t.Fatalf("decoded %x, want %x", got.Image, a.Image)
 	}
 }
 
@@ -113,7 +111,7 @@ func TestPIRBatchWriterValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "height 0") {
 		t.Fatalf("height-0 entry written: %v", err)
 	}
-	if err := WritePIRBatchAnswerPacked(&buf, MaxPIRBatch, &pir.Answer{Gammas: []*big.Int{b(1)}}, b(35)); err == nil {
+	if err := WritePIRBatchAnswerPacked(&buf, MaxPIRBatch, imageOf(b(35), b(1)), b(35)); err == nil {
 		t.Fatal("out-of-range answer index written")
 	}
 	if err := WritePIRBatchAnswerPacked(&buf, 0, &pir.Answer{}, b(35)); err == nil {
@@ -194,10 +192,11 @@ func BenchmarkPIRBatchRoundTrip(b *testing.B) {
 		}
 		qs[i].Height = 1
 	}
-	ans := &pir.Answer{Gammas: qs[0].Values[:0:0]}
-	for len(ans.Gammas) < 8192 {
-		ans.Gammas = append(ans.Gammas, qs[len(ans.Gammas)%6].Values[:2048]...)
+	var gammas []*big.Int
+	for len(gammas) < 8192 {
+		gammas = append(gammas, qs[len(gammas)/2048%6].Values[:2048]...)
 	}
+	ans := imageOf(key.N, gammas...)
 	var buf bytes.Buffer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"slices"
 
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
@@ -133,56 +132,49 @@ func DecodePIRParamsReply(body []byte) (ParamsReply, error) {
 }
 
 // WritePIRBatchAnswerPacked frames and writes one streamed batch answer:
-// the index of the query it answers (0-based within its batch) and the
-// answer packed, every gamma at the byte length of the frame's modulus n.
+// the index of the query it answers (0-based within its batch), the
+// packed header, and the answer's image byte for byte. The image must
+// hold one to maxPackedGammas gammas at the byte length of the frame's
+// modulus n — the bounds the viewer holds a frame to; anything else is
+// refused with nothing written.
 func WritePIRBatchAnswerPacked(w io.Writer, index int, a *pir.Answer, n *big.Int) error {
 	if index < 0 || index >= MaxPIRBatch {
 		return fmt.Errorf("wire: PIR batch answer index %d out of range", index)
 	}
-	body, err := appendPacked(vbyte.Append(newFrame(TypePIRBatchResponse, 0), uint64(index)), a, n)
-	if err != nil {
-		return err
+	if n == nil || n.Sign() <= 0 || (n.BitLen()+7)/8 > maxPIRModulusBytes {
+		return errors.New("wire: packed PIR answer modulus out of range")
 	}
-	return writeFrame(w, body)
+	if a == nil || a.Width != (n.BitLen()+7)/8 {
+		return errors.New("wire: packed PIR answer width is not the modulus's byte length")
+	}
+	count := a.Count()
+	if count == 0 || count > maxPackedGammas || count*a.Width != len(a.Image) {
+		return fmt.Errorf("wire: a %d-byte PIR answer image is not 1 to %d gammas of %d bytes", len(a.Image), maxPackedGammas, a.Width)
+	}
+	body := newFrame(TypePIRBatchResponse, 4*vbyte.MaxLen+len(a.Image))
+	body = vbyte.Append(body, uint64(index))
+	body = vbyte.Append(body, 0)
+	body = vbyte.Append(body, uint64(a.Width))
+	body = vbyte.Append(body, uint64(count))
+	return writeFrame(w, append(body, a.Image...))
 }
 
-// appendPacked encodes one PIR answer packed under modulus n.
-func appendPacked(body []byte, a *pir.Answer, n *big.Int) ([]byte, error) {
-	if a == nil || len(a.Gammas) == 0 {
-		return nil, errors.New("wire: nil PIR answer")
-	}
-	if n == nil || n.Sign() <= 0 || (n.BitLen()+7)/8 > maxPIRModulusBytes {
-		return nil, errors.New("wire: packed PIR answer modulus out of range")
-	}
-	width := (n.BitLen() + 7) / 8
-	body = slices.Grow(body, 3*vbyte.MaxLen+len(a.Gammas)*width)
-	body = vbyte.Append(body, 0)
-	body = vbyte.Append(body, uint64(width))
-	body = vbyte.Append(body, uint64(len(a.Gammas)))
-	for i, g := range a.Gammas {
-		if g.Sign() < 0 || g.BitLen() > 8*width {
-			return nil, fmt.Errorf("wire: PIR gamma %d does not fit the modulus's %d bytes", i, width)
-		}
-		at := len(body)
-		body = body[:at+width]
-		putMagnitude(body[at:], g.Bits())
-	}
-	return body, nil
-}
+// maxPackedGammas is the single-answer cap: one gamma per bit of the
+// largest block, which also bounds a recursive answer's ciphertexts.
+const maxPackedGammas = 8 * docstore.MaxBlockSize
 
 // PIRAnswerView is a PIR answer body read where it lies
-// (ViewPIRBatchAnswer). Its gammas stay in the frame: Gammas is a slice
-// of the body, valid as long as the buffer it was read into, and a client
-// Euler-tests those bytes in place (pir.ClientKey.DecodeImage). An answer
-// computed in process never crossed a wire; it arrives in Answer, and
-// Width and Gammas are zero.
+// (ViewPIRBatchAnswer): Image is a slice of the body, valid as long as
+// the buffer it was read into, and a client decodes those bytes in place
+// (pir.ClientKey.DecodeImage, or DecodeRecursive over a pir.Answer of the
+// same Width and Image).
 type PIRAnswerView struct {
 	Index int // the query it answers, within its batch
 	Count int // its gammas
 	Width int // a packed gamma's byte length
-	// Gammas is the Count × Width packed gamma bytes, big-endian.
-	Gammas []byte
-	Answer *pir.Answer
+	// Image is the Count × Width packed gamma bytes, big-endian: the
+	// pir.Answer.Image the server wrote.
+	Image []byte
 }
 
 // viewPacked parses what follows the 0 of a packed answer — the one
@@ -196,27 +188,12 @@ func viewPacked(body []byte) (PIRAnswerView, error) {
 	}
 	body = body[used:]
 	count, used, err := vbyte.Decode(body)
-	if err != nil || count == 0 || count > 8*docstore.MaxBlockSize {
+	if err != nil || count == 0 || count > maxPackedGammas {
 		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR gamma count: %w", orRange(err))
 	}
 	body = body[used:]
 	if count*width != uint64(len(body)) {
 		return PIRAnswerView{}, fmt.Errorf("wire: packed PIR answer of %d %d-byte gammas carries %d bytes", count, width, len(body))
 	}
-	return PIRAnswerView{Count: int(count), Width: int(width), Gammas: body}, nil
-}
-
-// decodePacked copies a packed view's gammas out of the frame into ONE
-// big.Int slab over ONE word slab, as decodeBigs' do.
-func decodePacked(v PIRAnswerView) *pir.Answer {
-	size, words := v.Width, (v.Width+wordBytes-1)/wordBytes
-	a := &pir.Answer{Gammas: make([]*big.Int, v.Count)}
-	ints := make([]big.Int, v.Count)
-	slab := make([]big.Word, v.Count*words)
-	for i := range ints {
-		// Capacity stops at the gamma's own words, as in decodeBigs.
-		dst := slab[i*words : (i+1)*words : (i+1)*words]
-		a.Gammas[i] = ints[i].SetBits(magnitudeWords(dst, v.Gammas[i*size:(i+1)*size]))
-	}
-	return a
+	return PIRAnswerView{Count: int(count), Width: int(width), Image: body}, nil
 }

@@ -2,15 +2,18 @@ package wire
 
 import (
 	"bytes"
+	"context"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"math/big"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
 	"testing"
 
+	"embellish/internal/detrand"
 	"embellish/internal/docstore"
 	"embellish/internal/pir"
 	"embellish/internal/vbyte"
@@ -96,12 +99,12 @@ func TestPIRHelloGolden(t *testing.T) {
 	}
 
 	want = goldenFrame(t, "pir_batch_answer_packed.hex")
-	ans := &pir.Answer{Gammas: []*big.Int{b(5), b(999), b(256)}}
+	ans := imageOf(b(1000), b(5), b(999), b(256))
 	if got := written(t, func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 1, ans, b(1000)) }); !bytes.Equal(got, want) {
 		t.Fatalf("packed answer written as %x, golden %x", got, want)
 	}
 	idx, got, err := DecodePIRBatchAnswer(frameBody(t, want, TypePIRBatchResponse))
-	if err != nil || idx != 1 || fmt.Sprint(got.Gammas) != fmt.Sprint(ans.Gammas) {
+	if err != nil || idx != 1 || got.Width != ans.Width || !bytes.Equal(got.Image, ans.Image) {
 		t.Fatalf("golden packed answer decodes to index %d, %v, %v", idx, got, err)
 	}
 }
@@ -168,6 +171,16 @@ func TestPIRHelloDecodersRefuse(t *testing.T) {
 	}
 }
 
+// imageOf packs gammas into an answer at the byte length of modulus n.
+func imageOf(n *big.Int, gammas ...*big.Int) *pir.Answer {
+	width := (n.BitLen() + 7) / 8
+	a := &pir.Answer{Width: width, Image: make([]byte, len(gammas)*width)}
+	for i, g := range gammas {
+		g.FillBytes(a.Image[i*width : (i+1)*width])
+	}
+	return a
+}
+
 // packedAnswer writes a as answer index of a batch, packed under modulus
 // n, and returns the body after the type byte.
 func packedAnswer(t *testing.T, index int, a *pir.Answer, n *big.Int) []byte {
@@ -178,13 +191,14 @@ func packedAnswer(t *testing.T, index int, a *pir.Answer, n *big.Int) []byte {
 // TestPIRPackedAnswerRoundTrip: at moduli of one, seven, eight, nine,
 // sixteen and 128 bytes, gammas from 1 to N-1 travel at exactly the
 // modulus's width — head plus count × width, no byte more — and decode to
-// themselves.
+// the image they were written from.
 func TestPIRPackedAnswerRoundTrip(t *testing.T) {
 	for _, bits := range []int{7, 56, 64, 65, 128, 1024} {
 		n := new(big.Int).Sub(new(big.Int).Lsh(b(1), uint(bits)), b(3))
 		width := (bits + 7) / 8
 		gammas := []*big.Int{b(1), b(2), new(big.Int).Sub(n, b(1)), new(big.Int).Rsh(n, 1), b(100)}
-		body := packedAnswer(t, 7, &pir.Answer{Gammas: gammas}, n)
+		ans := imageOf(n, gammas...)
+		body := packedAnswer(t, 7, ans, n)
 		head := vbyte.Len(7) + vbyte.Len(0) + vbyte.Len(uint64(width)) + vbyte.Len(uint64(len(gammas)))
 		if len(body) != head+len(gammas)*width {
 			t.Fatalf("%d-bit modulus: a %d-byte body, want %d + %d × %d", bits, len(body), head, len(gammas), width)
@@ -193,30 +207,97 @@ func TestPIRPackedAnswerRoundTrip(t *testing.T) {
 		if err != nil || idx != 7 {
 			t.Fatalf("%d-bit modulus: batch answer index %d, %v", bits, idx, err)
 		}
-		for i, g := range gammas {
-			if got.Gammas[i].Cmp(g) != 0 {
-				t.Fatalf("%d-bit modulus: gamma %d is %v, want %v", bits, i, got.Gammas[i], g)
-			}
+		if got.Width != width || !bytes.Equal(got.Image, ans.Image) {
+			t.Fatalf("%d-bit modulus: decoded %d-byte gammas %x, want %x", bits, got.Width, got.Image, ans.Image)
 		}
 	}
 }
 
-// TestPIRPackedAnswerRefusals: the writer refuses a gamma wider than the
-// modulus and a modulus past the ceiling; the decoder refuses a width of 0
-// or past maxPIRModulusBytes, a count of 0 or past the answer cap, and a
-// count × width that is not exactly the rest of the body — a forged count
-// before it allocates — and an answer without the packed form's 0, the
-// retired length-prefixed form.
+// TestServedAnswerIsTheOraclesImage: the type-13 body a server writes for
+// an executor's answer carries the sequential oracle's image byte for
+// byte, at a one-word (64-bit) and a two-word (96-bit) modulus, gammas
+// whose top byte is zero among them.
+func TestServedAnswerIsTheOraclesImage(t *testing.T) {
+	const nCols, colBytes = 23, 256
+	rng := rand.New(rand.NewSource(71))
+	cols := make([][]byte, nCols)
+	for j := range cols {
+		cols[j] = make([]byte, colBytes)
+		rng.Read(cols[j])
+	}
+	for _, bits := range []int{64, 96} {
+		key, err := pir.GenerateKey(detrand.New("served-image"), bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := key.NewQuery(detrand.New("served-image-q"), nCols, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := pir.ProcessColumnsCtx(context.Background(), cols, colBytes, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers, _, err := pir.ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, []*pir.Query{q}, pir.Exec{Workers: 2, Patterns: new(pir.Transposition)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := ViewPIRBatchAnswer(packedAnswer(t, 0, answers[0], key.N))
+		if err != nil || v.Width != (bits+7)/8 || !bytes.Equal(v.Image, want.Image) {
+			t.Fatalf("%d-bit modulus: the served %d-byte gammas are not the oracle's image (%v)", bits, v.Width, err)
+		}
+		zeroTop := 0
+		for at := 0; at < len(v.Image); at += v.Width {
+			if v.Image[at] == 0 {
+				zeroTop++
+			}
+		}
+		if zeroTop == 0 {
+			t.Fatalf("%d-bit modulus: no gamma with a zero top byte among %d", bits, v.Count)
+		}
+	}
+}
+
+// TestPIRPackedWriterRefusals: the writer frames an image only in the
+// shape the viewer accepts — the modulus's byte length, a whole number of
+// gammas, at least one and at most the single-answer cap, under a modulus
+// inside the ceiling — and refuses anything else with nothing written;
+// what it writes views back to the image it was handed, byte for byte.
+func TestPIRPackedWriterRefusals(t *testing.T) {
+	byte1, byte2 := b(255), b(1000) // moduli of one and two bytes
+	for _, c := range []struct {
+		name string
+		a    *pir.Answer
+		n    *big.Int
+	}{
+		{"a nil answer", nil, byte1},
+		{"a width past the modulus's", &pir.Answer{Width: 2, Image: make([]byte, 8)}, byte1},
+		{"a width short of the modulus's", &pir.Answer{Width: 1, Image: make([]byte, 8)}, byte2},
+		{"width 0", &pir.Answer{Image: make([]byte, 8)}, byte1},
+		{"half a gamma", &pir.Answer{Width: 2, Image: make([]byte, 5)}, byte2},
+		{"an empty image", &pir.Answer{Width: 1}, byte1},
+		{"a count past the cap", &pir.Answer{Width: 1, Image: make([]byte, maxPackedGammas+1)}, byte1},
+		{"a modulus past the ceiling", imageOf(b(1), b(1)), new(big.Int).Lsh(b(1), 8*maxPIRModulusBytes)},
+	} {
+		var buf bytes.Buffer
+		if err := WritePIRBatchAnswerPacked(&buf, 0, c.a, c.n); err == nil || buf.Len() != 0 {
+			t.Errorf("%s: error %v, %d bytes written", c.name, err, buf.Len())
+		}
+	}
+	for _, a := range []*pir.Answer{imageOf(byte1, b(0), b(254), b(7)), {Width: 1, Image: make([]byte, maxPackedGammas)}} {
+		v, err := ViewPIRBatchAnswer(packedAnswer(t, 3, a, byte1))
+		if err != nil || v.Index != 3 || v.Width != a.Width || v.Count != a.Count() || !bytes.Equal(v.Image, a.Image) {
+			t.Fatalf("a %d-gamma image views back as index %d, %d gammas of %d bytes (%v)", a.Count(), v.Index, v.Count, v.Width, err)
+		}
+	}
+}
+
+// TestPIRPackedAnswerRefusals: the decoder refuses a width of 0 or past
+// maxPIRModulusBytes, a count of 0 or past the answer cap, and a count ×
+// width that is not exactly the rest of the body — a forged count before
+// it allocates — and an answer without the packed form's 0, the retired
+// length-prefixed form.
 func TestPIRPackedAnswerRefusals(t *testing.T) {
-	if _, err := appendPacked(nil, &pir.Answer{Gammas: []*big.Int{b(256)}}, b(255)); err == nil {
-		t.Error("a gamma wider than the modulus written")
-	}
-	if _, err := appendPacked(nil, &pir.Answer{Gammas: []*big.Int{b(1)}}, new(big.Int).Lsh(b(1), 8*maxPIRModulusBytes)); err == nil {
-		t.Error("a modulus past the ceiling written")
-	}
-	if _, err := appendPacked(nil, &pir.Answer{}, b(255)); err == nil {
-		t.Error("an empty answer written")
-	}
 	packed := func(width, count uint64, gammas int) []byte {
 		body := vbyte.Append(vbyte.Append(vbyte.Append(vbyte.Append(nil, 0), 0), width), count)
 		return append(body, make([]byte, gammas)...)
@@ -250,18 +331,20 @@ func TestPIRPackedAnswerRefusals(t *testing.T) {
 	}
 }
 
-// TestPackedGammasDoNotShareCapacity: the gammas of a packed answer lie
-// side by side in one word slab, so growing one in place must not reach
-// the next.
+// TestPackedGammasDoNotShareCapacity: the gammas of a decoded answer lie
+// in memory of their own, so overwriting the frame they were read from —
+// what the next read into a reused buffer does — changes none of them.
 func TestPackedGammasDoNotShareCapacity(t *testing.T) {
 	n := new(big.Int).Lsh(b(1), 100)
-	_, got, err := DecodePIRBatchAnswer(packedAnswer(t, 0, &pir.Answer{Gammas: []*big.Int{b(7), b(9)}}, n))
+	want := imageOf(n, b(7), b(9))
+	body := packedAnswer(t, 0, want, n)
+	_, got, err := DecodePIRBatchAnswer(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got.Gammas[0].Lsh(got.Gammas[0], 300)
-	if got.Gammas[1].Cmp(b(9)) != 0 {
-		t.Fatalf("a neighbour's arithmetic changed gamma 1 to %v", got.Gammas[1])
+	clear(body)
+	if !bytes.Equal(got.Image, want.Image) {
+		t.Fatalf("clearing the frame changed the decoded gammas to %x", got.Image)
 	}
 }
 

@@ -198,16 +198,16 @@ func recursiveAnswer(tb testing.TB) (*pir.Answer, *big.Int) {
 		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	ans := &pir.Answer{Gammas: make([]*big.Int, 65536)}
-	for i := range ans.Gammas {
-		ans.Gammas[i] = new(big.Int).Rand(rng, key.N)
+	gammas := make([]*big.Int, 65536)
+	for i := range gammas {
+		gammas[i] = new(big.Int).Rand(rng, key.N)
 	}
-	return ans, key.N
+	return imageOf(key.N, gammas...), key.N
 }
 
 // TestPIRAnswerCodecAllocations: a 65,536-ciphertext answer encodes and
-// decodes in a handful of allocations — slabs, not one or two per
-// ciphertext.
+// decodes in a handful of allocations — the frame and the image, not one
+// or two per ciphertext.
 func TestPIRAnswerCodecAllocations(t *testing.T) {
 	ans, n := recursiveAnswer(t)
 	write := func(w io.Writer) error { return WritePIRBatchAnswerPacked(w, 3, ans, n) }
@@ -234,13 +234,8 @@ func TestPIRAnswerCodecAllocations(t *testing.T) {
 		t.Errorf("decoding the answer allocates %v times, want <= 8", n)
 	}
 	idx, got, err := DecodePIRBatchAnswer(body)
-	if err != nil || idx != 3 || len(got.Gammas) != len(ans.Gammas) {
-		t.Fatalf("round trip: index %d, %d gammas, err %v", idx, len(got.Gammas), err)
-	}
-	for i := range ans.Gammas {
-		if got.Gammas[i].Cmp(ans.Gammas[i]) != 0 {
-			t.Fatalf("gamma %d differs after the round trip", i)
-		}
+	if err != nil || idx != 3 || got.Width != ans.Width || !bytes.Equal(got.Image, ans.Image) {
+		t.Fatalf("round trip: index %d, %d gammas, err %v", idx, got.Count(), err)
 	}
 }
 

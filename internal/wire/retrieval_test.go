@@ -146,23 +146,19 @@ func TestPIRQueryRejectsHostileInputs(t *testing.T) {
 }
 
 // TestPIRAnswerRoundTrip: an answer travels packed and decodes to its
-// gammas; a truncated one is refused.
+// image; a truncated one is refused.
 func TestPIRAnswerRoundTrip(t *testing.T) {
-	want := &pir.Answer{Gammas: []*big.Int{big.NewInt(17), big.NewInt(1), big.NewInt(123456789)}}
+	n := big.NewInt(1 << 40)
+	want := imageOf(n, big.NewInt(17), big.NewInt(1), big.NewInt(123456789))
 	body := roundTripFrame(t, func(w *bytes.Buffer) error {
-		return WritePIRBatchAnswerPacked(w, 0, want, big.NewInt(1<<40))
+		return WritePIRBatchAnswerPacked(w, 0, want, n)
 	}, TypePIRBatchResponse)
 	_, got, err := DecodePIRBatchAnswer(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Gammas) != len(want.Gammas) {
-		t.Fatalf("%d gammas, want %d", len(got.Gammas), len(want.Gammas))
-	}
-	for i := range want.Gammas {
-		if got.Gammas[i].Cmp(want.Gammas[i]) != 0 {
-			t.Fatalf("gamma %d differs", i)
-		}
+	if got.Width != want.Width || !bytes.Equal(got.Image, want.Image) {
+		t.Fatalf("decoded %d gammas %x, want %x", got.Count(), got.Image, want.Image)
 	}
 	if _, _, err := DecodePIRBatchAnswer(body[:len(body)-1]); err == nil {
 		t.Fatal("truncated answer accepted")

@@ -244,15 +244,15 @@ func frameSizes(costs []queryCost, most, maxValues int) []int {
 // exchange sends a fetch's queries in frames of the given sizes, one
 // frame at a time on conn: it checks ctx, builds the frame's queries
 // (query(i) is the fetch's i-th), writes them, then reads exactly that
-// frame's answers, in order, each read with view, checked by index and
-// delivered. A refused frame (one TypeError) ends the fetch. After a
+// frame's answers, in order, each viewed where it lies
+// (wire.ViewPIRBatchAnswer), checked by index and delivered. A refused frame (one TypeError) ends the fetch. After a
 // delivery error, such as a checksum failure, the rest of the frame's
 // answers are read and discarded, so the connection stays at a frame
 // boundary; a transport or protocol failure leaves the stream undefined,
 // and the caller must close the connection. Every answer frame is read
 // into one buffer: deliver decodes a view before it returns, so the next
 // read may overwrite it.
-func exchange[Q any](ctx context.Context, conn io.ReadWriter, sizes []int, query func(int) (Q, error), write func(io.Writer, []Q) error, view func([]byte) (wire.PIRAnswerView, error), deliver func(wire.PIRAnswerView) error) error {
+func exchange[Q any](ctx context.Context, conn io.ReadWriter, sizes []int, query func(int) (Q, error), write func(io.Writer, []Q) error, deliver func(wire.PIRAnswerView) error) error {
 	var (
 		batch []Q
 		frame []byte
@@ -285,7 +285,7 @@ func exchange[Q any](ctx context.Context, conn io.ReadWriter, sizes []int, query
 			default:
 				return fmt.Errorf("embellish: unexpected message type %d", typ)
 			}
-			ans, err := view(body)
+			ans, err := wire.ViewPIRBatchAnswer(body)
 			if err != nil {
 				return err
 			}
@@ -303,16 +303,6 @@ func exchange[Q any](ctx context.Context, conn io.ReadWriter, sizes []int, query
 		}
 	}
 	return nil
-}
-
-// viewRecursive reads a recursive answer: level 2 decodes big.Int
-// ciphertexts, so its gammas are copied out of the frame.
-func viewRecursive(body []byte) (wire.PIRAnswerView, error) {
-	i, a, err := wire.DecodePIRBatchAnswer(body)
-	if err != nil {
-		return wire.PIRAnswerView{}, err
-	}
-	return wire.PIRAnswerView{Index: i, Count: len(a.Gammas), Answer: a}, nil
 }
 
 // FetchStats describes the cost of one FetchDocuments call, feeding
@@ -558,13 +548,13 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 		col := out[tk.pos][at : at+colBytes]
 		switch {
 		case recursive:
-			bits, derr := key.DecodeRecursive(ans.Answer, params.BlockSize)
+			bits, derr := key.DecodeRecursive(&pir.Answer{Width: ans.Width, Image: ans.Image}, params.BlockSize)
 			if derr != nil {
 				return fmt.Errorf("embellish: decoding recursive PIR answer: %w", derr)
 			}
 			copy(col, pir.ColumnBytes(bits))
 		default:
-			if derr := key.DecodeImage(ans.Gammas, ans.Width, col); derr != nil {
+			if derr := key.DecodeImage(ans.Image, ans.Width, col); derr != nil {
 				return fmt.Errorf("embellish: decoding PIR answer: %w", derr)
 			}
 		}
@@ -585,9 +575,9 @@ func (c *Client) fetchVia(ctx context.Context, t remotePIR, ids []int) ([][]byte
 		return nil
 	}
 	if recursive {
-		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRRecursiveBatch, 0), recursiveQuery, wire.WritePIRRecursiveQuery, viewRecursive, deliver)
+		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRRecursiveBatch, 0), recursiveQuery, wire.WritePIRRecursiveQuery, deliver)
 	} else {
-		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRBatch, wire.MaxSeededValues(modBytes)), flatQuery, wire.WritePIRBatchQuery, wire.ViewPIRBatchAnswer, deliver)
+		err = exchange(ctx, t.conn, frameSizes(costs, wire.MaxPIRBatch, wire.MaxSeededValues(modBytes)), flatQuery, wire.WritePIRBatchQuery, deliver)
 	}
 	if err != nil {
 		// Transport and serving errors get the first undelivered position

@@ -170,7 +170,8 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	srvConn, cliConn := net.Pipe()
 	defer cliConn.Close()
 	frames := make(chan int, 6) // one entry count per frame
-	go func() {                 // counts the frames and answers every entry
+	one := big.NewInt(1).FillBytes(make([]byte, (key.N.BitLen()+7)/8))
+	go func() { // counts the frames and answers every entry
 		defer srvConn.Close()
 		defer close(frames)
 		for {
@@ -182,7 +183,7 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 			count, _, _ := vbyte.Decode(body[used+int(size)+1:])
 			frames <- int(count)
 			for i := 0; i < int(count); i++ {
-				if wire.WritePIRBatchAnswerPacked(srvConn, i, &pir.Answer{Gammas: []*big.Int{big.NewInt(1)}}, key.N) != nil {
+				if wire.WritePIRBatchAnswerPacked(srvConn, i, &pir.Answer{Width: len(one), Image: one}, key.N) != nil {
 					return
 				}
 			}
@@ -190,7 +191,7 @@ func TestSeededFetchOfSixBlocksAt600kColumnsIsOneFrame(t *testing.T) {
 	}()
 	answers := 0
 	err = exchange(context.Background(), cliConn, sizes, func(i int) (*pir.Query, error) { return qs[i], nil },
-		wire.WritePIRBatchQuery, wire.ViewPIRBatchAnswer, func(wire.PIRAnswerView) error {
+		wire.WritePIRBatchQuery, func(wire.PIRAnswerView) error {
 			answers++
 			return nil
 		})

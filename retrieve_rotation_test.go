@@ -469,10 +469,8 @@ func TestBatchFrameRotationsAnsweredLikeFullVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for g, want := range oracle.Gammas {
-			if fromCompact[i].Gammas[g].Cmp(want) != 0 || fromFull[i].Gammas[g].Cmp(want) != 0 {
-				t.Fatalf("entry %d gamma %d: compact frame, full frame and oracle disagree", i, g)
-			}
+		if !bytes.Equal(fromCompact[i].Image, oracle.Image) || !bytes.Equal(fromFull[i].Image, oracle.Image) {
+			t.Fatalf("entry %d: compact frame, full frame and oracle disagree", i)
 		}
 	}
 }
@@ -629,7 +627,7 @@ func TestHostileViewFramesRefusedInPlace(t *testing.T) {
 		if err != nil || typ != wire.TypePIRBatchResponse {
 			t.Fatalf("%s: the next frame answered type %d %q, %v", tc.name, typ, body, err)
 		}
-		if _, ans, err := wire.DecodePIRBatchAnswer(body); err != nil || len(ans.Gammas) != 8*h*classBlockSize {
+		if _, ans, err := wire.DecodePIRBatchAnswer(body); err != nil || ans.Count() != 8*h*classBlockSize {
 			t.Fatalf("%s: the next frame's answer: %v", tc.name, err)
 		}
 	}
@@ -687,13 +685,8 @@ func TestFrameOfTwoViewsServedPerView(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ans.Gammas) != len(oracle.Gammas) {
-			t.Fatalf("answer %d: %d rows, want %d", i, len(ans.Gammas), len(oracle.Gammas))
-		}
-		for g, want := range oracle.Gammas {
-			if ans.Gammas[g].Cmp(want) != 0 {
-				t.Fatalf("answer %d gamma %d differs from the oracle over view %d", i, g, q.Height)
-			}
+		if !bytes.Equal(ans.Image, oracle.Image) {
+			t.Fatalf("answer %d: %d rows differ from the oracle's %d over view %d", i, ans.Count(), oracle.Count(), q.Height)
 		}
 	}
 }

@@ -242,6 +242,13 @@ var rules = []rule{
 	// (formTable): no byte-keyed map of canonical residues, and no
 	// conversion out of the form to look a value up.
 	retired("a log table keyed on the form", decl|tests, "internal/benaloh", `^(logTable|Decryptor\.key)$`),
+	// An answer is its packed image: a PIR answer is its gammas at the
+	// modulus's width, back to back, from the executor's export to the
+	// client's decode — no big.Int per gamma, no second decode path over
+	// big.Ints, and no level-1 matrix of big.Ints in the recursive
+	// reference; a view of a frame holds the image and nothing else.
+	retired("an answer is its packed image", ident|tests, "", `^(answerGammas|gammaSource|decodePacked|wordGammas|matrixImage|imageCell)$`),
+	retired("an answer is its packed image", decl|tests, "", `^(Answer\.Gammas|PIRAnswerView\.Answer)$`),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
@@ -562,7 +569,8 @@ func typeName(typ ast.Expr) string {
 }
 
 // declarations lists the file's top-level names: types as "T",
-// functions as "f" and methods as both "T.m" and "m".
+// functions as "f", methods as both "T.m" and "m", and the fields of a
+// struct type as "T.f" (an embedded one by its type's name).
 func declarations(f *ast.File) []string {
 	var out []string
 	for _, decl := range f.Decls {
@@ -574,8 +582,22 @@ func declarations(f *ast.File) []string {
 			out = append(out, d.Name.Name)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
-				if ts, ok := spec.(*ast.TypeSpec); ok {
-					out = append(out, ts.Name.Name)
+				ts, ok := spec.(*ast.TypeSpec)
+				if !ok {
+					continue
+				}
+				out = append(out, ts.Name.Name)
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					continue
+				}
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						out = append(out, ts.Name.Name+"."+name.Name)
+					}
+					if len(fl.Names) == 0 {
+						out = append(out, ts.Name.Name+"."+typeName(fl.Type))
+					}
 				}
 			}
 		}
