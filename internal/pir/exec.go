@@ -20,11 +20,13 @@ import (
 // with constant-factor reductions that exploit the algebra, not the
 // security assumptions:
 //
-//   - windowed subset products: columns are grouped w at a time and the
-//     2^w possible products of each group (query value at 1-bits,
-//     squared value at 0-bits) are precomputed per query. Every row then
-//     multiplies one table entry per group — ~cols/w multiplications
-//     per row instead of cols;
+//   - complement tables: a row's gamma Π_j (bit j set ? v_j : v_j²) is
+//     C · Π_{j: bit j clear} v_j with C = Π_j v_j. Columns are grouped w
+//     at a time and the 2^w products of each group's values at the clear
+//     bits of a pattern are precomputed per query, one multiplication an
+//     entry. Every row then multiplies one table entry per group —
+//     ~cols/w multiplications per row instead of cols — and C once, on
+//     its way out of the form;
 //   - shared transposition: a column group's bytes are bit-transposed
 //     into one pattern per row (groupPatterns16, table-driven, 2 bytes
 //     per row) that feeds all k row scans from cache. The patterns do
@@ -34,19 +36,24 @@ import (
 //   - the Montgomery REDC kernel (montgomery.go): query values and
 //     tables are converted into Montgomery form once per batch, the row
 //     loops multiply word slices with no per-operation quotient or
-//     allocation, and the k·rows gammas convert back out at the end,
-//     straight into each answer's packed image (montKernel.export);
+//     allocation, and the k·rows gammas leave the form in their product
+//     with C, straight into each answer's packed image
+//     (montKernel.export);
 //   - column partitioning: groups are split across a worker pool, each
 //     worker computing per-row partial products over its own column
-//     range, recombined with workers-1 multiplications per row.
+//     range and the product of its values; after the scan each worker
+//     recombines its own share of the rows (workers-1 multiplications
+//     per row) and exports it.
 //
 // Every transformation only reassociates the per-row product
 // Π_j v_ij mod n; multiplication modulo n is commutative and
 // associative, every operand is a canonical residue, and the Montgomery
-// form is an exact bijection entered and left by exact multiplications,
-// so the answers are byte-for-byte the oracle's. The privacy argument is
+// form is an exact bijection entered and left by exact multiplications.
+// No inverse is taken, so zero and non-unit operands stay exact, and
+// the answers are byte-for-byte the oracle's. The privacy argument is
 // untouched: the server still evaluates the same function of the same
-// uninterpretable query values. A client-chosen modulus the REDC
+// uninterpretable query values, and its work is a function of the
+// shape alone. A client-chosen modulus the REDC
 // kernel rejects (even, tiny, or beyond the wire width ceiling) is
 // refused before any of it.
 
@@ -143,10 +150,10 @@ func (s *patternSlab) group(start int) []uint16 {
 	return s.pats[g*s.rows : (g+1)*s.rows : (g+1)*s.rows]
 }
 
-// MaxBatchWindow caps the window width: tables hold 2^w entries per
-// group per query. The per-query optimum (rows + 2^(w+1))/w sits at
-// w = 9..10 for block-sized stores (rows = 8192).
-const MaxBatchWindow = 10
+// MaxBatchWindow caps the window width: a table holds 2^w entries. The
+// per-query optimum (rows + 2^w)/w is 10 at block-sized stores
+// (rows = 8192) and reaches the cap at 24,576 rows, a 3 KiB view.
+const MaxBatchWindow = 12
 
 // MaxMulti caps the batch width one scan accepts, mirroring the wire
 // protocol's batch-frame cap.
@@ -179,33 +186,22 @@ func validateColumns(cols [][]byte, colBytes int, q *Query) error {
 	return nil
 }
 
-// autoWindowMulti picks the window width for a k-query batch. The
-// per-column, per-query cost is rows/w row multiplications plus
-// 2^(w+1)/w table build, and the build term is charged at 1/k so batches
-// push the optimum wider. Nothing a batch shares earns that discount —
-// the model leaves the transposition out (~40% of one worker's CPU in a
-// cold two-query scan of a 762-column, 3 KiB view, and none of a warm
-// one's) and every query builds its own table — but MaxBatchWindow makes
-// it harmless: at 8,192 rows the model picks 9 for a batch of one and the
-// cap of 10 from k = 2 up, and undiscounted the two cost the same 1,024
-// multiplications per column. Changing it moves every served window and
-// multiplication count, so it waits for a measured re-fit. Also bounded
-// by a ceiling on the k simultaneously-live group tables.
-func autoWindowMulti(rows, cols, modBytes, k int) int {
+// autoWindowMulti picks the window width from the column height. Per
+// column and query a scan at window w folds rows/w products and builds
+// (2^w − 2)/w table entries, so it minimises (rows + 2^w)/w: 8 at 1,024
+// rows, 10 at 8,192 and the cap at 24,576. Nothing in a batch is
+// discounted — every query builds its own table — and the transposition
+// the queries share is no product, so the batch width and the worker
+// count do not enter (TestAutoWindowMinimizesCountedProducts holds the
+// choice to the counted Stats.ModMuls). Memory bounds nothing: each
+// worker holds one table, which every query reuses, and at the cap it
+// is at most 4 MiB (2^12 entries of mont.MaxWords words).
+func autoWindowMulti(rows int) int {
 	best, bestCost := 1, int(^uint(0)>>1)
 	for w := 1; w <= MaxBatchWindow; w++ {
-		cost := (rows + (2<<w)/k) / w
-		if cost < bestCost {
+		if cost := (rows + 1<<w) / w; cost < bestCost {
 			best, bestCost = w, cost
 		}
-	}
-	// One group's tables for all k queries are live at a time; keep
-	// them comfortably in memory even for wide moduli.
-	for best > 1 {
-		if int64(k)<<best*int64(modBytes+32) <= 256<<20 {
-			break
-		}
-		best--
 	}
 	return best
 }
@@ -315,12 +311,11 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 	k, rows := len(qs), colBytes*8
 	poll := newScanPoll(ctx)
 	answers := make([]*Answer, k)
-	stats := make([]Stats, k)
 	if len(cols) == 0 {
 		// Width zero: every gamma is the empty product and no
 		// multiplication runs.
 		if poll.stopped() {
-			return nil, stats, poll.err()
+			return nil, make([]Stats, k), poll.err()
 		}
 		for i := range answers {
 			a := newAnswer(n, rows)
@@ -329,7 +324,7 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 			}
 			answers[i] = a
 		}
-		return answers, stats, nil
+		return answers, make([]Stats, k), nil
 	}
 	vals := make([][]*big.Int, k)
 	for i, q := range qs {
@@ -338,7 +333,7 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 
 	window := ex.Window
 	if window <= 0 {
-		window = autoWindowMulti(rows, len(cols), (n.BitLen()+7)/8, k)
+		window = autoWindowMulti(rows)
 	}
 	window = min(window, MaxBatchWindow, len(cols))
 	groups := (len(cols) + window - 1) / window
@@ -365,47 +360,67 @@ func ProcessColumnsMultiExecCtx(ctx context.Context, cols [][]byte, colBytes int
 	// A cancelled worker leaves its multiplication counts but no usable
 	// partials, so sum the work first and report the first worker's own
 	// error if any stopped.
-	var cancelErr error
-	for w := range parts {
-		for i := range stats {
-			stats[i].ModMuls += parts[w].muls[i]
-			stats[i].TableMuls += parts[w].tableMuls[i]
-		}
-		if parts[w].err != nil && cancelErr == nil {
-			cancelErr = parts[w].err
-		}
-	}
-	if cancelErr != nil {
-		return nil, stats, cancelErr
+	if stats, err := tally(parts, k); err != nil {
+		return nil, stats, err
 	}
 
-	// Recombine the per-partition partials row-wise (workers-1
-	// multiplications per row per query, still in kernel form) and
-	// export the gammas into the answers' images, under the same
-	// cancellation contract as the scan.
-	kern := parts[0].kern
-	_, exportMuls := kern.costs()
-	for i := range answers {
-		ans := newAnswer(n, rows)
-		for r0 := 0; r0 < rows; r0 += cancelCheckRows {
-			if poll.stopped() {
-				return nil, stats, poll.err()
-			}
-			r1 := min(r0+cancelCheckRows, rows)
-			for _, p := range parts[1:] {
-				kern.merge(p.kern, i, r0, r1)
-				stats[i].ModMuls += r1 - r0
-			}
-			kern.export(i, r0, ans.Image[r0*ans.Width:r1*ans.Width], ans.Width)
-			stats[i].ModMuls += exportMuls * (r1 - r0)
-			stats[i].TableMuls += exportMuls * (r1 - r0)
+	// C per query, from the workers' range products: workers-1
+	// multiplications together and one out of the form, so with the
+	// loads' 2·width − workers every query pays 2·width for its values
+	// at any worker count.
+	kw := mont.Words()
+	scale := make([]big.Word, k*kw)
+	for i := range k {
+		c := scale[i*kw : (i+1)*kw]
+		copy(c, parts[0].kern.prod[i*kw:(i+1)*kw])
+		for _, p := range parts[1:] {
+			mont.Mul(c, c, p.kern.prod[i*kw:(i+1)*kw])
 		}
-		answers[i] = ans
+		mont.Mul(c, c, mont.one)
+	}
+
+	// Every worker recombines and exports its own share of the rows of
+	// every answer, under the same cancellation contract as the scan.
+	for i := range answers {
+		answers[i] = newAnswer(n, rows)
+	}
+	for w := range parts {
+		wg.Add(1)
+		go func(p *scanPart) {
+			defer wg.Done()
+			p.finish(poll, parts, answers, scale, w*rows/workers, (w+1)*rows/workers)
+		}(&parts[w])
+	}
+	wg.Wait()
+	stats, err := tally(parts, k)
+	for i := range stats {
+		stats[i].ModMuls += workers
+		stats[i].TableMuls += workers
+	}
+	if err != nil {
+		return nil, stats, err
 	}
 	if fill != nil {
 		ex.Patterns.publish(fill)
 	}
 	return answers, stats, nil
+}
+
+// tally sums the workers' per-query multiplication counts and returns
+// the first error a worker stopped on.
+func tally(parts []scanPart, k int) ([]Stats, error) {
+	stats := make([]Stats, k)
+	var err error
+	for _, p := range parts {
+		for i := range stats {
+			stats[i].ModMuls += p.muls[i]
+			stats[i].TableMuls += p.tableMuls[i]
+		}
+		if err == nil {
+			err = p.err
+		}
+	}
+	return stats, err
 }
 
 // processOne runs the flat executor on a batch of one, for the
@@ -439,7 +454,7 @@ type scanPart struct {
 // scan is the group-major one-pass scan over columns [lo, hi), the one
 // skeleton the kernel runs under. Per group: take the group's row
 // patterns (the per-byte work the batch shares), then for each query
-// build its 2^g subset-product table and fold table[pats[r]] into its
+// build its 2^g complement table and fold table[pats[r]] into its
 // row accumulators. The patterns come from read when it holds the group,
 // are transposed into fill's slot when this scan fills a cache, and are
 // transposed into a per-worker buffer otherwise. The multiplication
@@ -451,7 +466,6 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 		p.muls[i] += muls
 		p.tableMuls[i] += muls
 	}
-	loadMuls, _ := p.kern.costs()
 	for i, v := range vals {
 		for j0 := lo; j0 < hi; j0 += cancelCheckRows {
 			if poll.stopped() {
@@ -460,7 +474,13 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 			}
 			j1 := min(j0+cancelCheckRows, hi)
 			p.kern.load(i, j0-lo, v[j0:j1])
-			setup(i, loadMuls*(j1-j0))
+			// Into the form, and into the range product past its first
+			// value.
+			muls := 2 * (j1 - j0)
+			if j0 == lo {
+				muls--
+			}
+			setup(i, muls)
 		}
 	}
 	var buf []uint16
@@ -488,10 +508,10 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 		// (the oracle's 1·v first step): no multiplication, no poll.
 		first := start == lo
 		for i := 0; i < k; i++ {
-			// Doubling adds one column per pass: 2·(2^g − 2)
+			// Doubling adds one column per pass: 2^g − 2
 			// multiplications for a g-column group.
 			p.kern.build(i, start-lo, end-lo)
-			setup(i, 2*(1<<(end-start)-2))
+			setup(i, 1<<(end-start)-2)
 			for r0 := 0; r0 < rows; r0 += cancelCheckRows {
 				if !first && poll.stopped() {
 					p.err = poll.err()
@@ -503,6 +523,33 @@ func (p *scanPart) scan(poll *scanPoll, cols [][]byte, vals [][]*big.Int, colByt
 					p.muls[i] += r1 - r0
 				}
 			}
+		}
+	}
+}
+
+// finish recombines and exports rows [r0, r1) of every answer: the
+// other workers' partials multiplied into this worker's, then each row's
+// product with its query's C out of the form into the answer's image —
+// scale holds C per query, plain, kw words each. Like the scan it polls
+// every cancelCheckRows rows and counts what it performed.
+func (p *scanPart) finish(poll *scanPoll, parts []scanPart, answers []*Answer, scale []big.Word, r0, r1 int) {
+	kw := p.kern.kw
+	for i, ans := range answers {
+		for a := r0; a < r1; a += cancelCheckRows {
+			if poll.stopped() {
+				p.err = poll.err()
+				return
+			}
+			b := min(a+cancelCheckRows, r1)
+			for w := range parts {
+				if o := &parts[w]; o != p {
+					p.kern.merge(o.kern, i, a, b)
+					p.muls[i] += b - a
+				}
+			}
+			p.kern.export(i, a, scale[i*kw:(i+1)*kw], ans.Image[a*ans.Width:b*ans.Width], ans.Width)
+			p.muls[i] += b - a
+			p.tableMuls[i] += b - a
 		}
 	}
 }

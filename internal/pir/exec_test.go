@@ -81,9 +81,9 @@ func TestExecutorValidation(t *testing.T) {
 // TestExecutorStatsPinned pins the batch accounting arithmetic: with a
 // pinned window and one worker, each query's TableMuls must be exactly
 //
-//	2·width (Montgomery conversions + squares)
-//	+ Σ_groups 2·(2^g − 2) (table build)
-//	+ rows (gamma out-conversions)
+//	2·width (Montgomery conversions + the product C of the values)
+//	+ Σ_groups (2^g − 2) (complement table build)
+//	+ rows (gamma out-conversions, each the product with C)
 //
 // and ModMuls must exceed TableMuls by exactly the scan cost
 // (groups−1)·rows — at every batch width, a batch of one included.
@@ -103,20 +103,22 @@ func TestExecutorStatsPinned(t *testing.T) {
 		if (gi+1)*window > nCols {
 			g = nCols - gi*window
 		}
-		tableBuild += 2 * ((1 << g) - 2)
+		tableBuild += (1 << g) - 2
 	}
 	wantTable := 2*nCols + tableBuild + rows
 	wantTotal := wantTable + (groups-1)*rows
 
 	for _, batch := range []int{1, 3} {
 		qs := multiBatch(t, k, "stats", nCols, batch)
-		// Two workers split the groups; each partition converts only
-		// its own columns (still 2·width total across workers) and
-		// builds the same tables. The first group of EACH partition
-		// skips its scan muls (the accumulator starts as a table
-		// entry), so two workers save rows scan muls and add rows
-		// recombine muls: same total.
-		for _, workers := range []int{1, 2} {
+		// Two or three workers split the groups. Each partition converts
+		// only its own columns and multiplies them into its own product
+		// (one product fewer than its columns); the products meet in
+		// workers-1 more and leave the form in one: still 2·width in
+		// total. Each builds the same tables. The first group of EACH
+		// partition skips its scan muls (the accumulator starts as a
+		// table entry), so each further worker saves rows scan muls and
+		// adds rows recombine muls: same total.
+		for _, workers := range []int{1, 2, 3} {
 			_, stats, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, qs, Exec{Workers: workers, Window: window})
 			if err != nil {
 				t.Fatal(err)
@@ -163,7 +165,7 @@ func TestExecutorSharesTransposition(t *testing.T) {
 	key := testKey(t)
 	// One group's multiplications for one query: its table, then a fold
 	// of every row.
-	perGroup := 2*(1<<window-2) + rows
+	perGroup := 1<<window - 2 + rows
 	for _, k := range []int{2, 4} {
 		qs := multiBatch(t, key, fmt.Sprintf("shares-%d", k), nCols, k)
 		mont, err := NewMont(qs[0].N)
@@ -203,13 +205,17 @@ func TestExecutorSharesTransposition(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// C, out of the form, completes each row on its way out.
+			kw := mont.Words()
+			c := make([]big.Word, kw)
+			mont.Mul(c, full.kern.prod[i*kw:(i+1)*kw], mont.one)
 			got := make([]byte, len(want.Image))
-			full.kern.export(i, 0, got, want.Width)
+			full.kern.export(i, 0, c, got, want.Width)
 			if !bytes.Equal(got, want.Image) {
 				t.Fatalf("batch %d query %d: image differs from the oracle's", k, i)
 			}
 		}
-		loads := 2 * nCols
+		loads := 2*nCols - 1 // into the form, and into C past the first
 		for cut := total / 3; cut <= 2*total/3; cut++ {
 			p, _ := scanTo(cut)
 			if p.err == nil {
@@ -434,29 +440,53 @@ func FuzzGroupPatterns(f *testing.F) {
 	})
 }
 
-// TestAutoWindowMultiBounds: batch-amortized windows stay in
-// [1, MaxBatchWindow], never narrow as the batch grows, and pass 8
-// columns for block-shaped stores once the batch is wide enough to pay
-// for the bigger tables.
+// TestAutoWindowMultiBounds: windows stay in [1, MaxBatchWindow], never
+// narrow as the column grows, and pass 8 columns for block-shaped
+// stores.
 func TestAutoWindowMultiBounds(t *testing.T) {
-	for _, rows := range []int{1, 64, 8192, 1 << 20} {
-		for _, cols := range []int{1, 100, 1 << 16} {
-			prev := 0
-			for _, k := range []int{1, 2, 4, 16, 64} {
-				w := autoWindowMulti(rows, cols, 8, k)
-				if w < 1 || w > MaxBatchWindow {
-					t.Fatalf("autoWindowMulti(%d, %d, 8, %d) = %d out of range", rows, cols, k, w)
-				}
-				if w < prev {
-					t.Fatalf("window narrowed with batch growth: rows=%d cols=%d k=%d: %d -> %d",
-						rows, cols, k, prev, w)
-				}
-				prev = w
+	prev := 0
+	for _, rows := range []int{1, 64, 8192, 24576, 1 << 20} {
+		w := autoWindowMulti(rows)
+		if w < 1 || w > MaxBatchWindow {
+			t.Fatalf("autoWindowMulti(%d) = %d out of range", rows, w)
+		}
+		if w < prev {
+			t.Fatalf("window narrowed as the column grew: rows=%d: %d -> %d", rows, prev, w)
+		}
+		prev = w
+	}
+	if w := autoWindowMulti(8192); w <= 8 {
+		t.Fatalf("block-shaped store picked window %d; expected beyond 8", w)
+	}
+}
+
+// TestAutoWindowMinimizesCountedProducts ties the window model to the
+// counts: at 1,024, 8,192 and 24,576 rows, over 2,520 columns (which
+// every window up to 10 divides, and 12 too), the executor pinned at
+// each window 1..MaxBatchWindow spends some number of products on a
+// query, and the automatic window's must be within 1% of the least.
+func TestAutoWindowMinimizesCountedProducts(t *testing.T) {
+	const nCols = 2520
+	q := multiBatch(t, wordTestKey(t), "auto-window", nCols, 1)
+	for _, rows := range []int{1024, 8192, 24576} {
+		cols := randomColumns(t, 9, nCols, rows/8)
+		muls := func(window int) int {
+			_, st, err := ProcessColumnsMultiExecCtx(context.Background(), cols, rows/8, q, Exec{Workers: 2, Window: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st[0].ModMuls
+		}
+		least, at := muls(1), 1
+		for w := 2; w <= MaxBatchWindow; w++ {
+			if m := muls(w); m < least {
+				least, at = m, w
 			}
 		}
-	}
-	if w := autoWindowMulti(8192, 1000, 8, 8); w <= 8 {
-		t.Fatalf("block-shaped batch picked window %d; expected beyond 8", w)
+		auto := autoWindowMulti(rows)
+		if got := muls(0); got*100 > least*101 {
+			t.Errorf("%d rows: the automatic window %d spends %d products, window %d spends %d", rows, auto, got, at, least)
+		}
 	}
 }
 

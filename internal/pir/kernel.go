@@ -12,50 +12,52 @@ func newScanKernel(mont *Mont, k, width, rows, window int) *montKernel {
 	kw := mont.Words()
 	mk := &montKernel{
 		m: mont, kw: kw, n0: uint(mont.n[0]), ninv: uint(mont.n0inv),
-		mv: make([][]big.Word, k), msq: make([][]big.Word, k), acc: make([][]big.Word, k),
+		mv: make([][]big.Word, k), prod: make([]big.Word, k*kw), acc: make([][]big.Word, k),
 		tbl: make([]big.Word, kw<<window),
 	}
 	for i := range mk.acc {
 		mk.mv[i] = make([]big.Word, width*kw)
-		mk.msq[i] = make([]big.Word, width*kw)
 		mk.acc[i] = make([]big.Word, rows*kw)
 	}
 	return mk
 }
 
 // montKernel is the multiply backend of one worker's flat scan: it owns
-// the worker's values, squares, group table and row accumulators for
-// all k queries over a column range, and the executor's skeleton
+// the worker's values, their product, group table and row accumulators
+// for all k queries over a column range, and the executor's skeleton
 // (scanPart.scan) drives it in coarse per-(group, query) steps — never
 // per product, so each step's inner loop stays monomorphic. Column
 // indices are local to the worker's range.
 //
-// The scan runs in Montgomery form. Each query's values,
-// squares and accumulators are contiguous []big.Word slabs indexed by
+// The scan runs in Montgomery form over complement tables. The oracle's
+// gamma of a row is Π_j (bit j set ? v_j : v_j²), which is C · Π over
+// the clear bits of v_j with C = Π_j v_j; so a group's table entry pat
+// multiplies the values whose bit is clear in pat, the accumulators
+// collect those, and export multiplies each row by C. Each query's
+// values and accumulators are contiguous []big.Word slabs indexed by
 // column (or row) times the modulus word width — no per-row big.Int
 // headers, no allocation inside the group loop. One-word moduli — the
-// shape every demo-sized key takes — build and fold through wordTable
-// and wordFold, where the slabs flatten to one word per value and every
+// shape every demo-sized key takes — build, fold, merge and export
+// through loops where the slabs flatten to one word per value and every
 // multiplication is the inlined montMulWordSel on register-resident
 // constants.
 type montKernel struct {
 	m        *Mont
 	kw       int
 	n0, ninv uint // the one-word modulus and its folding constant
-	mv, msq  [][]big.Word
+	mv       [][]big.Word
+	prod     []big.Word // query i's product of the range's values, in form, at i·kw
 	acc      [][]big.Word
 	tbl      []big.Word
 }
 
-// costs reports the multiplications load spends per column and export
-// spends per row, for the skeleton's accounting: two per column in
-// (ToMont, square), one per row out (the product with 1).
-func (mk *montKernel) costs() (int, int) { return 2, 1 }
-
 // load takes query i's canonical values for columns j0.. into
-// Montgomery form and squares them.
+// Montgomery form and multiplies them into the query's range product,
+// which the range's first value starts: one multiplication per value
+// in, one per value past the first into the product.
 func (mk *montKernel) load(i, j0 int, vals []*big.Int) {
 	kw := mk.kw
+	prod := mk.prod[i*kw : (i+1)*kw]
 	for j, v := range vals {
 		at := (j0 + j) * kw
 		// The plain words go straight into the value's slab slot and are
@@ -64,29 +66,34 @@ func (mk *montKernel) load(i, j0 int, vals []*big.Int) {
 		clear(x)
 		copy(x, v.Bits())
 		mk.m.Mul(x, x, mk.m.rr)
-		mk.m.Mul(mk.msq[i][at:at+kw], x, x)
+		if at == 0 {
+			copy(prod, x)
+		} else {
+			mk.m.Mul(prod, prod, x)
+		}
 	}
 }
 
-// build fills the table with the 2^(j1-j0) subset products of query i
-// over columns [j0, j1) by doubling: entry pat multiplies the value of
-// every column whose bit is set in pat and the square of every other.
+// build fills the table with the 2^(j1-j0) complement products of query
+// i over columns [j0, j1) by doubling: entry pat multiplies the value of
+// every column whose bit is clear in pat, so the all-set entry is one,
+// in form. Each pass adds a column: the entries so far are copied to
+// their set-bit twins and multiplied by its value, 2^g − 2
+// multiplications for a g-column group.
 func (mk *montKernel) build(i, j0, j1 int) {
 	kw, tbl := mk.kw, mk.tbl
-	mv, msq := mk.mv[i][j0*kw:j1*kw], mk.msq[i][j0*kw:j1*kw]
+	mv := mk.mv[i][j0*kw : j1*kw]
 	if kw == 1 {
-		wordTable(tbl, mv, msq, mk.n0, mk.ninv)
+		wordTable(tbl, mv, mk.m.R()[0], mk.n0, mk.ninv)
 		return
 	}
-	copy(tbl[:kw], msq[:kw])
-	copy(tbl[kw:2*kw], mv[:kw])
+	copy(tbl[:kw], mv[:kw])
+	copy(tbl[kw:2*kw], mk.m.R())
 	size := 2
 	for j := kw; j < len(mv); j += kw {
-		for pat := 0; pat < size; pat++ {
-			src := tbl[pat*kw : (pat+1)*kw]
-			d := (pat | size) * kw
-			mk.m.Mul(tbl[d:d+kw], src, mv[j:j+kw])
-			mk.m.Mul(src, src, msq[j:j+kw])
+		copy(tbl[size*kw:2*size*kw], tbl[:size*kw])
+		for at := 0; at < size*kw; at += kw {
+			mk.m.Mul(tbl[at:at+kw], tbl[at:at+kw], mv[j:j+kw])
 		}
 		size *= 2
 	}
@@ -116,27 +123,36 @@ func (mk *montKernel) fold(i, r0 int, pats []uint16, first bool) {
 // [r0, r1), into this one's.
 func (mk *montKernel) merge(from *montKernel, i, r0, r1 int) {
 	kw := mk.kw
-	acc, other := mk.acc[i], from.acc[i]
-	for at := r0 * kw; at < r1*kw; at += kw {
+	acc, other := mk.acc[i][r0*kw:r1*kw], from.acc[i][r0*kw:r1*kw]
+	if kw == 1 {
+		other = other[:len(acc)]
+		for r, a := range acc {
+			acc[r] = big.Word(montMulWordSel(uint(a), uint(other[r]), mk.n0, mk.ninv))
+		}
+		return
+	}
+	for at := 0; at < len(acc); at += kw {
 		mk.m.Mul(acc[at:at+kw], acc[at:at+kw], other[at:at+kw])
 	}
 }
 
 // export writes query i's gammas for rows r0.. into image, width bytes
 // each: the answer's packed image, written where it is computed. It is
-// the last use of those rows' accumulators: it takes them out of
-// Montgomery form in place (a one-word row is one montMulWord with 1)
-// and stores their words big-endian in the rows' slots (putCells).
-func (mk *montKernel) export(i, r0 int, image []byte, width int) {
+// the last use of those rows' accumulators: the product with c — the
+// query's C = Π_j v_j in plain form — completes each row's gamma and
+// takes it out of Montgomery form in place, and putCells stores its
+// words big-endian in the row's slot.
+func (mk *montKernel) export(i, r0 int, c []big.Word, image []byte, width int) {
 	kw := mk.kw
 	acc := mk.acc[i][r0*kw : (r0+len(image)/width)*kw]
 	if kw == 1 {
+		cw := uint(c[0])
 		for r, a := range acc {
-			acc[r] = big.Word(montMulWord(uint(a), 1, mk.n0, mk.ninv))
+			acc[r] = big.Word(montMulWordSel(uint(a), cw, mk.n0, mk.ninv))
 		}
 	} else {
 		for at := 0; at < len(acc); at += kw {
-			mk.m.Mul(acc[at:at+kw], acc[at:at+kw], mk.m.one)
+			mk.m.Mul(acc[at:at+kw], acc[at:at+kw], c)
 		}
 	}
 	putCells(image, acc, kw, width)
@@ -165,17 +181,19 @@ func putCells(buf []byte, cells []big.Word, kw, width int) []byte {
 	return buf
 }
 
-// wordTable builds, by doubling, the 2^len(mv) subset-product table of
-// one-word Montgomery values mv and their squares msq.
-func wordTable(tbl, mv, msq []big.Word, n, ninv uint) {
-	tbl[0], tbl[1] = msq[0], mv[0]
+// wordTable builds, by doubling, the 2^len(mv) complement-product table
+// of one-word Montgomery values mv: entry pat multiplies the values
+// whose bit is clear in pat, and the all-set entry is one, the form's
+// R mod n.
+func wordTable(tbl, mv []big.Word, one big.Word, n, ninv uint) {
+	tbl[0], tbl[1] = mv[0], one
 	size := 2
 	for j := 1; j < len(mv); j++ {
-		vw, sw := uint(mv[j]), uint(msq[j])
-		for pat := 0; pat < size; pat++ {
-			s := uint(tbl[pat])
-			tbl[pat|size] = big.Word(montMulWordSel(s, vw, n, ninv))
-			tbl[pat] = big.Word(montMulWordSel(s, sw, n, ninv))
+		vw := uint(mv[j])
+		lo := tbl[:size]
+		copy(tbl[size:2*size], lo)
+		for pat, s := range lo {
+			lo[pat] = big.Word(montMulWordSel(uint(s), vw, n, ninv))
 		}
 		size *= 2
 	}

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -55,6 +56,49 @@ func TestMontMulWordForms(t *testing.T) {
 	}
 	if carried == 0 {
 		t.Fatal("no product carried out of the word: the o != 0 case went untested")
+	}
+}
+
+// TestComplementTableEntries: for every group width up to
+// MaxBatchWindow, on the one-word and a multi-word modulus, every entry
+// pat of the builder's table is the product of the values whose bit is
+// clear in pat, by big.Int arithmetic, and the all-set entry is one in
+// form. The values include a zero and a non-unit (the key's prime p1),
+// which a table built by inverses would get wrong.
+func TestComplementTableEntries(t *testing.T) {
+	for _, key := range []*ClientKey{wordTestKey(t), testKey(t)} {
+		m, err := NewMont(key.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kw := m.Words()
+		rng := rand.New(rand.NewSource(int64(kw)))
+		for g := 1; g <= MaxBatchWindow; g++ {
+			vals := make([]*big.Int, g)
+			for j := range vals {
+				vals[j] = new(big.Int).Rand(rng, key.N)
+			}
+			vals[0] = new(big.Int).Set(key.p1)
+			vals[g-1] = new(big.Int) // at g = 1, the one value
+			mk := newScanKernel(m, 1, g, 8, g)
+			mk.load(0, 0, vals)
+			mk.build(0, 0, g)
+			for pat := 0; pat < 1<<g; pat++ {
+				want := big.NewInt(1)
+				for j, v := range vals {
+					if pat>>j&1 == 0 {
+						want.Mul(want, v).Mod(want, key.N)
+					}
+				}
+				entry := mk.tbl[pat*kw : (pat+1)*kw]
+				if got := m.FromMont(entry); got.Cmp(want) != 0 {
+					t.Fatalf("%d-word modulus, g=%d, entry %b: %v, want %v", kw, g, pat, got, want)
+				}
+				if pat == 1<<g-1 && !slices.Equal(entry, m.R()) {
+					t.Fatalf("%d-word modulus, g=%d: all-set entry %v, want one in form %v", kw, g, entry, m.R())
+				}
+			}
+		}
 	}
 }
 

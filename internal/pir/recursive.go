@@ -136,7 +136,7 @@ const maxRecursiveWindow = 16
 // serves one fold per row, here it serves C of them, so the build
 // amortises over C·rows products and the window goes wider (13 at the
 // repository benchmark's 155×39 grid of 8,192-row blocks, where the flat
-// scan caps at 10). No statistics, no option: decided by shape.
+// scan takes 10). No statistics, no option: decided by shape.
 func recursiveWindow(R, C, rows, workers int) int {
 	best, bestCost := 1, int64(math.MaxInt64)
 	for w := 1; w <= min(maxRecursiveWindow, R); w++ {
@@ -486,12 +486,12 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 				continue
 			}
 			if lo != tblLo || hi != tblHi {
-				// The flat scan's table build, over the run. Each worker
+				// The run's subset-product table (level1Table). Each worker
 				// builds its own copy — table multiplications are counted
 				// where they are performed, so the counts are a function
 				// of shape, window and worker count only.
 				for i := 0; i < k; i++ {
-					wordTable(tbl[i<<win:], mv1[i][lo:hi], msq1[i][lo:hi], nW, ninv)
+					level1Table(tbl[i<<win:], mv1[i][lo:hi], msq1[i][lo:hi], nW, ninv)
 					p.muls[i] += 2 * (1<<(hi-lo) - 2)
 					p.tableMuls[i] += 2 * (1<<(hi-lo) - 2)
 				}
@@ -534,6 +534,24 @@ func recursiveLevel1Word(poll *scanPoll, cols [][]byte, colBytes int, sh recShap
 		}
 	}
 	return p
+}
+
+// level1Table builds, by doubling, the 2^len(mv) subset-product table
+// of one-word Montgomery values mv and their squares msq: entry pat
+// multiplies the value of every row whose bit is set in pat and the
+// square of every other, 2·(2^g − 2) multiplications for g rows.
+func level1Table(tbl, mv, msq []big.Word, n, ninv uint) {
+	tbl[0], tbl[1] = msq[0], mv[0]
+	size := 2
+	for j := 1; j < len(mv); j++ {
+		vw, sw := uint(mv[j]), uint(msq[j])
+		for pat := 0; pat < size; pat++ {
+			s := uint(tbl[pat])
+			tbl[pat|size] = big.Word(montMulWordSel(s, vw, n, ninv))
+			tbl[pat] = big.Word(montMulWordSel(s, sw, n, ninv))
+		}
+		size *= 2
+	}
 }
 
 // recursiveRefOne is the reference recursive answer for one query:

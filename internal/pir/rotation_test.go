@@ -151,13 +151,20 @@ func TestExecutorAliasedRotations(t *testing.T) {
 // TestRotatedFrameWorkAtBenchShape: at the repository benchmark's shape
 // (6,029 blocks of 1 KiB, a 64-bit modulus, frames of six) a frame of
 // two vectors and four rotations costs every query the counts a frame
-// of six vectors always cost — 6,183,342 products, 1,251,758 of them
+// of six vectors always cost — 5,567,588 products, 636,004 of them
 // table work — wherever in the store the two documents sit.
 func TestRotatedFrameWorkAtBenchShape(t *testing.T) {
 	k := wordTestKey(t)
 	const nCols, colBytes = 6029, 1024
 	cols := randomColumns(t, 6029, nCols, colBytes)
-	want := Stats{ModMuls: 6183342, TableMuls: 1251758}
+	// The window is 10 at 8,192 rows: 602 groups of ten columns and one
+	// of nine. A query's table work is 2·width for its values, 2^g − 2 a
+	// group's table and one export a row; past it, every row folds once
+	// in each group but the first of each of the two workers, and merges
+	// once.
+	const rows, groups = colBytes * 8, 603
+	table := 2*nCols + 602*(1<<10-2) + (1<<9 - 2) + rows
+	want := Stats{ModMuls: table + (groups-1)*rows, TableMuls: table}
 	for _, firsts := range [][2]int{{0, nCols - 3}, {1500, 1503}, {4096, 17}} {
 		_, aliased := rotatedBatches(t, k, nCols, firsts[0], firsts[1])
 		answers, stats, err := ProcessColumnsMultiExecCtx(context.Background(), cols, colBytes, aliased, Exec{Workers: 2})

@@ -249,6 +249,10 @@ var rules = []rule{
 	// reference; a view of a frame holds the image and nothing else.
 	retired("an answer is its packed image", ident|tests, "", `^(answerGammas|gammaSource|decodePacked|wordGammas|matrixImage|imageCell)$`),
 	retired("an answer is its packed image", decl|tests, "", `^(Answer\.Gammas|PIRAnswerView\.Answer)$`),
+	// The flat scan folds complement tables: a group's entries multiply
+	// the values at the clear bits, and each row takes the product of
+	// every value on its way out, so no column carries its square.
+	retired("complement tables", decl|tests, "internal/pir", `^montKernel\.msq$`),
 }
 
 // TestSurface holds the retired surface gone and the kernels in place.
